@@ -25,7 +25,7 @@ import numpy as np
 from repro.baselines.value_model import PlanFeaturizer, ValueModel
 from repro.core.inference import OptimizedPlan
 from repro.engine.backend import EngineBackend
-from repro.optimizer.plans import JOIN_METHODS, JoinNode, PlanNode, ScanNode
+from repro.optimizer.plans import JOIN_METHODS, PlanNode
 from repro.sql.ast import Query
 from repro.workloads.base import WorkloadQuery
 
@@ -56,53 +56,26 @@ class BalsaOptimizer:
     # ------------------------------------------------------------------
     def _construct(self, query: Query, explore: bool = False) -> PlanNode:
         """Beam-search a complete left-deep plan scored by the value net."""
-        enumerator = self.database.enumerator
-        scans = {alias: enumerator.best_scan(query, alias) for alias in query.aliases}
-        graph = query.join_graph()
-        beam: List[Tuple[float, PlanNode, frozenset]] = [
-            (0.0, scans[alias], frozenset([alias])) for alias in query.aliases
-        ]
-        beam.sort(key=lambda item: item[0])
-        beam = beam[: self.beam_width]
-        total = len(query.aliases)
-        while len(next(iter(beam))[2]) < total:
-            expanded: List[Tuple[float, PlanNode, frozenset]] = []
+        space = self.database.enumerator.join_space(query)
+        beam: List[Tuple[float, PlanNode, int]] = [
+            (0.0, space.scans[i], 1 << i) for i in space.query_order
+        ][: self.beam_width]
+        while beam[0][2] != space.full:
+            expanded: List[Tuple[float, PlanNode, int]] = []
             for _, partial, joined in beam:
-                candidates = sorted(
-                    alias
-                    for alias in query.aliases
-                    if alias not in joined and any(graph.has_edge(alias, j) for j in joined)
-                )
-                if not candidates:
-                    candidates = sorted(a for a in query.aliases if a not in joined)
-                for alias in candidates:
-                    predicates = tuple(query.joins_between(list(joined), [alias]))
+                for i in sorted(space.candidates(joined)):
                     for method in JOIN_METHODS:
-                        out_rows = enumerator.estimator.join_rows(
-                            query, partial.est_rows, scans[alias].est_rows, predicates
-                        )
-                        plan = JoinNode(
-                            left=partial,
-                            right=scans[alias],
-                            method=method,
-                            predicates=predicates,
-                            est_rows=out_rows,
-                            est_cost=partial.est_cost
-                            + scans[alias].est_cost
-                            + enumerator.join_cost(
-                                query, method, partial.est_rows, scans[alias], out_rows, predicates
-                            ),
-                        )
+                        plan = space.join(partial, joined, i, method)
                         score = self._score(query, plan)
                         if explore and self.rng.random() < self.epsilon:
                             score *= self.rng.uniform(0.2, 2.0)
-                        expanded.append((score, plan, joined | {alias}))
+                        expanded.append((score, plan, joined | 1 << i))
             expanded.sort(key=lambda item: item[0])
             # Deduplicate by joined-set to keep beam diversity.
             seen = set()
             beam = []
             for score, plan, joined in expanded:
-                key = (joined, plan.method if isinstance(plan, JoinNode) else "")
+                key = (joined, plan.method)
                 if key in seen:
                     continue
                 seen.add(key)

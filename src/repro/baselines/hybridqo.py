@@ -19,7 +19,7 @@ import numpy as np
 from repro.baselines.value_model import PlanFeaturizer, ValueModel
 from repro.core.inference import OptimizedPlan
 from repro.engine.backend import EngineBackend
-from repro.optimizer.dp import OptimizerOptions
+from repro.optimizer.dp import HintError, JoinSpace, OptimizerOptions
 from repro.optimizer.plans import PlanNode
 from repro.sql.ast import Query
 from repro.workloads.base import WorkloadQuery
@@ -73,19 +73,19 @@ class HybridQOOptimizer:
         try:
             options = OptimizerOptions(leading_prefix=prefix, max_dp_tables=0)
             plan = self.database.plan(query, options).plan
-        except Exception:
+        except HintError:
             return -50.0
         return -math.log1p(plan.est_cost)
 
     def _search_prefixes(self, query: Query) -> List[Tuple[str, ...]]:
         """UCT search over leading prefixes; returns the most-visited ones."""
-        graph = query.join_graph()
+        space = self.database.enumerator.join_space(query)
         root = _Node(prefix=())
         for _ in range(self.mcts_budget):
             node = root
             # Selection / expansion down to max_prefix_length.
             while len(node.prefix) < min(self.max_prefix_length, query.num_tables):
-                candidates = self._extensions(query, graph, node.prefix)
+                candidates = self._extensions(space, node.prefix)
                 if not candidates:
                     break
                 for alias in candidates:
@@ -118,13 +118,10 @@ class HybridQOOptimizer:
         leaves.sort(key=lambda n: (n.visits, n.total_value / max(n.visits, 1)), reverse=True)
         return [leaf.prefix for leaf in leaves[: self.top_k]]
 
-    def _extensions(self, query: Query, graph, prefix: Tuple[str, ...]) -> List[str]:
+    def _extensions(self, space: JoinSpace, prefix: Tuple[str, ...]) -> List[str]:
         if not prefix:
-            return sorted(query.aliases)
-        connected = set()
-        for alias in prefix:
-            connected |= set(graph.neighbors(alias))
-        return sorted(connected - set(prefix))
+            return list(space.names)
+        return [space.names[i] for i in sorted(space.candidates(space.mask(prefix)))]
 
     # ------------------------------------------------------------------
     def _candidates(self, query: Query) -> List[PlanNode]:
@@ -132,7 +129,7 @@ class HybridQOOptimizer:
         for prefix in self._search_prefixes(query):
             try:
                 plans.append(self.database.plan(query, OptimizerOptions(leading_prefix=prefix)).plan)
-            except Exception:
+            except HintError:
                 continue
         return plans
 

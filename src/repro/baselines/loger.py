@@ -18,7 +18,7 @@ import numpy as np
 from repro.baselines.value_model import PlanFeaturizer, ValueModel
 from repro.core.inference import OptimizedPlan
 from repro.engine.backend import EngineBackend
-from repro.optimizer.plans import JOIN_METHODS, JoinNode, PlanNode
+from repro.optimizer.plans import JOIN_METHODS, PlanNode
 from repro.sql.ast import Query
 from repro.workloads.base import WorkloadQuery
 
@@ -53,54 +53,29 @@ class LogerOptimizer:
 
     # ------------------------------------------------------------------
     def _construct(self, query: Query, explore: bool = False) -> PlanNode:
-        enumerator = self.database.enumerator
-        scans = {alias: enumerator.best_scan(query, alias) for alias in query.aliases}
-        graph = query.join_graph()
+        space = self.database.enumerator.join_space(query)
         # Start from the most selective scan (Loger's heuristic start).
-        start_alias = min(query.aliases, key=lambda a: scans[a].est_rows)
-        plan: PlanNode = scans[start_alias]
-        joined = {start_alias}
-        while len(joined) < len(query.aliases):
-            candidates = sorted(
-                alias
-                for alias in query.aliases
-                if alias not in joined and any(graph.has_edge(alias, j) for j in joined)
-            )
-            if not candidates:
-                candidates = sorted(a for a in query.aliases if a not in joined)
-            options: List[Tuple[float, PlanNode, str]] = []
-            for alias in candidates:
-                predicates = tuple(query.joins_between(list(joined), [alias]))
-                out_rows = enumerator.estimator.join_rows(
-                    query, plan.est_rows, scans[alias].est_rows, predicates
-                )
+        start = min(space.query_order, key=space.rows.__getitem__)
+        plan: PlanNode = space.scans[start]
+        joined = 1 << start
+        while joined != space.full:
+            options: List[Tuple[float, PlanNode, int]] = []
+            for i in sorted(space.candidates(joined)):
+                _, out_rows, index_usable = space.extend(plan.est_rows, joined, i)
                 for restriction in RESTRICTIONS:
                     allowed = [m for m in JOIN_METHODS if m not in restriction]
                     # The expert cost model picks within the restriction.
                     method = min(
                         allowed,
-                        key=lambda m: enumerator.join_cost(
-                            query, m, plan.est_rows, scans[alias], out_rows, predicates
-                        ),
+                        key=lambda m: space.join_cost(m, plan.est_rows, i, out_rows, index_usable),
                     )
-                    candidate = JoinNode(
-                        left=plan,
-                        right=scans[alias],
-                        method=method,
-                        predicates=predicates,
-                        est_rows=out_rows,
-                        est_cost=plan.est_cost
-                        + scans[alias].est_cost
-                        + enumerator.join_cost(
-                            query, method, plan.est_rows, scans[alias], out_rows, predicates
-                        ),
-                    )
-                    options.append((self._score(query, candidate), candidate, alias))
+                    candidate = space.join(plan, joined, i, method)
+                    options.append((self._score(query, candidate), candidate, i))
             if explore and self.rng.random() < self.epsilon:
-                score, plan, alias = options[int(self.rng.integers(len(options)))]
+                _, plan, i = options[int(self.rng.integers(len(options)))]
             else:
-                score, plan, alias = min(options, key=lambda item: item[0])
-            joined.add(alias)
+                _, plan, i = min(options, key=lambda item: item[0])
+            joined |= 1 << i
         return plan
 
     def _score(self, query: Query, plan: PlanNode) -> float:

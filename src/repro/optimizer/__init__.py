@@ -18,8 +18,8 @@ from repro.optimizer.plans import (
 )
 from repro.optimizer.cardinality import CardinalityEstimator
 from repro.optimizer.cost import CostModel, CostParameters
-from repro.optimizer.dp import PlanEnumerator, OptimizerOptions
-from repro.optimizer.hints import HintedPlanBuilder, HintError
+from repro.optimizer.dp import HintError, JoinSpace, OptimizerOptions, PlanEnumerator
+from repro.optimizer.hints import HintedPlanBuilder
 
 __all__ = [
     "JOIN_METHODS",
@@ -31,6 +31,7 @@ __all__ = [
     "CardinalityEstimator",
     "CostModel",
     "CostParameters",
+    "JoinSpace",
     "PlanEnumerator",
     "OptimizerOptions",
     "HintedPlanBuilder",

@@ -10,7 +10,6 @@ plan-doctor headroom.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
@@ -85,19 +84,3 @@ class CardinalityEstimator:
         ndv_left = self.column_stats(left_table, predicate.left.column).n_distinct
         ndv_right = self.column_stats(right_table, predicate.right.column).n_distinct
         return 1.0 / max(ndv_left, ndv_right, 1.0)
-
-    def join_rows(
-        self,
-        query: Query,
-        left_rows: float,
-        right_rows: float,
-        predicates: Iterable[JoinPredicate],
-    ) -> float:
-        """Cardinality of joining two inputs over the given predicates.
-
-        Cross joins (no predicates) estimate the full product.
-        """
-        selectivity = 1.0
-        for predicate in predicates:
-            selectivity *= self.join_selectivity(query, predicate)
-        return max(MIN_ROWS, left_rows * right_rows * selectivity)

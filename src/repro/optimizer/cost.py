@@ -113,10 +113,9 @@ class CostModel:
     def nested_loop(self, outer_rows: float, inner_rows: float, out_rows: float) -> float:
         """Plain nested loop with a materialized inner side."""
         p = self.params
-        pair_cost = outer_rows * inner_rows * p.nl_pair
-        rescan = outer_rows * inner_rows * 0.0  # folded into nl_pair
+        pair_cost = outer_rows * inner_rows * p.nl_pair  # rescans folded into nl_pair
         first_scan = inner_rows * p.nl_rescan_tuple
-        return pair_cost + rescan + first_scan + out_rows * p.output_tuple
+        return pair_cost + first_scan + out_rows * p.output_tuple
 
     def index_nested_loop(self, outer_rows: float, inner_base_rows: float, out_rows: float) -> float:
         """Nested loop probing an index on the inner base table."""

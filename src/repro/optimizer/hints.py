@@ -8,17 +8,13 @@ describes (`Γp(Q, ICP) → CP`).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Sequence
 
-from repro.optimizer.cardinality import CardinalityEstimator
-from repro.optimizer.cost import CostModel
-from repro.optimizer.dp import PlanEnumerator
-from repro.optimizer.plans import JOIN_METHODS, JoinNode, PlanNode, ScanNode
+from repro.optimizer.dp import HintError, PlanEnumerator
+from repro.optimizer.plans import JOIN_METHODS, PlanNode
 from repro.sql.ast import Query
 
-
-class HintError(ValueError):
-    """Raised when a hint does not describe a valid plan for the query."""
+__all__ = ["HintError", "HintedPlanBuilder"]
 
 
 class HintedPlanBuilder:
@@ -26,7 +22,6 @@ class HintedPlanBuilder:
 
     def __init__(self, enumerator: PlanEnumerator) -> None:
         self.enumerator = enumerator
-        self.estimator = enumerator.estimator
 
     def build(
         self,
@@ -41,29 +36,14 @@ class HintedPlanBuilder:
         have ``len(join_order) - 1`` entries.
         """
         self._validate(query, join_order, join_methods)
-        scans = {alias: self.enumerator.best_scan(query, alias) for alias in join_order}
-        if len(join_order) == 1:
-            return scans[join_order[0]]
-
-        plan: PlanNode = scans[join_order[0]]
-        rows = plan.est_rows
-        prefix: List[str] = [join_order[0]]
-        for level, alias in enumerate(join_order[1:]):
-            method = join_methods[level]
-            scan = scans[alias]
-            predicates = tuple(query.joins_between(prefix, [alias]))
-            out_rows = self.estimator.join_rows(query, rows, scan.est_rows, predicates)
-            op_cost = self.enumerator.join_cost(query, method, rows, scan, out_rows, predicates)
-            plan = JoinNode(
-                left=plan,
-                right=scan,
-                method=method,
-                predicates=predicates,
-                est_rows=out_rows,
-                est_cost=plan.est_cost + scan.est_cost + op_cost,
-            )
-            rows = out_rows
-            prefix.append(alias)
+        space = self.enumerator.join_space(query)
+        first = space.index[join_order[0]]
+        plan: PlanNode = space.scans[first]
+        mask = 1 << first
+        for alias, method in zip(join_order[1:], join_methods):
+            i = space.index[alias]
+            plan = space.join(plan, mask, i, method)
+            mask |= 1 << i
         return plan
 
     def _validate(

@@ -1,11 +1,16 @@
 """Traditional optimizer tests: cardinality, cost, DP enumeration, hints."""
 
+import itertools
 import math
+import zlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reference_dp import ReferenceEnumerator, reference_hinted_plan, reference_join_rows
+from repro.baselines.hybridqo import HybridQOOptimizer
+from repro.optimizer import dp
 from repro.optimizer.cost import CostModel, CostParameters, runtime_cost_parameters
 from repro.optimizer.dp import OptimizerOptions
 from repro.optimizer.hints import HintError
@@ -14,11 +19,13 @@ from repro.optimizer.plans import (
     JoinNode,
     ScanNode,
     explain,
+    iter_nodes,
     plan_aliases,
     plan_join_methods,
     plan_signature,
     replace_join_method,
 )
+from repro.workloads import build_workload_by_name
 
 
 @pytest.fixture(scope="module")
@@ -56,6 +63,19 @@ class TestCostModel:
     def test_hash_beats_nl_for_large_both(self):
         cm = CostModel()
         assert cm.hash_join(50_000, 50_000, 50_000) < cm.nested_loop(50_000, 50_000, 50_000)
+
+    @pytest.mark.parametrize("params", [CostParameters(), runtime_cost_parameters()], ids=["planner", "runtime"])
+    def test_nested_loop_without_zero_rescan_term_is_bit_equal(self, params):
+        """Dropping the dead ``outer * inner * 0.0`` term moved no finite cost."""
+        cm = CostModel(params)
+        inputs = [(1000, 1000, 0), (100, 1000, 0), (100, 100_000, 100), (50_000, 50_000, 50_000)]
+        for outer, inner, out in inputs:
+            pair, first = outer * inner * params.nl_pair, inner * params.nl_rescan_tuple
+            with_rescan = pair + outer * inner * 0.0 + first + out * params.output_tuple
+            assert cm.nested_loop(outer, inner, out).hex() == float(with_rescan).hex()
+
+    def test_nested_loop_overflow_is_inf_not_nan(self):
+        assert CostModel().nested_loop(float("inf"), 10.0, 1.0) == math.inf
 
     def test_milliseconds_conversion(self):
         cm = CostModel(CostParameters(work_units_per_ms=1000.0))
@@ -159,6 +179,36 @@ class TestEnumeration:
         assert isinstance(plan, ScanNode)
 
 
+class TestPrefixValidation:
+    """A bad ``leading_prefix`` is a typed hint error, not a stalled DP or a KeyError."""
+
+    @pytest.fixture()
+    def query(self, job_workload):
+        return next(wq.query for wq in job_workload.all_queries if wq.query.num_tables >= 4)
+
+    @pytest.mark.parametrize("max_dp_tables", [15, 0], ids=["dp", "greedy"])
+    def test_unknown_and_repeated_aliases_raise_hint_error(self, db, query, max_dp_tables):
+        first = query.aliases[0]
+        for prefix in (("bogus",), (first, "bogus"), (first, first)):
+            options = OptimizerOptions(leading_prefix=prefix, max_dp_tables=max_dp_tables)
+            with pytest.raises(HintError):
+                db.enumerator.optimize(query, options)
+
+    def test_hint_error_is_one_value_error_class(self):
+        assert dp.HintError is HintError and issubclass(HintError, ValueError)
+
+    def test_hybridqo_swallows_only_hint_errors(self, db, query, monkeypatch):
+        hybrid = HybridQOOptimizer(db)
+        assert hybrid._prefix_value(query, ("bogus",)) == -50.0
+
+        def broken_plan(*args, **kwargs):
+            raise RuntimeError("engine down")
+
+        monkeypatch.setattr(db, "plan", broken_plan)
+        with pytest.raises(RuntimeError):
+            hybrid._prefix_value(query, (query.aliases[0],))
+
+
 class TestHints:
     def test_hint_roundtrip(self, db, job_workload):
         query = next(wq.query for wq in job_workload.all_queries if wq.query.num_tables >= 4)
@@ -228,3 +278,149 @@ class TestCardinality:
         true_rows = db.execute(query, plan).output_rows
         if true_rows > 20:  # only meaningful when the pair selects something
             assert estimated < true_rows
+
+
+# ----------------------------------------------------------------------
+# Fast-path parity: the bitmask DP against the frozenset DP it replaced
+# (tests/reference_dp.py), float.hex for float.hex.
+# ----------------------------------------------------------------------
+PARITY_WORKLOADS = ("job", "stack", "tpcds")
+DISABLED_SUBSETS = [
+    frozenset(subset) for size in (1, 2) for subset in itertools.combinations(JOIN_METHODS, size)
+]
+# crc32 over every expert plan (signature + per-node estimates) at scale 0.02,
+# dataset seed 1, recorded from the commit before the bitmask DP.
+EXPERT_PLAN_DIGESTS = {"job": "1c748363", "stack": "07da8ea5", "tpcds": "c053a584"}
+
+
+def tree(plan):
+    """Everything the parity contract covers, per node in post-order."""
+    nodes = []
+    for node in iter_nodes(plan):
+        estimates = (float(node.est_rows).hex(), float(node.est_cost).hex())
+        if isinstance(node, ScanNode):
+            shape = (node.alias, node.table, node.scan_type, node.index_column, node.filters)
+        else:
+            shape = (node.method, node.predicates)
+        nodes.append(shape + estimates)
+    return nodes
+
+
+@pytest.fixture(scope="module")
+def planners():
+    """workload name -> (workload, the old planner over the same database)."""
+    built = {}
+    for name in PARITY_WORKLOADS:
+        workload = build_workload_by_name(name, scale=0.02, seed=1)
+        database = workload.database
+        reference = ReferenceEnumerator(
+            database.estimator, database.cost_model, database.storage.has_index
+        )
+        built[name] = (workload, reference)
+    return built
+
+
+def cross_join_prefixes(query):
+    """Two-alias prefixes whose second alias shares no predicate with the first."""
+    graph = query.join_graph()
+    return [
+        (a, b) for a in query.aliases for b in query.aliases if a != b and not graph.has_edge(a, b)
+    ]
+
+
+class TestFastPathParity:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_differential_against_reference_dp(self, planners, data):
+        workload, reference = planners[data.draw(st.sampled_from(PARITY_WORKLOADS), label="workload")]
+        queries = [wq.query for wq in workload.all_queries if wq.query.num_tables >= 2]
+        query = queries[data.draw(st.integers(0, len(queries) - 1), label="query")]
+        shape = data.draw(st.sampled_from(("plain", "disabled", "prefix", "cross")), label="shape")
+        disabled, prefix = frozenset(), ()
+        if shape == "disabled":
+            disabled = data.draw(st.sampled_from(DISABLED_SUBSETS), label="disabled")
+        elif shape == "prefix":
+            order = plan_aliases(reference.optimize(query))
+            if data.draw(st.booleans(), label="shuffled order"):
+                order = data.draw(st.permutations(order), label="order")
+            prefix = tuple(order[: data.draw(st.integers(1, min(3, len(order))), label="length")])
+        elif shape == "cross" and cross_join_prefixes(query):
+            prefix = data.draw(st.sampled_from(cross_join_prefixes(query)), label="prefix")
+        # max_dp_tables=0 routes through the greedy fallback (HybridQO's rollouts).
+        max_dp_tables = data.draw(st.sampled_from((15, 0)), label="max_dp_tables")
+        options = OptimizerOptions(disabled, prefix, max_dp_tables)
+        fast = workload.database.enumerator.optimize(query, options)
+        assert tree(fast) == tree(reference.optimize(query, options))
+
+    @pytest.mark.parametrize("name", PARITY_WORKLOADS)
+    def test_expert_plan_digest_pinned(self, planners, name):
+        workload, _ = planners[name]
+        crc = 0
+        for wq in workload.all_queries:
+            plan = workload.database.enumerator.optimize(wq.query)
+            estimates = "".join(f"|{n.est_rows.hex()}|{n.est_cost.hex()}" for n in iter_nodes(plan))
+            crc = zlib.crc32((plan_signature(plan) + estimates).encode(), crc)
+        assert f"{crc:08x}" == EXPERT_PLAN_DIGESTS[name]
+
+    @pytest.mark.parametrize("name", PARITY_WORKLOADS)
+    def test_hint_completion_parity(self, planners, name):
+        workload, reference = planners[name]
+        rng = np.random.default_rng(5)
+        for wq in workload.all_queries:
+            expert = reference.optimize(wq.query)
+            order, methods = plan_aliases(expert), plan_join_methods(expert)
+            for hinted_order in (order, *(list(rng.permutation(order)) for _ in range(2))):
+                fast = workload.database.hint_builder.build(wq.query, hinted_order, methods)
+                assert tree(fast) == tree(reference_hinted_plan(reference, wq.query, hinted_order, methods))
+
+    def test_dp_cost_is_the_brute_force_minimum(self, planners):
+        """Up to 6 tables, walk every cross-product-free left-deep order.
+
+        The DP keeps one entry per subset, so it is exact only while a
+        subset's row estimate does not depend on the order it was joined in;
+        the ``max(1, rows)`` clamp breaks that (5 of the 95 clamped queries
+        here have a cheaper plan the DP cannot see).  Unclamped queries must
+        hit the minimum; clamped ones are bounded by it.
+        """
+        exact = 0
+        for name in PARITY_WORKLOADS:
+            workload, reference = planners[name]
+            for wq in workload.all_queries:
+                if 2 <= wq.query.num_tables <= 6:
+                    minimum, clamped = brute_force_minimum(reference, wq.query)
+                    cost = workload.database.enumerator.optimize(wq.query).est_cost
+                    assert cost >= minimum * (1 - 1e-9)
+                    if not clamped:
+                        assert cost == pytest.approx(minimum, rel=1e-9)
+                        exact += 1
+        assert exact >= 150
+
+
+def brute_force_minimum(reference, query):
+    """(cheapest cost over all connected left-deep orders, any estimate clamped?)."""
+    aliases = query.aliases
+    scans = {alias: reference.best_scan(query, alias) for alias in aliases}
+    graph = query.join_graph()
+    best, clamped = math.inf, False
+
+    def walk(order, rows, cost):
+        nonlocal best, clamped
+        if len(order) == len(aliases):
+            best = min(best, cost)
+            return
+        for alias in aliases:
+            if alias in order or not any(graph.has_edge(alias, joined) for joined in order):
+                continue
+            scan = scans[alias]
+            predicates = query.joins_between(order, [alias])
+            out_rows = reference_join_rows(reference.estimator, query, rows, scan.est_rows, predicates)
+            clamped = clamped or out_rows == 1.0
+            op_cost = min(
+                reference.join_cost(query, method, rows, scan, out_rows, predicates)
+                for method in JOIN_METHODS
+            )
+            walk(order + [alias], out_rows, cost + scan.est_cost + op_cost)
+
+    for alias in aliases:
+        walk([alias], scans[alias].est_rows, scans[alias].est_cost)
+    return best, clamped
