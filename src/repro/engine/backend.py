@@ -742,6 +742,7 @@ class ShardedBackend:
             "executions": self.executions,
             "plan_memo": len(self._plan_memo),
             "hint_memo": len(self._hint_memo),
+            "statement_cache": self.local.stats()["statement_cache"],
         }
 
 

@@ -161,8 +161,13 @@ class Database:
         self._hint_cache: "OrderedDict[Tuple[str, Tuple[str, ...], Tuple[str, ...]], PlanningResult]" = OrderedDict()
         self.hint_cache_capacity = 200_000
         self._latency_cache: Dict[Tuple[str, str], _CachedLatency] = {}
+        # (text, name) -> bound query, LRU like the hint cache.  Sized above
+        # the serving memo's default capacity (4096), so a plan-memo hit is
+        # never preceded by a bind miss.
+        self._statement_cache: "OrderedDict[Tuple[str, str], Query]" = OrderedDict()
+        self.statement_cache_capacity = 8192
         self.executions = 0  # real-environment execution counter (cache misses)
-        # Guards the plan/hint/latency caches against concurrent serving
+        # Guards the statement/plan/hint/latency caches against concurrent serving
         # threads (OptimizerService flushers, multi-tenant sessions over
         # one shared engine).  Heavy compute — enumeration, hint
         # completion, execution — runs *outside* the lock: it is stateless
@@ -176,12 +181,29 @@ class Database:
     # SQL entry point
     # ------------------------------------------------------------------
     def sql(self, text: str, name: str = "") -> Query:
-        """Parse + bind SQL text against this database.
+        """Parse + bind SQL text against this database, once per (text, name).
 
-        Lock-free: parse/bind is a pure function over the immutable schema
-        and storage, and serving threads bind concurrently with planning.
+        Bound queries are kept in an LRU statement cache, so a repeated
+        statement costs one dict lookup and every caller of the same text
+        shares one read-only :class:`Query`.  The lock covers the LRU
+        get/insert only; lex/parse/bind is a pure function over the
+        immutable schema and storage and runs outside it, so serving
+        threads bind concurrently with planning (two threads missing the
+        same text both bind; the second insert overwrites an equal query).
+        A text that fails to parse or bind is not stored and raises again.
         """
-        return bind_query(parse_query(text), self.schema, self.storage, name=name)
+        key = (text, name)
+        with self._lock:
+            query = self._statement_cache.get(key)
+            if query is not None:
+                self._statement_cache.move_to_end(key)
+                return query
+        query = bind_query(parse_query(text), self.schema, self.storage, name=name)
+        with self._lock:
+            self._statement_cache[key] = query
+            while len(self._statement_cache) > self.statement_cache_capacity:
+                self._statement_cache.popitem(last=False)
+        return query
 
     # ------------------------------------------------------------------
     # planning
@@ -408,6 +430,7 @@ class Database:
 
     def clear_caches(self) -> None:
         with self._lock:
+            self._statement_cache.clear()
             self._plan_cache.clear()
             self._hint_cache.clear()
             self._latency_cache.clear()
@@ -427,4 +450,5 @@ class Database:
             "plan_cache": len(self._plan_cache),
             "hint_cache": len(self._hint_cache),
             "latency_cache": len(self._latency_cache),
+            "statement_cache": len(self._statement_cache),
         }

@@ -610,6 +610,7 @@ class RemoteBackend:
             "executions": self.executions,
             "plan_memo": len(self._plan_memo),
             "hint_memo": len(self._hint_memo),
+            "statement_cache": self.local.stats()["statement_cache"],
             "server_backend": server.get("backend"),
             "server_workers": server.get("workers"),
             "server_executions": server.get("executions"),

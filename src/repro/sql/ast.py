@@ -84,6 +84,11 @@ class Aggregate:
 class Query:
     """A bound select-project-join query.
 
+    A bound query is never mutated: the engine's statement cache hands one
+    object to every thread and tenant that sends the same text, so the
+    binder memoizes :meth:`signature` before the query is published and
+    nothing downstream writes to it or to its lists.
+
     Attributes
     ----------
     tables:
@@ -126,7 +131,21 @@ class Query:
         return graph
 
     def is_connected(self) -> bool:
-        return nx.is_connected(self.join_graph()) if self.tables else False
+        """Whether the join predicates link every alias (union-find, no graph)."""
+        root = {alias: alias for alias in self.tables}
+
+        def find(alias: str) -> str:
+            while root[alias] != alias:
+                root[alias] = alias = root[root[alias]]
+            return alias
+
+        components = len(root)
+        for pred in self.join_predicates:
+            a, b = find(pred.left.alias), find(pred.right.alias)
+            if a != b:
+                root[a] = b
+                components -= 1
+        return components == 1
 
     def joins_between(self, group_a: Sequence[str], group_b: Sequence[str]) -> List[JoinPredicate]:
         """Join predicates linking any alias in group_a to any in group_b."""
@@ -151,7 +170,8 @@ class Query:
 
         Memoized: unnamed queries fall back to re-rendering their SQL,
         which is far too slow for the per-step cache lookups of the
-        episode hot path.
+        episode hot path.  ``bind_query`` calls this once before returning,
+        so the write below never happens on a query another thread can see.
         """
         cached = getattr(self, "_signature", None)
         if cached is None:

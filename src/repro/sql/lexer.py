@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, List
+from typing import List, NamedTuple
 
 KEYWORDS = {
     "SELECT",
@@ -23,8 +22,7 @@ KEYWORDS = {
 SYMBOLS = ["<=", ">=", "<>", "!=", "=", "<", ">", "(", ")", ",", ";", "*", "."]
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """A lexical token: kind is KEYWORD, IDENT, NUMBER, STRING, or SYMBOL."""
 
     kind: str

@@ -1,5 +1,8 @@
 """SQL frontend tests: lexer, parser, binder, AST helpers."""
 
+import zlib
+
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -68,6 +71,55 @@ class TestLexer:
     def test_unexpected_character_raises(self):
         with pytest.raises(LexError):
             tokenize("a ~ b")
+
+
+# crc32 over repr([(kind, value, position), ...]) of every workload query's
+# tokens (conftest's scales and seeds), and the error each malformed text
+# raises, both recorded from the commit before Token became a NamedTuple.
+TOKEN_DIGESTS = {
+    "job": (113, 15046, "d8b2e9e5"),
+    "tpcds": (114, 7966, "898db981"),
+    "stack": (120, 8668, "bbbf39f1"),
+}
+# (text, message, whether the lexer already rejects it)
+MALFORMED = [
+    ("SELECT COUNT(*) FROM title AS t WHERE t.title = 'oops", "unterminated string literal at 48", True),
+    ("SELECT COUNT(*) FROM title AS t WHERE t.id ~ 3", "unexpected character '~' at position 43", True),
+    ("SELECT COUNT(*) FROM title AS t WHERE t.id = -", "unexpected character '-' at position 45", True),
+    ("SELECT COUNT(*) FROM title AS t; SELECT", "trailing input at position 33", False),
+    (
+        "SELECT COUNT(*) FROM title AS t, movie_info AS mi WHERE t.id < mi.movie_id",
+        "only equi-joins are supported between columns",
+        False,
+    ),
+    ("SELECT COUNT(*) FROM title AS t WHERE", "unexpected end of input", False),
+]
+
+
+class TestTokenParity:
+    @pytest.mark.parametrize("name", sorted(TOKEN_DIGESTS))
+    def test_workload_token_streams_match_recorded_digest(self, request, name):
+        workload = request.getfixturevalue(f"{name}_workload")
+        crc = tokens = 0
+        for wq in workload.all_queries:
+            lexed = tokenize(wq.sql)
+            stream = [(t.kind, t.value, t.position) for t in lexed]
+            assert stream == [tuple(t) for t in lexed]  # same fields, same order
+            tokens += len(stream)
+            crc = zlib.crc32(repr(stream).encode(), crc)
+        assert (len(workload.all_queries), tokens, f"{crc:08x}") == TOKEN_DIGESTS[name]
+
+    @pytest.mark.parametrize("text, message, lexer_rejects", MALFORMED)
+    def test_malformed_input_raises_the_recorded_error(self, text, message, lexer_rejects):
+        with pytest.raises(ParseError) as caught:
+            parse_query(text)
+        assert str(caught.value) == message
+        if lexer_rejects:
+            with pytest.raises(LexError) as lexed:
+                tokenize(text)
+            assert str(lexed.value) == message
+        else:
+            tokenize(text)
 
 
 class TestParser:
@@ -162,6 +214,33 @@ class TestQueryAst:
     def test_join_graph_connected(self, schema, storage):
         query = self._query(schema, storage)
         assert query.is_connected()
+
+    @pytest.mark.parametrize("name", ["job", "tpcds", "stack"])
+    def test_is_connected_matches_networkx_on_workload_queries(self, request, name):
+        for wq in request.getfixturevalue(f"{name}_workload").all_queries:
+            assert wq.query.is_connected() == nx.is_connected(wq.query.join_graph())
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_is_connected_matches_networkx_on_drawn_predicates(self, data):
+        aliases = [f"a{i}" for i in range(data.draw(st.integers(1, 7), label="tables"))]
+        pairs = [(a, b) for a in aliases for b in aliases if a != b]
+        edges = data.draw(st.lists(st.sampled_from(pairs), max_size=10), label="edges") if pairs else []
+        query = Query(
+            tables={alias: "t" for alias in aliases},
+            join_predicates=[JoinPredicate(ColumnRef(a, "x"), ColumnRef(b, "y")) for a, b in edges],
+            filters=[],
+        )
+        assert query.is_connected() == nx.is_connected(query.join_graph())
+
+    def test_is_connected_without_tables(self):
+        assert not Query(tables={}, join_predicates=[], filters=[]).is_connected()
+
+    def test_disconnected_join_graph_is_a_bind_error(self, schema, storage):
+        raw = parse_query("SELECT COUNT(*) FROM users AS u, orders AS o WHERE u.age > 25")
+        with pytest.raises(BindError, match="query join graph is not connected"):
+            bind_query(raw, schema, storage)
+        bind_query(parse_query("SELECT COUNT(*) FROM users AS u WHERE u.age > 25"), schema, storage)
 
     def test_filters_for(self, schema, storage):
         query = self._query(schema, storage)
