@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
-import networkx as nx
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclass(frozen=True)
@@ -79,9 +80,16 @@ class Schema:
                 raise ValueError(f"duplicate table {table.name}")
             self._tables[table.name] = table
         self.foreign_keys: List[ForeignKey] = []
+        # table -> {joinable table -> foreign key}, kept in the iteration
+        # order of ``join_graph()`` (tables in declaration order, neighbours
+        # in foreign-key order, a pair's later key replacing its earlier one
+        # in place), which the workload generators' output depends on.
+        self._adjacency: Dict[str, Dict[str, ForeignKey]] = {name: {} for name in self._tables}
         for fk in foreign_keys:
             self._validate_fk(fk)
             self.foreign_keys.append(fk)
+            self._adjacency[fk.table][fk.ref_table] = fk
+            self._adjacency[fk.ref_table][fk.table] = fk
 
     def _validate_fk(self, fk: ForeignKey) -> None:
         if fk.table not in self._tables:
@@ -109,8 +117,27 @@ class Schema:
     def __len__(self) -> int:
         return len(self._tables)
 
-    def join_graph(self) -> nx.Graph:
+    def neighbors(self, table: str) -> List[str]:
+        """The tables a foreign key joins ``table`` with."""
+        return list(self._adjacency[table])
+
+    def join_keys(self) -> List[ForeignKey]:
+        """One foreign key per joinable table pair, as ``join_graph().edges`` orders them.
+
+        A pair is listed at whichever of its tables was declared first and
+        is represented by the last foreign key declared between the two.
+        """
+        keys = []
+        seen = set()
+        for table, neighbors in self._adjacency.items():
+            keys.extend(fk for other, fk in neighbors.items() if other not in seen)
+            seen.add(table)
+        return keys
+
+    def join_graph(self) -> "nx.Graph":
         """Undirected graph over tables; edges carry the joinable column pair."""
+        import networkx as nx
+
         graph = nx.Graph()
         graph.add_nodes_from(self._tables)
         for fk in self.foreign_keys:

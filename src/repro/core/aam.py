@@ -11,6 +11,17 @@ The AAM contains:
   yielding the 3-way advantage score {0, 1, 2} (point set {0.05, 0.50});
 * the **asymmetric focal loss** with label smoothing (paper §IV-C), which
   counters the label imbalance created by most plan edits being harmful.
+
+**Distinct-row contract.**  Training pairs are drawn from a much smaller
+set of plans (both orientations of every pair, one plan against many), so
+the pairwise entry :meth:`AdvantageModel.forward` — which training,
+``evaluate`` and ``predict_scores`` all go through — runs the state network
+once per distinct ``(EncodedPlan object, step)`` row of a batch
+(:func:`distinct_rows`), in the node-count buckets of
+:meth:`StateNetwork.forward_bucketed`, and gathers each side's statevecs by
+index.  Padding contributes exactly zero and a gathered row's gradient is
+the sum over its uses, so loss and gradients are those of the two-sided
+padded forward; only float summation order differs.
 """
 
 from __future__ import annotations
@@ -238,39 +249,82 @@ class StateNetwork(Module):
         return self.statevecs([plan], np.array([step]))[0]
 
     def statevecs(self, plans: Sequence[EncodedPlan], steps: np.ndarray) -> np.ndarray:
-        """Inference-mode state representations; (B, d_state).
+        """Inference-mode state representations; (B, d_state)."""
+        with no_grad():
+            return self.forward_bucketed(plans, steps).data
+
+    def forward_bucketed(self, plans: Sequence[EncodedPlan], steps: np.ndarray) -> Tensor:
+        """The rows of ``forward(plans, steps)``, computed in node-count buckets.
 
         Mixed-size batches are bucketed by node count so small plans do not
-        pay the largest plan's quadratic attention cost; outputs are
-        bitwise-identical to one padded forward (padding contributes
-        exactly zero, see :meth:`forward`).
+        pay the largest plan's quadratic attention cost.  Padding
+        contributes exactly zero (see :meth:`forward`), so the rows — and,
+        with the tape on, the gradients through them — equal one padded
+        forward's up to float rounding (BLAS blocks a row's dot products by
+        batch shape).  This is the only grouping rule: training
+        (:meth:`AdvantageModel.forward`) and inference (:meth:`statevecs`)
+        both come through here.
         """
         steps = np.asarray(steps, dtype=np.float64)
-        with no_grad():
-            if len(plans) <= 1:
-                return self.forward(plans, steps).data
-            order = sorted(range(len(plans)), key=lambda i: plans[i].num_nodes)
-            # Cut into sub-batches where the node count jumps, but keep each
-            # sub-batch large enough that per-forward overhead stays
-            # amortized; any grouping yields bitwise-identical rows.
-            min_rows = 16
-            groups: List[List[int]] = [[order[0]]]
-            for i in order[1:]:
-                current = groups[-1]
-                if (
-                    plans[i].num_nodes != plans[current[-1]].num_nodes
-                    and len(current) >= min_rows
-                ):
-                    groups.append([i])
-                else:
-                    current.append(i)
-            if len(groups) == 1:
-                return self.forward(plans, steps).data
-            out = np.empty((len(plans), self.config.d_state))
-            for rows in groups:
-                idx = np.array(rows)
-                out[idx] = self.forward([plans[i] for i in rows], steps[idx]).data
-            return out
+        if len(plans) <= 1:
+            return self.forward(plans, steps)
+        order = sorted(range(len(plans)), key=lambda i: plans[i].num_nodes)
+        # Cut into sub-batches where the node count jumps, but keep each
+        # sub-batch large enough that per-forward overhead stays
+        # amortized; any grouping yields the same rows.
+        min_rows = 16
+        groups: List[List[int]] = [[order[0]]]
+        for i in order[1:]:
+            current = groups[-1]
+            if (
+                plans[i].num_nodes != plans[current[-1]].num_nodes
+                and len(current) >= min_rows
+            ):
+                groups.append([i])
+            else:
+                current.append(i)
+        if len(groups) == 1:
+            return self.forward(plans, steps)
+        parts = [
+            self.forward([plans[i] for i in rows], steps[np.array(rows)]) for rows in groups
+        ]
+        # ``parts`` holds the rows in ``order``; gather them back.
+        position = np.empty(len(plans), dtype=np.int64)
+        position[order] = np.arange(len(plans))
+        return F.concatenate(parts, axis=0)[position]
+
+
+def distinct_rows(
+    left: Sequence[EncodedPlan],
+    left_steps: np.ndarray,
+    right: Sequence[EncodedPlan],
+    right_steps: np.ndarray,
+) -> Tuple[List[EncodedPlan], np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct ``(plan, step)`` rows of a batch of pairs.
+
+    Returns ``(plans, steps, left_index, right_index)`` with
+    ``plans[left_index[i]] is left[i]`` and ``steps[left_index[i]] ==
+    left_steps[i]`` (likewise on the right), rows in first-use order.  A
+    plan is identified by object identity: the buffer hands every pair of
+    one query the same :class:`EncodedPlan` objects, and two equal
+    encodings held in different objects merely cost one extra row.
+    """
+    rows: Dict[Tuple[int, float], int] = {}
+    plans: List[EncodedPlan] = []
+    steps: List[float] = []
+    indices = []
+    for side, side_steps in ((left, left_steps), (right, right_steps)):
+        index = np.empty(len(side), dtype=np.int64)
+        for i, (plan, step) in enumerate(zip(side, np.asarray(side_steps).tolist())):
+            key = (id(plan), step)
+            row = rows.get(key)
+            if row is None:
+                row = rows[key] = len(plans)
+                plans.append(plan)
+                steps.append(step)
+            index[i] = row
+        indices.append(index)
+    return plans, np.array(steps, dtype=np.float64), indices[0], indices[1]
 
 
 class AdvantageModel(Module):
@@ -290,6 +344,9 @@ class AdvantageModel(Module):
         # Monotone weight version; consumers key score caches on it so a
         # retrain invalidates everything derived from stale weights.
         self.version = 0
+        # Monotone count of state-network rows :meth:`forward` has run
+        # (one per distinct (plan, step) of a batch of pairs).
+        self.rows_forwarded = 0
         # Shared inference statevec cache: the planner's policy states and
         # the environments' advantage queries embed the same (query, plan,
         # step) triples, so they must not pay for the transformer twice.
@@ -312,10 +369,21 @@ class AdvantageModel(Module):
         right: Sequence[EncodedPlan],
         right_steps: np.ndarray,
     ) -> Tensor:
-        """Logits of Adv(CP_l, CP_r) scores; shape (B, 3)."""
-        vec_l = self.state_network(left, left_steps)
-        vec_r = self.state_network(right, right_steps)
-        return self._head(vec_l, vec_r)
+        """Logits of Adv(CP_l, CP_r) scores; shape (B, 3).
+
+        The state network runs once per *distinct* ``(EncodedPlan object,
+        step)`` row of ``left`` and ``right`` together (see
+        :func:`distinct_rows`), in node-count buckets, and each side
+        gathers its statevecs by index.  With the tape on, a row's gradient
+        is the sum over its uses, so logits, loss and gradients equal the
+        two-sided forward's up to float summation order.
+        """
+        plans, steps, left_index, right_index = distinct_rows(
+            left, left_steps, right, right_steps
+        )
+        self.rows_forwarded += len(plans)
+        vecs = self.state_network.forward_bucketed(plans, steps)
+        return self._head(vecs[left_index], vecs[right_index])
 
     def _head(self, vec_l: Tensor, vec_r: Tensor) -> Tensor:
         """The position-aware pairwise head; shared by training forward and
@@ -426,30 +494,6 @@ class AdvantageModel(Module):
             logits = self._head(Tensor(np.asarray(vec_l)), Tensor(np.asarray(vec_r)))
         return np.argmax(logits.data, axis=-1)
 
-    def predict_scores_chunked(
-        self,
-        left: Sequence[EncodedPlan],
-        left_steps: np.ndarray,
-        right: Sequence[EncodedPlan],
-        right_steps: np.ndarray,
-        chunk_size: int = 256,
-    ) -> np.ndarray:
-        """Like :meth:`predict_scores` but bounds per-forward batch size.
-
-        Large flushes from the batched episode runner can accumulate
-        thousands of pairs; chunking keeps the stacked (B, N, N) attention
-        masks from blowing up memory.
-        """
-        if len(left) <= chunk_size:
-            return self.predict_scores(left, left_steps, right, right_steps)
-        out = np.empty(len(left), dtype=np.int64)
-        for start in range(0, len(left), chunk_size):
-            end = start + chunk_size
-            out[start:end] = self.predict_scores(
-                left[start:end], left_steps[start:end], right[start:end], right_steps[start:end]
-            )
-        return out
-
     def predict_score(self, left: EncodedPlan, left_step: float, right: EncodedPlan, right_step: float) -> int:
         return int(
             self.predict_scores([left], np.array([left_step]), [right], np.array([right_step]))[0]
@@ -513,14 +557,25 @@ class AAMTrainer:
         self.optimizer = Adam(model.parameters(), lr=self.config.lr)
 
     def train(self, samples: Sequence[AAMSample]) -> Dict[str, float]:
-        """Run the configured epochs over the sample set; returns metrics."""
+        """Run the configured epochs over the sample set; returns metrics.
+
+        Besides loss / accuracy / batches the metrics count the work:
+        ``pairs`` trained on, ``rows`` = 2 x pairs x epochs (one
+        state-network row per side of every pair seen) and
+        ``distinct_rows``, the rows the minibatches actually forwarded
+        (see :meth:`AdvantageModel.forward`).
+        """
         if not samples:
-            return {"loss": 0.0, "accuracy": 0.0, "batches": 0}
+            return {
+                "loss": 0.0, "accuracy": 0.0, "batches": 0,
+                "pairs": 0, "rows": 0, "distinct_rows": 0,
+            }
         cfg = self.config
         self.model.version += 1
         self.model._statevec_cache.clear()
         total_loss = 0.0
         batches = 0
+        rows_before = self.model.rows_forwarded
         for _ in range(cfg.epochs):
             order = self.rng.permutation(len(samples))
             for start in range(0, len(samples), cfg.minibatch_size):
@@ -528,10 +583,14 @@ class AAMTrainer:
                 loss = self._step(chunk)
                 total_loss += loss
                 batches += 1
+        distinct_rows = self.model.rows_forwarded - rows_before
         return {
             "loss": total_loss / max(batches, 1),
             "accuracy": self.evaluate(samples),
             "batches": batches,
+            "pairs": len(samples),
+            "rows": 2 * len(samples) * cfg.epochs,
+            "distinct_rows": distinct_rows,
         }
 
     def _step(self, chunk: Sequence[AAMSample]) -> float:
@@ -555,16 +614,15 @@ class AAMTrainer:
         self.optimizer.step()
         return float(loss.data)
 
-    def evaluate(self, samples: Sequence[AAMSample], batch_size: int = 256) -> float:
-        """Hard-label accuracy over a sample set (one chunked batch pass)."""
+    def evaluate(self, samples: Sequence[AAMSample]) -> float:
+        """Hard-label accuracy over a sample set (one inference pass)."""
         if not samples:
             return 0.0
-        predicted = self.model.predict_scores_chunked(
+        predicted = self.model.predict_scores(
             [s.left for s in samples],
             np.array([s.left_step for s in samples]),
             [s.right for s in samples],
             np.array([s.right_step for s in samples]),
-            chunk_size=batch_size,
         )
         labels = np.array([s.label for s in samples])
         return float((predicted == labels).mean())

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-import networkx as nx
+if TYPE_CHECKING:
+    import networkx as nx
 
 COMPARISON_OPS = ("=", "<>", "<", "<=", ">", ">=")
 SET_OPS = ("IN", "BETWEEN")
@@ -118,8 +119,10 @@ class Query:
     def filters_for(self, alias: str) -> List[FilterPredicate]:
         return [f for f in self.filters if f.column.alias == alias]
 
-    def join_graph(self) -> nx.Graph:
+    def join_graph(self) -> "nx.Graph":
         """Undirected alias graph; each edge carries its join predicates."""
+        import networkx as nx
+
         graph = nx.Graph()
         graph.add_nodes_from(self.tables)
         for pred in self.join_predicates:

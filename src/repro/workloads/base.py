@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-import networkx as nx
 
 from repro.catalog.schema import Schema
 from repro.engine.database import Database, Dataset
@@ -206,26 +205,26 @@ def instantiate_templates(
 
 
 def random_connected_subgraph(
-    graph: nx.Graph,
+    schema: Schema,
     size: int,
     rng: np.random.Generator,
     start: Optional[str] = None,
 ) -> List[str]:
-    """Grow a random connected set of ``size`` nodes by frontier expansion."""
-    nodes = list(graph.nodes)
+    """Grow a random set of ``size`` tables connected by foreign keys."""
+    nodes = schema.table_names
     if size > len(nodes):
         raise ValueError(f"requested {size} nodes from a {len(nodes)}-node graph")
     current = start if start is not None else nodes[int(rng.integers(len(nodes)))]
     chosen = [current]
-    frontier = set(graph.neighbors(current))
+    frontier = set(schema.neighbors(current))
     while len(chosen) < size:
         frontier -= set(chosen)
         if not frontier:
             # Dead end (graph smaller than requested from this seed): restart.
-            return random_connected_subgraph(graph, size, rng)
+            return random_connected_subgraph(schema, size, rng)
         pick = sorted(frontier)[int(rng.integers(len(frontier)))]
         chosen.append(pick)
-        frontier |= set(graph.neighbors(pick))
+        frontier |= set(schema.neighbors(pick))
     return chosen
 
 

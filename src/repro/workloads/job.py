@@ -382,7 +382,6 @@ _FILTER_PROTOTYPES: Dict[str, List[Tuple[str, str, Dict]]] = {
 def _make_templates(schema: Schema, seed: int) -> List[QueryTemplate]:
     """33 templates whose join counts span 3..16 with a mean near 8."""
     rng = np.random.default_rng(seed)
-    graph = schema.join_graph()
     # Table counts per template (join count = tables - 1): spans 4..17 tables.
     sizes = [4, 4, 5, 5, 5, 6, 6, 6, 7, 7, 7, 8, 8, 8, 8, 9, 9, 9, 9, 10, 10,
              10, 11, 11, 12, 12, 13, 13, 14, 15, 16, 17, 17]
@@ -391,7 +390,7 @@ def _make_templates(schema: Schema, seed: int) -> List[QueryTemplate]:
     template_no = 0
     while len(templates) < len(sizes):
         size = sizes[len(templates)]
-        tables = random_connected_subgraph(graph, size, rng, start="title")
+        tables = random_connected_subgraph(schema, size, rng, start="title")
         shape = frozenset(tables)
         if shape in seen_shapes and size < 12:
             continue
@@ -404,11 +403,9 @@ def _make_templates(schema: Schema, seed: int) -> List[QueryTemplate]:
 def _template_from_tables(schema: Schema, template_id: str, tables: List[str]) -> QueryTemplate:
     alias_of = {table: _ALIASES[table] for table in tables}
     joins: List[Tuple[str, str]] = []
-    graph = schema.join_graph()
     chosen = set(tables)
-    for a, b, data in graph.edges(data=True):
-        if a in chosen and b in chosen:
-            fk = data["fk"]
+    for fk in schema.join_keys():
+        if fk.table in chosen and fk.ref_table in chosen:
             joins.append(
                 (f"{alias_of[fk.table]}.{fk.column}", f"{alias_of[fk.ref_table]}.{fk.ref_column}")
             )

@@ -218,14 +218,12 @@ _FILTER_PROTOTYPES: Dict[str, List[Tuple[str, str, Dict]]] = {
 
 def _make_templates(schema: Schema) -> List[QueryTemplate]:
     templates = []
-    graph = schema.join_graph()
     for template_id, tables in _TEMPLATE_TABLES:
         alias_of = {t: _ALIASES[t] for t in tables}
         chosen = set(tables)
         joins = []
-        for a, b, data in graph.edges(data=True):
-            if a in chosen and b in chosen:
-                fk = data["fk"]
+        for fk in schema.join_keys():
+            if fk.table in chosen and fk.ref_table in chosen:
                 joins.append(
                     (f"{alias_of[fk.table]}.{fk.column}", f"{alias_of[fk.ref_table]}.{fk.ref_column}")
                 )

@@ -289,12 +289,10 @@ def _make_templates(schema: Schema) -> List[QueryTemplate]:
     templates = []
     for template_id, tables in _TEMPLATE_TABLES:
         alias_of = {t: _ALIASES[t] for t in tables}
-        graph = schema.join_graph()
         joins = []
         chosen = set(tables)
-        for a, b, data in graph.edges(data=True):
-            if a in chosen and b in chosen:
-                fk = data["fk"]
+        for fk in schema.join_keys():
+            if fk.table in chosen and fk.ref_table in chosen:
                 joins.append(
                     (f"{alias_of[fk.table]}.{fk.column}", f"{alias_of[fk.ref_table]}.{fk.ref_column}")
                 )

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.aam import (
     AAMConfig,
@@ -10,9 +11,10 @@ from repro.core.aam import (
     AdvantageModel,
     StateNetwork,
     asymmetric_loss,
+    distinct_rows,
 )
 from repro.core.encoding import PlanEncoder
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, no_grad
 
 
 @pytest.fixture(scope="module")
@@ -130,6 +132,7 @@ class TestAAMTraining:
         trainer = AAMTrainer(model, rng=np.random.default_rng(0))
         metrics = trainer.train([])
         assert metrics["batches"] == 0
+        assert (metrics["pairs"], metrics["rows"], metrics["distinct_rows"]) == (0, 0, 0)
 
     def test_evaluate_range(self, setup):
         _, _, _, model, encoded = setup
@@ -138,3 +141,220 @@ class TestAAMTraining:
             AAMSample(left=encoded[0][1], left_step=0.0, right=encoded[1][1], right_step=0.0, label=0)
         ]
         assert 0.0 <= trainer.evaluate(samples) <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# Distinct-row forward: one state-network row per distinct (plan, step), in
+# node-count buckets, against the naive two-sided forward it replaced.
+# ---------------------------------------------------------------------------
+SMALL = dict(d_model=32, d_embed=8, d_state=32, num_heads=2, num_layers=1, ff_hidden=32)
+STEPS = (0.0, 1 / 3, 2 / 3, 1.0)
+
+
+@pytest.fixture(scope="module")
+def pool(request):
+    """A model factory's first model and 48 expert plans of mixed node counts."""
+    workload = request.getfixturevalue("job_workload")
+    db = workload.database
+    encoder = PlanEncoder(db.schema, max_nodes=40, statistics=db.statistics)
+
+    def make_model(seed, **config):
+        return AdvantageModel(
+            encoder.num_tables, encoder.num_columns, 40,
+            config=AAMConfig(**SMALL, **config), rng=np.random.default_rng(seed),
+        )
+
+    queries = workload.all_queries[::2][:48]
+    plans = [encoder.encode(w.query, db.plan(w.query).plan) for w in queries]
+    assert len({p.num_nodes for p in plans}) >= 5
+    return make_model(11), plans, make_model
+
+
+def naive_forward(model, left, left_steps, right, right_steps):
+    """The forward this PR replaced: the state network over each side."""
+    vec_l = model.state_network(left, left_steps)
+    vec_r = model.state_network(right, right_steps)
+    return model._head(vec_l, vec_r)
+
+
+def parent_statevecs(network, plans, steps):
+    """``StateNetwork.statevecs`` as it stood before the grouping was lifted
+    into ``forward_bucketed`` (verbatim; test-only oracle)."""
+    steps = np.asarray(steps, dtype=np.float64)
+    with no_grad():
+        if len(plans) <= 1:
+            return network.forward(plans, steps).data
+        order = sorted(range(len(plans)), key=lambda i: plans[i].num_nodes)
+        min_rows = 16
+        groups = [[order[0]]]
+        for i in order[1:]:
+            current = groups[-1]
+            if plans[i].num_nodes != plans[current[-1]].num_nodes and len(current) >= min_rows:
+                groups.append([i])
+            else:
+                current.append(i)
+        if len(groups) == 1:
+            return network.forward(plans, steps).data
+        out = np.empty((len(plans), network.config.d_state))
+        for rows in groups:
+            idx = np.array(rows)
+            out[idx] = network.forward([plans[i] for i in rows], steps[idx]).data
+        return out
+
+
+def loss_and_grads(model, forward, batch, labels):
+    model.zero_grad()
+    loss = asymmetric_loss(forward(*batch), labels, 1.0, 4.0, 0.1)
+    loss.backward()
+    grads = {name: None if p.grad is None else p.grad.copy() for name, p in model.named_parameters()}
+    return float(loss.data), grads
+
+
+def assert_gradient_parity(model, plans, pairs):
+    """``pairs``: (left plan index, left step, right plan index, right step)."""
+    batch = (
+        [plans[l] for l, _, _, _ in pairs], np.array([ls for _, ls, _, _ in pairs]),
+        [plans[r] for _, _, r, _ in pairs], np.array([rs for _, _, _, rs in pairs]),
+    )
+    labels = np.array([(l + r) % 3 for l, _, r, _ in pairs])
+    loss, grads = loss_and_grads(model, model.forward, batch, labels)
+    ref_loss, ref_grads = loss_and_grads(
+        model, lambda *b: naive_forward(model, *b), batch, labels
+    )
+    np.testing.assert_allclose(loss, ref_loss, rtol=1e-12)
+    assert grads.keys() == ref_grads.keys()
+    # Summation order differs, so entries that cancel to zero (the key bias's
+    # whole gradient does: softmax ignores a shift) are round-off on both
+    # sides; they get an absolute floor scaled to the largest gradient entry.
+    floor = 1e-12 * max(np.abs(g).max() for g in ref_grads.values() if g is not None)
+    for name, ref in ref_grads.items():
+        assert (grads[name] is None) == (ref is None), name
+        if ref is not None:
+            np.testing.assert_allclose(grads[name], ref, rtol=1e-9, atol=floor, err_msg=name)
+
+
+class TestDistinctRowForward:
+    def test_gradient_parity_repeats_orientations_mixed_sizes(self, pool):
+        model, plans, _ = pool
+        rng = np.random.default_rng(2)
+        pairs = []
+        for _ in range(30):  # 60 pairs over 48 plans: several buckets, many repeats
+            l, r = (int(i) for i in rng.choice(len(plans), size=2, replace=False))
+            ls, rs = (STEPS[int(i)] for i in rng.integers(len(STEPS), size=2))
+            pairs += [(l, ls, r, rs), (r, rs, l, ls)]
+        batch_plans, _, _, _ = distinct_rows(
+            [plans[l] for l, _, _, _ in pairs], [ls for _, ls, _, _ in pairs],
+            [plans[r] for _, _, r, _ in pairs], [rs for _, _, _, rs in pairs],
+        )
+        assert len(batch_plans) < 2 * len(pairs)
+        sizes = sorted(p.num_nodes for p in batch_plans)
+        assert len(batch_plans) > 32 and sizes[0] != sizes[-1]  # more than one bucket
+        assert_gradient_parity(model, plans, pairs)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 47), st.sampled_from(STEPS), st.integers(0, 47), st.sampled_from(STEPS)
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    @example([(3, 0.0, 9, 1.0)])                                   # one pair
+    @example([(5, 0.0, 5, 0.0)] * 7)                               # all the same plan
+    @example([(i, 0.0, 47 - i, 1.0) for i in range(24)])           # all distinct
+    @example([(i, s, i, s) for i in range(4) for s in STEPS] + [(47, 0.0, 0, 0.0)])  # 16 rows + a lone big one
+    def test_gradient_parity_drawn_duplicate_patterns(self, pool, pairs):
+        model, plans, _ = pool
+        by_size = sorted(plans, key=lambda p: p.num_nodes)
+        assert_gradient_parity(model, by_size, pairs)
+
+    def test_inference_scores_equal_naive_forward(self, pool):
+        """Hard scores are equal; logits only to rounding, because BLAS blocks
+        a row's dot products differently for different batch shapes (one
+        padded forward and the same plan alone already differ by ~1e-15)."""
+        model, plans, _ = pool
+        rng = np.random.default_rng(4)
+        left = [plans[int(i)] for i in rng.integers(len(plans), size=90)]
+        right = [plans[int(i)] for i in rng.integers(len(plans), size=90)]
+        ls = rng.choice(STEPS, size=90)
+        rs = rng.choice(STEPS, size=90)
+        with no_grad():
+            logits = model.forward(left, ls, right, rs).data
+            naive = naive_forward(model, left, ls, right, rs).data
+        np.testing.assert_allclose(logits, naive, rtol=1e-12, atol=1e-14)
+        assert np.array_equal(
+            model.predict_scores(left, ls, right, rs), np.argmax(naive, axis=-1)
+        )
+        assert model.predict_score(left[0], ls[0], right[0], rs[0]) == int(np.argmax(naive[0]))
+
+    @pytest.mark.parametrize("size", [1, 2, 15, 17, 48, 96])
+    def test_statevecs_bitwise_equal_to_parent_grouping(self, pool, size):
+        model, plans, _ = pool
+        rng = np.random.default_rng(size)
+        batch = [plans[int(i)] for i in rng.integers(len(plans), size=size)]
+        steps = rng.choice(STEPS, size=size)
+        out = model.state_network.statevecs(batch, steps)
+        assert out.shape == (size, SMALL["d_state"])
+        assert np.array_equal(out, parent_statevecs(model.state_network, batch, steps))
+
+    def test_rows_are_distinct_plan_step_pairs(self, pool):
+        model, plans, _ = pool
+        a, b = plans[0], plans[1]
+        # the same plan at two steps is two rows; (a, 0.5) on both sides is one
+        row_plans, steps, left_index, right_index = distinct_rows(
+            [a, a, b], [0.0, 0.5, 0.5], [b, a, a], [0.5, 0.5, 0.0]
+        )
+        assert [id(p) for p in row_plans] == [id(a), id(a), id(b)]
+        assert steps.tolist() == [0.0, 0.5, 0.5]
+        assert left_index.tolist() == [0, 1, 2]
+        assert right_index.tolist() == [2, 1, 0]
+        before = model.rows_forwarded
+        with no_grad():
+            model.forward([a, a, b], [0.0, 0.5, 0.5], [b, a, a], [0.5, 0.5, 0.0])
+        assert model.rows_forwarded - before == 3
+
+
+class TestTrainBookkeeping:
+    @pytest.fixture()
+    def trained(self, pool):
+        _, plans, make_model = pool
+        fresh = make_model(1, epochs=2, minibatch_size=16)
+        rng = np.random.default_rng(8)
+        samples = []
+        for _ in range(35):  # both orientations of 35 pairs over 12 plans
+            l, r = (int(i) for i in rng.choice(12, size=2, replace=False))
+            ls, rs = (STEPS[int(i)] for i in rng.integers(len(STEPS), size=2))
+            samples.append(AAMSample(plans[l], ls, plans[r], rs, label=2))
+            samples.append(AAMSample(plans[r], rs, plans[l], ls, label=0))
+        fresh._statevec_cache[(0, "q", "p", 0.0)] = np.zeros(SMALL["d_state"])
+        trainer = AAMTrainer(fresh, rng=np.random.default_rng(21))
+        return fresh, trainer, samples, trainer.train(samples)
+
+    def test_train_leaves_version_cache_batches_and_rng_as_before(self, trained):
+        model, trainer, samples, metrics = trained
+        assert model.version == 1
+        assert model._statevec_cache == {}
+        assert metrics["batches"] == 2 * 5  # 70 pairs in minibatches of 16, twice
+        twin = np.random.default_rng(21)
+        for _ in range(2):
+            twin.permutation(len(samples))
+        assert trainer.rng.bit_generator.state == twin.bit_generator.state
+
+    def test_metrics_count_rows_exactly(self, trained):
+        _, _, samples, metrics = trained
+        twin = np.random.default_rng(21)
+        recount = 0
+        for _ in range(2):
+            order = twin.permutation(len(samples))
+            for start in range(0, len(samples), 16):
+                chunk = [samples[i] for i in order[start : start + 16]]
+                recount += len(
+                    {(id(s.left), s.left_step) for s in chunk}
+                    | {(id(s.right), s.right_step) for s in chunk}
+                )
+        assert metrics["pairs"] == 70
+        assert metrics["rows"] == 2 * 70 * 2
+        assert metrics["distinct_rows"] == recount
+        assert recount < metrics["rows"]

@@ -113,6 +113,42 @@ class TestSchema:
         assert schema.join_columns("b", "a") == ("a_id", "id")
         assert schema.join_columns("a", "b") == ("id", "a_id")
 
+    @staticmethod
+    def assert_adjacency_matches_graph(schema):
+        graph = schema.join_graph()
+        assert schema.table_names == list(graph.nodes)
+        for table in schema.table_names:
+            assert schema.neighbors(table) == list(graph.neighbors(table))
+        assert schema.join_keys() == [data["fk"] for _, _, data in graph.edges(data=True)]
+
+    def test_adjacency_iterates_like_the_networkx_graph(self):
+        """The workload generators read ``neighbors`` / ``join_keys``; their
+        output is pinned to the order ``join_graph()`` used to give them."""
+        tables = [
+            TableSchema(name, [ColumnSchema("id", is_primary_key=True), ColumnSchema("x"), ColumnSchema("y")])
+            for name in ("c", "a", "d", "b", "lonely")
+        ]
+        schema = Schema(
+            tables,
+            foreign_keys=[
+                ForeignKey("b", "x", "a", "id"),
+                ForeignKey("d", "x", "c", "id"),
+                ForeignKey("a", "x", "c", "id"),
+                ForeignKey("a", "y", "b", "id"),   # second key of a pair, reversed: replaces in place
+                ForeignKey("d", "y", "d", "id"),   # self reference
+                ForeignKey("b", "y", "d", "id"),
+            ],
+        )
+        self.assert_adjacency_matches_graph(schema)
+        assert [(fk.table, fk.column) for fk in schema.join_keys()] == [
+            ("d", "x"), ("a", "x"), ("a", "y"), ("d", "y"), ("b", "y")
+        ]
+        assert schema.neighbors("lonely") == []
+
+    @pytest.mark.parametrize("name", ["job_workload", "stack_workload", "tpcds_workload"])
+    def test_adjacency_matches_graph_on_workload_schemas(self, request, name):
+        self.assert_adjacency_matches_graph(request.getfixturevalue(name).database.schema)
+
     def test_fk_validation(self):
         with pytest.raises(KeyError):
             Schema(
