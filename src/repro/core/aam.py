@@ -118,8 +118,11 @@ class StateNetwork(Module):
         Inputs are trimmed to the batch's largest real node count: padded
         positions contribute *exactly* zero to real-node outputs (the
         additive -1e9 attention mask underflows to 0 in the softmax), so
-        dropping them is bitwise-identical and skips the quadratic
-        attention cost of schema-wide padding.
+        dropping them skips the quadratic attention cost of schema-wide
+        padding and changes no term of any sum.  Outputs are bitwise-equal
+        per call shape only: BLAS blocks a row's dot products by batch
+        shape, so the same plan in a differently shaped batch can differ
+        by ~1e-15.
         """
         trim = max(p.num_nodes for p in plans)
         if not is_grad_enabled():

@@ -1,13 +1,13 @@
 """Vectorized plan execution with virtual-time latency accounting.
 
-Operators compute their true results with numpy, but *latency* is charged
-from the shared cost formulas evaluated at the true cardinalities observed
-at run time.  A nested-loop join over a huge intermediate therefore reports
-its true quadratic price without actually spending it, giving deterministic,
+Operators compute their true cardinalities with numpy — counting weighted
+groups of row ids rather than enumerating joined rows — and *latency* is
+charged from the shared cost formulas evaluated at those cardinalities.  A
+nested-loop join over a huge intermediate therefore reports its true
+quadratic price without actually spending it, giving deterministic,
 plan-quality-sensitive latencies (see DESIGN.md, substitution table).
 """
 
 from repro.executor.engine import ExecutionEngine, ExecutionResult, TimeoutExceeded
-from repro.executor.joins import join_pairs
 
-__all__ = ["ExecutionEngine", "ExecutionResult", "TimeoutExceeded", "join_pairs"]
+__all__ = ["ExecutionEngine", "ExecutionResult", "TimeoutExceeded"]

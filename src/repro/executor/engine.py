@@ -1,23 +1,36 @@
 """The virtual-time execution engine.
 
-Executes a physical plan bottom-up.  Intermediate results are dictionaries
-``alias -> row-id array`` (all arrays aligned), so any column of any joined
-table can be gathered lazily.  After each operator the engine charges the
-operator's true-cardinality cost through the shared :class:`CostModel` and
-aborts with :class:`TimeoutExceeded` once the accumulated virtual time
-passes the deadline — implementing the paper's dynamic-timeout mechanism
-(1.5x the original plan's latency) without wasting real compute.
+Executes a physical plan bottom-up.  Latency is virtual, so what the engine
+must learn from the data is each operator's true input and output
+*cardinality* — it counts instead of enumerating.  An intermediate result is
+a set of **weighted groups**: one entry per distinct tuple of the row ids a
+later operator will read (a predicate of a join above, or a non-``COUNT``
+aggregate), plus the number of joined rows that entry stands for; the
+operator's output cardinality is the sum of the weights.  Aliases nobody
+reads again have no id column, and the final join under ``COUNT(*)`` builds
+nothing at all.
+
+Each join ranks both inputs over the scanned side's key values, which gives
+the exact output count before anything is built; the materialization cap, the
+``affordable`` check and the operator's charge all run on that integer, in
+operator order, so every charge and every :class:`TimeoutExceeded` point is
+the one a row-enumerating engine would produce (``tests/reference_executor.py``
+is that engine, and the differential tests hold the two equal).  After each
+operator the engine charges the operator's true-cardinality cost through the
+shared :class:`CostModel` and aborts with :class:`TimeoutExceeded` once the
+accumulated virtual time passes the deadline — implementing the paper's
+dynamic-timeout mechanism (1.5x the original plan's latency) without wasting
+real compute.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, FrozenSet, Optional, Tuple
 
 import numpy as np
 
-from repro.executor.joins import JoinOverflow, join_pairs
+from repro.executor.joins import Ranks, expand_pairs, match_counts, rank_keys, refine_keys
 from repro.optimizer.cost import CostModel
 from repro.optimizer.plans import JoinNode, PlanNode, ScanNode
 from repro.sql.ast import FilterPredicate, Query
@@ -48,10 +61,16 @@ class ExecutionResult:
 
 
 @dataclass
-class _Intermediate:
-    """Aligned row-id columns per alias."""
+class _Groups:
+    """Distinct tuples of the row ids a later operator reads, with multiplicities.
 
-    rows: Dict[str, np.ndarray]
+    ``ids`` holds one aligned row-id column per alias still needed above,
+    ``weight`` the number of joined rows each entry stands for (always >= 1)
+    and ``count`` their sum: the operator's true output cardinality.
+    """
+
+    ids: Dict[str, np.ndarray]
+    weight: np.ndarray
     count: int
 
 
@@ -78,8 +97,14 @@ class ExecutionEngine:
             timeout_ms=timeout_ms,
             units_per_ms=self.cost_model.params.work_units_per_ms,
         )
+        # Row ids the final aggregation reads; COUNT needs none.
+        needed = frozenset(
+            aggregate.column.alias
+            for aggregate in query.aggregates
+            if aggregate.function != "COUNT" and aggregate.column is not None
+        )
         try:
-            result = self._run(query, plan, state)
+            result = self._run(query, plan, state, needed)
             # Final aggregation over the join output.
             state.charge(self.cost_model.aggregate(result.count))
             aggregates = self._aggregate(query, result)
@@ -102,16 +127,20 @@ class ExecutionEngine:
     # ------------------------------------------------------------------
     # operators
     # ------------------------------------------------------------------
-    def _run(self, query: Query, plan: PlanNode, state: "_ExecState") -> _Intermediate:
+    def _run(
+        self, query: Query, plan: PlanNode, state: "_ExecState", needed: FrozenSet[str]
+    ) -> _Groups:
+        """Execute ``plan``; the result keeps id columns for ``needed`` aliases only."""
         if isinstance(plan, ScanNode):
             return self._scan(plan, state)
         assert isinstance(plan, JoinNode)
-        left = self._run(query, plan.left, state)
         assert isinstance(plan.right, ScanNode), "plans are left-deep"
+        below = needed.union(*(predicate.aliases() for predicate in plan.predicates))
+        left = self._run(query, plan.left, state, below - {plan.right.alias})
         right = self._scan(plan.right, state)
-        return self._join(query, plan, left, right, state)
+        return self._join(query, plan, left, right, state, needed)
 
-    def _scan(self, node: ScanNode, state: "_ExecState") -> _Intermediate:
+    def _scan(self, node: ScanNode, state: "_ExecState") -> _Groups:
         table = self.storage.table(node.table)
         base_rows = table.num_rows
         if node.scan_type == "index":
@@ -127,7 +156,11 @@ class ExecutionEngine:
                 mask &= self._apply_filter(table.column(predicate.column.column), predicate)
             row_ids = np.flatnonzero(mask)
             state.charge(self.cost_model.seq_scan(base_rows, len(node.filters)))
-        return _Intermediate(rows={node.alias: row_ids.astype(np.int64)}, count=len(row_ids))
+        return _Groups(
+            ids={node.alias: row_ids.astype(np.int64, copy=False)},
+            weight=np.ones(len(row_ids), dtype=np.int64),
+            count=len(row_ids),
+        )
 
     def _index_access(self, node: ScanNode) -> np.ndarray:
         index = self.storage.index(node.table, node.index_column)
@@ -171,72 +204,113 @@ class ExecutionEngine:
         self,
         query: Query,
         node: JoinNode,
-        left: _Intermediate,
-        right: _Intermediate,
+        left: _Groups,
+        right: _Groups,
         state: "_ExecState",
-    ) -> _Intermediate:
-        right_alias = next(iter(right.rows))
+        needed: FrozenSet[str],
+    ) -> _Groups:
         if not node.predicates:
-            return self._cross_join(node, left, right, state)
+            return self._cross_join(node, left, right, state, needed)
+        right_alias = node.right.alias
 
-        driving = node.predicates[0]
-        left_ref, right_ref = driving.left, driving.right
-        if left_ref.alias == right_alias:
-            left_ref, right_ref = right_ref, left_ref
-        left_keys = self._gather(query, left, left_ref.alias, left_ref.column)
-        right_keys = self._gather(query, right, right_alias, right_ref.column)
+        def key_columns():
+            """Each predicate's (left, right) key values, gathered as they are asked for."""
+            for predicate in node.predicates:
+                left_ref, right_ref = predicate.left, predicate.right
+                if left_ref.alias == right_alias:
+                    left_ref, right_ref = right_ref, left_ref
+                yield (
+                    self._gather(query, left, left_ref.alias, left_ref.column),
+                    self._gather(query, right, right_alias, right_ref.column),
+                )
 
-        # Never materialize more output than the remaining virtual budget
-        # could pay for: the timeout would fire anyway, so abort first.
+        keys = key_columns()
+        ranks = rank_keys(*next(keys))
+        matches = match_counts(ranks)
+        out_count = int(left.weight @ matches)
+        # Never join more rows than the materialization cap, or than the
+        # remaining virtual budget could pay for: the timeout would fire
+        # anyway, so abort first.  Judged on the driving predicate alone.
         affordable = int(state.remaining_units() / self.cost_model.params.output_tuple) + 1
-        try:
-            li, ri = join_pairs(left_keys, right_keys, max_output=min(MAX_JOIN_OUTPUT, affordable))
-        except JoinOverflow as exc:
-            self._charge_join(node, query, left.count, right, exc.count, state)
+        if out_count > min(MAX_JOIN_OUTPUT, affordable):
+            self._charge_join(node, query, left.count, right, out_count, state)
             raise TimeoutExceeded(self.cost_model.to_milliseconds(state.work))
 
-        rows = {alias: ids[li] for alias, ids in left.rows.items()}
-        rows[right_alias] = right.rows[right_alias][ri]
-        result = _Intermediate(rows=rows, count=len(li))
+        # Every further predicate is part of the key, not a filter over pairs.
+        if len(node.predicates) > 1:
+            for left_keys, right_keys in keys:
+                ranks = refine_keys(ranks, left_keys, right_keys)
+            matches = match_counts(ranks)
+            out_count = int(left.weight @ matches)
 
-        # Residual equi-join predicates between the same inputs.
-        for predicate in node.predicates[1:]:
-            a = self._gather(query, result, predicate.left.alias, predicate.left.column)
-            b = self._gather(query, result, predicate.right.alias, predicate.right.column)
-            keep = a == b
-            result = _Intermediate(
-                rows={alias: ids[keep] for alias, ids in result.rows.items()},
-                count=int(keep.sum()),
-            )
-
-        self._charge_join(node, query, left.count, right, result.count, state)
-        return result
+        # Count, charge, then build.
+        self._charge_join(node, query, left.count, right, out_count, state)
+        return self._emit(left, right, right_alias, ranks, matches, out_count, needed)
 
     def _cross_join(
         self,
         node: JoinNode,
-        left: _Intermediate,
-        right: _Intermediate,
+        left: _Groups,
+        right: _Groups,
         state: "_ExecState",
-    ) -> _Intermediate:
-        right_alias = next(iter(right.rows))
+        needed: FrozenSet[str],
+    ) -> _Groups:
         out_count = left.count * right.count
-        # Charge before materializing: cross joins are usually catastrophic.
+        # Charge before building: cross joins are usually catastrophic.
         state.charge(self.cost_model.nested_loop(left.count, right.count, out_count))
         if out_count > MAX_JOIN_OUTPUT:
             raise TimeoutExceeded(self.cost_model.to_milliseconds(state.work))
-        li = np.repeat(np.arange(left.count), right.count)
-        ri = np.tile(np.arange(right.count), left.count)
-        rows = {alias: ids[li] for alias, ids in left.rows.items()}
-        rows[right_alias] = right.rows[right_alias][ri]
-        return _Intermediate(rows=rows, count=out_count)
+        # Every entry has rank 0: each group matches every scanned row.
+        ranks = (
+            np.zeros(len(left.weight), dtype=np.int64),
+            np.zeros(right.count, dtype=np.int64),
+            np.array([right.count], dtype=np.int64),
+        )
+        matches = match_counts(ranks)
+        return self._emit(left, right, node.right.alias, ranks, matches, out_count, needed)
+
+    @staticmethod
+    def _emit(
+        left: _Groups,
+        right: _Groups,
+        right_alias: str,
+        ranks: Ranks,
+        matches: np.ndarray,
+        out_count: int,
+        needed: FrozenSet[str],
+    ) -> _Groups:
+        """The join's output groups: ``needed`` id columns, weights summing to ``out_count``."""
+        if not needed:
+            # Nothing above reads a row id: the count is the whole result.
+            weight = np.array([out_count] if out_count else [], dtype=np.int64)
+            return _Groups(ids={}, weight=weight, count=out_count)
+        if right_alias in needed:
+            # The scanned rows are read later: one entry per (group, row) pair.
+            group, row = expand_pairs(ranks)
+            weight = left.weight[group]
+            ids = {right_alias: right.ids[right_alias][row]}
+        else:
+            # No pair is enumerated: a surviving group stands for more rows.
+            group = np.flatnonzero(matches)
+            weight = left.weight[group] * matches[group]
+            ids = {}
+        for alias in needed - {right_alias}:
+            ids[alias] = left.ids[alias][group]
+        if len(ids) == 1 and (right_alias in needed or len(left.ids) > 1):
+            # One id column left: merge equal ids.  ``bincount`` sums in
+            # float64, exact because no join output exceeds MAX_JOIN_OUTPUT.
+            ((alias, column),) = ids.items()
+            summed = np.bincount(column, weights=weight)
+            merged = np.flatnonzero(summed)
+            ids, weight = {alias: merged}, summed[merged].astype(np.int64)
+        return _Groups(ids=ids, weight=weight, count=out_count)
 
     def _charge_join(
         self,
         node: JoinNode,
         query: Query,
         left_count: int,
-        right: _Intermediate,
+        right: _Groups,
         out_count: int,
         state: "_ExecState",
     ) -> None:
@@ -268,12 +342,13 @@ class ExecutionEngine:
         return None
 
     # ------------------------------------------------------------------
-    def _gather(self, query: Query, inter: _Intermediate, alias: str, column: str) -> np.ndarray:
-        """Column values for ``alias`` at the intermediate's row positions."""
+    def _gather(self, query: Query, groups: _Groups, alias: str, column: str) -> np.ndarray:
+        """Column values for ``alias``, one per group."""
         table = self.storage.table(query.tables[alias])
-        return table.gather(column, inter.rows[alias])
+        return table.gather(column, groups.ids[alias])
 
-    def _aggregate(self, query: Query, result: _Intermediate) -> Tuple[float, ...]:
+    def _aggregate(self, query: Query, result: _Groups) -> Tuple[float, ...]:
+        """Aggregates over the groups: a group's value counts ``weight`` times."""
         values = []
         for aggregate in query.aggregates:
             if aggregate.function == "COUNT" or result.count == 0:
@@ -281,13 +356,13 @@ class ExecutionEngine:
                 continue
             column = self._gather(query, result, aggregate.column.alias, aggregate.column.column)
             if aggregate.function == "SUM":
-                values.append(float(column.sum()))
+                values.append(float(result.weight @ column))
             elif aggregate.function == "MIN":
                 values.append(float(column.min()))
             elif aggregate.function == "MAX":
                 values.append(float(column.max()))
             elif aggregate.function == "AVG":
-                values.append(float(column.mean()))
+                values.append(float(result.weight @ column) / result.count)
             else:
                 raise ValueError(f"unsupported aggregate {aggregate.function}")
         return tuple(values)

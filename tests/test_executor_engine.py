@@ -1,11 +1,22 @@
 """Executor and engine-facade tests: correctness, virtual time, timeouts."""
 
+import itertools
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.executor.joins import JoinOverflow, count_join_output, join_pairs
-from repro.optimizer.plans import JOIN_METHODS, plan_aliases, plan_join_methods
+from reference_executor import JoinOverflow, ReferenceExecutionEngine, join_pairs
+from repro.engine.database import HARD_CAP_MS
+from repro.executor import engine as engine_module
+from repro.executor.engine import ExecutionEngine
+from repro.executor.joins import expand_pairs, match_counts, rank_keys, refine_keys
+from repro.optimizer.plans import JOIN_METHODS, JoinNode, ScanNode, plan_aliases, plan_join_methods
+from repro.sql.ast import Aggregate, ColumnRef, FilterPredicate, JoinPredicate, Query
+from repro.storage.database import StorageDatabase
+from repro.storage.table import Table
 
 
 @pytest.fixture(scope="module")
@@ -13,35 +24,56 @@ def db(request):
     return request.getfixturevalue("job_workload").database
 
 
+def _pairs(left, right):
+    """The counting primitives' pairs, as a sorted list of (left index, right index)."""
+    li, ri = expand_pairs(rank_keys(np.asarray(left), np.asarray(right)))
+    return sorted(zip(li.tolist(), ri.tolist()))
+
+
 class TestJoinPairs:
+    """``rank_keys`` / ``match_counts`` / ``expand_pairs`` against brute force and
+    against the ``join_pairs`` they replaced (kept in ``reference_executor``)."""
+
     def test_matches_bruteforce(self):
         rng = np.random.default_rng(0)
         left = rng.integers(0, 10, size=50)
         right = rng.integers(0, 10, size=40)
+        expected = sorted((i, j) for i in range(50) for j in range(40) if left[i] == right[j])
+        assert _pairs(left, right) == expected
         li, ri = join_pairs(left, right)
-        expected = {(i, j) for i in range(50) for j in range(40) if left[i] == right[j]}
-        assert set(zip(li.tolist(), ri.tolist())) == expected
+        assert sorted(zip(li.tolist(), ri.tolist())) == expected
 
     def test_empty_inputs(self):
-        li, ri = join_pairs(np.array([]), np.array([1, 2]))
-        assert len(li) == 0 and len(ri) == 0
+        empty = np.array([], dtype=np.int64)
+        for left, right in ((empty, np.array([1, 2])), (np.array([1, 2]), empty), (empty, empty)):
+            assert match_counts(rank_keys(left, right)).tolist() == [0] * len(left)
+            assert _pairs(left, right) == []
+            li, ri = join_pairs(left, right)
+            assert len(li) == 0 and len(ri) == 0
 
     def test_no_matches(self):
-        li, ri = join_pairs(np.array([1, 2]), np.array([3, 4]))
-        assert len(li) == 0
+        ranks = rank_keys(np.array([1, 2, 9]), np.array([3, 4]))
+        assert ranks[0].tolist() == [-1, -1, -1]
+        assert match_counts(ranks).tolist() == [0, 0, 0]
+        assert _pairs([1, 2, 9], [3, 4]) == []
+        assert len(join_pairs(np.array([1, 2]), np.array([3, 4]))[0]) == 0
 
     def test_overflow_raises_before_materializing(self):
+        """10^8 matches are counted without a pair existing; the old primitive
+        refused them with the same count."""
         left = np.zeros(10_000, dtype=np.int64)
         right = np.zeros(10_000, dtype=np.int64)
-        with pytest.raises(JoinOverflow):
+        assert int(match_counts(rank_keys(left, right)).sum()) == 100_000_000
+        with pytest.raises(JoinOverflow) as overflow:
             join_pairs(left, right, max_output=1000)
+        assert overflow.value.count == 100_000_000
 
     def test_count_matches_pairs(self):
         rng = np.random.default_rng(1)
         left = rng.integers(0, 5, size=30)
         right = rng.integers(0, 5, size=30)
         li, _ = join_pairs(left, right)
-        assert count_join_output(left, right) == len(li)
+        assert int(match_counts(rank_keys(left, right)).sum()) == len(li) == len(_pairs(left, right))
 
 
 @settings(max_examples=30, deadline=None)
@@ -51,13 +83,44 @@ class TestJoinPairs:
 )
 def test_join_pairs_property(left, right):
     left_arr, right_arr = np.array(left, dtype=np.int64), np.array(right, dtype=np.int64)
-    li, ri = join_pairs(left_arr, right_arr)
+    ranks = rank_keys(left_arr, right_arr)
+    li, ri = expand_pairs(ranks)
     assert len(li) == len(ri)
     if len(li):
         np.testing.assert_array_equal(left_arr[li], right_arr[ri])
-    # Exhaustive count check.
-    expected = sum(1 for a in left for b in right if a == b)
-    assert len(li) == expected
+    # Exhaustive count check, per left entry and in total.
+    per_left = [sum(1 for b in right if a == b) for a in left]
+    assert match_counts(ranks).tolist() == per_left
+    assert len(li) == sum(per_left)
+    # The same pairs as the primitive this one replaced.
+    old_li, old_ri = join_pairs(left_arr, right_arr)
+    assert sorted(zip(li.tolist(), ri.tolist())) == sorted(zip(old_li.tolist(), old_ri.tolist()))
+
+
+_KEY_COLUMN = st.lists(st.integers(min_value=-2, max_value=3), min_size=0, max_size=24)
+
+
+@settings(max_examples=40, deadline=None)
+@given(columns=st.lists(st.tuples(_KEY_COLUMN, _KEY_COLUMN), min_size=1, max_size=4))
+def test_refine_keys_matches_on_every_column(columns):
+    """A multi-predicate key: equal rank <=> equal on every column."""
+    num_left = min(len(left) for left, _ in columns)
+    num_right = min(len(right) for _, right in columns)
+    left_cols = [np.array(left[:num_left], dtype=np.int64) for left, _ in columns]
+    right_cols = [np.array(right[:num_right], dtype=np.int64) for _, right in columns]
+    ranks = rank_keys(left_cols[0], right_cols[0])
+    for left, right in zip(left_cols[1:], right_cols[1:]):
+        ranks = refine_keys(ranks, left, right)
+    expected = sorted(
+        (i, j)
+        for i in range(num_left)
+        for j in range(num_right)
+        if all(left[i] == right[j] for left, right in zip(left_cols, right_cols))
+    )
+    li, ri = expand_pairs(ranks)
+    assert sorted(zip(li.tolist(), ri.tolist())) == expected
+    assert int(match_counts(ranks).sum()) == len(expected)
+    assert ranks[2].sum() == num_right  # every right entry has a rank
 
 
 class TestExecutionCorrectness:
@@ -205,3 +268,298 @@ class TestEngineFacade:
         text = db.explain(db.plan(wq.query).plan)
         for table in wq.query.tables.values():
             assert table in text
+
+
+# ----------------------------------------------------------------------
+# The counting engine against the row-enumerating engine it replaced
+# ----------------------------------------------------------------------
+_AGGREGATE_FUNCTIONS = ("SUM", "MIN", "MAX", "AVG")
+
+
+def _with_aggregates(query, column):
+    """``query`` as ``COUNT(*), SUM, MIN, MAX, AVG`` over ``column``."""
+    aggregates = [Aggregate("COUNT")] + [Aggregate(f, column) for f in _AGGREGATE_FUNCTIONS]
+    return replace(query, aggregates=aggregates)
+
+
+def _doctor_like_plans(database, query, rng):
+    """The expert's plan, a 1-3 step swap / override edit of it, and a full
+    shuffle with random operators (which brings cross joins)."""
+    expert = database.plan(query).plan
+    order, methods = plan_aliases(expert), plan_join_methods(expert)
+    edited_order, edited_methods = list(order), list(methods)
+    for _ in range(int(rng.integers(1, 4))):
+        if rng.random() < 0.5:
+            i, j = rng.choice(len(order), size=2, replace=False)
+            edited_order[i], edited_order[j] = edited_order[j], edited_order[i]
+        else:
+            edited_methods[int(rng.integers(len(methods)))] = JOIN_METHODS[int(rng.integers(3))]
+    shuffled = list(order)
+    rng.shuffle(shuffled)
+    random_methods = [JOIN_METHODS[int(rng.integers(3))] for _ in methods]
+    build = database.hint_builder.build  # stateless: leaves the shared fixture's caches alone
+    return [
+        expert,
+        build(query, edited_order, edited_methods),
+        build(query, shuffled, random_methods),
+    ]
+
+
+class TestDifferentialAgainstReference:
+    """Bitwise contract: every ``ExecutionResult`` field equals the reference
+    executor's with ``==``, timeouts and ``work_units`` included.
+
+    Every stored column of the three workloads is int64 (ids, keys, dictionary
+    codes), so the aggregate variant is exact too: an integer ``SUM`` does not
+    depend on row order and an integer ``AVG`` is that sum over the count,
+    which equals ``np.mean`` bitwise below 2**53.  Float columns are covered by
+    the tiny-table property test, to ``rtol=1e-12``.
+    """
+
+    # Every STRIDE-th query; sized to keep this class under ~15 s of tier-1.
+    STRIDE = 8
+
+    @pytest.mark.parametrize("name", ["job", "stack", "tpcds"])
+    def test_workload_plans_equal_reference(self, name, request):
+        workload = request.getfixturevalue(f"{name}_workload")
+        database = workload.database
+        engine = database.executor
+        reference = ReferenceExecutionEngine(database.storage, engine.cost_model)
+        rng = np.random.default_rng(21)
+        compared = timed_out = 0
+        for item in workload.all_queries[:: self.STRIDE]:
+            query = item.query
+            key_column = query.join_predicates[0].left
+            plans = _doctor_like_plans(database, query, rng)
+            expert_ms = engine.execute(query, plans[0], timeout_ms=HARD_CAP_MS).latency_ms
+            for variant in (query, _with_aggregates(query, key_column)):
+                for plan in plans:
+                    for timeout_ms in (HARD_CAP_MS, 1.5 * expert_ms):
+                        got = engine.execute(variant, plan, timeout_ms=timeout_ms)
+                        want = reference.execute(variant, plan, timeout_ms=timeout_ms)
+                        assert got == want, (query.name, plan_aliases(plan), timeout_ms)
+                        compared += 1
+                        timed_out += got.timed_out
+        # Both outcomes must be drawn, or the contract is half checked.
+        assert 0 < timed_out < compared
+
+
+# ----------------------------------------------------------------------
+# Property test: tiny tables, every join order, brute force as ground truth
+# ----------------------------------------------------------------------
+_TINY_COLUMNS = ("k", "j", "v")  # duplicate-heavy integer columns; "x" is the float one
+# hypothesis favours the first entries of ``sampled_from``: lead with the busy cases
+_TINY_ROWS = (12, 8, 5, 10, 3, 6, 2, 9, 1, 4, 7, 11, 0)  # rows per table
+_TINY_PREDICATES = (3, 2, 1, 4, 0, 5, 6)  # join predicates per query
+
+
+@st.composite
+def _tiny_case(draw):
+    """3-4 tables of <= 12 rows (now and then an empty one), up to two equality
+    predicates per table on random table pairs (so joins carry 0, 1 or several
+    predicates: cross joins and composite keys both occur), optional filters."""
+    num_tables = draw(st.integers(min_value=3, max_value=4))
+    aliases = [f"t{i}" for i in range(num_tables)]
+    tables = {}
+    for alias in aliases:
+        rows = draw(st.sampled_from(_TINY_ROWS))
+        tables[alias] = {}
+        for column, high in zip(_TINY_COLUMNS, (1, 2, 3)):
+            values = st.lists(st.integers(min_value=0, max_value=high), min_size=rows, max_size=rows)
+            tables[alias][column] = np.array(draw(values), dtype=np.int64)
+        floats = st.lists(st.integers(min_value=1, max_value=1000), min_size=rows, max_size=rows)
+        tables[alias]["x"] = np.array(draw(floats), dtype=np.float64) / 7.0
+    predicates = []
+    pairs = list(itertools.combinations(aliases, 2))
+    for _ in range(draw(st.sampled_from(_TINY_PREDICATES))):
+        a, b = draw(st.sampled_from(pairs))
+        left = ColumnRef(a, draw(st.sampled_from(_TINY_COLUMNS)))
+        right = ColumnRef(b, draw(st.sampled_from(_TINY_COLUMNS)))
+        # either side may be written first, as in real queries
+        predicates.append(JoinPredicate(*draw(st.permutations([left, right]))))
+    filters = []
+    for alias in aliases:
+        if draw(st.integers(min_value=0, max_value=3)):
+            continue
+        op = draw(st.sampled_from(["=", ">=", "<>"]))
+        filters.append(FilterPredicate(ColumnRef(alias, "k"), op, (draw(st.integers(0, 1)),)))
+    measured = draw(st.sampled_from(aliases))
+    methods = draw(st.lists(st.sampled_from(JOIN_METHODS), min_size=num_tables - 1, max_size=num_tables - 1))
+    return tables, predicates, filters, measured, methods
+
+
+def _tiny_setup(case):
+    tables, predicates, filters, measured, methods = case
+    storage = StorageDatabase()
+    for alias, arrays in tables.items():
+        storage.add_table(Table.from_arrays(alias, arrays))
+        storage.declare_index(alias, "k")
+    aggregates = [Aggregate("COUNT")]
+    aggregates += [Aggregate(f, ColumnRef(measured, "v")) for f in _AGGREGATE_FUNCTIONS]
+    aggregates += [Aggregate(f, ColumnRef(measured, "x")) for f in _AGGREGATE_FUNCTIONS]
+    query = Query(
+        tables={alias: alias for alias in tables},
+        join_predicates=predicates,
+        filters=filters,
+        aggregates=aggregates,
+        name="tiny",
+    )
+    return storage, query, methods
+
+
+def _tiny_plan(query, order, methods):
+    """The left-deep plan for ``order``: a join carries every predicate between
+    its scanned alias and the aliases below it; '=' filters on ``k`` use the index."""
+    def scan(alias):
+        filters = tuple(query.filters_for(alias))
+        if filters and filters[0].op == "=":
+            return ScanNode(alias=alias, table=alias, scan_type="index", index_column="k", filters=filters)
+        return ScanNode(alias=alias, table=alias, filters=filters)
+
+    plan = scan(order[0])
+    for position, (alias, method) in enumerate(zip(order[1:], methods), start=1):
+        predicates = tuple(query.joins_between(order[:position], [alias]))
+        plan = JoinNode(left=plan, right=scan(alias), method=method, predicates=predicates)
+    return plan
+
+
+def _brute_force(case):
+    """``(count, aggregate values)`` by a Python nested loop over every row combination."""
+    tables, predicates, filters, measured, _ = case
+    ops = {"=": lambda a, b: a == b, ">=": lambda a, b: a >= b, "<>": lambda a, b: a != b}
+    survivors = []
+    for alias, arrays in tables.items():
+        rows = range(len(arrays["k"]))
+        for f in filters:
+            if f.column.alias == alias:
+                rows = [r for r in rows if ops[f.op](arrays[f.column.column][r], f.value)]
+        survivors.append(list(rows))
+    aliases = list(tables)
+    ints, floats = [], []
+    for combo in itertools.product(*survivors):
+        row = dict(zip(aliases, combo))
+        if all(
+            tables[p.left.alias][p.left.column][row[p.left.alias]]
+            == tables[p.right.alias][p.right.column][row[p.right.alias]]
+            for p in predicates
+        ):
+            ints.append(int(tables[measured]["v"][row[measured]]))
+            floats.append(float(tables[measured]["x"][row[measured]]))
+    count = len(ints)
+    if count == 0:
+        return 0, (0.0,) * 9
+    values = (float(count), float(sum(ints)), float(min(ints)), float(max(ints)), sum(ints) / count)
+    values += (float(np.sum(floats)), min(floats), max(floats), float(np.mean(floats)))
+    return count, values
+
+
+# Positions in ``aggregate_values`` of the float column's SUM and AVG: compared
+# to rtol=1e-12 (accumulation order differs); everything else with ==.
+_FLOAT_SUM, _FLOAT_AVG = 5, 8
+
+
+def _assert_same_result(got, want):
+    assert (got.latency_ms, got.output_rows, got.timed_out, got.work_units) == (
+        want.latency_ms,
+        want.output_rows,
+        want.timed_out,
+        want.work_units,
+    )
+    _assert_same_aggregates(got.aggregate_values, want.aggregate_values)
+
+
+def _assert_same_aggregates(got, want):
+    assert len(got) == len(want)
+    for position, (a, b) in enumerate(zip(got, want)):
+        if position in (_FLOAT_SUM, _FLOAT_AVG):
+            assert a == pytest.approx(b, rel=1e-12, abs=0.0)
+        else:
+            assert a == b
+
+
+def _check_every_order(case, max_join_output=None, timeout_share=None):
+    """Every permutation of the join order through both engines."""
+    storage, query, methods = _tiny_setup(case)
+    engine = ExecutionEngine(storage)
+    reference = ReferenceExecutionEngine(storage, engine.cost_model)
+    count, values = _brute_force(case)
+    timeout_ms = HARD_CAP_MS
+    if timeout_share is not None:
+        first = _tiny_plan(query, query.aliases, methods)
+        timeout_ms = timeout_share * engine.execute(query, first, timeout_ms=HARD_CAP_MS).latency_ms
+    saved = engine_module.MAX_JOIN_OUTPUT
+    if max_join_output is not None:
+        engine_module.MAX_JOIN_OUTPUT = max_join_output
+    try:
+        for order in itertools.permutations(query.aliases):
+            plan = _tiny_plan(query, list(order), methods)
+            got = engine.execute(query, plan, timeout_ms=timeout_ms)
+            _assert_same_result(got, reference.execute(query, plan, timeout_ms=timeout_ms))
+            if got.timed_out:
+                assert max_join_output is not None or timeout_share is not None
+            else:
+                assert got.output_rows == count
+                _assert_same_aggregates(got.aggregate_values, values)
+    finally:
+        engine_module.MAX_JOIN_OUTPUT = saved
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_tiny_case())
+def test_tiny_tables_every_join_order(case):
+    _check_every_order(case)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_tiny_case(), cap=st.integers(min_value=1, max_value=60))
+def test_tiny_tables_small_materialization_cap(case, cap):
+    """``MAX_JOIN_OUTPUT`` small enough that joins and cross joins hit it."""
+    _check_every_order(case, max_join_output=cap)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_tiny_case(), share=st.floats(min_value=0.7, max_value=3.0))
+def test_tiny_tables_tight_timeout(case, share):
+    """A deadline near one plan's latency: the ``affordable`` check and
+    mid-plan charges time other orders out at the same point."""
+    _check_every_order(case, timeout_share=share)
+
+
+# ----------------------------------------------------------------------
+# Allocation guard: counts, not rows
+# ----------------------------------------------------------------------
+def _traced_peak(engine, query, plan):
+    """``(result, peak bytes)`` of one execution; numpy reports its buffers to tracemalloc."""
+    tracemalloc.start()
+    try:
+        result = engine.execute(query, plan, timeout_ms=HARD_CAP_MS)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_counting_engine_allocates_a_fraction_of_enumeration(db, job_workload):
+    """A swap of an 8-table expert plan that makes the row-enumerating engine
+    allocate > 100 MB costs the counting engine under a quarter of it.
+
+    (Not every plan shrinks: a product of aliases that are *all* read again
+    has as many groups as rows.  This one joins through ids nobody reads again.)
+    """
+    query = next(item.query for item in job_workload.all_queries if item.query.name == "q14d")
+    assert query.num_tables >= 8
+    reference = ReferenceExecutionEngine(db.storage, db.executor.cost_model)
+    expert = db.plan(query).plan
+    order, methods = plan_aliases(expert), plan_join_methods(expert)
+    for seed in range(4):
+        swapped = list(order)
+        i, j = np.random.default_rng(seed).choice(len(order), size=2, replace=False)
+        swapped[i], swapped[j] = swapped[j], swapped[i]
+        plan = db.hint_builder.build(query, swapped, methods)
+        want, reference_peak = _traced_peak(reference, query, plan)
+        if reference_peak > 100e6:
+            break
+    else:
+        pytest.fail("no swap of the expert order made the reference engine allocate 100 MB")
+    got, peak = _traced_peak(db.executor, query, plan)
+    assert got == want
+    assert peak < reference_peak / 4
