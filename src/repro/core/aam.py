@@ -74,7 +74,17 @@ class AAMConfig:
 
 
 class StateNetwork(Module):
-    """``phi``: encoded plan + step status -> statevec (paper §IV-A)."""
+    """``phi``: encoded plan + step status -> statevec (paper §IV-A).
+
+    The read-out is the plan root alone (QueryFormer's super-node pooling),
+    so the last encoder layer computes only what that reads: every node
+    still supplies its keys and values, but queries, attention rows, the
+    feed-forward block and ``final_norm`` run for position 0 only
+    (``layer(x, rows=1)``).  Earlier layers output every position, because
+    the next layer attends over all of them.  This is exact algebra —
+    position 0 of an all-positions layer, up to GEMM blocking — and both
+    the tape path and the ``no_grad`` path do it.
+    """
 
     def __init__(
         self,
@@ -151,8 +161,9 @@ class StateNetwork(Module):
 
         x = F.concatenate([node, table, join_cols, filters, height, struct], axis=-1)
         x = self.input_proj(x)
-        for layer in self.layers:
-            x = layer(x, mask=attn)
+        last = len(self.layers) - 1
+        for i, layer in enumerate(self.layers):
+            x = layer(x, mask=attn, rows=1 if i == last else None)
         x = self.final_norm(x)
         root = x[:, 0, :]  # pre-order encoding puts the plan root at index 0
         steps = np.asarray(steps, dtype=np.float64).reshape(-1, 1)
@@ -239,8 +250,9 @@ class StateNetwork(Module):
         # Both layers share one reachability mask; build its additive term
         # (the exact expression each layer would build) once.
         additive = np.where(attn, 0.0, -1e9)[:, None, :, :]
-        for layer in self.layers:
-            x = layer(x, mask=attn, additive=additive)
+        last = len(self.layers) - 1
+        for i, layer in enumerate(self.layers):
+            x = layer(x, mask=attn, additive=additive, rows=1 if i == last else None)
         x = self.final_norm(x)
         root = x.data[:, 0, :]  # pre-order encoding puts the plan root at 0
         steps = np.asarray(steps, dtype=np.float64).reshape(-1, 1)
@@ -410,54 +422,20 @@ class AdvantageModel(Module):
             logits = self.forward(left, left_steps, right, right_steps)
         return np.argmax(logits.data, axis=-1)
 
-    def statevecs_cached(
-        self, items: Sequence[Tuple[str, str, EncodedPlan, float]]
-    ) -> np.ndarray:
-        """Statevecs for (query_sig, plan_sig, encoded, step_fraction) items.
-
-        Deduplicated misses share one bucketed state-network flush; hits are
-        free.  Keys carry :attr:`version`, so entries can never answer for
-        retrained weights (the cache is also cleared on retrain to bound
-        memory).
-        """
-        version = self.version
-        keys = [(version, qsig, psig, frac) for qsig, psig, _, frac in items]
-        resolved: Dict[Tuple[int, str, str, float], np.ndarray] = {}
-        miss_keys = []
-        miss_items = []
-        for key, item in zip(keys, items):
-            if key in resolved:
-                continue
-            hit = self._statevec_cache.get(key)
-            if hit is not None:
-                resolved[key] = hit
-            else:
-                resolved[key] = None  # placeholder, filled by the flush below
-                miss_keys.append(key)
-                miss_items.append(item)
-        if miss_items:
-            vecs = self.state_network.statevecs(
-                [encoded for _, _, encoded, _ in miss_items],
-                np.array([frac for _, _, _, frac in miss_items]),
-            )
-            if len(self._statevec_cache) + len(miss_keys) > self.statevec_cache_capacity:
-                self._statevec_cache.clear()
-            for key, vec in zip(miss_keys, vecs):
-                resolved[key] = vec
-                self._statevec_cache[key] = vec
-        return np.stack([resolved[key] for key in keys])
-
     def statevecs_lazy(
         self,
         items: Sequence[Tuple[str, str, Tuple["Query", "PlanNode"], float]],
         encoder,
     ) -> np.ndarray:
-        """Like :meth:`statevecs_cached`, but encodes only cache misses.
+        """Statevecs for (query_sig, plan_sig, (query, plan), step_fraction) items.
 
-        Items carry the raw ``(query, plan)`` pair instead of an
-        :class:`EncodedPlan`; the cache key is pure signatures, so hits
-        never touch the encoder at all.  Misses are encoded in one
-        ``encoder.encode_many`` batch and flushed together.
+        Hits are free and deduplicated misses share one bucketed
+        state-network flush.  Items carry the raw ``(query, plan)`` pair
+        instead of an :class:`EncodedPlan`; the cache key is pure
+        signatures, so hits never touch the encoder at all, and misses are
+        encoded in one ``encoder.encode_many`` batch.  Keys carry
+        :attr:`version`, so entries can never answer for retrained weights
+        (the cache is also cleared on retrain to bound memory).
         """
         version = self.version
         keys = [(version, qsig, psig, frac) for qsig, psig, _, frac in items]

@@ -146,7 +146,24 @@ class Embedding(Module):
                 f"embedding ids out of range [0, {self.num_embeddings}): "
                 f"min={ids.min()} max={ids.max()}"
             )
-        return self.weight[ids]
+        weight = self.weight
+        out_data = weight.data[ids]
+        if _profile.ENABLED:
+            _profile.record("embedding", out_data.nbytes)
+        if not is_grad_enabled():
+            return Tensor._inference(out_data)
+        flat_ids = ids.reshape(-1)
+        num, dim = self.num_embeddings, self.dim
+
+        def backward(grad: np.ndarray) -> None:
+            # Scatter-add as one bincount over (id, column) cells: it adds a
+            # cell's occurrences in token order, exactly as np.add.at would,
+            # at a fraction of its per-element cost.
+            cells = (flat_ids[:, None] * dim + np.arange(dim)).reshape(-1)
+            full = np.bincount(cells, weights=grad.reshape(-1), minlength=num * dim)
+            weight._accumulate(full.reshape(num, dim))
+
+        return Tensor._node(out_data, (weight,), backward)
 
 
 class LayerNorm(Module):
@@ -284,6 +301,7 @@ class MultiHeadAttention(Module):
         x: Tensor,
         mask: Optional[np.ndarray] = None,
         additive: Optional[np.ndarray] = None,
+        rows: Optional[int] = None,
     ) -> Tensor:
         """Attend over nodes.
 
@@ -293,6 +311,15 @@ class MultiHeadAttention(Module):
         mask to several attention layers may pass the precomputed
         ``additive`` term (``np.where(mask, 0.0, -1e9)[:, None, :, :]``)
         instead, which skips rebuilding it per layer.
+
+        ``rows`` is how many leading positions produce output (``None`` =
+        all): keys and values still come from every node, but queries, score
+        rows and the output projection run for positions ``[:rows]`` only,
+        and the result is ``forward(x)[..., :rows, :]`` up to GEMM blocking.
+        Those positions go through ``q_proj`` / ``out_proj`` as one
+        ``(batch * rows, dim)`` matrix: a 3-D ``(batch, 1, dim)`` operand
+        would make the weight gradient ``batch`` outer products and a
+        ``(batch, dim, dim)`` temporary, as costly as all positions.
         """
         squeeze = x.ndim == 2
         if additive is None and mask is not None:
@@ -302,6 +329,14 @@ class MultiHeadAttention(Module):
             additive = np.where(mask_arr, 0.0, -1e9)[:, None, :, :]
         scale = 1.0 / math.sqrt(self.head_dim)
         heads, head_dim = self.num_heads, self.head_dim
+        b, n = (1, x.shape[0]) if squeeze else x.shape[:2]
+        m = n if rows is None else min(rows, n)
+        if rows is not None and additive is not None:
+            additive = additive[:, :, :m, :]
+        # shape the m output positions take through q_proj / out_proj, and
+        # the shape handed back
+        proj_shape = (b, m, self.dim) if rows is None else (b * m, self.dim)
+        out_shape = (m, self.dim) if squeeze else (b, m, self.dim)
 
         if not is_grad_enabled():
             # Whole block as one numpy expression chain — the identical
@@ -313,8 +348,8 @@ class MultiHeadAttention(Module):
             xd = x.data
             if squeeze:
                 xd = xd.reshape(1, *xd.shape)
-            b, n, _ = xd.shape
-            qd = np.swapaxes((xd @ self.q_proj.weight.data + self.q_proj.bias.data).reshape(b, n, heads, head_dim), 1, 2)
+            xq = xd if rows is None else xd[:, :m].reshape(proj_shape)
+            qd = np.swapaxes((xq @ self.q_proj.weight.data + self.q_proj.bias.data).reshape(b, m, heads, head_dim), 1, 2)
             kd = np.swapaxes((xd @ self.k_proj.weight.data + self.k_proj.bias.data).reshape(b, n, heads, head_dim), 1, 2)
             vd = np.swapaxes((xd @ self.v_proj.weight.data + self.v_proj.bias.data).reshape(b, n, heads, head_dim), 1, 2)
             scores = (qd @ np.swapaxes(kd, -2, -1)) * scale
@@ -323,28 +358,28 @@ class MultiHeadAttention(Module):
             shifted = scores - scores.max(axis=-1, keepdims=True)
             e = np.exp(shifted)
             attn = e / e.sum(axis=-1, keepdims=True)
-            merged = np.swapaxes(attn @ vd, 1, 2).reshape(b, n, self.dim)
+            merged = np.swapaxes(attn @ vd, 1, 2).reshape(proj_shape)
             out = merged @ self.out_proj.weight.data + self.out_proj.bias.data
-            if squeeze:
-                out = out.reshape(n, self.dim)
+            if out.shape != out_shape:
+                out = out.reshape(out_shape)
             if profiling:
                 _profile.record("attention_inf", out.nbytes, time.perf_counter() - t0)
             return Tensor._inference(out)
 
         if squeeze:
             x = x.reshape(1, *x.shape)
-        b, n, _ = x.shape
-        # (b, n, dim) -> (b, heads, n, head_dim)
-        q = self.q_proj(x).reshape(b, n, heads, head_dim).transpose(1, 2)
+        xq = x if rows is None else x[:, :m].reshape(proj_shape)
+        # (b, n, dim) -> (b, heads, n, head_dim); queries: the first m nodes
+        q = self.q_proj(xq).reshape(b, m, heads, head_dim).transpose(1, 2)
         k = self.k_proj(x).reshape(b, n, heads, head_dim).transpose(1, 2)
         v = self.v_proj(x).reshape(b, n, heads, head_dim).transpose(1, 2)
         # One kernel for score -> mask -> softmax -> context; bitwise-equal
         # to the unfused transpose/matmul/softmax chain it replaced.
-        context = fused_attention(q, k, v, additive, scale)  # (b, heads, n, head_dim)
-        merged = context.transpose(1, 2).reshape(b, n, self.dim)
+        context = fused_attention(q, k, v, additive, scale)  # (b, heads, m, head_dim)
+        merged = context.transpose(1, 2).reshape(proj_shape)
         out = self.out_proj(merged)
-        if squeeze:
-            out = out.reshape(n, self.dim)
+        if out.shape != out_shape:
+            out = out.reshape(out_shape)
         return out
 
 
@@ -381,10 +416,23 @@ class TransformerEncoderLayer(Module):
         x: Tensor,
         mask: Optional[np.ndarray] = None,
         additive: Optional[np.ndarray] = None,
+        rows: Optional[int] = None,
     ) -> Tensor:
-        x = x + self.attn(self.norm1(x), mask=mask, additive=additive)
-        x = x + self.ff(self.norm2(x))
-        return x
+        """``rows`` (``None`` = all) is how many leading positions the block
+        outputs: every node still feeds ``norm1`` and the keys and values,
+        but the residual, ``norm2`` and the feed-forward run for positions
+        ``[:rows]`` only — ``forward(x)[..., :rows, :]`` for a caller that
+        reads nothing else.  Being position-wise, that part runs on the
+        ``(positions, dim)`` matrix (see :meth:`MultiHeadAttention.forward`)."""
+        attended = self.attn(self.norm1(x), mask=mask, additive=additive, rows=rows)
+        if rows is None:
+            x = x + attended
+            return x + self.ff(self.norm2(x))
+        head = x[..., :rows, :]
+        dim = head.shape[-1]
+        flat = head.reshape(-1, dim) + attended.reshape(-1, dim)
+        flat = flat + self.ff(self.norm2(flat))
+        return flat.reshape(head.shape)
 
 
 def mlp(

@@ -14,6 +14,17 @@ that bypasses ``__init__``'s array coercion).  The numpy expressions are
 identical in both modes, so fast-path outputs are bitwise-equal to the
 tape path's.
 
+Gradient ownership: a *leaf* (a parameter or a ``requires_grad=True`` input
+— no backward closure) owns its ``.grad``: the first gradient to reach it
+is copied and later ones are added in place, because ``clip_grad_norm`` and
+the optimizers scale ``p.grad`` in place and one upstream array may reach
+two leaves (``(a + b).sum()``).  An *interior* node owns nothing: it borrows
+the first gradient that reaches it, allocates only when a second arrives
+(``grad + grad``, never ``+=`` into an array that may be another node's, a
+slice of one, or a read-only ``broadcast_to`` view), and gives the gradient
+up as soon as its own backward has run.  Hence no backward closure may
+write into the ``grad`` it is handed.
+
 Grad mode is tracked in a :class:`contextvars.ContextVar`, so a training
 thread inside ``no_grad`` cannot flip inference mode under a concurrently
 serving thread (each thread — and each asyncio task — sees its own flag).
@@ -174,11 +185,20 @@ class Tensor:
     # graph machinery
     # ------------------------------------------------------------------
     def _accumulate(self, grad: np.ndarray) -> None:
-        grad = _sum_to_shape(np.asarray(grad, dtype=np.float64), self.data.shape)
-        if self.grad is None:
-            self.grad = grad.copy()
+        """Add ``grad`` into ``.grad`` under the ownership rule (module docstring)."""
+        if type(grad) is not np.ndarray or grad.dtype != np.float64:
+            grad = np.asarray(grad, dtype=np.float64)
+        grad = _sum_to_shape(grad, self.data.shape)
+        if self._backward is None:
+            # Leaf: owns its gradient, so the first arrival is copied.
+            if self.grad is None:
+                self.grad = grad.copy()
+            else:
+                self.grad += grad
+        elif self.grad is None:
+            self.grad = grad  # interior: borrowed, never written
         else:
-            self.grad += grad
+            self.grad = self.grad + grad
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -186,7 +206,11 @@ class Tensor:
     def backward(self, grad: Optional[np.ndarray] = None) -> None:
         """Run reverse-mode autodiff from this tensor.
 
-        ``grad`` defaults to ones (so scalars need no argument).
+        ``grad`` defaults to ones (so scalars need no argument).  Gradients
+        are left on leaves only — parameters and ``requires_grad=True``
+        inputs, where repeated calls keep accumulating until ``zero_grad``.
+        An interior tensor (the result of an op) hands its gradient to its
+        own backward and drops it, so its ``.grad`` is ``None`` afterwards.
         """
         if grad is None:
             grad = np.ones_like(self.data)
@@ -208,7 +232,8 @@ class Tensor:
         self._accumulate(grad)
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+                node_grad, node.grad = node.grad, None
+                node._backward(node_grad)
 
     @staticmethod
     def _make(

@@ -14,6 +14,8 @@ from repro.core.aam import (
     distinct_rows,
 )
 from repro.core.encoding import PlanEncoder
+from repro.nn import functional as F
+from repro.nn import profile
 from repro.nn.tensor import Tensor, no_grad
 
 
@@ -202,6 +204,43 @@ def parent_statevecs(network, plans, steps):
         return out
 
 
+def all_positions_forward(network, plans, steps):
+    """``StateNetwork.forward`` as it stood before the last encoder layer
+    went root-only: every layer outputs every node, ``final_norm`` runs over
+    all of them and the root is read afterwards (verbatim; test-only oracle)."""
+    trim = max(p.num_nodes for p in plans)
+    ops = np.stack([p.ops[:trim] for p in plans])
+    tables = np.stack([p.tables[:trim] for p in plans])
+    jl = np.stack([p.join_left_col[:trim] for p in plans])
+    jr = np.stack([p.join_right_col[:trim] for p in plans])
+    fcols = np.stack([p.filter_cols[:trim] for p in plans])
+    fops = np.stack([p.filter_ops[:trim] for p in plans])
+    fvals = np.stack([p.filter_vals[:trim] for p in plans])
+    heights = np.stack([p.heights[:trim] for p in plans])
+    structs = np.stack([p.structs[:trim] for p in plans])
+    attn = np.stack([p.attention_mask[:trim, :trim] for p in plans])
+
+    node = network.op_embed(ops)                       # (B, N, d)
+    table = network.table_embed(tables)
+    join_cols = network.column_embed(jl) + network.column_embed(jr)
+    fcol_emb = network.column_embed(fcols)             # (B, N, F, d)
+    fop_emb = network.pred_op_embed(fops)
+    val_term = Tensor(fvals[..., None]) * network.value_direction
+    filters = (fcol_emb + fop_emb + val_term).sum(axis=2)
+    height = network.height_embed(heights)
+    struct = network.struct_embed(structs)
+
+    x = F.concatenate([node, table, join_cols, filters, height, struct], axis=-1)
+    x = network.input_proj(x)
+    for layer in network.layers:
+        x = layer(x, mask=attn)
+    x = network.final_norm(x)
+    root = x[:, 0, :]
+    steps = np.asarray(steps, dtype=np.float64).reshape(-1, 1)
+    pooled = F.concatenate([root, Tensor(steps)], axis=-1)
+    return network.state_proj(pooled)
+
+
 def loss_and_grads(model, forward, batch, labels):
     model.zero_grad()
     loss = asymmetric_loss(forward(*batch), labels, 1.0, 4.0, 0.1)
@@ -210,17 +249,25 @@ def loss_and_grads(model, forward, batch, labels):
     return float(loss.data), grads
 
 
-def assert_gradient_parity(model, plans, pairs):
+def batch_and_labels(plans, pairs):
     """``pairs``: (left plan index, left step, right plan index, right step)."""
     batch = (
         [plans[l] for l, _, _, _ in pairs], np.array([ls for _, ls, _, _ in pairs]),
         [plans[r] for _, _, r, _ in pairs], np.array([rs for _, _, _, rs in pairs]),
     )
-    labels = np.array([(l + r) % 3 for l, _, r, _ in pairs])
+    return batch, np.array([(l + r) % 3 for l, _, r, _ in pairs])
+
+
+def assert_gradient_parity(model, plans, pairs):
+    batch, labels = batch_and_labels(plans, pairs)
     loss, grads = loss_and_grads(model, model.forward, batch, labels)
     ref_loss, ref_grads = loss_and_grads(
         model, lambda *b: naive_forward(model, *b), batch, labels
     )
+    assert_loss_and_grads_close(loss, grads, ref_loss, ref_grads)
+
+
+def assert_loss_and_grads_close(loss, grads, ref_loss, ref_grads):
     np.testing.assert_allclose(loss, ref_loss, rtol=1e-12)
     assert grads.keys() == ref_grads.keys()
     # Summation order differs, so entries that cancel to zero (the key bias's
@@ -314,6 +361,77 @@ class TestDistinctRowForward:
         with no_grad():
             model.forward([a, a, b], [0.0, 0.5, 0.5], [b, a, a], [0.5, 0.5, 0.0])
         assert model.rows_forwarded - before == 3
+
+
+def sixty_pairs(plans):
+    """Both orientations of 30 drawn pairs: several buckets, many repeats."""
+    rng = np.random.default_rng(2)
+    pairs = []
+    for _ in range(30):
+        l, r = (int(i) for i in rng.choice(len(plans), size=2, replace=False))
+        ls, rs = (STEPS[int(i)] for i in rng.integers(len(STEPS), size=2))
+        pairs += [(l, ls, r, rs), (r, rs, l, ls)]
+    return pairs
+
+
+def resized_model(template, seed, **config):
+    """A fresh model over ``template``'s vocabulary with ``SMALL`` overridden."""
+    net = template.state_network
+    return AdvantageModel(
+        net.table_embed.num_embeddings, net.column_embed.num_embeddings, net.max_nodes,
+        config=AAMConfig(**{**SMALL, **config}), rng=np.random.default_rng(seed),
+    )
+
+
+class TestRootOnlyLastLayer:
+    """The last encoder layer computes the root's position alone; the oracle
+    computes every position in every layer and reads the root afterwards."""
+
+    @pytest.mark.parametrize("num_layers", [1, 2])
+    def test_statevecs_loss_and_gradients_equal_all_positions(self, pool, monkeypatch, num_layers):
+        template, plans, _ = pool
+        model = resized_model(template, 13, num_layers=num_layers)
+        network = model.state_network
+        batch, labels = batch_and_labels(plans, sixty_pairs(plans))
+        rows, row_steps, _, _ = distinct_rows(*batch)
+        assert len(rows) > 32  # more than one bucket
+
+        vecs = network.statevecs(rows, row_steps)
+        taped = network.forward_bucketed(rows, row_steps).data
+        loss, grads = loss_and_grads(model, model.forward, batch, labels)
+        # the same buckets, every position computed
+        monkeypatch.setattr(network, "forward", lambda p, s: all_positions_forward(network, p, s))
+        ref_vecs = network.statevecs(rows, row_steps)
+        ref_loss, ref_grads = loss_and_grads(model, model.forward, batch, labels)
+        monkeypatch.undo()
+
+        assert np.array_equal(vecs, taped)  # tape == no_grad, bitwise
+        np.testing.assert_allclose(vecs, ref_vecs, rtol=1e-12, atol=1e-15)
+        assert_loss_and_grads_close(loss, grads, ref_loss, ref_grads)
+
+    def test_last_layer_does_no_work_for_other_positions(self, pool):
+        """A guard that cannot drift back: sized by what the kernels write."""
+        template, plans, _ = pool
+        model = resized_model(template, 17, num_layers=2, d_model=64, ff_hidden=128)
+        network = model.state_network
+        big = [p for p in plans if p.num_nodes >= 15][:16]
+        assert len(big) == 16
+        steps = np.zeros(16)
+        nodes = max(p.num_nodes for p in big)
+        with profile.profile() as prof:
+            network(big, steps)
+            written = prof.bytes["fused_linear"]
+        with profile.profile() as prof:
+            all_positions_forward(network, big, steps)
+            all_positions = prof.bytes["fused_linear"]
+        assert written < 0.75 * all_positions  # sized 0.67
+        with profile.profile() as prof:
+            with no_grad():
+                network(big, steps)
+            attention = prof.bytes["attention_inf"]
+            assert prof.calls["attention_inf"] == 2
+        block = 16 * 64 * 8  # one position of 16 plans, d_model float64s
+        assert attention == nodes * block + block
 
 
 class TestTrainBookkeeping:

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.nn import functional as F
+from repro.nn import profile
 from repro.nn.layers import (
     Dropout,
     Embedding,
@@ -18,7 +20,7 @@ from repro.nn.layers import (
 )
 from repro.nn.optim import SGD, Adam, clip_grad_norm
 from repro.nn.serialization import load_state_dict, save_state_dict
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, no_grad
 
 
 @pytest.fixture()
@@ -78,6 +80,63 @@ class TestEmbedding:
         assert out.shape == (2, 5, 3)
 
 
+class TestEmbeddingScatter:
+    """The one-node backward (a bincount scatter) against ``np.add.at``."""
+
+    @staticmethod
+    def oracle(num, ids, upstream):
+        full = np.zeros((num, upstream.shape[-1]))
+        np.add.at(full, ids, upstream)
+        return full
+
+    @pytest.mark.parametrize(
+        "shape", [(7,), (4, 5), (3, 4, 3), (0,), (0, 5)], ids=str
+    )
+    def test_backward_equals_add_at(self, rng, shape):
+        emb = Embedding(6, 4, rng=rng)  # 6 rows, up to 36 tokens: ids repeat
+        ids = rng.integers(0, 6, size=shape)
+        upstream = rng.standard_normal(shape + (4,))
+        out = emb(ids)
+        assert out.shape == shape + (4,)
+        assert np.array_equal(out.data, emb.weight.data[ids])
+        out.backward(upstream)
+        assert np.array_equal(emb.weight.grad, self.oracle(6, ids, upstream))
+
+    def test_backward_takes_a_non_contiguous_gradient(self, rng):
+        """``concatenate`` hands each embedding a slice of one wide array."""
+        emb = Embedding(5, 3, rng=rng)
+        ids = np.array([[4, 4, 0], [1, 4, 0]])
+        wide = rng.standard_normal((2, 3, 9))
+        upstream = wide[..., 3:6]
+        assert not upstream.flags.c_contiguous
+        emb(ids).backward(upstream)
+        assert np.array_equal(emb.weight.grad, self.oracle(5, ids, upstream))
+
+    def test_is_one_tape_node_and_two_uses_accumulate(self, rng):
+        emb = Embedding(5, 3, rng=rng)
+        a, b = np.array([1, 1, 3]), np.array([[3, 0]])
+        before = profile.COUNTERS.tape_nodes
+        left = emb(a)
+        assert profile.COUNTERS.tape_nodes - before == 1
+        (left.sum() + (emb(b) * 2.0).sum()).backward()
+        expected = self.oracle(5, a, np.ones((3, 3))) + self.oracle(5, b, np.full((1, 2, 3), 2.0))
+        assert np.array_equal(emb.weight.grad, expected)
+
+    @pytest.mark.parametrize("bad", [[5], [-1], [[0, 2], [7, 1]]])
+    def test_out_of_range_raises_before_anything_is_built(self, rng, bad):
+        emb = Embedding(5, 4, rng=rng)
+        before = profile.COUNTERS.tape_nodes
+        for mode in (False, True):
+            with pytest.raises(IndexError):
+                if mode:
+                    with no_grad():
+                        emb(np.array(bad))
+                else:
+                    emb(np.array(bad))
+        assert profile.COUNTERS.tape_nodes == before
+        assert emb.weight.grad is None
+
+
 class TestLayerNorm:
     def test_normalizes_last_dim(self, rng):
         layer = LayerNorm(8)
@@ -120,6 +179,120 @@ class TestAttention:
         layer = TransformerEncoderLayer(8, 2, 16, rng=rng)
         out = layer(Tensor(rng.standard_normal((5, 8))))
         assert out.shape == (5, 8)
+
+
+# ---------------------------------------------------------------------------
+# ``rows``: a layer asked for its leading positions only computes queries,
+# score rows, out_proj, residual, norm2 and feed-forward for those, from the
+# keys and values of every node.  Exact algebra: position 0 of the full layer.
+# ---------------------------------------------------------------------------
+DIM, HEADS = 8, 2
+
+
+def make_block(kind, seed=3):
+    rng = np.random.default_rng(seed)
+    if kind == "attention":
+        return MultiHeadAttention(DIM, HEADS, rng=rng)
+    return TransformerEncoderLayer(DIM, HEADS, 16, rng=rng)
+
+
+def reach_mask(rng, shape, density):
+    """A random mask whose diagonal holds, like a reachability mask's."""
+    mask = rng.random(shape) < density
+    mask |= np.eye(shape[-1], dtype=bool)
+    return mask
+
+
+def assert_rows_parity(block, x, mask, rows=1):
+    """``block(x, rows=rows)`` against ``block(x)[..., :rows, :]``: values in
+    both modes, the two modes bitwise, and every gradient under an upstream
+    gradient that is zero outside the leading positions."""
+    up_rng = np.random.default_rng(x.size)
+    kept = min(rows, x.shape[-2])
+
+    full_in = Tensor(x.copy(), requires_grad=True)
+    full = block(full_in, mask=mask)
+    head_in = Tensor(x.copy(), requires_grad=True)
+    head = block(head_in, mask=mask, rows=rows)
+    assert head.shape == x.shape[:-2] + (kept, DIM)
+    np.testing.assert_allclose(head.data, full.data[..., :kept, :], rtol=1e-12, atol=0)
+    with no_grad():
+        fast = block(Tensor(x), mask=mask, rows=rows)
+        fast_full = block(Tensor(x), mask=mask)
+    assert np.array_equal(fast.data, head.data)  # tape == no_grad, bitwise
+    np.testing.assert_allclose(fast.data, fast_full.data[..., :kept, :], rtol=1e-12, atol=0)
+
+    upstream = up_rng.standard_normal(head.shape)
+    padded = np.zeros(full.shape)
+    padded[..., :kept, :] = upstream
+    block.zero_grad()
+    full.backward(padded)
+    ref = {name: p.grad.copy() for name, p in block.named_parameters()}
+    ref["<input>"] = full_in.grad.copy()
+    block.zero_grad()
+    head.backward(upstream)
+    got = {name: p.grad for name, p in block.named_parameters()}
+    got["<input>"] = head_in.grad
+    # k_proj.bias has an exactly-zero gradient (softmax ignores a shift), so
+    # it is round-off on both sides: an absolute floor scaled to the largest
+    # entry, as tests/test_core_aam.py uses.
+    floor = 1e-12 * max(np.abs(g).max() for g in ref.values())
+    for name, expected in ref.items():
+        np.testing.assert_allclose(got[name], expected, rtol=1e-9, atol=floor, err_msg=name)
+
+
+@pytest.mark.parametrize("kind", ["attention", "encoder"])
+class TestLeadingRowsOnly:
+    def test_batched_with_reachability_mask(self, kind, rng):
+        x = rng.standard_normal((3, 6, DIM))
+        assert_rows_parity(make_block(kind), x, reach_mask(rng, (3, 6, 6), 0.6))
+
+    def test_single_node(self, kind, rng):
+        x = rng.standard_normal((4, 1, DIM))
+        assert_rows_parity(make_block(kind), x, np.ones((4, 1, 1), dtype=bool))
+
+    def test_fully_masked_out_non_root_node(self, kind, rng):
+        """Node 2 attends to nothing and nothing attends to it (padding)."""
+        x = rng.standard_normal((2, 5, DIM))
+        mask = reach_mask(rng, (2, 5, 5), 0.8)
+        mask[:, 2, :] = False
+        mask[:, :, 2] = False
+        assert_rows_parity(make_block(kind), x, mask)
+
+    def test_batch_of_one(self, kind, rng):
+        x = rng.standard_normal((1, 7, DIM))
+        assert_rows_parity(make_block(kind), x, reach_mask(rng, (1, 7, 7), 0.5))
+
+    def test_two_dimensional_input(self, kind, rng):
+        x = rng.standard_normal((5, DIM))
+        assert_rows_parity(make_block(kind), x, reach_mask(rng, (5, 5), 0.5))
+
+    def test_no_mask_and_several_rows(self, kind, rng):
+        x = rng.standard_normal((2, 6, DIM))
+        assert_rows_parity(make_block(kind), x, None, rows=3)
+        assert_rows_parity(make_block(kind), x, None, rows=6)
+
+    def test_precomputed_additive_term(self, kind, rng):
+        block = make_block(kind)
+        x = rng.standard_normal((3, 4, DIM))
+        mask = reach_mask(rng, (3, 4, 4), 0.5)
+        additive = np.where(mask, 0.0, -1e9)[:, None, :, :]
+        with no_grad():
+            from_mask = block(Tensor(x), mask=mask, rows=1).data
+            from_term = block(Tensor(x), mask=mask, additive=additive, rows=1).data
+        assert np.array_equal(from_mask, from_term)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        batch=st.integers(1, 4),
+        nodes=st.integers(1, 7),
+        density=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_drawn_shapes_and_masks(self, kind, batch, nodes, density, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((batch, nodes, DIM))
+        assert_rows_parity(make_block(kind), x, reach_mask(rng, (batch, nodes, nodes), density))
 
 
 class TestModuleInfrastructure:

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.nn import functional as F
-from repro.nn.tensor import Tensor, concatenate, no_grad, randn, stack, where
+from repro.nn.optim import clip_grad_norm
+from repro.nn.tensor import Tensor, _sum_to_shape, concatenate, no_grad, randn, stack, where
 
 
 def numeric_grad(fn, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -151,6 +152,157 @@ class TestGraphMechanics:
         x = Tensor(np.ones(2), requires_grad=True)
         y = (x * 2).detach()
         assert not y.requires_grad
+
+
+# ---------------------------------------------------------------------------
+# Gradient ownership: leaves copy the first gradient and add in place;
+# interior nodes borrow the first, allocate on the second, and drop theirs
+# once their backward has run.  Oracle: the copying ``_accumulate`` this
+# replaced, under which every node owned its gradient.
+# ---------------------------------------------------------------------------
+def copying_accumulate(self, grad):
+    """``Tensor._accumulate`` as it stood before borrowing (verbatim)."""
+    grad = _sum_to_shape(np.asarray(grad, dtype=np.float64), self.data.shape)
+    if self.grad is None:
+        self.grad = grad.copy()
+    else:
+        self.grad += grad
+
+
+FULL = (3, 4)
+LEAF_SHAPES = [(3, 4), (3, 4), (4,), (1, 4), (3, 1)]  # all broadcast to FULL
+
+
+def _full(t):
+    return t if t.shape == FULL else t + Tensor(np.zeros(FULL))
+
+
+def _repeated_rows(x):
+    x = _full(x)
+    return x[np.array([0, 0, 2])]
+
+
+def _concat_slices(x, y):
+    # backward hands each input a slice of one gradient array
+    return concatenate([_full(x), _full(y)], axis=1)[:, 2:6]
+
+
+BINARY_OPS = {
+    "add": lambda x, y: x + y,
+    "sub": lambda x, y: x - y,
+    "mul": lambda x, y: x * y,
+    "div": lambda x, y: x / (y * y + 1.0),
+    "concat": _concat_slices,
+}
+UNARY_OPS = {
+    "sum_rows": lambda x: x.sum(axis=0, keepdims=True),  # backward: a read-only broadcast view
+    "sum_cols": lambda x: _full(x).sum(axis=1, keepdims=True),
+    "mean_all": lambda x: _full(x) * x.mean(),
+    "repeat": _repeated_rows,
+    "double": lambda x: x + x,
+    "three_uses": lambda x: x * x - x / 2.0 + x.tanh(),
+}
+program = st.lists(
+    st.tuples(
+        st.sampled_from(sorted(BINARY_OPS) + sorted(UNARY_OPS)),
+        st.integers(0, 63),
+        st.integers(0, 63),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+def run_program(steps, seed):
+    """Build the drawn graph over fresh leaves; returns (leaves, interiors, loss)."""
+    rng = np.random.default_rng(seed)
+    leaves = [Tensor(rng.uniform(-2.0, 2.0, size=shape), requires_grad=True) for shape in LEAF_SHAPES]
+    pool = list(leaves)
+    for op, i, j in steps:
+        x, y = pool[i % len(pool)], pool[j % len(pool)]
+        pool.append(BINARY_OPS[op](x, y) if op in BINARY_OPS else UNARY_OPS[op](x))
+    interiors = pool[len(leaves):]
+    weights = rng.standard_normal(FULL)
+    # read the last three results, so earlier ones are consumed more than once
+    loss = sum((_full(t) * Tensor(weights)).sum() for t in interiors[-3:])
+    return leaves, interiors, loss
+
+
+class TestGradientOwnership:
+    @settings(max_examples=80, deadline=None)
+    @given(program, st.integers(0, 2**16))
+    def test_leaf_gradients_equal_the_copying_oracle(self, steps, seed):
+        leaves, interiors, loss = run_program(steps, seed)
+        loss.backward()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(Tensor, "_accumulate", copying_accumulate)
+            ref_leaves, _, ref_loss = run_program(steps, seed)
+            ref_loss.backward()
+        assert np.array_equal(loss.data, ref_loss.data)
+        for leaf, ref in zip(leaves, ref_leaves):
+            assert (leaf.grad is None) == (ref.grad is None)
+            if ref.grad is not None:
+                assert np.array_equal(leaf.grad, ref.grad)
+                assert leaf.grad.flags.writeable and leaf.grad.flags.owndata
+        assert all(t.grad is None for t in interiors)
+        assert loss.grad is None
+        owned = [leaf.grad for leaf in leaves if leaf.grad is not None]
+        for k, a in enumerate(owned):
+            assert not any(np.shares_memory(a, b) for b in owned[k + 1:])
+
+    def test_one_upstream_array_reaching_two_leaves_is_scaled_once_each(self):
+        a = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        b = Tensor(np.ones((2, 3)), requires_grad=True)
+        (a + b).sum().backward()
+        assert not np.shares_memory(a.grad, b.grad)
+        norm = clip_grad_norm([a, b], 1e-3)
+        assert norm == pytest.approx(np.sqrt(12.0))
+        scale = 1e-3 / np.sqrt(12.0)  # once; a shared array would read scale**2
+        np.testing.assert_allclose(a.grad, np.full((2, 3), scale), rtol=1e-9)
+        np.testing.assert_allclose(b.grad, np.full((2, 3), scale), rtol=1e-9)
+
+    def test_leaf_reached_by_a_read_only_view_owns_a_writable_copy(self):
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        x.sum().backward()  # sum's backward hands out a broadcast_to view
+        assert x.grad.flags.writeable
+        x.grad *= 3.0
+        np.testing.assert_allclose(x.grad, 3.0)
+
+    def test_callers_gradient_is_neither_written_nor_kept(self):
+        seed = np.full((2, 2), 2.0)
+        x = Tensor(np.ones((2, 2)), requires_grad=True)
+        y = x * 3.0
+        y.backward(seed)  # the interior root borrows ``seed``
+        assert np.array_equal(seed, np.full((2, 2), 2.0))
+        assert y.grad is None
+        x.grad *= 0.0
+        leaf = Tensor(np.ones((2, 2)), requires_grad=True)
+        leaf.backward(seed)  # a leaf root copies it
+        leaf.grad += 1.0
+        assert np.array_equal(seed, np.full((2, 2), 2.0))
+
+    def test_two_backward_calls_accumulate_into_leaves(self):
+        a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        b = Tensor(np.array([3.0, 4.0]), requires_grad=True)
+        shared = a * b
+        out = (shared + shared * a).sum()
+        out.backward()
+        first = a.grad.copy(), b.grad.copy()
+        out.backward()  # same graph again: interiors start from nothing
+        np.testing.assert_allclose(a.grad, 2 * first[0])
+        np.testing.assert_allclose(b.grad, 2 * first[1])
+        (a * 5.0).sum().backward()  # another graph into the same leaf
+        np.testing.assert_allclose(a.grad, 2 * first[0] + 5.0)
+
+    def test_interior_gradient_is_dropped_after_backward(self):
+        x = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+        hidden = x * 2.0
+        used_twice = hidden + hidden.tanh()
+        out = used_twice.sum()
+        out.backward()
+        assert x.grad is not None
+        assert hidden.grad is None and used_twice.grad is None and out.grad is None
+        assert "interior" in Tensor.backward.__doc__ and "``None``" in Tensor.backward.__doc__
 
 
 class TestCombinators:
