@@ -71,7 +71,8 @@ class ColumnStatistics:
         bin_idx = min(bin_idx, bins - 1)
         left, right = bounds[bin_idx], bounds[bin_idx + 1]
         within = 0.0 if right == left else (value - left) / (right - left)
-        return (bin_idx + within) / bins
+        # bounds are numpy scalars; estimates downstream stay python floats
+        return float((bin_idx + within) / bins)
 
     def selectivity_in(self, values: np.ndarray) -> float:
         return float(min(1.0, sum(self.selectivity_eq(v) for v in np.unique(values))))

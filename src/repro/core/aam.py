@@ -17,23 +17,23 @@ set of plans (both orientations of every pair, one plan against many), so
 the pairwise entry :meth:`AdvantageModel.forward` — which training,
 ``evaluate`` and ``predict_scores`` all go through — runs the state network
 once per distinct ``(EncodedPlan object, step)`` row of a batch
-(:func:`distinct_rows`), in the node-count buckets of
-:meth:`StateNetwork.forward_bucketed`, and gathers each side's statevecs by
-index.  Padding contributes exactly zero and a gathered row's gradient is
-the sum over its uses, so loss and gradients are those of the two-sided
-padded forward; only float summation order differs.
+(:func:`distinct_rows`), all of them in one packed forward
+(:class:`StateNetwork`), and gathers each side's statevecs by index.  A
+gathered row's gradient is the sum over its uses, so loss and gradients are
+those of the two-sided forward; only float summation order differs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.encoding import (
     EncodedPlan,
-    MAX_FILTERS_PER_NODE,
     NUM_OPS,
     NUM_PRED_OPS,
     NUM_STRUCT_TYPES,
@@ -46,6 +46,8 @@ from repro.nn.layers import (
     Module,
     Parameter,
     TransformerEncoderLayer,
+    leading_tokens,
+    scatter_rows,
 )
 from repro.nn.optim import Adam, clip_grad_norm
 from repro.nn.tensor import Tensor, is_grad_enabled, no_grad
@@ -76,14 +78,28 @@ class AAMConfig:
 class StateNetwork(Module):
     """``phi``: encoded plan + step status -> statevec (paper §IV-A).
 
+    **Packed layout.**  A batch is one ``(T, d_model)`` token matrix, ``T``
+    the sum of the rows' real node counts: rows are laid end to end in
+    (stable) node-count order, no row is padded, and feature assembly,
+    ``input_proj``, every LayerNorm, the attention projections and the
+    feed-forward each run once per batch on that matrix.  Attention runs
+    per *segment* — a run of rows with equal node count is a contiguous
+    token slice, attended as ``(rows, heads, nodes, head_dim)`` under the
+    rows' reachability masks — inside one kernel
+    (:func:`repro.nn.functional.segment_attention`).  Results come back in
+    input order.
+
     The read-out is the plan root alone (QueryFormer's super-node pooling),
     so the last encoder layer computes only what that reads: every node
     still supplies its keys and values, but queries, attention rows, the
-    feed-forward block and ``final_norm`` run for position 0 only
-    (``layer(x, rows=1)``).  Earlier layers output every position, because
-    the next layer attends over all of them.  This is exact algebra —
-    position 0 of an all-positions layer, up to GEMM blocking — and both
-    the tape path and the ``no_grad`` path do it.
+    feed-forward block and ``final_norm`` run for each row's first token
+    only (``layer(x, rows=1)``).  Earlier layers output every token, because
+    the next layer attends over all of them.
+
+    Tape and ``no_grad`` evaluate the same numpy expression sequence, so on
+    one batch they agree bitwise.  Across batches a row's statevec is
+    bitwise-equal per call shape only: BLAS blocks a token's dot products
+    by ``T``, so the same plan in a different batch can differ by ~1e-15.
     """
 
     def __init__(
@@ -116,148 +132,93 @@ class StateNetwork(Module):
         self.final_norm = LayerNorm(config.d_model)
         # +1 for the step encoding appended after pooling.
         self.state_proj = Linear(config.d_model + 1, config.d_state, rng=rng)
-        # Scratch gather buffers keyed by (batch, trim), reused across
-        # inference forwards (cohorts repeat the same shapes step after
-        # step).  Bounded: dropped wholesale past 64 distinct shapes.
-        self._gather_pool: Dict[Tuple[int, int], Tuple[np.ndarray, ...]] = {}
 
     # ------------------------------------------------------------------
     def forward(self, plans: Sequence[EncodedPlan], steps: np.ndarray) -> Tensor:
-        """Batch of encoded plans + step fractions -> (B, d_state).
-
-        Inputs are trimmed to the batch's largest real node count: padded
-        positions contribute *exactly* zero to real-node outputs (the
-        additive -1e9 attention mask underflows to 0 in the softmax), so
-        dropping them skips the quadratic attention cost of schema-wide
-        padding and changes no term of any sum.  Outputs are bitwise-equal
-        per call shape only: BLAS blocks a row's dot products by batch
-        shape, so the same plan in a differently shaped batch can differ
-        by ~1e-15.
-        """
-        trim = max(p.num_nodes for p in plans)
-        if not is_grad_enabled():
-            return self._forward_inference(plans, steps, trim)
-        ops = np.stack([p.ops[:trim] for p in plans])
-        tables = np.stack([p.tables[:trim] for p in plans])
-        jl = np.stack([p.join_left_col[:trim] for p in plans])
-        jr = np.stack([p.join_right_col[:trim] for p in plans])
-        fcols = np.stack([p.filter_cols[:trim] for p in plans])
-        fops = np.stack([p.filter_ops[:trim] for p in plans])
-        fvals = np.stack([p.filter_vals[:trim] for p in plans])
-        heights = np.stack([p.heights[:trim] for p in plans])
-        structs = np.stack([p.structs[:trim] for p in plans])
-        attn = np.stack([p.attention_mask[:trim, :trim] for p in plans])
-
-        node = self.op_embed(ops)                       # (B, N, d)
-        table = self.table_embed(tables)
-        join_cols = self.column_embed(jl) + self.column_embed(jr)
-        # filters: sum over slots of (col + op + value * direction)
-        fcol_emb = self.column_embed(fcols)             # (B, N, F, d)
-        fop_emb = self.pred_op_embed(fops)
-        val_term = Tensor(fvals[..., None]) * self.value_direction
-        filters = (fcol_emb + fop_emb + val_term).sum(axis=2)
-        height = self.height_embed(heights)
-        struct = self.struct_embed(structs)
-
-        x = F.concatenate([node, table, join_cols, filters, height, struct], axis=-1)
+        """Batch of encoded plans + step fractions -> (B, d_state)."""
+        counts = [p.num_nodes for p in plans]
+        order = sorted(range(len(plans)), key=counts.__getitem__)
+        ordered = [plans[i] for i in order]
+        # Both layers share a segment's reachability mask; build its additive
+        # term once.
+        segments = []
+        for nodes, run in groupby(ordered, key=attrgetter("num_nodes")):
+            run = list(run)
+            mask = np.empty((len(run), nodes, nodes), dtype=bool)
+            for slot, plan in zip(mask, run):
+                slot[...] = plan.attention_mask[:nodes, :nodes]
+            segments.append((len(run), nodes, np.where(mask, 0.0, -1e9)[:, None, :, :]))
+        ints, fints, fvals = zip(*(_real_nodes(p) for p in ordered))
+        x = self._node_vectors(
+            np.concatenate(ints, axis=1), np.concatenate(fints, axis=1), np.concatenate(fvals)
+        )
         x = self.input_proj(x)
         last = len(self.layers) - 1
         for i, layer in enumerate(self.layers):
-            x = layer(x, mask=attn, rows=1 if i == last else None)
-        x = self.final_norm(x)
-        root = x[:, 0, :]  # pre-order encoding puts the plan root at index 0
-        steps = np.asarray(steps, dtype=np.float64).reshape(-1, 1)
-        pooled = F.concatenate([root, Tensor(steps)], axis=-1)
+            x = layer(x, segments=segments, rows=1 if i == last else None)
+        if not self.layers:
+            x = x[leading_tokens(segments, 1)]
+        root = self.final_norm(x)  # pre-order encoding puts the plan root first
+        # root | step, rows back in input order
+        width = root.shape[1]
+        pooled = np.empty((len(order), width + 1), dtype=np.float64)
+        pooled[order, :width] = root.data
+        pooled[:, width] = np.asarray(steps, dtype=np.float64).reshape(-1)
+        if root.requires_grad:
+            pooled = Tensor._node(pooled, (root,), lambda grad: root._accumulate(grad[order, :width]))
+        else:
+            pooled = Tensor._inference(pooled)
         return self.state_proj(pooled)
 
-    def _forward_inference(
-        self, plans: Sequence[EncodedPlan], steps: np.ndarray, trim: int
-    ) -> Tensor:
-        """No-grad forward: pooled gathers + direct embedding-table math.
+    def _node_vectors(self, ints: np.ndarray, fints: np.ndarray, fvals: np.ndarray) -> Tensor:
+        """``(T, 6 * d_embed)`` node vectors of a packed batch, as one tape node.
 
-        Evaluates the exact expression sequence of :meth:`forward` (same
-        gathers, same add order, same concatenation layout), but without
-        tape bookkeeping: feature assembly writes straight into one
-        ``(B, N, 6d)`` block, embeddings index their weight tables directly
-        (ids are in range by encoder construction), and the gather buffers
-        are reused across calls of the same ``(batch, trim)`` shape.
-        Buffer reuse is safe here: every consumer either copies
-        (fancy-indexing, ``np.where`` mask) or writes into fresh arrays,
-        so no pooled buffer escapes one forward.  (Concurrent serving is
-        serialized by the service's optimize lock.)
+        ``ints`` is ``(6, T)`` (ops, tables, join columns left and right,
+        heights, structs), ``fints`` ``(2, T, F)`` (filter columns and
+        predicate ops) and ``fvals`` ``(T, F)``.  Embeddings index their
+        weight tables directly: ids are in range by encoder construction.
         """
-        b = len(plans)
         d = self.config.d_embed
-        use_blocks = all(p.int_block is not None for p in plans)
-        if b == 1:
-            p = plans[0]
-            if use_blocks:
-                ib = p.int_block[:, :trim][None]
-                fb = p.fint_block[:, :trim][None]
-            fvals = p.filter_vals[:trim][None]
-            attn = p.attention_mask[:trim, :trim][None]
-        else:
-            key = (b, trim)
-            bufs = self._gather_pool.get(key)
-            if bufs is None:
-                if len(self._gather_pool) >= 64:
-                    self._gather_pool.clear()
-                nf = MAX_FILTERS_PER_NODE
-                bufs = self._gather_pool[key] = (
-                    np.empty((b, 6, trim), dtype=np.int64),
-                    np.empty((b, 2, trim, nf), dtype=np.int64),
-                    np.empty((b, trim, nf), dtype=np.float64),
-                    np.empty((b, trim, trim), dtype=bool),
-                )
-            if use_blocks:
-                ib = np.stack([p.int_block[:, :trim] for p in plans], out=bufs[0])
-                fb = np.stack([p.fint_block[:, :trim] for p in plans], out=bufs[1])
-            fvals = np.stack([p.filter_vals[:trim] for p in plans], out=bufs[2])
-            attn = np.stack([p.attention_mask[:trim, :trim] for p in plans], out=bufs[3])
-        if use_blocks:
-            ops, tables, jl, jr, heights, structs = (
-                ib[:, 0], ib[:, 1], ib[:, 2], ib[:, 3], ib[:, 4], ib[:, 5]
-            )
-            fcols, fops = fb[:, 0], fb[:, 1]
-        else:
-            # Hand-built EncodedPlans (tests, external callers) without the
-            # packed blocks fall back to per-field gathers.
-            ops = np.stack([p.ops[:trim] for p in plans])
-            tables = np.stack([p.tables[:trim] for p in plans])
-            jl = np.stack([p.join_left_col[:trim] for p in plans])
-            jr = np.stack([p.join_right_col[:trim] for p in plans])
-            fcols = np.stack([p.filter_cols[:trim] for p in plans])
-            fops = np.stack([p.filter_ops[:trim] for p in plans])
-            heights = np.stack([p.heights[:trim] for p in plans])
-            structs = np.stack([p.structs[:trim] for p in plans])
-
-        col_w = self.column_embed.weight.data
-        feat = np.empty((b, trim, 6 * d), dtype=np.float64)
-        feat[..., 0 * d : 1 * d] = self.op_embed.weight.data[ops]
-        feat[..., 1 * d : 2 * d] = self.table_embed.weight.data[tables]
-        join_cols = feat[..., 2 * d : 3 * d]
-        join_cols[...] = col_w[jl]
-        join_cols += col_w[jr]
+        jl, jr = ints[2], ints[3]
+        fcols, fops = fints
+        column, pred_op = self.column_embed.weight, self.pred_op_embed.weight
+        singles = (  # (table, ids, slot of the node vector)
+            (self.op_embed.weight, ints[0], 0),
+            (self.table_embed.weight, ints[1], 1),
+            (self.height_embed.weight, ints[4], 4),
+            (self.struct_embed.weight, ints[5], 5),
+        )
+        feat = np.empty((ints.shape[1], 6 * d), dtype=np.float64)
+        for weight, ids, slot in singles:
+            feat[:, slot * d : (slot + 1) * d] = weight.data[ids]
+        join_cols = feat[:, 2 * d : 3 * d]
+        join_cols[...] = column.data[jl]
+        join_cols += column.data[jr]
         # filters: sum over slots of (col + op + value * direction)
-        f = col_w[fcols]                                # (B, N, F, d)
-        f += self.pred_op_embed.weight.data[fops]
+        f = column.data[fcols]                          # (T, F, d)
+        f += pred_op.data[fops]
         f += fvals[..., None] * self.value_direction.data
-        feat[..., 3 * d : 4 * d] = f.sum(axis=2)
-        feat[..., 4 * d : 5 * d] = self.height_embed.weight.data[heights]
-        feat[..., 5 * d : 6 * d] = self.struct_embed.weight.data[structs]
+        feat[:, 3 * d : 4 * d] = f.sum(axis=1)
+        if not is_grad_enabled():
+            return Tensor._inference(feat)
 
-        x = self.input_proj(Tensor._inference(feat))
-        # Both layers share one reachability mask; build its additive term
-        # (the exact expression each layer would build) once.
-        additive = np.where(attn, 0.0, -1e9)[:, None, :, :]
-        last = len(self.layers) - 1
-        for i, layer in enumerate(self.layers):
-            x = layer(x, mask=attn, additive=additive, rows=1 if i == last else None)
-        x = self.final_norm(x)
-        root = x.data[:, 0, :]  # pre-order encoding puts the plan root at 0
-        steps = np.asarray(steps, dtype=np.float64).reshape(-1, 1)
-        pooled = np.concatenate([root, steps], axis=-1)
-        return self.state_proj(Tensor._inference(pooled))
+        def backward(grad: np.ndarray) -> None:
+            for weight, ids, slot in singles:
+                weight._accumulate(scatter_rows(ids, grad[:, slot * d : (slot + 1) * d], len(weight.data)))
+            g_join, g_filters = grad[:, 2 * d : 3 * d], grad[:, 3 * d : 4 * d]
+            g_slots = np.broadcast_to(g_filters[:, None, :], fcols.shape + (d,)).reshape(-1, d)
+            column._accumulate(
+                scatter_rows(
+                    np.concatenate([jl, jr, fcols.reshape(-1)]),
+                    np.concatenate([g_join, g_join, g_slots]),
+                    len(column.data),
+                )
+            )
+            pred_op._accumulate(scatter_rows(fops.reshape(-1), g_slots, len(pred_op.data)))
+            self.value_direction._accumulate(fvals.sum(axis=1) @ g_filters)
+
+        parents = tuple(w for w, _, _ in singles) + (column, pred_op, self.value_direction)
+        return Tensor._node(feat, parents, backward)
 
     def statevec(self, plan: EncodedPlan, step: float) -> np.ndarray:
         """Inference-mode state representation for a single plan."""
@@ -266,47 +227,19 @@ class StateNetwork(Module):
     def statevecs(self, plans: Sequence[EncodedPlan], steps: np.ndarray) -> np.ndarray:
         """Inference-mode state representations; (B, d_state)."""
         with no_grad():
-            return self.forward_bucketed(plans, steps).data
+            return self(plans, steps).data
 
-    def forward_bucketed(self, plans: Sequence[EncodedPlan], steps: np.ndarray) -> Tensor:
-        """The rows of ``forward(plans, steps)``, computed in node-count buckets.
 
-        Mixed-size batches are bucketed by node count so small plans do not
-        pay the largest plan's quadratic attention cost.  Padding
-        contributes exactly zero (see :meth:`forward`), so the rows — and,
-        with the tape on, the gradients through them — equal one padded
-        forward's up to float rounding (BLAS blocks a row's dot products by
-        batch shape).  This is the only grouping rule: training
-        (:meth:`AdvantageModel.forward`) and inference (:meth:`statevecs`)
-        both come through here.
-        """
-        steps = np.asarray(steps, dtype=np.float64)
-        if len(plans) <= 1:
-            return self.forward(plans, steps)
-        order = sorted(range(len(plans)), key=lambda i: plans[i].num_nodes)
-        # Cut into sub-batches where the node count jumps, but keep each
-        # sub-batch large enough that per-forward overhead stays
-        # amortized; any grouping yields the same rows.
-        min_rows = 16
-        groups: List[List[int]] = [[order[0]]]
-        for i in order[1:]:
-            current = groups[-1]
-            if (
-                plans[i].num_nodes != plans[current[-1]].num_nodes
-                and len(current) >= min_rows
-            ):
-                groups.append([i])
-            else:
-                current.append(i)
-        if len(groups) == 1:
-            return self.forward(plans, steps)
-        parts = [
-            self.forward([plans[i] for i in rows], steps[np.array(rows)]) for rows in groups
-        ]
-        # ``parts`` holds the rows in ``order``; gather them back.
-        position = np.empty(len(plans), dtype=np.int64)
-        position[order] = np.arange(len(plans))
-        return F.concatenate(parts, axis=0)[position]
+def _real_nodes(plan: EncodedPlan) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``plan``'s real nodes: ``(6, n)`` and ``(2, n, F)`` integer features
+    (stacked from the per-field arrays for a hand-built plan that carries no
+    blocks) and ``(n, F)`` filter values."""
+    n = plan.num_nodes
+    if plan.int_block is not None:
+        return plan.int_block[:, :n], plan.fint_block[:, :n], plan.filter_vals[:n]
+    fields = (plan.ops, plan.tables, plan.join_left_col, plan.join_right_col, plan.heights, plan.structs)
+    ints, fints = np.stack(fields), np.stack([plan.filter_cols, plan.filter_ops])
+    return ints[:, :n], fints[:, :n], plan.filter_vals[:n]
 
 
 def distinct_rows(
@@ -388,7 +321,7 @@ class AdvantageModel(Module):
 
         The state network runs once per *distinct* ``(EncodedPlan object,
         step)`` row of ``left`` and ``right`` together (see
-        :func:`distinct_rows`), in node-count buckets, and each side
+        :func:`distinct_rows`), in one packed forward, and each side
         gathers its statevecs by index.  With the tape on, a row's gradient
         is the sum over its uses, so logits, loss and gradients equal the
         two-sided forward's up to float summation order.
@@ -397,7 +330,7 @@ class AdvantageModel(Module):
             left, left_steps, right, right_steps
         )
         self.rows_forwarded += len(plans)
-        vecs = self.state_network.forward_bucketed(plans, steps)
+        vecs = self.state_network(plans, steps)
         return self._head(vecs[left_index], vecs[right_index])
 
     def _head(self, vec_l: Tensor, vec_r: Tensor) -> Tensor:
@@ -429,8 +362,8 @@ class AdvantageModel(Module):
     ) -> np.ndarray:
         """Statevecs for (query_sig, plan_sig, (query, plan), step_fraction) items.
 
-        Hits are free and deduplicated misses share one bucketed
-        state-network flush.  Items carry the raw ``(query, plan)`` pair
+        Hits are free and deduplicated misses share one packed
+        state-network forward.  Items carry the raw ``(query, plan)`` pair
         instead of an :class:`EncodedPlan`; the cache key is pure
         signatures, so hits never touch the encoder at all, and misses are
         encoded in one ``encoder.encode_many`` batch.  Keys carry

@@ -1,17 +1,20 @@
 """Stateless differentiable functions built on :mod:`repro.nn.tensor`.
 
-Besides the loss/softmax helpers this module hosts the two fused inference
-kernels (:func:`fused_linear`, :func:`fused_attention`).  Each one runs its
+Besides the loss/softmax helpers this module hosts the fused kernels:
+:func:`fused_linear`, and one attention kernel in two layouts —
+:func:`segment_attention` over a packed ``(tokens, dim)`` batch cut into
+node-count segments (what the layers call) and :func:`fused_attention`, its
+one-segment case for operands whose heads are already split.  Each runs its
 whole forward as plain numpy expressions — the *same* expressions the
-unfused ``Tensor`` op chain evaluates, so outputs are bitwise-identical —
-and, when gradients are on, registers a single tape node whose backward
-composes the unfused ops' backward passes exactly.
+unfused ``Tensor`` op chain evaluates, so outputs are bitwise-identical, with
+and without the tape — and, when gradients are on, registers a single tape
+node whose backward composes the unfused ops' backward passes exactly.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Optional
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,6 +28,10 @@ from repro.nn.tensor import (  # noqa: F401 - concatenate/stack/where re-exporte
     where,
 )
 
+#: A packed batch's runs of rows with equal node count: ``(rows, nodes,
+#: additive)`` each, see :func:`segment_attention`.
+Segments = Sequence[Tuple[int, int, Optional[np.ndarray]]]
+
 __all__ = [
     "softmax",
     "log_softmax",
@@ -35,6 +42,8 @@ __all__ = [
     "masked_softmax",
     "fused_linear",
     "fused_attention",
+    "segment_attention",
+    "attend_segments",
     "concatenate",
     "stack",
     "where",
@@ -129,6 +138,116 @@ def fused_linear(
     return Tensor._node(out_data, parents, backward)
 
 
+def _heads(data: np.ndarray, start: int, rows: int, nodes: int, heads: int) -> np.ndarray:
+    """``rows * nodes`` tokens of a packed ``(tokens, dim)`` matrix from
+    ``start`` on, as a ``(rows, heads, nodes, head_dim)`` view."""
+    return data[start : start + rows * nodes].reshape(rows, nodes, heads, -1).swapaxes(1, 2)
+
+
+def _attend(qd, kd, vd, additive, scale):
+    """``softmax(q @ k^T * scale + additive) @ v`` on head-split arrays, with
+    the softmax pieces the backward needs."""
+    scores = (qd @ np.swapaxes(kd, -2, -1)) * scale
+    if additive is not None:
+        scores = scores + additive
+    shifted = scores - scores.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    sm = e.sum(axis=-1, keepdims=True)
+    attn = e / sm
+    return attn @ vd, (attn, e, sm)
+
+
+def _attend_backward(grad, qd, kd, vd, attn, e, sm, scale):
+    """Gradients of :func:`_attend` for q, k, v, composing the unfused
+    chain's closures in tape order."""
+    # ctx = attn @ v
+    gattn = grad @ np.swapaxes(vd, -1, -2)
+    gv = np.swapaxes(attn, -1, -2) @ grad
+    # attn = e / sm : div backward contributes to e and sm, then the sum
+    # node folds sm's grad back into e (same order as the tape).
+    ge = gattn / sm
+    gsm = _sum_to_shape(-gattn * e / (sm**2), sm.shape)
+    ge = ge + np.broadcast_to(gsm, e.shape)
+    # e = exp(shifted); shift/mask-add are constants, mul is by scale
+    gs0 = ge * e * scale
+    # s0 = q @ k^T
+    return gs0 @ kd, np.swapaxes(np.swapaxes(qd, -1, -2) @ gs0, -2, -1), gv
+
+
+def attend_segments(qd, kd, vd, segments, heads, scale, lead=None, saved=None):
+    """The numpy forward of :func:`segment_attention`: the merged context,
+    one ``(queries, dim)`` matrix.  ``saved``, when given, collects what the
+    backward needs per segment."""
+    out = np.empty_like(qd)
+    q_start = k_start = 0
+    for rows, nodes, additive in segments:
+        m = nodes if lead is None else min(lead, nodes)
+        if additive is not None and m < nodes:
+            additive = additive[:, :, :m, :]
+        views = (
+            _heads(qd, q_start, rows, m, heads),
+            _heads(kd, k_start, rows, nodes, heads),
+            _heads(vd, k_start, rows, nodes, heads),
+        )
+        context, softmax_parts = _attend(*views, additive, scale)
+        _heads(out, q_start, rows, m, heads)[...] = context
+        if saved is not None:
+            saved.append((q_start, k_start, rows, m, nodes, views + softmax_parts))
+        q_start += rows * m
+        k_start += rows * nodes
+    return out
+
+
+def segment_attention(
+    q: Tensor,
+    k: Tensor,
+    v: Tensor,
+    segments: Segments,
+    heads: int,
+    scale: float,
+    lead: Optional[int] = None,
+) -> Tensor:
+    """Multi-head attention over a packed batch, as one tape node.
+
+    ``k`` and ``v`` are ``(tokens, dim)``: the rows of a batch laid end to
+    end, each row contributing its own number of nodes.  ``segments`` cuts
+    that into runs of rows with equal node count, ``(rows, nodes,
+    additive)`` each: such a run is a contiguous token slice, viewed as
+    ``(rows, heads, nodes, head_dim)`` and attended with its own constant
+    mask term (``(rows, 1, nodes, nodes)``, or ``None``) — no row ever sees
+    another row's tokens or a padding token.  ``lead`` is how many leading
+    positions of every row send a query (``None`` = all); ``q`` holds those
+    positions only, in the same order, and the result has ``q``'s shape.
+
+    Per segment the forward is :func:`fused_attention`'s expression sequence
+    on views of the packed matrices, so tape and ``no_grad`` agree bitwise;
+    the backward fills one gradient matrix per operand and accumulates each
+    once.
+    """
+    profiling = _profile.ENABLED
+    t0 = time.perf_counter() if profiling else 0.0
+    requires = is_grad_enabled() and (q.requires_grad or k.requires_grad or v.requires_grad)
+    saved: Optional[list] = [] if requires else None
+    out_data = attend_segments(q.data, k.data, v.data, segments, heads, scale, lead, saved)
+    if profiling:
+        _profile.record("fused_attention", out_data.nbytes, time.perf_counter() - t0)
+    if not requires:
+        return Tensor._inference(out_data)
+
+    def backward(grad: np.ndarray) -> None:
+        grads = (np.empty_like(q.data), np.empty_like(k.data), np.empty_like(v.data))
+        for q_start, k_start, rows, m, nodes, cache in saved:
+            parts = _attend_backward(_heads(grad, q_start, rows, m, heads), *cache, scale)
+            _heads(grads[0], q_start, rows, m, heads)[...] = parts[0]
+            _heads(grads[1], k_start, rows, nodes, heads)[...] = parts[1]
+            _heads(grads[2], k_start, rows, nodes, heads)[...] = parts[2]
+        for operand, operand_grad in zip((q, k, v), grads):
+            if operand.requires_grad:
+                operand._accumulate(operand_grad)
+
+    return Tensor._node(out_data, (q, k, v), backward)
+
+
 def fused_attention(
     q: Tensor,
     k: Tensor,
@@ -138,52 +257,25 @@ def fused_attention(
 ) -> Tensor:
     """Scaled-dot-product attention (scores → softmax → context) fused.
 
-    Computes ``softmax(q @ k^T * scale + additive) @ v`` with the exact
-    numpy expression sequence of the unfused Tensor chain (transpose,
-    matmul, scalar mul, constant add, shifted softmax, matmul), yielding
+    The one-segment case of :func:`segment_attention` for operands whose
+    heads are already split (``(..., nodes, head_dim)``): computes
+    ``softmax(q @ k^T * scale + additive) @ v`` with the exact numpy
+    expression sequence of the unfused Tensor chain (transpose, matmul,
+    scalar mul, constant add, shifted softmax, matmul), yielding
     bitwise-identical outputs.  ``additive`` is a constant mask term
     (e.g. ``0/-1e9``) broadcastable to the score shape, or ``None``.
     Backward composes the chain's closures exactly, in tape order.
     """
-    profiling = _profile.ENABLED
-    t0 = time.perf_counter() if profiling else 0.0
-    qd, kd, vd = q.data, k.data, v.data
-    kt = np.swapaxes(kd, -2, -1)
-    scores = (qd @ kt) * scale
-    if additive is not None:
-        scores = scores + additive
-    mx = scores.max(axis=-1, keepdims=True)
-    shifted = scores - mx
-    e = np.exp(shifted)
-    sm = e.sum(axis=-1, keepdims=True)
-    attn = e / sm
-    out_data = attn @ vd
-    if profiling:
-        _profile.record("fused_attention", out_data.nbytes, time.perf_counter() - t0)
-    requires = is_grad_enabled() and (
-        q.requires_grad or k.requires_grad or v.requires_grad
-    )
-    if not requires:
+    operands = (q.data, k.data, v.data)
+    out_data, softmax_parts = _attend(*operands, additive, scale)
+    if not (is_grad_enabled() and (q.requires_grad or k.requires_grad or v.requires_grad)):
         return Tensor._inference(out_data)
 
     def backward(grad: np.ndarray) -> None:
-        # ctx = attn @ v
-        gattn = grad @ np.swapaxes(vd, -1, -2)
-        if v.requires_grad:
-            v._accumulate(np.swapaxes(attn, -1, -2) @ grad)
-        # attn = e / sm : div backward contributes to e and sm, then the
-        # sum node folds sm's grad back into e (same order as the tape).
-        ge = gattn / sm
-        gsm = _sum_to_shape(-gattn * e / (sm**2), sm.shape)
-        ge = ge + np.broadcast_to(gsm, e.shape)
-        # e = exp(shifted); shift/mask-add are constants, mul is by scale
-        gshifted = ge * e
-        gs0 = gshifted * scale
-        # s0 = q @ k^T
-        if q.requires_grad:
-            q._accumulate(gs0 @ kd)
-        if k.requires_grad:
-            k._accumulate(np.swapaxes(np.swapaxes(qd, -1, -2) @ gs0, -2, -1))
+        parts = _attend_backward(grad, *operands, *softmax_parts, scale)
+        for operand, operand_grad in zip((q, k, v), parts):
+            if operand.requires_grad:
+                operand._accumulate(operand_grad)
 
     return Tensor._node(out_data, (q, k, v), backward)
 

@@ -17,7 +17,7 @@ import numpy as np
 from repro.nn import init
 from repro.nn import profile as _profile
 from repro.nn.tensor import Tensor, is_grad_enabled
-from repro.nn.functional import fused_attention, fused_linear
+from repro.nn.functional import Segments, attend_segments, fused_linear, segment_attention
 
 
 class Parameter(Tensor):
@@ -129,6 +129,18 @@ class Linear(Module):
         return fused_linear(x, self.weight, self.bias)
 
 
+def scatter_rows(ids: np.ndarray, rows: np.ndarray, num: int) -> np.ndarray:
+    """``(num, dim)`` matrix holding, at row ``ids[i]``, the sum of ``rows[i]``.
+
+    Scatter-add as one bincount over (id, column) cells: it adds a cell's
+    occurrences in token order, exactly as ``np.add.at`` would, at a
+    fraction of its per-element cost.
+    """
+    dim = rows.shape[-1]
+    cells = (ids[:, None] * dim + np.arange(dim)).reshape(-1)
+    return np.bincount(cells, weights=rows.reshape(-1), minlength=num * dim).reshape(num, dim)
+
+
 class Embedding(Module):
     """Lookup table mapping integer ids to dense vectors."""
 
@@ -152,16 +164,10 @@ class Embedding(Module):
             _profile.record("embedding", out_data.nbytes)
         if not is_grad_enabled():
             return Tensor._inference(out_data)
-        flat_ids = ids.reshape(-1)
-        num, dim = self.num_embeddings, self.dim
+        num = self.num_embeddings
 
         def backward(grad: np.ndarray) -> None:
-            # Scatter-add as one bincount over (id, column) cells: it adds a
-            # cell's occurrences in token order, exactly as np.add.at would,
-            # at a fraction of its per-element cost.
-            cells = (flat_ids[:, None] * dim + np.arange(dim)).reshape(-1)
-            full = np.bincount(cells, weights=grad.reshape(-1), minlength=num * dim)
-            weight._accumulate(full.reshape(num, dim))
+            weight._accumulate(scatter_rows(ids.reshape(-1), grad.reshape(-1, grad.shape[-1]), num))
 
         return Tensor._node(out_data, (weight,), backward)
 
@@ -275,6 +281,35 @@ class Sequential(Module):
         return len(self._layers)
 
 
+def leading_tokens(segments: Segments, rows: int) -> np.ndarray:
+    """Token indices of the first ``rows`` positions of every row of a packed
+    batch (see :func:`repro.nn.functional.segment_attention`), in row order."""
+    index, start = [], 0
+    for count, nodes, _ in segments:
+        stop = start + count * nodes
+        first = np.arange(start, stop, nodes)
+        if rows != 1:
+            first = (first[:, None] + np.arange(min(rows, nodes))).reshape(-1)
+        index.append(first)
+        start = stop
+    return index[0] if len(index) == 1 else np.concatenate(index)
+
+
+def _pack(x: Tensor, mask: Optional[np.ndarray], additive: Optional[np.ndarray]):
+    """An unpacked input — (nodes, dim), or batched (batch, nodes, dim) — as a
+    packed one: the token matrix, its single segment, and the batch size to
+    restore on the way out (``None`` if ``x`` was not batched)."""
+    if additive is None and mask is not None:
+        mask_arr = np.asarray(mask, dtype=bool)
+        if mask_arr.ndim == 2:
+            mask_arr = mask_arr[None, :, :]
+        additive = np.where(mask_arr, 0.0, -1e9)[:, None, :, :]
+    if x.ndim == 2:
+        return x, [(1, x.shape[0], additive)], None
+    batch, nodes, dim = x.shape
+    return x.reshape(batch * nodes, dim), [(batch, nodes, additive)], batch
+
+
 class MultiHeadAttention(Module):
     """Multi-head self-attention with an additive boolean attention mask.
 
@@ -302,85 +337,57 @@ class MultiHeadAttention(Module):
         mask: Optional[np.ndarray] = None,
         additive: Optional[np.ndarray] = None,
         rows: Optional[int] = None,
+        segments: Optional[Segments] = None,
     ) -> Tensor:
         """Attend over nodes.
 
-        ``x`` is (nodes, dim) or batched (batch, nodes, dim); ``mask`` is a
-        boolean (nodes, nodes) or (batch, nodes, nodes) array where True marks
-        pairs allowed to attend to each other.  Callers that apply the same
-        mask to several attention layers may pass the precomputed
-        ``additive`` term (``np.where(mask, 0.0, -1e9)[:, None, :, :]``)
-        instead, which skips rebuilding it per layer.
+        With ``segments`` (``(rows, nodes, additive)`` runs, see
+        :func:`repro.nn.functional.segment_attention`), ``x`` is a packed
+        ``(tokens, dim)`` batch: the projections run once on that matrix and
+        attention runs per segment.  Without it ``x`` is (nodes, dim) or
+        batched (batch, nodes, dim) — one segment — and ``mask`` is a boolean
+        (nodes, nodes) or (batch, nodes, nodes) array where True marks pairs
+        allowed to attend to each other, or ``additive`` the precomputed
+        term ``np.where(mask, 0.0, -1e9)[:, None, :, :]``.
 
-        ``rows`` is how many leading positions produce output (``None`` =
-        all): keys and values still come from every node, but queries, score
-        rows and the output projection run for positions ``[:rows]`` only,
-        and the result is ``forward(x)[..., :rows, :]`` up to GEMM blocking.
-        Those positions go through ``q_proj`` / ``out_proj`` as one
-        ``(batch * rows, dim)`` matrix: a 3-D ``(batch, 1, dim)`` operand
-        would make the weight gradient ``batch`` outer products and a
-        ``(batch, dim, dim)`` temporary, as costly as all positions.
+        ``rows`` is how many leading positions of every row produce output
+        (``None`` = all): keys and values still come from every node, but
+        queries, score rows and the output projection run for those
+        positions only — one ``(positions, dim)`` matrix — and the result is
+        ``forward(x)`` at those positions up to GEMM blocking.
         """
-        squeeze = x.ndim == 2
-        if additive is None and mask is not None:
-            mask_arr = np.asarray(mask, dtype=bool)
-            if mask_arr.ndim == 2:
-                mask_arr = mask_arr[None, :, :]
-            additive = np.where(mask_arr, 0.0, -1e9)[:, None, :, :]
+        batch = None
+        if segments is None:
+            x, segments, batch = _pack(x, mask, additive)
         scale = 1.0 / math.sqrt(self.head_dim)
-        heads, head_dim = self.num_heads, self.head_dim
-        b, n = (1, x.shape[0]) if squeeze else x.shape[:2]
-        m = n if rows is None else min(rows, n)
-        if rows is not None and additive is not None:
-            additive = additive[:, :, :m, :]
-        # shape the m output positions take through q_proj / out_proj, and
-        # the shape handed back
-        proj_shape = (b, m, self.dim) if rows is None else (b * m, self.dim)
-        out_shape = (m, self.dim) if squeeze else (b, m, self.dim)
+        index = None if rows is None else leading_tokens(segments, rows)
 
         if not is_grad_enabled():
             # Whole block as one numpy expression chain — the identical
-            # expression sequence as the tape path below (projection, scaled
-            # scores, masked shifted softmax, context, merge), so outputs
-            # are bitwise-equal.
+            # expression sequence as the tape path below (projection,
+            # per-segment attention, merge), so outputs are bitwise-equal.
             profiling = _profile.ENABLED
             t0 = time.perf_counter() if profiling else 0.0
             xd = x.data
-            if squeeze:
-                xd = xd.reshape(1, *xd.shape)
-            xq = xd if rows is None else xd[:, :m].reshape(proj_shape)
-            qd = np.swapaxes((xq @ self.q_proj.weight.data + self.q_proj.bias.data).reshape(b, m, heads, head_dim), 1, 2)
-            kd = np.swapaxes((xd @ self.k_proj.weight.data + self.k_proj.bias.data).reshape(b, n, heads, head_dim), 1, 2)
-            vd = np.swapaxes((xd @ self.v_proj.weight.data + self.v_proj.bias.data).reshape(b, n, heads, head_dim), 1, 2)
-            scores = (qd @ np.swapaxes(kd, -2, -1)) * scale
-            if additive is not None:
-                scores = scores + additive
-            shifted = scores - scores.max(axis=-1, keepdims=True)
-            e = np.exp(shifted)
-            attn = e / e.sum(axis=-1, keepdims=True)
-            merged = np.swapaxes(attn @ vd, 1, 2).reshape(proj_shape)
+            xq = xd if index is None else xd[index]
+            qd = xq @ self.q_proj.weight.data + self.q_proj.bias.data
+            kd = xd @ self.k_proj.weight.data + self.k_proj.bias.data
+            vd = xd @ self.v_proj.weight.data + self.v_proj.bias.data
+            merged = attend_segments(qd, kd, vd, segments, self.num_heads, scale, rows)
             out = merged @ self.out_proj.weight.data + self.out_proj.bias.data
-            if out.shape != out_shape:
-                out = out.reshape(out_shape)
+            if batch is not None:
+                out = out.reshape(batch, -1, self.dim)
             if profiling:
                 _profile.record("attention_inf", out.nbytes, time.perf_counter() - t0)
             return Tensor._inference(out)
 
-        if squeeze:
-            x = x.reshape(1, *x.shape)
-        xq = x if rows is None else x[:, :m].reshape(proj_shape)
-        # (b, n, dim) -> (b, heads, n, head_dim); queries: the first m nodes
-        q = self.q_proj(xq).reshape(b, m, heads, head_dim).transpose(1, 2)
-        k = self.k_proj(x).reshape(b, n, heads, head_dim).transpose(1, 2)
-        v = self.v_proj(x).reshape(b, n, heads, head_dim).transpose(1, 2)
-        # One kernel for score -> mask -> softmax -> context; bitwise-equal
-        # to the unfused transpose/matmul/softmax chain it replaced.
-        context = fused_attention(q, k, v, additive, scale)  # (b, heads, m, head_dim)
-        merged = context.transpose(1, 2).reshape(proj_shape)
-        out = self.out_proj(merged)
-        if out.shape != out_shape:
-            out = out.reshape(out_shape)
-        return out
+        xq = x if index is None else x[index]
+        # One kernel for split -> score -> mask -> softmax -> context -> merge.
+        context = segment_attention(
+            self.q_proj(xq), self.k_proj(x), self.v_proj(x), segments, self.num_heads, scale, rows
+        )
+        out = self.out_proj(context)
+        return out if batch is None else out.reshape(batch, -1, self.dim)
 
 
 class FeedForward(Module):
@@ -417,22 +424,24 @@ class TransformerEncoderLayer(Module):
         mask: Optional[np.ndarray] = None,
         additive: Optional[np.ndarray] = None,
         rows: Optional[int] = None,
+        segments: Optional[Segments] = None,
     ) -> Tensor:
-        """``rows`` (``None`` = all) is how many leading positions the block
-        outputs: every node still feeds ``norm1`` and the keys and values,
-        but the residual, ``norm2`` and the feed-forward run for positions
-        ``[:rows]`` only — ``forward(x)[..., :rows, :]`` for a caller that
-        reads nothing else.  Being position-wise, that part runs on the
-        ``(positions, dim)`` matrix (see :meth:`MultiHeadAttention.forward`)."""
-        attended = self.attn(self.norm1(x), mask=mask, additive=additive, rows=rows)
-        if rows is None:
-            x = x + attended
-            return x + self.ff(self.norm2(x))
-        head = x[..., :rows, :]
-        dim = head.shape[-1]
-        flat = head.reshape(-1, dim) + attended.reshape(-1, dim)
-        flat = flat + self.ff(self.norm2(flat))
-        return flat.reshape(head.shape)
+        """``rows`` (``None`` = all) is how many leading positions of every
+        row the block outputs: every node still feeds ``norm1`` and the keys
+        and values, but the residual, ``norm2`` and the feed-forward run for
+        those positions only — ``forward(x)`` there, for a caller that reads
+        nothing else.  Being position-wise, that part runs on the
+        ``(positions, dim)`` matrix.  ``x``, ``mask`` / ``additive`` and
+        ``segments`` are :meth:`MultiHeadAttention.forward`'s."""
+        batch = None
+        if segments is None:
+            x, segments, batch = _pack(x, mask, additive)
+        attended = self.attn(self.norm1(x), rows=rows, segments=segments)
+        if rows is not None:
+            x = x[leading_tokens(segments, rows)]
+        x = x + attended
+        out = x + self.ff(self.norm2(x))
+        return out if batch is None else out.reshape(batch, -1, out.shape[-1])
 
 
 def mlp(

@@ -344,7 +344,11 @@ class TestDistinctRowForward:
         steps = rng.choice(STEPS, size=size)
         out = model.state_network.statevecs(batch, steps)
         assert out.shape == (size, SMALL["d_state"])
-        assert np.array_equal(out, parent_statevecs(model.state_network, batch, steps))
+        ref = parent_statevecs(model.state_network, batch, steps)
+        if size == 1:
+            assert np.array_equal(out, ref)
+        else:  # one packed forward against the same rows in several: GEMMs block by T
+            np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-14)
 
     def test_rows_are_distinct_plan_step_pairs(self, pool):
         model, plans, _ = pool
@@ -397,7 +401,7 @@ class TestRootOnlyLastLayer:
         assert len(rows) > 32  # more than one bucket
 
         vecs = network.statevecs(rows, row_steps)
-        taped = network.forward_bucketed(rows, row_steps).data
+        taped = network.forward(rows, row_steps).data
         loss, grads = loss_and_grads(model, model.forward, batch, labels)
         # the same buckets, every position computed
         monkeypatch.setattr(network, "forward", lambda p, s: all_positions_forward(network, p, s))
@@ -417,7 +421,7 @@ class TestRootOnlyLastLayer:
         big = [p for p in plans if p.num_nodes >= 15][:16]
         assert len(big) == 16
         steps = np.zeros(16)
-        nodes = max(p.num_nodes for p in big)
+        tokens = sum(p.num_nodes for p in big)  # packed: no padding to the largest
         with profile.profile() as prof:
             network(big, steps)
             written = prof.bytes["fused_linear"]
@@ -430,8 +434,164 @@ class TestRootOnlyLastLayer:
                 network(big, steps)
             attention = prof.bytes["attention_inf"]
             assert prof.calls["attention_inf"] == 2
-        block = 16 * 64 * 8  # one position of 16 plans, d_model float64s
-        assert attention == nodes * block + block
+        token = 64 * 8  # d_model float64s
+        assert attention == tokens * token + 16 * token  # every token, then 16 roots
+
+
+# ---------------------------------------------------------------------------
+# Packed forward: one (T, d_model) token matrix per batch, attention per
+# node-count segment, against the padded all-positions forward it replaced.
+# ---------------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def packed_pool(request, pool):
+    """``pool``'s model and plans plus a one-table plan (a single node), and
+    the plan indices grouped by node count."""
+    model, plans, _ = pool
+    db = request.getfixturevalue("job_workload").database
+    encoder = PlanEncoder(db.schema, max_nodes=40, statistics=db.statistics)
+    query = db.sql("SELECT COUNT(*) FROM title AS t WHERE t.production_year > 2000", name="one_table")
+    plans = plans + [encoder.encode(query, db.plan(query).plan)]
+    assert plans[-1].num_nodes == 1
+    by_count = {}
+    for i, plan in enumerate(plans):
+        by_count.setdefault(plan.num_nodes, []).append(i)
+    return model, plans, by_count
+
+
+def padded_reference(model, run):
+    """``run()`` with the state network swapped for the padded oracle."""
+    network = model.state_network
+    network.forward = lambda p, s: all_positions_forward(network, p, s)
+    try:
+        return run()
+    finally:
+        del network.forward
+
+
+ROWS = st.lists(st.tuples(st.integers(0, 48), st.sampled_from(STEPS)), min_size=1, max_size=96)
+
+
+class TestPackedForward:
+    def check(self, packed_pool, rows):
+        """Statevecs, pairwise loss and every gradient against the oracle;
+        tape == ``no_grad`` bitwise; a permuted batch permutes its rows."""
+        model, plans, _ = packed_pool
+        network = model.state_network
+        batch = [plans[i] for i, _ in rows]
+        steps = np.array([s for _, s in rows])
+
+        vecs = network.statevecs(batch, steps)
+        assert vecs.shape == (len(rows), SMALL["d_state"])
+        assert np.array_equal(network(batch, steps).data, vecs)
+        with no_grad():
+            ref_vecs = all_positions_forward(network, batch, steps).data
+        np.testing.assert_allclose(vecs, ref_vecs, rtol=1e-12, atol=1e-14)
+
+        perm = np.random.default_rng(len(rows)).permutation(len(rows))
+        permuted = network.statevecs([batch[i] for i in perm], steps[perm])
+        np.testing.assert_allclose(permuted, vecs[perm], rtol=1e-12, atol=1e-14)
+
+        # row i against row -1-i: every row on both sides, repeats included
+        pairs = [(i, s, rows[-1 - k][0], rows[-1 - k][1]) for k, (i, s) in enumerate(rows)]
+        pair_batch, labels = batch_and_labels(plans, pairs)
+        loss, grads = loss_and_grads(model, model.forward, pair_batch, labels)
+        ref_loss, ref_grads = padded_reference(
+            model, lambda: loss_and_grads(model, model.forward, pair_batch, labels)
+        )
+        assert_loss_and_grads_close(loss, grads, ref_loss, ref_grads)
+
+    @settings(max_examples=20, deadline=None)
+    @given(ROWS)
+    @example([(7, 0.0)])                                       # a batch of one
+    @example([(48, 1.0)])                                      # the one-table plan alone
+    @example([(5, 0.0)] * 7 + [(5, 1.0)] * 2)                  # repeated plans
+    @example([(48, 0.0), (3, 1 / 3), (48, 2 / 3), (46, 1.0)])  # one node among big plans
+    def test_drawn_batches_equal_padded_forward(self, packed_pool, rows):
+        self.check(packed_pool, rows)
+
+    def test_all_rows_one_node_count(self, packed_pool):
+        _, _, by_count = packed_pool
+        same = max(by_count.values(), key=len)
+        assert len(same) >= 5
+        self.check(packed_pool, [(i, STEPS[k % 4]) for k, i in enumerate(same)])
+
+    def test_every_row_a_different_node_count(self, packed_pool):
+        _, _, by_count = packed_pool
+        assert len(by_count) >= 12
+        self.check(packed_pool, [(group[0], 0.5) for group in by_count.values()][::-1])
+
+    def test_ninety_six_rows(self, packed_pool):
+        rng = np.random.default_rng(96)
+        self.check(packed_pool, [(int(i), STEPS[int(i) % 4]) for i in rng.integers(49, size=96)])
+
+    def test_taped_forward_pushes_real_tokens_only(self, packed_pool):
+        """Dead-work guard, sized by what ``fused_linear`` writes: every
+        projection sees the batch's real tokens — no padding, one forward."""
+        template, plans, _ = packed_pool
+        config = dict(num_layers=2, d_model=64, ff_hidden=128, d_state=32)
+        network = resized_model(template, 19, **config).state_network
+        batch = plans[::3]
+        rows, tokens = len(batch), sum(p.num_nodes for p in batch)
+        assert tokens < rows * max(p.num_nodes for p in batch)
+        with profile.profile() as prof:
+            network(batch, np.zeros(rows))
+        d, ff = config["d_model"], config["ff_hidden"]
+        every_token = d + (4 * d + ff + d) + 2 * d  # input_proj, a full layer, last layer's k and v
+        roots_only = 2 * d + ff + d + config["d_state"]  # last layer's q, out, ff; state_proj
+        assert prof.bytes["fused_linear"] == 8 * (tokens * every_token + rows * roots_only)
+        assert prof.calls["fused_linear"] == 1 + 6 + 6 + 1
+        assert prof.calls["fused_attention"] == 2
+
+    @pytest.mark.parametrize("lead", [None, 1])
+    def test_segment_kernel_equals_fused_attention_per_segment(self, lead):
+        rng = np.random.default_rng(31)
+        heads, head_dim = 2, 3
+        shapes = [(3, 5), (2, 7), (1, 1)]  # (rows, nodes) per segment
+        segments = []
+        for rows, nodes in shapes:
+            reach = rng.random((rows, 1, nodes, nodes)) < 0.6
+            reach |= np.eye(nodes, dtype=bool)
+            segments.append((rows, nodes, np.where(reach, 0.0, -1e9)))
+        segments[-1] = (1, 1, None)
+        tokens = sum(r * n for r, n in shapes)
+        queries = tokens if lead is None else sum(r for r, _ in shapes)
+        qd = rng.normal(size=(queries, heads * head_dim))
+        kd, vd = (rng.normal(size=(tokens, heads * head_dim)) for _ in range(2))
+        seed = rng.normal(size=qd.shape)
+
+        q, k, v = (Tensor(a.copy(), requires_grad=True) for a in (qd, kd, vd))
+        out = F.segment_attention(q, k, v, segments, heads, 0.5, lead)
+        (out * Tensor(seed)).sum().backward()
+        with no_grad():
+            fast = F.segment_attention(Tensor(qd), Tensor(kd), Tensor(vd), segments, heads, 0.5, lead)
+        assert np.array_equal(fast.data, out.data)
+
+        def split(data, start, rows, nodes):  # (rows, heads, nodes, head_dim), contiguous
+            block = data[start : start + rows * nodes].reshape(rows, nodes, heads, head_dim)
+            return np.ascontiguousarray(block.transpose(0, 2, 1, 3))
+
+        def merge(block):  # back to (rows * nodes, dim)
+            return block.transpose(0, 2, 1, 3).reshape(-1, heads * head_dim)
+
+        q_start = k_start = 0
+        for rows, nodes, additive in segments:
+            m = nodes if lead is None else 1
+            if additive is not None:
+                additive = additive[:, :, :m, :]
+            parts = [
+                Tensor(split(qd, q_start, rows, m), requires_grad=True),
+                Tensor(split(kd, k_start, rows, nodes), requires_grad=True),
+                Tensor(split(vd, k_start, rows, nodes), requires_grad=True),
+            ]
+            ref = F.fused_attention(*parts, additive, 0.5)
+            (ref * Tensor(split(seed, q_start, rows, m))).sum().backward()
+            q_stop, k_stop = q_start + rows * m, k_start + rows * nodes
+            close = dict(rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(out.data[q_start:q_stop], merge(ref.data), **close)
+            np.testing.assert_allclose(q.grad[q_start:q_stop], merge(parts[0].grad), **close)
+            np.testing.assert_allclose(k.grad[k_start:k_stop], merge(parts[1].grad), **close)
+            np.testing.assert_allclose(v.grad[k_start:k_stop], merge(parts[2].grad), **close)
+            q_start, k_start = q_stop, k_stop
 
 
 class TestTrainBookkeeping:

@@ -373,6 +373,20 @@ class TestFastPathParity:
                 fast = workload.database.hint_builder.build(wq.query, hinted_order, methods)
                 assert tree(fast) == tree(reference_hinted_plan(reference, wq.query, hinted_order, methods))
 
+    @pytest.mark.parametrize("name", PARITY_WORKLOADS)
+    def test_plan_estimates_are_python_floats(self, planners, name):
+        """No numpy scalar leaks out of the statistics: ``np.float64`` estimates
+        pickle five times larger on the wire, print as ``np.float64(...)`` and
+        send the DP's arithmetic through numpy-scalar dispatch."""
+        workload, _ = planners[name]
+        rng = np.random.default_rng(6)
+        for wq in workload.all_queries:
+            expert = workload.database.enumerator.optimize(wq.query)
+            order, methods = plan_aliases(expert), plan_join_methods(expert)
+            hinted = workload.database.hint_builder.build(wq.query, list(rng.permutation(order)), methods)
+            for node in (*iter_nodes(expert), *iter_nodes(hinted)):
+                assert type(node.est_rows) is float and type(node.est_cost) is float, (wq.query.name, node)
+
     def test_dp_cost_is_the_brute_force_minimum(self, planners):
         """Up to 6 tables, walk every cross-product-free left-deep order.
 
