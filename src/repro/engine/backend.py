@@ -49,6 +49,7 @@ from repro.engine.database import (
     Dataset,
     PlanningResult,
     context_expired,
+    plan_key,
     raise_deadline,
 )
 from repro.executor.engine import ExecutionResult
@@ -619,8 +620,7 @@ class ShardedBackend:
             for index, result in zip(live, sub):
                 out[index] = result
             return out
-        suffix = "" if options is None else f"@{options.signature()}"
-        keys = [query.signature() + suffix for query in queries]
+        keys = [plan_key(query, options) for query in queries]
         resolved, miss_keys, miss_queries = self._plan_memo.lookup(keys, queries)
         if miss_queries:
             # IPC happens outside the memo lock; two threads missing the

@@ -109,6 +109,18 @@ def dataset_fingerprint(dataset: Dataset) -> str:
     return f"crc32:{crc & 0xFFFFFFFF:08x}:rows={storage.total_rows()}"
 
 
+def plan_key(query: Query, options: Optional[OptimizerOptions]) -> str:
+    """The plan-cache key of ``query`` under ``options``.
+
+    The optimizer plans ``None`` as ``OptimizerOptions()``, so options equal
+    to the defaults share the bare signature: Bao's all-methods arm and an
+    unoptioned ``plan`` are one cache entry, not two DP runs.
+    """
+    if options is None or options == OptimizerOptions():
+        return query.signature()
+    return f"{query.signature()}@{options.signature()}"
+
+
 @dataclass
 class PlanningResult:
     """A plan plus the wall-clock time the optimizer spent producing it."""
@@ -223,7 +235,7 @@ class Database:
         """
         if context_expired(ctx):
             raise_deadline(ctx, "planning")
-        key = query.signature() if options is None else f"{query.signature()}@{options.signature()}"
+        key = plan_key(query, options)
         with self._lock:
             cached = self._plan_cache.get(key)
         if cached is not None:

@@ -47,6 +47,7 @@ from repro.engine.database import (
     PlanningResult,
     context_expired,
     dataset_fingerprint,
+    plan_key,
     raise_deadline,
 )
 from repro.engine.wire import (
@@ -490,8 +491,7 @@ class RemoteBackend:
             for index, result in zip(live, sub):
                 out[index] = result
             return out
-        suffix = "" if options is None else f"@{options.signature()}"
-        keys = [query.signature() + suffix for query in queries]
+        keys = [plan_key(query, options) for query in queries]
         resolved, miss_keys, miss_queries = self._plan_memo.lookup(keys, queries)
         if miss_queries:
             results = self._call(

@@ -62,7 +62,13 @@ def runtime_cost_parameters() -> CostParameters:
 
 
 class CostModel:
-    """Operator cost formulas over (estimated or true) cardinalities."""
+    """Operator cost formulas over (estimated or true) cardinalities.
+
+    ``hash_join``, ``nested_loop``, ``index_probe_loop`` and a pre-sorted
+    ``merge_join`` are arithmetic only, so the expert DP also calls them on
+    numpy arrays; every logarithm (``sort``, ``index_descent``) is taken on
+    a Python float with ``math.log2``, never on an array.
+    """
 
     def __init__(self, params: CostParameters | None = None) -> None:
         self.params = params if params is not None else CostParameters()
@@ -74,10 +80,14 @@ class CostModel:
         p = self.params
         return base_rows * (p.seq_tuple + p.filter_term * num_filter_terms)
 
+    def index_descent(self, base_rows: float) -> float:
+        """One B-tree descent into a ``base_rows``-row table."""
+        return self.params.index_descent * max(1.0, math.log2(base_rows + 2))
+
     def index_scan(self, base_rows: float, fetched_rows: float, residual_terms: int) -> float:
         """Index access returning ``fetched_rows``, then residual filtering."""
         p = self.params
-        descent = p.index_descent * max(1.0, math.log2(base_rows + 2))
+        descent = self.index_descent(base_rows)
         return descent + fetched_rows * (p.index_tuple + p.filter_term * residual_terms)
 
     # ------------------------------------------------------------------
@@ -119,9 +129,16 @@ class CostModel:
 
     def index_nested_loop(self, outer_rows: float, inner_base_rows: float, out_rows: float) -> float:
         """Nested loop probing an index on the inner base table."""
+        return self.index_probe_loop(outer_rows, self.index_descent(inner_base_rows), out_rows)
+
+    def index_probe_loop(self, outer_rows, descent, out_rows):
+        """:meth:`index_nested_loop` given the inner index's :meth:`index_descent`.
+
+        Arithmetic only, so it takes floats or numpy arrays alike (the
+        expert DP passes whole levels of joins at once).
+        """
         p = self.params
-        descent = p.index_descent * max(1.0, math.log2(inner_base_rows + 2)) * 0.08
-        per_probe = descent + p.index_tuple
+        per_probe = descent * 0.08 + p.index_tuple
         return outer_rows * per_probe + out_rows * (p.index_tuple + p.output_tuple)
 
     # ------------------------------------------------------------------

@@ -1,7 +1,10 @@
 """Traditional optimizer tests: cardinality, cost, DP enumeration, hints."""
 
+import contextlib
+import dataclasses
 import itertools
 import math
+import warnings
 import zlib
 
 import numpy as np
@@ -12,7 +15,7 @@ from reference_dp import ReferenceEnumerator, reference_hinted_plan, reference_j
 from repro.baselines.hybridqo import HybridQOOptimizer
 from repro.optimizer import dp
 from repro.optimizer.cost import CostModel, CostParameters, runtime_cost_parameters
-from repro.optimizer.dp import OptimizerOptions
+from repro.optimizer.dp import OptimizerOptions, PlanEnumerator
 from repro.optimizer.hints import HintError
 from repro.optimizer.plans import (
     JOIN_METHODS,
@@ -76,6 +79,21 @@ class TestCostModel:
 
     def test_nested_loop_overflow_is_inf_not_nan(self):
         assert CostModel().nested_loop(float("inf"), 10.0, 1.0) == math.inf
+
+    @pytest.mark.parametrize("params", [CostParameters(), runtime_cost_parameters()], ids=["planner", "runtime"])
+    def test_index_nested_loop_through_descent_is_bit_equal(self, params):
+        """Hoisting the descent kept ``(index_descent * log) * 0.08``'s association."""
+        cm = CostModel(params)
+        inputs = [(1.0, 0.0, 1.0), (100, 100_000, 100), (3.5e4, 1e9, 7.25), (1e200, 1e300, 1e200)]
+        for outer, base, out in inputs:
+            descent = params.index_descent * max(1.0, math.log2(base + 2)) * 0.08
+            per_output = params.index_tuple + params.output_tuple
+            inline = float(outer * (descent + params.index_tuple) + out * per_output).hex()
+            assert cm.index_nested_loop(outer, base, out).hex() == inline
+            as_arrays = cm.index_probe_loop(
+                np.array([outer]), np.array([cm.index_descent(base)]), np.array([out])
+            )
+            assert float(as_arrays[0]).hex() == inline
 
     def test_milliseconds_conversion(self):
         cm = CostModel(CostParameters(work_units_per_ms=1000.0))
@@ -281,8 +299,9 @@ class TestCardinality:
 
 
 # ----------------------------------------------------------------------
-# Fast-path parity: the bitmask DP against the frozenset DP it replaced
-# (tests/reference_dp.py), float.hex for float.hex.
+# Fast-path parity: the bitmask DP, scalar loop and level arrays alike,
+# against the frozenset DP it replaced (tests/reference_dp.py), float.hex
+# for float.hex.
 # ----------------------------------------------------------------------
 PARITY_WORKLOADS = ("job", "stack", "tpcds")
 DISABLED_SUBSETS = [
@@ -291,6 +310,19 @@ DISABLED_SUBSETS = [
 # crc32 over every expert plan (signature + per-node estimates) at scale 0.02,
 # dataset seed 1, recorded from the commit before the bitmask DP.
 EXPERT_PLAN_DIGESTS = {"job": "1c748363", "stack": "07da8ea5", "tpcds": "c053a584"}
+# The DP's two paths, each forced through ``ARRAY_DP_MIN_TABLES``.
+DP_PATHS = {"scalar": 10**9, "array": 2}
+
+
+@contextlib.contextmanager
+def dp_path(path):
+    """Run every DP-sized query through one path of the expert DP."""
+    saved = dp.ARRAY_DP_MIN_TABLES
+    dp.ARRAY_DP_MIN_TABLES = DP_PATHS[path]
+    try:
+        yield
+    finally:
+        dp.ARRAY_DP_MIN_TABLES = saved
 
 
 def tree(plan):
@@ -328,6 +360,49 @@ def cross_join_prefixes(query):
     ]
 
 
+@pytest.fixture(scope="module")
+def reference_trees(planners):
+    """(workload, query, options, reference tree) for every DP-sized query.
+
+    Each query runs plain, with one disabled-method subset, with the
+    reverse of its plan's first three aliases as leading prefix and, if it
+    has one, with a cross-join-forcing prefix; the subsets and prefixes
+    rotate with the query's position.
+    """
+    cases = []
+    for name in PARITY_WORKLOADS:
+        workload, reference = planners[name]
+        for index, wq in enumerate(workload.all_queries):
+            query = wq.query
+            if not 2 <= query.num_tables <= 15:
+                continue
+            plain = reference.optimize(query)
+            shapes = [
+                OptimizerOptions(disabled_methods=DISABLED_SUBSETS[index % len(DISABLED_SUBSETS)]),
+                OptimizerOptions(leading_prefix=tuple(reversed(plan_aliases(plain)[:3]))),
+            ]
+            crossing = cross_join_prefixes(query)
+            if crossing:
+                shapes.append(OptimizerOptions(leading_prefix=crossing[index % len(crossing)]))
+            cases.append((name, query, OptimizerOptions(), tree(plain)))
+            for options in shapes:
+                cases.append((name, query, options, tree(reference.optimize(query, options))))
+    return cases
+
+
+class InflatedEstimator:
+    """An estimator whose scan rows are scaled by ``factor`` (overflow tests)."""
+
+    def __init__(self, estimator, factor):
+        self.estimator, self.factor = estimator, factor
+
+    def scan_rows(self, query, alias):
+        return self.estimator.scan_rows(query, alias) * self.factor
+
+    def __getattr__(self, name):
+        return getattr(self.estimator, name)
+
+
 class TestFastPathParity:
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
@@ -349,8 +424,130 @@ class TestFastPathParity:
         # max_dp_tables=0 routes through the greedy fallback (HybridQO's rollouts).
         max_dp_tables = data.draw(st.sampled_from((15, 0)), label="max_dp_tables")
         options = OptimizerOptions(disabled, prefix, max_dp_tables)
-        fast = workload.database.enumerator.optimize(query, options)
+        with dp_path(data.draw(st.sampled_from(sorted(DP_PATHS)), label="path")):
+            fast = workload.database.enumerator.optimize(query, options)
         assert tree(fast) == tree(reference.optimize(query, options))
+
+    @pytest.mark.parametrize("path", sorted(DP_PATHS))
+    def test_every_dp_query_matches_reference_on_both_paths(self, planners, reference_trees, path):
+        with dp_path(path):
+            for name, query, options, expected in reference_trees:
+                fast = planners[name][0].database.enumerator.optimize(query, options)
+                assert tree(fast) == expected, (name, query.name, options)
+
+    def test_exact_ties_pick_the_same_winner_on_both_paths(self, planners):
+        """Two aliases of one table under one filter: mirrored subsets cost the same."""
+        workload, reference = planners["job"]
+        database = workload.database
+        query = database.sql(
+            "SELECT COUNT(*) FROM title AS t1, title AS t2, movie_info AS mi1, movie_info AS mi2, "
+            "movie_keyword AS mk WHERE mi1.movie_id = t1.id AND mi2.movie_id = t2.id "
+            "AND mk.movie_id = t1.id AND mk.movie_id = t2.id "
+            "AND t1.production_year > 2000 AND t2.production_year > 2000",
+            name="twin_aliases",
+        )
+        expected = reference.optimize(query)
+        twin = {"t1": "t2", "t2": "t1", "mi1": "mi2", "mi2": "mi1", "mk": "mk"}
+        mirrored = [twin[alias] for alias in plan_aliases(expected)]
+        tie = database.hint_builder.build(query, mirrored, plan_join_methods(expected))
+        assert mirrored != plan_aliases(expected)
+        assert tie.est_cost.hex() == expected.est_cost.hex()  # the full set ties exactly
+        for path in DP_PATHS:
+            with dp_path(path):
+                assert tree(database.enumerator.optimize(query)) == tree(expected), path
+
+    def test_disconnected_remainder_cross_joins_in_query_order(self, planners):
+        """Two tying components (the binder refuses these; the DP must not).
+
+        The cross-join fallback lists the remaining aliases in query order,
+        which differs from name order here, and only tie-breaks can see it.
+        """
+        workload, reference = planners["job"]
+        connected = workload.database.sql(
+            "SELECT COUNT(*) FROM title AS t2, movie_info AS mi1, title AS t1, movie_info AS mi2 "
+            "WHERE mi1.movie_id = t1.id AND mi2.movie_id = t2.id AND t1.id = t2.id "
+            "AND t1.production_year > 2000 AND t2.production_year > 2000",
+            name="twin_components",
+        )
+        query = dataclasses.replace(connected, join_predicates=connected.join_predicates[:2])
+        assert not query.is_connected()
+        expected = tree(reference.optimize(query))
+        for path in DP_PATHS:
+            with dp_path(path):
+                assert tree(workload.database.enumerator.optimize(query)) == expected, path
+
+    def test_overflow_is_inf_on_both_paths_without_warnings(self, planners):
+        """Scan rows near 1e200 overflow every join: totals are inf, never NaN."""
+        workload, _ = planners["job"]
+        database = workload.database
+        inflated = InflatedEstimator(database.estimator, 1e196)
+        enumerator = PlanEnumerator(inflated, database.cost_model, database.storage.has_index)
+        reference = ReferenceEnumerator(inflated, database.cost_model, database.storage.has_index)
+        query = next(wq.query for wq in workload.all_queries if wq.query.num_tables == 9)
+        plans = {}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for path in DP_PATHS:
+                with dp_path(path):
+                    plans[path] = enumerator.optimize(query)
+        assert tree(plans["array"]) == tree(plans["scalar"]) == tree(reference.optimize(query))
+        joins = [node for node in iter_nodes(plans["array"]) if isinstance(node, JoinNode)]
+        assert all(node.est_cost == math.inf and node.est_rows == math.inf for node in joins)
+        assert not any(math.isnan(node.est_cost) for node in iter_nodes(plans["array"]))
+
+    def test_multiply_reduceat_folds_left_to_right(self):
+        """The array path's selectivities rely on numpy folding a multiply
+        reduction in order, as ``JoinSpace.extend``'s loop does."""
+
+        def halves(values):  # a reassociated product, to show the check can fail
+            if len(values) == 1:
+                return values[0]
+            middle = len(values) // 2
+            return halves(values[:middle]) * halves(values[middle:])
+
+        rng = np.random.default_rng(7)
+        lengths = rng.integers(1, 40, size=200)
+        starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
+        factors = rng.uniform(1e-6, 1.0, size=int(lengths.sum()))
+        reassociated = 0
+        for start, length, folded in zip(starts, lengths, np.multiply.reduceat(factors, starts)):
+            segment = factors[start : start + length].tolist()
+            product = 1.0
+            for factor in segment:
+                product *= factor
+            assert float(folded).hex() == product.hex()
+            reassociated += halves(segment) != product
+        assert reassociated > 0
+
+    def test_array_path_evaluates_the_scalar_loops_expansions(self, planners, monkeypatch):
+        """Query by query, the array path's pairs are the scalar loop's expansions."""
+        counts = {"pairs": 0, "expansions": 0}
+        level_pairs, extend = dp._level_pairs, dp.JoinSpace.extend
+
+        def counting_pairs(*args):
+            left, alias = level_pairs(*args)
+            counts["pairs"] += len(left)
+            return left, alias
+
+        def counting_extend(space, *args):
+            counts["expansions"] += 1
+            return extend(space, *args)
+
+        monkeypatch.setattr(dp, "_level_pairs", counting_pairs)
+        monkeypatch.setattr(dp.JoinSpace, "extend", counting_extend)
+        found = {"pairs": [], "expansions": []}
+        for name in PARITY_WORKLOADS:
+            workload, _ = planners[name]
+            for wq in workload.all_queries:
+                if not 2 <= wq.query.num_tables <= 15:
+                    continue
+                for path, key in (("array", "pairs"), ("scalar", "expansions")):
+                    counts[key] = 0
+                    with dp_path(path):
+                        workload.database.enumerator.optimize(wq.query)
+                    found[key].append(counts[key])
+        assert found["pairs"] == found["expansions"]
+        assert sum(found["pairs"]) > 0
 
     @pytest.mark.parametrize("name", PARITY_WORKLOADS)
     def test_expert_plan_digest_pinned(self, planners, name):

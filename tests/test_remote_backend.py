@@ -24,6 +24,7 @@ fast, not hang tier-1.
 
 from __future__ import annotations
 
+import contextlib
 import faulthandler
 import json
 import os
@@ -43,6 +44,7 @@ from repro.core.icp import IncompletePlan
 from repro.engine.backend import ShardedBackend, make_backend
 from repro.engine.remote import EngineServer, RemoteBackend, RemoteEngineError
 from repro.engine.wire import FrameTooLargeError, contexts_to_wire
+from repro.optimizer.dp import OptimizerOptions
 from repro.optimizer.plans import plan_signature
 
 # Per-test deadlock guard: generous against 1-CPU CI, tiny against a hang.
@@ -195,6 +197,35 @@ class TestBackendParity:
         with pytest.raises(RemoteEngineError, match="unknown engine RPC"):
             remote_backend._call("bogus_rpc", None)
         assert remote_backend.ping()  # same pool still serves
+
+
+class TestDefaultOptionsPlanOnce:
+    """``plan(q)`` and ``plan(q, OptimizerOptions())`` are one cache entry on
+    every backend: the optimizer plans ``None`` as the defaults, so Bao's
+    all-methods arm must not run the expert DP a second time."""
+
+    @pytest.mark.parametrize("kind", ["local", "sharded", "remote"])
+    def test_default_options_share_the_unoptioned_entry(self, job_workload, request, kind):
+        local = job_workload.database
+        # A name no other test plans, so this backend has not cached it yet.
+        query = local.sql(job_workload.train[2].sql, name=f"default_options_{kind}")
+        with contextlib.ExitStack() as stack:
+            if kind == "local":
+                backend, cache = local, "plan_cache"
+            elif kind == "sharded":
+                backend = stack.enter_context(ShardedBackend(job_workload.spec, 2, database=local))
+                cache = "plan_memo"
+            else:
+                backend, cache = request.getfixturevalue("remote_backend"), "plan_memo"
+            before = backend.stats()[cache]
+            first = backend.plan(query)
+            assert backend.plan(query, OptimizerOptions()) is first
+            assert backend.plan_many([query], OptimizerOptions())[0] is first
+            assert backend.stats()[cache] == before + 1
+            # Options that differ from the defaults still plan separately.
+            hashless = backend.plan(query, OptimizerOptions(disabled_methods=frozenset({"hash"})))
+            assert hashless is not first
+            assert backend.stats()[cache] == before + 2
 
 
 # ----------------------------------------------------------------------
