@@ -30,7 +30,7 @@ from typing import Dict, FrozenSet, Optional, Tuple
 
 import numpy as np
 
-from repro.executor.joins import Ranks, expand_pairs, match_counts, rank_keys, refine_keys
+from repro.executor.joins import Ranks, match_counts, pair_rows, rank_keys, refine_keys
 from repro.optimizer.cost import CostModel
 from repro.optimizer.plans import JoinNode, PlanNode, ScanNode
 from repro.sql.ast import FilterPredicate, Query
@@ -214,14 +214,16 @@ class ExecutionEngine:
         right_alias = node.right.alias
 
         def key_columns():
-            """Each predicate's (left, right) key values, gathered as they are asked for."""
+            """Each predicate's left table column, left row ids and right key values."""
             for predicate in node.predicates:
                 left_ref, right_ref = predicate.left, predicate.right
                 if left_ref.alias == right_alias:
                     left_ref, right_ref = right_ref, left_ref
+                left_table = self.storage.table(query.tables[left_ref.alias])
                 yield (
-                    self._gather(query, left, left_ref.alias, left_ref.column),
+                    left_table.column(left_ref.column),
                     self._gather(query, right, right_alias, right_ref.column),
+                    left.ids[left_ref.alias],
                 )
 
         keys = key_columns()
@@ -238,8 +240,8 @@ class ExecutionEngine:
 
         # Every further predicate is part of the key, not a filter over pairs.
         if len(node.predicates) > 1:
-            for left_keys, right_keys in keys:
-                ranks = refine_keys(ranks, left_keys, right_keys)
+            for left_keys, right_keys, left_rows in keys:
+                ranks = refine_keys(ranks, left_keys, right_keys, left_rows)
             matches = match_counts(ranks)
             out_count = int(left.weight @ matches)
 
@@ -284,21 +286,30 @@ class ExecutionEngine:
             # Nothing above reads a row id: the count is the whole result.
             weight = np.array([out_count] if out_count else [], dtype=np.int64)
             return _Groups(ids={}, weight=weight, count=out_count)
-        if right_alias in needed:
-            # The scanned rows are read later: one entry per (group, row) pair.
-            group, row = expand_pairs(ranks)
-            weight = left.weight[group]
-            ids = {right_alias: right.ids[right_alias][row]}
+        if needed == {right_alias}:
+            # Only the scanned rows are read later: each stands for the summed
+            # weight of the groups of its rank.  No pair is enumerated; rank -1
+            # lands in bin 0 and is dropped.
+            left_rank, right_rank, counts = ranks
+            per_rank = np.bincount(left_rank + 1, weights=left.weight, minlength=len(counts) + 1)[1:]
+            weight = per_rank[right_rank]
+            ids = {right_alias: right.ids[right_alias]}
+        elif right_alias in needed:
+            # The scanned rows are read later: one entry per (group, row)
+            # pair, a group's pairs side by side.
+            weight = np.repeat(left.weight, matches)
+            ids = {right_alias: right.ids[right_alias][pair_rows(ranks, matches)]}
+            ids.update((alias, np.repeat(left.ids[alias], matches)) for alias in needed - {right_alias})
         else:
             # No pair is enumerated: a surviving group stands for more rows.
             group = np.flatnonzero(matches)
             weight = left.weight[group] * matches[group]
-            ids = {}
-        for alias in needed - {right_alias}:
-            ids[alias] = left.ids[alias][group]
+            ids = {alias: left.ids[alias][group] for alias in needed}
         if len(ids) == 1 and (right_alias in needed or len(left.ids) > 1):
             # One id column left: merge equal ids.  ``bincount`` sums in
-            # float64, exact because no join output exceeds MAX_JOIN_OUTPUT.
+            # float64, here and per rank above; exact, because every partial
+            # sum is an integer <= ``left.count`` or ``out_count``, and neither
+            # exceeds MAX_JOIN_OUTPUT (far below 2**53).
             ((alias, column),) = ids.items()
             summed = np.bincount(column, weights=weight)
             merged = np.flatnonzero(summed)

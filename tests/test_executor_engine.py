@@ -123,6 +123,45 @@ def test_refine_keys_matches_on_every_column(columns):
     assert ranks[2].sum() == num_right  # every right entry has a rank
 
 
+@st.composite
+def _keys_by_row(draw):
+    """One to three key columns, each a table column of <= 5 rows read through
+    up to 30 row ids that repeat (more entries than the table has rows), with
+    a right key column of one shared length."""
+    num_entries = draw(st.integers(min_value=0, max_value=30))
+    num_right = draw(st.integers(min_value=0, max_value=12))
+    columns = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        table = np.array(draw(st.lists(st.integers(-2, 3), min_size=1, max_size=5)), dtype=np.int64)
+        rows = st.lists(st.integers(0, len(table) - 1), min_size=num_entries, max_size=num_entries)
+        right = st.lists(st.integers(-2, 3), min_size=num_right, max_size=num_right)
+        columns.append((table, np.array(draw(rows), dtype=np.int64), np.array(draw(right), dtype=np.int64)))
+    return columns
+
+
+@settings(max_examples=60, deadline=None)
+@given(columns=_keys_by_row())
+def test_ranks_by_row_equal_ranks_by_entry(columns):
+    """Ranking a table's rows and gathering by row id gives the ranks of the
+    entries' own values, through every ``refine_keys``; the pairs are those of
+    a pair-enumerating merge on the first column, filtered on the others."""
+    (table, rows, right), *rest = columns
+    by_row, by_entry = rank_keys(table, right, rows), rank_keys(table[rows], right)
+    for table, rows, right in rest:
+        by_row = refine_keys(by_row, table, right, rows)
+        by_entry = refine_keys(by_entry, table[rows], right)
+    for got, want in zip(by_row, by_entry):
+        np.testing.assert_array_equal(got, want)
+        assert got.dtype == want.dtype
+    table, rows, right = columns[0]
+    li, ri = join_pairs(table[rows], right)
+    keep = np.ones(len(li), dtype=bool)
+    for table, rows, right in columns[1:]:
+        keep &= table[rows][li] == right[ri]
+    got_li, got_ri = expand_pairs(by_row)
+    assert sorted(zip(got_li.tolist(), got_ri.tolist())) == sorted(zip(li[keep].tolist(), ri[keep].tolist()))
+
+
 class TestExecutionCorrectness:
     def test_count_star_matches_numpy(self, db):
         query = db.sql("SELECT COUNT(*) FROM title t WHERE t.production_year >= 2000")
@@ -523,6 +562,138 @@ def test_tiny_tables_tight_timeout(case, share):
     """A deadline near one plan's latency: the ``affordable`` check and
     mid-plan charges time other orders out at the same point."""
     _check_every_order(case, timeout_share=share)
+
+
+# ----------------------------------------------------------------------
+# Group sets longer than their tables, and joins only the scanned alias leaves
+# ----------------------------------------------------------------------
+@st.composite
+def _fanout_case(draw):
+    """Four tables joined a-b, a-c, c-d, and now and then b-c too.  ``a`` has
+    1-3 rows, so the (a, b) groups below ``c`` repeat a's row ids more often
+    than ``a`` has rows, and ``c`` joins on one key or two.  With b-c absent
+    the groups reaching ``c`` carry only ``a`` and weigh the ``b`` rows each
+    stands for; when the aggregates measure ``c`` or ``d``, ``c`` is the only
+    alias read above its join."""
+    tables = {}
+    for alias, most in (("a", 3), ("b", 8), ("c", 8), ("d", 8)):
+        rows = draw(st.integers(min_value=1 if alias == "a" else 0, max_value=most))
+        tables[alias] = {}
+        for column, high in zip(_TINY_COLUMNS, (1, 1, 2)):
+            values = st.lists(st.integers(min_value=0, max_value=high), min_size=rows, max_size=rows)
+            tables[alias][column] = np.array(draw(values), dtype=np.int64)
+        floats = st.lists(st.integers(min_value=1, max_value=1000), min_size=rows, max_size=rows)
+        tables[alias]["x"] = np.array(draw(floats), dtype=np.float64) / 7.0
+    links = [("a", "k", "b", "k"), ("a", "j", "c", "j"), ("c", "k", "d", "k")]
+    if draw(st.booleans()):
+        links.append(("b", "v", "c", "v"))
+    predicates = [JoinPredicate(ColumnRef(a, x), ColumnRef(b, y)) for a, x, b, y in links]
+    measured = draw(st.sampled_from(sorted(tables)))
+    methods = draw(st.lists(st.sampled_from(JOIN_METHODS), min_size=3, max_size=3))
+    return tables, predicates, [], measured, methods
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_fanout_case())
+def test_fanout_tables_every_join_order(case):
+    _check_every_order(case)
+
+
+def test_fanout_case_ranks_by_row_and_sums_per_rank(monkeypatch):
+    """The fan-out shape reaches both new paths: a key ranked over a table
+    shorter than the group set (first key and refinement), and a join whose
+    only id column read above is the scanned alias, fed weights above one."""
+    arrays = {
+        "a": {"k": [0, 0], "j": [0, 1], "v": [0, 0]},
+        "b": {"k": [0, 0, 0, 0], "j": [0, 0, 0, 0], "v": [0, 1, 0, 1]},
+        "c": {"k": [0, 1, 0], "j": [0, 1, 1], "v": [0, 0, 1]},
+        "d": {"k": [0, 0, 1], "j": [0, 0, 0], "v": [0, 0, 0]},
+    }
+    by_row, right_only_weights = [], []
+    rank, refine, emit = engine_module.rank_keys, engine_module.refine_keys, ExecutionEngine._emit
+
+    def spy_rank(left_keys, right_keys, left_rows=None):
+        by_row.append(len(left_rows) > len(left_keys))
+        return rank(left_keys, right_keys, left_rows)
+
+    def spy_refine(ranks, left_keys, right_keys, left_rows=None):
+        by_row.append(len(left_rows) > len(left_keys))
+        return refine(ranks, left_keys, right_keys, left_rows)
+
+    def spy_emit(left, right, right_alias, ranks, matches, out_count, needed):
+        if needed == {right_alias}:
+            right_only_weights.append(int(left.weight.max(initial=0)))
+        return emit(left, right, right_alias, ranks, matches, out_count, needed)
+
+    monkeypatch.setattr(engine_module, "rank_keys", spy_rank)
+    monkeypatch.setattr(engine_module, "refine_keys", spy_refine)
+    monkeypatch.setattr(ExecutionEngine, "_emit", staticmethod(spy_emit))
+    for with_b_c in (True, False):
+        tables = {
+            alias: {**{c: np.array(v, dtype=np.int64) for c, v in cols.items()}, "x": np.arange(len(cols["k"])) / 7.0}
+            for alias, cols in arrays.items()
+        }
+        links = [("a", "k", "b", "k"), ("a", "j", "c", "j"), ("c", "k", "d", "k")]
+        links += [("b", "v", "c", "v")] if with_b_c else []
+        predicates = [JoinPredicate(ColumnRef(a, x), ColumnRef(b, y)) for a, x, b, y in links]
+        _check_every_order((tables, predicates, [], "d", ["hash", "merge", "nestloop"]))
+    assert by_row.count(True) >= 2
+    assert max(right_only_weights) > 1
+
+
+@st.composite
+def _emit_case(draw):
+    """Groups over aliases ``l`` and ``m`` (tables of <= 4 rows, up to 24
+    entries repeating row ids, weights 1-9) and a scan of ``r`` (distinct row
+    ids in any order), ranked on one key column or two."""
+    num_entries = draw(st.integers(min_value=0, max_value=24))
+    columns, ids = {}, {}
+    for alias in ("l", "m"):
+        columns[alias] = np.array(draw(st.lists(st.integers(0, 2), min_size=1, max_size=4)), dtype=np.int64)
+        rows = st.lists(st.integers(0, len(columns[alias]) - 1), min_size=num_entries, max_size=num_entries)
+        ids[alias] = np.array(draw(rows), dtype=np.int64)
+    weights = st.lists(st.integers(1, 9), min_size=num_entries, max_size=num_entries)
+    weight = np.array(draw(weights), dtype=np.int64)
+    left = engine_module._Groups(ids=ids, weight=weight, count=int(weight.sum()))
+    right_table = {c: np.array(draw(st.lists(st.integers(0, 2), min_size=10, max_size=10))) for c in "lm"}
+    scanned = np.array(draw(st.permutations(range(10)))[: draw(st.integers(0, 10))], dtype=np.int64)
+    right = engine_module._Groups(ids={"r": scanned}, weight=np.ones(len(scanned), dtype=np.int64), count=len(scanned))
+    ranks = rank_keys(columns["l"], right_table["l"][scanned], ids["l"])
+    if draw(st.booleans()):
+        ranks = refine_keys(ranks, columns["m"], right_table["m"][scanned], ids["m"])
+    return left, right, ranks
+
+
+def _pair_merge(left, right, ranks, needed):
+    """``_emit`` by enumeration: every (group, scanned row) pair, then equal ids merged."""
+    group, row = expand_pairs(ranks)
+    weight = left.weight[group]
+    ids = {"r": right.ids["r"][row]}
+    ids.update((alias, left.ids[alias][group]) for alias in needed - {"r"})
+    if len(ids) == 1:
+        summed = np.bincount(ids["r"], weights=weight)
+        merged = np.flatnonzero(summed)
+        return {"r": merged}, summed[merged].astype(np.int64)
+    return ids, weight
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_emit_case())
+def test_emit_equals_pair_merge(case):
+    """Summing weights per rank (``needed == {"r"}``) and repeating group columns
+    (``r`` and more) both give the arrays a pair-enumerating merge gives."""
+    left, right, ranks = case
+    matches = match_counts(ranks)
+    out_count = int(left.weight @ matches)
+    for needed in ({"r"}, {"r", "l"}, {"r", "l", "m"}):
+        got = ExecutionEngine._emit(left, right, "r", ranks, matches, out_count, frozenset(needed))
+        ids, weight = _pair_merge(left, right, ranks, needed)
+        assert got.count == out_count == int(weight.sum())
+        assert sorted(got.ids) == sorted(ids)
+        for alias in ids:
+            np.testing.assert_array_equal(got.ids[alias], ids[alias])
+        np.testing.assert_array_equal(got.weight, weight)
+        assert got.weight.dtype == weight.dtype == np.int64
 
 
 # ----------------------------------------------------------------------
