@@ -1,6 +1,6 @@
 """Shared read-modify-write access to ``BENCH_throughput.json``.
 
-Several benches (episode throughput, serving throughput) record into one
+Several benches (serving, remote, observability overhead) record into one
 results file at the repo root; each must merge its keys and leave the
 other sections intact, or they clobber each other on every run.  Machine
 metadata is stamped on every update so numbers recorded on a small box

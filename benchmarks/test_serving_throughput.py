@@ -3,8 +3,8 @@
 Drives a started ``OptimizerService`` (background flusher, micro-batched
 submissions) with a shuffled serving trace from 1 and from N concurrent
 client threads, and records requests/sec for both into the ``serving``
-section of ``BENCH_throughput.json`` (read-modify-write: the episode
-bench's sections are preserved).
+section of ``BENCH_throughput.json`` (read-modify-write: the other
+benches' sections are preserved).
 
 Interpretation: the GIL plus a CPython-bound optimizer means client
 threads cannot add compute — what threading buys is *overlap* (clients

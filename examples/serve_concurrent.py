@@ -7,8 +7,7 @@ and every client blocks on ``wait(ticket)`` for its own outcome.
 
 Part two opens a ``ServiceGroup``: two named tenants, each with its own
 session/optimizer/memo/stats, all routing through ONE shared engine
-backend (a sharded worker pool with ``--workers > 1``), and serves both
-tenants from concurrent threads.
+backend, and serves both tenants from concurrent threads.
 
 Plans served under concurrency are bitwise-identical to sequential
 serving — the demo checks this — only ordering and telemetry differ.
@@ -16,7 +15,7 @@ Thread counts here buy overlap and batching, not CPU parallelism: on a
 single-core box the req/s figures measure plumbing, not speedup.
 
 Run:  python examples/serve_concurrent.py [--scale 0.03] [--threads 4]
-      [--requests 32] [--workers 2]
+      [--requests 32]
 """
 
 from __future__ import annotations
@@ -81,8 +80,6 @@ def main() -> None:
     parser.add_argument("--scale", type=float, default=0.03)
     parser.add_argument("--threads", type=int, default=4)
     parser.add_argument("--requests", type=int, default=32)
-    parser.add_argument("--workers", type=int, default=1,
-                        help="engine workers for the shared tenant pool")
     args = parser.parse_args()
 
     # ------------------------------------------------------------------
@@ -131,18 +128,15 @@ def main() -> None:
               f"total {stats['stage_total_p95_ms']:.1f} ms\n")
 
     # ------------------------------------------------------------------
-    # Part 2: two tenants over one shared engine pool
+    # Part 2: two tenants over one shared engine
     # ------------------------------------------------------------------
-    backend_kind = "sharded pool" if args.workers > 1 else "local engine"
-    print(f"Opening a ServiceGroup: tenants alpha+beta over one shared "
-          f"{backend_kind} (workers={args.workers})...")
+    print("Opening a ServiceGroup: tenants alpha+beta over one shared local engine...")
     with ServiceGroup.open(
         "job",
         tenants=("alpha", "beta"),
         scale=args.scale,
         seed=1,
         config=demo_config(),
-        engine_workers=args.workers,
         max_pending=max(args.requests, 8),  # per-tenant queue bound
     ) as group:
         group.start(flush_interval_ms=2.0)

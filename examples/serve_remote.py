@@ -7,15 +7,15 @@ live optimizer" as a client/server system):
    here launched as a subprocess unless ``REPRO_ENGINE_URL`` (or
    ``--url``) points at one you started yourself, e.g.::
 
-       repro-engine job --scale 0.05 --port 7733 --workers 2
+       repro-engine job --scale 0.05 --port 7733
 
 2. a client ``FossSession`` opens with ``engine_url=tcp://host:port``:
    SQL binds locally against a fingerprint-checked mirror dataset, while
    planning and execution RPCs travel as length-prefixed crc32 frames;
 
 3. a 2-tenant ``ServiceGroup`` shares that one ``RemoteBackend`` — the
-   multi-tenant layer is agnostic to whether the pool behind it is pipes
-   or sockets.
+   multi-tenant layer is agnostic to whether the engine behind it is in
+   process or behind a socket.
 
 The demo checks the determinism contract as it goes: plans served over
 the wire are bitwise-identical to an in-process session's.  On one box
@@ -23,7 +23,7 @@ the req/s you see is framing/RPC overhead, not scaling — the point of
 the subsystem is that the server can live on a different machine.
 
 Run:  python examples/serve_remote.py [--scale 0.03] [--requests 12]
-      [--workers 1] [--url tcp://host:port]
+      [--url tcp://host:port]
 """
 
 from __future__ import annotations
@@ -53,12 +53,11 @@ def demo_config(url: str = "") -> FossConfig:
     )
 
 
-def launch_server(scale: float, workers: int, timeout_s: float = 300.0):
+def launch_server(scale: float, timeout_s: float = 300.0):
     """Start ``repro-engine`` as a subprocess; return (process, url)."""
     command = [
         sys.executable, "-m", "repro.engine.remote",
-        "job", "--scale", str(scale), "--seed", "1",
-        "--workers", str(workers), "--port", "0",
+        "job", "--scale", str(scale), "--seed", "1", "--port", "0",
     ]
     process = subprocess.Popen(
         command, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True
@@ -90,8 +89,6 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--scale", type=float, default=0.03)
     parser.add_argument("--requests", type=int, default=12)
-    parser.add_argument("--workers", type=int, default=1,
-                        help="server-side engine workers (when spawning)")
     parser.add_argument("--url", default=os.environ.get("REPRO_ENGINE_URL", ""),
                         help="attach to a running repro-engine instead of spawning one")
     args = parser.parse_args()
@@ -101,8 +98,8 @@ def main() -> None:
         url = args.url
         print(f"attaching to repro-engine at {url}")
     else:
-        print(f"spawning repro-engine (job, scale={args.scale}, workers={args.workers})...")
-        process, url = launch_server(args.scale, args.workers)
+        print(f"spawning repro-engine (job, scale={args.scale})...")
+        process, url = launch_server(args.scale)
 
     try:
         print(f"\nopening a session against {url} ...")

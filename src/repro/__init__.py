@@ -27,7 +27,7 @@ Quickstart::
 
 Lower layers remain importable for composition: :mod:`repro.engine` (the
 expert engine and the :class:`~repro.engine.EngineBackend` protocol with
-local and sharded implementations), :mod:`repro.workloads`,
+a local implementation), :mod:`repro.workloads`,
 :mod:`repro.core` (the paper's contribution), :mod:`repro.baselines`, and
 :mod:`repro.experiments`.  The old top-level ``repro.FossTrainer`` /
 ``repro.FossOptimizer`` shortcuts still resolve but emit a
@@ -38,7 +38,7 @@ import importlib
 import warnings
 
 from repro.core import FossConfig
-from repro.engine import Database, Dataset, EngineBackend, LocalBackend, ShardedBackend
+from repro.engine import Database, Dataset, EngineBackend, LocalBackend
 from repro.workloads import build_workload_by_name
 
 __version__ = "1.1.0"
@@ -52,7 +52,6 @@ __all__ = [
     "Dataset",
     "EngineBackend",
     "LocalBackend",
-    "ShardedBackend",
     "build_workload_by_name",
     "__version__",
 ]

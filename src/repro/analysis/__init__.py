@@ -18,7 +18,7 @@ det-hash             Never builtin ``hash()``: salted by ``PYTHONHASHSEED``;   `
                                                                                ``engine/wire.py`` module docstring.
 det-unseeded-random  No global-state RNG calls (``random.random()``,           seeded-``default_rng`` discipline throughout
                      ``np.random.rand()``); only explicit generators.          ``catalog/datagen.py`` and ``workloads/base.py``;
-                                                                               parity tests in ``tests/test_sharding.py``.
+                                                                               local == remote parity in ``tests/test_remote_backend.py``.
 det-set-order        No bare set iteration where order can leak into           sorted iteration in ``optimizer/dp.py`` and the plan
                      output; wrap in ``sorted()``.                             encoders; trajectory-parity tests.
 clock-wall           No ``time.time()`` / ``datetime.now()`` in ``src/``.      ``api/context.py`` module docstring ("Timestamps are
@@ -32,7 +32,7 @@ layer-import         Imports follow the declared package DAG                   R
                      (``[tool.repro-lint.layers]``); engine never imports      ``engine/wire.py`` importing ``repro.api.context``.
                      api.
 lock-blocking        No unbounded blocking call (recv/accept/join/wait
-                     without timeout, pipe/socket round trips) while           pipe discipline documented on ``ShardedBackend`` and
+                     without timeout, pipe/socket round trips) while           connection discipline documented on
                      lexically holding a lock, unless annotated                ``RemoteBackend._call`` (lock held across one full
                      ``# repro-lint: allow[lock-blocking]`` with a reason.     send→recv round trip).
 rpc-parity           Ops the ``RemoteBackend`` client emits == ops             ``engine/remote/server.py`` module docstring (protocol
@@ -45,7 +45,7 @@ rpc-arity            (flow) Per op, the tuple payload the client pickles       t
 lock-order           (flow) The global lock-acquisition graph — ``with``       lock-ordering comments on ``OptimizerService``
                      nesting plus calls made while holding a lock,             (``_optimize_lock`` "only ever taken without _lock
                      resolved through the project call graph — has no          held"), ``ServiceGroup`` (build outside ``_lock``),
-                     cross-lock cycle.  Bounded acquires                       sorted worker-lock order in ``ShardedBackend``.
+                     cross-lock cycle.  Bounded acquires                       per-connection locks in ``RemoteBackend._acquire``.
                      (``timeout=``/``blocking=False``) and re-entry on
                      one lock are exempt.
 ctx-propagation      (flow) Every ``*_many`` backend implementation            ``RequestContext`` lifecycle docs in ``api/context.py``
@@ -53,7 +53,7 @@ ctx-propagation      (flow) Every ``*_many`` backend implementation            `
                      planning work; every api function that mints a           ``EngineBackend`` batch methods.
                      ``RequestContext`` uses it on every normal return
                      path (raise paths may legitimately refuse).
-resource-release     (flow) Sockets, worker pipes and acquired                 ``_Connection.drop``, ``ShardedBackend.close`` and
+resource-release     (flow) Sockets, worker pipes and acquired                 ``_Connection.drop``, ``RemoteBackend.close`` and
                      connection locks are released or ownership-               ``EngineServer._serve_client`` finally blocks.
                      transferred on every CFG path, exception edges
                      included.

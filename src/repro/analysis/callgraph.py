@@ -2,7 +2,7 @@
 
 Built from the :class:`~repro.analysis.core.Project`'s files under the
 configured enforced roots (``src/repro`` here).  Indexing is by
-*qualified name*: ``repro.engine.backend.ShardedBackend.close`` for a
+*qualified name*: ``repro.engine.remote.client.RemoteBackend.close`` for a
 method, ``repro.engine.database.context_expired`` for a module-level
 function.
 

@@ -143,7 +143,6 @@ DEFAULT_PERF_COUNTER_ALLOW: Tuple[str, ...] = (
 DEFAULT_BLOCKING_CALLS: Tuple[str, ...] = (
     "recv",
     "recv_bytes",
-    "_recv",  # ShardedBackend's own pipe-drain helper
     "send",
     "send_bytes",
     "accept",
@@ -174,7 +173,6 @@ DEFAULT_CTX_WORK_CALLS: Tuple[str, ...] = (
     "plan_many",
     "plan_with_hints_many",
     "execute_many",
-    "_scatter",
     "_call",
     "optimize",
     "optimize_many",

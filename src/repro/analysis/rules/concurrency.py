@@ -1,7 +1,7 @@
 """Concurrency-discipline rule: no unbounded blocking under a lock.
 
-The repo's pipe discipline (``ShardedBackend``/``RemoteBackend``) *does*
-hold a per-connection lock across a full send→recv round trip — that is
+The repo's connection discipline (``RemoteBackend._call``) *does* hold
+a per-connection lock across a full send→recv round trip — that is
 the documented design that keeps frames from interleaving — but every
 such site must say so: an **unannotated** blocking call under a lock is
 either a new deadlock surface or an undocumented extension of the
@@ -14,7 +14,7 @@ Two lexical shapes count as "under a lock":
 * inside the body of ``with <something lockish>:``;
 * inside a ``try:`` whose immediately preceding statements acquire a
   lock (the repo's canonical ``acquire(); try: ... finally: release()``
-  pattern, including loops acquiring several worker locks).
+  pattern, including loops acquiring several locks).
 
 ``join``/``wait`` with any timeout argument are bounded and exempt; the
 blocking-call vocabulary itself is configuration

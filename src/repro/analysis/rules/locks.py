@@ -15,15 +15,15 @@ Edges come from two sources:
   every lock that callee (transitively) acquires.
 
 Lock identity is the canonicalised attribute chain with subscripts
-erased (``self._worker_locks[worker]`` → ``ShardedBackend._worker_locks``)
-so a pool of per-worker locks is one node.  Soundness caveats, by
+erased (``self._pool[i].lock`` → ``RemoteBackend._pool.lock``) so a
+pool of per-connection locks is one node.  Soundness caveats, by
 design and documented: **unknown callees are assumed to acquire
 nothing** (the call graph keeps them as explicit unknown nodes but this
 rule does not invent edges for them), **bounded acquisitions**
 (``blocking=False`` / any ``timeout``) generate no edges because they
 fail instead of deadlocking, and **self-edges are ignored** because the
-repo's reentrant locks (``RLock``) and its sorted-order worker-lock
-loops legitimately re-enter one identity.
+repo's reentrant locks (``RLock``) and any loop over a pool of locks
+legitimately re-enter one identity.
 """
 
 from __future__ import annotations
@@ -174,8 +174,8 @@ def _summarise(info: FunctionInfo, graph: CallGraph) -> _Summary:
                         loop_env[stmt.target.id] = iter_identity
                 record_calls(stmt, held)
                 # One symbolic iteration; acquisitions persist past the
-                # loop (the broadcast pattern acquires every worker lock
-                # in a loop, then enters its guarded try).
+                # loop (a loop may acquire every lock of a pool, then
+                # enter its guarded try).
                 held = walk(stmt.body, held, loop_env)
                 walk(stmt.orelse, held, loop_env)
                 continue

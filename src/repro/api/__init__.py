@@ -17,7 +17,7 @@ async backend:
   on a per-ticket event;
 * :class:`ServiceGroup` — multi-tenant serving: N named tenants, each a
   ``FossSession``-backed service with its own memo/stats, all routing
-  through one shared (thread-safe) engine pool — in-process, sharded, or
+  through one shared (thread-safe) engine — in-process, or
   a :class:`~repro.engine.remote.client.RemoteBackend` talking to a
   ``repro-engine`` server (``FossConfig.engine_url``);
 * :class:`RequestContext` — the typed envelope every request carries
@@ -40,7 +40,7 @@ async backend:
   bounded pending queue was full at submit (counted as ``rejected``).
 
 Serving honors the repo's determinism contracts: plans are batch-size
-invariant, bitwise-identical across ``engine_workers`` counts, and
+invariant, bitwise-identical across the local and remote engines, and
 bitwise-identical under concurrent submission (only ordering and
 telemetry may differ between threaded and sequential serving).
 """

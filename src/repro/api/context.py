@@ -2,7 +2,7 @@
 
 A :class:`RequestContext` identifies one request as it crosses layers —
 ``OptimizerService.submit`` → the micro-batching flusher → an
-``EngineBackend`` (in-process, sharded worker pipes, or the remote wire)
+``EngineBackend`` (in-process, or over the remote wire)
 — so deadlines, tenancy, priorities and per-stage tracing work end to
 end instead of stopping at the first API boundary:
 
@@ -28,15 +28,13 @@ end instead of stopping at the first API boundary:
   format.
 
 Timestamps are :func:`time.monotonic` seconds.  The monotonic clock is
-shared by every process on one machine (the sharded pool's workers
-compare deadlines against the parent's stamps directly) but **not**
-across machines — which is why :meth:`RequestContext.to_wire` encodes the
+shared by every process on one machine but **not** across machines —
+which is why :meth:`RequestContext.to_wire` encodes the
 *remaining* budget and :meth:`RequestContext.from_wire` re-anchors it on
 the receiving clock.
 
 Contexts are frozen: a layer may read one anywhere, no layer can mutate
-one in flight.  Everything here is picklable (worker pipes carry contexts
-verbatim).
+one in flight.  Everything here is picklable.
 """
 
 from __future__ import annotations

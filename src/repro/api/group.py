@@ -1,20 +1,19 @@
-"""Multi-tenant serving: N named sessions over one shared engine pool.
+"""Multi-tenant serving: N named sessions over one shared engine.
 
 ``ServiceGroup`` is the deployment shape the ROADMAP's north star names —
-per-tenant plan doctors sharing one sharded engine — without hand-wiring
-the pieces: each tenant gets its own :class:`~repro.api.session.FossSession`
+per-tenant plan doctors sharing one engine — without hand-wiring the
+pieces: each tenant gets its own :class:`~repro.api.session.FossSession`
 (own trainer/optimizer, own :class:`~repro.api.service.OptimizerService`
 with its own memo and stats), while every tenant's planning and execution
 RPCs route through **one** shared :class:`~repro.engine.backend.EngineBackend`
-(a :class:`~repro.engine.backend.ShardedBackend` worker pool for
-``engine_workers > 1``, or one shared
+(the workload's in-process engine, or one shared
 :class:`~repro.engine.remote.client.RemoteBackend` when ``engine_url``
 points at a ``repro-engine`` server):
 
     from repro.api import ServiceGroup
 
     with ServiceGroup.open("job", tenants=("alpha", "beta"),
-                           scale=0.05, engine_workers=4) as group:
+                           scale=0.05) as group:
         group.start()                      # one flusher per tenant
         ticket = group.submit("alpha", "SELECT COUNT(*) FROM title AS t ...")
         plan = group.wait("alpha", ticket, timeout=30).plan
@@ -22,9 +21,10 @@ points at a ``repro-engine`` server):
 Isolation and sharing are split exactly along the determinism contract:
 models, memos and telemetry are per-tenant; the engine — a pure function
 of the dataset — is shared, so concurrent tenants cost one dataset and one
-worker pool instead of N.  The backend's request path is thread-safe
-(per-worker pipe locks), so tenants can have RPCs in flight simultaneously
-without desynchronizing the pool.
+engine instead of N.  The backend's request path is thread-safe (the local
+engine serializes its entry points; the remote client holds a lock per
+connection across each round trip), so tenants can have RPCs in flight
+simultaneously.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ class ServiceGroup:
             if reserved in sessions:
                 raise ValueError(
                     f"tenant name {reserved!r} is reserved (stats() uses it "
-                    f"for the shared pool's counters and the group rollup)"
+                    f"for the shared backend's counters and the group rollup)"
                 )
         if max_pending is not None and max_pending < 1:
             raise ValueError("max_pending must be >= 1 (or None for unbounded)")
@@ -90,22 +90,20 @@ class ServiceGroup:
         scale: float = 1.0,
         seed: int = 1,
         config: Optional[FossConfig] = None,
-        engine_workers: Optional[int] = None,
         engine_url: Optional[str] = None,
         backend: Optional[EngineBackend] = None,
         max_pending: Optional[int] = None,
     ) -> "ServiceGroup":
-        """Stand up one workload + engine pool and a session per tenant.
+        """Stand up one workload + engine and a session per tenant.
 
         ``tenants`` is either a sequence of names (every tenant shares
         ``config``) or a name → :class:`FossConfig` mapping for per-tenant
         configs.  The shared backend is built once — remote when
         ``engine_url`` (default: the config's ``engine_url``) names a
-        ``repro-engine`` server, else sharded when ``engine_workers``
-        (default: the config's ``engine_workers``) is above 1 — and
-        injected into every session, which therefore does not own (or
+        ``repro-engine`` server, else the workload's in-process engine —
+        and injected into every session, which therefore does not own (or
         close) it; the group does.  All tenants share the one remote
-        connection pool the same way they share a sharded worker pool.
+        connection pool the same way they share the local engine.
         """
         base_config = config if config is not None else FossConfig()
         if isinstance(tenants, Mapping):
@@ -119,10 +117,10 @@ class ServiceGroup:
             raise ValueError("ServiceGroup.open needs at least one tenant name")
         for reserved in RESERVED_TENANT_NAMES:
             if reserved in tenant_configs:
-                # Validate before paying for the dataset build and worker pool.
+                # Validate before paying for the dataset build.
                 raise ValueError(
                     f"tenant name {reserved!r} is reserved (stats() uses it "
-                    f"for the shared pool's counters and the group rollup)"
+                    f"for the shared backend's counters and the group rollup)"
                 )
         if isinstance(workload, str):
             workload = build_workload_by_name(workload, scale=scale, seed=seed)
@@ -132,9 +130,8 @@ class ServiceGroup:
             )
         owns_backend = backend is None
         if backend is None:
-            workers = engine_workers if engine_workers is not None else base_config.engine_workers
             url = engine_url if engine_url is not None else base_config.engine_url
-            backend = make_backend(workload, workers, url)
+            backend = make_backend(workload, url)
         sessions: "OrderedDict[str, FossSession]" = OrderedDict()
         for name, tenant_config in tenant_configs.items():
             sessions[name] = FossSession.open(
@@ -273,7 +270,7 @@ class ServiceGroup:
     def stats(self) -> Dict[str, Dict[str, float]]:
         """Per-tenant serving stats plus two synthetic entries.
 
-        ``"backend"`` carries the shared pool's counters, and ``"group"``
+        ``"backend"`` carries the shared backend's counters, and ``"group"``
         is the cross-tenant rollup: lifecycle counters summed over every
         built tenant service and stage percentiles recomputed over the
         *pooled* per-request windows (percentiles cannot be averaged
@@ -309,11 +306,11 @@ class ServiceGroup:
         return out
 
     def close(self) -> None:
-        """Stop services, close every session, then the shared pool; idempotent.
+        """Stop services, close every session, then the shared backend; idempotent.
 
-        Sessions and the pool are released even if a wedged flusher makes
-        :meth:`stop` raise — a failed stop must not orphan worker
-        processes.
+        Sessions and the backend are released even if a wedged flusher
+        makes :meth:`stop` raise — a failed stop must not leak a remote
+        backend's connections.
         """
         if self._closed:
             return

@@ -4,8 +4,8 @@
 
 * :meth:`~OptimizerService.submit` — enqueue SQL text, get a
   :class:`PlanTicket` back; queued requests are micro-batched through the
-  optimizer's ``optimize_many`` (one lockstep cohort per flush, fanned out
-  across engine workers by a sharded backend) when the queue reaches
+  optimizer's ``optimize_many`` (one lockstep cohort per flush, one
+  engine batch call per cohort phase) when the queue reaches
   ``max_batch_size`` or on :meth:`~OptimizerService.flush` /
   :meth:`~OptimizerService.result`;
 * :meth:`~OptimizerService.start` / :meth:`~OptimizerService.stop` — a

@@ -43,7 +43,8 @@ def _config_from_jsonable(cls, data: dict):
 
     Nested dataclasses and tuple-typed fields are recognized from the
     field defaults, so the round trip needs no schema beside the classes
-    themselves.  Unknown keys (from a newer writer) are ignored.
+    themselves.  Unknown keys — from a newer writer, or a field an older
+    writer saved that has since been removed — are ignored.
     """
     kwargs = {}
     for field in dataclasses.fields(cls):
@@ -111,9 +112,8 @@ class FossSession:
         non-empty ``config.engine_url`` connects a
         :class:`~repro.engine.remote.client.RemoteBackend` to a
         ``repro-engine`` server at that address (fingerprint-checked
-        against the locally built dataset), otherwise
-        ``config.engine_workers`` picks local in-process (1) or a sharded
-        worker pool (>1).
+        against the locally built dataset), otherwise the workload's
+        in-process engine serves.
         """
         if config is None:
             config = FossConfig()
@@ -125,7 +125,7 @@ class FossSession:
             )
         owns_backend = backend is None
         if backend is None:
-            backend = make_backend(workload, config.engine_workers, config.engine_url)
+            backend = make_backend(workload, config.engine_url)
         return cls(workload, config, backend, owns_backend=owns_backend)
 
     # ------------------------------------------------------------------
@@ -280,7 +280,7 @@ class FossSession:
         return session
 
     def close(self) -> None:
-        """Release the engine backend (worker pools, remote connections)."""
+        """Release the engine backend (remote connections)."""
         if self._closed:
             return
         self._closed = True

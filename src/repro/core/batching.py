@@ -142,7 +142,7 @@ class BatchedEpisodeRunner:
         cfg = planner.config
 
         # One batch call fetches every episode's original plan/latency (a
-        # sharded engine fans the cohort out across workers).
+        # remote engine answers the cohort in one round trip).
         contexts = self._begin_episode_many(environment, queries)
 
         lives: List[_LiveEpisode] = []

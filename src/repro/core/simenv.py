@@ -68,7 +68,7 @@ class RealEnvironment:
 
     def begin_episode_many(self, queries: Sequence[Query]) -> List[EpisodeContext]:
         """Fetch original plans and latencies for a cohort in two engine
-        batch calls (a sharded backend fans both out across workers)."""
+        batch calls (two round trips to a remote backend)."""
         plannings = self.database.plan_many(queries)
         results = self.database.execute_many(
             [(query, planning.plan, None) for query, planning in zip(queries, plannings)]
@@ -95,7 +95,7 @@ class RealEnvironment:
         Plans are executed and recorded in first-need order — exactly the
         order the sequential path would have inserted them — so downstream
         consumers (reference sets, AAM sample generation) see an identical
-        buffer regardless of batching or worker count.
+        buffer regardless of batching or backend.
         """
         pending: List[Tuple[EpisodeContext, PlanNode, int]] = []
         seen = set()

@@ -51,8 +51,7 @@ class FossConfig:
     random_sample_episodes: int = 10   # real-env episodes per iteration
     validation_budget: int = 200      # promising plans executed per iteration
     episode_batch_size: int = 32      # lockstep cohort size (1 = sequential)
-    engine_workers: int = 1           # expert-engine processes (1 = in-process LocalBackend)
-    engine_url: str = ""              # "tcp://host:port" of a repro-engine server ("" = in-process; wins over engine_workers)
+    engine_url: str = ""              # "tcp://host:port" of a repro-engine server ("" = in-process)
     num_agents: int = 1
     use_simulated: bool = True
     use_penalty: bool = True
@@ -64,8 +63,6 @@ class FossConfig:
     def __post_init__(self) -> None:
         if self.episode_batch_size < 1:
             raise ValueError("episode_batch_size must be >= 1")
-        if self.engine_workers < 1:
-            raise ValueError("engine_workers must be >= 1")
         if self.engine_url and not self.engine_url.startswith("tcp://"):
             raise ValueError(
                 f"engine_url must look like tcp://host:port, got {self.engine_url!r}"
@@ -102,18 +99,15 @@ class FossTrainer:
     ) -> None:
         self.workload = workload
         self.config = config if config is not None else FossConfig()
-        # engine_url/engine_workers select the backend: a remote engine
-        # server wins, then 1 = the workload's in-process engine, >1 = a
-        # sharded worker pool built from the workload's spec.  An injected
-        # backend (e.g. from a FossSession that owns its lifecycle) is used
-        # as-is and never shut down by this trainer.
+        # engine_url selects the backend: a remote engine server when set,
+        # else the workload's in-process engine.  An injected backend (e.g.
+        # from a FossSession that owns its lifecycle) is used as-is and
+        # never shut down by this trainer.
         self._owns_backend = database is None
         self.database: EngineBackend = (
             database
             if database is not None
-            else make_backend(
-                workload, self.config.engine_workers, self.config.engine_url
-            )
+            else make_backend(workload, self.config.engine_url)
         )
         self.rng = np.random.default_rng(self.config.seed)
 
@@ -232,7 +226,7 @@ class FossTrainer:
             rewards.extend(e.total_reward for e in agent_episodes)
 
         # Promising-plan validation (§VI-C4), flushed through the engine's
-        # batch APIs so a sharded backend validates across workers.
+        # batch APIs so a remote backend validates in one round trip.
         if self.config.use_simulated and self.config.use_validation:
             queue = self.sim_env.drain_validation_queue()[: self.config.validation_budget]
             if queue:
@@ -308,7 +302,7 @@ class FossTrainer:
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release an owned engine backend (sharded pools, remote clients).
+        """Release an owned engine backend (a remote client's connections).
 
         The local in-process backend has no ``close`` and needs none; an
         injected backend belongs to whoever injected it.

@@ -2,19 +2,13 @@
 
 :mod:`repro.engine.database` is the concrete in-process engine;
 :mod:`repro.engine.backend` defines the :class:`EngineBackend` protocol the
-rest of the system depends on, plus the local and sharded implementations;
+rest of the system depends on, plus the local implementation;
 :mod:`repro.engine.remote` serves that protocol over a TCP socket
 (``repro-engine`` server + :class:`RemoteBackend` client), framed by
 :mod:`repro.engine.wire`.
 """
 
-from repro.engine.backend import (
-    EngineBackend,
-    LocalBackend,
-    PlanningMemo,
-    ShardedBackend,
-    make_backend,
-)
+from repro.engine.backend import EngineBackend, LocalBackend, make_backend
 from repro.engine.database import Database, Dataset, PlanningResult
 from repro.engine.wire import FrameCorruptionError, FrameTooLargeError
 
@@ -40,9 +34,7 @@ __all__ = [
     "FrameCorruptionError",
     "FrameTooLargeError",
     "LocalBackend",
-    "PlanningMemo",
     "RemoteBackend",
     "RemoteEngineError",
-    "ShardedBackend",
     "make_backend",
 ]

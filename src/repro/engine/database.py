@@ -296,7 +296,7 @@ class Database:
         options: Optional[OptimizerOptions] = None,
         ctxs=None,
     ) -> List[Optional[PlanningResult]]:
-        """Batch mirror of :meth:`plan` (sharded backends fan this out).
+        """Batch mirror of :meth:`plan` (a remote backend ships it as one frame).
 
         ``ctxs`` (aligned with ``queries``) opts into per-item deadline
         checks: an item whose context expired — checked immediately before
@@ -457,7 +457,6 @@ class Database:
         """Engine counters: executions are real-environment cache misses."""
         return {
             "backend": "local",
-            "workers": 1,
             "executions": self.executions,
             "plan_cache": len(self._plan_cache),
             "hint_cache": len(self._hint_cache),

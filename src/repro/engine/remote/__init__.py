@@ -2,26 +2,25 @@
 
 The paper's deployment story assumes the execution engine is a separate
 service, not an in-process library — many optimizer tenants on one
-machine, the engine pool on another.  This package is that seam:
+machine, the engine on another.  This package is that seam:
 
-* :class:`~repro.engine.remote.server.EngineServer` wraps any existing
-  backend (:class:`~repro.engine.backend.LocalBackend` or a
-  :class:`~repro.engine.backend.ShardedBackend` worker pool) and serves
-  the full ``EngineBackend`` surface over TCP, one length-prefixed
+* :class:`~repro.engine.remote.server.EngineServer` wraps an in-process
+  engine (:class:`~repro.engine.backend.LocalBackend`) and serves the full
+  ``EngineBackend`` surface over TCP, one length-prefixed
   crc32-checksummed frame per message (:mod:`repro.engine.wire`).  The
   ``repro-engine`` console script (``server.main``) is the deployable
   entry point.
 * :class:`~repro.engine.remote.client.RemoteBackend` implements the
   ``EngineBackend`` protocol client-side: a thread-safe connection pool
-  (per-connection locks held across one send→recv round trip, mirroring
-  the sharded pool's pipe discipline), ``*_many`` batches pipelined as
+  (per-connection locks held across one send→recv round trip),
+  ``*_many`` batches pipelined as
   single frames, configurable timeouts, bounded auto-reconnect, and the
   connect-time dataset-fingerprint handshake that catches client/server
   datagen drift before the first plan is served.
 
 Determinism: the engine is a pure function of the dataset, and client and
 server both rebuild it from the same :class:`~repro.workloads.base.
-WorkloadSpec` — so plans are bitwise-identical across local, sharded and
+WorkloadSpec` — so plans are bitwise-identical across the local and
 remote backends (``tests/test_remote_backend.py``).
 """
 

@@ -2,18 +2,16 @@
 
 The client keeps an in-process :class:`~repro.engine.database.Database`
 for cheap, deterministic work that never needs the wire — SQL parse/bind,
-schema/statistics metadata, EXPLAIN — exactly like the sharded pool's
-parent engine; planning and execution RPCs travel to a ``repro-engine``
-server as pickled, length-prefixed, crc32-checksummed frames
-(:mod:`repro.engine.wire`).
+schema/statistics metadata, EXPLAIN; planning and execution RPCs travel to
+a ``repro-engine`` server as pickled, length-prefixed, crc32-checksummed
+frames (:mod:`repro.engine.wire`).
 
-Concurrency follows the sharded pool's discipline: a small pool of
-connections, each guarded by a lock held across one full send→recv round
-trip, so concurrent tenants (e.g. a :class:`~repro.api.group.ServiceGroup`
-sharing one ``RemoteBackend``) pipeline whole batches without interleaving
-bytes on a socket.  ``*_many`` calls ship as single frames — one round
-trip per batch, not per item — and planning RPCs are memoized client-side
-(:class:`~repro.engine.backend.PlanningMemo`).
+Concurrency: a small pool of connections, each guarded by a lock held
+across one full send→recv round trip, so concurrent tenants (e.g. a
+:class:`~repro.api.group.ServiceGroup` sharing one ``RemoteBackend``)
+pipeline whole batches without interleaving bytes on a socket.
+``*_many`` calls ship as single frames — one round trip per batch, not per
+item — and planning RPCs are memoized client-side (:class:`PlanningMemo`).
 
 Failure surface, split by whether retrying can help: timeouts and dropped
 connections get a bounded reconnect (requests are idempotent — the engine
@@ -37,10 +35,10 @@ import pickle
 import socket
 import threading
 import time
+from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.engine.backend import PlanningMemo
 from repro.engine.database import (
     Database,
     Dataset,
@@ -152,6 +150,77 @@ class _Connection:
                     pass
 
 
+class PlanningMemo:
+    """A thread-safe bounded-LRU memo for deterministic planning RPCs.
+
+    :class:`RemoteBackend` keeps client-side memos for the two planning
+    calls: episode loops revisit the same queries and one-step hint edits
+    constantly, and a memo hit skips the RPC round trip entirely.  The lock
+    is never held across an RPC — two threads missing the same key both
+    fetch, and because engine results are pure functions of the dataset the
+    duplicate insert is identical.
+    """
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity = capacity
+        self._lock = threading.Lock()
+        self._memo: "OrderedDict" = OrderedDict()
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._memo)
+
+    def lookup(self, keys: Sequence, requests: Sequence):
+        """Split a batch into hits and (deduplicated) misses.
+
+        Returns ``(resolved, miss_keys, miss_requests)``: ``resolved`` maps
+        every distinct key to its cached result (misses hold a ``None``
+        placeholder the caller fills after fetching).
+        """
+        resolved: Dict = {}
+        miss_keys: List = []
+        miss_requests: List = []
+        with self._lock:
+            for key, request in zip(keys, requests):
+                if key in resolved:
+                    continue
+                hit = self._memo.get(key)
+                if hit is not None:
+                    self._memo.move_to_end(key)
+                    resolved[key] = hit
+                else:
+                    resolved[key] = None  # placeholder, filled by the caller
+                    miss_keys.append(key)
+                    miss_requests.append(request)
+        return resolved, miss_keys, miss_requests
+
+    def fill(self, keys: Sequence, results: Sequence) -> None:
+        """Insert fetched results, evicting LRU entries at the cap.
+
+        ``None`` results (a deadline expired before the server reached the
+        item, so no result exists) are never cached — the same key fetched
+        with budget to spare must still produce a real entry.
+        """
+        if self.capacity <= 0:
+            return
+        with self._lock:
+            for key, result in zip(keys, results):
+                if result is None:
+                    continue
+                if key in self._memo:
+                    # A concurrent miss already inserted the identical
+                    # result; just bump its recency.
+                    self._memo.move_to_end(key)
+                else:
+                    while len(self._memo) >= self.capacity:
+                        self._memo.popitem(last=False)
+                self._memo[key] = result
+
+    def clear(self) -> None:
+        with self._lock:
+            self._memo.clear()
+
+
 class RemoteBackend:
     """An ``EngineBackend`` served by a ``repro-engine`` TCP server.
 
@@ -239,11 +308,10 @@ class RemoteBackend:
     def _call(self, kind: str, payload, ctxs=None):
         """One framed RPC round trip with bounded reconnect.
 
-        The connection lock is held across the full send→recv (the sharded
-        pool's pipe discipline): a frame on the wire is never interleaved
-        with another thread's.  Dropped connections reconnect up to
-        ``max_reconnects`` times — safe because every engine RPC is
-        idempotent — then raise :class:`RemoteEngineError`
+        The connection lock is held across the full send→recv: a frame on
+        the wire is never interleaved with another thread's.  Dropped
+        connections reconnect up to ``max_reconnects`` times — safe because
+        every engine RPC is idempotent — then raise :class:`RemoteEngineError`
         (:class:`RemoteTimeoutError` when every attempt timed out).
         Connection refused fails fast with no retries, and
         :class:`FrameCorruptionError` propagates immediately.
@@ -612,7 +680,6 @@ class RemoteBackend:
             "hint_memo": len(self._hint_memo),
             "statement_cache": self.local.stats()["statement_cache"],
             "server_backend": server.get("backend"),
-            "server_workers": server.get("workers"),
             "server_executions": server.get("executions"),
         }
 

@@ -1,29 +1,27 @@
 """``EngineServer`` and the ``repro-engine`` console entry point.
 
-The server wraps any existing backend — in-process
-:class:`~repro.engine.backend.LocalBackend` or a
-:class:`~repro.engine.backend.ShardedBackend` worker pool, chosen by
-``--workers`` — and serves the full ``EngineBackend`` surface over TCP:
+The server wraps one in-process engine
+(:class:`~repro.engine.backend.LocalBackend`, or any ``EngineBackend``
+handed to :class:`EngineServer`) and serves the full ``EngineBackend``
+surface over TCP:
 ``sql`` / ``plan`` / ``plan_with_hints`` / ``execute``, their ``*_many``
 batch mirrors, ``stats``, cache control, and the ``fingerprint`` handshake
 RPC.  One length-prefixed crc32-checksummed frame per message
-(:mod:`repro.engine.wire`); request and response payloads are pickles, the
-same representation the sharded pool already ships over its worker pipes,
-so the protocol is: trusted clients only (bind to loopback or a private
+(:mod:`repro.engine.wire`); request and response payloads are pickles, so
+the protocol is: trusted clients only (bind to loopback or a private
 network, as with memcached/redis).
 
 Responses carry the backend's cumulative execution count alongside every
 result — the client aggregates cache-miss statistics without an extra
-round trip, exactly like the sharded worker protocol.
+round trip.
 
 Each client connection is served by its own thread against the one shared
-backend; that is safe because the engine request path is thread-safe (the
-PR-4 contract: ``Database`` serializes its entry points, the sharded pool
-holds per-worker pipe locks across round trips).  A client that
-disconnects mid-request — a truncated frame, a dropped socket — costs only
-its own connection: the dispatch either never starts (the frame never
+backend; that is safe because the engine request path is thread-safe
+(``Database`` serializes its entry points).  A client that disconnects
+mid-request — a truncated frame, a dropped socket — costs only its own
+connection: the dispatch either never starts (the frame never
 checksummed) or runs to completion against the backend, and the failed
-response write tears down that handler alone, never the pool.
+response write tears down that handler alone, never the engine.
 """
 
 from __future__ import annotations
@@ -36,7 +34,6 @@ import threading
 from typing import Dict, Optional, Tuple
 
 from repro import obs
-from repro.engine.backend import ShardedBackend
 from repro.engine.database import dataset_fingerprint
 from repro.engine.wire import (
     DEFAULT_MAX_FRAME_BYTES,
@@ -334,9 +331,8 @@ class EngineServer:
         """Stop accepting, drop clients, release the backend; idempotent.
 
         Safe while handlers are mid-request: closing a client socket makes
-        that handler's next read/write fail and exit; the shared backend is
-        only closed after every handler thread has been joined (bounded),
-        so a sharded pool is never shut down under a live scatter.
+        that handler's next read/write fail and exit; an owned backend is
+        only closed after every handler thread has been joined (bounded).
         """
         with self._lock:
             if self._closed:
@@ -384,29 +380,22 @@ def serve(
     *,
     scale: float = 1.0,
     seed: int = 1,
-    workers: int = 1,
     host: str = "127.0.0.1",
     port: int = 0,
     max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
     metrics: bool = False,
 ) -> EngineServer:
-    """Build a dataset + backend for ``workload`` and return a live server.
+    """Build the dataset and engine for ``workload`` and return a server.
 
-    ``workers`` chooses the wrapped backend: 1 keeps the engine in the
-    server process, >1 stands up a sharded worker pool behind the socket.
-    The server owns the backend and shuts it down on :meth:`EngineServer.
-    close`.  The returned server is *not* started.
+    The engine runs in the server process; the server owns it and releases
+    it on :meth:`EngineServer.close`.  The returned server is *not*
+    started.
     """
     from repro.workloads.base import WorkloadSpec
 
-    spec = WorkloadSpec(name=workload, scale=scale, seed=seed)
-    database = spec.build_database()
-    if workers > 1:
-        backend = ShardedBackend(spec, workers, database=database)
-    else:
-        backend = database
+    database = WorkloadSpec(name=workload, scale=scale, seed=seed).build_database()
     return EngineServer(
-        backend,
+        database,
         host=host,
         port=port,
         max_frame_bytes=max_frame_bytes,
@@ -422,19 +411,13 @@ def main(argv=None) -> int:
         prog="repro-engine",
         description=(
             "Serve a FOSS expert engine over TCP: build the named workload's "
-            "dataset, wrap a local or sharded backend, and answer framed "
+            "dataset and engine, and answer framed "
             "EngineBackend RPCs from repro clients (FossConfig.engine_url)."
         ),
     )
     parser.add_argument("workload", help="workload name: job | tpcds | stack")
     parser.add_argument("--scale", type=float, default=1.0, help="dataset scale factor")
     parser.add_argument("--seed", type=int, default=1, help="datagen seed")
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="engine processes behind the socket (1 = in-process backend)",
-    )
     parser.add_argument("--host", default="127.0.0.1", help="bind address")
     parser.add_argument(
         "--port", type=int, default=7733, help="bind port (0 = OS-assigned)"
@@ -455,14 +438,13 @@ def main(argv=None) -> int:
 
     print(
         f"repro-engine: building workload {args.workload!r} "
-        f"(scale={args.scale}, seed={args.seed}, workers={args.workers})...",
+        f"(scale={args.scale}, seed={args.seed})...",
         flush=True,
     )
     server = serve(
         args.workload,
         scale=args.scale,
         seed=args.seed,
-        workers=args.workers,
         host=args.host,
         port=args.port,
         max_frame_bytes=int(args.max_frame_mb * 1024 * 1024),

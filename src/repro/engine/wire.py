@@ -160,8 +160,7 @@ class WireContext:
     /``to_wire()``) without importing :mod:`repro.api`: ``anchored_at`` is
     this machine's monotonic clock at decode time and ``deadline_s`` is
     the remaining budget the frame carried, so expiry arithmetic matches
-    :class:`repro.api.context.RequestContext` exactly.  Picklable — the
-    server forwards decoded contexts over sharded worker pipes verbatim.
+    :class:`repro.api.context.RequestContext` exactly.
     """
 
     request_id: str = ""

@@ -79,7 +79,7 @@ def evaluate_optimizer(
     """Run the optimizer over the queries, execute its plans, score them.
 
     Expert plans and both execution sweeps go through the engine's batch
-    APIs, so a sharded backend evaluates a workload across workers.
+    APIs, so a remote backend evaluates a workload in a few round trips.
     """
     started = time.perf_counter()
     query_ids: List[str] = [wq.query_id for wq in queries]

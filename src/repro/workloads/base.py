@@ -135,10 +135,10 @@ class WorkloadQuery:
 class WorkloadSpec:
     """A picklable recipe that rebuilds a workload's dataset deterministically.
 
-    This is the unit of state shipped to engine workers: a
-    :class:`~repro.engine.backend.ShardedBackend` worker receives only the
-    spec and reconstructs an identical :class:`Database` (same datagen seed,
-    same statistics, same plans) in its own process.
+    A ``repro-engine`` server (:func:`repro.engine.remote.serve`) and a
+    :class:`~repro.engine.remote.client.RemoteBackend` without a prebuilt
+    engine each rebuild an identical :class:`Database` from it (same
+    datagen seed, same statistics, same plans) in their own process.
     """
 
     name: str
@@ -270,5 +270,5 @@ def build_workload_by_name(name: str, scale: float = 1.0, seed: int = 1) -> Work
 
 
 def build_dataset_by_name(name: str, scale: float = 1.0, seed: int = 1) -> Dataset:
-    """Dataset-only dispatch (what :class:`WorkloadSpec` rebuilds in workers)."""
+    """Dataset-only dispatch (what :class:`WorkloadSpec` rebuilds)."""
     return _resolve_builder(name, dataset_only=True)(scale=scale, seed=seed)

@@ -935,8 +935,8 @@ class TestRealTreeFlow:
 
     def test_real_pool_locks_have_no_cycle(self):
         # The acceptance check spelled out in the issue: the lock graph
-        # over the real OptimizerService / ServiceGroup / ShardedBackend /
-        # RemoteBackend code has no cross-lock cycle.
+        # over the real OptimizerService / ServiceGroup / RemoteBackend
+        # code has no cross-lock cycle.
         project = Project(REPO_ROOT, LintConfig())
         findings = list(RULES["lock-order"].check(project))
         assert findings == []

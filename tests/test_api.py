@@ -5,8 +5,9 @@ Covers the serving contracts the facade promises:
 * SQL text -> parse/bind -> plan -> (optional) execute, through the
   EngineBackend;
 * queued micro-batched serving returns plans identical to one-at-a-time
-  serving, for local and sharded backends;
-* session save/load round-trips to a bitwise-identical optimizer;
+  serving;
+* session save/load round-trips to a bitwise-identical optimizer, and
+  manifests written with since-removed config fields still load;
 * optimizers are constructed by name through the registry;
 * failures surface as one typed OptimizeError (failed ticket on the
   queued path);
@@ -30,7 +31,6 @@ from repro.api import (
     register_optimizer,
 )
 from repro.core.aam import AAMConfig
-from repro.engine.backend import ShardedBackend
 from repro.optimizer.plans import plan_signature
 
 
@@ -151,30 +151,6 @@ class TestBatchedServing:
         assert stats["cache_hits"] == 0
         assert stats["memo_size"] == 0
 
-    def test_batched_equals_single_sharded(self, job_workload, api_session):
-        sqls = serving_sqls(job_workload)
-        local_plans = [
-            plan_signature(api_session.service().optimize_sql(sql).plan) for sql in sqls
-        ]
-        sharded_session = FossSession.open(
-            workload=job_workload, config=tiny_config(engine_workers=2)
-        )
-        try:
-            assert isinstance(sharded_session.backend, ShardedBackend)
-            batched = sharded_session.service(max_batch_size=len(sqls))
-            tickets = [batched.submit(sql) for sql in sqls]
-            sharded_batched = [
-                plan_signature(batched.result(t).plan.plan) for t in tickets
-            ]
-            single = sharded_session.service()
-            sharded_single = [
-                plan_signature(single.optimize_sql(sql).plan) for sql in sqls
-            ]
-        finally:
-            sharded_session.close()
-        # Queued micro-batched == one-at-a-time, and both == the local backend.
-        assert sharded_batched == sharded_single == local_plans
-
 
 # ----------------------------------------------------------------------
 # session persistence
@@ -259,6 +235,34 @@ class TestSessionPersistence:
         manifest_path.write_text(json.dumps(manifest))
         loaded = FossSession.load(str(tmp_path / "doctor"))
         assert loaded.workload.name == session.workload.name
+
+    def test_load_ignores_removed_config_fields(self, job_workload, tmp_path):
+        import json
+
+        session = FossSession.open(workload=job_workload, config=tiny_config())
+        session.trainer().bootstrap()
+        queries = [wq.query for wq in job_workload.test[:4]]
+        before = [
+            plan_signature(p.plan) for p in session.optimizer().optimize_many(queries)
+        ]
+        session.save(str(tmp_path / "doctor"))
+        manifest_path = tmp_path / "doctor" / "session.json"
+        manifest = json.loads(manifest_path.read_text())
+        # Manifests saved while FossConfig still had an engine-pool size
+        # carry the field; loading must ignore it and stay in process.
+        manifest["config"]["engine_workers"] = 2
+        manifest_path.write_text(json.dumps(manifest))
+        loaded = FossSession.load(str(tmp_path / "doctor"))
+        try:
+            assert loaded.backend is loaded.workload.database
+            assert loaded.backend.stats()["backend"] == "local"
+            assert loaded.config == session.config
+            after = [
+                plan_signature(p.plan) for p in loaded.optimizer().optimize_many(queries)
+            ]
+        finally:
+            loaded.close()
+        assert after == before
 
 
 # ----------------------------------------------------------------------

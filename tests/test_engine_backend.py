@@ -9,11 +9,11 @@ Covers the engine-level contracts the training loop relies on:
   cache no longer drops wholesale at the capacity cliff);
 * batch APIs (``plan_many`` / ``plan_with_hints_many`` / ``execute_many``)
   return exactly what their singleton counterparts return;
-* ``WorkloadSpec`` rebuilds a bitwise-identical engine (the property the
-  sharded backend's workers depend on);
+* ``WorkloadSpec`` rebuilds a bitwise-identical engine (the property a
+  ``repro-engine`` server and its clients depend on);
 * the statement cache behind ``sql()``: one shared read-only ``Query`` per
   (text, name), LRU-bounded, never holding a failed bind, emptied by
-  ``clear_caches()`` on all three backends, and invisible in the plans.
+  ``clear_caches()`` on both backends, and invisible in the plans.
 """
 
 import copy
@@ -26,7 +26,7 @@ from repro.api import FossConfig, FossSession
 from repro.api.service import DEFAULT_MEMO_CAPACITY
 from repro.core.aam import AAMConfig
 from repro.core.icp import IncompletePlan
-from repro.engine.backend import EngineBackend, LocalBackend, ShardedBackend, make_backend
+from repro.engine.backend import EngineBackend, LocalBackend, make_backend
 from repro.engine.database import Database
 from repro.engine.remote import EngineServer, RemoteBackend
 from repro.optimizer.plans import ScanNode, iter_nodes, plan_signature
@@ -60,18 +60,21 @@ class TestProtocolConformance:
         assert isinstance(backend, Database)
         assert isinstance(backend, EngineBackend)
 
-    def test_sharded_backend_satisfies_protocol(self, tiny_db):
-        spec = WorkloadSpec("job", scale=0.02, seed=5)
-        with ShardedBackend(spec, 2, database=tiny_db) as backend:
-            assert isinstance(backend, EngineBackend)
-
-    def test_make_backend_requires_spec_for_sharding(self, tiny_db):
+    def test_make_backend_picks_local_or_remote(self, tiny_db):
         workload = Workload(
             name="x", dataset=tiny_db.dataset, database=tiny_db, train=[], test=[], spec=None
         )
-        assert make_backend(workload, 1) is tiny_db
-        with pytest.raises(ValueError, match="WorkloadSpec"):
-            make_backend(workload, 2)
+        assert make_backend(workload) is tiny_db
+        server_db = WorkloadSpec("job", scale=0.02, seed=5).build_database()
+        with EngineServer(server_db) as server:
+            server.start()
+            backend = make_backend(workload, engine_url=server.url)
+            try:
+                assert isinstance(backend, RemoteBackend)
+                assert isinstance(backend, EngineBackend)
+                assert backend.local is tiny_db
+            finally:
+                backend.close()
 
 
 class TestDynamicTimeout:
@@ -319,10 +322,6 @@ class TestStatementCache:
 
     def test_clear_caches_empties_it_on_local(self, fresh_db):
         self._check_clearing(fresh_db, fresh_db)
-
-    def test_clear_caches_empties_it_on_sharded(self, fresh_db):
-        with ShardedBackend(WorkloadSpec("job", scale=0.02, seed=5), 2, database=fresh_db) as backend:
-            self._check_clearing(backend, fresh_db)
 
     def test_clear_caches_empties_it_on_remote(self, fresh_db):
         server_db = WorkloadSpec("job", scale=0.02, seed=5).build_database()

@@ -2,10 +2,10 @@
 
 The contracts under test (see :mod:`repro.engine.remote`):
 
-* plans are **bitwise-identical** across ``LocalBackend``,
-  ``ShardedBackend`` and ``RemoteBackend`` — including the batched
-  ``*_many`` mirrors — because every backend rebuilds the same dataset
-  from the same :class:`WorkloadSpec` (here the server builds its *own*
+* plans are **bitwise-identical** across ``LocalBackend`` and
+  ``RemoteBackend`` — including the batched ``*_many`` mirrors — because
+  both backends rebuild the same dataset from the same
+  :class:`WorkloadSpec` (here the server builds its *own*
   engine from the spec, so the wire genuinely separates client and
   server);
 * a 2-tenant :class:`ServiceGroup` can share **one** ``RemoteBackend``
@@ -24,7 +24,6 @@ fast, not hang tier-1.
 
 from __future__ import annotations
 
-import contextlib
 import faulthandler
 import json
 import os
@@ -41,7 +40,7 @@ from repro import obs
 from repro.api import FossConfig, FossSession, RequestContext, ServiceGroup
 from repro.core.aam import AAMConfig
 from repro.core.icp import IncompletePlan
-from repro.engine.backend import ShardedBackend, make_backend
+from repro.engine.backend import make_backend
 from repro.engine.remote import EngineServer, RemoteBackend, RemoteEngineError
 from repro.engine.wire import FrameTooLargeError, contexts_to_wire
 from repro.optimizer.dp import OptimizerOptions
@@ -110,20 +109,15 @@ def remote_backend(engine_server, job_workload):
 
 
 # ----------------------------------------------------------------------
-# parity: local == sharded == remote, singletons and batches
+# parity: local == remote, singletons and batches
 # ----------------------------------------------------------------------
 class TestBackendParity:
-    def test_plans_identical_across_all_three_backends(
-        self, job_workload, remote_backend
-    ):
+    def test_plans_identical_local_and_remote(self, job_workload, remote_backend):
         local = job_workload.database
         queries = [w.query for w in job_workload.train[:6]]
         local_sigs = [plan_signature(p.plan) for p in local.plan_many(queries)]
         remote_sigs = [plan_signature(p.plan) for p in remote_backend.plan_many(queries)]
-        with ShardedBackend(job_workload.spec, 2, database=local) as sharded:
-            sharded_sigs = [plan_signature(p.plan) for p in sharded.plan_many(queries)]
         assert remote_sigs == local_sigs
-        assert sharded_sigs == local_sigs
 
     def test_hinted_completion_parity_including_batches(
         self, job_workload, remote_backend
@@ -204,28 +198,24 @@ class TestDefaultOptionsPlanOnce:
     every backend: the optimizer plans ``None`` as the defaults, so Bao's
     all-methods arm must not run the expert DP a second time."""
 
-    @pytest.mark.parametrize("kind", ["local", "sharded", "remote"])
+    @pytest.mark.parametrize("kind", ["local", "remote"])
     def test_default_options_share_the_unoptioned_entry(self, job_workload, request, kind):
         local = job_workload.database
         # A name no other test plans, so this backend has not cached it yet.
         query = local.sql(job_workload.train[2].sql, name=f"default_options_{kind}")
-        with contextlib.ExitStack() as stack:
-            if kind == "local":
-                backend, cache = local, "plan_cache"
-            elif kind == "sharded":
-                backend = stack.enter_context(ShardedBackend(job_workload.spec, 2, database=local))
-                cache = "plan_memo"
-            else:
-                backend, cache = request.getfixturevalue("remote_backend"), "plan_memo"
-            before = backend.stats()[cache]
-            first = backend.plan(query)
-            assert backend.plan(query, OptimizerOptions()) is first
-            assert backend.plan_many([query], OptimizerOptions())[0] is first
-            assert backend.stats()[cache] == before + 1
-            # Options that differ from the defaults still plan separately.
-            hashless = backend.plan(query, OptimizerOptions(disabled_methods=frozenset({"hash"})))
-            assert hashless is not first
-            assert backend.stats()[cache] == before + 2
+        if kind == "local":
+            backend, cache = local, "plan_cache"
+        else:
+            backend, cache = request.getfixturevalue("remote_backend"), "plan_memo"
+        before = backend.stats()[cache]
+        first = backend.plan(query)
+        assert backend.plan(query, OptimizerOptions()) is first
+        assert backend.plan_many([query], OptimizerOptions())[0] is first
+        assert backend.stats()[cache] == before + 1
+        # Options that differ from the defaults still plan separately.
+        hashless = backend.plan(query, OptimizerOptions(disabled_methods=frozenset({"hash"})))
+        assert hashless is not first
+        assert backend.stats()[cache] == before + 2
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,7 @@ The contracts under test (see :mod:`repro.api.context`):
   never bound, no engine call happens — and counted as ``expired``,
   never ``failures``; a budget that runs out while queued is dropped at
   flush time the same way;
-* every backend (local, sharded worker pool, remote wire) raises
+* both backends (local, remote wire) raise
   :class:`DeadlineExceededError` for expired singleton calls and slots
   ``None`` for expired items inside ``*_many`` batches — while the live
   items' plans stay bitwise-identical to context-free planning;
@@ -48,7 +48,6 @@ from repro.api import (
 )
 from repro.core.aam import AAMConfig
 from repro.core.icp import IncompletePlan
-from repro.engine.backend import ShardedBackend
 from repro.engine.remote import (
     EngineServer,
     RemoteBackend,
@@ -102,12 +101,6 @@ def tiny_config(**overrides) -> FossConfig:
 def api_session(job_workload) -> FossSession:
     """An untrained (deterministically initialized) session over JOB."""
     return FossSession.open(workload=job_workload, config=tiny_config())
-
-
-@pytest.fixture(scope="module")
-def sharded_backend(job_workload):
-    with ShardedBackend(job_workload.spec, 2, database=job_workload.database) as backend:
-        yield backend
 
 
 @pytest.fixture(scope="module")
@@ -326,9 +319,9 @@ class TestServiceDeadlines:
 
 
 # ----------------------------------------------------------------------
-# deadline matrix, engine layer: all three backends
+# deadline matrix, engine layer: both backends
 # ----------------------------------------------------------------------
-BACKENDS = ("local", "sharded", "remote")
+BACKENDS = ("local", "remote")
 
 
 @pytest.fixture

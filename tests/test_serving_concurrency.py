@@ -4,11 +4,10 @@ The contracts under test:
 
 * N client threads submitting a shuffled workload through a *started*
   service receive plans bitwise-identical to the sequential
-  single-threaded path — for the local AND the sharded backend (engine
-  results are pure functions of the dataset; only ordering/telemetry may
-  differ);
+  single-threaded path (engine results are pure functions of the
+  dataset; only ordering/telemetry may differ);
 * a ``ServiceGroup`` with >= 2 tenants routes every tenant through one
-  shared sharded pool without desynchronizing it;
+  shared engine with no cross-tenant contamination;
 * the background flusher honours both triggers (queue size, time) and
   stop() drains; ``wait`` blocks on a per-ticket event and times out
   loudly;
@@ -38,7 +37,6 @@ from repro.api import (
     TicketEvictedError,
 )
 from repro.core.aam import AAMConfig
-from repro.engine.backend import ShardedBackend
 from repro.optimizer.plans import plan_signature
 
 # Per-test deadlock guard: generous against 1-CPU CI, tiny against a hang.
@@ -89,16 +87,6 @@ def api_session(job_workload) -> FossSession:
     return FossSession.open(workload=job_workload, config=tiny_config())
 
 
-@pytest.fixture(scope="module")
-def sharded_session(job_workload):
-    session = FossSession.open(
-        workload=job_workload, config=tiny_config(engine_workers=2)
-    )
-    assert isinstance(session.backend, ShardedBackend)
-    yield session
-    session.close()
-
-
 def shuffled_requests(workload, unique: int = 6, copies: int = 3, seed: int = 0):
     """A shuffled serving trace: ``unique`` distinct queries, repeated."""
     sqls = [wq.sql for wq in workload.train[:unique]] * copies
@@ -140,7 +128,7 @@ def run_concurrent_clients(service, sqls, num_threads: int = CLIENT_THREADS):
 
 
 # ----------------------------------------------------------------------
-# concurrency parity: threaded == sequential, local and sharded
+# concurrency parity: threaded == sequential
 # ----------------------------------------------------------------------
 class TestConcurrentParity:
     def test_threaded_equals_sequential_local(self, api_session):
@@ -159,19 +147,6 @@ class TestConcurrentParity:
         assert stats["requests"] == stats["served"] + stats["failures"]
         assert stats["failures"] == 0
         assert stats["pending"] == 0
-
-    def test_threaded_equals_sequential_sharded(self, api_session, sharded_session):
-        sqls = shuffled_requests(sharded_session.workload, unique=5, copies=2)
-        # The local in-process backend is the ground truth the pool must match.
-        expected = reference_signatures(api_session, sqls)
-
-        service = sharded_session.service(max_batch_size=4)
-        with service.start(flush_interval_ms=2.0):
-            results = run_concurrent_clients(service, sqls)
-        assert all(r.ok for r in results)
-        assert [plan_signature(r.plan.plan) for r in results] == [
-            expected[sql] for sql in sqls
-        ]
 
     def test_concurrent_sync_optimize_sql(self, api_session):
         """The synchronous path is thread-safe too (no flusher involved)."""
@@ -202,7 +177,7 @@ class TestConcurrentParity:
 
 
 # ----------------------------------------------------------------------
-# multi-tenant: one shared pool, per-tenant sessions/services
+# multi-tenant: one shared engine, per-tenant sessions/services
 # ----------------------------------------------------------------------
 class TestServiceGroup:
     def test_two_tenants_share_one_pool(self, job_workload, api_session):
@@ -213,11 +188,10 @@ class TestServiceGroup:
             workload=job_workload,
             tenants=("alpha", "beta"),
             config=tiny_config(),
-            engine_workers=2,
         ) as group:
             assert group.tenants == ["alpha", "beta"]
-            assert isinstance(group.backend, ShardedBackend)
-            # One pool: both tenant sessions hold the very same backend.
+            assert group.backend is job_workload.database
+            # One engine: both tenant sessions hold the very same backend.
             assert group.session("alpha").backend is group.backend
             assert group.session("beta").backend is group.backend
 
@@ -245,9 +219,9 @@ class TestServiceGroup:
             assert not any(thread.is_alive() for thread in threads)
             assert not errors, errors
 
-            # Both tenants' concurrent traffic over the shared pool still
-            # yields the sequential local-backend plans: no pipe
-            # desynchronization, no cross-tenant contamination.
+            # Both tenants' concurrent traffic over the shared engine still
+            # yields the sequential single-tenant plans: no cross-tenant
+            # contamination.
             for tenant in ("alpha", "beta"):
                 assert all(r.ok for r in outcomes[tenant])
                 assert [plan_signature(r.plan.plan) for r in outcomes[tenant]] == [
@@ -261,7 +235,7 @@ class TestServiceGroup:
                 assert stats[tenant]["requests"] == (
                     stats[tenant]["served"] + stats[tenant]["failures"]
                 )
-            assert stats["backend"]["workers"] == 2
+            assert stats["backend"]["backend"] == "local"
             group.stop()
 
     def test_unknown_tenant_raises(self, job_workload):
