@@ -29,13 +29,10 @@ Lower layers remain importable for composition: :mod:`repro.engine` (the
 expert engine and the :class:`~repro.engine.EngineBackend` protocol with
 a local implementation), :mod:`repro.workloads`,
 :mod:`repro.core` (the paper's contribution), :mod:`repro.baselines`, and
-:mod:`repro.experiments`.  The old top-level ``repro.FossTrainer`` /
-``repro.FossOptimizer`` shortcuts still resolve but emit a
-``DeprecationWarning`` pointing at :mod:`repro.api`.
+:mod:`repro.experiments`.
 """
 
 import importlib
-import warnings
 
 from repro.core import FossConfig
 from repro.engine import Database, Dataset, EngineBackend, LocalBackend
@@ -45,9 +42,7 @@ __version__ = "1.1.0"
 
 __all__ = [
     "api",
-    "FossTrainer",
     "FossConfig",
-    "FossOptimizer",
     "Database",
     "Dataset",
     "EngineBackend",
@@ -56,24 +51,8 @@ __all__ = [
     "__version__",
 ]
 
-# Old constructor paths the repro.api facade replaces: still importable,
-# but attribute access warns.  (Internal code imports these from
-# repro.core directly, which stays silent.)
-_DEPRECATED_EXPORTS = {
-    "FossTrainer": ("repro.core.trainer", "repro.api.FossSession"),
-    "FossOptimizer": ("repro.core.inference", "repro.api.FossSession.optimizer()"),
-}
-
 
 def __getattr__(name):
     if name == "api":
         return importlib.import_module("repro.api")
-    if name in _DEPRECATED_EXPORTS:
-        module_name, replacement = _DEPRECATED_EXPORTS[name]
-        warnings.warn(
-            f"repro.{name} is deprecated; use {replacement} (see repro.api)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return getattr(importlib.import_module(module_name), name)
     raise AttributeError(f"module 'repro' has no attribute {name!r}")

@@ -21,11 +21,10 @@ det-unseeded-random  No global-state RNG calls (``random.random()``,           s
                                                                                local == remote parity in ``tests/test_remote_backend.py``.
 det-set-order        No bare set iteration where order can leak into           sorted iteration in ``optimizer/dp.py`` and the plan
                      output; wrap in ``sorted()``.                             encoders; trajectory-parity tests.
-clock-wall           No ``time.time()`` / ``datetime.now()`` in ``src/``.      ``api/context.py`` module docstring ("Timestamps are
+clock-wall           No ``time.time()`` / ``datetime.now()`` in ``src/``.      ``engine/context.py`` module docstring ("Timestamps are
                                                                                time.monotonic seconds").
 clock-monotonic      ``time.monotonic`` only inside the sanctioned clock       same docstring; ``MonotonicClock`` is the injectable
-                     (``api/context.py``; ``engine/wire.py`` carries named     clock for every layer.
-                     suppressions for its re-anchoring fallback).
+                     (``engine/context.py``).                                  clock for every layer.
 clock-perf-counter   ``perf_counter`` only in profiling/latency-measurement    ``nn/profile.py``; latency fields in ``stats()``.
                      code (declarative allowlist).
 layer-import         Imports follow the declared package DAG                   ROADMAP architecture section; fixed day-one violation:
@@ -48,7 +47,7 @@ lock-order           (flow) The global lock-acquisition graph — ``with``      
                      cross-lock cycle.  Bounded acquires                       per-connection locks in ``RemoteBackend._acquire``.
                      (``timeout=``/``blocking=False``) and re-entry on
                      one lock are exempt.
-ctx-propagation      (flow) Every ``*_many`` backend implementation            ``RequestContext`` lifecycle docs in ``api/context.py``
+ctx-propagation      (flow) Every ``*_many`` backend implementation            ``RequestContext`` lifecycle docs in ``engine/context.py``
                      consults ``ctxs`` on every CFG path before the            and the per-item ``None``-slot convention on
                      planning work; every api function that mints a           ``EngineBackend`` batch methods.
                      ``RequestContext`` uses it on every normal return

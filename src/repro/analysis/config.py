@@ -107,23 +107,15 @@ DEFAULT_LAYERS: Dict[str, Tuple[str, ...]] = {
 #: reason.  An exception allows one package to import one specific module
 #: (or its submodules) from a layer it could not otherwise touch.
 DEFAULT_LAYER_EXCEPTIONS: Dict[str, str] = {
-    "engine -> core.inference": (
-        "DeadlineExceededError is defined in core.inference and raised by "
-        "the engine via the lazy import in engine/database.raise_deadline"
-    ),
     "engine -> workloads.base": (
         "the repro-engine console entry point builds the workload it was "
         "asked to serve (lazy import in engine/remote/server.serve)"
-    ),
-    "rl -> core.buffer": (
-        "the single experience-buffer implementation lives in core.buffer; "
-        "repro.rl re-exports it for backwards compatibility"
     ),
 }
 
 DEFAULT_MONOTONIC_ALLOW: Tuple[str, ...] = (
     # The one sanctioned clock: MonotonicClock and RequestContext stamps.
-    "src/repro/api/context.py",
+    "src/repro/engine/context.py",
     # Span timestamps share the request-lifecycle clock.
     "src/repro/obs/*.py",
 )

@@ -1,13 +1,13 @@
 """Clock-discipline rules.
 
 The repo's deadline machinery is anchored on one monotonic clock
-(``repro.api.context.MonotonicClock``); wall-clock time in request logic
+(``repro.engine.context.MonotonicClock``); wall-clock time in request logic
 would make budgets jump under NTP steps and differ across machines, and
 ad-hoc ``monotonic()`` calls scattered through layers would fork the
 clock the deadline contract reasons about.  ``perf_counter`` is the
 profiling clock and stays inside profiling/latency-measurement code.
 
-Contracts previously stated in prose: ``repro.api.context`` module
+Contracts previously stated in prose: ``repro.engine.context`` module
 docstring ("Timestamps are time.monotonic seconds"), enforced by
 ``tests/test_request_context.py`` only for paths those tests happen to
 execute.
@@ -65,13 +65,13 @@ def check_wall_clock(sf: SourceFile, project) -> Iterator[Finding]:
                 sf.path,
                 node.lineno,
                 f"wall clock {resolved} is forbidden: deadline and timing "
-                f"logic must use the monotonic clock (repro.api.context)",
+                f"logic must use the monotonic clock (repro.engine.context)",
             )
 
 
 @rule(
     "clock-monotonic",
-    contract="time.monotonic only inside api/context.py's MonotonicClock",
+    contract="time.monotonic only inside engine/context.py's MonotonicClock",
 )
 def check_monotonic_clock(sf: SourceFile, project) -> Iterator[Finding]:
     config = project.config
@@ -86,7 +86,7 @@ def check_monotonic_clock(sf: SourceFile, project) -> Iterator[Finding]:
                 sf.path,
                 node.lineno,
                 f"{resolved} outside the sanctioned clock module: take "
-                f"timestamps from repro.api.context (MonotonicClock / "
+                f"timestamps from repro.engine.context (MonotonicClock / "
                 f"RequestContext) so every layer shares one clock",
             )
 

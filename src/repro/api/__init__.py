@@ -45,15 +45,7 @@ bitwise-identical under concurrent submission (only ordering and
 telemetry may differ between threaded and sequential serving).
 """
 
-from repro.api.context import (
-    CLOCK,
-    STAGES,
-    AdmissionRejectedError,
-    DeadlineExceededError,
-    MonotonicClock,
-    RequestContext,
-    TraceHook,
-)
+from repro.api.context import STAGES, AdmissionRejectedError, TraceHook
 from repro.api.group import ServiceGroup
 from repro.api.registry import available_optimizers, create_optimizer, register_optimizer
 from repro.api.service import (
@@ -63,8 +55,15 @@ from repro.api.service import (
     TicketResult,
 )
 from repro.api.session import FossSession
-from repro.core.inference import FossOptimizer, OptimizedPlan, OptimizeError, bind_sql
+from repro.core.inference import FossOptimizer, OptimizedPlan, bind_sql
 from repro.core.trainer import FossConfig
+from repro.engine.context import (
+    CLOCK,
+    DeadlineExceededError,
+    MonotonicClock,
+    OptimizeError,
+    RequestContext,
+)
 
 __all__ = [
     "FossSession",

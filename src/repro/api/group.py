@@ -35,11 +35,11 @@ from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.api.context import RequestContext
 from repro.api.service import OptimizerService, PlanTicket, TicketResult
 from repro.api.session import FossSession
 from repro.core.trainer import FossConfig
 from repro.engine.backend import EngineBackend, make_backend
+from repro.engine.context import RequestContext
 from repro.workloads.base import Workload, build_workload_by_name
 
 # stats() adds synthetic top-level keys next to the per-tenant dicts, so

@@ -34,13 +34,13 @@ Plans are memoized by query signature (bounded LRU), and batching is
 plan-identical to one-at-a-time serving: the lockstep episode runner is
 batch-size invariant, and duplicate signatures inside one flush resolve to
 a single optimization.  Failures (malformed SQL, unknown tables) surface as
-one typed :class:`~repro.core.inference.OptimizeError` — the synchronous
+one typed :class:`~repro.engine.context.OptimizeError` — the synchronous
 paths raise it, the ticket path maps it onto a failed ticket.  A ticket
 whose outcome aged out of the bounded results store raises
 :class:`TicketEvictedError` (distinct from the ``ValueError`` a
 never-issued ticket id gets).
 
-Every request carries a :class:`~repro.api.context.RequestContext`
+Every request carries a :class:`~repro.engine.context.RequestContext`
 (minted by ``submit``/``optimize_sql`` unless the caller passes one):
 
 * **admission control** — with ``max_pending`` set, ``submit`` raises
@@ -72,15 +72,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import obs
-from repro.api.context import (
+from repro.api.context import AdmissionRejectedError, TraceHook
+from repro.core.inference import OptimizedPlan, bind_sql
+from repro.engine.context import (
     CLOCK,
-    AdmissionRejectedError,
     DeadlineExceededError,
     MonotonicClock,
+    OptimizeError,
     RequestContext,
-    TraceHook,
 )
-from repro.core.inference import OptimizedPlan, OptimizeError, bind_sql
 from repro.engine.backend import EngineBackend
 from repro.executor.engine import ExecutionResult
 from repro.sql.ast import Query

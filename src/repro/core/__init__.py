@@ -31,7 +31,8 @@ from repro.core.planner import Planner, PlannerConfig, Episode
 from repro.core.batching import BatchedEpisodeRunner
 from repro.core.simenv import SimulatedEnvironment, RealEnvironment
 from repro.core.trainer import FossTrainer, FossConfig
-from repro.core.inference import FossOptimizer, OptimizeError, bind_sql
+from repro.core.inference import FossOptimizer, bind_sql
+from repro.engine.context import OptimizeError
 
 __all__ = [
     "IncompletePlan",

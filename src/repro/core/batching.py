@@ -30,11 +30,11 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.actions import SwapAction
-from repro.core.buffer import Transition
 from repro.core.icp import IncompletePlan, minsteps
 from repro.core.planner import CandidatePlan, Episode, Planner
 from repro.core.simenv import EpisodeContext
 from repro.optimizer.plans import PlanNode
+from repro.rl.rollout import Transition
 from repro.sql.ast import Query
 
 DEFAULT_EPISODE_BATCH_SIZE = 32

@@ -27,29 +27,9 @@ from repro.core.icp import IncompletePlan
 from repro.core.planner import Episode, Planner
 from repro.core.simenv import AdvantageRequest, EpisodeContext
 from repro.engine.backend import EngineBackend
+from repro.engine.context import DeadlineExceededError, OptimizeError
 from repro.optimizer.plans import PlanNode, plan_signature
 from repro.sql.ast import Query
-
-
-class OptimizeError(RuntimeError):
-    """An optimizer could not produce a plan for the given input.
-
-    This is the single failure type the serving layer exposes: malformed
-    SQL, references to unknown tables/columns, and any other parse/bind
-    problem surface as one ``OptimizeError`` instead of leaking lexer,
-    parser or binder internals to callers.
-    """
-
-
-class DeadlineExceededError(OptimizeError):
-    """A request's deadline budget ran out before its work could start.
-
-    Defined here — below the api package — so the engine layer can raise
-    it without importing upward; re-exported by :mod:`repro.api.context`,
-    which is where serving callers import it from.  Subclasses
-    :class:`OptimizeError` so existing handlers degrade gracefully, but
-    the serving layer counts it as ``expired``, never ``failures``.
-    """
 
 
 def bind_sql(database: EngineBackend, text: str, name: str = "") -> Query:
@@ -236,7 +216,7 @@ class FossOptimizer:
 
         Accepts a bound :class:`Query` or raw SQL text; unparseable or
         unbindable text raises :class:`OptimizeError`.  A
-        :class:`~repro.api.context.RequestContext` whose deadline already
+        :class:`~repro.engine.context.RequestContext` whose deadline already
         passed raises :class:`DeadlineExceededError` before any episode
         runs.
         """
@@ -292,11 +272,9 @@ class FossOptimizer:
             for query in queries
         ]
         # Traced batches stage their contexts on the environment so the
-        # first backend planning call joins the caller's span tree; the
-        # getattr keeps this duck-typed (no api import below the api
-        # layer) and free for untraced batches.
+        # first backend planning call joins the caller's span tree.
         traced = ctxs is not None and any(
-            ctx is not None and getattr(ctx, "trace_id", None) for ctx in ctxs
+            ctx is not None and ctx.trace_id for ctx in ctxs
         )
         if traced:
             self._environment.stage_ctxs(list(ctxs))

@@ -20,13 +20,13 @@ from repro.core.actions import ActionSpace
 from repro.core.aam import AdvantageModel
 from repro.core.encoding import PlanEncoder
 from repro.core.icp import IncompletePlan
-from repro.core.buffer import Transition
 from repro.core.reward import AdvantageFunction, RewardConfig
 from repro.core.simenv import EpisodeContext
 from repro.engine.backend import EngineBackend
 from repro.optimizer.plans import PlanNode, plan_signature
 from repro.rl.policy import ActorCritic
 from repro.rl.ppo import PPOConfig, PPOTrainer
+from repro.rl.rollout import Transition
 from repro.sql.ast import Query
 
 

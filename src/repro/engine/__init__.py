@@ -5,7 +5,8 @@
 rest of the system depends on, plus the local implementation;
 :mod:`repro.engine.remote` serves that protocol over a TCP socket
 (``repro-engine`` server + :class:`RemoteBackend` client), framed by
-:mod:`repro.engine.wire`.
+:mod:`repro.engine.wire`; :mod:`repro.engine.context` holds the request
+context every layer above carries down to it.
 """
 
 from repro.engine.backend import EngineBackend, LocalBackend, make_backend

@@ -49,7 +49,7 @@ class EngineBackend(Protocol):
 
     Every planning/execution entry point accepts an optional request
     context (``ctx`` on singletons, an aligned ``ctxs`` sequence on batch
-    mirrors; see :class:`repro.api.context.RequestContext`).  ``None`` —
+    mirrors; see :class:`repro.engine.context.RequestContext`).  ``None`` —
     the default — keeps every existing caller source-compatible and the
     results bitwise-identical.  A singleton with an expired context raises
     ``DeadlineExceededError``; a batch checks each item immediately before

@@ -24,6 +24,7 @@ import numpy as np
 from repro import obs
 from repro.catalog.schema import Schema
 from repro.catalog.statistics import StatisticsCatalog
+from repro.engine.context import DeadlineExceededError, RequestContext
 from repro.engine.wire import crc32_chain
 from repro.executor.engine import ExecutionEngine, ExecutionResult
 from repro.optimizer.cardinality import CardinalityEstimator
@@ -43,28 +44,19 @@ from repro.storage.table import Table
 HARD_CAP_MS = 15_000.0
 
 
-def context_expired(ctx) -> bool:
+def context_expired(ctx: Optional[RequestContext]) -> bool:
     """Whether a request context's deadline budget has run out.
 
-    ``ctx`` is duck-typed (anything with ``expired()``) so the engine
-    layer never has to import upward into :mod:`repro.api`; ``None``
-    means "no context" and never expires.
+    ``None`` means "no context" and never expires.
     """
     return ctx is not None and ctx.expired()
 
 
-def raise_deadline(ctx, what: str) -> None:
-    """Raise the typed deadline error for an expired singleton call.
-
-    Imported lazily: :class:`~repro.core.inference.DeadlineExceededError`
-    lives in :mod:`repro.core`, which itself imports the engine layer —
-    a module-level import here would be circular.
-    """
-    from repro.core.inference import DeadlineExceededError
-
+def raise_deadline(ctx: RequestContext, what: str) -> None:
+    """Raise the typed deadline error for an expired singleton call."""
     raise DeadlineExceededError(
-        f"request {getattr(ctx, 'request_id', '?')} exceeded its "
-        f"{getattr(ctx, 'deadline_s', None)}s deadline before {what}"
+        f"request {ctx.request_id} exceeded its {ctx.deadline_s}s deadline "
+        f"before {what}"
     )
 
 

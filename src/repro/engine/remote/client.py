@@ -24,8 +24,9 @@ checksum-invalid or desynchronized stream raises
 :class:`~repro.engine.wire.FrameCorruptionError` immediately, because
 corruption is a bug to surface, not a transient to paper over.
 
-At connect time the client compares the server's dataset fingerprint
-against its own mirror and refuses to serve across datagen drift — the
+Every fresh socket opens with the fingerprint handshake: the client
+refuses a server that speaks another wire protocol version, and one whose
+dataset fingerprint differs from its own mirror's (datagen drift) — the
 same crc32 fingerprint the session manifest records.
 """
 
@@ -50,6 +51,7 @@ from repro.engine.database import (
 )
 from repro.engine.wire import (
     DEFAULT_MAX_FRAME_BYTES,
+    PROTOCOL_VERSION,
     FrameCorruptionError,
     FrameTooLargeError,
     contexts_to_wire,
@@ -267,29 +269,20 @@ class RemoteBackend:
         self._plan_memo = PlanningMemo(self.local.hint_cache_capacity)
         self._hint_memo = PlanningMemo(self.local.hint_cache_capacity)
         # Per-op RPC counter in the process-global registry (declared
-        # before the handshake below, which is itself an RPC).
+        # before the first call below).
         self._m_calls = obs.get_registry().counter(
             "engine_remote_calls_total", "framed RPC round trips by op", ("kind",)
         )
-        # Connect-time handshake: refuse to serve across datagen drift.
-        hello = self._call("fingerprint", None)
-        self.remote_fingerprint: str = hello["dataset_fingerprint"]
-        self.server_info: Dict = hello
-        # Version negotiation: contexts ride the wire only when the server
-        # advertised protocol >= 2.  Against an older server the client
-        # still enforces deadlines itself (expired items are dropped
-        # client-side before the frame is built), so context-free requests
-        # keep working in both directions.
-        self.server_protocol: int = int(hello.get("protocol", 1))
-        local_fingerprint = dataset_fingerprint(self.local.dataset)
-        if self.remote_fingerprint != local_fingerprint:
+        self._fingerprint = dataset_fingerprint(self.local.dataset)
+        self.server_info: Dict = {}
+        self.remote_fingerprint: Optional[str] = None
+        try:
+            # The first round trip opens a socket, and with it the
+            # handshake that fills server_info and remote_fingerprint.
+            self.ping()
+        except BaseException:
             self.close()
-            raise RemoteEngineError(
-                f"dataset fingerprint mismatch against {url}: the server is "
-                f"serving {self.remote_fingerprint} but this client's dataset "
-                f"is {local_fingerprint}; client and server must build the "
-                f"same workload (name/scale/seed) with the same datagen code"
-            )
+            raise
 
     # ------------------------------------------------------------------
     # RPC plumbing
@@ -316,49 +309,31 @@ class RemoteBackend:
         Connection refused fails fast with no retries, and
         :class:`FrameCorruptionError` propagates immediately.
 
-        ``ctxs`` (aligned with the items of a ``*_many`` payload) is
-        encoded into a protocol-v2 3-tuple frame when the server supports
-        it; a v1 server gets the plain 2-tuple and deadlines stay
-        client-enforced.
+        ``ctxs`` (aligned with the items of a ``*_many`` payload) rides
+        the frame as wire dicts, so the server enforces deadlines too.
 
         Tracing: when any context carries a ``trace_id``, a
         ``remote.call`` span wraps the round trip, the wire contexts are
-        re-parented on it (so server-side spans nest correctly), and any
-        spans the v2 server piggybacked on the reply (a 3-slot ``ok``
-        body) are ingested into this process's tracer.  Untraced calls
-        build the exact same frame bytes as before this feature existed.
+        re-parented on it (so server-side spans nest correctly), and the
+        spans the server piggybacked on the reply are ingested into this
+        process's tracer.  An untraced call sends the same frame bytes
+        whether tracing is on or off.
         """
         self._check_open()
         self._m_calls.labels(kind=kind).inc()
-        span = None
-        send_ctxs = ctxs
-        if (
-            ctxs is not None
-            and any(ctx is not None for ctx in ctxs)
-            and getattr(self, "server_protocol", 1) >= 2
-        ):
-            opened = obs.span_for_ctxs(
-                "remote.call", ctxs, attrs={"kind": kind, "url": self.url}
-            )
-            if opened.span_id is not None:
-                span = opened
-                send_ctxs = [
-                    ctx.with_parent_span(span.span_id)
-                    if ctx is not None
-                    and getattr(ctx, "trace_id", None)
-                    and hasattr(ctx, "with_parent_span")
-                    else ctx
-                    for ctx in ctxs
-                ]
-            wire_ctxs = contexts_to_wire(send_ctxs)
-        else:
-            wire_ctxs = None
-        if wire_ctxs is not None:
-            request = pickle.dumps(
-                (kind, payload, wire_ctxs), protocol=pickle.HIGHEST_PROTOCOL
-            )
-        else:
-            request = pickle.dumps((kind, payload), protocol=pickle.HIGHEST_PROTOCOL)
+        span = obs.span_for_ctxs("remote.call", ctxs, attrs={"kind": kind, "url": self.url})
+        if span.span_id is not None:
+            ctxs = [
+                ctx.with_parent_span(span.span_id)
+                if ctx is not None and ctx.trace_id
+                else ctx
+                for ctx in ctxs
+            ]
+        if ctxs is not None and all(ctx is None for ctx in ctxs):
+            ctxs = None
+        request = pickle.dumps(
+            (kind, payload, contexts_to_wire(ctxs)), protocol=pickle.HIGHEST_PROTOCOL
+        )
         if len(request) > self.max_frame_bytes:
             # Rejected before a connection is touched: nothing reached the
             # wire, so no healthy pooled socket should be dropped for it.
@@ -372,12 +347,12 @@ class RemoteBackend:
             while True:
                 try:
                     if conn.ensure():
-                        # Every fresh socket re-runs the fingerprint
-                        # handshake: a transparent reconnect is exactly the
-                        # moment the peer may have been restarted with
+                        # Every fresh socket re-runs the handshake: a
+                        # transparent reconnect is exactly the moment the
+                        # peer may have been restarted with other code or
                         # drifted datagen, and serving across that would
                         # silently break the determinism contract.
-                        self._verify_connection(conn)
+                        self._handshake(conn)
                     # pipe discipline: the connection lock spans one full
                     # framed send→recv so concurrent tenants never
                     # interleave bytes on a socket (class docstring).
@@ -427,49 +402,57 @@ class RemoteBackend:
         # the tracer holds no reference to open spans, so nothing leaks).
         status, body = pickle.loads(response_bytes)
         if status != "ok":
-            if span is not None:
-                span.end(status="error")
+            span.end(status="error")
             raise RemoteEngineError(f"remote engine at {self.url}: {body}")
-        result, executions = body[0], body[1]
-        if len(body) > 2 and body[2]:
-            # Protocol v2 with tracing: the server drained the spans it
-            # produced for this request's traces into slot 3 of the reply.
-            obs.get_tracer().ingest(body[2])
-        if span is not None:
-            span.end()
+        result, executions, spans = body
+        if spans:
+            obs.get_tracer().ingest(spans)
+        span.end()
         with self._state_lock:
             # Monotonic merge: responses from different pooled connections
             # can land out of order.
             self._remote_executions = max(self._remote_executions, executions)
         return result
 
-    def _verify_connection(self, conn: _Connection) -> None:
-        """Fingerprint-check a fresh socket against the pinned handshake.
+    def _handshake(self, conn: _Connection) -> None:
+        """Check a fresh socket's server: same protocol, same dataset.
 
-        No-op during ``__init__``'s first call (nothing pinned yet — that
-        call *is* the handshake and does its own comparison).  Connection
-        errors here propagate to the caller's reconnect loop; a mismatch
-        is terminal.
+        Records the server's hello as ``server_info`` and
+        ``remote_fingerprint``.  Connection errors propagate to the
+        caller's reconnect loop; a mismatch drops the socket and is
+        terminal.
         """
-        expected = getattr(self, "remote_fingerprint", None)
-        if expected is None:
-            return
         hello = conn.round_trip(
-            pickle.dumps(("fingerprint", None), protocol=pickle.HIGHEST_PROTOCOL)
+            pickle.dumps(("fingerprint", None, None), protocol=pickle.HIGHEST_PROTOCOL)
         )
         status, body = pickle.loads(hello)
         if status != "ok":
+            conn.drop()
             raise RemoteEngineError(f"remote engine at {self.url}: {body}")
-        result, _executions = body
-        actual = result["dataset_fingerprint"]
-        if actual != expected:
+        # The hello is slot 0 of the reply, and reading it assumes nothing
+        # else about the shape: a server of another version is refused for
+        # the version it advertises, not for a reply this client misreads.
+        info = body[0]
+        if info.get("protocol") != PROTOCOL_VERSION:
             conn.drop()
             raise RemoteEngineError(
-                f"dataset fingerprint drift at {self.url}: the server now "
-                f"serves {actual} but this client is pinned to {expected} "
-                f"(the server was restarted with different datagen); refusing "
-                f"to serve plans from a different database"
+                f"engine at {self.url} speaks wire protocol "
+                f"{info.get('protocol')!r}, this client speaks only "
+                f"{PROTOCOL_VERSION}; run client and server from the same "
+                f"release"
             )
+        actual = info["dataset_fingerprint"]
+        if actual != self._fingerprint:
+            conn.drop()
+            raise RemoteEngineError(
+                f"dataset fingerprint mismatch against {self.url}: the server "
+                f"serves {actual} but this client's dataset is "
+                f"{self._fingerprint} (datagen drift, or a server restarted "
+                f"with different datagen); client and server must build the "
+                f"same workload (name/scale/seed) with the same datagen code"
+            )
+        self.server_info = info
+        self.remote_fingerprint = actual
 
     def _check_open(self) -> None:
         if self._closed:
@@ -516,8 +499,8 @@ class RemoteBackend:
     def _split_expired(self, ctxs, count: int):
         """Indices of live items, or ``None`` when nothing expired.
 
-        Client-side enforcement: runs against any server version, so a v1
-        server never sees items whose budgets were already gone.
+        Client-side enforcement: an item whose budget is already gone
+        never costs a frame.
         """
         if ctxs is None:
             return None

@@ -6,8 +6,9 @@ handed to :class:`EngineServer`) and serves the full ``EngineBackend``
 surface over TCP:
 ``sql`` / ``plan`` / ``plan_with_hints`` / ``execute``, their ``*_many``
 batch mirrors, ``stats``, cache control, and the ``fingerprint`` handshake
-RPC.  One length-prefixed crc32-checksummed frame per message
-(:mod:`repro.engine.wire`); request and response payloads are pickles, so
+RPC.  One length-prefixed crc32-checksummed frame per message, in the
+one request/reply shape :mod:`repro.engine.wire` defines; request and
+response payloads are pickles, so
 the protocol is: trusted clients only (bind to loopback or a private
 network, as with memcached/redis).
 
@@ -37,18 +38,12 @@ from repro import obs
 from repro.engine.database import dataset_fingerprint
 from repro.engine.wire import (
     DEFAULT_MAX_FRAME_BYTES,
+    PROTOCOL_VERSION,
     FrameCorruptionError,
     contexts_from_wire,
     read_frame,
     write_frame,
 )
-
-# v2 added per-request contexts: request frames may be ``(kind, body,
-# wire_ctxs)`` 3-tuples carrying compact context dicts (deadline budgets
-# re-anchored server-side, so the server enforces deadlines itself).  The
-# version is advertised in the ``fingerprint`` handshake; v1 clients keep
-# sending 2-tuples, which every ``_dispatch`` still accepts.
-PROTOCOL_VERSION = 2
 
 
 class EngineServer:
@@ -235,44 +230,37 @@ class EngineServer:
             pass
 
     def _dispatch(self, payload: bytes):
-        """One request → ``("ok", (result, executions))`` or ``("err", msg)``.
+        """One request → ``("ok", (result, executions, spans))`` or ``("err", msg)``.
 
-        Requests are ``(kind, body)`` 2-tuples (protocol v1) or
-        ``(kind, body, wire_ctxs)`` 3-tuples (v2, contexts re-anchored on
-        this machine's clock so deadlines are enforced server-side).  When
-        any v2 context carries a live trace id, the ok body grows a third
-        slot — ``(result, executions, span_dicts)`` — piggybacking the
-        server-side spans back to the client; untraced requests get the
-        exact pre-obs 2-slot body.
+        A request is ``(kind, body, wire_ctxs)``; its contexts are
+        re-anchored on this machine's clock, so deadlines are enforced
+        server-side.  ``spans`` piggybacks the server-side spans of any
+        traced context back to the client, and is empty otherwise.  An
+        op is counted under its own name only when the chain below
+        handles it; everything else shares one ``kind="unknown"`` series,
+        so a peer cannot grow the metric set.
         """
         try:
-            decoded = pickle.loads(payload)
-            kind, body = decoded[0], decoded[1]
-            ctxs = contexts_from_wire(decoded[2]) if len(decoded) > 2 else None
+            kind, body, wire_ctxs = pickle.loads(payload)
+            ctxs = contexts_from_wire(wire_ctxs)
         except Exception as exc:
+            self._m_requests.labels(kind="unknown").inc()
             return ("err", f"undecodable request: {exc!r}")
-        self._m_requests.labels(kind=kind).inc()
-        # Traced contexts (protocol v2 with live trace ids) grow a
-        # ``server.dispatch`` span; every span recorded under these trace
-        # ids while the op runs is drained afterwards and shipped back in
-        # the reply, so the client can join them onto the caller's tree.
-        trace_ids = set()
-        if ctxs is not None:
-            for ctx in ctxs:
-                trace_id = getattr(ctx, "trace_id", None) if ctx is not None else None
-                if trace_id:
-                    trace_ids.add(trace_id)
+        # Traced contexts grow a ``server.dispatch`` span; every span
+        # recorded under these trace ids while the op runs is drained
+        # afterwards and shipped back in the reply, so the client can join
+        # them onto the caller's tree.
+        trace_ids = {ctx.trace_id for ctx in ctxs or () if ctx is not None and ctx.trace_id}
         span = obs.span_for_ctxs("server.dispatch", ctxs, attrs={"kind": kind})
-        if span.span_id is not None and ctxs is not None:
+        if span.span_id is not None:
             ctxs = [
                 ctx.with_parent_span(span.span_id)
-                if ctx is not None
-                and getattr(ctx, "trace_id", None)
-                and hasattr(ctx, "with_parent_span")
+                if ctx is not None and ctx.trace_id
                 else ctx
                 for ctx in ctxs
             ]
         backend = self.backend
+        counted = kind
         try:
             if kind == "ping":
                 result = None
@@ -308,21 +296,20 @@ class EngineServer:
             elif kind == "stats":
                 result = backend.stats()
             else:
+                counted = "unknown"
                 raise ValueError(f"unknown engine RPC {kind!r}")
             span.end()
-            if trace_ids:
-                # 3-slot ok body only for traced requests: v1 clients and
-                # untraced v2 calls keep the exact pre-obs 2-slot reply.
-                spans = obs.get_tracer().drain(trace_ids)
-                return ("ok", (result, backend.executions, spans))
-            return ("ok", (result, backend.executions))
+            spans = obs.get_tracer().drain(trace_ids) if trace_ids else ()
+            return ("ok", (result, backend.executions, spans))
         except Exception as exc:
             span.end(status="error")
             if trace_ids:
-                # err replies carry no span slot; drain so the tracer's
-                # ring is not left holding this trace's server-side spans.
+                # err replies carry no spans; drain so the tracer's ring is
+                # not left holding this trace's server-side spans.
                 obs.get_tracer().drain(trace_ids)
             return ("err", f"{kind} failed: {exc!r}")
+        finally:
+            self._m_requests.labels(kind=counted).inc()
 
     # ------------------------------------------------------------------
     # lifecycle

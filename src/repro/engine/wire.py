@@ -19,6 +19,15 @@ things build on it:
   garbage length (:class:`FrameTooLargeError`) before a single payload
   byte is interpreted.
 
+The frames carry one request/reply protocol, :data:`PROTOCOL_VERSION`.  A
+request payload is the pickle of ``(kind, body, wire_ctxs)``, where
+``wire_ctxs`` is the aligned :func:`contexts_to_wire` list, or ``None``
+for a call without contexts.  A reply is ``("ok", (result, executions,
+spans))`` or ``("err", message)``; ``spans`` holds the server-side spans
+of the request's traces and is empty when the request is untraced.  The
+fingerprint handshake advertises the version, and a client refuses a
+server that speaks any other: client and server ship from one tree.
+
 Streams are file-like objects (``socket.makefile("rwb")`` on sockets):
 ``read(n)`` returning fewer than ``n`` bytes means EOF.  A clean EOF *at a
 frame boundary* is reported as ``None`` from :func:`read_frame`; EOF
@@ -27,12 +36,14 @@ inside a frame is corruption — the peer died mid-message.
 
 from __future__ import annotations
 
-import dataclasses
 import struct
-import time
 import zlib
-from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import List, Optional
+
+from repro.engine.context import RequestContext
+
+#: The request/reply shape above; the fingerprint handshake advertises it.
+PROTOCOL_VERSION = 3
 
 MAGIC = b"FOSW"  # FOSS wire
 _HEADER = struct.Struct(">4sII")  # magic, payload length, crc32(payload)
@@ -118,140 +129,23 @@ def read_frame(
 
 
 # ----------------------------------------------------------------------
-# request-context wire form (protocol v2)
+# request contexts on the wire
 # ----------------------------------------------------------------------
 # Contexts cross the socket as compact plain dicts, not pickled
 # RequestContext instances: monotonic clocks do not transfer across
 # machines, so the dict carries the *remaining* budget (``ttl_s``) and the
 # receiver re-anchors it on its own clock.
-#
-# Layering: wire is the bottom of the engine stack and never imports the
-# serving package.  Encoding is duck-typed (anything with ``to_wire``);
-# decoding goes through a registered codec — :mod:`repro.api.context`
-# registers ``RequestContext.from_wire`` when it is imported, so processes
-# that run the serving layer decode full ``RequestContext`` objects —
-# with :class:`WireContext` below as the engine-level fallback, so a
-# standalone ``repro-engine`` server enforces deadlines without ever
-# importing ``repro.api``.
-
-#: Registered decoder: ``fn(data: dict) -> context``.  ``None`` until a
-#: higher layer registers one; the fallback is :meth:`WireContext.from_wire`.
-_context_decoder: Optional[Callable[[Dict], object]] = None
-
-
-def register_context_decoder(decoder: Callable[[Dict], object]) -> None:
-    """Install the codec used to rebuild contexts from v2 frames.
-
-    Called by :mod:`repro.api.context` at import time (the dependency
-    inversion that keeps the engine layer below the serving layer).  The
-    decoder receives the plain dict from the wire and returns a context
-    object re-anchored on this machine's clock.
-    """
-    global _context_decoder
-    _context_decoder = decoder
-
-
-@dataclass(frozen=True)
-class WireContext:
-    """An engine-level view of a request context rebuilt from the wire.
-
-    Mirrors the deadline surface the engine consumes
-    (``request_id``/``tenant``/``priority``/``expired()``/``remaining_s()``
-    /``to_wire()``) without importing :mod:`repro.api`: ``anchored_at`` is
-    this machine's monotonic clock at decode time and ``deadline_s`` is
-    the remaining budget the frame carried, so expiry arithmetic matches
-    :class:`repro.api.context.RequestContext` exactly.
-    """
-
-    request_id: str = ""
-    tenant: str = ""
-    anchored_at: float = 0.0
-    deadline_s: Optional[float] = None
-    priority: int = 0
-    #: ``repro.obs`` trace membership (``None`` = untraced); carried so a
-    #: standalone server still joins its spans onto the caller's trace.
-    trace_id: Optional[str] = None
-    parent_span_id: Optional[str] = None
-
-    def with_parent_span(self, span_id: Optional[str]) -> "WireContext":
-        """A copy whose downstream spans parent on ``span_id``."""
-        if span_id == self.parent_span_id:
-            return self
-        return dataclasses.replace(self, parent_span_id=span_id)
-
-    @property
-    def deadline_at(self) -> Optional[float]:
-        if self.deadline_s is None:
-            return None
-        return self.anchored_at + self.deadline_s
-
-    def remaining_s(self, now: Optional[float] = None) -> Optional[float]:
-        deadline_at = self.deadline_at
-        if deadline_at is None:
-            return None
-        if now is None:
-            now = time.monotonic()  # repro-lint: allow[clock-monotonic]
-        return max(0.0, deadline_at - now)
-
-    def expired(self, now: Optional[float] = None) -> bool:
-        deadline_at = self.deadline_at
-        if deadline_at is None:
-            return False
-        if now is None:
-            now = time.monotonic()  # repro-lint: allow[clock-monotonic]
-        return now >= deadline_at
-
-    def to_wire(self, now: Optional[float] = None) -> Dict:
-        """Re-encode (for forwarding); same dict shape as the api codec."""
-        data: Dict = {"id": self.request_id}
-        if self.tenant:
-            data["tenant"] = self.tenant
-        if self.priority:
-            data["priority"] = self.priority
-        remaining = self.remaining_s(now)
-        if remaining is not None:
-            data["ttl_s"] = remaining
-        # Trace keys only when tracing is live: untraced frames stay
-        # byte-identical to the pre-obs wire format.
-        if self.trace_id:
-            data["trace"] = self.trace_id
-            if self.parent_span_id:
-                data["span"] = self.parent_span_id
-        return data
-
-    @classmethod
-    def from_wire(cls, data: Optional[Dict]) -> Optional["WireContext"]:
-        if data is None:
-            return None
-        return cls(
-            request_id=str(data.get("id", "")),
-            tenant=str(data.get("tenant", "")),
-            anchored_at=time.monotonic(),  # repro-lint: allow[clock-monotonic]
-            deadline_s=data.get("ttl_s"),
-            priority=int(data.get("priority", 0)),
-            trace_id=data.get("trace"),
-            parent_span_id=data.get("span"),
-        )
-
-
-def decode_wire_context(data: Optional[Dict]):
-    """One wire dict → a context, via the registered codec or the fallback."""
-    if data is None:
-        return None
-    if _context_decoder is not None:
-        return _context_decoder(data)
-    return WireContext.from_wire(data)
 
 
 def contexts_to_wire(ctxs, now: Optional[float] = None):
-    """Encode an aligned context sequence for a v2 frame (``None`` → ``None``)."""
+    """Encode an aligned context sequence for a request frame (``None`` → ``None``)."""
     if ctxs is None:
         return None
     return [None if ctx is None else ctx.to_wire(now) for ctx in ctxs]
 
 
-def contexts_from_wire(wire_ctxs):
-    """Rebuild contexts from a v2 frame, re-anchored on this machine's clock."""
+def contexts_from_wire(wire_ctxs) -> Optional[List[Optional[RequestContext]]]:
+    """Rebuild contexts from a request frame, re-anchored on this machine's clock."""
     if wire_ctxs is None:
         return None
-    return [decode_wire_context(data) for data in wire_ctxs]
+    return [RequestContext.from_wire(data) for data in wire_ctxs]

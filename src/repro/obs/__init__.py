@@ -12,8 +12,8 @@ The ``REPRO_OBS`` environment variable gates *tracing* (``REPRO_OBS=0``
 disables it; anything else, including unset, enables it).  Metrics are
 always on — a counter bump is cheaper than the branch to skip it would
 be worth.  The contract when tracing is off: no trace ids are minted, no
-spans are allocated anywhere on the request path, and protocol-v2 wire
-frames are byte-identical to the pre-observability format.
+spans are allocated anywhere on the request path, and every wire frame
+is the same bytes as with tracing on for an untraced request.
 """
 
 from __future__ import annotations
@@ -133,10 +133,10 @@ _NULL_SPAN = _NullSpan()
 def span_for_ctxs(name: str, ctxs, attrs: Optional[Dict[str, object]] = None):
     """Open a span parented on the first traced context, or a no-op.
 
-    Duck-typed on ``trace_id``/``parent_span_id`` attributes so it works
-    with both ``RequestContext`` and the engine's ``WireContext``
-    fallback; untraced batches pay one attribute scan and allocate
-    nothing.
+    Reads ``trace_id``/``parent_span_id`` by attribute: obs sits below
+    the engine layer, so it never imports
+    :class:`~repro.engine.context.RequestContext`.  Untraced batches pay
+    one attribute scan and allocate nothing.
     """
     if ctxs is None:
         return _NULL_SPAN

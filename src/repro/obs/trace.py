@@ -5,7 +5,7 @@ A :class:`Span` is one timed stage of a request (``service.request``,
 ``trace_id`` form one tree joined by ``parent_id`` links, even when the
 stages ran in different processes.  Spans cross the wire as plain dicts
 (:meth:`Span.to_dict` / :meth:`Span.from_dict`) piggybacked on the
-protocol-v2 reply frame — the server :meth:`Tracer.drain`\\ s the spans it
+reply frame's ``spans`` slot — the server :meth:`Tracer.drain`\\ s the spans it
 produced for a request's trace ids and the client ``ingest``\\ s them into
 its own tracer, so the caller ends up holding the whole tree.
 

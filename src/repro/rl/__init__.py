@@ -6,10 +6,10 @@ estimates remain valid).  This package is a from-scratch PPO on top of
 :mod:`repro.nn`.
 """
 
-from repro.core.buffer import RolloutBuffer, Transition
 from repro.rl.gae import compute_gae
 from repro.rl.policy import ActorCritic, CategoricalMasked
 from repro.rl.ppo import PPOConfig, PPOTrainer
+from repro.rl.rollout import RolloutBuffer, Transition
 
 __all__ = [
     "Transition",

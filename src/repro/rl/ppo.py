@@ -15,8 +15,8 @@ import numpy as np
 from repro.nn import functional as F
 from repro.nn.optim import Adam, clip_grad_norm
 from repro.nn.tensor import Tensor
-from repro.core.buffer import Batch, RolloutBuffer
 from repro.rl.policy import ActorCritic
+from repro.rl.rollout import Batch, RolloutBuffer
 
 
 @dataclass

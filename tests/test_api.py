@@ -14,7 +14,6 @@ Covers the serving contracts the facade promises:
 * legacy import paths still resolve but warn.
 """
 
-import sys
 
 import numpy as np
 import pytest
@@ -378,34 +377,13 @@ class TestServiceStats:
 
 
 # ----------------------------------------------------------------------
-# deprecation shims
+# top-level exports
 # ----------------------------------------------------------------------
 class TestDeprecations:
-    def test_rl_buffer_shim_warns_and_resolves(self):
-        sys.modules.pop("repro.rl.buffer", None)
-        with pytest.warns(DeprecationWarning, match="repro.rl.buffer is deprecated"):
-            import repro.rl.buffer as shim
-        from repro.core.buffer import Batch, RolloutBuffer, Transition
-
-        assert shim.Transition is Transition
-        assert shim.Batch is Batch
-        assert shim.RolloutBuffer is RolloutBuffer
-
-    def test_top_level_trainer_warns_and_resolves(self):
-        with pytest.warns(DeprecationWarning, match="repro.FossTrainer is deprecated"):
-            cls = repro.FossTrainer
-        from repro.core.trainer import FossTrainer
-
-        assert cls is FossTrainer
-
-    def test_top_level_optimizer_warns_and_resolves(self):
-        with pytest.warns(DeprecationWarning, match="repro.FossOptimizer is deprecated"):
-            cls = repro.FossOptimizer
-        from repro.core.inference import FossOptimizer
-
-        assert cls is FossOptimizer
-
     def test_undeprecated_exports_stay_silent(self, recwarn):
         assert repro.FossConfig is FossConfig
         assert callable(repro.build_workload_by_name)
+        namespace: dict = {}
+        exec("from repro import *", namespace)
+        assert namespace["api"] is repro.api
         assert not [w for w in recwarn.list if issubclass(w.category, DeprecationWarning)]

@@ -13,6 +13,8 @@ The contracts under test (see :mod:`repro.engine.remote`):
 * the connect-time fingerprint handshake refuses client/server datagen
   drift; the session manifest records the remote fingerprint and
   :meth:`FossSession.load` re-checks it;
+* the handshake refuses a server that speaks another wire protocol
+  version;
 * a dead/restarted server costs a bounded reconnect, then a typed
   ``RemoteEngineError``; a client that disconnects mid-frame costs the
   server nothing but that one connection.
@@ -41,8 +43,9 @@ from repro.api import FossConfig, FossSession, RequestContext, ServiceGroup
 from repro.core.aam import AAMConfig
 from repro.core.icp import IncompletePlan
 from repro.engine.backend import make_backend
+from repro.engine.database import dataset_fingerprint
 from repro.engine.remote import EngineServer, RemoteBackend, RemoteEngineError
-from repro.engine.wire import FrameTooLargeError, contexts_to_wire
+from repro.engine.wire import FrameTooLargeError, contexts_to_wire, read_frame, write_frame
 from repro.optimizer.dp import OptimizerOptions
 from repro.optimizer.plans import plan_signature
 
@@ -313,6 +316,71 @@ class TestRemoteRobustness:
                     timeout_s=CLIENT_TIMEOUT_S,
                 )
 
+    def test_handshake_refuses_another_protocol_version(self, job_workload):
+        """A server that advertises protocol 2 — replying the way a v2
+        server did — is refused at connect: one connection, no reconnect
+        attempt, and the client's socket is closed, not leaked."""
+        hello = {
+            "protocol": 2,
+            "dataset_fingerprint": dataset_fingerprint(job_workload.database.dataset),
+        }
+        listener = socket.create_server(("127.0.0.1", 0))
+        listener.settimeout(CLIENT_TIMEOUT_S)
+        seen = {"connections": 0, "closed": False}
+
+        def stub_v2_server():
+            try:
+                sock, _addr = listener.accept()
+            except OSError:
+                return
+            seen["connections"] += 1
+            sock.settimeout(CLIENT_TIMEOUT_S)
+            with sock, sock.makefile("rwb") as stream:
+                while read_frame(stream) is not None:
+                    write_frame(stream, pickle.dumps(("ok", (hello, 0))))
+                seen["closed"] = True  # EOF: the client closed its socket
+            listener.settimeout(1.0)  # a reconnect would arrive well within this
+            try:
+                extra, _addr = listener.accept()
+            except OSError:
+                return
+            extra.close()
+            seen["connections"] += 1
+
+        stub = threading.Thread(target=stub_v2_server, daemon=True)
+        stub.start()
+        try:
+            with pytest.raises(RemoteEngineError, match="protocol 2"):
+                RemoteBackend(
+                    f"tcp://127.0.0.1:{listener.getsockname()[1]}",
+                    database=job_workload.database,
+                    timeout_s=CLIENT_TIMEOUT_S,
+                    max_reconnects=3,
+                    reconnect_backoff_s=0.01,
+                )
+            stub.join(timeout=30.0)
+            assert not stub.is_alive()
+        finally:
+            listener.close()
+        assert seen == {"connections": 1, "closed": True}
+
+    def test_bogus_kinds_share_one_metric_series(self, engine_server):
+        """Unknown ops from a peer are counted under one ``unknown`` series,
+        so a peer cannot grow the metric set."""
+        handled = {
+            "ping", "fingerprint", "sql", "plan_many", "hint_many",
+            "execute_many", "execute", "clear_caches", "stats",
+        }
+        for i in range(200):
+            payload = pickle.dumps((f"bogus-{i}", None, None))
+            status, message = engine_server._dispatch(payload)
+            assert status == "err" and "unknown engine RPC" in message
+        counter = obs.get_registry().get("engine_requests_total")
+        kinds = {labels["kind"] for labels, _child in counter.series()}
+        assert "unknown" in kinds
+        assert kinds <= handled | {"unknown"}
+        assert len(kinds) <= len(handled) + 1
+
     def test_bounded_reconnect_across_server_restart(self, server_db, job_workload):
         first = EngineServer(server_db)
         first.start()
@@ -381,14 +449,14 @@ class TestRemoteRobustness:
             query.signature()  # populate lazy caches so pickle sizes are stable
         request_size = len(
             pickle.dumps(
-                ("plan_many", (queries, None)), protocol=pickle.HIGHEST_PROTOCOL
+                ("plan_many", (queries, None), None), protocol=pickle.HIGHEST_PROTOCOL
             )
         )
         # Measure the exact response the capped server will produce.
         results = server_db.plan_many(queries)
         response_size = len(
             pickle.dumps(
-                ("ok", (results, server_db.executions)),
+                ("ok", (results, server_db.executions, ())),
                 protocol=pickle.HIGHEST_PROTOCOL,
             )
         )
@@ -494,7 +562,9 @@ class TestWireTracing:
         )
         status, body = engine_server._dispatch(payload)
         assert status == "ok"
-        assert len(body) == 2, "untraced v2 requests keep the pre-obs reply shape"
+        result, _executions, spans = body
+        assert result[0] is not None
+        assert not spans, "an untraced request gets an empty spans slot"
 
     def test_traced_dispatch_reply_piggybacks_spans(
         self, engine_server, job_workload, obs_tracing
@@ -535,17 +605,6 @@ class TestWireTracing:
         tree = obs_tracing.tree(ctx.trace_id)
         assert len(tree) == 1, "one joined tree, rooted at the client call"
         assert tree[0]["name"] == "remote.call"
-
-    def test_v1_server_gets_plain_frames_and_no_spans(
-        self, remote_backend, job_workload, obs_tracing, monkeypatch
-    ):
-        monkeypatch.setattr(remote_backend, "server_protocol", 1)
-        ctx = RequestContext.mint(tenant="t", traced=True)
-        results = remote_backend.plan_many(
-            [job_workload.train[35].query], ctxs=[ctx]
-        )
-        assert results[0] is not None
-        assert obs_tracing.spans(ctx.trace_id) == []
 
     def test_disabled_tracing_keeps_remote_plans_bitwise_identical(
         self, remote_backend, job_workload

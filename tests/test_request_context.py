@@ -1,6 +1,6 @@
 """The request lifecycle: contexts, deadlines, admission, tracing.
 
-The contracts under test (see :mod:`repro.api.context`):
+The contracts under test (see :mod:`repro.engine.context`):
 
 * a :class:`RequestContext` is frozen, picklable, and its deadline is a
   relative *budget* anchored on the minting clock; the wire form carries
@@ -13,8 +13,8 @@ The contracts under test (see :mod:`repro.api.context`):
   :class:`DeadlineExceededError` for expired singleton calls and slots
   ``None`` for expired items inside ``*_many`` batches — while the live
   items' plans stay bitwise-identical to context-free planning;
-* the remote protocol negotiates contexts at handshake time (v2 frames
-  against a v2 server, plain v1 2-tuples otherwise) and the retry policy
+* the remote handshake is strict — a server speaking another wire
+  protocol version is refused at connect — and the retry policy
   distinguishes timeouts (retryable, :class:`RemoteTimeoutError`) from
   connection-refused (fail fast);
 * ``max_pending`` bounds the queue with a typed
@@ -54,6 +54,7 @@ from repro.engine.remote import (
     RemoteEngineError,
     RemoteTimeoutError,
 )
+from repro.engine.wire import PROTOCOL_VERSION
 from repro.optimizer.plans import plan_signature
 
 # Per-test deadlock guard: generous against 1-CPU CI, tiny against a hang.
@@ -395,41 +396,11 @@ class TestOptimizerDeadlines:
 
 
 # ----------------------------------------------------------------------
-# the remote wire: version negotiation and the retry taxonomy
+# the remote wire: the strict handshake and the retry taxonomy
 # ----------------------------------------------------------------------
 class TestWireProtocol:
     def test_handshake_negotiates_protocol_v2(self, remote_backend):
-        assert remote_backend.server_protocol >= 2
-        assert remote_backend.server_info["protocol"] >= 2
-
-    def test_v1_frames_still_serve_against_a_v2_server(
-        self, remote_backend, job_workload
-    ):
-        # An old client sends plain (kind, body) 2-tuples; the new server
-        # must keep serving them unchanged.
-        queries = [wq.query for wq in job_workload.train[:2]]
-        result = remote_backend._call("plan_many", (queries, None))
-        expected = job_workload.database.plan_many(queries)
-        assert [plan_signature(p.plan) for p in result] == [
-            plan_signature(p.plan) for p in expected
-        ]
-
-    def test_deadlines_hold_against_a_v1_server(self, remote_backend, job_workload):
-        # Downgrade the negotiated protocol: contexts must stay off the
-        # wire while the client keeps enforcing deadlines itself.
-        queries = [wq.query for wq in job_workload.train[6:8]]
-        saved = remote_backend.server_protocol
-        remote_backend.server_protocol = 1
-        try:
-            results = remote_backend.plan_many(
-                queries, ctxs=[expired_ctx(), live_ctx()]
-            )
-        finally:
-            remote_backend.server_protocol = saved
-        assert results[0] is None
-        assert plan_signature(results[1].plan) == plan_signature(
-            job_workload.database.plan(queries[1]).plan
-        )
+        assert remote_backend.server_info["protocol"] == PROTOCOL_VERSION
 
     def test_timeout_is_typed_retryable(self, job_workload):
         # A black-hole server: accepts connections (backlog) but never

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.nn.tensor import Tensor
-from repro.core.buffer import RolloutBuffer, Transition
 from repro.rl.gae import compute_gae
 from repro.rl.policy import ActorCritic, CategoricalMasked
 from repro.rl.ppo import PPOConfig, PPOTrainer
+from repro.rl.rollout import RolloutBuffer, Transition
 
 
 class TestGAE:
