@@ -154,6 +154,8 @@ DEFAULT_CTX_MANY_METHODS: Tuple[str, ...] = (
     "plan_many",
     "plan_with_hints_many",
     "execute_many",
+    "begin_episode_many",
+    "optimize_many",
 )
 
 #: Call names that count as "the planning/execution work happened" for

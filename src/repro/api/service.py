@@ -55,13 +55,13 @@ Every request carries a :class:`~repro.engine.context.RequestContext`
   ``trace_hook``, and surfaced as per-stage p50/p95/p99 in
   :meth:`~OptimizerService.stats`.
 
-Requests with no deadline take the exact pre-context code path through
-the optimizer, so their plans stay bitwise-identical.
+A context reaches the engine's planning call with its request, but it
+never changes a plan: requests are only ever dropped, so served plans stay
+bitwise-identical with or without deadlines.
 """
 
 from __future__ import annotations
 
-import inspect
 import itertools
 import threading
 import time
@@ -80,6 +80,7 @@ from repro.engine.context import (
     MonotonicClock,
     OptimizeError,
     RequestContext,
+    deadline_error,
 )
 from repro.engine.backend import EngineBackend
 from repro.executor.engine import ExecutionResult
@@ -154,9 +155,11 @@ class TicketResult:
 class OptimizerService:
     """Micro-batching, memoizing, thread-safe front door for an optimizer.
 
-    Works with any optimizer exposing ``optimize(query) -> OptimizedPlan``;
-    an ``optimize_many`` batch mirror (e.g. the FOSS optimizer's) is used
-    when present so a whole flush costs one cohort run.
+    Serves an optimizer with the :class:`~repro.core.inference.FossOptimizer`
+    protocol: ``optimize_many(queries, ctxs=None)`` returns one
+    :class:`OptimizedPlan` or :class:`DeadlineExceededError` per query, so a
+    whole flush costs one cohort run, and ``optimize(query, ctx=None)``
+    serves one query or raises :class:`OptimizeError`.
 
     Without :meth:`start`, the service behaves synchronously: ``submit``
     flushes inline when the queue fills, ``result`` flushes on demand.
@@ -287,9 +290,6 @@ class OptimizerService:
         # Open root spans by ticket id (traced requests only); ended by
         # _store_result, the single funnel every outcome passes through.
         self._open_spans: Dict[int, obs.Span] = {}
-        # Whether optimizer.optimize_many accepts a ctxs kwarg; probed
-        # lazily (inspect.signature) and cached.
-        self._many_accepts_ctxs: Optional[bool] = None
 
     # ------------------------------------------------------------------
     # background flusher lifecycle
@@ -910,10 +910,7 @@ class OptimizerService:
             return
         with self._lock:
             self._m_expired.inc()
-        raise DeadlineExceededError(
-            f"request {ctx.request_id} exceeded its {ctx.deadline_s}s "
-            f"deadline before {what}"
-        )
+        raise deadline_error(ctx, what)
 
     def _bind_counted(self, sql: str) -> Query:
         try:
@@ -985,72 +982,33 @@ class OptimizerService:
         """Optimize queries, returning an OptimizedPlan or OptimizeError each.
 
         Serialized on ``_optimize_lock``: the optimizer's episode runners
-        and caches are single-flight.  Prefers the optimizer's batch
-        mirror; if the batch raises, falls back to one-at-a-time so a
-        single bad query cannot fail its whole cohort (plans are
+        and caches are single-flight.  One ``optimize_many`` call covers
+        the batch; if it raises, the service falls back to one-at-a-time
+        so a single bad query cannot fail its whole cohort (plans are
         batch-size invariant, so the fallback returns the same plans the
         batch would have).
 
-        ``ctxs`` (aligned with ``queries``) threads deadlines into the
-        optimizer: a context-aware ``optimize_many`` (the FOSS
-        optimizer's) gets them directly; otherwise the service checks
-        budgets itself and slots a :class:`DeadlineExceededError` for
-        items that expired.  All-``None`` contexts are normalized away so
-        the no-deadline path is byte-for-byte the pre-context call.
+        ``ctxs`` (aligned with ``queries``) thread deadlines into the
+        optimizer, which slots a :class:`DeadlineExceededError` for items
+        that expired.  All-``None`` contexts are normalized away so the
+        no-deadline path is byte-for-byte the pre-context call.
         """
         if ctxs is not None and not any(ctx is not None for ctx in ctxs):
             ctxs = None
         with self._optimize_lock:
-            many = getattr(self.optimizer, "optimize_many", None)
-            if many is not None:
-                try:
-                    if ctxs is not None:
-                        if self._optimizer_accepts_ctxs(many):
-                            return list(many(queries, ctxs=ctxs))
-                        return self._optimize_split_expired(many, queries, ctxs)
-                    return list(many(queries))
-                except OptimizeError:
-                    pass
+            try:
+                return self.optimizer.optimize_many(queries, ctxs=ctxs)
+            except OptimizeError:
+                pass
             outcomes: List[object] = []
             for index, query in enumerate(queries):
-                ctx = ctxs[index] if ctxs is not None else None
-                if ctx is not None and ctx.expired():
-                    outcomes.append(self._deadline_error(ctx))
-                    continue
                 try:
-                    outcomes.append(self.optimizer.optimize(query))
+                    outcomes.append(
+                        self.optimizer.optimize(query, ctx=None if ctxs is None else ctxs[index])
+                    )
                 except OptimizeError as exc:
                     outcomes.append(exc)
             return outcomes
-
-    def _optimizer_accepts_ctxs(self, many) -> bool:
-        """Whether ``optimize_many`` takes a ``ctxs`` kwarg (probed once)."""
-        if self._many_accepts_ctxs is None:
-            try:
-                self._many_accepts_ctxs = "ctxs" in inspect.signature(many).parameters
-            except (TypeError, ValueError):  # builtins/C callables
-                self._many_accepts_ctxs = False
-        return self._many_accepts_ctxs
-
-    def _optimize_split_expired(self, many, queries: Sequence[Query], ctxs) -> List[object]:
-        """Batch path for optimizers without ``ctxs``: the service drops
-        expired items itself and batches the live remainder."""
-        expired = [ctx is not None and ctx.expired() for ctx in ctxs]
-        if not any(expired):
-            return list(many(queries))
-        live = [query for query, dead in zip(queries, expired) if not dead]
-        live_results = iter(many(live) if live else [])
-        return [
-            self._deadline_error(ctx) if dead else next(live_results)
-            for dead, ctx in zip(expired, ctxs)
-        ]
-
-    @staticmethod
-    def _deadline_error(ctx: RequestContext) -> DeadlineExceededError:
-        return DeadlineExceededError(
-            f"request {ctx.request_id} exceeded its {ctx.deadline_s}s "
-            f"deadline before optimization began"
-        )
 
     def _store_result(self, result: TicketResult) -> None:
         # Caller holds _lock.

@@ -289,8 +289,8 @@ class AdvantageModel(Module):
         super().__init__()
         self.config = config if config is not None else AAMConfig()
         rng = rng if rng is not None else np.random.default_rng()
-        # Monotone weight version; consumers key score caches on it so a
-        # retrain invalidates everything derived from stale weights.
+        # Monotone weight version, the one every cache derived from the
+        # weights keys on; :meth:`_bump_version` moves it.
         self.version = 0
         # Monotone count of state-network rows :meth:`forward` has run
         # (one per distinct (plan, step) of a batch of pairs).
@@ -310,6 +310,15 @@ class AdvantageModel(Module):
         self.fc2 = Linear(self.config.head_hidden, NUM_SCORES, rng=rng)
 
     # ------------------------------------------------------------------
+    def _bump_version(self) -> None:
+        """The weights changed: stale statevecs and scores must never answer."""
+        self.version += 1
+        self._statevec_cache.clear()
+
+    def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
+        super().load_state_dict(state)
+        self._bump_version()
+
     def forward(
         self,
         left: Sequence[EncodedPlan],
@@ -485,8 +494,7 @@ class AAMTrainer:
                 "pairs": 0, "rows": 0, "distinct_rows": 0,
             }
         cfg = self.config
-        self.model.version += 1
-        self.model._statevec_cache.clear()
+        self.model._bump_version()
         total_loss = 0.0
         batches = 0
         rows_before = self.model.rows_forwarded

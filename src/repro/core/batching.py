@@ -5,13 +5,13 @@ time, every step costs a singleton policy forward plus a singleton AAM
 forward.  The runner instead advances a *cohort* of episodes in lockstep:
 
 * one ``(B, ...)`` policy forward per step (:meth:`ActorCritic.act_batch`);
-* one statevec forward per step through the planner's shared cache
+* one statevec forward per step through the AAM's version-keyed cache
   (:meth:`Planner.statevec_many`);
 * every advantage / promising-plan / bounty query raised by the cohort in a
   step is flushed through the environment's batch API
   (``advantage_many`` / ``observe_plan_many`` / ``episode_bounty_many``),
-  which the simulated environment resolves with a single
-  :meth:`AdvantageModel.predict_scores` call per flush.
+  which the simulated environment's :class:`AAMScorer` resolves with a
+  single head forward per flush.
 
 Batch-size invariance: each episode draws a child generator from the
 planner's generator *in episode order* when the cohort forms, and samples
@@ -122,12 +122,23 @@ class BatchedEpisodeRunner:
         environment,
         queries: Sequence[Query],
         deterministic: bool = False,
+        ctxs: Optional[Sequence] = None,
     ) -> List[Episode]:
-        """Run one episode per query; results keep the input order."""
+        """Run one episode per query; results keep the input order.
+
+        ``ctxs`` (request contexts aligned with ``queries``, or ``None``)
+        reach the engine with each cohort's original-plan planning call.
+        """
         episodes: List[Episode] = []
         for start in range(0, len(queries), self.batch_size):
+            stop = start + self.batch_size
             episodes.extend(
-                self._run_cohort(environment, queries[start : start + self.batch_size], deterministic)
+                self._run_cohort(
+                    environment,
+                    queries[start:stop],
+                    deterministic,
+                    None if ctxs is None else ctxs[start:stop],
+                )
             )
         return episodes
 
@@ -137,13 +148,14 @@ class BatchedEpisodeRunner:
         environment,
         queries: Sequence[Query],
         deterministic: bool,
+        ctxs: Optional[Sequence],
     ) -> List[Episode]:
         planner = self.planner
         cfg = planner.config
 
         # One batch call fetches every episode's original plan/latency (a
         # remote engine answers the cohort in one round trip).
-        contexts = self._begin_episode_many(environment, queries)
+        contexts = environment.begin_episode_many(queries, ctxs=ctxs)
 
         lives: List[_LiveEpisode] = []
         for query, ctx in zip(queries, contexts):
@@ -201,17 +213,15 @@ class BatchedEpisodeRunner:
             action = space.decode(int(action_id))
             ep.last_swap = action if isinstance(action, SwapAction) else None
             ep.new_icp = space.apply(int(action_id), ep.icp)
-        plannings = self._plan_with_hints_many(
-            planner.database,
-            [(ep.query, ep.new_icp.order, ep.new_icp.methods) for ep in active],
+        plannings = planner.database.plan_with_hints_many(
+            [(ep.query, ep.new_icp.order, ep.new_icp.methods) for ep in active]
         )
         for ep, planning in zip(active, plannings):
             ep.new_plan = planning.plan
 
         # Phase 3: flush every best-vs-new advantage query in one batch.
-        scores = self._advantage_many(
-            environment,
-            [(ep.ctx, ep.best_plan, ep.best_step, ep.new_plan, t) for ep in active],
+        scores = environment.advantage_many(
+            [(ep.ctx, ep.best_plan, ep.best_step, ep.new_plan, t) for ep in active]
         )
 
         # Phase 4: per-episode bookkeeping (rewards, novelty, best update).
@@ -228,14 +238,14 @@ class BatchedEpisodeRunner:
                 ep.candidates.append(CandidatePlan(plan=ep.new_plan, icp=ep.new_icp, step=t))
             if score > 0:
                 ep.best_plan, ep.best_step = ep.new_plan, t
-        self._observe_many(environment, observed)
+        environment.observe_plan_many(observed)
 
         # Phase 5: terminal episode bounties, one flush for the cohort.
         if t == cfg.max_steps:
             eligible = [ep for ep in active if ep.is_new]
             if eligible:
-                bounties = self._episode_bounty_many(
-                    environment, [(ep.ctx, ep.best_plan, ep.best_step) for ep in eligible]
+                bounties = environment.episode_bounty_many(
+                    [(ep.ctx, ep.best_plan, ep.best_step) for ep in eligible]
                 )
                 for ep, bounty in zip(eligible, bounties):
                     ep.step_reward += cfg.reward.eta * bounty
@@ -258,46 +268,3 @@ class BatchedEpisodeRunner:
             )
             ep.total_reward += ep.step_reward
             ep.icp, ep.plan = ep.new_icp, ep.new_plan
-
-    # ------------------------------------------------------------------
-    # environment/engine batch APIs with sequential fallbacks, so any
-    # object that satisfies the original single-call protocol still works.
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _begin_episode_many(environment, queries) -> List[EpisodeContext]:
-        batch = getattr(environment, "begin_episode_many", None)
-        if batch is not None:
-            return batch(queries)
-        return [environment.begin_episode(query) for query in queries]
-
-    @staticmethod
-    def _plan_with_hints_many(database, requests):
-        batch = getattr(database, "plan_with_hints_many", None)
-        if batch is not None:
-            return batch(requests)
-        return [database.plan_with_hints(*request) for request in requests]
-
-    @staticmethod
-    def _advantage_many(environment, requests) -> List[int]:
-        batch = getattr(environment, "advantage_many", None)
-        if batch is not None:
-            return batch(requests)
-        return [environment.advantage(*request) for request in requests]
-
-    @staticmethod
-    def _observe_many(environment, items) -> None:
-        if not items:
-            return
-        batch = getattr(environment, "observe_plan_many", None)
-        if batch is not None:
-            batch(items)
-            return
-        for item in items:
-            environment.observe_plan(*item)
-
-    @staticmethod
-    def _episode_bounty_many(environment, items) -> List[float]:
-        batch = getattr(environment, "episode_bounty_many", None)
-        if batch is not None:
-            return batch(items)
-        return [environment.episode_bounty(*item) for item in items]

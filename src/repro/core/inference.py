@@ -10,25 +10,23 @@ completion — but no execution.
 The hot path is batched end to end: episodes run through the
 :class:`BatchedEpisodeRunner` (``optimize_many`` advances all queries'
 episodes in lockstep per agent), and each tournament's pairwise advantage
-queries are flushed through one :meth:`AdvantageModel.predict_scores` call.
+queries are flushed through the optimizer's :class:`AAMScorer` at once.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import List, Sequence, Tuple
 
 from repro.core.aam import AdvantageModel
 from repro.core.encoding import PlanEncoder
 from repro.core.icp import IncompletePlan
 from repro.core.planner import Episode, Planner
-from repro.core.simenv import AdvantageRequest, EpisodeContext
+from repro.core.simenv import AAMScorer, AdvantageRequest, EpisodeContext
 from repro.engine.backend import EngineBackend
-from repro.engine.context import DeadlineExceededError, OptimizeError
-from repro.optimizer.plans import PlanNode, plan_signature
+from repro.engine.context import DeadlineExceededError, OptimizeError, deadline_error, run_live
+from repro.optimizer.plans import PlanNode
 from repro.sql.ast import Query
 
 
@@ -57,51 +55,22 @@ class OptimizedPlan:
 class _InferenceEnvironment:
     """A scoring-only environment: AAM advantages, no execution, no rewards.
 
-    ``begin_episode`` must not execute anything (optimization time excludes
-    execution), so the context carries a dummy latency.  Advantage queries
-    go through a version-aware score cache and are flushed in batches, the
-    same mechanism the simulated training environment uses.
+    Starting an episode must not execute anything (optimization time
+    excludes execution), so the context carries a dummy latency.
+    Advantages come from the optimizer's own :class:`AAMScorer`.
     """
 
-    def __init__(self, database: EngineBackend, aam: AdvantageModel, encoder: PlanEncoder, max_steps: int) -> None:
+    def __init__(self, database: EngineBackend, scorer: AAMScorer) -> None:
         self.database = database
-        self.aam = aam
-        self.encoder = encoder
-        self.max_steps = max_steps
-        # Dropped wholesale when it outgrows the cap: a deployed optimizer
-        # streaming distinct queries must not accumulate entries forever.
-        self._score_cache: Dict[Tuple[int, str, str, int, str, int], int] = {}
-        self.score_cache_capacity = 1_000_000
-        self._staged_ctxs: Optional[Sequence] = None
+        self.scorer = scorer
 
-    def stage_ctxs(self, ctxs: Optional[Sequence]) -> None:
-        """Stage request contexts for the *next* ``begin_episode_many``.
-
-        ``BatchedEpisodeRunner`` calls ``begin_episode_many(queries)``
-        with no room for contexts, so :meth:`FossOptimizer.optimize_many`
-        stages them here (only for traced batches) and the first planning
-        call consumes them.  Untraced batches never stage, keeping the
-        backend call — and therefore any wire frames — identical to
-        pre-obs behavior.
-        """
-        self._staged_ctxs = ctxs
-
-    def begin_episode(self, query: Query) -> EpisodeContext:
-        return self.begin_episode_many([query])[0]
-
-    def begin_episode_many(self, queries: Sequence[Query]) -> List[EpisodeContext]:
-        ctxs, self._staged_ctxs = self._staged_ctxs, None
-        if ctxs is not None and len(ctxs) == len(queries):
-            plannings = self.database.plan_many(queries, ctxs=ctxs)
-            if any(planning is None for planning in plannings):
-                # A context expired between the optimizer's own pre-check
-                # and the backend batch; fall back to the caller's
-                # one-at-a-time path, which reports expiry per item.
-                raise DeadlineExceededError(
-                    "a request's deadline expired during batch planning"
-                )
-        else:
-            plannings = self.database.plan_many(queries)
+    def begin_episode_many(self, queries: Sequence[Query], ctxs=None) -> List[EpisodeContext]:
+        plannings = self.database.plan_many(queries, ctxs=ctxs)
+        if any(planning is None for planning in plannings):
+            # A context expired between the optimizer's own check and the
+            # backend batch; the caller's one-at-a-time path reports expiry
+            # per item.
+            raise DeadlineExceededError("a request's deadline expired during batch planning")
         return [
             EpisodeContext(
                 query=query,
@@ -113,71 +82,11 @@ class _InferenceEnvironment:
             for query, planning in zip(queries, plannings)
         ]
 
-    # ------------------------------------------------------------------
     def advantage_many(self, requests: Sequence[AdvantageRequest]) -> List[int]:
-        keys = [
-            (
-                self.aam.version,
-                ctx.query.signature(),
-                plan_signature(left_plan),
-                left_step,
-                plan_signature(right_plan),
-                right_step,
-            )
-            for ctx, left_plan, left_step, right_plan, right_step in requests
-        ]
-        resolved: Dict[Tuple[int, str, str, int, str, int], int] = {}
-        miss_keys: List[Tuple[int, str, str, int, str, int]] = []
-        miss_requests: List[AdvantageRequest] = []
-        for key, request in zip(keys, requests):
-            if key in resolved:
-                continue
-            hit = self._score_cache.get(key)
-            if hit is not None:
-                resolved[key] = hit
-            else:
-                resolved[key] = -1  # placeholder, filled by the flush below
-                miss_keys.append(key)
-                miss_requests.append(request)
-        if miss_requests:
-            sides = self._statevecs(
-                [(ctx.query, plan, step) for ctx, plan, step, _, _ in miss_requests]
-                + [(ctx.query, plan, step) for ctx, _, _, plan, step in miss_requests]
-            )
-            vec_l, vec_r = sides[: len(miss_requests)], sides[len(miss_requests) :]
-            scores = self.aam.predict_scores_from_statevecs(vec_l, vec_r)
-            if len(self._score_cache) + len(miss_keys) > self.score_cache_capacity:
-                self._score_cache.clear()
-            for key, score in zip(miss_keys, scores):
-                resolved[key] = int(score)
-                self._score_cache[key] = int(score)
-        return [resolved[key] for key in keys]
-
-    def _statevecs(self, items) -> np.ndarray:
-        return self.aam.statevecs_lazy(
-            [
-                (
-                    query.signature(),
-                    plan_signature(plan),
-                    (query, plan),
-                    step / self.max_steps,
-                )
-                for query, plan, step in items
-            ],
-            self.encoder,
-        )
-
-    def advantage(self, ctx, left_plan, left_step, right_plan, right_step) -> int:
-        return self.advantage_many([(ctx, left_plan, left_step, right_plan, right_step)])[0]
-
-    def episode_bounty(self, ctx, final_plan, final_step) -> float:
-        return 0.0
+        return self.scorer.advantage_many(requests)
 
     def episode_bounty_many(self, items) -> List[float]:
         return [0.0 for _ in items]
-
-    def observe_plan(self, ctx, icp, plan, step) -> None:
-        return None
 
     def observe_plan_many(self, items) -> None:
         return None
@@ -204,7 +113,8 @@ class FossOptimizer:
         self.aam = aam
         self.encoder = encoder
         self.max_steps = max_steps
-        self._environment = _InferenceEnvironment(database, aam, encoder, max_steps)
+        self._scorer = AAMScorer(aam, encoder, max_steps)
+        self._environment = _InferenceEnvironment(database, self._scorer)
         self._runners = [
             BatchedEpisodeRunner(planner, batch_size=episode_batch_size)
             for planner in self.planners
@@ -220,12 +130,10 @@ class FossOptimizer:
         passed raises :class:`DeadlineExceededError` before any episode
         runs.
         """
-        if ctx is not None and ctx.expired():
-            raise DeadlineExceededError(
-                f"request {ctx.request_id} exceeded its {ctx.deadline_s}s "
-                f"deadline before optimization began"
-            )
-        return self.optimize_many([query])[0]
+        outcome = self.optimize_many([query], None if ctx is None else [ctx])[0]
+        if isinstance(outcome, DeadlineExceededError):
+            raise outcome
+        return outcome
 
     def optimize_many(self, queries: Sequence, ctxs=None) -> List[OptimizedPlan]:
         """Optimize a batch of queries, amortizing every forward pass.
@@ -239,54 +147,25 @@ class FossOptimizer:
         queries whose context already expired never enter a cohort — their
         slot in the returned list holds a :class:`DeadlineExceededError`
         instead of an :class:`OptimizedPlan` (callers that pass ``ctxs``
-        must check).  Without ``ctxs`` (or with no expired entries) the
-        batch is processed exactly as before, so plans stay bitwise
-        identical to pre-context serving.
+        must check).  The live contexts travel with their queries to the
+        engine's planning call.  Deadlines never change a live query's plan.
         """
         if not queries:
             return []
-        if ctxs is not None:
-            if len(ctxs) != len(queries):
-                raise ValueError(
-                    f"ctxs length {len(ctxs)} != queries length {len(queries)}"
-                )
-            expired = [ctx is not None and ctx.expired() for ctx in ctxs]
-            if any(expired):
-                live = [q for q, dead in zip(queries, expired) if not dead]
-                live_results = iter(self.optimize_many(live) if live else [])
-                out: List[OptimizedPlan] = []
-                for query, dead, ctx in zip(queries, expired, ctxs):
-                    if dead:
-                        out.append(
-                            DeadlineExceededError(
-                                f"request {ctx.request_id} exceeded its "
-                                f"{ctx.deadline_s}s deadline before "
-                                f"optimization began"
-                            )
-                        )
-                    else:
-                        out.append(next(live_results))
-                return out
+        return run_live(
+            queries, ctxs, self._optimize_live, lambda ctx: deadline_error(ctx, "optimization began")
+        )
+
+    def _optimize_live(self, queries: Sequence, ctxs) -> List[OptimizedPlan]:
         queries = [
             bind_sql(self.database, query) if isinstance(query, str) else query
             for query in queries
         ]
-        # Traced batches stage their contexts on the environment so the
-        # first backend planning call joins the caller's span tree.
-        traced = ctxs is not None and any(
-            ctx is not None and ctx.trace_id for ctx in ctxs
-        )
-        if traced:
-            self._environment.stage_ctxs(list(ctxs))
         start = time.perf_counter()
-        try:
-            per_agent: List[List[Episode]] = [
-                runner.run(self._environment, queries, deterministic=True)
-                for runner in self._runners
-            ]
-        finally:
-            if traced:
-                self._environment.stage_ctxs(None)
+        per_agent: List[List[Episode]] = [
+            runner.run(self._environment, queries, deterministic=True, ctxs=ctxs)
+            for runner in self._runners
+        ]
         results: List[OptimizedPlan] = []
         contexts = [episodes[0].context for episodes in zip(*per_agent)]
 
@@ -303,7 +182,7 @@ class FossOptimizer:
                         (contexts[qi], finalists[i][0], finalists[i][1], finalists[j][0], finalists[j][1])
                     )
             spans.append((first, len(requests)))
-        scores = self._environment.advantage_many(requests) if requests else []
+        scores = self._scorer.advantage_many(requests) if requests else []
 
         elapsed_ms = (time.perf_counter() - start) * 1000.0 / len(queries)
         for qi in range(len(queries)):

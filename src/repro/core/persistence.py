@@ -49,11 +49,11 @@ def load_trainer(trainer, directory: str) -> None:
         raise ValueError(
             f"checkpoint max_steps {manifest['max_steps']} != config {trainer.config.max_steps}"
         )
+    # Moves the AAM's weight version, so nothing cached under the old
+    # weights (statevecs, training or serving scores) answers again.
     trainer.aam.load_state_dict(load_state_dict(os.path.join(directory, "aam.npz")))
     for index, planner in enumerate(trainer.planners):
         planner.policy.load_state_dict(
             load_state_dict(os.path.join(directory, f"agent{index}.npz"))
         )
-        planner.notify_aam_updated()
-    trainer.sim_env.bump_aam_version()
     trainer.aam_accuracy = manifest.get("aam_accuracy", 0.0)

@@ -88,58 +88,26 @@ class Planner:
             rng=self.rng,
         )
         self.ppo = PPOTrainer(self.policy, self.config.ppo, rng=self.rng)
-        # statevec cache, invalidated when the AAM retrains; also dropped
-        # at the cap so a deployed (never-retrained) planner stays bounded.
-        self._statevec_cache: Dict[Tuple[int, str, str, int], np.ndarray] = {}
-        self.statevec_cache_capacity = 200_000
-        self._aam_version = 0
 
     # ------------------------------------------------------------------
-    def notify_aam_updated(self) -> None:
-        """Invalidate cached state representations after AAM training."""
-        self._aam_version += 1
-        self._statevec_cache.clear()
-
     def statevec(self, query: Query, plan: PlanNode, step: int) -> np.ndarray:
         return self.statevec_many([(query, plan, step)])[0]
 
     def statevec_many(self, requests: List[Tuple[Query, PlanNode, int]]) -> np.ndarray:
         """State representations for a batch of (query, plan, step) triples.
 
-        Cache misses (deduplicated) share one state-network forward pass;
-        returns a (B, d_state) array in request order.
+        One lookup in the AAM's version-keyed statevec cache, whose
+        deduplicated misses share one state-network forward pass; returns a
+        (B, d_state) array in request order.
         """
-        keys = [
-            (self._aam_version, query.signature(), plan_signature(plan), step)
-            for query, plan, step in requests
-        ]
-        resolved: Dict[Tuple[int, str, str, int], np.ndarray] = {}
-        miss_keys = []
-        miss_requests = []
-        for key, request in zip(keys, requests):
-            if key in resolved:
-                continue
-            hit = self._statevec_cache.get(key)
-            if hit is not None:
-                resolved[key] = hit
-            else:
-                resolved[key] = None  # placeholder, filled by the flush below
-                miss_keys.append(key)
-                miss_requests.append(request)
-        if miss_requests:
-            vecs = self.aam.statevecs_lazy(
-                [
-                    (key[1], key[2], (query, plan), step / self.config.max_steps)
-                    for key, (query, plan, step) in zip(miss_keys, miss_requests)
-                ],
-                self.encoder,
-            )
-            if len(self._statevec_cache) + len(miss_keys) > self.statevec_cache_capacity:
-                self._statevec_cache.clear()
-            for key, vec in zip(miss_keys, vecs):
-                resolved[key] = vec
-                self._statevec_cache[key] = vec
-        return np.stack([resolved[key] for key in keys])
+        max_steps = self.config.max_steps
+        return self.aam.statevecs_lazy(
+            [
+                (query.signature(), plan_signature(plan), (query, plan), step / max_steps)
+                for query, plan, step in requests
+            ],
+            self.encoder,
+        )
 
     # ------------------------------------------------------------------
     def run_episode(

@@ -16,14 +16,14 @@ is the state transitioner (plan completion happens in the planner itself via
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.aam import AdvantageModel
 from repro.core.buffer import ExecutionBuffer
-from repro.core.encoding import EncodedPlan, PlanEncoder
+from repro.core.encoding import PlanEncoder
 from repro.core.icp import IncompletePlan
 from repro.core.reward import AdvantageFunction
 from repro.engine.backend import EngineBackend
@@ -47,6 +47,91 @@ class EpisodeContext:
 
 # One advantage query: (ctx, left_plan, left_step, right_plan, right_step).
 AdvantageRequest = Tuple["EpisodeContext", PlanNode, int, PlanNode, int]
+# Its cache key: (query, left plan, left step, right plan, right step).
+_ScoreKey = Tuple[str, str, int, str, int]
+
+
+class AAMScorer:
+    """The AAM as a judge: Adv(CP_l, CP_r) scores behind one score cache.
+
+    The simulated environment's reward and the deployed optimizer's
+    tournament both go through one of these; each owns its own instance.
+    (One shared cache would not do: a statevec is bitwise-equal only per
+    call shape, so sharing would change which batch computes a served
+    score.)  The cache holds scores of one weight version, ``aam.version``,
+    and is dropped when that moves.  It is also dropped wholesale when it
+    outgrows :attr:`capacity`, so a deployed optimizer streaming distinct
+    queries stays bounded.
+    """
+
+    capacity = 1_000_000
+
+    def __init__(self, aam: AdvantageModel, encoder: PlanEncoder, max_steps: int) -> None:
+        self.aam = aam
+        self.encoder = encoder
+        self.max_steps = max_steps
+        #: The weight version the cached scores were computed under.
+        self.version = aam.version
+        self._cache: Dict[_ScoreKey, int] = {}
+
+    def advantage_many(self, requests: Sequence[AdvantageRequest]) -> List[int]:
+        """Scores for a batch of advantage queries, in request order.
+
+        Cache misses (deduplicated within the batch) are flushed through one
+        statevec lookup for both sides of every pair and one head forward,
+        so a lockstep cohort of episodes costs one AAM pass per step instead
+        of one per episode.
+        """
+        if self.version != self.aam.version:
+            self.version = self.aam.version
+            self._cache.clear()
+        keys = [
+            (
+                ctx.query.signature(),
+                plan_signature(left_plan),
+                left_step,
+                plan_signature(right_plan),
+                right_step,
+            )
+            for ctx, left_plan, left_step, right_plan, right_step in requests
+        ]
+        resolved: Dict[_ScoreKey, int] = {}
+        miss_keys: List[_ScoreKey] = []
+        miss_requests: List[AdvantageRequest] = []
+        for key, request in zip(keys, requests):
+            if key in resolved:
+                continue
+            hit = self._cache.get(key)
+            if hit is not None:
+                resolved[key] = hit
+            else:
+                resolved[key] = -1  # placeholder, filled by the flush below
+                miss_keys.append(key)
+                miss_requests.append(request)
+        if miss_requests:
+            sides = self._statevecs(
+                [(ctx.query, plan, step) for ctx, plan, step, _, _ in miss_requests]
+                + [(ctx.query, plan, step) for ctx, _, _, plan, step in miss_requests]
+            )
+            vec_l, vec_r = sides[: len(miss_requests)], sides[len(miss_requests) :]
+            scores = self.aam.predict_scores_from_statevecs(vec_l, vec_r)
+            if len(self._cache) + len(miss_keys) > self.capacity:
+                self._cache.clear()
+            for key, score in zip(miss_keys, scores):
+                resolved[key] = self._cache[key] = int(score)
+        return [resolved[key] for key in keys]
+
+    def _statevecs(self, items: Sequence[Tuple[Query, PlanNode, int]]) -> np.ndarray:
+        """Statevecs for (query, plan, step) triples via the AAM's own
+        version-keyed cache (also hit by the planner's policy states).
+        Cache hits skip plan encoding entirely (lazy miss-only encoding)."""
+        return self.aam.statevecs_lazy(
+            [
+                (query.signature(), plan_signature(plan), (query, plan), step / self.max_steps)
+                for query, plan, step in items
+            ],
+            self.encoder,
+        )
 
 
 class RealEnvironment:
@@ -66,10 +151,10 @@ class RealEnvironment:
     def begin_episode(self, query: Query) -> EpisodeContext:
         return self.begin_episode_many([query])[0]
 
-    def begin_episode_many(self, queries: Sequence[Query]) -> List[EpisodeContext]:
+    def begin_episode_many(self, queries: Sequence[Query], ctxs=None) -> List[EpisodeContext]:
         """Fetch original plans and latencies for a cohort in two engine
         batch calls (two round trips to a remote backend)."""
-        plannings = self.database.plan_many(queries)
+        plannings = self.database.plan_many(queries, ctxs=ctxs)
         results = self.database.execute_many(
             [(query, planning.plan, None) for query, planning in zip(queries, plannings)]
         )
@@ -218,12 +303,8 @@ class SimulatedEnvironment:
     ) -> None:
         self.database = database
         self.buffer = buffer
-        self.aam = aam
-        self.encoder = encoder
-        self.max_steps = max_steps
+        self.scorer = AAMScorer(aam, encoder, max_steps)
         self.advantage_fn = advantage if advantage is not None else AdvantageFunction()
-        self.aam_version = 0
-        self._score_cache: Dict[Tuple[int, str, str, int, str, int], int] = {}
         # Promising plans awaiting validation in the real environment.
         self.validation_queue: List[Tuple[Query, PlanNode, int]] = []
         self.validation_capacity = validation_capacity
@@ -232,14 +313,14 @@ class SimulatedEnvironment:
     def begin_episode(self, query: Query) -> EpisodeContext:
         return self.begin_episode_many([query])[0]
 
-    def begin_episode_many(self, queries: Sequence[Query]) -> List[EpisodeContext]:
+    def begin_episode_many(self, queries: Sequence[Query], ctxs=None) -> List[EpisodeContext]:
         """Original plans for a cohort in one engine batch call.
 
         The original plan's latency is usually known from prior real
         interaction; the fallbacks (originals are always executed once) are
         flushed through a second batch call.
         """
-        plannings = self.database.plan_many(queries)
+        plannings = self.database.plan_many(queries, ctxs=ctxs)
         missing: List[int] = []
         seen_missing = set()
         for index, (query, planning) in enumerate(zip(queries, plannings)):
@@ -270,74 +351,8 @@ class SimulatedEnvironment:
         return contexts
 
     # ------------------------------------------------------------------
-    def bump_aam_version(self) -> None:
-        """Invalidate cached scores after the AAM was retrained.
-
-        (Statevecs live in the AAM's own version-keyed cache and cannot go
-        stale; only the discretized scores are keyed by this environment.)
-        """
-        self.aam_version += 1
-        self._score_cache.clear()
-
-    def encode(self, query: Query, plan: PlanNode) -> EncodedPlan:
-        return self.encoder.encode(query, plan)
-
-    def _score_key(self, request: AdvantageRequest) -> Tuple[int, str, str, int, str, int]:
-        ctx, left_plan, left_step, right_plan, right_step = request
-        return (
-            self.aam_version,
-            ctx.query.signature(),
-            plan_signature(left_plan),
-            left_step,
-            plan_signature(right_plan),
-            right_step,
-        )
-
     def advantage_many(self, requests: Sequence[AdvantageRequest]) -> List[int]:
-        """Resolve a batch of advantage queries through the score cache.
-
-        Cache misses (deduplicated within the batch) are flushed through one
-        :meth:`AdvantageModel.predict_scores` call, so a lockstep cohort of
-        episodes costs one AAM forward pass per step instead of one per
-        episode.
-        """
-        keys = [self._score_key(request) for request in requests]
-        miss_order: List[Tuple[int, str, str, int, str, int]] = []
-        miss_requests: List[AdvantageRequest] = []
-        seen_misses = set()
-        for key, request in zip(keys, requests):
-            if key not in self._score_cache and key not in seen_misses:
-                seen_misses.add(key)
-                miss_order.append(key)
-                miss_requests.append(request)
-        if miss_requests:
-            # One statevec flush covers both sides of every pair.
-            sides = self._statevecs(
-                [(ctx.query, plan, step) for ctx, plan, step, _, _ in miss_requests]
-                + [(ctx.query, plan, step) for ctx, _, _, plan, step in miss_requests]
-            )
-            vec_l, vec_r = sides[: len(miss_requests)], sides[len(miss_requests) :]
-            scores = self.aam.predict_scores_from_statevecs(vec_l, vec_r)
-            for key, score in zip(miss_order, scores):
-                self._score_cache[key] = int(score)
-        return [self._score_cache[key] for key in keys]
-
-    def _statevecs(self, items: Sequence[Tuple[Query, PlanNode, int]]) -> np.ndarray:
-        """Statevecs for (query, plan, step) triples via the AAM's shared
-        version-keyed cache (also hit by the planner's policy states).
-        Cache hits skip plan encoding entirely (lazy miss-only encoding)."""
-        return self.aam.statevecs_lazy(
-            [
-                (
-                    query.signature(),
-                    plan_signature(plan),
-                    (query, plan),
-                    step / self.max_steps,
-                )
-                for query, plan, step in items
-            ],
-            self.encoder,
-        )
+        return self.scorer.advantage_many(requests)
 
     def advantage(
         self,

@@ -11,7 +11,8 @@ One training iteration:
 3. **random sampling**: a few queries are periodically explored in the real
    environment to diversify the buffer;
 4. when enough new executions accumulated, the AAM is **retrained** from
-   the buffer and all statevec/score caches are invalidated.
+   the buffer; its weight version moves, so no statevec or score cached
+   under the old weights answers again.
 
 Ablation switches reproduce Table II: ``use_simulated`` (Off-Simulated runs
 every episode in the real environment), ``use_penalty`` (Off-Penalty),
@@ -204,9 +205,6 @@ class FossTrainer:
         metrics = self.aam_trainer.train(samples)
         self.aam_accuracy = metrics["accuracy"]
         self._last_aam_training_at = self.buffer.total_added
-        self.sim_env.bump_aam_version()
-        for planner in self.planners:
-            planner.notify_aam_updated()
         return metrics
 
     def run_iteration(self, iteration: int) -> IterationStats:

@@ -44,7 +44,7 @@ import itertools
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro import obs
 
@@ -54,6 +54,8 @@ __all__ = [
     "MonotonicClock",
     "OptimizeError",
     "RequestContext",
+    "deadline_error",
+    "run_live",
 ]
 
 
@@ -75,6 +77,39 @@ class DeadlineExceededError(OptimizeError):
     gracefully, but the serving layer counts it as ``expired``, never
     ``failures``.
     """
+
+
+def deadline_error(ctx: "RequestContext", what: str) -> DeadlineExceededError:
+    """The typed error for a request whose budget ran out before ``what``."""
+    return DeadlineExceededError(
+        f"request {ctx.request_id} exceeded its {ctx.deadline_s}s deadline before {what}"
+    )
+
+
+def run_live(
+    items: Sequence,
+    ctxs: Optional[Sequence[Optional["RequestContext"]]],
+    fn: Callable[[Sequence, Optional[Sequence]], Sequence],
+    dead: Callable[["RequestContext"], object],
+) -> List:
+    """``fn`` over the items whose context has not expired; ``dead`` fills the rest.
+
+    ``ctxs`` is ``None`` (no deadlines: ``fn(items, None)``) or aligned
+    with ``items``; a length mismatch raises ``ValueError``.  ``fn`` is
+    called once with the live items and their contexts, and must return
+    one result per live item; it is never called when every item expired.
+    Each expired item's slot holds ``dead(ctx)``.
+    """
+    if ctxs is None:
+        return fn(items, None)
+    if len(ctxs) != len(items):
+        raise ValueError(f"ctxs length {len(ctxs)} != batch length {len(items)}")
+    expired = [ctx is not None and ctx.expired() for ctx in ctxs]
+    if not any(expired):
+        return fn(items, ctxs)
+    live = [i for i, gone in enumerate(expired) if not gone]
+    results = iter(fn([items[i] for i in live], [ctxs[i] for i in live]) if live else ())
+    return [dead(ctx) if gone else next(results) for ctx, gone in zip(ctxs, expired)]
 
 
 class MonotonicClock:

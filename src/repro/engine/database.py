@@ -24,7 +24,7 @@ import numpy as np
 from repro import obs
 from repro.catalog.schema import Schema
 from repro.catalog.statistics import StatisticsCatalog
-from repro.engine.context import DeadlineExceededError, RequestContext
+from repro.engine.context import RequestContext, deadline_error
 from repro.engine.wire import crc32_chain
 from repro.executor.engine import ExecutionEngine, ExecutionResult
 from repro.optimizer.cardinality import CardinalityEstimator
@@ -50,14 +50,6 @@ def context_expired(ctx: Optional[RequestContext]) -> bool:
     ``None`` means "no context" and never expires.
     """
     return ctx is not None and ctx.expired()
-
-
-def raise_deadline(ctx: RequestContext, what: str) -> None:
-    """Raise the typed deadline error for an expired singleton call."""
-    raise DeadlineExceededError(
-        f"request {ctx.request_id} exceeded its {ctx.deadline_s}s deadline "
-        f"before {what}"
-    )
 
 
 @dataclass
@@ -226,7 +218,7 @@ class Database:
         enumeration work.
         """
         if context_expired(ctx):
-            raise_deadline(ctx, "planning")
+            raise deadline_error(ctx, "planning")
         key = plan_key(query, options)
         with self._lock:
             cached = self._plan_cache.get(key)
@@ -258,7 +250,7 @@ class Database:
         run's.  An expired ``ctx`` raises before any completion work.
         """
         if context_expired(ctx):
-            raise_deadline(ctx, "hint completion")
+            raise deadline_error(ctx, "hint completion")
         key = (query.signature(), tuple(join_order), tuple(join_methods))
         with self._lock:
             cached = self._hint_cache.get(key)
@@ -353,7 +345,7 @@ class Database:
         raises before any execution work.
         """
         if context_expired(ctx):
-            raise_deadline(ctx, "execution")
+            raise deadline_error(ctx, "execution")
         key = (query.signature(), plan_signature(plan))
         internal_cap = min(HARD_CAP_MS, timeout_ms) if timeout_ms is not None else HARD_CAP_MS
 

@@ -40,6 +40,7 @@ from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
+from repro.engine.context import deadline_error, run_live
 from repro.engine.database import (
     Database,
     Dataset,
@@ -47,7 +48,6 @@ from repro.engine.database import (
     context_expired,
     dataset_fingerprint,
     plan_key,
-    raise_deadline,
 )
 from repro.engine.wire import (
     DEFAULT_MAX_FRAME_BYTES,
@@ -62,6 +62,11 @@ from repro.executor.engine import ExecutionResult
 from repro.optimizer.dp import OptimizerOptions
 from repro.optimizer.plans import PlanNode, plan_signature
 from repro.sql.ast import Query
+
+
+def _no_result(ctx) -> None:
+    """The slot of a batch item whose deadline expired before it shipped."""
+    return None
 
 
 class RemoteEngineError(RuntimeError):
@@ -496,20 +501,6 @@ class RemoteBackend:
     # ------------------------------------------------------------------
     # planning
     # ------------------------------------------------------------------
-    def _split_expired(self, ctxs, count: int):
-        """Indices of live items, or ``None`` when nothing expired.
-
-        Client-side enforcement: an item whose budget is already gone
-        never costs a frame.
-        """
-        if ctxs is None:
-            return None
-        if len(ctxs) != count:
-            raise ValueError(f"ctxs length {len(ctxs)} != batch length {count}")
-        if not any(context_expired(ctx) for ctx in ctxs):
-            return None
-        return [i for i, ctx in enumerate(ctxs) if not context_expired(ctx)]
-
     @staticmethod
     def _ctx_for_misses(keys, ctxs, miss_keys):
         """First-seen context per missed memo key, aligned with ``miss_keys``."""
@@ -524,7 +515,7 @@ class RemoteBackend:
         self, query: Query, options: Optional[OptimizerOptions] = None, ctx=None
     ) -> PlanningResult:
         if context_expired(ctx):
-            raise_deadline(ctx, "planning")
+            raise deadline_error(ctx, "planning")
         return self.plan_many([query], options)[0]
 
     def plan_many(
@@ -533,15 +524,15 @@ class RemoteBackend:
         options: Optional[OptimizerOptions] = None,
         ctxs=None,
     ) -> List[Optional[PlanningResult]]:
-        live = self._split_expired(ctxs, len(queries))
-        if live is not None:
-            sub = self.plan_many(
-                [queries[i] for i in live], options, [ctxs[i] for i in live]
-            )
-            out: List[Optional[PlanningResult]] = [None] * len(queries)
-            for index, result in zip(live, sub):
-                out[index] = result
-            return out
+        # Client-side enforcement: an expired item never costs a frame.
+        return run_live(
+            queries,
+            ctxs,
+            lambda live, live_ctxs: self._plan_live(live, options, live_ctxs),
+            _no_result,
+        )
+
+    def _plan_live(self, queries, options, ctxs) -> List[PlanningResult]:
         keys = [plan_key(query, options) for query in queries]
         resolved, miss_keys, miss_queries = self._plan_memo.lookup(keys, queries)
         if miss_queries:
@@ -563,7 +554,7 @@ class RemoteBackend:
         ctx=None,
     ) -> PlanningResult:
         if context_expired(ctx):
-            raise_deadline(ctx, "hint completion")
+            raise deadline_error(ctx, "hint completion")
         return self.plan_with_hints_many([(query, join_order, join_methods)])[0]
 
     def plan_with_hints_many(
@@ -571,15 +562,9 @@ class RemoteBackend:
         requests: Sequence[Tuple[Query, Sequence[str], Sequence[str]]],
         ctxs=None,
     ) -> List[Optional[PlanningResult]]:
-        live = self._split_expired(ctxs, len(requests))
-        if live is not None:
-            sub = self.plan_with_hints_many(
-                [requests[i] for i in live], [ctxs[i] for i in live]
-            )
-            out: List[Optional[PlanningResult]] = [None] * len(requests)
-            for index, result in zip(live, sub):
-                out[index] = result
-            return out
+        return run_live(requests, ctxs, self._plan_with_hints_live, _no_result)
+
+    def _plan_with_hints_live(self, requests, ctxs) -> List[PlanningResult]:
         normalized = [
             (query, tuple(join_order), tuple(join_methods))
             for query, join_order, join_methods in requests
@@ -612,7 +597,7 @@ class RemoteBackend:
         ctx=None,
     ) -> ExecutionResult:
         if context_expired(ctx):
-            raise_deadline(ctx, "execution")
+            raise deadline_error(ctx, "execution")
         if not use_cache:
             # Uncached timing studies bypass the server's latency cache
             # (Database.execute skips the cache write for them too).
@@ -628,16 +613,12 @@ class RemoteBackend:
         requests: Sequence[Tuple[Query, PlanNode, Optional[float]]],
         ctxs=None,
     ) -> List[Optional[ExecutionResult]]:
-        live = self._split_expired(ctxs, len(requests))
-        if live is not None:
-            sub = self.execute_many(
-                [requests[i] for i in live], [ctxs[i] for i in live]
-            )
-            out: List[Optional[ExecutionResult]] = [None] * len(requests)
-            for index, result in zip(live, sub):
-                out[index] = result
-            return out
-        return self._call("execute_many", list(requests), ctxs=ctxs)
+        return run_live(
+            requests,
+            ctxs,
+            lambda live, live_ctxs: self._call("execute_many", list(live), ctxs=live_ctxs),
+            _no_result,
+        )
 
     def original_latency(self, query: Query) -> float:
         planning = self.plan(query)

@@ -473,6 +473,35 @@ class TestCtxPropagation:
         )
         assert findings == []
 
+    def test_environment_dropping_ctxs_flagged(self):
+        # An episode environment that plans its cohort without the
+        # request contexts silently drops every deadline and trace.
+        findings = lint_file(
+            """
+            class Environment:
+                def begin_episode_many(self, queries, ctxs=None):
+                    plannings = self.database.plan_many(queries)
+                    return [planning.plan for planning in plannings]
+            """,
+            path="src/repro/core/_fixture_env.py",
+            rules={"ctx-propagation"},
+        )
+        assert rules_of(findings) == ["ctx-propagation"]
+        assert "begin_episode_many" in findings[0].message
+
+    def test_environment_forwarding_ctxs_passes(self):
+        findings = lint_file(
+            """
+            class Environment:
+                def begin_episode_many(self, queries, ctxs=None):
+                    plannings = self.database.plan_many(queries, ctxs=ctxs)
+                    return [planning.plan for planning in plannings]
+            """,
+            path="src/repro/core/_fixture_env.py",
+            rules={"ctx-propagation"},
+        )
+        assert findings == []
+
     def test_protocol_stub_passes(self):
         findings = lint_file(
             """

@@ -13,6 +13,7 @@ import pytest
 from repro.core.aam import AAMConfig
 from repro.core.batching import BatchedEpisodeRunner
 from repro.core.icp import IncompletePlan
+from repro.core.persistence import load_trainer, save_trainer
 from repro.core.planner import PlannerConfig
 from repro.core.simenv import RealEnvironment
 from repro.core.trainer import FossConfig, FossTrainer
@@ -109,17 +110,19 @@ class TestScoreCacheInvalidation:
         alt_icp = icp.override(1, "merge" if icp.methods[0] != "merge" else "nestloop")
         alt = trainer.database.plan_with_hints(query, alt_icp.order, alt_icp.methods).plan
 
+        scorer = env.scorer
         env.advantage_many(
             [(ctx, ctx.original_plan, 0, alt, 1), (ctx, alt, 1, ctx.original_plan, 0)]
         )
-        assert len(env._score_cache) == 2
-        old_version = env.aam_version
+        assert len(scorer._cache) == 2
+        old_version = trainer.aam.version
 
-        env.bump_aam_version()
-        assert env._score_cache == {}, "bump must invalidate the batched score cache"
-
+        trainer.aam._bump_version()
+        assert trainer.aam._statevec_cache == {}, "a bump must drop stale statevecs"
         env.advantage_many([(ctx, ctx.original_plan, 0, alt, 1)])
-        assert all(key[0] == old_version + 1 for key in env._score_cache)
+        # Scores cached under the old weights are gone, not merely shadowed.
+        assert scorer.version == old_version + 1
+        assert len(scorer._cache) == 1
 
     def test_batched_scores_match_singleton_scores(self, job_workload):
         trainer = FossTrainer(job_workload, batching_config())
@@ -138,9 +141,33 @@ class TestScoreCacheInvalidation:
                 )
         requests = [(ctx, ctx.original_plan, 0, plan, 1) for plan in variants]
         batched = env.advantage_many(requests)
-        env.bump_aam_version()  # drop the cache so singles recompute
+        trainer.aam._bump_version()  # drop every cache so singles recompute
         singles = [env.advantage(*request) for request in requests]
         assert batched == singles
+
+    def test_training_and_serving_scorers_agree(self, job_workload):
+        """The simulated environment and the optimizer judge alike."""
+        trainer = FossTrainer(job_workload, batching_config())
+        trainer.bootstrap()
+        optimizer = trainer.make_optimizer()
+        assert trainer.sim_env.scorer is not optimizer._scorer
+        requests = []
+        for wq in job_workload.test[:4]:
+            ctx = trainer.sim_env.begin_episode(wq.query)
+            icp = ctx.original_icp
+            for join_pos in range(1, icp.num_tables):
+                for method in ("hash", "merge", "nestloop"):
+                    if icp.methods[join_pos - 1] == method:
+                        continue
+                    edited = icp.override(join_pos, method)
+                    plan = trainer.database.plan_with_hints(
+                        wq.query, edited.order, edited.methods
+                    ).plan
+                    requests.append((ctx, ctx.original_plan, 0, plan, 1))
+                    requests.append((ctx, plan, 1, ctx.original_plan, 0))
+        assert requests
+        simulated = trainer.sim_env.advantage_many(requests)
+        assert optimizer._environment.advantage_many(requests) == simulated
 
 
 class TestConfigHygiene:
@@ -213,17 +240,44 @@ class TestBatchedInference:
             for q, r in zip(queries, batched)
         )
 
+    def test_loaded_checkpoint_serves_its_own_weights(self, job_workload, tmp_path):
+        """Loading a checkpoint into a trainer that has served drops every
+        cache built under its old weights: it serves what a fresh trainer
+        loaded from the same checkpoint serves."""
+        checkpoint = str(tmp_path / "ckpt")
+        trainer = FossTrainer(job_workload, batching_config())
+        trainer.bootstrap()
+        save_trainer(trainer, checkpoint)
+        for _ in range(2):
+            trainer.train_aam()
+        optimizer = trainer.make_optimizer()
+        queries = [wq.query for wq in job_workload.test]
+        optimizer.optimize_many(queries)
+        version = trainer.aam.version
+        load_trainer(trainer, checkpoint)
+        assert trainer.aam.version > version
+        fresh = FossTrainer(job_workload, batching_config())
+        load_trainer(fresh, checkpoint)
+
+        def served(opt):
+            return [
+                (plan_signature(p.plan), p.chosen_step) for p in opt.optimize_many(queries)
+            ]
+
+        assert served(optimizer) == served(fresh.make_optimizer())
+
     def test_inference_cache_tracks_aam_version(self, job_workload):
         trainer = FossTrainer(job_workload, batching_config())
         trainer.bootstrap()
         optimizer = trainer.make_optimizer()
         query = job_workload.test[0].query
         optimizer.optimize(query)
-        env = optimizer._environment
-        assert env._score_cache
+        scorer = optimizer._scorer
+        assert scorer._cache
         version_before = trainer.aam.version
         trainer.train_aam()
         assert trainer.aam.version == version_before + 1
         optimizer.optimize(query)
         # Entries from the stale version must not answer post-retrain queries.
-        assert any(key[0] == trainer.aam.version for key in env._score_cache)
+        assert scorer.version == trainer.aam.version
+        assert scorer._cache

@@ -147,9 +147,11 @@ class TestPlannerEpisodes:
         query = workload.train[0].query
         plan = workload.database.plan(query).plan
         planner.statevec(query, plan, 0)
-        assert len(planner._statevec_cache) > 0
-        planner.notify_aam_updated()
-        assert len(planner._statevec_cache) == 0
+        assert len(trainer.aam._statevec_cache) > 0
+        version = trainer.aam.version
+        trainer.aam._bump_version()
+        assert trainer.aam.version == version + 1
+        assert len(trainer.aam._statevec_cache) == 0
 
     def test_penalty_off_config(self, job_workload):
         config = small_config(use_penalty=False)

@@ -48,6 +48,7 @@ from repro.api import (
 )
 from repro.core.aam import AAMConfig
 from repro.core.icp import IncompletePlan
+from repro.engine.context import deadline_error, run_live
 from repro.engine.remote import (
     EngineServer,
     RemoteBackend,
@@ -393,6 +394,76 @@ class TestOptimizerDeadlines:
             api_session.optimizer().optimize(
                 job_workload.train[0].query, ctx=expired_ctx()
             )
+
+    def test_untraced_deadline_reaches_backend_planning(
+        self, api_session, job_workload, monkeypatch
+    ):
+        """A deadline rides to the engine's planning call, traced or not."""
+        database = api_session.optimizer().database
+        plan_many = database.plan_many
+        seen = []
+
+        def spy(queries, options=None, ctxs=None):
+            seen.append(ctxs)
+            return plan_many(queries, options, ctxs=ctxs)
+
+        monkeypatch.setattr(database, "plan_many", spy)
+        ctx = live_ctx()
+        assert ctx.trace_id is None
+        api_session.service().optimize_sql(job_workload.train[5].sql, ctx=ctx)
+        assert any(ctxs is not None and ctx in ctxs for ctxs in seen)
+
+
+def _fill_none(ctx):
+    return None
+
+
+def _fill_error(ctx):
+    return DeadlineExceededError(ctx.request_id)
+
+
+class TestRunLive:
+    """``run_live``: the one expiry split every batch layer shares."""
+
+    @pytest.mark.parametrize("dead", [_fill_none, _fill_error], ids=["none", "error"])
+    @pytest.mark.parametrize(
+        "expired_at", [(), (1,), (0, 1, 2)], ids=["none-expired", "some-expired", "all-expired"]
+    )
+    def test_live_items_run_once_and_expired_slots_are_filled(self, dead, expired_at):
+        ctxs = [expired_ctx() if i in expired_at else live_ctx() for i in range(3)]
+        calls = []
+
+        def fn(items, live_ctxs):
+            calls.append((list(items), list(live_ctxs)))
+            return [item * 10 for item in items]
+
+        out = run_live([1, 2, 3], ctxs, fn, dead)
+        live = [i for i in range(3) if i not in expired_at]
+        if live:
+            assert calls == [([i + 1 for i in live], [ctxs[i] for i in live])]
+        else:
+            assert calls == []
+        for i, result in enumerate(out):
+            if i in expired_at:
+                filled = dead(ctxs[i])
+                assert type(result) is type(filled)
+                assert str(result) == str(filled)
+            else:
+                assert result == (i + 1) * 10
+
+    def test_no_contexts_runs_the_whole_batch(self):
+        out = run_live([1, 2], None, lambda items, ctxs: [(i, ctxs) for i in items], _fill_none)
+        assert out == [(1, None), (2, None)]
+
+    def test_length_mismatch_raises(self):
+        with pytest.raises(ValueError, match="ctxs"):
+            run_live([1, 2], [None], lambda items, ctxs: items, _fill_none)
+
+    def test_deadline_error_names_request_and_stage(self):
+        ctx = expired_ctx()
+        error = deadline_error(ctx, "planning")
+        assert isinstance(error, DeadlineExceededError)
+        assert ctx.request_id in str(error) and str(error).endswith("before planning")
 
 
 # ----------------------------------------------------------------------
