@@ -64,7 +64,7 @@ def test_obs_overhead():
                     tracer = obs.get_tracer()
                     tracer.clear()
                     service = session.service(max_batch_size=16)
-                    with service.start(flush_interval_ms=2.0):
+                    with service.start():
                         rate, results = drive(
                             service,
                             sqls,

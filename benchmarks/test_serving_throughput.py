@@ -106,7 +106,7 @@ def test_serving_throughput():
         outcomes = {}
         for num_threads in (1, CLIENT_THREADS):
             service = session.service(max_batch_size=16)
-            with service.start(flush_interval_ms=2.0):
+            with service.start():
                 rates[num_threads], results = drive(service, sqls, num_threads)
             outcomes[num_threads] = service.stats()
             # Concurrency parity: plans are bitwise-identical to the
@@ -181,7 +181,7 @@ def test_admission_control_overhead():
         stats = {}
         for name, (service_kwargs, submit_kwargs) in runs.items():
             service = session.service(max_batch_size=16, **service_kwargs)
-            with service.start(flush_interval_ms=2.0):
+            with service.start():
                 rates[name], results = drive(
                     service, sqls, CLIENT_THREADS, submit_kwargs=submit_kwargs
                 )

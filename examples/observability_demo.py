@@ -71,7 +71,7 @@ def main() -> None:
 
         print(f"Serving {args.requests} traced requests through a started service...")
         service = session.service(max_batch_size=4)
-        with service.start(flush_interval_ms=2.0):
+        with service.start():
             for i in range(args.requests):
                 ticket = service.submit(sqls[i % len(sqls)], traced=True)
                 result = service.wait(ticket, timeout=120.0)

@@ -100,7 +100,7 @@ def main() -> None:
         # AdmissionRejectedError at submit); sized to the trace here so
         # the demo exercises the check without ever rejecting.
         service = session.service(max_batch_size=8, max_pending=max(len(sqls), 8))
-        with service.start(flush_interval_ms=2.0):
+        with service.start():
             results, rps = drive_clients(
                 service.submit,
                 lambda ticket: service.wait(ticket, timeout=120.0),
@@ -139,7 +139,7 @@ def main() -> None:
         config=demo_config(),
         max_pending=max(args.requests, 8),  # per-tenant queue bound
     ) as group:
-        group.start(flush_interval_ms=2.0)
+        group.start()
         per_tenant = {}
 
         def tenant_client(tenant: str) -> None:

@@ -11,7 +11,7 @@ setup(
     ),
     package_dir={"": "src"},
     packages=find_packages("src"),
-    python_requires=">=3.9",
+    python_requires=">=3.11",
     install_requires=[
         "numpy",
         "networkx",

@@ -6,24 +6,16 @@ so the contracts are data, not code.  The built-in defaults below mirror
 this repository's own table exactly; a fixture test can therefore run
 rules against ``LintConfig()`` without touching the real pyproject.
 
-Parsed with :mod:`tomllib` on python >= 3.11; older interpreters fall
-back to a minimal TOML-subset reader (tables, quoted/bare keys, string /
-int / float / bool scalars, possibly-multiline string arrays) — exactly
-the shapes this config uses — because the lint tool must not grow a
+Parsed with the stdlib :mod:`tomllib`, so the lint tool grows no
 third-party dependency the package itself does not carry.
 """
 
 from __future__ import annotations
 
-import re
+import tomllib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
-
-try:  # python >= 3.11
-    import tomllib
-except ImportError:  # pragma: no cover - exercised only on python < 3.11
-    tomllib = None
 
 
 class LintConfigError(ValueError):
@@ -125,7 +117,6 @@ DEFAULT_PERF_COUNTER_ALLOW: Tuple[str, ...] = (
     "src/repro/nn/*.py",
     "src/repro/baselines/*.py",
     "src/repro/engine/database.py",
-    "src/repro/api/service.py",
     "src/repro/core/inference.py",
     "src/repro/core/trainer.py",
     "src/repro/experiments/harness.py",
@@ -286,7 +277,7 @@ class LintConfig:
     # ------------------------------------------------------------------
     @classmethod
     def from_pyproject(cls, path: Path) -> "LintConfig":
-        raw = _read_toml(Path(path))
+        raw = tomllib.loads(Path(path).read_text(encoding="utf-8"))
         table = raw.get("tool", {}).get("repro-lint", {})
         return cls.from_table(table)
 
@@ -383,126 +374,3 @@ def find_pyproject(start: Path) -> Optional[Path]:
         if pyproject.is_file():
             return pyproject
     return None
-
-
-# ----------------------------------------------------------------------
-# TOML reading (tomllib, or the subset fallback for python < 3.11)
-# ----------------------------------------------------------------------
-
-def _read_toml(path: Path) -> Dict:
-    data = path.read_text(encoding="utf-8")
-    if tomllib is not None:
-        return tomllib.loads(data)
-    return _parse_toml_subset(data)
-
-
-# Bare keys must not swallow dots: dots separate header/key parts.
-_KEY_RE = re.compile(r'\s*(?:"(?P<quoted>[^"]*)"|(?P<bare>[A-Za-z0-9_\-]+))\s*')
-
-
-def _parse_toml_subset(text: str) -> Dict:  # pragma: no cover - py<3.11 path
-    """Parse the TOML subset this config uses (see module docstring)."""
-    root: Dict = {}
-    current = root
-    lines = text.splitlines()
-    index = 0
-    while index < len(lines):
-        line = lines[index].strip()
-        index += 1
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            current = root
-            for part in _split_header(line[1:-1]):
-                current = current.setdefault(part, {})
-            continue
-        if "=" not in line:
-            raise LintConfigError(f"unparsable TOML line: {line!r}")
-        key_part, _, value_part = line.partition("=")
-        key = _parse_key(key_part)
-        value_text = value_part.strip()
-        # Multiline arrays: keep consuming until brackets balance.
-        while value_text.count("[") > value_text.count("]"):
-            if index >= len(lines):
-                raise LintConfigError(f"unterminated array for key {key!r}")
-            value_text += " " + lines[index].strip()
-            index += 1
-        current[key] = _parse_value(value_text)
-    return root
-
-
-def _split_header(header: str) -> List[str]:
-    parts: List[str] = []
-    remainder = header
-    while remainder:
-        match = _KEY_RE.match(remainder)
-        if not match:
-            raise LintConfigError(f"unparsable TOML header: {header!r}")
-        parts.append(match.group("quoted") or match.group("bare"))
-        remainder = remainder[match.end():]
-        if remainder.startswith("."):
-            remainder = remainder[1:]
-        elif remainder:
-            raise LintConfigError(f"unparsable TOML header: {header!r}")
-    return parts
-
-
-def _parse_key(text: str) -> str:
-    match = _KEY_RE.match(text)
-    if not match or text[match.end():].strip():
-        raise LintConfigError(f"unparsable TOML key: {text!r}")
-    return match.group("quoted") or match.group("bare")
-
-
-def _parse_value(text: str):
-    text = text.strip()
-    # Trailing same-line comments (outside strings) — strip conservatively.
-    if text.startswith("["):
-        inner = text[1:-1] if text.endswith("]") else text[1:]
-        items = [item.strip() for item in _split_array(inner)]
-        return [_parse_value(item) for item in items if item]
-    if text.startswith('"') and text.endswith('"') and len(text) >= 2:
-        return text[1:-1].replace('\\"', '"').replace("\\\\", "\\")
-    if text in ("true", "false"):
-        return text == "true"
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        pass
-    raise LintConfigError(f"unparsable TOML value: {text!r}")
-
-
-def _split_array(inner: str) -> List[str]:
-    items: List[str] = []
-    depth = 0
-    in_string = False
-    current = ""
-    for char in inner:
-        if in_string:
-            current += char
-            if char == '"':
-                in_string = False
-            continue
-        if char == '"':
-            in_string = True
-            current += char
-        elif char == "[":
-            depth += 1
-            current += char
-        elif char == "]":
-            depth -= 1
-            current += char
-        elif char == "," and depth == 0:
-            items.append(current)
-            current = ""
-        elif char == "#" and depth == 0:
-            break
-        else:
-            current += char
-    if current.strip():
-        items.append(current)
-    return items

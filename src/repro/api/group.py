@@ -229,10 +229,10 @@ class ServiceGroup:
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    def start(self, flush_interval_ms: Optional[float] = None) -> "ServiceGroup":
+    def start(self) -> "ServiceGroup":
         """Start every tenant's background flusher (building services lazily)."""
         for tenant in self.tenants:
-            self.service(tenant).start(flush_interval_ms=flush_interval_ms)
+            self.service(tenant).start()
         return self
 
     def stop(self) -> None:

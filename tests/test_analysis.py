@@ -23,7 +23,7 @@ import pytest
 
 import repro.analysis.rules  # noqa: F401  (registers the built-in rules)
 from repro.analysis.cli import main, run_lint
-from repro.analysis.config import LintConfig, LintConfigError, _parse_toml_subset
+from repro.analysis.config import LintConfig, LintConfigError
 from repro.analysis.core import Baseline, Finding, Project, SourceFile
 from repro.analysis.registry import RULES, iter_rules
 
@@ -562,13 +562,6 @@ class TestConfig:
         defaults = LintConfig()
         for f in dataclasses.fields(LintConfig):
             assert getattr(from_file, f.name) == getattr(defaults, f.name), f.name
-
-    def test_fallback_toml_parser_matches_tomllib(self):
-        tomllib = pytest.importorskip("tomllib")
-        raw = (REPO_ROOT / "pyproject.toml").read_text()
-        ours = _parse_toml_subset(raw)["tool"]["repro-lint"]
-        theirs = tomllib.loads(raw)["tool"]["repro-lint"]
-        assert ours == theirs
 
 
 # ----------------------------------------------------------------------

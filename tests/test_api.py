@@ -134,11 +134,24 @@ class TestBatchedServing:
         # evicted by the same flush's own misses.
         sqls = serving_sqls(api_session.workload, 4)
         service = api_session.service(max_batch_size=100, memo_capacity=2)
-        service.optimize_sql(sqls[0])  # warm the memo
         tickets = [service.submit(sql) for sql in sqls]
+        service.optimize_sql(sqls[0])  # memoized after its submit: a hit at flush time
+        service.flush()
         results = [service.result(t) for t in tickets]
         assert all(r.ok for r in results)
         assert results[0].cached
+        assert "flush" in results[0].trace  # answered by the flush, not at the door
+
+    def test_memoized_submit_is_born_resolved(self, api_session):
+        sql = api_session.workload.train[0].sql
+        service = api_session.service(max_batch_size=100)
+        service.optimize_sql(sql)  # warm the memo
+        ticket = service.submit(sql)
+        assert service.stats()["pending"] == 0
+        result = service.result(ticket)
+        assert result.ok and result.cached
+        assert set(result.trace) == {"enqueue", "done"}
+        assert service.stats()["batches"] == 1  # the warming miss only
 
     def test_memo_capacity_zero_disables_caching(self, api_session):
         sql = api_session.workload.train[0].sql

@@ -345,10 +345,10 @@ class TestServiceObsViews:
     def test_latency_window_is_bounded_over_50k_requests(self):
         service = self._service()
         for i in range(50_000):
-            service._record_latency(float(i % 1009))
-        window = service._m_latency.window_values()
+            service._latency.observe(float(i % 1009))
+        window = service._latency.window_values()
         assert window.size == _LATENCY_WINDOW
-        assert service._m_latency.window_nbytes() == _LATENCY_WINDOW * 8
+        assert service._latency.window_nbytes() == _LATENCY_WINDOW * 8
         stats = service.stats()
         assert stats["latency_p50_ms"] > 0.0
 
@@ -357,14 +357,15 @@ class TestServiceObsViews:
             raise RuntimeError("hook boom")
 
         service = self._service(trace_hook=hook)
-        ctx = RequestContext.mint(tenant="t")
-        service._trace(ctx, "enqueue", 0.0)  # must not raise
-        service._trace(ctx, "flush", 1.0)
+        # An already-spent budget resolves at submit, never binding: the
+        # hook sees (and raises on) exactly "enqueue" and "done".
+        ticket = service.submit("SELECT 1", deadline_s=0.0)  # must not raise
+        assert service.result(ticket).expired
         assert service.stats()["obs_hook_errors"] == 2
 
     def test_tenant_label_lands_on_the_series(self):
         service = self._service(tenant="acme")
-        service._m_hits.inc()
+        service._count["hits"].inc()
         hits = obs.get_registry().get("serving_cache_hits_total")
         values = {labels["tenant"]: child.value for labels, child in hits.series()}
         assert values.get("acme", 0) >= 1

@@ -136,7 +136,7 @@ class TestConcurrentParity:
         expected = reference_signatures(api_session, sqls)
 
         service = api_session.service(max_batch_size=4)
-        with service.start(flush_interval_ms=2.0):
+        with service.start():
             results = run_concurrent_clients(service, sqls)
         assert all(r.ok for r in results)
         assert [plan_signature(r.plan.plan) for r in results] == [
@@ -195,7 +195,7 @@ class TestServiceGroup:
             assert group.session("alpha").backend is group.backend
             assert group.session("beta").backend is group.backend
 
-            group.start(flush_interval_ms=2.0)
+            group.start()
             outcomes = {}
             errors = []
 
@@ -266,8 +266,8 @@ class TestFlusherLifecycle:
         """Submissions resolve via the timer with no size trigger and no
         manual flush."""
         sqls = shuffled_requests(api_session.workload, unique=3, copies=1)
-        service = api_session.service(max_batch_size=100)
-        service.start(flush_interval_ms=10.0)
+        service = api_session.service(max_batch_size=100, flush_interval_ms=10.0)
+        service.start()
         try:
             tickets = [service.submit(sql) for sql in sqls]
             results = [service.wait(t, timeout=WAIT_S) for t in tickets]
@@ -280,8 +280,8 @@ class TestFlusherLifecycle:
     def test_flush_respects_max_batch_size_under_burst(self, api_session):
         """A burst that outruns the flusher still flushes in capped slices."""
         sqls = [wq.sql for wq in api_session.workload.train[:6]]  # distinct
-        service = api_session.service(max_batch_size=2)
-        service.start(flush_interval_ms=20.0)
+        service = api_session.service(max_batch_size=2, flush_interval_ms=20.0)
+        service.start()
         try:
             tickets = [service.submit(sql) for sql in sqls]
             results = [service.wait(t, timeout=WAIT_S) for t in tickets]
@@ -306,10 +306,10 @@ class TestFlusherLifecycle:
 
     def test_stop_drains_pending(self, api_session):
         sql = api_session.workload.train[0].sql
-        service = api_session.service(max_batch_size=100)
         # A huge interval: the timer will not fire within the test, so the
         # drain below is attributable to stop() alone.
-        service.start(flush_interval_ms=60_000.0)
+        service = api_session.service(max_batch_size=100, flush_interval_ms=60_000.0)
+        service.start()
         ticket = service.submit(sql)
         with pytest.raises(TimeoutError):
             service.wait(ticket, timeout=0.2)
@@ -421,7 +421,7 @@ class TestStatsConsistency:
     def test_counters_consistent_under_threads(self, api_session):
         sqls = shuffled_requests(api_session.workload, unique=4, copies=3)
         service = api_session.service(max_batch_size=3)
-        with service.start(flush_interval_ms=2.0):
+        with service.start():
             run_concurrent_clients(service, sqls)
         stats = service.stats()
         assert stats["requests"] == len(sqls)
