@@ -14,7 +14,6 @@ setup(
     python_requires=">=3.11",
     install_requires=[
         "numpy",
-        "networkx",
     ],
     entry_points={
         "console_scripts": [

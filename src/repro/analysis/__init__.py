@@ -25,8 +25,8 @@ clock-wall           No ``time.time()`` / ``datetime.now()`` in ``src/``.      `
                                                                                time.monotonic seconds").
 clock-monotonic      ``time.monotonic`` only inside the sanctioned clock       same docstring; ``MonotonicClock`` is the injectable
                      (``engine/context.py``).                                  clock for every layer.
-clock-perf-counter   ``perf_counter`` only in profiling/latency-measurement    ``nn/profile.py``; latency fields in ``stats()``.
-                     code (declarative allowlist).
+clock-perf-counter   ``perf_counter`` only in profiling/latency-measurement    ``nn/tensor.py`` (``Function.apply``); latency fields
+                     code (declarative allowlist).                             in ``stats()``.
 layer-import         Imports follow the declared package DAG                   ROADMAP architecture section; fixed day-one violation:
                      (``[tool.repro-lint.layers]``); engine never imports      ``engine/wire.py`` importing ``repro.api.context``.
                      api.

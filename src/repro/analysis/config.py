@@ -114,7 +114,7 @@ DEFAULT_MONOTONIC_ALLOW: Tuple[str, ...] = (
 
 DEFAULT_PERF_COUNTER_ALLOW: Tuple[str, ...] = (
     # Profiling and latency-measurement code only; never deadline logic.
-    "src/repro/nn/*.py",
+    "src/repro/nn/tensor.py",
     "src/repro/baselines/*.py",
     "src/repro/engine/database.py",
     "src/repro/core/inference.py",

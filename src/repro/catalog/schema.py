@@ -3,10 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
-
-if TYPE_CHECKING:
-    import networkx as nx
+from typing import Dict, Iterable, List, Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -81,9 +78,11 @@ class Schema:
             self._tables[table.name] = table
         self.foreign_keys: List[ForeignKey] = []
         # table -> {joinable table -> foreign key}, kept in the iteration
-        # order of ``join_graph()`` (tables in declaration order, neighbours
-        # in foreign-key order, a pair's later key replacing its earlier one
-        # in place), which the workload generators' output depends on.
+        # order of the networkx join graph this replaced (tables in
+        # declaration order, neighbours in foreign-key order, a pair's later
+        # key replacing its earlier one in place), which the workload
+        # generators' output depends on; ``schema_join_graph`` in
+        # tests/reference_dp.py rebuilds that graph to check it.
         self._adjacency: Dict[str, Dict[str, ForeignKey]] = {name: {} for name in self._tables}
         for fk in foreign_keys:
             self._validate_fk(fk)
@@ -122,7 +121,7 @@ class Schema:
         return list(self._adjacency[table])
 
     def join_keys(self) -> List[ForeignKey]:
-        """One foreign key per joinable table pair, as ``join_graph().edges`` orders them.
+        """One foreign key per joinable table pair, in the join graph's edge order.
 
         A pair is listed at whichever of its tables was declared first and
         is represented by the last foreign key declared between the two.
@@ -133,16 +132,6 @@ class Schema:
             keys.extend(fk for other, fk in neighbors.items() if other not in seen)
             seen.add(table)
         return keys
-
-    def join_graph(self) -> "nx.Graph":
-        """Undirected graph over tables; edges carry the joinable column pair."""
-        import networkx as nx
-
-        graph = nx.Graph()
-        graph.add_nodes_from(self._tables)
-        for fk in self.foreign_keys:
-            graph.add_edge(fk.table, fk.ref_table, columns=(fk.column, fk.ref_column), fk=fk)
-        return graph
 
     def join_columns(self, table_a: str, table_b: str) -> Optional[Tuple[str, str]]:
         """The (col_a, col_b) pair joining two tables, if an FK edge exists."""

@@ -50,7 +50,7 @@ from repro.nn.layers import (
     scatter_rows,
 )
 from repro.nn.optim import Adam, clip_grad_norm
-from repro.nn.tensor import Tensor, is_grad_enabled, no_grad
+from repro.nn.tensor import Function, Tensor, no_grad
 
 NUM_SCORES = 3  # the paper's point set {0.05, 0.50} -> scores {0, 1, 2}
 
@@ -149,8 +149,13 @@ class StateNetwork(Module):
                 slot[...] = plan.attention_mask[:nodes, :nodes]
             segments.append((len(run), nodes, np.where(mask, 0.0, -1e9)[:, None, :, :]))
         ints, fints, fvals = zip(*(_real_nodes(p) for p in ordered))
-        x = self._node_vectors(
-            np.concatenate(ints, axis=1), np.concatenate(fints, axis=1), np.concatenate(fvals)
+        tables = (self.op_embed, self.table_embed, self.height_embed, self.struct_embed)
+        x = NodeVectors.apply(
+            *(embed.weight for embed in tables + (self.column_embed, self.pred_op_embed)),
+            self.value_direction,
+            ints=np.concatenate(ints, axis=1),
+            fints=np.concatenate(fints, axis=1),
+            fvals=np.concatenate(fvals),
         )
         x = self.input_proj(x)
         last = len(self.layers) - 1
@@ -159,66 +164,7 @@ class StateNetwork(Module):
         if not self.layers:
             x = x[leading_tokens(segments, 1)]
         root = self.final_norm(x)  # pre-order encoding puts the plan root first
-        # root | step, rows back in input order
-        width = root.shape[1]
-        pooled = np.empty((len(order), width + 1), dtype=np.float64)
-        pooled[order, :width] = root.data
-        pooled[:, width] = np.asarray(steps, dtype=np.float64).reshape(-1)
-        if root.requires_grad:
-            pooled = Tensor._node(pooled, (root,), lambda grad: root._accumulate(grad[order, :width]))
-        else:
-            pooled = Tensor._inference(pooled)
-        return self.state_proj(pooled)
-
-    def _node_vectors(self, ints: np.ndarray, fints: np.ndarray, fvals: np.ndarray) -> Tensor:
-        """``(T, 6 * d_embed)`` node vectors of a packed batch, as one tape node.
-
-        ``ints`` is ``(6, T)`` (ops, tables, join columns left and right,
-        heights, structs), ``fints`` ``(2, T, F)`` (filter columns and
-        predicate ops) and ``fvals`` ``(T, F)``.  Embeddings index their
-        weight tables directly: ids are in range by encoder construction.
-        """
-        d = self.config.d_embed
-        jl, jr = ints[2], ints[3]
-        fcols, fops = fints
-        column, pred_op = self.column_embed.weight, self.pred_op_embed.weight
-        singles = (  # (table, ids, slot of the node vector)
-            (self.op_embed.weight, ints[0], 0),
-            (self.table_embed.weight, ints[1], 1),
-            (self.height_embed.weight, ints[4], 4),
-            (self.struct_embed.weight, ints[5], 5),
-        )
-        feat = np.empty((ints.shape[1], 6 * d), dtype=np.float64)
-        for weight, ids, slot in singles:
-            feat[:, slot * d : (slot + 1) * d] = weight.data[ids]
-        join_cols = feat[:, 2 * d : 3 * d]
-        join_cols[...] = column.data[jl]
-        join_cols += column.data[jr]
-        # filters: sum over slots of (col + op + value * direction)
-        f = column.data[fcols]                          # (T, F, d)
-        f += pred_op.data[fops]
-        f += fvals[..., None] * self.value_direction.data
-        feat[:, 3 * d : 4 * d] = f.sum(axis=1)
-        if not is_grad_enabled():
-            return Tensor._inference(feat)
-
-        def backward(grad: np.ndarray) -> None:
-            for weight, ids, slot in singles:
-                weight._accumulate(scatter_rows(ids, grad[:, slot * d : (slot + 1) * d], len(weight.data)))
-            g_join, g_filters = grad[:, 2 * d : 3 * d], grad[:, 3 * d : 4 * d]
-            g_slots = np.broadcast_to(g_filters[:, None, :], fcols.shape + (d,)).reshape(-1, d)
-            column._accumulate(
-                scatter_rows(
-                    np.concatenate([jl, jr, fcols.reshape(-1)]),
-                    np.concatenate([g_join, g_join, g_slots]),
-                    len(column.data),
-                )
-            )
-            pred_op._accumulate(scatter_rows(fops.reshape(-1), g_slots, len(pred_op.data)))
-            self.value_direction._accumulate(fvals.sum(axis=1) @ g_filters)
-
-        parents = tuple(w for w, _, _ in singles) + (column, pred_op, self.value_direction)
-        return Tensor._node(feat, parents, backward)
+        return self.state_proj(PoolRoots.apply(root, order=order, steps=steps))
 
     def statevec(self, plan: EncodedPlan, step: float) -> np.ndarray:
         """Inference-mode state representation for a single plan."""
@@ -228,6 +174,79 @@ class StateNetwork(Module):
         """Inference-mode state representations; (B, d_state)."""
         with no_grad():
             return self(plans, steps).data
+
+
+class PoolRoots(Function):
+    """``root | step`` rows, put back in input order: row ``order[i]`` of
+    the result is ``root[i]``, with the steps as a last column."""
+
+    __slots__ = ("order", "width")
+    op = "pool_roots"
+
+    def forward(ctx, root, order, steps):
+        width = root.shape[1]
+        pooled = np.empty((len(order), width + 1), dtype=np.float64)
+        pooled[order, :width] = root
+        pooled[:, width] = np.asarray(steps, dtype=np.float64).reshape(-1)
+        ctx.order, ctx.width = order, width
+        return pooled
+
+    def backward(ctx, grad):
+        return (grad[ctx.order, : ctx.width],)
+
+
+class NodeVectors(Function):
+    """``(T, 6 * d_embed)`` node vectors of a packed batch, as one tape node.
+
+    Operands are the op, table, height and struct embedding tables, the
+    column and predicate-op tables and the value direction.  ``ints`` is
+    ``(6, T)`` (ops, tables, join columns left and right, heights,
+    structs), ``fints`` ``(2, T, F)`` (filter columns and predicate ops)
+    and ``fvals`` ``(T, F)``.  Embeddings index their weight tables
+    directly: ids are in range by encoder construction.  The backward
+    scatters each table's gradient in one bincount (:func:`scatter_rows`).
+    """
+
+    __slots__ = ("ints", "fints", "fvals", "sizes")
+    op = "node_vectors"
+
+    def forward(ctx, op, table, height, struct, column, pred_op, direction, ints, fints, fvals):
+        d = op.shape[1]
+        fcols, fops = fints
+        feat = np.empty((ints.shape[1], 6 * d), dtype=np.float64)
+        for weight, slot in ((op, 0), (table, 1), (height, 4), (struct, 5)):
+            feat[:, slot * d : (slot + 1) * d] = weight[ints[slot]]
+        join_cols = feat[:, 2 * d : 3 * d]
+        join_cols[...] = column[ints[2]]
+        join_cols += column[ints[3]]
+        # filters: sum over slots of (col + op + value * direction)
+        f = column[fcols]                               # (T, F, d)
+        f += pred_op[fops]
+        f += fvals[..., None] * direction
+        feat[:, 3 * d : 4 * d] = f.sum(axis=1)
+        ctx.ints, ctx.fints, ctx.fvals = ints, fints, fvals
+        ctx.sizes = (len(op), len(table), len(height), len(struct), len(column), len(pred_op))
+        return feat
+
+    def backward(ctx, grad):
+        ints, (fcols, fops), sizes = ctx.ints, ctx.fints, ctx.sizes
+        d = grad.shape[1] // 6
+        grads = [
+            scatter_rows(ints[slot], grad[:, slot * d : (slot + 1) * d], size)
+            for slot, size in zip((0, 1, 4, 5), sizes)
+        ]
+        g_join, g_filters = grad[:, 2 * d : 3 * d], grad[:, 3 * d : 4 * d]
+        g_slots = np.broadcast_to(g_filters[:, None, :], fcols.shape + (d,)).reshape(-1, d)
+        grads.append(
+            scatter_rows(
+                np.concatenate([ints[2], ints[3], fcols.reshape(-1)]),
+                np.concatenate([g_join, g_join, g_slots]),
+                sizes[4],
+            )
+        )
+        grads.append(scatter_rows(fops.reshape(-1), g_slots, sizes[5]))
+        grads.append(ctx.fvals.sum(axis=1) @ g_filters)
+        return grads
 
 
 def _real_nodes(plan: EncodedPlan) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:

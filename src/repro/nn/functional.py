@@ -1,29 +1,27 @@
 """Stateless differentiable functions built on :mod:`repro.nn.tensor`.
 
-Besides the loss/softmax helpers this module hosts the fused kernels:
-:func:`fused_linear`, and one attention kernel in two layouts —
-:func:`segment_attention` over a packed ``(tokens, dim)`` batch cut into
-node-count segments (what the layers call) and :func:`fused_attention`, its
-one-segment case for operands whose heads are already split.  Each runs its
-whole forward as plain numpy expressions — the *same* expressions the
-unfused ``Tensor`` op chain evaluates, so outputs are bitwise-identical, with
-and without the tape — and, when gradients are on, registers a single tape
-node whose backward composes the unfused ops' backward passes exactly.
+Besides the loss/softmax helpers this module hosts the fused kernels, each
+one :class:`~repro.nn.tensor.Function`: :func:`fused_linear`, and one
+attention kernel in two layouts — :func:`segment_attention` over a packed
+``(tokens, dim)`` batch cut into node-count segments (what the layers call)
+and :func:`fused_attention`, its one-segment case for operands whose heads
+are already split.  Each runs its whole forward as plain numpy expressions
+— the *same* expressions the unfused ``Tensor`` op chain evaluates, so
+outputs are bitwise-identical — and its backward composes the unfused ops'
+backward passes exactly.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.nn import profile as _profile
 from repro.nn.tensor import (  # noqa: F401 - concatenate/stack/where re-exported
+    Function,
     Tensor,
     _sum_to_shape,
     concatenate,
-    is_grad_enabled,
     stack,
     where,
 )
@@ -43,7 +41,6 @@ __all__ = [
     "fused_linear",
     "fused_attention",
     "segment_attention",
-    "attend_segments",
     "concatenate",
     "stack",
     "where",
@@ -53,26 +50,53 @@ __all__ = [
 
 def softmax(logits: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable softmax along ``axis``."""
-    if not is_grad_enabled() or not logits.requires_grad:
-        # Same expression sequence as the tape path below, minus the four
-        # intermediate Tensor wrappers — bitwise-identical output.
-        shifted = logits.data - logits.data.max(axis=axis, keepdims=True)
-        exp = np.exp(shifted)
-        return Tensor._inference(exp / exp.sum(axis=axis, keepdims=True))
-    shifted = logits - Tensor(logits.data.max(axis=axis, keepdims=True))
+    shifted = logits - logits.data.max(axis=axis, keepdims=True)
     exp = shifted.exp()
     return exp / exp.sum(axis=axis, keepdims=True)
 
 
 def log_softmax(logits: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable log-softmax along ``axis``."""
-    if not is_grad_enabled() or not logits.requires_grad:
-        shifted = logits.data - logits.data.max(axis=axis, keepdims=True)
-        return Tensor._inference(
-            shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-        )
-    shifted = logits - Tensor(logits.data.max(axis=axis, keepdims=True))
+    shifted = logits - logits.data.max(axis=axis, keepdims=True)
     return shifted - shifted.exp().sum(axis=axis, keepdims=True).log()
+
+
+class FusedLinear(Function):
+    """``activation(x @ weight + bias)``; see :func:`fused_linear`."""
+
+    __slots__ = ("x", "weight", "pre", "out", "activation")
+    op = "fused_linear"
+
+    def forward(ctx, x, weight, bias=None, activation=None):
+        pre = x @ weight
+        if bias is not None:
+            pre = pre + bias
+        if activation is None:
+            out = pre
+        elif activation == "relu":
+            out = np.maximum(pre, 0.0)
+        elif activation == "tanh":
+            out = np.tanh(pre)
+        else:
+            raise ValueError(f"unknown fused activation: {activation!r}")
+        ctx.x, ctx.weight, ctx.pre, ctx.out, ctx.activation = x, weight, pre, out, activation
+        return out
+
+    def backward(ctx, grad):
+        # activation backward (identical to the ReLU/Tanh ops')
+        if ctx.activation == "relu":
+            grad = grad * (ctx.pre > 0)
+        elif ctx.activation == "tanh":
+            grad = grad * (1.0 - ctx.out**2)
+        need_x, need_weight = ctx.needs_grad[:2]
+        x = ctx.x
+        # matmul backward, mirroring MatMul's branches; the bias (the `+ b`
+        # add node) takes ``grad`` as is and its accumulation broadcasts down
+        grad_weight = None
+        if need_weight:
+            grad_weight = np.outer(x, grad) if x.ndim == 1 else np.swapaxes(x, -1, -2) @ grad
+        grad_x = grad @ np.swapaxes(ctx.weight, -1, -2) if need_x else None
+        return grad_x, grad_weight, grad
 
 
 def fused_linear(
@@ -85,57 +109,12 @@ def fused_linear(
 
     Forward runs the identical numpy expressions as the unfused chain
     (``x @ W`` → ``+ b`` → ``.relu()``/``.tanh()``), so outputs are
-    bitwise-equal; backward composes the unfused ops' gradients in the
-    same order the tape would, so parameter gradients match too.
-    ``activation`` is ``None``, ``"relu"`` or ``"tanh"``.
+    bitwise-equal; backward composes the unfused ops' gradients, so
+    parameter gradients match too.  ``activation`` is ``None``, ``"relu"``
+    or ``"tanh"``.
     """
-    profiling = _profile.ENABLED
-    t0 = time.perf_counter() if profiling else 0.0
-    pre = x.data @ weight.data
-    if bias is not None:
-        pre = pre + bias.data
-    if activation is None:
-        out_data = pre
-    elif activation == "relu":
-        out_data = np.maximum(pre, 0.0)
-    elif activation == "tanh":
-        out_data = np.tanh(pre)
-    else:
-        raise ValueError(f"unknown fused activation: {activation!r}")
-    if profiling:
-        _profile.record("fused_linear", out_data.nbytes, time.perf_counter() - t0)
-    requires = is_grad_enabled() and (
-        x.requires_grad
-        or weight.requires_grad
-        or (bias is not None and bias.requires_grad)
-    )
-    if not requires:
-        return Tensor._inference(out_data)
-
-    xd, wd = x.data, weight.data
-
-    def backward(grad: np.ndarray) -> None:
-        # activation backward (identical to Tensor.relu/tanh closures)
-        if activation == "relu":
-            g = grad * (pre > 0)
-        elif activation == "tanh":
-            g = grad * (1.0 - out_data**2)
-        else:
-            g = grad
-        # bias backward (the `+ bias` add node); _accumulate broadcasts down
-        if bias is not None and bias.requires_grad:
-            bias._accumulate(g)
-        # matmul backward, mirroring Tensor.__matmul__'s branches
-        if weight.requires_grad:
-            if xd.ndim == 1:
-                weight._accumulate(np.outer(xd, g))
-            else:
-                weight._accumulate(np.swapaxes(xd, -1, -2) @ g)
-        if x.requires_grad:
-            x._accumulate(g @ np.swapaxes(wd, -1, -2))
-
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    return Tensor._node(out_data, parents, backward)
+    operands = (x, weight) if bias is None else (x, weight, bias)
+    return FusedLinear.apply(*operands, activation=activation)
 
 
 def _heads(data: np.ndarray, start: int, rows: int, nodes: int, heads: int) -> np.ndarray:
@@ -159,7 +138,7 @@ def _attend(qd, kd, vd, additive, scale):
 
 def _attend_backward(grad, qd, kd, vd, attn, e, sm, scale):
     """Gradients of :func:`_attend` for q, k, v, composing the unfused
-    chain's closures in tape order."""
+    chain's backward steps in tape order."""
     # ctx = attn @ v
     gattn = grad @ np.swapaxes(vd, -1, -2)
     gv = np.swapaxes(attn, -1, -2) @ grad
@@ -174,28 +153,41 @@ def _attend_backward(grad, qd, kd, vd, attn, e, sm, scale):
     return gs0 @ kd, np.swapaxes(np.swapaxes(qd, -1, -2) @ gs0, -2, -1), gv
 
 
-def attend_segments(qd, kd, vd, segments, heads, scale, lead=None, saved=None):
-    """The numpy forward of :func:`segment_attention`: the merged context,
-    one ``(queries, dim)`` matrix.  ``saved``, when given, collects what the
-    backward needs per segment."""
-    out = np.empty_like(qd)
-    q_start = k_start = 0
-    for rows, nodes, additive in segments:
-        m = nodes if lead is None else min(lead, nodes)
-        if additive is not None and m < nodes:
-            additive = additive[:, :, :m, :]
-        views = (
-            _heads(qd, q_start, rows, m, heads),
-            _heads(kd, k_start, rows, nodes, heads),
-            _heads(vd, k_start, rows, nodes, heads),
-        )
-        context, softmax_parts = _attend(*views, additive, scale)
-        _heads(out, q_start, rows, m, heads)[...] = context
-        if saved is not None:
-            saved.append((q_start, k_start, rows, m, nodes, views + softmax_parts))
-        q_start += rows * m
-        k_start += rows * nodes
-    return out
+class SegmentAttention(Function):
+    """Attention over a packed batch; see :func:`segment_attention`."""
+
+    __slots__ = ("operands", "saved", "heads", "scale")
+    op = "fused_attention"
+
+    def forward(ctx, qd, kd, vd, segments, heads, scale, lead):
+        ctx.operands, ctx.saved, ctx.heads, ctx.scale = (qd, kd, vd), [], heads, scale
+        out = np.empty_like(qd)
+        q_start = k_start = 0
+        for rows, nodes, additive in segments:
+            m = nodes if lead is None else min(lead, nodes)
+            if additive is not None and m < nodes:
+                additive = additive[:, :, :m, :]
+            views = (
+                _heads(qd, q_start, rows, m, heads),
+                _heads(kd, k_start, rows, nodes, heads),
+                _heads(vd, k_start, rows, nodes, heads),
+            )
+            context, softmax_parts = _attend(*views, additive, scale)
+            _heads(out, q_start, rows, m, heads)[...] = context
+            ctx.saved.append((q_start, k_start, rows, m, nodes, views + softmax_parts))
+            q_start += rows * m
+            k_start += rows * nodes
+        return out
+
+    def backward(ctx, grad):
+        heads = ctx.heads
+        grads = tuple(np.empty_like(operand) for operand in ctx.operands)
+        for q_start, k_start, rows, m, nodes, cache in ctx.saved:
+            parts = _attend_backward(_heads(grad, q_start, rows, m, heads), *cache, ctx.scale)
+            _heads(grads[0], q_start, rows, m, heads)[...] = parts[0]
+            _heads(grads[1], k_start, rows, nodes, heads)[...] = parts[1]
+            _heads(grads[2], k_start, rows, nodes, heads)[...] = parts[2]
+        return grads
 
 
 def segment_attention(
@@ -220,32 +212,25 @@ def segment_attention(
     positions only, in the same order, and the result has ``q``'s shape.
 
     Per segment the forward is :func:`fused_attention`'s expression sequence
-    on views of the packed matrices, so tape and ``no_grad`` agree bitwise;
-    the backward fills one gradient matrix per operand and accumulates each
-    once.
+    on views of the packed matrices; the backward fills one gradient matrix
+    per operand.
     """
-    profiling = _profile.ENABLED
-    t0 = time.perf_counter() if profiling else 0.0
-    requires = is_grad_enabled() and (q.requires_grad or k.requires_grad or v.requires_grad)
-    saved: Optional[list] = [] if requires else None
-    out_data = attend_segments(q.data, k.data, v.data, segments, heads, scale, lead, saved)
-    if profiling:
-        _profile.record("fused_attention", out_data.nbytes, time.perf_counter() - t0)
-    if not requires:
-        return Tensor._inference(out_data)
+    return SegmentAttention.apply(q, k, v, segments=segments, heads=heads, scale=scale, lead=lead)
 
-    def backward(grad: np.ndarray) -> None:
-        grads = (np.empty_like(q.data), np.empty_like(k.data), np.empty_like(v.data))
-        for q_start, k_start, rows, m, nodes, cache in saved:
-            parts = _attend_backward(_heads(grad, q_start, rows, m, heads), *cache, scale)
-            _heads(grads[0], q_start, rows, m, heads)[...] = parts[0]
-            _heads(grads[1], k_start, rows, nodes, heads)[...] = parts[1]
-            _heads(grads[2], k_start, rows, nodes, heads)[...] = parts[2]
-        for operand, operand_grad in zip((q, k, v), grads):
-            if operand.requires_grad:
-                operand._accumulate(operand_grad)
 
-    return Tensor._node(out_data, (q, k, v), backward)
+class FusedAttention(Function):
+    """Head-split attention; see :func:`fused_attention`."""
+
+    __slots__ = ("operands", "softmax_parts", "scale")
+    op = "fused_attention"
+
+    def forward(ctx, qd, kd, vd, additive, scale):
+        ctx.operands, ctx.scale = (qd, kd, vd), scale
+        out, ctx.softmax_parts = _attend(qd, kd, vd, additive, scale)
+        return out
+
+    def backward(ctx, grad):
+        return _attend_backward(grad, *ctx.operands, *ctx.softmax_parts, ctx.scale)
 
 
 def fused_attention(
@@ -264,20 +249,9 @@ def fused_attention(
     scalar mul, constant add, shifted softmax, matmul), yielding
     bitwise-identical outputs.  ``additive`` is a constant mask term
     (e.g. ``0/-1e9``) broadcastable to the score shape, or ``None``.
-    Backward composes the chain's closures exactly, in tape order.
+    Backward composes the chain's backward steps exactly, in tape order.
     """
-    operands = (q.data, k.data, v.data)
-    out_data, softmax_parts = _attend(*operands, additive, scale)
-    if not (is_grad_enabled() and (q.requires_grad or k.requires_grad or v.requires_grad)):
-        return Tensor._inference(out_data)
-
-    def backward(grad: np.ndarray) -> None:
-        parts = _attend_backward(grad, *operands, *softmax_parts, scale)
-        for operand, operand_grad in zip((q, k, v), parts):
-            if operand.requires_grad:
-                operand._accumulate(operand_grad)
-
-    return Tensor._node(out_data, (q, k, v), backward)
+    return FusedAttention.apply(q, k, v, additive=additive, scale=scale)
 
 
 def masked_softmax(logits: Tensor, mask: np.ndarray, axis: int = -1) -> Tensor:

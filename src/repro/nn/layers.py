@@ -9,15 +9,13 @@ QueryFormer-style state network.
 from __future__ import annotations
 
 import math
-import time
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.nn import init
-from repro.nn import profile as _profile
-from repro.nn.tensor import Tensor, is_grad_enabled
-from repro.nn.functional import Segments, attend_segments, fused_linear, segment_attention
+from repro.nn.tensor import Function, Tensor, _sum_to_shape
+from repro.nn.functional import Segments, fused_linear, segment_attention
 
 
 class Parameter(Tensor):
@@ -25,8 +23,6 @@ class Parameter(Tensor):
 
     def __init__(self, data) -> None:
         super().__init__(data, requires_grad=True)
-        # Parameters must stay trainable even if created under no_grad().
-        self.requires_grad = True
 
 
 class Module:
@@ -158,22 +154,25 @@ class Embedding(Module):
                 f"embedding ids out of range [0, {self.num_embeddings}): "
                 f"min={ids.min()} max={ids.max()}"
             )
-        weight = self.weight
-        out_data = weight.data[ids]
-        if _profile.ENABLED:
-            _profile.record("embedding", out_data.nbytes)
-        if not is_grad_enabled():
-            return Tensor._inference(out_data)
-        num = self.num_embeddings
+        return Lookup.apply(self.weight, ids=ids)
 
-        def backward(grad: np.ndarray) -> None:
-            weight._accumulate(scatter_rows(ids.reshape(-1), grad.reshape(-1, grad.shape[-1]), num))
 
-        return Tensor._node(out_data, (weight,), backward)
+class Lookup(Function):
+    """Rows ``ids`` of a weight table; the backward is one scatter-add."""
+
+    __slots__ = ("ids", "num")
+    op = "embedding"
+
+    def forward(ctx, weight, ids):
+        ctx.ids, ctx.num = ids, len(weight)
+        return weight[ids]
+
+    def backward(ctx, grad):
+        return (scatter_rows(ctx.ids.reshape(-1), grad.reshape(-1, grad.shape[-1]), ctx.num),)
 
 
 class LayerNorm(Module):
-    """Layer normalization over the last dimension."""
+    """Layer normalization over the last dimension, as one tape node."""
 
     def __init__(self, dim: int, eps: float = 1e-5) -> None:
         super().__init__()
@@ -183,26 +182,54 @@ class LayerNorm(Module):
         self.beta = Parameter(np.zeros(dim))
 
     def forward(self, x: Tensor) -> Tensor:
-        if not is_grad_enabled():
-            # Same expression sequence as the tape path (sum * 1/d, ** 0.5)
-            # so outputs stay bitwise-identical.
-            profiling = _profile.ENABLED
-            t0 = time.perf_counter() if profiling else 0.0
-            d = x.data
-            inv = 1.0 / d.shape[-1]
-            mean = d.sum(axis=-1, keepdims=True) * inv
-            centered = d - mean
-            var = (centered * centered).sum(axis=-1, keepdims=True) * inv
-            normed = centered / (var + self.eps) ** 0.5
-            out_data = normed * self.gamma.data + self.beta.data
-            if profiling:
-                _profile.record("layernorm_inf", out_data.nbytes, time.perf_counter() - t0)
-            return Tensor._inference(out_data)
-        mean = x.mean(axis=-1, keepdims=True)
+        # ``x`` is passed twice: see :class:`Normalize`.
+        return Normalize.apply(x, x, self.gamma, self.beta, eps=self.eps)
+
+
+class Normalize(Function):
+    """``(x - mean) / (var + eps) ** 0.5 * gamma + beta`` over the last axis.
+
+    The forward is the expression sequence of the op chain it replaces
+    (``x.mean`` as ``sum * 1/d``, ``(var + eps).sqrt()`` as ``** 0.5``), and
+    the backward composes that chain's eleven backward steps in tape order,
+    so values and gradients are bitwise the chain's.  The chain reached
+    ``x`` through two nodes, the centering ``sub`` and the mean's ``sum``,
+    and the tape added their gradients into ``x`` one after the other; the
+    caller lists ``x`` twice, and the backward returns those two gradients
+    for the two slots, so :class:`Tensor` adds them in the same order.
+    """
+
+    __slots__ = ("inv", "centered", "shifted_var", "std", "normed", "gamma")
+    op = "layernorm"
+
+    def forward(ctx, x, x_again, gamma, beta, eps):
+        inv = 1.0 / x.shape[-1]
+        mean = x.sum(axis=-1, keepdims=True) * inv
         centered = x - mean
-        var = (centered * centered).mean(axis=-1, keepdims=True)
-        normed = centered / (var + self.eps).sqrt()
-        return normed * self.gamma + self.beta
+        var = (centered * centered).sum(axis=-1, keepdims=True) * inv
+        shifted_var = var + eps
+        std = shifted_var**0.5
+        normed = centered / std
+        ctx.inv, ctx.centered, ctx.shifted_var, ctx.std = inv, centered, shifted_var, std
+        ctx.normed, ctx.gamma = normed, gamma
+        return normed * gamma + beta
+
+    def backward(ctx, grad):
+        centered, std = ctx.centered, ctx.std
+        grad_gamma = grad * ctx.normed if ctx.needs_grad[2] else None
+        if not ctx.needs_grad[0]:
+            return None, None, grad_gamma, grad
+        # normed * gamma, then normed = centered / std
+        grad_normed = grad * ctx.gamma
+        grad_std = _sum_to_shape(-grad_normed * centered / (std**2), std.shape)
+        # std = (var + eps) ** 0.5, var = (centered * centered).sum * 1/d;
+        # centered's three arrivals are added in tape order
+        grad_squares = grad_std * 0.5 * ctx.shifted_var ** (0.5 - 1) * ctx.inv
+        grad_squares = np.broadcast_to(grad_squares, centered.shape)
+        grad_centered = grad_normed / std + grad_squares * centered + grad_squares * centered
+        # centered = x - mean, mean = x.sum * 1/d
+        grad_mean = _sum_to_shape(-grad_centered, std.shape) * ctx.inv
+        return grad_centered, np.broadcast_to(grad_mean, centered.shape), grad_gamma, grad
 
 
 class ReLU(Module):
@@ -360,28 +387,7 @@ class MultiHeadAttention(Module):
         if segments is None:
             x, segments, batch = _pack(x, mask, additive)
         scale = 1.0 / math.sqrt(self.head_dim)
-        index = None if rows is None else leading_tokens(segments, rows)
-
-        if not is_grad_enabled():
-            # Whole block as one numpy expression chain — the identical
-            # expression sequence as the tape path below (projection,
-            # per-segment attention, merge), so outputs are bitwise-equal.
-            profiling = _profile.ENABLED
-            t0 = time.perf_counter() if profiling else 0.0
-            xd = x.data
-            xq = xd if index is None else xd[index]
-            qd = xq @ self.q_proj.weight.data + self.q_proj.bias.data
-            kd = xd @ self.k_proj.weight.data + self.k_proj.bias.data
-            vd = xd @ self.v_proj.weight.data + self.v_proj.bias.data
-            merged = attend_segments(qd, kd, vd, segments, self.num_heads, scale, rows)
-            out = merged @ self.out_proj.weight.data + self.out_proj.bias.data
-            if batch is not None:
-                out = out.reshape(batch, -1, self.dim)
-            if profiling:
-                _profile.record("attention_inf", out.nbytes, time.perf_counter() - t0)
-            return Tensor._inference(out)
-
-        xq = x if index is None else x[index]
+        xq = x if rows is None else x[leading_tokens(segments, rows)]
         # One kernel for split -> score -> mask -> softmax -> context -> merge.
         context = segment_attention(
             self.q_proj(xq), self.k_proj(x), self.v_proj(x), segments, self.num_heads, scale, rows

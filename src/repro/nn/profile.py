@@ -1,17 +1,18 @@
 """Op-level profiling counters for the nn hot path.
 
-Two kinds of instrumentation, with very different costs:
+:meth:`repro.nn.tensor.Function.apply`, the one op dispatch point, is
+the only writer.  Two kinds of instrumentation, with very different costs:
 
 * ``COUNTERS.tape_nodes`` is **always on**: every autograd tape node built
-  (a tensor carrying a backward closure) increments it.  This is one
-  attribute increment per *training* op — negligible next to the closure
-  allocation it counts — and it is what lets tests assert the inference
-  fast path never builds a tape: under ``no_grad`` a full policy + AAM
-  forward must leave the counter untouched.
+  (a tensor carrying its op's context) increments it.  This is one
+  attribute increment per *training* op — negligible next to the context
+  it counts — and it is what lets tests assert inference never builds a
+  tape: under ``no_grad`` a full policy + AAM forward must leave the
+  counter untouched.
 
-* Per-op call counts, allocated bytes and (for the fused kernels) wall
-  time are recorded only inside a :func:`profile` block.  Outside it the
-  hot path pays a single module-global bool check per op.
+* Per-op call counts, output bytes and wall time are recorded only inside
+  a :func:`profile` block.  Outside it an op pays a single module-global
+  bool check.
 
 Typical use::
 
@@ -29,11 +30,11 @@ import contextlib
 from collections import defaultdict
 from typing import Dict, Iterator, List, Tuple
 
-__all__ = ["COUNTERS", "OpCounters", "profile", "record", "is_enabled"]
+__all__ = ["COUNTERS", "OpCounters", "profile", "record"]
 
 
 class OpCounters:
-    """Mutable counter block shared by the tensor ops and fused kernels."""
+    """Mutable counter block written by ``Function.apply``."""
 
     __slots__ = ("calls", "bytes", "seconds", "tape_nodes", "inference_tensors")
 
@@ -43,8 +44,8 @@ class OpCounters:
         self.seconds: Dict[str, float] = defaultdict(float)
         # Autograd tape nodes built (always counted, see module docstring).
         self.tape_nodes = 0
-        # Graph-free tensors built on the inference fast path (counted only
-        # while profiling is enabled).
+        # Graph-free tensors built by ops (counted only while profiling is
+        # enabled).
         self.inference_tensors = 0
 
     def reset(self) -> None:
@@ -98,13 +99,9 @@ class OpCounters:
 
 COUNTERS = OpCounters()
 
-# Checked by every tensor op before recording; flipping it is the only cost
-# profiling imposes on un-profiled runs.
+# Checked by ``Function.apply`` before timing and recording an op;
+# flipping it is the only cost profiling imposes on un-profiled runs.
 ENABLED = False
-
-
-def is_enabled() -> bool:
-    return ENABLED
 
 
 def record(op: str, nbytes: int = 0, seconds: float = 0.0) -> None:

@@ -1,29 +1,37 @@
-"""Reverse-mode autograd over numpy arrays.
+"""Reverse-mode autograd over numpy arrays: one op protocol.
 
-This module implements the dynamic-graph tensor used throughout the
-reproduction.  Every differentiable operation records a backward closure;
-:meth:`Tensor.backward` topologically sorts the tape and accumulates
-gradients.  Only float64 tensors participate in differentiation, which keeps
-gradient checks tight in the test suite.
+Every differentiable op is a slotted :class:`Function` subclass, and the
+instance is the op's backward context (tinygrad's design):
 
-Inference fast path: when gradients are disabled (``no_grad``) or no input
-requires a gradient, every op skips graph construction entirely — no
-backward closure is allocated, no parent tuple is kept, and the result is
-built through :meth:`Tensor._inference` (a slotted ``__new__`` constructor
-that bypasses ``__init__``'s array coercion).  The numpy expressions are
-identical in both modes, so fast-path outputs are bitwise-equal to the
-tape path's.
+* ``forward(ctx, *arrays, **options)`` computes the result from the
+  operands' arrays, keeping on ``ctx`` what its backward will read;
+  keyword ``options`` (axes, shapes, masks, scales) are constants.
+* ``backward(ctx, grad)`` returns one gradient per operand, or ``None``
+  for one that needs none; ``ctx.needs_grad`` says which operands do, so
+  no backward computes a product nobody reads.
+
+:meth:`Function.apply` is the one dispatch point.  It is the only code
+that reads the grad mode, decides between a tape node and a graph-free
+tensor, records the parents, counts ``tape_nodes`` and
+``inference_tensors``, and times and records the op for
+:mod:`repro.nn.profile`.  Under ``no_grad``, or when no operand requires a
+gradient, it runs the same ``forward`` and keeps no context, so inference
+and tape evaluate the same numpy expressions and agree bitwise.
+:meth:`Tensor.backward` walks the tape in reverse topological order and
+adds each node's gradients into its parents, in parent order.  Only
+float64 tensors participate in differentiation, which keeps gradient checks
+tight in the test suite.
 
 Gradient ownership: a *leaf* (a parameter or a ``requires_grad=True`` input
-— no backward closure) owns its ``.grad``: the first gradient to reach it
-is copied and later ones are added in place, because ``clip_grad_norm`` and
-the optimizers scale ``p.grad`` in place and one upstream array may reach
-two leaves (``(a + b).sum()``).  An *interior* node owns nothing: it borrows
+— no context) owns its ``.grad``: the first gradient to reach it is copied
+and later ones are added in place, because ``clip_grad_norm`` and the
+optimizers scale ``p.grad`` in place and one upstream array may reach two
+leaves (``(a + b).sum()``).  An *interior* node owns nothing: it borrows
 the first gradient that reaches it, allocates only when a second arrives
 (``grad + grad``, never ``+=`` into an array that may be another node's, a
 slice of one, or a read-only ``broadcast_to`` view), and gives the gradient
-up as soon as its own backward has run.  Hence no backward closure may
-write into the ``grad`` it is handed.
+up as soon as its own backward has run.  Hence no ``backward`` may write
+into the ``grad`` it is handed.
 
 Grad mode is tracked in a :class:`contextvars.ContextVar`, so a training
 thread inside ``no_grad`` cannot flip inference mode under a concurrently
@@ -34,7 +42,8 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
-from typing import Callable, Iterable, Optional, Sequence, Union
+import time
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -83,72 +92,78 @@ def _sum_to_shape(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
+_new = object.__new__
+
+
+class Function:
+    """One differentiable op; an instance is one application's context.
+
+    Subclasses declare ``__slots__`` for what ``forward`` keeps and
+    implement ``forward(ctx, *arrays, **options)`` and ``backward(ctx,
+    grad)`` (see the module docstring).  :mod:`repro.nn.profile` records
+    an op under :attr:`op`, or else its class name in lower case.
+    ``parents`` and ``needs_grad`` are set by :meth:`apply` on tape nodes
+    only.
+    """
+
+    __slots__ = ("parents", "needs_grad")
+    op = ""
+
+    @classmethod
+    def apply(cls, *operands, **options) -> "Tensor":
+        """Run the op on ``operands`` (tensors, or array-likes taken as
+        constants) and return its result, a tape node when gradients are
+        on and an operand requires one."""
+        ctx = _new(cls)
+        arrays = []
+        for operand in operands:
+            arrays.append(operand.data if isinstance(operand, Tensor) else _as_array(operand))
+        profiling = _profile.ENABLED
+        if profiling:
+            start = time.perf_counter()
+            data = ctx.forward(*arrays, **options)
+            _profile.record(cls.op or cls.__name__.lower(), data.nbytes, time.perf_counter() - start)
+        else:
+            data = ctx.forward(*arrays, **options)
+        out = _new(Tensor)
+        out.data = data
+        out.grad = None
+        if _GRAD_ENABLED.get():
+            needs = tuple([isinstance(t, Tensor) and t.requires_grad for t in operands])
+            if True in needs:
+                ctx.parents = operands
+                ctx.needs_grad = needs
+                out.requires_grad = True
+                out._ctx = ctx
+                _profile.COUNTERS.tape_nodes += 1
+                return out
+        out.requires_grad = False
+        out._ctx = None
+        if profiling:
+            _profile.COUNTERS.inference_tensors += 1
+        return out
+
+
 class Tensor:
-    """A numpy array plus an autograd tape node.
+    """A numpy array plus, on the tape, the :class:`Function` that made it.
 
     Parameters
     ----------
     data:
         Array-like payload; always stored as ``float64``.
     requires_grad:
-        Whether gradients should be accumulated into ``.grad``.
+        Whether gradients should be accumulated into ``.grad`` (a leaf's
+        flag; whether an op records a tape node is :meth:`Function.apply`'s
+        decision, under the grad mode).
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_ctx")
 
-    def __init__(
-        self,
-        data: ArrayLike,
-        requires_grad: bool = False,
-        _parents: Sequence["Tensor"] = (),
-        _backward: Optional[Callable[[np.ndarray], None]] = None,
-        name: str = "",
-    ) -> None:
+    def __init__(self, data: ArrayLike, requires_grad: bool = False) -> None:
         self.data = _as_array(data)
-        self.requires_grad = bool(requires_grad) and _GRAD_ENABLED.get()
+        self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
-        self._parents = tuple(_parents) if self.requires_grad or _parents else ()
-        self._backward = _backward
-        self.name = name
-
-    # ------------------------------------------------------------------
-    # fast constructors (internal)
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _inference(data: np.ndarray) -> "Tensor":
-        """Graph-free result wrapper for the inference fast path.
-
-        ``data`` must already be a float64 ndarray (ops guarantee this);
-        skipping ``__init__`` avoids the coercion/flag work per op.
-        """
-        out = Tensor.__new__(Tensor)
-        out.data = data
-        out.requires_grad = False
-        out.grad = None
-        out._parents = ()
-        out._backward = None
-        out.name = ""
-        if _profile.ENABLED:
-            _profile.COUNTERS.inference_tensors += 1
-        return out
-
-    @staticmethod
-    def _node(
-        data: np.ndarray,
-        parents: tuple,
-        backward: Callable[[np.ndarray], None],
-    ) -> "Tensor":
-        """Tape-node constructor; every differentiable op funnels through
-        here, so ``profile.COUNTERS.tape_nodes`` counts the whole tape."""
-        out = Tensor.__new__(Tensor)
-        out.data = data
-        out.requires_grad = True
-        out.grad = None
-        out._parents = parents
-        out._backward = backward
-        out.name = ""
-        _profile.COUNTERS.tape_nodes += 1
-        return out
+        self._ctx: Optional[Function] = None
 
     # ------------------------------------------------------------------
     # basic introspection
@@ -164,9 +179,6 @@ class Tensor:
     @property
     def size(self) -> int:
         return self.data.size
-
-    def numpy(self) -> np.ndarray:
-        return self.data
 
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
@@ -189,7 +201,7 @@ class Tensor:
         if type(grad) is not np.ndarray or grad.dtype != np.float64:
             grad = np.asarray(grad, dtype=np.float64)
         grad = _sum_to_shape(grad, self.data.shape)
-        if self._backward is None:
+        if self._ctx is None:
             # Leaf: owns its gradient, so the first arrival is copied.
             if self.grad is None:
                 self.grad = grad.copy()
@@ -226,168 +238,52 @@ class Tensor:
                 continue
             visited.add(id(node))
             stack.append((node, True))
-            for parent in node._parents:
-                if id(parent) not in visited:
-                    stack.append((parent, False))
+            if node._ctx is not None:
+                for parent, needs in zip(node._ctx.parents, node._ctx.needs_grad):
+                    if needs and id(parent) not in visited:
+                        stack.append((parent, False))
         self._accumulate(grad)
         for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+            ctx = node._ctx
+            if ctx is not None and node.grad is not None:
                 node_grad, node.grad = node.grad, None
-                node._backward(node_grad)
-
-    @staticmethod
-    def _make(
-        data: np.ndarray,
-        parents: Sequence["Tensor"],
-        backward: Callable[[np.ndarray], None],
-    ) -> "Tensor":
-        requires = _GRAD_ENABLED.get() and any(p.requires_grad for p in parents)
-        if not requires:
-            return Tensor._inference(_as_array(data))
-        return Tensor._node(_as_array(data), tuple(parents), backward)
+                for parent, needs, parent_grad in zip(ctx.parents, ctx.needs_grad, ctx.backward(node_grad)):
+                    if needs and parent_grad is not None:
+                        parent._accumulate(parent_grad)
 
     # ------------------------------------------------------------------
     # arithmetic
     # ------------------------------------------------------------------
     def __add__(self, other: ArrayLike) -> "Tensor":
-        other_is_tensor = isinstance(other, Tensor)
-        out_data = self.data + (other.data if other_is_tensor else _as_array(other))
-        if _profile.ENABLED:
-            _profile.record("add", out_data.nbytes)
-        if not _GRAD_ENABLED.get() or not (
-            self.requires_grad or (other_is_tensor and other.requires_grad)
-        ):
-            return Tensor._inference(out_data)
-        other_t = other if other_is_tensor else Tensor(other)
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad)
-            if other_t.requires_grad:
-                other_t._accumulate(grad)
-
-        return Tensor._node(out_data, (self, other_t), backward)
+        return Add.apply(self, other)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Tensor":
-        out_data = -self.data
-        if _profile.ENABLED:
-            _profile.record("neg", out_data.nbytes)
-        if not _GRAD_ENABLED.get() or not self.requires_grad:
-            return Tensor._inference(out_data)
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(-grad)
-
-        return Tensor._node(out_data, (self,), backward)
+        return Neg.apply(self)
 
     def __sub__(self, other: ArrayLike) -> "Tensor":
-        other_is_tensor = isinstance(other, Tensor)
-        out_data = self.data - (other.data if other_is_tensor else _as_array(other))
-        if _profile.ENABLED:
-            _profile.record("sub", out_data.nbytes)
-        if not _GRAD_ENABLED.get() or not (
-            self.requires_grad or (other_is_tensor and other.requires_grad)
-        ):
-            return Tensor._inference(out_data)
-        other_t = other if other_is_tensor else Tensor(other)
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad)
-            if other_t.requires_grad:
-                other_t._accumulate(-grad)
-
-        return Tensor._node(out_data, (self, other_t), backward)
+        return Sub.apply(self, other)
 
     def __rsub__(self, other: ArrayLike) -> "Tensor":
-        return Tensor(other) - self
+        return Sub.apply(other, self)
 
     def __mul__(self, other: ArrayLike) -> "Tensor":
-        other_is_tensor = isinstance(other, Tensor)
-        other_data = other.data if other_is_tensor else _as_array(other)
-        out_data = self.data * other_data
-        if _profile.ENABLED:
-            _profile.record("mul", out_data.nbytes)
-        if not _GRAD_ENABLED.get() or not (
-            self.requires_grad or (other_is_tensor and other.requires_grad)
-        ):
-            return Tensor._inference(out_data)
-        other_t = other if other_is_tensor else Tensor(other)
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * other_t.data)
-            if other_t.requires_grad:
-                other_t._accumulate(grad * self.data)
-
-        return Tensor._node(out_data, (self, other_t), backward)
+        return Mul.apply(self, other)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: ArrayLike) -> "Tensor":
-        other_is_tensor = isinstance(other, Tensor)
-        other_data = other.data if other_is_tensor else _as_array(other)
-        out_data = self.data / other_data
-        if _profile.ENABLED:
-            _profile.record("div", out_data.nbytes)
-        if not _GRAD_ENABLED.get() or not (
-            self.requires_grad or (other_is_tensor and other.requires_grad)
-        ):
-            return Tensor._inference(out_data)
-        other_t = other if other_is_tensor else Tensor(other)
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad / other_t.data)
-            if other_t.requires_grad:
-                other_t._accumulate(-grad * self.data / (other_t.data**2))
-
-        return Tensor._node(out_data, (self, other_t), backward)
+        return Div.apply(self, other)
 
     def __rtruediv__(self, other: ArrayLike) -> "Tensor":
-        return Tensor(other) / self
+        return Div.apply(other, self)
 
     def __pow__(self, exponent: float) -> "Tensor":
-        out_data = self.data**exponent
-        if _profile.ENABLED:
-            _profile.record("pow", out_data.nbytes)
-        if not _GRAD_ENABLED.get() or not self.requires_grad:
-            return Tensor._inference(out_data)
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * exponent * self.data ** (exponent - 1))
-
-        return Tensor._node(out_data, (self,), backward)
+        return Pow.apply(self, exponent=exponent)
 
     def __matmul__(self, other: "Tensor") -> "Tensor":
-        other_is_tensor = isinstance(other, Tensor)
-        other_data = other.data if other_is_tensor else _as_array(other)
-        out_data = self.data @ other_data
-        if _profile.ENABLED:
-            _profile.record("matmul", out_data.nbytes)
-        if not _GRAD_ENABLED.get() or not (
-            self.requires_grad or (other_is_tensor and other.requires_grad)
-        ):
-            return Tensor._inference(out_data)
-        other_t = other if other_is_tensor else Tensor(other)
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                if other_t.data.ndim == 1:
-                    self._accumulate(np.outer(grad, other_t.data) if self.data.ndim == 2 else grad * other_t.data)
-                else:
-                    self._accumulate(grad @ np.swapaxes(other_t.data, -1, -2))
-            if other_t.requires_grad:
-                if self.data.ndim == 1:
-                    other_t._accumulate(np.outer(self.data, grad))
-                else:
-                    other_t._accumulate(np.swapaxes(self.data, -1, -2) @ grad)
-
-        return Tensor._node(out_data, (self, other_t), backward)
+        return MatMul.apply(self, other)
 
     # ------------------------------------------------------------------
     # shape ops
@@ -395,70 +291,23 @@ class Tensor:
     def reshape(self, *shape: int) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        original = self.data.shape
-        out_data = self.data.reshape(shape)
-        if _profile.ENABLED:
-            _profile.record("reshape")
-        if not _GRAD_ENABLED.get() or not self.requires_grad:
-            return Tensor._inference(out_data)
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad.reshape(original))
-
-        return Tensor._node(out_data, (self,), backward)
+        return Reshape.apply(self, shape=shape)
 
     def transpose(self, axis1: int = -2, axis2: int = -1) -> "Tensor":
-        out_data = np.swapaxes(self.data, axis1, axis2)
-        if _profile.ENABLED:
-            _profile.record("transpose")
-        if not _GRAD_ENABLED.get() or not self.requires_grad:
-            return Tensor._inference(out_data)
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(np.swapaxes(grad, axis1, axis2))
-
-        return Tensor._node(out_data, (self,), backward)
+        return Transpose.apply(self, axis1=axis1, axis2=axis2)
 
     @property
     def T(self) -> "Tensor":
         return self.transpose()
 
     def __getitem__(self, index) -> "Tensor":
-        out_data = self.data[index]
-        if _profile.ENABLED:
-            _profile.record("getitem", out_data.nbytes if isinstance(out_data, np.ndarray) else 0)
-        if not _GRAD_ENABLED.get() or not self.requires_grad:
-            return Tensor._inference(out_data)
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                full = np.zeros_like(self.data)
-                np.add.at(full, index, grad)
-                self._accumulate(full)
-
-        return Tensor._node(out_data, (self,), backward)
+        return GetItem.apply(self, index=index)
 
     # ------------------------------------------------------------------
     # reductions & elementwise
     # ------------------------------------------------------------------
     def sum(self, axis: Optional[int] = None, keepdims: bool = False) -> "Tensor":
-        out_data = self.data.sum(axis=axis, keepdims=keepdims)
-        if _profile.ENABLED:
-            _profile.record("sum")
-        if not _GRAD_ENABLED.get() or not self.requires_grad:
-            return Tensor._inference(out_data)
-
-        def backward(grad: np.ndarray) -> None:
-            if not self.requires_grad:
-                return
-            g = grad
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            self._accumulate(np.broadcast_to(g, self.data.shape))
-
-        return Tensor._node(out_data, (self,), backward)
+        return Sum.apply(self, axis=axis, keepdims=keepdims)
 
     def mean(self, axis: Optional[int] = None, keepdims: bool = False) -> "Tensor":
         if axis is None:
@@ -468,131 +317,308 @@ class Tensor:
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
 
     def max(self, axis: Optional[int] = None, keepdims: bool = False) -> "Tensor":
-        out_data = self.data.max(axis=axis, keepdims=keepdims)
-        if _profile.ENABLED:
-            _profile.record("max")
-        if not _GRAD_ENABLED.get() or not self.requires_grad:
-            return Tensor._inference(out_data)
-
-        def backward(grad: np.ndarray) -> None:
-            if not self.requires_grad:
-                return
-            g = grad
-            out = out_data
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-                out = np.expand_dims(out, axis)
-            mask = (self.data == out).astype(np.float64)
-            mask /= np.maximum(mask.sum(axis=axis, keepdims=True) if axis is not None else mask.sum(), 1.0)
-            self._accumulate(mask * g)
-
-        return Tensor._node(out_data, (self,), backward)
+        return Max.apply(self, axis=axis, keepdims=keepdims)
 
     def exp(self) -> "Tensor":
-        out_data = np.exp(self.data)
-        if _profile.ENABLED:
-            _profile.record("exp", out_data.nbytes)
-        if not _GRAD_ENABLED.get() or not self.requires_grad:
-            return Tensor._inference(out_data)
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * out_data)
-
-        return Tensor._node(out_data, (self,), backward)
+        return Exp.apply(self)
 
     def log(self) -> "Tensor":
-        out_data = np.log(self.data)
-        if _profile.ENABLED:
-            _profile.record("log", out_data.nbytes)
-        if not _GRAD_ENABLED.get() or not self.requires_grad:
-            return Tensor._inference(out_data)
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad / self.data)
-
-        return Tensor._node(out_data, (self,), backward)
+        return Log.apply(self)
 
     def sqrt(self) -> "Tensor":
         return self**0.5
 
     def tanh(self) -> "Tensor":
-        out_data = np.tanh(self.data)
-        if _profile.ENABLED:
-            _profile.record("tanh", out_data.nbytes)
-        if not _GRAD_ENABLED.get() or not self.requires_grad:
-            return Tensor._inference(out_data)
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * (1.0 - out_data**2))
-
-        return Tensor._node(out_data, (self,), backward)
+        return Tanh.apply(self)
 
     def relu(self) -> "Tensor":
-        out_data = np.maximum(self.data, 0.0)
-        if _profile.ENABLED:
-            _profile.record("relu", out_data.nbytes)
-        if not _GRAD_ENABLED.get() or not self.requires_grad:
-            return Tensor._inference(out_data)
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * (self.data > 0))
-
-        return Tensor._node(out_data, (self,), backward)
+        return ReLU.apply(self)
 
     def sigmoid(self) -> "Tensor":
-        out_data = 1.0 / (1.0 + np.exp(-self.data))
-        if _profile.ENABLED:
-            _profile.record("sigmoid", out_data.nbytes)
-        if not _GRAD_ENABLED.get() or not self.requires_grad:
-            return Tensor._inference(out_data)
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * out_data * (1.0 - out_data))
-
-        return Tensor._node(out_data, (self,), backward)
+        return Sigmoid.apply(self)
 
     def clip(self, low: float, high: float) -> "Tensor":
-        out_data = np.clip(self.data, low, high)
-        if _profile.ENABLED:
-            _profile.record("clip", out_data.nbytes)
-        if not _GRAD_ENABLED.get() or not self.requires_grad:
-            return Tensor._inference(out_data)
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                inside = (self.data >= low) & (self.data <= high)
-                self._accumulate(grad * inside)
-
-        return Tensor._node(out_data, (self,), backward)
+        return Clip.apply(self, low=low, high=high)
 
     def abs(self) -> "Tensor":
-        out_data = np.abs(self.data)
-        if _profile.ENABLED:
-            _profile.record("abs", out_data.nbytes)
-        if not _GRAD_ENABLED.get() or not self.requires_grad:
-            return Tensor._inference(out_data)
+        return Abs.apply(self)
 
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * np.sign(self.data))
 
-        return Tensor._node(out_data, (self,), backward)
+# ----------------------------------------------------------------------
+# the ops
+# ----------------------------------------------------------------------
+class Add(Function):
+    __slots__ = ()
 
-    # ------------------------------------------------------------------
-    # comparisons (non-differentiable, return plain arrays)
-    # ------------------------------------------------------------------
-    def __gt__(self, other) -> np.ndarray:
-        other_data = other.data if isinstance(other, Tensor) else other
-        return self.data > other_data
+    def forward(ctx, a, b):
+        return a + b
 
-    def __lt__(self, other) -> np.ndarray:
-        other_data = other.data if isinstance(other, Tensor) else other
-        return self.data < other_data
+    def backward(ctx, grad):
+        return grad, grad
+
+
+class Neg(Function):
+    __slots__ = ()
+
+    def forward(ctx, a):
+        return -a
+
+    def backward(ctx, grad):
+        return (-grad,)
+
+
+class Sub(Function):
+    __slots__ = ()
+
+    def forward(ctx, a, b):
+        return a - b
+
+    def backward(ctx, grad):
+        return grad, -grad if ctx.needs_grad[1] else None
+
+
+class Mul(Function):
+    __slots__ = ("a", "b")
+
+    def forward(ctx, a, b):
+        ctx.a, ctx.b = a, b
+        return a * b
+
+    def backward(ctx, grad):
+        need_a, need_b = ctx.needs_grad
+        return grad * ctx.b if need_a else None, grad * ctx.a if need_b else None
+
+
+class Div(Function):
+    __slots__ = ("a", "b")
+
+    def forward(ctx, a, b):
+        ctx.a, ctx.b = a, b
+        return a / b
+
+    def backward(ctx, grad):
+        need_a, need_b = ctx.needs_grad
+        a, b = ctx.a, ctx.b
+        return grad / b if need_a else None, -grad * a / (b**2) if need_b else None
+
+
+class Pow(Function):
+    __slots__ = ("a", "exponent")
+
+    def forward(ctx, a, exponent):
+        ctx.a, ctx.exponent = a, exponent
+        return a**exponent
+
+    def backward(ctx, grad):
+        return (grad * ctx.exponent * ctx.a ** (ctx.exponent - 1),)
+
+
+class MatMul(Function):
+    __slots__ = ("a", "b")
+
+    def forward(ctx, a, b):
+        ctx.a, ctx.b = a, b
+        return a @ b
+
+    def backward(ctx, grad):
+        need_a, need_b = ctx.needs_grad
+        a, b = ctx.a, ctx.b
+        grad_a = grad_b = None
+        if need_a:
+            if b.ndim == 1:
+                grad_a = np.outer(grad, b) if a.ndim == 2 else grad * b
+            else:
+                grad_a = grad @ np.swapaxes(b, -1, -2)
+        if need_b:
+            grad_b = np.outer(a, grad) if a.ndim == 1 else np.swapaxes(a, -1, -2) @ grad
+        return grad_a, grad_b
+
+
+class Reshape(Function):
+    __slots__ = ("shape",)
+
+    def forward(ctx, a, shape):
+        ctx.shape = a.shape
+        return a.reshape(shape)
+
+    def backward(ctx, grad):
+        return (grad.reshape(ctx.shape),)
+
+
+class Transpose(Function):
+    __slots__ = ("axes",)
+
+    def forward(ctx, a, axis1, axis2):
+        ctx.axes = (axis1, axis2)
+        return np.swapaxes(a, axis1, axis2)
+
+    def backward(ctx, grad):
+        return (np.swapaxes(grad, *ctx.axes),)
+
+
+class GetItem(Function):
+    __slots__ = ("a", "index")
+
+    def forward(ctx, a, index):
+        ctx.a, ctx.index = a, index
+        return a[index]
+
+    def backward(ctx, grad):
+        full = np.zeros_like(ctx.a)
+        np.add.at(full, ctx.index, grad)
+        return (full,)
+
+
+class Sum(Function):
+    __slots__ = ("shape", "axis", "keepdims")
+
+    def forward(ctx, a, axis, keepdims):
+        ctx.shape, ctx.axis, ctx.keepdims = a.shape, axis, keepdims
+        return a.sum(axis=axis, keepdims=keepdims)
+
+    def backward(ctx, grad):
+        if ctx.axis is not None and not ctx.keepdims:
+            grad = np.expand_dims(grad, ctx.axis)
+        return (np.broadcast_to(grad, ctx.shape),)
+
+
+class Max(Function):
+    __slots__ = ("a", "out", "axis", "keepdims")
+
+    def forward(ctx, a, axis, keepdims):
+        out = a.max(axis=axis, keepdims=keepdims)
+        ctx.a, ctx.out, ctx.axis, ctx.keepdims = a, out, axis, keepdims
+        return out
+
+    def backward(ctx, grad):
+        axis, out = ctx.axis, ctx.out
+        if axis is not None and not ctx.keepdims:
+            grad = np.expand_dims(grad, axis)
+            out = np.expand_dims(out, axis)
+        mask = (ctx.a == out).astype(np.float64)
+        mask /= np.maximum(mask.sum(axis=axis, keepdims=True) if axis is not None else mask.sum(), 1.0)
+        return (mask * grad,)
+
+
+class Exp(Function):
+    __slots__ = ("out",)
+
+    def forward(ctx, a):
+        out = ctx.out = np.exp(a)
+        return out
+
+    def backward(ctx, grad):
+        return (grad * ctx.out,)
+
+
+class Log(Function):
+    __slots__ = ("a",)
+
+    def forward(ctx, a):
+        ctx.a = a
+        return np.log(a)
+
+    def backward(ctx, grad):
+        return (grad / ctx.a,)
+
+
+class Tanh(Function):
+    __slots__ = ("out",)
+
+    def forward(ctx, a):
+        out = ctx.out = np.tanh(a)
+        return out
+
+    def backward(ctx, grad):
+        return (grad * (1.0 - ctx.out**2),)
+
+
+class ReLU(Function):
+    __slots__ = ("a",)
+
+    def forward(ctx, a):
+        ctx.a = a
+        return np.maximum(a, 0.0)
+
+    def backward(ctx, grad):
+        return (grad * (ctx.a > 0),)
+
+
+class Sigmoid(Function):
+    __slots__ = ("out",)
+
+    def forward(ctx, a):
+        out = ctx.out = 1.0 / (1.0 + np.exp(-a))
+        return out
+
+    def backward(ctx, grad):
+        return (grad * ctx.out * (1.0 - ctx.out),)
+
+
+class Clip(Function):
+    __slots__ = ("a", "low", "high")
+
+    def forward(ctx, a, low, high):
+        ctx.a, ctx.low, ctx.high = a, low, high
+        return np.clip(a, low, high)
+
+    def backward(ctx, grad):
+        return (grad * ((ctx.a >= ctx.low) & (ctx.a <= ctx.high)),)
+
+
+class Abs(Function):
+    __slots__ = ("a",)
+
+    def forward(ctx, a):
+        ctx.a = a
+        return np.abs(a)
+
+    def backward(ctx, grad):
+        return (grad * np.sign(ctx.a),)
+
+
+class Concatenate(Function):
+    __slots__ = ("sizes", "axis")
+
+    def forward(ctx, *arrays, axis):
+        ctx.sizes, ctx.axis = [a.shape[axis] for a in arrays], axis
+        return np.concatenate(arrays, axis=axis)
+
+    def backward(ctx, grad):
+        offsets = np.cumsum([0] + ctx.sizes)
+        index = [slice(None)] * grad.ndim
+        axis = ctx.axis if ctx.axis >= 0 else grad.ndim + ctx.axis
+        grads = []
+        for needs, start, stop in zip(ctx.needs_grad, offsets[:-1], offsets[1:]):
+            index[axis] = slice(start, stop)
+            grads.append(grad[tuple(index)] if needs else None)
+        return grads
+
+
+class Stack(Function):
+    __slots__ = ("count", "axis")
+
+    def forward(ctx, *arrays, axis):
+        ctx.count, ctx.axis = len(arrays), axis
+        return np.stack(arrays, axis=axis)
+
+    def backward(ctx, grad):
+        return [np.squeeze(slab, axis=ctx.axis) for slab in np.split(grad, ctx.count, axis=ctx.axis)]
+
+
+class Where(Function):
+    __slots__ = ("condition",)
+
+    def forward(ctx, a, b, condition):
+        ctx.condition = np.asarray(condition, dtype=bool)
+        return np.where(ctx.condition, a, b)
+
+    def backward(ctx, grad):
+        need_a, need_b = ctx.needs_grad
+        return (
+            np.where(ctx.condition, grad, 0.0) if need_a else None,
+            np.where(ctx.condition, 0.0, grad) if need_b else None,
+        )
 
 
 # ----------------------------------------------------------------------
@@ -617,52 +643,14 @@ def randn(*shape: int, rng: Optional[np.random.Generator] = None, requires_grad:
 
 def concatenate(tensors: Iterable[Tensor], axis: int = -1) -> Tensor:
     """Differentiable concatenation along ``axis``."""
-    tensors = [t if isinstance(t, Tensor) else Tensor(t) for t in tensors]
-    out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    if _profile.ENABLED:
-        _profile.record("concatenate", out_data.nbytes)
-
-    def backward(grad: np.ndarray) -> None:
-        sizes = [t.data.shape[axis] for t in tensors]
-        offsets = np.cumsum([0] + sizes)
-        for t, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                index = [slice(None)] * grad.ndim
-                index[axis if axis >= 0 else grad.ndim + axis] = slice(start, stop)
-                t._accumulate(grad[tuple(index)])
-
-    return Tensor._make(out_data, tensors, backward)
+    return Concatenate.apply(*tensors, axis=axis)
 
 
 def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     """Differentiable stack along a new ``axis``."""
-    tensors = [t if isinstance(t, Tensor) else Tensor(t) for t in tensors]
-    out_data = np.stack([t.data for t in tensors], axis=axis)
-    if _profile.ENABLED:
-        _profile.record("stack", out_data.nbytes)
-
-    def backward(grad: np.ndarray) -> None:
-        slabs = np.split(grad, len(tensors), axis=axis)
-        for t, slab in zip(tensors, slabs):
-            if t.requires_grad:
-                t._accumulate(np.squeeze(slab, axis=axis))
-
-    return Tensor._make(out_data, tensors, backward)
+    return Stack.apply(*tensors, axis=axis)
 
 
 def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
     """Differentiable selection: ``condition ? a : b`` (condition is constant)."""
-    a_t = a if isinstance(a, Tensor) else Tensor(a)
-    b_t = b if isinstance(b, Tensor) else Tensor(b)
-    cond = np.asarray(condition, dtype=bool)
-    out_data = np.where(cond, a_t.data, b_t.data)
-    if _profile.ENABLED:
-        _profile.record("where", out_data.nbytes)
-
-    def backward(grad: np.ndarray) -> None:
-        if a_t.requires_grad:
-            a_t._accumulate(np.where(cond, grad, 0.0))
-        if b_t.requires_grad:
-            b_t._accumulate(np.where(cond, 0.0, grad))
-
-    return Tensor._make(out_data, (a_t, b_t), backward)
+    return Where.apply(a, b, condition=condition)

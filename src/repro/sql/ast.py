@@ -3,10 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
-
-if TYPE_CHECKING:
-    import networkx as nx
+from typing import Dict, List, Optional, Tuple
 
 COMPARISON_OPS = ("=", "<>", "<", "<=", ">", ">=")
 SET_OPS = ("IN", "BETWEEN")
@@ -119,20 +116,6 @@ class Query:
     def filters_for(self, alias: str) -> List[FilterPredicate]:
         return [f for f in self.filters if f.column.alias == alias]
 
-    def join_graph(self) -> "nx.Graph":
-        """Undirected alias graph; each edge carries its join predicates."""
-        import networkx as nx
-
-        graph = nx.Graph()
-        graph.add_nodes_from(self.tables)
-        for pred in self.join_predicates:
-            a, b = pred.aliases()
-            if graph.has_edge(a, b):
-                graph[a][b]["predicates"].append(pred)
-            else:
-                graph.add_edge(a, b, predicates=[pred])
-        return graph
-
     def is_connected(self) -> bool:
         """Whether the join predicates link every alias (union-find, no graph)."""
         root = {alias: alias for alias in self.tables}
@@ -149,16 +132,6 @@ class Query:
                 root[a] = b
                 components -= 1
         return components == 1
-
-    def joins_between(self, group_a: Sequence[str], group_b: Sequence[str]) -> List[JoinPredicate]:
-        """Join predicates linking any alias in group_a to any in group_b."""
-        set_a, set_b = set(group_a), set(group_b)
-        result = []
-        for pred in self.join_predicates:
-            la, ra = pred.aliases()
-            if (la in set_a and ra in set_b) or (la in set_b and ra in set_a):
-                result.append(pred)
-        return result
 
     def to_sql(self) -> str:
         """Render back to the SQL dialect accepted by the parser."""

@@ -1,11 +1,13 @@
 """Test-only oracle: the frozenset/dict planner the bitmask DP replaced.
 
 This is the previous ``repro.optimizer.dp`` / ``repro.optimizer.hints``
-enumeration code, kept verbatim (``Query.joins_between`` per expansion,
+enumeration code, kept verbatim (:func:`joins_between` per expansion,
 ``join_selectivity`` per predicate, a ``JoinNode`` per improvement) so the
 differential tests in ``tests/test_optimizer.py`` can require the fast path
 to reproduce it ``float.hex`` for ``float.hex``.  Nothing under ``src/``
-imports it; do not optimise it.
+imports it; do not optimise it.  It also keeps the networkx join graphs
+(:func:`query_join_graph`, :func:`schema_join_graph`) that ``Query`` and
+``Schema`` used to build, as oracles for their adjacency and connectivity.
 """
 
 from __future__ import annotations
@@ -13,11 +15,47 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
+import networkx as nx
+
+from repro.catalog.schema import Schema
 from repro.optimizer.cardinality import MIN_ROWS, CardinalityEstimator
 from repro.optimizer.cost import CostModel
 from repro.optimizer.dp import IndexOracle, OptimizerOptions
 from repro.optimizer.plans import JoinNode, PlanNode, ScanNode
 from repro.sql.ast import JoinPredicate, Query
+
+def query_join_graph(query: Query) -> nx.Graph:
+    """Undirected alias graph; each edge carries its join predicates."""
+    graph = nx.Graph()
+    graph.add_nodes_from(query.tables)
+    for pred in query.join_predicates:
+        a, b = pred.aliases()
+        if graph.has_edge(a, b):
+            graph[a][b]["predicates"].append(pred)
+        else:
+            graph.add_edge(a, b, predicates=[pred])
+    return graph
+
+
+def schema_join_graph(schema: Schema) -> nx.Graph:
+    """Undirected graph over tables; edges carry the joinable column pair."""
+    graph = nx.Graph()
+    graph.add_nodes_from(schema.table_names)
+    for fk in schema.foreign_keys:
+        graph.add_edge(fk.table, fk.ref_table, columns=(fk.column, fk.ref_column), fk=fk)
+    return graph
+
+
+def joins_between(query: Query, group_a: Sequence[str], group_b: Sequence[str]) -> List[JoinPredicate]:
+    """Join predicates linking any alias in group_a to any in group_b."""
+    set_a, set_b = set(group_a), set(group_b)
+    result = []
+    for pred in query.join_predicates:
+        la, ra = pred.aliases()
+        if (la in set_a and ra in set_b) or (la in set_b and ra in set_a):
+            result.append(pred)
+    return result
+
 
 # Predicate ops an index scan can serve.
 _INDEXABLE_OPS = ("=", "IN", "BETWEEN", "<", "<=", ">", ">=")
@@ -155,7 +193,7 @@ class ReferenceEnumerator:
 
     def _dynamic_programming(self, query: Query, options: OptimizerOptions) -> PlanNode:
         aliases = query.aliases
-        graph = query.join_graph()
+        graph = query_join_graph(query)
         neighbors: Dict[str, Set[str]] = {a: set(graph.neighbors(a)) for a in aliases}
         scans = {alias: self.best_scan(query, alias) for alias in aliases}
         methods = options.allowed_methods()
@@ -176,7 +214,7 @@ class ReferenceEnumerator:
                 entry = best[subset]
                 candidates = self._expansion_candidates(subset, neighbors, aliases, prefix, size)
                 for alias in candidates:
-                    predicates = query.joins_between(list(subset), [alias])
+                    predicates = joins_between(query, list(subset), [alias])
                     scan = scans[alias]
                     out_rows = reference_join_rows(self.estimator, query, entry.rows, scan.est_rows, predicates)
                     for method in methods:
@@ -242,7 +280,7 @@ class ReferenceEnumerator:
         plan: PlanNode = scans[start]
         rows = scans[start].est_rows
         joined = {start}
-        graph = query.join_graph()
+        graph = query_join_graph(query)
         while joined != aliases:
             forced = None
             if len(joined) < len(prefix):
@@ -252,7 +290,7 @@ class ReferenceEnumerator:
             for alias in candidates:
                 if forced is None and not any(graph.has_edge(alias, j) for j in joined):
                     continue
-                predicates = query.joins_between(list(joined), [alias])
+                predicates = joins_between(query, list(joined), [alias])
                 scan = scans[alias]
                 out_rows = reference_join_rows(self.estimator, query, rows, scan.est_rows, predicates)
                 for method in methods:
@@ -307,7 +345,7 @@ def reference_hinted_plan(
     for level, alias in enumerate(join_order[1:]):
         method = join_methods[level]
         scan = scans[alias]
-        predicates = tuple(query.joins_between(prefix, [alias]))
+        predicates = tuple(joins_between(query, prefix, [alias]))
         out_rows = reference_join_rows(enumerator.estimator, query, rows, scan.est_rows, predicates)
         op_cost = enumerator.join_cost(query, method, rows, scan, out_rows, predicates)
         plan = JoinNode(

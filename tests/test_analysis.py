@@ -198,8 +198,12 @@ class TestClockRules:
             lint_source(source, path="src/repro/core/batching.py", rules={"clock-perf-counter"})
         ) == ["clock-perf-counter"]
         assert lint_source(
-            source, path="src/repro/nn/profile.py", rules={"clock-perf-counter"}
+            source, path="src/repro/nn/tensor.py", rules={"clock-perf-counter"}
         ) == []
+        # Ops are timed in Function.apply only, not per op module.
+        assert rules_of(
+            lint_source(source, path="src/repro/nn/functional.py", rules={"clock-perf-counter"})
+        ) == ["clock-perf-counter"]
 
     def test_clock_rules_apply_only_under_enforced_roots(self):
         findings = lint_source(

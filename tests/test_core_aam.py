@@ -432,8 +432,8 @@ class TestRootOnlyLastLayer:
         with profile.profile() as prof:
             with no_grad():
                 network(big, steps)
-            attention = prof.bytes["attention_inf"]
-            assert prof.calls["attention_inf"] == 2
+            attention = prof.bytes["fused_attention"]
+            assert prof.calls["fused_attention"] == 2
         token = 64 * 8  # d_model float64s
         assert attention == tokens * token + 16 * token  # every token, then 16 roots
 

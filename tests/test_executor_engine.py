@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reference_dp import joins_between
 from reference_executor import JoinOverflow, ReferenceExecutionEngine, join_pairs
 from repro.engine.database import HARD_CAP_MS
 from repro.executor import engine as engine_module
@@ -457,7 +458,7 @@ def _tiny_plan(query, order, methods):
 
     plan = scan(order[0])
     for position, (alias, method) in enumerate(zip(order[1:], methods), start=1):
-        predicates = tuple(query.joins_between(order[:position], [alias]))
+        predicates = tuple(joins_between(query, order[:position], [alias]))
         plan = JoinNode(left=plan, right=scan(alias), method=method, predicates=predicates)
     return plan
 

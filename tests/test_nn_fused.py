@@ -17,6 +17,7 @@ import pytest
 
 from repro.nn import functional as F
 from repro.nn import profile
+from repro.nn.layers import LayerNorm
 from repro.nn.tensor import Tensor, no_grad
 
 
@@ -95,6 +96,36 @@ class TestFusedLinear:
         (x2 @ w2).tanh().sum().backward()
         assert np.array_equal(w1.grad, w2.grad)
         assert np.array_equal(x1.grad, x2.grad)
+
+
+class TestFusedLayerNorm:
+    def test_grads_equal_unfused_chain(self, rng):
+        xd = rng.normal(size=(2, 5, 6)) * 3.0 + 1.0
+        gd, bd = rng.normal(size=6), rng.normal(size=6)
+        seed = rng.normal(size=(2, 5, 6))
+
+        def chain(x, gamma, beta):
+            """``LayerNorm.forward`` as the eleven-op chain it was (oracle)."""
+            mean = x.mean(axis=-1, keepdims=True)
+            centered = x - mean
+            var = (centered * centered).mean(axis=-1, keepdims=True)
+            normed = centered / (var + 1e-5).sqrt()
+            return normed * gamma + beta
+
+        def fused(x, gamma, beta):
+            layer = LayerNorm(6)
+            layer.gamma, layer.beta = gamma, beta
+            return layer(x)
+
+        def run(norm):
+            x, gamma, beta = (Tensor(a.copy(), requires_grad=True) for a in (xd, gd, bd))
+            hidden = x * 2.0  # interior, and it reaches the output twice
+            out = hidden + norm(hidden, gamma, beta)
+            (out * Tensor(seed)).sum().backward()
+            return out.data, x.grad, gamma.grad, beta.grad
+
+        for got, expected in zip(run(fused), run(chain)):
+            assert np.array_equal(got, expected)
 
 
 class TestFusedAttention:

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.nn import functional as F
 from repro.nn import profile
@@ -206,7 +206,11 @@ def reach_mask(rng, shape, density):
 def assert_rows_parity(block, x, mask, rows=1):
     """``block(x, rows=rows)`` against ``block(x)[..., :rows, :]``: values in
     both modes, the two modes bitwise, and every gradient under an upstream
-    gradient that is zero outside the leading positions."""
+    gradient that is zero outside the leading positions.
+
+    The value checks allow GEMM blocking (``rows`` changes the score
+    GEMM's shape): a relative tolerance plus an absolute floor scaled to
+    the largest entry, as the gradient check below has."""
     up_rng = np.random.default_rng(x.size)
     kept = min(rows, x.shape[-2])
 
@@ -215,12 +219,16 @@ def assert_rows_parity(block, x, mask, rows=1):
     head_in = Tensor(x.copy(), requires_grad=True)
     head = block(head_in, mask=mask, rows=rows)
     assert head.shape == x.shape[:-2] + (kept, DIM)
-    np.testing.assert_allclose(head.data, full.data[..., :kept, :], rtol=1e-12, atol=0)
+    np.testing.assert_allclose(
+        head.data, full.data[..., :kept, :], rtol=1e-12, atol=1e-12 * np.abs(full.data).max()
+    )
     with no_grad():
         fast = block(Tensor(x), mask=mask, rows=rows)
         fast_full = block(Tensor(x), mask=mask)
     assert np.array_equal(fast.data, head.data)  # tape == no_grad, bitwise
-    np.testing.assert_allclose(fast.data, fast_full.data[..., :kept, :], rtol=1e-12, atol=0)
+    np.testing.assert_allclose(
+        fast.data, fast_full.data[..., :kept, :], rtol=1e-12, atol=1e-12 * np.abs(fast_full.data).max()
+    )
 
     upstream = up_rng.standard_normal(head.shape)
     padded = np.zeros(full.shape)
@@ -289,6 +297,8 @@ class TestLeadingRowsOnly:
         density=st.floats(0.0, 1.0),
         seed=st.integers(0, 2**32 - 1),
     )
+    # Fails at rtol=1e-12, atol=0: one entry of ~2e-4 is off by 2.3e-16 (GEMM blocking).
+    @example(batch=4, nodes=7, density=0.6961544503408927, seed=369420598)
     def test_drawn_shapes_and_masks(self, kind, batch, nodes, density, seed):
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((batch, nodes, DIM))

@@ -11,7 +11,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reference_dp import ReferenceEnumerator, reference_hinted_plan, reference_join_rows
+from reference_dp import (
+    ReferenceEnumerator,
+    joins_between,
+    query_join_graph,
+    reference_hinted_plan,
+    reference_join_rows,
+)
 from repro.baselines.hybridqo import HybridQOOptimizer
 from repro.optimizer import dp
 from repro.optimizer.cost import CostModel, CostParameters, runtime_cost_parameters
@@ -354,7 +360,7 @@ def planners():
 
 def cross_join_prefixes(query):
     """Two-alias prefixes whose second alias shares no predicate with the first."""
-    graph = query.join_graph()
+    graph = query_join_graph(query)
     return [
         (a, b) for a in query.aliases for b in query.aliases if a != b and not graph.has_edge(a, b)
     ]
@@ -611,7 +617,7 @@ def brute_force_minimum(reference, query):
     """(cheapest cost over all connected left-deep orders, any estimate clamped?)."""
     aliases = query.aliases
     scans = {alias: reference.best_scan(query, alias) for alias in aliases}
-    graph = query.join_graph()
+    graph = query_join_graph(query)
     best, clamped = math.inf, False
 
     def walk(order, rows, cost):
@@ -623,7 +629,7 @@ def brute_force_minimum(reference, query):
             if alias in order or not any(graph.has_edge(alias, joined) for joined in order):
                 continue
             scan = scans[alias]
-            predicates = query.joins_between(order, [alias])
+            predicates = joins_between(query, order, [alias])
             out_rows = reference_join_rows(reference.estimator, query, rows, scan.est_rows, predicates)
             clamped = clamped or out_rows == 1.0
             op_cost = min(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reference_dp import schema_join_graph
 from repro.catalog import datagen
 from repro.catalog.schema import ColumnSchema, ForeignKey, Schema, TableSchema
 from repro.catalog.statistics import StatisticsCatalog, _analyze_column
@@ -108,14 +109,14 @@ class TestSchema:
             ],
             foreign_keys=[ForeignKey("b", "a_id", "a", "id")],
         )
-        graph = schema.join_graph()
+        graph = schema_join_graph(schema)
         assert graph.has_edge("a", "b")
         assert schema.join_columns("b", "a") == ("a_id", "id")
         assert schema.join_columns("a", "b") == ("id", "a_id")
 
     @staticmethod
     def assert_adjacency_matches_graph(schema):
-        graph = schema.join_graph()
+        graph = schema_join_graph(schema)
         assert schema.table_names == list(graph.nodes)
         for table in schema.table_names:
             assert schema.neighbors(table) == list(graph.neighbors(table))
