@@ -7,7 +7,8 @@ This package implements the paper's contribution:
 * :mod:`repro.core.actions` — the Swap/Override action space, legality
   masks, the post-Swap restriction, and the closed-form ``minsteps``;
 * :mod:`repro.core.encoding` — QueryFormer-lite plan encoding (node
-  features, heights, structure types, reachability attention mask);
+  features, structure types, and heights and the reachability attention
+  mask, both read off pre-order subtree spans);
 * :mod:`repro.core.aam` — the asymmetric advantage model (transformer state
   network + position-aware pairwise head, asymmetric focal loss);
 * :mod:`repro.core.reward` — advantage discretization, step/episode

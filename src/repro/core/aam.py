@@ -43,6 +43,7 @@ from repro.nn.layers import (
     Embedding,
     LayerNorm,
     Linear,
+    Lookup,
     Module,
     Parameter,
     TransformerEncoderLayer,
@@ -365,11 +366,13 @@ class AdvantageModel(Module):
         """The position-aware pairwise head; shared by training forward and
         the cached-statevec inference path so they cannot drift."""
         batch = vec_l.shape[0]
-        pos_l = self.position_embed(np.zeros(batch, dtype=np.int64))
-        pos_r = self.position_embed(np.ones(batch, dtype=np.int64))
-        hidden_l = self.fc1(vec_l + pos_l).relu()
-        hidden_r = self.fc1(vec_r + pos_r).relu()
-        return self.fc2(hidden_l - hidden_r)
+        positions, fc1, fc2 = self.position_embed.weight, self.fc1, self.fc2
+        # Position ids are the constants 0 (left) and 1 (right): in range.
+        pos_l = Lookup.apply(positions, ids=np.zeros(batch, dtype=np.int64))
+        pos_r = Lookup.apply(positions, ids=np.ones(batch, dtype=np.int64))
+        hidden_l = F.FusedLinear.apply(vec_l + pos_l, fc1.weight, fc1.bias).relu()
+        hidden_r = F.FusedLinear.apply(vec_r + pos_r, fc1.weight, fc1.bias).relu()
+        return F.FusedLinear.apply(hidden_l - hidden_r, fc2.weight, fc2.bias)
 
     def predict_scores(
         self,
@@ -513,17 +516,21 @@ class AAMTrainer:
                 "pairs": 0, "rows": 0, "distinct_rows": 0,
             }
         cfg = self.config
-        self.model._bump_version()
         total_loss = 0.0
         batches = 0
         rows_before = self.model.rows_forwarded
-        for _ in range(cfg.epochs):
-            order = self.rng.permutation(len(samples))
-            for start in range(0, len(samples), cfg.minibatch_size):
-                chunk = [samples[i] for i in order[start : start + cfg.minibatch_size]]
-                loss = self._step(chunk)
-                total_loss += loss
-                batches += 1
+        try:
+            for _ in range(cfg.epochs):
+                order = self.rng.permutation(len(samples))
+                for start in range(0, len(samples), cfg.minibatch_size):
+                    chunk = [samples[i] for i in order[start : start + cfg.minibatch_size]]
+                    loss = self._step(chunk)
+                    total_loss += loss
+                    batches += 1
+        finally:
+            # Once the weights stop moving: statevecs and scores a concurrent
+            # reader got from half-trained weights keep the old version key.
+            self.model._bump_version()
         distinct_rows = self.model.rows_forwarded - rows_before
         return {
             "loss": total_loss / max(batches, 1),

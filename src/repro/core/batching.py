@@ -252,17 +252,16 @@ class BatchedEpisodeRunner:
 
         # Phase 6: record transitions and advance episode state.  Masks come
         # from `mask_rows` (fresh per-episode arrays), not the pooled stack.
-        for ep, state, action_id, log_prob, value, mask in zip(
-            active, states, actions, log_probs, values, mask_rows
-        ):
+        # A greedy step has no value or log-prob.
+        for k, (ep, state, action_id, mask) in enumerate(zip(active, states, actions, mask_rows)):
             ep.transitions.append(
                 Transition(
                     state=state,
                     action=int(action_id),
                     reward=ep.step_reward,
                     done=t == cfg.max_steps,
-                    value=float(value),
-                    log_prob=float(log_prob),
+                    value=None if deterministic else float(values[k]),
+                    log_prob=None if deterministic else float(log_probs[k]),
                     action_mask=mask,
                 )
             )

@@ -6,7 +6,9 @@ samples, which the paper drops for efficiency.  Structural features are the
 node height and a 4-way structure type (left / right / no-siblings / root).
 Tree structure enters the transformer through a *reachability* attention
 mask: node pairs may attend iff one is an ancestor of the other (or they
-are the same node); unreachable pairs get attention score ~0.
+are the same node); unreachable pairs get attention score ~0.  Nodes are
+numbered in pre-order, so every subtree is one contiguous span of
+positions; mask and heights are both read off those spans.
 """
 
 from __future__ import annotations
@@ -109,6 +111,11 @@ class PlanEncoder:
         for table_name in schema.table_names:
             for column in schema.table(table_name).column_names:
                 self._column_ids[(table_name, column)] = len(self._column_ids) + 1
+        # Position constants of the span computation in :meth:`_encode_batch`.
+        positions = np.arange(max_nodes + 1)
+        self._positions = positions[:max_nodes]
+        self._later = positions > self._positions[:, None]
+        self._at_or_after = self._positions >= self._positions[:, None]
 
     @property
     def num_tables(self) -> int:
@@ -141,8 +148,8 @@ class PlanEncoder:
 
         This is a true batch path: after one cache-lookup pass (with
         in-batch dedup), *all* uncached plans are encoded together by
-        :meth:`_encode_batch`, whose feature writes and reachability
-        closure vectorize across the whole cohort.
+        :meth:`_encode_batch`, whose feature writes and subtree spans
+        vectorize across the whole cohort.
         """
         results: List[Optional[EncodedPlan]] = [None] * len(pairs)
         miss_slots: "OrderedDict[Tuple[str, str], List[int]]" = OrderedDict()
@@ -184,13 +191,16 @@ class PlanEncoder:
     def _encode_batch(self, pairs: Sequence[Tuple[Query, PlanNode]]) -> List[EncodedPlan]:
         """Encode ``pairs`` (no cache involvement) with vectorized writes.
 
-        One Python pass walks every plan tree collecting parallel id lists;
-        each feature field is then filled with a single fancy-indexed
-        assignment across the whole batch, and the reachability mask is
-        built by an iterative ancestor-pointer chase vectorized over all
-        nodes of all plans (loop length = max tree depth, not node count).
-        The returned ``EncodedPlan`` fields are row views of the shared
-        batch arrays.
+        One Python pass walks every plan tree collecting parallel id lists
+        and node depths; each feature field is then filled with a single
+        boolean-mask assignment across the whole batch.  Reachability and
+        heights come from pre-order spans, a fixed number of numpy calls
+        over ``(batch, max_nodes, max_nodes)`` whatever the batch size or
+        tree depth: node i's subtree is the positions ``[i, end_i)``, where
+        ``end_i`` is the first later position no deeper than i, so the mask
+        is the spans OR their transpose, and a height is the deepest depth
+        inside the span minus the node's own.  The returned
+        ``EncodedPlan`` fields are row views of the shared batch arrays.
         """
         n_max = self.max_nodes
         batch = len(pairs)
@@ -204,52 +214,43 @@ class PlanEncoder:
         fint_block = np.zeros((batch, 2, n_max, MAX_FILTERS_PER_NODE), dtype=np.int64)
         filter_cols, filter_ops = fint_block[:, 0], fint_block[:, 1]
         filter_vals = np.zeros((batch, n_max, MAX_FILTERS_PER_NODE), dtype=np.float64)
-        attention = np.zeros((batch, n_max, n_max), dtype=bool)
-        node_mask = np.zeros((batch, n_max), dtype=bool)
-        parent_of = np.full((batch, n_max), -1, dtype=np.int64)
+        # Depth -1 past each plan's last node, and in one extra column, ends
+        # every span by ``n_max`` and gives a padding row its diagonal alone.
+        depth = np.full((batch, n_max + 1), -1, dtype=np.int64)
         counts: List[int] = []
 
-        # Parallel scatter lists collected in one walk over every tree.
-        all_u: List[int] = []
-        all_i: List[int] = []
-        all_parent: List[int] = []
+        # Parallel value lists collected in one walk over every tree, in
+        # walk order: plan by plan, each in pre-order, which is the row-major
+        # order of the boolean masks that scatter them below.
+        all_depth: List[int] = []
         all_struct: List[int] = []
         all_op: List[int] = []
-        starts: List[int] = []
-        scan_u: List[int] = []
-        scan_i: List[int] = []
         scan_table: List[int] = []
         scan_fcols: List[np.ndarray] = []
         scan_fops: List[np.ndarray] = []
         scan_fvals: List[np.ndarray] = []
-        join_u: List[int] = []
-        join_i: List[int] = []
-        join_l: List[int] = []
+        join_l: List[int] = []  # 0 (none) for a join without predicates
         join_r: List[int] = []
 
         # Hot-loop local bindings (the walk visits every node of every plan).
-        append_u, append_i = all_u.append, all_i.append
+        append_depth = all_depth.append
         append_struct, append_op = all_struct.append, all_op.append
         column_ids = self._column_ids
         leaf_features = self._leaf_features
         join_op_ids = _JOIN_OP_IDS
 
-        for u, (query, plan) in enumerate(pairs):
-            starts.append(len(all_u))
-            # Iterative pre-order walk (node, parent index, is-left-child);
-            # right is pushed first so left pops first, matching recursion.
-            stack: List[Tuple[PlanNode, int, Optional[bool]]] = [(plan, -1, None)]
+        for query, plan in pairs:
+            # Iterative pre-order walk (node, depth, is-left-child); right is
+            # pushed first so left pops first, matching recursion.
+            stack: List[Tuple[PlanNode, int, Optional[bool]]] = [(plan, 0, None)]
             pop, push = stack.pop, stack.append
             index = 0
             query_tables = query.tables
             while stack:
-                node, parent_index, as_left = pop()
-                i = index
+                node, level, as_left = pop()
                 index += 1
-                all_parent.append(parent_index)
-                append_u(u)
-                append_i(i)
-                if parent_index < 0:
+                append_depth(level)
+                if level == 0:
                     append_struct(STRUCT_ROOT)
                 elif as_left is None:
                     append_struct(STRUCT_NO_SIBLING)
@@ -260,18 +261,17 @@ class PlanEncoder:
                     if node.predicates:
                         predicate = node.predicates[0]
                         pred_left, pred_right = predicate.left, predicate.right
-                        join_u.append(u)
-                        join_i.append(i)
                         join_l.append(column_ids[(query_tables[pred_left.alias], pred_left.column)])
                         join_r.append(column_ids[(query_tables[pred_right.alias], pred_right.column)])
-                    push((node.right, i, False))
-                    push((node.left, i, True))
+                    else:
+                        join_l.append(0)
+                        join_r.append(0)
+                    push((node.right, level + 1, False))
+                    push((node.left, level + 1, True))
                 else:
                     assert isinstance(node, ScanNode)
                     op_id, table_id, fc, fo, fv = leaf_features(query, node)
                     append_op(op_id)
-                    scan_u.append(u)
-                    scan_i.append(i)
                     scan_table.append(table_id)
                     scan_fcols.append(fc)
                     scan_fops.append(fo)
@@ -281,66 +281,34 @@ class PlanEncoder:
                 raise ValueError(f"plan has {n} nodes, encoder limit is {n_max}")
             counts.append(n)
 
-        u_arr = np.asarray(all_u, dtype=np.int64)
-        i_arr = np.asarray(all_i, dtype=np.int64)
-        parent_arr = np.asarray(all_parent, dtype=np.int64)
-        structs[u_arr, i_arr] = all_struct
-        ops[u_arr, i_arr] = all_op
-        node_mask[u_arr, i_arr] = True
-        parent_of[u_arr, i_arr] = parent_arr
+        node_mask = self._positions < np.array(counts)[:, None]
+        own = depth[:, :n_max]
+        own[node_mask] = all_depth
+        structs[node_mask] = all_struct
+        ops[node_mask] = all_op
+        is_join = ops >= OP_HASH_JOIN
+        is_scan = node_mask & ~is_join
+        tables[is_scan] = scan_table
+        filter_cols[is_scan] = np.array(scan_fcols)
+        filter_ops[is_scan] = np.array(scan_fops)
+        filter_vals[is_scan] = np.array(scan_fvals)
+        join_left[is_join] = join_l
+        join_right[is_join] = join_r
 
-        # Height = longest downward path to a leaf (h <= n - 1 <= n_max - 1,
-        # so no clip is needed).  Large batches propagate heights one level
-        # per ``maximum.at`` pass over every child->parent edge of every
-        # plan (loop length = max tree depth); small batches use a plain
-        # reverse pre-order list sweep, which beats numpy call overhead at
-        # that size.  Both produce identical integers.
-        if batch >= 8:
-            edge = parent_arr >= 0
-            eu, ei, ep = u_arr[edge], i_arr[edge], parent_arr[edge]
-            while True:
-                lifted = heights[eu, ei] + 1
-                if (lifted <= heights[eu, ep]).all():
-                    break
-                np.maximum.at(heights, (eu, ep), lifted)
-        else:
-            for u, (start, n) in enumerate(zip(starts, counts)):
-                parents_local = all_parent[start : start + n]
-                h = [0] * n
-                for i in range(n - 1, 0, -1):
-                    p = parents_local[i]
-                    lifted = h[i] + 1
-                    if h[p] < lifted:
-                        h[p] = lifted
-                heights[u, :n] = h
-        if scan_u:
-            su = np.asarray(scan_u, dtype=np.int64)
-            si = np.asarray(scan_i, dtype=np.int64)
-            tables[su, si] = scan_table
-            filter_cols[su, si] = np.stack(scan_fcols)
-            filter_ops[su, si] = np.stack(scan_fops)
-            filter_vals[su, si] = np.stack(scan_fvals)
-        if join_u:
-            ju = np.asarray(join_u, dtype=np.int64)
-            ji = np.asarray(join_i, dtype=np.int64)
-            join_left[ju, ji] = join_l
-            join_right[ju, ji] = join_r
-
-        # Reachability: every node may attend to itself (real and padding
-        # rows alike) and to its ancestors/descendants.  Chase the ancestor
-        # pointers of all nodes of all plans at once.
-        diag = np.arange(n_max)
-        attention[:, diag, diag] = True
-        uu, ii = u_arr, i_arr
-        anc = parent_arr
-        while True:
-            live = anc >= 0
-            if not live.any():
-                break
-            uu, ii, aa = uu[live], ii[live], anc[live]
-            attention[uu, ii, aa] = True
-            attention[uu, aa, ii] = True
-            anc = parent_of[uu, aa]
+        # Every node may attend to itself (real and padding rows alike) and
+        # to its ancestors and descendants.
+        ends = ((depth[:, None, :] <= own[:, :, None]) & self._later).argmax(axis=2)
+        spans = self._at_or_after & (self._positions < ends[:, :, None])
+        attention = spans | spans.transpose(0, 2, 1)
+        # A height (the longest downward path to a leaf) is the deepest
+        # depth in ``[i, end_i)`` minus i's own: one max per slice of the
+        # flat depths, between interleaved bounds whose odd slices are spare.
+        bounds = np.empty((batch, n_max, 2), dtype=np.int64)
+        row_starts = np.arange(0, depth.size, n_max + 1)[:, None]
+        bounds[:, :, 0] = row_starts + self._positions
+        bounds[:, :, 1] = row_starts + ends
+        deepest = np.maximum.reduceat(depth.reshape(-1), bounds.reshape(-1))[::2]
+        heights[...] = deepest.reshape(batch, n_max) - own
 
         return [
             EncodedPlan(

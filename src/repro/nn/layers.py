@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.nn import init
 from repro.nn.tensor import Function, Tensor, _sum_to_shape
-from repro.nn.functional import Segments, fused_linear, segment_attention
+from repro.nn.functional import FusedLinear, Segments, fused_linear, segment_attention
 
 
 class Parameter(Tensor):
@@ -122,7 +122,9 @@ class Linear(Module):
         self.bias = Parameter(np.zeros(out_features)) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
-        return fused_linear(x, self.weight, self.bias)
+        if self.bias is None:
+            return FusedLinear.apply(x, self.weight)
+        return FusedLinear.apply(x, self.weight, self.bias)
 
 
 def scatter_rows(ids: np.ndarray, rows: np.ndarray, num: int) -> np.ndarray:
@@ -388,11 +390,15 @@ class MultiHeadAttention(Module):
             x, segments, batch = _pack(x, mask, additive)
         scale = 1.0 / math.sqrt(self.head_dim)
         xq = x if rows is None else x[leading_tokens(segments, rows)]
+        q, k, v, o = self.q_proj, self.k_proj, self.v_proj, self.out_proj
         # One kernel for split -> score -> mask -> softmax -> context -> merge.
         context = segment_attention(
-            self.q_proj(xq), self.k_proj(x), self.v_proj(x), segments, self.num_heads, scale, rows
+            FusedLinear.apply(xq, q.weight, q.bias),
+            FusedLinear.apply(x, k.weight, k.bias),
+            FusedLinear.apply(x, v.weight, v.bias),
+            segments, self.num_heads, scale, rows,
         )
-        out = self.out_proj(context)
+        out = FusedLinear.apply(context, o.weight, o.bias)
         return out if batch is None else out.reshape(batch, -1, self.dim)
 
 
@@ -406,11 +412,9 @@ class FeedForward(Module):
         self.fc2 = Linear(hidden, dim, rng=rng)
 
     def forward(self, x: Tensor) -> Tensor:
-        return fused_linear(
-            fused_linear(x, self.fc1.weight, self.fc1.bias, "relu"),
-            self.fc2.weight,
-            self.fc2.bias,
-        )
+        fc1, fc2 = self.fc1, self.fc2
+        hidden = FusedLinear.apply(x, fc1.weight, fc1.bias, activation="relu")
+        return FusedLinear.apply(hidden, fc2.weight, fc2.bias)
 
 
 class TransformerEncoderLayer(Module):

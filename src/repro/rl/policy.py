@@ -11,6 +11,14 @@ from repro.nn.layers import Module, mlp
 from repro.nn.tensor import Tensor, no_grad
 
 
+def _mask_term(mask: np.ndarray) -> np.ndarray:
+    """The additive logit term of an action mask: 0 where legal, -1e9 not."""
+    mask = np.asarray(mask, dtype=bool)
+    if not mask.any(axis=-1).all():
+        raise ValueError("every action mask row must allow at least one action")
+    return np.where(mask, 0.0, -1e9)
+
+
 class CategoricalMasked:
     """Categorical distribution whose support is restricted by a boolean mask.
 
@@ -21,10 +29,7 @@ class CategoricalMasked:
 
     def __init__(self, logits: Tensor, mask: Optional[np.ndarray] = None) -> None:
         if mask is not None:
-            mask = np.asarray(mask, dtype=bool)
-            if not mask.any(axis=-1).all():
-                raise ValueError("every action mask row must allow at least one action")
-            logits = logits + Tensor(np.where(mask, 0.0, -1e9))
+            logits = logits + Tensor(_mask_term(mask))
         self.logits = logits
         self.log_probs = F.log_softmax(logits, axis=-1)
 
@@ -92,13 +97,16 @@ class ActorCritic(Module):
         mask: Optional[np.ndarray],
         rng: np.random.Generator,
         deterministic: bool = False,
-    ) -> Tuple[int, float, float]:
-        """Select an action for one state; returns (action, log_prob, value)."""
+    ) -> Tuple[int, Optional[float], Optional[float]]:
+        """Select an action for one state; returns (action, log_prob, value),
+        the last two ``None`` when ``deterministic`` (see :meth:`act_batch`)."""
         state2d = np.atleast_2d(np.asarray(state, dtype=np.float64))
         mask2d = None if mask is None else np.atleast_2d(mask)
         actions, log_probs, values = self.act_batch(
             state2d, mask2d, [rng], deterministic=deterministic
         )
+        if deterministic:
+            return int(actions[0]), None, None
         return int(actions[0]), float(log_probs[0]), float(values[0])
 
     def act_batch(
@@ -107,17 +115,24 @@ class ActorCritic(Module):
         masks: Optional[np.ndarray],
         rngs: Sequence[Optional[np.random.Generator]],
         deterministic: bool = False,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    ) -> Tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
         """Select actions for a batch of states in one forward pass.
 
         ``rngs`` supplies one generator per row (ignored when
         ``deterministic``); returns (actions, log_probs, values) arrays of
-        shape (B,).
+        shape (B,).  A ``deterministic`` (greedy) step runs only what its
+        argmax reads, the masked actor logits, so its log-probs and values
+        are ``None``: PPO never learns from greedy steps.
         """
         states = np.asarray(states, dtype=np.float64)
         with no_grad():
+            if deterministic:
+                logits = self.actor(Tensor(states)).data
+                if masks is not None:
+                    logits = logits + _mask_term(masks)
+                return np.argmax(logits, axis=-1), None, None
             dist, values = self.forward(Tensor(states), masks)
-            actions = dist.mode() if deterministic else dist.sample_rows(rngs)
+            actions = dist.sample_rows(rngs)
             log_probs = dist.log_prob(actions).data
         return actions, log_probs, values.data
 

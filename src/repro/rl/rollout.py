@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List
+from typing import Iterator, List, Optional
 
 import numpy as np
 
@@ -18,8 +18,8 @@ class Transition:
     action: int
     reward: float
     done: bool
-    value: float
-    log_prob: float
+    value: Optional[float]     # None for a greedy step (never learned from)
+    log_prob: Optional[float]
     action_mask: np.ndarray
 
 
@@ -48,6 +48,8 @@ class RolloutBuffer:
         self._transitions: List[Transition] = []
 
     def add(self, transition: Transition) -> None:
+        if transition.value is None or transition.log_prob is None:
+            raise ValueError("a greedy step's transition has no value or log-prob to learn from")
         self._transitions.append(transition)
 
     def __len__(self) -> int:

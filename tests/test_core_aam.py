@@ -620,6 +620,32 @@ class TestTrainBookkeeping:
             twin.permutation(len(samples))
         assert trainer.rng.bit_generator.state == twin.bit_generator.state
 
+    def test_statevec_served_mid_training_does_not_answer_after(self, pool, monkeypatch):
+        """A reader that asks for statevecs between minibatches gets them
+        from half-trained weights; once ``train`` returns, those entries
+        must not answer for the trained model."""
+        _, plans, make_model = pool
+        model = make_model(1, epochs=2, minibatch_size=16)
+        samples = [AAMSample(plans[i], 0.0, plans[i + 1], 1 / 3, label=i % 3) for i in range(40)]
+
+        class Encoded:  # an encoder over plans that are encoded already
+            @staticmethod
+            def encode_many(pairs):
+                return [plan for _, plan in pairs]
+
+        items = [("q", f"p{i}", (None, plans[i]), 0.0) for i in range(4)]
+        trainer = AAMTrainer(model, rng=np.random.default_rng(21))
+        step = trainer._step
+
+        def serve_then_step(chunk):
+            model.statevecs_lazy(items, Encoded)
+            return step(chunk)
+
+        monkeypatch.setattr(trainer, "_step", serve_then_step)
+        trainer.train(samples)
+        served = model.statevecs_lazy(items, Encoded)
+        assert np.array_equal(served, model.state_network.statevecs(plans[:4], np.zeros(4)))
+
     def test_metrics_count_rows_exactly(self, trained):
         _, _, samples, metrics = trained
         twin = np.random.default_rng(21)

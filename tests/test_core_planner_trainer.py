@@ -141,6 +141,18 @@ class TestPlannerEpisodes:
         b = planner.run_episode(trainer.sim_env, query, deterministic=True)
         assert plan_signature(a.best_plan) == plan_signature(b.best_plan)
 
+    def test_ppo_refuses_greedy_episodes(self, trained):
+        """A greedy step computes no value or log-prob, so PPO cannot learn
+        from its transitions: the update raises instead of guessing."""
+        workload, trainer = trained
+        planner = trainer.planners[0]
+        query = next(w.query for w in workload.train if w.query.num_tables >= 3)
+        episode = planner.run_episode(trainer.sim_env, query, deterministic=True)
+        assert episode.transitions
+        assert all(t.value is None and t.log_prob is None for t in episode.transitions)
+        with pytest.raises(ValueError, match="greedy"):
+            planner.update_from_episodes([episode])
+
     def test_statevec_cache_invalidation(self, trained):
         workload, trainer = trained
         planner = trainer.planners[0]

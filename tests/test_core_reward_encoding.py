@@ -1,19 +1,25 @@
 """Reward machinery and plan-encoding tests (paper §III reward, §IV-A)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_encoding
 from repro.core.encoding import (
     OP_HASH_JOIN,
     OP_INDEX_SCAN,
     OP_SEQ_SCAN,
+    EncodedPlan,
     PlanEncoder,
     STRUCT_LEFT,
     STRUCT_RIGHT,
     STRUCT_ROOT,
 )
+from repro.core.icp import IncompletePlan
 from repro.core.reward import AdvantageFunction, ReferenceSet, RewardConfig
+from repro.optimizer.plans import JoinNode, ScanNode
 
 
 class TestAdvantageFunction:
@@ -212,7 +218,7 @@ class TestBatchEncoderParity:
         return [(w.query, db.plan(w.query).plan) for w in eligible[:n]]
 
     def test_encode_many_matches_encode(self, job_workload):
-        """A >=8 batch (vectorized heights path) vs one-at-a-time encoding."""
+        """A batch of ten vs one-at-a-time encoding."""
         db = job_workload.database
         pairs = self._pairs(job_workload, 10)
         assert len(pairs) >= 8
@@ -246,7 +252,7 @@ class TestBatchEncoderParity:
         np.testing.assert_array_equal(enc.fint_block[1], enc.filter_ops)
 
     def test_reachability_matches_python_reference(self, job_workload):
-        """The iterative ancestor chase equals a per-plan Python closure."""
+        """The reachability mask equals a per-plan Python ancestor closure."""
         from repro.optimizer.plans import JoinNode
 
         db = job_workload.database
@@ -274,7 +280,7 @@ class TestBatchEncoderParity:
             np.testing.assert_array_equal(enc.attention_mask, ref)
 
     def test_heights_small_and_large_batch_agree(self, job_workload):
-        """batch<8 (list sweep) and batch>=8 (fixpoint) give the same ints."""
+        """A plan's heights do not depend on the batch it is encoded in."""
         db = job_workload.database
         pairs = self._pairs(job_workload, 9)
         small = PlanEncoder(db.schema, max_nodes=40, statistics=db.statistics)
@@ -284,6 +290,76 @@ class TestBatchEncoderParity:
             np.testing.assert_array_equal(
                 small.encode_many([(query, plan)])[0].heights, big.heights
             )
+
+
+def _scans(plan):
+    """``plan``'s scan leaves, left to right."""
+    if isinstance(plan, ScanNode):
+        return [plan]
+    return _scans(plan.left) + _scans(plan.right)
+
+
+def _encoder_pairs(workload):
+    """Every expert plan of ``workload``, plus one swap- and one
+    override-edited hint plan per query of three or more tables."""
+    db = workload.database
+    pairs = []
+    for wq in workload.all_queries:
+        plan = db.plan(wq.query).plan
+        pairs.append((wq.query, plan))
+        icp = IncompletePlan.extract(plan)
+        if icp.num_tables >= 3:
+            other = "merge" if icp.methods[-1] != "merge" else "nestloop"
+            for edit in (icp.swap(1, icp.num_tables), icp.override(icp.num_joins, other)):
+                edited = db.plan_with_hints(wq.query, edit.order, edit.methods).plan
+                pairs.append((wq.query, edited))
+    return pairs
+
+
+class TestEncoderAgainstReference:
+    """Pre-order spans reproduce the ancestor chase and both of its height
+    paths (``tests/reference_encoding.py``) array for array, on both sides
+    of the batch size (8) where the chase switched height paths."""
+
+    FIELDS = [f.name for f in dataclasses.fields(EncodedPlan)]
+
+    def check(self, workload, pairs):
+        encoder = PlanEncoder(
+            workload.database.schema,
+            max_nodes=2 * max(workload.max_query_tables, 2),
+            statistics=workload.database.statistics,
+        )
+        assert len(self.FIELDS) == 14
+        for size in (1, 7, 8, 16, 64):
+            for start in range(0, len(pairs), size):
+                chunk = pairs[start : start + size]
+                got = encoder._encode_batch(chunk)
+                want = reference_encoding.encode_batch(encoder, chunk)
+                for g, w in zip(got, want):
+                    for name in self.FIELDS:
+                        assert np.array_equal(getattr(g, name), getattr(w, name)), (size, name)
+
+    @pytest.mark.parametrize("name", ["job_workload", "stack_workload", "tpcds_workload"])
+    def test_expert_and_edited_plans(self, request, name):
+        workload = request.getfixturevalue(name)
+        pairs = _encoder_pairs(workload)
+        assert len(pairs) > len(workload.all_queries)
+        self.check(workload, pairs)
+
+    def test_bushy_tree(self, job_workload):
+        """Expert and hint plans are left-deep; a join on the right of a
+        join exercises spans that end inside another subtree."""
+        db = job_workload.database
+        query = next(w.query for w in job_workload.all_queries if w.query.num_tables >= 5)
+        a, b, c, d, e = _scans(db.plan(query).plan)[:5]
+        right = JoinNode(left=JoinNode(left=c, right=d, method="merge"), right=e, method="nestloop")
+        bushy = JoinNode(left=JoinNode(left=a, right=b, method="hash"), right=right, method="hash")
+        pairs = [(query, bushy), (query, bushy.right), (query, bushy.left)]
+        self.check(job_workload, pairs)
+        encoding = reference_encoding.encode_batch(
+            PlanEncoder(db.schema, max_nodes=40, statistics=db.statistics), pairs[:1]
+        )[0]
+        assert list(encoding.heights[:9]) == [3, 1, 0, 0, 2, 1, 0, 0, 0]
 
 
 class TestLeafCacheLRU:

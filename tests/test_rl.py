@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.nn.tensor import Tensor
+from repro.nn import profile
+from repro.nn.tensor import Tensor, no_grad
 from repro.rl.gae import compute_gae
 from repro.rl.policy import ActorCritic, CategoricalMasked
 from repro.rl.ppo import PPOConfig, PPOTrainer
@@ -129,6 +130,58 @@ class TestActorCritic:
     def test_value_scalar(self):
         policy = ActorCritic(4, 6, rng=np.random.default_rng(1))
         assert isinstance(policy.value(np.ones(4)), float)
+
+
+@st.composite
+def greedy_steps(draw):
+    """A policy seed, a batch of states and masks with a legal action per row."""
+    rows = draw(st.integers(1, 8))
+    actions = draw(st.integers(1, 9))
+    states = draw(
+        st.lists(st.floats(-5, 5), min_size=rows * 4, max_size=rows * 4).map(
+            lambda xs: np.array(xs).reshape(rows, 4)
+        )
+    )
+    row = st.lists(st.booleans(), min_size=actions, max_size=actions)
+    masks = np.array(draw(st.lists(row, min_size=rows, max_size=rows)))
+    legal = draw(st.lists(st.integers(0, actions - 1), min_size=rows, max_size=rows))
+    masks[np.arange(rows), legal] = True
+    return draw(st.integers(0, 2**16)), states, masks
+
+
+class TestGreedyStep:
+    """``act_batch(deterministic=True)`` runs only the masked actor logits."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(step=greedy_steps())
+    def test_actions_are_the_masked_mode(self, step):
+        seed, states, masks = step
+        policy = ActorCritic(4, masks.shape[1], hidden_sizes=(8,), rng=np.random.default_rng(seed))
+        with no_grad():
+            mode = CategoricalMasked(policy.actor(Tensor(states)), masks).mode()
+        tape_nodes = profile.COUNTERS.tape_nodes
+        actions, log_probs, values = policy.act_batch(
+            states, masks, [None] * len(states), deterministic=True
+        )
+        assert profile.COUNTERS.tape_nodes == tape_nodes
+        assert np.array_equal(actions, mode)
+        assert log_probs is None and values is None
+
+    @settings(max_examples=20, deadline=None)
+    @given(step=greedy_steps(), row=st.integers(0, 7))
+    def test_a_row_without_legal_actions_raises(self, step, row):
+        seed, states, masks = step
+        masks[row % len(masks)] = False
+        policy = ActorCritic(4, masks.shape[1], hidden_sizes=(8,), rng=np.random.default_rng(seed))
+        with pytest.raises(ValueError, match="at least one action"):
+            policy.act_batch(states, masks, [None] * len(states), deterministic=True)
+
+    def test_rollout_buffer_refuses_greedy_transitions(self):
+        buffer = RolloutBuffer()
+        mask = np.ones(2, dtype=bool)
+        with pytest.raises(ValueError, match="greedy"):
+            buffer.add(Transition(np.ones(2), 0, 1.0, True, None, None, mask))
+        assert len(buffer) == 0
 
 
 class TestPPOLearning:
