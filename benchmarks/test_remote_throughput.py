@@ -6,7 +6,7 @@ records into the ``remote`` section of ``BENCH_throughput.json`` (via the
 shared read-modify-write helper, so the episode/serving sections survive):
 
 * ``ping_rps`` — raw framed-RPC round trips per second: the ceiling the
-  wire format + pickling imposes;
+  framing and the JSON codec impose;
 * ``serve_local_rps`` / ``serve_remote_rps`` — a serving trace through
   ``optimize_sql`` with the engine in-process vs behind the socket.
 

@@ -37,7 +37,7 @@ lock-blocking        No unbounded blocking call (recv/accept/join/wait
 rpc-parity           Ops the ``RemoteBackend`` client emits == ops             ``engine/remote/server.py`` module docstring (protocol
                      ``EngineServer._dispatch`` handles (modulo declared       description); ``tests/test_remote_backend.py``.
                      server-only ops).
-rpc-arity            (flow) Per op, the tuple payload the client pickles       the ``_dispatch`` destructuring assignments
+rpc-arity            (flow) Per op, the tuple payload the client encodes       the ``_dispatch`` destructuring assignments
                      matches what the server's dispatch branch                 (``queries, options = body``) vs the client's
                      destructures; ``None`` payloads never hit a               ``self._call("op", (...))`` tuples.
                      destructuring branch.

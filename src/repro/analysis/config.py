@@ -234,13 +234,9 @@ class LintConfig:
     rpc_client: str = "src/repro/engine/remote/client.py"
     rpc_kind_var: str = "kind"
     rpc_body_var: str = "body"
-    # Ops the server deliberately answers that no pooled client emits
-    # (mirror-less clients bind SQL server-side), each with a reason.
-    rpc_server_only: Dict[str, str] = field(
-        default_factory=lambda: {
-            "sql": "served for mirror-less clients that cannot bind SQL locally"
-        }
-    )
+    # Ops the server deliberately answers that no client emits, each with
+    # a reason (none today).
+    rpc_server_only: Dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self._validate_layer_dag()

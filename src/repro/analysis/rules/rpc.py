@@ -2,19 +2,19 @@
 
 ``EngineServer._dispatch`` matches request kinds against string
 literals; ``RemoteBackend`` emits kinds as the first argument of
-``self._call(...)`` (and, for the raw handshake, as the first element of
-a tuple handed to ``pickle.dumps``).  Both vocabularies are extracted
+``self._call(...)`` (and, for the raw handshake, as the first argument of
+the codec's :data:`REQUEST_ENCODER`).  Both vocabularies are extracted
 statically and compared:
 
 * an op the client emits but the server does not handle is always an
   error — the request would come back ``("err", "unknown engine RPC")``;
 * an op the server handles but no client emits must be declared in
-  ``[tool.repro-lint.rpc] server-only-ops`` with a reason (today:
-  ``sql``, served for mirror-less clients), so protocol additions fail
-  lint until both sides and the config/docs agree.
+  ``[tool.repro-lint.rpc] server-only-ops`` with a reason (today there
+  is none), so protocol additions fail lint until both sides and the
+  config/docs agree.
 
 ``rpc-arity`` goes one level deeper than the op-name set: per op, the
-*payload shape* the client pickles must match what the server's dispatch
+*payload shape* the client encodes must match what the server's dispatch
 destructures.  A client-side ``_call("plan_many", (queries, options))``
 is a 2-tuple; the matching server branch must unpack exactly two names
 from the payload variable (``queries, options = body``).  A ``None``
@@ -31,6 +31,10 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.analysis.core import Finding, SourceFile
 from repro.analysis.registry import PROJECT_SCOPE, rule
+
+#: The codec call that builds a request frame outside ``_call``: the
+#: client's raw handshake, ``encode_request("fingerprint", None, None)``.
+REQUEST_ENCODER = "repro.engine.wire.encode_request"
 
 
 def server_ops(sf: SourceFile, kind_var: str) -> Dict[str, int]:
@@ -58,25 +62,29 @@ def server_ops(sf: SourceFile, kind_var: str) -> Dict[str, int]:
     return ops
 
 
+def _emitted(sf: SourceFile) -> Iterator[Tuple[str, Optional[ast.AST], int]]:
+    """``(op, payload node, line)`` of every ``_call("op", payload)`` and
+    ``encode_request("op", payload, ...)`` with a literal op."""
+    for node in ast.walk(sf.tree):
+        if not (isinstance(node, ast.Call) and node.args):
+            continue
+        func = node.func
+        if not (
+            (isinstance(func, ast.Attribute) and func.attr == "_call")
+            or sf.resolve(func) == REQUEST_ENCODER
+        ):
+            continue
+        first = node.args[0]
+        if isinstance(first, ast.Constant) and isinstance(first.value, str):
+            payload = node.args[1] if len(node.args) > 1 else None
+            yield first.value, payload, node.lineno
+
+
 def client_ops(sf: SourceFile) -> Dict[str, int]:
     """Op → first emitting line, from ``_call("op", ...)`` and raw frames."""
     ops: Dict[str, int] = {}
-    for node in ast.walk(sf.tree):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        if isinstance(func, ast.Attribute) and func.attr == "_call" and node.args:
-            first = node.args[0]
-            if isinstance(first, ast.Constant) and isinstance(first.value, str):
-                ops.setdefault(first.value, node.lineno)
-        # The raw handshake path: pickle.dumps(("fingerprint", None), ...)
-        resolved = sf.resolve(func)
-        if resolved == "pickle.dumps" and node.args:
-            first = node.args[0]
-            if isinstance(first, ast.Tuple) and first.elts:
-                head = first.elts[0]
-                if isinstance(head, ast.Constant) and isinstance(head.value, str):
-                    ops.setdefault(head.value, node.lineno)
+    for op, _payload, line in _emitted(sf):
+        ops.setdefault(op, line)
     return ops
 
 
@@ -164,26 +172,8 @@ def _payload_shape(node: Optional[ast.AST]) -> Shape:
 def client_payloads(sf: SourceFile) -> Dict[str, List[Tuple[Shape, int]]]:
     """Op → every emitted payload shape (with its line)."""
     shapes: Dict[str, List[Tuple[Shape, int]]] = {}
-    for node in ast.walk(sf.tree):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        if isinstance(func, ast.Attribute) and func.attr == "_call" and node.args:
-            first = node.args[0]
-            if isinstance(first, ast.Constant) and isinstance(first.value, str):
-                payload = node.args[1] if len(node.args) > 1 else None
-                shapes.setdefault(first.value, []).append(
-                    (_payload_shape(payload), node.lineno)
-                )
-        if sf.resolve(func) == "pickle.dumps" and node.args:
-            first = node.args[0]
-            if isinstance(first, ast.Tuple) and first.elts:
-                head = first.elts[0]
-                if isinstance(head, ast.Constant) and isinstance(head.value, str):
-                    payload = first.elts[1] if len(first.elts) > 1 else None
-                    shapes.setdefault(head.value, []).append(
-                        (_payload_shape(payload), node.lineno)
-                    )
+    for op, payload, line in _emitted(sf):
+        shapes.setdefault(op, []).append((_payload_shape(payload), line))
     return shapes
 
 
@@ -259,7 +249,7 @@ def _describe(shape: Shape) -> str:
 @rule(
     "rpc-arity",
     scope=PROJECT_SCOPE,
-    contract="per RPC op, the tuple payload the client pickles matches "
+    contract="per RPC op, the tuple payload the client encodes matches "
     "what the server dispatch destructures",
 )
 def check_rpc_arity(project) -> Iterator[Finding]:

@@ -258,15 +258,36 @@ class RequestContext:
     def from_wire(
         cls, data: Optional[Dict], clock: Optional[MonotonicClock] = None
     ) -> Optional["RequestContext"]:
-        """Rebuild a context from :meth:`to_wire`, re-anchored on ``clock``."""
+        """Rebuild a context from :meth:`to_wire`, re-anchored on ``clock``.
+
+        ``data`` comes off a socket, so every field is type-checked:
+        ``ValueError`` unless it is a dict of the types :meth:`to_wire` writes.
+        """
         if data is None:
             return None
+        if type(data) is not dict:
+            raise ValueError("a wire context is a dict")
+        request_id = data.get("id", "")
+        tenant = data.get("tenant", "")
+        ttl_s = data.get("ttl_s")
+        priority = data.get("priority", 0)
+        trace_id = data.get("trace")
+        span_id = data.get("span")
+        if not (
+            type(request_id) is str
+            and type(tenant) is str
+            and (ttl_s is None or type(ttl_s) in (int, float))
+            and type(priority) is int
+            and (trace_id is None or type(trace_id) is str)
+            and (span_id is None or type(span_id) is str)
+        ):
+            raise ValueError(f"malformed wire context {data!r}")
         return cls(
-            request_id=str(data.get("id", "")),
-            tenant=str(data.get("tenant", "")),
+            request_id=request_id,
+            tenant=tenant,
             submitted_at=(clock or CLOCK).now(),
-            deadline_s=data.get("ttl_s"),
-            priority=int(data.get("priority", 0)),
-            trace_id=data.get("trace"),
-            parent_span_id=data.get("span"),
+            deadline_s=ttl_s,
+            priority=priority,
+            trace_id=trace_id,
+            parent_span_id=span_id,
         )

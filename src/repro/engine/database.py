@@ -187,6 +187,8 @@ class Database:
         threads bind concurrently with planning (two threads missing the
         same text both bind; the second insert overwrites an equal query).
         A text that fails to parse or bind is not stored and raises again.
+        The query records ``text`` (:meth:`Query.sql_text`), which is what
+        the remote wire sends for it.
         """
         key = (text, name)
         with self._lock:
@@ -195,6 +197,7 @@ class Database:
                 self._statement_cache.move_to_end(key)
                 return query
         query = bind_query(parse_query(text), self.schema, self.storage, name=name)
+        query._text = text  # before publishing, like the signature memo
         with self._lock:
             self._statement_cache[key] = query
             while len(self._statement_cache) > self.statement_cache_capacity:

@@ -3,8 +3,11 @@
 The client keeps an in-process :class:`~repro.engine.database.Database`
 for cheap, deterministic work that never needs the wire — SQL parse/bind,
 schema/statistics metadata, EXPLAIN; planning and execution RPCs travel to
-a ``repro-engine`` server as pickled, length-prefixed, crc32-checksummed
-frames (:mod:`repro.engine.wire`).
+a ``repro-engine`` server as length-prefixed, crc32-checksummed frames of
+plain-data JSON (:mod:`repro.engine.wire`).  A query crosses as the SQL
+text it was bound from and a plan as a descriptor of numbers and names;
+the client rebuilds each reply's plan over the query object it sent, so a
+remote plan is ``==`` to the local one without planning here.
 
 Concurrency: a small pool of connections, each guarded by a lock held
 across one full send→recv round trip, so concurrent tenants (e.g. a
@@ -32,7 +35,6 @@ same crc32 fingerprint the session manifest records.
 
 from __future__ import annotations
 
-import pickle
 import socket
 import threading
 import time
@@ -55,6 +57,13 @@ from repro.engine.wire import (
     FrameCorruptionError,
     FrameTooLargeError,
     contexts_to_wire,
+    decode_reply,
+    encode_request,
+    execution_from_wire,
+    options_to_wire,
+    plan_from_wire,
+    plan_to_wire,
+    query_to_wire,
     read_frame,
     write_frame,
 )
@@ -67,6 +76,13 @@ from repro.sql.ast import Query
 def _no_result(ctx) -> None:
     """The slot of a batch item whose deadline expired before it shipped."""
     return None
+
+
+def _planning_from_wire(data, query: Query) -> Optional[PlanningResult]:
+    """A ``[planning_ms, plan]`` reply slot, rebuilt over the query it answers."""
+    if data is None:
+        return None
+    return PlanningResult(plan=plan_from_wire(data[1], query), planning_ms=data[0])
 
 
 class RemoteEngineError(RuntimeError):
@@ -336,14 +352,12 @@ class RemoteBackend:
             ]
         if ctxs is not None and all(ctx is None for ctx in ctxs):
             ctxs = None
-        request = pickle.dumps(
-            (kind, payload, contexts_to_wire(ctxs)), protocol=pickle.HIGHEST_PROTOCOL
-        )
+        request = encode_request(kind, payload, contexts_to_wire(ctxs))
         if len(request) > self.max_frame_bytes:
             # Rejected before a connection is touched: nothing reached the
             # wire, so no healthy pooled socket should be dropped for it.
             raise FrameTooLargeError(
-                f"request {kind!r} pickles to {len(request)} bytes "
+                f"request {kind!r} encodes to {len(request)} bytes "
                 f"(max_frame_bytes={self.max_frame_bytes})"
             )
         conn = self._acquire()
@@ -405,7 +419,7 @@ class RemoteBackend:
             conn.lock.release()
         # A transport error above abandons the open span (never recorded —
         # the tracer holds no reference to open spans, so nothing leaks).
-        status, body = pickle.loads(response_bytes)
+        status, body = self._decode_reply(response_bytes)
         if status != "ok":
             span.end(status="error")
             raise RemoteEngineError(f"remote engine at {self.url}: {body}")
@@ -427,10 +441,8 @@ class RemoteBackend:
         caller's reconnect loop; a mismatch drops the socket and is
         terminal.
         """
-        hello = conn.round_trip(
-            pickle.dumps(("fingerprint", None, None), protocol=pickle.HIGHEST_PROTOCOL)
-        )
-        status, body = pickle.loads(hello)
+        hello = conn.round_trip(encode_request("fingerprint", None, None))
+        status, body = self._decode_reply(hello)
         if status != "ok":
             conn.drop()
             raise RemoteEngineError(f"remote engine at {self.url}: {body}")
@@ -458,6 +470,15 @@ class RemoteBackend:
             )
         self.server_info = info
         self.remote_fingerprint = actual
+
+    def _decode_reply(self, payload: bytes):
+        """``(status, body)`` of a reply frame; a reply that is not one is corruption."""
+        try:
+            return decode_reply(payload)
+        except ValueError as exc:
+            raise FrameCorruptionError(
+                f"engine at {self.url} sent a malformed reply: {exc}"
+            ) from exc
 
     def _check_open(self) -> None:
         if self._closed:
@@ -491,8 +512,8 @@ class RemoteBackend:
 
     def sql(self, text: str, name: str = "") -> Query:
         # Parse/bind is a pure function of the (identical, fingerprint-
-        # checked) schema — binding locally saves a round trip per query.
-        # The server serves a "sql" RPC too, for clients without a mirror.
+        # checked) schema: the mirror binds, and the query's text is what
+        # crosses the wire for the server to bind the same way.
         return self.local.sql(text, name=name)
 
     def explain(self, plan: PlanNode) -> str:
@@ -538,9 +559,13 @@ class RemoteBackend:
         if miss_queries:
             results = self._call(
                 "plan_many",
-                (miss_queries, options),
+                ([query_to_wire(query) for query in miss_queries], options_to_wire(options)),
                 ctxs=self._ctx_for_misses(keys, ctxs, miss_keys),
             )
+            results = [
+                _planning_from_wire(result, query)
+                for result, query in zip(results, miss_queries)
+            ]
             self._plan_memo.fill(miss_keys, results)
             for key, result in zip(miss_keys, results):
                 resolved[key] = result
@@ -577,9 +602,16 @@ class RemoteBackend:
         if miss_requests:
             results = self._call(
                 "hint_many",
-                miss_requests,
+                [
+                    (query_to_wire(query), join_order, join_methods)
+                    for query, join_order, join_methods in miss_requests
+                ],
                 ctxs=self._ctx_for_misses(memo_keys, ctxs, miss_keys),
             )
+            results = [
+                _planning_from_wire(result, request[0])
+                for result, request in zip(results, miss_requests)
+            ]
             self._hint_memo.fill(miss_keys, results)
             for memo_key, result in zip(miss_keys, results):
                 resolved[memo_key] = result
@@ -601,10 +633,12 @@ class RemoteBackend:
         if not use_cache:
             # Uncached timing studies bypass the server's latency cache
             # (Database.execute skips the cache write for them too).
-            return self._call(
-                "execute",
-                (query, plan, timeout_ms, False),
-                ctxs=None if ctx is None else [ctx],
+            return execution_from_wire(
+                self._call(
+                    "execute",
+                    (query_to_wire(query), plan_to_wire(plan), timeout_ms, False),
+                    ctxs=None if ctx is None else [ctx],
+                )
             )
         return self.execute_many([(query, plan, timeout_ms)])[0]
 
@@ -613,12 +647,18 @@ class RemoteBackend:
         requests: Sequence[Tuple[Query, PlanNode, Optional[float]]],
         ctxs=None,
     ) -> List[Optional[ExecutionResult]]:
-        return run_live(
-            requests,
-            ctxs,
-            lambda live, live_ctxs: self._call("execute_many", list(live), ctxs=live_ctxs),
-            _no_result,
+        return run_live(requests, ctxs, self._execute_live, _no_result)
+
+    def _execute_live(self, requests, ctxs) -> List[Optional[ExecutionResult]]:
+        results = self._call(
+            "execute_many",
+            [
+                (query_to_wire(query), plan_to_wire(plan), timeout_ms)
+                for query, plan, timeout_ms in requests
+            ],
+            ctxs=ctxs,
         )
+        return [execution_from_wire(result) for result in results]
 
     def original_latency(self, query: Query) -> float:
         planning = self.plan(query)

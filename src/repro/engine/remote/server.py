@@ -2,15 +2,20 @@
 
 The server wraps one in-process engine
 (:class:`~repro.engine.backend.LocalBackend`, or any ``EngineBackend``
-handed to :class:`EngineServer`) and serves the full ``EngineBackend``
-surface over TCP:
-``sql`` / ``plan`` / ``plan_with_hints`` / ``execute``, their ``*_many``
-batch mirrors, ``stats``, cache control, and the ``fingerprint`` handshake
-RPC.  One length-prefixed crc32-checksummed frame per message, in the
-one request/reply shape :mod:`repro.engine.wire` defines; request and
-response payloads are pickles, so
-the protocol is: trusted clients only (bind to loopback or a private
-network, as with memcached/redis).
+handed to :class:`EngineServer`) and serves the ``EngineBackend`` surface
+over TCP: ``plan_many`` / ``hint_many`` / ``execute`` / ``execute_many``,
+``stats``, cache control, ``ping`` and the ``fingerprint`` handshake.  One
+length-prefixed crc32-checksummed frame per message, each a plain-data
+JSON message in the shapes :mod:`repro.engine.wire` tabulates: queries
+arrive as SQL text, bound here through the backend's statement cache, and
+plans leave as descriptors.  A request is checked whole — envelope,
+contexts, body shape — before any query is bound or any backend method
+runs, and a malformed one gets an ``err`` reply.
+
+Data-only frames mean a peer cannot make the server run code, but the
+port is still unauthenticated: anyone who reaches it may plan, execute
+and clear caches.  Bind to loopback or a private network (``repro-engine``
+warns on any other ``--host``).
 
 Responses carry the backend's cumulative execution count alongside every
 result — the client aggregates cache-miss statistics without an extra
@@ -28,7 +33,7 @@ response write tears down that handler alone, never the engine.
 from __future__ import annotations
 
 import argparse
-import pickle
+import ipaddress
 import socket
 import sys
 import threading
@@ -39,8 +44,15 @@ from repro.engine.database import dataset_fingerprint
 from repro.engine.wire import (
     DEFAULT_MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
+    REQUEST_SHAPES,
     FrameCorruptionError,
-    contexts_from_wire,
+    check_body,
+    decode_request,
+    encode_message,
+    execution_to_wire,
+    options_from_wire,
+    plan_from_wire,
+    planning_to_wire,
     read_frame,
     write_frame,
 )
@@ -75,6 +87,7 @@ class EngineServer:
         # Computed once: the handshake must not pay a full-table crc per
         # connection, and the dataset is immutable.
         self._fingerprint = dataset_fingerprint(backend.dataset)
+        self._backend_name = backend.stats().get("backend")
         self._listener = socket.create_server((host, port))
         self.host, self.port = self._listener.getsockname()[:2]
         self._lock = threading.Lock()  # guards _clients/_closed
@@ -165,22 +178,7 @@ class EngineServer:
                     return
                 if payload is None:
                     return  # clean disconnect at a frame boundary
-                response = self._dispatch(payload)
-                blob = pickle.dumps(response, protocol=pickle.HIGHEST_PROTOCOL)
-                if len(blob) > self.max_frame_bytes:
-                    # Report the overflow as a normal error frame instead of
-                    # letting the write raise: dropping the socket would
-                    # make the client retry (and the backend re-execute)
-                    # the same oversized batch, and hide the real cause.
-                    blob = pickle.dumps(
-                        (
-                            "err",
-                            f"response frame too large: {len(blob)} bytes > "
-                            f"max_frame_bytes={self.max_frame_bytes}; split "
-                            f"the batch into smaller *_many calls",
-                        ),
-                        protocol=pickle.HIGHEST_PROTOCOL,
-                    )
+                blob = self._encode_reply(self._dispatch(payload))
                 try:
                     write_frame(stream, blob, max_frame_bytes=self.max_frame_bytes)
                 except (OSError, ValueError):
@@ -229,23 +227,52 @@ class EngineServer:
         except OSError:
             pass
 
+    def _encode_reply(self, response) -> bytes:
+        """The frame payload of a reply, or of an ``err`` saying why it cannot be sent."""
+        try:
+            blob = encode_message(response)
+        except (TypeError, ValueError) as exc:
+            return encode_message(("err", f"reply is not plain data: {exc!r}"))
+        if len(blob) > self.max_frame_bytes:
+            # Report the overflow as a normal error frame instead of
+            # letting the write raise: dropping the socket would make the
+            # client retry (and the backend re-execute) the same oversized
+            # batch, and hide the real cause.
+            blob = encode_message(
+                (
+                    "err",
+                    f"response frame too large: {len(blob)} bytes > "
+                    f"max_frame_bytes={self.max_frame_bytes}; split the batch "
+                    f"into smaller *_many calls",
+                )
+            )
+        return blob
+
+    def _bind(self, query):
+        """A wire query ``[text, name]``, bound through the statement cache."""
+        text, name = query
+        return self.backend.sql(text, name=name)
+
     def _dispatch(self, payload: bytes):
         """One request → ``("ok", (result, executions, spans))`` or ``("err", msg)``.
 
-        A request is ``(kind, body, wire_ctxs)``; its contexts are
+        A request is ``[kind, body, contexts]``; its contexts are
         re-anchored on this machine's clock, so deadlines are enforced
-        server-side.  ``spans`` piggybacks the server-side spans of any
-        traced context back to the client, and is empty otherwise.  An
-        op is counted under its own name only when the chain below
-        handles it; everything else shares one ``kind="unknown"`` series,
-        so a peer cannot grow the metric set.
+        server-side.  The body is checked against the op's shape
+        (:func:`~repro.engine.wire.check_body`), and the contexts against
+        the batch length, before any query is bound or any backend method
+        runs.  ``spans`` piggybacks the server-side spans of any traced
+        context back to the client, and is empty otherwise.  An op is
+        counted under its own name only when it is one the server knows;
+        everything else shares one ``kind="unknown"`` series, so a peer
+        cannot grow the metric set.
         """
         try:
-            kind, body, wire_ctxs = pickle.loads(payload)
-            ctxs = contexts_from_wire(wire_ctxs)
+            kind, body, ctxs = decode_request(payload)
         except Exception as exc:
             self._m_requests.labels(kind="unknown").inc()
             return ("err", f"undecodable request: {exc!r}")
+        counted = kind if kind in REQUEST_SHAPES else "unknown"
         # Traced contexts grow a ``server.dispatch`` span; every span
         # recorded under these trace ids while the op runs is drained
         # afterwards and shipped back in the reply, so the client can join
@@ -260,8 +287,8 @@ class EngineServer:
                 for ctx in ctxs
             ]
         backend = self.backend
-        counted = kind
         try:
+            check_body(kind, body)
             if kind == "ping":
                 result = None
             elif kind == "fingerprint":
@@ -269,26 +296,41 @@ class EngineServer:
                     "protocol": PROTOCOL_VERSION,
                     "dataset_fingerprint": self._fingerprint,
                     "workload": self.workload_info,
-                    "backend": backend.stats().get("backend"),
+                    "backend": self._backend_name,
                 }
-            elif kind == "sql":
-                text, name = body
-                result = backend.sql(text, name=name)
             elif kind == "plan_many":
                 queries, options = body
-                result = backend.plan_many(queries, options, ctxs=ctxs)
+                _check_aligned(ctxs, queries)
+                options = options_from_wire(options)
+                queries = [self._bind(query) for query in queries]
+                results = backend.plan_many(queries, options, ctxs=ctxs)
+                result = [planning_to_wire(r) for r in results]
             elif kind == "hint_many":
-                result = backend.plan_with_hints_many(body, ctxs=ctxs)
+                _check_aligned(ctxs, body)
+                requests = [
+                    (self._bind(query), order, methods) for query, order, methods in body
+                ]
+                results = backend.plan_with_hints_many(requests, ctxs=ctxs)
+                result = [planning_to_wire(r) for r in results]
             elif kind == "execute_many":
-                result = backend.execute_many(body, ctxs=ctxs)
+                _check_aligned(ctxs, body)
+                requests = []
+                for query, plan, timeout_ms in body:
+                    query = self._bind(query)
+                    requests.append((query, plan_from_wire(plan, query), timeout_ms))
+                results = backend.execute_many(requests, ctxs=ctxs)
+                result = [execution_to_wire(r) for r in results]
             elif kind == "execute":
                 query, plan, timeout_ms, use_cache = body
-                result = backend.execute(
-                    query,
-                    plan,
-                    timeout_ms=timeout_ms,
-                    use_cache=use_cache,
-                    ctx=ctxs[0] if ctxs else None,
+                query = self._bind(query)
+                result = execution_to_wire(
+                    backend.execute(
+                        query,
+                        plan_from_wire(plan, query),
+                        timeout_ms=timeout_ms,
+                        use_cache=use_cache,
+                        ctx=ctxs[0] if ctxs else None,
+                    )
                 )
             elif kind == "clear_caches":
                 backend.clear_caches()
@@ -296,7 +338,6 @@ class EngineServer:
             elif kind == "stats":
                 result = backend.stats()
             else:
-                counted = "unknown"
                 raise ValueError(f"unknown engine RPC {kind!r}")
             span.end()
             spans = obs.get_tracer().drain(trace_ids) if trace_ids else ()
@@ -362,6 +403,21 @@ class EngineServer:
         self.close()
 
 
+def _check_aligned(ctxs, items) -> None:
+    if ctxs is not None and len(ctxs) != len(items):
+        raise ValueError(f"{len(ctxs)} contexts for a batch of {len(items)}")
+
+
+def _is_loopback(host: str) -> bool:
+    """Whether ``host`` names a loopback address (no name is resolved)."""
+    if host == "localhost":
+        return True
+    try:
+        return ipaddress.ip_address(host).is_loopback
+    except ValueError:
+        return False
+
+
 def serve(
     workload: str,
     *,
@@ -422,6 +478,15 @@ def main(argv=None) -> int:
         help="reject frames above this size",
     )
     args = parser.parse_args(argv)
+    if not _is_loopback(args.host):
+        print(
+            f"repro-engine: WARNING: --host {args.host} is not a loopback address. "
+            f"Frames carry plain data, so no peer can run code here, but the port "
+            f"is unauthenticated: anyone who can reach it can plan, execute and "
+            f"clear caches on this engine. Expose it only on a private network.",
+            file=sys.stderr,
+            flush=True,
+        )
 
     print(
         f"repro-engine: building workload {args.workload!r} "

@@ -1,4 +1,4 @@
-"""Length-prefixed crc32 wire format, shared by fingerprints and sockets.
+"""The engine wire: crc32 frames carrying plain-data JSON messages.
 
 The repo has one integrity convention: fields are *length-prefixed* before
 they enter a crc32 (bare concatenation would let distinct byte sequences
@@ -19,14 +19,61 @@ things build on it:
   garbage length (:class:`FrameTooLargeError`) before a single payload
   byte is interpreted.
 
-The frames carry one request/reply protocol, :data:`PROTOCOL_VERSION`.  A
-request payload is the pickle of ``(kind, body, wire_ctxs)``, where
-``wire_ctxs`` is the aligned :func:`contexts_to_wire` list, or ``None``
-for a call without contexts.  A reply is ``("ok", (result, executions,
-spans))`` or ``("err", message)``; ``spans`` holds the server-side spans
-of the request's traces and is empty when the request is untraced.  The
-fingerprint handshake advertises the version, and a client refuses a
-server that speaks any other: client and server ship from one tree.
+Messages
+--------
+A payload is one JSON document (stdlib :mod:`json`): decoding builds only
+lists, dicts, strings, numbers, booleans and ``None``, so no peer can make
+the other side run code, and floats round-trip exactly through ``repr``
+(``Infinity`` and ``NaN`` included).  Tuples are sent as arrays.  The
+protocol is :data:`PROTOCOL_VERSION`; the ``fingerprint`` handshake
+advertises it and a client refuses a server that speaks any other.
+
+================  =====================================================================
+message           shape
+================  =====================================================================
+request           ``[kind, body, contexts]``; ``contexts`` is ``null`` or one context
+                  (or ``null``) per batch item
+reply             ``["ok", [result, executions, spans]]`` (``spans`` is empty for an
+                  untraced request) or ``["err", message]``
+``ping``          body ``null``; result ``null``
+``fingerprint``   body ``null``; result ``{protocol, dataset_fingerprint, workload,
+                  backend}``
+``stats``         body ``null``; result the backend's stats dict
+``clear_caches``  body ``null``; result ``null``
+``plan_many``     body ``[[query, ...], options]``; result ``[planning | null, ...]``
+``hint_many``     body ``[[query, order, methods], ...]``; result
+                  ``[planning | null, ...]``
+``execute_many``  body ``[[query, plan, timeout_ms], ...]``; result
+                  ``[execution | null, ...]``
+``execute``       body ``[query, plan, timeout_ms, use_cache]``; result ``execution``
+================  =====================================================================
+
+The values inside them:
+
+=============  ==================================================================
+value          descriptor
+=============  ==================================================================
+query          ``[text, name]``: the SQL the query was bound from
+               (:meth:`~repro.sql.ast.Query.sql_text`); the receiver binds it
+               through its own statement cache
+options        ``null`` or ``[disabled_methods, leading_prefix, max_dp_tables]``
+plan           ``[aliases, methods, scan_types, index_columns, est_rows,
+               est_costs]`` of a left-deep plan: leaves left to right, join
+               methods bottom-up, and the estimates of the ``n`` leaves
+               followed by those of the ``n - 1`` joins bottom-up
+planning       ``[planning_ms, plan]``
+execution      ``[latency_ms, output_rows, timed_out, work_units,
+               aggregate_values]``
+context        :meth:`~repro.engine.context.RequestContext.to_wire`'s dict
+span           :meth:`~repro.obs.Span.to_dict`'s dict
+=============  ==================================================================
+
+A plan carries no filter or predicate: :func:`plan_from_wire` rebuilds
+them from the receiver's own query, exactly as the optimizer attaches them
+(a leaf's filters are ``query.filters_for(alias)``; a join's predicates
+are the query's join predicates linking its right alias to the left side,
+in query order).  Every plan the engine builds — expert, hinted, greedy —
+has exactly those, so a plan survives the trip ``==`` to itself.
 
 Streams are file-like objects (``socket.makefile("rwb")`` on sockets):
 ``read(n)`` returning fewer than ``n`` bytes means EOF.  A clean EOF *at a
@@ -36,20 +83,26 @@ inside a frame is corruption — the peer died mid-message.
 
 from __future__ import annotations
 
+import json
 import struct
 import zlib
-from typing import List, Optional
+from operator import call
+from typing import Callable, Dict, List, Optional
 
 from repro.engine.context import RequestContext
+from repro.executor.engine import ExecutionResult
+from repro.optimizer.dp import OptimizerOptions
+from repro.optimizer.plans import JoinNode, PlanNode, ScanNode
+from repro.sql.ast import Query
 
-#: The request/reply shape above; the fingerprint handshake advertises it.
-PROTOCOL_VERSION = 3
+#: The message shapes above; the fingerprint handshake advertises it.
+PROTOCOL_VERSION = 4
 
 MAGIC = b"FOSW"  # FOSS wire
 _HEADER = struct.Struct(">4sII")  # magic, payload length, crc32(payload)
 HEADER_SIZE = _HEADER.size
 
-# Generous for batched plan/execute pickles at bench scales, small enough
+# Generous for batched plan/execute messages at bench scales, small enough
 # that a corrupted length field cannot make a reader try to buffer
 # gigabytes before the crc check would catch it.
 DEFAULT_MAX_FRAME_BYTES = 64 * 1024 * 1024
@@ -129,12 +182,272 @@ def read_frame(
 
 
 # ----------------------------------------------------------------------
+# messages
+# ----------------------------------------------------------------------
+_encode = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
+_decode = json.JSONDecoder().decode
+
+
+def encode_message(message) -> bytes:
+    """One message as a frame payload (plain data only; ``TypeError`` otherwise)."""
+    return _encode(message).encode("ascii")
+
+
+def decode_message(payload: bytes):
+    """A frame payload back as plain data; ``ValueError`` if it is not JSON.
+
+    Too deep a nesting is a ``ValueError`` too, not a ``RecursionError``.
+    """
+    try:
+        return _decode(payload.decode("utf-8"))
+    except RecursionError:
+        raise ValueError("message nests too deeply") from None
+
+
+def encode_request(kind: str, body, wire_ctxs) -> bytes:
+    """The request frame payload ``[kind, body, contexts]``."""
+    return encode_message((kind, body, wire_ctxs))
+
+
+def decode_request(payload: bytes):
+    """``(kind, body, contexts)`` of a request; ``ValueError`` on any other shape.
+
+    The body is returned as sent: the server checks it against its op's
+    shape (:data:`REQUEST_SHAPES`) before anything runs.
+    """
+    message = decode_message(payload)
+    if not (type(message) is list and len(message) == 3 and type(message[0]) is str):
+        raise ValueError("a request is [kind, body, contexts]")
+    kind, body, wire_ctxs = message
+    return kind, body, contexts_from_wire(wire_ctxs)
+
+
+def decode_reply(payload: bytes):
+    """``(status, body)`` of a reply; ``ValueError`` on any other shape."""
+    message = decode_message(payload)
+    if not (type(message) is list and len(message) == 2 and message[0] in ("ok", "err")):
+        raise ValueError('a reply is ["ok" | "err", body]')
+    return message[0], message[1]
+
+
+# ----------------------------------------------------------------------
+# request shapes: a server checks a body whole before it binds or runs
+# anything, so a malformed request touches no backend method
+# ----------------------------------------------------------------------
+Shape = Callable[[object], bool]
+
+
+def _str(value) -> bool:
+    return type(value) is str
+
+
+def _int(value) -> bool:
+    return type(value) is int  # not bool: type(True) is bool
+
+
+def _num(value) -> bool:
+    return type(value) is float or type(value) is int
+
+
+def _bool(value) -> bool:
+    return type(value) is bool
+
+
+def _none(value) -> bool:
+    return value is None
+
+
+def _optional(shape: Shape) -> Shape:
+    return lambda value: value is None or shape(value)
+
+
+def _list_of(shape: Shape) -> Shape:
+    return lambda value: type(value) is list and all(map(shape, value))
+
+
+def _row(*shapes: Shape) -> Shape:
+    size = len(shapes)
+
+    def conforms(value) -> bool:
+        return type(value) is list and len(value) == size and all(map(call, shapes, value))
+
+    return conforms
+
+
+_QUERY = _row(_str, _str)
+_PLAN = _row(
+    _list_of(_str), _list_of(_str), _list_of(_str), _list_of(_optional(_str)),
+    _list_of(_num), _list_of(_num),
+)
+_OPTIONS = _optional(_row(_list_of(_str), _list_of(_str), _int))
+
+#: Per op, the body shape a request must have.
+REQUEST_SHAPES: Dict[str, Shape] = {
+    "ping": _none,
+    "fingerprint": _none,
+    "stats": _none,
+    "clear_caches": _none,
+    "plan_many": _row(_list_of(_QUERY), _OPTIONS),
+    "hint_many": _list_of(_row(_QUERY, _list_of(_str), _list_of(_str))),
+    "execute_many": _list_of(_row(_QUERY, _PLAN, _optional(_num))),
+    "execute": _row(_QUERY, _PLAN, _optional(_num), _bool),
+}
+
+
+def check_body(kind: str, body) -> None:
+    """Raise ``ValueError`` unless ``body`` has ``kind``'s request shape."""
+    shape = REQUEST_SHAPES.get(kind)
+    if shape is None:
+        raise ValueError(f"unknown engine RPC {kind!r}")
+    if not shape(body):
+        raise ValueError(f"malformed {kind} request body")
+
+
+# ----------------------------------------------------------------------
+# values
+# ----------------------------------------------------------------------
+def query_to_wire(query: Query) -> List[str]:
+    """``[text, name]``: what the receiver binds to an equal query."""
+    return [query.sql_text(), query.name]
+
+
+def options_to_wire(options: Optional[OptimizerOptions]):
+    if options is None:
+        return None
+    return [sorted(options.disabled_methods), list(options.leading_prefix), options.max_dp_tables]
+
+
+def options_from_wire(data) -> Optional[OptimizerOptions]:
+    if data is None:
+        return None
+    disabled, prefix, max_dp_tables = data
+    return OptimizerOptions(
+        disabled_methods=frozenset(disabled),
+        leading_prefix=tuple(prefix),
+        max_dp_tables=max_dp_tables,
+    )
+
+
+def plan_to_wire(plan: PlanNode) -> list:
+    """A left-deep plan's descriptor (module docstring); ``ValueError`` otherwise."""
+    joins = []
+    node = plan
+    while isinstance(node, JoinNode):
+        joins.append(node)
+        node = node.left
+    joins.reverse()
+    scans = [node] + [join.right for join in joins]
+    if not all(isinstance(scan, ScanNode) for scan in scans):
+        raise ValueError(
+            "only a left-deep plan (every join's right child a scan) crosses the wire"
+        )
+    return [
+        [scan.alias for scan in scans],
+        [join.method for join in joins],
+        [scan.scan_type for scan in scans],
+        [scan.index_column for scan in scans],
+        [scan.est_rows for scan in scans] + [join.est_rows for join in joins],
+        [scan.est_cost for scan in scans] + [join.est_cost for join in joins],
+    ]
+
+
+def plan_from_wire(data, query: Query) -> PlanNode:
+    """Rebuild the plan a descriptor describes, over the receiver's ``query``.
+
+    Filters and predicates come from ``query`` (module docstring), so the
+    result is ``==`` to the plan the sender described.  ``ValueError`` if
+    the descriptor does not fit ``query``.
+    """
+    aliases, methods, scan_types, index_columns, est_rows, est_costs = data
+    tables = query.tables
+    n = len(aliases)
+    if (
+        n != len(tables)
+        or set(aliases) != tables.keys()
+        or len(methods) != n - 1
+        or len(scan_types) != n
+        or len(index_columns) != n
+        or len(est_rows) != 2 * n - 1
+        or len(est_costs) != 2 * n - 1
+    ):
+        raise ValueError(f"plan descriptor does not fit query {query.name or query.sql_text()!r}")
+    filters: Dict[str, list] = {alias: [] for alias in aliases}
+    for predicate in query.filters:
+        filters[predicate.column.alias].append(predicate)
+    # Per alias, (other alias, predicate) in query order: JoinSpace.joins.
+    links: Dict[str, list] = {alias: [] for alias in aliases}
+    for predicate in query.join_predicates:
+        left, right = predicate.left.alias, predicate.right.alias
+        links[left].append((right, predicate))
+        links[right].append((left, predicate))
+    scans = [
+        ScanNode(
+            alias=alias,
+            table=tables[alias],
+            scan_type=scan_type,
+            index_column=index_column,
+            filters=tuple(filters[alias]),
+            est_rows=rows,
+            est_cost=cost,
+        )
+        for alias, scan_type, index_column, rows, cost in zip(
+            aliases, scan_types, index_columns, est_rows, est_costs
+        )
+    ]
+    plan: PlanNode = scans[0]
+    placed = {aliases[0]}
+    for k in range(1, n):
+        alias = aliases[k]
+        plan = JoinNode(
+            left=plan,
+            right=scans[k],
+            method=methods[k - 1],
+            predicates=tuple(predicate for other, predicate in links[alias] if other in placed),
+            est_rows=est_rows[n + k - 1],
+            est_cost=est_costs[n + k - 1],
+        )
+        placed.add(alias)
+    return plan
+
+
+def planning_to_wire(result) -> Optional[list]:
+    """``[planning_ms, plan]`` of a ``PlanningResult``; ``None`` stays ``None``."""
+    if result is None:
+        return None
+    return [result.planning_ms, plan_to_wire(result.plan)]
+
+
+def execution_to_wire(result: Optional[ExecutionResult]) -> Optional[list]:
+    if result is None:
+        return None
+    return [
+        result.latency_ms,
+        int(result.output_rows),
+        result.timed_out,
+        result.work_units,
+        [float(value) for value in result.aggregate_values],
+    ]
+
+
+def execution_from_wire(data) -> Optional[ExecutionResult]:
+    if data is None:
+        return None
+    latency_ms, output_rows, timed_out, work_units, aggregate_values = data
+    return ExecutionResult(
+        latency_ms=latency_ms,
+        output_rows=output_rows,
+        timed_out=timed_out,
+        work_units=work_units,
+        aggregate_values=tuple(aggregate_values),
+    )
+
+
+# ----------------------------------------------------------------------
 # request contexts on the wire
 # ----------------------------------------------------------------------
-# Contexts cross the socket as compact plain dicts, not pickled
-# RequestContext instances: monotonic clocks do not transfer across
-# machines, so the dict carries the *remaining* budget (``ttl_s``) and the
-# receiver re-anchors it on its own clock.
+# Contexts cross the socket as compact plain dicts: monotonic clocks do
+# not transfer across machines, so the dict carries the *remaining* budget
+# (``ttl_s``) and the receiver re-anchors it on its own clock.
 
 
 def contexts_to_wire(ctxs, now: Optional[float] = None):
@@ -148,4 +461,6 @@ def contexts_from_wire(wire_ctxs) -> Optional[List[Optional[RequestContext]]]:
     """Rebuild contexts from a request frame, re-anchored on this machine's clock."""
     if wire_ctxs is None:
         return None
+    if type(wire_ctxs) is not list:
+        raise ValueError("request contexts must be null or a list")
     return [RequestContext.from_wire(data) for data in wire_ctxs]

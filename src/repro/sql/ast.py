@@ -141,6 +141,14 @@ class Query:
         where = f" WHERE {' AND '.join(conditions)}" if conditions else ""
         return f"SELECT {select} FROM {from_clause}{where};"
 
+    def sql_text(self) -> str:
+        """The SQL text this query was bound from; ``to_sql()`` for a hand-built one.
+
+        ``Database.sql`` records the text before it publishes the query, as
+        the binder does the signature memo, so nothing writes it later.
+        """
+        return getattr(self, "_text", None) or self.to_sql()
+
     def signature(self) -> str:
         """A stable identity string (used as cache key).
 

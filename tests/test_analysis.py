@@ -366,7 +366,7 @@ def _dispatch(self, kind, payload):
 """
 
 CLIENT_FIXTURE = """
-import pickle
+from repro.engine.wire import encode_request
 
 
 class Client:
@@ -377,7 +377,7 @@ class Client:
         return self._call("batch", plans)
 
     def close(self):
-        return pickle.dumps(("close", None))
+        return encode_request("close", None, None)
 """
 
 

@@ -804,6 +804,20 @@ class TestRpcArity:
         )
         assert rules_of(findings) == ["rpc-arity"]
 
+    def test_raw_encoded_request_is_checked_too(self):
+        """The handshake builds its frame with the codec, not ``_call``."""
+        findings = self._check(
+            """
+            from repro.engine.wire import encode_request
+
+            class C:
+                def handshake(self):
+                    return encode_request("execute", ("q", "plan"), None)
+            """
+        )
+        assert rules_of(findings) == ["rpc-arity"]
+        assert "2-tuple" in findings[0].message and "4-tuple" in findings[0].message
+
     def test_opaque_payload_is_skipped(self):
         findings = self._check(
             """

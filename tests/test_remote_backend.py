@@ -29,7 +29,6 @@ from __future__ import annotations
 import faulthandler
 import json
 import os
-import pickle
 import socket
 import subprocess
 import sys
@@ -45,7 +44,16 @@ from repro.core.icp import IncompletePlan
 from repro.engine.backend import make_backend
 from repro.engine.database import dataset_fingerprint
 from repro.engine.remote import EngineServer, RemoteBackend, RemoteEngineError
-from repro.engine.wire import FrameTooLargeError, contexts_to_wire, read_frame, write_frame
+from repro.engine.wire import (
+    FrameTooLargeError,
+    contexts_to_wire,
+    encode_message,
+    encode_request,
+    planning_to_wire,
+    query_to_wire,
+    read_frame,
+    write_frame,
+)
 from repro.optimizer.dp import OptimizerOptions
 from repro.optimizer.plans import plan_signature
 
@@ -166,13 +174,6 @@ class TestBackendParity:
         second = remote_backend.execute(query, plan, use_cache=False)
         assert first.latency_ms == second.latency_ms  # virtual time is deterministic
         assert remote_backend.executions >= before + 2, "uncached runs must not cache"
-
-    def test_sql_rpc_served_for_mirrorless_clients(
-        self, job_workload, remote_backend
-    ):
-        wq = job_workload.train[0]
-        served = remote_backend._call("sql", (wq.sql, ""))
-        assert served.signature() == job_workload.database.sql(wq.sql).signature()
 
     def test_executions_and_stats_surface(self, job_workload, remote_backend):
         stats = remote_backend.stats()
@@ -337,7 +338,7 @@ class TestRemoteRobustness:
             sock.settimeout(CLIENT_TIMEOUT_S)
             with sock, sock.makefile("rwb") as stream:
                 while read_frame(stream) is not None:
-                    write_frame(stream, pickle.dumps(("ok", (hello, 0))))
+                    write_frame(stream, encode_message(("ok", (hello, 0))))
                 seen["closed"] = True  # EOF: the client closed its socket
             listener.settimeout(1.0)  # a reconnect would arrive well within this
             try:
@@ -368,11 +369,11 @@ class TestRemoteRobustness:
         """Unknown ops from a peer are counted under one ``unknown`` series,
         so a peer cannot grow the metric set."""
         handled = {
-            "ping", "fingerprint", "sql", "plan_many", "hint_many",
+            "ping", "fingerprint", "plan_many", "hint_many",
             "execute_many", "execute", "clear_caches", "stats",
         }
         for i in range(200):
-            payload = pickle.dumps((f"bogus-{i}", None, None))
+            payload = encode_request(f"bogus-{i}", None, None)
             status, message = engine_server._dispatch(payload)
             assert status == "err" and "unknown engine RPC" in message
         counter = obs.get_registry().get("engine_requests_total")
@@ -442,22 +443,15 @@ class TestRemoteRobustness:
             first.close()
 
     def test_oversized_response_reported_not_dropped(self, server_db, job_workload):
-        import pickle
-
         queries = [w.query for w in job_workload.train[:8]]
-        for query in queries:
-            query.signature()  # populate lazy caches so pickle sizes are stable
         request_size = len(
-            pickle.dumps(
-                ("plan_many", (queries, None), None), protocol=pickle.HIGHEST_PROTOCOL
-            )
+            encode_request("plan_many", ([query_to_wire(q) for q in queries], None), None)
         )
         # Measure the exact response the capped server will produce.
         results = server_db.plan_many(queries)
         response_size = len(
-            pickle.dumps(
-                ("ok", (results, server_db.executions, ())),
-                protocol=pickle.HIGHEST_PROTOCOL,
+            encode_message(
+                ("ok", ([planning_to_wire(r) for r in results], server_db.executions, ()))
             )
         )
         if response_size <= request_size + 64:
@@ -499,7 +493,7 @@ class TestRemoteRobustness:
             engine_server.url,
             database=job_workload.database,
             timeout_s=CLIENT_TIMEOUT_S,
-            max_frame_bytes=128,  # far below any real batch pickle
+            max_frame_bytes=128,  # far below any real batch request
         )
         try:
             queries = [w.query for w in job_workload.train[:2]]
@@ -542,10 +536,10 @@ class TestWireTracing:
     def test_untraced_wire_dicts_ignore_obs_state(self, job_workload):
         """Untraced context encoding is bitwise-independent of the obs gate."""
         ctx = RequestContext.mint(tenant="t", deadline_s=30.0)
-        enabled_bytes = pickle.dumps(contexts_to_wire([ctx], now=ctx.submitted_at))
+        enabled_bytes = encode_message(contexts_to_wire([ctx], now=ctx.submitted_at))
         previous = obs.set_enabled(False)
         try:
-            disabled_bytes = pickle.dumps(contexts_to_wire([ctx], now=ctx.submitted_at))
+            disabled_bytes = encode_message(contexts_to_wire([ctx], now=ctx.submitted_at))
         finally:
             obs.set_enabled(previous)
         assert enabled_bytes == disabled_bytes
@@ -556,9 +550,8 @@ class TestWireTracing:
     ):
         query = job_workload.train[30].query
         ctx = RequestContext.mint(tenant="t", deadline_s=60.0)
-        payload = pickle.dumps(
-            ("plan_many", ([query], None), contexts_to_wire([ctx])),
-            protocol=pickle.HIGHEST_PROTOCOL,
+        payload = encode_request(
+            "plan_many", ([query_to_wire(query)], None), contexts_to_wire([ctx])
         )
         status, body = engine_server._dispatch(payload)
         assert status == "ok"
@@ -572,9 +565,8 @@ class TestWireTracing:
         query = job_workload.train[31].query
         ctx = RequestContext.mint(tenant="t", traced=True)
         assert ctx.trace_id is not None
-        payload = pickle.dumps(
-            ("plan_many", ([query], None), contexts_to_wire([ctx])),
-            protocol=pickle.HIGHEST_PROTOCOL,
+        payload = encode_request(
+            "plan_many", ([query_to_wire(query)], None), contexts_to_wire([ctx])
         )
         status, body = engine_server._dispatch(payload)
         assert status == "ok" and len(body) == 3
