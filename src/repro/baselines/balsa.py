@@ -56,7 +56,7 @@ class BalsaOptimizer:
     # ------------------------------------------------------------------
     def _construct(self, query: Query, explore: bool = False) -> PlanNode:
         """Beam-search a complete left-deep plan scored by the value net."""
-        space = self.database.enumerator.join_space(query)
+        space = self.database.join_space(query)
         beam: List[Tuple[float, PlanNode, int]] = [
             (0.0, space.scans[i], 1 << i) for i in space.query_order
         ][: self.beam_width]

@@ -79,7 +79,7 @@ class HybridQOOptimizer:
 
     def _search_prefixes(self, query: Query) -> List[Tuple[str, ...]]:
         """UCT search over leading prefixes; returns the most-visited ones."""
-        space = self.database.enumerator.join_space(query)
+        space = self.database.join_space(query)
         root = _Node(prefix=())
         for _ in range(self.mcts_budget):
             node = root

@@ -53,7 +53,7 @@ class LogerOptimizer:
 
     # ------------------------------------------------------------------
     def _construct(self, query: Query, explore: bool = False) -> PlanNode:
-        space = self.database.enumerator.join_space(query)
+        space = self.database.join_space(query)
         # Start from the most selective scan (Loger's heuristic start).
         start = min(space.query_order, key=space.rows.__getitem__)
         plan: PlanNode = space.scans[start]

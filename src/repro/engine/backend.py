@@ -34,7 +34,7 @@ from typing import (
 
 from repro.engine.database import Database, Dataset, PlanningResult
 from repro.executor.engine import ExecutionResult
-from repro.optimizer.dp import OptimizerOptions
+from repro.optimizer.dp import JoinSpace, OptimizerOptions
 from repro.optimizer.plans import PlanNode
 from repro.sql.ast import Query
 
@@ -70,6 +70,8 @@ class EngineBackend(Protocol):
     def sql(self, text: str, name: str = "") -> Query: ...
 
     # -- planning (Γp(Q, /) and Γp(Q, ICP)) ---------------------------
+    def join_space(self, query: Query) -> JoinSpace: ...
+
     def plan(
         self, query: Query, options: Optional[OptimizerOptions] = None, ctx=None
     ) -> PlanningResult: ...

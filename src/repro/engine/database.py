@@ -3,7 +3,9 @@
 :class:`Database` plays PostgreSQL's role from the paper: it produces the
 original plan (``Γp(Q, /)``), completes hinted incomplete plans
 (``Γp(Q, ICP)``, via the `pg_hint_plan` equivalent), and executes plans with
-the dynamic-timeout mechanism (``Ψp``).
+the dynamic-timeout mechanism (``Ψp``).  Both planning calls, and the
+constructive baselines, read one :class:`~repro.optimizer.dp.JoinSpace` per
+query signature, built on first use and dropped with the plan cache.
 
 Because virtual-time execution is deterministic, executed latencies are
 cached by (query, plan) signature; a cached latency above a requested
@@ -17,7 +19,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
@@ -29,8 +31,7 @@ from repro.engine.wire import crc32_chain
 from repro.executor.engine import ExecutionEngine, ExecutionResult
 from repro.optimizer.cardinality import CardinalityEstimator
 from repro.optimizer.cost import CostModel, CostParameters, runtime_cost_parameters
-from repro.optimizer.dp import OptimizerOptions, PlanEnumerator
-from repro.optimizer.hints import HintedPlanBuilder
+from repro.optimizer.dp import JoinSpace, OptimizerOptions, PlanEnumerator
 from repro.optimizer.plans import PlanNode, explain, plan_signature
 from repro.sql.ast import Query
 from repro.sql.binder import bind_query
@@ -105,6 +106,29 @@ def plan_key(query: Query, options: Optional[OptimizerOptions]) -> str:
     return f"{query.signature()}@{options.signature()}"
 
 
+V = TypeVar("V")
+
+
+def _lru_get(cache: "OrderedDict[Hashable, V]", key: Hashable) -> Optional[V]:
+    """``cache[key]`` refreshed as most recently used, or ``None``."""
+    value = cache.get(key)
+    if value is not None:
+        cache.move_to_end(key)
+    return value
+
+
+def _lru_put(cache: "OrderedDict[Hashable, V]", key: Hashable, value: V, capacity: int) -> V:
+    """Insert unless present, evicting the least recently used past
+    ``capacity``; return the cached value (the first insert wins)."""
+    existing = _lru_get(cache, key)
+    if existing is not None:
+        return existing
+    cache[key] = value
+    while len(cache) > capacity:
+        cache.popitem(last=False)
+    return value
+
+
 @dataclass
 class PlanningResult:
     """A plan plus the wall-clock time the optimizer spent producing it."""
@@ -148,9 +172,11 @@ class Database:
         )
         self.estimator = CardinalityEstimator(self.statistics)
         self.enumerator = PlanEnumerator(self.estimator, self.cost_model, self.storage.has_index)
-        self.hint_builder = HintedPlanBuilder(self.enumerator)
         self.executor = ExecutionEngine(self.storage, self.runtime_cost_model)
-        self._plan_cache: Dict[str, PlanningResult] = {}
+        # Signature -> plan / join space, LRU at the statement cache's
+        # capacity: a long-lived engine sees new queries forever.
+        self._plan_cache: "OrderedDict[str, PlanningResult]" = OrderedDict()
+        self._join_spaces: "OrderedDict[str, JoinSpace]" = OrderedDict()
         # LRU-evicted at the cap: exploration visits new ICPs forever, and
         # completed plan trees are too heavy to keep unboundedly, but a hot
         # training loop must not lose its entire working set at the cliff.
@@ -163,7 +189,7 @@ class Database:
         self._statement_cache: "OrderedDict[Tuple[str, str], Query]" = OrderedDict()
         self.statement_cache_capacity = 8192
         self.executions = 0  # real-environment execution counter (cache misses)
-        # Guards the statement/plan/hint/latency caches against concurrent serving
+        # Guards the statement/space/plan/hint/latency caches against concurrent serving
         # threads (OptimizerService flushers, multi-tenant sessions over
         # one shared engine).  Heavy compute — enumeration, hint
         # completion, execution — runs *outside* the lock: it is stateless
@@ -185,28 +211,40 @@ class Database:
         get/insert only; lex/parse/bind is a pure function over the
         immutable schema and storage and runs outside it, so serving
         threads bind concurrently with planning (two threads missing the
-        same text both bind; the second insert overwrites an equal query).
+        same text both bind, and the first insert wins).
         A text that fails to parse or bind is not stored and raises again.
         The query records ``text`` (:meth:`Query.sql_text`), which is what
         the remote wire sends for it.
         """
         key = (text, name)
         with self._lock:
-            query = self._statement_cache.get(key)
-            if query is not None:
-                self._statement_cache.move_to_end(key)
-                return query
+            query = _lru_get(self._statement_cache, key)
+        if query is not None:
+            return query
         query = bind_query(parse_query(text), self.schema, self.storage, name=name)
         query._text = text  # before publishing, like the signature memo
         with self._lock:
-            self._statement_cache[key] = query
-            while len(self._statement_cache) > self.statement_cache_capacity:
-                self._statement_cache.popitem(last=False)
-        return query
+            return _lru_put(self._statement_cache, key, query, self.statement_cache_capacity)
 
     # ------------------------------------------------------------------
     # planning
     # ------------------------------------------------------------------
+    def join_space(self, query: Query) -> JoinSpace:
+        """The query's join search space under this engine's expert.
+
+        Built once per query signature and cache epoch, outside the lock
+        like every computation here (a concurrent miss builds twice and the
+        first insert wins); immutable, so every caller shares it.
+        """
+        key = query.signature()
+        with self._lock:
+            space = _lru_get(self._join_spaces, key)
+        if space is not None:
+            return space
+        space = self.enumerator.join_space(query)
+        with self._lock:
+            return _lru_put(self._join_spaces, key, space, self.statement_cache_capacity)
+
     def plan(
         self,
         query: Query,
@@ -215,8 +253,9 @@ class Database:
     ) -> PlanningResult:
         """``Γp(Q, /)``: the expert optimizer's plan for the query.
 
-        Unoptioned plans are cached per query signature (the expert is
-        deterministic); the cached wall time is the first run's.  An
+        The expert is deterministic, so plans are cached per query
+        signature and options; the cached wall time is the first run's,
+        including the join space's build if that run built it.  An
         expired ``ctx`` raises ``DeadlineExceededError`` before any
         enumeration work.
         """
@@ -224,7 +263,7 @@ class Database:
             raise deadline_error(ctx, "planning")
         key = plan_key(query, options)
         with self._lock:
-            cached = self._plan_cache.get(key)
+            cached = _lru_get(self._plan_cache, key)
         if cached is not None:
             return cached
         # Enumeration runs outside the lock (the DP is stateless over the
@@ -232,11 +271,11 @@ class Database:
         # behind it; two threads missing the same key compute identical
         # results and the first insert wins.
         start = time.perf_counter()
-        plan = self.enumerator.optimize(query, options)
+        plan = self.enumerator.search(self.join_space(query), options)
         elapsed_ms = (time.perf_counter() - start) * 1000.0
         result = PlanningResult(plan=plan, planning_ms=elapsed_ms)
         with self._lock:
-            return self._plan_cache.setdefault(key, result)
+            return _lru_put(self._plan_cache, key, result, self.statement_cache_capacity)
 
     def plan_with_hints(
         self,
@@ -256,26 +295,18 @@ class Database:
             raise deadline_error(ctx, "hint completion")
         key = (query.signature(), tuple(join_order), tuple(join_methods))
         with self._lock:
-            cached = self._hint_cache.get(key)
-            if cached is not None:
-                self._hint_cache.move_to_end(key)
-                return cached
+            cached = _lru_get(self._hint_cache, key)
+        if cached is not None:
+            return cached
         # Completion runs outside the lock (stateless like the enumerator);
         # a concurrent duplicate computes the identical plan and the first
         # insert wins.
         start = time.perf_counter()
-        plan = self.hint_builder.build(query, join_order, join_methods)
+        plan = self.join_space(query).complete(join_order, join_methods)
         elapsed_ms = (time.perf_counter() - start) * 1000.0
         result = PlanningResult(plan=plan, planning_ms=elapsed_ms)
         with self._lock:
-            existing = self._hint_cache.get(key)
-            if existing is not None:
-                self._hint_cache.move_to_end(key)
-                return existing
-            while len(self._hint_cache) >= self.hint_cache_capacity:
-                self._hint_cache.popitem(last=False)
-            self._hint_cache[key] = result
-            return result
+            return _lru_put(self._hint_cache, key, result, self.hint_cache_capacity)
 
     def plan_many(
         self,
@@ -430,13 +461,14 @@ class Database:
     def clear_caches(self) -> None:
         with self._lock:
             self._statement_cache.clear()
-            self._plan_cache.clear()
-            self._hint_cache.clear()
             self._latency_cache.clear()
+            self.clear_plan_cache()
 
     def clear_plan_cache(self) -> None:
-        """Drop cached plans only (latencies stay; used for timing studies)."""
+        """Drop cached plans and join spaces only (bound queries and
+        latencies stay; used for timing studies)."""
         with self._lock:
+            self._join_spaces.clear()
             self._plan_cache.clear()
             self._hint_cache.clear()
 
@@ -445,6 +477,7 @@ class Database:
         return {
             "backend": "local",
             "executions": self.executions,
+            "join_spaces": len(self._join_spaces),
             "plan_cache": len(self._plan_cache),
             "hint_cache": len(self._hint_cache),
             "latency_cache": len(self._latency_cache),

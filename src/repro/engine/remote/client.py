@@ -68,7 +68,7 @@ from repro.engine.wire import (
     write_frame,
 )
 from repro.executor.engine import ExecutionResult
-from repro.optimizer.dp import OptimizerOptions
+from repro.optimizer.dp import JoinSpace, OptimizerOptions
 from repro.optimizer.plans import PlanNode, plan_signature
 from repro.sql.ast import Query
 
@@ -518,6 +518,11 @@ class RemoteBackend:
 
     def explain(self, plan: PlanNode) -> str:
         return self.local.explain(plan)
+
+    def join_space(self, query: Query) -> JoinSpace:
+        # The mirror's statistics are the server's (fingerprint-checked), so
+        # the constructive baselines search its space without a round trip.
+        return self.local.join_space(query)
 
     # ------------------------------------------------------------------
     # planning

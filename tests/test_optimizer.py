@@ -1,9 +1,12 @@
-"""Traditional optimizer tests: cardinality, cost, DP enumeration, hints."""
+"""Traditional optimizer tests: cardinality, cost, DP enumeration, hints,
+and the engine's one join space per query."""
 
 import contextlib
 import dataclasses
 import itertools
 import math
+import sys
+import threading
 import warnings
 import zlib
 
@@ -18,11 +21,15 @@ from reference_dp import (
     reference_hinted_plan,
     reference_join_rows,
 )
+from repro.baselines.balsa import BalsaOptimizer
 from repro.baselines.hybridqo import HybridQOOptimizer
+from repro.baselines.loger import LogerOptimizer
+from repro.engine.database import Database
+from repro.engine.remote import EngineServer, RemoteBackend
 from repro.optimizer import dp
 from repro.optimizer.cost import CostModel, CostParameters, runtime_cost_parameters
 from repro.optimizer.dp import OptimizerOptions, PlanEnumerator
-from repro.optimizer.hints import HintError
+from repro.optimizer import HintError
 from repro.optimizer.plans import (
     JOIN_METHODS,
     JoinNode,
@@ -455,7 +462,7 @@ class TestFastPathParity:
         expected = reference.optimize(query)
         twin = {"t1": "t2", "t2": "t1", "mi1": "mi2", "mi2": "mi1", "mk": "mk"}
         mirrored = [twin[alias] for alias in plan_aliases(expected)]
-        tie = database.hint_builder.build(query, mirrored, plan_join_methods(expected))
+        tie = database.enumerator.join_space(query).complete(mirrored, plan_join_methods(expected))
         assert mirrored != plan_aliases(expected)
         assert tie.est_cost.hex() == expected.est_cost.hex()  # the full set ties exactly
         for path in DP_PATHS:
@@ -573,7 +580,7 @@ class TestFastPathParity:
             expert = reference.optimize(wq.query)
             order, methods = plan_aliases(expert), plan_join_methods(expert)
             for hinted_order in (order, *(list(rng.permutation(order)) for _ in range(2))):
-                fast = workload.database.hint_builder.build(wq.query, hinted_order, methods)
+                fast = workload.database.enumerator.join_space(wq.query).complete(hinted_order, methods)
                 assert tree(fast) == tree(reference_hinted_plan(reference, wq.query, hinted_order, methods))
 
     @pytest.mark.parametrize("name", PARITY_WORKLOADS)
@@ -586,7 +593,7 @@ class TestFastPathParity:
         for wq in workload.all_queries:
             expert = workload.database.enumerator.optimize(wq.query)
             order, methods = plan_aliases(expert), plan_join_methods(expert)
-            hinted = workload.database.hint_builder.build(wq.query, list(rng.permutation(order)), methods)
+            hinted = workload.database.enumerator.join_space(wq.query).complete(list(rng.permutation(order)), methods)
             for node in (*iter_nodes(expert), *iter_nodes(hinted)):
                 assert type(node.est_rows) is float and type(node.est_cost) is float, (wq.query.name, node)
 
@@ -641,3 +648,146 @@ def brute_force_minimum(reference, query):
     for alias in aliases:
         walk([alias], scans[alias].est_rows, scans[alias].est_cost)
     return best, clamped
+
+
+# ----------------------------------------------------------------------
+# One join space per query per engine: ``Database.join_space`` is built once
+# per query signature and cache epoch and shared by the expert plan, every
+# hint completion and the constructive baselines.
+# ----------------------------------------------------------------------
+@pytest.fixture()
+def space_builds(monkeypatch):
+    """Signatures of the join spaces built while the test runs, in order."""
+    built = []
+    join_space = PlanEnumerator.join_space
+
+    def counting(enumerator, query):
+        built.append(query.signature())
+        return join_space(enumerator, query)
+
+    monkeypatch.setattr(PlanEnumerator, "join_space", counting)
+    return built
+
+
+class TestSharedJoinSpace:
+    @pytest.mark.parametrize("name", PARITY_WORKLOADS)
+    def test_shared_space_plans_equal_a_fresh_spaces(self, planners, name):
+        workload, _ = planners[name]
+        database = Database(workload.database.dataset)
+        rng = np.random.default_rng(5)
+        for wq in workload.all_queries:
+            fresh = database.enumerator.join_space(wq.query)
+            expert = database.plan(wq.query).plan
+            assert tree(expert) == tree(database.enumerator.search(fresh)), wq.query.name
+            order, methods = plan_aliases(expert), plan_join_methods(expert)
+            for hinted_order in (order, *(list(rng.permutation(order)) for _ in range(2))):
+                hinted = database.plan_with_hints(wq.query, hinted_order, methods).plan
+                assert tree(hinted) == tree(fresh.complete(hinted_order, methods)), wq.query.name
+            # Both plans were built from the memoized space: they share its scans.
+            space = database.join_space(wq.query)
+            for node in (*iter_nodes(expert), *iter_nodes(hinted)):
+                if isinstance(node, ScanNode):
+                    assert node is space.scans[space.index[node.alias]]
+
+    def test_one_space_per_query_per_cache_epoch(self, planners, space_builds):
+        workload, _ = planners["stack"]
+        database = Database(workload.database.dataset)
+        queries = [wq.query for wq in workload.all_queries]
+        distinct = sorted({query.signature() for query in queries})
+        baselines = [
+            BalsaOptimizer(database),
+            LogerOptimizer(database),
+            HybridQOOptimizer(database, mcts_budget=4),
+        ]
+        for clear in (database.clear_plan_cache, database.clear_caches):
+            space_builds.clear()
+            for query in queries + queries[:8]:
+                expert = database.plan(query).plan
+                reversed_order = list(reversed(plan_aliases(expert)))
+                database.plan_with_hints(query, reversed_order, plan_join_methods(expert))
+                database.plan(query, OptimizerOptions(disabled_methods=frozenset({"merge"})))
+            for baseline in baselines:
+                for query in queries[:3]:
+                    baseline.optimize(query)
+            assert sorted(space_builds) == distinct
+            assert database.stats()["join_spaces"] == len(distinct)
+            clear()
+            assert database.stats()["join_spaces"] == 0
+
+    def test_plans_and_spaces_are_bounded_by_the_statement_capacity(self, planners, space_builds):
+        workload, _ = planners["job"]
+        database = Database(workload.database.dataset)
+        database.statement_cache_capacity = 3
+        queries = [wq.query for wq in workload.all_queries[:6]]
+        signatures = [query.signature() for query in queries]
+        for query in queries:
+            database.plan(query)
+            assert database.stats()["plan_cache"] <= 3
+            assert database.stats()["join_spaces"] <= 3
+        assert list(database._plan_cache) == list(database._join_spaces) == signatures[3:]
+        database.plan(queries[3])  # a read refreshes recency: 4 is now the oldest
+        database.plan(queries[0])
+        assert list(database._plan_cache) == [signatures[i] for i in (5, 3, 0)]
+        # A plan hit reads no space, so the space memo dropped 3, not 4.
+        assert list(database._join_spaces) == [signatures[i] for i in (4, 5, 0)]
+        assert space_builds == signatures + signatures[:1]  # the evicted one is rebuilt
+
+    def test_concurrent_planners_share_one_space_per_query(self, planners):
+        """Eight threads plan and complete the same queries under a tiny
+        switch interval: every result equals a fresh space's, one space per
+        query is left, and a small capacity is never exceeded."""
+        workload, _ = planners["stack"]
+        queries = [wq.query for wq in workload.all_queries[:12]]
+        expected = {}
+        for query in queries:
+            space = workload.database.enumerator.join_space(query)
+            plan = workload.database.enumerator.search(space)
+            hinted = space.complete(plan_aliases(plan)[::-1], plan_join_methods(plan))
+            expected[query.name] = (tree(plan), tree(hinted))
+        database = Database(workload.database.dataset)
+        database.statement_cache_capacity = 8
+        results = [None] * 8
+
+        def run(slot):
+            found = []
+            for _ in range(3):
+                for query in queries[slot % 4 :] + queries[: slot % 4]:
+                    plan = database.plan(query).plan
+                    hinted = database.plan_with_hints(
+                        query, plan_aliases(plan)[::-1], plan_join_methods(plan)
+                    ).plan
+                    found.append((query.name, tree(plan), tree(hinted)))
+                    assert database.stats()["join_spaces"] <= 8
+            results[slot] = found
+
+        threads = [threading.Thread(target=run, args=(slot,)) for slot in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for found in results:
+            assert found is not None and len(found) == 3 * len(queries)
+            for name, plan, hinted in found:
+                assert (plan, hinted) == expected[name]
+        assert database.stats()["join_spaces"] == len(database._join_spaces) <= 8
+
+    def test_remote_clear_caches_empties_the_servers_memo(self, planners):
+        workload, _ = planners["job"]
+        server_database = Database(workload.database.dataset)
+        queries = [wq.query for wq in workload.all_queries[:4]]
+        with EngineServer(server_database) as server:
+            server.start()
+            client_database = Database(workload.database.dataset)
+            with RemoteBackend(server.url, database=client_database, timeout_s=60.0) as backend:
+                backend.plan_many(queries)
+                assert server_database.stats()["join_spaces"] == len(queries)
+                # The baselines search the client mirror's space, no round trip.
+                assert backend.join_space(queries[0]) is client_database.join_space(queries[0])
+                backend.clear_caches()
+                assert server_database.stats()["join_spaces"] == 0
