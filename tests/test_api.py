@@ -10,13 +10,14 @@ Covers the serving contracts the facade promises:
   manifests written with since-removed config fields still load;
 * optimizers are constructed by name through the registry;
 * failures surface as one typed OptimizeError (failed ticket on the
-  queued path);
+  queued path), also for grammar-aware mutations of workload SQL;
 * legacy import paths still resolve but warn.
 """
 
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro
 from repro.api import (
@@ -31,6 +32,7 @@ from repro.api import (
 )
 from repro.core.aam import AAMConfig
 from repro.optimizer.plans import plan_signature
+from sql_mutations import MUTATIONS, huge, mutate
 
 
 def tiny_config(**overrides) -> FossConfig:
@@ -353,6 +355,44 @@ class TestOptimizeError:
     def test_unknown_ticket_raises(self, service):
         with pytest.raises(ValueError, match="unknown ticket"):
             service.result(12345)
+
+
+class TestSqlTextFuzz:
+    """Mutated workload SQL through ``optimize_sql`` and ``submit`` / ``result``.
+
+    Each text ends in a plan or an :class:`OptimizeError` on both paths,
+    the same one on both, no ticket hangs, and the services' books balance.
+    """
+
+    TIMEOUT_S = 30.0
+
+    def _serve(self, api_session, texts):
+        sync, queued = api_session.service(), api_session.service()
+        for text in texts:
+            try:
+                planned = sync.optimize_sql(text) is not None
+            except OptimizeError:
+                planned = False
+            result = queued.result(queued.submit(text), timeout=self.TIMEOUT_S)
+            assert result.status == ("done" if planned else "failed"), (text, result.error)
+        for service in (sync, queued):
+            stats = service.stats()
+            assert stats["requests"] == len(texts)
+            assert stats["requests"] == stats["served"] + stats["failures"] + stats["expired"]
+            assert stats["pending"] == 0
+
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_mutated_sql_ends_in_a_plan_or_a_typed_error(self, api_session, data):
+        queries = api_session.workload.all_queries
+        text = data.draw(st.sampled_from(queries), label="query").sql
+        for mutation in data.draw(st.lists(st.sampled_from(MUTATIONS), min_size=1, max_size=2)):
+            text = mutate(text, mutation, lambda n: data.draw(st.integers(0, n - 1)))
+        self._serve(api_session, [text])
+
+    def test_size_attacks_end_in_a_plan_or_a_typed_error(self, api_session):
+        sql = api_session.workload.test[0].sql
+        self._serve(api_session, huge(sql) + ["SELECT COUNT(*) FROM t\u00edtulo AS \u00bd"])
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,8 @@
 """SQL frontend tests: lexer, parser, binder, AST helpers."""
 
+import random
+import string
+import time
 import zlib
 
 import networkx as nx
@@ -7,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_lexer
 from reference_dp import joins_between, query_join_graph
 from repro.catalog.schema import ColumnSchema, ForeignKey, Schema, TableSchema
 from repro.sql.ast import Aggregate, ColumnRef, FilterPredicate, JoinPredicate, Query
@@ -15,6 +19,7 @@ from repro.sql.lexer import LexError, tokenize
 from repro.sql.parser import ParseError, parse_query
 from repro.storage.database import StorageDatabase
 from repro.storage.table import Table
+from sql_mutations import MUTATIONS, NON_ASCII, mutate
 
 
 @pytest.fixture()
@@ -73,6 +78,16 @@ class TestLexer:
         with pytest.raises(LexError):
             tokenize("a ~ b")
 
+    def test_long_runs_scan_in_linear_time(self):
+        # A pattern that skips whitespace inside each match (``\s*(...)``)
+        # retries a whitespace run from every offset: 8,000 trailing spaces
+        # took 2.9 s that way, against 0.6 ms here.
+        for text in ("a" + " " * 20_000, "'" * 20_001, "1" + "." * 20_000):
+            start = time.perf_counter()
+            with pytest.raises(ParseError):
+                parse_query(text)
+            assert time.perf_counter() - start < 1.0
+
 
 # crc32 over repr([(kind, value, position), ...]) of every workload query's
 # tokens (conftest's scales and seeds), and the error each malformed text
@@ -85,6 +100,7 @@ TOKEN_DIGESTS = {
 # (text, message, whether the lexer already rejects it)
 MALFORMED = [
     ("SELECT COUNT(*) FROM title AS t WHERE t.title = 'oops", "unterminated string literal at 48", True),
+    ("SELECT COUNT(*) FROM title AS t WHERE t.title = '", "unterminated string literal at 48", True),
     ("SELECT COUNT(*) FROM title AS t WHERE t.id ~ 3", "unexpected character '~' at position 43", True),
     ("SELECT COUNT(*) FROM title AS t WHERE t.id = -", "unexpected character '-' at position 45", True),
     ("SELECT COUNT(*) FROM title AS t; SELECT", "trailing input at position 33", False),
@@ -94,7 +110,20 @@ MALFORMED = [
         False,
     ),
     ("SELECT COUNT(*) FROM title AS t WHERE", "unexpected end of input", False),
+    # Number lexemes float() cannot read are refused as literals, with a
+    # position (the token parser let float()'s bare ValueError escape).
+    ("SELECT COUNT(*) FROM title AS t WHERE t.id = 1.2.3", "expected literal at position 45", False),
+    ("SELECT COUNT(*) FROM title AS t WHERE t.id = \u00b2", "expected literal at position 45", False),
 ]
+# crc32 over repr((name, to_sql(), signature())) of every bound workload
+# query (conftest's scales and seeds), recorded from the commit before the
+# scanner: the parser that walks lexeme strings binds every query the
+# token parser did, value for value.
+BOUND_DIGESTS = {
+    "job": (113, "ef39e192"),
+    "tpcds": (114, "3bbb680b"),
+    "stack": (120, "f75b88c4"),
+}
 
 
 class TestTokenParity:
@@ -121,6 +150,123 @@ class TestTokenParity:
             assert str(lexed.value) == message
         else:
             tokenize(text)
+
+    @pytest.mark.parametrize("name", sorted(BOUND_DIGESTS))
+    def test_workload_bound_queries_match_recorded_digest(self, request, name):
+        workload = request.getfixturevalue(f"{name}_workload")
+        crc = 0
+        for wq in workload.all_queries:
+            query = wq.query
+            crc = zlib.crc32(repr((query.name, query.to_sql(), query.signature())).encode(), crc)
+        assert (len(workload.all_queries), f"{crc:08x}") == BOUND_DIGESTS[name]
+
+
+def _lexed(lex, text):
+    try:
+        return [tuple(token) for token in lex(text)]
+    except LexError as exc:
+        return str(exc)
+
+
+def _parsed(parse, text):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return str(exc)
+
+
+# The ASCII SQL alphabet, Unicode whitespace and Unicode decimal digits:
+# on these characters a regex class and the str predicates the character
+# loop used agree, so the scanner must reproduce it exactly.
+SQL_CHARS = sorted(set(string.ascii_letters + string.digits + " '!-~\x00<>=(),;*._\t\n"))
+UNICODE_CHARS = ["\u00a0", "\u2003", "\x1c", "\u0663", "\uff15"]
+FRAGMENTS = [
+    "SELECT", "select", "COUNT", "Sum", "FROM", "WHERE", "and", "AS", "IN", "BETWEEN",
+    "t", "t.id", "mi.info", "title", "'x y'", "''", "1", "-2", "3.5", "1.2.3", "-",
+    "=", "!=", "<>", "<=", ">", "(", ")", "(*)", ",", ";", ".",
+]
+SQL_TEXT = st.lists(
+    st.sampled_from(SQL_CHARS + UNICODE_CHARS) | st.sampled_from(FRAGMENTS), max_size=24
+).map("".join)
+SQL_WORDS = st.lists(st.sampled_from(FRAGMENTS + SQL_CHARS), max_size=24).map(" ".join)
+
+# Characters that are numeric but not decimal digits, where no regex class
+# matches the loop's isalpha / isdigit: (text, old tokens or error, new).
+# A lexeme is a run of word characters that does not start with a decimal
+# digit, and its first character gives the kind, so "\u00b2" still opens a
+# NUMBER (which no literal accepts) and "\u00bd" / "\u216b" are still
+# unexpected, but a lexeme they open now runs to the end of the word.
+NUMERIC_LETTERS = [
+    ("\u00bd", "unexpected character '\u00bd' at position 0", "unexpected character '\u00bd' at position 0"),
+    ("\u216b", "unexpected character '\u216b' at position 0", "unexpected character '\u216b' at position 0"),
+    ("a\u00bd\u216b\u00b2", [("IDENT", "a\u00bd\u216b\u00b2", 0)], [("IDENT", "a\u00bd\u216b\u00b2", 0)]),
+    ("\u00b2", [("NUMBER", "\u00b2", 0)], [("NUMBER", "\u00b2", 0)]),
+    ("\u00b2a", [("NUMBER", "\u00b2", 0), ("IDENT", "a", 1)], [("NUMBER", "\u00b2a", 0)]),
+    ("\u00b2\u00bd", "unexpected character '\u00bd' at position 1", [("NUMBER", "\u00b2\u00bd", 0)]),
+    ("\u00b2.5", [("NUMBER", "\u00b2.5", 0)], [("NUMBER", "\u00b2", 0), ("SYMBOL", ".", 1), ("NUMBER", "5", 2)]),
+    ("-\u00b2", [("NUMBER", "-\u00b2", 0)], "unexpected character '-' at position 0"),
+]
+
+
+#: The characters of NUMERIC_LETTERS that the mutations insert.
+NUMERIC_CHARS = {c for c in NON_ASCII if c.isnumeric() and not c.isdecimal()}
+
+
+def _assert_parses_as_before(text):
+    new = _parsed(parse_query, text)
+    try:
+        old = _parsed(reference_lexer.parse_query, text)
+    except ValueError as exc:  # float() on a number lexeme: typed and placed now
+        assert "could not convert string to float" in str(exc)
+        assert isinstance(new, str), text
+        if not NUMERIC_CHARS.intersection(text):
+            assert new.startswith("expected literal at position "), text
+        return
+    if new != old:  # NUMERIC_LETTERS: where the lexemes differ, both sides refuse the text
+        assert NUMERIC_CHARS.intersection(text), text
+        assert isinstance(new, str) and isinstance(old, str), text
+
+
+#: One text per grammar branch, each of which the token parser accepted.
+GRAMMAR_CASES = [
+    "select count(*) from users u where u.age != 3;",
+    "SELECT COUNT(*), SUM(u.age), Min(u.age), MAX(o.total), avg(o.total) FROM users AS u, orders o "
+    "WHERE o.user_id = u.id AND u.age BETWEEN -5 AND 4.5 AND o.total IN (1, -2, 3.25)",
+    "SELECT COUNT(*) FROM users WHERE users.name IN ('a b', '', 'x') AND users.age <> 7",
+    "SELECT COUNT(*) FROM users AS u WHERE u.age <= \u0663\u0663 AND u.age >= 1 AND u.age < 9 AND u.age > 0",
+    "SELECT COUNT(*) FROM users AS \u00e9t\u00e9, t_2 AS _x WHERE \u00e9t\u00e9.a\u0663 = _x.b",
+]
+
+
+class TestAgainstReferenceLexer:
+    """The scanner and the string parser against the loop and token parser they replaced."""
+
+    @pytest.mark.parametrize("text", GRAMMAR_CASES)
+    def test_every_grammar_branch_parses_as_before(self, text):
+        assert parse_query(text) == reference_lexer.parse_query(text)
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=SQL_TEXT)
+    def test_tokens_or_lex_error_match(self, text):
+        assert _lexed(tokenize, text) == _lexed(reference_lexer.tokenize, text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=SQL_WORDS | SQL_TEXT)
+    def test_parse_result_or_error_matches(self, text):
+        _assert_parses_as_before(text)
+
+    @pytest.mark.parametrize("name", ["job", "stack"])
+    def test_mutated_workload_text_parses_as_before(self, request, name):
+        rng = random.Random(name)
+        for wq in request.getfixturevalue(f"{name}_workload").all_queries:
+            assert parse_query(wq.sql) == reference_lexer.parse_query(wq.sql)
+            for mutation in MUTATIONS:
+                _assert_parses_as_before(mutate(wq.sql, mutation, rng.randrange))
+
+    @pytest.mark.parametrize("text, old, new", NUMERIC_LETTERS)
+    def test_numeric_characters_outside_the_alphabet(self, text, old, new):
+        assert _lexed(reference_lexer.tokenize, text) == old
+        assert _lexed(tokenize, text) == new
 
 
 class TestParser:

@@ -15,6 +15,11 @@ and, separately, corrupt frames.  Every request gets an ``err`` reply on a
 connection that then still answers ``ping``; a corrupt frame drops only
 its own connection.  In every case no backend method runs, and a second
 client keeps being served.
+
+Mutated workload SQL (:mod:`sql_mutations`) also goes in as the query
+text of a well-formed ``plan_many``.  Text a local bind refuses gets the
+same typed error as an ``err`` reply, and only the bind runs; text that
+binds is planned.
 """
 
 from __future__ import annotations
@@ -38,6 +43,8 @@ from repro.engine.wire import (
     read_frame,
     write_frame,
 )
+from repro.sql import BindError, ParseError
+from sql_mutations import MUTATIONS, huge, mutate
 
 TIMEOUT_S = 30.0
 FUZZ = settings(
@@ -251,6 +258,47 @@ class TestHostilePayloads:
         digits = b"9" * 5000
         _assert_refused(server, spy, bystander, b'["ping",null,null,' + digits + b"]")
         _assert_refused(server, spy, bystander, b'["plan_many",[[],' + digits + b"],null]")
+
+
+class TestHostileSqlText:
+    """SQL text a local bind refuses gets that error, typed, as an ``err``
+    reply; text that binds gets a plan.  No plan runs for a refused text."""
+
+    def _assert_bound_as_locally(self, server, spy, bystander, database, text):
+        try:
+            database.sql(text)
+            expected = None
+        except (ParseError, BindError) as exc:
+            expected = f"plan_many failed: {exc!r}"
+        spy.calls.clear()
+        request = encode_request("plan_many", [[[text, ""]], None], [{"id": "hostile-sql", "ttl_s": 30.0}])
+        (status, body), pong = _exchange(server, request)
+        assert pong[0] == "ok"
+        assert bystander.ping()
+        if expected is None:
+            assert status == "ok", body
+            assert spy.calls == ["sql", "plan_many"]
+        else:
+            assert (status, body) == ("err", expected)
+            assert spy.calls == ["sql"]
+
+    @FUZZ
+    @given(data=st.data())
+    def test_mutated_workload_sql(self, server, spy, bystander, job_workload, data):
+        text = data.draw(st.sampled_from(job_workload.all_queries), label="query").sql
+        for mutation in data.draw(st.lists(st.sampled_from(MUTATIONS), min_size=1, max_size=2)):
+            text = mutate(text, mutation, lambda n: data.draw(st.integers(0, n - 1)))
+        self._assert_bound_as_locally(server, spy, bystander, job_workload.database, text)
+
+    def test_size_attacks_and_malformed_numbers(self, server, spy, bystander, job_workload):
+        sql = job_workload.test[0].sql
+        texts = huge(sql) + [
+            "SELECT COUNT(*) FROM title AS t WHERE t.id = 1.2.3",
+            "SELECT COUNT(*) FROM title AS t WHERE t.id = \u00b2",
+            "SELECT COUNT(*) FROM t\u00edtulo AS \u00bd",
+        ]
+        for text in texts:
+            self._assert_bound_as_locally(server, spy, bystander, job_workload.database, text)
 
 
 _PICKLE_RAN = []
