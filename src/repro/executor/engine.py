@@ -12,20 +12,36 @@ nothing at all.
 
 Each join ranks both inputs over the scanned side's key values, which gives
 the exact output count before anything is built; the materialization cap, the
-``affordable`` check and the operator's charge all run on that integer, in
-operator order, so every charge and every :class:`TimeoutExceeded` point is
-the one a row-enumerating engine would produce (``tests/reference_executor.py``
-is that engine, and the differential tests hold the two equal).  After each
-operator the engine charges the operator's true-cardinality cost through the
-shared :class:`CostModel` and aborts with :class:`TimeoutExceeded` once the
-accumulated virtual time passes the deadline — implementing the paper's
-dynamic-timeout mechanism (1.5x the original plan's latency) without wasting
-real compute.
+``affordable`` check and the operator's charge all run on that integer.  After
+each operator the engine charges the operator's true-cardinality cost through
+the shared :class:`CostModel` and aborts with :class:`TimeoutExceeded` once the
+accumulated virtual time passes the deadline — the paper's dynamic-timeout
+mechanism (1.5x the original plan's latency).
+
+Count one operator ahead, then build.  A timeout usually fires on the operator
+*above* a large output, so a join whose output would hold more rows than its
+two inputs hold entries first runs the opening checks of the operator above
+against the unbuilt output, on a copy of the accumulated work: the final
+aggregation's charge at the root; a cross join's charge and cap; a predicate
+join's cap and ``affordable`` check on its driving predicate, counted over the
+output's two factors, and for a single-predicate join its charge.  That
+operator's right input is a scan, independent of the data below, so it runs
+first, at its own place in the charge sequence.  If a check times out, the
+engine keeps exactly what it charged and raises there, and the doomed output is
+never allocated; otherwise it builds as usual and the operator above re-runs
+the same checks on the same integers.  A smaller output costs less to build
+than to look ahead over.
+
+Every charge is the same float added in the same order as in a
+row-enumerating engine (``tests/reference_executor.py``), so every
+:class:`ExecutionResult` — ``work_units`` and every timeout point included —
+is bitwise the one that engine produces; the differential tests hold the two
+equal with ``==``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, FrozenSet, Optional, Tuple
 
 import numpy as np
@@ -104,7 +120,7 @@ class ExecutionEngine:
             if aggregate.function != "COUNT" and aggregate.column is not None
         )
         try:
-            result = self._run(query, plan, state, needed)
+            result, _ = self._run(query, plan, state, needed, None)
             # Final aggregation over the join output.
             state.charge(self.cost_model.aggregate(result.count))
             aggregates = self._aggregate(query, result)
@@ -128,17 +144,29 @@ class ExecutionEngine:
     # operators
     # ------------------------------------------------------------------
     def _run(
-        self, query: Query, plan: PlanNode, state: "_ExecState", needed: FrozenSet[str]
-    ) -> _Groups:
-        """Execute ``plan``; the result keeps id columns for ``needed`` aliases only."""
+        self,
+        query: Query,
+        plan: PlanNode,
+        state: "_ExecState",
+        needed: FrozenSet[str],
+        above: Optional[JoinNode],
+    ) -> Tuple[_Groups, Optional[_Groups]]:
+        """Execute ``plan``; the result keeps id columns for ``needed`` aliases only.
+
+        Also returns the scan of the right input of ``above``, the join that
+        reads the result (``None`` at the root): it runs before the result is
+        built, so the lookahead can read it.
+        """
         if isinstance(plan, ScanNode):
-            return self._scan(plan, state)
+            return self._scan(plan, state), self._scan_above(above, state)
         assert isinstance(plan, JoinNode)
         assert isinstance(plan.right, ScanNode), "plans are left-deep"
         below = needed.union(*(predicate.aliases() for predicate in plan.predicates))
-        left = self._run(query, plan.left, state, below - {plan.right.alias})
-        right = self._scan(plan.right, state)
-        return self._join(query, plan, left, right, state, needed)
+        left, right = self._run(query, plan.left, state, below - {plan.right.alias}, plan)
+        return self._join(query, plan, left, right, state, needed, above)
+
+    def _scan_above(self, above: Optional[JoinNode], state: "_ExecState") -> Optional[_Groups]:
+        return None if above is None else self._scan(above.right, state)
 
     def _scan(self, node: ScanNode, state: "_ExecState") -> _Groups:
         table = self.storage.table(node.table)
@@ -208,9 +236,18 @@ class ExecutionEngine:
         right: _Groups,
         state: "_ExecState",
         needed: FrozenSet[str],
-    ) -> _Groups:
+        above: Optional[JoinNode],
+    ) -> Tuple[_Groups, Optional[_Groups]]:
         if not node.predicates:
-            return self._cross_join(node, left, right, state, needed)
+            out_count = self._check_cross(left.count, right.count, state)
+            # Every entry has rank 0: each group matches every scanned row.
+            ranks = (
+                np.zeros(len(left.weight), dtype=np.int64),
+                np.zeros(right.count, dtype=np.int64),
+                np.array([right.count], dtype=np.int64),
+            )
+            matches = match_counts(ranks)
+            return self._build(query, node, left, right, ranks, matches, out_count, state, needed, above)
         right_alias = node.right.alias
 
         def key_columns():
@@ -230,13 +267,7 @@ class ExecutionEngine:
         ranks = rank_keys(*next(keys))
         matches = match_counts(ranks)
         out_count = int(left.weight @ matches)
-        # Never join more rows than the materialization cap, or than the
-        # remaining virtual budget could pay for: the timeout would fire
-        # anyway, so abort first.  Judged on the driving predicate alone.
-        affordable = int(state.remaining_units() / self.cost_model.params.output_tuple) + 1
-        if out_count > min(MAX_JOIN_OUTPUT, affordable):
-            self._charge_join(node, query, left.count, right, out_count, state)
-            raise TimeoutExceeded(self.cost_model.to_milliseconds(state.work))
+        self._check_output(node, query, left.count, right, out_count, state)
 
         # Every further predicate is part of the key, not a filter over pairs.
         if len(node.predicates) > 1:
@@ -245,31 +276,134 @@ class ExecutionEngine:
             matches = match_counts(ranks)
             out_count = int(left.weight @ matches)
 
-        # Count, charge, then build.
         self._charge_join(node, query, left.count, right, out_count, state)
-        return self._emit(left, right, right_alias, ranks, matches, out_count, needed)
+        return self._build(query, node, left, right, ranks, matches, out_count, state, needed, above)
 
-    def _cross_join(
+    def _check_output(
         self,
+        node: JoinNode,
+        query: Query,
+        left_count: int,
+        right: _Groups,
+        out_count: int,
+        state: "_ExecState",
+    ) -> None:
+        """Never join more rows than the materialization cap, or than the
+        remaining virtual budget could pay for: the timeout would fire anyway,
+        so charge the join and abort first.  Judged on the driving predicate
+        alone.  With no deadline, only the cap bounds a join."""
+        limit = MAX_JOIN_OUTPUT
+        if state.timeout_ms is not None:
+            affordable = int(state.remaining_units() / self.cost_model.params.output_tuple) + 1
+            limit = min(limit, affordable)
+        if out_count > limit:
+            self._charge_join(node, query, left_count, right, out_count, state)
+            raise TimeoutExceeded(self.cost_model.to_milliseconds(state.work))
+
+    def _check_cross(self, left_count: int, right_count: int, state: "_ExecState") -> int:
+        """Charge a cross join before building it (they are usually
+        catastrophic) and refuse one over the cap; returns its output count."""
+        out_count = left_count * right_count
+        state.charge(self.cost_model.nested_loop(left_count, right_count, out_count))
+        if out_count > MAX_JOIN_OUTPUT:
+            raise TimeoutExceeded(self.cost_model.to_milliseconds(state.work))
+        return out_count
+
+    def _build(
+        self,
+        query: Query,
         node: JoinNode,
         left: _Groups,
         right: _Groups,
+        ranks: Ranks,
+        matches: np.ndarray,
+        out_count: int,
         state: "_ExecState",
         needed: FrozenSet[str],
-    ) -> _Groups:
-        out_count = left.count * right.count
-        # Charge before building: cross joins are usually catastrophic.
-        state.charge(self.cost_model.nested_loop(left.count, right.count, out_count))
-        if out_count > MAX_JOIN_OUTPUT:
-            raise TimeoutExceeded(self.cost_model.to_milliseconds(state.work))
-        # Every entry has rank 0: each group matches every scanned row.
-        ranks = (
-            np.zeros(len(left.weight), dtype=np.int64),
-            np.zeros(right.count, dtype=np.int64),
-            np.array([right.count], dtype=np.int64),
+        above: Optional[JoinNode],
+    ) -> Tuple[_Groups, Optional[_Groups]]:
+        """The counted and charged join's output, and the scan of ``above``'s
+        right input, which comes next in the charge sequence.
+
+        An output larger than its inputs is built only once the operator above
+        is known not to time out on it (:meth:`_look_ahead`); a smaller one
+        costs less to build than to look ahead over.
+        """
+        above_right = self._scan_above(above, state)
+        if out_count > len(left.weight) + right.count:
+            self._look_ahead(
+                query, node, left, right, ranks, matches, out_count, state, above, above_right
+            )
+        output = self._emit(left, right, node.right.alias, ranks, matches, out_count, needed)
+        return output, above_right
+
+    def _look_ahead(
+        self,
+        query: Query,
+        node: JoinNode,
+        left: _Groups,
+        right: _Groups,
+        ranks: Ranks,
+        matches: np.ndarray,
+        out_count: int,
+        state: "_ExecState",
+        above: Optional[JoinNode],
+        above_right: Optional[_Groups],
+    ) -> None:
+        """Run the first checks of ``above`` (the final aggregation at the
+        root) over ``node``'s unbuilt output, on a copy of ``state``.  If one
+        times out, keep what it charged and raise: the same work and the same
+        point as running ``above`` on the built output, since the checks are
+        the operator's own code on the same integers."""
+        trial = replace(state)
+        try:
+            if above is None:
+                trial.charge(self.cost_model.aggregate(out_count))
+            elif not above.predicates:
+                self._check_cross(out_count, above_right.count, trial)
+            else:
+                count = self._driving_count(
+                    query, node, left, right, ranks, matches, above, above_right
+                )
+                self._check_output(above, query, out_count, above_right, count, trial)
+                if len(above.predicates) == 1:  # then ``count`` is its output: charge it too
+                    self._charge_join(above, query, out_count, above_right, count, trial)
+        except TimeoutExceeded:
+            state.work = trial.work
+            raise
+
+    def _driving_count(
+        self,
+        query: Query,
+        node: JoinNode,
+        left: _Groups,
+        right: _Groups,
+        ranks: Ranks,
+        matches: np.ndarray,
+        above: JoinNode,
+        above_right: _Groups,
+    ) -> int:
+        """Output rows of ``above``'s driving predicate over ``node``'s unbuilt
+        output, counted on its two factors: a key read from ``node``'s scanned
+        alias counts each scanned row as the summed weight of its rank's
+        groups, one read from a left alias counts a group ``weight x matches``
+        times."""
+        predicate = above.predicates[0]
+        key, above_key = predicate.left, predicate.right
+        if key.alias == above.right.alias:
+            key, above_key = above_key, key
+        if key.alias == node.right.alias:
+            weight = _rank_weights(left.weight, ranks).astype(np.int64)
+            rows = right.ids[key.alias]
+        else:
+            weight = left.weight * matches
+            rows = left.ids[key.alias]
+        above_ranks = rank_keys(
+            self.storage.table(query.tables[key.alias]).column(key.column),
+            self._gather(query, above_right, above.right.alias, above_key.column),
+            rows,
         )
-        matches = match_counts(ranks)
-        return self._emit(left, right, node.right.alias, ranks, matches, out_count, needed)
+        return int(weight @ match_counts(above_ranks))
 
     @staticmethod
     def _emit(
@@ -288,11 +422,8 @@ class ExecutionEngine:
             return _Groups(ids={}, weight=weight, count=out_count)
         if needed == {right_alias}:
             # Only the scanned rows are read later: each stands for the summed
-            # weight of the groups of its rank.  No pair is enumerated; rank -1
-            # lands in bin 0 and is dropped.
-            left_rank, right_rank, counts = ranks
-            per_rank = np.bincount(left_rank + 1, weights=left.weight, minlength=len(counts) + 1)[1:]
-            weight = per_rank[right_rank]
+            # weight of the groups of its rank.  No pair is enumerated.
+            weight = _rank_weights(left.weight, ranks)
             ids = {right_alias: right.ids[right_alias]}
         elif right_alias in needed:
             # The scanned rows are read later: one entry per (group, row)
@@ -377,6 +508,14 @@ class ExecutionEngine:
             else:
                 raise ValueError(f"unsupported aggregate {aggregate.function}")
         return tuple(values)
+
+
+def _rank_weights(weight: np.ndarray, ranks: Ranks) -> np.ndarray:
+    """Per scanned entry, the summed ``weight`` of the groups of its rank
+    (float64, holding exact integers no larger than ``weight``'s total; rank
+    -1 lands in bin 0 and is dropped)."""
+    left_rank, right_rank, counts = ranks
+    return np.bincount(left_rank + 1, weights=weight, minlength=len(counts) + 1)[1:][right_rank]
 
 
 @dataclass

@@ -153,7 +153,7 @@ class ReferenceExecutionEngine(ExecutionEngine):
 
         # Never materialize more output than the remaining virtual budget
         # could pay for: the timeout would fire anyway, so abort first.
-        affordable = int(state.remaining_units() / self.cost_model.params.output_tuple) + 1
+        affordable = int(min(state.remaining_units() / self.cost_model.params.output_tuple, _engine.MAX_JOIN_OUTPUT)) + 1
         try:
             li, ri = join_pairs(
                 left_keys, right_keys, max_output=min(_engine.MAX_JOIN_OUTPUT, affordable)

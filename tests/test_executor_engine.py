@@ -384,6 +384,91 @@ class TestDifferentialAgainstReference:
         assert 0 < timed_out < compared
 
 
+@pytest.mark.parametrize("name", ["job", "stack", "tpcds"])
+def test_no_deadline_equals_reference_and_hard_cap(name, request):
+    """``timeout_ms=None``, the documented default: only ``MAX_JOIN_OUTPUT``
+    bounds a join, and a run the hard cap lets finish reads the same."""
+    workload = request.getfixturevalue(f"{name}_workload")
+    database = workload.database
+    engine = database.executor
+    reference = ReferenceExecutionEngine(database.storage, engine.cost_model)
+    for item in workload.all_queries[:: TestDifferentialAgainstReference.STRIDE]:
+        query = item.query
+        plan = database.plan(query).plan
+        got = engine.execute(query, plan)
+        assert got == reference.execute(query, plan), query.name
+        capped = engine.execute(query, plan, timeout_ms=HARD_CAP_MS)
+        if not capped.timed_out:
+            assert got == capped, query.name
+
+
+class _BuildingEngine(ExecutionEngine):
+    """The counting engine without its lookahead: it builds every output it
+    counts and charges, as the engine did before the lookahead."""
+
+    def _look_ahead(self, *args):
+        pass
+
+
+@pytest.mark.parametrize("name", ["job", "stack"])
+def test_doomed_plans_build_nothing_they_will_not_read(name, request, monkeypatch):
+    """A timed-out run builds no join output larger than its two inputs for an
+    operator that then times out on it.
+
+    :class:`_BuildingEngine` finds that operator: the last output it builds
+    is read by the join above (the final aggregation at the root), unless a
+    scan times out after it.  A join above with several predicates is counted
+    ahead on its driving predicate only, so its final charge can still find a
+    built output; those runs are not held to this.
+    """
+    workload = request.getfixturevalue(f"{name}_workload")
+    database = workload.database
+    engine = database.executor
+    building = _BuildingEngine(database.storage, engine.cost_model)
+    events = []  # (scanned alias of an emitted join, output grew past its inputs); (None, False): a scan timed out
+    emit, scan = ExecutionEngine._emit, ExecutionEngine._scan
+
+    def spy_emit(left, right, right_alias, ranks, matches, out_count, needed):
+        output = emit(left, right, right_alias, ranks, matches, out_count, needed)
+        events.append((right_alias, len(output.weight) > len(left.weight) + right.count))
+        return output
+
+    def spy_scan(self, node, state):
+        try:
+            return scan(self, node, state)
+        except engine_module.TimeoutExceeded:
+            events.append((None, False))
+            raise
+
+    monkeypatch.setattr(ExecutionEngine, "_emit", staticmethod(spy_emit))
+    monkeypatch.setattr(ExecutionEngine, "_scan", spy_scan)
+    rng = np.random.default_rng(21)
+    doomed = 0
+    for item in workload.all_queries[::2]:
+        query = item.query
+        plans = _doctor_like_plans(database, query, rng)
+        expert_ms = engine.execute(query, plans[0], timeout_ms=HARD_CAP_MS).latency_ms
+        for plan in plans:
+            for timeout_ms in (HARD_CAP_MS, 1.5 * expert_ms):
+                events.clear()
+                if not engine.execute(query, plan, timeout_ms=timeout_ms).timed_out:
+                    continue
+                grown = {alias for alias, grew in events if grew}
+                events.clear()
+                assert building.execute(query, plan, timeout_ms=timeout_ms).timed_out
+                if not events or events[-1][0] is None:
+                    continue
+                alias, grew = events[-1]
+                node, above = plan, None
+                while node.right.alias != alias:
+                    node, above = node.left, node
+                if above is not None and len(above.predicates) > 1:
+                    continue
+                doomed += grew
+                assert alias not in grown, (query.name, plan_aliases(plan), timeout_ms)
+    assert doomed > 0
+
+
 # ----------------------------------------------------------------------
 # Property test: tiny tables, every join order, brute force as ground truth
 # ----------------------------------------------------------------------
@@ -640,6 +725,86 @@ def test_fanout_case_ranks_by_row_and_sums_per_rank(monkeypatch):
         _check_every_order((tables, predicates, [], "d", ["hash", "merge", "nestloop"]))
     assert by_row.count(True) >= 2
     assert max(right_only_weights) > 1
+
+
+def test_lookahead_reaches_every_outcome(monkeypatch):
+    """Three tables of equal keys, two joined and one crossed: every order
+    builds an output larger than its inputs, so the tiny-table checks (every
+    order, small cap, tight timeout) reach each way a lookahead ends, every
+    run still equal to the reference."""
+    outcomes = set()
+    look_ahead, driving_count = ExecutionEngine._look_ahead, ExecutionEngine._driving_count
+    counts = []
+
+    def spy_driving_count(self, *args):
+        counts.append(driving_count(self, *args))
+        return counts[-1]
+
+    def spy_look_ahead(self, query, node, left, right, ranks, matches, out_count, state, above, above_right):
+        affordable = int(state.remaining_units() / self.cost_model.params.output_tuple) + 1
+        counts.clear()
+        try:
+            look_ahead(self, query, node, left, right, ranks, matches, out_count, state, above, above_right)
+        except engine_module.TimeoutExceeded:
+            if above is None:
+                outcomes.add("root charge")
+            elif not above.predicates:
+                outcomes.add("cross charge" if state.work > state._deadline_units else "cross cap")
+            elif counts[0] > engine_module.MAX_JOIN_OUTPUT:
+                outcomes.add("predicate cap")
+            elif counts[0] > affordable:
+                outcomes.add("predicate affordable")
+            else:
+                assert len(above.predicates) == 1
+                outcomes.add("single-predicate charge")
+            raise
+        outcomes.add("passed")
+
+    monkeypatch.setattr(ExecutionEngine, "_look_ahead", spy_look_ahead)
+    monkeypatch.setattr(ExecutionEngine, "_driving_count", spy_driving_count)
+    rows = np.arange(6)
+    tables = {
+        alias: {"k": np.zeros(6, dtype=np.int64), "j": rows % 2, "v": rows % 3, "x": rows / 7.0}
+        for alias in "abc"
+    }
+    case = (tables, [JoinPredicate(ColumnRef("a", "k"), ColumnRef("b", "k"))], [], "c", ["hash", "nestloop"])
+    _check_every_order(case)
+    for cap in (20, 100):
+        _check_every_order(case, max_join_output=cap)
+    for share in np.arange(0.3, 2.0, 0.05):
+        _check_every_order(case, timeout_share=share)
+    assert outcomes == {
+        "root charge",
+        "cross charge",
+        "cross cap",
+        "predicate cap",
+        "predicate affordable",
+        "single-predicate charge",
+        "passed",
+    }
+
+
+def test_reference_never_runs_the_counting_path(monkeypatch):
+    """The oracle overrides every operator of the counting engine: it shares
+    scans and join charges, never the counting, the lookahead or the build."""
+
+    def fail(*args):
+        raise AssertionError("the reference engine reached the counting engine")
+
+    for method in ("_run", "_join", "_check_output", "_check_cross", "_build", "_look_ahead", "_driving_count"):
+        monkeypatch.setattr(ExecutionEngine, method, fail)
+    monkeypatch.setattr(ExecutionEngine, "_emit", staticmethod(fail))
+    rows = np.arange(6)
+    tables = {alias: {"k": rows % 2, "j": rows % 3, "v": rows, "x": rows / 7.0} for alias in "abc"}
+    storage, query, _ = _tiny_setup((tables, [JoinPredicate(ColumnRef("a", "k"), ColumnRef("b", "j"))], [], "c", []))
+    reference = ReferenceExecutionEngine(storage)
+    timed_out = set()
+    for order in itertools.permutations(query.aliases):
+        for methods in itertools.product(JOIN_METHODS, repeat=2):
+            for timeout_ms in (None, 0.001):
+                plan = _tiny_plan(query, list(order), methods)
+                timed_out.add(reference.execute(query, plan, timeout_ms=timeout_ms).timed_out)
+    assert timed_out == {False, True}
 
 
 @st.composite
