@@ -12,6 +12,7 @@ its ``Event.wait`` always carries a timeout, per the concurrency lint.
 from __future__ import annotations
 
 import json
+import math
 import os
 import threading
 from typing import Dict, Optional
@@ -39,6 +40,11 @@ def _format_labels(labels: Dict[str, str], extra: Optional[Dict[str, str]] = Non
 
 
 def _format_value(value: float) -> str:
+    # Text format 0.0.4 spells the non-finite values NaN, +Inf and -Inf.
+    if math.isnan(value):
+        return "NaN"
+    if math.isinf(value):
+        return "+Inf" if value > 0 else "-Inf"
     if value == int(value):
         return str(int(value))
     return repr(float(value))

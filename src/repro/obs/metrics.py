@@ -15,19 +15,28 @@ under its own locks without ordering hazards — the discipline the repo's
 
 The :class:`Histogram` is two structures in one update:
 
-* fixed upper-bound **buckets** (a numpy ``searchsorted`` per observation)
-  plus running sum/count — the cheap, constant-memory shape exporters
-  want;
-* a bounded numpy **ring buffer** of the most recent observations, for
-  exact percentile queries over a sliding window.  This replaces the
-  serving layer's old per-request ``list.append`` + slice-trim windows,
-  which re-allocated the window repeatedly under load; the ring buffer is
-  allocated once and overwritten in place forever after.
+* fixed upper-bound **buckets** plus running sum/count — the cheap,
+  constant-memory shape exporters want;
+* a bounded **ring buffer** of the most recent observations, for exact
+  percentile queries over a sliding window.  This replaces the serving
+  layer's old per-request ``list.append`` + slice-trim windows, which
+  re-allocated the window repeatedly under load; the ring is one
+  ``array('d')`` allocated once and overwritten in place forever after.
+
+An observation is a bisect and three scalar writes, all pure Python: the
+bounds are a tuple searched with ``bisect_left`` outside the lock (NaN
+goes to the ``+Inf`` slot, as ``np.searchsorted`` would put it), and the
+counts live in a list.  A warm serving request costs a few microseconds,
+so one numpy call per observation would be most of it.  numpy comes in
+on the read side only: ``bucket_counts``, ``window_values`` and the
+percentiles.
 """
 
 from __future__ import annotations
 
 import threading
+from array import array
+from bisect import bisect_left
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -50,6 +59,8 @@ DEFAULT_BUCKETS_MS: Tuple[float, ...] = (
 #: Default ring-buffer window for percentile queries (matches the serving
 #: layer's historical ``_LATENCY_WINDOW``).
 DEFAULT_WINDOW = 10_000
+
+_INF = float("inf")
 
 
 class _Metric:
@@ -110,6 +121,8 @@ class _CounterChild:
     def inc(self, amount: float = 1.0) -> None:
         if amount < 0:
             raise ValueError("counters only go up; use a Gauge to decrease")
+        if not amount < _INF:  # NaN or +inf would stick to the series for good
+            raise ValueError(f"counter increments must be finite, got {amount!r}")
         with self._lock:
             self._value += amount
 
@@ -198,25 +211,28 @@ class Gauge(_Metric):
 
 
 class _HistogramChild:
-    __slots__ = ("_lock", "_uppers", "_counts", "_sum", "_count", "_ring")
+    __slots__ = ("_lock", "_uppers", "_counts", "_sum", "_count", "_ring", "_window")
 
-    def __init__(self, lock: threading.Lock, uppers: np.ndarray, window: int) -> None:
+    def __init__(self, lock: threading.Lock, uppers: Tuple[float, ...], window: int) -> None:
         self._lock = lock
         self._uppers = uppers
         # One slot per bucket plus the +Inf overflow slot.
-        self._counts = np.zeros(uppers.size + 1, dtype=np.int64)
+        self._counts = [0] * (len(uppers) + 1)
         self._sum = 0.0
         self._count = 0
         # Allocated once; observations overwrite in place (never grows).
-        self._ring = np.zeros(window, dtype=np.float64) if window > 0 else None
+        self._ring = array("d", [0.0]) * window
+        self._window = window
 
     def observe(self, value: float) -> None:
         value = float(value)
+        # bisect sees NaN below every bound; searchsorted put it past them.
+        slot = bisect_left(self._uppers, value) if value == value else len(self._uppers)
         with self._lock:
-            self._counts[int(np.searchsorted(self._uppers, value, side="left"))] += 1
+            self._counts[slot] += 1
             self._sum += value
-            if self._ring is not None:
-                self._ring[self._count % self._ring.size] = value
+            if self._window:
+                self._ring[self._count % self._window] = value
             self._count += 1
 
     # -- reads ----------------------------------------------------------
@@ -233,19 +249,17 @@ class _HistogramChild:
     def bucket_counts(self) -> np.ndarray:
         """Per-bucket counts (last slot is +Inf), as a copy."""
         with self._lock:
-            return self._counts.copy()
+            return np.array(self._counts, dtype=np.int64)
 
     def window_values(self) -> np.ndarray:
         """The retained observation window (a copy, unordered multiset)."""
         with self._lock:
-            if self._ring is None or self._count == 0:
-                return np.empty(0, dtype=np.float64)
-            filled = min(self._count, self._ring.size)
-            return self._ring[:filled].copy()
+            filled = min(self._count, self._window)
+            return np.frombuffer(self._ring, dtype=np.float64, count=filled).copy()
 
     def window_nbytes(self) -> int:
         """Fixed allocation size of the window buffer (regression guard)."""
-        return 0 if self._ring is None else self._ring.nbytes
+        return self._window * self._ring.itemsize
 
     def percentile(self, pct: float) -> float:
         values = self.window_values()
@@ -270,17 +284,16 @@ class Histogram(_Metric):
         window: int = DEFAULT_WINDOW,
     ) -> None:
         super().__init__(name, help, labelnames)
-        uppers = np.asarray(sorted(float(b) for b in buckets), dtype=np.float64)
-        if uppers.size == 0:
+        uppers = tuple(sorted(float(b) for b in buckets))
+        if not uppers:
             raise ValueError(f"histogram {name!r} needs at least one bucket bound")
         if window < 0:
             raise ValueError(f"histogram {name!r} window must be >= 0")
-        self.buckets = tuple(uppers.tolist())
+        self.buckets = uppers
         self.window = int(window)
-        self._uppers = uppers
 
     def _make_child(self) -> _HistogramChild:
-        return _HistogramChild(self._lock, self._uppers, self.window)
+        return _HistogramChild(self._lock, self.buckets, self.window)
 
     # Unlabeled convenience surface, mirroring the child's reads.
     def observe(self, value: float) -> None:

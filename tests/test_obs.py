@@ -2,17 +2,21 @@
 
 The contracts under test (see :mod:`repro.obs`):
 
-* typed metrics — ``Counter`` rejects negative increments, ``Gauge``
-  supports callback-backed values, ``Histogram`` keeps a fixed bucket
-  vector plus a *bounded* numpy ring window (constant memory no matter
-  how many observations pass through — the regression guard for the old
-  list-append/slice latency windows);
+* typed metrics — ``Counter`` rejects negative and non-finite
+  increments, ``Gauge`` supports callback-backed values, ``Histogram``
+  keeps a fixed bucket vector plus a *bounded* ring window (constant
+  memory no matter how many observations pass through — the regression
+  guard for the old list-append/slice latency windows);
+* an observation is pure Python: it puts every value, NaN and ±inf
+  included, in the slot the old ``np.searchsorted`` rule chose, and
+  neither it nor a memo-hit ``optimize_sql`` touches numpy;
 * one process-global registry — re-registration returns the same metric,
   type/labelname mismatches are loud, snapshots are plain JSON data;
 * the tracer joins spans into trees by ``trace_id``, round-trips spans
   through their wire dicts (``ingest``/``drain``), and is bounded;
 * exporters render the Prometheus text format (cumulative ``le`` buckets
-  ending at ``+Inf``) and a JSON snapshot, atomically via ``dump``;
+  ending at ``+Inf``; non-finite values as ``NaN`` / ``+Inf`` / ``-Inf``)
+  and a JSON snapshot, atomically via ``dump``;
 * the ``REPRO_OBS`` gate: with tracing disabled, no trace ids are
   minted, contexts carry no trace keys on the wire, and span helpers
   return inert null spans — the exact pre-obs code path;
@@ -24,17 +28,21 @@ The contracts under test (see :mod:`repro.obs`):
 from __future__ import annotations
 
 import json
+import math
 import threading
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import obs
-from repro.api import RequestContext
+from repro.api import FossConfig, FossSession, RequestContext
 from repro.api.service import _LATENCY_WINDOW, OptimizerService
+from repro.core.aam import AAMConfig
+from repro.obs import metrics as metrics_module
 from repro.obs.export import render_json, render_prometheus, snapshot
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import DEFAULT_BUCKETS_MS, Histogram, MetricsRegistry
 from repro.obs.trace import Tracer
 
 
@@ -68,6 +76,19 @@ def obs_enabled():
         obs.set_enabled(previous)
 
 
+_EDGE_VALUES = (
+    math.nan, math.inf, -math.inf, 0.0, -0.0,
+    5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, -1e-310,
+)
+
+
+class _NoNumpy:
+    """Stands in for numpy where a write path must not reach it."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"numpy.{name} used on a write path")
+
+
 # ----------------------------------------------------------------------
 # metrics
 # ----------------------------------------------------------------------
@@ -82,6 +103,15 @@ class TestCounter:
         c = registry.counter("t_neg_total", "x")
         with pytest.raises(ValueError):
             c.inc(-1)
+
+    @pytest.mark.parametrize("amount", [math.nan, math.inf, -math.inf])
+    def test_non_finite_increment_is_loud(self, registry, amount):
+        c = registry.counter("t_nonfinite_total", "x")
+        c.inc(2)
+        with pytest.raises(ValueError):
+            c.inc(amount)
+        c.inc()
+        assert c.value == 3
 
     def test_labels_create_independent_series(self, registry):
         metric = registry.counter("t_by_tenant_total", "x", ("tenant",))
@@ -138,6 +168,50 @@ class TestHistogram:
         assert h.window_values().size == _LATENCY_WINDOW
         assert h.window_nbytes() == _LATENCY_WINDOW * 8
         assert h.count == 50_000
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_observe_matches_the_searchsorted_rule(self, data):
+        """Slot, count, sum and window equal the old numpy update's."""
+        uppers = data.draw(
+            st.just(DEFAULT_BUCKETS_MS)
+            | st.lists(st.floats(allow_nan=False), min_size=1, max_size=8),
+            label="buckets",
+        )
+        window = data.draw(st.integers(0, 6), label="window")
+        h = Histogram("t_parity_ms", buckets=uppers, window=window)
+        oracle_uppers = np.asarray(h.buckets, dtype=np.float64)
+        values = data.draw(
+            st.lists(
+                st.floats() | st.sampled_from(_EDGE_VALUES + tuple(uppers)), max_size=30
+            ),
+            label="values",
+        )
+        counts = np.zeros(oracle_uppers.size + 1, dtype=np.int64)
+        total = 0.0
+        ring = np.zeros(window, dtype=np.float64)
+        for count, value in enumerate(values, start=1):
+            # The old rule, kept as the oracle.
+            slot = int(np.searchsorted(oracle_uppers, value, side="left"))
+            counts[slot] += 1
+            total += value
+            if window:
+                ring[(count - 1) % window] = value
+            before = h.bucket_counts()
+            h.observe(value)
+            moved = h.bucket_counts() - before
+            assert moved[slot] == 1 and moved.sum() == 1, (value, uppers)
+            assert h.count == count
+            assert h.sum.hex() == total.hex()
+            assert h.window_values().tobytes() == ring[: min(count, window)].tobytes()
+        assert h.bucket_counts().tolist() == counts.tolist()
+
+    def test_observe_needs_no_numpy(self, monkeypatch):
+        monkeypatch.setattr(metrics_module, "np", _NoNumpy())
+        h = Histogram("t_no_numpy_ms", buckets=(1.0, 10.0), window=3)
+        for value in (0.5, 5.0, 50.0, math.nan, math.inf, -0.0):
+            h.observe(value)
+        assert h.count == 6
 
 
 class TestRegistry:
@@ -235,6 +309,17 @@ class TestExporters:
         assert 't_exp_ms_bucket{le="+Inf"} 3' in text
         assert "t_exp_ms_count 3" in text
 
+    def test_non_finite_values_scrape(self, registry):
+        h = registry.histogram("t_inf_ms", "x", buckets=(1.0,))
+        h.observe(math.inf)
+        registry.gauge("t_nan", "x").set(math.nan)
+        registry.gauge("t_neg_inf", "x").set(-math.inf)
+        text = render_prometheus(registry)
+        assert "t_inf_ms_sum +Inf" in text
+        assert 't_inf_ms_bucket{le="+Inf"} 1' in text
+        assert "t_nan NaN" in text
+        assert "t_neg_inf -Inf" in text
+
     def test_json_snapshot_with_sources_and_errors(self, registry, tracer):
         registry.counter("t_js_total", "x").inc()
 
@@ -269,6 +354,24 @@ class TestExporters:
             dumper.stop()
         assert path.exists()
         json.loads(path.read_text())
+
+    def test_periodic_dumper_survives_a_nan_gauge(self, registry, tmp_path):
+        registry.gauge("t_dump_nan", "x").set(math.nan)
+        path = tmp_path / "periodic.prom"
+        dumper = obs.PeriodicDumper(
+            str(path), interval_s=0.02, registry=registry, fmt="prometheus"
+        )
+        dumper.start()
+        try:
+            for _ in range(2):  # a second file proves the thread outlived the first
+                deadline = time.monotonic() + 5.0
+                while not path.exists() and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                assert "t_dump_nan NaN" in path.read_text()
+                path.unlink()
+        finally:
+            dumper.stop()
+        assert "t_dump_nan NaN" in path.read_text()
 
     def test_metrics_http_response_paths(self):
         ok = obs.metrics_http_response("/metrics")
@@ -369,6 +472,25 @@ class TestServiceObsViews:
         hits = obs.get_registry().get("serving_cache_hits_total")
         values = {labels["tenant"]: child.value for labels, child in hits.series()}
         assert values.get("acme", 0) >= 1
+
+
+def test_memo_hit_needs_no_numpy(job_workload, monkeypatch):
+    config = FossConfig(
+        max_steps=2, seed=33,
+        aam=AAMConfig(
+            d_model=16, d_embed=8, d_state=16, num_heads=2, num_layers=1,
+            ff_hidden=16, epochs=1,
+        ),
+    )
+    with FossSession.open(workload=job_workload, config=config) as session:
+        service = session.service()
+        sql = job_workload.train[0].sql
+        first = service.optimize_sql(sql)  # the miss fills the memo
+        with monkeypatch.context() as patch:
+            patch.setattr(metrics_module, "np", _NoNumpy())
+            second = service.optimize_sql(sql)
+        assert second is first
+        assert service.stats()["cache_hits"] == 1
 
 
 def test_observability_facade_renders_both_formats():
