@@ -10,7 +10,7 @@ registered rule set, so editing ``pyproject.toml``, adding a rule, or
 bumping the schema version silently invalidates the whole cache rather
 than serving stale verdicts.
 
-Project-scoped rules (layer cycles, lock-order, rpc parity/arity) are
+Project-scoped rules (layer cycles, lock-order) are
 whole-program by construction and are always recomputed; the cache only
 short-circuits the per-file work, which is where the time goes.
 

@@ -14,8 +14,8 @@ checked-in baseline, and reports what survives::
 
 ``--since REV`` restricts file-scoped rules to files git reports as
 changed against ``REV`` (plus untracked files); project-scoped rules
-still see the whole program — the call graph and RPC pair are loaded on
-demand regardless of which files were pointed at.  Outside a git
+still see the whole program — the call graph is loaded on demand
+regardless of which files were pointed at.  Outside a git
 checkout the flag degrades to a full run with a note on stderr.
 
 ``--cache`` keys per-file results on a content fingerprint salted with
@@ -177,7 +177,7 @@ def run_lint(
         suppressed += file_suppressed
 
     # Project-scoped rules see the whole program: they load files on
-    # demand (call graph, RPC pair) regardless of --since/--cache.
+    # demand (the call graph) regardless of --since/--cache.
     for registered in project_rules:
         for finding in registered.check(project):
             sf = project.files.get(finding.path)
@@ -255,7 +255,7 @@ def main(argv=None) -> int:
         prog="repro-lint",
         description=(
             "AST-based invariant checker for this repository's determinism, "
-            "clock, layering, concurrency, lifecycle and RPC contracts "
+            "clock, layering, concurrency and lifecycle contracts "
             "(configured in [tool.repro-lint] of pyproject.toml)."
         ),
     )

@@ -1,7 +1,7 @@
 """Declarative configuration for ``repro-lint``: ``[tool.repro-lint]``.
 
 Every knob a rule consults — the layer DAG, the clock allowlists, the
-blocking-call vocabulary, the RPC file pair — lives in ``pyproject.toml``
+blocking-call vocabulary, the flow rules' call names — lives in ``pyproject.toml``
 so the contracts are data, not code.  The built-in defaults below mirror
 this repository's own table exactly; a fixture test can therefore run
 rules against ``LintConfig()`` without touching the real pyproject.
@@ -230,13 +230,6 @@ class LintConfig:
     resource_acquires: Dict[str, Tuple[str, ...]] = field(
         default_factory=lambda: dict(DEFAULT_RESOURCE_ACQUIRES)
     )
-    rpc_server: str = "src/repro/engine/remote/server.py"
-    rpc_client: str = "src/repro/engine/remote/client.py"
-    rpc_kind_var: str = "kind"
-    rpc_body_var: str = "body"
-    # Ops the server deliberately answers that no client emits, each with
-    # a reason (none today).
-    rpc_server_only: Dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self._validate_layer_dag()
@@ -345,20 +338,6 @@ class LintConfig:
                 str(name): strings(releases, f"flow.resources.{name}")
                 for name, releases in resources.items()
             }
-        rpc = table.get("rpc", {})
-        if "server" in rpc:
-            kwargs["rpc_server"] = str(rpc["server"])
-        if "client" in rpc:
-            kwargs["rpc_client"] = str(rpc["client"])
-        if "kind-var" in rpc:
-            kwargs["rpc_kind_var"] = str(rpc["kind-var"])
-        if "body-var" in rpc:
-            kwargs["rpc_body_var"] = str(rpc["body-var"])
-        if "server-only-ops" in rpc:
-            ops = rpc["server-only-ops"]
-            if not isinstance(ops, dict):
-                raise LintConfigError("rpc.server-only-ops must map op name -> reason")
-            kwargs["rpc_server_only"] = {str(op): str(reason) for op, reason in ops.items()}
         return cls(**kwargs)
 
 

@@ -217,7 +217,7 @@ class Project:
     """What an invocation of the linter sees: root, config, parsed files.
 
     ``files`` holds every scanned file keyed by project-relative posix
-    path.  Project-scoped rules (e.g. RPC parity) may :meth:`load` extra
+    path.  Project-scoped rules (e.g. lock-order) may :meth:`load` extra
     files by path; they are cached here too so suppression and baseline
     handling treat them uniformly.
     """

@@ -7,8 +7,8 @@ decorator.  Two scopes exist:
   SourceFile` with ``(source_file, project)``; yields findings for that
   file only.
 * ``project`` — called once per invocation with ``(project,)``; used by
-  cross-file contracts (RPC surface parity needs both the server and the
-  client in hand).
+  cross-file contracts (lock-order needs the whole call graph in
+  hand).
 
 Registration is import-driven: :mod:`repro.analysis.rules` imports the
 built-in rule modules, and anything else that imports ``registry`` and

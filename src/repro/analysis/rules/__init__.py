@@ -7,5 +7,4 @@ from repro.analysis.rules import (  # noqa: F401  (imported for registration)
     layering,
     lifecycle,
     locks,
-    rpc,
 )

@@ -253,7 +253,9 @@ class FossSession:
                 )
             if backend is not None:
                 # An injected backend is the dataset the restored model will
-                # actually plan against — it must match the manifest too.
+                # actually plan against — it must match the manifest too.  A
+                # remote backend's server was already held to this mirror by
+                # the connect-time handshake.
                 injected = dataset_fingerprint(backend.dataset)
                 if injected != expected:
                     raise ValueError(
@@ -261,19 +263,6 @@ class FossSession:
                         f"injected backend's dataset has fingerprint {injected} "
                         f"but the manifest records {expected}; the restored model "
                         f"would be optimizing a different database"
-                    )
-                # For a remote backend the local mirror above is only half
-                # the story: the *server's* dataset is the one executing
-                # plans, so its handshake fingerprint must match as well.
-                remote_fp = getattr(backend, "remote_fingerprint", None)
-                if remote_fp is not None and remote_fp != expected:
-                    raise ValueError(
-                        f"dataset fingerprint mismatch loading {path!r}: the "
-                        f"remote engine at "
-                        f"{getattr(backend, 'url', '<unknown>')} serves "
-                        f"fingerprint {remote_fp} but the manifest records "
-                        f"{expected}; the server's data generator has drifted "
-                        f"from the one this session was saved against"
                     )
         session = cls.open(workload=workload, config=config, backend=backend)
         load_trainer(session.trainer(), path)

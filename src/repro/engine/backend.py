@@ -103,7 +103,6 @@ class EngineBackend(Protocol):
         query: Query,
         plan: PlanNode,
         timeout_ms: Optional[float] = None,
-        use_cache: bool = True,
         ctx=None,
     ) -> ExecutionResult: ...
 

@@ -369,7 +369,6 @@ class Database:
         query: Query,
         plan: PlanNode,
         timeout_ms: Optional[float] = None,
-        use_cache: bool = True,
         ctx=None,
     ) -> ExecutionResult:
         """``Ψp``: execute the plan, honouring the dynamic timeout.
@@ -384,7 +383,7 @@ class Database:
         internal_cap = min(HARD_CAP_MS, timeout_ms) if timeout_ms is not None else HARD_CAP_MS
 
         with self._lock:
-            cached = self._latency_cache.get(key) if use_cache else None
+            cached = self._latency_cache.get(key)
             # A cached entry is reusable if it finished (not capped) or if it
             # was capped at or above the cap we would use now.
             reusable = cached is not None and (not cached.capped or cached.cap_ms >= internal_cap)
@@ -405,8 +404,7 @@ class Database:
             )
             with self._lock:
                 self.executions += 1
-                if use_cache:
-                    self._latency_cache[key] = cached
+                self._latency_cache[key] = cached
 
         if timeout_ms is not None and cached.latency_ms >= timeout_ms:
             return ExecutionResult(

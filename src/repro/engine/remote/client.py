@@ -630,21 +630,10 @@ class RemoteBackend:
         query: Query,
         plan: PlanNode,
         timeout_ms: Optional[float] = None,
-        use_cache: bool = True,
         ctx=None,
     ) -> ExecutionResult:
         if context_expired(ctx):
             raise deadline_error(ctx, "execution")
-        if not use_cache:
-            # Uncached timing studies bypass the server's latency cache
-            # (Database.execute skips the cache write for them too).
-            return execution_from_wire(
-                self._call(
-                    "execute",
-                    (query_to_wire(query), plan_to_wire(plan), timeout_ms, False),
-                    ctxs=None if ctx is None else [ctx],
-                )
-            )
         return self.execute_many([(query, plan, timeout_ms)])[0]
 
     def execute_many(

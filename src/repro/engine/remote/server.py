@@ -3,14 +3,16 @@
 The server wraps one in-process engine
 (:class:`~repro.engine.backend.LocalBackend`, or any ``EngineBackend``
 handed to :class:`EngineServer`) and serves the ``EngineBackend`` surface
-over TCP: ``plan_many`` / ``hint_many`` / ``execute`` / ``execute_many``,
-``stats``, cache control, ``ping`` and the ``fingerprint`` handshake.  One
-length-prefixed crc32-checksummed frame per message, each a plain-data
-JSON message in the shapes :mod:`repro.engine.wire` tabulates: queries
-arrive as SQL text, bound here through the backend's statement cache, and
-plans leave as descriptors.  A request is checked whole — envelope,
-contexts, body shape — before any query is bound or any backend method
-runs, and a malformed one gets an ``err`` reply.
+over TCP as the batch ops ``plan_many`` / ``hint_many`` / ``execute_many``,
+plus ``stats``, cache control, ``ping`` and the ``fingerprint`` handshake.
+Every op is one entry of :data:`repro.engine.wire.OPS` — body shape and
+handler — so dispatch is a lookup.  One length-prefixed crc32-checksummed
+frame per message, each a plain-data JSON message in the shapes
+:mod:`repro.engine.wire` tabulates: queries arrive as SQL text, bound here
+through the backend's statement cache, and plans leave as descriptors.  A
+request is checked whole — envelope, contexts, body shape — before any
+query is bound or any backend method runs, and a malformed one gets an
+``err`` reply.
 
 Data-only frames mean a peer cannot make the server run code, but the
 port is still unauthenticated: anyone who reaches it may plan, execute
@@ -43,16 +45,11 @@ from repro import obs
 from repro.engine.database import dataset_fingerprint
 from repro.engine.wire import (
     DEFAULT_MAX_FRAME_BYTES,
-    PROTOCOL_VERSION,
-    REQUEST_SHAPES,
+    OPS,
     FrameCorruptionError,
     check_body,
     decode_request,
     encode_message,
-    execution_to_wire,
-    options_from_wire,
-    plan_from_wire,
-    planning_to_wire,
     read_frame,
     write_frame,
 )
@@ -87,7 +84,7 @@ class EngineServer:
         # Computed once: the handshake must not pay a full-table crc per
         # connection, and the dataset is immutable.
         self._fingerprint = dataset_fingerprint(backend.dataset)
-        self._backend_name = backend.stats().get("backend")
+        self.backend_name = backend.stats().get("backend")
         self._listener = socket.create_server((host, port))
         self.host, self.port = self._listener.getsockname()[:2]
         self._lock = threading.Lock()  # guards _clients/_closed
@@ -248,17 +245,13 @@ class EngineServer:
             )
         return blob
 
-    def _bind(self, query):
-        """A wire query ``[text, name]``, bound through the statement cache."""
-        text, name = query
-        return self.backend.sql(text, name=name)
-
     def _dispatch(self, payload: bytes):
         """One request → ``("ok", (result, executions, spans))`` or ``("err", msg)``.
 
         A request is ``[kind, body, contexts]``; its contexts are
         re-anchored on this machine's clock, so deadlines are enforced
-        server-side.  The body is checked against the op's shape
+        server-side.  The op comes from :data:`~repro.engine.wire.OPS`;
+        the body is checked against its shape
         (:func:`~repro.engine.wire.check_body`), and the contexts against
         the batch length, before any query is bound or any backend method
         runs.  ``spans`` piggybacks the server-side spans of any traced
@@ -272,7 +265,7 @@ class EngineServer:
         except Exception as exc:
             self._m_requests.labels(kind="unknown").inc()
             return ("err", f"undecodable request: {exc!r}")
-        counted = kind if kind in REQUEST_SHAPES else "unknown"
+        counted = kind if kind in OPS else "unknown"
         # Traced contexts grow a ``server.dispatch`` span; every span
         # recorded under these trace ids while the op runs is drained
         # afterwards and shipped back in the reply, so the client can join
@@ -286,62 +279,16 @@ class EngineServer:
                 else ctx
                 for ctx in ctxs
             ]
-        backend = self.backend
         try:
-            check_body(kind, body)
-            if kind == "ping":
-                result = None
-            elif kind == "fingerprint":
-                result = {
-                    "protocol": PROTOCOL_VERSION,
-                    "dataset_fingerprint": self._fingerprint,
-                    "workload": self.workload_info,
-                    "backend": self._backend_name,
-                }
-            elif kind == "plan_many":
-                queries, options = body
-                _check_aligned(ctxs, queries)
-                options = options_from_wire(options)
-                queries = [self._bind(query) for query in queries]
-                results = backend.plan_many(queries, options, ctxs=ctxs)
-                result = [planning_to_wire(r) for r in results]
-            elif kind == "hint_many":
-                _check_aligned(ctxs, body)
-                requests = [
-                    (self._bind(query), order, methods) for query, order, methods in body
-                ]
-                results = backend.plan_with_hints_many(requests, ctxs=ctxs)
-                result = [planning_to_wire(r) for r in results]
-            elif kind == "execute_many":
-                _check_aligned(ctxs, body)
-                requests = []
-                for query, plan, timeout_ms in body:
-                    query = self._bind(query)
-                    requests.append((query, plan_from_wire(plan, query), timeout_ms))
-                results = backend.execute_many(requests, ctxs=ctxs)
-                result = [execution_to_wire(r) for r in results]
-            elif kind == "execute":
-                query, plan, timeout_ms, use_cache = body
-                query = self._bind(query)
-                result = execution_to_wire(
-                    backend.execute(
-                        query,
-                        plan_from_wire(plan, query),
-                        timeout_ms=timeout_ms,
-                        use_cache=use_cache,
-                        ctx=ctxs[0] if ctxs else None,
-                    )
-                )
-            elif kind == "clear_caches":
-                backend.clear_caches()
-                result = None
-            elif kind == "stats":
-                result = backend.stats()
-            else:
-                raise ValueError(f"unknown engine RPC {kind!r}")
+            op = check_body(kind, body)
+            if ctxs is not None and op.batch is not None:
+                items = op.batch(body)
+                if len(ctxs) != len(items):
+                    raise ValueError(f"{len(ctxs)} contexts for a batch of {len(items)}")
+            result = op.handle(self, body, ctxs)
             span.end()
             spans = obs.get_tracer().drain(trace_ids) if trace_ids else ()
-            return ("ok", (result, backend.executions, spans))
+            return ("ok", (result, self.backend.executions, spans))
         except Exception as exc:
             span.end(status="error")
             if trace_ids:
@@ -401,11 +348,6 @@ class EngineServer:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-
-def _check_aligned(ctxs, items) -> None:
-    if ctxs is not None and len(ctxs) != len(items):
-        raise ValueError(f"{len(ctxs)} contexts for a batch of {len(items)}")
 
 
 def _is_loopback(host: str) -> bool:

@@ -27,6 +27,8 @@ the other side run code, and floats round-trip exactly through ``repr``
 (``Infinity`` and ``NaN`` included).  Tuples are sent as arrays.  The
 protocol is :data:`PROTOCOL_VERSION`; the ``fingerprint`` handshake
 advertises it and a client refuses a server that speaks any other.
+:data:`OPS` holds, per op, the request body's shape and the server's
+handler.
 
 ================  =====================================================================
 message           shape
@@ -45,7 +47,6 @@ reply             ``["ok", [result, executions, spans]]`` (``spans`` is empty fo
                   ``[planning | null, ...]``
 ``execute_many``  body ``[[query, plan, timeout_ms], ...]``; result
                   ``[execution | null, ...]``
-``execute``       body ``[query, plan, timeout_ms, use_cache]``; result ``execution``
 ================  =====================================================================
 
 The values inside them:
@@ -86,8 +87,8 @@ from __future__ import annotations
 import json
 import struct
 import zlib
-from operator import call
-from typing import Callable, Dict, List, Optional
+from operator import call, itemgetter
+from typing import Callable, Dict, List, NamedTuple, Optional
 
 from repro.engine.context import RequestContext
 from repro.executor.engine import ExecutionResult
@@ -96,7 +97,7 @@ from repro.optimizer.plans import JoinNode, PlanNode, ScanNode
 from repro.sql.ast import Query
 
 #: The message shapes above; the fingerprint handshake advertises it.
-PROTOCOL_VERSION = 4
+PROTOCOL_VERSION = 5
 
 MAGIC = b"FOSW"  # FOSS wire
 _HEADER = struct.Struct(">4sII")  # magic, payload length, crc32(payload)
@@ -213,7 +214,7 @@ def decode_request(payload: bytes):
     """``(kind, body, contexts)`` of a request; ``ValueError`` on any other shape.
 
     The body is returned as sent: the server checks it against its op's
-    shape (:data:`REQUEST_SHAPES`) before anything runs.
+    shape (:func:`check_body`) before anything runs.
     """
     message = decode_message(payload)
     if not (type(message) is list and len(message) == 3 and type(message[0]) is str):
@@ -231,8 +232,7 @@ def decode_reply(payload: bytes):
 
 
 # ----------------------------------------------------------------------
-# request shapes: a server checks a body whole before it binds or runs
-# anything, so a malformed request touches no backend method
+# request shapes
 # ----------------------------------------------------------------------
 Shape = Callable[[object], bool]
 
@@ -247,10 +247,6 @@ def _int(value) -> bool:
 
 def _num(value) -> bool:
     return type(value) is float or type(value) is int
-
-
-def _bool(value) -> bool:
-    return type(value) is bool
 
 
 def _none(value) -> bool:
@@ -280,28 +276,6 @@ _PLAN = _row(
     _list_of(_num), _list_of(_num),
 )
 _OPTIONS = _optional(_row(_list_of(_str), _list_of(_str), _int))
-
-#: Per op, the body shape a request must have.
-REQUEST_SHAPES: Dict[str, Shape] = {
-    "ping": _none,
-    "fingerprint": _none,
-    "stats": _none,
-    "clear_caches": _none,
-    "plan_many": _row(_list_of(_QUERY), _OPTIONS),
-    "hint_many": _list_of(_row(_QUERY, _list_of(_str), _list_of(_str))),
-    "execute_many": _list_of(_row(_QUERY, _PLAN, _optional(_num))),
-    "execute": _row(_QUERY, _PLAN, _optional(_num), _bool),
-}
-
-
-def check_body(kind: str, body) -> None:
-    """Raise ``ValueError`` unless ``body`` has ``kind``'s request shape."""
-    shape = REQUEST_SHAPES.get(kind)
-    if shape is None:
-        raise ValueError(f"unknown engine RPC {kind!r}")
-    if not shape(body):
-        raise ValueError(f"malformed {kind} request body")
-
 
 # ----------------------------------------------------------------------
 # values
@@ -440,6 +414,99 @@ def execution_from_wire(data) -> Optional[ExecutionResult]:
         work_units=work_units,
         aggregate_values=tuple(aggregate_values),
     )
+
+
+# ----------------------------------------------------------------------
+# ops: a server checks a body whole before it binds or runs anything, so
+# a malformed request touches no backend method
+# ----------------------------------------------------------------------
+def _bind(backend, query) -> Query:
+    """A wire query ``[text, name]``, bound through the backend's statement cache."""
+    text, name = query
+    return backend.sql(text, name=name)
+
+
+def _ping(server, body, ctxs) -> None:
+    return None
+
+
+def _hello(server, body, ctxs) -> dict:
+    return {
+        "protocol": PROTOCOL_VERSION,
+        "dataset_fingerprint": server.fingerprint,
+        "workload": server.workload_info,
+        "backend": server.backend_name,
+    }
+
+
+def _stats(server, body, ctxs) -> dict:
+    return server.backend.stats()
+
+
+def _clear_caches(server, body, ctxs) -> None:
+    server.backend.clear_caches()
+
+
+def _plan_many(server, body, ctxs) -> list:
+    queries, options = body
+    backend = server.backend
+    options = options_from_wire(options)
+    queries = [_bind(backend, query) for query in queries]
+    return [planning_to_wire(r) for r in backend.plan_many(queries, options, ctxs=ctxs)]
+
+
+def _hint_many(server, body, ctxs) -> list:
+    backend = server.backend
+    requests = [(_bind(backend, query), order, methods) for query, order, methods in body]
+    return [planning_to_wire(r) for r in backend.plan_with_hints_many(requests, ctxs=ctxs)]
+
+
+def _execute_many(server, body, ctxs) -> list:
+    backend = server.backend
+    requests = []
+    for query, plan, timeout_ms in body:
+        query = _bind(backend, query)
+        requests.append((query, plan_from_wire(plan, query), timeout_ms))
+    return [execution_to_wire(r) for r in backend.execute_many(requests, ctxs=ctxs)]
+
+
+def _items(body):
+    return body
+
+
+class Op(NamedTuple):
+    """One engine RPC.
+
+    ``shape`` is the body a request must have; ``handle(server, body,
+    contexts)`` runs it and returns the plain-data result; ``batch`` picks
+    the items a batch op's contexts align with out of its body.
+    """
+
+    shape: Shape
+    handle: Callable
+    batch: Optional[Callable] = None
+
+
+#: Every engine RPC by name: the server dispatches through this table.
+OPS: Dict[str, Op] = {
+    "ping": Op(_none, _ping),
+    "fingerprint": Op(_none, _hello),
+    "stats": Op(_none, _stats),
+    "clear_caches": Op(_none, _clear_caches),
+    "plan_many": Op(_row(_list_of(_QUERY), _OPTIONS), _plan_many, itemgetter(0)),
+    "hint_many": Op(_list_of(_row(_QUERY, _list_of(_str), _list_of(_str))), _hint_many, _items),
+    "execute_many": Op(_list_of(_row(_QUERY, _PLAN, _optional(_num))), _execute_many, _items),
+}
+
+
+def check_body(kind: str, body) -> Op:
+    """``kind``'s op; ``ValueError`` unless ``body`` has its request shape."""
+    op = OPS.get(kind)
+    if op is None:
+        raise ValueError(f"unknown engine RPC {kind!r}")
+    if not op.shape(body):
+        raise ValueError(f"malformed {kind} request body")
+    return op
 
 
 # ----------------------------------------------------------------------

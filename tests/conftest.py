@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.engine.remote import EngineServer
 from repro.workloads.job import build_job_workload
 from repro.workloads.stack import build_stack_workload
 from repro.workloads.tpcds import build_tpcds_workload
@@ -29,6 +30,14 @@ def stack_workload():
 @pytest.fixture(scope="session")
 def job_database(job_workload):
     return job_workload.database
+
+
+@pytest.fixture(scope="module")
+def engine_url(job_workload):
+    """A live engine server over a rebuild of the JOB workload's spec."""
+    with EngineServer(job_workload.spec.build_database()) as server:
+        server.start()
+        yield server.url
 
 
 @pytest.fixture()

@@ -4,6 +4,8 @@ Three tiers:
 
 * per-rule fixture pairs — a failing and a passing snippet compiled from
   strings for every rule family, so each contract is pinned by example;
+* the cases of the retired rpc-parity rule, now seeded regressions of
+  the real engine client against the wire's op table;
 * framework tests — suppression grammar, baseline round trip, CLI exit
   codes, config validation (including the TOML-subset fallback parser);
 * meta-tests against the real tree — ``repro-lint`` must exit 0 over
@@ -26,6 +28,11 @@ from repro.analysis.cli import main, run_lint
 from repro.analysis.config import LintConfig, LintConfigError
 from repro.analysis.core import Baseline, Finding, Project, SourceFile
 from repro.analysis.registry import RULES, iter_rules
+from repro.engine.backend import EngineBackend
+from repro.engine.database import Database
+from repro.engine.remote import RemoteBackend
+from repro.engine.wire import OPS, Op
+from rpc_surface import op_table_gaps, public_methods, record_ops, uncovered_methods
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -354,75 +361,53 @@ class TestLockBlockingRule:
 
 
 # ----------------------------------------------------------------------
-# RPC parity rule (project scope)
+# RPC parity: once a project rule that pattern-matched the server's
+# dispatch chain against the client's ``_call`` literals; the op table
+# (``repro.engine.wire.OPS``) now holds it, checked against a live server
+# by recording what a real client sends (``rpc_surface``).  The rule's
+# cases stay, as seeded regressions of the real client and table.
 # ----------------------------------------------------------------------
-SERVER_FIXTURE = """
-def _dispatch(self, kind, payload):
-    if kind == "ping":
-        return b""
-    if kind in ("batch", "close"):
-        return b""
-    raise ValueError(kind)
-"""
-
-CLIENT_FIXTURE = """
-from repro.engine.wire import encode_request
+_real_stats = RemoteBackend.stats
 
 
-class Client:
-    def ping(self):
-        return self._call("ping")
-
-    def batch(self, plans):
-        return self._call("batch", plans)
-
-    def close(self):
-        return encode_request("close", None, None)
-"""
-
-
-def run_rpc(tmp_path, server_src, client_src, **overrides):
-    (tmp_path / "server.py").write_text(textwrap.dedent(server_src))
-    (tmp_path / "client.py").write_text(textwrap.dedent(client_src))
-    config = LintConfig(rpc_server="server.py", rpc_client="client.py", **overrides)
-    project = Project(tmp_path, config)
-    return list(RULES["rpc-parity"].check(project))
+def _stats_then_one_sided_op(self):
+    stats = _real_stats(self)
+    self._call("one_sided_op", None)
+    return stats
 
 
 class TestRpcParityRule:
-    def test_matched_surfaces_pass(self, tmp_path):
-        assert run_rpc(tmp_path, SERVER_FIXTURE, CLIENT_FIXTURE) == []
+    def test_matched_surfaces_pass(self, engine_url, job_workload, monkeypatch):
+        sent, failures = record_ops(engine_url, job_workload, monkeypatch)
+        assert failures == []
+        assert op_table_gaps(sent) == []
+        assert {kind for kind, _body in sent} == set(OPS)
 
-    def test_client_emitting_unhandled_op_flagged(self, tmp_path):
-        client = CLIENT_FIXTURE + "\n    def orphan(self):\n        return self._call(\"orphan\")\n"
-        findings = run_rpc(tmp_path, SERVER_FIXTURE, client)
-        assert [f.rule for f in findings] == ["rpc-parity"]
-        assert "'orphan'" in findings[0].message
+    def test_client_emitting_unhandled_op_flagged(self, engine_url, job_workload, monkeypatch):
+        monkeypatch.setattr(RemoteBackend, "stats", _stats_then_one_sided_op)
+        sent, failures = record_ops(engine_url, job_workload, monkeypatch)
+        assert [failure.split(":")[0] for failure in failures] == ["stats"]
+        assert op_table_gaps(sent) == [
+            "client sends 'one_sided_op': unknown engine RPC 'one_sided_op'"
+        ]
 
-    def test_server_only_op_must_be_declared(self, tmp_path):
-        server = SERVER_FIXTURE.replace(
-            'raise ValueError(kind)', 'if kind == "stats":\n        return b""\n    raise ValueError(kind)'
-        )
-        findings = run_rpc(tmp_path, server, CLIENT_FIXTURE)
-        assert [f.rule for f in findings] == ["rpc-parity"]
-        assert "'stats'" in findings[0].message
-        declared = run_rpc(
-            tmp_path,
-            server,
-            CLIENT_FIXTURE,
-            rpc_server_only={"stats": "reporting endpoint polled by ops tooling"},
-        )
-        assert declared == []
-
-    def test_missing_rpc_files_reported(self, tmp_path):
-        config = LintConfig(rpc_server="nope_server.py", rpc_client="nope_client.py")
-        project = Project(tmp_path, config)
-        findings = list(RULES["rpc-parity"].check(project))
-        assert sorted(f.path for f in findings) == ["nope_client.py", "nope_server.py"]
+    def test_server_only_op_must_be_declared(self, engine_url, job_workload, monkeypatch):
+        """No op is server-only: a handler no client call sends is flagged,
+        and there is nowhere to declare it an exception."""
+        monkeypatch.setitem(OPS, "server_only_op", Op(lambda body: body is None, lambda *args: None))
+        sent, failures = record_ops(engine_url, job_workload, monkeypatch)
+        assert failures == []
+        assert op_table_gaps(sent) == [
+            "'server_only_op' is in the op table but no client call sends it"
+        ]
 
     def test_real_remote_protocol_is_in_parity(self):
-        project = Project(REPO_ROOT, LintConfig())
-        assert list(RULES["rpc-parity"].check(project)) == []
+        """Both backends define the whole ``EngineBackend`` protocol in their
+        own class bodies, and the recording drives every public method."""
+        protocol = public_methods(EngineBackend)
+        assert protocol <= public_methods(Database)
+        assert protocol <= public_methods(RemoteBackend)
+        assert uncovered_methods() == set()
 
 
 # ----------------------------------------------------------------------
@@ -510,7 +495,7 @@ class TestCli:
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for name in ("det-hash", "clock-wall", "layer-import", "lock-blocking", "rpc-parity"):
+        for name in ("det-hash", "clock-wall", "layer-import", "lock-blocking", "lock-order"):
             assert name in out
 
     def test_unknown_rule_is_usage_error(self):

@@ -2,9 +2,11 @@
 
 Covers the foundations (CFG shape, dataflow fixpoints, call-graph
 resolution) on synthetic functions, a failing + passing fixture pair for
-every flow rule family (lock-order, ctx-propagation, resource-release,
-rpc-arity), the incremental CLI (``--since``, ``--cache``, SARIF), and
-the meta-test that the real tree lints clean under the flow rules.
+every flow rule family (lock-order, ctx-propagation, resource-release),
+the cases of the retired rpc-arity rule as seeded regressions of the
+real engine client, the incremental CLI (``--since``, ``--cache``,
+SARIF), and the meta-test that the real tree lints clean under the flow
+rules.
 """
 
 import ast
@@ -22,6 +24,10 @@ from repro.analysis.config import LintConfig
 from repro.analysis.core import Project
 from repro.analysis.dataflow import solve_backward, solve_forward
 from repro.analysis.registry import RULES, iter_rules
+from repro.engine.remote import RemoteBackend, RemoteEngineError
+from repro.engine.remote import client as client_module
+from repro.engine.wire import OPS, check_body, decode_message, encode_message
+from rpc_surface import op_table_gaps, record_ops
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -735,98 +741,67 @@ class TestResourceRelease:
 
 
 # ----------------------------------------------------------------------
-# rpc-arity
+# rpc-arity: once a flow rule over the client's payload literals and the
+# server's destructuring branches; every body is now checked whole
+# against its op's shape (``repro.engine.wire.check_body``), and the
+# rule's cases stay as seeded regressions of the real client
+# (``rpc_surface`` records what it sends to a live server).
 # ----------------------------------------------------------------------
+_real_call = RemoteBackend._call
+
+
+def _plan_many_grown_to_three(self, kind, payload, ctxs=None):
+    if kind == "plan_many":
+        payload = (*payload, None)
+    return _real_call(self, kind, payload, ctxs)
+
+
+def _handshake_renamed(self, conn):
+    reply = conn.round_trip(client_module.encode_request("fingerprints", None, None))
+    status, body = self._decode_reply(reply)
+    if status != "ok":
+        conn.drop()
+        raise RemoteEngineError(body)
+
+
 class TestRpcArity:
-    SERVER = """
-    def _dispatch(self, decoded):
-        kind, body = decoded[0], decoded[1]
-        if kind == "plan_many":
-            queries, options = body
-            return queries
-        if kind == "execute":
-            query, plan, timeout_ms, use_cache = body
-            return query
-        if kind == "ping":
-            return "pong"
-        if kind == "hint_many":
-            return list(body)
-    """
+    def test_matched_shapes_pass(self, engine_url, job_workload, monkeypatch):
+        sent, failures = record_ops(engine_url, job_workload, monkeypatch)
+        assert failures == []
+        for kind, body in sent:
+            check_body(kind, decode_message(encode_message(body)))
 
-    def _check(self, client_source, server_source=SERVER):
-        config = LintConfig(
-            rpc_server="src/repro/engine/remote/server.py",
-            rpc_client="src/repro/engine/remote/client.py",
+    def test_tuple_arity_mismatch_flagged(self, engine_url, job_workload, monkeypatch):
+        query = [job_workload.train[0].sql, "q"]
+        with pytest.raises(ValueError, match="malformed plan_many"):
+            check_body("plan_many", [[query], None, None])
+        with pytest.raises(ValueError, match="malformed execute_many"):
+            check_body("execute_many", [[query, None]])
+        monkeypatch.setattr(RemoteBackend, "_call", _plan_many_grown_to_three)
+        sent, failures = record_ops(engine_url, job_workload, monkeypatch)
+        assert failures and all("malformed plan_many" in failure for failure in failures)
+        gaps = op_table_gaps(sent)
+        assert gaps and all(
+            gap == "client sends 'plan_many': malformed plan_many request body" for gap in gaps
         )
-        project = fixture_project(
-            {
-                config.rpc_server: server_source,
-                config.rpc_client: client_source,
-            },
-            config,
-        )
-        return list(RULES["rpc-arity"].check(project))
-
-    def test_matched_shapes_pass(self):
-        findings = self._check(
-            """
-            class C:
-                def plan_many(self, qs, opts):
-                    return self._call("plan_many", (qs, opts))
-                def execute(self, q, plan, t):
-                    return self._call("execute", (q, plan, t, False))
-                def ping(self):
-                    return self._call("ping", None)
-                def hint_many(self, reqs):
-                    return self._call("hint_many", reqs)
-            """
-        )
-        assert findings == []
-
-    def test_tuple_arity_mismatch_flagged(self):
-        findings = self._check(
-            """
-            class C:
-                def execute(self, q, plan, t):
-                    return self._call("execute", (q, plan, t))
-            """
-        )
-        assert rules_of(findings) == ["rpc-arity"]
-        assert "3-tuple" in findings[0].message and "4-tuple" in findings[0].message
 
     def test_none_payload_into_destructuring_branch_flagged(self):
-        findings = self._check(
-            """
-            class C:
-                def plan_many(self):
-                    return self._call("plan_many", None)
-            """
-        )
-        assert rules_of(findings) == ["rpc-arity"]
+        """Every op whose handler unpacks its body refuses a ``None`` body
+        before the handler runs."""
+        unpacking = [kind for kind, op in OPS.items() if op.batch is not None]
+        assert sorted(unpacking) == ["execute_many", "hint_many", "plan_many"]
+        for kind in unpacking:
+            with pytest.raises(ValueError, match=f"malformed {kind}"):
+                check_body(kind, None)
 
-    def test_raw_encoded_request_is_checked_too(self):
+    def test_raw_encoded_request_is_checked_too(self, engine_url, job_workload, monkeypatch):
         """The handshake builds its frame with the codec, not ``_call``."""
-        findings = self._check(
-            """
-            from repro.engine.wire import encode_request
-
-            class C:
-                def handshake(self):
-                    return encode_request("execute", ("q", "plan"), None)
-            """
-        )
-        assert rules_of(findings) == ["rpc-arity"]
-        assert "2-tuple" in findings[0].message and "4-tuple" in findings[0].message
-
-    def test_opaque_payload_is_skipped(self):
-        findings = self._check(
-            """
-            class C:
-                def plan_many(self, payload):
-                    return self._call("plan_many", payload)
-            """
-        )
-        assert findings == []
+        monkeypatch.setattr(RemoteBackend, "_handshake", _handshake_renamed)
+        sent, failures = record_ops(engine_url, job_workload, monkeypatch)
+        assert [failure.split(":")[0] for failure in failures] == ["connect"]
+        gaps = op_table_gaps(sent)
+        assert gaps[0] == "client sends 'fingerprints': unknown engine RPC 'fingerprints'"
+        assert "'fingerprint' is in the op table but no client call sends it" in gaps
 
 
 # ----------------------------------------------------------------------
@@ -970,7 +945,7 @@ class TestRealTreeFlow:
                 "--project-root",
                 str(REPO_ROOT),
                 "--rules",
-                "lock-order,ctx-propagation,resource-release,rpc-arity",
+                "lock-order,ctx-propagation,resource-release",
                 "src",
             ]
         )

@@ -111,11 +111,19 @@ class TestDynamicTimeout:
         assert tiny_db.executions == before + 1
 
     def test_uncached_execution_always_runs(self, tiny_db, bound_query):
+        """An execution the latency cache does not hold runs, even under a
+        timeout its earlier latency exceeded; virtual time repeats."""
         plan = tiny_db.plan(bound_query).plan
-        tiny_db.execute(bound_query, plan)
+        full = tiny_db.execute(bound_query, plan)
+        tiny_db.clear_caches()
         before = tiny_db.executions
-        tiny_db.execute(bound_query, plan, use_cache=False)
+        capped = tiny_db.execute(bound_query, plan, timeout_ms=full.latency_ms / 2)
+        assert capped.timed_out and capped.latency_ms == full.latency_ms / 2
         assert tiny_db.executions == before + 1
+        tiny_db.clear_caches()
+        again = tiny_db.execute(bound_query, plan)
+        assert tiny_db.executions == before + 2
+        assert again.latency_ms == full.latency_ms and again.output_rows == full.output_rows
 
 
 class TestHintCacheLRU:

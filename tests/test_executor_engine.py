@@ -194,7 +194,7 @@ class TestExecutionCorrectness:
             rng.shuffle(order)
             methods = [JOIN_METHODS[int(rng.integers(3))] for _ in range(len(order) - 1)]
             plan = db.plan_with_hints(query, order, methods).plan
-            result = db.execute(query, plan, use_cache=False)
+            result = db.executor.execute(query, plan, timeout_ms=HARD_CAP_MS)
             if not result.timed_out:  # timed-out runs report no rows
                 counts.add(result.output_rows)
         assert len(counts) == 1
@@ -206,7 +206,7 @@ class TestExecutionCorrectness:
         counts = set()
         for method in JOIN_METHODS:
             plan = db.plan_with_hints(query, order, [method] * (len(order) - 1)).plan
-            counts.add(db.execute(query, plan, use_cache=False).output_rows)
+            counts.add(db.executor.execute(query, plan, timeout_ms=HARD_CAP_MS).output_rows)
         assert len(counts) == 1
 
     def test_aggregates_sum_min_max(self, db):
@@ -235,7 +235,7 @@ class TestExecutionCorrectness:
         assert isinstance(plan, ScanNode)
         result = db.execute(query, plan)
         seq_plan = ScanNode(alias="t", table="title", scan_type="seq", filters=plan.filters)
-        seq_result = db.execute(query, seq_plan, use_cache=False)
+        seq_result = db.executor.execute(query, seq_plan, timeout_ms=HARD_CAP_MS)
         assert result.output_rows == seq_result.output_rows == 1
 
 
@@ -243,8 +243,8 @@ class TestVirtualTime:
     def test_deterministic_latency(self, db, job_workload):
         query = job_workload.all_queries[0].query
         plan = db.plan(query).plan
-        a = db.execute(query, plan, use_cache=False).latency_ms
-        b = db.execute(query, plan, use_cache=False).latency_ms
+        a = db.executor.execute(query, plan, timeout_ms=HARD_CAP_MS).latency_ms
+        b = db.executor.execute(query, plan, timeout_ms=HARD_CAP_MS).latency_ms
         assert a == b
 
     def test_latency_positive(self, db, job_workload):
@@ -281,7 +281,7 @@ class TestVirtualTime:
         """A plan capped at a low timeout re-executes under a higher one."""
         query = next(wq.query for wq in job_workload.all_queries if wq.query.num_tables >= 5)
         plan = db.plan(query).plan
-        full = db.execute(query, plan, use_cache=False).latency_ms
+        full = db.executor.execute(query, plan, timeout_ms=HARD_CAP_MS).latency_ms
         db.clear_caches()
         low = db.execute(query, plan, timeout_ms=full / 10)
         assert low.timed_out

@@ -13,6 +13,7 @@ from repro.baselines.bao import BaoOptimizer
 from repro.baselines.postgres import PostgresOptimizer
 from repro.core.aam import AAMConfig
 from repro.core.icp import IncompletePlan
+from repro.engine.database import HARD_CAP_MS
 from repro.experiments.harness import evaluate_optimizer
 from repro.optimizer.plans import plan_signature
 
@@ -138,7 +139,7 @@ class TestCrossMethodComparison:
         trainer.bootstrap()
         foss_plan = trainer.make_optimizer().optimize(wq.query).plan
         counts = {
-            db.execute(wq.query, plan, use_cache=False).output_rows
+            db.executor.execute(wq.query, plan, timeout_ms=HARD_CAP_MS).output_rows
             for plan in (pg_plan, bao_plan, foss_plan)
         }
         assert len(counts) == 1

@@ -11,10 +11,11 @@ The contracts under test (see :mod:`repro.engine.remote`):
 * a 2-tenant :class:`ServiceGroup` can share **one** ``RemoteBackend``
   and serve the same plans as local sessions;
 * the connect-time fingerprint handshake refuses client/server datagen
-  drift; the session manifest records the remote fingerprint and
-  :meth:`FossSession.load` re-checks it;
+  drift, and the session manifest records the remote fingerprint;
 * the handshake refuses a server that speaks another wire protocol
   version;
+* the wire's op table (:data:`repro.engine.wire.OPS`) is exactly what the
+  client sends, in the shapes the server checks;
 * a dead/restarted server costs a bounded reconnect, then a typed
   ``RemoteEngineError``; a client that disconnects mid-frame costs the
   server nothing but that one connection.
@@ -45,10 +46,12 @@ from repro.engine.backend import make_backend
 from repro.engine.database import dataset_fingerprint
 from repro.engine.remote import EngineServer, RemoteBackend, RemoteEngineError
 from repro.engine.wire import (
+    OPS,
     FrameTooLargeError,
     contexts_to_wire,
     encode_message,
     encode_request,
+    plan_to_wire,
     planning_to_wire,
     query_to_wire,
     read_frame,
@@ -56,6 +59,8 @@ from repro.engine.wire import (
 )
 from repro.optimizer.dp import OptimizerOptions
 from repro.optimizer.plans import plan_signature
+from repro.workloads.base import WorkloadSpec
+from rpc_surface import op_table_gaps, record_ops, uncovered_methods
 
 # Per-test deadlock guard: generous against 1-CPU CI, tiny against a hang.
 WATCHDOG_S = 180.0
@@ -165,15 +170,6 @@ class TestBackendParity:
             r.latency_ms for r in local_results
         ]
         assert remote_backend.original_latency(query) == local.original_latency(query)
-
-    def test_uncached_execute_bypasses_server_cache(self, job_workload, remote_backend):
-        query = job_workload.train[0].query
-        plan = job_workload.database.plan(query).plan
-        before = remote_backend.executions
-        first = remote_backend.execute(query, plan, use_cache=False)
-        second = remote_backend.execute(query, plan, use_cache=False)
-        assert first.latency_ms == second.latency_ms  # virtual time is deterministic
-        assert remote_backend.executions >= before + 2, "uncached runs must not cache"
 
     def test_executions_and_stats_surface(self, job_workload, remote_backend):
         stats = remote_backend.stats()
@@ -286,20 +282,40 @@ class TestRemoteServing:
     def test_load_rejects_drifted_remote_server(
         self, job_workload, remote_backend, tmp_path
     ):
+        """A server whose datagen drifted after the save, with a client
+        mirror that drifted with it: the handshake passes (server and
+        mirror agree), and ``load`` refuses the mirror for the manifest."""
         path = str(tmp_path / "remote-doctor-drift")
         session = FossSession.open(
             workload=job_workload, config=tiny_config(), backend=remote_backend
         )
         session.save(path)
-        # Simulate server-side datagen drift after the save: the local
-        # mirror still matches the manifest, but the serving engine doesn't.
-        original = remote_backend.remote_fingerprint
-        remote_backend.remote_fingerprint = "crc32:deadbeef:rows=0"
-        try:
-            with pytest.raises(ValueError, match="remote engine"):
-                FossSession.load(path, backend=remote_backend)
-        finally:
-            remote_backend.remote_fingerprint = original
+        spec = job_workload.spec
+        drifted_db = WorkloadSpec(spec.name, scale=spec.scale, seed=spec.seed + 1).build_database()
+        with EngineServer(drifted_db) as server:
+            server.start()
+            with RemoteBackend(
+                server.url, database=drifted_db, timeout_s=CLIENT_TIMEOUT_S
+            ) as drifted:
+                assert drifted.remote_fingerprint != remote_backend.remote_fingerprint
+                with pytest.raises(ValueError, match="fingerprint mismatch"):
+                    FossSession.load(path, backend=drifted)
+
+
+# ----------------------------------------------------------------------
+# the op table is the RPC surface
+# ----------------------------------------------------------------------
+class TestOpTable:
+    """Every op the client sends is in :data:`~repro.engine.wire.OPS`, in
+    the shape the server checks, and every op in the table is sent by some
+    client call: no op is client-only or server-only."""
+
+    def test_client_emits_exactly_the_op_table(self, engine_server, job_workload, monkeypatch):
+        assert uncovered_methods() == set(), "every backend method needs an entry in CALLS"
+        sent, failures = record_ops(engine_server.url, job_workload, monkeypatch)
+        assert failures == []
+        assert op_table_gaps(sent) == []
+        assert {kind for kind, _body in sent} == set(OPS)
 
 
 # ----------------------------------------------------------------------
@@ -368,10 +384,7 @@ class TestRemoteRobustness:
     def test_bogus_kinds_share_one_metric_series(self, engine_server):
         """Unknown ops from a peer are counted under one ``unknown`` series,
         so a peer cannot grow the metric set."""
-        handled = {
-            "ping", "fingerprint", "plan_many", "hint_many",
-            "execute_many", "execute", "clear_caches", "stats",
-        }
+        handled = set(OPS)
         for i in range(200):
             payload = encode_request(f"bogus-{i}", None, None)
             status, message = engine_server._dispatch(payload)
@@ -381,6 +394,17 @@ class TestRemoteRobustness:
         assert "unknown" in kinds
         assert kinds <= handled | {"unknown"}
         assert len(kinds) <= len(handled) + 1
+
+    def test_a_protocol_4_execute_is_an_unknown_op(self, engine_server, job_workload):
+        """Protocol 5 dropped the single ``execute`` op; a v4 client's
+        request is refused as unknown, and no plan runs."""
+        query = job_workload.train[0].query
+        plan = job_workload.database.plan(query).plan
+        before = engine_server.backend.executions
+        body = [query_to_wire(query), plan_to_wire(plan), None, False]
+        status, message = engine_server._dispatch(encode_request("execute", body, None))
+        assert status == "err" and "unknown engine RPC 'execute'" in message
+        assert engine_server.backend.executions == before
 
     def test_bounded_reconnect_across_server_restart(self, server_db, job_workload):
         first = EngineServer(server_db)

@@ -30,14 +30,19 @@ from repro.core.icp import IncompletePlan
 from repro.engine.database import HARD_CAP_MS, PlanningResult
 from repro.engine.remote import EngineServer, RemoteBackend
 from repro.engine.wire import (
+    OPS,
+    check_body,
     decode_message,
     encode_message,
     execution_from_wire,
     execution_to_wire,
+    options_to_wire,
     plan_from_wire,
     plan_to_wire,
     planning_to_wire,
+    query_to_wire,
 )
+from repro.optimizer.dp import OptimizerOptions
 from repro.optimizer.plans import JoinNode, ScanNode, plan_signature
 from repro.sql.binder import bind_query
 from repro.sql.parser import parse_query
@@ -150,10 +155,42 @@ def test_non_left_deep_plan_refused_client_side(job_workload):
             before = server.backend.executions
             for call in (
                 lambda: remote.execute(query, bushy),
-                lambda: remote.execute(query, bushy, use_cache=False),
                 lambda: remote.execute_many([(query, bushy, None)]),
             ):
                 with pytest.raises(ValueError, match="left-deep"):
                     call()
             assert server.backend.executions == before
             assert remote.ping()
+
+
+def _well_formed_bodies(job_workload):
+    """One well-formed body per op; a batch body holds two items."""
+    query = job_workload.train[0].query
+    plan = job_workload.database.plan(query).plan
+    icp = IncompletePlan.extract(plan)
+    wire_query, wire_plan = query_to_wire(query), plan_to_wire(plan)
+    options = options_to_wire(OptimizerOptions(disabled_methods=frozenset({"merge"})))
+    hint = [wire_query, list(icp.order), list(icp.methods)]
+    return {
+        "ping": None,
+        "fingerprint": None,
+        "stats": None,
+        "clear_caches": None,
+        "plan_many": [[wire_query, wire_query], options],
+        "hint_many": [hint, hint],
+        "execute_many": [[wire_query, wire_plan, 500.0], [wire_query, wire_plan, None]],
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(OPS))
+def test_check_body_returns_the_op_and_its_batch_items(job_workload, kind):
+    """A well-formed body, sent through the JSON codec, passes ``check_body``,
+    which returns the op's table entry; a batch op picks the items its
+    request contexts must align with out of the body."""
+    body = decode_message(encode_message(_well_formed_bodies(job_workload)[kind]))
+    op = check_body(kind, body)
+    assert op is OPS[kind]
+    if op.batch is None:
+        assert body is None
+    else:
+        assert len(op.batch(body)) == 2

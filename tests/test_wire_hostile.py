@@ -34,7 +34,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.engine.remote import EngineServer, RemoteBackend
 from repro.engine.remote import server as server_module
 from repro.engine.wire import (
-    REQUEST_SHAPES,
+    OPS,
     decode_reply,
     encode_frame,
     encode_request,
@@ -112,7 +112,6 @@ def templates(job_workload):
         ["plan_many", [[wire_query], [["merge"], [], 15]], ctxs],
         ["hint_many", [[wire_query, order, methods]], ctxs],
         ["execute_many", [[wire_query, plan, 500.0]], ctxs],
-        ["execute", [wire_query, plan, 500.0, True], ctxs],
     ]
 
 
@@ -143,7 +142,7 @@ def _is_known_request(payload: bytes) -> bool:
     except (ValueError, RecursionError):
         return False
     return (
-        type(message) is list and len(message) == 3 and message[0] in REQUEST_SHAPES
+        type(message) is list and len(message) == 3 and message[0] in OPS
     )
 
 
@@ -223,16 +222,20 @@ class TestHostilePayloads:
     @FUZZ
     @given(data=st.data())
     def test_bodies_of_the_wrong_arity(self, server, spy, bystander, templates, data):
-        rows = [t for t in templates if t[0] in ("plan_many", "execute")]
-        kind, body, ctxs = data.draw(st.sampled_from(rows))
+        """A ``plan_many`` body, or an ``execute_many`` row, cut short or grown."""
+        kind, body, ctxs = data.draw(
+            st.sampled_from([t for t in templates if t[0] in ("plan_many", "execute_many")])
+        )
+        row = body if kind == "plan_many" else body[0]
         if data.draw(st.booleans()):
-            body = body[: data.draw(st.integers(0, len(body) - 1))]
+            row = row[: data.draw(st.integers(0, len(row) - 1))]
         else:
-            body = body + data.draw(st.lists(JSON, min_size=1, max_size=2))
+            row = row + data.draw(st.lists(JSON, min_size=1, max_size=2))
+        body = row if kind == "plan_many" else [row]
         _assert_refused(server, spy, bystander, json.dumps([kind, body, ctxs]).encode())
 
     @FUZZ
-    @given(kind=st.text(max_size=12).filter(lambda k: k not in REQUEST_SHAPES), body=JSON)
+    @given(kind=st.text(max_size=12).filter(lambda k: k not in OPS), body=JSON)
     def test_unknown_kinds(self, server, spy, bystander, kind, body):
         message = _assert_refused(server, spy, bystander, encode_request(kind, body, None))
         assert "unknown engine RPC" in message
