@@ -5,9 +5,8 @@ setup(
     version="1.3.0",
     description=(
         "Reproduction of 'FOSS: A Self-Learned Doctor for Query Optimizer' "
-        "(ICDE 2024) with a SQL-text-in / plan-out serving API (repro.api), "
-        "a socket-served remote engine (repro.engine.remote), and an "
-        "AST-based invariant checker (repro-lint)"
+        "(ICDE 2024) with a SQL-text-in / plan-out serving API (repro.api) "
+        "and a socket-served remote engine (repro.engine.remote)"
     ),
     package_dir={"": "src"},
     packages=find_packages("src"),
@@ -18,7 +17,6 @@ setup(
     entry_points={
         "console_scripts": [
             "repro-engine = repro.engine.remote.server:main",
-            "repro-lint = repro.analysis.cli:main",
         ],
     },
 )

@@ -372,10 +372,12 @@ class RemoteBackend:
                         # drifted datagen, and serving across that would
                         # silently break the determinism contract.
                         self._handshake(conn)
-                    # pipe discipline: the connection lock spans one full
-                    # framed send→recv so concurrent tenants never
-                    # interleave bytes on a socket (class docstring).
-                    response_bytes = conn.round_trip(request)  # repro-lint: allow[lock-blocking]
+                    # Blocks with the connection lock held, on purpose: the
+                    # lock spans one full framed send→recv so concurrent
+                    # tenants never interleave bytes on a socket (pipe
+                    # discipline, class docstring).  The socket timeout
+                    # bounds the wait.
+                    response_bytes = conn.round_trip(request)
                     break
                 except FrameCorruptionError:
                     # The stream cannot be trusted any more, but the error

@@ -164,9 +164,9 @@ class EngineServer:
             while True:
                 try:
                     # Deliberately lock-free: the handler blocks on its own
-                    # client's socket only, so repro-lint's lock-blocking
-                    # rule has nothing to flag here — never wrap this read
-                    # (or the response write below) in the registry lock.
+                    # client's socket only.  Never wrap this read (or the
+                    # response write below) in the registry lock: accept and
+                    # close() take it, so one idle client would stall both.
                     payload = read_frame(stream, max_frame_bytes=self.max_frame_bytes)
                 except (FrameCorruptionError, OSError):
                     # Truncated/corrupt/dropped mid-frame: the stream can't

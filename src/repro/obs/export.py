@@ -6,7 +6,7 @@ series with cumulative ``le`` labels) that any Prometheus-compatible
 scraper ingests; ``render_json`` emits a structured snapshot including
 the retained span store.  ``dump`` writes either to a file atomically
 (tmp + replace), and :class:`PeriodicDumper` does so on a timer thread —
-its ``Event.wait`` always carries a timeout, per the concurrency lint.
+its ``Event.wait`` and ``join`` always carry a timeout, so ``stop`` is bounded.
 """
 
 from __future__ import annotations

@@ -10,8 +10,8 @@ Concurrency: each metric carries its own ``threading.Lock`` guarding its
 children and their values; the registry lock only guards the name →
 metric table.  No metric method ever performs a blocking call (no I/O, no
 waits) while holding a lock, so the serving layer can update metrics from
-under its own locks without ordering hazards — the discipline the repo's
-``lock-blocking`` lint rule enforces.
+under its own locks without ordering hazards — the discipline
+``tests/test_invariants.py::test_lock_blocking`` holds.
 
 The :class:`Histogram` is two structures in one update:
 

@@ -10,10 +10,10 @@ produced for a request's trace ids and the client ``ingest``\\ s them into
 its own tracer, so the caller ends up holding the whole tree.
 
 Ids are minted deterministically from a process-local counter qualified
-by pid (the repo's determinism lint bans global-state RNG and clocks in
-identifiers); timestamps are ``time.monotonic()`` seconds, comparable
-within a process only — cross-process ordering comes from the parent
-links, not the clock.
+by pid (the determinism invariants in ``tests/test_invariants.py`` ban
+global-state RNG and wall clocks); timestamps are ``time.monotonic()``
+seconds, comparable within a process only — cross-process ordering comes
+from the parent links, not the clock.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ class Span:
     def end(self, at: Optional[float] = None, status: Optional[str] = None) -> None:
         if self.end_s is not None:  # idempotent: first end wins
             return
-        self.end_s = time.monotonic() if at is None else at  # repro-lint: allow[clock-monotonic]
+        self.end_s = time.monotonic() if at is None else at
         if status is not None:
             self.status = status
         tracer, self._tracer = self._tracer, None
@@ -141,7 +141,7 @@ class Tracer:
     ) -> Span:
         """Open a span; it records itself here when ended."""
         if start is None:
-            start = time.monotonic()  # repro-lint: allow[clock-monotonic]
+            start = time.monotonic()
         return Span(
             trace_id=trace_id,
             name=name,

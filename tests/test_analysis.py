@@ -1,371 +1,520 @@
-"""Tests for ``repro.analysis`` (the ``repro-lint`` invariant checker).
+"""Seeded regressions of the syntactic source invariants, and checks on the
+literals, reports and tooling around them.
 
-Three tiers:
+The checks themselves live in ``tests/test_invariants.py``, which also
+holds the real-tree test of each one.  Here:
 
-* per-rule fixture pairs — a failing and a passing snippet compiled from
-  strings for every rule family, so each contract is pinned by example;
-* the cases of the retired rpc-parity rule, now seeded regressions of
-  the real engine client against the wire's op table;
-* framework tests — suppression grammar, baseline round trip, CLI exit
-  codes, config validation (including the TOML-subset fallback parser);
-* meta-tests against the real tree — ``repro-lint`` must exit 0 over
-  ``src tests benchmarks`` with the checked-in (empty) baseline, and the
-  engine must import without dragging in ``repro.api`` (the layering fix
-  this linter exists to keep fixed).
+* every check is fed the snippets it must flag and the near misses it must
+  pass, by rule family (determinism, clocks, layering, lock blocking);
+* a scratch copy of ``src/repro`` takes a regression in a real module, to
+  show the tree walk reports it at its file and line and nowhere else;
+* the old suppression comments exempt nothing: the allowlists in
+  ``tests/test_invariants.py`` are the only exemptions, each scoped to one
+  check;
+* the layer DAG and its exceptions reject malformed entries, the README's
+  invariants table names real tests, and ``pyproject.toml`` holds only the
+  ruff tables;
+* the real engine client is held to the wire's op table, and a standalone
+  engine process never loads ``repro.api``.
 """
 
-import json
+import ast
+import fnmatch
+import graphlib
 import os
+import re
+import shutil
 import subprocess
 import sys
-import textwrap
+import tokenize
+import tomllib
 from pathlib import Path
 
 import pytest
 
-import repro.analysis.rules  # noqa: F401  (registers the built-in rules)
-from repro.analysis.cli import main, run_lint
-from repro.analysis.config import LintConfig, LintConfigError
-from repro.analysis.core import Baseline, Finding, Project, SourceFile
-from repro.analysis.registry import RULES, iter_rules
+import test_invariants as inv
 from repro.engine.backend import EngineBackend
 from repro.engine.database import Database
 from repro.engine.remote import RemoteBackend
 from repro.engine.wire import OPS, Op
 from rpc_surface import op_table_gaps, public_methods, record_ops, uncovered_methods
+from test_invariants import (
+    CHECKS,
+    LAYER_EXCEPTIONS,
+    LAYERS,
+    MONOTONIC_ALLOW,
+    MONOTONIC_CLOCKS,
+    PACKAGE,
+    PERF_CLOCKS,
+    PERF_COUNTER_ALLOW,
+    REPO_ROOT,
+    clock_monotonic,
+    clock_perf_counter,
+    clock_wall,
+    det_hash,
+    det_set_order,
+    det_unseeded_random,
+    hits,
+    layer_dag_problems,
+    layer_exception_problems,
+    layer_import,
+    lock_blocking,
+    src_modules,
+    violations,
+)
 
-REPO_ROOT = Path(__file__).resolve().parents[1]
+# The retired checker's name, spelled in parts so this file does not match
+# the searches below.
+LINTER = "-".join(("repro", "lint"))
+
+CLIENT = "src/repro/engine/remote/client.py"
 
 
-def lint_source(source, path="src/repro/optimizer/_fixture.py", config=None, rules=None):
-    """Run file-scoped rules over one in-memory fixture file."""
-    project = Project(REPO_ROOT, config or LintConfig())
-    sf = project.add(path, textwrap.dedent(source))
-    assert sf is not None, "fixture source must parse"
-    found = []
-    for registered in iter_rules("file"):
-        if rules is not None and registered.name not in rules:
-            continue
-        found.extend(registered.check(sf, project))
-    return [f for f in found if not sf.suppressed(f)]
+@pytest.fixture
+def tree(tmp_path):
+    """A scratch copy of ``src/repro`` to seed regressions into real modules."""
+    shutil.copytree(PACKAGE, tmp_path / "src" / "repro",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    return tmp_path
 
 
-def rules_of(findings):
-    return sorted(f.rule for f in findings)
+def append(root: Path, rel: str, snippet: str) -> int:
+    """Append ``snippet`` to the module at ``rel``; return its first line."""
+    path = root / rel
+    source = path.read_text(encoding="utf-8") + "\n\n"
+    path.write_text(source + snippet, encoding="utf-8")
+    return source.count("\n") + 1
+
+
+HASH_SNIPPET = "def _seeded(key):\n    return hash(key)\n"
 
 
 # ----------------------------------------------------------------------
-# determinism rules
+# determinism
 # ----------------------------------------------------------------------
 class TestDeterminismRules:
     def test_builtin_hash_flagged(self):
-        findings = lint_source(
-            """
+        assert hits(det_hash, """
             def bucket(key):
                 return hash(key) % 8
-            """,
-            rules={"det-hash"},
-        )
-        assert rules_of(findings) == ["det-hash"]
+            """) == 1
 
     def test_crc32_passes(self):
-        findings = lint_source(
-            """
+        assert hits(det_hash, """
             import zlib
 
             def bucket(key):
                 return zlib.crc32(key) % 8
-            """,
-            rules={"det-hash"},
-        )
-        assert findings == []
+            """) == 0
 
     def test_rebound_hash_name_passes(self):
-        findings = lint_source(
-            """
+        assert hits(det_hash, """
             from mymod import hash
 
             def bucket(key):
                 return hash(key) % 8
-            """,
-            rules={"det-hash"},
-        )
-        assert findings == []
+            """) == 0
 
     def test_global_state_rng_calls_flagged(self):
-        findings = lint_source(
-            """
+        assert hits(det_unseeded_random, """
             import random
             import numpy as np
 
             def sample(n):
                 return [random.random() for _ in range(n)] + list(np.random.rand(n))
-            """,
-            rules={"det-unseeded-random"},
-        )
-        assert rules_of(findings) == ["det-unseeded-random"] * 2
+            """) == 2
 
     def test_explicit_seeded_generator_passes(self):
-        findings = lint_source(
-            """
+        assert hits(det_unseeded_random, """
             import numpy as np
 
             def sample(seed, n):
                 rng = np.random.default_rng(seed)
                 return rng.normal(size=n)
-            """,
-            rules={"det-unseeded-random"},
-        )
-        assert findings == []
+            """) == 0
 
     def test_module_level_unseeded_default_rng_flagged(self):
-        findings = lint_source(
-            """
+        assert hits(det_unseeded_random, """
             import numpy as np
 
             RNG = np.random.default_rng()
-            """,
-            rules={"det-unseeded-random"},
-        )
-        assert rules_of(findings) == ["det-unseeded-random"]
+            """) == 1
 
     def test_bare_set_iteration_flagged(self):
-        findings = lint_source(
-            """
+        assert hits(det_set_order, """
             def tables(plans):
                 for name in set(p.table for p in plans):
                     yield name
                 return [kind for kind in {"scan", "join"}]
-            """,
-            rules={"det-set-order"},
-        )
-        assert rules_of(findings) == ["det-set-order"] * 2
+            """) == 2
 
     def test_sorted_set_iteration_passes(self):
-        findings = lint_source(
-            """
+        assert hits(det_set_order, """
             def tables(plans):
                 for name in sorted(set(p.table for p in plans)):
                     yield name
-            """,
-            rules={"det-set-order"},
-        )
-        assert findings == []
+            """) == 0
 
 
 # ----------------------------------------------------------------------
-# clock rules
+# clocks
 # ----------------------------------------------------------------------
+MONOTONIC_SNIPPET = """
+    import time
+
+    def now():
+        return time.monotonic()
+    """
+PERF_SNIPPET = """
+    import time
+
+    def measure():
+        return time.perf_counter()
+    """
+
+
 class TestClockRules:
     def test_wall_clock_flagged(self):
-        findings = lint_source(
-            """
+        assert hits(clock_wall, """
             import time
             from datetime import datetime
 
             def stamp():
                 return time.time(), datetime.now()
-            """,
-            rules={"clock-wall"},
-        )
-        assert rules_of(findings) == ["clock-wall"] * 2
+            """) == 2
 
     def test_wall_clock_reference_without_call_flagged(self):
-        findings = lint_source(
-            """
+        assert hits(clock_wall, """
             import time
 
             CLOCK = time.time
-            """,
-            rules={"clock-wall"},
-        )
-        assert rules_of(findings) == ["clock-wall"]
+            """) == 1
 
     def test_monotonic_outside_sanctioned_module_flagged(self):
-        source = """
-        import time
-
-        def now():
-            return time.monotonic()
-        """
-        assert rules_of(lint_source(source, rules={"clock-monotonic"})) == ["clock-monotonic"]
+        assert hits(clock_monotonic, MONOTONIC_SNIPPET) == 1
         # The sanctioned clock module is allowlisted.
-        assert lint_source(
-            source, path="src/repro/engine/context.py", rules={"clock-monotonic"}
-        ) == []
+        assert hits(clock_monotonic, MONOTONIC_SNIPPET, "src/repro/engine/context.py") == 0
 
     def test_perf_counter_allowlist(self):
-        source = """
-        import time
-
-        def measure():
-            return time.perf_counter()
-        """
-        assert rules_of(
-            lint_source(source, path="src/repro/core/batching.py", rules={"clock-perf-counter"})
-        ) == ["clock-perf-counter"]
-        assert lint_source(
-            source, path="src/repro/nn/tensor.py", rules={"clock-perf-counter"}
-        ) == []
+        assert hits(clock_perf_counter, PERF_SNIPPET, "src/repro/core/batching.py") == 1
+        assert hits(clock_perf_counter, PERF_SNIPPET, "src/repro/nn/tensor.py") == 0
         # Ops are timed in Function.apply only, not per op module.
-        assert rules_of(
-            lint_source(source, path="src/repro/nn/functional.py", rules={"clock-perf-counter"})
-        ) == ["clock-perf-counter"]
+        assert hits(clock_perf_counter, PERF_SNIPPET, "src/repro/nn/functional.py") == 1
 
-    def test_clock_rules_apply_only_under_enforced_roots(self):
-        findings = lint_source(
-            """
-            import time
-
-            def stamp():
-                return time.time()
-            """,
-            path="tests/test_something.py",
-        )
-        assert findings == []
+    def test_clock_rules_apply_only_under_enforced_roots(self, tree):
+        """Only ``src/repro`` is held to the clock rules: tests and
+        benchmarks time themselves with whatever clock they like."""
+        for rel in ("tests/test_something.py", "benchmarks/bench_something.py"):
+            path = tree / rel
+            path.parent.mkdir(parents=True)
+            path.write_text("import time\n\ndef stamp():\n    return time.time()\n")
+        assert all(module.path.startswith("src/repro/") for module in src_modules(tree))
+        assert violations(clock_wall, tree) == []
+        line = append(tree, "src/repro/core/batching.py", "import time\nSTAMP = time.time()\n")
+        assert violations(clock_wall, tree) == [f"src/repro/core/batching.py:{line + 1}"]
 
 
 # ----------------------------------------------------------------------
-# layering rule
+# layering
 # ----------------------------------------------------------------------
 class TestLayeringRule:
     def test_engine_importing_api_flagged(self):
-        findings = lint_source(
-            """
+        assert hits(layer_import, """
             from repro.api.context import RequestContext
-            """,
-            path="src/repro/engine/_fixture.py",
-            rules={"layer-import"},
-        )
-        assert rules_of(findings) == ["layer-import"]
-        assert "engine -> api" in findings[0].message
+            """, "src/repro/engine/_fixture.py") == 1
 
     def test_lazy_import_also_flagged(self):
-        findings = lint_source(
-            """
+        assert hits(layer_import, """
             def decode(data):
                 from repro.api.context import RequestContext
 
                 return RequestContext.from_wire(data)
-            """,
-            path="src/repro/engine/_fixture.py",
-            rules={"layer-import"},
-        )
-        assert rules_of(findings) == ["layer-import"]
+            """, "src/repro/engine/_fixture.py") == 1
 
     def test_api_importing_engine_passes(self):
-        findings = lint_source(
-            """
+        assert hits(layer_import, """
             from repro.engine.backend import InProcessBackend
-            """,
-            path="src/repro/api/_fixture.py",
-            rules={"layer-import"},
-        )
-        assert findings == []
+            """, "src/repro/api/_fixture.py") == 0
 
     def test_named_exception_allows_one_module_only(self):
         # engine -> workloads.base is an explicit, justified exception...
-        assert lint_source(
-            "from repro.workloads.base import WorkloadSpec\n",
-            path="src/repro/engine/_fixture.py",
-            rules={"layer-import"},
-        ) == []
+        assert hits(layer_import, "from repro.workloads.base import WorkloadSpec\n",
+                    "src/repro/engine/_fixture.py") == 0
         # ...and it does not open the rest of workloads to the engine.
-        findings = lint_source(
-            "from repro.workloads.job import build_job\n",
-            path="src/repro/engine/_fixture.py",
-            rules={"layer-import"},
-        )
-        assert rules_of(findings) == ["layer-import"]
+        assert hits(layer_import, "from repro.workloads.job import build_job\n",
+                    "src/repro/engine/_fixture.py") == 1
 
     def test_undeclared_package_flagged(self):
-        findings = lint_source(
-            "import repro.engine\n",
-            path="src/repro/newpkg/_fixture.py",
-            rules={"layer-import"},
-        )
-        assert rules_of(findings) == ["layer-import"]
-        assert "not declared" in findings[0].message
+        assert hits(layer_import, "import repro.engine\n", "src/repro/newpkg/_fixture.py") == 1
 
 
 # ----------------------------------------------------------------------
-# concurrency rule
+# blocking while holding a lock
 # ----------------------------------------------------------------------
 class TestLockBlockingRule:
     def test_blocking_call_in_with_lock_flagged(self):
-        findings = lint_source(
-            """
+        assert hits(lock_blocking, """
             def call(self, payload):
                 with self._lock:
                     return self._conn.recv()
-            """,
-            rules={"lock-blocking"},
-        )
-        assert rules_of(findings) == ["lock-blocking"]
+            """) == 1
 
     def test_acquire_try_finally_pattern_flagged(self):
-        findings = lint_source(
-            """
+        assert hits(lock_blocking, """
             def call(self, payload):
                 self._lock.acquire()
                 try:
                     return self._conn.recv()
                 finally:
                     self._lock.release()
-            """,
-            rules={"lock-blocking"},
-        )
-        assert rules_of(findings) == ["lock-blocking"]
+            """) == 1
 
     def test_blocking_call_without_lock_passes(self):
-        findings = lint_source(
-            """
+        assert hits(lock_blocking, """
             def call(self, payload):
                 return self._conn.recv()
-            """,
-            rules={"lock-blocking"},
-        )
-        assert findings == []
+            """) == 0
 
     def test_timeout_bounds_join_and_wait(self):
-        findings = lint_source(
-            """
+        assert hits(lock_blocking, """
             def stop(self):
                 with self._lock:
                     self._thread.join(5.0)
                     self._event.wait(timeout=1.0)
-            """,
-            rules={"lock-blocking"},
-        )
-        assert findings == []
-        findings = lint_source(
-            """
+            """) == 0
+        assert hits(lock_blocking, """
             def stop(self):
                 with self._lock:
                     self._thread.join()
-            """,
-            rules={"lock-blocking"},
-        )
-        assert rules_of(findings) == ["lock-blocking"]
+            """) == 1
 
     def test_named_suppression_silences_the_site(self):
-        findings = lint_source(
-            """
-            def call(self, payload):
+        """The pipe discipline is allowlisted by function, not by line."""
+        source = """
+            def _call(self, payload):
                 with self._lock:
-                    return self._conn.recv()  # repro-lint: allow[lock-blocking]
-            """,
-            rules={"lock-blocking"},
-        )
-        assert findings == []
+                    return self._conn.recv()
+            """
+        assert hits(lock_blocking, source, CLIENT) == 0
+        assert hits(lock_blocking, source, "src/repro/engine/remote/server.py") == 1
 
 
 # ----------------------------------------------------------------------
-# RPC parity: once a project rule that pattern-matched the server's
-# dispatch chain against the client's ``_call`` literals; the op table
-# (``repro.engine.wire.OPS``) now holds it, checked against a live server
-# by recording what a real client sends (``rpc_surface``).  The rule's
-# cases stay, as seeded regressions of the real client and table.
+# exemptions are the allowlists; comments exempt nothing
+# ----------------------------------------------------------------------
+class TestSuppressions:
+    def test_same_line_allow(self):
+        assert hits(det_hash, f"""
+            def bucket(key):
+                return hash(key) % 8  # {LINTER}: allow[det-hash] legacy
+            """) == 1
+
+    def test_comment_line_above_covers_next_line(self):
+        assert hits(lock_blocking, f"""
+            def call(self, payload):
+                with self._lock:
+                    # {LINTER}: allow[lock-blocking] bounded by the socket timeout
+                    return self._conn.recv()
+            """) == 1
+        # The allowlist covers the whole named function, and only it.
+        assert hits(lock_blocking, """
+            class RemoteBackend:
+                def _call(self, payload):
+                    with self._lock:
+                        self._conn.send(payload)
+                        return self._conn.recv()
+
+                def _call_twice(self, payload):
+                    with self._lock:
+                        return self._conn.recv()
+            """, CLIENT) == 1
+
+    def test_malformed_directive_is_an_error(self):
+        """No directive comment of the retired checker is left to read as
+        if it still exempted its line."""
+        stale = []
+        for top in ("src", "tests", "benchmarks"):
+            for path in sorted((REPO_ROOT / top).rglob("*.py")):
+                with tokenize.open(path) as handle:
+                    stale += [
+                        f"{path.relative_to(REPO_ROOT)}:{token.start[0]}"
+                        for token in tokenize.generate_tokens(handle.readline)
+                        if token.type == tokenize.COMMENT and LINTER in token.string
+                    ]
+        assert stale == []
+
+    def test_marker_inside_string_is_not_a_suppression(self):
+        """The checks read code, not text: a call spelled inside a string
+        or a docstring is not a call."""
+        source = '''
+            import time
+
+            def stamp():
+                """Not time.time(), and not hash(key)."""
+                return "hash(key) time.time() set(x)"
+            '''
+        assert hits(det_hash, source) == 0
+        assert hits(clock_wall, source) == 0
+        assert hits(det_set_order, source) == 0
+
+    def test_unknown_rule_name_is_a_finding_and_not_suppressible(self):
+        """An allowlist exempts its own check only."""
+        assert hits(det_hash, """
+            def _call(self, payload):
+                return hash(payload)
+            """, CLIENT) == 1
+        assert hits(clock_wall, "import time\nSTAMP = time.time()\n",
+                    "src/repro/engine/context.py") == 1
+        assert hits(clock_perf_counter, PERF_SNIPPET, "src/repro/engine/context.py") == 1
+
+
+# ----------------------------------------------------------------------
+# the tree walk and its report
+# ----------------------------------------------------------------------
+class TestBaseline:
+    def test_checked_in_baseline_is_empty(self):
+        """There is no baseline of accepted findings, and nothing else of
+        the retired checker is left in the tree."""
+        assert not (REPO_ROOT / "lint-baseline.json").exists()
+        assert not (PACKAGE / "analysis").exists()
+        for rel in ("pyproject.toml", "setup.py", "README.md", ".gitignore",
+                    ".github/workflows/ci.yml"):
+            text = (REPO_ROOT / rel).read_text(encoding="utf-8")
+            assert LINTER not in text and "repro.analysis" not in text, rel
+
+    def test_cli_baseline_round_trip(self, tree):
+        """A seeded regression is reported at its line; reverting it leaves
+        nothing behind."""
+        rel = "src/repro/optimizer/dp.py"
+        original = (tree / rel).read_text(encoding="utf-8")
+        line = append(tree, rel, HASH_SNIPPET)
+        assert violations(inv.det_hash, tree) == [f"{rel}:{line + 1}"]
+        (tree / rel).write_text(original, encoding="utf-8")
+        assert violations(inv.det_hash, tree) == []
+
+    def test_fingerprint_ignores_line_number_but_not_text(self, tree):
+        """The pipe-discipline exemption names a function, so it survives
+        the function moving but not the function being renamed."""
+        path = tree / CLIENT
+        original = path.read_text(encoding="utf-8")
+        path.write_text("# moved\n" * 7 + original, encoding="utf-8")
+        assert violations(lock_blocking, tree) == []
+        path.write_text(original.replace("def _call(", "def _call_once("), encoding="utf-8")
+        found = violations(lock_blocking, tree)
+        assert found and all(item.startswith(f"{CLIENT}:") for item in found)
+
+    def test_split_consumes_entries(self):
+        """Every clock allowlist glob lets through a clock read that would
+        otherwise fail: a glob that exempts nothing is stale."""
+        modules = src_modules()
+        for globs, clocks in ((MONOTONIC_ALLOW, MONOTONIC_CLOCKS),
+                              (PERF_COUNTER_ALLOW, PERF_CLOCKS)):
+            for glob in globs:
+                used = [module.path for module in modules
+                        if fnmatch.fnmatch(module.path, glob)
+                        and inv._clock_lines(module, clocks)]
+                assert used, f"{glob!r} exempts no clock read"
+
+
+class TestCli:
+    def test_json_output_shape(self, tree):
+        """A report is ``path:line`` per offending line: repo-relative posix
+        paths, in path order."""
+        second = append(tree, "src/repro/optimizer/dp.py", HASH_SNIPPET)
+        first = append(tree, "src/repro/catalog/schema.py", HASH_SNIPPET + HASH_SNIPPET)
+        assert violations(det_hash, tree) == [
+            f"src/repro/catalog/schema.py:{first + 1}",
+            f"src/repro/catalog/schema.py:{first + 3}",
+            f"src/repro/optimizer/dp.py:{second + 1}",
+        ]
+
+    def test_list_rules(self):
+        """Each check has its real-tree test, named after it."""
+        assert len(CHECKS) == len({check.__name__ for check in CHECKS}) == 10
+        for check in CHECKS:
+            test = getattr(inv, f"test_{check.__name__}", None)
+            assert callable(test), check.__name__
+
+    def test_real_tree_is_clean(self):
+        assert [item for check in CHECKS for item in violations(check)] == []
+
+    def test_syntax_error_is_a_parse_error_finding(self, tree):
+        """A file that does not parse fails the walk by name, instead of
+        being skipped; every Python file of the repo parses."""
+        broken = tree / "src/repro/optimizer/broken.py"
+        broken.write_text("def broken(:\n    pass\n", encoding="utf-8")
+        with pytest.raises(SyntaxError) as caught:
+            src_modules(tree)
+        assert caught.value.filename == "src/repro/optimizer/broken.py"
+        for top in ("src", "tests", "benchmarks", "examples"):
+            for path in sorted((REPO_ROOT / top).rglob("*.py")):
+                ast.parse(path.read_bytes(), filename=str(path))
+
+    def test_unknown_rule_is_usage_error(self):
+        """Every test the README's invariants table names exists."""
+        readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Invariants", 1)[1].split("\n## ", 1)[0]
+        rows = [line for line in section.splitlines() if line.startswith("|")][2:]
+        assert rows
+        for row in rows:
+            current = None
+            for name in re.findall(r"`([^`]+)`", row.split("|")[2]):
+                if "::" in name:
+                    current, name = name.split("::")
+                assert current, row
+                tree = ast.parse((REPO_ROOT / "tests" / current).read_text(encoding="utf-8"))
+                defined = {node.name for node in ast.walk(tree)
+                           if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+                assert name in defined, f"{current}::{name}"
+
+
+# ----------------------------------------------------------------------
+# the layer DAG, its exceptions, and the tool configuration
+# ----------------------------------------------------------------------
+class TestConfig:
+    def test_cyclic_layer_table_rejected(self):
+        with pytest.raises(graphlib.CycleError):
+            graphlib.TopologicalSorter({**LAYERS, "storage": ("sql",)}).prepare()
+
+    def test_undeclared_dependency_rejected(self):
+        packages = set(LAYERS)
+        assert layer_dag_problems({**LAYERS, "obs": ("tracing",)}, packages) == [
+            "'obs' may import undeclared 'tracing'"
+        ]
+        assert layer_dag_problems(LAYERS, packages | {"newpkg"}) == [
+            "package 'newpkg' has no entry in the layer DAG"
+        ]
+
+    def test_malformed_exception_edge_rejected(self):
+        paths = [module.path for module in src_modules()]
+        assert layer_exception_problems(LAYER_EXCEPTIONS, LAYERS, paths) == []
+        malformed = {
+            ("tooling", "engine.wire"): "not a package",
+            ("engine", "executor.engine"): "already allowed",
+            ("engine", "workloads.nowhere"): "missing module",
+            ("engine", "workloads.base"): " ",
+        }
+        assert layer_exception_problems(malformed, LAYERS, paths) == [
+            "'tooling' -> 'engine.wire': 'tooling' is not a layered package",
+            "'engine' -> 'executor.engine': the DAG already allows it",
+            "'engine' -> 'workloads.nowhere': no such module",
+            "'engine' -> 'workloads.base': no reason given",
+        ]
+
+    def test_pyproject_table_matches_code_defaults(self):
+        """``pyproject.toml`` configures ruff only, for the Python that
+        ``setup.py`` requires."""
+        with open(REPO_ROOT / "pyproject.toml", "rb") as handle:
+            config = tomllib.load(handle)
+        assert set(config) == {"tool"} and set(config["tool"]) == {"ruff"}
+        required = re.search(r'python_requires=">=(\d+)\.(\d+)"',
+                             (REPO_ROOT / "setup.py").read_text(encoding="utf-8"))
+        assert config["tool"]["ruff"]["target-version"] == "py" + "".join(required.groups())
+
+
+# ----------------------------------------------------------------------
+# the op table: a real client made to send an op the table lacks, or a
+# handler no client sends, must be refused
 # ----------------------------------------------------------------------
 _real_stats = RemoteBackend.stats
 
@@ -411,150 +560,7 @@ class TestRpcParityRule:
 
 
 # ----------------------------------------------------------------------
-# suppression grammar
-# ----------------------------------------------------------------------
-class TestSuppressions:
-    def test_same_line_allow(self):
-        sf = SourceFile("f.py", 'x = compute()  # repro-lint: allow[det-hash]\n')
-        assert sf.allows == {1: {"det-hash"}}
-        assert sf.suppression_errors == []
-
-    def test_comment_line_above_covers_next_line(self):
-        sf = SourceFile(
-            "f.py",
-            "# repro-lint: allow[lock-blocking, det-hash]\nx = compute()\n",
-        )
-        assert sf.allows[2] == {"lock-blocking", "det-hash"}
-
-    def test_marker_inside_string_is_not_a_suppression(self):
-        sf = SourceFile("f.py", 's = "# repro-lint: allow[det-hash]"\n')
-        assert sf.allows == {}
-
-    def test_malformed_directive_is_an_error(self):
-        sf = SourceFile("f.py", "x = 1  # repro-lint: allow\n")
-        assert len(sf.suppression_errors) == 1
-        sf = SourceFile("f.py", "x = 1  # repro-lint: allow[]\n")
-        assert len(sf.suppression_errors) == 1
-
-    def test_unknown_rule_name_is_a_finding_and_not_suppressible(self, tmp_path):
-        target = tmp_path / "src" / "repro" / "optimizer"
-        target.mkdir(parents=True)
-        (target / "bad.py").write_text(
-            "x = 1  # repro-lint: allow[no-such-rule]\n"
-        )
-        _, findings, _ = run_lint(
-            tmp_path, LintConfig(), ["src"], only_rules={"det-hash"}
-        )
-        assert [f.rule for f, _text in findings] == ["bad-suppression"]
-        assert "no-such-rule" in findings[0][0].message
-
-
-# ----------------------------------------------------------------------
-# baseline
-# ----------------------------------------------------------------------
-class TestBaseline:
-    def test_fingerprint_ignores_line_number_but_not_text(self):
-        a = Finding("det-hash", "src/x.py", 10, "m")
-        b = Finding("det-hash", "src/x.py", 99, "m")
-        assert a.fingerprint("  hash(k)  ") == b.fingerprint("hash(k)")
-        assert a.fingerprint("hash(k)") != a.fingerprint("hash(v)")
-
-    def test_split_consumes_entries(self):
-        finding = Finding("det-hash", "src/x.py", 3, "m")
-        twin = Finding("det-hash", "src/x.py", 7, "m")
-        baseline = Baseline(entries=[Baseline.entry(finding, "hash(k)")])
-        fresh, grandfathered = baseline.split([(finding, "hash(k)"), (twin, "hash(k)")])
-        assert len(grandfathered) == 1 and len(fresh) == 1
-
-    def test_cli_baseline_round_trip(self, tmp_path, capsys):
-        target = tmp_path / "src" / "repro" / "optimizer"
-        target.mkdir(parents=True)
-        (target / "bad.py").write_text("def f(k):\n    return hash(k)\n")
-        base = ["--project-root", str(tmp_path), "--rules", "det-hash"]
-        assert main(base + ["src"]) == 1
-        assert main(base + ["--write-baseline", "src"]) == 0
-        entries = json.loads((tmp_path / "lint-baseline.json").read_text())["findings"]
-        assert len(entries) == 1 and entries[0]["rule"] == "det-hash"
-        capsys.readouterr()
-        # Baselined findings no longer fail...
-        assert main(base + ["src"]) == 0
-        out = capsys.readouterr().out
-        assert "1 baselined" in out
-        # ...but --no-baseline still surfaces them.
-        assert main(base + ["--no-baseline", "src"]) == 1
-
-    def test_checked_in_baseline_is_empty(self):
-        data = json.loads((REPO_ROOT / "lint-baseline.json").read_text())
-        assert data == {"version": 1, "findings": []}
-
-
-# ----------------------------------------------------------------------
-# CLI
-# ----------------------------------------------------------------------
-class TestCli:
-    def test_list_rules(self, capsys):
-        assert main(["--list-rules"]) == 0
-        out = capsys.readouterr().out
-        for name in ("det-hash", "clock-wall", "layer-import", "lock-blocking", "lock-order"):
-            assert name in out
-
-    def test_unknown_rule_is_usage_error(self):
-        assert main(["--rules", "no-such-rule", "src"]) == 2
-
-    def test_json_output_shape(self, tmp_path, capsys):
-        target = tmp_path / "src" / "repro" / "optimizer"
-        target.mkdir(parents=True)
-        (target / "bad.py").write_text("def f(k):\n    return hash(k)\n")
-        code = main(
-            ["--project-root", str(tmp_path), "--rules", "det-hash", "--json", "src"]
-        )
-        payload = json.loads(capsys.readouterr().out)
-        assert code == 1
-        assert [f["rule"] for f in payload["findings"]] == ["det-hash"]
-        assert payload["files"] == 1
-
-    def test_syntax_error_is_a_parse_error_finding(self, tmp_path):
-        (tmp_path / "src").mkdir()
-        (tmp_path / "src" / "broken.py").write_text("def f(:\n")
-        _, findings, _ = run_lint(tmp_path, LintConfig(), ["src"], only_rules=set())
-        assert [f.rule for f, _text in findings] == ["parse-error"]
-
-    def test_real_tree_is_clean(self, capsys):
-        """The meta-test: repro-lint over the actual repo finds nothing."""
-        code = main(["--project-root", str(REPO_ROOT), "src", "tests", "benchmarks"])
-        out = capsys.readouterr().out
-        assert code == 0, out
-        assert "0 findings" in out
-
-
-# ----------------------------------------------------------------------
-# config
-# ----------------------------------------------------------------------
-class TestConfig:
-    def test_cyclic_layer_table_rejected(self):
-        with pytest.raises(LintConfigError, match="cyclic"):
-            LintConfig(layers={"a": ("b",), "b": ("a",)})
-
-    def test_undeclared_dependency_rejected(self):
-        with pytest.raises(LintConfigError):
-            LintConfig(layers={"a": ("zzz",)})
-
-    def test_malformed_exception_edge_rejected(self):
-        with pytest.raises(LintConfigError, match="->"):
-            LintConfig(layer_exceptions={"nonsense": "reason"})
-
-    def test_pyproject_table_matches_code_defaults(self):
-        """[tool.repro-lint] is the declarative source; defaults mirror it."""
-        import dataclasses
-
-        from_file = LintConfig.from_pyproject(REPO_ROOT / "pyproject.toml")
-        defaults = LintConfig()
-        for f in dataclasses.fields(LintConfig):
-            assert getattr(from_file, f.name) == getattr(defaults, f.name), f.name
-
-
-# ----------------------------------------------------------------------
-# the layering fix the linter guards (engine must not import repro.api)
+# the layering fix the DAG keeps fixed (engine must not import repro.api)
 # ----------------------------------------------------------------------
 class TestEngineApiDecoupling:
     def test_engine_imports_pull_no_api_modules(self):

@@ -1,597 +1,282 @@
-"""Tests for the flow-aware half of ``repro.analysis``.
+"""Seeded regressions of the flow invariants — lock order and resource
+release — and the request-context contract that replaced a static rule.
 
-Covers the foundations (CFG shape, dataflow fixpoints, call-graph
-resolution) on synthetic functions, a failing + passing fixture pair for
-every flow rule family (lock-order, ctx-propagation, resource-release),
-the cases of the retired rpc-arity rule as seeded regressions of the
-real engine client, the incremental CLI (``--since``, ``--cache``,
-SARIF), and the meta-test that the real tree lints clean under the flow
-rules.
+The checks live in ``tests/test_invariants.py``.  Here:
+
+* ``lock_order`` on the deadlocks it must find: nested ``with`` blocks,
+  calls into same-module functions, constructors and inherited methods;
+* ``resource_release`` on every path shape it follows (straight line,
+  both arms of an ``if``, loops, handlers, ``finally``) and the leaks each
+  can hide;
+* a scratch copy of ``src/repro``: the walk re-parses only edited files,
+  never caches a verdict, and reports a regression in a real module;
+* request contexts, at run time: every batch entry point consults its
+  ``ctxs`` before the work, environments forward them, and a context the
+  service mints reaches the engine;
+* the engine client's request bodies against the wire's op table.
 """
 
 import ast
-import json
-import textwrap
-from pathlib import Path
+import inspect
+import shutil
+import time
 
 import pytest
 
-import repro.analysis.rules  # noqa: F401  (registers the built-in rules)
-from repro.analysis.cfg import build_cfg
-from repro.analysis.callgraph import CallGraph, module_name
-from repro.analysis.cli import changed_files, main, run_lint
-from repro.analysis.config import LintConfig
-from repro.analysis.core import Project
-from repro.analysis.dataflow import solve_backward, solve_forward
-from repro.analysis.registry import RULES, iter_rules
+import test_invariants as inv
+from repro.api import DeadlineExceededError, FossConfig, FossSession, RequestContext
+from repro.core.aam import AAMConfig
+from repro.engine.backend import EngineBackend
+from repro.engine.database import Database
 from repro.engine.remote import RemoteBackend, RemoteEngineError
 from repro.engine.remote import client as client_module
 from repro.engine.wire import OPS, check_body, decode_message, encode_message
 from rpc_surface import op_table_gaps, record_ops
+from test_invariants import (
+    CHECKS,
+    PACKAGE,
+    REPO_ROOT,
+    hits,
+    layer_import,
+    lock_blocking,
+    lock_order,
+    module_name,
+    parse,
+    resource_release,
+    src_modules,
+    violations,
+)
 
-REPO_ROOT = Path(__file__).resolve().parents[1]
-
-#: A root that exists nowhere on disk: project rules then see only the
-#: in-memory fixture files added below, never the real tree.
-FIXTURE_ROOT = Path("/nonexistent-analysis-fixtures")
-
-
-def cfg_of(source):
-    tree = ast.parse(textwrap.dedent(source))
-    func = tree.body[0]
-    assert isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
-    return build_cfg(func)
-
-
-def fixture_project(files, config=None):
-    project = Project(FIXTURE_ROOT, config or LintConfig())
-    for relpath, source in files.items():
-        sf = project.add(relpath, textwrap.dedent(source))
-        assert sf is not None, f"fixture {relpath} must parse"
-    return project
+CLIENT = "src/repro/engine/remote/client.py"
 
 
-def lint_file(source, path="src/repro/optimizer/_fixture.py", rules=None, config=None):
-    project = fixture_project({path: source}, config)
-    sf = project.files[path]
-    found = []
-    for registered in iter_rules("file"):
-        if rules is not None and registered.name not in rules:
-            continue
-        found.extend(registered.check(sf, project))
-    return [f for f in found if not sf.suppressed(f)]
-
-
-def rules_of(findings):
-    return sorted(f.rule for f in findings)
+@pytest.fixture
+def tree(tmp_path):
+    """A scratch copy of ``src/repro`` to seed regressions into real modules."""
+    shutil.copytree(PACKAGE, tmp_path / "src" / "repro",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    return tmp_path
 
 
 # ----------------------------------------------------------------------
-# CFG construction
-# ----------------------------------------------------------------------
-class TestCfg:
-    def test_linear_function_chains_to_exit(self):
-        cfg = cfg_of(
-            """
-            def f(x):
-                y = x + 1
-                return y
-            """
-        )
-        assign = cfg.find_blocks(lambda s: isinstance(s, ast.Assign))[0]
-        ret = cfg.find_blocks(lambda s: isinstance(s, ast.Return))[0]
-        assert (assign.id, "next") in [(b, k) for b, k in cfg.entry.succs] or (
-            assign.id,
-            "next",
-        ) in cfg.entry.succs
-        assert (ret.id, "next") in assign.succs
-        assert (cfg.exit.id, "return") in ret.succs
-
-    def test_if_else_has_true_false_edges_and_join(self):
-        cfg = cfg_of(
-            """
-            def f(x):
-                if x:
-                    a = 1
-                else:
-                    a = 2
-                return a
-            """
-        )
-        branch = cfg.find_blocks(lambda s: isinstance(s, ast.If))[0]
-        kinds = sorted(kind for _, kind in branch.succs)
-        assert kinds == ["false", "true"]
-        # Both assignment arms reach the same return block.
-        ret = cfg.find_blocks(lambda s: isinstance(s, ast.Return))[0]
-        reaching = {b.id for b in cfg.reachable()}
-        assert ret.id in reaching
-
-    def test_while_loop_back_edge_and_break(self):
-        cfg = cfg_of(
-            """
-            def f(xs):
-                while xs:
-                    if done(xs):
-                        break
-                    step(xs)
-                return xs
-            """
-        )
-        header = cfg.find_blocks(lambda s: isinstance(s, ast.While))[0]
-        assert any(kind == "loop" and dst == header.id for dst, kind in _all_edges(cfg))
-        brk = cfg.find_blocks(lambda s: isinstance(s, ast.Break))[0]
-        assert any(kind == "break" for _, kind in brk.succs)
-
-    def test_while_true_without_break_never_falls_through(self):
-        cfg = cfg_of(
-            """
-            def f():
-                while True:
-                    spin()
-                return 1
-            """
-        )
-        # The trailing return is unreachable: never built into the graph.
-        assert cfg.find_blocks(lambda s: isinstance(s, ast.Return)) == []
-
-    def test_call_statement_gets_exception_edge_to_raise_exit(self):
-        cfg = cfg_of(
-            """
-            def f():
-                work()
-            """
-        )
-        call = cfg.find_blocks(lambda s: isinstance(s, ast.Expr))[0]
-        assert (cfg.raise_exit.id, "except") in call.succs
-
-    def test_except_handler_receives_exception_edge(self):
-        cfg = cfg_of(
-            """
-            def f():
-                try:
-                    work()
-                except ValueError:
-                    recover()
-            """
-        )
-        call = cfg.find_blocks(
-            lambda s: isinstance(s, ast.Expr)
-            and isinstance(s.value, ast.Call)
-            and s.value.func.id == "work"
-        )[0]
-        handler = cfg.find_blocks(lambda s: isinstance(s, ast.ExceptHandler))[0]
-        assert (handler.id, "except") in call.succs
-        # ValueError is not a catch-all: the exception can also continue out.
-        assert (cfg.raise_exit.id, "except") in call.succs
-
-    def test_catchall_handler_stops_propagation(self):
-        cfg = cfg_of(
-            """
-            def f():
-                try:
-                    work()
-                except Exception:
-                    pass
-            """
-        )
-        call = cfg.find_blocks(
-            lambda s: isinstance(s, ast.Expr) and isinstance(s.value, ast.Call)
-        )[0]
-        assert (cfg.raise_exit.id, "except") not in call.succs
-
-    def test_finally_runs_on_exception_path_and_return_path(self):
-        cfg = cfg_of(
-            """
-            def f():
-                try:
-                    work()
-                    return 1
-                finally:
-                    cleanup()
-            """
-        )
-        cleanup = cfg.find_blocks(
-            lambda s: isinstance(s, ast.Expr)
-            and isinstance(s.value, ast.Call)
-            and s.value.func.id == "cleanup"
-        )[0]
-        reachable_from_cleanup = {b.id for b in cfg.reachable(cleanup)}
-        assert cfg.exit.id in reachable_from_cleanup  # the routed return
-        assert cfg.raise_exit.id in reachable_from_cleanup  # re-dispatch
-
-
-def _all_edges(cfg):
-    return [(dst, kind) for b in cfg.blocks for dst, kind in b.succs]
-
-
-# ----------------------------------------------------------------------
-# dataflow solver
-# ----------------------------------------------------------------------
-class TestDataflow:
-    def test_forward_all_paths_meet(self):
-        cfg = cfg_of(
-            """
-            def f(x):
-                if x:
-                    touch()
-                return 1
-            """
-        )
-
-        def transfer(block, fact):
-            touched = fact or (
-                isinstance(block.stmt, ast.Expr)
-                and any(
-                    isinstance(n, ast.Call) and getattr(n.func, "id", "") == "touch"
-                    for n in ast.walk(block.stmt)
-                )
-            )
-            return {"*": touched}
-
-        facts = solve_forward(cfg, False, transfer, all)
-        # touch() happens only on the true branch: not an all-paths fact.
-        assert facts[cfg.exit.id] is False
-
-    def test_forward_branch_kind_override(self):
-        cfg = cfg_of(
-            """
-            def f(x):
-                if x is None:
-                    a = 1
-                else:
-                    a = 2
-                return a
-            """
-        )
-        branch = cfg.find_blocks(lambda s: isinstance(s, ast.If))[0]
-
-        def transfer(block, fact):
-            if block.id == branch.id:
-                return {"*": fact, "true": "is-none", "false": "not-none"}
-            return {"*": fact}
-
-        facts = solve_forward(cfg, "top", transfer, lambda fs: "/".join(sorted(set(fs))))
-        arms = cfg.find_blocks(lambda s: isinstance(s, ast.Assign))
-        per_arm = sorted(facts[b.id] for b in arms)
-        assert per_arm == ["is-none", "not-none"]
-
-    def test_backward_reaches_entry(self):
-        cfg = cfg_of(
-            """
-            def f():
-                a = 1
-                return a
-            """
-        )
-        facts = solve_backward(cfg, 0, lambda block, fact: fact + 1, max)
-        # Entry is further from the exits than the return statement.
-        ret = cfg.find_blocks(lambda s: isinstance(s, ast.Return))[0]
-        assert facts[cfg.entry.id] > facts[ret.id]
-
-
-# ----------------------------------------------------------------------
-# call graph
-# ----------------------------------------------------------------------
-class TestCallGraph:
-    def test_module_name(self):
-        assert module_name("src/repro/engine/backend.py") == "repro.engine.backend"
-        assert module_name("src/repro/api/__init__.py") == "repro.api"
-        assert module_name("README.md") is None
-
-    def test_self_and_inherited_method_resolution(self):
-        project = fixture_project(
-            {
-                "src/repro/optimizer/_base.py": """
-                class Base:
-                    def shared(self):
-                        return 1
-                """,
-                "src/repro/optimizer/_impl.py": """
-                from repro.optimizer._base import Base
-
-                class Impl(Base):
-                    def run(self):
-                        self.own()
-                        self.shared()
-                        mystery()
-                    def own(self):
-                        return 2
-                """,
-            }
-        )
-        graph = CallGraph.build(project)
-        callees = {site.callee for site in graph.callees("repro.optimizer._impl.Impl.run")}
-        assert "repro.optimizer._impl.Impl.own" in callees
-        assert "repro.optimizer._base.Base.shared" in callees
-        assert "?mystery" in callees  # unresolved stays explicit
-
-    def test_class_constructor_resolves_to_init(self):
-        project = fixture_project(
-            {
-                "src/repro/optimizer/_ctor.py": """
-                class Thing:
-                    def __init__(self):
-                        self.x = 1
-
-                def make():
-                    return Thing()
-                """
-            }
-        )
-        graph = CallGraph.build(project)
-        callees = {s.callee for s in graph.callees("repro.optimizer._ctor.make")}
-        assert "repro.optimizer._ctor.Thing.__init__" in callees
-
-    def test_unknown_callsite_is_marked(self):
-        project = fixture_project(
-            {
-                "src/repro/optimizer/_dyn.py": """
-                def go(obj):
-                    obj.method()
-                """
-            }
-        )
-        graph = CallGraph.build(project)
-        sites = graph.callees("repro.optimizer._dyn.go")
-        assert sites and all(site.unknown for site in sites)
-
-
-# ----------------------------------------------------------------------
-# lock-order
+# lock order
 # ----------------------------------------------------------------------
 class TestLockOrder:
-    def _check(self, files):
-        project = fixture_project(files)
-        return list(RULES["lock-order"].check(project))
-
     def test_two_lock_cycle_detected(self):
         # The seeded deadlock: two locks taken in opposite orders.
-        findings = self._check(
-            {
-                "src/repro/optimizer/_deadlock.py": """
-                import threading
+        assert hits(lock_order, """
+            import threading
 
-                lock_a = threading.Lock()
-                lock_b = threading.Lock()
+            lock_a = threading.Lock()
+            lock_b = threading.Lock()
 
-                def forward():
-                    with lock_a:
-                        with lock_b:
-                            pass
-
-                def backward():
+            def forward():
+                with lock_a:
                     with lock_b:
-                        with lock_a:
-                            pass
-                """
-            }
-        )
-        assert rules_of(findings) == ["lock-order"]
-        assert "potential deadlock" in findings[0].message
-        assert "lock_a" in findings[0].message and "lock_b" in findings[0].message
+                        pass
+
+            def backward():
+                with lock_b:
+                    with lock_a:
+                        pass
+            """) == 2
 
     def test_cycle_through_call_graph_detected(self):
-        findings = self._check(
-            {
-                "src/repro/optimizer/_svc.py": """
-                import threading
+        assert hits(lock_order, """
+            import threading
 
-                class Service:
-                    def __init__(self):
-                        self._lock = threading.Lock()
-                        self._stats_lock = threading.Lock()
+            class Service:
+                def __init__(self):
+                    self._lock = threading.Lock()
+                    self._stats_lock = threading.Lock()
 
-                    def update(self):
+                def update(self):
+                    with self._lock:
+                        self._bump()
+
+                def _bump(self):
+                    with self._stats_lock:
+                        pass
+
+                def report(self):
+                    with self._stats_lock:
                         with self._lock:
-                            self._bump()
-
-                    def _bump(self):
-                        with self._stats_lock:
                             pass
-
-                    def report(self):
-                        with self._stats_lock:
-                            with self._lock:
-                                pass
-                """
-            }
-        )
-        assert rules_of(findings) == ["lock-order"]
+            """) == 2
 
     def test_consistent_order_is_clean(self):
-        findings = self._check(
-            {
-                "src/repro/optimizer/_ok.py": """
-                import threading
+        assert hits(lock_order, """
+            import threading
 
-                lock_a = threading.Lock()
-                lock_b = threading.Lock()
+            lock_a = threading.Lock()
+            lock_b = threading.Lock()
 
-                def one():
-                    with lock_a:
-                        with lock_b:
-                            pass
+            def one():
+                with lock_a:
+                    with lock_b:
+                        pass
 
-                def two():
-                    with lock_a:
-                        with lock_b:
-                            pass
-                """
-            }
-        )
-        assert findings == []
+            def two():
+                with lock_a:
+                    with lock_b:
+                        pass
+            """) == 0
 
     def test_bounded_acquire_is_exempt(self):
-        findings = self._check(
-            {
-                "src/repro/optimizer/_bounded.py": """
-                import threading
+        assert hits(lock_order, """
+            import threading
 
-                lock_a = threading.Lock()
-                lock_b = threading.Lock()
+            lock_a = threading.Lock()
+            lock_b = threading.Lock()
 
-                def one():
+            def one():
+                with lock_a:
+                    acquired = lock_b.acquire(timeout=1.0)
+
+            def two():
+                with lock_b:
                     with lock_a:
-                        acquired = lock_b.acquire(timeout=1.0)
+                        pass
+            """) == 0
 
-                def two():
+
+class TestCallGraph:
+    def test_class_constructor_resolves_to_init(self):
+        assert hits(lock_order, """
+            import threading
+
+            lock_a = threading.Lock()
+            lock_b = threading.Lock()
+
+            class Pool:
+                def __init__(self):
                     with lock_b:
-                        with lock_a:
+                        self.size = 0
+
+            def build():
+                with lock_a:
+                    return Pool()
+
+            def drain():
+                with lock_b:
+                    with lock_a:
+                        pass
+            """) == 2
+
+    def test_module_name(self):
+        assert module_name("src/repro/engine/remote/client.py") == "repro.engine.remote.client"
+        assert module_name("src/repro/engine/__init__.py") == "repro.engine"
+        # Relative imports resolve from the module's package.
+        assert hits(layer_import, "from ...api import service\n",
+                    "src/repro/engine/remote/_fixture.py") == 1
+        assert hits(layer_import, "from ..api import service\n",
+                    "src/repro/engine/__init__.py") == 1
+        assert hits(layer_import, "from ..wire import OPS\nfrom .remote import client\n",
+                    "src/repro/engine/remote/_fixture.py") == 0
+
+    def test_self_and_inherited_method_resolution(self):
+        assert hits(lock_order, """
+            import threading
+
+            registry_lock = threading.Lock()
+
+            class Base:
+                def _register(self):
+                    with registry_lock:
+                        pass
+
+            class Service(Base):
+                def update(self):
+                    with self._lock:
+                        self._register()
+
+                def report(self):
+                    with registry_lock:
+                        with self._lock:
                             pass
-                """
-            }
-        )
-        assert findings == []
+            """) == 2
+
+    def test_unknown_callsite_is_marked(self):
+        """A call into another module or another object is not guessed at:
+        it adds no edge (the known limit: one module at a time)."""
+        assert hits(lock_order, """
+            import threading
+
+            from elsewhere import refresh
+
+            class Service:
+                def update(self):
+                    with self._lock:
+                        refresh()
+                        self._peer.refresh()
+
+                def report(self):
+                    with self._peer._lock:
+                        with self._lock:
+                            pass
+            """) == 0
+
+
+class TestDataflow:
+    def test_backward_reaches_entry(self):
+        """A lock taken two calls down counts as taken by the caller."""
+        assert hits(lock_order, """
+            import threading
+
+            lock_a = threading.Lock()
+            lock_b = threading.Lock()
+
+            def entry():
+                with lock_a:
+                    middle()
+
+            def middle():
+                leaf()
+
+            def leaf():
+                with lock_b:
+                    pass
+
+            def other():
+                with lock_b:
+                    with lock_a:
+                        pass
+            """) == 2
+
+    def test_forward_all_paths_meet(self):
+        """Every arm must hand the resource off, not just one."""
+        assert hits(resource_release, """
+            import socket
+
+            class Conn:
+                def ensure(self, host, primary):
+                    sock = socket.create_connection((host, 1))
+                    if primary:
+                        self._sock = sock
+            """) == 1
+
+    def test_forward_branch_kind_override(self):
+        """A branch test that can raise is a path out, before either arm."""
+        assert hits(resource_release, """
+            import socket
+
+            class Conn:
+                def ensure(self, host):
+                    sock = socket.create_connection((host, 1))
+                    if self._check(sock):
+                        self._sock = sock
+                    else:
+                        self._spare = sock
+            """) == 1
 
 
 # ----------------------------------------------------------------------
-# ctx-propagation
-# ----------------------------------------------------------------------
-class TestCtxPropagation:
-    def test_dropped_ctxs_backend_flagged(self):
-        findings = lint_file(
-            """
-            class Backend:
-                def plan_many(self, queries, options=None, ctxs=None):
-                    return [self.plan(q, options) for q in queries]
-            """,
-            path="src/repro/engine/_fixture_backend.py",
-            rules={"ctx-propagation"},
-        )
-        assert rules_of(findings) == ["ctx-propagation"]
-        assert "ctxs" in findings[0].message
-
-    def test_consulting_ctxs_first_passes(self):
-        findings = lint_file(
-            """
-            class Backend:
-                def plan_many(self, queries, options=None, ctxs=None):
-                    if ctxs is None:
-                        return [self.plan(q, options) for q in queries]
-                    live = self._split_expired(ctxs, len(queries))
-                    return [
-                        None if ctx is None else self.plan(q, options)
-                        for q, ctx in zip(queries, live)
-                    ]
-            """,
-            path="src/repro/engine/_fixture_backend.py",
-            rules={"ctx-propagation"},
-        )
-        assert findings == []
-
-    def test_environment_dropping_ctxs_flagged(self):
-        # An episode environment that plans its cohort without the
-        # request contexts silently drops every deadline and trace.
-        findings = lint_file(
-            """
-            class Environment:
-                def begin_episode_many(self, queries, ctxs=None):
-                    plannings = self.database.plan_many(queries)
-                    return [planning.plan for planning in plannings]
-            """,
-            path="src/repro/core/_fixture_env.py",
-            rules={"ctx-propagation"},
-        )
-        assert rules_of(findings) == ["ctx-propagation"]
-        assert "begin_episode_many" in findings[0].message
-
-    def test_environment_forwarding_ctxs_passes(self):
-        findings = lint_file(
-            """
-            class Environment:
-                def begin_episode_many(self, queries, ctxs=None):
-                    plannings = self.database.plan_many(queries, ctxs=ctxs)
-                    return [planning.plan for planning in plannings]
-            """,
-            path="src/repro/core/_fixture_env.py",
-            rules={"ctx-propagation"},
-        )
-        assert findings == []
-
-    def test_protocol_stub_passes(self):
-        findings = lint_file(
-            """
-            class EngineBackend:
-                def plan_many(self, queries, options=None, ctxs=None):
-                    ...
-            """,
-            path="src/repro/engine/_fixture_proto.py",
-            rules={"ctx-propagation"},
-        )
-        assert findings == []
-
-    def test_minted_context_dropped_flagged(self):
-        findings = lint_file(
-            """
-            from repro.api.context import RequestContext
-
-            class Service:
-                def submit(self, query):
-                    ctx = RequestContext.mint(query, timeout_s=1.0)
-                    return self._backend.plan(query)
-            """,
-            path="src/repro/api/_fixture_svc.py",
-            rules={"ctx-propagation"},
-        )
-        assert rules_of(findings) == ["ctx-propagation"]
-        assert "mints" in findings[0].message
-
-    def test_minted_context_used_passes(self):
-        findings = lint_file(
-            """
-            from repro.api.context import RequestContext
-
-            class Service:
-                def submit(self, query):
-                    ctx = RequestContext.mint(query, timeout_s=1.0)
-                    return self._backend.plan(query, ctx=ctx)
-            """,
-            path="src/repro/api/_fixture_svc.py",
-            rules={"ctx-propagation"},
-        )
-        assert findings == []
-
-    def test_raise_path_may_drop_context(self):
-        # Refusing a request (admission control) legitimately abandons it.
-        findings = lint_file(
-            """
-            from repro.api.context import RequestContext
-
-            class Service:
-                def submit(self, query):
-                    ctx = RequestContext.mint(query, timeout_s=1.0)
-                    if self._full():
-                        raise RuntimeError("rejected")
-                    return self._backend.plan(query, ctx=ctx)
-            """,
-            path="src/repro/api/_fixture_svc.py",
-            rules={"ctx-propagation"},
-        )
-        assert findings == []
-
-    def test_mint_outside_api_not_held_to_contract(self):
-        findings = lint_file(
-            """
-            from repro.api.context import RequestContext
-
-            def helper(query):
-                ctx = RequestContext.mint(query, timeout_s=1.0)
-                return query
-            """,
-            path="src/repro/engine/_fixture_other.py",
-            rules={"ctx-propagation"},
-        )
-        assert findings == []
-
-
-# ----------------------------------------------------------------------
-# resource-release
+# resource release
 # ----------------------------------------------------------------------
 class TestResourceRelease:
     def test_leak_on_exception_flagged(self):
-        # The seeded fixture: settimeout/makefile raising leaks the socket.
-        findings = lint_file(
-            """
+        # settimeout/makefile raising leaks the socket.
+        assert hits(resource_release, """
             import socket
 
             class Conn:
@@ -600,15 +285,10 @@ class TestResourceRelease:
                     sock.settimeout(1.0)
                     self._sock = sock
                     self._stream = sock.makefile("rwb")
-            """,
-            rules={"resource-release"},
-        )
-        assert rules_of(findings) == ["resource-release"]
-        assert "exception" in findings[0].message
+            """) == 1
 
     def test_guarded_by_try_passes(self):
-        findings = lint_file(
-            """
+        assert hits(resource_release, """
             import socket
 
             class Conn:
@@ -622,14 +302,10 @@ class TestResourceRelease:
                         raise
                     self._sock = sock
                     self._stream = stream
-            """,
-            rules={"resource-release"},
-        )
-        assert findings == []
+            """) == 0
 
     def test_return_path_leak_flagged(self):
-        findings = lint_file(
-            """
+        assert hits(resource_release, """
             import socket
 
             def probe(host):
@@ -637,14 +313,10 @@ class TestResourceRelease:
                 if not sock:
                     return None
                 return True
-            """,
-            rules={"resource-release"},
-        )
-        assert rules_of(findings) == ["resource-release"]
+            """) == 1
 
     def test_finally_with_none_guard_passes(self):
-        findings = lint_file(
-            """
+        assert hits(resource_release, """
             def serve(sock):
                 stream = None
                 try:
@@ -653,15 +325,11 @@ class TestResourceRelease:
                 finally:
                     if stream is not None:
                         stream.close()
-            """,
-            rules={"resource-release"},
-        )
-        assert findings == []
+            """) == 0
 
     def test_spawn_loop_without_cleanup_flagged(self):
-        # The unguarded shape: Process()/start() raising leaks the pipe.
-        findings = lint_file(
-            """
+        # Process()/start() raising leaks the parent end of the pipe.
+        assert hits(resource_release, """
             import multiprocessing
 
             class Pool:
@@ -671,15 +339,10 @@ class TestResourceRelease:
                     proc.start()
                     child_conn.close()
                     self._conns.append(parent_conn)
-            """,
-            rules={"resource-release"},
-        )
-        assert rules_of(findings) == ["resource-release"]
-        assert "parent_conn" in findings[0].message
+            """) == 1
 
     def test_guarded_spawn_with_ownership_transfer_passes(self):
-        findings = lint_file(
-            """
+        assert hits(resource_release, """
             import multiprocessing
 
             class Pool:
@@ -694,14 +357,10 @@ class TestResourceRelease:
                         raise
                     child_conn.close()
                     self._conns.append(parent_conn)
-            """,
-            rules={"resource-release"},
-        )
-        assert findings == []
+            """) == 0
 
     def test_connection_lock_release_through_chain_passes(self):
-        findings = lint_file(
-            """
+        assert hits(resource_release, """
             class Client:
                 def call(self, request):
                     conn = self._acquire()
@@ -709,43 +368,378 @@ class TestResourceRelease:
                         return conn.round_trip(request)
                     finally:
                         conn.lock.release()
-            """,
-            rules={"resource-release"},
-        )
-        assert findings == []
+            """) == 0
 
     def test_acquired_lock_leak_flagged(self):
-        findings = lint_file(
-            """
+        assert hits(resource_release, """
             class Client:
                 def call(self, request):
                     conn = self._acquire()
                     return conn.round_trip(request)
-            """,
-            rules={"resource-release"},
-        )
-        assert rules_of(findings) == ["resource-release"]
+            """) == 1
 
     def test_tokenizer_accept_not_a_socket(self):
-        # Dotted config keys: the SQL parser's self.accept() is unrelated.
-        findings = lint_file(
-            """
+        # The SQL parser's self.accept() is not a socket accept.
+        assert hits(resource_release, """
             class Parser:
                 def parse(self):
                     token = self.accept("ident")
                     return token
-            """,
-            rules={"resource-release"},
-        )
-        assert findings == []
+            """) == 0
+
+
+class TestCfg:
+    def test_linear_function_chains_to_exit(self):
+        assert hits(resource_release, """
+            import socket
+
+            class Conn:
+                def ensure(self, host):
+                    sock = socket.create_connection((host, 1))
+                    label = "engine"
+                    self._sock = sock
+            """) == 0
+
+    def test_call_statement_gets_exception_edge_to_raise_exit(self):
+        assert hits(resource_release, """
+            import socket
+
+            class Conn:
+                def ensure(self, host):
+                    sock = socket.create_connection((host, 1))
+                    log("connected")
+                    self._sock = sock
+            """) == 1
+
+    def test_if_else_has_true_false_edges_and_join(self):
+        assert hits(resource_release, """
+            import socket
+
+            class Conn:
+                def ensure(self, host, primary):
+                    sock = socket.create_connection((host, 1))
+                    if primary:
+                        self._primary = sock
+                    else:
+                        self._backup = sock
+            """) == 0
+        # Both arms fall through to the join, which hands the socket off.
+        assert hits(resource_release, """
+            import socket
+
+            class Conn:
+                def ensure(self, host, primary):
+                    sock = socket.create_connection((host, 1))
+                    if primary:
+                        self._role = "primary"
+                    else:
+                        self._role = "backup"
+                    self._sock = sock
+            """) == 0
+
+    def test_while_loop_back_edge_and_break(self):
+        """A loop between acquiring and handing off has more paths than the
+        walk follows, so it counts as one that can raise."""
+        assert hits(resource_release, """
+            import socket
+
+            class Conn:
+                def ensure(self, host):
+                    sock = socket.create_connection((host, 1))
+                    while not self._ready:
+                        self._ready = True
+                    self._sock = sock
+            """) == 1
+
+    def test_while_true_without_break_never_falls_through(self):
+        """An accept loop must give each connection an owner in the same
+        iteration; passing it to a plain call does not."""
+        assert hits(resource_release, """
+            class Server:
+                def serve(self):
+                    while True:
+                        conn, _addr = self._listener.accept()
+                        self._clients.append(conn)
+            """) == 0
+        assert hits(resource_release, """
+            class Server:
+                def serve(self):
+                    while True:
+                        conn, _addr = self._listener.accept()
+                        self._handle(conn)
+            """) == 1
+
+    def test_except_handler_receives_exception_edge(self):
+        assert hits(resource_release, """
+            import socket
+
+            class Conn:
+                def ensure(self, host):
+                    sock = socket.create_connection((host, 1))
+                    try:
+                        self._stream = sock.makefile("rwb")
+                    except OSError:
+                        sock.close()
+                        raise
+                    self._sock = sock
+            """) == 0
+
+    def test_catchall_handler_stops_propagation(self):
+        """A handler that swallows the error and returns leaks what it
+        does not close."""
+        assert hits(resource_release, """
+            import socket
+
+            class Conn:
+                def ensure(self, host):
+                    sock = socket.create_connection((host, 1))
+                    try:
+                        sock.settimeout(1.0)
+                    except BaseException:
+                        return None
+                    self._sock = sock
+            """) == 1
+
+    def test_finally_runs_on_exception_path_and_return_path(self):
+        assert hits(resource_release, """
+            import socket
+
+            def probe(host):
+                try:
+                    sock = socket.create_connection((host, 1))
+                    if sock.fileno() < 0:
+                        return False
+                    return ping(sock)
+                finally:
+                    sock.close()
+            """) == 0
 
 
 # ----------------------------------------------------------------------
-# rpc-arity: once a flow rule over the client's payload literals and the
-# server's destructuring branches; every body is now checked whole
-# against its op's shape (``repro.engine.wire.check_body``), and the
-# rule's cases stay as seeded regressions of the real client
-# (``rpc_surface`` records what it sends to a live server).
+# the real tree
+# ----------------------------------------------------------------------
+class TestRealTreeFlow:
+    def test_real_pool_locks_have_no_cycle(self):
+        """Every pooled connection's lock is one lock to the order check,
+        and the client's locks form no cycle."""
+        def name(text):
+            return inv._lock_name(ast.parse(text, mode="eval").body, "RemoteBackend")
+
+        assert name("self._pool[i].lock") == name("self._pool[j + 1].lock") \
+            == "RemoteBackend._pool.lock"
+        [client] = [module for module in src_modules() if module.path == CLIENT]
+        assert lock_order(client) == []
+
+    def test_real_tree_clean_under_flow_rules(self):
+        for check in (lock_blocking, lock_order, resource_release):
+            assert violations(check) == [], check.__name__
+
+
+class TestIncrementalCli:
+    def test_cache_round_trip_and_invalidation(self, tree):
+        """A copy of the tree re-parses only the file it edited."""
+        rel = "src/repro/optimizer/dp.py"
+        path = tree / rel
+        path.write_text(path.read_text(encoding="utf-8") + "\nEDITED = True\n", encoding="utf-8")
+        real = {module.path: module for module in src_modules()}
+        copy = {module.path: module for module in src_modules(tree)}
+        assert real.keys() == copy.keys()
+        assert [p for p in real if real[p] is not copy[p]] == [rel]
+
+    def test_cache_salt_invalidates_on_config_change(self, monkeypatch):
+        """Parses are cached, verdicts are not: an allowlist change holds at
+        once."""
+        assert violations(lock_blocking) == []
+        monkeypatch.setattr(inv, "LOCK_BLOCKING_ALLOW", {})
+        found = violations(lock_blocking)
+        assert found and all(item.startswith(f"{CLIENT}:") for item in found)
+
+    def test_changed_files_in_a_real_checkout(self, tree):
+        """The connection setup's handler forgetting to close its socket is
+        reported in the client, and only there."""
+        path = tree / CLIENT
+        original = path.read_text(encoding="utf-8")
+        guarded = "        except BaseException:\n            sock.close()\n            raise\n"
+        assert original.count(guarded) == 1
+        path.write_text(
+            original.replace(guarded, "        except BaseException:\n            raise\n"),
+            encoding="utf-8",
+        )
+        found = violations(resource_release, tree)
+        assert len(found) == 1 and found[0].startswith(f"{CLIENT}:")
+
+    def test_changed_files_outside_git_degrades(self, tree):
+        """A file no version control knows about is walked like any other."""
+        new = tree / "src/repro/engine/_scratch.py"
+        new.write_text("from repro.api import service\n", encoding="utf-8")
+        assert not (tree / ".git").exists()
+        assert violations(layer_import, tree) == ["src/repro/engine/_scratch.py:1"]
+
+    def test_restrict_limits_file_rules(self):
+        """Each seeded regression trips its own check and no other."""
+        seeded = {
+            inv.det_hash: "def _f(key):\n    return hash(key)\n",
+            inv.det_unseeded_random: "import random\nX = random.random()\n",
+            inv.det_set_order: "Y = [k for k in {1, 2}]\n",
+            inv.clock_wall: "import time\nZ = time.time()\n",
+            inv.clock_monotonic: "import time\nZ = time.monotonic()\n",
+            inv.clock_perf_counter: "import time\nZ = time.perf_counter()\n",
+            inv.layer_import: "from repro.api import service\n",
+        }
+        rel = "src/repro/optimizer/dp.py"
+        original = (REPO_ROOT / rel).read_text(encoding="utf-8")
+        assert [check.__name__ for check in CHECKS if check(parse(rel, original))] == []
+        for check, snippet in seeded.items():
+            module = parse(rel, original + "\n" + snippet)
+            tripped = [other.__name__ for other in CHECKS if other(module)]
+            assert tripped == [check.__name__]
+
+
+# ----------------------------------------------------------------------
+# request contexts reach the work they bound
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def session(job_workload) -> FossSession:
+    """An untrained (deterministically initialized) session over JOB."""
+    return FossSession.open(workload=job_workload, config=FossConfig(
+        max_steps=3, episodes_per_update=8, bootstrap_episodes=6, aam_retrain_threshold=40,
+        random_sample_episodes=1, validation_budget=5, seed=33,
+        aam=AAMConfig(d_model=32, d_embed=8, d_state=32, num_heads=2, num_layers=1,
+                      ff_hidden=32, epochs=1),
+    ))
+
+
+def expired_ctx() -> RequestContext:
+    return RequestContext.mint(tenant="t", deadline_s=0.0)
+
+
+def live_ctx() -> RequestContext:
+    return RequestContext.mint(tenant="t", deadline_s=600.0)
+
+
+BATCH_METHODS = ("plan_many", "plan_with_hints_many", "execute_many")
+
+
+class TestCtxPropagation:
+    def test_protocol_stub_passes(self):
+        """Every singleton call takes ``ctx`` and every batch call ``ctxs``,
+        in the protocol and in both backends alike."""
+        for method in ("plan", "plan_with_hints", "execute", *BATCH_METHODS):
+            wanted = "ctxs" if method.endswith("_many") else "ctx"
+            shapes = [list(inspect.signature(getattr(cls, method)).parameters)
+                      for cls in (EngineBackend, Database, RemoteBackend)]
+            assert shapes[0][-1] == wanted, method
+            assert shapes[0] == shapes[1] == shapes[2], method
+        assert sorted(name for name in vars(EngineBackend) if name.endswith("_many")) \
+            == sorted(BATCH_METHODS)
+
+    def test_consulting_ctxs_first_passes(self, job_database):
+        """An expired slot is answered before its request is even read."""
+        query = job_database.sql("SELECT COUNT(*) FROM title t", "q")
+        malformed = {
+            "plan_many": [object()],
+            "plan_with_hints_many": [(object(), None, None)],
+            "execute_many": [(query, object(), None)],
+        }
+        for method in BATCH_METHODS:
+            assert getattr(job_database, method)(malformed[method], ctxs=[expired_ctx()]) \
+                == [None], method
+
+    def test_dropped_ctxs_backend_flagged(self, job_database, job_workload, monkeypatch):
+        """A budget that runs out during the batch drops the items after it."""
+        queries = [wq.query for wq in job_workload.train[:2]]
+        doomed = RequestContext.mint(tenant="t", deadline_s=0.3)
+        plan, planned = job_database.plan, []
+
+        def slow_plan(query, options=None, ctx=None):
+            planned.append(query)
+            while not doomed.expired():
+                time.sleep(0.01)
+            return plan(query, options)
+
+        monkeypatch.setattr(job_database, "plan", slow_plan)
+        results = job_database.plan_many(queries, ctxs=[None, doomed])
+        assert results[0] is not None and results[1] is None
+        assert planned == queries[:1]
+
+    def test_environment_dropping_ctxs_flagged(self, session, job_workload):
+        """The inference environment's batch planning keeps its contexts:
+        an expired one surfaces as a deadline error."""
+        environment = session.optimizer()._environment
+        query = job_workload.train[0].query
+        with pytest.raises(DeadlineExceededError):
+            environment.begin_episode_many([query], ctxs=[expired_ctx()])
+
+    def test_environment_forwarding_ctxs_passes(self, session, job_workload, monkeypatch):
+        optimizer = session.optimizer()
+        plan_many, seen = optimizer.database.plan_many, []
+
+        def spy(queries, options=None, ctxs=None):
+            seen.append(ctxs)
+            return plan_many(queries, options, ctxs=ctxs)
+
+        monkeypatch.setattr(optimizer.database, "plan_many", spy)
+        ctxs = [live_ctx(), None]
+        queries = [wq.query for wq in job_workload.train[:2]]
+        assert len(optimizer._environment.begin_episode_many(queries, ctxs=ctxs)) == 2
+        assert seen == [ctxs]
+
+    def test_minted_context_used_passes(self, session, job_workload, monkeypatch):
+        """The context ``optimize_sql`` mints from ``deadline_s`` carries the
+        tenant and the budget to the engine's planning call."""
+        service = session.service(tenant="ctx-tenant")
+        database = session.optimizer().database
+        plan_many, seen = database.plan_many, []
+
+        def spy(queries, options=None, ctxs=None):
+            seen.extend(ctx for ctx in ctxs or () if ctx is not None)
+            return plan_many(queries, options, ctxs=ctxs)
+
+        monkeypatch.setattr(database, "plan_many", spy)
+        service.optimize_sql(job_workload.train[7].sql, deadline_s=600.0)
+        assert seen and {(ctx.tenant, ctx.deadline_s) for ctx in seen} == {("ctx-tenant", 600.0)}
+
+    def test_minted_context_dropped_flagged(self, session, job_workload, monkeypatch):
+        """``execute_sql``'s minted budget caps the engine's timeout."""
+        service = session.service()
+        execute, timeouts = service.backend.execute, []
+
+        def spy(query, plan, timeout_ms=None, ctx=None):
+            timeouts.append(timeout_ms)
+            return execute(query, plan, timeout_ms=timeout_ms)
+
+        monkeypatch.setattr(service.backend, "execute", spy)
+        service.execute_sql(job_workload.train[8].sql, deadline_s=600.0)
+        assert len(timeouts) == 1 and 0.0 < timeouts[0] <= 600_000.0
+
+    def test_raise_path_may_drop_context(self, session, job_workload, monkeypatch):
+        """Refusing a spent budget abandons the request before any engine
+        call."""
+        service = session.service()
+        calls = []
+        for method in ("sql", "plan_many", "execute"):
+            real = getattr(service.backend, method)
+            monkeypatch.setattr(service.backend, method,
+                                lambda *args, _real=real, **kwargs: calls.append(args) or
+                                _real(*args, **kwargs))
+        with pytest.raises(DeadlineExceededError):
+            service.execute_sql(job_workload.train[9].sql, ctx=expired_ctx())
+        assert calls == []
+        assert service.stats()["expired"] == 1
+
+    def test_mint_outside_api_not_held_to_contract(self):
+        """Only ``repro.api`` mints contexts; the engine rebuilds the ones it
+        is sent, so there is no context below the api that nothing reads."""
+        minted = [
+            module.path for module in src_modules() for node in ast.walk(module.tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "mint"
+        ]
+        assert minted and all(path.startswith("src/repro/api/") for path in minted)
+
+
+# ----------------------------------------------------------------------
+# request bodies against the op table
 # ----------------------------------------------------------------------
 _real_call = RemoteBackend._call
 
@@ -802,159 +796,3 @@ class TestRpcArity:
         gaps = op_table_gaps(sent)
         assert gaps[0] == "client sends 'fingerprints': unknown engine RPC 'fingerprints'"
         assert "'fingerprint' is in the op table but no client call sends it" in gaps
-
-
-# ----------------------------------------------------------------------
-# incremental CLI: --since, --cache, SARIF
-# ----------------------------------------------------------------------
-class TestIncrementalCli:
-    def _seed(self, tmp_path, dirty=True):
-        target = tmp_path / "src" / "repro" / "optimizer"
-        target.mkdir(parents=True)
-        body = "return hash(key) % 8" if dirty else "return len(key) % 8"
-        (target / "mod.py").write_text(
-            f"def bucket(key):\n    {body}\n", encoding="utf-8"
-        )
-        return target / "mod.py"
-
-    def test_changed_files_in_a_real_checkout(self):
-        changed = changed_files(REPO_ROOT, "HEAD")
-        assert changed is not None  # the repo under test is a git checkout
-
-    def test_changed_files_outside_git_degrades(self, tmp_path):
-        assert changed_files(tmp_path, "HEAD") is None
-
-    def test_restrict_limits_file_rules(self, tmp_path):
-        self._seed(tmp_path)
-        config = LintConfig()
-        _, dirty, _ = run_lint(tmp_path, config, ["src"], only_rules={"det-hash"})
-        assert [f.rule for f, _ in dirty] == ["det-hash"]
-        _, restricted, _ = run_lint(
-            tmp_path, config, ["src"], only_rules={"det-hash"}, restrict=set()
-        )
-        assert restricted == []
-
-    def test_since_falls_back_outside_git(self, tmp_path, capsys):
-        self._seed(tmp_path)
-        code = main(
-            [
-                "--project-root",
-                str(tmp_path),
-                "--since",
-                "HEAD",
-                "--no-baseline",
-                "--rules",
-                "det-hash",
-                "src",
-            ]
-        )
-        captured = capsys.readouterr()
-        assert code == 1  # fell back to the full run and found det-hash
-        assert "falling back" in captured.err
-
-    def test_cache_round_trip_and_invalidation(self, tmp_path, capsys):
-        mod = self._seed(tmp_path)
-        base = [
-            "--project-root",
-            str(tmp_path),
-            "--no-baseline",
-            "--cache",
-            "--rules",
-            "det-hash",
-            "src",
-        ]
-        assert main(base) == 1
-        cache_file = tmp_path / ".repro-lint-cache.json"
-        assert cache_file.is_file()
-        capsys.readouterr()
-        # Warm run: same verdict served from the cache.
-        assert main(base) == 1
-        first = capsys.readouterr().out
-        assert "det-hash" in first
-        # Editing the file invalidates its entry.
-        mod.write_text("def bucket(key):\n    return len(key) % 8\n", encoding="utf-8")
-        assert main(base) == 0
-
-    def test_cache_salt_invalidates_on_config_change(self, tmp_path):
-        from repro.analysis.cache import ResultCache, config_salt
-
-        salt_a = config_salt(LintConfig(), ("r1",))
-        salt_b = config_salt(LintConfig(baseline="other.json"), ("r1",))
-        salt_c = config_salt(LintConfig(), ("r1", "r2"))
-        assert len({salt_a, salt_b, salt_c}) == 3
-        # A cache written under one salt is ignored under another.
-        path = tmp_path / "cache.json"
-        cache = ResultCache(path, salt_a)
-        cache.put("src/x.py", "aa", [], [], 0)
-        cache.save()
-        reloaded = ResultCache.load(path, LintConfig(baseline="other.json"), ("r1",))
-        assert reloaded.entries == {}
-
-    def test_sarif_output_shape(self, tmp_path, capsys):
-        self._seed(tmp_path)
-        code = main(
-            [
-                "--project-root",
-                str(tmp_path),
-                "--no-baseline",
-                "--rules",
-                "det-hash",
-                "--format",
-                "sarif",
-                "src",
-            ]
-        )
-        payload = json.loads(capsys.readouterr().out)
-        assert code == 1
-        assert payload["version"] == "2.1.0"
-        run = payload["runs"][0]
-        assert run["tool"]["driver"]["name"] == "repro-lint"
-        result = run["results"][0]
-        assert result["ruleId"] == "det-hash"
-        location = result["locations"][0]["physicalLocation"]
-        assert location["artifactLocation"]["uri"] == "src/repro/optimizer/mod.py"
-        assert location["region"]["startLine"] == 2
-        rule_ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
-        assert "det-hash" in rule_ids
-
-    def test_json_alias_still_works(self, tmp_path, capsys):
-        self._seed(tmp_path)
-        code = main(
-            [
-                "--project-root",
-                str(tmp_path),
-                "--no-baseline",
-                "--rules",
-                "det-hash",
-                "--json",
-                "src",
-            ]
-        )
-        payload = json.loads(capsys.readouterr().out)
-        assert code == 1
-        assert payload["findings"][0]["rule"] == "det-hash"
-
-
-# ----------------------------------------------------------------------
-# meta: the real tree under the flow rules
-# ----------------------------------------------------------------------
-class TestRealTreeFlow:
-    def test_real_tree_clean_under_flow_rules(self):
-        code = main(
-            [
-                "--project-root",
-                str(REPO_ROOT),
-                "--rules",
-                "lock-order,ctx-propagation,resource-release",
-                "src",
-            ]
-        )
-        assert code == 0
-
-    def test_real_pool_locks_have_no_cycle(self):
-        # The acceptance check spelled out in the issue: the lock graph
-        # over the real OptimizerService / ServiceGroup / RemoteBackend
-        # code has no cross-lock cycle.
-        project = Project(REPO_ROOT, LintConfig())
-        findings = list(RULES["lock-order"].check(project))
-        assert findings == []
