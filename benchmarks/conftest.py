@@ -3,7 +3,7 @@
 Every paper table/figure has one bench module.  Training the five learned
 methods on three workloads at paper scale takes GPU-days; the benches
 reproduce the *shape* at laptop scale: small data (``REPRO_BENCH_SCALE``,
-default 0.05) and short training budgets (``REPRO_BENCH_ITERS``, default 6).
+default 0.04) and short training budgets (``REPRO_BENCH_ITERS``, default 4).
 Raise both via environment variables for closer-to-paper runs.
 
 Results are cached per session so Table I, Fig. 4 and Fig. 5 share one
@@ -31,7 +31,7 @@ BASELINE_ITERS = max(1, BENCH_ITERS // 3)
 
 # Balsa's wall-clock training budget per workload; exceeding it marks TLE
 # (the paper reports TLE for Balsa on Stack).
-BALSA_BUDGET_S = float(os.environ.get("REPRO_BALSA_BUDGET_S", "120"))
+BALSA_BUDGET_S = 120.0
 
 
 def small_foss_config(**overrides) -> FossConfig:

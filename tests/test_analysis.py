@@ -12,8 +12,8 @@ holds the real-tree test of each one.  Here:
   ``tests/test_invariants.py`` are the only exemptions, each scoped to one
   check;
 * the layer DAG and its exceptions reject malformed entries, the README's
-  invariants table names real tests, and ``pyproject.toml`` holds only the
-  ruff tables;
+  invariants table and its performance contracts name real tests, and
+  ``pyproject.toml`` holds only the ruff tables;
 * the real engine client is held to the wire's op table, and a standalone
   engine process never loads ``repro.api``.
 """
@@ -466,6 +466,27 @@ class TestCli:
                 defined = {node.name for node in ast.walk(tree)
                            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
                 assert name in defined, f"{current}::{name}"
+
+    def test_readme_performance_contracts_name_tier1_tests(self):
+        """Each contract under the README's "Performance" names a tier-1
+        test by its node id, and every id it names exists."""
+        readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## Performance", 1)[1].split("\n## ", 1)[0]
+        contracts = [part for part in section.split("\n\n") if part.startswith("**")]
+        assert contracts
+        for contract in contracts:
+            ids = re.findall(r"`tests/(test_\w+\.py)((?:::\w+)+)`", contract)
+            assert ids, contract.split("\n", 1)[0]
+            for module, path in ids:
+                scope = ast.parse((REPO_ROOT / "tests" / module).read_text(encoding="utf-8"))
+                for name in path.split("::")[1:]:
+                    scope = next(
+                        (node for node in scope.body
+                         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                         and node.name == name),
+                        None,
+                    )
+                    assert scope is not None, f"{module}{path}"
 
 
 # ----------------------------------------------------------------------

@@ -4,7 +4,7 @@ The contract under test (see :mod:`repro.core.batching`): for a fixed seed,
 the lockstep batched runner produces *identical* episodes for every
 ``episode_batch_size``, because each episode owns a child generator drawn in
 episode order and every AAM/statevec quantity is a deterministic function of
-the model weights.
+the model weights.  A cohort is inference: it builds no autograd tape.
 """
 
 import numpy as np
@@ -17,6 +17,7 @@ from repro.core.persistence import load_trainer, save_trainer
 from repro.core.planner import PlannerConfig
 from repro.core.simenv import RealEnvironment
 from repro.core.trainer import FossConfig, FossTrainer
+from repro.nn import profile
 from repro.optimizer.plans import plan_signature
 
 
@@ -98,6 +99,18 @@ class TestBatchParity:
         assert [episode_fingerprint(e) for e in runs[0]] == [
             episode_fingerprint(e) for e in runs[1]
         ]
+
+    def test_cohort_builds_no_tape_and_the_update_does(self, job_workload, parity_queries):
+        """A sampled cohort (policy forwards, AAM forwards, plan encoding)
+        runs under ``no_grad`` and builds no tape node; the PPO update over
+        its episodes does, so the counter is live."""
+        trainer = FossTrainer(job_workload, batching_config(episode_batch_size=9))
+        tape_nodes = profile.COUNTERS.tape_nodes
+        episodes = trainer.runners[0].run(trainer.sim_env, parity_queries)
+        assert len(episodes) == len(parity_queries)
+        assert profile.COUNTERS.tape_nodes == tape_nodes
+        trainer.planners[0].update_from_episodes(episodes)
+        assert profile.COUNTERS.tape_nodes > tape_nodes
 
 
 class TestScoreCacheInvalidation:

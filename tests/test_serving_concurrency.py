@@ -5,7 +5,8 @@ The contracts under test:
 * N client threads submitting a shuffled workload through a *started*
   service receive plans bitwise-identical to the sequential
   single-threaded path (engine results are pure functions of the
-  dataset; only ordering/telemetry may differ);
+  dataset; only ordering/telemetry may differ), at one thread or several,
+  with or without a queue bound and a deadline that cannot fire;
 * a ``ServiceGroup`` with >= 2 tenants routes every tenant through one
   shared engine with no cross-tenant contamination;
 * the background flusher honours both triggers (queue size, time) and
@@ -100,7 +101,7 @@ def reference_signatures(session, sqls):
     return {sql: plan_signature(service.optimize_sql(sql).plan) for sql in set(sqls)}
 
 
-def run_concurrent_clients(service, sqls, num_threads: int = CLIENT_THREADS):
+def run_concurrent_clients(service, sqls, num_threads: int = CLIENT_THREADS, **submit_kwargs):
     """Drive the service from ``num_threads`` submit/wait client threads."""
     results = [None] * len(sqls)
     errors = []
@@ -108,7 +109,7 @@ def run_concurrent_clients(service, sqls, num_threads: int = CLIENT_THREADS):
     def client(thread_index: int) -> None:
         try:
             for i in range(thread_index, len(sqls), num_threads):
-                ticket = service.submit(sqls[i])
+                ticket = service.submit(sqls[i], **submit_kwargs)
                 results[i] = service.wait(ticket, timeout=WAIT_S)
         except Exception as exc:  # surfaced below — a client must not die silently
             errors.append((thread_index, repr(exc)))
@@ -132,21 +133,31 @@ def run_concurrent_clients(service, sqls, num_threads: int = CLIENT_THREADS):
 # ----------------------------------------------------------------------
 class TestConcurrentParity:
     def test_threaded_equals_sequential_local(self, api_session):
+        """One client thread, several, and several under a queue bound and a
+        deadline that cannot fire: the same plans, and nothing rejected,
+        expired, failed or left pending."""
         sqls = shuffled_requests(api_session.workload)
         expected = reference_signatures(api_session, sqls)
 
-        service = api_session.service(max_batch_size=4)
-        with service.start():
-            results = run_concurrent_clients(service, sqls)
-        assert all(r.ok for r in results)
-        assert [plan_signature(r.plan.plan) for r in results] == [
-            expected[sql] for sql in sqls
-        ]
-        stats = service.stats()
-        assert stats["requests"] == len(sqls)
-        assert stats["requests"] == stats["served"] + stats["failures"]
-        assert stats["failures"] == 0
-        assert stats["pending"] == 0
+        guarded = (dict(max_pending=len(sqls)), dict(deadline_s=600.0, priority=0))
+        for num_threads, (service_kwargs, submit_kwargs) in (
+            (1, ({}, {})),
+            (CLIENT_THREADS, ({}, {})),
+            (CLIENT_THREADS, guarded),
+        ):
+            service = api_session.service(max_batch_size=4, **service_kwargs)
+            with service.start():
+                results = run_concurrent_clients(service, sqls, num_threads, **submit_kwargs)
+            assert all(r.ok for r in results)
+            assert [plan_signature(r.plan.plan) for r in results] == [
+                expected[sql] for sql in sqls
+            ]
+            stats = service.stats()
+            assert stats["requests"] == len(sqls)
+            assert stats["requests"] == stats["served"] + stats["failures"]
+            assert stats["failures"] == 0
+            assert stats["pending"] == 0
+            assert stats["rejected"] == 0 and stats["expired"] == 0
 
     def test_concurrent_sync_optimize_sql(self, api_session):
         """The synchronous path is thread-safe too (no flusher involved)."""
