@@ -12,8 +12,8 @@ facade over the whole system:
   ``execute_sql``, with latency/batching/cache telemetry in ``stats()``;
 * :func:`repro.api.create_optimizer` — build any method by name
   (``"foss"``, ``"postgres"``, ``"bao"``, ``"balsa"``, ``"loger"``,
-  ``"hybridqo"``) from a session, entry-point-style registration for new
-  ones;
+  ``"hybridqo"``) from a session, and :func:`repro.api.register_optimizer`
+  for new ones;
 * :class:`repro.api.OptimizeError` — the single typed failure for SQL the
   doctor cannot plan.
 

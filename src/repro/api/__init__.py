@@ -37,7 +37,8 @@ async backend:
   but its outcome aged out of the bounded results store;
   :class:`DeadlineExceededError` — a deadline budget ran out (counted as
   ``expired``, never ``failures``); :class:`AdmissionRejectedError` — the
-  bounded pending queue was full at submit (counted as ``rejected``).
+  bounded pending queue was full at submit (counted as ``rejected``);
+  :class:`CheckpointError` — ``FossSession.load`` refused a checkpoint.
 
 Serving honors the repo's determinism contracts: plans are batch-size
 invariant, bitwise-identical across the local and remote engines, and
@@ -56,6 +57,7 @@ from repro.api.service import (
 )
 from repro.api.session import FossSession
 from repro.core.inference import FossOptimizer, OptimizedPlan, bind_sql
+from repro.core.persistence import CheckpointError
 from repro.core.trainer import FossConfig
 from repro.engine.context import (
     CLOCK,
@@ -78,6 +80,7 @@ __all__ = [
     "CLOCK",
     "STAGES",
     "AdmissionRejectedError",
+    "CheckpointError",
     "DeadlineExceededError",
     "OptimizedPlan",
     "FossOptimizer",

@@ -9,15 +9,12 @@ benchmarks never hand-wire constructors:
     bao = create_optimizer("bao", session)
     bao.train(session.workload.train, iterations=3)
 
-Registration is entry-point style: third-party methods plug in with either
-a factory callable or a lazy ``"package.module:factory"`` string that is
-imported on first use::
+Third-party methods plug in with a factory callable, directly or as a
+decorator::
 
     @register_optimizer("mymethod")
     def _build(session, **kwargs):
         return MyOptimizer(session.backend, **kwargs)
-
-    register_optimizer("othermethod", "otherpkg.optimizers:build")
 
 Every factory takes ``(session, **kwargs)`` and returns an object with
 ``optimize(query) -> OptimizedPlan``; trainable methods additionally expose
@@ -26,21 +23,16 @@ Every factory takes ``(session, **kwargs)`` and returns an object with
 
 from __future__ import annotations
 
-import importlib
-from typing import Callable, Dict, List, Union
+from typing import Callable, Dict, List, Optional
 
 OptimizerFactory = Callable[..., object]
 
-_REGISTRY: Dict[str, Union[str, OptimizerFactory]] = {}
+_REGISTRY: Dict[str, OptimizerFactory] = {}
 
 
-def register_optimizer(name: str, factory: Union[str, OptimizerFactory, None] = None):
-    """Register a factory under ``name`` (also usable as a decorator).
-
-    ``factory`` may be a callable ``(session, **kwargs) -> optimizer`` or a
-    lazy ``"module.path:attr"`` entry-point string resolved on first
-    :func:`create_optimizer` call.
-    """
+def register_optimizer(name: str, factory: Optional[OptimizerFactory] = None):
+    """Register a factory ``(session, **kwargs) -> optimizer`` under ``name``
+    (also usable as a decorator)."""
     key = name.lower()
 
     def _register(fn):
@@ -59,17 +51,12 @@ def available_optimizers() -> List[str]:
 
 def create_optimizer(name: str, session, **kwargs):
     """Build the named optimizer from a session's workload and backend."""
-    key = name.lower()
     try:
-        factory = _REGISTRY[key]
+        factory = _REGISTRY[name.lower()]
     except KeyError:
         raise ValueError(
             f"unknown optimizer {name!r}; registered: {', '.join(available_optimizers())}"
         ) from None
-    if isinstance(factory, str):  # lazy entry point: "module.path:attr"
-        module_name, _, attr = factory.partition(":")
-        factory = getattr(importlib.import_module(module_name), attr)
-        _REGISTRY[key] = factory
     return factory(session, **kwargs)
 
 

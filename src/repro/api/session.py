@@ -15,54 +15,22 @@ hand-wiring datasets, engines, backends, trainers and optimizers:
 The session builds the workload (dataset + query split) and the engine
 backend eagerly — cheap enough to make ``session.backend`` usable for
 exploration — and the trainer/optimizer lazily, on first use.  ``save`` /
-``load`` wrap :mod:`repro.core.persistence` plus a session manifest, so a
-trained doctor round-trips as one directory artifact.
+``load`` round-trip a trained doctor as one checkpoint directory through
+:mod:`repro.core.persistence`, the one module that knows its format; a
+session opens no file itself.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import json
-import os
 import threading
 from typing import Optional
 
 from repro import obs
+from repro.core import persistence
 from repro.core.inference import FossOptimizer
-from repro.core.persistence import load_trainer, save_trainer
 from repro.core.trainer import FossConfig, FossTrainer
 from repro.engine.backend import EngineBackend, make_backend
-from repro.engine.database import dataset_fingerprint
 from repro.workloads.base import Workload, build_workload_by_name
-
-_SESSION_MANIFEST = "session.json"
-
-
-def _config_from_jsonable(cls, data: dict):
-    """Rebuild a config dataclass saved via :func:`dataclasses.asdict`.
-
-    Nested dataclasses and tuple-typed fields are recognized from the
-    field defaults, so the round trip needs no schema beside the classes
-    themselves.  Unknown keys — from a newer writer, or a field an older
-    writer saved that has since been removed — are ignored.
-    """
-    kwargs = {}
-    for field in dataclasses.fields(cls):
-        if field.name not in data:
-            continue
-        value = data[field.name]
-        if field.default_factory is not dataclasses.MISSING:  # type: ignore[misc]
-            default = field.default_factory()  # type: ignore[misc]
-        else:
-            default = field.default
-        if dataclasses.is_dataclass(default):
-            kwargs[field.name] = _config_from_jsonable(type(default), value)
-        elif isinstance(default, tuple):
-            kwargs[field.name] = tuple(value)
-        else:
-            kwargs[field.name] = value
-    return cls(**kwargs)
-
 
 class FossSession:
     """Owns workload + engine backend + trainer + deployable optimizer."""
@@ -184,88 +152,30 @@ class FossSession:
         return self.trainer().train(iterations, verbose=verbose)
 
     def save(self, path: str) -> None:
-        """Persist the trained doctor as one directory artifact.
-
-        Writes the model weights (:func:`repro.core.persistence.save_trainer`)
-        plus a session manifest recording the workload recipe and the full
-        config, so :meth:`load` can rebuild an identical session.
-        """
-        if self.workload.spec is None:
-            raise ValueError(
-                "FossSession.save needs a workload built from a WorkloadSpec "
-                "(use FossSession.open with a workload name, or a workload from "
-                "build_workload_by_name) so load() can rebuild the dataset"
-            )
-        save_trainer(self.trainer(), path)
-        manifest = {
-            "format": 2,
-            "workload": {
-                "name": self.workload.spec.name,
-                "scale": self.workload.spec.scale,
-                "seed": self.workload.spec.seed,
-            },
-            # A crc32-based content fingerprint of the dataset (never
-            # builtin hash(), which varies per process): load() rebuilds
-            # the dataset from the spec above, and a silently drifted
-            # datagen would hand the restored model a different database.
-            "dataset_fingerprint": dataset_fingerprint(self.workload.dataset),
-            "config": dataclasses.asdict(self.config),
-        }
-        remote_fingerprint = getattr(self.backend, "remote_fingerprint", None)
-        if remote_fingerprint is not None:
-            # This session plans against a remote engine: record *its*
-            # dataset fingerprint too (the connect-time handshake proved it
-            # equal to the local one), so load() can catch client/server
-            # datagen drift against the engine actually serving the plans.
-            manifest["remote"] = {
-                "engine_url": getattr(self.backend, "url", ""),
-                "dataset_fingerprint": remote_fingerprint,
-            }
-        with open(os.path.join(path, _SESSION_MANIFEST), "w") as handle:
-            json.dump(manifest, handle, indent=2)
+        """Persist the trained doctor as one checkpoint directory
+        (:func:`repro.core.persistence.save_checkpoint`): its weights, the
+        workload recipe and the full config, so :meth:`load` can rebuild an
+        identical session."""
+        persistence.save_checkpoint(self.trainer(), path)
 
     @classmethod
     def load(cls, path: str, backend: Optional[EngineBackend] = None) -> "FossSession":
         """Rebuild a session saved by :meth:`save` and restore its weights.
 
-        The dataset is rebuilt from the saved workload recipe and checked
-        against the manifest's fingerprint: if datagen drifted since the
-        save, the restored model would silently optimize a different
-        database, so the mismatch fails loudly here.  (Manifests from
-        before the fingerprint was recorded load without the check.)
+        The checkpoint is checked whole before any weight is assigned, and
+        the dataset rebuilt from its recipe (and an injected ``backend``'s
+        dataset) must match its fingerprint: a drifted datagen would have
+        the restored model silently optimize a different database.  Any
+        refusal raises :class:`repro.core.persistence.CheckpointError`.
         """
-        with open(os.path.join(path, _SESSION_MANIFEST)) as handle:
-            manifest = json.load(handle)
-        config = _config_from_jsonable(FossConfig, manifest["config"])
-        spec = manifest["workload"]
-        workload = build_workload_by_name(spec["name"], scale=spec["scale"], seed=spec["seed"])
-        expected = manifest.get("dataset_fingerprint")
-        if expected is not None:
-            actual = dataset_fingerprint(workload.dataset)
-            if actual != expected:
-                raise ValueError(
-                    f"dataset fingerprint mismatch loading {path!r}: the manifest "
-                    f"records {expected} but rebuilding workload "
-                    f"{spec['name']!r} (scale={spec['scale']}, seed={spec['seed']}) "
-                    f"produced {actual}; the data generator has drifted since this "
-                    f"session was saved, so the restored model would be optimizing "
-                    f"a different database"
-                )
-            if backend is not None:
-                # An injected backend is the dataset the restored model will
-                # actually plan against — it must match the manifest too.  A
-                # remote backend's server was already held to this mirror by
-                # the connect-time handshake.
-                injected = dataset_fingerprint(backend.dataset)
-                if injected != expected:
-                    raise ValueError(
-                        f"dataset fingerprint mismatch loading {path!r}: the "
-                        f"injected backend's dataset has fingerprint {injected} "
-                        f"but the manifest records {expected}; the restored model "
-                        f"would be optimizing a different database"
-                    )
-        session = cls.open(workload=workload, config=config, backend=backend)
-        load_trainer(session.trainer(), path)
+        checkpoint = persistence.read_checkpoint(path)
+        workload = persistence.rebuild_workload(checkpoint, backend)
+        session = cls.open(workload=workload, config=checkpoint.config, backend=backend)
+        try:
+            persistence.restore_checkpoint(session.trainer(), checkpoint)
+        except BaseException:
+            session.close()
+            raise
         return session
 
     def close(self) -> None:

@@ -70,7 +70,7 @@ def dataset_fingerprint(dataset: Dataset) -> str:
     varies with ``PYTHONHASHSEED``.  Two datasets built from the same
     :class:`~repro.workloads.base.WorkloadSpec` by the same code get the
     same fingerprint; datagen drift changes it, which is what
-    ``FossSession.load`` checks against the saved manifest and what the
+    ``FossSession.load`` checks against the checkpoint and what the
     remote engine handshake checks across the client/server boundary.
 
     Uses the same length-prefixed crc32 chaining as the socket wire format

@@ -30,7 +30,7 @@ corruption is a bug to surface, not a transient to paper over.
 Every fresh socket opens with the fingerprint handshake: the client
 refuses a server that speaks another wire protocol version, and one whose
 dataset fingerprint differs from its own mirror's (datagen drift) — the
-same crc32 fingerprint the session manifest records.
+same crc32 fingerprint a checkpoint records.
 """
 
 from __future__ import annotations

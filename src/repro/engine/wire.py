@@ -6,7 +6,7 @@ collide — ``["ab", "c"]`` vs ``["a", "bc"]``), and crc32 — never builtin
 ``hash()``, which varies with ``PYTHONHASHSEED`` — is the checksum.  Two
 things build on it:
 
-* :func:`crc32_chain` — the chaining step behind the session manifest's
+* :func:`crc32_chain` — the chaining step behind a checkpoint's
   dataset fingerprint (:func:`repro.engine.database.dataset_fingerprint`);
 * the **frame format** of the remote engine subsystem
   (:mod:`repro.engine.remote`): every message on the wire is one frame ::

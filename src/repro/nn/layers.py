@@ -72,17 +72,19 @@ class Module:
         return {name: param.data.copy() for name, param in self.named_parameters()}
 
     def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
+        """Assign every parameter from ``state``, or raise and assign none."""
         own = dict(self.named_parameters())
         missing = set(own) - set(state)
         if missing:
             raise KeyError(f"state dict missing parameters: {sorted(missing)}")
+        values = {name: np.array(state[name], dtype=np.float64) for name in own}
         for name, param in own.items():
-            value = np.asarray(state[name], dtype=np.float64)
-            if value.shape != param.data.shape:
+            if values[name].shape != param.data.shape:
                 raise ValueError(
-                    f"shape mismatch for {name}: {value.shape} vs {param.data.shape}"
+                    f"shape mismatch for {name}: {values[name].shape} vs {param.data.shape}"
                 )
-            param.data = value.copy()
+        for name, param in own.items():
+            param.data = values[name]
 
     def num_parameters(self) -> int:
         return sum(p.size for p in self.parameters())

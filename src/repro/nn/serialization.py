@@ -16,8 +16,14 @@ def save_state_dict(state: Dict[str, np.ndarray], path: str) -> None:
 
 
 def load_state_dict(path: str) -> Dict[str, np.ndarray]:
-    """Load a state dict previously written by :func:`save_state_dict`."""
-    if not path.endswith(".npz"):
-        path = path + ".npz"
-    with np.load(path) as archive:
-        return {name: archive[name] for name in archive.files}
+    """Load a state dict previously written by :func:`save_state_dict`.
+
+    Never unpickles (an object array raises ``ValueError``), and closes the
+    file whatever the archive holds.
+    """
+    with open(path, "rb") as handle:
+        archive = np.load(handle, allow_pickle=False)
+        if not isinstance(archive, np.lib.npyio.NpzFile):
+            raise ValueError(f"{path!r} is not an .npz archive")
+        with archive:
+            return {name: archive[name] for name in archive.files}

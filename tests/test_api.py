@@ -21,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 import repro
 from repro.api import (
+    CheckpointError,
     FossConfig,
     FossSession,
     OptimizeError,
@@ -202,7 +203,7 @@ class TestSessionPersistence:
 
         session = FossSession.open(workload=job_workload, config=tiny_config())
         session.save(str(tmp_path / "doctor"))
-        with open(tmp_path / "doctor" / "session.json") as handle:
+        with open(tmp_path / "doctor" / "checkpoint.json") as handle:
             manifest = json.load(handle)
         # crc32-based and deterministic: recomputing over the same dataset
         # (and over a rebuild from the same spec) gives the same value.
@@ -216,7 +217,7 @@ class TestSessionPersistence:
 
         session = FossSession.open(workload=job_workload, config=tiny_config())
         session.save(str(tmp_path / "doctor"))
-        manifest_path = tmp_path / "doctor" / "session.json"
+        manifest_path = tmp_path / "doctor" / "checkpoint.json"
         with open(manifest_path) as handle:
             manifest = json.load(handle)
         # Simulate datagen drift: the rebuilt dataset no longer matches the
@@ -242,13 +243,15 @@ class TestSessionPersistence:
 
         session = FossSession.open(workload=job_workload, config=tiny_config())
         session.save(str(tmp_path / "doctor"))
-        manifest_path = tmp_path / "doctor" / "session.json"
+        manifest_path = tmp_path / "doctor" / "checkpoint.json"
         with open(manifest_path) as handle:
             manifest = json.load(handle)
-        del manifest["dataset_fingerprint"]  # a pre-PR-4 manifest
+        # Manifests without a fingerprint predate the check and are no
+        # longer tolerated: a manifest missing a key is refused whole.
+        del manifest["dataset_fingerprint"]
         manifest_path.write_text(json.dumps(manifest))
-        loaded = FossSession.load(str(tmp_path / "doctor"))
-        assert loaded.workload.name == session.workload.name
+        with pytest.raises(CheckpointError, match="dataset_fingerprint"):
+            FossSession.load(str(tmp_path / "doctor"))
 
     def test_load_ignores_removed_config_fields(self, job_workload, tmp_path):
         import json
@@ -260,7 +263,7 @@ class TestSessionPersistence:
             plan_signature(p.plan) for p in session.optimizer().optimize_many(queries)
         ]
         session.save(str(tmp_path / "doctor"))
-        manifest_path = tmp_path / "doctor" / "session.json"
+        manifest_path = tmp_path / "doctor" / "checkpoint.json"
         manifest = json.loads(manifest_path.read_text())
         # Manifests saved while FossConfig still had an engine-pool size
         # carry the field; loading must ignore it and stay in process.

@@ -13,7 +13,7 @@ import pytest
 from repro.core.aam import AAMConfig
 from repro.core.batching import BatchedEpisodeRunner
 from repro.core.icp import IncompletePlan
-from repro.core.persistence import load_trainer, save_trainer
+from repro.core.persistence import read_checkpoint, restore_checkpoint, save_checkpoint
 from repro.core.planner import PlannerConfig
 from repro.core.simenv import RealEnvironment
 from repro.core.trainer import FossConfig, FossTrainer
@@ -260,17 +260,17 @@ class TestBatchedInference:
         checkpoint = str(tmp_path / "ckpt")
         trainer = FossTrainer(job_workload, batching_config())
         trainer.bootstrap()
-        save_trainer(trainer, checkpoint)
+        save_checkpoint(trainer, checkpoint)
         for _ in range(2):
             trainer.train_aam()
         optimizer = trainer.make_optimizer()
         queries = [wq.query for wq in job_workload.test]
         optimizer.optimize_many(queries)
         version = trainer.aam.version
-        load_trainer(trainer, checkpoint)
+        restore_checkpoint(trainer, read_checkpoint(checkpoint))
         assert trainer.aam.version > version
         fresh = FossTrainer(job_workload, batching_config())
-        load_trainer(fresh, checkpoint)
+        restore_checkpoint(fresh, read_checkpoint(checkpoint))
 
         def served(opt):
             return [

@@ -81,6 +81,30 @@ class TestAdvantageModelHead:
         assert score in (0, 1, 2)
 
 
+class TestLoadStateDict:
+    def test_refused_load_keeps_weights_version_and_statevec_cache(self, setup):
+        """A shape mismatch on the last parameter assigns nothing, so the
+        weight version and every statevec cached under it stay valid."""
+        workload, db, encoder, model, _ = setup
+        fresh = AdvantageModel(
+            encoder.num_tables, encoder.num_columns, 40,
+            config=model.config, rng=np.random.default_rng(8),
+        )
+        wq = workload.train[0]
+        fresh.statevecs_lazy([("q", "p", (wq.query, db.plan(wq.query).plan), 0.0)], encoder)
+        before, version, cached = fresh.state_dict(), fresh.version, dict(fresh._statevec_cache)
+        assert cached
+        state = model.state_dict()
+        last = list(state)[-1]
+        state[last] = np.zeros(state[last].shape + (1,))
+        with pytest.raises(ValueError):
+            fresh.load_state_dict(state)
+        assert fresh.version == version
+        assert fresh._statevec_cache.keys() == cached.keys()
+        for name, value in fresh.state_dict().items():
+            np.testing.assert_array_equal(value, before[name])
+
+
 class TestAsymmetricLoss:
     def test_perfect_prediction_low_loss(self):
         logits = Tensor(np.array([[10.0, -10.0, -10.0]]))

@@ -325,11 +325,27 @@ class TestModuleInfrastructure:
             model.load_state_dict({})
 
     def test_load_state_dict_shape_mismatch_raises(self, rng):
-        model = Linear(2, 2, rng=rng)
-        state = model.state_dict()
-        state["weight"] = np.zeros((3, 3))
-        with pytest.raises(ValueError):
-            model.load_state_dict(state)
+        """A mismatch anywhere, the first parameter or the last, raises
+        before any parameter is assigned."""
+        cases = [
+            (Linear(2, 2, rng=rng), Linear(2, 2, rng=np.random.default_rng(9)), 0),
+            (
+                Sequential(Linear(2, 3, rng=rng), Linear(3, 2, rng=rng)),
+                Sequential(
+                    Linear(2, 3, rng=np.random.default_rng(9)),
+                    Linear(3, 2, rng=np.random.default_rng(10)),
+                ),
+                -1,
+            ),
+        ]
+        for model, other, position in cases:
+            before = model.state_dict()
+            state = other.state_dict()
+            state[list(state)[position]] = np.zeros((3, 3))
+            with pytest.raises(ValueError):
+                model.load_state_dict(state)
+            for name, value in model.state_dict().items():
+                np.testing.assert_array_equal(value, before[name])
 
     def test_train_eval_propagates(self, rng):
         model = Sequential(Dropout(0.5, rng=rng), Linear(2, 2, rng=rng))

@@ -265,7 +265,7 @@ class TestRemoteServing:
             workload=job_workload, config=tiny_config(), backend=remote_backend
         )
         session.save(path)
-        with open(os.path.join(path, "session.json")) as handle:
+        with open(os.path.join(path, "checkpoint.json")) as handle:
             manifest = json.load(handle)
         assert manifest["remote"]["engine_url"] == remote_backend.url
         assert (
