@@ -29,8 +29,8 @@ def test_fig9_ablation_curves(registry, benchmark, capsys):
     sample = workload.train[:16]
     curves: List[TrainingCurve] = []
     trainers = {}
-    for label, overrides in CONFIGS:
-        trainer = FossTrainer(workload, small_foss_config(seed=200 + hash(label) % 50, **overrides))
+    for index, (label, overrides) in enumerate(CONFIGS):
+        trainer = FossTrainer(workload, small_foss_config(seed=200 + index, **overrides))
         trainer.bootstrap()
         optimizer = trainer.make_optimizer()
         curve = TrainingCurve(label, "job")

@@ -131,8 +131,8 @@ class FossSession:
     def observability(self) -> "obs.Observability":
         """The process-wide :class:`repro.obs.Observability` facade.
 
-        Exposes the registry snapshot, Prometheus/JSON rendering,
-        ``dump()`` and the periodic dumper.  Also registers the backend's
+        Exposes the registry snapshot, Prometheus/JSON rendering and
+        ``dump()``.  Also registers the backend's
         ``stats()`` and the nn profiler as snapshot sources (idempotent),
         so one JSON snapshot carries metrics, spans, engine counters and
         per-op nn profiles together.

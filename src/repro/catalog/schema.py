@@ -59,13 +59,6 @@ class TableSchema:
     def column_names(self) -> List[str]:
         return [c.name for c in self.columns]
 
-    @property
-    def primary_key(self) -> Optional[str]:
-        for col in self.columns:
-            if col.is_primary_key:
-                return col.name
-        return None
-
 
 class Schema:
     """The full logical schema: tables, foreign keys, and the join graph."""

@@ -38,6 +38,7 @@ from repro.core.encoding import (
     NUM_PRED_OPS,
     NUM_STRUCT_TYPES,
 )
+from repro.engine.memo import Memo
 from repro.nn import functional as F
 from repro.nn.layers import (
     Embedding,
@@ -318,11 +319,9 @@ class AdvantageModel(Module):
         # Shared inference statevec cache: the planner's policy states and
         # the environments' advantage queries embed the same (query, plan,
         # step) triples, so they must not pay for the transformer twice.
-        # Bounded: entries are cheap to recompute, so the cache is simply
-        # dropped when it outgrows the cap (long-lived deployed optimizers
-        # would otherwise accumulate one vector per plan forever).
-        self._statevec_cache: Dict[Tuple[int, str, str, float], np.ndarray] = {}
-        self.statevec_cache_capacity = 500_000
+        # Bounded, or a long-lived deployed optimizer would keep one vector
+        # per plan forever.
+        self._statevec_cache: Memo[Tuple[int, str, str, float], np.ndarray] = Memo(500_000)
         self.state_network = StateNetwork(num_tables, num_columns, max_nodes, self.config, rng)
         d = self.config.d_state
         self.position_embed = Embedding(2, d, rng=rng)  # 0 = left, 1 = right
@@ -401,32 +400,13 @@ class AdvantageModel(Module):
         :attr:`version`, so entries can never answer for retrained weights
         (the cache is also cleared on retrain to bound memory).
         """
+        def embed(misses):
+            encoded = encoder.encode_many([pair for _, _, pair, _ in misses])
+            return self.state_network.statevecs(encoded, np.array([frac for *_, frac in misses]))
+
         version = self.version
         keys = [(version, qsig, psig, frac) for qsig, psig, _, frac in items]
-        resolved: Dict[Tuple[int, str, str, float], np.ndarray] = {}
-        miss_keys = []
-        miss_pairs = []
-        miss_fracs = []
-        for key, (_, _, pair, frac) in zip(keys, items):
-            if key in resolved:
-                continue
-            hit = self._statevec_cache.get(key)
-            if hit is not None:
-                resolved[key] = hit
-            else:
-                resolved[key] = None  # placeholder, filled by the flush below
-                miss_keys.append(key)
-                miss_pairs.append(pair)
-                miss_fracs.append(frac)
-        if miss_keys:
-            encoded = encoder.encode_many(miss_pairs)
-            vecs = self.state_network.statevecs(encoded, np.array(miss_fracs))
-            if len(self._statevec_cache) + len(miss_keys) > self.statevec_cache_capacity:
-                self._statevec_cache.clear()
-            for key, vec in zip(miss_keys, vecs):
-                resolved[key] = vec
-                self._statevec_cache[key] = vec
-        return np.stack([resolved[key] for key in keys])
+        return np.stack(self._statevec_cache.many(keys, items, embed))
 
     def predict_scores_from_statevecs(self, vec_l: np.ndarray, vec_r: np.ndarray) -> np.ndarray:
         """Hard scores from precomputed statevecs (head-only inference).

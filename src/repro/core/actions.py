@@ -102,9 +102,6 @@ class ActionSpace:
         """``Act(a, ICP)``: apply the decoded action to the ICP."""
         return self.decode(action_id).apply(icp)
 
-    def is_swap(self, action_id: int) -> bool:
-        return action_id < self.num_swaps
-
     # ------------------------------------------------------------------
     # legality masks
     # ------------------------------------------------------------------

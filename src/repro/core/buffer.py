@@ -69,9 +69,6 @@ class ExecutionBuffer:
     def records_for(self, query: Query) -> List[PlanRecord]:
         return list(self._records.get(query.signature(), {}).values())
 
-    def num_queries(self) -> int:
-        return len(self._records)
-
     def num_records(self) -> int:
         return sum(len(v) for v in self._records.values())
 

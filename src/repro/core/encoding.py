@@ -13,7 +13,6 @@ positions; mask and heights are both read off those spans.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -21,6 +20,7 @@ import numpy as np
 
 from repro.catalog.schema import Schema
 from repro.catalog.statistics import StatisticsCatalog
+from repro.engine.memo import Memo
 from repro.optimizer.plans import JoinNode, PlanNode, ScanNode, plan_signature
 from repro.sql.ast import Query
 
@@ -47,6 +47,9 @@ STRUCT_ROOT = 3
 NUM_STRUCT_TYPES = 4
 
 MAX_FILTERS_PER_NODE = 3
+
+# A scan's features: op id, table id, filter columns, ops and values.
+_LeafFeatures = Tuple[int, int, np.ndarray, np.ndarray, np.ndarray]
 
 
 @dataclass
@@ -95,14 +98,10 @@ class PlanEncoder:
         self.schema = schema
         self.max_nodes = max_nodes
         self.statistics = statistics
-        self.cache_capacity = cache_capacity
-        self._cache: "OrderedDict[Tuple[str, str], EncodedPlan]" = OrderedDict()
+        self._cache: Memo[Tuple[str, str], EncodedPlan] = Memo(cache_capacity)
         # Scan-leaf features are invariant across all plans of a query
-        # (only order/methods/structure change), so they are derived once
-        # and kept under the same move-to-end LRU discipline as `_cache`.
-        self._leaf_cache: "OrderedDict[Tuple[str, str], Tuple[int, int, np.ndarray, np.ndarray, np.ndarray]]" = OrderedDict()
-        self.cache_hits = 0
-        self.cache_misses = 0
+        # (only order/methods/structure change), so they are derived once.
+        self._leaf_cache: Memo[Tuple[str, str], _LeafFeatures] = Memo(cache_capacity)
         # id 0 is the "none" sentinel for both vocabularies.
         self._table_ids: Dict[str, int] = {
             name: i + 1 for i, name in enumerate(schema.table_names)
@@ -128,18 +127,7 @@ class PlanEncoder:
     # ------------------------------------------------------------------
     def encode(self, query: Query, plan: PlanNode) -> EncodedPlan:
         """Encode one complete plan, hitting the shared cache first."""
-        key = (query.signature(), plan_signature(plan))
-        cached = self._cache.get(key)
-        if cached is not None:
-            self._cache.move_to_end(key)
-            self.cache_hits += 1
-            return cached
-        self.cache_misses += 1
-        encoded = self._encode_uncached(query, plan)
-        self._cache[key] = encoded
-        if len(self._cache) > self.cache_capacity:
-            self._cache.popitem(last=False)
-        return encoded
+        return self.encode_many([(query, plan)])[0]
 
     def encode_many(
         self, pairs: Sequence[Tuple[Query, PlanNode]]
@@ -151,45 +139,11 @@ class PlanEncoder:
         :meth:`_encode_batch`, whose feature writes and subtree spans
         vectorize across the whole cohort.
         """
-        results: List[Optional[EncodedPlan]] = [None] * len(pairs)
-        miss_slots: "OrderedDict[Tuple[str, str], List[int]]" = OrderedDict()
-        miss_pairs: List[Tuple[Query, PlanNode]] = []
-        for idx, (query, plan) in enumerate(pairs):
-            key = (query.signature(), plan_signature(plan))
-            cached = self._cache.get(key)
-            if cached is not None:
-                self._cache.move_to_end(key)
-                self.cache_hits += 1
-                results[idx] = cached
-                continue
-            slots = miss_slots.get(key)
-            if slots is not None:
-                # In-batch duplicate: encoded once below, counted as a hit
-                # (it would have hit the cache in the old per-pair loop).
-                self.cache_hits += 1
-                slots.append(idx)
-                continue
-            self.cache_misses += 1
-            miss_slots[key] = [idx]
-            miss_pairs.append((query, plan))
-        if miss_pairs:
-            encoded_batch = self._encode_batch(miss_pairs)
-            for (key, slots), encoded in zip(miss_slots.items(), encoded_batch):
-                self._cache[key] = encoded
-                if len(self._cache) > self.cache_capacity:
-                    self._cache.popitem(last=False)
-                for idx in slots:
-                    results[idx] = encoded
-        return results
-
-    def clear_cache(self) -> None:
-        self._cache.clear()
-
-    def _encode_uncached(self, query: Query, plan: PlanNode) -> EncodedPlan:
-        return self._encode_batch([(query, plan)])[0]
+        keys = [(query.signature(), plan_signature(plan)) for query, plan in pairs]
+        return self._cache.many(keys, pairs, self._encode_batch)
 
     def _encode_batch(self, pairs: Sequence[Tuple[Query, PlanNode]]) -> List[EncodedPlan]:
-        """Encode ``pairs`` (no cache involvement) with vectorized writes.
+        """Encode ``pairs``, bypassing the encoding cache, with vectorized writes.
 
         One Python pass walks every plan tree collecting parallel id lists
         and node depths; each feature field is then filled with a single
@@ -225,10 +179,8 @@ class PlanEncoder:
         all_depth: List[int] = []
         all_struct: List[int] = []
         all_op: List[int] = []
-        scan_table: List[int] = []
-        scan_fcols: List[np.ndarray] = []
-        scan_fops: List[np.ndarray] = []
-        scan_fvals: List[np.ndarray] = []
+        scans: List[Tuple[Query, ScanNode]] = []
+        scan_keys: List[Tuple[str, str]] = []
         join_l: List[int] = []  # 0 (none) for a join without predicates
         join_r: List[int] = []
 
@@ -236,7 +188,7 @@ class PlanEncoder:
         append_depth = all_depth.append
         append_struct, append_op = all_struct.append, all_op.append
         column_ids = self._column_ids
-        leaf_features = self._leaf_features
+        append_scan, append_scan_key = scans.append, scan_keys.append
         join_op_ids = _JOIN_OP_IDS
 
         for query, plan in pairs:
@@ -246,6 +198,7 @@ class PlanEncoder:
             pop, push = stack.pop, stack.append
             index = 0
             query_tables = query.tables
+            query_signature = query.signature()
             while stack:
                 node, level, as_left = pop()
                 index += 1
@@ -270,12 +223,9 @@ class PlanEncoder:
                     push((node.left, level + 1, True))
                 else:
                     assert isinstance(node, ScanNode)
-                    op_id, table_id, fc, fo, fv = leaf_features(query, node)
-                    append_op(op_id)
-                    scan_table.append(table_id)
-                    scan_fcols.append(fc)
-                    scan_fops.append(fo)
-                    scan_fvals.append(fv)
+                    append_op(OP_PAD)  # set from the scan's features below
+                    append_scan((query, node))
+                    append_scan_key((query_signature, plan_signature(node)))
             n = index
             if n > n_max:
                 raise ValueError(f"plan has {n} nodes, encoder limit is {n_max}")
@@ -288,6 +238,11 @@ class PlanEncoder:
         ops[node_mask] = all_op
         is_join = ops >= OP_HASH_JOIN
         is_scan = node_mask & ~is_join
+        leaves = self._leaf_cache.many(
+            scan_keys, scans, lambda misses: [self._leaf_features(*scan) for scan in misses]
+        )
+        scan_op, scan_table, scan_fcols, scan_fops, scan_fvals = zip(*leaves)
+        ops[is_scan] = scan_op
         tables[is_scan] = scan_table
         filter_cols[is_scan] = np.array(scan_fcols)
         filter_ops[is_scan] = np.array(scan_fops)
@@ -330,15 +285,8 @@ class PlanEncoder:
             for u in range(batch)
         ]
 
-    def _leaf_features(
-        self, query: Query, node: ScanNode
-    ) -> Tuple[int, int, np.ndarray, np.ndarray, np.ndarray]:
-        """Cached per-(query, scan) features: op, table id, filter slots."""
-        key = (query.signature(), plan_signature(node))
-        cached = self._leaf_cache.get(key)
-        if cached is not None:
-            self._leaf_cache.move_to_end(key)
-            return cached
+    def _leaf_features(self, query: Query, node: ScanNode) -> _LeafFeatures:
+        """Per-(query, scan) features: op, table id, filter slots."""
         fcols = np.zeros(MAX_FILTERS_PER_NODE, dtype=np.int64)
         fops = np.zeros(MAX_FILTERS_PER_NODE, dtype=np.int64)
         fvals = np.zeros(MAX_FILTERS_PER_NODE, dtype=np.float64)
@@ -348,11 +296,7 @@ class PlanEncoder:
             fops[slot] = _PRED_OPS[predicate.op]
             fvals[slot] = self._normalize(table, predicate.column.column, predicate.values[0])
         op_id = OP_INDEX_SCAN if node.scan_type == "index" else OP_SEQ_SCAN
-        features = (op_id, self._table_ids[node.table], fcols, fops, fvals)
-        self._leaf_cache[key] = features
-        if len(self._leaf_cache) > self.cache_capacity:
-            self._leaf_cache.popitem(last=False)
-        return features
+        return op_id, self._table_ids[node.table], fcols, fops, fvals
 
     def _normalize(self, table: str, column: str, value: float) -> float:
         if self.statistics is None or table not in self.statistics:

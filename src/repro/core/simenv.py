@@ -17,7 +17,7 @@ is the state transitioner (plan completion happens in the planner itself via
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from repro.core.encoding import PlanEncoder
 from repro.core.icp import IncompletePlan
 from repro.core.reward import AdvantageFunction
 from repro.engine.backend import EngineBackend
+from repro.engine.memo import Memo
 from repro.optimizer.plans import PlanNode, plan_signature
 from repro.sql.ast import Query
 
@@ -59,12 +60,10 @@ class AAMScorer:
     (One shared cache would not do: a statevec is bitwise-equal only per
     call shape, so sharing would change which batch computes a served
     score.)  The cache holds scores of one weight version, ``aam.version``,
-    and is dropped when that moves.  It is also dropped wholesale when it
-    outgrows :attr:`capacity`, so a deployed optimizer streaming distinct
-    queries stays bounded.
+    and is cleared when that moves; it is a bounded
+    :class:`~repro.engine.memo.Memo`, so a deployed optimizer streaming
+    distinct queries stays bounded.
     """
-
-    capacity = 1_000_000
 
     def __init__(self, aam: AdvantageModel, encoder: PlanEncoder, max_steps: int) -> None:
         self.aam = aam
@@ -72,7 +71,7 @@ class AAMScorer:
         self.max_steps = max_steps
         #: The weight version the cached scores were computed under.
         self.version = aam.version
-        self._cache: Dict[_ScoreKey, int] = {}
+        self._cache: Memo[_ScoreKey, int] = Memo(1_000_000)
 
     def advantage_many(self, requests: Sequence[AdvantageRequest]) -> List[int]:
         """Scores for a batch of advantage queries, in request order.
@@ -95,31 +94,16 @@ class AAMScorer:
             )
             for ctx, left_plan, left_step, right_plan, right_step in requests
         ]
-        resolved: Dict[_ScoreKey, int] = {}
-        miss_keys: List[_ScoreKey] = []
-        miss_requests: List[AdvantageRequest] = []
-        for key, request in zip(keys, requests):
-            if key in resolved:
-                continue
-            hit = self._cache.get(key)
-            if hit is not None:
-                resolved[key] = hit
-            else:
-                resolved[key] = -1  # placeholder, filled by the flush below
-                miss_keys.append(key)
-                miss_requests.append(request)
-        if miss_requests:
-            sides = self._statevecs(
-                [(ctx.query, plan, step) for ctx, plan, step, _, _ in miss_requests]
-                + [(ctx.query, plan, step) for ctx, _, _, plan, step in miss_requests]
-            )
-            vec_l, vec_r = sides[: len(miss_requests)], sides[len(miss_requests) :]
-            scores = self.aam.predict_scores_from_statevecs(vec_l, vec_r)
-            if len(self._cache) + len(miss_keys) > self.capacity:
-                self._cache.clear()
-            for key, score in zip(miss_keys, scores):
-                resolved[key] = self._cache[key] = int(score)
-        return [resolved[key] for key in keys]
+        return self._cache.many(keys, requests, self._score)
+
+    def _score(self, requests: Sequence[AdvantageRequest]) -> List[int]:
+        """One head forward over both sides' statevecs of every request."""
+        sides = self._statevecs(
+            [(ctx.query, plan, step) for ctx, plan, step, _, _ in requests]
+            + [(ctx.query, plan, step) for ctx, _, _, plan, step in requests]
+        )
+        vec_l, vec_r = sides[: len(requests)], sides[len(requests) :]
+        return self.aam.predict_scores_from_statevecs(vec_l, vec_r).tolist()
 
     def _statevecs(self, items: Sequence[Tuple[Query, PlanNode, int]]) -> np.ndarray:
         """Statevecs for (query, plan, step) triples via the AAM's own

@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple, TypeVar
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,6 +26,7 @@ from repro import obs
 from repro.catalog.schema import Schema
 from repro.catalog.statistics import StatisticsCatalog
 from repro.engine.context import RequestContext, deadline_error
+from repro.engine.memo import Memo
 from repro.engine.wire import crc32_chain
 from repro.executor.engine import ExecutionEngine, ExecutionResult
 from repro.optimizer.cardinality import CardinalityEstimator
@@ -37,12 +37,15 @@ from repro.sql.ast import Query
 from repro.sql.binder import bind_query
 from repro.sql.parser import parse_query
 from repro.storage.database import StorageDatabase
-from repro.storage.table import Table
 
 # Executions are always run under this internal cap so that catastrophic
 # plans cannot consume unbounded real compute; latencies at the cap are
 # treated as "at least this much".
 HARD_CAP_MS = 15_000.0
+
+# Memo capacities: bound statements, plans and join spaces; hint completions.
+STATEMENT_CACHE_CAPACITY = 8192
+HINT_CACHE_CAPACITY = 200_000
 
 
 def context_expired(ctx: Optional[RequestContext]) -> bool:
@@ -106,29 +109,6 @@ def plan_key(query: Query, options: Optional[OptimizerOptions]) -> str:
     return f"{query.signature()}@{options.signature()}"
 
 
-V = TypeVar("V")
-
-
-def _lru_get(cache: "OrderedDict[Hashable, V]", key: Hashable) -> Optional[V]:
-    """``cache[key]`` refreshed as most recently used, or ``None``."""
-    value = cache.get(key)
-    if value is not None:
-        cache.move_to_end(key)
-    return value
-
-
-def _lru_put(cache: "OrderedDict[Hashable, V]", key: Hashable, value: V, capacity: int) -> V:
-    """Insert unless present, evicting the least recently used past
-    ``capacity``; return the cached value (the first insert wins)."""
-    existing = _lru_get(cache, key)
-    if existing is not None:
-        return existing
-    cache[key] = value
-    while len(cache) > capacity:
-        cache.popitem(last=False)
-    return value
-
-
 @dataclass
 class PlanningResult:
     """A plan plus the wall-clock time the optimizer spent producing it."""
@@ -173,31 +153,30 @@ class Database:
         self.estimator = CardinalityEstimator(self.statistics)
         self.enumerator = PlanEnumerator(self.estimator, self.cost_model, self.storage.has_index)
         self.executor = ExecutionEngine(self.storage, self.runtime_cost_model)
-        # Signature -> plan / join space, LRU at the statement cache's
-        # capacity: a long-lived engine sees new queries forever.
-        self._plan_cache: "OrderedDict[str, PlanningResult]" = OrderedDict()
-        self._join_spaces: "OrderedDict[str, JoinSpace]" = OrderedDict()
-        # LRU-evicted at the cap: exploration visits new ICPs forever, and
-        # completed plan trees are too heavy to keep unboundedly, but a hot
-        # training loop must not lose its entire working set at the cliff.
-        self._hint_cache: "OrderedDict[Tuple[str, Tuple[str, ...], Tuple[str, ...]], PlanningResult]" = OrderedDict()
-        self.hint_cache_capacity = 200_000
+        # The memos are shared by concurrent serving threads (OptimizerService
+        # flushers, multi-tenant sessions over one shared engine).  Heavy
+        # compute — bind, enumeration, hint completion — runs outside their
+        # locks: it is stateless over the immutable dataset/statistics, so a
+        # concurrent duplicate computes an identical result and the first
+        # insert wins.
+        # (text, name) -> bound query.  Sized above the serving memo's
+        # default capacity (4096), so a plan-memo hit is never preceded by a
+        # bind miss; plans and join spaces, keyed by signature, share the
+        # size: a long-lived engine sees new queries forever.
+        self._statement_cache: Memo[Tuple[str, str], Query] = Memo(STATEMENT_CACHE_CAPACITY)
+        self._plan_cache: Memo[str, PlanningResult] = Memo(STATEMENT_CACHE_CAPACITY)
+        self._join_spaces: Memo[str, JoinSpace] = Memo(STATEMENT_CACHE_CAPACITY)
+        # Exploration visits new ICPs forever, and completed plan trees are
+        # too heavy to keep unboundedly, but a hot training loop must not
+        # lose its entire working set at the cliff.
+        self._hint_cache: Memo[Tuple[str, Tuple[str, ...], Tuple[str, ...]], PlanningResult] = (
+            Memo(HINT_CACHE_CAPACITY)
+        )
         self._latency_cache: Dict[Tuple[str, str], _CachedLatency] = {}
-        # (text, name) -> bound query, LRU like the hint cache.  Sized above
-        # the serving memo's default capacity (4096), so a plan-memo hit is
-        # never preceded by a bind miss.
-        self._statement_cache: "OrderedDict[Tuple[str, str], Query]" = OrderedDict()
-        self.statement_cache_capacity = 8192
         self.executions = 0  # real-environment execution counter (cache misses)
-        # Guards the statement/space/plan/hint/latency caches against concurrent serving
-        # threads (OptimizerService flushers, multi-tenant sessions over
-        # one shared engine).  Heavy compute — enumeration, hint
-        # completion, execution — runs *outside* the lock: it is stateless
-        # over the immutable dataset/statistics, so a concurrent duplicate
-        # recomputes an identical result, and cache reads/writes are the
-        # only critical sections.  Reentrant because batch mirrors call
-        # their singleton forms.
-        self._lock = threading.RLock()
+        # Guards the execution counter and the latency cache; execution runs
+        # outside it, like every computation here.
+        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # SQL entry point
@@ -207,24 +186,21 @@ class Database:
 
         Bound queries are kept in an LRU statement cache, so a repeated
         statement costs one dict lookup and every caller of the same text
-        shares one read-only :class:`Query`.  The lock covers the LRU
-        get/insert only; lex/parse/bind is a pure function over the
-        immutable schema and storage and runs outside it, so serving
-        threads bind concurrently with planning (two threads missing the
-        same text both bind, and the first insert wins).
+        shares one read-only :class:`Query`.  Lex/parse/bind is a pure
+        function over the immutable schema and storage and runs outside the
+        memo's lock, so serving threads bind concurrently with planning (two
+        threads missing the same text both bind, and the first insert wins).
         A text that fails to parse or bind is not stored and raises again.
         The query records ``text`` (:meth:`Query.sql_text`), which is what
         the remote wire sends for it.
         """
         key = (text, name)
-        with self._lock:
-            query = _lru_get(self._statement_cache, key)
+        query = self._statement_cache.get(key)
         if query is not None:
             return query
         query = bind_query(parse_query(text), self.schema, self.storage, name=name)
         query._text = text  # before publishing, like the signature memo
-        with self._lock:
-            return _lru_put(self._statement_cache, key, query, self.statement_cache_capacity)
+        return self._statement_cache.put(key, query)
 
     # ------------------------------------------------------------------
     # planning
@@ -237,13 +213,10 @@ class Database:
         first insert wins); immutable, so every caller shares it.
         """
         key = query.signature()
-        with self._lock:
-            space = _lru_get(self._join_spaces, key)
+        space = self._join_spaces.get(key)
         if space is not None:
             return space
-        space = self.enumerator.join_space(query)
-        with self._lock:
-            return _lru_put(self._join_spaces, key, space, self.statement_cache_capacity)
+        return self._join_spaces.put(key, self.enumerator.join_space(query))
 
     def plan(
         self,
@@ -262,20 +235,13 @@ class Database:
         if context_expired(ctx):
             raise deadline_error(ctx, "planning")
         key = plan_key(query, options)
-        with self._lock:
-            cached = _lru_get(self._plan_cache, key)
+        cached = self._plan_cache.get(key)
         if cached is not None:
             return cached
-        # Enumeration runs outside the lock (the DP is stateless over the
-        # immutable statistics), so concurrent binds/plans are not stalled
-        # behind it; two threads missing the same key compute identical
-        # results and the first insert wins.
         start = time.perf_counter()
         plan = self.enumerator.search(self.join_space(query), options)
         elapsed_ms = (time.perf_counter() - start) * 1000.0
-        result = PlanningResult(plan=plan, planning_ms=elapsed_ms)
-        with self._lock:
-            return _lru_put(self._plan_cache, key, result, self.statement_cache_capacity)
+        return self._plan_cache.put(key, PlanningResult(plan=plan, planning_ms=elapsed_ms))
 
     def plan_with_hints(
         self,
@@ -294,19 +260,13 @@ class Database:
         if context_expired(ctx):
             raise deadline_error(ctx, "hint completion")
         key = (query.signature(), tuple(join_order), tuple(join_methods))
-        with self._lock:
-            cached = _lru_get(self._hint_cache, key)
+        cached = self._hint_cache.get(key)
         if cached is not None:
             return cached
-        # Completion runs outside the lock (stateless like the enumerator);
-        # a concurrent duplicate computes the identical plan and the first
-        # insert wins.
         start = time.perf_counter()
         plan = self.join_space(query).complete(join_order, join_methods)
         elapsed_ms = (time.perf_counter() - start) * 1000.0
-        result = PlanningResult(plan=plan, planning_ms=elapsed_ms)
-        with self._lock:
-            return _lru_put(self._hint_cache, key, result, self.hint_cache_capacity)
+        return self._hint_cache.put(key, PlanningResult(plan=plan, planning_ms=elapsed_ms))
 
     def plan_many(
         self,
@@ -457,18 +417,17 @@ class Database:
         return explain(plan)
 
     def clear_caches(self) -> None:
+        self._statement_cache.clear()
         with self._lock:
-            self._statement_cache.clear()
             self._latency_cache.clear()
-            self.clear_plan_cache()
+        self.clear_plan_cache()
 
     def clear_plan_cache(self) -> None:
         """Drop cached plans and join spaces only (bound queries and
         latencies stay; used for timing studies)."""
-        with self._lock:
-            self._join_spaces.clear()
-            self._plan_cache.clear()
-            self._hint_cache.clear()
+        self._join_spaces.clear()
+        self._plan_cache.clear()
+        self._hint_cache.clear()
 
     def stats(self) -> Dict[str, float]:
         """Engine counters: executions are real-environment cache misses."""

@@ -14,7 +14,8 @@ across one full send→recv round trip, so concurrent tenants (e.g. a
 :class:`~repro.api.group.ServiceGroup` sharing one ``RemoteBackend``)
 pipeline whole batches without interleaving bytes on a socket.
 ``*_many`` calls ship as single frames — one round trip per batch, not per
-item — and planning RPCs are memoized client-side (:class:`PlanningMemo`).
+item — and planning RPCs are memoized client-side, two
+:class:`~repro.engine.memo.Memo` instances whose hits skip the round trip.
 
 Failure surface, split by whether retrying can help: timeouts and dropped
 connections get a bounded reconnect (requests are idempotent — the engine
@@ -38,12 +39,13 @@ from __future__ import annotations
 import socket
 import threading
 import time
-from collections import OrderedDict
+from itertools import repeat
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.engine.context import deadline_error, run_live
 from repro.engine.database import (
+    HINT_CACHE_CAPACITY,
     Database,
     Dataset,
     PlanningResult,
@@ -51,6 +53,7 @@ from repro.engine.database import (
     dataset_fingerprint,
     plan_key,
 )
+from repro.engine.memo import Memo
 from repro.engine.wire import (
     DEFAULT_MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
@@ -69,7 +72,7 @@ from repro.engine.wire import (
 )
 from repro.executor.engine import ExecutionResult
 from repro.optimizer.dp import JoinSpace, OptimizerOptions
-from repro.optimizer.plans import PlanNode, plan_signature
+from repro.optimizer.plans import PlanNode
 from repro.sql.ast import Query
 
 
@@ -173,77 +176,6 @@ class _Connection:
                     pass
 
 
-class PlanningMemo:
-    """A thread-safe bounded-LRU memo for deterministic planning RPCs.
-
-    :class:`RemoteBackend` keeps client-side memos for the two planning
-    calls: episode loops revisit the same queries and one-step hint edits
-    constantly, and a memo hit skips the RPC round trip entirely.  The lock
-    is never held across an RPC — two threads missing the same key both
-    fetch, and because engine results are pure functions of the dataset the
-    duplicate insert is identical.
-    """
-
-    def __init__(self, capacity: int) -> None:
-        self.capacity = capacity
-        self._lock = threading.Lock()
-        self._memo: "OrderedDict" = OrderedDict()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._memo)
-
-    def lookup(self, keys: Sequence, requests: Sequence):
-        """Split a batch into hits and (deduplicated) misses.
-
-        Returns ``(resolved, miss_keys, miss_requests)``: ``resolved`` maps
-        every distinct key to its cached result (misses hold a ``None``
-        placeholder the caller fills after fetching).
-        """
-        resolved: Dict = {}
-        miss_keys: List = []
-        miss_requests: List = []
-        with self._lock:
-            for key, request in zip(keys, requests):
-                if key in resolved:
-                    continue
-                hit = self._memo.get(key)
-                if hit is not None:
-                    self._memo.move_to_end(key)
-                    resolved[key] = hit
-                else:
-                    resolved[key] = None  # placeholder, filled by the caller
-                    miss_keys.append(key)
-                    miss_requests.append(request)
-        return resolved, miss_keys, miss_requests
-
-    def fill(self, keys: Sequence, results: Sequence) -> None:
-        """Insert fetched results, evicting LRU entries at the cap.
-
-        ``None`` results (a deadline expired before the server reached the
-        item, so no result exists) are never cached — the same key fetched
-        with budget to spare must still produce a real entry.
-        """
-        if self.capacity <= 0:
-            return
-        with self._lock:
-            for key, result in zip(keys, results):
-                if result is None:
-                    continue
-                if key in self._memo:
-                    # A concurrent miss already inserted the identical
-                    # result; just bump its recency.
-                    self._memo.move_to_end(key)
-                else:
-                    while len(self._memo) >= self.capacity:
-                        self._memo.popitem(last=False)
-                self._memo[key] = result
-
-    def clear(self) -> None:
-        with self._lock:
-            self._memo.clear()
-
-
 class RemoteBackend:
     """An ``EngineBackend`` served by a ``repro-engine`` TCP server.
 
@@ -287,8 +219,11 @@ class RemoteBackend:
         self._state_lock = threading.Lock()
         self._remote_executions = 0
         self._closed = False
-        self._plan_memo = PlanningMemo(self.local.hint_cache_capacity)
-        self._hint_memo = PlanningMemo(self.local.hint_cache_capacity)
+        # Episode loops revisit the same queries and one-step hint edits
+        # constantly; no lock is held across an RPC, so two threads missing
+        # one key both fetch, and the first insert wins.
+        self._plan_memo: Memo[str, PlanningResult] = Memo(HINT_CACHE_CAPACITY)
+        self._hint_memo: Memo[Tuple, PlanningResult] = Memo(HINT_CACHE_CAPACITY)
         # Per-op RPC counter in the process-global registry (declared
         # before the first call below).
         self._m_calls = obs.get_registry().counter(
@@ -529,16 +464,6 @@ class RemoteBackend:
     # ------------------------------------------------------------------
     # planning
     # ------------------------------------------------------------------
-    @staticmethod
-    def _ctx_for_misses(keys, ctxs, miss_keys):
-        """First-seen context per missed memo key, aligned with ``miss_keys``."""
-        if ctxs is None:
-            return None
-        ctx_by_key: Dict = {}
-        for key, ctx in zip(keys, ctxs):
-            ctx_by_key.setdefault(key, ctx)
-        return [ctx_by_key.get(key) for key in miss_keys]
-
     def plan(
         self, query: Query, options: Optional[OptimizerOptions] = None, ctx=None
     ) -> PlanningResult:
@@ -561,22 +486,21 @@ class RemoteBackend:
         )
 
     def _plan_live(self, queries, options, ctxs) -> List[PlanningResult]:
-        keys = [plan_key(query, options) for query in queries]
-        resolved, miss_keys, miss_queries = self._plan_memo.lookup(keys, queries)
-        if miss_queries:
+        # Each item carries its context, so a missed key ships with the
+        # context it was first seen with.
+        def fetch(misses):
             results = self._call(
                 "plan_many",
-                ([query_to_wire(query) for query in miss_queries], options_to_wire(options)),
-                ctxs=self._ctx_for_misses(keys, ctxs, miss_keys),
+                ([query_to_wire(query) for query, _ in misses], options_to_wire(options)),
+                ctxs=[ctx for _, ctx in misses],
             )
-            results = [
+            return [
                 _planning_from_wire(result, query)
-                for result, query in zip(results, miss_queries)
+                for result, (query, _) in zip(results, misses)
             ]
-            self._plan_memo.fill(miss_keys, results)
-            for key, result in zip(miss_keys, results):
-                resolved[key] = result
-        return [resolved[key] for key in keys]
+
+        keys = [plan_key(query, options) for query in queries]
+        return self._plan_memo.many(keys, zip(queries, ctxs or repeat(None)), fetch)
 
     def plan_with_hints(
         self,
@@ -597,32 +521,23 @@ class RemoteBackend:
         return run_live(requests, ctxs, self._plan_with_hints_live, _no_result)
 
     def _plan_with_hints_live(self, requests, ctxs) -> List[PlanningResult]:
+        def fetch(misses):
+            results = self._call(
+                "hint_many",
+                [(query_to_wire(query), order, methods) for (query, order, methods), _ in misses],
+                ctxs=[ctx for _, ctx in misses],
+            )
+            return [
+                _planning_from_wire(result, request[0])
+                for result, (request, _) in zip(results, misses)
+            ]
+
         normalized = [
             (query, tuple(join_order), tuple(join_methods))
             for query, join_order, join_methods in requests
         ]
-        memo_keys = [
-            (query.signature(), join_order, join_methods)
-            for query, join_order, join_methods in normalized
-        ]
-        resolved, miss_keys, miss_requests = self._hint_memo.lookup(memo_keys, normalized)
-        if miss_requests:
-            results = self._call(
-                "hint_many",
-                [
-                    (query_to_wire(query), join_order, join_methods)
-                    for query, join_order, join_methods in miss_requests
-                ],
-                ctxs=self._ctx_for_misses(memo_keys, ctxs, miss_keys),
-            )
-            results = [
-                _planning_from_wire(result, request[0])
-                for result, request in zip(results, miss_requests)
-            ]
-            self._hint_memo.fill(miss_keys, results)
-            for memo_key, result in zip(miss_keys, results):
-                resolved[memo_key] = result
-        return [resolved[memo_key] for memo_key in memo_keys]
+        keys = [(query.signature(), order, methods) for query, order, methods in normalized]
+        return self._hint_memo.many(keys, zip(normalized, ctxs or repeat(None)), fetch)
 
     # ------------------------------------------------------------------
     # execution

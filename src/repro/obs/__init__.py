@@ -23,7 +23,6 @@ import threading
 from typing import Callable, Dict, Optional
 
 from repro.obs.export import (  # noqa: F401  (re-exports)
-    PeriodicDumper,
     dump,
     render_json,
     render_prometheus,
@@ -44,7 +43,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "Observability",
-    "PeriodicDumper",
     "Span",
     "Tracer",
     "enabled",
@@ -178,12 +176,6 @@ class Observability:
 
     def trace_tree(self, trace_id: str):
         return self.tracer.tree(trace_id)
-
-    def periodic_dumper(self, path: str, interval_s: float = 10.0, fmt: str = "json"):
-        return PeriodicDumper(
-            path, self.registry, self.tracer, snapshot_sources(),
-            interval_s=interval_s, fmt=fmt,
-        )
 
 
 _OBSERVABILITY = Observability(_REGISTRY, _TRACER)

@@ -5,8 +5,7 @@ format (HELP/TYPE headers, ``_bucket``/``_sum``/``_count`` histogram
 series with cumulative ``le`` labels) that any Prometheus-compatible
 scraper ingests; ``render_json`` emits a structured snapshot including
 the retained span store.  ``dump`` writes either to a file atomically
-(tmp + replace), and :class:`PeriodicDumper` does so on a timer thread —
-its ``Event.wait`` and ``join`` always carry a timeout, so ``stop`` is bounded.
+(tmp + replace).
 """
 
 from __future__ import annotations
@@ -14,13 +13,12 @@ from __future__ import annotations
 import json
 import math
 import os
-import threading
 from typing import Dict, Optional
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 
-__all__ = ["render_prometheus", "render_json", "snapshot", "dump", "PeriodicDumper"]
+__all__ = ["render_prometheus", "render_json", "snapshot", "dump"]
 
 
 def _escape_label(value: str) -> str:
@@ -127,58 +125,3 @@ def dump(
         handle.write(text)
     os.replace(tmp, path)
     return path
-
-
-class PeriodicDumper:
-    """Background thread writing a fresh snapshot every ``interval_s``.
-
-    A final snapshot is written on :meth:`stop`, so short runs still
-    leave a file behind.
-    """
-
-    def __init__(
-        self,
-        path: str,
-        registry: MetricsRegistry,
-        tracer: Optional[Tracer] = None,
-        sources: Optional[Dict[str, object]] = None,
-        interval_s: float = 10.0,
-        fmt: str = "json",
-    ) -> None:
-        self.path = path
-        self.interval_s = float(interval_s)
-        self.fmt = fmt
-        self._registry = registry
-        self._tracer = tracer
-        self._sources = sources
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
-
-    def _write(self) -> None:
-        try:
-            dump(self.path, self._registry, self._tracer, self._sources, fmt=self.fmt)
-        except OSError:
-            pass  # a full disk must not kill the dumper thread
-
-    def _run(self) -> None:
-        while not self._stop.wait(timeout=self.interval_s):
-            self._write()
-
-    def start(self) -> "PeriodicDumper":
-        if self._thread is not None:
-            raise RuntimeError("PeriodicDumper already started")
-        self._stop.clear()
-        self._thread = threading.Thread(
-            target=self._run, name="obs-dumper", daemon=True
-        )
-        self._thread.start()
-        return self
-
-    def stop(self, timeout: float = 5.0) -> None:
-        thread = self._thread
-        if thread is None:
-            return
-        self._stop.set()
-        thread.join(timeout=timeout)
-        self._thread = None
-        self._write()

@@ -379,10 +379,6 @@ class MetricsRegistry:
         with self._lock:
             return [self._metrics[name] for name in sorted(self._metrics)]
 
-    def unregister(self, name: str) -> None:
-        with self._lock:
-            self._metrics.pop(name, None)
-
     def clear(self) -> None:
         with self._lock:
             self._metrics.clear()

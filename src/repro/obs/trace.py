@@ -69,12 +69,6 @@ class Span:
     def set_attr(self, key: str, value: object) -> None:
         self.attrs[key] = value
 
-    @property
-    def duration_s(self) -> Optional[float]:
-        if self.end_s is None:
-            return None
-        return self.end_s - self.start_s
-
     def end(self, at: Optional[float] = None, status: Optional[str] = None) -> None:
         if self.end_s is not None:  # idempotent: first end wins
             return

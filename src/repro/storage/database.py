@@ -53,9 +53,6 @@ class StorageDatabase:
             self._indexes[key] = SortedIndex(self.table(table_name).column(column_name))
         return self._indexes[key]
 
-    def indexed_columns(self, table_name: str) -> List[str]:
-        return [col for tab, col in self._indexed_columns if tab == table_name]
-
     def total_rows(self) -> int:
         return sum(t.num_rows for t in self._tables.values())
 

@@ -280,11 +280,6 @@ _FILTER_PROTOTYPES: Dict[str, List[Tuple[str, str, Dict]]] = {
 }
 
 
-def _date_eq_fixup(slot: FilterSlot) -> FilterSlot:
-    """date_dim.year uses eq over a year range rather than a 0-based domain."""
-    return slot
-
-
 def _make_templates(schema: Schema) -> List[QueryTemplate]:
     templates = []
     for template_id, tables in _TEMPLATE_TABLES:

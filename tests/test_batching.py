@@ -131,7 +131,7 @@ class TestScoreCacheInvalidation:
         old_version = trainer.aam.version
 
         trainer.aam._bump_version()
-        assert trainer.aam._statevec_cache == {}, "a bump must drop stale statevecs"
+        assert len(trainer.aam._statevec_cache) == 0, "a bump must drop stale statevecs"
         env.advantage_many([(ctx, ctx.original_plan, 0, alt, 1)])
         # Scores cached under the old weights are gone, not merely shadowed.
         assert scorer.version == old_version + 1

@@ -92,7 +92,7 @@ class TestLoadStateDict:
         )
         wq = workload.train[0]
         fresh.statevecs_lazy([("q", "p", (wq.query, db.plan(wq.query).plan), 0.0)], encoder)
-        before, version, cached = fresh.state_dict(), fresh.version, dict(fresh._statevec_cache)
+        before, version, cached = fresh.state_dict(), fresh.version, list(fresh._statevec_cache)
         assert cached
         state = model.state_dict()
         last = list(state)[-1]
@@ -100,7 +100,7 @@ class TestLoadStateDict:
         with pytest.raises(ValueError):
             fresh.load_state_dict(state)
         assert fresh.version == version
-        assert fresh._statevec_cache.keys() == cached.keys()
+        assert list(fresh._statevec_cache) == cached
         for name, value in fresh.state_dict().items():
             np.testing.assert_array_equal(value, before[name])
 
@@ -631,14 +631,14 @@ class TestTrainBookkeeping:
             ls, rs = (STEPS[int(i)] for i in rng.integers(len(STEPS), size=2))
             samples.append(AAMSample(plans[l], ls, plans[r], rs, label=2))
             samples.append(AAMSample(plans[r], rs, plans[l], ls, label=0))
-        fresh._statevec_cache[(0, "q", "p", 0.0)] = np.zeros(SMALL["d_state"])
+        fresh._statevec_cache.put((0, "q", "p", 0.0), np.zeros(SMALL["d_state"]))
         trainer = AAMTrainer(fresh, rng=np.random.default_rng(21))
         return fresh, trainer, samples, trainer.train(samples)
 
     def test_train_leaves_version_cache_batches_and_rng_as_before(self, trained):
         model, trainer, samples, metrics = trained
         assert model.version == 1
-        assert model._statevec_cache == {}
+        assert len(model._statevec_cache) == 0
         assert metrics["batches"] == 2 * 5  # 70 pairs in minibatches of 16, twice
         twin = np.random.default_rng(21)
         for _ in range(2):

@@ -142,8 +142,8 @@ class TestHintCacheLRU:
 
     def test_lru_keeps_recently_used_entries(self, tiny_db, bound_query):
         tiny_db._hint_cache.clear()
-        old_capacity = tiny_db.hint_cache_capacity
-        tiny_db.hint_cache_capacity = 3
+        old_capacity = tiny_db._hint_cache.capacity
+        tiny_db._hint_cache.capacity = 3
         try:
             v = self._variants(tiny_db, bound_query, 4)
             for order, methods in v[:3]:
@@ -159,19 +159,19 @@ class TestHintCacheLRU:
             assert first_key in tiny_db._hint_cache
             assert second_key not in tiny_db._hint_cache
         finally:
-            tiny_db.hint_cache_capacity = old_capacity
+            tiny_db._hint_cache.capacity = old_capacity
             tiny_db._hint_cache.clear()
 
     def test_capacity_never_exceeded(self, tiny_db, bound_query):
         tiny_db._hint_cache.clear()
-        old_capacity = tiny_db.hint_cache_capacity
-        tiny_db.hint_cache_capacity = 2
+        old_capacity = tiny_db._hint_cache.capacity
+        tiny_db._hint_cache.capacity = 2
         try:
             for order, methods in self._variants(tiny_db, bound_query, 4):
                 tiny_db.plan_with_hints(bound_query, order, methods)
                 assert len(tiny_db._hint_cache) <= 2
         finally:
-            tiny_db.hint_cache_capacity = old_capacity
+            tiny_db._hint_cache.capacity = old_capacity
             tiny_db._hint_cache.clear()
 
 
@@ -293,8 +293,8 @@ class TestStatementCache:
             assert fresh_db.stats()["statement_cache"] == 1
 
     def test_lru_evicts_oldest_and_a_read_refreshes_recency(self, fresh_db):
-        old_capacity = fresh_db.statement_cache_capacity
-        fresh_db.statement_cache_capacity = 3
+        old_capacity = fresh_db._statement_cache.capacity
+        fresh_db._statement_cache.capacity = 3
         try:
             texts = [STATEMENT.format(i) for i in range(5)]
             bound = [fresh_db.sql(text) for text in texts[:3]]
@@ -308,11 +308,11 @@ class TestStatementCache:
                 fresh_db.sql(text)
                 assert fresh_db.stats()["statement_cache"] <= 3
         finally:
-            fresh_db.statement_cache_capacity = old_capacity
+            fresh_db._statement_cache.capacity = old_capacity
 
     def test_capacity_covers_the_serving_memo(self, tiny_db):
         # A plan-memo hit must never be preceded by a bind miss.
-        assert tiny_db.statement_cache_capacity >= DEFAULT_MEMO_CAPACITY
+        assert tiny_db._statement_cache.capacity >= DEFAULT_MEMO_CAPACITY
 
     def _check_clearing(self, backend, database):
         """``database`` is the engine ``backend.sql`` binds on (itself, or its mirror)."""

@@ -1,6 +1,7 @@
 """Repository invariants, held by walking ``src/repro`` with stdlib ``ast``.
 
-Ten checks, one test each, over every module of the package:
+Ten checks, one test each, over every module of the package (the
+``hash()`` check also over the benches, the spine and the examples):
 
 * determinism — no builtin ``hash()`` (it is salted by ``PYTHONHASHSEED``;
   the repo's checksum is length-prefixed crc32, ``repro.engine.wire``), no
@@ -188,9 +189,24 @@ def src_modules(root: Path = REPO_ROOT) -> Tuple[Module, ...]:
     )
 
 
-def violations(check, root: Path = REPO_ROOT) -> List[str]:
-    """``path:line`` of every line under ``root/src/repro`` that ``check`` flags."""
-    return [f"{module.path}:{line}" for module in src_modules(root) for line in check(module)]
+#: The scripts outside the package whose output must not vary by process:
+#: paper benches, the spine benchmark and the examples.
+SCRIPT_GLOBS = ("benchmarks/*.py", "benchmarks/spine/**/*.py", "examples/*.py")
+
+
+def script_modules(root: Path = REPO_ROOT) -> Tuple[Module, ...]:
+    """Every module matched by :data:`SCRIPT_GLOBS` under ``root``, in path order."""
+    paths = sorted({path for glob in SCRIPT_GLOBS for path in root.glob(glob)})
+    return tuple(
+        parse(path.relative_to(root).as_posix(), path.read_text(encoding="utf-8"))
+        for path in paths
+    )
+
+
+def violations(check, root: Path = REPO_ROOT, modules=src_modules) -> List[str]:
+    """``path:line`` of every line of ``modules(root)`` (by default, every
+    module under ``root/src/repro``) that ``check`` flags."""
+    return [f"{module.path}:{line}" for module in modules(root) for line in check(module)]
 
 
 def hits(check, source: str, path: str = "src/repro/optimizer/_fixture.py") -> int:
@@ -632,6 +648,7 @@ CHECKS = (
 
 def test_det_hash():
     assert violations(det_hash) == []
+    assert violations(det_hash, modules=script_modules) == []
 
 
 def test_det_unseeded_random():

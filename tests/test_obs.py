@@ -30,7 +30,6 @@ from __future__ import annotations
 import json
 import math
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -341,37 +340,6 @@ class TestExporters:
         prom = tmp_path / "metrics.prom"
         obs.dump(str(prom), registry=registry, fmt="prometheus")
         assert "t_dump_total" in prom.read_text()
-
-    def test_periodic_dumper_writes_and_stops(self, registry, tmp_path):
-        path = tmp_path / "periodic.json"
-        dumper = obs.PeriodicDumper(str(path), interval_s=0.05, registry=registry)
-        dumper.start()
-        try:
-            deadline = time.monotonic() + 5.0
-            while not path.exists() and time.monotonic() < deadline:
-                time.sleep(0.01)
-        finally:
-            dumper.stop()
-        assert path.exists()
-        json.loads(path.read_text())
-
-    def test_periodic_dumper_survives_a_nan_gauge(self, registry, tmp_path):
-        registry.gauge("t_dump_nan", "x").set(math.nan)
-        path = tmp_path / "periodic.prom"
-        dumper = obs.PeriodicDumper(
-            str(path), interval_s=0.02, registry=registry, fmt="prometheus"
-        )
-        dumper.start()
-        try:
-            for _ in range(2):  # a second file proves the thread outlived the first
-                deadline = time.monotonic() + 5.0
-                while not path.exists() and time.monotonic() < deadline:
-                    time.sleep(0.01)
-                assert "t_dump_nan NaN" in path.read_text()
-                path.unlink()
-        finally:
-            dumper.stop()
-        assert "t_dump_nan NaN" in path.read_text()
 
     def test_metrics_http_response_paths(self):
         ok = obs.metrics_http_response("/metrics")

@@ -717,7 +717,7 @@ class TestSharedJoinSpace:
     def test_plans_and_spaces_are_bounded_by_the_statement_capacity(self, planners, space_builds):
         workload, _ = planners["job"]
         database = Database(workload.database.dataset)
-        database.statement_cache_capacity = 3
+        database._plan_cache.capacity = database._join_spaces.capacity = 3
         queries = [wq.query for wq in workload.all_queries[:6]]
         signatures = [query.signature() for query in queries]
         for query in queries:
@@ -745,7 +745,7 @@ class TestSharedJoinSpace:
             hinted = space.complete(plan_aliases(plan)[::-1], plan_join_methods(plan))
             expected[query.name] = (tree(plan), tree(hinted))
         database = Database(workload.database.dataset)
-        database.statement_cache_capacity = 8
+        database._plan_cache.capacity = database._join_spaces.capacity = 8
         results = [None] * 8
 
         def run(slot):
