@@ -16,9 +16,8 @@ scored by the value network on the partial plan's features.
 
 from __future__ import annotations
 
-import math
 import time
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 

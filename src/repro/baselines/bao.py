@@ -10,7 +10,7 @@ stand-in for Bao's Thompson sampling.
 from __future__ import annotations
 
 import time
-from typing import FrozenSet, List, Optional, Sequence, Tuple
+from typing import FrozenSet, List, Sequence, Tuple
 
 import numpy as np
 

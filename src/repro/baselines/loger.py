@@ -11,7 +11,7 @@ lowest in Fig. 6 (no DP run per query).
 from __future__ import annotations
 
 import time
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 

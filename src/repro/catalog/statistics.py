@@ -13,7 +13,7 @@ histogram boundaries carry sampling error on skewed data.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 

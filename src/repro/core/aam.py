@@ -25,7 +25,7 @@ those of the two-sided forward; only float summation order differs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import groupby
 from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple

@@ -12,7 +12,7 @@ action to overriding the parent join of one of the swapped leaves.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List
 
 import numpy as np
 

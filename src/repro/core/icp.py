@@ -13,13 +13,11 @@ bottom-up: leaves ``T1..Tk`` (T1/T2 are the two deepest leaves) and joins
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from repro.optimizer.plans import (
     JOIN_METHODS,
-    JoinNode,
     PlanNode,
-    ScanNode,
     plan_aliases,
     plan_join_methods,
 )

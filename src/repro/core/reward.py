@@ -21,8 +21,8 @@ than the original, plus the original itself).
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Optional, Sequence, Tuple
 
 
 @dataclass(frozen=True)

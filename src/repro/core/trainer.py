@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -33,11 +33,9 @@ from repro.core.batching import BatchedEpisodeRunner
 from repro.core.buffer import ExecutionBuffer
 from repro.core.encoding import PlanEncoder
 from repro.core.planner import Episode, Planner, PlannerConfig
-from repro.core.reward import AdvantageFunction, RewardConfig
+from repro.core.reward import AdvantageFunction
 from repro.core.simenv import DYNAMIC_TIMEOUT_FACTOR, RealEnvironment, SimulatedEnvironment
 from repro.engine.backend import EngineBackend, make_backend
-from repro.rl.ppo import PPOConfig
-from repro.sql.ast import Query
 from repro.workloads.base import Workload, WorkloadQuery
 
 

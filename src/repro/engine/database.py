@@ -5,7 +5,8 @@ original plan (``Γp(Q, /)``), completes hinted incomplete plans
 (``Γp(Q, ICP)``, via the `pg_hint_plan` equivalent), and executes plans with
 the dynamic-timeout mechanism (``Ψp``).  Both planning calls, and the
 constructive baselines, read one :class:`~repro.optimizer.dp.JoinSpace` per
-query signature, built on first use and dropped with the plan cache.
+query signature, built on first use and dropped with the plan cache; the
+expert DP's level arrays read one skeleton per join graph the same way.
 
 Because virtual-time execution is deterministic, executed latencies are
 cached by (query, plan) signature; a cached latency above a requested
@@ -43,9 +44,11 @@ from repro.storage.database import StorageDatabase
 # treated as "at least this much".
 HARD_CAP_MS = 15_000.0
 
-# Memo capacities: bound statements, plans and join spaces; hint completions.
+# Memo capacities: bound statements, plans and join spaces; hint completions;
+# the DP's join-graph skeletons (JOB has 15 graphs on the level arrays).
 STATEMENT_CACHE_CAPACITY = 8192
 HINT_CACHE_CAPACITY = 200_000
+DP_SKELETON_CAPACITY = 32
 
 
 def context_expired(ctx: Optional[RequestContext]) -> bool:
@@ -151,7 +154,10 @@ class Database:
             self.storage, sample_rows=analyze_sample_rows, seed=analyze_seed
         )
         self.estimator = CardinalityEstimator(self.statistics)
-        self.enumerator = PlanEnumerator(self.estimator, self.cost_model, self.storage.has_index)
+        self._dp_skeletons: Memo[tuple, object] = Memo(DP_SKELETON_CAPACITY)
+        self.enumerator = PlanEnumerator(
+            self.estimator, self.cost_model, self.storage.has_index, self._dp_skeletons
+        )
         self.executor = ExecutionEngine(self.storage, self.runtime_cost_model)
         # The memos are shared by concurrent serving threads (OptimizerService
         # flushers, multi-tenant sessions over one shared engine).  Heavy
@@ -423,8 +429,10 @@ class Database:
         self.clear_plan_cache()
 
     def clear_plan_cache(self) -> None:
-        """Drop cached plans and join spaces only (bound queries and
+        """Drop every planning memo: expert plans, hint completions, join
+        spaces and the DP's join-graph skeletons (bound queries and
         latencies stay; used for timing studies)."""
+        self._dp_skeletons.clear()
         self._join_spaces.clear()
         self._plan_cache.clear()
         self._hint_cache.clear()
@@ -435,6 +443,7 @@ class Database:
             "backend": "local",
             "executions": self.executions,
             "join_spaces": len(self._join_spaces),
+            "dp_skeletons": len(self._dp_skeletons),
             "plan_cache": len(self._plan_cache),
             "hint_cache": len(self._hint_cache),
             "latency_cache": len(self._latency_cache),

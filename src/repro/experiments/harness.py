@@ -26,7 +26,6 @@ from repro.experiments.metrics import (
     geometric_mean_relevant_latency,
     workload_relevant_latency,
 )
-from repro.optimizer.plans import PlanNode
 from repro.sql.ast import Query
 from repro.workloads.base import WorkloadQuery
 

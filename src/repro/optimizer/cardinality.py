@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.catalog.statistics import ColumnStatistics, StatisticsCatalog
-from repro.sql.ast import ColumnRef, FilterPredicate, JoinPredicate, Query
+from repro.sql.ast import FilterPredicate, JoinPredicate, Query
 
 MIN_ROWS = 1.0
 

@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class CostParameters:
@@ -119,6 +121,15 @@ class CostModel:
 
     def sort(self, rows: float) -> float:
         return rows * math.log2(rows + 2) * self.params.sort_tuple_log
+
+    def sort_each(self, rows: np.ndarray) -> np.ndarray:
+        """:meth:`sort` of every element of a float64 array, bit for bit.
+
+        The logarithms stay ``math.log2``, one per element: ``np.log2`` may
+        round differently.
+        """
+        logs = np.fromiter(map(math.log2, (rows + 2).tolist()), float, len(rows))
+        return rows * logs * self.params.sort_tuple_log
 
     def nested_loop(self, outer_rows: float, inner_rows: float, out_rows: float) -> float:
         """Plain nested loop with a materialized inner side."""

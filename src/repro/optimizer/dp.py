@@ -52,18 +52,23 @@ Level arrays
 From :data:`ARRAY_DP_MIN_TABLES` aliases up, the DP evaluates one level at
 a time as numpy arrays over all of the level's (left subset, joining alias)
 pairs; smaller queries run the scalar loop.  A level costs the array step
-≈ 80 µs however few pairs it has, so the threshold sits where the two
-cross.  Per JOB query at scale 0.04 (thread time, median of 7 per query,
-median over the queries of a size; 2-vCPU x86-64, numpy 2.4):
+≈ 80 µs on a skeleton hit and ≈ 190 µs on a miss (below) however few
+pairs it has, so the threshold sits where the loop and the arrays cross.
+Per JOB query at scale 0.04 (thread time, median of 7 per query, median
+over the queries of a size; 2-vCPU x86-64, numpy 2.4):
 
 =======  =======  =======  =======  =======  =======  =======  =======
 tables   4        6        7        8        9        11       15
-scalar   0.11 ms  0.20 ms  0.30 ms  0.67 ms  1.04 ms  3.2 ms   56 ms
-arrays   0.33 ms  0.51 ms  0.59 ms  0.71 ms  0.83 ms  1.3 ms   6.8 ms
+scalar   0.07 ms  0.21 ms  0.42 ms  1.15 ms  1.85 ms  5.8 ms   103 ms
+miss     0.57 ms  0.87 ms  1.04 ms  1.27 ms  1.71 ms  2.4 ms   10.0 ms
+hit      0.25 ms  0.41 ms  0.49 ms  0.59 ms  0.74 ms  1.1 ms   5.2 ms
 =======  =======  =======  =======  =======  =======  =======  =======
 
-No Stack query has more than 6 tables, so Stack stays on the scalar loop.
-The same rules hold on both paths, step for step:
+At 8 tables a hit beats the loop and a miss does not, so the threshold
+stays at 9.  (The same box ran the unchanged scalar loop at 0.67 ms and
+56 ms for 8 and 15 tables when the table was first taken: compare within
+a column only.)  No Stack query has more than 6 tables, so Stack stays
+on the scalar loop.  The same rules hold on both paths, step for step:
 
 * pairs come from ``np.nonzero`` of ``reach & ~mask`` tested against the
   alias bits: row-major, so subsets in level order and aliases in name
@@ -91,12 +96,45 @@ The same rules hold on both paths, step for step:
 ``tests/reference_dp.py`` keeps the previous frozenset implementation as the
 oracle these rules are checked against, ``float.hex`` for ``float.hex``, on
 both paths.
+
+The level arrays come in two parts.  The skeleton (:func:`_skeleton`) is
+what the join graph alone decides: per level, the (left position, alias)
+pairs stable-sorted by the subset they make, each pair's predicate
+entries and index usability, each subset's first pair and pair count,
+and the subsets in first-discovery order.  It holds arrays and ints only,
+never a ``Query``, ``JoinSpace`` or ``Database``, so a memo of skeletons
+keeps no engine alive.  The evaluation (:meth:`PlanEnumerator._level_arrays`)
+runs one query's estimates over it: the selectivity fold, rows, the three
+method costs, each subset's first minimum and the winners.  A built and a
+read skeleton go through the same evaluation, so plans cannot tell them
+apart.
+
+* Key: the query order and the predicate layout (per alias, each
+  predicate's other-side bit and index flag, in ``joins[i]`` order).  The
+  neighbour masks follow from the layout, and alias names decide nothing
+  but the numbering, which the layout already carries.
+* Lifetime: the enumerator's ``skeletons`` memo, which
+  :class:`~repro.engine.database.Database` owns and empties in
+  ``clear_plan_cache`` and ``clear_caches``: one skeleton per join graph
+  per cache epoch.  An enumerator built without one builds every time.
+* Prefixes: only prefix-free skeletons are kept.  A leading prefix
+  (HybridQO draws several per query) builds its skeleton and drops it: the
+  plan cache answers a repeated (query, prefix), so only a sibling drawing
+  the same prefix could read a kept one, while keeping each would evict
+  the prefix-free skeletons every expert plan reads.
+* Bound and bytes: 32 skeletons, about twice JOB's 15 graphs, which take
+  2.3 MB at scale 0.04 (64,086 pairs).  Arrays that index a gather stay
+  ``intp`` (an ``int32`` index costs a cast per gather, 3–7 % of a hit);
+  ``reduceat`` and ``searchsorted`` arguments are ``int32``.  The worst
+  case is a dense graph: a 15-alias clique with one predicate per pair
+  has 245,745 pairs and takes 33.2 MB, each further predicate per pair
+  27.5 MB more.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -319,6 +357,110 @@ def _level_pairs(
     return left, np.where(stranded[left], query_order[column], column)
 
 
+class _Level(NamedTuple):
+    """One DP level's expansions, grouped by the subset they make.
+
+    Pairs are stable-sorted by subset, so within a subset they stay in
+    discovery order.
+    """
+
+    left: np.ndarray  # pair -> its left subset's position in the previous level
+    alias: np.ndarray  # pair -> the alias it joins
+    entries: np.ndarray  # the pairs' factors as selectivity indexes, a miss the trailing 1.0
+    segments: np.ndarray  # pair -> its first entry
+    index_usable: np.ndarray  # pair -> an index nested loop into the alias is usable
+    starts: np.ndarray  # subset -> its first pair (sorted order)
+    sizes: np.ndarray  # subset -> its pair count (sorted order)
+    firsts: np.ndarray  # the subsets' first pairs in first-discovery order
+
+
+class _Skeleton(NamedTuple):
+    """Everything of the level arrays that only the join graph decides."""
+
+    first: np.ndarray  # the first level's aliases
+    levels: Tuple[_Level, ...]
+
+
+def _skeleton(space: JoinSpace, prefix: Sequence[int]) -> _Skeleton:
+    """The level structure of ``space``'s join graph under a leading prefix.
+
+    Reads only the graph of ``space`` (aliases, query order, predicate
+    bits and index flags), never its estimates, and keeps only arrays.
+    Masks are int64, which holds any query a DP can finish.
+    """
+    n = len(space.names)
+    bits = np.left_shift(1, np.arange(n, dtype=np.int64))
+    # Grouping sorts masks as the narrowest unsigned type that holds them
+    # (radix sort up to 16 aliases).
+    key_type = np.min_scalar_type(space.full)
+    query_order = np.array(space.query_order)
+    neighbors = np.array(space.neighbors, dtype=np.int64)
+    # Every alias's predicates as slots, flat in joins[i] order from
+    # offsets[i]: the other side's bit and the index of the selectivity.
+    # An alias without predicates gets one slot that never hits (bit 0), so
+    # every pair has a segment; a missed slot reads the 1.0 at index
+    # ``miss``.  An index nested loop into i is usable when the left side
+    # holds a bit of indexed_bits[i].
+    slot_bits, slot_entries, counts = [], [], []
+    indexed_bits = np.zeros(n, dtype=np.int64)
+    entry = 0
+    for i, joins in enumerate(space.joins):
+        for other_bit, _, _, indexed in joins:
+            slot_bits.append(other_bit)
+            slot_entries.append(entry)
+            entry += 1
+            if indexed:
+                indexed_bits[i] |= other_bit
+        if not joins:
+            slot_bits.append(0)
+            slot_entries.append(entry)
+        counts.append(max(1, len(joins)))
+    miss = entry
+    slot_bits, slot_entries = np.array(slot_bits, dtype=np.int64), np.array(slot_entries)
+    counts = np.array(counts)
+    offsets = np.cumsum(counts) - counts
+
+    first = np.array(prefix[:1] or space.query_order)
+    masks, reach = bits[first], neighbors[first]
+    levels = []
+    for size in range(2, n + 1):
+        if size <= len(prefix):
+            left = np.arange(len(masks))
+            alias = np.full(len(masks), prefix[size - 1])
+        else:
+            left, alias = _level_pairs(masks, reach, bits, query_order, space.full)
+        keys = masks[left] | bits[alias]
+        order = np.argsort(keys.astype(key_type), kind="stable")
+        left, alias, keys = left[order], alias[order], keys[order]
+        starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+        # A subset's first pair in sorted order is its first discovered.
+        firsts = starts[np.argsort(order[starts])]
+        # One segment of factors per pair: its alias's slots, a missed one
+        # as the 1.0, which never rounds.
+        pair_masks = masks[left]
+        pair_counts = counts[alias]
+        ends = np.cumsum(pair_counts)
+        segments = ends - pair_counts
+        slots = np.arange(ends[-1]) + np.repeat(offsets[alias] - segments, pair_counts)
+        hit = (slot_bits[slots] & np.repeat(pair_masks, pair_counts)) != 0
+        entries = np.where(hit, slot_entries[slots], miss)
+        levels.append(
+            _Level(
+                left=left,
+                alias=alias,
+                entries=entries,
+                segments=segments.astype(np.int32),
+                index_usable=(pair_masks & indexed_bits[alias]) != 0,
+                starts=starts.astype(np.int32),
+                sizes=np.diff(starts, append=len(keys)),
+                firsts=firsts.astype(np.int32),
+            )
+        )
+        masks = keys[firsts]
+        reach = reach[left[firsts]] | neighbors[alias[firsts]]
+    return _Skeleton(first=first, levels=tuple(levels))
+
+
 class PlanEnumerator:
     """Cost-based left-deep plan enumeration over a query's join graph."""
 
@@ -327,10 +469,14 @@ class PlanEnumerator:
         estimator: CardinalityEstimator,
         cost_model: CostModel,
         index_oracle: IndexOracle,
+        skeletons=None,
     ) -> None:
         self.estimator = estimator
         self.cost_model = cost_model
         self.has_index = index_oracle
+        # Prefix-free level-array skeletons by join graph: a bounded memo
+        # with ``get`` / ``put`` (the engine's), or ``None`` to keep none.
+        self.skeletons = skeletons
 
     # ------------------------------------------------------------------
     # scans
@@ -459,67 +605,40 @@ class PlanEnumerator:
         """:meth:`_dynamic_programming` with each level evaluated as arrays.
 
         Same pairs, arithmetic and tie-breaks (module docstring, "Level
-        arrays").  Masks are int64, which holds any query a DP can finish.
+        arrays"): the join graph's skeleton, read from :attr:`skeletons` or
+        built, evaluated over this query's estimates.
         """
         methods = options.allowed_methods()
         prefix = [space.index[alias] for alias in options.leading_prefix]
-        cost_model, sort = space.cost_model, space.cost_model.sort
-        n = len(space.names)
-        bits = np.left_shift(1, np.arange(n, dtype=np.int64))
-        # Grouping sorts masks as the narrowest unsigned type that holds them
-        # (radix sort up to 16 aliases).
-        key_type = np.min_scalar_type(space.full)
-        query_order = np.array(space.query_order)
+        if prefix or self.skeletons is None:
+            skeleton = _skeleton(space, prefix)
+        else:
+            key = (
+                tuple(space.query_order),
+                tuple(tuple((bit, indexed) for bit, _, _, indexed in joins) for joins in space.joins),
+            )
+            skeleton = self.skeletons.get(key)
+            if skeleton is None:
+                skeleton = self.skeletons.put(key, _skeleton(space, prefix))
+        cost_model = space.cost_model
         scan_rows, scan_costs = np.array(space.rows), np.array(space.costs)
         sort_costs, descents = np.array(space.sort_costs), np.array(space.descents)
-        neighbors = np.array(space.neighbors, dtype=np.int64)
-        # Every alias's join predicates, flat in joins[i] order from
-        # offsets[i]: the other side's bit and the selectivity.  An alias
-        # without predicates gets one that never hits (bit 0, selectivity
-        # 1.0), so every pair has a segment.  An index nested loop into i is
-        # usable when the left side holds a bit of indexed_bits[i].
-        other_bits, selectivities, counts = [], [], []
-        indexed_bits = np.zeros(n, dtype=np.int64)
-        for i, joins in enumerate(space.joins):
-            for other_bit, _, selectivity, indexed in joins:
-                other_bits.append(other_bit)
-                selectivities.append(selectivity)
-                if indexed:
-                    indexed_bits[i] |= other_bit
-            if not joins:
-                other_bits.append(0)
-                selectivities.append(1.0)
-            counts.append(max(1, len(joins)))
-        other_bits, selectivities = np.array(other_bits, dtype=np.int64), np.array(selectivities)
-        counts = np.array(counts)
-        offsets = np.cumsum(counts) - counts
-
-        first = np.array(prefix[:1] or space.query_order)
-        masks, reach = bits[first], neighbors[first]
+        # Every alias's join selectivities, flat in joins[i] order, then the
+        # 1.0 that a missed predicate reads.
+        selectivities = np.array(
+            [selectivity for joins in space.joins for _, _, selectivity, _ in joins] + [1.0]
+        )
+        first = skeleton.first
         costs, rows, left_sort = scan_costs[first], scan_rows[first], sort_costs[first]
-        # Per level, for each subset's winner: (left subset's position in
-        # the previous level, joined alias, method index, total cost).
+        # Per level: each subset's winning pair, and every pair's method
+        # index and total cost.
         steps = []
         with np.errstate(over="ignore", invalid="ignore"):
-            for size in range(2, n + 1):
-                if size <= len(prefix):
-                    left = np.arange(len(masks))
-                    alias = np.full(len(masks), prefix[size - 1])
-                else:
-                    left, alias = _level_pairs(masks, reach, bits, query_order, space.full)
-                pair_masks = masks[left]
+            for level in skeleton.levels:
+                left, alias = level.left, level.alias
                 left_rows, right_rows = rows[left], scan_rows[alias]
-                # One segment of factors per pair: the alias's predicates in
-                # joins[i] order, a missed one as 1.0, which never rounds;
-                # a multiply reduction folds each segment left to right.
-                pair_counts = counts[alias]
-                ends = np.cumsum(pair_counts)
-                segments = ends - pair_counts
-                entries = np.arange(ends[-1]) + np.repeat(offsets[alias] - segments, pair_counts)
-                hit = (other_bits[entries] & np.repeat(pair_masks, pair_counts)) != 0
-                factors = np.where(hit, selectivities[entries], 1.0)
-                selectivity = np.multiply.reduceat(factors, segments)
-                index_usable = (pair_masks & indexed_bits[alias]) != 0
+                # A multiply reduction folds each pair's factors left to right.
+                selectivity = np.multiply.reduceat(selectivities[level.entries], level.segments)
                 out_rows = left_rows * right_rows * selectivity
                 out_rows = np.where(out_rows > MIN_ROWS, out_rows, MIN_ROWS)
                 children_cost = costs[left] + scan_costs[alias]
@@ -537,7 +656,7 @@ class PlanEnumerator:
                     else:
                         plain = cost_model.nested_loop(left_rows, right_rows, out_rows)
                         probe = cost_model.index_probe_loop(left_rows, descents[alias], out_rows)
-                        op_cost = np.where(index_usable & (probe < plain), probe, plain)
+                        op_cost = np.where(level.index_usable & (probe < plain), probe, plain)
                     total = children_cost + op_cost
                     if best is None:
                         best, choice = total, np.zeros(len(total), dtype=np.int8)
@@ -547,32 +666,21 @@ class PlanEnumerator:
                         choice[better] = m
 
                 # Each subset's first minimum, subsets in first-discovery order.
-                keys = pair_masks | bits[alias]
-                order = np.argsort(keys.astype(key_type), kind="stable")
-                sorted_keys, sorted_best = keys[order], best[order]
-                starts = np.flatnonzero(
-                    np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1]))
-                )
-                minimums = np.minimum.reduceat(sorted_best, starts)
-                at_minimum = np.flatnonzero(
-                    sorted_best == np.repeat(minimums, np.diff(starts, append=len(keys)))
-                )
-                first_minimum = at_minimum[np.searchsorted(at_minimum, starts)]
-                winners = order[first_minimum][np.argsort(order[starts])]
-
-                left, alias = left[winners], alias[winners]
-                masks, costs, rows = keys[winners], best[winners], out_rows[winners]
-                reach = reach[left] | neighbors[alias]
-                steps.append((left, alias, choice[winners], costs))
+                minimums = np.minimum.reduceat(best, level.starts)
+                at_minimum = np.flatnonzero(best == np.repeat(minimums, level.sizes))
+                winners = at_minimum[np.searchsorted(at_minimum, level.firsts)]
+                costs, rows = best[winners], out_rows[winners]
+                steps.append((winners, choice, best))
                 if "merge" in methods:
-                    left_sort = np.array(list(map(sort, rows.tolist())))
+                    left_sort = cost_model.sort_each(rows)
 
         # Walk back from the full set, then build the chain bottom-up.
         chain = []
         position = 0
-        for left, alias, choice, costs in reversed(steps):
-            chain.append((int(alias[position]), methods[choice[position]], float(costs[position])))
-            position = left[position]
+        for level, (winners, choice, best) in zip(reversed(skeleton.levels), reversed(steps)):
+            pair = winners[position]
+            chain.append((int(level.alias[pair]), methods[choice[pair]], float(best[pair])))
+            position = level.left[pair]
         start = int(first[position])
         plan: PlanNode = space.scans[start]
         mask = 1 << start

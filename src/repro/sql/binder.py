@@ -7,9 +7,7 @@ the dictionary codes stored for string columns, and produces the
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, Union
-
-import numpy as np
+from typing import List, Optional, Union
 
 from repro.catalog.schema import Schema
 from repro.sql.ast import Aggregate, ColumnRef, FilterPredicate, JoinPredicate, Query

@@ -7,7 +7,7 @@ only.  Both return row-id arrays, keeping the executor vectorized.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 

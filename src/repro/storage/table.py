@@ -7,8 +7,8 @@ column is numeric; this keeps joins and predicate evaluation vectorized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 import numpy as np
 

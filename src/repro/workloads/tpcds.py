@@ -22,7 +22,6 @@ from repro.workloads.base import (
     Workload,
     WorkloadSpec,
     instantiate_templates,
-    split_train_test,
 )
 
 _TABLE_SIZES: Dict[str, int] = {

@@ -5,7 +5,8 @@ The checks themselves live in ``tests/test_invariants.py``, which also
 holds the real-tree test of each one.  Here:
 
 * every check is fed the snippets it must flag and the near misses it must
-  pass, by rule family (determinism, clocks, layering, lock blocking);
+  pass, by rule family (determinism, clocks, layering, lock blocking,
+  unused imports);
 * a scratch copy of ``src/repro`` takes a regression in a real module, to
   show the tree walk reports it at its file and line and nowhere else;
 * the old suppression comments exempt nothing: the allowlists in
@@ -60,6 +61,7 @@ from test_invariants import (
     layer_import,
     lock_blocking,
     src_modules,
+    unused_import,
     violations,
 )
 
@@ -249,6 +251,56 @@ class TestLayeringRule:
 
 
 # ----------------------------------------------------------------------
+# unused imports
+# ----------------------------------------------------------------------
+class TestUnusedImportRule:
+    def test_unread_module_level_imports_flagged(self):
+        assert hits(unused_import, """
+            import math
+            import numpy as np
+            from typing import List, Optional
+
+            def rows(values: List[float]) -> float:
+                return sum(values)
+            """) == 3
+
+    def test_names_read_anywhere_pass(self):
+        assert hits(unused_import, """
+            from __future__ import annotations
+
+            import os.path
+            from typing import TYPE_CHECKING, Dict
+
+            if TYPE_CHECKING:
+                from repro.sql.ast import Query
+
+            __all__ = ["Dict"]
+
+            def home(query: "Query") -> str:
+                return os.path.join("a", "b")
+            """) == 0
+
+    def test_imports_inside_functions_and_package_inits_pass(self):
+        assert hits(unused_import, """
+            def lazy():
+                import json
+            """) == 0
+        assert hits(unused_import, "from repro.optimizer.dp import JoinSpace\n",
+                    "src/repro/optimizer/__init__.py") == 0
+
+    def test_seeded_regression_reported_at_its_line(self, tree):
+        """An import the planner never reads, in a copy of the real tree."""
+        assert violations(unused_import, tree) == []
+        rel = "src/repro/optimizer/dp.py"
+        path = tree / rel
+        source = path.read_text(encoding="utf-8")
+        path.write_text(source.replace("import numpy as np\n", "import numpy as np\nimport math\n", 1),
+                        encoding="utf-8")
+        line = source.split("import numpy as np\n", 1)[0].count("\n") + 2
+        assert violations(unused_import, tree) == [f"{rel}:{line}"]
+
+
+# ----------------------------------------------------------------------
 # blocking while holding a lock
 # ----------------------------------------------------------------------
 class TestLockBlockingRule:
@@ -430,7 +482,7 @@ class TestCli:
 
     def test_list_rules(self):
         """Each check has its real-tree test, named after it."""
-        assert len(CHECKS) == len({check.__name__ for check in CHECKS}) == 10
+        assert len(CHECKS) == len({check.__name__ for check in CHECKS}) == 11
         for check in CHECKS:
             test = getattr(inv, f"test_{check.__name__}", None)
             assert callable(test), check.__name__

@@ -584,7 +584,8 @@ class TestIncrementalCli:
             inv.clock_wall: "import time\nZ = time.time()\n",
             inv.clock_monotonic: "import time\nZ = time.monotonic()\n",
             inv.clock_perf_counter: "import time\nZ = time.perf_counter()\n",
-            inv.layer_import: "from repro.api import service\n",
+            inv.layer_import: "from repro.api import service\nS = service\n",
+            inv.unused_import: "import math\n",
         }
         rel = "src/repro/optimizer/dp.py"
         original = (REPO_ROOT / rel).read_text(encoding="utf-8")

@@ -1,6 +1,6 @@
 """Repository invariants, held by walking ``src/repro`` with stdlib ``ast``.
 
-Ten checks, one test each, over every module of the package (the
+Eleven checks, one test each, over every module of the package (the
 ``hash()`` check also over the benches, the spine and the examples):
 
 * determinism — no builtin ``hash()`` (it is salted by ``PYTHONHASHSEED``;
@@ -17,7 +17,9 @@ Ten checks, one test each, over every module of the package (the
   in a module's lock-acquisition graph, and no socket, stream, pipe or
   pooled connection that an exception or a return can leak.  A regression
   of these hangs or leaks without failing any behavioural test, so only
-  the source can show it.
+  the source can show it;
+* dead code — no module-level import the module never reads (a package's
+  ``__init__.py`` re-exports, so it is exempt).
 
 Each check maps one parsed module to the lines that break it.
 ``tests/test_analysis.py`` (syntactic checks) and
@@ -636,6 +638,43 @@ def resource_release(module: Module) -> List[int]:
     return lines
 
 
+def unused_import(module: Module) -> List[int]:
+    """Imports run at import time whose name the module never reads.
+
+    A name counts as read by any ``Name`` node, a quoted annotation or an
+    ``__all__`` entry.  A package's ``__init__.py`` is exempt: its imports
+    are its re-exports.
+    """
+    if module.path.endswith("/__init__.py"):
+        return []
+    read = {node.id for node in ast.walk(module.tree) if isinstance(node, ast.Name)}
+    annotations = [
+        node.annotation for node in ast.walk(module.tree)
+        if isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation is not None
+    ] + [
+        node.returns for node in ast.walk(module.tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns is not None
+    ] + [
+        node.value for node in module.tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets)
+    ]
+    for annotation in annotations:
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read |= {
+                    name.id for name in ast.walk(ast.parse(node.value, mode="eval"))
+                    if isinstance(name, ast.Name)
+                }
+    return [
+        node.lineno for node in _module_scope(module.tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+        for alias in node.names
+        if (alias.asname or alias.name.split(".")[0]) not in read
+    ]
+
+
 # ----------------------------------------------------------------------
 # the real tree holds every invariant
 # ----------------------------------------------------------------------
@@ -643,6 +682,7 @@ def resource_release(module: Module) -> List[int]:
 CHECKS = (
     det_hash, det_unseeded_random, det_set_order, clock_wall, clock_monotonic,
     clock_perf_counter, layer_import, lock_blocking, lock_order, resource_release,
+    unused_import,
 )
 
 
@@ -685,6 +725,10 @@ def test_lock_order():
 
 def test_resource_release():
     assert violations(resource_release) == []
+
+
+def test_unused_import():
+    assert violations(unused_import) == []
 
 
 # ----------------------------------------------------------------------

@@ -3,11 +3,13 @@ and the engine's one join space per query."""
 
 import contextlib
 import dataclasses
+import gc
 import itertools
 import math
 import sys
 import threading
 import warnings
+import weakref
 import zlib
 
 import numpy as np
@@ -75,6 +77,17 @@ class TestCostModel:
     def test_index_nl_beats_plain_nl_for_big_inner(self):
         cm = CostModel()
         assert cm.index_nested_loop(100, 100_000, 100) < cm.nested_loop(100, 100_000, 100)
+
+    def test_sort_each_is_sort_per_element(self):
+        """The DP's level arrays cost sorts a level at a time, bit for bit."""
+        cm = CostModel()
+        rng = np.random.default_rng(3)
+        rows = np.concatenate((rng.lognormal(5.0, 4.0, 2000), [0.0, 1.0, 1e300, 1e308, np.inf]))
+        with np.errstate(over="ignore"):
+            each = cm.sort_each(rows)
+        assert [value.hex() for value in each.tolist()] == [
+            cm.sort(value).hex() for value in rows.tolist()
+        ]
 
     def test_hash_beats_nl_for_large_both(self):
         cm = CostModel()
@@ -533,7 +546,11 @@ class TestFastPathParity:
         assert reassociated > 0
 
     def test_array_path_evaluates_the_scalar_loops_expansions(self, planners, monkeypatch):
-        """Query by query, the array path's pairs are the scalar loop's expansions."""
+        """Query by query, the array path's pairs are the scalar loop's expansions.
+
+        A skeleton hit builds no pairs, so each array-path call starts from
+        an empty skeleton memo.
+        """
         counts = {"pairs": 0, "expansions": 0}
         level_pairs, extend = dp._level_pairs, dp.JoinSpace.extend
 
@@ -556,6 +573,7 @@ class TestFastPathParity:
                     continue
                 for path, key in (("array", "pairs"), ("scalar", "expansions")):
                     counts[key] = 0
+                    workload.database.enumerator.skeletons.clear()
                     with dp_path(path):
                         workload.database.enumerator.optimize(wq.query)
                     found[key].append(counts[key])
@@ -791,3 +809,131 @@ class TestSharedJoinSpace:
                 assert backend.join_space(queries[0]) is client_database.join_space(queries[0])
                 backend.clear_caches()
                 assert server_database.stats()["join_spaces"] == 0
+
+
+# ----------------------------------------------------------------------
+# One DP skeleton per join graph: the level arrays' graph-only structure is
+# built once per join graph and cache epoch (``Database._dp_skeletons``)
+# and evaluated over each query's estimates.
+# ----------------------------------------------------------------------
+@pytest.fixture()
+def skeleton_builds(monkeypatch):
+    """The leading prefix of every skeleton built while the test runs, in order."""
+    built = []
+    skeleton = dp._skeleton
+
+    def counting(space, prefix):
+        built.append(tuple(prefix))
+        return skeleton(space, prefix)
+
+    monkeypatch.setattr(dp, "_skeleton", counting)
+    return built
+
+
+def array_queries(workload):
+    """The queries the default expert plans on the level arrays."""
+    return [
+        wq.query
+        for wq in workload.all_queries
+        if dp.ARRAY_DP_MIN_TABLES <= wq.query.num_tables <= OptimizerOptions().max_dp_tables
+    ]
+
+
+def skeleton_keys(database, queries):
+    """Each query's key in ``database``'s skeleton memo, which is left empty."""
+    keys = []
+    for query in queries:
+        database._dp_skeletons.clear()
+        database.enumerator.search(database.join_space(query))
+        keys.append(next(iter(database._dp_skeletons)))
+    database._dp_skeletons.clear()
+    return keys
+
+
+class TestDpSkeletons:
+    def test_a_miss_and_a_hit_both_match_reference(self, planners, reference_trees, skeleton_builds):
+        """Every parity case twice through one enumerator on the array path.
+
+        A prefix-free case builds its skeleton once and reads it the second
+        time; a prefixed one builds it both times and stores nothing.
+        """
+        with dp_path("array"):
+            for name, query, options, expected in reference_trees:
+                enumerator = planners[name][0].database.enumerator
+                enumerator.skeletons.clear()
+                skeleton_builds.clear()
+                miss = enumerator.optimize(query, options)
+                hit = enumerator.optimize(query, options)
+                assert tree(miss) == tree(hit) == expected, (name, query.name, options)
+                if options.leading_prefix:
+                    assert len(skeleton_builds) == 2 and len(enumerator.skeletons) == 0
+                else:
+                    assert skeleton_builds == [()] and len(enumerator.skeletons) == 1
+
+    def test_one_join_graph_shares_one_skeleton_and_a_prefix_stores_none(
+        self, planners, skeleton_builds
+    ):
+        """Siblings with other filters share their graph's skeleton.
+
+        A prefixed search (HybridQO draws several per query) builds its own
+        skeleton and stores none: the plan cache already answers a repeated
+        (query, prefix), so only a sibling drawing the same prefix could
+        read it, while storing each would evict prefix-free ones.
+        """
+        workload, reference = planners["job"]
+        database = Database(workload.database.dataset)
+        queries = array_queries(workload)
+        graphs = {}
+        for key, query in zip(skeleton_keys(database, queries), queries):
+            graphs.setdefault(key, []).append(query)
+        first, second = next(siblings for siblings in graphs.values() if len(siblings) > 1)[:2]
+        assert first.filters != second.filters
+        database.clear_plan_cache()
+        skeleton_builds.clear()
+        for query in (first, second):
+            assert tree(database.plan(query).plan) == tree(reference.optimize(query))
+        assert skeleton_builds == [()] and database.stats()["dp_skeletons"] == 1
+        prefix = tuple(reversed(plan_aliases(reference.optimize(second))[:2]))
+        options = OptimizerOptions(leading_prefix=prefix)
+        assert tree(database.plan(second, options).plan) == tree(reference.optimize(second, options))
+        assert len(skeleton_builds) == 2 and skeleton_builds[1] != ()
+        assert database.stats()["dp_skeletons"] == 1
+
+    def test_clearing_empties_the_memo_and_it_keeps_its_bound(self, planners):
+        workload, _ = planners["job"]
+        database = Database(workload.database.dataset)
+        queries = array_queries(workload)
+        graphs = len(set(skeleton_keys(database, queries)))
+        for clear in (database.clear_plan_cache, database.clear_caches):
+            for query in queries:
+                database.plan(query)
+            assert database.stats()["dp_skeletons"] == graphs > 3
+            clear()
+            assert database.stats()["dp_skeletons"] == 0
+        database._dp_skeletons.capacity = 3
+        for query in queries:
+            database.plan(query)
+            assert database.stats()["dp_skeletons"] <= 3
+        assert database.stats()["dp_skeletons"] == 3
+
+    def test_a_dropped_database_with_a_full_memo_is_freed(self, planners):
+        """Skeletons hold only arrays, so no cycle keeps an engine alive: the
+        last reference going frees it without a collection."""
+        workload, _ = planners["job"]
+        database = Database(workload.database.dataset)
+        database._dp_skeletons.capacity = 4
+        for query in array_queries(workload):
+            database.plan(query)
+        assert len(database._dp_skeletons) == 4
+        for key in database._dp_skeletons:
+            skeleton = database._dp_skeletons.get(key)
+            arrays = [skeleton.first, *(array for level in skeleton.levels for array in level)]
+            assert all(isinstance(array, np.ndarray) and array.dtype != object for array in arrays)
+        dropped = weakref.ref(database)
+        gc.collect()
+        gc.disable()
+        try:
+            del database
+            assert dropped() is None
+        finally:
+            gc.enable()
