@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Dict, List
+from typing import Dict
 
-import numpy as np
 import pytest
 
 from repro.api import FossSession, create_optimizer

@@ -1,13 +1,13 @@
-"""Concurrent serving demo: threaded clients + multi-tenant sessions.
+"""Concurrent serving demo: threaded clients + tenants sharing one engine.
 
 Part one stands up one ``OptimizerService`` with its background flusher
 running and drives it from several client threads — submissions from all
 threads are micro-batched into shared flushes (size- and time-triggered),
 and every client blocks on ``wait(ticket)`` for its own outcome.
 
-Part two opens a ``ServiceGroup``: two named tenants, each with its own
-session/optimizer/memo/stats, all routing through ONE shared engine
-backend, and serves both tenants from concurrent threads.
+Part two opens two tenant sessions over ONE shared engine backend: each
+tenant has its own session/optimizer/service/memo/stats, and both serve
+from concurrent threads through the one engine.
 
 Plans served under concurrency are bitwise-identical to sequential
 serving — the demo checks this — only ordering and telemetry differ.
@@ -26,7 +26,7 @@ import time
 
 import numpy as np
 
-from repro.api import FossConfig, FossSession, ServiceGroup
+from repro.api import FossConfig, FossSession
 from repro.core.aam import AAMConfig
 from repro.optimizer.plans import plan_signature
 
@@ -128,47 +128,46 @@ def main() -> None:
               f"total {stats['stage_total_p95_ms']:.1f} ms\n")
 
     # ------------------------------------------------------------------
-    # Part 2: two tenants over one shared engine
+    # Part 2: two tenant sessions over one shared engine
     # ------------------------------------------------------------------
-    print("Opening a ServiceGroup: tenants alpha+beta over one shared local engine...")
-    with ServiceGroup.open(
-        "job",
-        tenants=("alpha", "beta"),
-        scale=args.scale,
-        seed=1,
-        config=demo_config(),
-        max_pending=max(args.requests, 8),  # per-tenant queue bound
-    ) as group:
-        group.start()
+    print("Opening tenants alpha+beta: two sessions over one shared local engine...")
+    with FossSession.open("job", scale=args.scale, seed=1, config=demo_config()) as alpha, \
+            FossSession.open(workload=alpha.workload, config=demo_config(),
+                             backend=alpha.backend) as beta:
+        # beta borrows alpha's backend: closing beta leaves it open, and
+        # alpha, which built it, closes it last.
+        services = {
+            name: session.service(tenant=name, max_pending=max(args.requests, 8))
+            for name, session in (("alpha", alpha), ("beta", beta))
+        }
         per_tenant = {}
 
         def tenant_client(tenant: str) -> None:
-            trace = serving_trace(group.session(tenant).workload, args.requests // 2)
-            tickets = [group.submit(tenant, sql) for sql in trace]
-            outcomes = [group.wait(tenant, t, timeout=120.0) for t in tickets]
+            service = services[tenant]
+            trace = serving_trace(alpha.workload, args.requests // 2)
+            tickets = [service.submit(sql) for sql in trace]
+            outcomes = [service.wait(t, timeout=120.0) for t in tickets]
             per_tenant[tenant] = sum(r.ok for r in outcomes)
 
+        for service in services.values():
+            service.start()
         threads = [
             threading.Thread(target=tenant_client, args=(tenant,), daemon=True)
-            for tenant in group.tenants
+            for tenant in services
         ]
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join()
-
-        stats = group.stats()
-        for tenant in group.tenants:
-            print(f"  {tenant}: {per_tenant[tenant]} requests served ok, "
-                  f"cache hit rate {stats[tenant]['cache_hit_rate']:.0%}, "
-                  f"p50 {stats[tenant]['latency_p50_ms']:.1f} ms")
-        rollup = stats["group"]
-        print(f"  group rollup: {rollup['requests']:.0f} requests "
-              f"({rollup['expired']:.0f} expired, {rollup['rejected']:.0f} "
-              f"rejected) across {rollup['tenants']:.0f} tenants, "
-              f"stage total p95 {rollup['stage_total_p95_ms']:.1f} ms")
-        print(f"  shared backend: {stats['backend']}")
-        group.stop()
+        for tenant, service in services.items():
+            service.stop()
+            stats = service.stats()
+            print(f"  {tenant}: {per_tenant[tenant]} requests served ok "
+                  f"({stats['expired']:.0f} expired, {stats['rejected']:.0f} rejected), "
+                  f"cache hit rate {stats['cache_hit_rate']:.0%}, "
+                  f"p50 {stats['latency_p50_ms']:.1f} ms, "
+                  f"stage total p95 {stats['stage_total_p95_ms']:.1f} ms")
+        print(f"  shared backend: {alpha.backend.stats()}")
     print("\nDone: concurrent and multi-tenant serving returned the same plans "
           "the single-threaded path would.")
 

@@ -13,8 +13,8 @@ live optimizer" as a client/server system):
    SQL binds locally against a fingerprint-checked mirror dataset, while
    planning and execution RPCs travel as length-prefixed crc32 frames;
 
-3. a 2-tenant ``ServiceGroup`` shares that one ``RemoteBackend`` — the
-   multi-tenant layer is agnostic to whether the engine behind it is in
+3. two tenant sessions opened over that one ``RemoteBackend`` serve the
+   same plans — a tenant is a session, whether the engine it shares is in
    process or behind a socket.
 
 The demo checks the determinism contract as it goes: plans served over
@@ -35,7 +35,7 @@ import subprocess
 import sys
 import time
 
-from repro.api import FossConfig, FossSession, ServiceGroup
+from repro.api import FossConfig, FossSession
 from repro.core.aam import AAMConfig
 from repro.engine.remote import RemoteBackend
 from repro.optimizer.plans import plan_signature
@@ -129,26 +129,25 @@ def main() -> None:
             assert remote_plans == local_plans, "remote plans diverged from local!"
             print(f"  bitwise-identical plans for all {len(sqls)} queries")
 
-            print("\ntwo tenants sharing ONE remote backend ...")
-            with ServiceGroup.open(
-                workload=session.workload,
-                tenants=("alpha", "beta"),
-                config=demo_config(),
-                backend=session.backend,
-            ) as group:
-                for tenant in group.tenants:
+            print("\ntwo tenant sessions sharing ONE remote backend ...")
+            for tenant in ("alpha", "beta"):
+                # An injected backend is borrowed: closing the tenant's
+                # session leaves it open for the next tenant and the owner.
+                with FossSession.open(
+                    workload=session.workload, config=demo_config(), backend=session.backend
+                ) as tenant_session:
+                    tenant_service = tenant_session.service(tenant=tenant)
                     plans = [
-                        plan_signature(group.optimize_sql(tenant, s).plan)
-                        for s in sqls[:4]
+                        plan_signature(tenant_service.optimize_sql(s).plan) for s in sqls[:4]
                     ]
                     assert plans == local_plans[:4]
                     print(f"  tenant {tenant!r}: {len(plans)} plans, parity OK")
-                stats = group.stats()["backend"]
-                print(
-                    f"  shared backend: {stats['backend']} -> "
-                    f"server={stats['server_backend']} "
-                    f"(executions={stats['server_executions']})"
-                )
+            stats = session.backend.stats()
+            print(
+                f"  shared backend: {stats['backend']} -> "
+                f"server={stats['server_backend']} "
+                f"(executions={stats['server_executions']})"
+            )
         print("\ndone: the engine never lived in this process.")
     finally:
         if process is not None:

@@ -6,7 +6,10 @@ async backend:
 
 * :class:`FossSession` — lifecycle facade: builds workload + engine
   backend, trains the doctor, persists/reloads it as one artifact, and
-  hands out the deployable optimizer;
+  hands out the deployable optimizer.  Tenants are sessions opened over
+  one injected backend (``FossSession.open(..., backend=shared)``), each
+  serving through its own ``service(tenant=...)``; a session never closes
+  a backend it was handed;
 * :class:`OptimizerService` — request/response serving: ``submit(sql) ->
   PlanTicket`` / ``result(ticket)`` with micro-batched flushes, plus the
   synchronous ``optimize_sql(sql) -> OptimizedPlan`` and
@@ -15,11 +18,6 @@ async backend:
   a background flusher that micro-batches submissions from many client
   threads (size- and time-triggered), and ``wait(ticket, timeout)`` blocks
   on a per-ticket event;
-* :class:`ServiceGroup` — multi-tenant serving: N named tenants, each a
-  ``FossSession``-backed service with its own memo/stats, all routing
-  through one shared (thread-safe) engine — in-process, or
-  a :class:`~repro.engine.remote.client.RemoteBackend` talking to a
-  ``repro-engine`` server (``FossConfig.engine_url``);
 * :class:`RequestContext` — the typed envelope every request carries
   across layers (request id, tenant, ``deadline_s`` budget, priority),
   minted by the serving entry points unless the caller passes one;
@@ -47,7 +45,6 @@ telemetry may differ between threaded and sequential serving).
 """
 
 from repro.api.context import STAGES, AdmissionRejectedError, TraceHook
-from repro.api.group import ServiceGroup
 from repro.api.registry import available_optimizers, create_optimizer, register_optimizer
 from repro.api.service import (
     OptimizerService,
@@ -70,7 +67,6 @@ from repro.engine.context import (
 __all__ = [
     "FossSession",
     "OptimizerService",
-    "ServiceGroup",
     "PlanTicket",
     "TicketEvictedError",
     "TicketResult",

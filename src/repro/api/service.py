@@ -734,10 +734,6 @@ class OptimizerService:
         self._memo[signature] = plan
 
     # -- telemetry ---------------------------------------------------------
-    def stage_latencies(self) -> Dict[str, List[float]]:
-        """A snapshot of the per-stage duration windows (ms), for rollups."""
-        return {stage: child.window_values().tolist() for stage, child in self._stages.items()}
-
     def stats(self) -> Dict[str, float]:
         """Serving telemetry: latencies, batching, memoization, lifecycle.
 

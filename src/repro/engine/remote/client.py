@@ -10,9 +10,9 @@ the client rebuilds each reply's plan over the query object it sent, so a
 remote plan is ``==`` to the local one without planning here.
 
 Concurrency: a small pool of connections, each guarded by a lock held
-across one full send→recv round trip, so concurrent tenants (e.g. a
-:class:`~repro.api.group.ServiceGroup` sharing one ``RemoteBackend``)
-pipeline whole batches without interleaving bytes on a socket.
+across one full send→recv round trip, so concurrent tenants (e.g. several
+sessions opened over one ``RemoteBackend``) pipeline whole batches
+without interleaving bytes on a socket.
 ``*_many`` calls ship as single frames — one round trip per batch, not per
 item — and planning RPCs are memoized client-side, two
 :class:`~repro.engine.memo.Memo` instances whose hits skip the round trip.

@@ -41,6 +41,7 @@ from repro.engine.wire import OPS, Op
 from rpc_surface import op_table_gaps, public_methods, record_ops, uncovered_methods
 from test_invariants import (
     CHECKS,
+    IMPORT_GLOBS,
     LAYER_EXCEPTIONS,
     LAYERS,
     MONOTONIC_ALLOW,
@@ -56,6 +57,7 @@ from test_invariants import (
     det_set_order,
     det_unseeded_random,
     hits,
+    import_checked_scripts,
     layer_dag_problems,
     layer_exception_problems,
     layer_import,
@@ -298,6 +300,21 @@ class TestUnusedImportRule:
                         encoding="utf-8")
         line = source.split("import numpy as np\n", 1)[0].count("\n") + 2
         assert violations(unused_import, tree) == [f"{rel}:{line}"]
+
+    @pytest.mark.parametrize(
+        "rel", ["tests/test_sql.py", "examples/serve_concurrent.py", "benchmarks/conftest.py"]
+    )
+    def test_seeded_regression_outside_the_package(self, tmp_path, rel):
+        """The walk also reads the tests, the examples and the paper benches."""
+        for path in {path for glob in IMPORT_GLOBS for path in REPO_ROOT.glob(glob)}:
+            copy = tmp_path / path.relative_to(REPO_ROOT)
+            copy.parent.mkdir(parents=True, exist_ok=True)
+            shutil.copyfile(path, copy)
+        assert violations(unused_import, tmp_path, import_checked_scripts) == []
+        seeded = tmp_path / rel
+        seeded.write_text("import zlib as _never_read\n" + seeded.read_text(encoding="utf-8"),
+                          encoding="utf-8")
+        assert violations(unused_import, tmp_path, import_checked_scripts) == [f"{rel}:1"]
 
 
 # ----------------------------------------------------------------------

@@ -15,7 +15,6 @@ Covers the serving contracts the facade promises:
 """
 
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 

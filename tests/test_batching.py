@@ -7,7 +7,6 @@ episode order and every AAM/statevec quantity is a deterministic function of
 the model weights.  A cohort is inference: it builds no autograd tape.
 """
 
-import numpy as np
 import pytest
 
 from repro.core.aam import AAMConfig

@@ -10,7 +10,6 @@ from repro.core.aam import (
     AAMSample,
     AAMTrainer,
     AdvantageModel,
-    StateNetwork,
     asymmetric_loss,
     distinct_rows,
 )

@@ -6,12 +6,10 @@ import pytest
 from repro.core.aam import AAMConfig
 from repro.core.buffer import ExecutionBuffer
 from repro.core.icp import IncompletePlan
-from repro.core.planner import PlannerConfig
 from repro.core.reward import AdvantageFunction
 from repro.core.simenv import DYNAMIC_TIMEOUT_FACTOR, RealEnvironment
 from repro.core.trainer import FossConfig, FossTrainer
 from repro.optimizer.plans import plan_signature
-from repro.rl.ppo import PPOConfig
 
 
 def small_config(**overrides) -> FossConfig:

@@ -1,7 +1,9 @@
 """Repository invariants, held by walking ``src/repro`` with stdlib ``ast``.
 
 Eleven checks, one test each, over every module of the package (the
-``hash()`` check also over the benches, the spine and the examples):
+``hash()`` check also over the benches, the spine and the examples, and
+the unused-import check also over the tests, the examples and the paper
+benches):
 
 * determinism — no builtin ``hash()`` (it is salted by ``PYTHONHASHSEED``;
   the repo's checksum is length-prefixed crc32, ``repro.engine.wire``), no
@@ -196,9 +198,14 @@ def src_modules(root: Path = REPO_ROOT) -> Tuple[Module, ...]:
 SCRIPT_GLOBS = ("benchmarks/*.py", "benchmarks/spine/**/*.py", "examples/*.py")
 
 
-def script_modules(root: Path = REPO_ROOT) -> Tuple[Module, ...]:
-    """Every module matched by :data:`SCRIPT_GLOBS` under ``root``, in path order."""
-    paths = sorted({path for glob in SCRIPT_GLOBS for path in root.glob(glob)})
+#: The modules outside the package whose imports must all be read: the
+#: tests, the examples and the paper benches.
+IMPORT_GLOBS = ("tests/*.py", "examples/*.py", "benchmarks/*.py")
+
+
+def script_modules(root: Path = REPO_ROOT, globs: Tuple[str, ...] = SCRIPT_GLOBS) -> Tuple[Module, ...]:
+    """Every module matched by ``globs`` under ``root``, in path order."""
+    paths = sorted({path for glob in globs for path in root.glob(glob)})
     return tuple(
         parse(path.relative_to(root).as_posix(), path.read_text(encoding="utf-8"))
         for path in paths
@@ -638,6 +645,11 @@ def resource_release(module: Module) -> List[int]:
     return lines
 
 
+def import_checked_scripts(root: Path = REPO_ROOT) -> Tuple[Module, ...]:
+    """The modules matched by :data:`IMPORT_GLOBS` under ``root``."""
+    return script_modules(root, IMPORT_GLOBS)
+
+
 def unused_import(module: Module) -> List[int]:
     """Imports run at import time whose name the module never reads.
 
@@ -729,6 +741,7 @@ def test_resource_release():
 
 def test_unused_import():
     assert violations(unused_import) == []
+    assert violations(unused_import, modules=import_checked_scripts) == []
 
 
 # ----------------------------------------------------------------------

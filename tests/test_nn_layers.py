@@ -4,14 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.nn import functional as F
 from repro.nn import profile
 from repro.nn.layers import (
     Dropout,
     Embedding,
     LayerNorm,
     Linear,
-    Module,
     MultiHeadAttention,
     Parameter,
     Sequential,

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.nn import functional as F
 from repro.nn.optim import clip_grad_norm
-from repro.nn.tensor import Tensor, _sum_to_shape, concatenate, no_grad, randn, stack, where
+from repro.nn.tensor import Tensor, _sum_to_shape, concatenate, no_grad, stack, where
 
 
 def numeric_grad(fn, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import json
 import math
-import threading
 
 import numpy as np
 import pytest

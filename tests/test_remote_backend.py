@@ -8,8 +8,9 @@ The contracts under test (see :mod:`repro.engine.remote`):
   :class:`WorkloadSpec` (here the server builds its *own*
   engine from the spec, so the wire genuinely separates client and
   server);
-* a 2-tenant :class:`ServiceGroup` can share **one** ``RemoteBackend``
-  and serve the same plans as local sessions;
+* two tenant sessions opened over **one** ``RemoteBackend`` serve the
+  same plans as a local session, and neither closes the backend it was
+  handed;
 * the connect-time fingerprint handshake refuses client/server datagen
   drift, and the session manifest records the remote fingerprint;
 * the handshake refuses a server that speaks another wire protocol
@@ -34,12 +35,11 @@ import socket
 import subprocess
 import sys
 import threading
-import time
 
 import pytest
 
 from repro import obs
-from repro.api import FossConfig, FossSession, RequestContext, ServiceGroup
+from repro.api import FossConfig, FossSession, RequestContext
 from repro.core.aam import AAMConfig
 from repro.core.icp import IncompletePlan
 from repro.engine.backend import make_backend
@@ -232,29 +232,35 @@ class TestRemoteServing:
             local_plan = plan_signature(local.service().optimize_sql(sql).plan)
         assert remote_plan == local_plan
 
-    def test_two_tenant_group_over_one_shared_remote(
-        self, job_workload, remote_backend
-    ):
+    def test_two_sessions_over_one_shared_remote(self, job_workload, remote_backend):
         sqls = [wq.sql for wq in job_workload.train[:3]]
         with FossSession.open(workload=job_workload, config=tiny_config()) as local:
             expected = [
                 plan_signature(local.service().optimize_sql(sql).plan) for sql in sqls
             ]
-        with ServiceGroup.open(
-            workload=job_workload,
-            tenants=("alpha", "beta"),
-            config=tiny_config(),
-            backend=remote_backend,
-        ) as group:
-            assert group.backend is remote_backend
-            for tenant in group.tenants:
-                served = [
-                    plan_signature(group.optimize_sql(tenant, sql).plan)
-                    for sql in sqls
-                ]
+        sessions = {
+            tenant: FossSession.open(
+                workload=job_workload, config=tiny_config(), backend=remote_backend
+            )
+            for tenant in ("alpha", "beta")
+        }
+        try:
+            services = {
+                tenant: session.service(tenant=tenant) for tenant, session in sessions.items()
+            }
+            for tenant, service in services.items():
+                assert sessions[tenant].backend is remote_backend
+                served = [plan_signature(service.optimize_sql(sql).plan) for sql in sqls]
                 assert served == expected, f"tenant {tenant!r} diverged"
-            assert group.stats()["backend"]["backend"] == "remote"
-        # The group must not close the injected shared backend.
+                assert service.stats()["requests"] == len(sqls)
+            # Closing one tenant leaves the shared backend to the other.
+            sessions["alpha"].close()
+            assert services["beta"].execute_sql(sqls[0]).latency_ms > 0.0
+        finally:
+            for session in sessions.values():
+                session.close()
+        # Neither session closed the backend it was handed; its owner does.
+        assert remote_backend.stats()["backend"] == "remote"
         assert remote_backend.ping()
 
     def test_manifest_records_remote_fingerprint(

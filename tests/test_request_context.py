@@ -19,7 +19,9 @@ The contracts under test (see :mod:`repro.engine.context`):
   connection-refused (fail fast);
 * ``max_pending`` bounds the queue with a typed
   :class:`AdmissionRejectedError` *before* a ticket is issued, and
-  stage durations surface as p50/p95/p99 in service and group stats.
+  stage durations surface as p50/p95/p99 in service stats;
+* tenant sessions over one shared backend keep their own queue bound,
+  tenant name, deadlines and counters.
 
 Everything here runs under the same watchdog as the other serving
 suites: a wedged flush or socket must fail loudly, not hang tier-1.
@@ -44,7 +46,6 @@ from repro.api import (
     FossConfig,
     FossSession,
     RequestContext,
-    ServiceGroup,
 )
 from repro.core.aam import AAMConfig
 from repro.core.icp import IncompletePlan
@@ -514,51 +515,58 @@ class TestWireProtocol:
 
 
 # ----------------------------------------------------------------------
-# multi-tenant: per-tenant limits and the group rollup
+# tenants: sessions over one shared backend, each with its own limits
 # ----------------------------------------------------------------------
-class TestGroupLifecycle:
-    @pytest.fixture(scope="class")
-    def group(self, job_workload):
-        with ServiceGroup.open(
-            workload=job_workload,
-            tenants=("alpha", "beta"),
-            config=tiny_config(),
-            max_pending=4,
-        ) as group:
-            yield group
-
-    def test_group_tenant_name_is_reserved(self, job_workload):
-        with pytest.raises(ValueError, match="reserved"):
-            ServiceGroup.open(
-                workload=job_workload, tenants=("group",), config=tiny_config()
+@pytest.mark.parametrize("backend", BACKENDS, indirect=True)
+class TestTenantLifecycle:
+    @pytest.fixture
+    def tenants(self, backend, job_workload):
+        """Services of two sessions over one injected backend; alpha's
+        queue holds one request, beta's is unbounded."""
+        sessions = [
+            FossSession.open(workload=job_workload, config=tiny_config(), backend=backend)
+            for _ in range(2)
+        ]
+        try:
+            yield (
+                sessions[0].service(tenant="alpha", max_pending=1),
+                sessions[1].service(tenant="beta"),
             )
+        finally:
+            for session in sessions:
+                session.close()
 
-    def test_group_max_pending_reaches_tenant_services(self, group):
-        assert group.service("alpha").max_pending == 4
-        assert group.service("alpha").tenant == "alpha"
+    @staticmethod
+    def assert_counts_its_own(service, requests: int) -> dict:
+        stats = service.stats()
+        assert stats["requests"] == requests
+        assert stats["requests"] == stats["served"] + stats["failures"] + stats["expired"]
+        return stats
 
-    def test_group_rollup_sums_lifecycle_counters(self, group, job_workload):
-        sql = job_workload.train[0].sql
-        assert group.wait("alpha", group.submit("alpha", sql), timeout=WAIT_S).ok
-        dead = group.submit("beta", sql, deadline_s=0.0)
-        assert group.result("beta", dead).expired
-        stats = group.stats()
-        rollup = stats["group"]
-        assert rollup["tenants"] == 2.0
-        assert rollup["served"] >= 1 and rollup["expired"] >= 1
-        assert rollup["requests"] == (
-            rollup["served"] + rollup["failures"] + rollup["expired"]
-        )
-        for tenant in ("alpha", "beta"):
-            assert stats[tenant]["requests"] >= 1
-        # Pooled stage percentiles, recomputed over every tenant's window.
-        for pct in (50, 95, 99):
-            assert rollup[f"stage_total_p{pct}_ms"] >= 0.0
+    def test_max_pending_and_tenant_act_per_tenant(self, tenants, job_workload):
+        alpha, beta = tenants
+        sqls = [wq.sql for wq in job_workload.train[:3]]
+        admitted = alpha.submit(sqls[0])
+        assert admitted.context.tenant == "alpha"
+        with pytest.raises(AdmissionRejectedError, match="max_pending=1"):
+            alpha.submit(sqls[1])
+        # alpha's full queue is alpha's alone.
+        others = [beta.submit(sql) for sql in sqls]
+        assert [ticket.context.tenant for ticket in others] == ["beta"] * len(sqls)
+        assert alpha.result(admitted).ok
+        assert all(beta.result(ticket).ok for ticket in others)
+        assert self.assert_counts_its_own(alpha, 1)["rejected"] == 1
+        assert self.assert_counts_its_own(beta, len(sqls))["rejected"] == 0
 
-    def test_deadline_and_priority_ride_the_group_api(self, group, job_workload):
+    def test_deadline_and_priority_act_per_tenant(self, tenants, job_workload):
+        alpha, beta = tenants
         sql = job_workload.train[1].sql
-        ticket = group.submit("alpha", sql, deadline_s=600.0, priority=2)
+        ticket = alpha.submit(sql, deadline_s=600.0, priority=2)
         assert ticket.context.priority == 2
         assert ticket.context.tenant == "alpha"
-        result = group.wait("alpha", ticket, timeout=WAIT_S)
-        assert result.ok
+        assert alpha.wait(ticket, timeout=WAIT_S).ok
+        dead = beta.submit(sql, deadline_s=0.0)
+        assert dead.context.tenant == "beta"
+        assert beta.result(dead).expired
+        assert self.assert_counts_its_own(alpha, 1)["expired"] == 0
+        assert self.assert_counts_its_own(beta, 1)["expired"] == 1

@@ -1,4 +1,4 @@
-"""Concurrent serving: thread-safe OptimizerService + multi-tenant groups.
+"""Concurrent serving: thread-safe OptimizerService, tenants sharing a backend.
 
 The contracts under test:
 
@@ -7,8 +7,8 @@ The contracts under test:
   single-threaded path (engine results are pure functions of the
   dataset; only ordering/telemetry may differ), at one thread or several,
   with or without a queue bound and a deadline that cannot fire;
-* a ``ServiceGroup`` with >= 2 tenants routes every tenant through one
-  shared engine with no cross-tenant contamination;
+* two tenant sessions opened over one injected backend serve their own
+  traffic through that one engine with no cross-tenant contamination;
 * the background flusher honours both triggers (queue size, time) and
   stop() drains; ``wait`` blocks on a per-ticket event and times out
   loudly;
@@ -33,8 +33,6 @@ import pytest
 from repro.api import (
     FossConfig,
     FossSession,
-    OptimizerService,
-    ServiceGroup,
     TicketEvictedError,
 )
 from repro.core.aam import AAMConfig
@@ -188,40 +186,40 @@ class TestConcurrentParity:
 
 
 # ----------------------------------------------------------------------
-# multi-tenant: one shared engine, per-tenant sessions/services
+# multi-tenant: sessions that share one engine backend
 # ----------------------------------------------------------------------
-class TestServiceGroup:
+class TestSharedBackend:
     def test_two_tenants_share_one_pool(self, job_workload, api_session):
         sqls = shuffled_requests(job_workload, unique=4, copies=2)
         expected = reference_signatures(api_session, sqls)
-
-        with ServiceGroup.open(
-            workload=job_workload,
-            tenants=("alpha", "beta"),
-            config=tiny_config(),
-        ) as group:
-            assert group.tenants == ["alpha", "beta"]
-            assert group.backend is job_workload.database
+        backend = job_workload.database
+        tenants = ("alpha", "beta")
+        sessions = [
+            FossSession.open(workload=job_workload, config=tiny_config(), backend=backend)
+            for _ in tenants
+        ]
+        services = {}
+        try:
             # One engine: both tenant sessions hold the very same backend.
-            assert group.session("alpha").backend is group.backend
-            assert group.session("beta").backend is group.backend
-
-            group.start()
+            assert all(session.backend is backend for session in sessions)
+            for tenant, session in zip(tenants, sessions):
+                services[tenant] = session.service(tenant=tenant).start()
             outcomes = {}
             errors = []
 
             def tenant_client(tenant: str) -> None:
                 try:
-                    tickets = [group.submit(tenant, sql) for sql in sqls]
+                    service = services[tenant]
+                    tickets = [service.submit(sql) for sql in sqls]
                     outcomes[tenant] = [
-                        group.wait(tenant, ticket, timeout=WAIT_S) for ticket in tickets
+                        service.wait(ticket, timeout=WAIT_S) for ticket in tickets
                     ]
                 except Exception as exc:
                     errors.append((tenant, repr(exc)))
 
             threads = [
                 threading.Thread(target=tenant_client, args=(tenant,), daemon=True)
-                for tenant in group.tenants
+                for tenant in tenants
             ]
             for thread in threads:
                 thread.start()
@@ -233,40 +231,24 @@ class TestServiceGroup:
             # Both tenants' concurrent traffic over the shared engine still
             # yields the sequential single-tenant plans: no cross-tenant
             # contamination.
-            for tenant in ("alpha", "beta"):
+            for tenant in tenants:
                 assert all(r.ok for r in outcomes[tenant])
+                assert all(r.context.tenant == tenant for r in outcomes[tenant])
                 assert [plan_signature(r.plan.plan) for r in outcomes[tenant]] == [
                     expected[sql] for sql in sqls
                 ]
 
             # Tenant isolation: each service counted only its own traffic.
-            stats = group.stats()
-            for tenant in ("alpha", "beta"):
-                assert stats[tenant]["requests"] == len(sqls)
-                assert stats[tenant]["requests"] == (
-                    stats[tenant]["served"] + stats[tenant]["failures"]
-                )
-            assert stats["backend"]["backend"] == "local"
-            group.stop()
-
-    def test_unknown_tenant_raises(self, job_workload):
-        with ServiceGroup.open(
-            workload=job_workload, tenants=("solo",), config=tiny_config()
-        ) as group:
-            with pytest.raises(KeyError, match="unknown tenant"):
-                group.service("nope")
-
-    def test_duplicate_or_empty_tenants_rejected(self, job_workload):
-        with pytest.raises(ValueError, match="unique"):
-            ServiceGroup.open(
-                workload=job_workload, tenants=("a", "a"), config=tiny_config()
-            )
-        with pytest.raises(ValueError, match="at least one tenant"):
-            ServiceGroup.open(workload=job_workload, tenants=(), config=tiny_config())
-        with pytest.raises(ValueError, match="reserved"):
-            ServiceGroup.open(
-                workload=job_workload, tenants=("backend",), config=tiny_config()
-            )
+            for service in services.values():
+                stats = service.stats()
+                assert stats["requests"] == len(sqls)
+                assert stats["requests"] == stats["served"] + stats["failures"]
+            assert backend.stats()["backend"] == "local"
+        finally:
+            for service in services.values():
+                service.stop()
+            for session in sessions:
+                session.close()
 
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 import reference_lexer
 from reference_dp import joins_between, query_join_graph
 from repro.catalog.schema import ColumnSchema, ForeignKey, Schema, TableSchema
-from repro.sql.ast import Aggregate, ColumnRef, FilterPredicate, JoinPredicate, Query
+from repro.sql.ast import ColumnRef, FilterPredicate, JoinPredicate, Query
 from repro.sql.binder import BindError, bind_query
 from repro.sql.lexer import LexError, tokenize
 from repro.sql.parser import ParseError, parse_query
