@@ -1,8 +1,8 @@
 """Compare all six optimizers (the paper's Table I, one workload).
 
-Every method is constructed **by name** through the ``repro.api`` registry
-and trained/evaluated by the shared harness drivers; PostgreSQL is the 1.0
-reference.
+Every method is constructed **by name** through the ``repro.api`` registry,
+trained (FOSS through its session, a baseline on the train split) and
+evaluated by the shared harness; PostgreSQL is the 1.0 reference.
 
 Run:  python examples/compare_optimizers.py [--workload job|tpcds|stack]
 """
@@ -10,9 +10,10 @@ Run:  python examples/compare_optimizers.py [--workload job|tpcds|stack]
 from __future__ import annotations
 
 import argparse
+import time
 
-from repro.api import FossConfig, FossSession
-from repro.experiments.harness import evaluate_method
+from repro.api import FossConfig, FossSession, create_optimizer
+from repro.experiments.harness import MethodResult, evaluate_optimizer
 from repro.experiments.reporting import render_table1
 
 # (registry name, report label, training iterations multiplier)
@@ -43,12 +44,25 @@ def main() -> None:
         seed=7,
     )
     with FossSession.open(args.workload, scale=args.scale, seed=1, config=config) as session:
+        workload = session.workload
         results = []
         for name, label, iteration_factor in METHODS:
             iterations = args.iterations * iteration_factor
             print(f"Training + evaluating {label}"
                   f"{f' ({iterations} iterations)' if iterations else ''}...")
-            result = evaluate_method(name, session, iterations=iterations, label=label)
+            start = time.perf_counter()
+            optimizer = create_optimizer(name, session)
+            if iterations and name == "foss":
+                session.train(iterations)
+            elif iterations:
+                optimizer.train(workload.train, iterations=iterations)
+            result = MethodResult(
+                method=label,
+                workload=workload.name,
+                train=evaluate_optimizer(session.backend, workload.train, optimizer),
+                test=evaluate_optimizer(session.backend, workload.test, optimizer),
+                training_time_s=time.perf_counter() - start,
+            )
             results.append(result)
             print(f"  {label:<11} train WRL {result.train.wrl:5.2f} GMRL {result.train.gmrl:5.2f} | "
                   f"test WRL {result.test.wrl:5.2f} GMRL {result.test.gmrl:5.2f} "

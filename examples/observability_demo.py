@@ -112,7 +112,7 @@ def main() -> None:
         print(f"service.stats() view over the same registry: "
               f"{stats['requests']:.0f} requests, cache hit rate "
               f"{stats['cache_hit_rate']:.0%}, p50 {stats['latency_p50_ms']:.2f} ms, "
-              f"obs_hook_errors {stats['obs_hook_errors']:.0f}")
+              f"queue p95 {stats['stage_queue_p95_ms']:.2f} ms")
 
         if args.dump:
             path = facade.dump(args.dump)

@@ -44,7 +44,7 @@ bitwise-identical under concurrent submission (only ordering and
 telemetry may differ between threaded and sequential serving).
 """
 
-from repro.api.context import STAGES, AdmissionRejectedError, TraceHook
+from repro.api.context import STAGES, AdmissionRejectedError
 from repro.api.registry import available_optimizers, create_optimizer, register_optimizer
 from repro.api.service import (
     OptimizerService,
@@ -72,7 +72,6 @@ __all__ = [
     "TicketResult",
     "RequestContext",
     "MonotonicClock",
-    "TraceHook",
     "CLOCK",
     "STAGES",
     "AdmissionRejectedError",

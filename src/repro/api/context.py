@@ -1,25 +1,20 @@
-"""Serving-layer request lifecycle: stages, trace hooks, admission.
+"""Serving-layer request lifecycle: stages and admission.
 
 The request envelope itself — :class:`~repro.engine.context.RequestContext`,
 its clock and :class:`~repro.engine.context.DeadlineExceededError` — lives
 in :mod:`repro.engine.context`, the lowest layer that consumes it, and is
 re-exported by :mod:`repro.api`.  What stays here exists only in the
 serving layer: layers stamp stage times onto a ticket (``enqueue`` →
-``flush`` → ``engine`` → ``done``), a :data:`TraceHook` observes every
-stamp and ``stats()`` exposes p50/p95/p99 per stage; a full pending queue
-refuses a submit with :class:`AdmissionRejectedError`.
+``flush`` → ``engine`` → ``done``) and ``stats()`` exposes p50/p95/p99
+per stage; a full pending queue refuses a submit with
+:class:`AdmissionRejectedError`.
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
-from repro.engine.context import RequestContext
-
 __all__ = [
     "AdmissionRejectedError",
     "STAGES",
-    "TraceHook",
 ]
 
 #: The request lifecycle stages, in order.  ``enqueue`` is stamped at
@@ -27,12 +22,6 @@ __all__ = [
 #: when the optimizer/engine batch returns, ``done`` when the outcome is
 #: stored and waiters are released.
 STAGES = ("enqueue", "flush", "engine", "done")
-
-#: Observer for stage stamps: ``hook(ctx, stage, timestamp)``.  Called
-#: synchronously by the serving layer as each stage is stamped; hooks
-#: must be cheap and must not raise (failures are swallowed — tracing
-#: can never take serving down).
-TraceHook = Callable[[RequestContext, str, float], None]
 
 
 class AdmissionRejectedError(RuntimeError):

@@ -24,9 +24,9 @@ SQL surfaces as one typed :class:`~repro.engine.context.OptimizeError`; an
 unexpected exception fails every unresolved record of its cohort and then
 propagates.  A ticket's :class:`~repro.engine.context.RequestContext`
 carries its deadline, priority and trace; the stamps ``enqueue → flush →
-engine → done`` land on ``TicketResult.trace``, the ``trace_hook`` and the
-stage percentiles of ``stats``.  A context never changes a plan, and plans
-served under concurrency are bitwise-identical to the single-threaded path.
+engine → done`` land on ``TicketResult.trace`` and the stage percentiles
+of ``stats``.  A context never changes a plan, and plans served under
+concurrency are bitwise-identical to the single-threaded path.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import obs
-from repro.api.context import AdmissionRejectedError, TraceHook
+from repro.api.context import AdmissionRejectedError
 from repro.core.inference import OptimizedPlan, bind_sql
 from repro.engine.backend import EngineBackend
 from repro.engine.context import (
@@ -80,7 +80,6 @@ _COUNTERS = {
     "evicted": ("serving_results_evicted_total", "ticket outcomes aged out unredeemed"),
     "batches": ("serving_batches_total", "optimizer micro-batches flushed"),
     "occupancy": ("serving_batch_occupancy_sum", "total unique queries across all batches"),
-    "hook_errors": ("serving_obs_hook_errors_total", "exceptions swallowed from the trace_hook"),
 }
 # Each service gets its own label value in the process-global registry, so
 # two services never read each other's series.
@@ -215,7 +214,6 @@ class OptimizerService:
         max_pending: Optional[int] = None,
         tenant: str = "",
         clock: Optional[MonotonicClock] = None,
-        trace_hook: Optional[TraceHook] = None,
     ) -> None:
         if max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")
@@ -234,7 +232,6 @@ class OptimizerService:
         self.max_pending = max_pending  # None: unbounded queue
         self.tenant = tenant  # stamped onto every context this service mints
         self.clock = clock if clock is not None else CLOCK
-        self.trace_hook = trace_hook
         self._lock = threading.RLock()
         self._wakeup = threading.Condition(self._lock)
         self._optimize_lock = optimize_lock if optimize_lock is not None else threading.Lock()
@@ -660,18 +657,10 @@ class OptimizerService:
 
     # -- internals ---------------------------------------------------------
     def _stamp(self, records: List[_Pending], stage: str, now: float) -> None:
-        """Stamp a stage on each ticket's trace and feed the hook; a raising
-        hook is counted (``obs_hook_errors``), never propagated."""
-        hook = self.trace_hook
+        """Stamp a stage on each traced ticket's trace."""
         for record in records:
-            if record.trace is None:
-                continue
-            record.trace[stage] = now
-            if hook is not None:
-                try:
-                    hook(record.ctx, stage, now)
-                except Exception:
-                    self._count["hook_errors"].inc()
+            if record.trace is not None:
+                record.trace[stage] = now
 
     def _begin_request_span(
         self, ctx: Optional[RequestContext], start: float, ticket_id: Optional[int] = None
@@ -773,7 +762,6 @@ class OptimizerService:
             "cache_hit_rate": hits / served if served else 0.0,
             "memo_size": memo_size,
             "results_evicted": count["evicted"],
-            "obs_hook_errors": count["hook_errors"],
             "started": 1.0 if started else 0.0,
             "latency_p50_ms": percentile(latencies, 50),
             "latency_p95_ms": percentile(latencies, 95),

@@ -121,7 +121,7 @@ class FossSession:
         use of several services over this session's (single-flight)
         optimizer stays serialized.  ``kwargs`` pass through to the
         service — including the request-lifecycle knobs (``max_pending``,
-        ``tenant``, ``clock``, ``trace_hook``).
+        ``tenant``, ``clock``).
         """
         from repro.api.service import OptimizerService
 
@@ -183,8 +183,6 @@ class FossSession:
         if self._closed:
             return
         self._closed = True
-        if self._trainer is not None:
-            self._trainer.close()
         if self._owns_backend:
             close = getattr(self.backend, "close", None)
             if close is not None:

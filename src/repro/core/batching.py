@@ -162,7 +162,7 @@ class BatchedEpisodeRunner:
             # Child generators are drawn in episode order *before* any
             # stepping, so the parent stream advances identically for every
             # batch size (environment calls never touch the planner's rng,
-            # so drawing after begin_episode keeps the same parent stream).
+            # so drawing after begin_episode_many keeps the same parent stream).
             rng = None if deterministic else spawn_episode_rng(planner.rng)
             lives.append(_LiveEpisode(query, ctx, rng))
 

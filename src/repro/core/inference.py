@@ -10,14 +10,17 @@ completion — but no execution.
 The hot path is batched end to end: episodes run through the
 :class:`BatchedEpisodeRunner` (``optimize_many`` advances all queries'
 episodes in lockstep per agent), and each tournament's pairwise advantage
-queries are flushed through the optimizer's :class:`AAMScorer` at once.
+queries are flushed through the optimizer's :class:`AAMScorer` at once;
+the pure :func:`decide` folds each query's verdicts to its winner.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from itertools import combinations
+from math import comb
+from typing import List, Sequence
 
 from repro.core.aam import AdvantageModel
 from repro.core.encoding import PlanEncoder
@@ -40,6 +43,23 @@ def bind_sql(database: EngineBackend, text: str, name: str = "") -> Query:
         return database.sql(text, name=name)
     except ValueError as exc:
         raise OptimizeError(f"cannot bind SQL for optimization: {exc}") from exc
+
+
+def decide(count: int, verdicts: Sequence[int]) -> int:
+    """The tournament's winner among ``count`` finalists (Fig. 1).
+
+    ``verdicts`` holds Adv(finalist i, finalist j) for every pair i < j in
+    :func:`itertools.combinations` order.  The fold runs in temporal
+    order: the winner so far (always an earlier finalist) meets each later
+    challenger and yields to it on a verdict > 0.  Pure: it reads only its
+    arguments, so it calls neither the AAM nor the backend.
+    """
+    verdict = dict(zip(combinations(range(count), 2), verdicts))
+    best = 0
+    for challenger in range(1, count):
+        if verdict[(best, challenger)] > 0:
+            best = challenger
+    return best
 
 
 @dataclass
@@ -166,47 +186,30 @@ class FossOptimizer:
             runner.run(self._environment, queries, deterministic=True, ctxs=ctxs)
             for runner in self._runners
         ]
-        results: List[OptimizedPlan] = []
-        contexts = [episodes[0].context for episodes in zip(*per_agent)]
+        by_query = list(zip(*per_agent))  # each query's episodes, in agent order
+        finalists = [[(ep.best_plan, ep.best_step) for ep in episodes] for episodes in by_query]
 
         # Tournament: all pairwise (earlier finalist, later finalist)
         # advantage queries for every query, flushed in one batch.
-        requests: List[AdvantageRequest] = []
-        spans: List[Tuple[int, int]] = []
-        for qi in range(len(queries)):
-            finalists = [(agent[qi].best_plan, agent[qi].best_step) for agent in per_agent]
-            first = len(requests)
-            for i in range(len(finalists)):
-                for j in range(i + 1, len(finalists)):
-                    requests.append(
-                        (contexts[qi], finalists[i][0], finalists[i][1], finalists[j][0], finalists[j][1])
-                    )
-            spans.append((first, len(requests)))
-        scores = self._scorer.advantage_many(requests) if requests else []
+        requests: List[AdvantageRequest] = [
+            (episodes[0].context, *left, *right)
+            for episodes, entrants in zip(by_query, finalists)
+            for left, right in combinations(entrants, 2)
+        ]
+        verdicts = self._scorer.advantage_many(requests) if requests else []
 
         elapsed_ms = (time.perf_counter() - start) * 1000.0 / len(queries)
-        for qi in range(len(queries)):
-            finalists = [(agent[qi].best_plan, agent[qi].best_step) for agent in per_agent]
-            num_candidates = sum(len(agent[qi].candidates) for agent in per_agent)
-            first, _ = spans[qi]
-            pair_score = {}
-            offset = first
-            for i in range(len(finalists)):
-                for j in range(i + 1, len(finalists)):
-                    pair_score[(i, j)] = scores[offset]
-                    offset += 1
-            # Temporal-order fold over the precomputed scores: the winner so
-            # far (always an earlier finalist) meets each later challenger.
-            best_index = 0
-            for challenger in range(1, len(finalists)):
-                if pair_score[(best_index, challenger)] > 0:
-                    best_index = challenger
-            best_plan, best_step = finalists[best_index]
+        pairs = comb(len(self.planners), 2)
+        results: List[OptimizedPlan] = []
+        for qi, (episodes, entrants) in enumerate(zip(by_query, finalists)):
+            best_plan, best_step = entrants[
+                decide(len(entrants), verdicts[qi * pairs : (qi + 1) * pairs])
+            ]
             results.append(
                 OptimizedPlan(
                     plan=best_plan,
                     optimization_ms=elapsed_ms,
-                    candidates_considered=num_candidates,
+                    candidates_considered=sum(len(ep.candidates) for ep in episodes),
                     chosen_step=best_step,
                 )
             )

@@ -1,13 +1,15 @@
 """Planner environments: real (execute in the DBMS) and simulated (AAM).
 
-Both expose the same interface to the planner (Algorithm 1):
+Both expose the same four batch calls to the planner (Algorithm 1), the
+ones :class:`~repro.core.batching.BatchedEpisodeRunner` makes for a cohort:
 
-* ``begin_episode`` — fetch the original plan/ICP and per-episode context;
-* ``advantage``     — Adv(CP_l, CP_r) score in {0, 1, 2};
-* ``episode_bounty``— eb for the final estimated-optimal plan;
-* ``observe_plan``  — side effects on newly generated plans (real: execute
-  under the dynamic timeout into the execution buffer; simulated: collect
-  promising plans for validation).
+* ``begin_episode_many``  — fetch each query's original plan/ICP and
+  per-episode context;
+* ``advantage_many``      — Adv(CP_l, CP_r) scores in {0, 1, 2};
+* ``episode_bounty_many`` — eb for each final estimated-optimal plan;
+* ``observe_plan_many``   — side effects on newly generated plans (real:
+  execute under the dynamic timeout into the execution buffer; simulated:
+  collect promising plans for validation).
 
 The simulated environment is ``Ê(Γp, θadv)`` from §V: the expert optimizer
 is the state transitioner (plan completion happens in the planner itself via
@@ -132,9 +134,6 @@ class RealEnvironment:
         self.advantage_fn = advantage if advantage is not None else AdvantageFunction()
 
     # ------------------------------------------------------------------
-    def begin_episode(self, query: Query) -> EpisodeContext:
-        return self.begin_episode_many([query])[0]
-
     def begin_episode_many(self, queries: Sequence[Query], ctxs=None) -> List[EpisodeContext]:
         """Fetch original plans and latencies for a cohort in two engine
         batch calls (two round trips to a remote backend)."""
@@ -158,13 +157,15 @@ class RealEnvironment:
             )
         return contexts
 
-    def _ensure_latencies(self, items: Sequence[Tuple[EpisodeContext, PlanNode, int]]) -> None:
-        """Execute (in one engine batch call) every plan the buffer lacks.
+    def _latencies(self, items: Sequence[Tuple[EpisodeContext, PlanNode, int]]) -> List[float]:
+        """Latencies of plans, memoized through the execution buffer.
 
-        Plans are executed and recorded in first-need order — exactly the
-        order the sequential path would have inserted them — so downstream
-        consumers (reference sets, AAM sample generation) see an identical
-        buffer regardless of batching or backend.
+        Every plan the buffer lacks is executed in one engine batch call
+        and recorded in first-need order — exactly the order a one-at-a-time
+        loop would have inserted them — so downstream consumers (reference
+        sets, AAM sample generation) see an identical buffer regardless of
+        batching or backend.  Plans already executed for their query are
+        looked up instead of re-run.
         """
         pending: List[Tuple[EpisodeContext, PlanNode, int]] = []
         seen = set()
@@ -176,43 +177,13 @@ class RealEnvironment:
                 continue
             seen.add(key)
             pending.append((ctx, plan, step))
-        if not pending:
-            return
-        results = self.database.execute_many(
-            [(ctx.query, plan, ctx.timeout_ms) for ctx, plan, _step in pending]
-        )
-        for (ctx, plan, step), result in zip(pending, results):
-            self.buffer.add(
-                ctx.query, plan, step=step, latency_ms=result.latency_ms, timed_out=result.timed_out
+        if pending:
+            results = self.database.execute_many(
+                [(ctx.query, plan, ctx.timeout_ms) for ctx, plan, _step in pending]
             )
-
-    def _latency(self, ctx: EpisodeContext, plan: PlanNode, step: int = 0) -> float:
-        """Latency of a plan, memoized through the execution buffer.
-
-        Plans the environment already executed for this query are looked up
-        instead of re-run, and fresh executions are recorded — the same
-        bookkeeping :class:`SimulatedEnvironment` relies on.
-        """
-        record = self.buffer.latency_of(ctx.query, plan)
-        if record is not None:
-            return record.latency_ms
-        result = self.database.execute(ctx.query, plan, timeout_ms=ctx.timeout_ms)
-        self.buffer.add(
-            ctx.query, plan, step=step, latency_ms=result.latency_ms, timed_out=result.timed_out
-        )
-        return result.latency_ms
-
-    def advantage(
-        self,
-        ctx: EpisodeContext,
-        left_plan: PlanNode,
-        left_step: int,
-        right_plan: PlanNode,
-        right_step: int,
-    ) -> int:
-        left = self._latency(ctx, left_plan, left_step)
-        right = self._latency(ctx, right_plan, right_step)
-        return self.advantage_fn.score(left, right)
+            for (ctx, plan, step), result in zip(pending, results):
+                self.buffer.add(ctx.query, plan, step, result.latency_ms, result.timed_out)
+        return [self.buffer.latency_of(ctx.query, plan).latency_ms for ctx, plan, _step in items]
 
     def advantage_many(self, requests: Sequence[AdvantageRequest]) -> List[int]:
         """Resolve a batch of advantage queries with one execution flush.
@@ -221,55 +192,39 @@ class RealEnvironment:
         :meth:`EngineBackend.execute_many` call (missing plans only), then
         scored from the buffer.
         """
-        self._ensure_latencies(
+        latencies = self._latencies(
             [
                 side
                 for ctx, left_plan, left_step, right_plan, right_step in requests
                 for side in ((ctx, left_plan, left_step), (ctx, right_plan, right_step))
             ]
         )
-        return [self.advantage(*request) for request in requests]
-
-    def episode_bounty(self, ctx: EpisodeContext, final_plan: PlanNode, final_step: int) -> float:
-        refs = self.buffer.reference_set(ctx.query, ctx.original_latency)
-        final_latency = self._latency(ctx, final_plan, final_step)
-        scores = [self.advantage_fn.score(ref_lat, final_latency) for ref_lat in refs.latencies]
-        return self.advantage_fn.episode_bounty(refs.bounties, scores)
+        return [
+            self.advantage_fn.score(left, right)
+            for left, right in zip(latencies[0::2], latencies[1::2])
+        ]
 
     def episode_bounty_many(
         self, items: Sequence[Tuple[EpisodeContext, PlanNode, int]]
     ) -> List[float]:
-        """Batched bounties, identical to the sequential per-item loop.
-
-        Reference sets are snapshotted *before* the final plans are
-        executed — the sequential order of operations — which is exchange-
-        safe only while the items' queries are distinct.  (Episodes driven
-        by the runner never reach the execute fallback anyway: every final
-        plan was observed, executed and recorded during its episode.)
-        Duplicate-query batches fall back to the exact sequential loop.
+        """Bounties item by item: each item's reference set is read before
+        its final plan is executed, so a batch that repeats a query scores
+        as a run of singleton batches would.  Runner-driven episodes
+        execute nothing here: phase 3's ``advantage_many`` already executed
+        and recorded every final plan.
         """
-        signatures = [ctx.query.signature() for ctx, _final_plan, _final_step in items]
-        if len(set(signatures)) < len(items):
-            return [self.episode_bounty(*item) for item in items]
-        refs = [
-            self.buffer.reference_set(ctx.query, ctx.original_latency)
-            for ctx, _final_plan, _final_step in items
-        ]
-        self._ensure_latencies(items)
         bounties: List[float] = []
-        for (ctx, final_plan, final_step), ref in zip(items, refs):
-            final_latency = self._latency(ctx, final_plan, final_step)
-            scores = [self.advantage_fn.score(ref_lat, final_latency) for ref_lat in ref.latencies]
-            bounties.append(self.advantage_fn.episode_bounty(ref.bounties, scores))
+        for ctx, final_plan, final_step in items:
+            refs = self.buffer.reference_set(ctx.query, ctx.original_latency)
+            [final_latency] = self._latencies([(ctx, final_plan, final_step)])
+            scores = [self.advantage_fn.score(ref_lat, final_latency) for ref_lat in refs.latencies]
+            bounties.append(self.advantage_fn.episode_bounty(refs.bounties, scores))
         return bounties
-
-    def observe_plan(self, ctx: EpisodeContext, icp: IncompletePlan, plan: PlanNode, step: int) -> None:
-        self._latency(ctx, plan, step)
 
     def observe_plan_many(
         self, items: Sequence[Tuple[EpisodeContext, IncompletePlan, PlanNode, int]]
     ) -> None:
-        self._ensure_latencies([(ctx, plan, step) for ctx, _icp, plan, step in items])
+        self._latencies([(ctx, plan, step) for ctx, _icp, plan, step in items])
 
 
 class SimulatedEnvironment:
@@ -294,9 +249,6 @@ class SimulatedEnvironment:
         self.validation_capacity = validation_capacity
 
     # ------------------------------------------------------------------
-    def begin_episode(self, query: Query) -> EpisodeContext:
-        return self.begin_episode_many([query])[0]
-
     def begin_episode_many(self, queries: Sequence[Query], ctxs=None) -> List[EpisodeContext]:
         """Original plans for a cohort in one engine batch call.
 
@@ -338,16 +290,6 @@ class SimulatedEnvironment:
     def advantage_many(self, requests: Sequence[AdvantageRequest]) -> List[int]:
         return self.scorer.advantage_many(requests)
 
-    def advantage(
-        self,
-        ctx: EpisodeContext,
-        left_plan: PlanNode,
-        left_step: int,
-        right_plan: PlanNode,
-        right_step: int,
-    ) -> int:
-        return self.advantage_many([(ctx, left_plan, left_step, right_plan, right_step)])[0]
-
     def _bounty_requests(
         self, ctx: EpisodeContext, final_plan: PlanNode, final_step: int
     ) -> List[AdvantageRequest]:
@@ -365,9 +307,6 @@ class SimulatedEnvironment:
             requests.append((ctx, ctx.original_plan, 0, final_plan, final_step))
         return requests
 
-    def episode_bounty(self, ctx: EpisodeContext, final_plan: PlanNode, final_step: int) -> float:
-        return self.episode_bounty_many([(ctx, final_plan, final_step)])[0]
-
     def episode_bounty_many(
         self, items: Sequence[Tuple[EpisodeContext, PlanNode, int]]
     ) -> List[float]:
@@ -383,10 +322,6 @@ class SimulatedEnvironment:
                 self.advantage_fn.episode_bounty(refs.bounties, scores[3 * i : 3 * i + 3])
             )
         return bounties
-
-    def observe_plan(self, ctx: EpisodeContext, icp: IncompletePlan, plan: PlanNode, step: int) -> None:
-        """Collect plans the AAM deems promising for later validation."""
-        self.observe_plan_many([(ctx, icp, plan, step)])
 
     def observe_plan_many(
         self, items: Sequence[Tuple[EpisodeContext, IncompletePlan, PlanNode, int]]

@@ -35,7 +35,7 @@ from repro.core.encoding import PlanEncoder
 from repro.core.planner import Episode, Planner, PlannerConfig
 from repro.core.reward import AdvantageFunction
 from repro.core.simenv import DYNAMIC_TIMEOUT_FACTOR, RealEnvironment, SimulatedEnvironment
-from repro.engine.backend import EngineBackend, make_backend
+from repro.engine.backend import EngineBackend
 from repro.workloads.base import Workload, WorkloadQuery
 
 
@@ -98,16 +98,15 @@ class FossTrainer:
     ) -> None:
         self.workload = workload
         self.config = config if config is not None else FossConfig()
-        # engine_url selects the backend: a remote engine server when set,
-        # else the workload's in-process engine.  An injected backend (e.g.
-        # from a FossSession that owns its lifecycle) is used as-is and
-        # never shut down by this trainer.
-        self._owns_backend = database is None
-        self.database: EngineBackend = (
-            database
-            if database is not None
-            else make_backend(workload, self.config.engine_url)
-        )
+        # The injected backend (a FossSession's, which owns its lifecycle),
+        # else the workload's in-process engine.  A remote engine is opened
+        # and closed by FossSession alone.
+        if database is None and self.config.engine_url:
+            raise ValueError(
+                "a FossTrainer does not connect to config.engine_url; "
+                "FossSession.open connects it and injects the backend"
+            )
+        self.database: EngineBackend = database if database is not None else workload.database
         self.rng = np.random.default_rng(self.config.seed)
 
         max_nodes = 2 * max(workload.max_query_tables, 2)
@@ -295,21 +294,3 @@ class FossTrainer:
             max_steps=self.config.max_steps,
             episode_batch_size=self.config.episode_batch_size,
         )
-
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Release an owned engine backend (a remote client's connections).
-
-        The local in-process backend has no ``close`` and needs none; an
-        injected backend belongs to whoever injected it.
-        """
-        if self._owns_backend:
-            close = getattr(self.database, "close", None)
-            if close is not None:
-                close()
-
-    def __enter__(self) -> "FossTrainer":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

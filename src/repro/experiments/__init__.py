@@ -4,11 +4,9 @@ from repro.experiments.metrics import geometric_mean_relevant_latency, workload_
 from repro.experiments.harness import (
     EvaluationResult,
     MethodResult,
-    evaluate_method,
     evaluate_optimizer,
     known_best_analysis,
     optimization_times,
-    train_method,
 )
 from repro.experiments import reporting
 
@@ -18,8 +16,6 @@ __all__ = [
     "EvaluationResult",
     "MethodResult",
     "evaluate_optimizer",
-    "evaluate_method",
-    "train_method",
     "optimization_times",
     "known_best_analysis",
     "reporting",

@@ -6,16 +6,15 @@ executes the chosen plans and computes the paper's metrics against the
 expert baseline.
 
 Optimizers are constructed **by name** through the :mod:`repro.api`
-registry (:func:`train_method` / :func:`evaluate_method`), so adding a
-method to the evaluation means registering one factory, not touching every
-driver.
+registry (``create_optimizer``), so adding a method to the evaluation means
+registering one factory, not editing every experiment.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Protocol, Sequence, Tuple
+from typing import Dict, List, Protocol, Sequence
 
 import numpy as np
 
@@ -109,49 +108,6 @@ def evaluate_optimizer(
         expert_optimization_ms=expert_optimization,
         wrl=workload_relevant_latency(latencies, expert_latencies, optimization, expert_optimization),
         gmrl=geometric_mean_relevant_latency(latencies, expert_latencies),
-    )
-
-
-def train_method(
-    name: str,
-    session,
-    iterations: int = 0,
-    **kwargs,
-) -> Tuple[QueryOptimizer, float]:
-    """Construct (via the :mod:`repro.api` registry) and train one method.
-
-    Returns ``(optimizer, training_time_s)``.  ``"foss"`` trains through
-    the session's own loop; baselines train on the session workload's train
-    split.  ``iterations=0`` skips training (e.g. the expert passthrough).
-    """
-    from repro.api import create_optimizer  # late: repro.api layers on top of us
-
-    start = time.perf_counter()
-    optimizer = create_optimizer(name, session, **kwargs)
-    if iterations > 0:
-        if name.lower() == "foss":
-            session.train(iterations)
-        elif hasattr(optimizer, "train"):
-            optimizer.train(session.workload.train, iterations=iterations)
-    return optimizer, time.perf_counter() - start
-
-
-def evaluate_method(
-    name: str,
-    session,
-    iterations: int = 0,
-    label: Optional[str] = None,
-    **kwargs,
-) -> MethodResult:
-    """Train one method by name and evaluate it on both workload splits."""
-    optimizer, training_time = train_method(name, session, iterations=iterations, **kwargs)
-    workload = session.workload
-    return MethodResult(
-        method=label if label is not None else name,
-        workload=workload.name,
-        train=evaluate_optimizer(session.backend, workload.train, optimizer),
-        test=evaluate_optimizer(session.backend, workload.test, optimizer),
-        training_time_s=training_time,
     )
 
 

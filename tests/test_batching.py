@@ -117,7 +117,7 @@ class TestScoreCacheInvalidation:
         trainer = FossTrainer(job_workload, batching_config())
         env = trainer.sim_env
         query = next(w.query for w in job_workload.train if w.query.num_tables >= 3)
-        ctx = env.begin_episode(query)
+        [ctx] = env.begin_episode_many([query])
         icp = ctx.original_icp
         alt_icp = icp.override(1, "merge" if icp.methods[0] != "merge" else "nestloop")
         alt = trainer.database.plan_with_hints(query, alt_icp.order, alt_icp.methods).plan
@@ -140,7 +140,7 @@ class TestScoreCacheInvalidation:
         trainer = FossTrainer(job_workload, batching_config())
         env = trainer.sim_env
         query = next(w.query for w in job_workload.train if w.query.num_tables >= 4)
-        ctx = env.begin_episode(query)
+        [ctx] = env.begin_episode_many([query])
         icp = ctx.original_icp
         variants = [ctx.original_plan]
         for join_pos in (1, 2):
@@ -154,7 +154,7 @@ class TestScoreCacheInvalidation:
         requests = [(ctx, ctx.original_plan, 0, plan, 1) for plan in variants]
         batched = env.advantage_many(requests)
         trainer.aam._bump_version()  # drop every cache so singles recompute
-        singles = [env.advantage(*request) for request in requests]
+        singles = [env.advantage_many([request])[0] for request in requests]
         assert batched == singles
 
     def test_training_and_serving_scorers_agree(self, job_workload):
@@ -165,7 +165,7 @@ class TestScoreCacheInvalidation:
         assert trainer.sim_env.scorer is not optimizer._scorer
         requests = []
         for wq in job_workload.test[:4]:
-            ctx = trainer.sim_env.begin_episode(wq.query)
+            [ctx] = trainer.sim_env.begin_episode_many([wq.query])
             icp = ctx.original_icp
             for join_pos in range(1, icp.num_tables):
                 for method in ("hash", "merge", "nestloop"):
@@ -208,17 +208,17 @@ class TestRealEnvironmentMemoization:
         buffer = ExecutionBuffer()
         env = RealEnvironment(db, buffer)
         query = next(w.query for w in job_workload.train if w.query.num_tables >= 3)
-        ctx = env.begin_episode(query)
+        [ctx] = env.begin_episode_many([query])
         icp = ctx.original_icp
         alt_icp = icp.override(1, "merge" if icp.methods[0] != "merge" else "nestloop")
         alt = db.plan_with_hints(query, alt_icp.order, alt_icp.methods).plan
 
-        first = env.advantage(ctx, ctx.original_plan, 0, alt, 1)
+        [first] = env.advantage_many([(ctx, ctx.original_plan, 0, alt, 1)])
         # The executed comparison plan is recorded into the buffer...
         assert buffer.latency_of(query, alt) is not None
         # ...and repeat queries are served from it, not re-executed.
         executions_before = db.executions
-        second = env.advantage(ctx, ctx.original_plan, 0, alt, 1)
+        [second] = env.advantage_many([(ctx, ctx.original_plan, 0, alt, 1)])
         assert db.executions == executions_before
         assert first == second
 
@@ -229,11 +229,44 @@ class TestRealEnvironmentMemoization:
         buffer = ExecutionBuffer()
         env = RealEnvironment(db, buffer)
         query = next(w.query for w in job_workload.train if w.query.num_tables >= 3)
-        ctx = env.begin_episode(query)
-        env.episode_bounty(ctx, ctx.original_plan, 0)
+        [ctx] = env.begin_episode_many([query])
+        env.episode_bounty_many([(ctx, ctx.original_plan, 0)])
         executions_before = db.executions
-        env.episode_bounty(ctx, ctx.original_plan, 0)
+        env.episode_bounty_many([(ctx, ctx.original_plan, 0)])
         assert db.executions == executions_before
+
+    def test_repeated_query_bounties_match_singleton_batches(self, job_workload):
+        """One bounty batch that repeats a query, its final plans not yet
+        executed, scores as item-by-item singleton batches do: each item's
+        reference set already holds the earlier items' executions."""
+        from repro.core.buffer import ExecutionBuffer
+
+        db = job_workload.database
+        query = next(w.query for w in job_workload.train if w.query.num_tables >= 4)
+        original = db.plan(query).plan
+        icp = IncompletePlan.extract(original)
+        finals = []
+        for join_pos in range(1, icp.num_tables):
+            for method in ("hash", "merge", "nestloop"):
+                if icp.methods[join_pos - 1] != method:
+                    edited = icp.override(join_pos, method)
+                    finals.append(db.plan_with_hints(query, edited.order, edited.methods).plan)
+        assert len({plan_signature(plan) for plan in finals}) >= 3
+
+        def bounties(batches):
+            buffer = ExecutionBuffer()
+            env = RealEnvironment(db, buffer)
+            [ctx] = env.begin_episode_many([query])
+            items = [(ctx, plan, step) for step, plan in enumerate(finals, start=1)]
+            assert all(buffer.latency_of(query, plan) is None for _, plan, _ in items)
+            out = [bounty for batch in batches(items) for bounty in env.episode_bounty_many(batch)]
+            return out, [(plan_signature(r.plan), r.latency_ms) for r in buffer.records_for(query)]
+
+        batched = bounties(lambda items: [items])
+        singletons = bounties(lambda items: [[item] for item in items])
+        assert batched == singletons
+        # The finals do not all score alike, so read-before-execute order shows.
+        assert len(set(batched[0])) > 1
 
 
 class TestBatchedInference:

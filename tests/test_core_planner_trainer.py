@@ -96,7 +96,7 @@ class TestRealEnvironment:
         workload, trainer = trained
         buffer = ExecutionBuffer()
         env = RealEnvironment(workload.database, buffer)
-        ctx = env.begin_episode(workload.train[1].query)
+        [ctx] = env.begin_episode_many([workload.train[1].query])
         assert ctx.original_latency > 0
         assert ctx.timeout_ms == pytest.approx(ctx.original_latency * DYNAMIC_TIMEOUT_FACTOR)
         assert buffer.num_records() == 1
@@ -107,8 +107,8 @@ class TestRealEnvironment:
         buffer = ExecutionBuffer()
         env = RealEnvironment(db, buffer)
         query = workload.train[1].query
-        ctx = env.begin_episode(query)
-        score = env.advantage(ctx, ctx.original_plan, 0, ctx.original_plan, 1)
+        [ctx] = env.begin_episode_many([query])
+        [score] = env.advantage_many([(ctx, ctx.original_plan, 0, ctx.original_plan, 1)])
         assert score == 0  # identical plans: no advantage
 
 

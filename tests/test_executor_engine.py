@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from doctor_edits import doctor_like_plans
 from reference_dp import joins_between
 from reference_executor import JoinOverflow, ReferenceExecutionEngine, join_pairs
 from repro.engine.database import HARD_CAP_MS
@@ -322,29 +323,6 @@ def _with_aggregates(query, column):
     return replace(query, aggregates=aggregates)
 
 
-def _doctor_like_plans(database, query, rng):
-    """The expert's plan, a 1-3 step swap / override edit of it, and a full
-    shuffle with random operators (which brings cross joins)."""
-    expert = database.plan(query).plan
-    order, methods = plan_aliases(expert), plan_join_methods(expert)
-    edited_order, edited_methods = list(order), list(methods)
-    for _ in range(int(rng.integers(1, 4))):
-        if rng.random() < 0.5:
-            i, j = rng.choice(len(order), size=2, replace=False)
-            edited_order[i], edited_order[j] = edited_order[j], edited_order[i]
-        else:
-            edited_methods[int(rng.integers(len(methods)))] = JOIN_METHODS[int(rng.integers(3))]
-    shuffled = list(order)
-    rng.shuffle(shuffled)
-    random_methods = [JOIN_METHODS[int(rng.integers(3))] for _ in methods]
-    space = database.enumerator.join_space(query)  # fresh: leaves the shared fixture's caches alone
-    return [
-        expert,
-        space.complete(edited_order, edited_methods),
-        space.complete(shuffled, random_methods),
-    ]
-
-
 class TestDifferentialAgainstReference:
     """Bitwise contract: every ``ExecutionResult`` field equals the reference
     executor's with ``==``, timeouts and ``work_units`` included.
@@ -370,7 +348,7 @@ class TestDifferentialAgainstReference:
         for item in workload.all_queries[:: self.STRIDE]:
             query = item.query
             key_column = query.join_predicates[0].left
-            plans = _doctor_like_plans(database, query, rng)
+            plans = doctor_like_plans(database, query, rng)
             expert_ms = engine.execute(query, plans[0], timeout_ms=HARD_CAP_MS).latency_ms
             for variant in (query, _with_aggregates(query, key_column)):
                 for plan in plans:
@@ -446,7 +424,7 @@ def test_doomed_plans_build_nothing_they_will_not_read(name, request, monkeypatc
     doomed = 0
     for item in workload.all_queries[::2]:
         query = item.query
-        plans = _doctor_like_plans(database, query, rng)
+        plans = doctor_like_plans(database, query, rng)
         expert_ms = engine.execute(query, plans[0], timeout_ms=HARD_CAP_MS).latency_ms
         for plan in plans:
             for timeout_ms in (HARD_CAP_MS, 1.5 * expert_ms):

@@ -42,6 +42,7 @@ from repro import obs
 from repro.api import FossConfig, FossSession, RequestContext
 from repro.core.aam import AAMConfig
 from repro.core.icp import IncompletePlan
+from repro.core.trainer import FossTrainer
 from repro.engine.backend import make_backend
 from repro.engine.database import dataset_fingerprint
 from repro.engine.remote import EngineServer, RemoteBackend, RemoteEngineError
@@ -546,6 +547,16 @@ class TestRemoteRobustness:
             make_backend(job_workload, engine_url="http://localhost:80")
         with pytest.raises(ValueError, match="engine_url"):
             FossConfig(engine_url="localhost:7733")
+
+    def test_trainer_leaves_engine_url_to_the_session(self, job_workload):
+        """A trainer never opens a remote backend itself: with an
+        ``engine_url`` and no injected backend it refuses, naming the
+        session that connects one, instead of planning locally."""
+        config = tiny_config(engine_url="tcp://127.0.0.1:9")
+        with pytest.raises(ValueError, match="FossSession.open"):
+            FossTrainer(job_workload, config)
+        trainer = FossTrainer(job_workload, config, database=job_workload.database)
+        assert trainer.database is job_workload.database
 
 
 # ----------------------------------------------------------------------

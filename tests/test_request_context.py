@@ -295,17 +295,12 @@ class TestServiceDeadlines:
         assert results[high].trace["engine"] <= results[low_a].trace["engine"]
         assert results[high].trace["done"] < results[low_b].trace["done"]
 
-    def test_trace_hook_sees_every_stage(self, api_session, job_workload):
-        stamps = []
-        service = api_session.service(
-            trace_hook=lambda ctx, stage, ts: stamps.append((ctx.request_id, stage))
-        )
+    def test_trace_holds_every_stage(self, api_session, job_workload):
+        service = api_session.service()
         ticket = service.submit(job_workload.train[0].sql)
         service.flush()
-        result = service.result(ticket)
-        rid = result.context.request_id
-        assert [stage for r, stage in stamps if r == rid] == list(STAGES)
-        trace = result.trace
+        trace = service.result(ticket).trace
+        assert list(trace) == list(STAGES)
         assert (
             trace["enqueue"] <= trace["flush"] <= trace["engine"] <= trace["done"]
         )

@@ -15,6 +15,11 @@ expert plan gives under ``Database.execute(timeout_ms=None)``.
   dataset, so the shared fixture engine's caches and counters stay as the
   other tests leave them.
 
+Every fourth query, when SQLite answers it within budget, is also held to
+SQLite under the two doctor-like edits of its expert plan
+(:mod:`doctor_edits`), the plans an episode reaches; an edit the executor
+times out on is listed the same way.
+
 A small hand-built dataset covers what the workloads do not: ``SUM``,
 ``AVG``, ``MIN`` and ``MAX``, a dictionary-encoded string column, and an
 aggregate over no rows.
@@ -28,6 +33,7 @@ import numpy as np
 import pytest
 
 import sqlite_oracle
+from doctor_edits import doctor_like_plans
 from repro.catalog.schema import ColumnSchema, ForeignKey, Schema, TableSchema
 from repro.engine.database import Database, Dataset
 from repro.storage.database import StorageDatabase
@@ -87,6 +93,43 @@ def test_whole_queries_agree_with_sqlite(name, request):
     assert tuple(timed_out) == TIMED_OUT[name]
     answered = compared + len(over_budget)
     assert compared >= MIN_COMPARED_SHARE * answered, over_budget
+
+
+#: Every EDIT_STRIDE-th query of a workload has its doctor-like edits
+#: held to SQLite.
+EDIT_STRIDE = 4
+
+
+def check_edits(workload):
+    """(compared, timed out, disagreements) over the two doctor-like edits
+    of every EDIT_STRIDE-th query that SQLite answers within budget."""
+    engine = Database(workload.dataset)
+    rng = np.random.default_rng(21)
+    compared, timed_out, differ = 0, [], []
+    with closing(sqlite_oracle.load(workload.dataset)) as conn:
+        for wq in workload.all_queries[::EDIT_STRIDE]:
+            row = sqlite_oracle.run(conn, wq.sql, STEP_BUDGET)
+            if row is None:
+                continue
+            for index, plan in enumerate(doctor_like_plans(engine, wq.query, rng)[1:], start=1):
+                result = engine.execute(wq.query, plan, timeout_ms=None)
+                if result.timed_out:
+                    timed_out.append(f"{wq.query_id}/{index}")
+                    continue
+                compared += 1
+                problem = sqlite_oracle.disagreement(wq.query, row, result, workload.dataset.storage)
+                if problem is not None:
+                    differ.append(f"{wq.query_id}/{index}: {problem}")
+    return compared, timed_out, differ
+
+
+@pytest.mark.parametrize("name", sorted(TIMED_OUT))
+def test_doctor_like_edits_agree_with_sqlite(name, request):
+    workload = request.getfixturevalue(f"{name}_workload")
+    compared, timed_out, differ = check_edits(workload)
+    print(f"{name}: {compared} edited plans compared; executor timed out: {timed_out}")
+    assert differ == []
+    assert compared > len(timed_out)
 
 
 # ----------------------------------------------------------------------
