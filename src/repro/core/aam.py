@@ -14,13 +14,25 @@ The AAM contains:
 
 **Distinct-row contract.**  Training pairs are drawn from a much smaller
 set of plans (both orientations of every pair, one plan against many), so
-the pairwise entry :meth:`AdvantageModel.forward` — which training,
-``evaluate`` and ``predict_scores`` all go through — runs the state network
-once per distinct ``(EncodedPlan object, step)`` row of a batch
+the pairwise entries — :meth:`AdvantageModel.forward` for training and
+:meth:`AdvantageModel.predict_scores` for ``evaluate`` — run the state
+network once per distinct ``(EncodedPlan object, step)`` row of a batch
 (:func:`distinct_rows`), all of them in one packed forward
-(:class:`StateNetwork`), and gathers each side's statevecs by index.  A
+(:class:`StateNetwork`), and gather each side's statevecs by index.  A
 gathered row's gradient is the sum over its uses, so loss and gradients are
 those of the two-sided forward; only float summation order differs.
+
+**Gradients decide the path.**  :meth:`StateNetwork.forward` and
+:meth:`AdvantageModel.forward` build the tape and are training's only
+path.  Everything without gradients — every served, simulated and
+tournament statevec, and every score — runs the no-grad kernels
+:meth:`StateNetwork.statevecs` and :meth:`AdvantageModel.head_logits`:
+straight-line array code over each parameter's current ``.data`` that calls
+the same array functions as the tape ops (:func:`node_vectors`,
+:func:`repro.nn.functional.linear`, ...), so on one batch the two paths
+agree bitwise.  The kernels read the weights at call time and cache no
+array, because ``load_state_dict`` rebinds ``.data`` and Adam updates it in
+place.
 """
 
 from __future__ import annotations
@@ -49,10 +61,11 @@ from repro.nn.layers import (
     Parameter,
     TransformerEncoderLayer,
     leading_tokens,
+    normalize,
     scatter_rows,
 )
 from repro.nn.optim import Adam, clip_grad_norm
-from repro.nn.tensor import Function, Tensor, no_grad
+from repro.nn.tensor import Function, Tensor
 
 NUM_SCORES = 3  # the paper's point set {0.05, 0.50} -> scores {0, 1, 2}
 
@@ -98,10 +111,11 @@ class StateNetwork(Module):
     only (``layer(x, rows=1)``).  Earlier layers output every token, because
     the next layer attends over all of them.
 
-    Tape and ``no_grad`` evaluate the same numpy expression sequence, so on
-    one batch they agree bitwise.  Across batches a row's statevec is
-    bitwise-equal per call shape only: BLAS blocks a token's dot products
-    by ``T``, so the same plan in a different batch can differ by ~1e-15.
+    :meth:`forward` (the tape) and :meth:`statevecs` (the no-grad kernel)
+    do exactly this work with the same array functions, so on one batch
+    they agree bitwise.  Across batches a row's statevec is bitwise-equal
+    per call shape only: BLAS blocks a token's dot products by ``T``, so
+    the same plan in a different batch can differ by ~1e-15.
     """
 
     def __init__(
@@ -136,13 +150,15 @@ class StateNetwork(Module):
         self.state_proj = Linear(config.d_model + 1, config.d_state, rng=rng)
 
     # ------------------------------------------------------------------
-    def forward(self, plans: Sequence[EncodedPlan], steps: np.ndarray) -> Tensor:
-        """Batch of encoded plans + step fractions -> (B, d_state)."""
+    def _layout(self, plans: Sequence[EncodedPlan]):
+        """The packed layout of a batch: ``(order, segments, ints, fints,
+        fvals)``, the rows' stable node-count order, their segments and
+        :class:`NodeVectors`' feature arrays in that order."""
         counts = [p.num_nodes for p in plans]
         order = sorted(range(len(plans)), key=counts.__getitem__)
         ordered = [plans[i] for i in order]
-        # Both layers share a segment's reachability mask; build its additive
-        # term once.
+        # Every layer shares a segment's reachability mask; build its
+        # additive term once.
         segments = []
         for nodes, run in groupby(ordered, key=attrgetter("num_nodes")):
             run = list(run)
@@ -151,14 +167,23 @@ class StateNetwork(Module):
                 slot[...] = plan.attention_mask[:nodes, :nodes]
             segments.append((len(run), nodes, np.where(mask, 0.0, -1e9)[:, None, :, :]))
         ints, fints, fvals = zip(*(_real_nodes(p) for p in ordered))
-        tables = (self.op_embed, self.table_embed, self.height_embed, self.struct_embed)
-        x = NodeVectors.apply(
-            *(embed.weight for embed in tables + (self.column_embed, self.pred_op_embed)),
-            self.value_direction,
-            ints=np.concatenate(ints, axis=1),
-            fints=np.concatenate(fints, axis=1),
-            fvals=np.concatenate(fvals),
+        return (
+            order, segments,
+            np.concatenate(ints, axis=1), np.concatenate(fints, axis=1), np.concatenate(fvals),
         )
+
+    def _tables(self) -> Tuple[Parameter, ...]:
+        """:class:`NodeVectors`' parameter operands, in order."""
+        embeds = (
+            self.op_embed, self.table_embed, self.height_embed, self.struct_embed,
+            self.column_embed, self.pred_op_embed,
+        )
+        return tuple(embed.weight for embed in embeds) + (self.value_direction,)
+
+    def forward(self, plans: Sequence[EncodedPlan], steps: np.ndarray) -> Tensor:
+        """Batch of encoded plans + step fractions -> (B, d_state), on the tape."""
+        order, segments, ints, fints, fvals = self._layout(plans)
+        x = NodeVectors.apply(*self._tables(), ints=ints, fints=fints, fvals=fvals)
         x = self.input_proj(x)
         last = len(self.layers) - 1
         for i, layer in enumerate(self.layers):
@@ -173,9 +198,32 @@ class StateNetwork(Module):
         return self.statevecs([plan], np.array([step]))[0]
 
     def statevecs(self, plans: Sequence[EncodedPlan], steps: np.ndarray) -> np.ndarray:
-        """Inference-mode state representations; (B, d_state)."""
-        with no_grad():
-            return self(plans, steps).data
+        """``forward(plans, steps).data`` without gradients, bitwise: the
+        no-grad kernel.  The same layout, the same root-only last layer and
+        the same array functions in the same order, as straight-line array
+        code over each parameter's ``.data`` read now (see the module
+        docstring); (B, d_state)."""
+        order, segments, ints, fints, fvals = self._layout(plans)
+        x = node_vectors(*(param.data for param in self._tables()), ints, fints, fvals)
+        proj = self.input_proj
+        x = F.linear(x, proj.weight.data, proj.bias.data)
+        last = len(self.layers) - 1
+        for i, layer in enumerate(self.layers):
+            x = layer.infer(x, segments, 1 if i == last else None)
+        if not self.layers:
+            x = x[leading_tokens(segments, 1)]
+        norm, proj = self.final_norm, self.state_proj
+        root = normalize(x, norm.gamma.data, norm.beta.data, norm.eps)[0]
+        return F.linear(pool_roots(root, order, steps), proj.weight.data, proj.bias.data)
+
+
+def pool_roots(root: np.ndarray, order: Sequence[int], steps: np.ndarray) -> np.ndarray:
+    """The forward of :class:`PoolRoots` on arrays."""
+    width = root.shape[1]
+    pooled = np.empty((len(order), width + 1), dtype=np.float64)
+    pooled[order, :width] = root
+    pooled[:, width] = np.asarray(steps, dtype=np.float64).reshape(-1)
+    return pooled
 
 
 class PoolRoots(Function):
@@ -186,12 +234,8 @@ class PoolRoots(Function):
     op = "pool_roots"
 
     def forward(ctx, root, order, steps):
-        width = root.shape[1]
-        pooled = np.empty((len(order), width + 1), dtype=np.float64)
-        pooled[order, :width] = root
-        pooled[:, width] = np.asarray(steps, dtype=np.float64).reshape(-1)
-        ctx.order, ctx.width = order, width
-        return pooled
+        ctx.order, ctx.width = order, root.shape[1]
+        return pool_roots(root, order, steps)
 
     def backward(ctx, grad):
         return (grad[ctx.order, : ctx.width],)
@@ -213,22 +257,9 @@ class NodeVectors(Function):
     op = "node_vectors"
 
     def forward(ctx, op, table, height, struct, column, pred_op, direction, ints, fints, fvals):
-        d = op.shape[1]
-        fcols, fops = fints
-        feat = np.empty((ints.shape[1], 6 * d), dtype=np.float64)
-        for weight, slot in ((op, 0), (table, 1), (height, 4), (struct, 5)):
-            feat[:, slot * d : (slot + 1) * d] = weight[ints[slot]]
-        join_cols = feat[:, 2 * d : 3 * d]
-        join_cols[...] = column[ints[2]]
-        join_cols += column[ints[3]]
-        # filters: sum over slots of (col + op + value * direction)
-        f = column[fcols]                               # (T, F, d)
-        f += pred_op[fops]
-        f += fvals[..., None] * direction
-        feat[:, 3 * d : 4 * d] = f.sum(axis=1)
         ctx.ints, ctx.fints, ctx.fvals = ints, fints, fvals
         ctx.sizes = (len(op), len(table), len(height), len(struct), len(column), len(pred_op))
-        return feat
+        return node_vectors(op, table, height, struct, column, pred_op, direction, ints, fints, fvals)
 
     def backward(ctx, grad):
         ints, (fcols, fops), sizes = ctx.ints, ctx.fints, ctx.sizes
@@ -249,6 +280,24 @@ class NodeVectors(Function):
         grads.append(scatter_rows(fops.reshape(-1), g_slots, sizes[5]))
         grads.append(ctx.fvals.sum(axis=1) @ g_filters)
         return grads
+
+
+def node_vectors(op, table, height, struct, column, pred_op, direction, ints, fints, fvals):
+    """The forward of :class:`NodeVectors` on arrays (operands as there)."""
+    d = op.shape[1]
+    fcols, fops = fints
+    feat = np.empty((ints.shape[1], 6 * d), dtype=np.float64)
+    for weight, slot in ((op, 0), (table, 1), (height, 4), (struct, 5)):
+        feat[:, slot * d : (slot + 1) * d] = weight[ints[slot]]
+    join_cols = feat[:, 2 * d : 3 * d]
+    join_cols[...] = column[ints[2]]
+    join_cols += column[ints[3]]
+    # filters: sum over slots of (col + op + value * direction)
+    f = column[fcols]                               # (T, F, d)
+    f += pred_op[fops]
+    f += fvals[..., None] * direction
+    feat[:, 3 * d : 4 * d] = f.sum(axis=1)
+    return feat
 
 
 def _real_nodes(plan: EncodedPlan) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -362,8 +411,7 @@ class AdvantageModel(Module):
         return self._head(vecs[left_index], vecs[right_index])
 
     def _head(self, vec_l: Tensor, vec_r: Tensor) -> Tensor:
-        """The position-aware pairwise head; shared by training forward and
-        the cached-statevec inference path so they cannot drift."""
+        """The position-aware pairwise head, on the tape; logits (B, 3)."""
         batch = vec_l.shape[0]
         positions, fc1, fc2 = self.position_embed.weight, self.fc1, self.fc2
         # Position ids are the constants 0 (left) and 1 (right): in range.
@@ -373,6 +421,17 @@ class AdvantageModel(Module):
         hidden_r = F.FusedLinear.apply(vec_r + pos_r, fc1.weight, fc1.bias).relu()
         return F.FusedLinear.apply(hidden_l - hidden_r, fc2.weight, fc2.bias)
 
+    def head_logits(self, vec_l: np.ndarray, vec_r: np.ndarray) -> np.ndarray:
+        """``_head(vec_l, vec_r).data`` without gradients, bitwise: the
+        head's no-grad kernel over the weights' current ``.data``.  A
+        position row broadcast over the batch adds what its gathered copy
+        would, element for element."""
+        positions, fc1, fc2 = self.position_embed.weight.data, self.fc1, self.fc2
+        w1, b1 = fc1.weight.data, fc1.bias.data
+        hidden_l = F.linear(vec_l + positions[0], w1, b1, "relu")
+        hidden_r = F.linear(vec_r + positions[1], w1, b1, "relu")
+        return F.linear(hidden_l - hidden_r, fc2.weight.data, fc2.bias.data)
+
     def predict_scores(
         self,
         left: Sequence[EncodedPlan],
@@ -380,10 +439,14 @@ class AdvantageModel(Module):
         right: Sequence[EncodedPlan],
         right_steps: np.ndarray,
     ) -> np.ndarray:
-        """Hard advantage scores in {0, 1, 2} (inference mode)."""
-        with no_grad():
-            logits = self.forward(left, left_steps, right, right_steps)
-        return np.argmax(logits.data, axis=-1)
+        """Hard advantage scores in {0, 1, 2}: :meth:`forward`'s logits
+        without gradients (the distinct rows, :meth:`StateNetwork.statevecs`
+        and :meth:`head_logits`), bitwise, then their argmax."""
+        plans, steps, left_index, right_index = distinct_rows(
+            left, left_steps, right, right_steps
+        )
+        vecs = self.state_network.statevecs(plans, steps)
+        return np.argmax(self.head_logits(vecs[left_index], vecs[right_index]), axis=-1)
 
     def statevecs_lazy(
         self,
@@ -415,9 +478,9 @@ class AdvantageModel(Module):
         environments) skip the transformer entirely for plans they have
         already embedded under the current weights.
         """
-        with no_grad():
-            logits = self._head(Tensor(np.asarray(vec_l)), Tensor(np.asarray(vec_r)))
-        return np.argmax(logits.data, axis=-1)
+        vec_l = np.asarray(vec_l, dtype=np.float64)
+        vec_r = np.asarray(vec_r, dtype=np.float64)
+        return np.argmax(self.head_logits(vec_l, vec_r), axis=-1)
 
     def predict_score(self, left: EncodedPlan, left_step: float, right: EncodedPlan, right_step: float) -> int:
         return int(

@@ -7,6 +7,13 @@ cut into node-count segments.  Each runs its whole forward as plain numpy
 expressions — the *same* expressions the unfused ``Tensor`` op chain
 evaluates, so outputs are bitwise-identical — and its backward composes the
 unfused ops' backward passes exactly.
+
+**Op math.**  Each fused op's forward is one plain array function
+(:func:`linear`, :func:`attend_segments`), written once: the tape op calls
+it and keeps what its backward reads, and the no-grad kernels
+(:meth:`repro.nn.layers.TransformerEncoderLayer.infer` and the AAM's
+statevec and head kernels) call it and keep nothing, so the two paths
+evaluate the same expressions and agree bitwise.
 """
 
 from __future__ import annotations
@@ -37,7 +44,9 @@ __all__ = [
     "huber_loss",
     "masked_softmax",
     "fused_linear",
+    "linear",
     "segment_attention",
+    "attend_segments",
     "concatenate",
     "stack",
     "where",
@@ -58,31 +67,43 @@ def log_softmax(logits: Tensor, axis: int = -1) -> Tensor:
     return shifted - shifted.exp().sum(axis=axis, keepdims=True).log()
 
 
+def linear(
+    x: np.ndarray,
+    weight: np.ndarray,
+    bias: Optional[np.ndarray] = None,
+    activation: Optional[str] = None,
+) -> np.ndarray:
+    """``activation(x @ weight + bias)`` on arrays: the forward of
+    :class:`FusedLinear`.  ``activation`` is ``None``, ``"relu"`` or
+    ``"tanh"``."""
+    out = x @ weight
+    if bias is not None:
+        out = out + bias
+    if activation is None:
+        return out
+    if activation == "relu":
+        return np.maximum(out, 0.0)
+    if activation == "tanh":
+        return np.tanh(out)
+    raise ValueError(f"unknown fused activation: {activation!r}")
+
+
 class FusedLinear(Function):
     """``activation(x @ weight + bias)``; see :func:`fused_linear`."""
 
-    __slots__ = ("x", "weight", "pre", "out", "activation")
+    __slots__ = ("x", "weight", "out", "activation")
     op = "fused_linear"
 
     def forward(ctx, x, weight, bias=None, activation=None):
-        pre = x @ weight
-        if bias is not None:
-            pre = pre + bias
-        if activation is None:
-            out = pre
-        elif activation == "relu":
-            out = np.maximum(pre, 0.0)
-        elif activation == "tanh":
-            out = np.tanh(pre)
-        else:
-            raise ValueError(f"unknown fused activation: {activation!r}")
-        ctx.x, ctx.weight, ctx.pre, ctx.out, ctx.activation = x, weight, pre, out, activation
+        out = linear(x, weight, bias, activation)
+        ctx.x, ctx.weight, ctx.out, ctx.activation = x, weight, out, activation
         return out
 
     def backward(ctx, grad):
-        # activation backward (identical to the ReLU/Tanh ops')
+        # activation backward (identical to the ReLU/Tanh ops'); a ReLU
+        # output is positive exactly where its input is
         if ctx.activation == "relu":
-            grad = grad * (ctx.pre > 0)
+            grad = grad * (ctx.out > 0)
         elif ctx.activation == "tanh":
             grad = grad * (1.0 - ctx.out**2)
         need_x, need_weight = ctx.needs_grad[:2]
@@ -150,6 +171,33 @@ def _attend_backward(grad, qd, kd, vd, attn, e, sm, scale):
     return gs0 @ kd, np.swapaxes(np.swapaxes(qd, -1, -2) @ gs0, -2, -1), gv
 
 
+def attend_segments(qd, kd, vd, segments, heads, scale, lead):
+    """The forward of :class:`SegmentAttention` on arrays: ``(out, saved)``.
+
+    ``out`` has ``qd``'s shape; ``saved`` holds, per segment, its token
+    offsets and sizes with the head-split views and softmax pieces its
+    backward reads.
+    """
+    out = np.empty_like(qd)
+    saved = []
+    q_start = k_start = 0
+    for rows, nodes, additive in segments:
+        m = nodes if lead is None else min(lead, nodes)
+        if additive is not None and m < nodes:
+            additive = additive[:, :, :m, :]
+        views = (
+            _heads(qd, q_start, rows, m, heads),
+            _heads(kd, k_start, rows, nodes, heads),
+            _heads(vd, k_start, rows, nodes, heads),
+        )
+        context, softmax_parts = _attend(*views, additive, scale)
+        _heads(out, q_start, rows, m, heads)[...] = context
+        saved.append((q_start, k_start, rows, m, nodes, views + softmax_parts))
+        q_start += rows * m
+        k_start += rows * nodes
+    return out, saved
+
+
 class SegmentAttention(Function):
     """Attention over a packed batch; see :func:`segment_attention`."""
 
@@ -157,23 +205,8 @@ class SegmentAttention(Function):
     op = "fused_attention"
 
     def forward(ctx, qd, kd, vd, segments, heads, scale, lead):
-        ctx.operands, ctx.saved, ctx.heads, ctx.scale = (qd, kd, vd), [], heads, scale
-        out = np.empty_like(qd)
-        q_start = k_start = 0
-        for rows, nodes, additive in segments:
-            m = nodes if lead is None else min(lead, nodes)
-            if additive is not None and m < nodes:
-                additive = additive[:, :, :m, :]
-            views = (
-                _heads(qd, q_start, rows, m, heads),
-                _heads(kd, k_start, rows, nodes, heads),
-                _heads(vd, k_start, rows, nodes, heads),
-            )
-            context, softmax_parts = _attend(*views, additive, scale)
-            _heads(out, q_start, rows, m, heads)[...] = context
-            ctx.saved.append((q_start, k_start, rows, m, nodes, views + softmax_parts))
-            q_start += rows * m
-            k_start += rows * nodes
+        out, ctx.saved = attend_segments(qd, kd, vd, segments, heads, scale, lead)
+        ctx.operands, ctx.heads, ctx.scale = (qd, kd, vd), heads, scale
         return out
 
     def backward(ctx, grad):

@@ -15,7 +15,14 @@ import numpy as np
 
 from repro.nn import init
 from repro.nn.tensor import Function, Tensor, _sum_to_shape
-from repro.nn.functional import FusedLinear, Segments, fused_linear, segment_attention
+from repro.nn.functional import (
+    FusedLinear,
+    Segments,
+    attend_segments,
+    fused_linear,
+    linear,
+    segment_attention,
+)
 
 
 class Parameter(Tensor):
@@ -190,6 +197,20 @@ class LayerNorm(Module):
         return Normalize.apply(x, x, self.gamma, self.beta, eps=self.eps)
 
 
+def normalize(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float):
+    """The forward of :class:`Normalize` on arrays: ``(out, centered,
+    shifted_var, std, normed)``, the output first and then the pieces its
+    backward reads."""
+    inv = 1.0 / x.shape[-1]
+    mean = x.sum(axis=-1, keepdims=True) * inv
+    centered = x - mean
+    var = (centered * centered).sum(axis=-1, keepdims=True) * inv
+    shifted_var = var + eps
+    std = shifted_var**0.5
+    normed = centered / std
+    return normed * gamma + beta, centered, shifted_var, std, normed
+
+
 class Normalize(Function):
     """``(x - mean) / (var + eps) ** 0.5 * gamma + beta`` over the last axis.
 
@@ -207,16 +228,9 @@ class Normalize(Function):
     op = "layernorm"
 
     def forward(ctx, x, x_again, gamma, beta, eps):
-        inv = 1.0 / x.shape[-1]
-        mean = x.sum(axis=-1, keepdims=True) * inv
-        centered = x - mean
-        var = (centered * centered).sum(axis=-1, keepdims=True) * inv
-        shifted_var = var + eps
-        std = shifted_var**0.5
-        normed = centered / std
-        ctx.inv, ctx.centered, ctx.shifted_var, ctx.std = inv, centered, shifted_var, std
-        ctx.normed, ctx.gamma = normed, gamma
-        return normed * gamma + beta
+        out, ctx.centered, ctx.shifted_var, ctx.std, ctx.normed = normalize(x, gamma, beta, eps)
+        ctx.inv, ctx.gamma = 1.0 / x.shape[-1], gamma
+        return out
 
     def backward(ctx, grad):
         centered, std = ctx.centered, ctx.std
@@ -454,6 +468,34 @@ class TransformerEncoderLayer(Module):
         x = x + attended
         out = x + self.ff(self.norm2(x))
         return out if batch is None else out.reshape(batch, -1, out.shape[-1])
+
+    def infer(self, x: np.ndarray, segments: Segments, rows: Optional[int] = None) -> np.ndarray:
+        """``forward(x, segments=segments, rows=rows).data`` under
+        ``no_grad``, bitwise, for a packed ``(tokens, dim)`` array: the same
+        array functions (:func:`normalize`, :func:`linear`,
+        :func:`attend_segments`) in the same order, as straight-line array
+        code over each parameter's ``.data``, read at call time — no
+        tensor, no tape, nothing kept."""
+        norm1, norm2, attn, fc1, fc2 = self.norm1, self.norm2, self.attn, self.ff.fc1, self.ff.fc2
+        q, k, v, o = attn.q_proj, attn.k_proj, attn.v_proj, attn.out_proj
+        normed = normalize(x, norm1.gamma.data, norm1.beta.data, norm1.eps)[0]
+        if rows is None:
+            xq = normed
+        else:
+            lead = leading_tokens(segments, rows)
+            xq, x = normed[lead], x[lead]
+        context = attend_segments(
+            linear(xq, q.weight.data, q.bias.data),
+            linear(normed, k.weight.data, k.bias.data),
+            linear(normed, v.weight.data, v.bias.data),
+            segments, attn.num_heads, 1.0 / math.sqrt(attn.head_dim), rows,
+        )[0]
+        x = x + linear(context, o.weight.data, o.bias.data)
+        hidden = linear(
+            normalize(x, norm2.gamma.data, norm2.beta.data, norm2.eps)[0],
+            fc1.weight.data, fc1.bias.data, "relu",
+        )
+        return x + linear(hidden, fc2.weight.data, fc2.bias.data)
 
 
 def mlp(

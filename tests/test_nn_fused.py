@@ -10,7 +10,10 @@ layer-level no_grad fast paths promise two things:
 * **inference**: the no_grad fast path evaluates the identical numpy
   expression sequence as the tape path, so whole-network forwards
   (StateNetwork, ActorCritic) are bitwise-equal across the two paths and
-  construct zero tape nodes.
+  construct zero tape nodes; and the AAM's no-grad kernels
+  (``StateNetwork.statevecs``, ``AdvantageModel.head_logits`` and
+  ``predict_scores``), array code over the weights' current ``.data``,
+  equal the taped forward bitwise.
 """
 
 import numpy as np
@@ -205,8 +208,122 @@ def aam_setup(request):
     return model, plans
 
 
+STEPS = (0.0, 1 / 3, 2 / 3, 1.0)
+
+
+@pytest.fixture(scope="module")
+def plan_pool(request):
+    """A model factory (``num_layers`` and seed vary) and 48 expert plans of
+    mixed node counts.  ``d_model`` is no power of two, so a LayerNorm that
+    divides by it (``np.mean``) instead of multiplying by its inverse
+    rounds differently and shows."""
+    from repro.core.aam import AAMConfig, AdvantageModel
+    from repro.core.encoding import PlanEncoder
+
+    workload = request.getfixturevalue("job_workload")
+    db = workload.database
+    encoder = PlanEncoder(db.schema, max_nodes=40, statistics=db.statistics)
+
+    def make_model(seed, num_layers=2):
+        config = AAMConfig(
+            d_model=24, d_embed=8, d_state=20, num_heads=2, num_layers=num_layers, ff_hidden=40
+        )
+        return AdvantageModel(
+            encoder.num_tables, encoder.num_columns, 40,
+            config=config, rng=np.random.default_rng(seed),
+        )
+
+    plans = [encoder.encode(w.query, db.plan(w.query).plan) for w in workload.all_queries[::2][:48]]
+    assert len({p.num_nodes for p in plans}) >= 5
+    return make_model, plans
+
+
+def drawn_batch(plans, size, seed):
+    """``size`` plans of mixed node counts (repeats once ``size`` > 48) and
+    steps cycling through all four step values, shuffled."""
+    rng = np.random.default_rng(seed)
+    batch = [plans[int(i)] for i in rng.choice(len(plans), size=size, replace=size > len(plans))]
+    steps = rng.permutation(np.resize(STEPS, size))
+    assert size == 1 or len({p.num_nodes for p in batch}) > 1
+    return batch, steps
+
+
+def drawn_pairs(plans, count, seed):
+    """Both orientations of ``count`` drawn pairs: repeated rows, mixed sizes."""
+    rng = np.random.default_rng(seed)
+    left, ls, right, rs = [], [], [], []
+    for _ in range(count):
+        l, r = (plans[int(i)] for i in rng.choice(len(plans), size=2, replace=False))
+        a, b = (STEPS[int(i)] for i in rng.integers(len(STEPS), size=2))
+        left += [l, r]
+        ls += [a, b]
+        right += [r, l]
+        rs += [b, a]
+    return left, np.array(ls), right, np.array(rs)
+
+
 class TestWholeNetworkParity:
     """The no_grad fast path must be bitwise-equal to the tape path."""
+
+    @pytest.mark.parametrize("num_layers", [0, 1, 2])
+    @pytest.mark.parametrize("size", [1, 2, 15, 17, 48, 96])
+    def test_statevecs_kernel_bitwise_equals_taped_forward(self, plan_pool, size, num_layers):
+        """The no-grad kernel against the tape: packed segments, the
+        root-only last layer (or none), every step value."""
+        make_model, plans = plan_pool
+        network = make_model(3, num_layers=num_layers).state_network
+        batch, steps = drawn_batch(plans, size, seed=size)
+        kernel = network.statevecs(batch, steps)
+        taped = network.forward(batch, steps)
+        assert taped.requires_grad  # the reference really is the tape
+        assert kernel.shape == (size, 20)
+        assert np.array_equal(kernel, taped.data)
+
+    @pytest.mark.parametrize("num_layers", [0, 1, 2])
+    def test_head_and_predict_scores_bitwise_equal_taped_logits(self, plan_pool, num_layers):
+        from repro.core.aam import distinct_rows
+
+        make_model, plans = plan_pool
+        model = make_model(4, num_layers=num_layers)
+        pairs = drawn_pairs(plans, 30, seed=num_layers)
+        logits = model.forward(*pairs).data
+        rows, steps, left_index, right_index = distinct_rows(*pairs)
+        vecs = model.state_network.statevecs(rows, steps)
+        vec_l, vec_r = vecs[left_index], vecs[right_index]
+        assert np.array_equal(model.head_logits(vec_l, vec_r), logits)
+        assert np.array_equal(
+            model.head_logits(vec_r, vec_l), model._head(Tensor(vec_r), Tensor(vec_l)).data
+        )
+        hard = np.argmax(logits, axis=-1)
+        assert len(set(hard.tolist())) > 1  # the scores are not all one class
+        assert np.array_equal(model.predict_scores(*pairs), hard)
+        assert np.array_equal(model.predict_scores_from_statevecs(vec_l, vec_r), hard)
+
+    def test_kernels_read_the_weights_at_call_time(self, plan_pool):
+        """``load_state_dict`` rebinds every ``.data`` and Adam writes into
+        it in place: the next statevecs and scores read either."""
+        make_model, plans = plan_pool
+        model, other = make_model(5), make_model(6)
+        batch, steps = drawn_batch(plans, 17, seed=7)
+        pairs = drawn_pairs(plans, 10, seed=8)
+        before = model.state_network.statevecs(batch, steps)
+
+        model.load_state_dict(other.state_dict())
+        loaded = model.state_network.statevecs(batch, steps)
+        assert not np.array_equal(loaded, before)
+        assert np.array_equal(loaded, other.state_network.statevecs(batch, steps))
+        assert np.array_equal(model.predict_scores(*pairs), other.predict_scores(*pairs))
+        vecs = other.state_network.statevecs(batch, steps)
+        assert np.array_equal(model.head_logits(vecs, vecs[::-1]), other.head_logits(vecs, vecs[::-1]))
+
+        for param in model.parameters():  # an in-place step, as Adam takes
+            param.data += 0.01
+        assert np.array_equal(
+            model.state_network.statevecs(batch, steps), model.state_network.forward(batch, steps).data
+        )
+        assert np.array_equal(
+            model.head_logits(vecs, vecs[::-1]), model._head(Tensor(vecs), Tensor(vecs[::-1])).data
+        )
 
     def test_statenet_fast_path_bitwise_equals_tape(self, aam_setup):
         model, plans = aam_setup
