@@ -61,7 +61,6 @@ from repro.nn.layers import (
     Parameter,
     TransformerEncoderLayer,
     leading_tokens,
-    normalize,
     scatter_rows,
 )
 from repro.nn.optim import Adam, clip_grad_norm
@@ -181,7 +180,9 @@ class StateNetwork(Module):
         return tuple(embed.weight for embed in embeds) + (self.value_direction,)
 
     def forward(self, plans: Sequence[EncodedPlan], steps: np.ndarray) -> Tensor:
-        """Batch of encoded plans + step fractions -> (B, d_state), on the tape."""
+        """Batch of encoded plans + step fractions -> (B, d_state), on the
+        tape.  :meth:`statevecs` is this composition on arrays; change both
+        together."""
         order, segments, ints, fints, fvals = self._layout(plans)
         x = NodeVectors.apply(*self._tables(), ints=ints, fints=fints, fvals=fvals)
         x = self.input_proj(x)
@@ -205,16 +206,14 @@ class StateNetwork(Module):
         docstring); (B, d_state)."""
         order, segments, ints, fints, fvals = self._layout(plans)
         x = node_vectors(*(param.data for param in self._tables()), ints, fints, fvals)
-        proj = self.input_proj
-        x = F.linear(x, proj.weight.data, proj.bias.data)
+        x = self.input_proj.infer(x)
         last = len(self.layers) - 1
         for i, layer in enumerate(self.layers):
             x = layer.infer(x, segments, 1 if i == last else None)
         if not self.layers:
             x = x[leading_tokens(segments, 1)]
-        norm, proj = self.final_norm, self.state_proj
-        root = normalize(x, norm.gamma.data, norm.beta.data, norm.eps)[0]
-        return F.linear(pool_roots(root, order, steps), proj.weight.data, proj.bias.data)
+        root = self.final_norm.infer(x)
+        return self.state_proj.infer(pool_roots(root, order, steps))
 
 
 def pool_roots(root: np.ndarray, order: Sequence[int], steps: np.ndarray) -> np.ndarray:
@@ -411,7 +410,9 @@ class AdvantageModel(Module):
         return self._head(vecs[left_index], vecs[right_index])
 
     def _head(self, vec_l: Tensor, vec_r: Tensor) -> Tensor:
-        """The position-aware pairwise head, on the tape; logits (B, 3)."""
+        """The position-aware pairwise head, on the tape; logits (B, 3).
+        :meth:`head_logits` is this composition on arrays; change both
+        together."""
         batch = vec_l.shape[0]
         positions, fc1, fc2 = self.position_embed.weight, self.fc1, self.fc2
         # Position ids are the constants 0 (left) and 1 (right): in range.

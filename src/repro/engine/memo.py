@@ -91,40 +91,26 @@ class Memo(Generic[K, V]):
         ``keys[i]``.  ``compute`` is called at most once, outside the lock,
         with the first-seen item of each distinct missed key, in first-seen
         order, and returns their values in that order.  A ``None`` value is
-        returned in its key's slots but not stored.  Most calls ask for one
-        key, so that case takes a path that builds no dict.
+        returned in its key's slots but not stored.
         """
-        data, lock = self._data, self._lock
-        if len(keys) == 1:  # most calls: no dedup, no dicts
-            key = keys[0]
-            with lock:
-                value = data.get(key)
-                if value is not None:
-                    data.move_to_end(key)
-                    return [value]
-            value = compute([next(iter(items))])[0]
-            if value is not None:
-                with lock:
-                    value = self._insert(key, value)
-            return [value]
         found: Dict[K, Optional[V]] = {}
         misses: Dict[K, object] = {}
-        with lock:
-            lookup, refresh = data.get, data.move_to_end
+        with self._lock:
+            data = self._data
             for key, item in zip(keys, items):
-                if key not in found:
-                    value = found[key] = lookup(key)
-                    if value is None:
-                        misses[key] = item
-                    else:
-                        refresh(key)
+                if key in found:
+                    continue
+                value = found[key] = data.get(key)
+                if value is None:
+                    misses[key] = item
+                else:
+                    data.move_to_end(key)
         if misses:
             values = compute(list(misses.values()))
-            with lock:
+            with self._lock:
                 for key, value in zip(misses, values):
-                    if value is not None:
-                        found[key] = self._insert(key, value)
-        return list(map(found.__getitem__, keys))
+                    found[key] = None if value is None else self._insert(key, value)
+        return [found[key] for key in keys]
 
     def clear(self) -> None:
         with self._lock:

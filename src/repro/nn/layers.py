@@ -135,6 +135,11 @@ class Linear(Module):
             return FusedLinear.apply(x, self.weight)
         return FusedLinear.apply(x, self.weight, self.bias)
 
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        """:meth:`forward` on arrays, without gradients, over the weights'
+        ``.data`` as they are now."""
+        return linear(x, self.weight.data, None if self.bias is None else self.bias.data)
+
 
 def scatter_rows(ids: np.ndarray, rows: np.ndarray, num: int) -> np.ndarray:
     """``(num, dim)`` matrix holding, at row ``ids[i]``, the sum of ``rows[i]``.
@@ -195,6 +200,10 @@ class LayerNorm(Module):
     def forward(self, x: Tensor) -> Tensor:
         # ``x`` is passed twice: see :class:`Normalize`.
         return Normalize.apply(x, x, self.gamma, self.beta, eps=self.eps)
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        """:meth:`forward` on arrays, without gradients."""
+        return normalize(x, self.gamma.data, self.beta.data, self.eps)[0]
 
 
 def normalize(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float):
@@ -400,6 +409,8 @@ class MultiHeadAttention(Module):
         queries, score rows and the output projection run for those
         positions only — one ``(positions, dim)`` matrix — and the result is
         ``forward(x)`` at those positions up to GEMM blocking.
+
+        :meth:`infer` is this composition on arrays; change both together.
         """
         batch = None
         if segments is None:
@@ -417,6 +428,20 @@ class MultiHeadAttention(Module):
         out = FusedLinear.apply(context, o.weight, o.bias)
         return out if batch is None else out.reshape(batch, -1, self.dim)
 
+    def infer(self, x: np.ndarray, segments: Segments, rows: Optional[int] = None) -> np.ndarray:
+        """:meth:`forward` without gradients, bitwise, for a packed
+        ``(tokens, dim)`` array: the same array functions in the same order
+        over each parameter's ``.data``, keeping nothing."""
+        xq = x if rows is None else x[leading_tokens(segments, rows)]
+        q, k, v, o = self.q_proj, self.k_proj, self.v_proj, self.out_proj
+        context = attend_segments(
+            linear(xq, q.weight.data, q.bias.data),
+            linear(x, k.weight.data, k.bias.data),
+            linear(x, v.weight.data, v.bias.data),
+            segments, self.num_heads, 1.0 / math.sqrt(self.head_dim), rows,
+        )[0]
+        return linear(context, o.weight.data, o.bias.data)
+
 
 class FeedForward(Module):
     """Transformer position-wise feed-forward block."""
@@ -428,9 +453,16 @@ class FeedForward(Module):
         self.fc2 = Linear(hidden, dim, rng=rng)
 
     def forward(self, x: Tensor) -> Tensor:
+        # :meth:`infer` is this composition on arrays; change both together.
         fc1, fc2 = self.fc1, self.fc2
         hidden = FusedLinear.apply(x, fc1.weight, fc1.bias, activation="relu")
         return FusedLinear.apply(hidden, fc2.weight, fc2.bias)
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        """:meth:`forward` on arrays, without gradients."""
+        fc1, fc2 = self.fc1, self.fc2
+        hidden = linear(x, fc1.weight.data, fc1.bias.data, "relu")
+        return linear(hidden, fc2.weight.data, fc2.bias.data)
 
 
 class TransformerEncoderLayer(Module):
@@ -458,7 +490,8 @@ class TransformerEncoderLayer(Module):
         those positions only — ``forward(x)`` there, for a caller that reads
         nothing else.  Being position-wise, that part runs on the
         ``(positions, dim)`` matrix.  ``x``, ``mask`` / ``additive`` and
-        ``segments`` are :meth:`MultiHeadAttention.forward`'s."""
+        ``segments`` are :meth:`MultiHeadAttention.forward`'s.  :meth:`infer`
+        is this composition on arrays; change both together."""
         batch = None
         if segments is None:
             x, segments, batch = _pack(x, mask, additive)
@@ -470,32 +503,14 @@ class TransformerEncoderLayer(Module):
         return out if batch is None else out.reshape(batch, -1, out.shape[-1])
 
     def infer(self, x: np.ndarray, segments: Segments, rows: Optional[int] = None) -> np.ndarray:
-        """``forward(x, segments=segments, rows=rows).data`` under
-        ``no_grad``, bitwise, for a packed ``(tokens, dim)`` array: the same
-        array functions (:func:`normalize`, :func:`linear`,
-        :func:`attend_segments`) in the same order, as straight-line array
-        code over each parameter's ``.data``, read at call time — no
-        tensor, no tape, nothing kept."""
-        norm1, norm2, attn, fc1, fc2 = self.norm1, self.norm2, self.attn, self.ff.fc1, self.ff.fc2
-        q, k, v, o = attn.q_proj, attn.k_proj, attn.v_proj, attn.out_proj
-        normed = normalize(x, norm1.gamma.data, norm1.beta.data, norm1.eps)[0]
-        if rows is None:
-            xq = normed
-        else:
-            lead = leading_tokens(segments, rows)
-            xq, x = normed[lead], x[lead]
-        context = attend_segments(
-            linear(xq, q.weight.data, q.bias.data),
-            linear(normed, k.weight.data, k.bias.data),
-            linear(normed, v.weight.data, v.bias.data),
-            segments, attn.num_heads, 1.0 / math.sqrt(attn.head_dim), rows,
-        )[0]
-        x = x + linear(context, o.weight.data, o.bias.data)
-        hidden = linear(
-            normalize(x, norm2.gamma.data, norm2.beta.data, norm2.eps)[0],
-            fc1.weight.data, fc1.bias.data, "relu",
-        )
-        return x + linear(hidden, fc2.weight.data, fc2.bias.data)
+        """:meth:`forward` without gradients, bitwise, for a packed
+        ``(tokens, dim)`` array: each submodule's ``infer`` in
+        :meth:`forward`'s order — no tensor, no tape, nothing kept."""
+        attended = self.attn.infer(self.norm1.infer(x), segments, rows)
+        if rows is not None:
+            x = x[leading_tokens(segments, rows)]
+        x = x + attended
+        return x + self.ff.infer(self.norm2.infer(x))
 
 
 def mlp(

@@ -15,6 +15,7 @@ from repro.core.aam import (
 )
 from repro.core.encoding import PlanEncoder
 from repro.nn import functional as F
+from repro.nn import layers
 from repro.nn import profile
 from repro.nn.tensor import Tensor, no_grad
 
@@ -461,6 +462,25 @@ class TestRootOnlyLastLayer:
             assert prof.calls["fused_attention"] == 2
         token = 64 * 8  # d_model float64s
         assert attention == tokens * token + 16 * token  # every token, then 16 roots
+
+    def test_kernel_last_layer_queries_the_roots_alone(self, pool, monkeypatch):
+        """The no-grad kernel builds no tensor, so it is sized by the query
+        rows it hands the attention function: every token in the first
+        layer, one root per row in the last."""
+        template, plans, _ = pool
+        model = resized_model(template, 17, num_layers=2, d_model=64, ff_hidden=128)
+        network = model.state_network
+        big = [p for p in plans if p.num_nodes >= 15][:16]
+        tokens = sum(p.num_nodes for p in big)
+        seen = []
+
+        def recording(qd, kd, vd, segments, heads, scale, lead):
+            seen.append((qd.shape[0], kd.shape[0], lead))
+            return F.attend_segments(qd, kd, vd, segments, heads, scale, lead)
+
+        monkeypatch.setattr(layers, "attend_segments", recording)
+        network.statevecs(big, np.zeros(len(big)))
+        assert seen == [(tokens, tokens, None), (len(big), tokens, 1)]
 
 
 # ---------------------------------------------------------------------------
