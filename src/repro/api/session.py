@@ -135,7 +135,10 @@ class FossSession:
         ``dump()``.  Also registers the backend's
         ``stats()`` and the nn profiler as snapshot sources (idempotent),
         so one JSON snapshot carries metrics, spans, engine counters and
-        per-op nn profiles together.
+        per-op nn profiles together.  The ``nn_profile`` source counts tape
+        ops only: AAM training and the sampled policy step.  Served,
+        simulated and tournament AAM forwards and the greedy policy step
+        run as array code and are not in it.
         """
         self._check_open()
         from repro.nn import profile as nn_profile

@@ -6,9 +6,9 @@ This package implements the paper's contribution:
   order + join methods) with the paper's T/O node labelling;
 * :mod:`repro.core.actions` — the Swap/Override action space, legality
   masks, the post-Swap restriction, and the closed-form ``minsteps``;
-* :mod:`repro.core.encoding` — QueryFormer-lite plan encoding (node
-  features, structure types, and heights and the reachability attention
-  mask, both read off pre-order subtree spans);
+* :mod:`repro.core.encoding` — QueryFormer-lite plan encoding of
+  left-deep plans (node features; structure types, heights and the
+  reachability attention mask, all read off the table count);
 * :mod:`repro.core.aam` — the asymmetric advantage model (transformer state
   network + position-aware pairwise head, asymmetric focal loss);
 * :mod:`repro.core.reward` — advantage discretization, step/episode

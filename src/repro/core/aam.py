@@ -37,6 +37,7 @@ place.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import groupby
 from operator import attrgetter
@@ -49,6 +50,7 @@ from repro.core.encoding import (
     NUM_OPS,
     NUM_PRED_OPS,
     NUM_STRUCT_TYPES,
+    left_deep_shape,
 )
 from repro.engine.memo import Memo
 from repro.nn import functional as F
@@ -156,15 +158,12 @@ class StateNetwork(Module):
         counts = [p.num_nodes for p in plans]
         order = sorted(range(len(plans)), key=counts.__getitem__)
         ordered = [plans[i] for i in order]
-        # Every layer shares a segment's reachability mask; build its
-        # additive term once.
-        segments = []
-        for nodes, run in groupby(ordered, key=attrgetter("num_nodes")):
-            run = list(run)
-            mask = np.empty((len(run), nodes, nodes), dtype=bool)
-            for slot, plan in zip(mask, run):
-                slot[...] = plan.attention_mask[:nodes, :nodes]
-            segments.append((len(run), nodes, np.where(mask, 0.0, -1e9)[:, None, :, :]))
+        # Every row of a segment is a left-deep plan of the same node count,
+        # so one reachability term serves the segment and every layer.
+        segments = [
+            (len(list(run)), nodes, reachability_term(nodes))
+            for nodes, run in groupby(ordered, key=attrgetter("num_nodes"))
+        ]
         ints, fints, fvals = zip(*(_real_nodes(p) for p in ordered))
         return (
             order, segments,
@@ -301,14 +300,22 @@ def node_vectors(op, table, height, struct, column, pred_op, direction, ints, fi
 
 def _real_nodes(plan: EncodedPlan) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``plan``'s real nodes: ``(6, n)`` and ``(2, n, F)`` integer features
-    (stacked from the per-field arrays for a hand-built plan that carries no
-    blocks) and ``(n, F)`` filter values."""
+    and ``(n, F)`` filter values."""
     n = plan.num_nodes
-    if plan.int_block is not None:
-        return plan.int_block[:, :n], plan.fint_block[:, :n], plan.filter_vals[:n]
-    fields = (plan.ops, plan.tables, plan.join_left_col, plan.join_right_col, plan.heights, plan.structs)
-    ints, fints = np.stack(fields), np.stack([plan.filter_cols, plan.filter_ops])
-    return ints[:, :n], fints[:, :n], plan.filter_vals[:n]
+    return plan.int_block[:, :n], plan.fint_block[:, :n], plan.filter_vals[:n]
+
+
+@functools.cache
+def reachability_term(nodes: int) -> np.ndarray:
+    """The additive attention term of every left-deep plan of ``nodes``
+    nodes: ``(1, 1, nodes, nodes)``, 0 where :func:`left_deep_shape`'s
+    reachability mask allows a pair and -1e9 where it does not, broadcast
+    over a segment's rows and heads.  It depends on the node count alone,
+    never on the weights; read-only."""
+    reach = left_deep_shape((nodes + 1) // 2, nodes).reach
+    term = np.where(reach, 0.0, -1e9)[None, None]
+    term.flags.writeable = False
+    return term
 
 
 def distinct_rows(

@@ -6,15 +6,23 @@ samples, which the paper drops for efficiency.  Structural features are the
 node height and a 4-way structure type (left / right / no-siblings / root).
 Tree structure enters the transformer through a *reachability* attention
 mask: node pairs may attend iff one is an ancestor of the other (or they
-are the same node); unreachable pairs get attention score ~0.  Nodes are
-numbered in pre-order, so every subtree is one contiguous span of
-positions; mask and heights are both read off those spans.
+are the same node); unreachable pairs get attention score ~0.
+
+Every plan the encoder accepts is left-deep (the paper's scope and
+:mod:`repro.optimizer.plans`' contract): each join's right child is a
+scan.  Numbered in pre-order, an ``n``-table plan is always ``J_k ... J_1,
+S_0 ... S_k`` (``k = n - 1`` joins from the root down, then the scans left
+to right), so depth, height, structure type and the reachability mask are
+functions of ``n`` alone: :func:`left_deep_shape` defines them once, and
+the encoder reads a plan's structure rows off its table count.  A join on
+a join's right side is refused with ``ValueError``.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -52,9 +60,58 @@ MAX_FILTERS_PER_NODE = 3
 _LeafFeatures = Tuple[int, int, np.ndarray, np.ndarray, np.ndarray]
 
 
+class LeftDeepShape(NamedTuple):
+    """The structure rows of an ``n``-table left-deep plan, padded to a
+    width: ``(width,)`` heights, structs and node mask and the ``(width,
+    width)`` reachability mask.  The arrays are read-only."""
+
+    heights: np.ndarray
+    structs: np.ndarray
+    node_mask: np.ndarray
+    reach: np.ndarray
+
+
+@functools.cache
+def left_deep_shape(tables: int, width: int) -> LeftDeepShape:
+    """The structure of every left-deep plan of ``tables`` tables, padded
+    to ``width`` positions (at least ``2 * tables - 1``).
+
+    Pre-order puts the joins ``J_k ... J_1`` at positions ``0 .. k-1`` and
+    the scans ``S_0 ... S_k`` at ``k .. 2k``.  Join ``J_j`` (position
+    ``k - j``) has height ``j`` and the subtree ``J_j ... J_1, S_0 ... S_j``,
+    the positions up to ``2k - (k - j)``; a scan's subtree is itself.  The
+    root is ``STRUCT_ROOT``, every other join and ``S_0`` ``STRUCT_LEFT``,
+    the other scans ``STRUCT_RIGHT``.  Every position attends to itself,
+    padding included, and a real node to its ancestors and descendants.
+    """
+    joins, nodes = tables - 1, 2 * tables - 1
+    if tables < 1 or nodes > width:
+        raise ValueError(f"no {tables}-table plan fits {width} positions")
+    heights = np.zeros(width, dtype=np.int64)
+    heights[:joins] = np.arange(joins, 0, -1)
+    structs = np.zeros(width, dtype=np.int64)  # STRUCT_LEFT, and padding's 0
+    structs[joins + 1 : nodes] = STRUCT_RIGHT
+    structs[0] = STRUCT_ROOT
+    node_mask = np.arange(width) < nodes
+    reach = np.eye(width, dtype=bool)
+    for position in range(joins):
+        subtree = slice(position, nodes - position)
+        reach[position, subtree] = reach[subtree, position] = True
+    for array in (heights, structs, node_mask, reach):
+        array.flags.writeable = False
+    return LeftDeepShape(heights, structs, node_mask, reach)
+
+
 @dataclass
 class EncodedPlan:
-    """Fixed-size arrays describing one plan (padded to ``max_nodes``)."""
+    """Fixed-size arrays describing one left-deep plan (padded to
+    ``max_nodes``).
+
+    Left-deep is the invariant: ``heights``, ``structs``, ``node_mask`` and
+    ``attention_mask`` are :func:`left_deep_shape` of the plan's table count
+    (``(num_nodes + 1) // 2``), and ``attention_mask`` is that shared,
+    read-only array itself.
+    """
 
     ops: np.ndarray            # (N,) operator ids
     tables: np.ndarray         # (N,) table ids (0 = none/join node)
@@ -72,8 +129,8 @@ class EncodedPlan:
     # letting batch consumers gather all int features with one stack each:
     # int_block rows are (ops, tables, join_left_col, join_right_col,
     # heights, structs); fint_block rows are (filter_cols, filter_ops).
-    int_block: Optional[np.ndarray] = None   # (6, N) int64
-    fint_block: Optional[np.ndarray] = None  # (2, N, F) int64
+    int_block: np.ndarray      # (6, N) int64
+    fint_block: np.ndarray     # (2, N, F) int64
 
 
 class PlanEncoder:
@@ -110,11 +167,15 @@ class PlanEncoder:
         for table_name in schema.table_names:
             for column in schema.table(table_name).column_names:
                 self._column_ids[(table_name, column)] = len(self._column_ids) + 1
-        # Position constants of the span computation in :meth:`_encode_batch`.
-        positions = np.arange(max_nodes + 1)
-        self._positions = positions[:max_nodes]
-        self._later = positions > self._positions[:, None]
-        self._at_or_after = self._positions >= self._positions[:, None]
+        # The structure rows of every table count that fits, indexed by
+        # ``tables - 1``: an ``int_block`` with heights and structs set and
+        # the rest zero, the node mask and the reachability mask.
+        shapes = [left_deep_shape(t, max_nodes) for t in range(1, (max_nodes + 1) // 2 + 1)]
+        self._int_rows = np.zeros((len(shapes), 6, max_nodes), dtype=np.int64)
+        self._int_rows[:, 4] = [shape.heights for shape in shapes]
+        self._int_rows[:, 5] = [shape.structs for shape in shapes]
+        self._node_rows = np.array([shape.node_mask for shape in shapes])
+        self._reach = [shape.reach for shape in shapes]
 
     @property
     def num_tables(self) -> int:
@@ -136,7 +197,7 @@ class PlanEncoder:
 
         This is a true batch path: after one cache-lookup pass (with
         in-batch dedup), *all* uncached plans are encoded together by
-        :meth:`_encode_batch`, whose feature writes and subtree spans
+        :meth:`_encode_batch`, whose structure gathers and feature writes
         vectorize across the whole cohort.
         """
         keys = [(query.signature(), plan_signature(plan)) for query, plan in pairs]
@@ -145,103 +206,77 @@ class PlanEncoder:
     def _encode_batch(self, pairs: Sequence[Tuple[Query, PlanNode]]) -> List[EncodedPlan]:
         """Encode ``pairs``, bypassing the encoding cache, with vectorized writes.
 
-        One Python pass walks every plan tree collecting parallel id lists
-        and node depths; each feature field is then filled with a single
-        boolean-mask assignment across the whole batch.  Reachability and
-        heights come from pre-order spans, a fixed number of numpy calls
-        over ``(batch, max_nodes, max_nodes)`` whatever the batch size or
-        tree depth: node i's subtree is the positions ``[i, end_i)``, where
-        ``end_i`` is the first later position no deeper than i, so the mask
-        is the spans OR their transpose, and a height is the deepest depth
-        inside the span minus the node's own.  The returned
-        ``EncodedPlan`` fields are row views of the shared batch arrays.
+        One Python pass walks every plan's left spine from the root,
+        collecting join method ids, each join's first-predicate column ids
+        and the scans (bottom-up, for the leaf cache).  The structure rows
+        are gathered for the whole batch by table count
+        (:func:`left_deep_shape`), and each variable field is then filled
+        with a single boolean-mask assignment across the batch.  The
+        returned ``EncodedPlan`` fields are row views of the shared batch
+        arrays, except ``attention_mask``, the shared read-only row itself.
         """
         n_max = self.max_nodes
         batch = len(pairs)
-        # The six per-node int fields live in one zeroed block (views keep
-        # the per-field names); ditto the two int filter-slot fields.
-        int_block = np.zeros((batch, 6, n_max), dtype=np.int64)
-        ops, tables, join_left, join_right, heights, structs = (
-            int_block[:, 0], int_block[:, 1], int_block[:, 2],
-            int_block[:, 3], int_block[:, 4], int_block[:, 5],
+        # Parallel value lists collected in one walk over every spine, in
+        # walk order: plan by plan, joins root first and scans left to
+        # right, which is the row-major order of the boolean masks that
+        # scatter them below (pre-order is J_k ... J_1, S_0 ... S_k).
+        counts: List[int] = []
+        join_op: List[int] = []
+        join_l: List[int] = []  # 0 (none) for a join without predicates
+        join_r: List[int] = []
+        scans: List[Tuple[Query, ScanNode]] = []
+        scan_keys: List[Tuple[str, str]] = []
+        column_ids = self._column_ids
+        join_op_ids = _JOIN_OP_IDS
+
+        for query, plan in pairs:
+            query_tables = query.tables
+            node, spine = plan, []
+            while isinstance(node, JoinNode):
+                join_op.append(join_op_ids[node.method])
+                if node.predicates:
+                    predicate = node.predicates[0]
+                    pred_left, pred_right = predicate.left, predicate.right
+                    join_l.append(column_ids[(query_tables[pred_left.alias], pred_left.column)])
+                    join_r.append(column_ids[(query_tables[pred_right.alias], pred_right.column)])
+                else:
+                    join_l.append(0)
+                    join_r.append(0)
+                if not isinstance(node.right, ScanNode):
+                    raise ValueError("only a left-deep plan (every join's right child a scan) is encoded")
+                spine.append(node.right)
+                node = node.left
+            assert isinstance(node, ScanNode)
+            spine.append(node)
+            n = 2 * len(spine) - 1
+            if n > n_max:
+                raise ValueError(f"plan has {n} nodes, encoder limit is {n_max}")
+            counts.append(n)
+            query_signature = query.signature()
+            for scan in reversed(spine):
+                scans.append((query, scan))
+                scan_keys.append((query_signature, plan_signature(scan)))
+
+        rows = [n // 2 for n in counts]  # structure row: table count - 1
+        # The six per-node int fields live in one block (views keep the
+        # per-field names), heights and structs set; ditto the two int
+        # filter-slot fields.
+        int_block = self._int_rows[rows]
+        ops, tables, join_left, join_right = (
+            int_block[:, 0], int_block[:, 1], int_block[:, 2], int_block[:, 3],
         )
         fint_block = np.zeros((batch, 2, n_max, MAX_FILTERS_PER_NODE), dtype=np.int64)
         filter_cols, filter_ops = fint_block[:, 0], fint_block[:, 1]
         filter_vals = np.zeros((batch, n_max, MAX_FILTERS_PER_NODE), dtype=np.float64)
-        # Depth -1 past each plan's last node, and in one extra column, ends
-        # every span by ``n_max`` and gives a padding row its diagonal alone.
-        depth = np.full((batch, n_max + 1), -1, dtype=np.int64)
-        counts: List[int] = []
-
-        # Parallel value lists collected in one walk over every tree, in
-        # walk order: plan by plan, each in pre-order, which is the row-major
-        # order of the boolean masks that scatter them below.
-        all_depth: List[int] = []
-        all_struct: List[int] = []
-        all_op: List[int] = []
-        scans: List[Tuple[Query, ScanNode]] = []
-        scan_keys: List[Tuple[str, str]] = []
-        join_l: List[int] = []  # 0 (none) for a join without predicates
-        join_r: List[int] = []
-
-        # Hot-loop local bindings (the walk visits every node of every plan).
-        append_depth = all_depth.append
-        append_struct, append_op = all_struct.append, all_op.append
-        column_ids = self._column_ids
-        append_scan, append_scan_key = scans.append, scan_keys.append
-        join_op_ids = _JOIN_OP_IDS
-
-        for query, plan in pairs:
-            # Iterative pre-order walk (node, depth, is-left-child); right is
-            # pushed first so left pops first, matching recursion.
-            stack: List[Tuple[PlanNode, int, Optional[bool]]] = [(plan, 0, None)]
-            pop, push = stack.pop, stack.append
-            index = 0
-            query_tables = query.tables
-            query_signature = query.signature()
-            while stack:
-                node, level, as_left = pop()
-                index += 1
-                append_depth(level)
-                if level == 0:
-                    append_struct(STRUCT_ROOT)
-                elif as_left is None:
-                    append_struct(STRUCT_NO_SIBLING)
-                else:
-                    append_struct(STRUCT_LEFT if as_left else STRUCT_RIGHT)
-                if isinstance(node, JoinNode):
-                    append_op(join_op_ids[node.method])
-                    if node.predicates:
-                        predicate = node.predicates[0]
-                        pred_left, pred_right = predicate.left, predicate.right
-                        join_l.append(column_ids[(query_tables[pred_left.alias], pred_left.column)])
-                        join_r.append(column_ids[(query_tables[pred_right.alias], pred_right.column)])
-                    else:
-                        join_l.append(0)
-                        join_r.append(0)
-                    push((node.right, level + 1, False))
-                    push((node.left, level + 1, True))
-                else:
-                    assert isinstance(node, ScanNode)
-                    append_op(OP_PAD)  # set from the scan's features below
-                    append_scan((query, node))
-                    append_scan_key((query_signature, plan_signature(node)))
-            n = index
-            if n > n_max:
-                raise ValueError(f"plan has {n} nodes, encoder limit is {n_max}")
-            counts.append(n)
-
-        node_mask = self._positions < np.array(counts)[:, None]
-        own = depth[:, :n_max]
-        own[node_mask] = all_depth
-        structs[node_mask] = all_struct
-        ops[node_mask] = all_op
-        is_join = ops >= OP_HASH_JOIN
+        node_mask = self._node_rows[rows]
+        is_join = int_block[:, 4] > 0  # a join is a node of positive height
         is_scan = node_mask & ~is_join
         leaves = self._leaf_cache.many(
             scan_keys, scans, lambda misses: [self._leaf_features(*scan) for scan in misses]
         )
         scan_op, scan_table, scan_fcols, scan_fops, scan_fvals = zip(*leaves)
+        ops[is_join] = join_op
         ops[is_scan] = scan_op
         tables[is_scan] = scan_table
         filter_cols[is_scan] = np.array(scan_fcols)
@@ -250,21 +285,7 @@ class PlanEncoder:
         join_left[is_join] = join_l
         join_right[is_join] = join_r
 
-        # Every node may attend to itself (real and padding rows alike) and
-        # to its ancestors and descendants.
-        ends = ((depth[:, None, :] <= own[:, :, None]) & self._later).argmax(axis=2)
-        spans = self._at_or_after & (self._positions < ends[:, :, None])
-        attention = spans | spans.transpose(0, 2, 1)
-        # A height (the longest downward path to a leaf) is the deepest
-        # depth in ``[i, end_i)`` minus i's own: one max per slice of the
-        # flat depths, between interleaved bounds whose odd slices are spare.
-        bounds = np.empty((batch, n_max, 2), dtype=np.int64)
-        row_starts = np.arange(0, depth.size, n_max + 1)[:, None]
-        bounds[:, :, 0] = row_starts + self._positions
-        bounds[:, :, 1] = row_starts + ends
-        deepest = np.maximum.reduceat(depth.reshape(-1), bounds.reshape(-1))[::2]
-        heights[...] = deepest.reshape(batch, n_max) - own
-
+        reach = self._reach
         return [
             EncodedPlan(
                 ops=ops[u],
@@ -274,9 +295,9 @@ class PlanEncoder:
                 filter_cols=filter_cols[u],
                 filter_ops=filter_ops[u],
                 filter_vals=filter_vals[u],
-                heights=heights[u],
-                structs=structs[u],
-                attention_mask=attention[u],
+                heights=int_block[u, 4],
+                structs=int_block[u, 5],
+                attention_mask=reach[rows[u]],
                 node_mask=node_mask[u],
                 num_nodes=counts[u],
                 int_block=int_block[u],

@@ -290,19 +290,20 @@ class Sequential(Module):
     """Chain of modules applied in order.
 
     Adjacent ``Linear`` → ``ReLU``/``Tanh`` pairs are executed through the
-    :func:`fused_linear` kernel (one tape node / one inference tensor
-    instead of three).  The fusion is purely an execution plan: module
-    structure, parameter names and init order are unchanged, and the fused
-    kernel's outputs and gradients are bitwise-equal to the unfused chain.
+    :func:`fused_linear` kernel (one tape node instead of three).  The
+    fusion is purely an execution plan: module structure, parameter names
+    and init order are unchanged, and the fused kernel's outputs and
+    gradients are bitwise-equal to the unfused chain.  :meth:`infer` runs
+    the same plan on arrays, without gradients.
     """
 
     def __init__(self, *modules: Module) -> None:
         super().__init__()
         self._layers: List[Module] = []
-        self._fusion_plan: Optional[List[Tuple[str, Module, Optional[str]]]] = None
         for index, module in enumerate(modules):
             setattr(self, f"layer{index}", module)
             self._layers.append(module)
+        self._fusion_plan = self._build_fusion_plan()
 
     def _build_fusion_plan(self) -> List[Tuple[str, Module, Optional[str]]]:
         plan: List[Tuple[str, Module, Optional[str]]] = []
@@ -319,13 +320,24 @@ class Sequential(Module):
         return plan
 
     def forward(self, x: Tensor) -> Tensor:
-        if self._fusion_plan is None:
-            self._fusion_plan = self._build_fusion_plan()
         for kind, layer, activation in self._fusion_plan:
             if kind == "fused":
                 x = fused_linear(x, layer.weight, layer.bias, activation)
             else:
                 x = layer(x)
+        return x
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        """:meth:`forward` without gradients, bitwise: the fusion plan's
+        steps in order, each fused pair one :func:`linear` over the layer's
+        ``.data`` as it is now and any other layer its own ``infer``; no
+        tensor, no tape."""
+        for kind, layer, activation in self._fusion_plan:
+            if kind == "fused":
+                bias = None if layer.bias is None else layer.bias.data
+                x = linear(x, layer.weight.data, bias, activation)
+            else:
+                x = layer.infer(x)
         return x
 
     def __iter__(self) -> Iterator[Module]:

@@ -121,16 +121,18 @@ class ActorCritic(Module):
         ``rngs`` supplies one generator per row (ignored when
         ``deterministic``); returns (actions, log_probs, values) arrays of
         shape (B,).  A ``deterministic`` (greedy) step runs only what its
-        argmax reads, the masked actor logits, so its log-probs and values
-        are ``None``: PPO never learns from greedy steps.
+        argmax reads, the masked actor logits, as array code
+        (:meth:`repro.nn.layers.Sequential.infer`, bitwise the taped
+        actor's), so its log-probs and values are ``None``: PPO never learns
+        from greedy steps.  A sampled step keeps the tape's forward.
         """
         states = np.asarray(states, dtype=np.float64)
+        if deterministic:
+            logits = self.actor.infer(states)
+            if masks is not None:
+                logits = logits + _mask_term(masks)
+            return np.argmax(logits, axis=-1), None, None
         with no_grad():
-            if deterministic:
-                logits = self.actor(Tensor(states)).data
-                if masks is not None:
-                    logits = logits + _mask_term(masks)
-                return np.argmax(logits, axis=-1), None, None
             dist, values = self.forward(Tensor(states), masks)
             actions = dist.sample_rows(rngs)
             log_probs = dist.log_prob(actions).data

@@ -1,13 +1,16 @@
-"""Test-only oracle: the plan-encoder batch path the pre-order spans replaced.
+"""Test-only oracle: a plan-encoder batch path for any binary plan tree.
 
-This is the previous ``PlanEncoder._encode_batch``, kept verbatim: the
-reachability mask by an iterative ancestor-pointer chase over every node of
-every plan (one round per tree level), and heights by either of its two
-paths, ``np.maximum.at`` passes over every child -> parent edge for a batch
-of 8 or more and a reverse pre-order Python sweep below that.  The
-differential tests in ``tests/test_core_reward_encoding.py`` require the
-encoder to reproduce it ``array_equal`` field for field.  Nothing under
-``src/`` imports it; do not optimise it.
+This is an earlier ``PlanEncoder._encode_batch``, kept verbatim: a general
+pre-order walk, the reachability mask by an iterative ancestor-pointer chase
+over every node of every plan (one round per tree level), and heights by
+either of its two paths, ``np.maximum.at`` passes over every child -> parent
+edge for a batch of 8 or more and a reverse pre-order Python sweep below
+that.  The encoder now reads a left-deep plan's structure off its table
+count and refuses any other shape; the differential tests in
+``tests/test_core_reward_encoding.py`` require it to reproduce this oracle
+``array_equal`` field for field on every left-deep plan, and the oracle
+still encodes bushy trees.  Nothing under ``src/`` imports it; do not
+optimise it.
 """
 
 from __future__ import annotations

@@ -1,5 +1,8 @@
 """AAM tests: state network, pairwise head, asymmetric loss, training."""
 
+from itertools import groupby
+from operator import attrgetter
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -12,6 +15,7 @@ from repro.core.aam import (
     AdvantageModel,
     asymmetric_loss,
     distinct_rows,
+    reachability_term,
 )
 from repro.core.encoding import PlanEncoder
 from repro.nn import functional as F
@@ -637,6 +641,54 @@ class TestPackedForward:
             np.testing.assert_allclose(k.grad[k_start:k_stop], merge(parts[1].grad), **close)
             np.testing.assert_allclose(v.grad[k_start:k_stop], merge(parts[2].grad), **close)
             q_start, k_start = q_stop, k_stop
+
+
+def stacked_layout(plans):
+    """``StateNetwork._layout`` as it stood before a segment's reachability
+    term came from its node count: every row's own mask stacked and turned
+    into a ``(rows, 1, nodes, nodes)`` term (verbatim; test-only oracle)."""
+    counts = [p.num_nodes for p in plans]
+    order = sorted(range(len(plans)), key=counts.__getitem__)
+    ordered = [plans[i] for i in order]
+    segments = []
+    for nodes, run in groupby(ordered, key=attrgetter("num_nodes")):
+        run = list(run)
+        mask = np.empty((len(run), nodes, nodes), dtype=bool)
+        for slot, plan in zip(mask, run):
+            slot[...] = plan.attention_mask[:nodes, :nodes]
+        segments.append((len(run), nodes, np.where(mask, 0.0, -1e9)[:, None, :, :]))
+    n = [p.num_nodes for p in ordered]
+    return (
+        order, segments,
+        np.concatenate([p.int_block[:, :k] for p, k in zip(ordered, n)], axis=1),
+        np.concatenate([p.fint_block[:, :k] for p, k in zip(ordered, n)], axis=1),
+        np.concatenate([p.filter_vals[:k] for p, k in zip(ordered, n)]),
+    )
+
+
+class TestReachabilityTerm:
+    """A segment's additive term is one ``(1, 1, n, n)`` array per node
+    count, broadcast over its rows; the oracle stacks every row's mask."""
+
+    @pytest.mark.parametrize("num_layers", [0, 1, 2])
+    def test_broadcast_term_equals_stacked_masks(self, packed_pool, monkeypatch, num_layers):
+        template, plans, _ = packed_pool
+        network = resized_model(template, 23, num_layers=num_layers).state_network
+        rng = np.random.default_rng(num_layers)
+        picks = [int(i) for i in rng.integers(len(plans), size=40)] + [len(plans) - 1]
+        batch = [plans[i] for i in picks]
+        steps = np.array([STEPS[i % 4] for i in picks])
+        assert len({p.num_nodes for p in batch}) >= 8 and len(batch) > len(set(picks))
+
+        _, segments, *_ = network._layout(batch)
+        for _, nodes, term in segments:
+            assert term.shape == (1, 1, nodes, nodes) and not term.flags.writeable
+            assert term is reachability_term(nodes)
+        vecs = network.statevecs(batch, steps)
+        taped = network(batch, steps).data
+        monkeypatch.setattr(network, "_layout", stacked_layout)
+        assert np.array_equal(vecs, network.statevecs(batch, steps))
+        assert np.array_equal(taped, network(batch, steps).data)
 
 
 class TestTrainBookkeeping:

@@ -16,6 +16,7 @@ from repro.core.encoding import (
     STRUCT_LEFT,
     STRUCT_RIGHT,
     STRUCT_ROOT,
+    left_deep_shape,
 )
 from repro.core.icp import IncompletePlan
 from repro.core.reward import AdvantageFunction, ReferenceSet, RewardConfig
@@ -317,16 +318,17 @@ def _encoder_pairs(workload):
 
 
 class TestEncoderAgainstReference:
-    """Pre-order spans reproduce the ancestor chase and both of its height
-    paths (``tests/reference_encoding.py``) array for array, on both sides
-    of the batch size (8) where the chase switched height paths."""
+    """Structure rows read off the table count reproduce the ancestor chase
+    and both of its height paths (``tests/reference_encoding.py``) array for
+    array, on both sides of the batch size (8) where the chase switched
+    height paths."""
 
     FIELDS = [f.name for f in dataclasses.fields(EncodedPlan)]
 
-    def check(self, workload, pairs):
+    def check(self, workload, pairs, max_nodes=None):
         encoder = PlanEncoder(
             workload.database.schema,
-            max_nodes=2 * max(workload.max_query_tables, 2),
+            max_nodes=max_nodes or 2 * max(workload.max_query_tables, 2),
             statistics=workload.database.statistics,
         )
         assert len(self.FIELDS) == 14
@@ -346,19 +348,47 @@ class TestEncoderAgainstReference:
         assert len(pairs) > len(workload.all_queries)
         self.check(workload, pairs)
 
+    def test_structure_rows_of_every_table_count(self, job_workload):
+        """Synthetic left-deep plans of 1 to ``max_nodes // 2`` tables, one
+        method per join and no predicates: every field, padding included,
+        equals the general oracle's, and the structure rows are
+        ``left_deep_shape``'s."""
+        db = job_workload.database
+        query = job_workload.all_queries[0].query
+        table = db.schema.table_names[0]
+        pairs = []
+        for tables in range(1, 40 // 2 + 1):
+            plan = ScanNode(alias="s0", table=table)
+            for j in range(1, tables):
+                right = ScanNode(alias=f"s{j}", table=table)
+                plan = JoinNode(left=plan, right=right, method=("hash", "merge", "nestloop")[j % 3])
+            pairs.append((query, plan))
+        self.check(job_workload, pairs, max_nodes=40)
+        encoder = PlanEncoder(db.schema, max_nodes=40, statistics=db.statistics)
+        for tables, want in enumerate(reference_encoding.encode_batch(encoder, pairs), 1):
+            assert want.num_nodes == 2 * tables - 1
+            shape = left_deep_shape(tables, 40)
+            assert np.array_equal(shape.heights, want.heights)
+            assert np.array_equal(shape.structs, want.structs)
+            assert np.array_equal(shape.node_mask, want.node_mask)
+            assert np.array_equal(shape.reach, want.attention_mask)
+            assert not shape.reach.flags.writeable
+
     def test_bushy_tree(self, job_workload):
-        """Expert and hint plans are left-deep; a join on the right of a
-        join exercises spans that end inside another subtree."""
+        """The encoder refuses a join on the right of a join, as the wire
+        does; the tree's left-deep pieces still encode equal to the general
+        oracle, which still encodes the whole tree."""
         db = job_workload.database
         query = next(w.query for w in job_workload.all_queries if w.query.num_tables >= 5)
         a, b, c, d, e = _scans(db.plan(query).plan)[:5]
         right = JoinNode(left=JoinNode(left=c, right=d, method="merge"), right=e, method="nestloop")
         bushy = JoinNode(left=JoinNode(left=a, right=b, method="hash"), right=right, method="hash")
-        pairs = [(query, bushy), (query, bushy.right), (query, bushy.left)]
-        self.check(job_workload, pairs)
-        encoding = reference_encoding.encode_batch(
-            PlanEncoder(db.schema, max_nodes=40, statistics=db.statistics), pairs[:1]
-        )[0]
+        encoder = PlanEncoder(db.schema, max_nodes=40, statistics=db.statistics)
+        for batch in ([(query, bushy)], [(query, bushy.left), (query, bushy)]):
+            with pytest.raises(ValueError, match="left-deep"):
+                encoder.encode_many(batch)
+        self.check(job_workload, [(query, bushy.right), (query, bushy.left)])
+        encoding = reference_encoding.encode_batch(encoder, [(query, bushy)])[0]
         assert list(encoding.heights[:9]) == [3, 1, 0, 0, 2, 1, 0, 0, 0]
 
 

@@ -167,6 +167,32 @@ class TestGreedyStep:
         assert np.array_equal(actions, mode)
         assert log_probs is None and values is None
 
+    @pytest.mark.parametrize("batch", [1, 3, 16])
+    def test_infer_and_greedy_step_equal_the_taped_actor_bitwise(self, batch):
+        """``Sequential.infer`` is the taped forward on arrays, bit for bit,
+        and calls no op; the greedy step is the argmax of its masked logits."""
+        rng = np.random.default_rng(batch)
+        policy = ActorCritic(12, 7, hidden_sizes=(16, 16), rng=rng)
+        for param in policy.parameters():  # off the init's scales: tanh saturates
+            param.data = param.data + rng.normal(0.0, 0.5, size=param.data.shape)
+        states = rng.normal(0.0, 3.0, size=(batch, 12))
+        masks = rng.random((batch, 7)) < 0.5
+        masks[:, 6] = True
+        for net in (policy.actor, policy.critic):
+            taped = net(Tensor(states, requires_grad=True)).data
+            with profile.profile() as prof:
+                kernel = net.infer(states)
+            assert prof.total_calls() == 0
+            assert np.array_equal(kernel, taped)
+        logits = policy.actor(Tensor(states, requires_grad=True)).data
+        with profile.profile() as prof:
+            actions, log_probs, values = policy.act_batch(
+                states, masks, [None] * batch, deterministic=True
+            )
+        assert prof.total_calls() == 0
+        assert np.array_equal(actions, np.argmax(np.where(masks, logits, -np.inf), axis=-1))
+        assert log_probs is None and values is None
+
     @settings(max_examples=20, deadline=None)
     @given(step=greedy_steps(), row=st.integers(0, 7))
     def test_a_row_without_legal_actions_raises(self, step, row):
