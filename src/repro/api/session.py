@@ -132,19 +132,12 @@ class FossSession:
         """The process-wide :class:`repro.obs.Observability` facade.
 
         Exposes the registry snapshot, Prometheus/JSON rendering and
-        ``dump()``.  Also registers the backend's
-        ``stats()`` and the nn profiler as snapshot sources (idempotent),
-        so one JSON snapshot carries metrics, spans, engine counters and
-        per-op nn profiles together.  The ``nn_profile`` source counts tape
-        ops only: AAM training and the sampled policy step.  Served,
-        simulated and tournament AAM forwards and the greedy policy step
-        run as array code and are not in it.
+        ``dump()``.  Also registers the backend's ``stats()`` as a snapshot
+        source (idempotent), so one JSON snapshot carries metrics, spans
+        and engine counters together.
         """
         self._check_open()
-        from repro.nn import profile as nn_profile
-
         obs.register_snapshot_source("backend", self.backend.stats)
-        obs.register_snapshot_source("nn_profile", nn_profile.observability_snapshot)
         return obs.get_observability()
 
     # ------------------------------------------------------------------

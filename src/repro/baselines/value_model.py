@@ -17,7 +17,7 @@ from repro.catalog.schema import Schema
 from repro.nn import functional as F
 from repro.nn.layers import mlp
 from repro.nn.optim import Adam, clip_grad_norm
-from repro.nn.tensor import Tensor, no_grad
+from repro.nn.tensor import Tensor
 from repro.optimizer.plans import JOIN_METHODS, JoinNode, PlanNode, ScanNode, iter_nodes
 from repro.sql.ast import Query
 
@@ -138,11 +138,12 @@ class ValueModel:
 
     def predict(self, features: np.ndarray) -> float:
         """Predicted latency in ms."""
-        with no_grad():
-            log_latency = float(self.network(Tensor(np.atleast_2d(features))).data.reshape(-1)[0])
-        return float(np.expm1(np.clip(log_latency, 0.0, 30.0)))
+        return float(self.predict_batch(features)[0])
 
     def predict_batch(self, features: np.ndarray) -> np.ndarray:
-        with no_grad():
-            log_latency = self.network(Tensor(np.atleast_2d(features))).data.reshape(-1)
+        """Predicted latencies in ms, one per row: the network's forward as
+        array code (:meth:`repro.nn.layers.Sequential.infer`, bitwise the
+        taped one), since nothing here builds a loss."""
+        features = np.atleast_2d(np.asarray(features, dtype=np.float64))
+        log_latency = self.network.infer(features).reshape(-1)
         return np.expm1(np.clip(log_latency, 0.0, 30.0))

@@ -193,10 +193,6 @@ class StateNetwork(Module):
         root = self.final_norm(x)  # pre-order encoding puts the plan root first
         return self.state_proj(PoolRoots.apply(root, order=order, steps=steps))
 
-    def statevec(self, plan: EncodedPlan, step: float) -> np.ndarray:
-        """Inference-mode state representation for a single plan."""
-        return self.statevecs([plan], np.array([step]))[0]
-
     def statevecs(self, plans: Sequence[EncodedPlan], steps: np.ndarray) -> np.ndarray:
         """``forward(plans, steps).data`` without gradients, bitwise: the
         no-grad kernel.  The same layout, the same root-only last layer and
@@ -229,7 +225,6 @@ class PoolRoots(Function):
     the result is ``root[i]``, with the steps as a last column."""
 
     __slots__ = ("order", "width")
-    op = "pool_roots"
 
     def forward(ctx, root, order, steps):
         ctx.order, ctx.width = order, root.shape[1]
@@ -252,7 +247,6 @@ class NodeVectors(Function):
     """
 
     __slots__ = ("ints", "fints", "fvals", "sizes")
-    op = "node_vectors"
 
     def forward(ctx, op, table, height, struct, column, pred_op, direction, ints, fints, fvals):
         ctx.ints, ctx.fints, ctx.fvals = ints, fints, fvals

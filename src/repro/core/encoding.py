@@ -107,10 +107,10 @@ class EncodedPlan:
     """Fixed-size arrays describing one left-deep plan (padded to
     ``max_nodes``).
 
-    Left-deep is the invariant: ``heights``, ``structs``, ``node_mask`` and
-    ``attention_mask`` are :func:`left_deep_shape` of the plan's table count
-    (``(num_nodes + 1) // 2``), and ``attention_mask`` is that shared,
-    read-only array itself.
+    Left-deep is the invariant: the plan's heights and structs
+    (``int_block`` rows 4 and 5), node mask and reachability mask are
+    :func:`left_deep_shape` of its table count, ``(num_nodes + 1) // 2``,
+    so only the heights and structs are stored.
     """
 
     ops: np.ndarray            # (N,) operator ids
@@ -120,10 +120,6 @@ class EncodedPlan:
     filter_cols: np.ndarray    # (N, F) column ids (0 = none)
     filter_ops: np.ndarray     # (N, F) predicate-op ids (0 = none)
     filter_vals: np.ndarray    # (N, F) normalized constants in [0, 1]
-    heights: np.ndarray        # (N,)
-    structs: np.ndarray        # (N,)
-    attention_mask: np.ndarray  # (N, N) bool; True = may attend
-    node_mask: np.ndarray      # (N,) bool; True = real node
     num_nodes: int
     # Contiguous packed views over the same storage as the fields above,
     # letting batch consumers gather all int features with one stack each:
@@ -169,13 +165,12 @@ class PlanEncoder:
                 self._column_ids[(table_name, column)] = len(self._column_ids) + 1
         # The structure rows of every table count that fits, indexed by
         # ``tables - 1``: an ``int_block`` with heights and structs set and
-        # the rest zero, the node mask and the reachability mask.
+        # the rest zero, and the node mask.
         shapes = [left_deep_shape(t, max_nodes) for t in range(1, (max_nodes + 1) // 2 + 1)]
         self._int_rows = np.zeros((len(shapes), 6, max_nodes), dtype=np.int64)
         self._int_rows[:, 4] = [shape.heights for shape in shapes]
         self._int_rows[:, 5] = [shape.structs for shape in shapes]
         self._node_rows = np.array([shape.node_mask for shape in shapes])
-        self._reach = [shape.reach for shape in shapes]
 
     @property
     def num_tables(self) -> int:
@@ -213,7 +208,7 @@ class PlanEncoder:
         (:func:`left_deep_shape`), and each variable field is then filled
         with a single boolean-mask assignment across the batch.  The
         returned ``EncodedPlan`` fields are row views of the shared batch
-        arrays, except ``attention_mask``, the shared read-only row itself.
+        arrays.
         """
         n_max = self.max_nodes
         batch = len(pairs)
@@ -285,7 +280,6 @@ class PlanEncoder:
         join_left[is_join] = join_l
         join_right[is_join] = join_r
 
-        reach = self._reach
         return [
             EncodedPlan(
                 ops=ops[u],
@@ -295,10 +289,6 @@ class PlanEncoder:
                 filter_cols=filter_cols[u],
                 filter_ops=filter_ops[u],
                 filter_vals=filter_vals[u],
-                heights=int_block[u, 4],
-                structs=int_block[u, 5],
-                attention_mask=reach[rows[u]],
-                node_mask=node_mask[u],
                 num_nodes=counts[u],
                 int_block=int_block[u],
                 fint_block=fint_block[u],

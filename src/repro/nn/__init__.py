@@ -7,10 +7,16 @@ QueryFormer-style state network (embeddings, linear layers, layer norm,
 multi-head attention), optimizers, and (de)serialization of parameters.
 
 The API deliberately mirrors PyTorch's so the FOSS code reads like the
-paper's original implementation would.
+paper's original implementation would, with one difference: there is no
+grad mode, no context manager that switches the tape off.  Gradients
+decide the path.  The tape runs only where a loss is built (AAM training,
+the PPO update, the value-model fit); every other forward is inference and
+calls a module's ``infer``: array code over its parameters' ``.data`` that
+composes the same array functions as its ``forward`` and builds no
+tensor.
 """
 
-from repro.nn.tensor import Tensor, no_grad, tensor, zeros, ones, randn
+from repro.nn.tensor import Tensor, tensor, zeros, ones, randn
 from repro.nn import functional
 from repro.nn.layers import (
     Dropout,
@@ -33,7 +39,6 @@ __all__ = [
     "zeros",
     "ones",
     "randn",
-    "no_grad",
     "functional",
     "Module",
     "Parameter",

@@ -13,7 +13,9 @@ unfused ops' backward passes exactly.
 it and keeps what its backward reads, and the no-grad kernels
 (:meth:`repro.nn.layers.TransformerEncoderLayer.infer` and the AAM's
 statevec and head kernels) call it and keep nothing, so the two paths
-evaluate the same expressions and agree bitwise.
+evaluate the same expressions and agree bitwise.  Likewise
+:func:`log_softmax_array` is :func:`log_softmax` on arrays, for the
+sampled policy step.
 """
 
 from __future__ import annotations
@@ -36,13 +38,9 @@ from repro.nn.tensor import (  # noqa: F401 - concatenate/stack/where re-exporte
 Segments = Sequence[Tuple[int, int, Optional[np.ndarray]]]
 
 __all__ = [
-    "softmax",
     "log_softmax",
-    "cross_entropy",
-    "nll_loss",
+    "log_softmax_array",
     "mse_loss",
-    "huber_loss",
-    "masked_softmax",
     "fused_linear",
     "linear",
     "segment_attention",
@@ -50,21 +48,21 @@ __all__ = [
     "concatenate",
     "stack",
     "where",
-    "entropy_from_logits",
 ]
 
 
-def softmax(logits: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable softmax along ``axis``."""
-    shifted = logits - logits.data.max(axis=axis, keepdims=True)
-    exp = shifted.exp()
-    return exp / exp.sum(axis=axis, keepdims=True)
-
-
 def log_softmax(logits: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable log-softmax along ``axis``."""
+    """Numerically stable log-softmax along ``axis``; :func:`log_softmax_array`
+    is this on arrays, so change both together."""
     shifted = logits - logits.data.max(axis=axis, keepdims=True)
     return shifted - shifted.exp().sum(axis=axis, keepdims=True).log()
+
+
+def log_softmax_array(logits: np.ndarray, axis: int = -1) -> np.ndarray:
+    """:func:`log_softmax` on arrays: the numpy expressions its four ops
+    evaluate, in their order, so the two agree bitwise."""
+    shifted = logits - logits.max(axis=axis, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
 
 
 def linear(
@@ -92,7 +90,6 @@ class FusedLinear(Function):
     """``activation(x @ weight + bias)``; see :func:`fused_linear`."""
 
     __slots__ = ("x", "weight", "out", "activation")
-    op = "fused_linear"
 
     def forward(ctx, x, weight, bias=None, activation=None):
         out = linear(x, weight, bias, activation)
@@ -202,7 +199,6 @@ class SegmentAttention(Function):
     """Attention over a packed batch; see :func:`segment_attention`."""
 
     __slots__ = ("operands", "saved", "heads", "scale")
-    op = "fused_attention"
 
     def forward(ctx, qd, kd, vd, segments, heads, scale, lead):
         out, ctx.saved = attend_segments(qd, kd, vd, segments, heads, scale, lead)
@@ -249,49 +245,7 @@ def segment_attention(
     return SegmentAttention.apply(q, k, v, segments=segments, heads=heads, scale=scale, lead=lead)
 
 
-def masked_softmax(logits: Tensor, mask: np.ndarray, axis: int = -1) -> Tensor:
-    """Softmax with positions where ``mask`` is False forced to ~0 probability.
-
-    ``mask`` is a constant boolean array broadcastable to ``logits``.
-    """
-    neg = np.where(np.asarray(mask, dtype=bool), 0.0, -1e9)
-    return softmax(logits + Tensor(neg), axis=axis)
-
-
-def nll_loss(log_probs: Tensor, targets: np.ndarray) -> Tensor:
-    """Mean negative log-likelihood; ``targets`` are integer class ids."""
-    targets = np.asarray(targets, dtype=np.int64)
-    n = log_probs.shape[0]
-    picked = log_probs[np.arange(n), targets]
-    return -picked.mean()
-
-
-def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
-    """Mean softmax cross-entropy from raw logits."""
-    return nll_loss(log_softmax(logits), targets)
-
-
 def mse_loss(pred: Tensor, target: np.ndarray) -> Tensor:
     target_t = target if isinstance(target, Tensor) else Tensor(target)
     diff = pred - target_t
     return (diff * diff).mean()
-
-
-def huber_loss(pred: Tensor, target: np.ndarray, delta: float = 1.0) -> Tensor:
-    """Smooth-L1 loss, quadratic within ``delta`` and linear outside."""
-    target_t = target if isinstance(target, Tensor) else Tensor(target)
-    diff = pred - target_t
-    abs_diff = diff.abs()
-    quadratic = 0.5 * diff * diff
-    linear = delta * abs_diff - 0.5 * delta * delta
-    return where(abs_diff.data <= delta, quadratic, linear).mean()
-
-
-def entropy_from_logits(logits: Tensor, mask: Optional[np.ndarray] = None, axis: int = -1) -> Tensor:
-    """Mean entropy of the (optionally masked) categorical distributions."""
-    if mask is not None:
-        neg = np.where(np.asarray(mask, dtype=bool), 0.0, -1e9)
-        logits = logits + Tensor(neg)
-    logp = log_softmax(logits, axis=axis)
-    p = logp.exp()
-    return -(p * logp).sum(axis=axis).mean()

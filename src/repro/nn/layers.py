@@ -93,9 +93,6 @@ class Module:
         for name, param in own.items():
             param.data = values[name]
 
-    def num_parameters(self) -> int:
-        return sum(p.size for p in self.parameters())
-
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)
 
@@ -177,7 +174,6 @@ class Lookup(Function):
     """Rows ``ids`` of a weight table; the backward is one scatter-add."""
 
     __slots__ = ("ids", "num")
-    op = "embedding"
 
     def forward(ctx, weight, ids):
         ctx.ids, ctx.num = ids, len(weight)
@@ -234,7 +230,6 @@ class Normalize(Function):
     """
 
     __slots__ = ("inv", "centered", "shifted_var", "std", "normed", "gamma")
-    op = "layernorm"
 
     def forward(ctx, x, x_again, gamma, beta, eps):
         out, ctx.centered, ctx.shifted_var, ctx.std, ctx.normed = normalize(x, gamma, beta, eps)

@@ -11,16 +11,16 @@ instance is the op's backward context (tinygrad's design):
   no backward computes a product nobody reads.
 
 :meth:`Function.apply` is the one dispatch point.  It is the only code
-that reads the grad mode, decides between a tape node and a graph-free
-tensor, records the parents, counts ``tape_nodes`` and
-``inference_tensors``, and times and records the op for
-:mod:`repro.nn.profile`.  Under ``no_grad``, or when no operand requires a
-gradient, it runs the same ``forward`` and keeps no context, so inference
-and tape evaluate the same numpy expressions and agree bitwise.
-:meth:`Tensor.backward` walks the tape in reverse topological order and
-adds each node's gradients into its parents, in parent order.  Only
-float64 tensors participate in differentiation, which keeps gradient checks
-tight in the test suite.
+that decides between a tape node and a graph-free tensor, and gradients
+decide it: an op builds a tape node exactly when an operand requires a
+gradient, and otherwise runs the same ``forward``, keeps no context and
+returns a graph-free tensor.  There is no grad mode.  The tape is
+training's: code that builds no loss (every served, simulated and sampled
+forward) calls the modules' array-code ``infer`` instead and builds no
+tensor at all.  :meth:`Tensor.backward` walks the tape in reverse
+topological order and adds each node's gradients into its parents, in
+parent order.  Only float64 tensors participate in differentiation, which
+keeps gradient checks tight in the test suite.
 
 Gradient ownership: a *leaf* (a parameter or a ``requires_grad=True`` input
 — no context) owns its ``.grad``: the first gradient to reach it is copied
@@ -32,42 +32,15 @@ the first gradient that reaches it, allocates only when a second arrives
 slice of one, or a read-only ``broadcast_to`` view), and gives the gradient
 up as soon as its own backward has run.  Hence no ``backward`` may write
 into the ``grad`` it is handed.
-
-Grad mode is tracked in a :class:`contextvars.ContextVar`, so a training
-thread inside ``no_grad`` cannot flip inference mode under a concurrently
-serving thread (each thread — and each asyncio task — sees its own flag).
 """
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
-import time
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.nn import profile as _profile
-
 ArrayLike = Union[np.ndarray, float, int, Sequence]
-
-_GRAD_ENABLED: contextvars.ContextVar[bool] = contextvars.ContextVar(
-    "repro_nn_grad_enabled", default=True
-)
-
-
-@contextlib.contextmanager
-def no_grad():
-    """Context manager disabling graph construction (inference mode)."""
-    token = _GRAD_ENABLED.set(False)
-    try:
-        yield
-    finally:
-        _GRAD_ENABLED.reset(token)
-
-
-def is_grad_enabled() -> bool:
-    return _GRAD_ENABLED.get()
 
 
 def _as_array(data: ArrayLike) -> np.ndarray:
@@ -100,47 +73,33 @@ class Function:
 
     Subclasses declare ``__slots__`` for what ``forward`` keeps and
     implement ``forward(ctx, *arrays, **options)`` and ``backward(ctx,
-    grad)`` (see the module docstring).  :mod:`repro.nn.profile` records
-    an op under :attr:`op`, or else its class name in lower case.
-    ``parents`` and ``needs_grad`` are set by :meth:`apply` on tape nodes
-    only.
+    grad)`` (see the module docstring).  ``parents`` and ``needs_grad``
+    are set by :meth:`apply` on tape nodes only.
     """
 
     __slots__ = ("parents", "needs_grad")
-    op = ""
 
     @classmethod
     def apply(cls, *operands, **options) -> "Tensor":
         """Run the op on ``operands`` (tensors, or array-likes taken as
-        constants) and return its result, a tape node when gradients are
-        on and an operand requires one."""
+        constants) and return its result, a tape node when an operand
+        requires a gradient."""
         ctx = _new(cls)
         arrays = []
         for operand in operands:
             arrays.append(operand.data if isinstance(operand, Tensor) else _as_array(operand))
-        profiling = _profile.ENABLED
-        if profiling:
-            start = time.perf_counter()
-            data = ctx.forward(*arrays, **options)
-            _profile.record(cls.op or cls.__name__.lower(), data.nbytes, time.perf_counter() - start)
-        else:
-            data = ctx.forward(*arrays, **options)
         out = _new(Tensor)
-        out.data = data
+        out.data = ctx.forward(*arrays, **options)
         out.grad = None
-        if _GRAD_ENABLED.get():
-            needs = tuple([isinstance(t, Tensor) and t.requires_grad for t in operands])
-            if True in needs:
-                ctx.parents = operands
-                ctx.needs_grad = needs
-                out.requires_grad = True
-                out._ctx = ctx
-                _profile.COUNTERS.tape_nodes += 1
-                return out
+        needs = tuple([isinstance(t, Tensor) and t.requires_grad for t in operands])
+        if True in needs:
+            ctx.parents = operands
+            ctx.needs_grad = needs
+            out.requires_grad = True
+            out._ctx = ctx
+            return out
         out.requires_grad = False
         out._ctx = None
-        if profiling:
-            _profile.COUNTERS.inference_tensors += 1
         return out
 
 
@@ -153,8 +112,8 @@ class Tensor:
         Array-like payload; always stored as ``float64``.
     requires_grad:
         Whether gradients should be accumulated into ``.grad`` (a leaf's
-        flag; whether an op records a tape node is :meth:`Function.apply`'s
-        decision, under the grad mode).
+        flag; an op records a tape node exactly when one of its operands
+        has it, see :meth:`Function.apply`).
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_ctx")
@@ -182,9 +141,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         grad_flag = ", requires_grad=True" if self.requires_grad else ""
@@ -333,9 +289,6 @@ class Tensor:
 
     def relu(self) -> "Tensor":
         return ReLU.apply(self)
-
-    def sigmoid(self) -> "Tensor":
-        return Sigmoid.apply(self)
 
     def clip(self, low: float, high: float) -> "Tensor":
         return Clip.apply(self, low=low, high=high)
@@ -542,17 +495,6 @@ class ReLU(Function):
 
     def backward(ctx, grad):
         return (grad * (ctx.a > 0),)
-
-
-class Sigmoid(Function):
-    __slots__ = ("out",)
-
-    def forward(ctx, a):
-        out = ctx.out = 1.0 / (1.0 + np.exp(-a))
-        return out
-
-    def backward(ctx, grad):
-        return (grad * ctx.out * (1.0 - ctx.out),)
 
 
 class Clip(Function):

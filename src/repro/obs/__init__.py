@@ -93,9 +93,8 @@ def new_trace_id() -> Optional[str]:
 def register_snapshot_source(name: str, fn: Callable[[], dict]) -> None:
     """Attach an extra named section to JSON snapshots (idempotent).
 
-    Used to bridge telemetry that must not import this package for
-    layering reasons (e.g. ``repro.nn.profile``): the higher layer
-    registers the callable here.
+    A higher layer attaches telemetry it owns here; the session registers
+    its engine backend's ``stats()``.
     """
     with _sources_lock:
         _SOURCES[name] = fn

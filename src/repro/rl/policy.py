@@ -1,4 +1,13 @@
-"""Masked categorical policy and actor-critic wrapper."""
+"""Masked categorical policy and actor-critic wrapper.
+
+Gradients decide the path.  :meth:`ActorCritic.forward` builds the tape
+and is the PPO update's only path.  Every action the agent takes, sampled
+or greedy, runs :meth:`ActorCritic.act_batch`: array code over the
+parameters' current ``.data`` (:meth:`repro.nn.layers.Sequential.infer`,
+:func:`repro.nn.functional.log_softmax_array`) that evaluates the same
+numpy expressions as the taped forward, so on one batch the two agree
+bitwise.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +17,7 @@ import numpy as np
 
 from repro.nn import functional as F
 from repro.nn.layers import Module, mlp
-from repro.nn.tensor import Tensor, no_grad
+from repro.nn.tensor import Tensor
 
 
 def _mask_term(mask: np.ndarray) -> np.ndarray:
@@ -20,7 +29,8 @@ def _mask_term(mask: np.ndarray) -> np.ndarray:
 
 
 class CategoricalMasked:
-    """Categorical distribution whose support is restricted by a boolean mask.
+    """Categorical distribution whose support is restricted by a boolean mask,
+    on the tape: what the PPO update reads.
 
     Illegal actions receive -1e9 logits, so their probability underflows to
     ~0 while gradients remain well-defined for legal actions (this is exactly
@@ -32,26 +42,6 @@ class CategoricalMasked:
             logits = logits + Tensor(_mask_term(mask))
         self.logits = logits
         self.log_probs = F.log_softmax(logits, axis=-1)
-
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        """Sample one action id per row using the Gumbel-max trick."""
-        noise = rng.gumbel(size=self.logits.shape)
-        return np.argmax(self.logits.data + noise, axis=-1)
-
-    def sample_rows(self, rngs: Sequence[np.random.Generator]) -> np.ndarray:
-        """Sample row ``i`` from ``rngs[i]``.
-
-        Used by the batched episode runner: each lockstep episode owns its
-        generator, so trajectories are identical for every batch size (a
-        row draws the same gumbel noise whether it runs alone or in a
-        cohort).
-        """
-        num_actions = self.logits.shape[-1]
-        noise = np.stack([rng.gumbel(size=num_actions) for rng in rngs])
-        return np.argmax(self.logits.data + noise, axis=-1)
-
-    def mode(self) -> np.ndarray:
-        return np.argmax(self.logits.data, axis=-1)
 
     def log_prob(self, actions: np.ndarray) -> Tensor:
         actions = np.asarray(actions, dtype=np.int64)
@@ -86,28 +76,12 @@ class ActorCritic(Module):
         self.critic = mlp([state_dim, *hidden_sizes, 1], rng=rng, out_gain=1.0)
 
     def forward(self, states: Tensor, masks: Optional[np.ndarray] = None) -> Tuple[CategoricalMasked, Tensor]:
+        """The taped policy and values; :meth:`act_batch` is this on arrays,
+        so change both together."""
         logits = self.actor(states)
         dist = CategoricalMasked(logits, masks)
         values = self.critic(states).reshape(-1)
         return dist, values
-
-    def act(
-        self,
-        state: np.ndarray,
-        mask: Optional[np.ndarray],
-        rng: np.random.Generator,
-        deterministic: bool = False,
-    ) -> Tuple[int, Optional[float], Optional[float]]:
-        """Select an action for one state; returns (action, log_prob, value),
-        the last two ``None`` when ``deterministic`` (see :meth:`act_batch`)."""
-        state2d = np.atleast_2d(np.asarray(state, dtype=np.float64))
-        mask2d = None if mask is None else np.atleast_2d(mask)
-        actions, log_probs, values = self.act_batch(
-            state2d, mask2d, [rng], deterministic=deterministic
-        )
-        if deterministic:
-            return int(actions[0]), None, None
-        return int(actions[0]), float(log_probs[0]), float(values[0])
 
     def act_batch(
         self,
@@ -116,29 +90,24 @@ class ActorCritic(Module):
         rngs: Sequence[Optional[np.random.Generator]],
         deterministic: bool = False,
     ) -> Tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
-        """Select actions for a batch of states in one forward pass.
+        """Select actions for a batch of states in one forward pass, as
+        array code (see the module docstring).
 
         ``rngs`` supplies one generator per row (ignored when
         ``deterministic``); returns (actions, log_probs, values) arrays of
-        shape (B,).  A ``deterministic`` (greedy) step runs only what its
-        argmax reads, the masked actor logits, as array code
-        (:meth:`repro.nn.layers.Sequential.infer`, bitwise the taped
-        actor's), so its log-probs and values are ``None``: PPO never learns
-        from greedy steps.  A sampled step keeps the tape's forward.
+        shape (B,).  A sampled step draws row ``i``'s Gumbel noise from
+        ``rngs[i]``, so a row's action does not depend on the batch it runs
+        in.  A ``deterministic`` (greedy) step runs only what its argmax
+        reads, the masked actor logits, so its log-probs and values are
+        ``None``: PPO never learns from greedy steps.
         """
         states = np.asarray(states, dtype=np.float64)
+        logits = self.actor.infer(states)
+        if masks is not None:
+            logits = logits + _mask_term(masks)
         if deterministic:
-            logits = self.actor.infer(states)
-            if masks is not None:
-                logits = logits + _mask_term(masks)
             return np.argmax(logits, axis=-1), None, None
-        with no_grad():
-            dist, values = self.forward(Tensor(states), masks)
-            actions = dist.sample_rows(rngs)
-            log_probs = dist.log_prob(actions).data
-        return actions, log_probs, values.data
-
-    def value(self, state: np.ndarray) -> float:
-        state2d = np.atleast_2d(np.asarray(state, dtype=np.float64))
-        with no_grad():
-            return float(self.critic(Tensor(state2d)).data.reshape(-1)[0])
+        noise = np.stack([rng.gumbel(size=logits.shape[-1]) for rng in rngs])
+        actions = np.argmax(logits + noise, axis=-1)
+        log_probs = F.log_softmax_array(logits)[np.arange(len(actions)), actions]
+        return actions, log_probs, self.critic.infer(states).reshape(-1)

@@ -23,7 +23,6 @@ class FusedAttention(Function):
     """Head-split attention; see :func:`fused_attention`."""
 
     __slots__ = ("operands", "softmax_parts", "scale")
-    op = "fused_attention"
 
     def forward(ctx, qd, kd, vd, additive, scale):
         ctx.operands, ctx.scale = (qd, kd, vd), scale

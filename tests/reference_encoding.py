@@ -9,12 +9,16 @@ that.  The encoder now reads a left-deep plan's structure off its table
 count and refuses any other shape; the differential tests in
 ``tests/test_core_reward_encoding.py`` require it to reproduce this oracle
 ``array_equal`` field for field on every left-deep plan, and the oracle
-still encodes bushy trees.  Nothing under ``src/`` imports it; do not
-optimise it.
+still encodes bushy trees.  Its one change since: it returns a
+:class:`ReferenceEncoding`, an ``EncodedPlan`` that also keeps the
+per-plan heights, structs, reachability mask and node mask the encoder no
+longer stores, so the tests can hold them to ``left_deep_shape``.
+Nothing under ``src/`` imports it; do not optimise it.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -33,9 +37,19 @@ from repro.optimizer.plans import JoinNode, PlanNode, ScanNode
 from repro.sql.ast import Query
 
 
+@dataclass
+class ReferenceEncoding(EncodedPlan):
+    """An :class:`EncodedPlan` with its structure rows kept per plan."""
+
+    heights: np.ndarray         # (N,)
+    structs: np.ndarray         # (N,)
+    attention_mask: np.ndarray  # (N, N) bool; True = may attend
+    node_mask: np.ndarray       # (N,) bool; True = real node
+
+
 def encode_batch(
     encoder: PlanEncoder, pairs: Sequence[Tuple[Query, PlanNode]]
-) -> List[EncodedPlan]:
+) -> List[ReferenceEncoding]:
     """Encode ``pairs`` (no cache involvement) with vectorized writes.
 
     One Python pass walks every plan tree collecting parallel id lists;
@@ -197,7 +211,7 @@ def encode_batch(
         anc = parent_of[uu, aa]
 
     return [
-        EncodedPlan(
+        ReferenceEncoding(
             ops=ops[u],
             tables=tables[u],
             join_left_col=join_left[u],

@@ -17,11 +17,10 @@ from repro.core.aam import (
     distinct_rows,
     reachability_term,
 )
-from repro.core.encoding import PlanEncoder
+from repro.core.encoding import PlanEncoder, left_deep_shape
 from repro.nn import functional as F
 from repro.nn import layers
-from repro.nn import profile
-from repro.nn.tensor import Tensor, no_grad
+from repro.nn.tensor import Tensor
 
 
 @pytest.fixture(scope="module")
@@ -37,10 +36,15 @@ def setup(request):
     return workload, db, encoder, model, encoded
 
 
+def statevec(model, plan, step):
+    """One plan's statevec, through the batch kernel."""
+    return model.state_network.statevecs([plan], np.array([step]))[0]
+
+
 class TestStateNetwork:
     def test_statevec_shape(self, setup):
         _, _, _, model, encoded = setup
-        vec = model.state_network.statevec(encoded[0][1], 0.5)
+        vec = statevec(model, encoded[0][1], 0.5)
         assert vec.shape == (32,)
 
     def test_batch_matches_single(self, setup):
@@ -48,19 +52,19 @@ class TestStateNetwork:
         plans = [e for _, e in encoded[:3]]
         steps = np.array([0.0, 0.5, 1.0])
         batch = model.state_network(plans, steps).data
-        single = model.state_network.statevec(plans[1], 0.5)
+        single = statevec(model, plans[1], 0.5)
         np.testing.assert_allclose(batch[1], single, atol=1e-10)
 
     def test_step_changes_statevec(self, setup):
         _, _, _, model, encoded = setup
-        a = model.state_network.statevec(encoded[0][1], 0.0)
-        b = model.state_network.statevec(encoded[0][1], 1.0)
+        a = statevec(model, encoded[0][1], 0.0)
+        b = statevec(model, encoded[0][1], 1.0)
         assert not np.allclose(a, b)
 
     def test_different_plans_different_statevec(self, setup):
         _, _, _, model, encoded = setup
-        a = model.state_network.statevec(encoded[0][1], 0.0)
-        b = model.state_network.statevec(encoded[1][1], 0.0)
+        a = statevec(model, encoded[0][1], 0.0)
+        b = statevec(model, encoded[1][1], 0.0)
         assert not np.allclose(a, b)
 
 
@@ -212,31 +216,32 @@ def parent_statevecs(network, plans, steps):
     """``StateNetwork.statevecs`` as it stood before the grouping was lifted
     into ``forward_bucketed`` (verbatim; test-only oracle)."""
     steps = np.asarray(steps, dtype=np.float64)
-    with no_grad():
-        if len(plans) <= 1:
-            return network.forward(plans, steps).data
-        order = sorted(range(len(plans)), key=lambda i: plans[i].num_nodes)
-        min_rows = 16
-        groups = [[order[0]]]
-        for i in order[1:]:
-            current = groups[-1]
-            if plans[i].num_nodes != plans[current[-1]].num_nodes and len(current) >= min_rows:
-                groups.append([i])
-            else:
-                current.append(i)
-        if len(groups) == 1:
-            return network.forward(plans, steps).data
-        out = np.empty((len(plans), network.config.d_state))
-        for rows in groups:
-            idx = np.array(rows)
-            out[idx] = network.forward([plans[i] for i in rows], steps[idx]).data
-        return out
+    if len(plans) <= 1:
+        return network.forward(plans, steps).data
+    order = sorted(range(len(plans)), key=lambda i: plans[i].num_nodes)
+    min_rows = 16
+    groups = [[order[0]]]
+    for i in order[1:]:
+        current = groups[-1]
+        if plans[i].num_nodes != plans[current[-1]].num_nodes and len(current) >= min_rows:
+            groups.append([i])
+        else:
+            current.append(i)
+    if len(groups) == 1:
+        return network.forward(plans, steps).data
+    out = np.empty((len(plans), network.config.d_state))
+    for rows in groups:
+        idx = np.array(rows)
+        out[idx] = network.forward([plans[i] for i in rows], steps[idx]).data
+    return out
 
 
 def all_positions_forward(network, plans, steps):
     """``StateNetwork.forward`` as it stood before the last encoder layer
     went root-only: every layer outputs every node, ``final_norm`` runs over
-    all of them and the root is read afterwards (verbatim; test-only oracle)."""
+    all of them and the root is read afterwards (verbatim but for the
+    structure rows, read off ``int_block`` and ``left_deep_shape`` since
+    ``EncodedPlan`` stopped carrying them; test-only oracle)."""
     trim = max(p.num_nodes for p in plans)
     ops = np.stack([p.ops[:trim] for p in plans])
     tables = np.stack([p.tables[:trim] for p in plans])
@@ -245,9 +250,9 @@ def all_positions_forward(network, plans, steps):
     fcols = np.stack([p.filter_cols[:trim] for p in plans])
     fops = np.stack([p.filter_ops[:trim] for p in plans])
     fvals = np.stack([p.filter_vals[:trim] for p in plans])
-    heights = np.stack([p.heights[:trim] for p in plans])
-    structs = np.stack([p.structs[:trim] for p in plans])
-    attn = np.stack([p.attention_mask[:trim, :trim] for p in plans])
+    heights = np.stack([p.int_block[4, :trim] for p in plans])
+    structs = np.stack([p.int_block[5, :trim] for p in plans])
+    attn = np.stack([reach(p)[:trim, :trim] for p in plans])
 
     node = network.op_embed(ops)                       # (B, N, d)
     table = network.table_embed(tables)
@@ -268,6 +273,11 @@ def all_positions_forward(network, plans, steps):
     steps = np.asarray(steps, dtype=np.float64).reshape(-1, 1)
     pooled = F.concatenate([root, Tensor(steps)], axis=-1)
     return network.state_proj(pooled)
+
+
+def reach(plan):
+    """``plan``'s reachability mask: its table count's left-deep shape."""
+    return left_deep_shape((plan.num_nodes + 1) // 2, len(plan.ops)).reach
 
 
 def loss_and_grads(model, forward, batch, labels):
@@ -356,9 +366,8 @@ class TestDistinctRowForward:
         right = [plans[int(i)] for i in rng.integers(len(plans), size=90)]
         ls = rng.choice(STEPS, size=90)
         rs = rng.choice(STEPS, size=90)
-        with no_grad():
-            logits = model.forward(left, ls, right, rs).data
-            naive = naive_forward(model, left, ls, right, rs).data
+        logits = model.forward(left, ls, right, rs).data
+        naive = naive_forward(model, left, ls, right, rs).data
         np.testing.assert_allclose(logits, naive, rtol=1e-12, atol=1e-14)
         assert np.array_equal(
             model.predict_scores(left, ls, right, rs), np.argmax(naive, axis=-1)
@@ -391,8 +400,7 @@ class TestDistinctRowForward:
         assert left_index.tolist() == [0, 1, 2]
         assert right_index.tolist() == [2, 1, 0]
         before = model.rows_forwarded
-        with no_grad():
-            model.forward([a, a, b], [0.0, 0.5, 0.5], [b, a, a], [0.5, 0.5, 0.0])
+        model.forward([a, a, b], [0.0, 0.5, 0.5], [b, a, a], [0.5, 0.5, 0.0])
         assert model.rows_forwarded - before == 3
 
 
@@ -433,17 +441,16 @@ class TestRootOnlyLastLayer:
         taped = network.forward(rows, row_steps).data
         loss, grads = loss_and_grads(model, model.forward, batch, labels)
         # the same rows, every position computed
-        with no_grad():
-            ref_vecs = all_positions_forward(network, rows, row_steps).data
+        ref_vecs = all_positions_forward(network, rows, row_steps).data
         monkeypatch.setattr(network, "forward", lambda p, s: all_positions_forward(network, p, s))
         ref_loss, ref_grads = loss_and_grads(model, model.forward, batch, labels)
         monkeypatch.undo()
 
-        assert np.array_equal(vecs, taped)  # tape == no_grad, bitwise
+        assert np.array_equal(vecs, taped)  # tape == kernel, bitwise
         np.testing.assert_allclose(vecs, ref_vecs, rtol=1e-12, atol=1e-15)
         assert_loss_and_grads_close(loss, grads, ref_loss, ref_grads)
 
-    def test_last_layer_does_no_work_for_other_positions(self, pool):
+    def test_last_layer_does_no_work_for_other_positions(self, pool, op_spy):
         """A guard that cannot drift back: sized by what the kernels write."""
         template, plans, _ = pool
         model = resized_model(template, 17, num_layers=2, d_model=64, ff_hidden=128)
@@ -452,18 +459,17 @@ class TestRootOnlyLastLayer:
         assert len(big) == 16
         steps = np.zeros(16)
         tokens = sum(p.num_nodes for p in big)  # packed: no padding to the largest
-        with profile.profile() as prof:
+        with op_spy.record() as ops:
             network(big, steps)
-            written = prof.bytes["fused_linear"]
-        with profile.profile() as prof:
+        written = ops.bytes(F.FusedLinear)
+        with op_spy.record() as ops:
             all_positions_forward(network, big, steps)
-            all_positions = prof.bytes["fused_linear"]
+        all_positions = ops.bytes(F.FusedLinear)
         assert written < 0.75 * all_positions  # sized 0.67
-        with profile.profile() as prof:
-            with no_grad():
-                network(big, steps)
-            attention = prof.bytes["fused_attention"]
-            assert prof.calls["fused_attention"] == 2
+        with op_spy.record() as ops:
+            network(big, steps)
+        attention = ops.bytes(F.SegmentAttention)
+        assert ops.calls(F.SegmentAttention) == 2
         token = 64 * 8  # d_model float64s
         assert attention == tokens * token + 16 * token  # every token, then 16 roots
 
@@ -523,7 +529,7 @@ ROWS = st.lists(st.tuples(st.integers(0, 48), st.sampled_from(STEPS)), min_size=
 class TestPackedForward:
     def check(self, packed_pool, rows):
         """Statevecs, pairwise loss and every gradient against the oracle;
-        tape == ``no_grad`` bitwise; a permuted batch permutes its rows."""
+        tape == kernel bitwise; a permuted batch permutes its rows."""
         model, plans, _ = packed_pool
         network = model.state_network
         batch = [plans[i] for i, _ in rows]
@@ -532,8 +538,7 @@ class TestPackedForward:
         vecs = network.statevecs(batch, steps)
         assert vecs.shape == (len(rows), SMALL["d_state"])
         assert np.array_equal(network(batch, steps).data, vecs)
-        with no_grad():
-            ref_vecs = all_positions_forward(network, batch, steps).data
+        ref_vecs = all_positions_forward(network, batch, steps).data
         np.testing.assert_allclose(vecs, ref_vecs, rtol=1e-12, atol=1e-14)
 
         perm = np.random.default_rng(len(rows)).permutation(len(rows))
@@ -573,7 +578,7 @@ class TestPackedForward:
         rng = np.random.default_rng(96)
         self.check(packed_pool, [(int(i), STEPS[int(i) % 4]) for i in rng.integers(49, size=96)])
 
-    def test_taped_forward_pushes_real_tokens_only(self, packed_pool):
+    def test_taped_forward_pushes_real_tokens_only(self, packed_pool, op_spy):
         """Dead-work guard, sized by what ``fused_linear`` writes: every
         projection sees the batch's real tokens — no padding, one forward."""
         template, plans, _ = packed_pool
@@ -582,14 +587,14 @@ class TestPackedForward:
         batch = plans[::3]
         rows, tokens = len(batch), sum(p.num_nodes for p in batch)
         assert tokens < rows * max(p.num_nodes for p in batch)
-        with profile.profile() as prof:
+        with op_spy.record() as ops:
             network(batch, np.zeros(rows))
         d, ff = config["d_model"], config["ff_hidden"]
         every_token = d + (4 * d + ff + d) + 2 * d  # input_proj, a full layer, last layer's k and v
         roots_only = 2 * d + ff + d + config["d_state"]  # last layer's q, out, ff; state_proj
-        assert prof.bytes["fused_linear"] == 8 * (tokens * every_token + rows * roots_only)
-        assert prof.calls["fused_linear"] == 1 + 6 + 6 + 1
-        assert prof.calls["fused_attention"] == 2
+        assert ops.bytes(F.FusedLinear) == 8 * (tokens * every_token + rows * roots_only)
+        assert ops.calls(F.FusedLinear) == 1 + 6 + 6 + 1
+        assert ops.calls(F.SegmentAttention) == 2
 
     @pytest.mark.parametrize("lead", [None, 1])
     def test_segment_kernel_equals_fused_attention_per_segment(self, lead):
@@ -611,8 +616,7 @@ class TestPackedForward:
         q, k, v = (Tensor(a.copy(), requires_grad=True) for a in (qd, kd, vd))
         out = F.segment_attention(q, k, v, segments, heads, 0.5, lead)
         (out * Tensor(seed)).sum().backward()
-        with no_grad():
-            fast = F.segment_attention(Tensor(qd), Tensor(kd), Tensor(vd), segments, heads, 0.5, lead)
+        fast = F.segment_attention(Tensor(qd), Tensor(kd), Tensor(vd), segments, heads, 0.5, lead)
         assert np.array_equal(fast.data, out.data)
 
         def split(data, start, rows, nodes):  # (rows, heads, nodes, head_dim), contiguous
@@ -646,7 +650,8 @@ class TestPackedForward:
 def stacked_layout(plans):
     """``StateNetwork._layout`` as it stood before a segment's reachability
     term came from its node count: every row's own mask stacked and turned
-    into a ``(rows, 1, nodes, nodes)`` term (verbatim; test-only oracle)."""
+    into a ``(rows, 1, nodes, nodes)`` term (verbatim but for each row's
+    mask, read off ``left_deep_shape``; test-only oracle)."""
     counts = [p.num_nodes for p in plans]
     order = sorted(range(len(plans)), key=counts.__getitem__)
     ordered = [plans[i] for i in order]
@@ -655,7 +660,7 @@ def stacked_layout(plans):
         run = list(run)
         mask = np.empty((len(run), nodes, nodes), dtype=bool)
         for slot, plan in zip(mask, run):
-            slot[...] = plan.attention_mask[:nodes, :nodes]
+            slot[...] = reach(plan)[:nodes, :nodes]
         segments.append((len(run), nodes, np.where(mask, 0.0, -1e9)[:, None, :, :]))
     n = [p.num_nodes for p in ordered]
     return (

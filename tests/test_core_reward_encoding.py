@@ -133,38 +133,43 @@ class TestPlanEncoding:
         wq = next(w for w in job_workload.all_queries if w.query.num_tables == num_tables)
         return wq.query, db.plan(wq.query).plan
 
+    @staticmethod
+    def _shape(encoded):
+        """The encoded plan's structure: its table count's left-deep shape."""
+        return left_deep_shape((encoded.num_nodes + 1) // 2, len(encoded.ops))
+
     def test_node_count(self, encoder, job_workload):
         query, plan = self._plan(job_workload, num_tables=4)
         encoded = encoder.encode(query, plan)
         assert encoded.num_nodes == 2 * 4 - 1
-        assert encoded.node_mask.sum() == encoded.num_nodes
+        assert self._shape(encoded).node_mask.sum() == encoded.num_nodes
 
     def test_root_is_first_node(self, encoder, job_workload):
         query, plan = self._plan(job_workload)
         encoded = encoder.encode(query, plan)
-        assert encoded.structs[0] == STRUCT_ROOT
+        assert encoded.int_block[5, 0] == STRUCT_ROOT
         assert encoded.ops[0] in (OP_HASH_JOIN, OP_HASH_JOIN + 1, OP_HASH_JOIN + 2)
 
     def test_heights_consistent(self, encoder, job_workload):
         query, plan = self._plan(job_workload)
         encoded = encoder.encode(query, plan)
+        heights, node_mask = encoded.int_block[4], self._shape(encoded).node_mask
         # Root has the max height; scans have height 0.
-        real = encoded.heights[encoded.node_mask]
-        assert encoded.heights[0] == real.max()
+        real = heights[node_mask]
+        assert heights[0] == real.max()
         scan_mask = (encoded.ops == OP_SEQ_SCAN) | (encoded.ops == OP_INDEX_SCAN)
-        assert (encoded.heights[scan_mask & encoded.node_mask] == 0).all()
+        assert (heights[scan_mask & node_mask] == 0).all()
 
     def test_structure_types_balanced(self, encoder, job_workload):
         query, plan = self._plan(job_workload)
         encoded = encoder.encode(query, plan)
-        real = encoded.structs[encoded.node_mask]
+        real = encoded.int_block[5][self._shape(encoded).node_mask]
         assert (real == STRUCT_LEFT).sum() == (real == STRUCT_RIGHT).sum()
         assert (real == STRUCT_ROOT).sum() == 1
 
     def test_attention_mask_symmetric_and_reflexive(self, encoder, job_workload):
         query, plan = self._plan(job_workload)
-        encoded = encoder.encode(query, plan)
-        mask = encoded.attention_mask
+        mask = self._shape(encoder.encode(query, plan)).reach
         np.testing.assert_array_equal(mask, mask.T)
         assert mask.diagonal().all()
 
@@ -172,16 +177,17 @@ class TestPlanEncoding:
         """Two leaves are never ancestor/descendant of each other."""
         query, plan = self._plan(job_workload)
         encoded = encoder.encode(query, plan)
+        shape = self._shape(encoded)
         leaf_idx = np.flatnonzero(
-            ((encoded.ops == OP_SEQ_SCAN) | (encoded.ops == OP_INDEX_SCAN)) & encoded.node_mask
+            ((encoded.ops == OP_SEQ_SCAN) | (encoded.ops == OP_INDEX_SCAN)) & shape.node_mask
         )
         assert len(leaf_idx) >= 2
-        assert not encoded.attention_mask[leaf_idx[0], leaf_idx[1]]
+        assert not shape.reach[leaf_idx[0], leaf_idx[1]]
 
     def test_root_reaches_everything(self, encoder, job_workload):
         query, plan = self._plan(job_workload)
         encoded = encoder.encode(query, plan)
-        assert encoded.attention_mask[0, : encoded.num_nodes].all()
+        assert self._shape(encoded).reach[0, : encoded.num_nodes].all()
 
     def test_filter_values_normalized(self, encoder, job_workload):
         query, plan = self._plan(job_workload)
@@ -231,8 +237,7 @@ class TestBatchEncoderParity:
             assert enc.num_nodes == ref.num_nodes
             for field in (
                 "ops", "tables", "join_left_col", "join_right_col",
-                "filter_cols", "filter_ops", "filter_vals",
-                "heights", "structs", "attention_mask", "node_mask",
+                "filter_cols", "filter_ops", "filter_vals", "int_block", "fint_block",
             ):
                 np.testing.assert_array_equal(
                     getattr(enc, field), getattr(ref, field), err_msg=field
@@ -245,15 +250,14 @@ class TestBatchEncoderParity:
         query, plan = self._pairs(job_workload, 1)[0]
         enc = encoder.encode(query, plan)
         assert enc.int_block is not None and enc.fint_block is not None
-        for row, field in enumerate(
-            ("ops", "tables", "join_left_col", "join_right_col", "heights", "structs")
-        ):
+        for row, field in enumerate(("ops", "tables", "join_left_col", "join_right_col")):
             np.testing.assert_array_equal(enc.int_block[row], getattr(enc, field))
         np.testing.assert_array_equal(enc.fint_block[0], enc.filter_cols)
         np.testing.assert_array_equal(enc.fint_block[1], enc.filter_ops)
 
     def test_reachability_matches_python_reference(self, job_workload):
-        """The reachability mask equals a per-plan Python ancestor closure."""
+        """A plan's reachability mask, its table count's ``left_deep_shape``,
+        equals a per-plan Python ancestor closure."""
         from repro.optimizer.plans import JoinNode
 
         db = job_workload.database
@@ -278,7 +282,7 @@ class TestBatchEncoderParity:
                 while a >= 0:
                     ref[i, a] = ref[a, i] = True
                     a = parents[a]
-            np.testing.assert_array_equal(enc.attention_mask, ref)
+            np.testing.assert_array_equal(left_deep_shape((n + 1) // 2, 40).reach, ref)
 
     def test_heights_small_and_large_batch_agree(self, job_workload):
         """A plan's heights do not depend on the batch it is encoded in."""
@@ -289,7 +293,7 @@ class TestBatchEncoderParity:
         large_encs = large.encode_many(pairs)
         for (query, plan), big in zip(pairs, large_encs):
             np.testing.assert_array_equal(
-                small.encode_many([(query, plan)])[0].heights, big.heights
+                small.encode_many([(query, plan)])[0].int_block[4], big.int_block[4]
             )
 
 
@@ -321,7 +325,9 @@ class TestEncoderAgainstReference:
     """Structure rows read off the table count reproduce the ancestor chase
     and both of its height paths (``tests/reference_encoding.py``) array for
     array, on both sides of the batch size (8) where the chase switched
-    height paths."""
+    height paths: every field, ``int_block`` rows 4 and 5 (heights and
+    structs) among them, and the oracle's node and reachability masks
+    against ``left_deep_shape`` of the table count."""
 
     FIELDS = [f.name for f in dataclasses.fields(EncodedPlan)]
 
@@ -331,7 +337,7 @@ class TestEncoderAgainstReference:
             max_nodes=max_nodes or 2 * max(workload.max_query_tables, 2),
             statistics=workload.database.statistics,
         )
-        assert len(self.FIELDS) == 14
+        assert len(self.FIELDS) == 10
         for size in (1, 7, 8, 16, 64):
             for start in range(0, len(pairs), size):
                 chunk = pairs[start : start + size]
@@ -340,6 +346,11 @@ class TestEncoderAgainstReference:
                 for g, w in zip(got, want):
                     for name in self.FIELDS:
                         assert np.array_equal(getattr(g, name), getattr(w, name)), (size, name)
+                    shape = left_deep_shape((g.num_nodes + 1) // 2, encoder.max_nodes)
+                    assert np.array_equal(g.int_block[4], w.heights), size
+                    assert np.array_equal(g.int_block[5], w.structs), size
+                    assert np.array_equal(shape.node_mask, w.node_mask), size
+                    assert np.array_equal(shape.reach, w.attention_mask), size
 
     @pytest.mark.parametrize("name", ["job_workload", "stack_workload", "tpcds_workload"])
     def test_expert_and_edited_plans(self, request, name):

@@ -80,7 +80,6 @@ MONOTONIC_ALLOW = ("src/repro/engine/context.py", "src/repro/obs/*.py")
 
 #: Profiling and latency-measurement code only; never deadline logic.
 PERF_COUNTER_ALLOW = (
-    "src/repro/nn/tensor.py",
     "src/repro/baselines/*.py",
     "src/repro/engine/database.py",
     "src/repro/core/inference.py",

@@ -3,8 +3,10 @@ recursively, so a new op cannot skip it.
 
 For each op, on fixed random inputs away from its kinks:
 
-* the ``no_grad`` output equals the taped output bitwise;
-* one taped ``apply`` adds exactly one tape node, and ``no_grad`` adds none;
+* one taped ``apply`` is exactly one op (a spy on ``Function.apply``
+  counts it) and one tape node of that op;
+* the graph-free output (no operand requires a gradient) equals the taped
+  output bitwise and has no context;
 * gradients match central finite differences, with a magnitude-aware floor;
 * an operand that does not require a gradient keeps ``.grad is None``.
 """
@@ -18,8 +20,7 @@ import reference_attention
 import repro.core.aam as aam
 import repro.nn.functional as F
 import repro.nn.layers as layers
-from repro.nn import profile
-from repro.nn.tensor import Function, Tensor, no_grad
+from repro.nn.tensor import Function, Tensor
 
 # ``repro.nn.tensor`` the module (the package re-exports a ``tensor`` function)
 T = importlib.import_module("repro.nn.tensor")
@@ -91,7 +92,6 @@ CASES = {
     T.Log: lambda r: ([_positive(r, 3, 4)], lambda a: a.log()),
     T.Tanh: lambda r: ([_normal(r, 3, 4)], lambda a: a.tanh()),
     T.ReLU: lambda r: ([_away_from_zero(r, 3, 4)], lambda a: a.relu()),
-    T.Sigmoid: lambda r: ([_normal(r, 3, 4)], lambda a: a.sigmoid()),
     T.Clip: _clip_case,
     T.Abs: lambda r: ([_away_from_zero(r, 3, 4)], lambda a: a.abs()),
     T.Concatenate: lambda r: ([_normal(r, 2, 3), _normal(r, 2, 2)], lambda a, b: T.concatenate([a, b], axis=1)),
@@ -145,29 +145,26 @@ def test_every_op_is_discovered():
 
 
 @pytest.mark.parametrize("op", FUNCTIONS, ids=lambda op: op.__qualname__)
-def test_function_contract(op):
+def test_function_contract(op, op_spy):
     assert op in CASES, f"{op.__module__}.{op.__qualname__} has no contract case in CASES"
     rng = np.random.default_rng(sum(map(ord, op.__qualname__)))
     arrays, build = CASES[op](rng)
 
     leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
-    before = profile.COUNTERS.tape_nodes
-    taped = build(*leaves)
-    assert profile.COUNTERS.tape_nodes - before == 1
-    assert type(taped._ctx) is op
-    with no_grad():
-        before = profile.COUNTERS.tape_nodes
-        fast = build(*(Tensor(a) for a in arrays))
-        assert profile.COUNTERS.tape_nodes == before
+    with op_spy.record() as ops:
+        taped = build(*leaves)
+    assert [cls for cls, _ in ops] == [op]
+    assert ops.bytes(op) == taped.data.nbytes
+    assert type(taped._ctx) is op and taped.requires_grad
+    fast = build(*(Tensor(a) for a in arrays))
     assert fast._ctx is None and not fast.requires_grad
-    assert np.array_equal(fast.data, taped.data)  # no_grad == tape, bitwise
+    assert np.array_equal(fast.data, taped.data)  # graph-free == tape, bitwise
 
     upstream = rng.standard_normal(taped.shape)
     taped.backward(upstream)
 
     def loss():
-        with no_grad():
-            return float((build(*(Tensor(a) for a in arrays)).data * upstream).sum())
+        return float((build(*(Tensor(a) for a in arrays)).data * upstream).sum())
 
     for position, (array, leaf) in enumerate(zip(arrays, leaves)):
         numeric = _finite_difference(loss, array)

@@ -2,18 +2,18 @@
 
 The fused kernels (:func:`fused_linear`, and :func:`fused_attention`, the
 segment kernel's reference in ``tests/reference_attention.py``) and the
-layer-level no_grad fast paths promise two things:
+modules' array-code ``infer`` paths promise two things:
 
 * **training**: one tape node whose backward composes the unfused ops'
   closures exactly — gradients equal the unfused chain bit for bit, and
   both agree with central finite differences;
-* **inference**: the no_grad fast path evaluates the identical numpy
-  expression sequence as the tape path, so whole-network forwards
-  (StateNetwork, ActorCritic) are bitwise-equal across the two paths and
-  construct zero tape nodes; and the AAM's no-grad kernels
-  (``StateNetwork.statevecs``, ``AdvantageModel.head_logits`` and
-  ``predict_scores``), array code over the weights' current ``.data``,
-  equal the taped forward bitwise.
+* **inference**: the array code evaluates the identical numpy expression
+  sequence as the tape path, so whole-network inference (the AAM's
+  ``StateNetwork.statevecs``, ``AdvantageModel.head_logits`` and
+  ``predict_scores``, the policy's ``act_batch``) is bitwise-equal to the
+  taped forward over the weights' current ``.data``, and reaches no op
+  (a spy on ``Function.apply``, the ``op_spy`` fixture, fails it if it
+  does).
 """
 
 import numpy as np
@@ -21,9 +21,8 @@ import pytest
 
 from reference_attention import fused_attention
 from repro.nn import functional as F
-from repro.nn import profile
 from repro.nn.layers import LayerNorm
-from repro.nn.tensor import Tensor, no_grad
+from repro.nn.tensor import Tensor
 
 
 def _finite_diff(loss_fn, arr: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -81,8 +80,7 @@ class TestFusedLinear:
         bd = bd + np.where(np.abs(pre) < 1e-2, 0.2, 0.0).max(axis=0)
 
         def loss():
-            with no_grad():
-                out = F.fused_linear(Tensor(xd), Tensor(wd), Tensor(bd), activation=activation)
+            out = F.fused_linear(Tensor(xd), Tensor(wd), Tensor(bd), activation=activation)
             return float((out.data * seed).sum())
 
         x, w, b = (Tensor(a, requires_grad=True) for a in (xd, wd, bd))
@@ -176,8 +174,7 @@ class TestFusedAttention:
         scale = 0.5
 
         def loss():
-            with no_grad():
-                out = fused_attention(Tensor(qd), Tensor(kd), Tensor(vd), None, scale)
+            out = fused_attention(Tensor(qd), Tensor(kd), Tensor(vd), None, scale)
             return float((out.data * seed).sum())
 
         q, k, v = (Tensor(a, requires_grad=True) for a in (qd, kd, vd))
@@ -263,24 +260,25 @@ def drawn_pairs(plans, count, seed):
 
 
 class TestWholeNetworkParity:
-    """The no_grad fast path must be bitwise-equal to the tape path."""
+    """Inference's array code must be bitwise-equal to the tape path."""
 
     @pytest.mark.parametrize("num_layers", [0, 1, 2])
     @pytest.mark.parametrize("size", [1, 2, 15, 17, 48, 96])
-    def test_statevecs_kernel_bitwise_equals_taped_forward(self, plan_pool, size, num_layers):
+    def test_statevecs_kernel_bitwise_equals_taped_forward(self, plan_pool, size, num_layers, op_spy):
         """The no-grad kernel against the tape: packed segments, the
         root-only last layer (or none), every step value."""
         make_model, plans = plan_pool
         network = make_model(3, num_layers=num_layers).state_network
         batch, steps = drawn_batch(plans, size, seed=size)
-        kernel = network.statevecs(batch, steps)
+        with op_spy.forbid():
+            kernel = network.statevecs(batch, steps)
         taped = network.forward(batch, steps)
         assert taped.requires_grad  # the reference really is the tape
         assert kernel.shape == (size, 20)
         assert np.array_equal(kernel, taped.data)
 
     @pytest.mark.parametrize("num_layers", [0, 1, 2])
-    def test_head_and_predict_scores_bitwise_equal_taped_logits(self, plan_pool, num_layers):
+    def test_head_and_predict_scores_bitwise_equal_taped_logits(self, plan_pool, num_layers, op_spy):
         from repro.core.aam import distinct_rows
 
         make_model, plans = plan_pool
@@ -288,15 +286,18 @@ class TestWholeNetworkParity:
         pairs = drawn_pairs(plans, 30, seed=num_layers)
         logits = model.forward(*pairs).data
         rows, steps, left_index, right_index = distinct_rows(*pairs)
-        vecs = model.state_network.statevecs(rows, steps)
-        vec_l, vec_r = vecs[left_index], vecs[right_index]
-        assert np.array_equal(model.head_logits(vec_l, vec_r), logits)
+        with op_spy.forbid():
+            vecs = model.state_network.statevecs(rows, steps)
+            vec_l, vec_r = vecs[left_index], vecs[right_index]
+            head = model.head_logits(vec_l, vec_r)
+            scores = model.predict_scores(*pairs)
+        assert np.array_equal(head, logits)
         assert np.array_equal(
             model.head_logits(vec_r, vec_l), model._head(Tensor(vec_r), Tensor(vec_l)).data
         )
         hard = np.argmax(logits, axis=-1)
         assert len(set(hard.tolist())) > 1  # the scores are not all one class
-        assert np.array_equal(model.predict_scores(*pairs), hard)
+        assert np.array_equal(scores, hard)
         assert np.array_equal(model.predict_scores_from_statevecs(vec_l, vec_r), hard)
 
     def test_kernels_read_the_weights_at_call_time(self, plan_pool):
@@ -325,22 +326,23 @@ class TestWholeNetworkParity:
             model.head_logits(vecs, vecs[::-1]), model._head(Tensor(vecs), Tensor(vecs[::-1])).data
         )
 
-    def test_statenet_fast_path_bitwise_equals_tape(self, aam_setup):
+    def test_statenet_fast_path_bitwise_equals_tape(self, aam_setup, op_spy):
         model, plans = aam_setup
         steps = np.linspace(0.0, 1.0, len(plans))
         tape = model.state_network(plans, steps).data
-        with no_grad():
-            fast = model.state_network(plans, steps).data
+        with op_spy.forbid():
+            fast = model.state_network.statevecs(plans, steps)
         assert np.array_equal(tape, fast)
 
-    def test_statenet_single_plan_parity(self, aam_setup):
+    def test_statenet_single_plan_parity(self, aam_setup, op_spy):
         model, plans = aam_setup
         tape = model.state_network([plans[0]], np.array([0.5])).data
-        with no_grad():
-            fast = model.state_network([plans[0]], np.array([0.5])).data
+        with op_spy.forbid():
+            fast = model.state_network.statevecs([plans[0]], np.array([0.5]))
         assert np.array_equal(tape, fast)
 
-    def test_policy_fast_path_bitwise_equals_tape(self, rng):
+    def test_policy_fast_path_bitwise_equals_tape(self, rng, op_spy):
+        """The sampled and the greedy step against the taped policy."""
         from repro.rl.policy import ActorCritic
 
         policy = ActorCritic(state_dim=16, num_actions=9, hidden_sizes=(32, 32), rng=rng)
@@ -349,34 +351,42 @@ class TestWholeNetworkParity:
         masks[:, 0] = True  # every row keeps at least one legal action
 
         dist_t, values_t = policy(Tensor(states), masks)
-        with no_grad():
-            dist_f, values_f = policy(Tensor(states), masks)
-        assert np.array_equal(dist_t.log_probs.data, dist_f.log_probs.data)
-        assert np.array_equal(values_t.data, values_f.data)
+        assert values_t.requires_grad  # the parameters put it on the tape
+        with op_spy.forbid():
+            actions, log_probs, values = policy.act_batch(
+                states, masks, [np.random.default_rng(i) for i in range(8)]
+            )
+            greedy, _, _ = policy.act_batch(states, masks, [None] * 8, deterministic=True)
+        noise = np.stack([np.random.default_rng(i).gumbel(size=9) for i in range(8)])
+        assert np.array_equal(actions, np.argmax(dist_t.logits.data + noise, axis=-1))
+        assert np.array_equal(log_probs, dist_t.log_prob(actions).data)
+        assert np.array_equal(values, values_t.data)
+        assert np.array_equal(greedy, np.argmax(dist_t.logits.data, axis=-1))
 
-    def test_full_forward_builds_zero_tape_nodes(self, aam_setup, rng):
-        """A policy + AAM forward under no_grad never touches the tape."""
+    def test_full_forward_builds_zero_tape_nodes(self, aam_setup, rng, op_spy):
+        """A policy + AAM inference pass reaches no op at all."""
         from repro.rl.policy import ActorCritic
 
         model, plans = aam_setup
         policy = ActorCritic(state_dim=32, num_actions=9, rng=rng)
-        with profile.profile() as prof:
-            with no_grad():
-                vecs = model.state_network.statevecs(
-                    plans, np.zeros(len(plans))
-                )
-                dist, values = policy(Tensor(vecs), None)
-                scores = model.predict_scores_from_statevecs(vecs, vecs)
-        assert prof.tape_nodes == 0
-        assert prof.inference_tensors > 0
+        with op_spy.forbid():
+            vecs = model.state_network.statevecs(plans, np.zeros(len(plans)))
+            rngs = [np.random.default_rng(i) for i in range(len(plans))]
+            actions, log_probs, values = policy.act_batch(vecs, None, rngs)
+            scores = model.predict_scores_from_statevecs(vecs, vecs)
         assert values.shape == (len(plans),)
         assert len(scores) == len(plans)
 
-    def test_tape_counter_is_live(self, rng):
-        """Sanity: the same forward *with* grads does build tape nodes."""
+    def test_tape_counter_is_live(self, rng, op_spy):
+        """Sanity: the same forward *with* grads does reach the tape, and
+        the spy sees it."""
         from repro.rl.policy import ActorCritic
 
         policy = ActorCritic(state_dim=8, num_actions=4, rng=rng)
-        with profile.profile() as prof:
+        with op_spy.record() as ops:
             dist, values = policy(Tensor(rng.normal(size=(3, 8))), None)
-        assert prof.tape_nodes > 0
+        assert ops.calls(F.FusedLinear) == 6  # two hidden layers and a head, twice
+        assert dist.log_probs.requires_grad and values.requires_grad
+        with pytest.raises(AssertionError, match="FusedLinear reached the tape"):
+            with op_spy.forbid():
+                policy(Tensor(rng.normal(size=(3, 8))), None)

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.nn import functional as F
 from repro.nn.optim import clip_grad_norm
-from repro.nn.tensor import Tensor, _sum_to_shape, concatenate, no_grad, stack, where
+from repro.nn.tensor import Tensor, _sum_to_shape, concatenate, stack, where
+from repro.rl.policy import CategoricalMasked
 
 
 def numeric_grad(fn, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -54,9 +55,6 @@ class TestElementwiseGradients:
 
     def test_tanh(self):
         check_gradient(lambda t: t.tanh().sum(), np.array([-1.0, 0.0, 2.0]))
-
-    def test_sigmoid(self):
-        check_gradient(lambda t: t.sigmoid().sum(), np.array([-2.0, 0.5]))
 
     def test_relu_grad_zero_below(self):
         t = Tensor(np.array([-1.0, 2.0]), requires_grad=True)
@@ -123,10 +121,13 @@ class TestReductions:
 
 class TestGraphMechanics:
     def test_no_grad_blocks_graph(self):
-        with no_grad():
-            t = Tensor(np.ones(3), requires_grad=True)
-            out = (t * 2).sum()
-        assert not out.requires_grad
+        """Without an operand that requires a gradient, an op builds no
+        graph: gradients decide, there is no mode."""
+        t = Tensor(np.ones(3))
+        out = (t * 2).sum()
+        assert not out.requires_grad and out._ctx is None
+        taped = (Tensor(np.ones(3), requires_grad=True) * 2).sum()
+        assert taped.requires_grad and taped._ctx is not None
 
     def test_grad_accumulates_across_backward(self):
         t = Tensor(np.ones(2), requires_grad=True)
@@ -149,9 +150,12 @@ class TestGraphMechanics:
         np.testing.assert_allclose(x.grad, [4 * 3.0 + 2.0])
 
     def test_detach_cuts_graph(self):
+        """A tensor over another's ``.data`` is a constant: no graph."""
         x = Tensor(np.ones(2), requires_grad=True)
-        y = (x * 2).detach()
+        y = Tensor((x * 2).data)
         assert not y.requires_grad
+        (y * x).sum().backward()
+        np.testing.assert_allclose(x.grad, [2.0, 2.0])
 
 
 # ---------------------------------------------------------------------------
@@ -330,25 +334,26 @@ class TestCombinators:
 
 class TestFunctional:
     def test_softmax_sums_to_one(self):
-        logits = Tensor(np.random.default_rng(3).standard_normal((4, 5)))
-        probs = F.softmax(logits).data
-        np.testing.assert_allclose(probs.sum(axis=-1), np.ones(4), atol=1e-12)
+        logits = np.random.default_rng(3).standard_normal((4, 5))
+        for log_probs in (F.log_softmax(Tensor(logits)).data, F.log_softmax_array(logits)):
+            np.testing.assert_allclose(np.exp(log_probs).sum(axis=-1), np.ones(4), atol=1e-12)
 
     def test_log_softmax_stable_for_large_logits(self):
         logits = Tensor(np.array([[1000.0, 0.0]]))
         out = F.log_softmax(logits).data
         assert np.isfinite(out).all()
+        assert np.isfinite(F.log_softmax_array(logits.data)).all()
 
     def test_cross_entropy_matches_manual(self):
-        logits = Tensor(np.array([[2.0, 0.0, 0.0]]))
-        loss = F.cross_entropy(logits, np.array([0]))
+        """The policy's log-prob of a class is minus its cross-entropy."""
+        dist = CategoricalMasked(Tensor(np.array([[2.0, 0.0, 0.0]])))
+        loss = -dist.log_prob(np.array([0]))
         manual = -np.log(np.exp(2.0) / (np.exp(2.0) + 2.0))
         assert abs(loss.item() - manual) < 1e-10
 
     def test_masked_softmax_zeroes_masked(self):
-        logits = Tensor(np.zeros((1, 3)))
-        mask = np.array([[True, False, True]])
-        probs = F.masked_softmax(logits, mask).data
+        dist = CategoricalMasked(Tensor(np.zeros((1, 3))), np.array([[True, False, True]]))
+        probs = np.exp(dist.log_probs.data)
         assert probs[0, 1] < 1e-6
         np.testing.assert_allclose(probs.sum(), 1.0)
 
@@ -356,16 +361,11 @@ class TestFunctional:
         target = np.array([1.0, 2.0])
         check_gradient(lambda t: F.mse_loss(t, target), np.array([0.5, 1.5]))
 
-    def test_huber_quadratic_inside_linear_outside(self):
-        small = F.huber_loss(Tensor(np.array([0.5])), np.array([0.0]), delta=1.0)
-        large = F.huber_loss(Tensor(np.array([10.0])), np.array([0.0]), delta=1.0)
-        assert abs(small.item() - 0.125) < 1e-12
-        assert abs(large.item() - 9.5) < 1e-12
-
     def test_entropy_uniform_is_log_n(self):
-        logits = Tensor(np.zeros((2, 4)))
-        entropy = F.entropy_from_logits(logits)
-        assert abs(entropy.item() - np.log(4)) < 1e-10
+        """Uniform over the legal actions: the entropy is log of their count."""
+        mask = np.array([[True, True, True, True], [True, False, True, False]])
+        entropy = CategoricalMasked(Tensor(np.zeros((2, 4))), mask).entropy().data
+        np.testing.assert_allclose(entropy, [np.log(4), np.log(2)], atol=1e-10)
 
 
 @settings(max_examples=30, deadline=None)
@@ -374,8 +374,8 @@ class TestFunctional:
 )
 def test_softmax_invariant_to_shift(values):
     logits = np.array(values)
-    a = F.softmax(Tensor(logits[None])).data
-    b = F.softmax(Tensor(logits[None] + 100.0)).data
+    a = F.log_softmax(Tensor(logits[None])).data
+    b = F.log_softmax_array(logits[None] + 100.0)
     np.testing.assert_allclose(a, b, atol=1e-9)
 
 
@@ -389,67 +389,3 @@ def test_matmul_shape_property(n, m):
     assert out.shape == (n, 3)
     out.sum().backward()
     assert a.grad.shape == (n, m)
-
-
-class TestNoGradThreadIsolation:
-    """`no_grad` is a ContextVar: one thread's inference mode must never
-    leak into a concurrently training thread."""
-
-    def test_interleaved_threads_keep_independent_grad_modes(self):
-        import threading
-
-        from repro.nn.tensor import is_grad_enabled
-
-        barrier = threading.Barrier(2, timeout=10)
-        results = {}
-        errors = []
-
-        def infer():
-            try:
-                with no_grad():
-                    barrier.wait()  # A: both threads are in their regions
-                    t = Tensor(np.ones(3), requires_grad=True)
-                    results["infer_taped"] = (t * 2.0).sum().requires_grad
-                    results["infer_enabled"] = is_grad_enabled()
-                    barrier.wait()  # B: hold no_grad open while trainer runs
-                    barrier.wait()  # C: trainer has finished its backward
-            except Exception as exc:  # pragma: no cover - surfaced below
-                errors.append(exc)
-                barrier.abort()
-
-        def train():
-            try:
-                barrier.wait()  # A
-                barrier.wait()  # B: the other thread is *inside* no_grad now
-                t = Tensor(np.ones(3), requires_grad=True)
-                out = (t * 2.0).sum()
-                results["train_taped"] = out.requires_grad
-                results["train_enabled"] = is_grad_enabled()
-                out.backward()
-                results["train_grad"] = None if t.grad is None else t.grad.copy()
-                barrier.wait()  # C
-            except Exception as exc:  # pragma: no cover - surfaced below
-                errors.append(exc)
-                barrier.abort()
-
-        threads = [threading.Thread(target=f) for f in (infer, train)]
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join(timeout=30)
-        assert not errors, errors
-        # The inference thread saw grads off...
-        assert results["infer_enabled"] is False
-        assert results["infer_taped"] is False
-        # ...while the training thread, running concurrently, kept a tape.
-        assert results["train_enabled"] is True
-        assert results["train_taped"] is True
-        np.testing.assert_allclose(results["train_grad"], [2.0, 2.0, 2.0])
-
-    def test_no_grad_restores_mode_after_exception(self):
-        from repro.nn.tensor import is_grad_enabled
-
-        with pytest.raises(RuntimeError):
-            with no_grad():
-                raise RuntimeError("boom")
-        assert is_grad_enabled()

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.nn import profile
-from repro.nn.tensor import Tensor, no_grad
+from repro.nn import functional as F
+from repro.nn.tensor import Tensor
 from repro.rl.gae import compute_gae
 from repro.rl.policy import ActorCritic, CategoricalMasked
 from repro.rl.ppo import PPOConfig, PPOTrainer
@@ -80,23 +80,45 @@ class TestRolloutBuffer:
         assert abs(minis[0].advantages.mean()) < 1e-8
 
 
+def act(policy, state, mask, rng, deterministic=False):
+    """One state's ``(action, log_prob, value)`` through ``act_batch``."""
+    masks = None if mask is None else np.atleast_2d(mask)
+    actions, log_probs, values = policy.act_batch(
+        np.atleast_2d(state), masks, [rng], deterministic=deterministic
+    )
+    if deterministic:
+        return int(actions[0]), None, None
+    return int(actions[0]), float(log_probs[0]), float(values[0])
+
+
+def flat_policy(num_actions, favourite=None):
+    """A policy whose logits are 0 everywhere, or 100 at ``favourite``."""
+    policy = ActorCritic(2, num_actions, hidden_sizes=(4,), rng=np.random.default_rng(0))
+    last = policy.actor.layer2
+    last.weight.data = np.zeros_like(last.weight.data)
+    last.bias.data = np.zeros_like(last.bias.data)
+    if favourite is not None:
+        last.bias.data[favourite] = 100.0
+    return policy
+
+
 class TestCategoricalMasked:
     def test_masked_actions_never_sampled(self):
         rng = np.random.default_rng(0)
-        logits = Tensor(np.zeros((1, 4)))
-        mask = np.array([[True, False, True, False]])
-        dist = CategoricalMasked(logits, mask)
-        samples = {int(dist.sample(rng)[0]) for _ in range(100)}
-        assert samples <= {0, 2}
+        policy = flat_policy(4)
+        mask = np.array([True, False, True, False])
+        samples = {act(policy, np.ones(2), mask, rng)[0] for _ in range(100)}
+        assert samples == {0, 2}
 
     def test_all_masked_raises(self):
         with pytest.raises(ValueError):
             CategoricalMasked(Tensor(np.zeros((1, 3))), np.zeros((1, 3), dtype=bool))
 
     def test_mode_respects_mask(self):
-        logits = Tensor(np.array([[100.0, 0.0]]))
-        dist = CategoricalMasked(logits, np.array([[False, True]]))
-        assert dist.mode()[0] == 1
+        policy = flat_policy(2, favourite=0)
+        mask = np.array([False, True])
+        assert act(policy, np.ones(2), None, None, deterministic=True)[0] == 0
+        assert act(policy, np.ones(2), mask, None, deterministic=True)[0] == 1
 
     def test_entropy_uniform(self):
         dist = CategoricalMasked(Tensor(np.zeros((1, 4))))
@@ -114,8 +136,8 @@ class TestActorCritic:
         rng = np.random.default_rng(0)
         policy = ActorCritic(4, 6, hidden_sizes=(16,), rng=rng)
         mask = np.ones(6, dtype=bool)
-        a1, _, _ = policy.act(np.ones(4), mask, rng, deterministic=True)
-        a2, _, _ = policy.act(np.ones(4), mask, rng, deterministic=True)
+        a1, _, _ = act(policy, np.ones(4), mask, rng, deterministic=True)
+        a2, _, _ = act(policy, np.ones(4), mask, rng, deterministic=True)
         assert a1 == a2
 
     def test_act_respects_mask(self):
@@ -124,12 +146,17 @@ class TestActorCritic:
         mask = np.zeros(6, dtype=bool)
         mask[3] = True
         for _ in range(20):
-            action, _, _ = policy.act(np.ones(4), mask, rng)
+            action, _, _ = act(policy, np.ones(4), mask, rng)
             assert action == 3
 
     def test_value_scalar(self):
+        """A sampled step returns one value per state, the critic's."""
         policy = ActorCritic(4, 6, rng=np.random.default_rng(1))
-        assert isinstance(policy.value(np.ones(4)), float)
+        rngs = [np.random.default_rng(i) for i in range(3)]
+        _, _, values = policy.act_batch(np.ones((3, 4)), None, rngs)
+        assert values.shape == (3,) and values.dtype == np.float64
+        critic = policy.critic(Tensor(np.ones((3, 4)), requires_grad=True)).data
+        assert np.array_equal(values, critic.reshape(-1))
 
 
 @st.composite
@@ -157,20 +184,18 @@ class TestGreedyStep:
     def test_actions_are_the_masked_mode(self, step):
         seed, states, masks = step
         policy = ActorCritic(4, masks.shape[1], hidden_sizes=(8,), rng=np.random.default_rng(seed))
-        with no_grad():
-            mode = CategoricalMasked(policy.actor(Tensor(states)), masks).mode()
-        tape_nodes = profile.COUNTERS.tape_nodes
+        dist = CategoricalMasked(policy.actor(Tensor(states, requires_grad=True)), masks)
+        mode = np.argmax(dist.logits.data, axis=-1)
         actions, log_probs, values = policy.act_batch(
             states, masks, [None] * len(states), deterministic=True
         )
-        assert profile.COUNTERS.tape_nodes == tape_nodes
         assert np.array_equal(actions, mode)
         assert log_probs is None and values is None
 
     @pytest.mark.parametrize("batch", [1, 3, 16])
-    def test_infer_and_greedy_step_equal_the_taped_actor_bitwise(self, batch):
+    def test_infer_and_greedy_step_equal_the_taped_actor_bitwise(self, batch, op_spy):
         """``Sequential.infer`` is the taped forward on arrays, bit for bit,
-        and calls no op; the greedy step is the argmax of its masked logits."""
+        and reaches no op; the greedy step is the argmax of its masked logits."""
         rng = np.random.default_rng(batch)
         policy = ActorCritic(12, 7, hidden_sizes=(16, 16), rng=rng)
         for param in policy.parameters():  # off the init's scales: tanh saturates
@@ -180,16 +205,14 @@ class TestGreedyStep:
         masks[:, 6] = True
         for net in (policy.actor, policy.critic):
             taped = net(Tensor(states, requires_grad=True)).data
-            with profile.profile() as prof:
+            with op_spy.forbid():
                 kernel = net.infer(states)
-            assert prof.total_calls() == 0
             assert np.array_equal(kernel, taped)
         logits = policy.actor(Tensor(states, requires_grad=True)).data
-        with profile.profile() as prof:
+        with op_spy.forbid():
             actions, log_probs, values = policy.act_batch(
                 states, masks, [None] * batch, deterministic=True
             )
-        assert prof.total_calls() == 0
         assert np.array_equal(actions, np.argmax(np.where(masks, logits, -np.inf), axis=-1))
         assert log_probs is None and values is None
 
@@ -210,6 +233,44 @@ class TestGreedyStep:
         assert len(buffer) == 0
 
 
+class TestSampledStep:
+    """``act_batch`` without ``deterministic`` is the taped policy on arrays:
+    the masked logits, log-probs and values of ``forward``, and the
+    Gumbel-max draw of row ``i`` from ``rngs[i]``."""
+
+    @staticmethod
+    def draw(batch):
+        rng = np.random.default_rng(100 + batch)
+        policy = ActorCritic(12, 7, hidden_sizes=(16, 16), rng=rng)
+        for param in policy.parameters():  # off the init's scales
+            param.data = param.data + rng.normal(0.0, 0.5, size=param.data.shape)
+        states = rng.normal(0.0, 3.0, size=(batch, 12))
+        masks = rng.random((batch, 7)) < 0.5
+        masks[:, 3] = True
+        return policy, states, masks
+
+    @pytest.mark.parametrize("batch", [1, 3, 16])
+    def test_sampled_step_equals_the_taped_forward_bitwise(self, batch, op_spy):
+        policy, states, masks = self.draw(batch)
+        with op_spy.forbid():
+            actions, log_probs, values = policy.act_batch(
+                states, masks, [np.random.default_rng(i) for i in range(batch)]
+            )
+        dist, taped_values = policy.forward(Tensor(states, requires_grad=True), masks)
+        assert dist.logits.requires_grad  # the reference really is the tape
+        noise = np.stack([np.random.default_rng(i).gumbel(size=7) for i in range(batch)])
+        want = np.argmax(dist.logits.data + noise, axis=-1)
+        assert np.array_equal(actions, want)
+        assert masks[np.arange(batch), actions].all()
+        assert np.array_equal(log_probs, dist.log_prob(want).data)
+        assert np.array_equal(values, taped_values.data)
+
+    def test_log_softmax_array_is_the_taped_log_softmax(self):
+        logits = np.random.default_rng(5).normal(0.0, 30.0, size=(9, 11))
+        taped = F.log_softmax(Tensor(logits, requires_grad=True)).data
+        assert np.array_equal(F.log_softmax_array(logits), taped)
+
+
 class TestPPOLearning:
     def test_contextual_bandit(self):
         """PPO must learn a state-dependent optimal action."""
@@ -222,12 +283,12 @@ class TestPPOLearning:
             for _ in range(64):
                 context = int(rng.integers(2))
                 state = np.eye(2)[context]
-                action, log_prob, value = policy.act(state, mask, rng)
+                action, log_prob, value = act(policy, state, mask, rng)
                 reward = 1.0 if action == context else 0.0
                 buffer.add(Transition(state, action, reward, True, value, log_prob, mask))
             trainer.update(buffer.finalize())
         for context in (0, 1):
-            action, _, _ = policy.act(np.eye(2)[context], mask, rng, deterministic=True)
+            action, _, _ = act(policy, np.eye(2)[context], mask, rng, deterministic=True)
             assert action == context
 
     def test_kl_early_stop_reports(self):
@@ -237,7 +298,7 @@ class TestPPOLearning:
         buffer = trainer.make_buffer()
         mask = np.ones(2, dtype=bool)
         for _ in range(32):
-            action, log_prob, value = policy.act(np.ones(2), mask, rng)
+            action, log_prob, value = act(policy, np.ones(2), mask, rng)
             buffer.add(Transition(np.ones(2), action, rng.random(), True, value, log_prob, mask))
         stats = trainer.update(buffer.finalize())
         # The huge lr should trip the KL guard before all epochs finish.
