@@ -17,7 +17,6 @@ from repro.catalog.schema import Schema
 from repro.nn import functional as F
 from repro.nn.layers import mlp
 from repro.nn.optim import Adam, clip_grad_norm
-from repro.nn.tensor import Tensor
 from repro.optimizer.plans import JOIN_METHODS, JoinNode, PlanNode, ScanNode, iter_nodes
 from repro.sql.ast import Query
 
@@ -126,13 +125,13 @@ class ValueModel:
             order = self.rng.permutation(len(self._samples))
             for start in range(0, len(order), minibatch):
                 idx = order[start : start + minibatch]
-                pred = self.network(Tensor(features[idx])).reshape(-1)
-                loss = F.mse_loss(pred, targets[idx])
+                pred, pullback = self.network(features[idx])
+                loss, grad = F.mse_loss(pred.reshape(-1), targets[idx])
                 self.optimizer.zero_grad()
-                loss.backward()
+                pullback(grad.reshape(pred.shape))
                 clip_grad_norm(self.network.parameters(), 5.0)
                 self.optimizer.step()
-                last_loss = float(loss.data)
+                last_loss = float(loss)
         self.trained = True
         return last_loss
 
@@ -141,9 +140,8 @@ class ValueModel:
         return float(self.predict_batch(features)[0])
 
     def predict_batch(self, features: np.ndarray) -> np.ndarray:
-        """Predicted latencies in ms, one per row: the network's forward as
-        array code (:meth:`repro.nn.layers.Sequential.infer`, bitwise the
-        taped one), since nothing here builds a loss."""
+        """Predicted latencies in ms, one per row: the network's forward,
+        its pullback dropped."""
         features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-        log_latency = self.network.infer(features).reshape(-1)
+        log_latency = self.network(features)[0].reshape(-1)
         return np.expm1(np.clip(log_latency, 0.0, 30.0))

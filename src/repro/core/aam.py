@@ -14,25 +14,20 @@ The AAM contains:
 
 **Distinct-row contract.**  Training pairs are drawn from a much smaller
 set of plans (both orientations of every pair, one plan against many), so
-the pairwise entries — :meth:`AdvantageModel.forward` for training and
-:meth:`AdvantageModel.predict_scores` for ``evaluate`` — run the state
-network once per distinct ``(EncodedPlan object, step)`` row of a batch
-(:func:`distinct_rows`), all of them in one packed forward
-(:class:`StateNetwork`), and gather each side's statevecs by index.  A
-gathered row's gradient is the sum over its uses, so loss and gradients are
-those of the two-sided forward; only float summation order differs.
+the pairwise forward (:meth:`AdvantageModel.forward`, for training,
+``evaluate`` and scoring alike) runs the state network once per distinct
+``(EncodedPlan object, step)`` row of a batch (:func:`distinct_rows`), all
+of them in one packed forward (:class:`StateNetwork`), and gathers each
+side's statevecs by index.  A gathered row's gradient is the sum over its
+uses, so loss and gradients are those of the two-sided forward; only float
+summation order differs.
 
-**Gradients decide the path.**  :meth:`StateNetwork.forward` and
-:meth:`AdvantageModel.forward` build the tape and are training's only
-path.  Everything without gradients — every served, simulated and
-tournament statevec, and every score — runs the no-grad kernels
-:meth:`StateNetwork.statevecs` and :meth:`AdvantageModel.head_logits`:
-straight-line array code over each parameter's current ``.data`` that calls
-the same array functions as the tape ops (:func:`node_vectors`,
-:func:`repro.nn.functional.linear`, ...), so on one batch the two paths
-agree bitwise.  The kernels read the weights at call time and cache no
-array, because ``load_state_dict`` rebinds ``.data`` and Adam updates it in
-place.
+**One forward.**  :meth:`StateNetwork.forward` and
+:meth:`AdvantageModel.forward` return ``(output, pullback)``.  Training
+calls the pullback; every served, simulated and tournament statevec, and
+every score, runs the same forward and drops it.  A forward reads each
+parameter's ``.data`` when it runs and caches no array, because
+``load_state_dict`` rebinds ``.data`` and Adam updates it in place.
 """
 
 from __future__ import annotations
@@ -58,15 +53,15 @@ from repro.nn.layers import (
     Embedding,
     LayerNorm,
     Linear,
-    Lookup,
     Module,
     Parameter,
     TransformerEncoderLayer,
+    dense,
+    gather_backward,
     leading_tokens,
     scatter_rows,
 )
 from repro.nn.optim import Adam, clip_grad_norm
-from repro.nn.tensor import Function, Tensor
 
 NUM_SCORES = 3  # the paper's point set {0.05, 0.50} -> scores {0, 1, 2}
 
@@ -101,8 +96,8 @@ class StateNetwork(Module):
     feed-forward each run once per batch on that matrix.  Attention runs
     per *segment* — a run of rows with equal node count is a contiguous
     token slice, attended as ``(rows, heads, nodes, head_dim)`` under the
-    rows' reachability masks — inside one kernel
-    (:func:`repro.nn.functional.segment_attention`).  Results come back in
+    rows' reachability masks — inside one array function
+    (:func:`repro.nn.functional.attend_segments`).  Results come back in
     input order.
 
     The read-out is the plan root alone (QueryFormer's super-node pooling),
@@ -112,11 +107,9 @@ class StateNetwork(Module):
     only (``layer(x, rows=1)``).  Earlier layers output every token, because
     the next layer attends over all of them.
 
-    :meth:`forward` (the tape) and :meth:`statevecs` (the no-grad kernel)
-    do exactly this work with the same array functions, so on one batch
-    they agree bitwise.  Across batches a row's statevec is bitwise-equal
-    per call shape only: BLAS blocks a token's dot products by ``T``, so
-    the same plan in a different batch can differ by ~1e-15.
+    A row's statevec is bitwise-equal per call shape only: BLAS blocks a
+    token's dot products by ``T``, so the same plan in a different batch can
+    differ by ~1e-15.
     """
 
     def __init__(
@@ -154,7 +147,7 @@ class StateNetwork(Module):
     def _layout(self, plans: Sequence[EncodedPlan]):
         """The packed layout of a batch: ``(order, segments, ints, fints,
         fvals)``, the rows' stable node-count order, their segments and
-        :class:`NodeVectors`' feature arrays in that order."""
+        :func:`node_vectors`' feature arrays in that order."""
         counts = [p.num_nodes for p in plans]
         order = sorted(range(len(plans)), key=counts.__getitem__)
         ordered = [plans[i] for i in order]
@@ -171,48 +164,47 @@ class StateNetwork(Module):
         )
 
     def _tables(self) -> Tuple[Parameter, ...]:
-        """:class:`NodeVectors`' parameter operands, in order."""
+        """:func:`node_vectors`' parameter operands, in order."""
         embeds = (
             self.op_embed, self.table_embed, self.height_embed, self.struct_embed,
             self.column_embed, self.pred_op_embed,
         )
         return tuple(embed.weight for embed in embeds) + (self.value_direction,)
 
-    def forward(self, plans: Sequence[EncodedPlan], steps: np.ndarray) -> Tensor:
-        """Batch of encoded plans + step fractions -> (B, d_state), on the
-        tape.  :meth:`statevecs` is this composition on arrays; change both
-        together."""
+    def forward(self, plans: Sequence[EncodedPlan], steps: np.ndarray):
+        """Batch of encoded plans + step fractions -> (B, d_state), and its
+        pullback (which returns ``None``: plans have no gradient)."""
         order, segments, ints, fints, fvals = self._layout(plans)
-        x = NodeVectors.apply(*self._tables(), ints=ints, fints=fints, fvals=fvals)
-        x = self.input_proj(x)
+        tables = self._tables()
+        x = node_vectors(*(param.data for param in tables), ints, fints, fvals)
+        x, proj_back = self.input_proj(x)
         last = len(self.layers) - 1
+        layer_backs = []
         for i, layer in enumerate(self.layers):
-            x = layer(x, segments=segments, rows=1 if i == last else None)
-        if not self.layers:
-            x = x[leading_tokens(segments, 1)]
-        root = self.final_norm(x)  # pre-order encoding puts the plan root first
-        return self.state_proj(PoolRoots.apply(root, order=order, steps=steps))
+            x, layer_back = layer(x, segments, 1 if i == last else None)
+            layer_backs.append(layer_back)
+        index = None if self.layers else leading_tokens(segments, 1)
+        encoded = x if index is None else x[index]
+        root, norm_back = self.final_norm(encoded)  # pre-order encoding puts the plan root first
+        out, state_back = self.state_proj(pool_roots(root, order, steps))
 
-    def statevecs(self, plans: Sequence[EncodedPlan], steps: np.ndarray) -> np.ndarray:
-        """``forward(plans, steps).data`` without gradients, bitwise: the
-        no-grad kernel.  The same layout, the same root-only last layer and
-        the same array functions in the same order, as straight-line array
-        code over each parameter's ``.data`` read now (see the module
-        docstring); (B, d_state)."""
-        order, segments, ints, fints, fvals = self._layout(plans)
-        x = node_vectors(*(param.data for param in self._tables()), ints, fints, fvals)
-        x = self.input_proj.infer(x)
-        last = len(self.layers) - 1
-        for i, layer in enumerate(self.layers):
-            x = layer.infer(x, segments, 1 if i == last else None)
-        if not self.layers:
-            x = x[leading_tokens(segments, 1)]
-        root = self.final_norm.infer(x)
-        return self.state_proj.infer(pool_roots(root, order, steps))
+        def pullback(grad):
+            grad = norm_back(state_back(grad)[order, : root.shape[1]])
+            if index is not None:
+                grad = gather_backward(grad, index, x.shape)
+            for layer_back in reversed(layer_backs):
+                grad = layer_back(grad)
+            grads = node_vectors_backward(proj_back(grad), ints, fints, fvals, [p.data for p in tables])
+            for param, table_grad in zip(tables, grads):
+                param.accumulate(table_grad)
+
+        return out, pullback
 
 
 def pool_roots(root: np.ndarray, order: Sequence[int], steps: np.ndarray) -> np.ndarray:
-    """The forward of :class:`PoolRoots` on arrays."""
+    """``root | step`` rows, put back in input order: row ``order[i]`` of
+    the result is ``root[i]``, with the steps as a last column.  Its
+    backward is ``grad[order, :width]``."""
     width = root.shape[1]
     pooled = np.empty((len(order), width + 1), dtype=np.float64)
     pooled[order, :width] = root
@@ -220,62 +212,40 @@ def pool_roots(root: np.ndarray, order: Sequence[int], steps: np.ndarray) -> np.
     return pooled
 
 
-class PoolRoots(Function):
-    """``root | step`` rows, put back in input order: row ``order[i]`` of
-    the result is ``root[i]``, with the steps as a last column."""
+def node_vectors_backward(grad, ints, fints, fvals, tables):
+    """Gradients of :func:`node_vectors` for its seven parameter operands
+    (``tables``, the arrays it read), in order: each table's in one
+    bincount scatter (:func:`scatter_rows`)."""
+    (fcols, fops), sizes = fints, [len(table) for table in tables[:6]]
+    d = grad.shape[1] // 6
+    grads = [
+        scatter_rows(ints[slot], grad[:, slot * d : (slot + 1) * d], size)
+        for slot, size in zip((0, 1, 4, 5), sizes)
+    ]
+    g_join, g_filters = grad[:, 2 * d : 3 * d], grad[:, 3 * d : 4 * d]
+    g_slots = np.broadcast_to(g_filters[:, None, :], fcols.shape + (d,)).reshape(-1, d)
+    grads.append(
+        scatter_rows(
+            np.concatenate([ints[2], ints[3], fcols.reshape(-1)]),
+            np.concatenate([g_join, g_join, g_slots]),
+            sizes[4],
+        )
+    )
+    grads.append(scatter_rows(fops.reshape(-1), g_slots, sizes[5]))
+    grads.append(fvals.sum(axis=1) @ g_filters)
+    return grads
 
-    __slots__ = ("order", "width")
 
-    def forward(ctx, root, order, steps):
-        ctx.order, ctx.width = order, root.shape[1]
-        return pool_roots(root, order, steps)
+def node_vectors(op, table, height, struct, column, pred_op, direction, ints, fints, fvals):
+    """``(T, 6 * d_embed)`` node vectors of a packed batch.
 
-    def backward(ctx, grad):
-        return (grad[ctx.order, : ctx.width],)
-
-
-class NodeVectors(Function):
-    """``(T, 6 * d_embed)`` node vectors of a packed batch, as one tape node.
-
-    Operands are the op, table, height and struct embedding tables, the
+    The operands are the op, table, height and struct embedding tables, the
     column and predicate-op tables and the value direction.  ``ints`` is
     ``(6, T)`` (ops, tables, join columns left and right, heights,
     structs), ``fints`` ``(2, T, F)`` (filter columns and predicate ops)
     and ``fvals`` ``(T, F)``.  Embeddings index their weight tables
-    directly: ids are in range by encoder construction.  The backward
-    scatters each table's gradient in one bincount (:func:`scatter_rows`).
+    directly: ids are in range by encoder construction.
     """
-
-    __slots__ = ("ints", "fints", "fvals", "sizes")
-
-    def forward(ctx, op, table, height, struct, column, pred_op, direction, ints, fints, fvals):
-        ctx.ints, ctx.fints, ctx.fvals = ints, fints, fvals
-        ctx.sizes = (len(op), len(table), len(height), len(struct), len(column), len(pred_op))
-        return node_vectors(op, table, height, struct, column, pred_op, direction, ints, fints, fvals)
-
-    def backward(ctx, grad):
-        ints, (fcols, fops), sizes = ctx.ints, ctx.fints, ctx.sizes
-        d = grad.shape[1] // 6
-        grads = [
-            scatter_rows(ints[slot], grad[:, slot * d : (slot + 1) * d], size)
-            for slot, size in zip((0, 1, 4, 5), sizes)
-        ]
-        g_join, g_filters = grad[:, 2 * d : 3 * d], grad[:, 3 * d : 4 * d]
-        g_slots = np.broadcast_to(g_filters[:, None, :], fcols.shape + (d,)).reshape(-1, d)
-        grads.append(
-            scatter_rows(
-                np.concatenate([ints[2], ints[3], fcols.reshape(-1)]),
-                np.concatenate([g_join, g_join, g_slots]),
-                sizes[4],
-            )
-        )
-        grads.append(scatter_rows(fops.reshape(-1), g_slots, sizes[5]))
-        grads.append(ctx.fvals.sum(axis=1) @ g_filters)
-        return grads
-
-
-def node_vectors(op, table, height, struct, column, pred_op, direction, ints, fints, fvals):
-    """The forward of :class:`NodeVectors` on arrays (operands as there)."""
     d = op.shape[1]
     fcols, fops = fints
     feat = np.empty((ints.shape[1], 6 * d), dtype=np.float64)
@@ -393,46 +363,51 @@ class AdvantageModel(Module):
         left_steps: np.ndarray,
         right: Sequence[EncodedPlan],
         right_steps: np.ndarray,
-    ) -> Tensor:
-        """Logits of Adv(CP_l, CP_r) scores; shape (B, 3).
+    ):
+        """Logits of Adv(CP_l, CP_r) scores, shape (B, 3), and their pullback.
 
         The state network runs once per *distinct* ``(EncodedPlan object,
         step)`` row of ``left`` and ``right`` together (see
         :func:`distinct_rows`), in one packed forward, and each side
-        gathers its statevecs by index.  With the tape on, a row's gradient
-        is the sum over its uses, so logits, loss and gradients equal the
-        two-sided forward's up to float summation order.
+        gathers its statevecs by index.  A row's gradient is the sum over
+        its uses, so logits, loss and gradients equal the two-sided
+        forward's up to float summation order.
         """
         plans, steps, left_index, right_index = distinct_rows(
             left, left_steps, right, right_steps
         )
         self.rows_forwarded += len(plans)
-        vecs = self.state_network(plans, steps)
-        return self._head(vecs[left_index], vecs[right_index])
+        vecs, state_back = self.state_network(plans, steps)
+        logits, head_back = self._head(vecs[left_index], vecs[right_index])
 
-    def _head(self, vec_l: Tensor, vec_r: Tensor) -> Tensor:
-        """The position-aware pairwise head, on the tape; logits (B, 3).
-        :meth:`head_logits` is this composition on arrays; change both
-        together."""
-        batch = vec_l.shape[0]
+        def pullback(grad):
+            grad_l, grad_r = head_back(grad)
+            state_back(
+                gather_backward(grad_l, left_index, vecs.shape)
+                + gather_backward(grad_r, right_index, vecs.shape)
+            )
+
+        return logits, pullback
+
+    def _head(self, vec_l: np.ndarray, vec_r: np.ndarray):
+        """The position-aware pairwise head: logits (B, 3) and their
+        pullback, which returns the two sides' statevec gradients.  A
+        position row broadcast over the batch adds what a gathered copy of
+        it would, element for element; its gradient is that gather's."""
         positions, fc1, fc2 = self.position_embed.weight, self.fc1, self.fc2
-        # Position ids are the constants 0 (left) and 1 (right): in range.
-        pos_l = Lookup.apply(positions, ids=np.zeros(batch, dtype=np.int64))
-        pos_r = Lookup.apply(positions, ids=np.ones(batch, dtype=np.int64))
-        hidden_l = F.FusedLinear.apply(vec_l + pos_l, fc1.weight, fc1.bias).relu()
-        hidden_r = F.FusedLinear.apply(vec_r + pos_r, fc1.weight, fc1.bias).relu()
-        return F.FusedLinear.apply(hidden_l - hidden_r, fc2.weight, fc2.bias)
+        hidden_l, left_back = dense(vec_l + positions.data[0], fc1.weight, fc1.bias, "relu")
+        hidden_r, right_back = dense(vec_r + positions.data[1], fc1.weight, fc1.bias, "relu")
+        logits, out_back = fc2(hidden_l - hidden_r)
 
-    def head_logits(self, vec_l: np.ndarray, vec_r: np.ndarray) -> np.ndarray:
-        """``_head(vec_l, vec_r).data`` without gradients, bitwise: the
-        head's no-grad kernel over the weights' current ``.data``.  A
-        position row broadcast over the batch adds what its gathered copy
-        would, element for element."""
-        positions, fc1, fc2 = self.position_embed.weight.data, self.fc1, self.fc2
-        w1, b1 = fc1.weight.data, fc1.bias.data
-        hidden_l = F.linear(vec_l + positions[0], w1, b1, "relu")
-        hidden_r = F.linear(vec_r + positions[1], w1, b1, "relu")
-        return F.linear(hidden_l - hidden_r, fc2.weight.data, fc2.bias.data)
+        def pullback(grad):
+            grad_hidden = out_back(grad)
+            grad_l, grad_r = left_back(grad_hidden), right_back(-grad_hidden)
+            num = len(positions.data)
+            positions.accumulate(scatter_rows(np.zeros(len(grad_l), dtype=np.int64), grad_l, num))
+            positions.accumulate(scatter_rows(np.ones(len(grad_r), dtype=np.int64), grad_r, num))
+            return grad_l, grad_r
+
+        return logits, pullback
 
     def predict_scores(
         self,
@@ -441,14 +416,9 @@ class AdvantageModel(Module):
         right: Sequence[EncodedPlan],
         right_steps: np.ndarray,
     ) -> np.ndarray:
-        """Hard advantage scores in {0, 1, 2}: :meth:`forward`'s logits
-        without gradients (the distinct rows, :meth:`StateNetwork.statevecs`
-        and :meth:`head_logits`), bitwise, then their argmax."""
-        plans, steps, left_index, right_index = distinct_rows(
-            left, left_steps, right, right_steps
-        )
-        vecs = self.state_network.statevecs(plans, steps)
-        return np.argmax(self.head_logits(vecs[left_index], vecs[right_index]), axis=-1)
+        """Hard advantage scores in {0, 1, 2}: the argmax of
+        :meth:`forward`'s logits."""
+        return np.argmax(self.forward(left, left_steps, right, right_steps)[0], axis=-1)
 
     def statevecs_lazy(
         self,
@@ -467,7 +437,7 @@ class AdvantageModel(Module):
         """
         def embed(misses):
             encoded = encoder.encode_many([pair for _, _, pair, _ in misses])
-            return self.state_network.statevecs(encoded, np.array([frac for *_, frac in misses]))
+            return self.state_network(encoded, np.array([frac for *_, frac in misses]))[0]
 
         version = self.version
         keys = [(version, qsig, psig, frac) for qsig, psig, _, frac in items]
@@ -482,7 +452,7 @@ class AdvantageModel(Module):
         """
         vec_l = np.asarray(vec_l, dtype=np.float64)
         vec_r = np.asarray(vec_r, dtype=np.float64)
-        return np.argmax(self.head_logits(vec_l, vec_r), axis=-1)
+        return np.argmax(self._head(vec_l, vec_r)[0], axis=-1)
 
     def predict_score(self, left: EncodedPlan, left_step: float, right: EncodedPlan, right_step: float) -> int:
         return int(
@@ -491,35 +461,43 @@ class AdvantageModel(Module):
 
 
 def asymmetric_loss(
-    logits: Tensor,
+    logits: np.ndarray,
     labels: np.ndarray,
     gamma_positive: float,
     gamma_negative: float,
     label_smoothing: float,
-) -> Tensor:
-    """Asymmetric focal loss with label smoothing (paper §IV-C).
+) -> Tuple[float, np.ndarray]:
+    """Asymmetric focal loss with label smoothing (paper §IV-C), and its
+    gradient with respect to ``logits``.
 
     Hard examples (low probability on the true label, high on wrong ones)
     are up-weighted by ``(1 - p_hat)^gamma``; negatives decay faster
     (``gamma- > gamma+``) so the abundant score-0 samples do not dominate.
+    The weights are constants of the gradient (they read the probabilities'
+    values only), and the gradient runs the op chain's backward steps in
+    tape order from a seed of 1.
     """
     labels = np.asarray(labels, dtype=np.int64)
     batch, num_classes = logits.shape
-    log_probs = F.log_softmax(logits, axis=-1)
-    probs = log_probs.exp()
+    log_probs, log_softmax_back = F.log_softmax(logits)
+    probs = np.exp(log_probs)
 
     one_hot = np.zeros((batch, num_classes))
     one_hot[np.arange(batch), labels] = 1.0
     # p_hat: classification "easiness" per paper eq. (4).
-    p_hat = np.where(one_hot > 0, probs.data, 1.0 - probs.data)
+    p_hat = np.where(one_hot > 0, probs, 1.0 - probs)
     gamma = np.where(one_hot > 0, gamma_positive, gamma_negative)
     focal_weight = (1.0 - p_hat) ** gamma
 
     epsilon = label_smoothing
     smoothed = np.where(one_hot > 0, 1.0 - epsilon, epsilon / (num_classes - 1))
 
-    weights = Tensor(smoothed * focal_weight)
-    return -(weights * log_probs).sum() * (1.0 / batch)
+    weights = smoothed * focal_weight
+    scale = 1.0 / batch
+    loss = -(weights * log_probs).sum() * scale
+    # loss = -sum(weights * log_probs) * scale: mul, neg, sum, mul
+    grad = np.broadcast_to(-scale, log_probs.shape) * weights
+    return float(loss), log_softmax_back(grad)
 
 
 @dataclass
@@ -587,14 +565,14 @@ class AAMTrainer:
         }
 
     def _step(self, chunk: Sequence[AAMSample]) -> float:
-        logits = self.model(
+        logits, pullback = self.model(
             [s.left for s in chunk],
             np.array([s.left_step for s in chunk]),
             [s.right for s in chunk],
             np.array([s.right_step for s in chunk]),
         )
         labels = np.array([s.label for s in chunk])
-        loss = asymmetric_loss(
+        loss, grad = asymmetric_loss(
             logits,
             labels,
             gamma_positive=self.config.gamma_positive,
@@ -602,10 +580,10 @@ class AAMTrainer:
             label_smoothing=self.config.label_smoothing,
         )
         self.optimizer.zero_grad()
-        loss.backward()
+        pullback(grad)
         clip_grad_norm(self.model.parameters(), self.config.max_grad_norm)
         self.optimizer.step()
-        return float(loss.data)
+        return loss
 
     def evaluate(self, samples: Sequence[AAMSample]) -> float:
         """Hard-label accuracy over a sample set (one inference pass)."""

@@ -90,9 +90,6 @@ class Planner:
         self.ppo = PPOTrainer(self.policy, self.config.ppo, rng=self.rng)
 
     # ------------------------------------------------------------------
-    def statevec(self, query: Query, plan: PlanNode, step: int) -> np.ndarray:
-        return self.statevec_many([(query, plan, step)])[0]
-
     def statevec_many(self, requests: List[Tuple[Query, PlanNode, int]]) -> np.ndarray:
         """State representations for a batch of (query, plan, step) triples.
 

@@ -1,21 +1,18 @@
-"""Stateless differentiable functions built on :mod:`repro.nn.tensor`.
+"""Array functions and their backward bodies.
 
-Besides the loss/softmax helpers this module hosts the fused kernels, each
-one :class:`~repro.nn.tensor.Function`: :func:`fused_linear` and
-:func:`segment_attention`, attention over a packed ``(tokens, dim)`` batch
-cut into node-count segments.  Each runs its whole forward as plain numpy
-expressions — the *same* expressions the unfused ``Tensor`` op chain
-evaluates, so outputs are bitwise-identical — and its backward composes the
-unfused ops' backward passes exactly.
+Every module forward in :mod:`repro.nn` is composed of these, and every
+pullback of their backward bodies: :func:`linear` and
+:func:`linear_backward` for the dense layers, :func:`attend_segments` and
+:func:`attend_segments_backward` for attention over a packed ``(tokens,
+dim)`` batch cut into node-count segments, and :func:`log_softmax`.  A
+forward computes each piece its backward reads once and hands it over
+(``attend_segments`` returns its softmax pieces beside its output), so
+inference, which drops the pullback, pays for nothing it does not use.
 
-**Op math.**  Each fused op's forward is one plain array function
-(:func:`linear`, :func:`attend_segments`), written once: the tape op calls
-it and keeps what its backward reads, and the no-grad kernels
-(:meth:`repro.nn.layers.TransformerEncoderLayer.infer` and the AAM's
-statevec and head kernels) call it and keep nothing, so the two paths
-evaluate the same expressions and agree bitwise.  Likewise
-:func:`log_softmax_array` is :func:`log_softmax` on arrays, for the
-sampled policy step.
+Each backward body is the composition of the unfused op chain's backward
+steps in the order the chain's reverse-mode walk ran them, so values and
+gradients are bitwise the chain's.  ``tests/reference_tape.py`` keeps that
+chain, as an autograd tape, for the tests to hold these to.
 """
 
 from __future__ import annotations
@@ -24,45 +21,33 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.nn.tensor import (  # noqa: F401 - concatenate/stack/where re-exported
-    Function,
-    Tensor,
-    _sum_to_shape,
-    concatenate,
-    stack,
-    where,
-)
-
 #: A packed batch's runs of rows with equal node count: ``(rows, nodes,
-#: additive)`` each, see :func:`segment_attention`.
+#: additive)`` each, see :func:`attend_segments`.
 Segments = Sequence[Tuple[int, int, Optional[np.ndarray]]]
 
 __all__ = [
-    "log_softmax",
-    "log_softmax_array",
-    "mse_loss",
-    "fused_linear",
+    "Segments",
     "linear",
-    "segment_attention",
+    "linear_backward",
+    "log_softmax",
+    "mse_loss",
     "attend_segments",
-    "concatenate",
-    "stack",
-    "where",
+    "attend_segments_backward",
 ]
 
 
-def log_softmax(logits: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable log-softmax along ``axis``; :func:`log_softmax_array`
-    is this on arrays, so change both together."""
-    shifted = logits - logits.data.max(axis=axis, keepdims=True)
-    return shifted - shifted.exp().sum(axis=axis, keepdims=True).log()
-
-
-def log_softmax_array(logits: np.ndarray, axis: int = -1) -> np.ndarray:
-    """:func:`log_softmax` on arrays: the numpy expressions its four ops
-    evaluate, in their order, so the two agree bitwise."""
-    shifted = logits - logits.max(axis=axis, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+def _sum_to_shape(grad: np.ndarray, shape: tuple) -> np.ndarray:
+    """Reduce ``grad`` so it matches ``shape`` (undo numpy broadcasting)."""
+    if grad.shape == shape:
+        return grad
+    # Remove leading broadcast dimensions.
+    while grad.ndim > len(shape):
+        grad = grad.sum(axis=0)
+    # Sum along dimensions that were broadcast from size 1.
+    for axis, size in enumerate(shape):
+        if size == 1 and grad.shape[axis] != 1:
+            grad = grad.sum(axis=axis, keepdims=True)
+    return grad
 
 
 def linear(
@@ -71,9 +56,8 @@ def linear(
     bias: Optional[np.ndarray] = None,
     activation: Optional[str] = None,
 ) -> np.ndarray:
-    """``activation(x @ weight + bias)`` on arrays: the forward of
-    :class:`FusedLinear`.  ``activation`` is ``None``, ``"relu"`` or
-    ``"tanh"``."""
+    """``activation(x @ weight + bias)``; ``activation`` is ``None``,
+    ``"relu"`` or ``"tanh"``."""
     out = x @ weight
     if bias is not None:
         out = out + bias
@@ -86,50 +70,44 @@ def linear(
     raise ValueError(f"unknown fused activation: {activation!r}")
 
 
-class FusedLinear(Function):
-    """``activation(x @ weight + bias)``; see :func:`fused_linear`."""
-
-    __slots__ = ("x", "weight", "out", "activation")
-
-    def forward(ctx, x, weight, bias=None, activation=None):
-        out = linear(x, weight, bias, activation)
-        ctx.x, ctx.weight, ctx.out, ctx.activation = x, weight, out, activation
-        return out
-
-    def backward(ctx, grad):
-        # activation backward (identical to the ReLU/Tanh ops'); a ReLU
-        # output is positive exactly where its input is
-        if ctx.activation == "relu":
-            grad = grad * (ctx.out > 0)
-        elif ctx.activation == "tanh":
-            grad = grad * (1.0 - ctx.out**2)
-        need_x, need_weight = ctx.needs_grad[:2]
-        x = ctx.x
-        # matmul backward, mirroring MatMul's branches; the bias (the `+ b`
-        # add node) takes ``grad`` as is and its accumulation broadcasts down
-        grad_weight = None
-        if need_weight:
-            grad_weight = np.outer(x, grad) if x.ndim == 1 else np.swapaxes(x, -1, -2) @ grad
-        grad_x = grad @ np.swapaxes(ctx.weight, -1, -2) if need_x else None
-        return grad_x, grad_weight, grad
+def linear_backward(grad, x, weight, out, activation):
+    """Gradients of ``out = linear(x, weight, bias, activation)``: ``(x,
+    weight, bias)``, the bias's still shaped like ``out`` (its owner sums
+    it down).  The activation's step first (a ReLU output is positive
+    exactly where its input is), then the matmul's, then the ``+ bias``
+    add's, which takes ``grad`` as it is."""
+    if activation == "relu":
+        grad = grad * (out > 0)
+    elif activation == "tanh":
+        grad = grad * (1.0 - out**2)
+    grad_weight = np.outer(x, grad) if x.ndim == 1 else np.swapaxes(x, -1, -2) @ grad
+    return grad @ np.swapaxes(weight, -1, -2), grad_weight, grad
 
 
-def fused_linear(
-    x: Tensor,
-    weight: Tensor,
-    bias: Optional[Tensor] = None,
-    activation: Optional[str] = None,
-) -> Tensor:
-    """``activation(x @ weight + bias)`` as one kernel / one tape node.
+def log_softmax(logits: np.ndarray):
+    """Numerically stable log-softmax over the last axis, and its pullback."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    sm = e.sum(axis=-1, keepdims=True)
+    out = shifted - np.log(sm)
 
-    Forward runs the identical numpy expressions as the unfused chain
-    (``x @ W`` → ``+ b`` → ``.relu()``/``.tanh()``), so outputs are
-    bitwise-equal; backward composes the unfused ops' gradients, so
-    parameter gradients match too.  ``activation`` is ``None``, ``"relu"``
-    or ``"tanh"``.
-    """
-    operands = (x, weight) if bias is None else (x, weight, bias)
-    return FusedLinear.apply(*operands, activation=activation)
+    def pullback(grad):
+        # out = shifted - log(sm): ``shifted`` takes ``grad`` first, then
+        # its second arrival through log, sum and exp.
+        grad_sm = _sum_to_shape(-grad, sm.shape) / sm
+        return grad + np.broadcast_to(grad_sm, e.shape) * e
+
+    return out, pullback
+
+
+def mse_loss(pred: np.ndarray, target: np.ndarray):
+    """Mean squared error and its gradient for ``pred``, from a seed of 1:
+    the tape's steps for ``((pred - target) ** 2).mean()``, where the
+    square is ``diff * diff`` and so reaches ``diff`` twice."""
+    diff = pred - target
+    scale = 1.0 / diff.size
+    grad = np.broadcast_to(scale, diff.shape)
+    return (diff * diff).sum() * scale, grad * diff + grad * diff
 
 
 def _heads(data: np.ndarray, start: int, rows: int, nodes: int, heads: int) -> np.ndarray:
@@ -168,12 +146,21 @@ def _attend_backward(grad, qd, kd, vd, attn, e, sm, scale):
     return gs0 @ kd, np.swapaxes(np.swapaxes(qd, -1, -2) @ gs0, -2, -1), gv
 
 
-def attend_segments(qd, kd, vd, segments, heads, scale, lead):
-    """The forward of :class:`SegmentAttention` on arrays: ``(out, saved)``.
+def attend_segments(qd, kd, vd, segments: Segments, heads: int, scale: float, lead: Optional[int]):
+    """Multi-head attention over a packed batch: ``(out, saved)``.
 
-    ``out`` has ``qd``'s shape; ``saved`` holds, per segment, its token
-    offsets and sizes with the head-split views and softmax pieces its
-    backward reads.
+    ``kd`` and ``vd`` are ``(tokens, dim)``: the rows of a batch laid end
+    to end, each row contributing its own number of nodes.  ``segments``
+    cuts that into runs of rows with equal node count, ``(rows, nodes,
+    additive)`` each: such a run is a contiguous token slice, viewed as
+    ``(rows, heads, nodes, head_dim)`` and attended with its own constant
+    mask term (broadcastable to ``(rows, 1, nodes, nodes)``, or ``None``)
+    — no row ever sees another row's tokens.  ``lead`` is how many leading
+    positions of every row send a query (``None`` = all); ``qd`` holds
+    those positions only, in the same order, and ``out`` has its shape.
+    ``saved`` holds, per segment, its token offsets and sizes with the
+    head-split views and softmax pieces :func:`attend_segments_backward`
+    reads.
     """
     out = np.empty_like(qd)
     saved = []
@@ -195,57 +182,13 @@ def attend_segments(qd, kd, vd, segments, heads, scale, lead):
     return out, saved
 
 
-class SegmentAttention(Function):
-    """Attention over a packed batch; see :func:`segment_attention`."""
-
-    __slots__ = ("operands", "saved", "heads", "scale")
-
-    def forward(ctx, qd, kd, vd, segments, heads, scale, lead):
-        out, ctx.saved = attend_segments(qd, kd, vd, segments, heads, scale, lead)
-        ctx.operands, ctx.heads, ctx.scale = (qd, kd, vd), heads, scale
-        return out
-
-    def backward(ctx, grad):
-        heads = ctx.heads
-        grads = tuple(np.empty_like(operand) for operand in ctx.operands)
-        for q_start, k_start, rows, m, nodes, cache in ctx.saved:
-            parts = _attend_backward(_heads(grad, q_start, rows, m, heads), *cache, ctx.scale)
-            _heads(grads[0], q_start, rows, m, heads)[...] = parts[0]
-            _heads(grads[1], k_start, rows, nodes, heads)[...] = parts[1]
-            _heads(grads[2], k_start, rows, nodes, heads)[...] = parts[2]
-        return grads
-
-
-def segment_attention(
-    q: Tensor,
-    k: Tensor,
-    v: Tensor,
-    segments: Segments,
-    heads: int,
-    scale: float,
-    lead: Optional[int] = None,
-) -> Tensor:
-    """Multi-head attention over a packed batch, as one tape node.
-
-    ``k`` and ``v`` are ``(tokens, dim)``: the rows of a batch laid end to
-    end, each row contributing its own number of nodes.  ``segments`` cuts
-    that into runs of rows with equal node count, ``(rows, nodes,
-    additive)`` each: such a run is a contiguous token slice, viewed as
-    ``(rows, heads, nodes, head_dim)`` and attended with its own constant
-    mask term (``(rows, 1, nodes, nodes)``, or ``None``) — no row ever sees
-    another row's tokens or a padding token.  ``lead`` is how many leading
-    positions of every row send a query (``None`` = all); ``q`` holds those
-    positions only, in the same order, and the result has ``q``'s shape.
-
-    Per segment the forward is ``softmax(q @ k^T * scale + additive) @ v``
-    with the exact numpy expression sequence of the unfused ``Tensor`` chain,
-    on views of the packed matrices; the backward composes the chain's
-    backward steps in tape order and fills one gradient matrix per operand.
-    """
-    return SegmentAttention.apply(q, k, v, segments=segments, heads=heads, scale=scale, lead=lead)
-
-
-def mse_loss(pred: Tensor, target: np.ndarray) -> Tensor:
-    target_t = target if isinstance(target, Tensor) else Tensor(target)
-    diff = pred - target_t
-    return (diff * diff).mean()
+def attend_segments_backward(grad, qd, kd, vd, saved, heads: int, scale: float):
+    """Gradients of :func:`attend_segments` for ``qd``, ``kd`` and ``vd``,
+    one matrix each, filled segment by segment."""
+    grads = (np.empty_like(qd), np.empty_like(kd), np.empty_like(vd))
+    for q_start, k_start, rows, m, nodes, cache in saved:
+        parts = _attend_backward(_heads(grad, q_start, rows, m, heads), *cache, scale)
+        _heads(grads[0], q_start, rows, m, heads)[...] = parts[0]
+        _heads(grads[1], k_start, rows, nodes, heads)[...] = parts[1]
+        _heads(grads[2], k_start, rows, nodes, heads)[...] = parts[2]
+    return grads

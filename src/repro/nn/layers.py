@@ -2,8 +2,17 @@
 
 The layer set mirrors what the paper's networks need: linear stacks for the
 action selector and AAM output head, embeddings for plan-node features, layer
-norm and multi-head attention (with an additive attention-mask) for the
+norm and multi-head attention (with an additive attention mask) for the
 QueryFormer-style state network.
+
+Every module has one ``forward``, and it returns ``(output, pullback)``.
+``pullback(grad)`` takes the gradient of the output, adds each parameter's
+gradient into its :class:`Parameter`'s ``.grad`` and returns the gradient
+of the input.  Inference calls the same ``forward`` and drops the
+pullback, so a forward computes only what its output needs plus the pieces
+the array functions hand back anyway.  A forward reads each weight's
+``.data`` when it runs and caches nothing, because ``load_state_dict``
+rebinds it and Adam updates it in place.
 """
 
 from __future__ import annotations
@@ -14,22 +23,38 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.nn import init
-from repro.nn.tensor import Function, Tensor, _sum_to_shape
 from repro.nn.functional import (
-    FusedLinear,
     Segments,
+    _sum_to_shape,
     attend_segments,
-    fused_linear,
+    attend_segments_backward,
     linear,
-    segment_attention,
+    linear_backward,
 )
 
 
-class Parameter(Tensor):
-    """A tensor that is always trainable; collected by :class:`Module`."""
+class Parameter:
+    """A trainable array and the gradient accumulated for it.
+
+    The parameter owns its ``.grad``: the first gradient to arrive is
+    copied and later ones are added in place, because ``clip_grad_norm``
+    and Adam scale ``grad`` in place and one upstream array may reach two
+    parameters (a pullback hands out views of the gradient it was given).
+    """
+
+    __slots__ = ("data", "grad")
 
     def __init__(self, data) -> None:
-        super().__init__(data, requires_grad=True)
+        self.data = np.asarray(data, dtype=np.float64)
+        self.grad: Optional[np.ndarray] = None
+
+    def accumulate(self, grad: np.ndarray) -> None:
+        """Add one gradient arrival, summed down to the parameter's shape."""
+        grad = _sum_to_shape(np.asarray(grad, dtype=np.float64), self.data.shape)
+        if self.grad is None:
+            self.grad = grad.copy()
+        else:
+            self.grad += grad
 
 
 class Module:
@@ -38,7 +63,6 @@ class Module:
     def __init__(self) -> None:
         self._parameters: Dict[str, Parameter] = {}
         self._modules: Dict[str, "Module"] = {}
-        self.training = True
 
     def __setattr__(self, name: str, value) -> None:
         if isinstance(value, Parameter):
@@ -61,19 +85,7 @@ class Module:
 
     def zero_grad(self) -> None:
         for param in self.parameters():
-            param.zero_grad()
-
-    def train(self) -> "Module":
-        self.training = True
-        for module in self._modules.values():
-            module.train()
-        return self
-
-    def eval(self) -> "Module":
-        self.training = False
-        for module in self._modules.values():
-            module.eval()
-        return self
+            param.grad = None
 
     def state_dict(self) -> Dict[str, np.ndarray]:
         return {name: param.data.copy() for name, param in self.named_parameters()}
@@ -98,6 +110,30 @@ class Module:
 
     def forward(self, *args, **kwargs):  # pragma: no cover - abstract
         raise NotImplementedError
+
+
+def dense(x: np.ndarray, weight: Parameter, bias: Optional[Parameter], activation: Optional[str] = None):
+    """``activation(x @ weight + bias)`` over the parameters' current
+    ``.data``, and its pullback."""
+    w = weight.data
+    out = linear(x, w, None if bias is None else bias.data, activation)
+
+    def pullback(grad):
+        grad_x, grad_weight, grad_bias = linear_backward(grad, x, w, out, activation)
+        weight.accumulate(grad_weight)
+        if bias is not None:
+            bias.accumulate(grad_bias)
+        return grad_x
+
+    return out, pullback
+
+
+def gather_backward(grad: np.ndarray, index, shape: tuple) -> np.ndarray:
+    """The gradient of ``x[index]`` for an ``x`` of ``shape``: ``grad``
+    added into zeros at ``index``, repeated indices in order."""
+    full = np.zeros(shape)
+    np.add.at(full, index, grad)
+    return full
 
 
 class Linear(Module):
@@ -127,15 +163,8 @@ class Linear(Module):
         self.weight = Parameter(weight)
         self.bias = Parameter(np.zeros(out_features)) if bias else None
 
-    def forward(self, x: Tensor) -> Tensor:
-        if self.bias is None:
-            return FusedLinear.apply(x, self.weight)
-        return FusedLinear.apply(x, self.weight, self.bias)
-
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        """:meth:`forward` on arrays, without gradients, over the weights'
-        ``.data`` as they are now."""
-        return linear(x, self.weight.data, None if self.bias is None else self.bias.data)
+    def forward(self, x: np.ndarray):
+        return dense(x, self.weight, self.bias)
 
 
 def scatter_rows(ids: np.ndarray, rows: np.ndarray, num: int) -> np.ndarray:
@@ -143,7 +172,8 @@ def scatter_rows(ids: np.ndarray, rows: np.ndarray, num: int) -> np.ndarray:
 
     Scatter-add as one bincount over (id, column) cells: it adds a cell's
     occurrences in token order, exactly as ``np.add.at`` would, at a
-    fraction of its per-element cost.
+    fraction of its per-element cost.  It is an embedding lookup's
+    backward.
     """
     dim = rows.shape[-1]
     cells = (ids[:, None] * dim + np.arange(dim)).reshape(-1)
@@ -160,52 +190,28 @@ class Embedding(Module):
         self.dim = dim
         self.weight = Parameter(init.normal((num_embeddings, dim), rng, std=0.05))
 
-    def forward(self, ids: np.ndarray) -> Tensor:
+    def forward(self, ids: np.ndarray):
+        """Rows ``ids`` of the table; the pullback scatters ``grad`` back
+        into the table's gradient and returns ``None`` (ids have none)."""
         ids = np.asarray(ids, dtype=np.int64)
         if ids.min(initial=0) < 0 or ids.max(initial=0) >= self.num_embeddings:
             raise IndexError(
                 f"embedding ids out of range [0, {self.num_embeddings}): "
                 f"min={ids.min()} max={ids.max()}"
             )
-        return Lookup.apply(self.weight, ids=ids)
+        weight = self.weight
 
+        def pullback(grad):
+            weight.accumulate(scatter_rows(ids.reshape(-1), grad.reshape(-1, grad.shape[-1]), len(weight.data)))
 
-class Lookup(Function):
-    """Rows ``ids`` of a weight table; the backward is one scatter-add."""
-
-    __slots__ = ("ids", "num")
-
-    def forward(ctx, weight, ids):
-        ctx.ids, ctx.num = ids, len(weight)
-        return weight[ids]
-
-    def backward(ctx, grad):
-        return (scatter_rows(ctx.ids.reshape(-1), grad.reshape(-1, grad.shape[-1]), ctx.num),)
-
-
-class LayerNorm(Module):
-    """Layer normalization over the last dimension, as one tape node."""
-
-    def __init__(self, dim: int, eps: float = 1e-5) -> None:
-        super().__init__()
-        self.dim = dim
-        self.eps = eps
-        self.gamma = Parameter(np.ones(dim))
-        self.beta = Parameter(np.zeros(dim))
-
-    def forward(self, x: Tensor) -> Tensor:
-        # ``x`` is passed twice: see :class:`Normalize`.
-        return Normalize.apply(x, x, self.gamma, self.beta, eps=self.eps)
-
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        """:meth:`forward` on arrays, without gradients."""
-        return normalize(x, self.gamma.data, self.beta.data, self.eps)[0]
+        return weight.data[ids], pullback
 
 
 def normalize(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float):
-    """The forward of :class:`Normalize` on arrays: ``(out, centered,
-    shifted_var, std, normed)``, the output first and then the pieces its
-    backward reads."""
+    """``(x - mean) / (var + eps) ** 0.5 * gamma + beta`` over the last axis:
+    ``(out, centered, shifted_var, std, normed)``, the output first and then
+    the pieces :func:`normalize_backward` reads.  ``mean`` is ``sum * 1/d``
+    and the square root ``** 0.5``: the op chain's expressions."""
     inv = 1.0 / x.shape[-1]
     mean = x.sum(axis=-1, keepdims=True) * inv
     centered = x - mean
@@ -216,80 +222,81 @@ def normalize(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float):
     return normed * gamma + beta, centered, shifted_var, std, normed
 
 
-class Normalize(Function):
-    """``(x - mean) / (var + eps) ** 0.5 * gamma + beta`` over the last axis.
+def normalize_backward(grad, gamma, centered, shifted_var, std, normed):
+    """Gradients of :func:`normalize`: ``(centered_term, mean_term,
+    grad_gamma)``, and ``grad`` itself is beta's.
 
-    The forward is the expression sequence of the op chain it replaces
-    (``x.mean`` as ``sum * 1/d``, ``(var + eps).sqrt()`` as ``** 0.5``), and
-    the backward composes that chain's eleven backward steps in tape order,
-    so values and gradients are bitwise the chain's.  The chain reached
-    ``x`` through two nodes, the centering ``sub`` and the mean's ``sum``,
-    and the tape added their gradients into ``x`` one after the other; the
-    caller lists ``x`` twice, and the backward returns those two gradients
-    for the two slots, so :class:`Tensor` adds them in the same order.
+    The op chain reached ``x`` through two nodes, the centering ``sub`` and
+    the mean's ``sum``, and the tape added their gradients into ``x`` one
+    after the other: the two terms are those, in that order.  The chain's
+    eleven backward steps run in tape order.
     """
+    inv = 1.0 / centered.shape[-1]
+    grad_gamma = grad * normed
+    # normed * gamma, then normed = centered / std
+    grad_normed = grad * gamma
+    grad_std = _sum_to_shape(-grad_normed * centered / (std**2), std.shape)
+    # std = (var + eps) ** 0.5, var = (centered * centered).sum * 1/d;
+    # centered's three arrivals are added in tape order
+    grad_squares = grad_std * 0.5 * shifted_var ** (0.5 - 1) * inv
+    grad_squares = np.broadcast_to(grad_squares, centered.shape)
+    grad_centered = grad_normed / std + grad_squares * centered + grad_squares * centered
+    # centered = x - mean, mean = x.sum * 1/d
+    grad_mean = _sum_to_shape(-grad_centered, std.shape) * inv
+    return grad_centered, np.broadcast_to(grad_mean, centered.shape), grad_gamma
 
-    __slots__ = ("inv", "centered", "shifted_var", "std", "normed", "gamma")
 
-    def forward(ctx, x, x_again, gamma, beta, eps):
-        out, ctx.centered, ctx.shifted_var, ctx.std, ctx.normed = normalize(x, gamma, beta, eps)
-        ctx.inv, ctx.gamma = 1.0 / x.shape[-1], gamma
-        return out
+class LayerNorm(Module):
+    """Layer normalization over the last dimension."""
 
-    def backward(ctx, grad):
-        centered, std = ctx.centered, ctx.std
-        grad_gamma = grad * ctx.normed if ctx.needs_grad[2] else None
-        if not ctx.needs_grad[0]:
-            return None, None, grad_gamma, grad
-        # normed * gamma, then normed = centered / std
-        grad_normed = grad * ctx.gamma
-        grad_std = _sum_to_shape(-grad_normed * centered / (std**2), std.shape)
-        # std = (var + eps) ** 0.5, var = (centered * centered).sum * 1/d;
-        # centered's three arrivals are added in tape order
-        grad_squares = grad_std * 0.5 * ctx.shifted_var ** (0.5 - 1) * ctx.inv
-        grad_squares = np.broadcast_to(grad_squares, centered.shape)
-        grad_centered = grad_normed / std + grad_squares * centered + grad_squares * centered
-        # centered = x - mean, mean = x.sum * 1/d
-        grad_mean = _sum_to_shape(-grad_centered, std.shape) * ctx.inv
-        return grad_centered, np.broadcast_to(grad_mean, centered.shape), grad_gamma, grad
+    def __init__(self, dim: int, eps: float = 1e-5) -> None:
+        super().__init__()
+        self.dim = dim
+        self.eps = eps
+        self.gamma = Parameter(np.ones(dim))
+        self.beta = Parameter(np.zeros(dim))
+
+    def forward(self, x: np.ndarray):
+        """The normalized ``x`` and its pullback.
+
+        ``pullback(grad, arrived=None)``: ``arrived`` is a gradient that
+        reached ``x`` before this one (a residual branch's); the two terms
+        of :func:`normalize_backward` are added to it one after the other,
+        as the tape added them.
+        """
+        gamma, beta = self.gamma, self.beta
+        g = gamma.data
+        out, *saved = normalize(x, g, beta.data, self.eps)
+
+        def pullback(grad, arrived=None):
+            centered_term, mean_term, grad_gamma = normalize_backward(grad, g, *saved)
+            gamma.accumulate(grad_gamma)
+            beta.accumulate(grad)
+            if arrived is not None:
+                centered_term = arrived + centered_term
+            return centered_term + mean_term
+
+        return out, pullback
 
 
 class ReLU(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.relu()
+    def forward(self, x: np.ndarray):
+        return np.maximum(x, 0.0), lambda grad: grad * (x > 0)
 
 
 class Tanh(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.tanh()
-
-
-class Dropout(Module):
-    """Inverted dropout; identity in eval mode."""
-
-    def __init__(self, p: float = 0.1, rng: Optional[np.random.Generator] = None) -> None:
-        super().__init__()
-        if not 0.0 <= p < 1.0:
-            raise ValueError("dropout probability must be in [0, 1)")
-        self.p = p
-        self._rng = rng if rng is not None else np.random.default_rng()
-
-    def forward(self, x: Tensor) -> Tensor:
-        if not self.training or self.p == 0.0:
-            return x
-        keep = (self._rng.random(x.shape) >= self.p).astype(np.float64)
-        return x * Tensor(keep / (1.0 - self.p))
+    def forward(self, x: np.ndarray):
+        out = np.tanh(x)
+        return out, lambda grad: grad * (1.0 - out**2)
 
 
 class Sequential(Module):
     """Chain of modules applied in order.
 
-    Adjacent ``Linear`` → ``ReLU``/``Tanh`` pairs are executed through the
-    :func:`fused_linear` kernel (one tape node instead of three).  The
-    fusion is purely an execution plan: module structure, parameter names
-    and init order are unchanged, and the fused kernel's outputs and
-    gradients are bitwise-equal to the unfused chain.  :meth:`infer` runs
-    the same plan on arrays, without gradients.
+    Adjacent ``Linear`` → ``ReLU``/``Tanh`` pairs run as one :func:`dense`
+    with the activation.  The fusion is purely an execution plan: module
+    structure, parameter names and init order are unchanged, and the fused
+    step's outputs and gradients are bitwise the unfused pair's.
     """
 
     def __init__(self, *modules: Module) -> None:
@@ -300,40 +307,37 @@ class Sequential(Module):
             self._layers.append(module)
         self._fusion_plan = self._build_fusion_plan()
 
-    def _build_fusion_plan(self) -> List[Tuple[str, Module, Optional[str]]]:
-        plan: List[Tuple[str, Module, Optional[str]]] = []
+    def _build_fusion_plan(self) -> List[Tuple[Module, Optional[str]]]:
+        """``(layer, activation)`` steps: a ``Linear`` fused with the
+        activation after it, or any layer alone (activation ``None``)."""
+        plan: List[Tuple[Module, Optional[str]]] = []
         i = 0
         while i < len(self._layers):
             layer = self._layers[i]
             nxt = self._layers[i + 1] if i + 1 < len(self._layers) else None
             if isinstance(layer, Linear) and isinstance(nxt, (ReLU, Tanh)):
-                plan.append(("fused", layer, "relu" if isinstance(nxt, ReLU) else "tanh"))
+                plan.append((layer, "relu" if isinstance(nxt, ReLU) else "tanh"))
                 i += 2
             else:
-                plan.append(("call", layer, None))
+                plan.append((layer, None))
                 i += 1
         return plan
 
-    def forward(self, x: Tensor) -> Tensor:
-        for kind, layer, activation in self._fusion_plan:
-            if kind == "fused":
-                x = fused_linear(x, layer.weight, layer.bias, activation)
+    def forward(self, x: np.ndarray):
+        pullbacks = []
+        for layer, activation in self._fusion_plan:
+            if activation is None:
+                x, pullback = layer(x)
             else:
-                x = layer(x)
-        return x
+                x, pullback = dense(x, layer.weight, layer.bias, activation)
+            pullbacks.append(pullback)
 
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        """:meth:`forward` without gradients, bitwise: the fusion plan's
-        steps in order, each fused pair one :func:`linear` over the layer's
-        ``.data`` as it is now and any other layer its own ``infer``; no
-        tensor, no tape."""
-        for kind, layer, activation in self._fusion_plan:
-            if kind == "fused":
-                bias = None if layer.bias is None else layer.bias.data
-                x = linear(x, layer.weight.data, bias, activation)
-            else:
-                x = layer.infer(x)
-        return x
+        def pullback(grad):
+            for step in reversed(pullbacks):
+                grad = step(grad)
+            return grad
+
+        return x, pullback
 
     def __iter__(self) -> Iterator[Module]:
         return iter(self._layers)
@@ -344,7 +348,7 @@ class Sequential(Module):
 
 def leading_tokens(segments: Segments, rows: int) -> np.ndarray:
     """Token indices of the first ``rows`` positions of every row of a packed
-    batch (see :func:`repro.nn.functional.segment_attention`), in row order."""
+    batch (see :func:`repro.nn.functional.attend_segments`), in row order."""
     index, start = [], 0
     for count, nodes, _ in segments:
         stop = start + count * nodes
@@ -356,27 +360,12 @@ def leading_tokens(segments: Segments, rows: int) -> np.ndarray:
     return index[0] if len(index) == 1 else np.concatenate(index)
 
 
-def _pack(x: Tensor, mask: Optional[np.ndarray], additive: Optional[np.ndarray]):
-    """An unpacked input — (nodes, dim), or batched (batch, nodes, dim) — as a
-    packed one: the token matrix, its single segment, and the batch size to
-    restore on the way out (``None`` if ``x`` was not batched)."""
-    if additive is None and mask is not None:
-        mask_arr = np.asarray(mask, dtype=bool)
-        if mask_arr.ndim == 2:
-            mask_arr = mask_arr[None, :, :]
-        additive = np.where(mask_arr, 0.0, -1e9)[:, None, :, :]
-    if x.ndim == 2:
-        return x, [(1, x.shape[0], additive)], None
-    batch, nodes, dim = x.shape
-    return x.reshape(batch * nodes, dim), [(batch, nodes, additive)], batch
-
-
 class MultiHeadAttention(Module):
-    """Multi-head self-attention with an additive boolean attention mask.
+    """Multi-head self-attention over a packed batch, masked per segment.
 
     The FOSS state network masks attention between *unreachable* node pairs
-    of the plan tree (attention score forced to ~0), which is expressed here
-    by passing ``mask[i, j] = True`` for reachable pairs and False otherwise.
+    of the plan tree (attention score forced to ~0): a segment's additive
+    term is 0 for reachable pairs and -1e9 for the others.
     """
 
     def __init__(self, dim: int, num_heads: int, rng: Optional[np.random.Generator] = None) -> None:
@@ -392,62 +381,38 @@ class MultiHeadAttention(Module):
         self.v_proj = Linear(dim, dim, rng=rng)
         self.out_proj = Linear(dim, dim, rng=rng)
 
-    def forward(
-        self,
-        x: Tensor,
-        mask: Optional[np.ndarray] = None,
-        additive: Optional[np.ndarray] = None,
-        rows: Optional[int] = None,
-        segments: Optional[Segments] = None,
-    ) -> Tensor:
-        """Attend over nodes.
-
-        With ``segments`` (``(rows, nodes, additive)`` runs, see
-        :func:`repro.nn.functional.segment_attention`), ``x`` is a packed
-        ``(tokens, dim)`` batch: the projections run once on that matrix and
-        attention runs per segment.  Without it ``x`` is (nodes, dim) or
-        batched (batch, nodes, dim) — one segment — and ``mask`` is a boolean
-        (nodes, nodes) or (batch, nodes, nodes) array where True marks pairs
-        allowed to attend to each other, or ``additive`` the precomputed
-        term ``np.where(mask, 0.0, -1e9)[:, None, :, :]``.
+    def forward(self, x: np.ndarray, segments: Segments, rows: Optional[int] = None):
+        """Attend over a packed ``(tokens, dim)`` batch cut into
+        ``segments`` (``(rows, nodes, additive)`` runs, see
+        :func:`repro.nn.functional.attend_segments`): the projections run
+        once on the matrix and attention runs per segment.
 
         ``rows`` is how many leading positions of every row produce output
         (``None`` = all): keys and values still come from every node, but
         queries, score rows and the output projection run for those
         positions only — one ``(positions, dim)`` matrix — and the result is
         ``forward(x)`` at those positions up to GEMM blocking.
-
-        :meth:`infer` is this composition on arrays; change both together.
         """
-        batch = None
-        if segments is None:
-            x, segments, batch = _pack(x, mask, additive)
+        index = None if rows is None else leading_tokens(segments, rows)
+        xq = x if index is None else x[index]
+        q, q_back = self.q_proj(xq)
+        k, k_back = self.k_proj(x)
+        v, v_back = self.v_proj(x)
         scale = 1.0 / math.sqrt(self.head_dim)
-        xq = x if rows is None else x[leading_tokens(segments, rows)]
-        q, k, v, o = self.q_proj, self.k_proj, self.v_proj, self.out_proj
-        # One kernel for split -> score -> mask -> softmax -> context -> merge.
-        context = segment_attention(
-            FusedLinear.apply(xq, q.weight, q.bias),
-            FusedLinear.apply(x, k.weight, k.bias),
-            FusedLinear.apply(x, v.weight, v.bias),
-            segments, self.num_heads, scale, rows,
-        )
-        out = FusedLinear.apply(context, o.weight, o.bias)
-        return out if batch is None else out.reshape(batch, -1, self.dim)
+        context, saved = attend_segments(q, k, v, segments, self.num_heads, scale, rows)
+        out, out_back = self.out_proj(context)
 
-    def infer(self, x: np.ndarray, segments: Segments, rows: Optional[int] = None) -> np.ndarray:
-        """:meth:`forward` without gradients, bitwise, for a packed
-        ``(tokens, dim)`` array: the same array functions in the same order
-        over each parameter's ``.data``, keeping nothing."""
-        xq = x if rows is None else x[leading_tokens(segments, rows)]
-        q, k, v, o = self.q_proj, self.k_proj, self.v_proj, self.out_proj
-        context = attend_segments(
-            linear(xq, q.weight.data, q.bias.data),
-            linear(x, k.weight.data, k.bias.data),
-            linear(x, v.weight.data, v.bias.data),
-            segments, self.num_heads, 1.0 / math.sqrt(self.head_dim), rows,
-        )[0]
-        return linear(context, o.weight.data, o.bias.data)
+        def pullback(grad):
+            grad_q, grad_k, grad_v = attend_segments_backward(
+                out_back(grad), q, k, v, saved, self.num_heads, scale
+            )
+            # ``x`` takes the query path's gradient first, then k's, then v's
+            grad_x = q_back(grad_q)
+            if index is not None:
+                grad_x = gather_backward(grad_x, index, x.shape)
+            return grad_x + k_back(grad_k) + v_back(grad_v)
+
+        return out, pullback
 
 
 class FeedForward(Module):
@@ -459,17 +424,11 @@ class FeedForward(Module):
         self.fc1 = Linear(dim, hidden, rng=rng, init_scheme="kaiming")
         self.fc2 = Linear(hidden, dim, rng=rng)
 
-    def forward(self, x: Tensor) -> Tensor:
-        # :meth:`infer` is this composition on arrays; change both together.
+    def forward(self, x: np.ndarray):
         fc1, fc2 = self.fc1, self.fc2
-        hidden = FusedLinear.apply(x, fc1.weight, fc1.bias, activation="relu")
-        return FusedLinear.apply(hidden, fc2.weight, fc2.bias)
-
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        """:meth:`forward` on arrays, without gradients."""
-        fc1, fc2 = self.fc1, self.fc2
-        hidden = linear(x, fc1.weight.data, fc1.bias.data, "relu")
-        return linear(hidden, fc2.weight.data, fc2.bias.data)
+        hidden, hidden_back = dense(x, fc1.weight, fc1.bias, "relu")
+        out, out_back = fc2(hidden)
+        return out, lambda grad: hidden_back(out_back(grad))
 
 
 class TransformerEncoderLayer(Module):
@@ -483,41 +442,28 @@ class TransformerEncoderLayer(Module):
         self.norm1 = LayerNorm(dim)
         self.norm2 = LayerNorm(dim)
 
-    def forward(
-        self,
-        x: Tensor,
-        mask: Optional[np.ndarray] = None,
-        additive: Optional[np.ndarray] = None,
-        rows: Optional[int] = None,
-        segments: Optional[Segments] = None,
-    ) -> Tensor:
+    def forward(self, x: np.ndarray, segments: Segments, rows: Optional[int] = None):
         """``rows`` (``None`` = all) is how many leading positions of every
         row the block outputs: every node still feeds ``norm1`` and the keys
         and values, but the residual, ``norm2`` and the feed-forward run for
         those positions only — ``forward(x)`` there, for a caller that reads
         nothing else.  Being position-wise, that part runs on the
-        ``(positions, dim)`` matrix.  ``x``, ``mask`` / ``additive`` and
-        ``segments`` are :meth:`MultiHeadAttention.forward`'s.  :meth:`infer`
-        is this composition on arrays; change both together."""
-        batch = None
-        if segments is None:
-            x, segments, batch = _pack(x, mask, additive)
-        attended = self.attn(self.norm1(x), rows=rows, segments=segments)
-        if rows is not None:
-            x = x[leading_tokens(segments, rows)]
-        x = x + attended
-        out = x + self.ff(self.norm2(x))
-        return out if batch is None else out.reshape(batch, -1, out.shape[-1])
+        ``(positions, dim)`` matrix.  ``x`` and ``segments`` are
+        :meth:`MultiHeadAttention.forward`'s."""
+        normed, norm1_back = self.norm1(x)
+        attended, attn_back = self.attn(normed, segments, rows)
+        index = None if rows is None else leading_tokens(segments, rows)
+        mid = (x if index is None else x[index]) + attended
+        normed2, norm2_back = self.norm2(mid)
+        fed, ff_back = self.ff(normed2)
 
-    def infer(self, x: np.ndarray, segments: Segments, rows: Optional[int] = None) -> np.ndarray:
-        """:meth:`forward` without gradients, bitwise, for a packed
-        ``(tokens, dim)`` array: each submodule's ``infer`` in
-        :meth:`forward`'s order — no tensor, no tape, nothing kept."""
-        attended = self.attn.infer(self.norm1.infer(x), segments, rows)
-        if rows is not None:
-            x = x[leading_tokens(segments, rows)]
-        x = x + attended
-        return x + self.ff.infer(self.norm2.infer(x))
+        def pullback(grad):
+            # each residual's gradient reaches its input before its norm's
+            grad_mid = norm2_back(ff_back(grad), arrived=grad)
+            residual = grad_mid if index is None else gather_backward(grad_mid, index, x.shape)
+            return norm1_back(attn_back(grad_mid), arrived=residual)
+
+        return mid + fed, pullback
 
 
 def mlp(

@@ -1,4 +1,4 @@
-"""Optimizers (SGD with momentum, Adam) and gradient clipping."""
+"""The Adam optimizer and gradient clipping."""
 
 from __future__ import annotations
 
@@ -6,14 +6,14 @@ from typing import Iterable, List
 
 import numpy as np
 
-from repro.nn.tensor import Tensor
+from repro.nn.layers import Parameter
 
 
 class Optimizer:
     """Base optimizer holding a parameter list."""
 
-    def __init__(self, params: Iterable[Tensor], lr: float) -> None:
-        self.params: List[Tensor] = list(params)
+    def __init__(self, params: Iterable[Parameter], lr: float) -> None:
+        self.params: List[Parameter] = list(params)
         if not self.params:
             raise ValueError("optimizer received no parameters")
         if lr <= 0:
@@ -22,30 +22,10 @@ class Optimizer:
 
     def zero_grad(self) -> None:
         for param in self.params:
-            param.zero_grad()
+            param.grad = None
 
     def step(self) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum."""
-
-    def __init__(self, params: Iterable[Tensor], lr: float = 1e-2, momentum: float = 0.0) -> None:
-        super().__init__(params, lr)
-        self.momentum = momentum
-        self._velocity = [np.zeros_like(p.data) for p in self.params]
-
-    def step(self) -> None:
-        for param, velocity in zip(self.params, self._velocity):
-            if param.grad is None:
-                continue
-            if self.momentum > 0:
-                velocity *= self.momentum
-                velocity += param.grad
-                param.data -= self.lr * velocity
-            else:
-                param.data -= self.lr * param.grad
 
 
 class Adam(Optimizer):
@@ -53,7 +33,7 @@ class Adam(Optimizer):
 
     def __init__(
         self,
-        params: Iterable[Tensor],
+        params: Iterable[Parameter],
         lr: float = 1e-3,
         betas: tuple = (0.9, 0.999),
         eps: float = 1e-8,
@@ -86,7 +66,7 @@ class Adam(Optimizer):
             param.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
-def clip_grad_norm(params: Iterable[Tensor], max_norm: float) -> float:
+def clip_grad_norm(params: Iterable[Parameter], max_norm: float) -> float:
     """Scale gradients in-place so the global L2 norm is at most ``max_norm``.
 
     Returns the pre-clipping norm (useful for logging).

@@ -7,7 +7,7 @@ estimates remain valid).  This package is a from-scratch PPO on top of
 """
 
 from repro.rl.gae import compute_gae
-from repro.rl.policy import ActorCritic, CategoricalMasked
+from repro.rl.policy import ActorCritic
 from repro.rl.ppo import PPOConfig, PPOTrainer
 from repro.rl.rollout import RolloutBuffer, Transition
 
@@ -15,7 +15,6 @@ __all__ = [
     "Transition",
     "RolloutBuffer",
     "compute_gae",
-    "CategoricalMasked",
     "ActorCritic",
     "PPOConfig",
     "PPOTrainer",

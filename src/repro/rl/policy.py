@@ -1,11 +1,10 @@
 """Masked categorical policy and actor-critic wrapper.
 
-Gradients decide the path.  :meth:`ActorCritic.forward` builds the tape
-and is the PPO update's only path.  Every action the agent takes, sampled
-or greedy, runs :meth:`ActorCritic.act_batch`: array code over the
-parameters' current ``.data`` (:meth:`repro.nn.layers.Sequential.infer`,
-:func:`repro.nn.functional.log_softmax_array`) that evaluates the same
-numpy expressions as the taped forward, so on one batch the two agree
+:meth:`ActorCritic.forward` returns the masked log-probabilities and the
+values with their pullback, which the PPO update runs.  Every action the
+agent takes, sampled or greedy, runs :meth:`ActorCritic.act_batch`, which
+calls the same actor and critic forwards, drops their pullbacks and
+evaluates the same numpy expressions, so on one batch the two agree
 bitwise.
 """
 
@@ -17,40 +16,16 @@ import numpy as np
 
 from repro.nn import functional as F
 from repro.nn.layers import Module, mlp
-from repro.nn.tensor import Tensor
 
 
 def _mask_term(mask: np.ndarray) -> np.ndarray:
-    """The additive logit term of an action mask: 0 where legal, -1e9 not."""
+    """The additive logit term of an action mask: 0 where legal, -1e9 not.
+    An illegal action's probability underflows to ~0 while gradients stay
+    well-defined for the legal ones (the paper planner's ``actionmask``)."""
     mask = np.asarray(mask, dtype=bool)
     if not mask.any(axis=-1).all():
         raise ValueError("every action mask row must allow at least one action")
     return np.where(mask, 0.0, -1e9)
-
-
-class CategoricalMasked:
-    """Categorical distribution whose support is restricted by a boolean mask,
-    on the tape: what the PPO update reads.
-
-    Illegal actions receive -1e9 logits, so their probability underflows to
-    ~0 while gradients remain well-defined for legal actions (this is exactly
-    the ``actionmask`` mechanism of the paper's planner).
-    """
-
-    def __init__(self, logits: Tensor, mask: Optional[np.ndarray] = None) -> None:
-        if mask is not None:
-            logits = logits + Tensor(_mask_term(mask))
-        self.logits = logits
-        self.log_probs = F.log_softmax(logits, axis=-1)
-
-    def log_prob(self, actions: np.ndarray) -> Tensor:
-        actions = np.asarray(actions, dtype=np.int64)
-        rows = np.arange(self.logits.shape[0])
-        return self.log_probs[rows, actions]
-
-    def entropy(self) -> Tensor:
-        probs = self.log_probs.exp()
-        return -(probs * self.log_probs).sum(axis=-1)
 
 
 class ActorCritic(Module):
@@ -75,13 +50,24 @@ class ActorCritic(Module):
         self.actor = mlp([state_dim, *hidden_sizes, num_actions], rng=rng, out_gain=0.01)
         self.critic = mlp([state_dim, *hidden_sizes, 1], rng=rng, out_gain=1.0)
 
-    def forward(self, states: Tensor, masks: Optional[np.ndarray] = None) -> Tuple[CategoricalMasked, Tensor]:
-        """The taped policy and values; :meth:`act_batch` is this on arrays,
-        so change both together."""
-        logits = self.actor(states)
-        dist = CategoricalMasked(logits, masks)
-        values = self.critic(states).reshape(-1)
-        return dist, values
+    def forward(self, states: np.ndarray, masks: Optional[np.ndarray] = None):
+        """``((log_probs, values), pullback)``: the masked log-softmax of the
+        actor's logits, (B, A), and the critic's values, (B,).  The pullback
+        takes ``(grad_log_probs, grad_values)`` and returns the states'
+        gradient."""
+        logits, actor_back = self.actor(states)
+        if masks is not None:
+            logits = logits + _mask_term(masks)
+        log_probs, log_softmax_back = F.log_softmax(logits)
+        values, critic_back = self.critic(states)
+
+        def pullback(grad):
+            grad_log_probs, grad_values = grad
+            return actor_back(log_softmax_back(grad_log_probs)) + critic_back(
+                grad_values.reshape(values.shape)
+            )
+
+        return (log_probs, values.reshape(-1)), pullback
 
     def act_batch(
         self,
@@ -90,8 +76,8 @@ class ActorCritic(Module):
         rngs: Sequence[Optional[np.random.Generator]],
         deterministic: bool = False,
     ) -> Tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
-        """Select actions for a batch of states in one forward pass, as
-        array code (see the module docstring).
+        """Select actions for a batch of states in one forward pass (see
+        the module docstring).
 
         ``rngs`` supplies one generator per row (ignored when
         ``deterministic``); returns (actions, log_probs, values) arrays of
@@ -102,12 +88,12 @@ class ActorCritic(Module):
         ``None``: PPO never learns from greedy steps.
         """
         states = np.asarray(states, dtype=np.float64)
-        logits = self.actor.infer(states)
+        logits = self.actor(states)[0]
         if masks is not None:
             logits = logits + _mask_term(masks)
         if deterministic:
             return np.argmax(logits, axis=-1), None, None
         noise = np.stack([rng.gumbel(size=logits.shape[-1]) for rng in rngs])
         actions = np.argmax(logits + noise, axis=-1)
-        log_probs = F.log_softmax_array(logits)[np.arange(len(actions)), actions]
-        return actions, log_probs, self.critic.infer(states).reshape(-1)
+        log_probs = F.log_softmax(logits)[0][np.arange(len(actions)), actions]
+        return actions, log_probs, self.critic(states)[0].reshape(-1)

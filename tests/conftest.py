@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import contextlib
+import functools
 
 import numpy as np
 import pytest
 
 from repro.engine.remote import EngineServer
-from repro.nn.tensor import Function
+from repro.nn import functional, layers
 from repro.workloads.job import build_job_workload
 from repro.workloads.stack import build_stack_workload
 from repro.workloads.tpcds import build_tpcds_workload
@@ -49,49 +50,47 @@ def rng():
 
 
 class OpLog(list):
-    """``(op class, output bytes)`` for every op applied, in order."""
+    """``(array function name, output bytes)`` for every call, in order;
+    ``op`` is the function or its wrapper."""
 
     def calls(self, op) -> int:
-        return sum(1 for cls, _ in self if cls is op)
+        return sum(1 for name, _ in self if name == op.__name__)
 
     def bytes(self, op) -> int:
-        return sum(nbytes for cls, nbytes in self if cls is op)
+        return sum(nbytes for name, nbytes in self if name == op.__name__)
+
+
+#: (module, name) of every call site the spy wraps: the array functions
+#: every module forward is composed of, where ``repro.nn.layers`` calls
+#: them and where ``tests/reference_tape.py``'s ops do.
+SPIED = (
+    (layers, "linear"), (functional, "linear"),
+    (layers, "attend_segments"), (functional, "attend_segments"),
+    (layers, "normalize"),
+)
 
 
 class OpSpy:
-    """``Function.apply``, the one op site of ``repro.nn``, wrapped for one
-    test.  Inside :meth:`forbid` (raise mode) any op fails the test: a path
-    that builds no loss must not reach the tape at all, not even for a
-    graph-free tensor.  Inside :meth:`record` (count mode) every op is
-    logged with its output's size."""
+    """The array functions ``linear``, ``attend_segments`` and
+    ``normalize``, wrapped for one test.  Inside :meth:`record` every call
+    is logged with the size of the output it returns (the first item of a
+    returned tuple), keyed by the function's name, so a forward is sized by
+    the bytes its dense layers, attention and norms write."""
 
     def __init__(self, monkeypatch) -> None:
         self.log = None
-        self.forbidden: list = []
-        self._raising = False
-        apply = Function.apply.__func__
         spy = self
+        for module, name in SPIED:
+            fn = getattr(module, name)
 
-        def spied(cls, *operands, **options):
-            if spy._raising:
-                spy.forbidden.append(cls)
-                raise AssertionError(f"{cls.__name__} reached the tape on a path that builds no loss")
-            out = apply(cls, *operands, **options)
-            if spy.log is not None:
-                spy.log.append((cls, out.data.nbytes))
-            return out
+            @functools.wraps(fn)
+            def spied(*args, _fn=fn, **kwargs):
+                out = _fn(*args, **kwargs)
+                if spy.log is not None:
+                    spy.log.append((_fn.__name__, (out[0] if isinstance(out, tuple) else out).nbytes))
+                return out
 
-        monkeypatch.setattr(Function, "apply", classmethod(spied))
-
-    @contextlib.contextmanager
-    def forbid(self):
-        self._raising, self.forbidden = True, []
-        try:
-            yield
-        finally:
-            self._raising = False
-        # also when the code under test swallowed the AssertionError
-        assert not self.forbidden, [cls.__name__ for cls in self.forbidden]
+            monkeypatch.setattr(module, name, spied)
 
     @contextlib.contextmanager
     def record(self):

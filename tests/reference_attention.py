@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from repro.nn.functional import _attend, _attend_backward
-from repro.nn.tensor import Function, Tensor
+from reference_tape import Function, Tensor
 
 
 class FusedAttention(Function):

@@ -1,26 +1,33 @@
-"""Reverse-mode autograd over numpy arrays: one op protocol.
+"""Test-only oracle: reverse-mode autograd over numpy arrays.
 
-Every differentiable op is a slotted :class:`Function` subclass, and the
-instance is the op's backward context (tinygrad's design):
+``repro.nn`` computes gradients with hand-written pullbacks, one per
+module forward, each adding its gradients in a fixed order.  This module
+keeps the autograd tape those pullbacks replaced, so the tests can hold
+every output, gradient and optimizer step to it bitwise
+(``tests/test_pullbacks.py``), and the elementary op chains the fused
+backward bodies compose (``tests/test_nn_fused.py``).  Nothing under
+``src/`` imports it.
+
+**The op protocol.**  Every differentiable op is a slotted
+:class:`Function` subclass, and the instance is the op's backward context
+(tinygrad's design):
 
 * ``forward(ctx, *arrays, **options)`` computes the result from the
   operands' arrays, keeping on ``ctx`` what its backward will read;
   keyword ``options`` (axes, shapes, masks, scales) are constants.
 * ``backward(ctx, grad)`` returns one gradient per operand, or ``None``
-  for one that needs none; ``ctx.needs_grad`` says which operands do, so
-  no backward computes a product nobody reads.
+  for one that needs none; ``ctx.needs_grad`` says which operands do.
 
-:meth:`Function.apply` is the one dispatch point.  It is the only code
-that decides between a tape node and a graph-free tensor, and gradients
-decide it: an op builds a tape node exactly when an operand requires a
-gradient, and otherwise runs the same ``forward``, keeps no context and
-returns a graph-free tensor.  There is no grad mode.  The tape is
-training's: code that builds no loss (every served, simulated and sampled
-forward) calls the modules' array-code ``infer`` instead and builds no
-tensor at all.  :meth:`Tensor.backward` walks the tape in reverse
+:meth:`Function.apply` is the one dispatch point: an op builds a tape node
+exactly when an operand requires a gradient, and otherwise returns a
+graph-free tensor.  :meth:`Tensor.backward` walks the tape in reverse
 topological order and adds each node's gradients into its parents, in
-parent order.  Only float64 tensors participate in differentiation, which
-keeps gradient checks tight in the test suite.
+parent order; that walk fixes the order in which a tensor reached by
+several ops receives its gradients, which is what decides bitwise
+equality.  The fused ops (:class:`FusedLinear`, :class:`SegmentAttention`,
+:class:`Normalize`, :class:`Lookup`, :class:`NodeVectors`,
+:class:`PoolRoots`) run ``repro.nn``'s array functions and backward
+bodies, so a test of the tape composes exactly what the pullbacks do.
 
 Gradient ownership: a *leaf* (a parameter or a ``requires_grad=True`` input
 — no context) owns its ``.grad``: the first gradient to reach it is copied
@@ -32,13 +39,27 @@ the first gradient that reaches it, allocates only when a second arrives
 slice of one, or a read-only ``broadcast_to`` view), and gives the gradient
 up as soon as its own backward has run.  Hence no ``backward`` may write
 into the ``grad`` it is handed.
+
+**The taped compositions.**  The functions at the end are the modules'
+forwards as they stood on the tape, over a :class:`Leaves` map that gives
+each parameter one leaf tensor sharing its array; ``aam_step``,
+``ppo_minibatch`` and ``value_fit`` are the three training steps.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
+
+import repro.core.aam as aam
+from repro.core.aam import distinct_rows
+from repro.nn import functional as F
+from repro.nn import layers
+from repro.nn.layers import Linear, ReLU, leading_tokens
+from repro.nn.optim import clip_grad_norm
+from repro.rl.policy import _mask_term
 
 ArrayLike = Union[np.ndarray, float, int, Sequence]
 
@@ -293,9 +314,6 @@ class Tensor:
     def clip(self, low: float, high: float) -> "Tensor":
         return Clip.apply(self, low=low, high=high)
 
-    def abs(self) -> "Tensor":
-        return Abs.apply(self)
-
 
 # ----------------------------------------------------------------------
 # the ops
@@ -508,17 +526,6 @@ class Clip(Function):
         return (grad * ((ctx.a >= ctx.low) & (ctx.a <= ctx.high)),)
 
 
-class Abs(Function):
-    __slots__ = ("a",)
-
-    def forward(ctx, a):
-        ctx.a = a
-        return np.abs(a)
-
-    def backward(ctx, grad):
-        return (grad * np.sign(ctx.a),)
-
-
 class Concatenate(Function):
     __slots__ = ("sizes", "axis")
 
@@ -535,17 +542,6 @@ class Concatenate(Function):
             index[axis] = slice(start, stop)
             grads.append(grad[tuple(index)] if needs else None)
         return grads
-
-
-class Stack(Function):
-    __slots__ = ("count", "axis")
-
-    def forward(ctx, *arrays, axis):
-        ctx.count, ctx.axis = len(arrays), axis
-        return np.stack(arrays, axis=axis)
-
-    def backward(ctx, grad):
-        return [np.squeeze(slab, axis=ctx.axis) for slab in np.split(grad, ctx.count, axis=ctx.axis)]
 
 
 class Where(Function):
@@ -566,33 +562,334 @@ class Where(Function):
 # ----------------------------------------------------------------------
 # module-level constructors and helpers
 # ----------------------------------------------------------------------
-def tensor(data: ArrayLike, requires_grad: bool = False) -> Tensor:
-    return Tensor(data, requires_grad=requires_grad)
-
-
-def zeros(*shape: int, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.zeros(shape), requires_grad=requires_grad)
-
-
-def ones(*shape: int, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.ones(shape), requires_grad=requires_grad)
-
-
-def randn(*shape: int, rng: Optional[np.random.Generator] = None, requires_grad: bool = False) -> Tensor:
-    gen = rng if rng is not None else np.random.default_rng()
-    return Tensor(gen.standard_normal(shape), requires_grad=requires_grad)
-
-
 def concatenate(tensors: Iterable[Tensor], axis: int = -1) -> Tensor:
     """Differentiable concatenation along ``axis``."""
     return Concatenate.apply(*tensors, axis=axis)
 
 
-def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Differentiable stack along a new ``axis``."""
-    return Stack.apply(*tensors, axis=axis)
-
-
 def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
     """Differentiable selection: ``condition ? a : b`` (condition is constant)."""
     return Where.apply(a, b, condition=condition)
+
+
+# ----------------------------------------------------------------------
+# the fused ops, over repro.nn's array functions and backward bodies
+# ----------------------------------------------------------------------
+class FusedLinear(Function):
+    """``activation(x @ weight + bias)``; see :func:`fused_linear`."""
+
+    __slots__ = ("x", "weight", "out", "activation")
+
+    def forward(ctx, x, weight, bias=None, activation=None):
+        out = F.linear(x, weight, bias, activation)
+        ctx.x, ctx.weight, ctx.out, ctx.activation = x, weight, out, activation
+        return out
+
+    def backward(ctx, grad):
+        grad_x, grad_weight, grad_bias = F.linear_backward(grad, ctx.x, ctx.weight, ctx.out, ctx.activation)
+        return grad_x if ctx.needs_grad[0] else None, grad_weight, grad_bias
+
+
+def fused_linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None, activation=None) -> Tensor:
+    """``activation(x @ weight + bias)`` as one tape node, bitwise the
+    unfused chain ``x @ W`` → ``+ b`` → ``.relu()``/``.tanh()``."""
+    operands = (x, weight) if bias is None else (x, weight, bias)
+    return FusedLinear.apply(*operands, activation=activation)
+
+
+class SegmentAttention(Function):
+    """Attention over a packed batch; see :func:`segment_attention`."""
+
+    __slots__ = ("operands", "saved", "heads", "scale")
+
+    def forward(ctx, qd, kd, vd, segments, heads, scale, lead):
+        out, ctx.saved = F.attend_segments(qd, kd, vd, segments, heads, scale, lead)
+        ctx.operands, ctx.heads, ctx.scale = (qd, kd, vd), heads, scale
+        return out
+
+    def backward(ctx, grad):
+        return F.attend_segments_backward(grad, *ctx.operands, ctx.saved, ctx.heads, ctx.scale)
+
+
+def segment_attention(q, k, v, segments, heads, scale, lead=None) -> Tensor:
+    """:func:`repro.nn.functional.attend_segments` as one tape node."""
+    return SegmentAttention.apply(q, k, v, segments=segments, heads=heads, scale=scale, lead=lead)
+
+
+class Normalize(Function):
+    """Layer normalization as one tape node.  The chain it replaces reached
+    ``x`` through two nodes, so the caller lists ``x`` twice and the
+    backward returns the two gradients for the two slots, which the tape
+    adds in that order."""
+
+    __slots__ = ("saved", "gamma")
+
+    def forward(ctx, x, x_again, gamma, beta, eps):
+        out, *saved = layers.normalize(x, gamma, beta, eps)
+        ctx.saved, ctx.gamma = saved, gamma
+        return out
+
+    def backward(ctx, grad):
+        centered_term, mean_term, grad_gamma = layers.normalize_backward(grad, ctx.gamma, *ctx.saved)
+        return centered_term, mean_term, grad_gamma, grad
+
+
+class Lookup(Function):
+    """Rows ``ids`` of a weight table; the backward is one scatter-add."""
+
+    __slots__ = ("ids", "num")
+
+    def forward(ctx, weight, ids):
+        ctx.ids, ctx.num = ids, len(weight)
+        return weight[ids]
+
+    def backward(ctx, grad):
+        return (layers.scatter_rows(ctx.ids.reshape(-1), grad.reshape(-1, grad.shape[-1]), ctx.num),)
+
+
+class NodeVectors(Function):
+    """:func:`repro.core.aam.node_vectors` as one tape node over its seven
+    parameter operands."""
+
+    __slots__ = ("ints", "fints", "fvals", "tables")
+
+    def forward(ctx, *tables, ints, fints, fvals):
+        ctx.ints, ctx.fints, ctx.fvals, ctx.tables = ints, fints, fvals, tables
+        return aam.node_vectors(*tables, ints, fints, fvals)
+
+    def backward(ctx, grad):
+        return aam.node_vectors_backward(grad, ctx.ints, ctx.fints, ctx.fvals, ctx.tables)
+
+
+class PoolRoots(Function):
+    """:func:`repro.core.aam.pool_roots` as one tape node."""
+
+    __slots__ = ("order", "width")
+
+    def forward(ctx, root, order, steps):
+        ctx.order, ctx.width = order, root.shape[1]
+        return aam.pool_roots(root, order, steps)
+
+    def backward(ctx, grad):
+        return (grad[ctx.order, : ctx.width],)
+
+
+# ----------------------------------------------------------------------
+# the modules' forwards on the tape
+# ----------------------------------------------------------------------
+class Leaves:
+    """One leaf tensor per parameter of ``modules``, sharing the
+    parameter's array, so an optimizer step on the parameters is seen."""
+
+    def __init__(self, *modules) -> None:
+        self.named = [(name, param) for module in modules for name, param in module.named_parameters()]
+        self._leaves = {id(param): Tensor(param.data, requires_grad=True) for _, param in self.named}
+
+    def __getitem__(self, param) -> Tensor:
+        return self._leaves[id(param)]
+
+    def grads(self) -> dict:
+        return {name: self[param].grad for name, param in self.named}
+
+    def install(self) -> None:
+        """Hand every leaf's gradient to its parameter, for the optimizer."""
+        for _, param in self.named:
+            param.grad = self[param].grad
+
+
+def linear(L: Leaves, layer: Linear, x: Tensor, activation=None) -> Tensor:
+    bias = None if layer.bias is None else L[layer.bias]
+    return fused_linear(x, L[layer.weight], bias, activation)
+
+
+def sequential(L: Leaves, seq, x: Tensor) -> Tensor:
+    for layer, activation in seq._fusion_plan:
+        if isinstance(layer, Linear):
+            x = linear(L, layer, x, activation)
+        else:
+            x = x.relu() if isinstance(layer, ReLU) else x.tanh()
+    return x
+
+
+def embedding(L: Leaves, embed, ids) -> Tensor:
+    return Lookup.apply(L[embed.weight], ids=np.asarray(ids, dtype=np.int64))
+
+
+def layer_norm(L: Leaves, norm, x: Tensor) -> Tensor:
+    # ``x`` is passed twice: see :class:`Normalize`.
+    return Normalize.apply(x, x, L[norm.gamma], L[norm.beta], eps=norm.eps)
+
+
+def attention(L: Leaves, mha, x: Tensor, segments, rows=None) -> Tensor:
+    xq = x if rows is None else x[leading_tokens(segments, rows)]
+    context = segment_attention(
+        linear(L, mha.q_proj, xq), linear(L, mha.k_proj, x), linear(L, mha.v_proj, x),
+        segments, mha.num_heads, 1.0 / math.sqrt(mha.head_dim), rows,
+    )
+    return linear(L, mha.out_proj, context)
+
+
+def feed_forward(L: Leaves, ff, x: Tensor) -> Tensor:
+    return linear(L, ff.fc2, linear(L, ff.fc1, x, "relu"))
+
+
+def encoder_layer(L: Leaves, layer, x: Tensor, segments, rows=None) -> Tensor:
+    attended = attention(L, layer.attn, layer_norm(L, layer.norm1, x), segments, rows)
+    if rows is not None:
+        x = x[leading_tokens(segments, rows)]
+    x = x + attended
+    return x + feed_forward(L, layer.ff, layer_norm(L, layer.norm2, x))
+
+
+def state_network(L: Leaves, network, plans, steps) -> Tensor:
+    order, segments, ints, fints, fvals = network._layout(plans)
+    x = NodeVectors.apply(*(L[p] for p in network._tables()), ints=ints, fints=fints, fvals=fvals)
+    x = linear(L, network.input_proj, x)
+    last = len(network.layers) - 1
+    for i, layer in enumerate(network.layers):
+        x = encoder_layer(L, layer, x, segments, 1 if i == last else None)
+    if not network.layers:
+        x = x[leading_tokens(segments, 1)]
+    root = layer_norm(L, network.final_norm, x)
+    return linear(L, network.state_proj, PoolRoots.apply(root, order=order, steps=steps))
+
+
+def head(L: Leaves, model, vec_l: Tensor, vec_r: Tensor) -> Tensor:
+    batch = vec_l.shape[0]
+    positions, fc1 = L[model.position_embed.weight], model.fc1
+    # Position ids are the constants 0 (left) and 1 (right): in range.
+    pos_l = Lookup.apply(positions, ids=np.zeros(batch, dtype=np.int64))
+    pos_r = Lookup.apply(positions, ids=np.ones(batch, dtype=np.int64))
+    hidden_l = linear(L, fc1, vec_l + pos_l).relu()
+    hidden_r = linear(L, fc1, vec_r + pos_r).relu()
+    return linear(L, model.fc2, hidden_l - hidden_r)
+
+
+def advantage(L: Leaves, model, left, left_steps, right, right_steps) -> Tensor:
+    plans, steps, left_index, right_index = distinct_rows(left, left_steps, right, right_steps)
+    vecs = state_network(L, model.state_network, plans, steps)
+    return head(L, model, vecs[left_index], vecs[right_index])
+
+
+def log_softmax(logits: Tensor, axis: int = -1) -> Tensor:
+    shifted = logits - logits.data.max(axis=axis, keepdims=True)
+    return shifted - shifted.exp().sum(axis=axis, keepdims=True).log()
+
+
+def mse_loss(pred: Tensor, target: np.ndarray) -> Tensor:
+    diff = pred - Tensor(target)
+    return (diff * diff).mean()
+
+
+def asymmetric_loss(logits: Tensor, labels, gamma_positive, gamma_negative, label_smoothing) -> Tensor:
+    labels = np.asarray(labels, dtype=np.int64)
+    batch, num_classes = logits.shape
+    log_probs = log_softmax(logits, axis=-1)
+    probs = log_probs.exp()
+    one_hot = np.zeros((batch, num_classes))
+    one_hot[np.arange(batch), labels] = 1.0
+    p_hat = np.where(one_hot > 0, probs.data, 1.0 - probs.data)
+    gamma = np.where(one_hot > 0, gamma_positive, gamma_negative)
+    focal_weight = (1.0 - p_hat) ** gamma
+    epsilon = label_smoothing
+    smoothed = np.where(one_hot > 0, 1.0 - epsilon, epsilon / (num_classes - 1))
+    weights = Tensor(smoothed * focal_weight)
+    return -(weights * log_probs).sum() * (1.0 / batch)
+
+
+class CategoricalMasked:
+    """Categorical distribution over the legal actions, on the tape."""
+
+    def __init__(self, logits: Tensor, mask: Optional[np.ndarray] = None) -> None:
+        if mask is not None:
+            logits = logits + Tensor(_mask_term(mask))
+        self.logits = logits
+        self.log_probs = log_softmax(logits, axis=-1)
+
+    def log_prob(self, actions: np.ndarray) -> Tensor:
+        actions = np.asarray(actions, dtype=np.int64)
+        rows = np.arange(self.logits.shape[0])
+        return self.log_probs[rows, actions]
+
+    def entropy(self) -> Tensor:
+        probs = self.log_probs.exp()
+        return -(probs * self.log_probs).sum(axis=-1)
+
+
+def actor_critic(L: Leaves, policy, states: Tensor, masks=None):
+    """``(dist, values)``: the taped policy and values."""
+    dist = CategoricalMasked(sequential(L, policy.actor, states), masks)
+    return dist, sequential(L, policy.critic, states).reshape(-1)
+
+
+# ----------------------------------------------------------------------
+# the three training steps on the tape
+# ----------------------------------------------------------------------
+def aam_step(trainer, chunk) -> float:
+    """``AAMTrainer._step`` on the tape."""
+    model, cfg = trainer.model, trainer.config
+    L = Leaves(model)
+    logits = advantage(
+        L, model,
+        [s.left for s in chunk], np.array([s.left_step for s in chunk]),
+        [s.right for s in chunk], np.array([s.right_step for s in chunk]),
+    )
+    labels = np.array([s.label for s in chunk])
+    loss = asymmetric_loss(logits, labels, cfg.gamma_positive, cfg.gamma_negative, cfg.label_smoothing)
+    trainer.optimizer.zero_grad()
+    loss.backward()
+    L.install()
+    clip_grad_norm(model.parameters(), cfg.max_grad_norm)
+    trainer.optimizer.step()
+    return float(loss.data)
+
+
+def ppo_minibatch(trainer, mini) -> dict:
+    """``PPOTrainer._update_minibatch`` on the tape."""
+    cfg, policy = trainer.config, trainer.policy
+    L = Leaves(policy)
+    dist, values = actor_critic(L, policy, Tensor(mini.states), mini.action_masks)
+    log_probs = dist.log_prob(mini.actions)
+    ratio = (log_probs - Tensor(mini.old_log_probs)).exp()
+    advantages = Tensor(mini.advantages)
+    unclipped = ratio * advantages
+    clipped = ratio.clip(1.0 - cfg.clip_ratio, 1.0 + cfg.clip_ratio) * advantages
+    policy_loss = -where(unclipped.data <= clipped.data, unclipped, clipped).mean()
+    value_loss = mse_loss(values, mini.returns)
+    entropy = dist.entropy().mean()
+    loss = policy_loss + cfg.value_coef * value_loss - cfg.entropy_coef * entropy
+    trainer.optimizer.zero_grad()
+    loss.backward()
+    L.install()
+    clip_grad_norm(policy.parameters(), cfg.max_grad_norm)
+    trainer.optimizer.step()
+    return {
+        "policy_loss": float(policy_loss.data),
+        "value_loss": float(value_loss.data),
+        "entropy": float(entropy.data),
+        "kl": abs(float(np.mean(mini.old_log_probs - log_probs.data))),
+    }
+
+
+def value_fit(model, epochs: int = 30, minibatch: int = 64) -> float:
+    """``ValueModel.fit`` on the tape."""
+    if not model._samples:
+        return 0.0
+    features = np.stack([s.features for s in model._samples])
+    targets = np.log1p(np.array([s.latency_ms for s in model._samples]))
+    last_loss = 0.0
+    for _ in range(epochs):
+        order = model.rng.permutation(len(model._samples))
+        for start in range(0, len(order), minibatch):
+            idx = order[start : start + minibatch]
+            L = Leaves(model.network)
+            pred = sequential(L, model.network, Tensor(features[idx])).reshape(-1)
+            loss = mse_loss(pred, targets[idx])
+            model.optimizer.zero_grad()
+            loss.backward()
+            L.install()
+            clip_grad_norm(model.network.parameters(), 5.0)
+            model.optimizer.step()
+            last_loss = float(loss.data)
+    model.trained = True
+    return last_loss

@@ -6,7 +6,7 @@ holds the real-tree test of each one.  Here:
 
 * every check is fed the snippets it must flag and the near misses it must
   pass, by rule family (determinism, clocks, layering, lock blocking,
-  unused imports);
+  unused imports, one forward);
 * a scratch copy of ``src/repro`` takes a regression in a real module, to
   show the tree walk reports it at its file and line and nowhere else;
 * the old suppression comments exempt nothing: the allowlists in
@@ -62,6 +62,7 @@ from test_invariants import (
     layer_exception_problems,
     layer_import,
     lock_blocking,
+    one_forward,
     src_modules,
     unused_import,
     violations,
@@ -203,7 +204,7 @@ class TestClockRules:
         assert hits(clock_perf_counter, PERF_SNIPPET, "src/repro/core/batching.py") == 1
         assert hits(clock_perf_counter, PERF_SNIPPET, "src/repro/core/trainer.py") == 0
         # No nn module reads a clock: ops are not timed.
-        assert hits(clock_perf_counter, PERF_SNIPPET, "src/repro/nn/tensor.py") == 1
+        assert hits(clock_perf_counter, PERF_SNIPPET, "src/repro/nn/layers.py") == 1
         assert hits(clock_perf_counter, PERF_SNIPPET, "src/repro/nn/functional.py") == 1
 
     def test_clock_rules_apply_only_under_enforced_roots(self, tree):
@@ -321,6 +322,67 @@ class TestUnusedImportRule:
 # ----------------------------------------------------------------------
 # blocking while holding a lock
 # ----------------------------------------------------------------------
+class TestOneForwardRule:
+    def test_forward_beside_infer_flagged(self):
+        assert hits(one_forward, """
+            class Block:
+                def forward(self, x):
+                    return x, lambda grad: grad
+
+                def infer(self, x):
+                    return x
+            """) == 1
+
+    def test_backward_flagged_as_op_and_as_walk(self):
+        assert hits(one_forward, """
+            class Square:
+                def forward(ctx, a):
+                    ctx.a = a
+                    return a * a
+
+                def backward(ctx, grad):
+                    return (2.0 * ctx.a * grad,)
+
+            def backward(root):
+                return root
+            """) == 2
+
+    def test_importing_the_tests_flagged(self):
+        assert hits(one_forward, """
+            import tests.reference_tape
+            from reference_tape import Tensor
+            from tests import conftest
+            """) == 3
+
+    def test_one_forward_and_named_backward_bodies_pass(self):
+        assert hits(one_forward, """
+            from repro.nn.functional import linear, linear_backward
+
+            class Dense:
+                def forward(self, x):
+                    out = linear(x, self.w)
+                    return out, lambda grad: linear_backward(grad, x, self.w, out, None)[0]
+
+            class Scorer:
+                def infer(self, x):
+                    return x
+            """) == 0
+
+    def test_seeded_regression_reported_at_its_line(self, tree):
+        first = append(tree, "src/repro/nn/layers.py", """class Twin(Module):
+    def forward(self, x):
+        return x, None
+
+    def infer(self, x):
+        return x
+""")
+        second = append(tree, "src/repro/core/aam.py", "from reference_tape import Tensor\n")
+        assert violations(one_forward, tree) == [
+            f"src/repro/core/aam.py:{second}",
+            f"src/repro/nn/layers.py:{first}",
+        ]
+
+
 class TestLockBlockingRule:
     def test_blocking_call_in_with_lock_flagged(self):
         assert hits(lock_blocking, """
@@ -500,7 +562,7 @@ class TestCli:
 
     def test_list_rules(self):
         """Each check has its real-tree test, named after it."""
-        assert len(CHECKS) == len({check.__name__ for check in CHECKS}) == 11
+        assert len(CHECKS) == len({check.__name__ for check in CHECKS}) == 12
         for check in CHECKS:
             test = getattr(inv, f"test_{check.__name__}", None)
             assert callable(test), check.__name__

@@ -586,6 +586,7 @@ class TestIncrementalCli:
             inv.clock_perf_counter: "import time\nZ = time.perf_counter()\n",
             inv.layer_import: "from repro.api import service\nS = service\n",
             inv.unused_import: "import math\n",
+            inv.one_forward: "def backward(grad):\n    return grad\n",
         }
         rel = "src/repro/optimizer/dp.py"
         original = (REPO_ROOT / rel).read_text(encoding="utf-8")

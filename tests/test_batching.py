@@ -98,17 +98,25 @@ class TestBatchParity:
             episode_fingerprint(e) for e in runs[1]
         ]
 
-    def test_cohort_builds_no_tape_and_the_update_does(self, job_workload, parity_queries, op_spy):
-        """A sampled cohort (policy steps, AAM forwards, plan encoding) is
-        array code and reaches no op at all; the PPO update over its
-        episodes builds the tape, so the spy is live."""
+    def test_cohort_builds_no_tape_and_the_update_does(self, job_workload, parity_queries, monkeypatch):
+        """A sampled cohort (policy steps, AAM forwards, plan encoding) drops
+        every pullback: no backward body runs.  The PPO update over its
+        episodes runs them, so the count is live."""
+        from repro.nn import layers
+
+        backward, calls = layers.linear_backward, []
+
+        def counted(*args):
+            calls.append(args[0].shape)
+            return backward(*args)
+
+        monkeypatch.setattr(layers, "linear_backward", counted)
         trainer = FossTrainer(job_workload, batching_config(episode_batch_size=9))
-        with op_spy.forbid():
-            episodes = trainer.runners[0].run(trainer.sim_env, parity_queries)
+        episodes = trainer.runners[0].run(trainer.sim_env, parity_queries)
         assert len(episodes) == len(parity_queries)
-        with op_spy.record() as ops:
-            trainer.planners[0].update_from_episodes(episodes)
-        assert len(ops) > 0
+        assert calls == []
+        trainer.planners[0].update_from_episodes(episodes)
+        assert len(calls) > 0
 
 
 class TestScoreCacheInvalidation:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import reference_tape as tape
 from reference_attention import fused_attention
 from repro.core.aam import (
     AAMConfig,
@@ -18,9 +19,9 @@ from repro.core.aam import (
     reachability_term,
 )
 from repro.core.encoding import PlanEncoder, left_deep_shape
+from reference_tape import Tensor
 from repro.nn import functional as F
 from repro.nn import layers
-from repro.nn.tensor import Tensor
 
 
 @pytest.fixture(scope="module")
@@ -37,8 +38,8 @@ def setup(request):
 
 
 def statevec(model, plan, step):
-    """One plan's statevec, through the batch kernel."""
-    return model.state_network.statevecs([plan], np.array([step]))[0]
+    """One plan's statevec, through the batch forward."""
+    return model.state_network([plan], np.array([step]))[0][0]
 
 
 class TestStateNetwork:
@@ -51,7 +52,7 @@ class TestStateNetwork:
         _, _, _, model, encoded = setup
         plans = [e for _, e in encoded[:3]]
         steps = np.array([0.0, 0.5, 1.0])
-        batch = model.state_network(plans, steps).data
+        batch = model.state_network(plans, steps)[0]
         single = statevec(model, plans[1], 0.5)
         np.testing.assert_allclose(batch[1], single, atol=1e-10)
 
@@ -72,15 +73,15 @@ class TestAdvantageModelHead:
     def test_logits_shape(self, setup):
         _, _, _, model, encoded = setup
         plans = [e for _, e in encoded[:2]]
-        logits = model(plans, np.zeros(2), plans, np.ones(2))
+        logits, _ = model(plans, np.zeros(2), plans, np.ones(2))
         assert logits.shape == (2, 3)
 
     def test_position_awareness(self, setup):
         """Swapping the pair must change the logits (asymmetric model)."""
         _, _, _, model, encoded = setup
         a, b = encoded[0][1], encoded[1][1]
-        fwd = model([a], np.zeros(1), [b], np.zeros(1)).data
-        rev = model([b], np.zeros(1), [a], np.zeros(1)).data
+        fwd = model([a], np.zeros(1), [b], np.zeros(1))[0]
+        rev = model([b], np.zeros(1), [a], np.zeros(1))[0]
         assert not np.allclose(fwd, rev)
 
     def test_predict_score_in_range(self, setup):
@@ -115,33 +116,37 @@ class TestLoadStateDict:
 
 class TestAsymmetricLoss:
     def test_perfect_prediction_low_loss(self):
-        logits = Tensor(np.array([[10.0, -10.0, -10.0]]))
-        good = asymmetric_loss(logits, np.array([0]), 1.0, 4.0, 0.1)
-        bad = asymmetric_loss(logits, np.array([2]), 1.0, 4.0, 0.1)
-        assert good.item() < bad.item()
+        logits = np.array([[10.0, -10.0, -10.0]])
+        good, _ = asymmetric_loss(logits, np.array([0]), 1.0, 4.0, 0.1)
+        bad, _ = asymmetric_loss(logits, np.array([2]), 1.0, 4.0, 0.1)
+        assert good < bad
 
     def test_focal_downweights_easy_negatives(self):
         """Higher gamma- shrinks the loss contribution of easy samples."""
-        logits = Tensor(np.array([[3.0, 0.0, 0.0]]))
-        mild = asymmetric_loss(logits, np.array([0]), 0.0, 0.0, 0.0)
-        focal = asymmetric_loss(logits, np.array([0]), 1.0, 4.0, 0.0)
-        assert focal.item() < mild.item()
+        logits = np.array([[3.0, 0.0, 0.0]])
+        mild, _ = asymmetric_loss(logits, np.array([0]), 0.0, 0.0, 0.0)
+        focal, _ = asymmetric_loss(logits, np.array([0]), 1.0, 4.0, 0.0)
+        assert focal < mild
 
     def test_gradient_flows(self):
-        logits = Tensor(np.random.default_rng(0).standard_normal((4, 3)), requires_grad=True)
-        loss = asymmetric_loss(logits, np.array([0, 1, 2, 0]), 1.0, 4.0, 0.1)
-        loss.backward()
-        assert logits.grad is not None
-        assert np.isfinite(logits.grad).all()
+        logits = np.random.default_rng(0).standard_normal((4, 3))
+        loss, grad = asymmetric_loss(logits, np.array([0, 1, 2, 0]), 1.0, 4.0, 0.1)
+        assert grad.shape == logits.shape
+        assert np.isfinite(grad).all()
+        # the tape's gradient, bitwise
+        leaf = Tensor(logits, requires_grad=True)
+        taped = tape.asymmetric_loss(leaf, np.array([0, 1, 2, 0]), 1.0, 4.0, 0.1)
+        taped.backward()
+        assert loss == float(taped.data) and np.array_equal(grad, leaf.grad)
 
     def test_label_smoothing_penalizes_overconfidence(self):
-        confident = Tensor(np.array([[50.0, -50.0, -50.0]]))
-        calibrated = Tensor(np.array([[5.0, -2.0, -2.0]]))
-        smoothed_conf = asymmetric_loss(confident, np.array([0]), 0.0, 0.0, 0.1)
-        smoothed_cal = asymmetric_loss(calibrated, np.array([0]), 0.0, 0.0, 0.1)
+        confident = np.array([[50.0, -50.0, -50.0]])
+        calibrated = np.array([[5.0, -2.0, -2.0]])
+        smoothed_conf, _ = asymmetric_loss(confident, np.array([0]), 0.0, 0.0, 0.1)
+        smoothed_cal, _ = asymmetric_loss(calibrated, np.array([0]), 0.0, 0.0, 0.1)
         # With smoothing, the extremely confident logits pay on the eps mass.
-        assert smoothed_conf.item() > 0.0
-        assert np.isfinite(smoothed_cal.item())
+        assert smoothed_conf > 0.0
+        assert np.isfinite(smoothed_cal)
 
 
 class TestAAMTraining:
@@ -205,11 +210,24 @@ def pool(request):
     return make_model(11), plans, make_model
 
 
-def naive_forward(model, left, left_steps, right, right_steps):
-    """The forward this PR replaced: the state network over each side."""
-    vec_l = model.state_network(left, left_steps)
-    vec_r = model.state_network(right, right_steps)
-    return model._head(vec_l, vec_r)
+def naive_forward(L, model, left, left_steps, right, right_steps):
+    """The two-sided forward the distinct-row forward replaced, on the
+    tape: the state network over each side (test-only oracle)."""
+    vec_l = tape.state_network(L, model.state_network, left, left_steps)
+    vec_r = tape.state_network(L, model.state_network, right, right_steps)
+    return tape.head(L, model, vec_l, vec_r)
+
+
+def pairwise(statevecs):
+    """The distinct-row pairwise forward on the tape, over the taped state
+    network ``statevecs(L, network, plans, steps)``."""
+
+    def forward(L, model, left, left_steps, right, right_steps):
+        plans, steps, left_index, right_index = distinct_rows(left, left_steps, right, right_steps)
+        vecs = statevecs(L, model.state_network, plans, steps)
+        return tape.head(L, model, vecs[left_index], vecs[right_index])
+
+    return forward
 
 
 def parent_statevecs(network, plans, steps):
@@ -217,7 +235,7 @@ def parent_statevecs(network, plans, steps):
     into ``forward_bucketed`` (verbatim; test-only oracle)."""
     steps = np.asarray(steps, dtype=np.float64)
     if len(plans) <= 1:
-        return network.forward(plans, steps).data
+        return network.forward(plans, steps)[0]
     order = sorted(range(len(plans)), key=lambda i: plans[i].num_nodes)
     min_rows = 16
     groups = [[order[0]]]
@@ -228,20 +246,20 @@ def parent_statevecs(network, plans, steps):
         else:
             current.append(i)
     if len(groups) == 1:
-        return network.forward(plans, steps).data
+        return network.forward(plans, steps)[0]
     out = np.empty((len(plans), network.config.d_state))
     for rows in groups:
         idx = np.array(rows)
-        out[idx] = network.forward([plans[i] for i in rows], steps[idx]).data
+        out[idx] = network.forward([plans[i] for i in rows], steps[idx])[0]
     return out
 
 
-def all_positions_forward(network, plans, steps):
-    """``StateNetwork.forward`` as it stood before the last encoder layer
-    went root-only: every layer outputs every node, ``final_norm`` runs over
-    all of them and the root is read afterwards (verbatim but for the
-    structure rows, read off ``int_block`` and ``left_deep_shape`` since
-    ``EncodedPlan`` stopped carrying them; test-only oracle)."""
+def all_positions_forward(L, network, plans, steps):
+    """``StateNetwork.forward`` as it stood on the tape before the last
+    encoder layer went root-only and the batch was packed: every row padded
+    to the largest, every layer outputs every node, ``final_norm`` runs over
+    all of them and the root is read afterwards (test-only oracle; the
+    structure rows are read off ``int_block`` and ``left_deep_shape``)."""
     trim = max(p.num_nodes for p in plans)
     ops = np.stack([p.ops[:trim] for p in plans])
     tables = np.stack([p.tables[:trim] for p in plans])
@@ -254,25 +272,27 @@ def all_positions_forward(network, plans, steps):
     structs = np.stack([p.int_block[5, :trim] for p in plans])
     attn = np.stack([reach(p)[:trim, :trim] for p in plans])
 
-    node = network.op_embed(ops)                       # (B, N, d)
-    table = network.table_embed(tables)
-    join_cols = network.column_embed(jl) + network.column_embed(jr)
-    fcol_emb = network.column_embed(fcols)             # (B, N, F, d)
-    fop_emb = network.pred_op_embed(fops)
-    val_term = Tensor(fvals[..., None]) * network.value_direction
+    node = tape.embedding(L, network.op_embed, ops)                       # (B, N, d)
+    table = tape.embedding(L, network.table_embed, tables)
+    join_cols = tape.embedding(L, network.column_embed, jl) + tape.embedding(L, network.column_embed, jr)
+    fcol_emb = tape.embedding(L, network.column_embed, fcols)             # (B, N, F, d)
+    fop_emb = tape.embedding(L, network.pred_op_embed, fops)
+    val_term = Tensor(fvals[..., None]) * L[network.value_direction]
     filters = (fcol_emb + fop_emb + val_term).sum(axis=2)
-    height = network.height_embed(heights)
-    struct = network.struct_embed(structs)
+    height = tape.embedding(L, network.height_embed, heights)
+    struct = tape.embedding(L, network.struct_embed, structs)
 
-    x = F.concatenate([node, table, join_cols, filters, height, struct], axis=-1)
-    x = network.input_proj(x)
+    x = tape.concatenate([node, table, join_cols, filters, height, struct], axis=-1)
+    x = tape.linear(L, network.input_proj, x)
+    batch, nodes, dim = x.shape
+    segments = [(batch, nodes, np.where(attn, 0.0, -1e9)[:, None, :, :])]
     for layer in network.layers:
-        x = layer(x, mask=attn)
-    x = network.final_norm(x)
+        x = tape.encoder_layer(L, layer, x.reshape(batch * nodes, dim), segments).reshape(batch, nodes, dim)
+    x = tape.layer_norm(L, network.final_norm, x)
     root = x[:, 0, :]
     steps = np.asarray(steps, dtype=np.float64).reshape(-1, 1)
-    pooled = F.concatenate([root, Tensor(steps)], axis=-1)
-    return network.state_proj(pooled)
+    pooled = tape.concatenate([root, Tensor(steps)], axis=-1)
+    return tape.linear(L, network.state_proj, pooled)
 
 
 def reach(plan):
@@ -280,12 +300,22 @@ def reach(plan):
     return left_deep_shape((plan.num_nodes + 1) // 2, len(plan.ops)).reach
 
 
-def loss_and_grads(model, forward, batch, labels):
+def loss_and_grads(model, batch, labels):
+    """The model's forward and pullback: the loss and every gradient."""
+    logits, pullback = model(*batch)
+    loss, grad = asymmetric_loss(logits, labels, 1.0, 4.0, 0.1)
     model.zero_grad()
-    loss = asymmetric_loss(forward(*batch), labels, 1.0, 4.0, 0.1)
-    loss.backward()
+    pullback(grad)
     grads = {name: None if p.grad is None else p.grad.copy() for name, p in model.named_parameters()}
-    return float(loss.data), grads
+    return loss, grads
+
+
+def taped_loss_and_grads(model, forward, batch, labels):
+    """``forward(L, model, *batch)``, a taped composition, on the tape."""
+    L = tape.Leaves(model)
+    loss = tape.asymmetric_loss(forward(L, model, *batch), labels, 1.0, 4.0, 0.1)
+    loss.backward()
+    return float(loss.data), L.grads()
 
 
 def batch_and_labels(plans, pairs):
@@ -299,10 +329,8 @@ def batch_and_labels(plans, pairs):
 
 def assert_gradient_parity(model, plans, pairs):
     batch, labels = batch_and_labels(plans, pairs)
-    loss, grads = loss_and_grads(model, model.forward, batch, labels)
-    ref_loss, ref_grads = loss_and_grads(
-        model, lambda *b: naive_forward(model, *b), batch, labels
-    )
+    loss, grads = loss_and_grads(model, batch, labels)
+    ref_loss, ref_grads = taped_loss_and_grads(model, naive_forward, batch, labels)
     assert_loss_and_grads_close(loss, grads, ref_loss, ref_grads)
 
 
@@ -366,8 +394,8 @@ class TestDistinctRowForward:
         right = [plans[int(i)] for i in rng.integers(len(plans), size=90)]
         ls = rng.choice(STEPS, size=90)
         rs = rng.choice(STEPS, size=90)
-        logits = model.forward(left, ls, right, rs).data
-        naive = naive_forward(model, left, ls, right, rs).data
+        logits = model.forward(left, ls, right, rs)[0]
+        naive = naive_forward(tape.Leaves(model), model, left, ls, right, rs).data
         np.testing.assert_allclose(logits, naive, rtol=1e-12, atol=1e-14)
         assert np.array_equal(
             model.predict_scores(left, ls, right, rs), np.argmax(naive, axis=-1)
@@ -380,7 +408,7 @@ class TestDistinctRowForward:
         rng = np.random.default_rng(size)
         batch = [plans[int(i)] for i in rng.integers(len(plans), size=size)]
         steps = rng.choice(STEPS, size=size)
-        out = model.state_network.statevecs(batch, steps)
+        out = model.state_network(batch, steps)[0]
         assert out.shape == (size, SMALL["d_state"])
         ref = parent_statevecs(model.state_network, batch, steps)
         if size == 1:
@@ -429,7 +457,7 @@ class TestRootOnlyLastLayer:
     computes every position in every layer and reads the root afterwards."""
 
     @pytest.mark.parametrize("num_layers", [1, 2])
-    def test_statevecs_loss_and_gradients_equal_all_positions(self, pool, monkeypatch, num_layers):
+    def test_statevecs_loss_and_gradients_equal_all_positions(self, pool, num_layers):
         template, plans, _ = pool
         model = resized_model(template, 13, num_layers=num_layers)
         network = model.state_network
@@ -437,21 +465,20 @@ class TestRootOnlyLastLayer:
         rows, row_steps, _, _ = distinct_rows(*batch)
         assert len(rows) > 32  # more than one bucket
 
-        vecs = network.statevecs(rows, row_steps)
-        taped = network.forward(rows, row_steps).data
-        loss, grads = loss_and_grads(model, model.forward, batch, labels)
+        vecs = network(rows, row_steps)[0]
+        taped = tape.state_network(tape.Leaves(network), network, rows, row_steps).data
+        loss, grads = loss_and_grads(model, batch, labels)
         # the same rows, every position computed
-        ref_vecs = all_positions_forward(network, rows, row_steps).data
-        monkeypatch.setattr(network, "forward", lambda p, s: all_positions_forward(network, p, s))
-        ref_loss, ref_grads = loss_and_grads(model, model.forward, batch, labels)
-        monkeypatch.undo()
+        ref_vecs = all_positions_forward(tape.Leaves(network), network, rows, row_steps).data
+        ref_loss, ref_grads = taped_loss_and_grads(model, pairwise(all_positions_forward), batch, labels)
 
-        assert np.array_equal(vecs, taped)  # tape == kernel, bitwise
+        assert np.array_equal(vecs, taped)  # tape == forward, bitwise
         np.testing.assert_allclose(vecs, ref_vecs, rtol=1e-12, atol=1e-15)
         assert_loss_and_grads_close(loss, grads, ref_loss, ref_grads)
 
     def test_last_layer_does_no_work_for_other_positions(self, pool, op_spy):
-        """A guard that cannot drift back: sized by what the kernels write."""
+        """A guard that cannot drift back: sized by what the dense layers
+        and attention write, against the padded all-positions forward."""
         template, plans, _ = pool
         model = resized_model(template, 17, num_layers=2, d_model=64, ff_hidden=128)
         network = model.state_network
@@ -461,22 +488,20 @@ class TestRootOnlyLastLayer:
         tokens = sum(p.num_nodes for p in big)  # packed: no padding to the largest
         with op_spy.record() as ops:
             network(big, steps)
-        written = ops.bytes(F.FusedLinear)
+        written = ops.bytes(F.linear)
+        attention = ops.bytes(F.attend_segments)
+        assert ops.calls(F.attend_segments) == 2
         with op_spy.record() as ops:
-            all_positions_forward(network, big, steps)
-        all_positions = ops.bytes(F.FusedLinear)
+            all_positions_forward(tape.Leaves(network), network, big, steps)
+        all_positions = ops.bytes(F.linear)
         assert written < 0.75 * all_positions  # sized 0.67
-        with op_spy.record() as ops:
-            network(big, steps)
-        attention = ops.bytes(F.SegmentAttention)
-        assert ops.calls(F.SegmentAttention) == 2
         token = 64 * 8  # d_model float64s
         assert attention == tokens * token + 16 * token  # every token, then 16 roots
 
     def test_kernel_last_layer_queries_the_roots_alone(self, pool, monkeypatch):
-        """The no-grad kernel builds no tensor, so it is sized by the query
-        rows it hands the attention function: every token in the first
-        layer, one root per row in the last."""
+        """The forward is sized by the query rows it hands the attention
+        function: every token in the first layer, one root per row in the
+        last."""
         template, plans, _ = pool
         model = resized_model(template, 17, num_layers=2, d_model=64, ff_hidden=128)
         network = model.state_network
@@ -489,7 +514,7 @@ class TestRootOnlyLastLayer:
             return F.attend_segments(qd, kd, vd, segments, heads, scale, lead)
 
         monkeypatch.setattr(layers, "attend_segments", recording)
-        network.statevecs(big, np.zeros(len(big)))
+        network(big, np.zeros(len(big)))
         assert seen == [(tokens, tokens, None), (len(big), tokens, 1)]
 
 
@@ -513,44 +538,34 @@ def packed_pool(request, pool):
     return model, plans, by_count
 
 
-def padded_reference(model, run):
-    """``run()`` with the state network swapped for the padded oracle."""
-    network = model.state_network
-    network.forward = lambda p, s: all_positions_forward(network, p, s)
-    try:
-        return run()
-    finally:
-        del network.forward
-
-
 ROWS = st.lists(st.tuples(st.integers(0, 48), st.sampled_from(STEPS)), min_size=1, max_size=96)
 
 
 class TestPackedForward:
     def check(self, packed_pool, rows):
-        """Statevecs, pairwise loss and every gradient against the oracle;
-        tape == kernel bitwise; a permuted batch permutes its rows."""
+        """Statevecs, pairwise loss and every gradient against the padded
+        oracle; forward == tape bitwise; a permuted batch permutes its rows."""
         model, plans, _ = packed_pool
         network = model.state_network
         batch = [plans[i] for i, _ in rows]
         steps = np.array([s for _, s in rows])
 
-        vecs = network.statevecs(batch, steps)
+        vecs = network(batch, steps)[0]
         assert vecs.shape == (len(rows), SMALL["d_state"])
-        assert np.array_equal(network(batch, steps).data, vecs)
-        ref_vecs = all_positions_forward(network, batch, steps).data
+        assert np.array_equal(tape.state_network(tape.Leaves(network), network, batch, steps).data, vecs)
+        ref_vecs = all_positions_forward(tape.Leaves(network), network, batch, steps).data
         np.testing.assert_allclose(vecs, ref_vecs, rtol=1e-12, atol=1e-14)
 
         perm = np.random.default_rng(len(rows)).permutation(len(rows))
-        permuted = network.statevecs([batch[i] for i in perm], steps[perm])
+        permuted = network([batch[i] for i in perm], steps[perm])[0]
         np.testing.assert_allclose(permuted, vecs[perm], rtol=1e-12, atol=1e-14)
 
         # row i against row -1-i: every row on both sides, repeats included
         pairs = [(i, s, rows[-1 - k][0], rows[-1 - k][1]) for k, (i, s) in enumerate(rows)]
         pair_batch, labels = batch_and_labels(plans, pairs)
-        loss, grads = loss_and_grads(model, model.forward, pair_batch, labels)
-        ref_loss, ref_grads = padded_reference(
-            model, lambda: loss_and_grads(model, model.forward, pair_batch, labels)
+        loss, grads = loss_and_grads(model, pair_batch, labels)
+        ref_loss, ref_grads = taped_loss_and_grads(
+            model, pairwise(all_positions_forward), pair_batch, labels
         )
         assert_loss_and_grads_close(loss, grads, ref_loss, ref_grads)
 
@@ -579,7 +594,7 @@ class TestPackedForward:
         self.check(packed_pool, [(int(i), STEPS[int(i) % 4]) for i in rng.integers(49, size=96)])
 
     def test_taped_forward_pushes_real_tokens_only(self, packed_pool, op_spy):
-        """Dead-work guard, sized by what ``fused_linear`` writes: every
+        """Dead-work guard, sized by what ``linear`` writes: every
         projection sees the batch's real tokens — no padding, one forward."""
         template, plans, _ = packed_pool
         config = dict(num_layers=2, d_model=64, ff_hidden=128, d_state=32)
@@ -592,9 +607,9 @@ class TestPackedForward:
         d, ff = config["d_model"], config["ff_hidden"]
         every_token = d + (4 * d + ff + d) + 2 * d  # input_proj, a full layer, last layer's k and v
         roots_only = 2 * d + ff + d + config["d_state"]  # last layer's q, out, ff; state_proj
-        assert ops.bytes(F.FusedLinear) == 8 * (tokens * every_token + rows * roots_only)
-        assert ops.calls(F.FusedLinear) == 1 + 6 + 6 + 1
-        assert ops.calls(F.SegmentAttention) == 2
+        assert ops.bytes(F.linear) == 8 * (tokens * every_token + rows * roots_only)
+        assert ops.calls(F.linear) == 1 + 6 + 6 + 1
+        assert ops.calls(F.attend_segments) == 2
 
     @pytest.mark.parametrize("lead", [None, 1])
     def test_segment_kernel_equals_fused_attention_per_segment(self, lead):
@@ -614,10 +629,10 @@ class TestPackedForward:
         seed = rng.normal(size=qd.shape)
 
         q, k, v = (Tensor(a.copy(), requires_grad=True) for a in (qd, kd, vd))
-        out = F.segment_attention(q, k, v, segments, heads, 0.5, lead)
+        out = tape.segment_attention(q, k, v, segments, heads, 0.5, lead)
         (out * Tensor(seed)).sum().backward()
-        fast = F.segment_attention(Tensor(qd), Tensor(kd), Tensor(vd), segments, heads, 0.5, lead)
-        assert np.array_equal(fast.data, out.data)
+        fast, _ = F.attend_segments(qd, kd, vd, segments, heads, 0.5, lead)
+        assert np.array_equal(fast, out.data)
 
         def split(data, start, rows, nodes):  # (rows, heads, nodes, head_dim), contiguous
             block = data[start : start + rows * nodes].reshape(rows, nodes, heads, head_dim)
@@ -689,11 +704,12 @@ class TestReachabilityTerm:
         for _, nodes, term in segments:
             assert term.shape == (1, 1, nodes, nodes) and not term.flags.writeable
             assert term is reachability_term(nodes)
-        vecs = network.statevecs(batch, steps)
-        taped = network(batch, steps).data
+        vecs = network(batch, steps)[0]
+        taped = tape.state_network(tape.Leaves(network), network, batch, steps).data
+        assert np.array_equal(vecs, taped)
         monkeypatch.setattr(network, "_layout", stacked_layout)
-        assert np.array_equal(vecs, network.statevecs(batch, steps))
-        assert np.array_equal(taped, network(batch, steps).data)
+        assert np.array_equal(vecs, network(batch, steps)[0])
+        assert np.array_equal(taped, tape.state_network(tape.Leaves(network), network, batch, steps).data)
 
 
 class TestTrainBookkeeping:
@@ -746,7 +762,7 @@ class TestTrainBookkeeping:
         monkeypatch.setattr(trainer, "_step", serve_then_step)
         trainer.train(samples)
         served = model.statevecs_lazy(items, Encoded)
-        assert np.array_equal(served, model.state_network.statevecs(plans[:4], np.zeros(4)))
+        assert np.array_equal(served, model.state_network(plans[:4], np.zeros(4))[0])
 
     def test_metrics_count_rows_exactly(self, trained):
         _, _, samples, metrics = trained

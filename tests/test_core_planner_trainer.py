@@ -156,7 +156,7 @@ class TestPlannerEpisodes:
         planner = trainer.planners[0]
         query = workload.train[0].query
         plan = workload.database.plan(query).plan
-        planner.statevec(query, plan, 0)
+        planner.statevec_many([(query, plan, 0)])
         assert len(trainer.aam._statevec_cache) > 0
         version = trainer.aam.version
         trainer.aam._bump_version()

@@ -1,6 +1,6 @@
 """Repository invariants, held by walking ``src/repro`` with stdlib ``ast``.
 
-Eleven checks, one test each, over every module of the package (the
+Twelve checks, one test each, over every module of the package (the
 ``hash()`` check also over the benches, the spine and the examples, and
 the unused-import check also over the tests, the examples and the paper
 benches):
@@ -21,7 +21,12 @@ benches):
   of these hangs or leaks without failing any behavioural test, so only
   the source can show it;
 * dead code — no module-level import the module never reads (a package's
-  ``__init__.py`` re-exports, so it is exempt).
+  ``__init__.py`` re-exports, so it is exempt);
+* one forward — gradients are hand-written pullbacks returned by each
+  module's one ``forward``: no class defines both a ``forward`` and an
+  ``infer`` (a second composition of the same module), no ``backward`` is
+  defined (an autograd op or a tape walk), and nothing imports the tests,
+  where the tape lives on as their oracle.
 
 Each check maps one parsed module to the lines that break it.
 ``tests/test_analysis.py`` (syntactic checks) and
@@ -644,6 +649,30 @@ def resource_release(module: Module) -> List[int]:
     return lines
 
 
+#: The names a package module would import the tests by: the directory
+#: and every module in it (pytest puts ``tests/`` itself on ``sys.path``).
+TEST_MODULES = frozenset({"tests"} | {path.stem for path in (REPO_ROOT / "tests").glob("*.py")})
+
+
+def one_forward(module: Module) -> List[int]:
+    """Classes with both ``forward`` and ``infer``, every ``def backward``,
+    and every import of the tests."""
+    lines = []
+    for node in ast.walk(module.tree):
+        if isinstance(node, ast.ClassDef):
+            methods = {item.name for item in node.body if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))}
+            if {"forward", "infer"} <= methods:
+                lines.append(node.lineno)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "backward":
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Import):
+            lines += [node.lineno for alias in node.names if alias.name.split(".")[0] in TEST_MODULES]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            if node.module.split(".")[0] in TEST_MODULES:
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
 def import_checked_scripts(root: Path = REPO_ROOT) -> Tuple[Module, ...]:
     """The modules matched by :data:`IMPORT_GLOBS` under ``root``."""
     return script_modules(root, IMPORT_GLOBS)
@@ -693,7 +722,7 @@ def unused_import(module: Module) -> List[int]:
 CHECKS = (
     det_hash, det_unseeded_random, det_set_order, clock_wall, clock_monotonic,
     clock_perf_counter, layer_import, lock_blocking, lock_order, resource_release,
-    unused_import,
+    unused_import, one_forward,
 )
 
 
@@ -741,6 +770,10 @@ def test_resource_release():
 def test_unused_import():
     assert violations(unused_import) == []
     assert violations(unused_import, modules=import_checked_scripts) == []
+
+
+def test_one_forward():
+    assert violations(one_forward) == []
 
 
 # ----------------------------------------------------------------------

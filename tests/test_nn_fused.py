@@ -1,28 +1,24 @@
-"""Fused inference kernels: gradient correctness and bitwise forward parity.
+"""Fused backward bodies and whole-network parity with the tape.
 
-The fused kernels (:func:`fused_linear`, and :func:`fused_attention`, the
-segment kernel's reference in ``tests/reference_attention.py``) and the
-modules' array-code ``infer`` paths promise two things:
+The fused ops of the test oracle (``tests/reference_tape.py``) run
+``repro.nn``'s array functions and backward bodies: ``fused_linear``, the
+one-node LayerNorm, and :func:`fused_attention`, the segment function's
+reference in ``tests/reference_attention.py``.  Each must give gradients
+equal to the unfused ``Tensor`` chain bit for bit, and agree with central
+finite differences.
 
-* **training**: one tape node whose backward composes the unfused ops'
-  closures exactly — gradients equal the unfused chain bit for bit, and
-  both agree with central finite differences;
-* **inference**: the array code evaluates the identical numpy expression
-  sequence as the tape path, so whole-network inference (the AAM's
-  ``StateNetwork.statevecs``, ``AdvantageModel.head_logits`` and
-  ``predict_scores``, the policy's ``act_batch``) is bitwise-equal to the
-  taped forward over the weights' current ``.data``, and reaches no op
-  (a spy on ``Function.apply``, the ``op_spy`` fixture, fails it if it
-  does).
+The modules' one forward is then held to the taped compositions: every
+statevec, logit, score and policy step is ``np.array_equal`` to the tape's
+over the weights' current ``.data``.
 """
 
 import numpy as np
 import pytest
 
+import reference_tape as tape
 from reference_attention import fused_attention
+from reference_tape import Tensor
 from repro.nn import functional as F
-from repro.nn.layers import LayerNorm
-from repro.nn.tensor import Tensor
 
 
 def _finite_diff(loss_fn, arr: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -50,7 +46,7 @@ class TestFusedLinear:
         seed = rng.normal(size=(5, 4))
 
         x1, w1, b1 = (Tensor(a.copy(), requires_grad=True) for a in (xd, wd, bd))
-        fused = F.fused_linear(x1, w1, b1, activation=activation)
+        fused = tape.fused_linear(x1, w1, b1, activation=activation)
         (fused * Tensor(seed)).sum().backward()
 
         x2, w2, b2 = (Tensor(a.copy(), requires_grad=True) for a in (xd, wd, bd))
@@ -80,11 +76,11 @@ class TestFusedLinear:
         bd = bd + np.where(np.abs(pre) < 1e-2, 0.2, 0.0).max(axis=0)
 
         def loss():
-            out = F.fused_linear(Tensor(xd), Tensor(wd), Tensor(bd), activation=activation)
+            out = tape.fused_linear(Tensor(xd), Tensor(wd), Tensor(bd), activation=activation)
             return float((out.data * seed).sum())
 
         x, w, b = (Tensor(a, requires_grad=True) for a in (xd, wd, bd))
-        (F.fused_linear(x, w, b, activation=activation) * Tensor(seed)).sum().backward()
+        (tape.fused_linear(x, w, b, activation=activation) * Tensor(seed)).sum().backward()
 
         for param, analytic in ((xd, x.grad), (wd, w.grad), (bd, b.grad)):
             numeric = _finite_diff(loss, param)
@@ -94,7 +90,7 @@ class TestFusedLinear:
         """1-D input exercises the ``np.outer`` weight-gradient branch."""
         xd, wd = rng.normal(size=6), rng.normal(size=(6, 3))
         x1, w1 = Tensor(xd.copy(), requires_grad=True), Tensor(wd.copy(), requires_grad=True)
-        F.fused_linear(x1, w1, activation="tanh").sum().backward()
+        tape.fused_linear(x1, w1, activation="tanh").sum().backward()
         x2, w2 = Tensor(xd.copy(), requires_grad=True), Tensor(wd.copy(), requires_grad=True)
         (x2 @ w2).tanh().sum().backward()
         assert np.array_equal(w1.grad, w2.grad)
@@ -116,9 +112,7 @@ class TestFusedLayerNorm:
             return normed * gamma + beta
 
         def fused(x, gamma, beta):
-            layer = LayerNorm(6)
-            layer.gamma, layer.beta = gamma, beta
-            return layer(x)
+            return tape.Normalize.apply(x, x, gamma, beta, eps=1e-5)
 
         def run(norm):
             x, gamma, beta = (Tensor(a.copy(), requires_grad=True) for a in (xd, gd, bd))
@@ -259,45 +253,47 @@ def drawn_pairs(plans, count, seed):
     return left, np.array(ls), right, np.array(rs)
 
 
+def taped_statevecs(network, plans, steps):
+    return tape.state_network(tape.Leaves(network), network, plans, steps)
+
+
 class TestWholeNetworkParity:
-    """Inference's array code must be bitwise-equal to the tape path."""
+    """Inference runs the one forward; it must be bitwise the tape's."""
 
     @pytest.mark.parametrize("num_layers", [0, 1, 2])
     @pytest.mark.parametrize("size", [1, 2, 15, 17, 48, 96])
-    def test_statevecs_kernel_bitwise_equals_taped_forward(self, plan_pool, size, num_layers, op_spy):
-        """The no-grad kernel against the tape: packed segments, the
-        root-only last layer (or none), every step value."""
+    def test_statevecs_kernel_bitwise_equals_taped_forward(self, plan_pool, size, num_layers):
+        """Packed segments, the root-only last layer (or none), every step
+        value."""
         make_model, plans = plan_pool
         network = make_model(3, num_layers=num_layers).state_network
         batch, steps = drawn_batch(plans, size, seed=size)
-        with op_spy.forbid():
-            kernel = network.statevecs(batch, steps)
-        taped = network.forward(batch, steps)
+        vecs, _ = network(batch, steps)
+        taped = taped_statevecs(network, batch, steps)
         assert taped.requires_grad  # the reference really is the tape
-        assert kernel.shape == (size, 20)
-        assert np.array_equal(kernel, taped.data)
+        assert vecs.shape == (size, 20)
+        assert np.array_equal(vecs, taped.data)
 
     @pytest.mark.parametrize("num_layers", [0, 1, 2])
-    def test_head_and_predict_scores_bitwise_equal_taped_logits(self, plan_pool, num_layers, op_spy):
+    def test_head_and_predict_scores_bitwise_equal_taped_logits(self, plan_pool, num_layers):
         from repro.core.aam import distinct_rows
 
         make_model, plans = plan_pool
         model = make_model(4, num_layers=num_layers)
         pairs = drawn_pairs(plans, 30, seed=num_layers)
-        logits = model.forward(*pairs).data
+        logits = tape.advantage(tape.Leaves(model), model, *pairs).data
         rows, steps, left_index, right_index = distinct_rows(*pairs)
-        with op_spy.forbid():
-            vecs = model.state_network.statevecs(rows, steps)
-            vec_l, vec_r = vecs[left_index], vecs[right_index]
-            head = model.head_logits(vec_l, vec_r)
-            scores = model.predict_scores(*pairs)
-        assert np.array_equal(head, logits)
+        vecs, _ = model.state_network(rows, steps)
+        vec_l, vec_r = vecs[left_index], vecs[right_index]
+        assert np.array_equal(model(*pairs)[0], logits)
+        assert np.array_equal(model._head(vec_l, vec_r)[0], logits)
+        L = tape.Leaves(model)
         assert np.array_equal(
-            model.head_logits(vec_r, vec_l), model._head(Tensor(vec_r), Tensor(vec_l)).data
+            model._head(vec_r, vec_l)[0], tape.head(L, model, Tensor(vec_r), Tensor(vec_l)).data
         )
         hard = np.argmax(logits, axis=-1)
         assert len(set(hard.tolist())) > 1  # the scores are not all one class
-        assert np.array_equal(scores, hard)
+        assert np.array_equal(model.predict_scores(*pairs), hard)
         assert np.array_equal(model.predict_scores_from_statevecs(vec_l, vec_r), hard)
 
     def test_kernels_read_the_weights_at_call_time(self, plan_pool):
@@ -307,41 +303,38 @@ class TestWholeNetworkParity:
         model, other = make_model(5), make_model(6)
         batch, steps = drawn_batch(plans, 17, seed=7)
         pairs = drawn_pairs(plans, 10, seed=8)
-        before = model.state_network.statevecs(batch, steps)
+        before = model.state_network(batch, steps)[0]
 
         model.load_state_dict(other.state_dict())
-        loaded = model.state_network.statevecs(batch, steps)
+        loaded = model.state_network(batch, steps)[0]
         assert not np.array_equal(loaded, before)
-        assert np.array_equal(loaded, other.state_network.statevecs(batch, steps))
+        assert np.array_equal(loaded, other.state_network(batch, steps)[0])
         assert np.array_equal(model.predict_scores(*pairs), other.predict_scores(*pairs))
-        vecs = other.state_network.statevecs(batch, steps)
-        assert np.array_equal(model.head_logits(vecs, vecs[::-1]), other.head_logits(vecs, vecs[::-1]))
+        vecs = other.state_network(batch, steps)[0]
+        assert np.array_equal(model._head(vecs, vecs[::-1])[0], other._head(vecs, vecs[::-1])[0])
 
         for param in model.parameters():  # an in-place step, as Adam takes
             param.data += 0.01
         assert np.array_equal(
-            model.state_network.statevecs(batch, steps), model.state_network.forward(batch, steps).data
+            model.state_network(batch, steps)[0], taped_statevecs(model.state_network, batch, steps).data
         )
         assert np.array_equal(
-            model.head_logits(vecs, vecs[::-1]), model._head(Tensor(vecs), Tensor(vecs[::-1])).data
+            model._head(vecs, vecs[::-1])[0],
+            tape.head(tape.Leaves(model), model, Tensor(vecs), Tensor(vecs[::-1])).data,
         )
 
-    def test_statenet_fast_path_bitwise_equals_tape(self, aam_setup, op_spy):
+    def test_statenet_fast_path_bitwise_equals_tape(self, aam_setup):
         model, plans = aam_setup
         steps = np.linspace(0.0, 1.0, len(plans))
-        tape = model.state_network(plans, steps).data
-        with op_spy.forbid():
-            fast = model.state_network.statevecs(plans, steps)
-        assert np.array_equal(tape, fast)
+        taped = taped_statevecs(model.state_network, plans, steps).data
+        assert np.array_equal(model.state_network(plans, steps)[0], taped)
 
-    def test_statenet_single_plan_parity(self, aam_setup, op_spy):
+    def test_statenet_single_plan_parity(self, aam_setup):
         model, plans = aam_setup
-        tape = model.state_network([plans[0]], np.array([0.5])).data
-        with op_spy.forbid():
-            fast = model.state_network.statevecs([plans[0]], np.array([0.5]))
-        assert np.array_equal(tape, fast)
+        taped = taped_statevecs(model.state_network, [plans[0]], np.array([0.5])).data
+        assert np.array_equal(model.state_network([plans[0]], np.array([0.5]))[0], taped)
 
-    def test_policy_fast_path_bitwise_equals_tape(self, rng, op_spy):
+    def test_policy_fast_path_bitwise_equals_tape(self, rng):
         """The sampled and the greedy step against the taped policy."""
         from repro.rl.policy import ActorCritic
 
@@ -350,13 +343,12 @@ class TestWholeNetworkParity:
         masks = rng.random(size=(8, 9)) < 0.6
         masks[:, 0] = True  # every row keeps at least one legal action
 
-        dist_t, values_t = policy(Tensor(states), masks)
+        dist_t, values_t = tape.actor_critic(tape.Leaves(policy), policy, Tensor(states), masks)
         assert values_t.requires_grad  # the parameters put it on the tape
-        with op_spy.forbid():
-            actions, log_probs, values = policy.act_batch(
-                states, masks, [np.random.default_rng(i) for i in range(8)]
-            )
-            greedy, _, _ = policy.act_batch(states, masks, [None] * 8, deterministic=True)
+        actions, log_probs, values = policy.act_batch(
+            states, masks, [np.random.default_rng(i) for i in range(8)]
+        )
+        greedy, _, _ = policy.act_batch(states, masks, [None] * 8, deterministic=True)
         noise = np.stack([np.random.default_rng(i).gumbel(size=9) for i in range(8)])
         assert np.array_equal(actions, np.argmax(dist_t.logits.data + noise, axis=-1))
         assert np.array_equal(log_probs, dist_t.log_prob(actions).data)
@@ -364,29 +356,36 @@ class TestWholeNetworkParity:
         assert np.array_equal(greedy, np.argmax(dist_t.logits.data, axis=-1))
 
     def test_full_forward_builds_zero_tape_nodes(self, aam_setup, rng, op_spy):
-        """A policy + AAM inference pass reaches no op at all."""
+        """A policy + AAM inference pass runs each array function exactly as
+        often as the forwards compose it: no pullback runs and nothing is
+        computed twice."""
         from repro.rl.policy import ActorCritic
 
         model, plans = aam_setup
         policy = ActorCritic(state_dim=32, num_actions=9, rng=rng)
-        with op_spy.forbid():
-            vecs = model.state_network.statevecs(plans, np.zeros(len(plans)))
+        with op_spy.record() as ops:
+            vecs = model.state_network(plans, np.zeros(len(plans)))[0]
             rngs = [np.random.default_rng(i) for i in range(len(plans))]
             actions, log_probs, values = policy.act_batch(vecs, None, rngs)
             scores = model.predict_scores_from_statevecs(vecs, vecs)
         assert values.shape == (len(plans),)
         assert len(scores) == len(plans)
+        # two encoder layers of six dense layers, input and state projection;
+        # actor and critic of three each; the head's three
+        assert ops.calls(F.linear) == (2 * 6 + 2) + 2 * 3 + 3
+        assert ops.calls(F.attend_segments) == 2
+        assert len(ops) == ops.calls(F.linear) + 2 + (2 * 2 + 1)  # and five norms
 
     def test_tape_counter_is_live(self, rng, op_spy):
-        """Sanity: the same forward *with* grads does reach the tape, and
-        the spy sees it."""
+        """Sanity: the spy sees the forward's dense layers, and the tape's
+        fused ops, which run the same array function."""
         from repro.rl.policy import ActorCritic
 
         policy = ActorCritic(state_dim=8, num_actions=4, rng=rng)
+        states = rng.normal(size=(3, 8))
         with op_spy.record() as ops:
-            dist, values = policy(Tensor(rng.normal(size=(3, 8))), None)
-        assert ops.calls(F.FusedLinear) == 6  # two hidden layers and a head, twice
-        assert dist.log_probs.requires_grad and values.requires_grad
-        with pytest.raises(AssertionError, match="FusedLinear reached the tape"):
-            with op_spy.forbid():
-                policy(Tensor(rng.normal(size=(3, 8))), None)
+            (log_probs, values), _ = policy(states)
+        assert ops.calls(F.linear) == 6  # two hidden layers and a head, twice
+        with op_spy.record() as ops:
+            tape.actor_critic(tape.Leaves(policy), policy, Tensor(states))
+        assert ops.calls(F.linear) == 6

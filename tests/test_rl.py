@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_tape as tape
+from reference_tape import CategoricalMasked, Tensor
 from repro.nn import functional as F
-from repro.nn.tensor import Tensor
 from repro.rl.gae import compute_gae
-from repro.rl.policy import ActorCritic, CategoricalMasked
+from repro.rl.policy import ActorCritic
 from repro.rl.ppo import PPOConfig, PPOTrainer
 from repro.rl.rollout import RolloutBuffer, Transition
 
@@ -111,8 +112,9 @@ class TestCategoricalMasked:
         assert samples == {0, 2}
 
     def test_all_masked_raises(self):
+        policy = flat_policy(3)
         with pytest.raises(ValueError):
-            CategoricalMasked(Tensor(np.zeros((1, 3))), np.zeros((1, 3), dtype=bool))
+            policy(np.ones((1, 2)), np.zeros((1, 3), dtype=bool))
 
     def test_mode_respects_mask(self):
         policy = flat_policy(2, favourite=0)
@@ -123,12 +125,15 @@ class TestCategoricalMasked:
     def test_entropy_uniform(self):
         dist = CategoricalMasked(Tensor(np.zeros((1, 4))))
         assert dist.entropy().data[0] == pytest.approx(np.log(4))
+        (log_probs, _), _ = flat_policy(4)(np.ones((1, 2)))
+        assert -(np.exp(log_probs) * log_probs).sum() == pytest.approx(np.log(4))
 
     def test_log_prob_consistent(self):
         logits = Tensor(np.array([[1.0, 2.0, 3.0]]))
         dist = CategoricalMasked(logits)
         total = np.exp(dist.log_probs.data).sum()
         assert total == pytest.approx(1.0)
+        assert np.array_equal(F.log_softmax(logits.data)[0], dist.log_probs.data)
 
 
 class TestActorCritic:
@@ -155,7 +160,7 @@ class TestActorCritic:
         rngs = [np.random.default_rng(i) for i in range(3)]
         _, _, values = policy.act_batch(np.ones((3, 4)), None, rngs)
         assert values.shape == (3,) and values.dtype == np.float64
-        critic = policy.critic(Tensor(np.ones((3, 4)), requires_grad=True)).data
+        critic, _ = policy.critic(np.ones((3, 4)))
         assert np.array_equal(values, critic.reshape(-1))
 
 
@@ -184,7 +189,7 @@ class TestGreedyStep:
     def test_actions_are_the_masked_mode(self, step):
         seed, states, masks = step
         policy = ActorCritic(4, masks.shape[1], hidden_sizes=(8,), rng=np.random.default_rng(seed))
-        dist = CategoricalMasked(policy.actor(Tensor(states, requires_grad=True)), masks)
+        dist = CategoricalMasked(tape.sequential(tape.Leaves(policy), policy.actor, Tensor(states)), masks)
         mode = np.argmax(dist.logits.data, axis=-1)
         actions, log_probs, values = policy.act_batch(
             states, masks, [None] * len(states), deterministic=True
@@ -193,9 +198,9 @@ class TestGreedyStep:
         assert log_probs is None and values is None
 
     @pytest.mark.parametrize("batch", [1, 3, 16])
-    def test_infer_and_greedy_step_equal_the_taped_actor_bitwise(self, batch, op_spy):
-        """``Sequential.infer`` is the taped forward on arrays, bit for bit,
-        and reaches no op; the greedy step is the argmax of its masked logits."""
+    def test_infer_and_greedy_step_equal_the_taped_actor_bitwise(self, batch):
+        """``Sequential.forward`` is the taped forward, bit for bit; the
+        greedy step is the argmax of its masked logits."""
         rng = np.random.default_rng(batch)
         policy = ActorCritic(12, 7, hidden_sizes=(16, 16), rng=rng)
         for param in policy.parameters():  # off the init's scales: tanh saturates
@@ -203,16 +208,14 @@ class TestGreedyStep:
         states = rng.normal(0.0, 3.0, size=(batch, 12))
         masks = rng.random((batch, 7)) < 0.5
         masks[:, 6] = True
+        L = tape.Leaves(policy)
         for net in (policy.actor, policy.critic):
-            taped = net(Tensor(states, requires_grad=True)).data
-            with op_spy.forbid():
-                kernel = net.infer(states)
-            assert np.array_equal(kernel, taped)
-        logits = policy.actor(Tensor(states, requires_grad=True)).data
-        with op_spy.forbid():
-            actions, log_probs, values = policy.act_batch(
-                states, masks, [None] * batch, deterministic=True
-            )
+            taped = tape.sequential(L, net, Tensor(states)).data
+            assert np.array_equal(net(states)[0], taped)
+        logits = tape.sequential(L, policy.actor, Tensor(states)).data
+        actions, log_probs, values = policy.act_batch(
+            states, masks, [None] * batch, deterministic=True
+        )
         assert np.array_equal(actions, np.argmax(np.where(masks, logits, -np.inf), axis=-1))
         assert log_probs is None and values is None
 
@@ -234,8 +237,8 @@ class TestGreedyStep:
 
 
 class TestSampledStep:
-    """``act_batch`` without ``deterministic`` is the taped policy on arrays:
-    the masked logits, log-probs and values of ``forward``, and the
+    """``act_batch`` without ``deterministic`` is the taped policy: the
+    masked logits, log-probs and values of the tape's forward, and the
     Gumbel-max draw of row ``i`` from ``rngs[i]``."""
 
     @staticmethod
@@ -250,13 +253,12 @@ class TestSampledStep:
         return policy, states, masks
 
     @pytest.mark.parametrize("batch", [1, 3, 16])
-    def test_sampled_step_equals_the_taped_forward_bitwise(self, batch, op_spy):
+    def test_sampled_step_equals_the_taped_forward_bitwise(self, batch):
         policy, states, masks = self.draw(batch)
-        with op_spy.forbid():
-            actions, log_probs, values = policy.act_batch(
-                states, masks, [np.random.default_rng(i) for i in range(batch)]
-            )
-        dist, taped_values = policy.forward(Tensor(states, requires_grad=True), masks)
+        actions, log_probs, values = policy.act_batch(
+            states, masks, [np.random.default_rng(i) for i in range(batch)]
+        )
+        dist, taped_values = tape.actor_critic(tape.Leaves(policy), policy, Tensor(states), masks)
         assert dist.logits.requires_grad  # the reference really is the tape
         noise = np.stack([np.random.default_rng(i).gumbel(size=7) for i in range(batch)])
         want = np.argmax(dist.logits.data + noise, axis=-1)
@@ -267,8 +269,8 @@ class TestSampledStep:
 
     def test_log_softmax_array_is_the_taped_log_softmax(self):
         logits = np.random.default_rng(5).normal(0.0, 30.0, size=(9, 11))
-        taped = F.log_softmax(Tensor(logits, requires_grad=True)).data
-        assert np.array_equal(F.log_softmax_array(logits), taped)
+        taped = tape.log_softmax(Tensor(logits, requires_grad=True)).data
+        assert np.array_equal(F.log_softmax(logits)[0], taped)
 
 
 class TestPPOLearning:
