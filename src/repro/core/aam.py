@@ -49,6 +49,7 @@ from repro.core.encoding import (
 )
 from repro.engine.memo import Memo
 from repro.nn import functional as F
+from repro.nn.functional import linear
 from repro.nn.layers import (
     Embedding,
     LayerNorm,
@@ -56,7 +57,7 @@ from repro.nn.layers import (
     Module,
     Parameter,
     TransformerEncoderLayer,
-    dense,
+    dense_backward,
     gather_backward,
     leading_tokens,
     scatter_rows,
@@ -176,8 +177,9 @@ class StateNetwork(Module):
         pullback (which returns ``None``: plans have no gradient)."""
         order, segments, ints, fints, fvals = self._layout(plans)
         tables = self._tables()
-        x = node_vectors(*(param.data for param in tables), ints, fints, fvals)
-        x, proj_back = self.input_proj(x)
+        vectors = node_vectors(*(param.data for param in tables), ints, fints, fvals)
+        proj, state = self.input_proj, self.state_proj
+        x = linear(vectors, proj.weight.data, proj.bias.data)
         last = len(self.layers) - 1
         layer_backs = []
         for i, layer in enumerate(self.layers):
@@ -186,19 +188,20 @@ class StateNetwork(Module):
         index = None if self.layers else leading_tokens(segments, 1)
         encoded = x if index is None else x[index]
         root, norm_back = self.final_norm(encoded)  # pre-order encoding puts the plan root first
-        out, state_back = self.state_proj(pool_roots(root, order, steps))
+        pooled = pool_roots(root, order, steps)
 
         def pullback(grad):
-            grad = norm_back(state_back(grad)[order, : root.shape[1]])
+            grad = dense_backward(grad, pooled, state.weight, state.bias)
+            grad = norm_back(grad[order, : root.shape[1]])
             if index is not None:
                 grad = gather_backward(grad, index, x.shape)
             for layer_back in reversed(layer_backs):
                 grad = layer_back(grad)
-            grads = node_vectors_backward(proj_back(grad), ints, fints, fvals, [p.data for p in tables])
-            for param, table_grad in zip(tables, grads):
+            grad = dense_backward(grad, vectors, proj.weight, proj.bias)
+            for param, table_grad in zip(tables, node_vectors_backward(grad, ints, fints, fvals, [p.data for p in tables])):
                 param.accumulate(table_grad)
 
-        return out, pullback
+        return linear(pooled, state.weight.data, state.bias.data), pullback
 
 
 def pool_roots(root: np.ndarray, order: Sequence[int], steps: np.ndarray) -> np.ndarray:
@@ -395,19 +398,21 @@ class AdvantageModel(Module):
         position row broadcast over the batch adds what a gathered copy of
         it would, element for element; its gradient is that gather's."""
         positions, fc1, fc2 = self.position_embed.weight, self.fc1, self.fc2
-        hidden_l, left_back = dense(vec_l + positions.data[0], fc1.weight, fc1.bias, "relu")
-        hidden_r, right_back = dense(vec_r + positions.data[1], fc1.weight, fc1.bias, "relu")
-        logits, out_back = fc2(hidden_l - hidden_r)
+        w1, b1 = fc1.weight.data, fc1.bias.data
+        in_l, in_r = vec_l + positions.data[0], vec_r + positions.data[1]
+        hidden_l, hidden_r = linear(in_l, w1, b1, "relu"), linear(in_r, w1, b1, "relu")
+        diff = hidden_l - hidden_r
 
         def pullback(grad):
-            grad_hidden = out_back(grad)
-            grad_l, grad_r = left_back(grad_hidden), right_back(-grad_hidden)
+            grad_diff = dense_backward(grad, diff, fc2.weight, fc2.bias)
+            grad_l = dense_backward(grad_diff, in_l, fc1.weight, fc1.bias, hidden_l, "relu")
+            grad_r = dense_backward(-grad_diff, in_r, fc1.weight, fc1.bias, hidden_r, "relu")
             num = len(positions.data)
             positions.accumulate(scatter_rows(np.zeros(len(grad_l), dtype=np.int64), grad_l, num))
             positions.accumulate(scatter_rows(np.ones(len(grad_r), dtype=np.int64), grad_r, num))
             return grad_l, grad_r
 
-        return logits, pullback
+        return linear(diff, fc2.weight.data, fc2.bias.data), pullback
 
     def predict_scores(
         self,

@@ -105,8 +105,11 @@ class Module:
         for name, param in own.items():
             param.data = values[name]
 
-    def __call__(self, *args, **kwargs):
-        return self.forward(*args, **kwargs)
+    def __init_subclass__(cls, **kwargs) -> None:
+        # Calling a module is calling its forward, with no frame in between:
+        # inference runs every forward of a served request.
+        super().__init_subclass__(**kwargs)
+        cls.__call__ = cls.forward
 
     def forward(self, *args, **kwargs):  # pragma: no cover - abstract
         raise NotImplementedError
@@ -115,17 +118,20 @@ class Module:
 def dense(x: np.ndarray, weight: Parameter, bias: Optional[Parameter], activation: Optional[str] = None):
     """``activation(x @ weight + bias)`` over the parameters' current
     ``.data``, and its pullback."""
-    w = weight.data
-    out = linear(x, w, None if bias is None else bias.data, activation)
+    out = linear(x, weight.data, None if bias is None else bias.data, activation)
+    return out, lambda grad: dense_backward(grad, x, weight, bias, out, activation)
 
-    def pullback(grad):
-        grad_x, grad_weight, grad_bias = linear_backward(grad, x, w, out, activation)
-        weight.accumulate(grad_weight)
-        if bias is not None:
-            bias.accumulate(grad_bias)
-        return grad_x
 
-    return out, pullback
+def dense_backward(grad, x, weight: Parameter, bias: Optional[Parameter], out=None, activation=None):
+    """The pullback body of ``out = dense(x, weight, bias, activation)``:
+    adds the weight's and the bias's gradients, returns ``x``'s.  Like every
+    pullback it reads the weight as it is now, so it runs before the
+    optimizer steps (``out`` is read only under an activation)."""
+    grad_x, grad_weight, grad_bias = linear_backward(grad, x, weight.data, out, activation)
+    weight.accumulate(grad_weight)
+    if bias is not None:
+        bias.accumulate(grad_bias)
+    return grad_x
 
 
 def gather_backward(grad: np.ndarray, index, shape: tuple) -> np.ndarray:
@@ -265,11 +271,10 @@ class LayerNorm(Module):
         as the tape added them.
         """
         gamma, beta = self.gamma, self.beta
-        g = gamma.data
-        out, *saved = normalize(x, g, beta.data, self.eps)
+        out, *saved = normalize(x, gamma.data, beta.data, self.eps)
 
         def pullback(grad, arrived=None):
-            centered_term, mean_term, grad_gamma = normalize_backward(grad, g, *saved)
+            centered_term, mean_term, grad_gamma = normalize_backward(grad, gamma.data, *saved)
             gamma.accumulate(grad_gamma)
             beta.accumulate(grad)
             if arrived is not None:
@@ -395,24 +400,23 @@ class MultiHeadAttention(Module):
         """
         index = None if rows is None else leading_tokens(segments, rows)
         xq = x if index is None else x[index]
-        q, q_back = self.q_proj(xq)
-        k, k_back = self.k_proj(x)
-        v, v_back = self.v_proj(x)
-        scale = 1.0 / math.sqrt(self.head_dim)
-        context, saved = attend_segments(q, k, v, segments, self.num_heads, scale, rows)
-        out, out_back = self.out_proj(context)
+        qp, kp, vp, op = self.q_proj, self.k_proj, self.v_proj, self.out_proj
+        q = linear(xq, qp.weight.data, qp.bias.data)
+        k = linear(x, kp.weight.data, kp.bias.data)
+        v = linear(x, vp.weight.data, vp.bias.data)
+        heads, scale = self.num_heads, 1.0 / math.sqrt(self.head_dim)
+        context, saved = attend_segments(q, k, v, segments, heads, scale, rows)
 
         def pullback(grad):
-            grad_q, grad_k, grad_v = attend_segments_backward(
-                out_back(grad), q, k, v, saved, self.num_heads, scale
-            )
+            grad_context = dense_backward(grad, context, op.weight, op.bias)
+            grad_q, grad_k, grad_v = attend_segments_backward(grad_context, q, k, v, saved, heads, scale)
             # ``x`` takes the query path's gradient first, then k's, then v's
-            grad_x = q_back(grad_q)
+            grad_x = dense_backward(grad_q, xq, qp.weight, qp.bias)
             if index is not None:
                 grad_x = gather_backward(grad_x, index, x.shape)
-            return grad_x + k_back(grad_k) + v_back(grad_v)
+            return grad_x + dense_backward(grad_k, x, kp.weight, kp.bias) + dense_backward(grad_v, x, vp.weight, vp.bias)
 
-        return out, pullback
+        return linear(context, op.weight.data, op.bias.data), pullback
 
 
 class FeedForward(Module):
@@ -426,9 +430,13 @@ class FeedForward(Module):
 
     def forward(self, x: np.ndarray):
         fc1, fc2 = self.fc1, self.fc2
-        hidden, hidden_back = dense(x, fc1.weight, fc1.bias, "relu")
-        out, out_back = fc2(hidden)
-        return out, lambda grad: hidden_back(out_back(grad))
+        hidden = linear(x, fc1.weight.data, fc1.bias.data, "relu")
+
+        def pullback(grad):
+            grad_hidden = dense_backward(grad, hidden, fc2.weight, fc2.bias)
+            return dense_backward(grad_hidden, x, fc1.weight, fc1.bias, hidden, "relu")
+
+        return linear(hidden, fc2.weight.data, fc2.bias.data), pullback
 
 
 class TransformerEncoderLayer(Module):

@@ -8,6 +8,7 @@ import functools
 import numpy as np
 import pytest
 
+from repro.core import aam
 from repro.engine.remote import EngineServer
 from repro.nn import functional, layers
 from repro.workloads.job import build_job_workload
@@ -61,10 +62,11 @@ class OpLog(list):
 
 
 #: (module, name) of every call site the spy wraps: the array functions
-#: every module forward is composed of, where ``repro.nn.layers`` calls
-#: them and where ``tests/reference_tape.py``'s ops do.
+#: every module forward is composed of, where ``repro.nn.layers`` and
+#: ``repro.core.aam`` call them and where ``tests/reference_tape.py``'s ops
+#: do.
 SPIED = (
-    (layers, "linear"), (functional, "linear"),
+    (layers, "linear"), (aam, "linear"), (functional, "linear"),
     (layers, "attend_segments"), (functional, "attend_segments"),
     (layers, "normalize"),
 )

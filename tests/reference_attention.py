@@ -1,12 +1,12 @@
 """Test-only oracle: head-split fused attention.
 
-:func:`fused_attention` is :func:`repro.nn.functional.segment_attention`'s
-one-segment case for operands whose heads are already split, built on the
-same ``_attend`` / ``_attend_backward`` expressions.  The layers call only
-the segment kernel; ``tests/test_core_aam.py`` holds it equal to this one
-segment by segment, and ``tests/test_nn_fused.py`` holds this one to the
-unfused ``Tensor`` chain and to finite differences.  Nothing under ``src/``
-imports it.
+:func:`fused_attention` is :func:`repro.nn.functional.attend_segments`'s
+one-segment case for operands whose heads are already split, as one tape
+node of ``tests/reference_tape.py`` over the same ``_attend`` /
+``_attend_backward`` expressions.  ``tests/test_core_aam.py`` holds the
+segment function equal to it segment by segment, and
+``tests/test_nn_fused.py`` holds it to the unfused ``Tensor`` chain and to
+finite differences.  Nothing under ``src/`` imports it.
 """
 
 from __future__ import annotations
