@@ -198,7 +198,8 @@ class StateNetwork(Module):
             for layer_back in reversed(layer_backs):
                 grad = layer_back(grad)
             grad = dense_backward(grad, vectors, proj.weight, proj.bias)
-            for param, table_grad in zip(tables, node_vectors_backward(grad, ints, fints, fvals, [p.data for p in tables])):
+            grads = node_vectors_backward(grad, ints, fints, fvals, [p.data for p in tables])
+            for param, table_grad in zip(tables, grads):
                 param.accumulate(table_grad)
 
         return linear(pooled, state.weight.data, state.bias.data), pullback

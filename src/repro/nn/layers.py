@@ -115,7 +115,7 @@ class Module:
         raise NotImplementedError
 
 
-def dense(x: np.ndarray, weight: Parameter, bias: Optional[Parameter], activation: Optional[str] = None):
+def dense(x: np.ndarray, weight: Parameter, bias: Optional[Parameter], activation=None):
     """``activation(x @ weight + bias)`` over the parameters' current
     ``.data``, and its pullback."""
     out = linear(x, weight.data, None if bias is None else bias.data, activation)
@@ -208,7 +208,8 @@ class Embedding(Module):
         weight = self.weight
 
         def pullback(grad):
-            weight.accumulate(scatter_rows(ids.reshape(-1), grad.reshape(-1, grad.shape[-1]), len(weight.data)))
+            rows = grad.reshape(-1, grad.shape[-1])
+            weight.accumulate(scatter_rows(ids.reshape(-1), rows, len(weight.data)))
 
         return weight.data[ids], pullback
 
@@ -329,16 +330,16 @@ class Sequential(Module):
         return plan
 
     def forward(self, x: np.ndarray):
-        pullbacks = []
+        steps = []
         for layer, activation in self._fusion_plan:
             if activation is None:
-                x, pullback = layer(x)
+                x, step = layer(x)
             else:
-                x, pullback = dense(x, layer.weight, layer.bias, activation)
-            pullbacks.append(pullback)
+                x, step = dense(x, layer.weight, layer.bias, activation)
+            steps.append(step)
 
         def pullback(grad):
-            for step in reversed(pullbacks):
+            for step in reversed(steps):
                 grad = step(grad)
             return grad
 
@@ -409,12 +410,15 @@ class MultiHeadAttention(Module):
 
         def pullback(grad):
             grad_context = dense_backward(grad, context, op.weight, op.bias)
-            grad_q, grad_k, grad_v = attend_segments_backward(grad_context, q, k, v, saved, heads, scale)
+            grad_q, grad_k, grad_v = attend_segments_backward(
+                grad_context, q, k, v, saved, heads, scale
+            )
             # ``x`` takes the query path's gradient first, then k's, then v's
             grad_x = dense_backward(grad_q, xq, qp.weight, qp.bias)
             if index is not None:
                 grad_x = gather_backward(grad_x, index, x.shape)
-            return grad_x + dense_backward(grad_k, x, kp.weight, kp.bias) + dense_backward(grad_v, x, vp.weight, vp.bias)
+            grad_x = grad_x + dense_backward(grad_k, x, kp.weight, kp.bias)
+            return grad_x + dense_backward(grad_v, x, vp.weight, vp.bias)
 
         return linear(context, op.weight.data, op.bias.data), pullback
 

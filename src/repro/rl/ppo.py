@@ -112,7 +112,7 @@ def ppo_loss(log_probs: np.ndarray, values: np.ndarray, mini: Batch, cfg: PPOCon
     chosen = np.where(take_unclipped, unclipped, clipped)
     policy_scale = 1.0 / chosen.size
     policy_loss = -(chosen.sum() * policy_scale)
-    # value term: mean((values - returns) ** 2), the square a product
+    # value term: mean((values - returns) ** 2), the square being diff * diff
     diff = values - mini.returns
     value_scale = 1.0 / diff.size
     value_loss = (diff * diff).sum() * value_scale
@@ -123,7 +123,7 @@ def ppo_loss(log_probs: np.ndarray, values: np.ndarray, mini: Batch, cfg: PPOCon
     entropy = row_entropy.sum() * entropy_scale
 
     # loss = (policy_loss + value_loss * c_v) - entropy * c_e, backward:
-    grad_chosen = np.broadcast_to(-1.0 * policy_scale, chosen.shape)
+    grad_chosen = np.broadcast_to(-policy_scale, chosen.shape)
     grad_ratio = np.where(take_unclipped, grad_chosen, 0.0) * mini.advantages
     grad_clipped = np.where(take_unclipped, 0.0, grad_chosen) * mini.advantages
     grad_ratio = grad_ratio + grad_clipped * ((ratio >= low) & (ratio <= high))

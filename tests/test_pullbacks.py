@@ -127,18 +127,18 @@ class TestModulePullbacks:
         x = rng.standard_normal((sum(r * n for r, n, _ in segments), dim))
         if kind == "attention":
             block = MultiHeadAttention(dim, heads, rng=rng)
-            taped = lambda L, t: tape.attention(L, block, t, segments, rows)  # noqa: E731
-            forward = lambda t: block(t, segments, rows)  # noqa: E731
+            taped = lambda L, t: tape.attention(L, block, t, segments, rows)
+            forward = lambda t: block(t, segments, rows)
         elif kind == "encoder":
             block = TransformerEncoderLayer(dim, heads, 10, rng=rng)
             for norm in (block.norm1, block.norm2):  # off the identity init
                 norm.gamma.data = rng.uniform(0.5, 1.5, dim)
                 norm.beta.data = rng.standard_normal(dim) * 0.1
-            taped = lambda L, t: tape.encoder_layer(L, block, t, segments, rows)  # noqa: E731
-            forward = lambda t: block(t, segments, rows)  # noqa: E731
+            taped = lambda L, t: tape.encoder_layer(L, block, t, segments, rows)
+            forward = lambda t: block(t, segments, rows)
         else:
             block = FeedForward(dim, 10, rng=rng)
-            taped = lambda L, t: tape.feed_forward(L, block, t)  # noqa: E731
+            taped = lambda L, t: tape.feed_forward(L, block, t)
             forward = block.forward
         run_both(block, forward, taped, (x,), 7)
 
