@@ -49,7 +49,6 @@ from repro.core.encoding import (
 )
 from repro.engine.memo import Memo
 from repro.nn import functional as F
-from repro.nn.functional import linear
 from repro.nn.layers import (
     Embedding,
     LayerNorm,
@@ -179,7 +178,7 @@ class StateNetwork(Module):
         tables = self._tables()
         vectors = node_vectors(*(param.data for param in tables), ints, fints, fvals)
         proj, state = self.input_proj, self.state_proj
-        x = linear(vectors, proj.weight.data, proj.bias.data)
+        x = F.linear(vectors, proj.weight.data, proj.bias.data)
         last = len(self.layers) - 1
         layer_backs = []
         for i, layer in enumerate(self.layers):
@@ -202,7 +201,7 @@ class StateNetwork(Module):
             for param, table_grad in zip(tables, grads):
                 param.accumulate(table_grad)
 
-        return linear(pooled, state.weight.data, state.bias.data), pullback
+        return F.linear(pooled, state.weight.data, state.bias.data), pullback
 
 
 def pool_roots(root: np.ndarray, order: Sequence[int], steps: np.ndarray) -> np.ndarray:
@@ -401,7 +400,7 @@ class AdvantageModel(Module):
         positions, fc1, fc2 = self.position_embed.weight, self.fc1, self.fc2
         w1, b1 = fc1.weight.data, fc1.bias.data
         in_l, in_r = vec_l + positions.data[0], vec_r + positions.data[1]
-        hidden_l, hidden_r = linear(in_l, w1, b1, "relu"), linear(in_r, w1, b1, "relu")
+        hidden_l, hidden_r = F.linear(in_l, w1, b1, "relu"), F.linear(in_r, w1, b1, "relu")
         diff = hidden_l - hidden_r
 
         def pullback(grad):
@@ -413,7 +412,7 @@ class AdvantageModel(Module):
             positions.accumulate(scatter_rows(np.ones(len(grad_r), dtype=np.int64), grad_r, num))
             return grad_l, grad_r
 
-        return linear(diff, fc2.weight.data, fc2.bias.data), pullback
+        return F.linear(diff, fc2.weight.data, fc2.bias.data), pullback
 
     def predict_scores(
         self,

@@ -1,13 +1,14 @@
 """Array functions and their backward bodies.
 
-Every module forward in :mod:`repro.nn` is composed of these, and every
-pullback of their backward bodies: :func:`linear` and
-:func:`linear_backward` for the dense layers, :func:`attend_segments` and
-:func:`attend_segments_backward` for attention over a packed ``(tokens,
-dim)`` batch cut into node-count segments, and :func:`log_softmax`.  A
-forward computes each piece its backward reads once and hands it over
-(``attend_segments`` returns its softmax pieces beside its output), so
-inference, which drops the pullback, pays for nothing it does not use.
+The module forwards of :mod:`repro.nn` are composed of these (and of
+``layers.normalize``), and their pullbacks of the backward bodies:
+:func:`linear` and :func:`linear_backward` for the dense layers,
+:func:`attend_segments` and :func:`attend_segments_backward` for attention
+over a packed ``(tokens, dim)`` batch cut into node-count segments, and
+:func:`log_softmax` with its pullback.  A forward computes each piece its
+backward reads once and hands it over (``attend_segments`` returns its
+softmax pieces beside its output), so inference, which drops the
+pullback, computes nothing it does not use.
 
 Each backward body is the composition of the unfused op chain's backward
 steps in the order the chain's reverse-mode walk ran them, so values and

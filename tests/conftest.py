@@ -8,7 +8,6 @@ import functools
 import numpy as np
 import pytest
 
-from repro.core import aam
 from repro.engine.remote import EngineServer
 from repro.nn import functional, layers
 from repro.workloads.job import build_job_workload
@@ -62,11 +61,11 @@ class OpLog(list):
 
 
 #: (module, name) of every call site the spy wraps: the array functions
-#: every module forward is composed of, where ``repro.nn.layers`` and
-#: ``repro.core.aam`` call them and where ``tests/reference_tape.py``'s ops
-#: do.
+#: every module forward is composed of, where ``repro.nn.layers`` calls them
+#: and where ``repro.core.aam`` and ``tests/reference_tape.py``'s ops do
+#: (through ``repro.nn.functional``).
 SPIED = (
-    (layers, "linear"), (aam, "linear"), (functional, "linear"),
+    (layers, "linear"), (functional, "linear"),
     (layers, "attend_segments"), (functional, "attend_segments"),
     (layers, "normalize"),
 )
