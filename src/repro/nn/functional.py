@@ -119,20 +119,21 @@ def _heads(data: np.ndarray, start: int, rows: int, nodes: int, heads: int) -> n
 
 def _attend(qd, kd, vd, additive, scale):
     """``softmax(q @ k^T * scale + additive) @ v`` on head-split arrays, with
-    the softmax pieces the backward needs."""
+    the softmax pieces the backward needs: ``e`` and its row sums ``sm``
+    (the backward divides them again rather than keeping ``e / sm``)."""
     scores = (qd @ np.swapaxes(kd, -2, -1)) * scale
     if additive is not None:
         scores = scores + additive
     shifted = scores - scores.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     sm = e.sum(axis=-1, keepdims=True)
-    attn = e / sm
-    return attn @ vd, (attn, e, sm)
+    return (e / sm) @ vd, (e, sm)
 
 
-def _attend_backward(grad, qd, kd, vd, attn, e, sm, scale):
+def _attend_backward(grad, qd, kd, vd, e, sm, scale):
     """Gradients of :func:`_attend` for q, k, v, composing the unfused
     chain's backward steps in tape order."""
+    attn = e / sm
     # ctx = attn @ v
     gattn = grad @ np.swapaxes(vd, -1, -2)
     gv = np.swapaxes(attn, -1, -2) @ grad

@@ -216,8 +216,8 @@ class Embedding(Module):
 
 def normalize(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float):
     """``(x - mean) / (var + eps) ** 0.5 * gamma + beta`` over the last axis:
-    ``(out, centered, shifted_var, std, normed)``, the output first and then
-    the pieces :func:`normalize_backward` reads.  ``mean`` is ``sum * 1/d``
+    ``(out, centered, shifted_var, std)``, the output first and then the
+    pieces :func:`normalize_backward` reads.  ``mean`` is ``sum * 1/d``
     and the square root ``** 0.5``: the op chain's expressions."""
     inv = 1.0 / x.shape[-1]
     mean = x.sum(axis=-1, keepdims=True) * inv
@@ -225,21 +225,21 @@ def normalize(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float):
     var = (centered * centered).sum(axis=-1, keepdims=True) * inv
     shifted_var = var + eps
     std = shifted_var**0.5
-    normed = centered / std
-    return normed * gamma + beta, centered, shifted_var, std, normed
+    return (centered / std) * gamma + beta, centered, shifted_var, std
 
 
-def normalize_backward(grad, gamma, centered, shifted_var, std, normed):
+def normalize_backward(grad, gamma, centered, shifted_var, std):
     """Gradients of :func:`normalize`: ``(centered_term, mean_term,
     grad_gamma)``, and ``grad`` itself is beta's.
 
     The op chain reached ``x`` through two nodes, the centering ``sub`` and
     the mean's ``sum``, and the tape added their gradients into ``x`` one
     after the other: the two terms are those, in that order.  The chain's
-    eleven backward steps run in tape order.
+    eleven backward steps run in tape order; ``centered / std`` is
+    recomputed rather than kept by the forward, bitwise the same.
     """
     inv = 1.0 / centered.shape[-1]
-    grad_gamma = grad * normed
+    grad_gamma = grad * (centered / std)
     # normed * gamma, then normed = centered / std
     grad_normed = grad * gamma
     grad_std = _sum_to_shape(-grad_normed * centered / (std**2), std.shape)
@@ -469,10 +469,12 @@ class TransformerEncoderLayer(Module):
         normed2, norm2_back = self.norm2(mid)
         fed, ff_back = self.ff(normed2)
 
+        shape = x.shape
+
         def pullback(grad):
             # each residual's gradient reaches its input before its norm's
             grad_mid = norm2_back(ff_back(grad), arrived=grad)
-            residual = grad_mid if index is None else gather_backward(grad_mid, index, x.shape)
+            residual = grad_mid if index is None else gather_backward(grad_mid, index, shape)
             return norm1_back(attn_back(grad_mid), arrived=residual)
 
         return mid + fed, pullback
