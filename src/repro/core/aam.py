@@ -184,14 +184,14 @@ class StateNetwork(Module):
         for i, layer in enumerate(self.layers):
             x, layer_back = layer(x, segments, 1 if i == last else None)
             layer_backs.append(layer_back)
-        index, shape = None if self.layers else leading_tokens(segments, 1), x.shape
-        encoded = x if index is None else x[index]
+        index = None if self.layers else leading_tokens(segments, 1)
+        shape, encoded = x.shape, x if index is None else x[index]
         root, norm_back = self.final_norm(encoded)  # pre-order encoding puts the plan root first
-        pooled = pool_roots(root, order, steps)
+        pooled, width = pool_roots(root, order, steps), root.shape[1]
 
         def pullback(grad):
             grad = dense_backward(grad, pooled, state.weight, state.bias)
-            grad = norm_back(grad[order, : root.shape[1]])
+            grad = norm_back(grad[order, :width])
             if index is not None:
                 grad = gather_backward(grad, index, shape)
             for layer_back in reversed(layer_backs):

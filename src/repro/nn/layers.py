@@ -468,8 +468,7 @@ class TransformerEncoderLayer(Module):
         mid = (x if index is None else x[index]) + attended
         normed2, norm2_back = self.norm2(mid)
         fed, ff_back = self.ff(normed2)
-
-        shape = x.shape
+        shape = x.shape  # the pullback keeps the input's shape, not the input
 
         def pullback(grad):
             # each residual's gradient reaches its input before its norm's
