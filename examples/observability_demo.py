@@ -109,7 +109,7 @@ def main() -> None:
         stats = service.stats()
         print(f"\nJSON snapshot: {len(snap['metrics'])} metrics, "
               f"{len(snap['spans'])} spans, sources={sorted(snap['sources'])}")
-        print(f"service.stats() view over the same registry: "
+        print(f"service.stats(), the counts the registry reads: "
               f"{stats['requests']:.0f} requests, cache hit rate "
               f"{stats['cache_hit_rate']:.0%}, p50 {stats['latency_p50_ms']:.2f} ms, "
               f"queue p95 {stats['stage_queue_p95_ms']:.2f} ms")

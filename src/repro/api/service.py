@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import itertools
 import threading
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -59,6 +60,10 @@ DEFAULT_MEMO_CAPACITY = 4096
 DEFAULT_RESULTS_CAPACITY = 10_000  # redeemed-or-not ticket outcomes kept
 DEFAULT_FLUSH_INTERVAL_MS = 2.0  # background flusher time trigger
 _LATENCY_WINDOW = 10_000  # per-request latencies kept for percentile stats
+# serving_latency_ms takes every request but memo hits, of which it takes
+# the hits whose number is a multiple of this: a hit costs a few
+# microseconds and an observation a third of that.
+_HIT_SAMPLE_EVERY = 64
 # result() only blocks on another thread's in-flight flush; the bound turns
 # a deadlocked flusher into a loud TimeoutError instead of a hang.
 _RESULT_WAIT_S = 60.0
@@ -70,7 +75,7 @@ _STAGES = {
     "finalize": ("engine", "done"),
     "total": ("enqueue", "done"),
 }
-# Counter key -> (registry series, help).
+# Tally key -> (registry counter, help); the service keeps each as an int.
 _COUNTERS = {
     "hits": ("serving_cache_hits_total", "requests served from the plan memo"),
     "misses": ("serving_cache_misses_total", "requests that cost an optimization"),
@@ -154,26 +159,47 @@ class _Pending:
         self.cached = False
 
 
-def _series(tenant: str):
-    """This service's counters, occupancy gauge, latency and stage windows."""
+def _series(service: "OptimizerService"):
+    """Register the service's series: its latency and stage windows, and
+    counters and an occupancy gauge that read its tallies.
+
+    The series hold the service by a weak reference only, and leave the
+    registry when it is collected.
+    """
     registry = obs.get_registry()
-    labels = {"tenant": tenant or "default", "service": f"svc{next(_service_serial)}"}
+    labels = {"tenant": service.tenant or "default", "service": f"svc{next(_service_serial)}"}
     names = tuple(labels)
-    counters = {
-        key: registry.counter(series, help_text, names).labels(**labels)
-        for key, (series, help_text) in _COUNTERS.items()
-    }
-    occupancy_max = registry.gauge(
+    ref = weakref.ref(service)
+
+    def reader(key: str):
+        def read() -> int:
+            alive = ref()
+            return 0 if alive is None else alive._tally[key]
+        return read
+
+    tallied = [(registry.counter(series, help_text, names), key)
+               for key, (series, help_text) in _COUNTERS.items()]
+    tallied.append((registry.gauge(
         "serving_batch_occupancy_max", "largest batch flushed so far", names
-    ).labels(**labels)
+    ), "occupancy_max"))
+    for metric, key in tallied:
+        metric.labels(**labels).set_function(reader(key))
     latency = registry.histogram(
         "serving_latency_ms", "per-request optimization latency", names, window=_LATENCY_WINDOW
-    ).labels(**labels)
+    )
     stages = registry.histogram(
         "serving_stage_ms", "lifecycle stage durations (queue/engine/finalize/total)",
         ("stage",) + names, window=_LATENCY_WINDOW,
     )
-    return counters, occupancy_max, latency, {s: stages.labels(stage=s, **labels) for s in _STAGES}
+    owned = [(metric, labels) for metric, _ in tallied] + [(latency, labels)]
+    owned += [(stages, {"stage": stage, **labels}) for stage in _STAGES]
+    weakref.finalize(service, _remove_series, owned)
+    return latency.labels(**labels), {s: stages.labels(stage=s, **labels) for s in _STAGES}
+
+
+def _remove_series(owned) -> None:
+    for metric, labels in owned:
+        metric.remove(**labels)
 
 
 class OptimizerService:
@@ -190,8 +216,9 @@ class OptimizerService:
     Lock ownership:
 
     * ``_lock`` guards the queue, the memo, the results store, the events
-      ledger, ticket numbering, the flusher handle and the occupancy
-      maximum; ``_wakeup`` is a condition on it.
+      ledger, ticket numbering, the flusher handle and the tallies (plain
+      ints, read by the registry series without it); ``_wakeup`` is a
+      condition on it.
     * ``_optimize_lock`` serializes calls into the optimizer (its episode
       runners and score caches are single-flight) and is only ever taken
       *without* ``_lock`` held, so clients keep submitting while a flush
@@ -244,7 +271,8 @@ class OptimizerService:
         # is stored.  An issued id with neither was evicted.
         self._events: Dict[int, threading.Event] = {}
         self._next_ticket = 0
-        self._count, self._occupancy_max, self._latency, self._stages = _series(tenant)
+        self._tally: Dict[str, int] = dict.fromkeys((*_COUNTERS, "occupancy_max"), 0)
+        self._latency, self._stages = _series(self)
 
     # -- background flusher ----------------------------------------------
     @property
@@ -343,7 +371,7 @@ class OptimizerService:
         now = self.clock.now()
         with self._lock:
             if self.max_pending is not None and len(self._pending) >= self.max_pending:
-                self._count["rejected"].inc()
+                self._tally["rejected"] += 1
                 raise AdmissionRejectedError(
                     f"pending queue is full ({len(self._pending)} >= "
                     f"max_pending={self.max_pending}); back off and retry"
@@ -472,7 +500,8 @@ class OptimizerService:
         if ctx is not None:
             now = self.clock.now()
             if ctx.expired(now):
-                self._count["expired"].inc()
+                with self._lock:
+                    self._tally["expired"] += 1
                 raise deadline_error(ctx, "execution")
             remaining = ctx.remaining_s(now)
             if remaining is not None:
@@ -489,7 +518,8 @@ class OptimizerService:
         """A cohort of one through the stages, with hits answered at the door.
 
         An untraced memo hit costs one signature, one lock acquisition, one
-        memo lookup and one latency observation, and allocates no record.
+        memo lookup and an int tally, and allocates no record; every
+        ``_HIT_SAMPLE_EVERY``-th hit is also timed into the latency window.
         """
         try:
             query = self._bind(sql, ctx, "binding")
@@ -503,8 +533,9 @@ class OptimizerService:
                 plan = self._memo.get(signature)
                 if plan is not None:
                     self._memo.move_to_end(signature)
-                    self._count["hits"].inc()
-                    self._latency.observe((self.clock.now() - start) * 1000.0)
+                    self._tally["hits"] = hits = self._tally["hits"] + 1
+                    if not hits % _HIT_SAMPLE_EVERY:
+                        self._latency.observe((self.clock.now() - start) * 1000.0)
                     return query, plan
         record = _Pending(None, sql, ctx, span=self._begin_request_span(ctx, start), query=query)
         self._serve([record])
@@ -587,10 +618,10 @@ class OptimizerService:
         if unique:
             firsts = list(unique.values())
             with self._lock:
-                self._count["batches"].inc()
-                self._count["occupancy"].inc(len(firsts))
-                if len(firsts) > self._occupancy_max.value:
-                    self._occupancy_max.set(len(firsts))
+                tally = self._tally
+                tally["batches"] += 1
+                tally["occupancy"] += len(firsts)
+                tally["occupancy_max"] = max(tally["occupancy_max"], len(firsts))
             # A traced request's context is re-parented on its root span, so
             # the engine's spans join under it.
             ctxs = [r.ctx if r.span is None else r.ctx.with_parent_span(r.span.span_id)
@@ -623,14 +654,17 @@ class OptimizerService:
 
         A plan is a hit when ``cached`` and a miss otherwise, a
         :class:`DeadlineExceededError` is expired, any other outcome a
-        failure.  A cohort served since ``start`` shares its latency evenly.
-        A ticket's :class:`TicketResult` is stored and its event set; a sync
-        caller reads ``outcome`` off its record.
+        failure.  A cohort served since ``start`` shares its latency evenly,
+        observed for every record but hits, of which every
+        ``_HIT_SAMPLE_EVERY``-th is observed.  A ticket's
+        :class:`TicketResult` is stored and its event set; a sync caller
+        reads ``outcome`` off its record.
         """
         done = self.clock.now()
         latency_ms = None if start is None else (done - start) * 1000.0 / len(records)
         self._stamp(records, "done", done)
         with self._lock:
+            tally = self._tally
             for record in records:
                 outcome, trace = record.outcome, record.trace
                 if isinstance(outcome, OptimizedPlan):
@@ -639,8 +673,10 @@ class OptimizerService:
                     status = counter = "expired"
                 else:
                     status, counter = "failed", "failures"
-                self._count[counter].inc()
-                if latency_ms is not None:
+                tally[counter] += 1
+                if latency_ms is not None and (
+                    counter != "hits" or not tally["hits"] % _HIT_SAMPLE_EVERY
+                ):
                     self._latency.observe(latency_ms)
                 for stage, (begin, end) in _STAGES.items() if trace is not None else ():
                     if begin in trace and end in trace:
@@ -702,7 +738,7 @@ class OptimizerService:
         # Caller holds _lock.
         while len(self._results) >= self.results_capacity:
             self._results.popitem(last=False)
-            self._count["evicted"].inc()
+            self._tally["evicted"] += 1
         self._results[result.ticket_id] = result
         event = self._events.pop(result.ticket_id, None)
         if event is not None:
@@ -727,15 +763,18 @@ class OptimizerService:
         """Serving telemetry: latencies, batching, memoization, lifecycle.
 
         ``requests = served + failures + expired``; ``rejected`` counts
-        admission-control refusals, which never became requests.  Every
-        value is a view over this service's series in the :mod:`repro.obs`
-        registry, so a Prometheus scrape and ``stats()`` never disagree.
+        admission-control refusals, which never became requests.  The
+        counts are exact, read together under the service lock, and this
+        service's :mod:`repro.obs` counters read the same ints, so a
+        Prometheus scrape and ``stats()`` agree.  ``latency_p*`` and
+        ``latency_mean_ms`` cover every timed miss, failure and expiry but
+        only one memo hit in ``_HIT_SAMPLE_EVERY`` (64).
         """
         with self._lock:
             pending = len(self._pending)
             memo_size = len(self._memo)
             started = self._flusher_alive()
-        count = {key: int(child.value) for key, child in self._count.items()}
+            count = dict(self._tally)
         hits, batches = count["hits"], count["batches"]
         served = hits + count["misses"]
 
@@ -769,5 +808,5 @@ class OptimizerService:
             "latency_mean_ms": float(latencies.mean()) if latencies.size else 0.0,
             "batches": batches,
             "mean_batch_occupancy": count["occupancy"] / batches if batches else 0.0,
-            "max_batch_occupancy": int(self._occupancy_max.value),
+            "max_batch_occupancy": count["occupancy_max"],
         }

@@ -387,7 +387,8 @@ class MultiHeadAttention(Module):
         self.v_proj = Linear(dim, dim, rng=rng)
         self.out_proj = Linear(dim, dim, rng=rng)
 
-    def forward(self, x: np.ndarray, segments: Segments, rows: Optional[int] = None):
+    def forward(self, x: np.ndarray, segments: Segments, rows: Optional[int] = None,
+                index: Optional[np.ndarray] = None):
         """Attend over a packed ``(tokens, dim)`` batch cut into
         ``segments`` (``(rows, nodes, additive)`` runs, see
         :func:`repro.nn.functional.attend_segments`): the projections run
@@ -397,9 +398,11 @@ class MultiHeadAttention(Module):
         (``None`` = all): keys and values still come from every node, but
         queries, score rows and the output projection run for those
         positions only — one ``(positions, dim)`` matrix — and the result is
-        ``forward(x)`` at those positions up to GEMM blocking.
+        ``forward(x)`` at those positions up to GEMM blocking.  ``index``
+        is ``leading_tokens(segments, rows)`` when the caller already has it.
         """
-        index = None if rows is None else leading_tokens(segments, rows)
+        if index is None and rows is not None:
+            index = leading_tokens(segments, rows)
         xq = x if index is None else x[index]
         qp, kp, vp, op = self.q_proj, self.k_proj, self.v_proj, self.out_proj
         q = linear(xq, qp.weight.data, qp.bias.data)
@@ -462,9 +465,9 @@ class TransformerEncoderLayer(Module):
         nothing else.  Being position-wise, that part runs on the
         ``(positions, dim)`` matrix.  ``x`` and ``segments`` are
         :meth:`MultiHeadAttention.forward`'s."""
-        normed, norm1_back = self.norm1(x)
-        attended, attn_back = self.attn(normed, segments, rows)
         index = None if rows is None else leading_tokens(segments, rows)
+        normed, norm1_back = self.norm1(x)
+        attended, attn_back = self.attn(normed, segments, rows, index)
         mid = (x if index is None else x[index]) + attended
         normed2, norm2_back = self.norm2(mid)
         fed, ff_back = self.ff(normed2)

@@ -11,7 +11,9 @@ children and their values; the registry lock only guards the name →
 metric table.  No metric method ever performs a blocking call (no I/O, no
 waits) while holding a lock, so the serving layer can update metrics from
 under its own locks without ordering hazards — the discipline
-``tests/test_invariants.py::test_lock_blocking`` holds.
+``tests/test_invariants.py::test_lock_blocking`` holds.  ``remove`` never
+waits for the metric lock at all, so a ``weakref.finalize`` callback may
+drop the series of a collected owner from wherever the collector runs it.
 
 The :class:`Histogram` is two structures in one update:
 
@@ -74,19 +76,45 @@ class _Metric:
         self.labelnames = tuple(labelnames)
         self._lock = threading.Lock()
         self._children: Dict[Tuple[str, ...], object] = {}
+        # Keys queued by remove() that wait for the lock to be dropped.
+        self._removed: List[Tuple[str, ...]] = []
 
     def _make_child(self):  # pragma: no cover - overridden
         raise NotImplementedError
 
-    def labels(self, **labelvalues):
-        """The child series for one combination of label values."""
+    def _key(self, labelvalues: Dict[str, object]) -> Tuple[str, ...]:
         if set(labelvalues) != set(self.labelnames):
             raise ValueError(
                 f"metric {self.name!r} takes labels {self.labelnames}, "
                 f"got {tuple(sorted(labelvalues))}"
             )
-        key = tuple(str(labelvalues[name]) for name in self.labelnames)
+        return tuple(str(labelvalues[name]) for name in self.labelnames)
+
+    def _drop_removed(self) -> None:
+        # Caller holds _lock.
+        while self._removed:
+            self._children.pop(self._removed.pop(), None)
+
+    def remove(self, **labelvalues) -> None:
+        """Drop the child series for one combination of label values.
+
+        Safe from a ``weakref.finalize`` callback, which the collector may
+        run on a thread that already holds this metric's lock: the key is
+        queued without blocking and dropped now if the lock is free, else
+        by the next ``labels`` or ``series`` call, so no read sees it.
+        """
+        self._removed.append(self._key(labelvalues))
+        if self._lock.acquire(blocking=False):
+            try:
+                self._drop_removed()
+            finally:
+                self._lock.release()
+
+    def labels(self, **labelvalues):
+        """The child series for one combination of label values."""
+        key = self._key(labelvalues)
         with self._lock:
+            self._drop_removed()
             child = self._children.get(key)
             if child is None:
                 child = self._make_child()
@@ -105,6 +133,7 @@ class _Metric:
     def series(self) -> List[Tuple[Dict[str, str], object]]:
         """``(labels dict, child)`` pairs — a stable snapshot for exporters."""
         with self._lock:
+            self._drop_removed()
             items = list(self._children.items())
         return [
             (dict(zip(self.labelnames, key)), child) for key, child in items
@@ -112,11 +141,12 @@ class _Metric:
 
 
 class _CounterChild:
-    __slots__ = ("_lock", "_value")
+    __slots__ = ("_lock", "_value", "_fn")
 
     def __init__(self, lock: threading.Lock) -> None:
         self._lock = lock
         self._value = 0.0
+        self._fn: Optional[Callable[[], float]] = None
 
     def inc(self, amount: float = 1.0) -> None:
         if amount < 0:
@@ -126,10 +156,23 @@ class _CounterChild:
         with self._lock:
             self._value += amount
 
+    def set_function(self, fn: Callable[[], float]) -> None:
+        """Read ``fn()`` at read time instead of the stored count.
+
+        For a count its owner already keeps under a lock of its own, so
+        the hot path pays for one tally, not two.  ``fn`` must never
+        decrease; it runs *outside* the metric lock.
+        """
+        with self._lock:
+            self._fn = fn
+
     @property
     def value(self) -> float:
         with self._lock:
-            return self._value
+            fn = self._fn
+            if fn is None:
+                return self._value
+        return float(fn())
 
 
 class Counter(_Metric):

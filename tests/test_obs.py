@@ -20,12 +20,15 @@ The contracts under test (see :mod:`repro.obs`):
 * the ``REPRO_OBS`` gate: with tracing disabled, no trace ids are
   minted, contexts carry no trace keys on the wire, and span helpers
   return inert null spans — the exact pre-obs code path;
-* ``OptimizerService`` telemetry is a view over the registry: the stats
-  keys are unchanged and the latency window is bounded.
+* ``OptimizerService`` telemetry: the registry's counters read the
+  service's own tallies, the stats keys are unchanged, the latency window
+  is bounded, a memo hit touches no metric but one observation in 64, and
+  a collected service's series leave the registry.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 
@@ -34,8 +37,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import obs
-from repro.api import FossConfig, FossSession, RequestContext
-from repro.api.service import _LATENCY_WINDOW, OptimizerService
+from repro.api import FossConfig, FossSession, OptimizedPlan, RequestContext
+from repro.api.service import _HIT_SAMPLE_EVERY, _LATENCY_WINDOW, OptimizerService
 from repro.core.aam import AAMConfig
 from repro.obs import metrics as metrics_module
 from repro.obs.export import render_json, render_prometheus, snapshot
@@ -120,6 +123,33 @@ class TestCounter:
     def test_same_labels_return_same_child(self, registry):
         metric = registry.counter("t_same_total", "x", ("k",))
         assert metric.labels(k="v") is metric.labels(k="v")
+
+    def test_callback_backed_value(self, registry):
+        tally = {"hits": 0}
+        child = registry.counter("t_read_total", "x", ("k",)).labels(k="v")
+        child.set_function(lambda: tally["hits"])
+        tally["hits"] = 7
+        assert child.value == 7.0
+
+    def test_remove_drops_one_series(self, registry):
+        metric = registry.histogram("t_gone_ms", "x", ("k",))
+        metric.labels(k="a").observe(1.0)
+        kept = metric.labels(k="b")
+        metric.remove(k="a")
+        metric.remove(k="never")  # a missing series is ignored
+        assert [(labels, child) for labels, child in metric.series()] == [({"k": "b"}, kept)]
+        assert metric.labels(k="a").count == 0  # a fresh series
+        with pytest.raises(ValueError):
+            metric.remove(j="a")
+
+    def test_remove_under_the_metric_lock_waits_for_the_next_read(self, registry):
+        # What a finalizer does when the collector runs it inside a metric
+        # method: it must neither block nor show the series again.
+        metric = registry.counter("t_finalized_total", "x", ("k",))
+        metric.labels(k="a").inc()
+        with metric._lock:
+            metric.remove(k="a")
+        assert metric.series() == []
 
 
 class TestGauge:
@@ -419,12 +449,42 @@ class TestServiceObsViews:
         stats = service.stats()
         assert stats["latency_p50_ms"] > 0.0
 
-    def test_tenant_label_lands_on_the_series(self):
-        service = self._service(tenant="acme")
-        service._count["hits"].inc()
+    def test_tenant_label_lands_on_the_series(self, job_workload):
+        service = OptimizerService(_ExpertOptimizer(job_workload.database),
+                                   job_workload.database, tenant="acme")
+        sql = job_workload.train[0].sql
+        service.optimize_sql(sql)
+        service.optimize_sql(sql)  # a memo hit
         hits = obs.get_registry().get("serving_cache_hits_total")
-        values = {labels["tenant"]: child.value for labels, child in hits.series()}
-        assert values.get("acme", 0) >= 1
+        acme = [child.value for labels, child in hits.series() if labels["tenant"] == "acme"]
+        assert service.stats()["cache_hits"] == 1 and 1.0 in acme
+
+    def test_a_collected_service_takes_its_series_along(self, job_workload):
+        registry = obs.get_registry()
+        serving = [metric for metric in registry.metrics() if metric.name.startswith("serving_")]
+
+        def service_labels():
+            return {labels["service"] for metric in serving for labels, _ in metric.series()}
+
+        live = OptimizerService(_ExpertOptimizer(job_workload.database),
+                                job_workload.database, tenant="live")
+        sql = job_workload.train[0].sql
+        live.optimize_sql(sql)
+        live.optimize_sql(sql)
+        before = service_labels()
+        services = [OptimizerService(None, None, tenant="dropped") for _ in range(50)]
+        added = service_labels() - before
+        assert len(added) == 50
+        del services
+        gc.collect()
+        assert not service_labels() & added
+        assert service_labels() >= before
+        hits = registry.get("serving_cache_hits_total")
+        assert [child.value for labels, child in hits.series() if labels["tenant"] == "live"] \
+            == [1.0]
+        latency = registry.get("serving_latency_ms")
+        assert [child.count for labels, child in latency.series() if labels["tenant"] == "live"] \
+            == [1]
 
 
 def test_memo_hit_needs_no_numpy(job_workload, monkeypatch):
@@ -439,11 +499,41 @@ def test_memo_hit_needs_no_numpy(job_workload, monkeypatch):
         service = session.service()
         sql = job_workload.train[0].sql
         first = service.optimize_sql(sql)  # the miss fills the memo
+        calls = []
         with monkeypatch.context() as patch:
             patch.setattr(metrics_module, "np", _NoNumpy())
-            second = service.optimize_sql(sql)
-        assert second is first
-        assert service.stats()["cache_hits"] == 1
+            for cls in (metrics_module._CounterChild, metrics_module._HistogramChild):
+                for name, member in list(vars(cls).items()):
+                    if callable(member) or isinstance(member, property):
+                        patch.setattr(cls, name, _spied(member, f"{cls.__name__}.{name}", calls))
+            hits = [service.optimize_sql(sql) for _ in range(_HIT_SAMPLE_EVERY - 1)]
+            assert calls == []
+            hits.append(service.optimize_sql(sql))
+            assert calls == ["_HistogramChild.observe"]
+        assert all(hit is first for hit in hits)
+        assert service.stats()["cache_hits"] == _HIT_SAMPLE_EVERY
+
+
+def _spied(member, name: str, calls: list):
+    """``member`` (a method or a property) logging ``name`` on every call."""
+    if isinstance(member, property):
+        return property(_spied(member.fget, name, calls))
+
+    def spy(*args, **kwargs):
+        calls.append(name)
+        return member(*args, **kwargs)
+
+    return spy
+
+
+class _ExpertOptimizer:
+    """Serves the expert's plan: enough optimizer for a service to miss and hit."""
+
+    def __init__(self, database) -> None:
+        self.database = database
+
+    def optimize_many(self, queries, ctxs=None):
+        return [OptimizedPlan(self.database.plan(query).plan, 0.0, 1, 0) for query in queries]
 
 
 def test_observability_facade_renders_both_formats():

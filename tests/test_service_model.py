@@ -32,6 +32,7 @@ from hypothesis.stateful import (
     run_state_machine_as_test,
 )
 
+from repro import obs
 from repro.api import (
     OptimizedPlan,
     OptimizeError,
@@ -39,6 +40,7 @@ from repro.api import (
     PlanTicket,
     TicketEvictedError,
 )
+from repro.api.service import _HIT_SAMPLE_EVERY
 from repro.engine.context import deadline_error
 
 CRASH = "stub optimizer crashed"
@@ -278,3 +280,99 @@ def test_service_model(job_workload, model_plans):
     run_state_machine_as_test(
         Model, settings=settings(max_examples=50, stateful_step_count=25, deadline=None)
     )
+
+
+def tenant_series(name: str, tenant: str) -> float:
+    """The value of the one series of ``name`` labelled ``tenant``
+    (a histogram's observation count)."""
+    [child] = [child for labels, child in obs.get_registry().get(name).series()
+               if labels["tenant"] == tenant]
+    return child.count if name.endswith("_ms") else child.value
+
+
+def test_concurrent_books_match_the_registry(job_workload):
+    """Two threads of sync hits beside ticketed hits and misses on a
+    started service: every request is counted once, and the registry's
+    series read exactly what ``stats()`` reads."""
+    backend = job_workload.database
+    plans = {wq.sql: OptimizedPlan(backend.plan(wq.query).plan, 0.0, 1, 0)
+             for wq in job_workload.train[:12]}
+    optimizer = StubOptimizer(
+        {backend.sql(sql).signature(): plan for sql, plan in plans.items()}, SettableClock()
+    )
+    service = OptimizerService(optimizer, backend, max_batch_size=4, tenant="books")
+    sqls = sorted(plans)
+    warm, cold = sqls[:2], sqls[2:]
+    for sql in warm:
+        service.optimize_sql(sql)
+    per_client = 3 * _HIT_SAMPLE_EVERY
+    served: List[bool] = []
+
+    def client(offset: int) -> None:
+        for index in range(per_client):
+            sql = warm[(index + offset) % 2]
+            served.append(service.optimize_sql(sql) is plans[sql])
+
+    with service.start():
+        threads = [threading.Thread(target=client, args=(offset,)) for offset in (0, 1)]
+        for thread in threads:
+            thread.start()
+        tickets = [service.submit(sql) for sql in cold + warm + cold]
+        results = [service.wait(ticket, timeout=WAIT_S) for ticket in tickets]
+        for thread in threads:
+            thread.join(WAIT_S)
+    assert all(served) and len(served) == 2 * per_client
+    assert all(result.ok and result.plan is plans[result.sql] for result in results)
+    stats = service.stats()
+    assert stats["requests"] == stats["served"] + stats["failures"] + stats["expired"]
+    assert stats["requests"] == len(warm) + 2 * per_client + len(tickets)
+    assert stats["cache_misses"] == len(warm) + len(cold)
+    for name, key in (
+        ("serving_cache_hits_total", "cache_hits"),
+        ("serving_cache_misses_total", "cache_misses"),
+        ("serving_failures_total", "failures"),
+        ("serving_expired_total", "expired"),
+        ("serving_batches_total", "batches"),
+        ("serving_batch_occupancy_max", "max_batch_occupancy"),
+    ):
+        assert tenant_series(name, "books") == stats[key], name
+
+
+def test_latency_takes_one_hit_in_64(job_workload, model_plans):
+    """``serving_latency_ms`` observes every timed miss, failure and
+    expiry, as it always has, and only every 64th hit: sync hits and
+    riders on a cohort's first request share the one count."""
+    backend = job_workload.database
+    clock = SettableClock()
+    optimizer = StubOptimizer(
+        {backend.sql(sql).signature(): plan for sql, plan in model_plans.items()}, clock
+    )
+    service = OptimizerService(optimizer, backend, clock=clock, tenant="sampled")
+    a, b, c, d = sorted(model_plans)
+
+    def observed() -> int:
+        return tenant_series("serving_latency_ms", "sampled")
+
+    service.optimize_sql(a)  # a miss
+    assert observed() == 1
+    for _ in range(2 * _HIT_SAMPLE_EVERY + 2):
+        service.optimize_sql(a)  # hits 1..130
+    assert observed() == 1 + 2
+    for _ in range(3):
+        service.submit(b)
+    service.flush()  # one miss and two riders, hits 131 and 132
+    assert observed() == 1 + 2 + 1
+    service.submit(c, deadline_s=5.0)
+    clock.t += 10.0
+    service.flush()  # expired while queued
+    optimizer.mode = "typed"
+    service.submit(d)
+    service.flush()  # a failure
+    optimizer.mode = "ok"
+    assert observed() == 1 + 2 + 1 + 2
+    for _ in range(3 * _HIT_SAMPLE_EVERY - 132):
+        service.optimize_sql(a)  # up to hit 192
+    stats = service.stats()
+    assert (stats["cache_hits"], stats["cache_misses"], stats["expired"], stats["failures"]) \
+        == (3 * _HIT_SAMPLE_EVERY, 2, 1, 1)
+    assert observed() == 2 + 1 + 1 + stats["cache_hits"] // _HIT_SAMPLE_EVERY
