@@ -62,7 +62,9 @@ def mutate(sql: str, mutation: str, pick: Pick) -> str:
     elif mutation == "unknown_column":
         if conditions:
             i = pick(len(conditions))
-            column, rest = conditions[i].split(" ", 1)
+            # An earlier mutation can leave a bare word here (a BETWEEN
+            # bound cut off by a non-ASCII character in "BETWEEN").
+            column, _, rest = conditions[i].partition(" ")
             conditions[i] = f"{column.split('.', 1)[0]}.no_such_column {rest}"
     elif mutation == "alias_twice":
         if len(tables) > 1:
