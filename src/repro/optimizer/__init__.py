@@ -1,6 +1,6 @@
 """The traditional (expert) query optimizer.
 
-A Selinger-style cost-based optimizer over left-deep join trees, playing the
+A Selinger-style cost-based optimizer over left-deep join orders, playing the
 role PostgreSQL plays in the paper: per-column-statistics cardinality
 estimation under uniformity/independence assumptions, a PostgreSQL-like cost
 model, dynamic-programming join enumeration, and a `pg_hint_plan` equivalent
@@ -8,29 +8,21 @@ that completes an *incomplete plan* (join order + join methods) into an
 executable plan.
 """
 
-from repro.optimizer.plans import (
-    JOIN_METHODS,
-    JoinNode,
-    PlanNode,
-    ScanNode,
-    plan_aliases,
-    plan_signature,
-)
+from repro.optimizer.plans import JOIN_METHODS, Plan, explain, plan_signature
 from repro.optimizer.cardinality import CardinalityEstimator
 from repro.optimizer.cost import CostModel, CostParameters
-from repro.optimizer.dp import HintError, JoinSpace, OptimizerOptions, PlanEnumerator
+from repro.optimizer.dp import HintError, JoinSpace, OptimizerOptions, PlanEnumerator, Prefix
 
 __all__ = [
     "JOIN_METHODS",
-    "PlanNode",
-    "ScanNode",
-    "JoinNode",
-    "plan_aliases",
+    "Plan",
+    "explain",
     "plan_signature",
     "CardinalityEstimator",
     "CostModel",
     "CostParameters",
     "JoinSpace",
+    "Prefix",
     "PlanEnumerator",
     "OptimizerOptions",
     "HintError",

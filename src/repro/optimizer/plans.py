@@ -1,151 +1,141 @@
-"""Physical plan trees.
+"""Physical plans: one flat, immutable record per left-deep plan.
 
-Plans are left-deep: a :class:`JoinNode`'s right child is always a
-:class:`ScanNode` (matching the paper's scope — PostgreSQL's and MySQL's
-default search space).  Nodes carry the optimizer's estimates so encoders
-and cost reporting can read them without re-deriving.
+Plans are left-deep (the paper's scope — PostgreSQL's and MySQL's default
+search space), so a plan is its bound query plus six aligned tuples, the
+same six the engine wire sends (:mod:`repro.engine.wire`):
+
+* ``aliases``: the leaves, left to right (the first two form the deepest
+  join);
+* ``methods``: one join method per join, bottom-up;
+* ``scan_types`` and ``index_columns``: each leaf's access path;
+* ``est_rows`` and ``est_costs``: the optimizer's estimates of the ``n``
+  leaves followed by those of the ``n - 1`` joins bottom-up, so the last
+  entry is the root's.
+
+Everything else is read off the query by one rule: a leaf's filters are
+``query.filters_for(alias)``, and join ``k``'s predicates are the query's
+join predicates linking leaf ``k + 1`` to the leaves before it, in query
+order (what :meth:`~repro.optimizer.dp.JoinSpace.extend` estimates).  A
+plan therefore always answers its query: it cannot misplace a filter or a
+predicate, and the constructor refuses one that does not fit the query.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Iterator, List, Optional, Tuple
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Optional, Tuple
 
-from repro.sql.ast import FilterPredicate, JoinPredicate
+from repro.sql.ast import FilterPredicate, JoinPredicate, Query
 
 JOIN_METHODS: Tuple[str, ...] = ("hash", "merge", "nestloop")
 SCAN_TYPES: Tuple[str, ...] = ("seq", "index")
 
-
-@dataclass
-class PlanNode:
-    """Base physical node with optimizer annotations."""
-
-    est_rows: float = field(default=0.0, kw_only=True)
-    est_cost: float = field(default=0.0, kw_only=True)
+_JOIN_LABELS = {"hash": "Hash Join", "merge": "Merge Join", "nestloop": "Nested Loop"}
 
 
-@dataclass
-class ScanNode(PlanNode):
-    """Access one base table through a sequential or index scan."""
+@dataclass(frozen=True)
+class Plan:
+    """A left-deep plan of ``query`` (module docstring).
 
-    alias: str
-    table: str
-    scan_type: str = "seq"
-    index_column: Optional[str] = None
-    filters: Tuple[FilterPredicate, ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.scan_type not in SCAN_TYPES:
-            raise ValueError(f"unknown scan type {self.scan_type!r}")
-        if self.scan_type == "index" and self.index_column is None:
-            raise ValueError("index scan requires index_column")
-
-
-@dataclass
-class JoinNode(PlanNode):
-    """Join a left subplan with a right base-table scan."""
-
-    left: PlanNode
-    right: PlanNode
-    method: str
-    predicates: Tuple[JoinPredicate, ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.method not in JOIN_METHODS:
-            raise ValueError(f"unknown join method {self.method!r}")
-
-
-def plan_aliases(plan: PlanNode) -> List[str]:
-    """Leaf aliases in left-to-right order."""
-    if isinstance(plan, ScanNode):
-        return [plan.alias]
-    assert isinstance(plan, JoinNode)
-    return plan_aliases(plan.left) + plan_aliases(plan.right)
-
-
-def plan_join_methods(plan: PlanNode) -> List[str]:
-    """Join methods bottom-up (O1 first, root last) for a left-deep plan."""
-    methods: List[str] = []
-    node = plan
-    while isinstance(node, JoinNode):
-        methods.append(node.method)
-        node = node.left
-    return list(reversed(methods))
-
-
-def iter_nodes(plan: PlanNode) -> Iterator[PlanNode]:
-    """Post-order traversal of the plan tree."""
-    if isinstance(plan, JoinNode):
-        yield from iter_nodes(plan.left)
-        yield from iter_nodes(plan.right)
-    yield plan
-
-
-def plan_depth(plan: PlanNode) -> int:
-    if isinstance(plan, ScanNode):
-        return 1
-    assert isinstance(plan, JoinNode)
-    return 1 + max(plan_depth(plan.left), plan_depth(plan.right))
-
-
-def plan_signature(plan: PlanNode) -> str:
-    """A stable textual identity for caching executed latencies.
-
-    Memoized on the node: plan structure is never mutated after
-    construction (edits build new trees), and signatures key every hot
-    cache (latencies, encodings, statevecs, advantage scores), so the
-    recursive walk must not repeat per lookup.
+    Fields are tuples whatever sequences they are given as, so a plan
+    decoded from the wire is ``==`` to the one that was sent.
     """
-    cached = getattr(plan, "_signature", None)
-    if cached is not None:
-        return cached
-    if isinstance(plan, ScanNode):
-        filters = ",".join(sorted(str(f) for f in plan.filters))
-        signature = f"{plan.scan_type}({plan.alias}|{filters})"
-    else:
-        assert isinstance(plan, JoinNode)
-        signature = f"{plan.method}({plan_signature(plan.left)},{plan_signature(plan.right)})"
-    plan._signature = signature
-    return signature
 
+    query: Query
+    aliases: Tuple[str, ...]
+    methods: Tuple[str, ...]
+    scan_types: Tuple[str, ...]
+    index_columns: Tuple[Optional[str], ...]
+    est_rows: Tuple[float, ...]
+    est_costs: Tuple[float, ...]
 
-def explain(plan: PlanNode, indent: int = 0) -> str:
-    """Human-readable EXPLAIN-style rendering."""
-    pad = "  " * indent
-    if isinstance(plan, ScanNode):
-        kind = "Index Scan" if plan.scan_type == "index" else "Seq Scan"
-        detail = f" using {plan.index_column}" if plan.scan_type == "index" else ""
-        filters = f" filter: {' AND '.join(str(f) for f in plan.filters)}" if plan.filters else ""
-        return (
-            f"{pad}{kind} on {plan.table} {plan.alias}{detail}"
-            f" (rows={plan.est_rows:.0f} cost={plan.est_cost:.0f}){filters}"
+    def __post_init__(self) -> None:
+        for name in ("aliases", "methods", "scan_types", "index_columns", "est_rows", "est_costs"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        query, n = self.query, len(self.aliases)
+        if (
+            n != len(query.tables)
+            or set(self.aliases) != query.tables.keys()
+            or len(self.methods) != n - 1
+            or len(self.scan_types) != n
+            or len(self.index_columns) != n
+            or len(self.est_rows) != 2 * n - 1
+            or len(self.est_costs) != 2 * n - 1
+        ):
+            raise ValueError(f"plan does not fit query {query.name or query.sql_text()!r}")
+        for method in self.methods:
+            if method not in JOIN_METHODS:
+                raise ValueError(f"unknown join method {method!r}")
+        for alias, scan_type, column in zip(self.aliases, self.scan_types, self.index_columns):
+            if scan_type not in SCAN_TYPES:
+                raise ValueError(f"unknown scan type {scan_type!r}")
+            if scan_type == "index" and not any(
+                f.column.alias == alias and f.column.column == column for f in query.filters
+            ):
+                raise ValueError(f"index scan of {alias} needs a filtered index_column")
+
+    @cached_property
+    def tables(self) -> Tuple[str, ...]:
+        """Each leaf's table."""
+        return tuple(self.query.tables[alias] for alias in self.aliases)
+
+    @cached_property
+    def filters(self) -> Tuple[Tuple[FilterPredicate, ...], ...]:
+        """Each leaf's filters, in query order."""
+        return tuple(tuple(self.query.filters_for(alias)) for alias in self.aliases)
+
+    @cached_property
+    def predicates(self) -> Tuple[Tuple[JoinPredicate, ...], ...]:
+        """Each join's predicates, bottom-up; empty for a cross join."""
+        position = {alias: i for i, alias in enumerate(self.aliases)}
+        joins = [[] for _ in self.methods]
+        for predicate in self.query.join_predicates:
+            left, right = position[predicate.left.alias], position[predicate.right.alias]
+            if left != right:
+                joins[max(left, right) - 1].append(predicate)
+        return tuple(map(tuple, joins))
+
+    @cached_property
+    def leaf_signatures(self) -> Tuple[str, ...]:
+        """Each leaf's part of :attr:`signature`: access path, alias, filters."""
+        return tuple(
+            f"{scan_type}({alias}|{','.join(sorted(str(f) for f in filters))})"
+            for scan_type, alias, filters in zip(self.scan_types, self.aliases, self.filters)
         )
-    assert isinstance(plan, JoinNode)
-    label = {"hash": "Hash Join", "merge": "Merge Join", "nestloop": "Nested Loop"}[plan.method]
-    conds = " AND ".join(str(p) for p in plan.predicates) or "<cross>"
-    lines = [
-        f"{pad}{label} on {conds} (rows={plan.est_rows:.0f} cost={plan.est_cost:.0f})",
-        explain(plan.left, indent + 1),
-        explain(plan.right, indent + 1),
-    ]
+
+    @cached_property
+    def signature(self) -> str:
+        """A stable textual identity, keying the latency, encoding, statevec
+        and advantage caches: ``method(left,right)`` nested from the root."""
+        first, *rest = self.leaf_signatures
+        opened = "".join(f"{method}(" for method in reversed(self.methods))
+        return opened + first + "".join(f",{leaf})" for leaf in rest)
+
+
+def plan_signature(plan: Plan) -> str:
+    """:attr:`Plan.signature`."""
+    return plan.signature
+
+
+def explain(plan: Plan) -> str:
+    """Human-readable EXPLAIN-style rendering: joins from the root down, then
+    the leaves left to right, each indented under its parent join."""
+    n = len(plan.aliases)
+    lines = []
+    for depth, k in enumerate(range(n - 2, -1, -1)):
+        conditions = " AND ".join(str(p) for p in plan.predicates[k]) or "<cross>"
+        lines.append(
+            f"{'  ' * depth}{_JOIN_LABELS[plan.methods[k]]} on {conditions}"
+            f" (rows={plan.est_rows[n + k]:.0f} cost={plan.est_costs[n + k]:.0f})"
+        )
+    for i, (alias, table, filters) in enumerate(zip(plan.aliases, plan.tables, plan.filters)):
+        index = plan.scan_types[i] == "index"
+        kind = "Index Scan" if index else "Seq Scan"
+        detail = f" using {plan.index_columns[i]}" if index else ""
+        conditions = f" filter: {' AND '.join(str(f) for f in filters)}" if filters else ""
+        lines.append(
+            f"{'  ' * (n - max(i, 1))}{kind} on {table} {alias}{detail}"
+            f" (rows={plan.est_rows[i]:.0f} cost={plan.est_costs[i]:.0f}){conditions}"
+        )
     return "\n".join(lines)
-
-
-def replace_join_method(plan: PlanNode, level: int, method: str) -> PlanNode:
-    """Return a copy of a left-deep plan with join ``level`` (0-based,
-    bottom-up) using ``method``; estimates are preserved structurally and
-    should be re-derived by the caller if needed."""
-    joins: List[JoinNode] = []
-    node = plan
-    while isinstance(node, JoinNode):
-        joins.append(node)
-        node = node.left
-    joins.reverse()  # bottom-up order
-    if not 0 <= level < len(joins):
-        raise IndexError(f"join level {level} out of range (plan has {len(joins)})")
-    target = joins[level]
-    rebuilt: PlanNode = replace(target, method=method)
-    for upper in joins[level + 1 :]:
-        rebuilt = replace(upper, left=rebuilt)
-    return rebuilt
