@@ -24,7 +24,8 @@ import numpy as np
 from repro.baselines.value_model import PlanFeaturizer, ValueModel
 from repro.core.inference import OptimizedPlan
 from repro.engine.backend import EngineBackend
-from repro.optimizer.plans import JOIN_METHODS, PlanNode
+from repro.optimizer.dp import Prefix
+from repro.optimizer.plans import JOIN_METHODS, Plan
 from repro.sql.ast import Query
 from repro.workloads.base import WorkloadQuery
 
@@ -53,18 +54,18 @@ class BalsaOptimizer:
     # ------------------------------------------------------------------
     # plan construction
     # ------------------------------------------------------------------
-    def _construct(self, query: Query, explore: bool = False) -> PlanNode:
+    def _construct(self, query: Query, explore: bool = False) -> Plan:
         """Beam-search a complete left-deep plan scored by the value net."""
         space = self.database.join_space(query)
-        beam: List[Tuple[float, PlanNode, int]] = [
-            (0.0, space.scans[i], 1 << i) for i in space.query_order
+        beam: List[Tuple[float, Prefix, int]] = [
+            (0.0, space.start(i), 1 << i) for i in space.query_order
         ][: self.beam_width]
         while beam[0][2] != space.full:
-            expanded: List[Tuple[float, PlanNode, int]] = []
+            expanded: List[Tuple[float, Prefix, int]] = []
             for _, partial, joined in beam:
                 for i in sorted(space.candidates(joined)):
                     for method in JOIN_METHODS:
-                        plan = space.join(partial, joined, i, method)
+                        plan = space.grow(partial, joined, i, method)
                         score = self._score(query, plan)
                         if explore and self.rng.random() < self.epsilon:
                             score *= self.rng.uniform(0.2, 2.0)
@@ -74,19 +75,19 @@ class BalsaOptimizer:
             seen = set()
             beam = []
             for score, plan, joined in expanded:
-                key = (joined, plan.method)
+                key = (joined, plan.methods[-1])
                 if key in seen:
                     continue
                 seen.add(key)
                 beam.append((score, plan, joined))
                 if len(beam) >= self.beam_width:
                     break
-        return min(beam, key=lambda item: item[0])[1]
+        return space.finish(min(beam, key=lambda item: item[0])[1])
 
-    def _score(self, query: Query, plan: PlanNode) -> float:
+    def _score(self, query: Query, plan: Prefix) -> float:
         if self.value_model.trained:
             return self.value_model.predict(self.featurizer.featurize(query, plan))
-        return float(plan.est_cost)
+        return float(plan.est_costs[-1])
 
     # ------------------------------------------------------------------
     def optimize(self, query: Query) -> OptimizedPlan:
@@ -105,7 +106,7 @@ class BalsaOptimizer:
             for _ in range(samples_per_query):
                 plan = self._random_plan(wq.query)
                 # Cost estimates play the role of simulated latency.
-                pseudo_latency = plan.est_cost / self.database.cost_model.params.work_units_per_ms
+                pseudo_latency = plan.est_costs[-1] / self.database.cost_model.params.work_units_per_ms
                 self.value_model.add_sample(
                     self.featurizer.featurize(wq.query, plan), pseudo_latency
                 )
@@ -113,7 +114,7 @@ class BalsaOptimizer:
         self._bootstrapped = True
         self.training_time_s += time.perf_counter() - start
 
-    def _random_plan(self, query: Query) -> PlanNode:
+    def _random_plan(self, query: Query) -> Plan:
         order = list(query.aliases)
         self.rng.shuffle(order)
         methods = [JOIN_METHODS[int(self.rng.integers(3))] for _ in range(len(order) - 1)]

@@ -20,7 +20,7 @@ from repro.baselines.value_model import PlanFeaturizer, ValueModel
 from repro.core.inference import OptimizedPlan
 from repro.engine.backend import EngineBackend
 from repro.optimizer.dp import HintError, JoinSpace, OptimizerOptions
-from repro.optimizer.plans import PlanNode
+from repro.optimizer.plans import Plan
 from repro.sql.ast import Query
 from repro.workloads.base import WorkloadQuery
 
@@ -75,7 +75,7 @@ class HybridQOOptimizer:
             plan = self.database.plan(query, options).plan
         except HintError:
             return -50.0
-        return -math.log1p(plan.est_cost)
+        return -math.log1p(plan.est_costs[-1])
 
     def _search_prefixes(self, query: Query) -> List[Tuple[str, ...]]:
         """UCT search over leading prefixes; returns the most-visited ones."""
@@ -124,7 +124,7 @@ class HybridQOOptimizer:
         return [space.names[i] for i in sorted(space.candidates(space.mask(prefix)))]
 
     # ------------------------------------------------------------------
-    def _candidates(self, query: Query) -> List[PlanNode]:
+    def _candidates(self, query: Query) -> List[Plan]:
         plans = [self.database.plan(query).plan]
         for prefix in self._search_prefixes(query):
             try:

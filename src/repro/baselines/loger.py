@@ -18,7 +18,8 @@ import numpy as np
 from repro.baselines.value_model import PlanFeaturizer, ValueModel
 from repro.core.inference import OptimizedPlan
 from repro.engine.backend import EngineBackend
-from repro.optimizer.plans import JOIN_METHODS, PlanNode
+from repro.optimizer.dp import Prefix
+from repro.optimizer.plans import JOIN_METHODS, Plan
 from repro.sql.ast import Query
 from repro.workloads.base import WorkloadQuery
 
@@ -52,36 +53,37 @@ class LogerOptimizer:
         self.training_time_s = 0.0
 
     # ------------------------------------------------------------------
-    def _construct(self, query: Query, explore: bool = False) -> PlanNode:
+    def _construct(self, query: Query, explore: bool = False) -> Plan:
         space = self.database.join_space(query)
         # Start from the most selective scan (Loger's heuristic start).
         start = min(space.query_order, key=space.rows.__getitem__)
-        plan: PlanNode = space.scans[start]
+        plan = space.start(start)
         joined = 1 << start
         while joined != space.full:
-            options: List[Tuple[float, PlanNode, int]] = []
+            options: List[Tuple[float, Prefix, int]] = []
+            left_rows = plan.est_rows[-1]
             for i in sorted(space.candidates(joined)):
-                _, out_rows, index_usable = space.extend(plan.est_rows, joined, i)
+                out_rows, index_usable = space.extend(left_rows, joined, i)
                 for restriction in RESTRICTIONS:
                     allowed = [m for m in JOIN_METHODS if m not in restriction]
                     # The expert cost model picks within the restriction.
                     method = min(
                         allowed,
-                        key=lambda m: space.join_cost(m, plan.est_rows, i, out_rows, index_usable),
+                        key=lambda m: space.join_cost(m, left_rows, i, out_rows, index_usable),
                     )
-                    candidate = space.join(plan, joined, i, method)
+                    candidate = space.grow(plan, joined, i, method)
                     options.append((self._score(query, candidate), candidate, i))
             if explore and self.rng.random() < self.epsilon:
                 _, plan, i = options[int(self.rng.integers(len(options)))]
             else:
                 _, plan, i = min(options, key=lambda item: item[0])
             joined |= 1 << i
-        return plan
+        return space.finish(plan)
 
-    def _score(self, query: Query, plan: PlanNode) -> float:
+    def _score(self, query: Query, plan: Prefix) -> float:
         if self.value_model.trained:
             return self.value_model.predict(self.featurizer.featurize(query, plan))
-        return float(plan.est_cost)
+        return float(plan.est_costs[-1])
 
     # ------------------------------------------------------------------
     def optimize(self, query: Query) -> OptimizedPlan:

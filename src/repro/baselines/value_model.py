@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -17,7 +17,8 @@ from repro.catalog.schema import Schema
 from repro.nn import functional as F
 from repro.nn.layers import mlp
 from repro.nn.optim import Adam, clip_grad_norm
-from repro.optimizer.plans import JOIN_METHODS, JoinNode, PlanNode, ScanNode, iter_nodes
+from repro.optimizer.dp import Prefix
+from repro.optimizer.plans import JOIN_METHODS, Plan
 from repro.sql.ast import Query
 
 _TABLE_HASH_BUCKETS = 16
@@ -36,26 +37,19 @@ class PlanFeaturizer:
         # + table hash buckets
         return 3 + 2 + 3 + 4 + _TABLE_HASH_BUCKETS
 
-    def featurize(self, query: Query, plan: PlanNode) -> np.ndarray:
+    def featurize(self, query: Query, plan: Union[Plan, Prefix]) -> np.ndarray:
+        """Features of a plan, or of a prefix of one (the constructive
+        baselines score partial plans): both are the same six tuples."""
         method_counts = {m: 0.0 for m in JOIN_METHODS}
-        seq_scans = 0.0
-        index_scans = 0.0
-        num_joins = 0.0
-        max_est_rows = 1.0
+        for method in plan.methods:
+            method_counts[method] += 1.0
+        num_joins = float(len(plan.methods))
+        index_scans = float(plan.scan_types.count("index"))
+        seq_scans = len(plan.scan_types) - index_scans
+        max_est_rows = max([1.0, *plan.est_rows[len(plan.aliases) :]])
         table_hash = np.zeros(_TABLE_HASH_BUCKETS)
-        for node in iter_nodes(plan):
-            if isinstance(node, JoinNode):
-                method_counts[node.method] += 1.0
-                num_joins += 1.0
-                max_est_rows = max(max_est_rows, node.est_rows)
-            else:
-                assert isinstance(node, ScanNode)
-                if node.scan_type == "index":
-                    index_scans += 1.0
-                else:
-                    seq_scans += 1.0
-                bucket = self._table_index[node.table] % _TABLE_HASH_BUCKETS
-                table_hash[bucket] += 1.0
+        for alias in plan.aliases:
+            table_hash[self._table_index[query.tables[alias]] % _TABLE_HASH_BUCKETS] += 1.0
         tables = max(1.0, seq_scans + index_scans)
         norm = max(1.0, num_joins)
         features = [
@@ -66,22 +60,13 @@ class PlanFeaturizer:
             index_scans / tables,
             tables / 20.0,
             num_joins / 20.0,
-            _depth(plan) / 20.0,
-            math.log1p(plan.est_rows) / 20.0,
-            math.log1p(plan.est_cost) / 25.0,
+            num_joins / 20.0,
+            math.log1p(plan.est_rows[-1]) / 20.0,
+            math.log1p(plan.est_costs[-1]) / 25.0,
             math.log1p(max_est_rows) / 20.0,
             math.log1p(len(query.filters) + 1) / 5.0,
         ]
         return np.concatenate([np.array(features), table_hash / tables])
-
-
-def _depth(plan: PlanNode) -> int:
-    depth = 0
-    node = plan
-    while isinstance(node, JoinNode):
-        depth += 1
-        node = node.left
-    return depth
 
 
 @dataclass

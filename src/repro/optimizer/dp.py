@@ -18,7 +18,8 @@ builds a fresh one per call.  A space holds:
   so a set of aliases is an ``int`` mask and walking a mask's bits low to
   high visits aliases sorted by name; ``query_order`` keeps the query's own
   alias order for the places that iterate it;
-* per alias: the ``best_scan`` node with its rows, cost and ``sort(rows)``,
+* per alias: the ``best_scan`` access path with its rows, cost and
+  ``sort(rows)``,
   the ``index_descent`` of an index nested loop probing its base table, and
   the mask of join-graph neighbours;
 * per alias: its join predicates in ``query.join_predicates`` order, each as
@@ -28,8 +29,11 @@ One expansion primitive serves the DP, the greedy fallback, hint completion
 (:meth:`JoinSpace.complete`, the `pg_hint_plan` equivalent) and the
 constructive baselines: :meth:`JoinSpace.candidates` (who may join next; the
 greedy fallback ranks :meth:`JoinSpace.reach` in query order instead),
-:meth:`JoinSpace.extend` (predicates and output rows of one join) and
-:meth:`JoinSpace.join_cost` (the operator's cost).
+:meth:`JoinSpace.extend` (output rows of one join) and
+:meth:`JoinSpace.join_cost` (the operator's cost).  Every search ends in one
+:class:`~repro.optimizer.plans.Plan` record (:meth:`JoinSpace.assemble`);
+hint completion and the baselines grow a :class:`Prefix` one join at a
+time (:meth:`JoinSpace.grow`).
 
 Ordering rules
 --------------
@@ -90,8 +94,7 @@ on the scalar loop.  The same rules hold on both paths, step for step:
   level is kept in first-discovery order;
 * float64 arithmetic is IEEE like Python's, overflow gives ``inf`` (numpy's
   warning is silenced, as Python never warns), and only the winning chain
-  becomes ``JoinNode`` s, its predicates and rows re-derived by
-  :meth:`JoinSpace.extend`.
+  becomes a plan, its rows re-derived by :meth:`JoinSpace.extend`.
 
 ``tests/reference_dp.py`` keeps the previous frozenset implementation as the
 oracle these rules are checked against, ``float.hex`` for ``float.hex``, on
@@ -140,7 +143,7 @@ import numpy as np
 
 from repro.optimizer.cardinality import MIN_ROWS, CardinalityEstimator
 from repro.optimizer.cost import CostModel
-from repro.optimizer.plans import JOIN_METHODS, JoinNode, PlanNode, ScanNode
+from repro.optimizer.plans import JOIN_METHODS, Plan
 from repro.sql.ast import JoinPredicate, Query
 
 IndexOracle = Callable[[str, str], bool]
@@ -176,28 +179,43 @@ class OptimizerOptions:
         return allowed
 
 
+class Prefix(NamedTuple):
+    """A left-deep plan over some of a space's aliases: a
+    :class:`~repro.optimizer.plans.Plan`'s six tuples without the query it
+    does not yet cover, grown by :meth:`JoinSpace.grow`."""
+
+    aliases: Tuple[str, ...]
+    methods: Tuple[str, ...]
+    scan_types: Tuple[str, ...]
+    index_columns: Tuple[Optional[str], ...]
+    est_rows: Tuple[float, ...]
+    est_costs: Tuple[float, ...]
+
+
 class JoinSpace:
     """One query's join search space, precomputed (see the module docstring).
 
     Aliases are addressed by index into :attr:`names`; sets of aliases are
-    bit masks over those indexes.  Immutable after construction, so plans
-    built from one space may share its scan nodes.
+    bit masks over those indexes.  Immutable after construction.
     """
 
     def __init__(self, enumerator: "PlanEnumerator", query: Query) -> None:
         estimator, cost_model = enumerator.estimator, enumerator.cost_model
+        self.query = query
         self.cost_model = cost_model
         self.aliases: List[str] = list(query.tables)
         self.names: List[str] = sorted(self.aliases)
         self.index: Dict[str, int] = {alias: i for i, alias in enumerate(self.names)}
         self.query_order: List[int] = [self.index[alias] for alias in self.aliases]
         self.full = (1 << len(self.names)) - 1
-        self.scans: List[ScanNode] = [enumerator.best_scan(query, alias) for alias in self.names]
-        self.rows: List[float] = [scan.est_rows for scan in self.scans]
-        self.costs: List[float] = [scan.est_cost for scan in self.scans]
+        # Per alias: its best_scan's scan type, index column, rows and cost.
+        self.scan_types, self.index_columns, self.rows, self.costs = map(
+            list, zip(*(enumerator.best_scan(query, alias) for alias in self.names))
+        )
         self.sort_costs: List[float] = [cost_model.sort(rows) for rows in self.rows]
         self.descents: List[float] = [
-            cost_model.index_descent(estimator.base_rows(scan.table)) for scan in self.scans
+            cost_model.index_descent(estimator.base_rows(query.tables[alias]))
+            for alias in self.names
         ]
         self.neighbors: List[int] = [0] * len(self.names)
         self.joins: List[List[Tuple[int, JoinPredicate, float, bool]]] = [[] for _ in self.names]
@@ -206,7 +224,7 @@ class JoinSpace:
             for ref, other in ((predicate.left, predicate.right), (predicate.right, predicate.left)):
                 i, other_bit = self.index[ref.alias], 1 << self.index[other.alias]
                 self.neighbors[i] |= other_bit
-                indexed = enumerator.has_index(self.scans[i].table, ref.column)
+                indexed = enumerator.has_index(query.tables[ref.alias], ref.column)
                 self.joins[i].append((other_bit, predicate, selectivity, indexed))
 
     def mask(self, aliases: Sequence[str]) -> int:
@@ -241,25 +259,20 @@ class JoinSpace:
             joinable ^= low
         return found
 
-    def extend(
-        self, left_rows: float, mask: int, i: int
-    ) -> Tuple[Tuple[JoinPredicate, ...], float, bool]:
+    def extend(self, left_rows: float, mask: int, i: int) -> Tuple[float, bool]:
         """Join alias ``i`` onto a ``left_rows``-row plan over ``mask``.
 
-        Returns the predicates linking the two sides (query order; empty for
-        a cross join), the estimated output rows, and whether one of the
-        predicates can drive an index nested loop into ``i``.
+        Returns the estimated output rows, and whether one of the predicates
+        linking the two sides (the join's predicates, in query order) can
+        drive an index nested loop into ``i``.
         """
-        predicates = []
         selectivity = 1.0
         index_usable = False
-        for other_bit, predicate, predicate_selectivity, indexed in self.joins[i]:
+        for other_bit, _, predicate_selectivity, indexed in self.joins[i]:
             if other_bit & mask:
-                predicates.append(predicate)
                 selectivity *= predicate_selectivity
                 index_usable = index_usable or indexed
-        out_rows = max(MIN_ROWS, left_rows * self.rows[i] * selectivity)
-        return tuple(predicates), out_rows, index_usable
+        return max(MIN_ROWS, left_rows * self.rows[i] * selectivity), index_usable
 
     def join_cost(
         self,
@@ -296,7 +309,56 @@ class JoinSpace:
             return plain
         raise ValueError(f"unknown join method {method!r}")
 
-    def complete(self, join_order: Sequence[str], join_methods: Sequence[str]) -> PlanNode:
+    def assemble(
+        self,
+        order: Sequence[int],
+        methods: Sequence[str],
+        rows: Sequence[float],
+        costs: Sequence[float],
+    ) -> Plan:
+        """The plan joining aliases ``order`` (indexes) left to right by
+        ``methods``; ``rows`` and ``costs`` are the joins' estimates,
+        bottom-up, after the leaves' own."""
+        return Plan(
+            self.query,
+            tuple(self.names[i] for i in order),
+            tuple(methods),
+            tuple(self.scan_types[i] for i in order),
+            tuple(self.index_columns[i] for i in order),
+            tuple(self.rows[i] for i in order) + tuple(rows),
+            tuple(self.costs[i] for i in order) + tuple(costs),
+        )
+
+    def start(self, i: int) -> Prefix:
+        """The one-leaf prefix scanning alias ``i``."""
+        return Prefix(
+            (self.names[i],), (), (self.scan_types[i],), (self.index_columns[i],),
+            (self.rows[i],), (self.costs[i],),
+        )
+
+    def grow(self, prefix: Prefix, mask: int, i: int, method: str) -> Prefix:
+        """``prefix`` (over ``mask``) with alias ``i`` joined on by ``method``."""
+        left_rows, left_cost = prefix.est_rows[-1], prefix.est_costs[-1]
+        out_rows, index_usable = self.extend(left_rows, mask, i)
+        op_cost = self.join_cost(method, left_rows, i, out_rows, index_usable)
+        leaves = len(prefix.aliases)
+        return Prefix(
+            prefix.aliases + (self.names[i],),
+            prefix.methods + (method,),
+            prefix.scan_types + (self.scan_types[i],),
+            prefix.index_columns + (self.index_columns[i],),
+            prefix.est_rows[:leaves] + (self.rows[i],) + prefix.est_rows[leaves:] + (out_rows,),
+            prefix.est_costs[:leaves]
+            + (self.costs[i],)
+            + prefix.est_costs[leaves:]
+            + (left_cost + self.costs[i] + op_cost,),
+        )
+
+    def finish(self, prefix: Prefix) -> Plan:
+        """The plan a prefix over every alias describes."""
+        return Plan(self.query, *prefix)
+
+    def complete(self, join_order: Sequence[str], join_methods: Sequence[str]) -> Plan:
         """``Γp(Q, ICP)``: the complete plan steered by a hint.
 
         ``join_order`` lists leaf aliases left-to-right (the first two form
@@ -316,26 +378,13 @@ class JoinSpace:
             if method not in JOIN_METHODS:
                 raise HintError(f"unknown join method {method!r}")
         first = self.index[join_order[0]]
-        plan: PlanNode = self.scans[first]
+        prefix = self.start(first)
         mask = 1 << first
         for alias, method in zip(join_order[1:], join_methods):
             i = self.index[alias]
-            plan = self.join(plan, mask, i, method)
+            prefix = self.grow(prefix, mask, i, method)
             mask |= 1 << i
-        return plan
-
-    def join(self, left: PlanNode, mask: int, i: int, method: str) -> JoinNode:
-        """The plan joining alias ``i`` onto ``left`` (a plan over ``mask``)."""
-        predicates, out_rows, index_usable = self.extend(left.est_rows, mask, i)
-        op_cost = self.join_cost(method, left.est_rows, i, out_rows, index_usable)
-        return JoinNode(
-            left=left,
-            right=self.scans[i],
-            method=method,
-            predicates=predicates,
-            est_rows=out_rows,
-            est_cost=left.est_cost + self.costs[i] + op_cost,
-        )
+        return self.finish(prefix)
 
 
 def _level_pairs(
@@ -481,21 +530,16 @@ class PlanEnumerator:
     # ------------------------------------------------------------------
     # scans
     # ------------------------------------------------------------------
-    def best_scan(self, query: Query, alias: str) -> ScanNode:
-        """Pick the cheapest access path for one table."""
+    def best_scan(
+        self, query: Query, alias: str
+    ) -> Tuple[str, Optional[str], float, float]:
+        """The cheapest access path for one table: ``(scan type, index
+        column, rows, cost)``."""
         table = query.tables[alias]
-        filters = tuple(query.filters_for(alias))
+        filters = query.filters_for(alias)
         base_rows = self.estimator.base_rows(table)
         out_rows = self.estimator.scan_rows(query, alias)
-        seq_cost = self.cost_model.seq_scan(base_rows, len(filters))
-        best = ScanNode(
-            alias=alias,
-            table=table,
-            scan_type="seq",
-            filters=filters,
-            est_rows=out_rows,
-            est_cost=seq_cost,
-        )
+        best = ("seq", None, out_rows, self.cost_model.seq_scan(base_rows, len(filters)))
         for predicate in filters:
             if predicate.op not in _INDEXABLE_OPS:
                 continue
@@ -505,16 +549,8 @@ class PlanEnumerator:
                 0.0, min(1.0, self.estimator.filter_selectivity(query, predicate))
             )
             cost = self.cost_model.index_scan(base_rows, fetched, len(filters) - 1)
-            if cost < best.est_cost:
-                best = ScanNode(
-                    alias=alias,
-                    table=table,
-                    scan_type="index",
-                    index_column=predicate.column.column,
-                    filters=filters,
-                    est_rows=out_rows,
-                    est_cost=cost,
-                )
+            if cost < best[3]:
+                best = ("index", predicate.column.column, out_rows, cost)
         return best
 
     def join_space(self, query: Query) -> JoinSpace:
@@ -524,11 +560,11 @@ class PlanEnumerator:
     # ------------------------------------------------------------------
     # enumeration
     # ------------------------------------------------------------------
-    def optimize(self, query: Query, options: Optional[OptimizerOptions] = None) -> PlanNode:
+    def optimize(self, query: Query, options: Optional[OptimizerOptions] = None) -> Plan:
         """Find the cheapest left-deep plan under the given options."""
         return self.search(self.join_space(query), options)
 
-    def search(self, space: JoinSpace, options: Optional[OptimizerOptions] = None) -> PlanNode:
+    def search(self, space: JoinSpace, options: Optional[OptimizerOptions] = None) -> Plan:
         """Find the cheapest left-deep plan over ``space`` under the options."""
         options = options if options is not None else OptimizerOptions()
         prefix = options.leading_prefix
@@ -538,35 +574,35 @@ class PlanEnumerator:
             )
         tables = len(space.names)
         if tables == 1:
-            return space.scans[0]
+            return space.assemble([0], (), (), ())
         if tables > options.max_dp_tables:
             return self._greedy(space, options)
         if tables >= ARRAY_DP_MIN_TABLES:
             return self._level_arrays(space, options)
         return self._dynamic_programming(space, options)
 
-    def _dynamic_programming(self, space: JoinSpace, options: OptimizerOptions) -> PlanNode:
+    def _dynamic_programming(self, space: JoinSpace, options: OptimizerOptions) -> Plan:
         methods = options.allowed_methods()
         prefix = [space.index[alias] for alias in options.leading_prefix]
         costs, neighbors = space.costs, space.neighbors
         extend, join_cost, sort = space.extend, space.join_cost, space.cost_model.sort
         merging = "merge" in methods
         # One dict per subset size: mask -> (cost, rows, reach, last alias,
-        # method, predicates).  Dict order is discovery order and is the
-        # order the next level is expanded in.
+        # method).  Dict order is discovery order and is the order the next
+        # level is expanded in.
         levels = [
             {
-                1 << i: (costs[i], space.rows[i], neighbors[i], i, "", ())
+                1 << i: (costs[i], space.rows[i], neighbors[i], i, "")
                 for i in (prefix[:1] or space.query_order)
             }
         ]
         for size in range(2, len(space.names) + 1):
             level: Dict[int, tuple] = {}
             forced = [prefix[size - 1]] if size <= len(prefix) else None
-            for mask, (cost, rows, reach, _, _, _) in levels[-1].items():
+            for mask, (cost, rows, reach, _, _) in levels[-1].items():
                 left_sort = sort(rows) if merging else None
                 for i in forced or space.candidates(mask, reach):
-                    predicates, out_rows, index_usable = extend(rows, mask, i)
+                    out_rows, index_usable = extend(rows, mask, i)
                     children_cost = cost + costs[i]
                     key = mask | 1 << i
                     incumbent = level.get(key)
@@ -579,7 +615,7 @@ class PlanEnumerator:
                         if best is None or total < best:
                             best, choice = total, method
                     if choice:
-                        level[key] = (best, out_rows, reach | neighbors[i], i, choice, predicates)
+                        level[key] = (best, out_rows, reach | neighbors[i], i, choice)
             levels.append(level)
 
         # Materialise the winning chain by walking back from the full set.
@@ -589,19 +625,16 @@ class PlanEnumerator:
             entry = level[mask]
             chain.append(entry)
             mask ^= 1 << entry[3]
-        plan: PlanNode = space.scans[chain.pop()[3]]
-        for total, out_rows, _, i, method, predicates in reversed(chain):
-            plan = JoinNode(
-                left=plan,
-                right=space.scans[i],
-                method=method,
-                predicates=predicates,
-                est_rows=out_rows,
-                est_cost=total,
-            )
-        return plan
+        chain.reverse()
+        joins = chain[1:]
+        return space.assemble(
+            [entry[3] for entry in chain],
+            [entry[4] for entry in joins],
+            [entry[1] for entry in joins],
+            [entry[0] for entry in joins],
+        )
 
-    def _level_arrays(self, space: JoinSpace, options: OptimizerOptions) -> PlanNode:
+    def _level_arrays(self, space: JoinSpace, options: OptimizerOptions) -> Plan:
         """:meth:`_dynamic_programming` with each level evaluated as arrays.
 
         Same pairs, arithmetic and tie-breaks (module docstring, "Level
@@ -682,22 +715,19 @@ class PlanEnumerator:
             chain.append((int(level.alias[pair]), methods[choice[pair]], float(best[pair])))
             position = level.left[pair]
         start = int(first[position])
-        plan: PlanNode = space.scans[start]
-        mask = 1 << start
-        for i, method, total in reversed(chain):
-            predicates, out_rows, _ = space.extend(plan.est_rows, mask, i)
-            plan = JoinNode(
-                left=plan,
-                right=space.scans[i],
-                method=method,
-                predicates=predicates,
-                est_rows=out_rows,
-                est_cost=total,
-            )
+        chain.reverse()
+        rows, mask = [space.rows[start]], 1 << start
+        for i, _, _ in chain:
+            rows.append(space.extend(rows[-1], mask, i)[0])
             mask |= 1 << i
-        return plan
+        return space.assemble(
+            [start] + [i for i, _, _ in chain],
+            [method for _, method, _ in chain],
+            rows[1:],
+            [total for _, _, total in chain],
+        )
 
-    def _greedy(self, space: JoinSpace, options: OptimizerOptions) -> PlanNode:
+    def _greedy(self, space: JoinSpace, options: OptimizerOptions) -> Plan:
         """GEQO-flavoured greedy fallback for very large queries."""
         methods = options.allowed_methods()
         prefix = [space.index[alias] for alias in options.leading_prefix]
@@ -705,7 +735,8 @@ class PlanEnumerator:
         # Start from the forced prefix head, else the most selective scan;
         # every tie-break below falls to the query's alias order.
         start = prefix[0] if prefix else min(space.query_order, key=rows.__getitem__)
-        plan: PlanNode = space.scans[start]
+        order, chosen, join_rows, join_costs = [start], [], [], []
+        left_rows, left_cost = rows[start], space.costs[start]
         mask = 1 << start
         joined = 1
         while mask != space.full:
@@ -719,21 +750,18 @@ class PlanEnumerator:
                 candidates = [min(remaining, key=rows.__getitem__)]
             best = None
             for i in candidates:
-                predicates, out_rows, index_usable = space.extend(plan.est_rows, mask, i)
+                out_rows, index_usable = space.extend(left_rows, mask, i)
                 for method in methods:
-                    op_cost = space.join_cost(method, plan.est_rows, i, out_rows, index_usable)
+                    op_cost = space.join_cost(method, left_rows, i, out_rows, index_usable)
                     cost = op_cost + space.costs[i]
                     if best is None or cost < best[0]:
-                        best = (cost, i, method, out_rows, predicates)
-            cost, i, method, out_rows, predicates = best
-            plan = JoinNode(
-                left=plan,
-                right=space.scans[i],
-                method=method,
-                predicates=predicates,
-                est_rows=out_rows,
-                est_cost=plan.est_cost + cost,
-            )
+                        best = (cost, i, method, out_rows)
+            cost, i, method, left_rows = best
+            left_cost = left_cost + cost
+            order.append(i)
+            chosen.append(method)
+            join_rows.append(left_rows)
+            join_costs.append(left_cost)
             mask |= 1 << i
             joined += 1
-        return plan
+        return space.assemble(order, chosen, join_rows, join_costs)
