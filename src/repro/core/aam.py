@@ -427,7 +427,7 @@ class AdvantageModel(Module):
 
     def statevecs_lazy(
         self,
-        items: Sequence[Tuple[str, str, Tuple["Query", "PlanNode"], float]],
+        items: Sequence[Tuple[str, str, Tuple["Query", "Plan"], float]],
         encoder,
     ) -> np.ndarray:
         """Statevecs for (query_sig, plan_sig, (query, plan), step_fraction) items.

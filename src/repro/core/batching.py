@@ -33,7 +33,7 @@ from repro.core.actions import SwapAction
 from repro.core.icp import IncompletePlan, minsteps
 from repro.core.planner import CandidatePlan, Episode, Planner
 from repro.core.simenv import EpisodeContext
-from repro.optimizer.plans import PlanNode
+from repro.optimizer.plans import Plan
 from repro.rl.rollout import Transition
 from repro.sql.ast import Query
 
@@ -85,7 +85,7 @@ class _LiveEpisode:
         self.total_reward = 0.0
         self.last_swap: Optional[SwapAction] = None
         self.new_icp: Optional[IncompletePlan] = None
-        self.new_plan: Optional[PlanNode] = None
+        self.new_plan: Optional[Plan] = None
         self.is_new = False
         self.step_reward = 0.0
         self.pending: Optional[Transition] = None
@@ -225,7 +225,7 @@ class BatchedEpisodeRunner:
         )
 
         # Phase 4: per-episode bookkeeping (rewards, novelty, best update).
-        observed: List[Tuple[EpisodeContext, IncompletePlan, PlanNode, int]] = []
+        observed: List[Tuple[EpisodeContext, IncompletePlan, Plan, int]] = []
         for ep, score in zip(active, scores):
             ep.step_reward = planner.advantage_fn.penalty(
                 minsteps(ep.ctx.original_icp, ep.new_icp), t

@@ -17,7 +17,7 @@ import numpy as np
 from repro.core.aam import AAMSample
 from repro.core.encoding import PlanEncoder
 from repro.core.reward import AdvantageFunction, ReferenceSet
-from repro.optimizer.plans import PlanNode, plan_signature
+from repro.optimizer.plans import Plan, plan_signature
 from repro.sql.ast import Query
 
 
@@ -30,7 +30,7 @@ from repro.sql.ast import Query
 class PlanRecord:
     """One executed plan."""
 
-    plan: PlanNode
+    plan: Plan
     step: int
     latency_ms: float
     timed_out: bool
@@ -48,7 +48,7 @@ class ExecutionBuffer:
     def add(
         self,
         query: Query,
-        plan: PlanNode,
+        plan: Plan,
         step: int,
         latency_ms: float,
         timed_out: bool,
@@ -72,7 +72,7 @@ class ExecutionBuffer:
     def num_records(self) -> int:
         return sum(len(v) for v in self._records.values())
 
-    def latency_of(self, query: Query, plan: PlanNode) -> Optional[PlanRecord]:
+    def latency_of(self, query: Query, plan: Plan) -> Optional[PlanRecord]:
         return self._records.get(query.signature(), {}).get(plan_signature(plan))
 
     # ------------------------------------------------------------------

@@ -8,14 +8,15 @@ Tree structure enters the transformer through a *reachability* attention
 mask: node pairs may attend iff one is an ancestor of the other (or they
 are the same node); unreachable pairs get attention score ~0.
 
-Every plan the encoder accepts is left-deep (the paper's scope and
-:mod:`repro.optimizer.plans`' contract): each join's right child is a
-scan.  Numbered in pre-order, an ``n``-table plan is always ``J_k ... J_1,
-S_0 ... S_k`` (``k = n - 1`` joins from the root down, then the scans left
-to right), so depth, height, structure type and the reachability mask are
-functions of ``n`` alone: :func:`left_deep_shape` defines them once, and
-the encoder reads a plan's structure rows off its table count.  A join on
-a join's right side is refused with ``ValueError``.
+Every plan is left-deep (the paper's scope; a
+:class:`~repro.optimizer.plans.Plan` cannot be anything else): each
+join's right child is a scan.  Numbered in pre-order, an ``n``-table plan
+is always ``J_k ... J_1, S_0 ... S_k`` (``k = n - 1`` joins from the root
+down, then the scans left to right), so depth, height, structure type and
+the reachability mask are functions of ``n`` alone:
+:func:`left_deep_shape` defines them once, and the encoder reads a plan's
+structure rows off its table count and its features off the plan's
+tuples.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ import numpy as np
 from repro.catalog.schema import Schema
 from repro.catalog.statistics import StatisticsCatalog
 from repro.engine.memo import Memo
-from repro.optimizer.plans import JoinNode, PlanNode, ScanNode, plan_signature
-from repro.sql.ast import Query
+from repro.optimizer.plans import Plan, plan_signature
+from repro.sql.ast import FilterPredicate, Query
 
 # Operator vocabulary (0 is reserved for padding).
 OP_PAD = 0
@@ -181,12 +182,12 @@ class PlanEncoder:
         return len(self._column_ids) + 1
 
     # ------------------------------------------------------------------
-    def encode(self, query: Query, plan: PlanNode) -> EncodedPlan:
+    def encode(self, query: Query, plan: Plan) -> EncodedPlan:
         """Encode one complete plan, hitting the shared cache first."""
         return self.encode_many([(query, plan)])[0]
 
     def encode_many(
-        self, pairs: Sequence[Tuple[Query, PlanNode]]
+        self, pairs: Sequence[Tuple[Query, Plan]]
     ) -> List[EncodedPlan]:
         """Encode a batch of (query, plan) pairs through the shared cache.
 
@@ -198,12 +199,12 @@ class PlanEncoder:
         keys = [(query.signature(), plan_signature(plan)) for query, plan in pairs]
         return self._cache.many(keys, pairs, self._encode_batch)
 
-    def _encode_batch(self, pairs: Sequence[Tuple[Query, PlanNode]]) -> List[EncodedPlan]:
+    def _encode_batch(self, pairs: Sequence[Tuple[Query, Plan]]) -> List[EncodedPlan]:
         """Encode ``pairs``, bypassing the encoding cache, with vectorized writes.
 
-        One Python pass walks every plan's left spine from the root,
-        collecting join method ids, each join's first-predicate column ids
-        and the scans (bottom-up, for the leaf cache).  The structure rows
+        One Python pass over every plan's tuples collects join method ids
+        and each join's first-predicate column ids (root first) and the
+        scans (left to right, for the leaf cache).  The structure rows
         are gathered for the whole batch by table count
         (:func:`left_deep_shape`), and each variable field is then filled
         with a single boolean-mask assignment across the batch.  The
@@ -212,46 +213,37 @@ class PlanEncoder:
         """
         n_max = self.max_nodes
         batch = len(pairs)
-        # Parallel value lists collected in one walk over every spine, in
-        # walk order: plan by plan, joins root first and scans left to
-        # right, which is the row-major order of the boolean masks that
-        # scatter them below (pre-order is J_k ... J_1, S_0 ... S_k).
+        # Parallel value lists collected plan by plan, joins root first and
+        # scans left to right, which is the row-major order of the boolean
+        # masks that scatter them below (pre-order is J_k ... J_1, S_0 ...
+        # S_k).
         counts: List[int] = []
         join_op: List[int] = []
         join_l: List[int] = []  # 0 (none) for a join without predicates
         join_r: List[int] = []
-        scans: List[Tuple[Query, ScanNode]] = []
+        scans: List[Tuple[Query, str, str, Tuple[FilterPredicate, ...]]] = []
         scan_keys: List[Tuple[str, str]] = []
         column_ids = self._column_ids
         join_op_ids = _JOIN_OP_IDS
 
         for query, plan in pairs:
             query_tables = query.tables
-            node, spine = plan, []
-            while isinstance(node, JoinNode):
-                join_op.append(join_op_ids[node.method])
-                if node.predicates:
-                    predicate = node.predicates[0]
-                    pred_left, pred_right = predicate.left, predicate.right
+            n = 2 * len(plan.aliases) - 1
+            if n > n_max:
+                raise ValueError(f"plan has {n} nodes, encoder limit is {n_max}")
+            counts.append(n)
+            for method, predicates in zip(reversed(plan.methods), reversed(plan.predicates)):
+                join_op.append(join_op_ids[method])
+                if predicates:
+                    pred_left, pred_right = predicates[0].left, predicates[0].right
                     join_l.append(column_ids[(query_tables[pred_left.alias], pred_left.column)])
                     join_r.append(column_ids[(query_tables[pred_right.alias], pred_right.column)])
                 else:
                     join_l.append(0)
                     join_r.append(0)
-                if not isinstance(node.right, ScanNode):
-                    raise ValueError("only a left-deep plan (every join's right child a scan) is encoded")
-                spine.append(node.right)
-                node = node.left
-            assert isinstance(node, ScanNode)
-            spine.append(node)
-            n = 2 * len(spine) - 1
-            if n > n_max:
-                raise ValueError(f"plan has {n} nodes, encoder limit is {n_max}")
-            counts.append(n)
             query_signature = query.signature()
-            for scan in reversed(spine):
-                scans.append((query, scan))
-                scan_keys.append((query_signature, plan_signature(scan)))
+            scans.extend(zip([query] * len(plan.aliases), plan.tables, plan.scan_types, plan.filters))
+            scan_keys.extend((query_signature, leaf) for leaf in plan.leaf_signatures)
 
         rows = [n // 2 for n in counts]  # structure row: table count - 1
         # The six per-node int fields live in one block (views keep the
@@ -296,18 +288,24 @@ class PlanEncoder:
             for u in range(batch)
         ]
 
-    def _leaf_features(self, query: Query, node: ScanNode) -> _LeafFeatures:
+    def _leaf_features(
+        self,
+        query: Query,
+        table_name: str,
+        scan_type: str,
+        filters: Sequence[FilterPredicate],
+    ) -> _LeafFeatures:
         """Per-(query, scan) features: op, table id, filter slots."""
         fcols = np.zeros(MAX_FILTERS_PER_NODE, dtype=np.int64)
         fops = np.zeros(MAX_FILTERS_PER_NODE, dtype=np.int64)
         fvals = np.zeros(MAX_FILTERS_PER_NODE, dtype=np.float64)
-        for slot, predicate in enumerate(node.filters[:MAX_FILTERS_PER_NODE]):
+        for slot, predicate in enumerate(filters[:MAX_FILTERS_PER_NODE]):
             table = query.tables[predicate.column.alias]
             fcols[slot] = self._column_ids[(table, predicate.column.column)]
             fops[slot] = _PRED_OPS[predicate.op]
             fvals[slot] = self._normalize(table, predicate.column.column, predicate.values[0])
-        op_id = OP_INDEX_SCAN if node.scan_type == "index" else OP_SEQ_SCAN
-        return op_id, self._table_ids[node.table], fcols, fops, fvals
+        op_id = OP_INDEX_SCAN if scan_type == "index" else OP_SEQ_SCAN
+        return op_id, self._table_ids[table_name], fcols, fops, fvals
 
     def _normalize(self, table: str, column: str, value: float) -> float:
         if self.statistics is None or table not in self.statistics:

@@ -1,7 +1,9 @@
-"""The incomplete plan (ICP): join order + join methods of a left-deep tree.
+"""The incomplete plan (ICP): join order + join methods of a left-deep plan.
 
 The paper extracts from the complete plan only what the planner edits — the
-left-deep leaf order and the per-level join methods — and labels nodes
+left-deep leaf order and the per-level join methods, a
+:class:`~repro.optimizer.plans.Plan`'s ``aliases`` and ``methods`` — and
+labels nodes
 bottom-up: leaves ``T1..Tk`` (T1/T2 are the two deepest leaves) and joins
 ``O1..O(k-1)`` (O1 is the deepest join).  With that labelling:
 
@@ -15,12 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
-from repro.optimizer.plans import (
-    JOIN_METHODS,
-    PlanNode,
-    plan_aliases,
-    plan_join_methods,
-)
+from repro.optimizer.plans import JOIN_METHODS
 
 
 @dataclass(frozen=True)
@@ -45,11 +42,6 @@ class IncompletePlan:
             raise ValueError("duplicate aliases in join order")
 
     # ------------------------------------------------------------------
-    @classmethod
-    def extract(cls, plan: PlanNode) -> "IncompletePlan":
-        """``Extract(CP)``: pull the ICP out of a complete plan."""
-        return cls(order=tuple(plan_aliases(plan)), methods=tuple(plan_join_methods(plan)))
-
     @property
     def num_tables(self) -> int:
         return len(self.order)

@@ -29,7 +29,7 @@ from repro.core.planner import Episode, Planner
 from repro.core.simenv import AAMScorer, AdvantageRequest, EpisodeContext
 from repro.engine.backend import EngineBackend
 from repro.engine.context import DeadlineExceededError, OptimizeError, deadline_error, run_live
-from repro.optimizer.plans import PlanNode
+from repro.optimizer.plans import Plan
 from repro.sql.ast import Query
 
 
@@ -66,7 +66,7 @@ def decide(count: int, verdicts: Sequence[int]) -> int:
 class OptimizedPlan:
     """FOSS's output for one query."""
 
-    plan: PlanNode
+    plan: Plan
     optimization_ms: float
     candidates_considered: int
     chosen_step: int
@@ -95,7 +95,7 @@ class _InferenceEnvironment:
             EpisodeContext(
                 query=query,
                 original_plan=planning.plan,
-                original_icp=IncompletePlan.extract(planning.plan),
+                original_icp=IncompletePlan(planning.plan.aliases, planning.plan.methods),
                 original_latency=1.0,
                 timeout_ms=float("inf"),
             )

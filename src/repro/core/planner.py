@@ -23,7 +23,7 @@ from repro.core.icp import IncompletePlan
 from repro.core.reward import AdvantageFunction, RewardConfig
 from repro.core.simenv import EpisodeContext
 from repro.engine.backend import EngineBackend
-from repro.optimizer.plans import PlanNode, plan_signature
+from repro.optimizer.plans import Plan, plan_signature
 from repro.rl.policy import ActorCritic
 from repro.rl.ppo import PPOConfig, PPOTrainer
 from repro.rl.rollout import Transition
@@ -44,7 +44,7 @@ class PlannerConfig:
 class CandidatePlan:
     """A plan generated during an episode, with its step index."""
 
-    plan: PlanNode
+    plan: Plan
     icp: IncompletePlan
     step: int
 
@@ -56,7 +56,7 @@ class Episode:
     query: Query
     context: EpisodeContext
     candidates: List[CandidatePlan]
-    best_plan: PlanNode
+    best_plan: Plan
     best_step: int
     transitions: List[Transition]
     total_reward: float
@@ -90,7 +90,7 @@ class Planner:
         self.ppo = PPOTrainer(self.policy, self.config.ppo, rng=self.rng)
 
     # ------------------------------------------------------------------
-    def statevec_many(self, requests: List[Tuple[Query, PlanNode, int]]) -> np.ndarray:
+    def statevec_many(self, requests: List[Tuple[Query, Plan, int]]) -> np.ndarray:
         """State representations for a batch of (query, plan, step) triples.
 
         One lookup in the AAM's version-keyed statevec cache, whose

@@ -30,7 +30,7 @@ from repro.core.icp import IncompletePlan
 from repro.core.reward import AdvantageFunction
 from repro.engine.backend import EngineBackend
 from repro.engine.memo import Memo
-from repro.optimizer.plans import PlanNode, plan_signature
+from repro.optimizer.plans import Plan, plan_signature
 from repro.sql.ast import Query
 
 # The paper's dynamic-timeout factor: 1.5x the original plan's latency.
@@ -42,14 +42,14 @@ class EpisodeContext:
     """Per-episode state shared between planner and environment."""
 
     query: Query
-    original_plan: PlanNode
+    original_plan: Plan
     original_icp: IncompletePlan
     original_latency: float
     timeout_ms: float
 
 
 # One advantage query: (ctx, left_plan, left_step, right_plan, right_step).
-AdvantageRequest = Tuple["EpisodeContext", PlanNode, int, PlanNode, int]
+AdvantageRequest = Tuple["EpisodeContext", Plan, int, Plan, int]
 # Its cache key: (query, left plan, left step, right plan, right step).
 _ScoreKey = Tuple[str, str, int, str, int]
 
@@ -107,7 +107,7 @@ class AAMScorer:
         vec_l, vec_r = sides[: len(requests)], sides[len(requests) :]
         return self.aam.predict_scores_from_statevecs(vec_l, vec_r).tolist()
 
-    def _statevecs(self, items: Sequence[Tuple[Query, PlanNode, int]]) -> np.ndarray:
+    def _statevecs(self, items: Sequence[Tuple[Query, Plan, int]]) -> np.ndarray:
         """Statevecs for (query, plan, step) triples via the AAM's own
         version-keyed cache (also hit by the planner's policy states).
         Cache hits skip plan encoding entirely (lazy miss-only encoding)."""
@@ -150,14 +150,14 @@ class RealEnvironment:
                 EpisodeContext(
                     query=query,
                     original_plan=planning.plan,
-                    original_icp=IncompletePlan.extract(planning.plan),
+                    original_icp=IncompletePlan(planning.plan.aliases, planning.plan.methods),
                     original_latency=result.latency_ms,
                     timeout_ms=result.latency_ms * DYNAMIC_TIMEOUT_FACTOR,
                 )
             )
         return contexts
 
-    def _latencies(self, items: Sequence[Tuple[EpisodeContext, PlanNode, int]]) -> List[float]:
+    def _latencies(self, items: Sequence[Tuple[EpisodeContext, Plan, int]]) -> List[float]:
         """Latencies of plans, memoized through the execution buffer.
 
         Every plan the buffer lacks is executed in one engine batch call
@@ -167,7 +167,7 @@ class RealEnvironment:
         batching or backend.  Plans already executed for their query are
         looked up instead of re-run.
         """
-        pending: List[Tuple[EpisodeContext, PlanNode, int]] = []
+        pending: List[Tuple[EpisodeContext, Plan, int]] = []
         seen = set()
         for ctx, plan, step in items:
             key = (ctx.query.signature(), plan_signature(plan))
@@ -205,7 +205,7 @@ class RealEnvironment:
         ]
 
     def episode_bounty_many(
-        self, items: Sequence[Tuple[EpisodeContext, PlanNode, int]]
+        self, items: Sequence[Tuple[EpisodeContext, Plan, int]]
     ) -> List[float]:
         """Bounties item by item: each item's reference set is read before
         its final plan is executed, so a batch that repeats a query scores
@@ -222,7 +222,7 @@ class RealEnvironment:
         return bounties
 
     def observe_plan_many(
-        self, items: Sequence[Tuple[EpisodeContext, IncompletePlan, PlanNode, int]]
+        self, items: Sequence[Tuple[EpisodeContext, IncompletePlan, Plan, int]]
     ) -> None:
         self._latencies([(ctx, plan, step) for ctx, _icp, plan, step in items])
 
@@ -245,7 +245,7 @@ class SimulatedEnvironment:
         self.scorer = AAMScorer(aam, encoder, max_steps)
         self.advantage_fn = advantage if advantage is not None else AdvantageFunction()
         # Promising plans awaiting validation in the real environment.
-        self.validation_queue: List[Tuple[Query, PlanNode, int]] = []
+        self.validation_queue: List[Tuple[Query, Plan, int]] = []
         self.validation_capacity = validation_capacity
 
     # ------------------------------------------------------------------
@@ -279,7 +279,7 @@ class SimulatedEnvironment:
                 EpisodeContext(
                     query=query,
                     original_plan=planning.plan,
-                    original_icp=IncompletePlan.extract(planning.plan),
+                    original_icp=IncompletePlan(planning.plan.aliases, planning.plan.methods),
                     original_latency=original_latency,
                     timeout_ms=original_latency * DYNAMIC_TIMEOUT_FACTOR,
                 )
@@ -291,7 +291,7 @@ class SimulatedEnvironment:
         return self.scorer.advantage_many(requests)
 
     def _bounty_requests(
-        self, ctx: EpisodeContext, final_plan: PlanNode, final_step: int
+        self, ctx: EpisodeContext, final_plan: Plan, final_step: int
     ) -> List[AdvantageRequest]:
         """The three reference-vs-final advantage queries behind one bounty.
 
@@ -308,7 +308,7 @@ class SimulatedEnvironment:
         return requests
 
     def episode_bounty_many(
-        self, items: Sequence[Tuple[EpisodeContext, PlanNode, int]]
+        self, items: Sequence[Tuple[EpisodeContext, Plan, int]]
     ) -> List[float]:
         """Episode bounties for a batch, with one AAM flush for all refs."""
         requests: List[AdvantageRequest] = []
@@ -324,12 +324,12 @@ class SimulatedEnvironment:
         return bounties
 
     def observe_plan_many(
-        self, items: Sequence[Tuple[EpisodeContext, IncompletePlan, PlanNode, int]]
+        self, items: Sequence[Tuple[EpisodeContext, IncompletePlan, Plan, int]]
     ) -> None:
         """Batched promising-plan collection (one AAM flush for the cohort)."""
         if len(self.validation_queue) >= self.validation_capacity:
             return
-        pending: List[Tuple[EpisodeContext, PlanNode, int]] = []
+        pending: List[Tuple[EpisodeContext, Plan, int]] = []
         for ctx, _icp, plan, step in items:
             if self.buffer.latency_of(ctx.query, plan) is not None:
                 continue
@@ -345,6 +345,6 @@ class SimulatedEnvironment:
             if score > 0:
                 self.validation_queue.append((ctx.query, plan, step))
 
-    def drain_validation_queue(self) -> List[Tuple[Query, PlanNode, int]]:
+    def drain_validation_queue(self) -> List[Tuple[Query, Plan, int]]:
         queue, self.validation_queue = self.validation_queue, []
         return queue

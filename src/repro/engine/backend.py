@@ -35,7 +35,7 @@ from typing import (
 from repro.engine.database import Database, Dataset, PlanningResult
 from repro.executor.engine import ExecutionResult
 from repro.optimizer.dp import JoinSpace, OptimizerOptions
-from repro.optimizer.plans import PlanNode
+from repro.optimizer.plans import Plan
 from repro.sql.ast import Query
 
 
@@ -101,21 +101,21 @@ class EngineBackend(Protocol):
     def execute(
         self,
         query: Query,
-        plan: PlanNode,
+        plan: Plan,
         timeout_ms: Optional[float] = None,
         ctx=None,
     ) -> ExecutionResult: ...
 
     def execute_many(
         self,
-        requests: Sequence[Tuple[Query, PlanNode, Optional[float]]],
+        requests: Sequence[Tuple[Query, Plan, Optional[float]]],
         ctxs=None,
     ) -> List[Optional[ExecutionResult]]: ...
 
     def original_latency(self, query: Query) -> float: ...
 
     # -- introspection -------------------------------------------------
-    def explain(self, plan: PlanNode) -> str: ...
+    def explain(self, plan: Plan) -> str: ...
     def clear_caches(self) -> None: ...
     def stats(self) -> Dict[str, float]: ...
 

@@ -33,7 +33,7 @@ from repro.executor.engine import ExecutionEngine, ExecutionResult
 from repro.optimizer.cardinality import CardinalityEstimator
 from repro.optimizer.cost import CostModel, CostParameters, runtime_cost_parameters
 from repro.optimizer.dp import JoinSpace, OptimizerOptions, PlanEnumerator
-from repro.optimizer.plans import PlanNode, explain, plan_signature
+from repro.optimizer.plans import Plan, explain, plan_signature
 from repro.sql.ast import Query
 from repro.sql.binder import bind_query
 from repro.sql.parser import parse_query
@@ -116,7 +116,7 @@ def plan_key(query: Query, options: Optional[OptimizerOptions]) -> str:
 class PlanningResult:
     """A plan plus the wall-clock time the optimizer spent producing it."""
 
-    plan: PlanNode
+    plan: Plan
     planning_ms: float
 
 
@@ -333,7 +333,7 @@ class Database:
     def execute(
         self,
         query: Query,
-        plan: PlanNode,
+        plan: Plan,
         timeout_ms: Optional[float] = None,
         ctx=None,
     ) -> ExecutionResult:
@@ -386,7 +386,7 @@ class Database:
 
     def execute_many(
         self,
-        requests: Sequence[Tuple[Query, PlanNode, Optional[float]]],
+        requests: Sequence[Tuple[Query, Plan, Optional[float]]],
         ctxs=None,
     ) -> List[Optional[ExecutionResult]]:
         """Batch mirror of :meth:`execute`: (query, plan, timeout_ms) triples.
@@ -419,7 +419,7 @@ class Database:
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
-    def explain(self, plan: PlanNode) -> str:
+    def explain(self, plan: Plan) -> str:
         return explain(plan)
 
     def clear_caches(self) -> None:

@@ -72,7 +72,7 @@ from repro.engine.wire import (
 )
 from repro.executor.engine import ExecutionResult
 from repro.optimizer.dp import JoinSpace, OptimizerOptions
-from repro.optimizer.plans import PlanNode
+from repro.optimizer.plans import Plan
 from repro.sql.ast import Query
 
 
@@ -453,7 +453,7 @@ class RemoteBackend:
         # crosses the wire for the server to bind the same way.
         return self.local.sql(text, name=name)
 
-    def explain(self, plan: PlanNode) -> str:
+    def explain(self, plan: Plan) -> str:
         return self.local.explain(plan)
 
     def join_space(self, query: Query) -> JoinSpace:
@@ -545,7 +545,7 @@ class RemoteBackend:
     def execute(
         self,
         query: Query,
-        plan: PlanNode,
+        plan: Plan,
         timeout_ms: Optional[float] = None,
         ctx=None,
     ) -> ExecutionResult:
@@ -555,7 +555,7 @@ class RemoteBackend:
 
     def execute_many(
         self,
-        requests: Sequence[Tuple[Query, PlanNode, Optional[float]]],
+        requests: Sequence[Tuple[Query, Plan, Optional[float]]],
         ctxs=None,
     ) -> List[Optional[ExecutionResult]]:
         return run_live(requests, ctxs, self._execute_live, _no_result)

@@ -59,9 +59,10 @@ query          ``[text, name]``: the SQL the query was bound from
                through its own statement cache
 options        ``null`` or ``[disabled_methods, leading_prefix, max_dp_tables]``
 plan           ``[aliases, methods, scan_types, index_columns, est_rows,
-               est_costs]`` of a left-deep plan: leaves left to right, join
-               methods bottom-up, and the estimates of the ``n`` leaves
-               followed by those of the ``n - 1`` joins bottom-up
+               est_costs]``: a :class:`~repro.optimizer.plans.Plan`'s six
+               tuples as they are (leaves left to right, join methods
+               bottom-up, and the estimates of the ``n`` leaves followed by
+               those of the ``n - 1`` joins bottom-up)
 planning       ``[planning_ms, plan]``
 execution      ``[latency_ms, output_rows, timed_out, work_units,
                aggregate_values]``
@@ -69,12 +70,10 @@ context        :meth:`~repro.engine.context.RequestContext.to_wire`'s dict
 span           :meth:`~repro.obs.Span.to_dict`'s dict
 =============  ==================================================================
 
-A plan carries no filter or predicate: :func:`plan_from_wire` rebuilds
-them from the receiver's own query, exactly as the optimizer attaches them
-(a leaf's filters are ``query.filters_for(alias)``; a join's predicates
-are the query's join predicates linking its right alias to the left side,
-in query order).  Every plan the engine builds — expert, hinted, greedy —
-has exactly those, so a plan survives the trip ``==`` to itself.
+A plan record holds no filter or predicate either: it reads them off its
+query, so :func:`plan_from_wire` only binds the six tuples to the
+receiver's own query, and the record's constructor refuses a descriptor
+that does not fit it.  A plan survives the trip ``==`` to itself.
 
 Streams are file-like objects (``socket.makefile("rwb")`` on sockets):
 ``read(n)`` returning fewer than ``n`` bytes means EOF.  A clean EOF *at a
@@ -93,7 +92,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional
 from repro.engine.context import RequestContext
 from repro.executor.engine import ExecutionResult
 from repro.optimizer.dp import OptimizerOptions
-from repro.optimizer.plans import JoinNode, PlanNode, ScanNode
+from repro.optimizer.plans import Plan
 from repro.sql.ast import Query
 
 #: The message shapes above; the fingerprint handshake advertises it.
@@ -302,86 +301,23 @@ def options_from_wire(data) -> Optional[OptimizerOptions]:
     )
 
 
-def plan_to_wire(plan: PlanNode) -> list:
-    """A left-deep plan's descriptor (module docstring); ``ValueError`` otherwise."""
-    joins = []
-    node = plan
-    while isinstance(node, JoinNode):
-        joins.append(node)
-        node = node.left
-    joins.reverse()
-    scans = [node] + [join.right for join in joins]
-    if not all(isinstance(scan, ScanNode) for scan in scans):
-        raise ValueError(
-            "only a left-deep plan (every join's right child a scan) crosses the wire"
-        )
+def plan_to_wire(plan: Plan) -> list:
+    """A plan's descriptor: its six tuples as lists (module docstring)."""
     return [
-        [scan.alias for scan in scans],
-        [join.method for join in joins],
-        [scan.scan_type for scan in scans],
-        [scan.index_column for scan in scans],
-        [scan.est_rows for scan in scans] + [join.est_rows for join in joins],
-        [scan.est_cost for scan in scans] + [join.est_cost for join in joins],
+        list(plan.aliases),
+        list(plan.methods),
+        list(plan.scan_types),
+        list(plan.index_columns),
+        list(plan.est_rows),
+        list(plan.est_costs),
     ]
 
 
-def plan_from_wire(data, query: Query) -> PlanNode:
-    """Rebuild the plan a descriptor describes, over the receiver's ``query``.
-
-    Filters and predicates come from ``query`` (module docstring), so the
-    result is ``==`` to the plan the sender described.  ``ValueError`` if
-    the descriptor does not fit ``query``.
-    """
+def plan_from_wire(data, query: Query) -> Plan:
+    """The plan a descriptor describes, over the receiver's ``query``;
+    ``ValueError`` if the descriptor does not fit ``query``."""
     aliases, methods, scan_types, index_columns, est_rows, est_costs = data
-    tables = query.tables
-    n = len(aliases)
-    if (
-        n != len(tables)
-        or set(aliases) != tables.keys()
-        or len(methods) != n - 1
-        or len(scan_types) != n
-        or len(index_columns) != n
-        or len(est_rows) != 2 * n - 1
-        or len(est_costs) != 2 * n - 1
-    ):
-        raise ValueError(f"plan descriptor does not fit query {query.name or query.sql_text()!r}")
-    filters: Dict[str, list] = {alias: [] for alias in aliases}
-    for predicate in query.filters:
-        filters[predicate.column.alias].append(predicate)
-    # Per alias, (other alias, predicate) in query order: JoinSpace.joins.
-    links: Dict[str, list] = {alias: [] for alias in aliases}
-    for predicate in query.join_predicates:
-        left, right = predicate.left.alias, predicate.right.alias
-        links[left].append((right, predicate))
-        links[right].append((left, predicate))
-    scans = [
-        ScanNode(
-            alias=alias,
-            table=tables[alias],
-            scan_type=scan_type,
-            index_column=index_column,
-            filters=tuple(filters[alias]),
-            est_rows=rows,
-            est_cost=cost,
-        )
-        for alias, scan_type, index_column, rows, cost in zip(
-            aliases, scan_types, index_columns, est_rows, est_costs
-        )
-    ]
-    plan: PlanNode = scans[0]
-    placed = {aliases[0]}
-    for k in range(1, n):
-        alias = aliases[k]
-        plan = JoinNode(
-            left=plan,
-            right=scans[k],
-            method=methods[k - 1],
-            predicates=tuple(predicate for other, predicate in links[alias] if other in placed),
-            est_rows=est_rows[n + k - 1],
-            est_cost=est_costs[n + k - 1],
-        )
-        placed.add(alias)
-    return plan
+    return Plan(query, aliases, methods, scan_types, index_columns, est_rows, est_costs)
 
 
 def planning_to_wire(result) -> Optional[list]:

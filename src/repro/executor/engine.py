@@ -1,6 +1,8 @@
 """The virtual-time execution engine.
 
-Executes a physical plan bottom-up.  Latency is virtual, so what the engine
+Executes a left-deep plan bottom-up, one position at a time: the first two
+scans, then each join with the scan of the next leaf.  Latency is virtual,
+so what the engine
 must learn from the data is each operator's true input and output
 *cardinality* — it counts instead of enumerating.  An intermediate result is
 a set of **weighted groups**: one entry per distinct tuple of the row ids a
@@ -42,14 +44,14 @@ equal with ``==``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Dict, FrozenSet, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.executor.joins import Ranks, match_counts, pair_rows, rank_keys, refine_keys
 from repro.optimizer.cost import CostModel
-from repro.optimizer.plans import JoinNode, PlanNode, ScanNode
-from repro.sql.ast import FilterPredicate, Query
+from repro.optimizer.plans import Plan
+from repro.sql.ast import FilterPredicate, JoinPredicate, Query
 from repro.storage.database import StorageDatabase
 
 # Hard cap on materialized join output; joins beyond this are necessarily
@@ -74,6 +76,16 @@ class ExecutionResult:
     timed_out: bool = False
     work_units: float = 0.0
     aggregate_values: Tuple[float, ...] = ()
+
+
+class Join(NamedTuple):
+    """One join of a plan as its operator reads it: the method, the
+    scanned (right) input's alias and table, and the predicates."""
+
+    method: str
+    alias: str
+    table: str
+    predicates: Tuple[JoinPredicate, ...]
 
 
 @dataclass
@@ -101,7 +113,7 @@ class ExecutionEngine:
     def execute(
         self,
         query: Query,
-        plan: PlanNode,
+        plan: Plan,
         timeout_ms: Optional[float] = None,
     ) -> ExecutionResult:
         """Run ``plan``; returns latency or a timeout marker.
@@ -120,7 +132,7 @@ class ExecutionEngine:
             if aggregate.function != "COUNT" and aggregate.column is not None
         )
         try:
-            result, _ = self._run(query, plan, state, needed, None)
+            result = self._run(query, plan, state, needed)
             # Final aggregation over the join output.
             state.charge(self.cost_model.aggregate(result.count))
             aggregates = self._aggregate(query, result)
@@ -146,53 +158,83 @@ class ExecutionEngine:
     def _run(
         self,
         query: Query,
-        plan: PlanNode,
+        plan: Plan,
         state: "_ExecState",
         needed: FrozenSet[str],
-        above: Optional[JoinNode],
-    ) -> Tuple[_Groups, Optional[_Groups]]:
+    ) -> _Groups:
         """Execute ``plan``; the result keeps id columns for ``needed`` aliases only.
 
-        Also returns the scan of the right input of ``above``, the join that
-        reads the result (``None`` at the root): it runs before the result is
-        built, so the lookahead can read it.
+        Join ``k`` is counted and charged, then the scan of join ``k + 1``'s
+        right input runs, then join ``k``'s output is built, keeping the ids
+        the final aggregation and every join above read.  An output larger
+        than its inputs is built only once the operator above is known not
+        to time out on it (:meth:`_look_ahead`); a smaller one costs less to
+        build than to look ahead over.
         """
-        if isinstance(plan, ScanNode):
-            return self._scan(plan, state), self._scan_above(above, state)
-        assert isinstance(plan, JoinNode)
-        assert isinstance(plan.right, ScanNode), "plans are left-deep"
-        below = needed.union(*(predicate.aliases() for predicate in plan.predicates))
-        left, right = self._run(query, plan.left, state, below - {plan.right.alias}, plan)
-        return self._join(query, plan, left, right, state, needed, above)
+        joins = [
+            Join(*join)
+            for join in zip(plan.methods, plan.aliases[1:], plan.tables[1:], plan.predicates)
+        ]
+        keeps = [needed]
+        for join in reversed(joins[1:]):
+            keeps.append(keeps[-1].union(*(p.aliases() for p in join.predicates)) - {join.alias})
+        keeps.reverse()
+        result = self._scan_leaf(plan, 0, state)
+        right = self._scan_leaf(plan, 1, state) if joins else None
+        for k, join in enumerate(joins):
+            ranks, matches, out_count = self._join(query, join, result, right, state)
+            above = above_right = None
+            if k + 1 < len(joins):
+                above, above_right = joins[k + 1], self._scan_leaf(plan, k + 2, state)
+            if out_count > len(result.weight) + right.count:
+                self._look_ahead(
+                    query, join, result, right, ranks, matches, out_count, state, above, above_right
+                )
+            result = self._emit(result, right, join.alias, ranks, matches, out_count, keeps[k])
+            right = above_right
+        return result
 
-    def _scan_above(self, above: Optional[JoinNode], state: "_ExecState") -> Optional[_Groups]:
-        return None if above is None else self._scan(above.right, state)
+    def _scan_leaf(self, plan: Plan, i: int, state: "_ExecState") -> _Groups:
+        return self._scan(
+            plan.aliases[i], plan.tables[i], plan.scan_types[i], plan.index_columns[i],
+            plan.filters[i], state,
+        )
 
-    def _scan(self, node: ScanNode, state: "_ExecState") -> _Groups:
-        table = self.storage.table(node.table)
+    def _scan(
+        self,
+        alias: str,
+        table_name: str,
+        scan_type: str,
+        index_column: Optional[str],
+        filters: Sequence[FilterPredicate],
+        state: "_ExecState",
+    ) -> _Groups:
+        table = self.storage.table(table_name)
         base_rows = table.num_rows
-        if node.scan_type == "index":
-            row_ids = self._index_access(node)
+        if scan_type == "index":
+            row_ids = self._index_access(table_name, index_column, filters)
             fetched = len(row_ids)
-            residual = [f for f in node.filters if f.column.column != node.index_column]
+            residual = [f for f in filters if f.column.column != index_column]
             for predicate in residual:
                 row_ids = row_ids[self._apply_filter(table.gather(predicate.column.column, row_ids), predicate)]
             state.charge(self.cost_model.index_scan(base_rows, fetched, len(residual)))
         else:
             mask = np.ones(base_rows, dtype=bool)
-            for predicate in node.filters:
+            for predicate in filters:
                 mask &= self._apply_filter(table.column(predicate.column.column), predicate)
             row_ids = np.flatnonzero(mask)
-            state.charge(self.cost_model.seq_scan(base_rows, len(node.filters)))
+            state.charge(self.cost_model.seq_scan(base_rows, len(filters)))
         return _Groups(
-            ids={node.alias: row_ids.astype(np.int64, copy=False)},
+            ids={alias: row_ids.astype(np.int64, copy=False)},
             weight=np.ones(len(row_ids), dtype=np.int64),
             count=len(row_ids),
         )
 
-    def _index_access(self, node: ScanNode) -> np.ndarray:
-        index = self.storage.index(node.table, node.index_column)
-        driving = next(f for f in node.filters if f.column.column == node.index_column)
+    def _index_access(
+        self, table_name: str, index_column: str, filters: Sequence[FilterPredicate]
+    ) -> np.ndarray:
+        index = self.storage.index(table_name, index_column)
+        driving = next(f for f in filters if f.column.column == index_column)
         if driving.op == "=":
             return index.lookup_eq(driving.value)
         if driving.op == "IN":
@@ -229,15 +271,9 @@ class ExecutionEngine:
         raise ValueError(f"unsupported op {op!r}")
 
     def _join(
-        self,
-        query: Query,
-        node: JoinNode,
-        left: _Groups,
-        right: _Groups,
-        state: "_ExecState",
-        needed: FrozenSet[str],
-        above: Optional[JoinNode],
-    ) -> Tuple[_Groups, Optional[_Groups]]:
+        self, query: Query, node: Join, left: _Groups, right: _Groups, state: "_ExecState"
+    ) -> Tuple[Ranks, np.ndarray, int]:
+        """Count and charge one join: its ranks, matches and output count."""
         if not node.predicates:
             out_count = self._check_cross(left.count, right.count, state)
             # Every entry has rank 0: each group matches every scanned row.
@@ -246,9 +282,8 @@ class ExecutionEngine:
                 np.zeros(right.count, dtype=np.int64),
                 np.array([right.count], dtype=np.int64),
             )
-            matches = match_counts(ranks)
-            return self._build(query, node, left, right, ranks, matches, out_count, state, needed, above)
-        right_alias = node.right.alias
+            return ranks, match_counts(ranks), out_count
+        right_alias = node.alias
 
         def key_columns():
             """Each predicate's left table column, left row ids and right key values."""
@@ -267,7 +302,7 @@ class ExecutionEngine:
         ranks = rank_keys(*next(keys))
         matches = match_counts(ranks)
         out_count = int(left.weight @ matches)
-        self._check_output(node, query, left.count, right, out_count, state)
+        self._check_output(node, left.count, right, out_count, state)
 
         # Every further predicate is part of the key, not a filter over pairs.
         if len(node.predicates) > 1:
@@ -276,13 +311,12 @@ class ExecutionEngine:
             matches = match_counts(ranks)
             out_count = int(left.weight @ matches)
 
-        self._charge_join(node, query, left.count, right, out_count, state)
-        return self._build(query, node, left, right, ranks, matches, out_count, state, needed, above)
+        self._charge_join(node, left.count, right.count, out_count, state)
+        return ranks, matches, out_count
 
     def _check_output(
         self,
-        node: JoinNode,
-        query: Query,
+        node: Join,
         left_count: int,
         right: _Groups,
         out_count: int,
@@ -297,7 +331,7 @@ class ExecutionEngine:
             affordable = int(state.remaining_units() / self.cost_model.params.output_tuple) + 1
             limit = min(limit, affordable)
         if out_count > limit:
-            self._charge_join(node, query, left_count, right, out_count, state)
+            self._charge_join(node, left_count, right.count, out_count, state)
             raise TimeoutExceeded(self.cost_model.to_milliseconds(state.work))
 
     def _check_cross(self, left_count: int, right_count: int, state: "_ExecState") -> int:
@@ -309,45 +343,17 @@ class ExecutionEngine:
             raise TimeoutExceeded(self.cost_model.to_milliseconds(state.work))
         return out_count
 
-    def _build(
-        self,
-        query: Query,
-        node: JoinNode,
-        left: _Groups,
-        right: _Groups,
-        ranks: Ranks,
-        matches: np.ndarray,
-        out_count: int,
-        state: "_ExecState",
-        needed: FrozenSet[str],
-        above: Optional[JoinNode],
-    ) -> Tuple[_Groups, Optional[_Groups]]:
-        """The counted and charged join's output, and the scan of ``above``'s
-        right input, which comes next in the charge sequence.
-
-        An output larger than its inputs is built only once the operator above
-        is known not to time out on it (:meth:`_look_ahead`); a smaller one
-        costs less to build than to look ahead over.
-        """
-        above_right = self._scan_above(above, state)
-        if out_count > len(left.weight) + right.count:
-            self._look_ahead(
-                query, node, left, right, ranks, matches, out_count, state, above, above_right
-            )
-        output = self._emit(left, right, node.right.alias, ranks, matches, out_count, needed)
-        return output, above_right
-
     def _look_ahead(
         self,
         query: Query,
-        node: JoinNode,
+        node: Join,
         left: _Groups,
         right: _Groups,
         ranks: Ranks,
         matches: np.ndarray,
         out_count: int,
         state: "_ExecState",
-        above: Optional[JoinNode],
+        above: Optional[Join],
         above_right: Optional[_Groups],
     ) -> None:
         """Run the first checks of ``above`` (the final aggregation at the
@@ -365,9 +371,9 @@ class ExecutionEngine:
                 count = self._driving_count(
                     query, node, left, right, ranks, matches, above, above_right
                 )
-                self._check_output(above, query, out_count, above_right, count, trial)
+                self._check_output(above, out_count, above_right, count, trial)
                 if len(above.predicates) == 1:  # then ``count`` is its output: charge it too
-                    self._charge_join(above, query, out_count, above_right, count, trial)
+                    self._charge_join(above, out_count, above_right.count, count, trial)
         except TimeoutExceeded:
             state.work = trial.work
             raise
@@ -375,12 +381,12 @@ class ExecutionEngine:
     def _driving_count(
         self,
         query: Query,
-        node: JoinNode,
+        node: Join,
         left: _Groups,
         right: _Groups,
         ranks: Ranks,
         matches: np.ndarray,
-        above: JoinNode,
+        above: Join,
         above_right: _Groups,
     ) -> int:
         """Output rows of ``above``'s driving predicate over ``node``'s unbuilt
@@ -390,9 +396,9 @@ class ExecutionEngine:
         times."""
         predicate = above.predicates[0]
         key, above_key = predicate.left, predicate.right
-        if key.alias == above.right.alias:
+        if key.alias == above.alias:
             key, above_key = above_key, key
-        if key.alias == node.right.alias:
+        if key.alias == node.alias:
             weight = _rank_weights(left.weight, ranks).astype(np.int64)
             rows = right.ids[key.alias]
         else:
@@ -400,7 +406,7 @@ class ExecutionEngine:
             rows = left.ids[key.alias]
         above_ranks = rank_keys(
             self.storage.table(query.tables[key.alias]).column(key.column),
-            self._gather(query, above_right, above.right.alias, above_key.column),
+            self._gather(query, above_right, above.alias, above_key.column),
             rows,
         )
         return int(weight @ match_counts(above_ranks))
@@ -449,26 +455,22 @@ class ExecutionEngine:
 
     def _charge_join(
         self,
-        node: JoinNode,
-        query: Query,
+        node: Join,
         left_count: int,
-        right: _Groups,
+        right_count: int,
         out_count: int,
         state: "_ExecState",
     ) -> None:
         """Charge the join's true-cardinality cost (same formulas as the optimizer)."""
-        right_scan = node.right
-        assert isinstance(right_scan, ScanNode)
-        right_count = right.count
         if node.method == "hash":
             build, probe = (right_count, left_count) if right_count <= left_count else (left_count, right_count)
             cost = self.cost_model.hash_join(build, probe, out_count)
         elif node.method == "merge":
             cost = self.cost_model.merge_join(left_count, right_count, out_count)
         else:  # nestloop
-            index_col = self._nl_index_column(node, right_scan)
+            index_col = self._nl_index_column(node)
             if index_col is not None:
-                base = self.storage.table(right_scan.table).num_rows
+                base = self.storage.table(node.table).num_rows
                 cost = self.cost_model.index_nested_loop(left_count, base, out_count)
                 plain = self.cost_model.nested_loop(left_count, right_count, out_count)
                 cost = min(cost, plain)
@@ -476,10 +478,10 @@ class ExecutionEngine:
                 cost = self.cost_model.nested_loop(left_count, right_count, out_count)
         state.charge(cost)
 
-    def _nl_index_column(self, node: JoinNode, right_scan: ScanNode) -> Optional[str]:
+    def _nl_index_column(self, node: Join) -> Optional[str]:
         for predicate in node.predicates:
             for ref in (predicate.left, predicate.right):
-                if ref.alias == right_scan.alias and self.storage.has_index(right_scan.table, ref.column):
+                if ref.alias == node.alias and self.storage.has_index(node.table, ref.column):
                     return ref.column
         return None
 
