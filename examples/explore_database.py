@@ -69,7 +69,7 @@ def main() -> None:
         "AND t.production_year BETWEEN 1900 AND 1950"
     )
     original = db.plan(join_query).plan
-    icp = IncompletePlan.extract(original)
+    icp = IncompletePlan(original.aliases, original.methods)
     original_latency = db.execute(join_query, original).latency_ms
     print(f"Expert plan: order={list(icp.order)} methods={list(icp.methods)} "
           f"-> {original_latency:.2f} ms")

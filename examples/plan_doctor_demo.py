@@ -59,7 +59,7 @@ def main() -> None:
         original_latency = db.execute(query, original).latency_ms
         if original_latency < 1.0:
             continue
-        icp0 = IncompletePlan.extract(original)
+        icp0 = IncompletePlan(original.aliases, original.methods)
         timeout = original_latency * 1.5
         icp1, action1, latency1 = best_single_step(db, query, icp0, space, timeout)
         icp2, action2, latency2 = best_single_step(db, query, icp1, space, timeout)

@@ -5,14 +5,14 @@ planner's swap / override edits of it, and a full shuffle with random
 operators.
 """
 
-from repro.optimizer.plans import JOIN_METHODS, plan_aliases, plan_join_methods
+from repro.optimizer.plans import JOIN_METHODS
 
 
 def doctor_like_plans(database, query, rng):
     """The expert's plan, a 1-3 step swap / override edit of it, and a full
     shuffle with random operators (which brings cross joins)."""
     expert = database.plan(query).plan
-    order, methods = plan_aliases(expert), plan_join_methods(expert)
+    order, methods = list(expert.aliases), list(expert.methods)
     edited_order, edited_methods = list(order), list(methods)
     for _ in range(int(rng.integers(1, 4))):
         if rng.random() < 0.5:

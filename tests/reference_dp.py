@@ -21,7 +21,7 @@ from repro.catalog.schema import Schema
 from repro.optimizer.cardinality import MIN_ROWS, CardinalityEstimator
 from repro.optimizer.cost import CostModel
 from repro.optimizer.dp import IndexOracle, OptimizerOptions
-from repro.optimizer.plans import JoinNode, PlanNode, ScanNode
+from reference_plans import JoinNode, PlanNode, ScanNode
 from repro.sql.ast import JoinPredicate, Query
 
 def query_join_graph(query: Query) -> nx.Graph:

@@ -9,10 +9,12 @@ that.  The encoder now reads a left-deep plan's structure off its table
 count and refuses any other shape; the differential tests in
 ``tests/test_core_reward_encoding.py`` require it to reproduce this oracle
 ``array_equal`` field for field on every left-deep plan, and the oracle
-still encodes bushy trees.  Its one change since: it returns a
+still encodes bushy trees.  Its changes since: it returns a
 :class:`ReferenceEncoding`, an ``EncodedPlan`` that also keeps the
 per-plan heights, structs, reachability mask and node mask the encoder no
-longer stores, so the tests can hold them to ``left_deep_shape``.
+longer stores, so the tests can hold them to ``left_deep_shape``; it walks
+the tree (``reference_plans``) of a plan record; and it hands the
+encoder's ``_leaf_features`` a scan's fields rather than the scan.
 Nothing under ``src/`` imports it; do not optimise it.
 """
 
@@ -33,8 +35,9 @@ from repro.core.encoding import (
     EncodedPlan,
     PlanEncoder,
 )
-from repro.optimizer.plans import JoinNode, PlanNode, ScanNode
+from repro.optimizer.plans import Plan
 from repro.sql.ast import Query
+from reference_plans import JoinNode, PlanNode, ScanNode, to_tree
 
 
 @dataclass
@@ -103,6 +106,8 @@ def encode_batch(
     join_op_ids = _JOIN_OP_IDS
 
     for u, (query, plan) in enumerate(pairs):
+        if isinstance(plan, Plan):
+            plan = to_tree(plan)
         starts.append(len(all_u))
         # Iterative pre-order walk (node, parent index, is-left-child);
         # right is pushed first so left pops first, matching recursion.
@@ -136,7 +141,7 @@ def encode_batch(
                 push((node.left, i, True))
             else:
                 assert isinstance(node, ScanNode)
-                op_id, table_id, fc, fo, fv = leaf_features(query, node)
+                op_id, table_id, fc, fo, fv = leaf_features(query, node.table, node.scan_type, node.filters)
                 append_op(op_id)
                 scan_u.append(u)
                 scan_i.append(i)

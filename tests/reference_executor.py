@@ -8,11 +8,14 @@ This is the previous ``repro.executor`` join pipeline kept verbatim —
 every ``ExecutionResult`` field with ``==``.  An intermediate here is one
 aligned row-id column per joined alias, one entry per joined *row*.
 
-Two lines differ from the parent on purpose: ``_scan`` adapts the shared
+A few lines differ from the parent on purpose: ``_scan`` adapts the shared
 scan's result to ``_Intermediate`` (the scan itself, ``_charge_join``,
 ``_apply_filter``, ``_index_access`` and ``_ExecState`` are inherited
-unchanged), and ``MAX_JOIN_OUTPUT`` is read through the engine module at call
-time so a test that monkeypatches the cap moves both engines.
+unchanged; the engine's scan and charge now take a leaf's fields and a
+:class:`~repro.executor.engine.Join`, which this engine reads off its tree
+nodes), ``execute`` walks the tree of a plan record (``reference_plans``),
+and ``MAX_JOIN_OUTPUT`` is read through the engine module at call time so
+a test that monkeypatches the cap moves both engines.
 
 Float caveat: integer ``SUM`` / ``MIN`` / ``MAX`` / ``COUNT`` do not depend on
 row order, and an integer ``AVG`` below 2**53 is the exact sum over the count
@@ -30,9 +33,10 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.executor import engine as _engine
-from repro.executor.engine import ExecutionEngine, ExecutionResult, TimeoutExceeded, _ExecState
-from repro.optimizer.plans import JoinNode, PlanNode, ScanNode
+from repro.executor.engine import ExecutionEngine, ExecutionResult, Join, TimeoutExceeded, _ExecState
+from repro.optimizer.plans import Plan
 from repro.sql.ast import Query
+from reference_plans import JoinNode, PlanNode, ScanNode, to_tree
 
 
 def join_pairs(
@@ -91,9 +95,11 @@ class ReferenceExecutionEngine(ExecutionEngine):
     def execute(
         self,
         query: Query,
-        plan: PlanNode,
+        plan: Plan,
         timeout_ms: Optional[float] = None,
     ) -> ExecutionResult:
+        if isinstance(plan, Plan):
+            plan = to_tree(plan)
         state = _ExecState(
             timeout_ms=timeout_ms,
             units_per_ms=self.cost_model.params.work_units_per_ms,
@@ -129,8 +135,14 @@ class ReferenceExecutionEngine(ExecutionEngine):
         return self._join(query, plan, left, right, state)
 
     def _scan(self, node: ScanNode, state: _ExecState) -> _Intermediate:
-        scanned = super()._scan(node, state)
+        scanned = super()._scan(
+            node.alias, node.table, node.scan_type, node.index_column, node.filters, state
+        )
         return _Intermediate(rows=dict(scanned.ids), count=scanned.count)
+
+    def _charge_join(self, node: JoinNode, left_count, right: _Intermediate, out_count, state) -> None:
+        join = Join(node.method, node.right.alias, node.right.table, node.predicates)
+        super()._charge_join(join, left_count, right.count, out_count, state)
 
     def _join(
         self,
@@ -159,7 +171,7 @@ class ReferenceExecutionEngine(ExecutionEngine):
                 left_keys, right_keys, max_output=min(_engine.MAX_JOIN_OUTPUT, affordable)
             )
         except JoinOverflow as exc:
-            self._charge_join(node, query, left.count, right, exc.count, state)
+            self._charge_join(node, left.count, right, exc.count, state)
             raise TimeoutExceeded(self.cost_model.to_milliseconds(state.work))
 
         rows = {alias: ids[li] for alias, ids in left.rows.items()}
@@ -176,7 +188,7 @@ class ReferenceExecutionEngine(ExecutionEngine):
                 count=int(keep.sum()),
             )
 
-        self._charge_join(node, query, left.count, right, result.count, state)
+        self._charge_join(node, left.count, right, result.count, state)
         return result
 
     def _cross_join(

@@ -79,7 +79,7 @@ def record_ops(url, workload, monkeypatch) -> Tuple[List[tuple], List[str]]:
     database = workload.database
     query = next(w.query for w in workload.train if w.query.num_tables >= 3)
     plan = database.plan(query).plan
-    icp = IncompletePlan.extract(plan)
+    icp = IncompletePlan(plan.aliases, plan.methods)
     # A fresh client: its first socket sends the handshake, and its
     # planning memos are empty, so every planning call reaches the wire.
     try:

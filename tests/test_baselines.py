@@ -11,7 +11,7 @@ from repro.baselines.loger import LogerOptimizer
 from repro.baselines.postgres import PostgresOptimizer
 from repro.baselines.value_model import PlanFeaturizer, ValueModel
 from repro.core.icp import IncompletePlan
-from repro.optimizer.plans import plan_join_methods, plan_signature
+from repro.optimizer.plans import plan_signature
 
 
 @pytest.fixture(scope="module")
@@ -92,7 +92,7 @@ class TestBao:
         plans = bao._candidates(query)
         assert len(plans) == len(DEFAULT_HINT_SETS)
         for plan, disabled in zip(plans, DEFAULT_HINT_SETS):
-            used = set(plan_join_methods(plan))
+            used = set(plan.methods)
             assert not (used & disabled)
 
     def test_untrained_picks_expert_default(self, env):
@@ -139,7 +139,7 @@ class TestBalsa:
         balsa = BalsaOptimizer(db)
         query = next(w.query for w in workload.all_queries if w.query.num_tables >= 5)
         plan = balsa._construct(query)
-        assert sorted(IncompletePlan.extract(plan).order) == sorted(query.aliases)
+        assert sorted(IncompletePlan(plan.aliases, plan.methods).order) == sorted(query.aliases)
 
     def test_bootstrap_uses_cost_model(self, env):
         workload, db = env
@@ -163,7 +163,7 @@ class TestLoger:
         loger = LogerOptimizer(db)
         query = next(w.query for w in workload.all_queries if w.query.num_tables >= 5)
         plan = loger._construct(query)
-        assert sorted(IncompletePlan.extract(plan).order) == sorted(query.aliases)
+        assert sorted(IncompletePlan(plan.aliases, plan.methods).order) == sorted(query.aliases)
 
     def test_faster_optimization_than_bao(self, env):
         """Loger skips the expert DP, so its optimize() is cheaper (Fig. 6)."""

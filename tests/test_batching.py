@@ -251,7 +251,7 @@ class TestRealEnvironmentMemoization:
         db = job_workload.database
         query = next(w.query for w in job_workload.train if w.query.num_tables >= 4)
         original = db.plan(query).plan
-        icp = IncompletePlan.extract(original)
+        icp = IncompletePlan(original.aliases, original.methods)
         finals = []
         for join_pos in range(1, icp.num_tables):
             for method in ("hash", "merge", "nestloop"):
@@ -288,7 +288,7 @@ class TestBatchedInference:
             assert plan_signature(single.plan) == plan_signature(batch_result.plan)
             assert single.chosen_step == batch_result.chosen_step
         assert all(
-            sorted(IncompletePlan.extract(r.plan).order) == sorted(q.aliases)
+            sorted(IncompletePlan(r.plan.aliases, r.plan.methods).order) == sorted(q.aliases)
             for q, r in zip(queries, batched)
         )
 

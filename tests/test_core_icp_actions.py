@@ -20,9 +20,9 @@ class TestIncompletePlan:
         db = job_workload.database
         query = next(wq.query for wq in job_workload.all_queries if wq.query.num_tables >= 4)
         plan = db.plan(query).plan
-        icp = IncompletePlan.extract(plan)
+        icp = IncompletePlan(plan.aliases, plan.methods)
         rebuilt = db.plan_with_hints(query, icp.order, icp.methods).plan
-        assert IncompletePlan.extract(rebuilt) == icp
+        assert IncompletePlan(rebuilt.aliases, rebuilt.methods) == icp
 
     def test_swap(self):
         icp = make_icp(4)

@@ -62,7 +62,7 @@ class TestExecutionBuffer:
         db = workload.database
         query = workload.train[0].query
         original = db.plan(query).plan
-        icp = IncompletePlan.extract(original)
+        icp = IncompletePlan(original.aliases, original.methods)
         alt_icp = icp.override(1, "merge" if icp.methods[0] != "merge" else "nestloop")
         alt = db.plan_with_hints(query, alt_icp.order, alt_icp.methods).plan
         buffer = ExecutionBuffer()
@@ -78,7 +78,7 @@ class TestExecutionBuffer:
         db = workload.database
         query = workload.train[0].query
         original = db.plan(query).plan
-        icp = IncompletePlan.extract(original)
+        icp = IncompletePlan(original.aliases, original.methods)
         alt_icp = icp.override(1, "merge" if icp.methods[0] != "merge" else "nestloop")
         alt = db.plan_with_hints(query, alt_icp.order, alt_icp.methods).plan
         buffer = ExecutionBuffer()
@@ -205,7 +205,7 @@ class TestTrainingLoop:
         wq = workload.test[0]
         result = optimizer.optimize(wq.query)
         assert result.optimization_ms >= 0
-        assert sorted(IncompletePlan.extract(result.plan).order) == sorted(wq.query.aliases)
+        assert sorted(IncompletePlan(result.plan.aliases, result.plan.methods).order) == sorted(wq.query.aliases)
 
     def test_optimizer_plan_executes(self, trained):
         workload, trainer = trained

@@ -20,7 +20,8 @@ from repro.core.encoding import (
 )
 from repro.core.icp import IncompletePlan
 from repro.core.reward import AdvantageFunction, ReferenceSet, RewardConfig
-from repro.optimizer.plans import JoinNode, ScanNode
+from reference_plans import JoinNode, ScanNode, to_record, to_tree
+from repro.sql.ast import Query
 
 
 class TestAdvantageFunction:
@@ -207,7 +208,7 @@ class TestPlanEncoding:
 
         db = job_workload.database
         query, plan = self._plan(job_workload)
-        icp = IncompletePlan.extract(plan)
+        icp = IncompletePlan(plan.aliases, plan.methods)
         current = icp.methods[0]
         other = next(m for m in ("hash", "merge", "nestloop") if m != current)
         alt = db.plan_with_hints(query, icp.order, (other,) + icp.methods[1:]).plan
@@ -258,15 +259,13 @@ class TestBatchEncoderParity:
     def test_reachability_matches_python_reference(self, job_workload):
         """A plan's reachability mask, its table count's ``left_deep_shape``,
         equals a per-plan Python ancestor closure."""
-        from repro.optimizer.plans import JoinNode
-
         db = job_workload.database
         encoder = PlanEncoder(db.schema, max_nodes=40, statistics=db.statistics)
         for query, plan in self._pairs(job_workload, 9):
             enc = encoder.encode(query, plan)
             # Mirror the encoder's pre-order walk to recover parent pointers.
             parents = []
-            stack = [(plan, -1)]
+            stack = [(to_tree(plan), -1)]
             while stack:
                 node, parent = stack.pop()
                 i = len(parents)
@@ -312,7 +311,7 @@ def _encoder_pairs(workload):
     for wq in workload.all_queries:
         plan = db.plan(wq.query).plan
         pairs.append((wq.query, plan))
-        icp = IncompletePlan.extract(plan)
+        icp = IncompletePlan(plan.aliases, plan.methods)
         if icp.num_tables >= 3:
             other = "merge" if icp.methods[-1] != "merge" else "nestloop"
             for edit in (icp.swap(1, icp.num_tables), icp.override(icp.num_joins, other)):
@@ -369,11 +368,17 @@ class TestEncoderAgainstReference:
         table = db.schema.table_names[0]
         pairs = []
         for tables in range(1, 40 // 2 + 1):
+            query = Query(
+                tables={f"s{j}": table for j in range(tables)},
+                join_predicates=[],
+                filters=[],
+                name=f"synthetic{tables}",
+            )
             plan = ScanNode(alias="s0", table=table)
             for j in range(1, tables):
                 right = ScanNode(alias=f"s{j}", table=table)
                 plan = JoinNode(left=plan, right=right, method=("hash", "merge", "nestloop")[j % 3])
-            pairs.append((query, plan))
+            pairs.append((query, to_record(plan, query)))
         self.check(job_workload, pairs, max_nodes=40)
         encoder = PlanEncoder(db.schema, max_nodes=40, statistics=db.statistics)
         for tables, want in enumerate(reference_encoding.encode_batch(encoder, pairs), 1):
@@ -386,19 +391,29 @@ class TestEncoderAgainstReference:
             assert not shape.reach.flags.writeable
 
     def test_bushy_tree(self, job_workload):
-        """The encoder refuses a join on the right of a join, as the wire
-        does; the tree's left-deep pieces still encode equal to the general
-        oracle, which still encodes the whole tree."""
+        """No plan is bushy: the test-side converter refuses a join on the
+        right of a join, so the encoder never sees one.  The tree's left-deep
+        halves, as plans of their own aliases, still encode equal to the
+        general oracle, which still encodes the whole tree."""
         db = job_workload.database
-        query = next(w.query for w in job_workload.all_queries if w.query.num_tables >= 5)
-        a, b, c, d, e = _scans(db.plan(query).plan)[:5]
+        query = next(w.query for w in job_workload.all_queries if w.query.num_tables == 5)
+        a, b, c, d, e = _scans(to_tree(db.plan(query).plan))
         right = JoinNode(left=JoinNode(left=c, right=d, method="merge"), right=e, method="nestloop")
         bushy = JoinNode(left=JoinNode(left=a, right=b, method="hash"), right=right, method="hash")
+        with pytest.raises(ValueError, match="left-deep"):
+            to_record(bushy, query)
         encoder = PlanEncoder(db.schema, max_nodes=40, statistics=db.statistics)
-        for batch in ([(query, bushy)], [(query, bushy.left), (query, bushy)]):
-            with pytest.raises(ValueError, match="left-deep"):
-                encoder.encode_many(batch)
-        self.check(job_workload, [(query, bushy.right), (query, bushy.left)])
+        halves = []
+        for half in (bushy.right, bushy.left):
+            aliases = [scan.alias for scan in _scans(half)]
+            part = Query(
+                tables={alias: query.tables[alias] for alias in aliases},
+                join_predicates=[],
+                filters=[f for f in query.filters if f.column.alias in aliases],
+                name=f"{query.name}:{','.join(aliases)}",
+            )
+            halves.append((part, to_record(half, part)))
+        self.check(job_workload, halves)
         encoding = reference_encoding.encode_batch(encoder, [(query, bushy)])[0]
         assert list(encoding.heights[:9]) == [3, 1, 0, 0, 2, 1, 0, 0, 0]
 
@@ -409,7 +424,7 @@ class TestLeafCacheLRU:
     def _alt_plan(self, db, query, plan):
         from repro.core.icp import IncompletePlan
 
-        icp = IncompletePlan.extract(plan)
+        icp = IncompletePlan(plan.aliases, plan.methods)
         current = icp.methods[0]
         other = next(m for m in ("hash", "merge", "nestloop") if m != current)
         return db.plan_with_hints(query, icp.order, (other,) + icp.methods[1:]).plan

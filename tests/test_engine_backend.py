@@ -29,7 +29,8 @@ from repro.core.icp import IncompletePlan
 from repro.engine.backend import EngineBackend, LocalBackend, make_backend
 from repro.engine.database import Database
 from repro.engine.remote import EngineServer, RemoteBackend
-from repro.optimizer.plans import ScanNode, iter_nodes, plan_signature
+from reference_plans import ScanNode, iter_nodes, to_tree
+from repro.optimizer.plans import plan_signature
 from repro.sql.binder import BindError
 from repro.sql.parser import ParseError
 from repro.workloads.base import Workload, WorkloadSpec
@@ -99,7 +100,7 @@ class TestDynamicTimeout:
             tiny_db.execute(bound_query, plan)
         assert tiny_db.executions == before
         # A plan the cache has never seen is a miss and counts once.
-        icp = IncompletePlan.extract(plan)
+        icp = IncompletePlan(plan.aliases, plan.methods)
         alt_method = "merge" if icp.methods[0] != "merge" else "nestloop"
         alt = tiny_db.plan_with_hints(
             bound_query, icp.order, (alt_method,) + tuple(icp.methods[1:])
@@ -128,7 +129,8 @@ class TestDynamicTimeout:
 
 class TestHintCacheLRU:
     def _variants(self, db, query, count):
-        icp = IncompletePlan.extract(db.plan(query).plan)
+        plan = db.plan(query).plan
+        icp = IncompletePlan(plan.aliases, plan.methods)
         variants = []
         for position in range(1, len(icp.methods) + 1):
             for method in ("hash", "merge", "nestloop"):
@@ -182,7 +184,8 @@ class TestBatchMirrors:
         assert plan_signature(batch[0].plan) == plan_signature(singles[0].plan)
 
     def test_plan_with_hints_many_matches_singletons(self, tiny_db, bound_query):
-        icp = IncompletePlan.extract(tiny_db.plan(bound_query).plan)
+        plan = tiny_db.plan(bound_query).plan
+        icp = IncompletePlan(plan.aliases, plan.methods)
         edited = icp.override(1, "merge" if icp.methods[0] != "merge" else "hash")
         requests = [
             (bound_query, icp.order, icp.methods),
@@ -238,7 +241,7 @@ STATEMENT = (
 def plan_tree(plan):
     """Every planner-visible field of every node, floats as ``float.hex``."""
     nodes = []
-    for node in iter_nodes(plan):
+    for node in iter_nodes(to_tree(plan)):
         estimates = (float(node.est_rows).hex(), float(node.est_cost).hex())
         if isinstance(node, ScanNode):
             shape = (node.alias, node.table, node.scan_type, node.index_column, node.filters)

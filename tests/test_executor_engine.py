@@ -15,7 +15,8 @@ from repro.engine.database import HARD_CAP_MS
 from repro.executor import engine as engine_module
 from repro.executor.engine import ExecutionEngine
 from repro.executor.joins import expand_pairs, match_counts, rank_keys, refine_keys
-from repro.optimizer.plans import JOIN_METHODS, JoinNode, ScanNode, plan_aliases, plan_join_methods
+from reference_plans import JoinNode, ScanNode, to_record, to_tree
+from repro.optimizer.plans import JOIN_METHODS
 from repro.sql.ast import Aggregate, ColumnRef, FilterPredicate, JoinPredicate, Query
 from repro.storage.database import StorageDatabase
 from repro.storage.table import Table
@@ -203,7 +204,7 @@ class TestExecutionCorrectness:
     def test_join_method_does_not_change_result(self, db, job_workload):
         query = next(wq.query for wq in job_workload.all_queries if wq.query.num_tables == 4)
         original = db.plan(query).plan
-        order = plan_aliases(original)
+        order = original.aliases
         counts = set()
         for method in JOIN_METHODS:
             plan = db.plan_with_hints(query, order, [method] * (len(order) - 1)).plan
@@ -229,13 +230,11 @@ class TestExecutionCorrectness:
         assert result.aggregate_values[0] == float(expected)
 
     def test_index_scan_equals_seq_scan(self, db):
-        from repro.optimizer.plans import ScanNode
-
         query = db.sql("SELECT COUNT(*) FROM title t WHERE t.id = 5")
         plan = db.plan(query).plan
-        assert isinstance(plan, ScanNode)
+        assert plan.scan_types == ("index",)
         result = db.execute(query, plan)
-        seq_plan = ScanNode(alias="t", table="title", scan_type="seq", filters=plan.filters)
+        seq_plan = replace(plan, scan_types=("seq",), index_columns=(None,))
         seq_result = db.executor.execute(query, seq_plan, timeout_ms=HARD_CAP_MS)
         assert result.output_rows == seq_result.output_rows == 1
 
@@ -355,7 +354,7 @@ class TestDifferentialAgainstReference:
                     for timeout_ms in (HARD_CAP_MS, 1.5 * expert_ms):
                         got = engine.execute(variant, plan, timeout_ms=timeout_ms)
                         want = reference.execute(variant, plan, timeout_ms=timeout_ms)
-                        assert got == want, (query.name, plan_aliases(plan), timeout_ms)
+                        assert got == want, (query.name, plan.aliases, timeout_ms)
                         compared += 1
                         timed_out += got.timed_out
         # Both outcomes must be drawn, or the contract is half checked.
@@ -411,9 +410,9 @@ def test_doomed_plans_build_nothing_they_will_not_read(name, request, monkeypatc
         events.append((right_alias, len(output.weight) > len(left.weight) + right.count))
         return output
 
-    def spy_scan(self, node, state):
+    def spy_scan(self, *args):
         try:
-            return scan(self, node, state)
+            return scan(self, *args)
         except engine_module.TimeoutExceeded:
             events.append((None, False))
             raise
@@ -437,13 +436,13 @@ def test_doomed_plans_build_nothing_they_will_not_read(name, request, monkeypatc
                 if not events or events[-1][0] is None:
                     continue
                 alias, grew = events[-1]
-                node, above = plan, None
+                node, above = to_tree(plan), None
                 while node.right.alias != alias:
                     node, above = node.left, node
                 if above is not None and len(above.predicates) > 1:
                     continue
                 doomed += grew
-                assert alias not in grown, (query.name, plan_aliases(plan), timeout_ms)
+                assert alias not in grown, (query.name, plan.aliases, timeout_ms)
     assert doomed > 0
 
 
@@ -523,7 +522,7 @@ def _tiny_plan(query, order, methods):
     for position, (alias, method) in enumerate(zip(order[1:], methods), start=1):
         predicates = tuple(joins_between(query, order[:position], [alias]))
         plan = JoinNode(left=plan, right=scan(alias), method=method, predicates=predicates)
-    return plan
+    return to_record(plan, query)
 
 
 def _brute_force(case):
@@ -769,7 +768,7 @@ def test_reference_never_runs_the_counting_path(monkeypatch):
     def fail(*args):
         raise AssertionError("the reference engine reached the counting engine")
 
-    for method in ("_run", "_join", "_check_output", "_check_cross", "_build", "_look_ahead", "_driving_count"):
+    for method in ("_run", "_scan_leaf", "_join", "_check_output", "_check_cross", "_look_ahead", "_driving_count"):
         monkeypatch.setattr(ExecutionEngine, method, fail)
     monkeypatch.setattr(ExecutionEngine, "_emit", staticmethod(fail))
     rows = np.arange(6)
@@ -864,7 +863,7 @@ def test_counting_engine_allocates_a_fraction_of_enumeration(db, job_workload):
     assert query.num_tables >= 8
     reference = ReferenceExecutionEngine(db.storage, db.executor.cost_model)
     expert = db.plan(query).plan
-    order, methods = plan_aliases(expert), plan_join_methods(expert)
+    order, methods = expert.aliases, expert.methods
     for seed in range(4):
         swapped = list(order)
         i, j = np.random.default_rng(seed).choice(len(order), size=2, replace=False)

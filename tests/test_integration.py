@@ -50,7 +50,7 @@ class TestFossEndToEnd:
         db = job_workload.database
         for wq in job_workload.test[:10]:
             chosen = optimizer.optimize(wq.query)
-            icp = IncompletePlan.extract(chosen.plan)
+            icp = IncompletePlan(chosen.plan.aliases, chosen.plan.methods)
             assert sorted(icp.order) == sorted(wq.query.aliases)
             result = db.execute(wq.query, chosen.plan)
             assert np.isfinite(result.latency_ms)
@@ -68,7 +68,7 @@ class TestFossEndToEnd:
             original_latency = db.execute(wq.query, original).latency_ms
             if original_latency < 0.5:
                 continue
-            icp = IncompletePlan.extract(original)
+            icp = IncompletePlan(original.aliases, original.methods)
             best = original_latency
             for action_id in np.flatnonzero(space.legality_mask(icp)):
                 candidate = space.apply(int(action_id), icp)

@@ -32,17 +32,10 @@ from repro.optimizer import dp
 from repro.optimizer.cost import CostModel, CostParameters, runtime_cost_parameters
 from repro.optimizer.dp import OptimizerOptions, PlanEnumerator
 from repro.optimizer import HintError
-from repro.optimizer.plans import (
-    JOIN_METHODS,
-    JoinNode,
-    ScanNode,
-    explain,
-    iter_nodes,
-    plan_aliases,
-    plan_join_methods,
-    plan_signature,
-    replace_join_method,
-)
+from repro.optimizer.plans import JOIN_METHODS, Plan, explain, plan_signature
+from reference_plans import JoinNode, ScanNode, iter_nodes, to_record, to_tree
+from reference_plans import explain as explain_tree
+from repro.sql.ast import ColumnRef, FilterPredicate, JoinPredicate, Query
 from repro.workloads import build_workload_by_name
 
 
@@ -133,60 +126,87 @@ class TestCostModel:
 
 
 class TestPlanTrees:
-    def _left_deep(self):
-        scan_a = ScanNode(alias="a", table="title", est_rows=10, est_cost=10)
-        scan_b = ScanNode(alias="b", table="movie_info", est_rows=20, est_cost=20)
-        scan_c = ScanNode(alias="c", table="cast_info", est_rows=30, est_cost=30)
-        join1 = JoinNode(left=scan_a, right=scan_b, method="hash", est_rows=15, est_cost=50)
-        return JoinNode(left=join1, right=scan_c, method="nestloop", est_rows=5, est_cost=99)
+    """The plan record: its tuples, its constructor's checks, its text."""
+
+    QUERY = Query(
+        tables={"a": "title", "b": "movie_info", "c": "cast_info"},
+        join_predicates=[
+            JoinPredicate(ColumnRef("b", "movie_id"), ColumnRef("a", "id")),
+            JoinPredicate(ColumnRef("c", "movie_id"), ColumnRef("a", "id")),
+        ],
+        filters=[FilterPredicate(ColumnRef("a", "kind_id"), "=", (1.0,))],
+        name="abc",
+    )
+
+    def _left_deep(self, **changes):
+        fields = dict(
+            aliases=("a", "b", "c"),
+            methods=("hash", "nestloop"),
+            scan_types=("seq", "seq", "seq"),
+            index_columns=(None, None, None),
+            est_rows=(10.0, 20.0, 30.0, 15.0, 5.0),
+            est_costs=(10.0, 20.0, 30.0, 50.0, 99.0),
+        )
+        fields.update(changes)
+        return Plan(self.QUERY, **fields)
 
     def test_plan_aliases_left_to_right(self):
-        assert plan_aliases(self._left_deep()) == ["a", "b", "c"]
+        assert self._left_deep().aliases == ("a", "b", "c")
 
     def test_plan_join_methods_bottom_up(self):
-        assert plan_join_methods(self._left_deep()) == ["hash", "nestloop"]
+        plan = self._left_deep()
+        assert plan.methods == ("hash", "nestloop")
+        assert plan.predicates == tuple((p,) for p in self.QUERY.join_predicates)
+        assert plan.filters == ((self.QUERY.filters[0],), (), ())
 
     def test_signature_stable_and_distinct(self):
         plan = self._left_deep()
         assert plan_signature(plan) == plan_signature(self._left_deep())
-        other = replace_join_method(plan, 0, "merge")
+        assert plan_signature(plan) == "nestloop(hash(seq(a|a.kind_id = 1.0),seq(b|)),seq(c|))"
+        other = dataclasses.replace(plan, methods=("merge", "nestloop"))
         assert plan_signature(other) != plan_signature(plan)
 
     def test_replace_join_method_levels(self):
+        """A method is replaced by ``dataclasses.replace``, which runs the
+        constructor's checks again."""
         plan = self._left_deep()
-        assert plan_join_methods(replace_join_method(plan, 1, "merge")) == ["hash", "merge"]
-        with pytest.raises(IndexError):
-            replace_join_method(plan, 5, "merge")
+        assert dataclasses.replace(plan, methods=("hash", "merge")).methods == ("hash", "merge")
+        with pytest.raises(ValueError, match="does not fit"):
+            dataclasses.replace(plan, methods=("hash", "merge", "merge"))
 
     def test_invalid_method_raises(self):
-        with pytest.raises(ValueError):
-            JoinNode(left=ScanNode(alias="a", table="t"), right=ScanNode(alias="b", table="t"), method="sort")
+        with pytest.raises(ValueError, match="unknown join method"):
+            self._left_deep(methods=("hash", "sort"))
 
     def test_index_scan_requires_column(self):
-        with pytest.raises(ValueError):
-            ScanNode(alias="a", table="t", scan_type="index")
+        with pytest.raises(ValueError, match="index_column"):
+            self._left_deep(scan_types=("index", "seq", "seq"))
+        with pytest.raises(ValueError, match="index_column"):  # a column the query does not filter
+            self._left_deep(scan_types=("index", "seq", "seq"), index_columns=("id", None, None))
+        assert self._left_deep(scan_types=("index", "seq", "seq"), index_columns=("kind_id", None, None))
 
     def test_explain_renders(self):
         text = explain(self._left_deep())
         assert "Hash Join" in text and "Nested Loop" in text
+        assert text == explain_tree(to_tree(self._left_deep()))
 
 
 class TestEnumeration:
     def test_plan_covers_all_aliases(self, db, job_workload):
         for wq in job_workload.all_queries[:10]:
             plan = db.plan(wq.query).plan
-            assert sorted(plan_aliases(plan)) == sorted(wq.query.aliases)
+            assert sorted(plan.aliases) == sorted(wq.query.aliases)
 
     def test_plan_estimates_annotated(self, db, job_workload):
         plan = db.plan(job_workload.all_queries[0].query).plan
-        assert plan.est_cost > 0
-        assert plan.est_rows >= 1
+        assert plan.est_costs[-1] > 0
+        assert min(plan.est_rows) >= 1
 
     def test_disabled_methods_respected(self, db, job_workload):
         query = next(wq.query for wq in job_workload.all_queries if wq.query.num_tables >= 3)
         options = OptimizerOptions(disabled_methods=frozenset({"hash", "merge"}))
         plan = db.plan(query, options).plan
-        assert set(plan_join_methods(plan)) <= {"nestloop"}
+        assert set(plan.methods) <= {"nestloop"}
 
     def test_all_methods_disabled_raises(self):
         with pytest.raises(ValueError):
@@ -194,10 +214,10 @@ class TestEnumeration:
 
     def test_leading_prefix_respected(self, db, job_workload):
         query = next(wq.query for wq in job_workload.all_queries if wq.query.num_tables >= 4)
-        default_order = plan_aliases(db.plan(query).plan)
+        default_order = db.plan(query).plan.aliases
         prefix = (default_order[-1],)  # force a different leading table
         plan = db.plan(query, OptimizerOptions(leading_prefix=prefix)).plan
-        assert plan_aliases(plan)[0] == prefix[0]
+        assert plan.aliases[0] == prefix[0]
 
     def test_dp_beats_or_matches_random_hints_on_estimates(self, db, job_workload):
         """The DP plan's estimated cost is minimal among random hint plans."""
@@ -209,18 +229,18 @@ class TestEnumeration:
             rng.shuffle(order)
             methods = [JOIN_METHODS[int(rng.integers(3))] for _ in range(len(order) - 1)]
             hinted = db.plan_with_hints(query, order, methods).plan
-            assert hinted.est_cost >= best.est_cost - 1e-6
+            assert hinted.est_costs[-1] >= best.est_costs[-1] - 1e-6
 
     def test_greedy_fallback_for_many_tables(self, db, job_workload):
         query = max((wq.query for wq in job_workload.all_queries), key=lambda q: q.num_tables)
         options = OptimizerOptions(max_dp_tables=4)
         plan = db.plan(query, options).plan
-        assert sorted(plan_aliases(plan)) == sorted(query.aliases)
+        assert sorted(plan.aliases) == sorted(query.aliases)
 
     def test_single_table_query_is_scan(self, db):
         query = db.sql("SELECT COUNT(*) FROM title t WHERE t.production_year >= 2000")
         plan = db.plan(query).plan
-        assert isinstance(plan, ScanNode)
+        assert plan.aliases == ("t",) and plan.methods == ()
 
 
 class TestPrefixValidation:
@@ -257,11 +277,11 @@ class TestHints:
     def test_hint_roundtrip(self, db, job_workload):
         query = next(wq.query for wq in job_workload.all_queries if wq.query.num_tables >= 4)
         original = db.plan(query).plan
-        order = plan_aliases(original)
-        methods = plan_join_methods(original)
+        order = original.aliases
+        methods = original.methods
         rebuilt = db.plan_with_hints(query, order, methods).plan
-        assert plan_aliases(rebuilt) == order
-        assert plan_join_methods(rebuilt) == methods
+        assert rebuilt.aliases == order
+        assert rebuilt.methods == methods
 
     def test_wrong_alias_set_raises(self, db, job_workload):
         query = job_workload.all_queries[0].query
@@ -286,7 +306,7 @@ class TestHints:
         order = sorted(query.aliases)  # arbitrary order, probably disconnected
         methods = ["hash"] * (len(order) - 1)
         plan = db.plan_with_hints(query, order, methods).plan
-        assert plan_aliases(plan) == order
+        assert list(plan.aliases) == order
 
 
 class TestCardinality:
@@ -352,7 +372,10 @@ def dp_path(path):
 
 
 def tree(plan):
-    """Everything the parity contract covers, per node in post-order."""
+    """Everything the parity contract covers, per node in post-order (a
+    record as its tree)."""
+    if isinstance(plan, Plan):
+        plan = to_tree(plan)
     nodes = []
     for node in iter_nodes(plan):
         estimates = (float(node.est_rows).hex(), float(node.est_cost).hex())
@@ -405,7 +428,7 @@ def reference_trees(planners):
             plain = reference.optimize(query)
             shapes = [
                 OptimizerOptions(disabled_methods=DISABLED_SUBSETS[index % len(DISABLED_SUBSETS)]),
-                OptimizerOptions(leading_prefix=tuple(reversed(plan_aliases(plain)[:3]))),
+                OptimizerOptions(leading_prefix=tuple(reversed(to_record(plain, query).aliases[:3]))),
             ]
             crossing = cross_join_prefixes(query)
             if crossing:
@@ -441,7 +464,7 @@ class TestFastPathParity:
         if shape == "disabled":
             disabled = data.draw(st.sampled_from(DISABLED_SUBSETS), label="disabled")
         elif shape == "prefix":
-            order = plan_aliases(reference.optimize(query))
+            order = to_record(reference.optimize(query), query).aliases
             if data.draw(st.booleans(), label="shuffled order"):
                 order = data.draw(st.permutations(order), label="order")
             prefix = tuple(order[: data.draw(st.integers(1, min(3, len(order))), label="length")])
@@ -474,10 +497,11 @@ class TestFastPathParity:
         )
         expected = reference.optimize(query)
         twin = {"t1": "t2", "t2": "t1", "mi1": "mi2", "mi2": "mi1", "mk": "mk"}
-        mirrored = [twin[alias] for alias in plan_aliases(expected)]
-        tie = database.enumerator.join_space(query).complete(mirrored, plan_join_methods(expected))
-        assert mirrored != plan_aliases(expected)
-        assert tie.est_cost.hex() == expected.est_cost.hex()  # the full set ties exactly
+        record = to_record(expected, query)
+        mirrored = [twin[alias] for alias in record.aliases]
+        tie = database.enumerator.join_space(query).complete(mirrored, record.methods)
+        assert tuple(mirrored) != record.aliases
+        assert tie.est_costs[-1].hex() == expected.est_cost.hex()  # the full set ties exactly
         for path in DP_PATHS:
             with dp_path(path):
                 assert tree(database.enumerator.optimize(query)) == tree(expected), path
@@ -517,9 +541,9 @@ class TestFastPathParity:
                 with dp_path(path):
                     plans[path] = enumerator.optimize(query)
         assert tree(plans["array"]) == tree(plans["scalar"]) == tree(reference.optimize(query))
-        joins = [node for node in iter_nodes(plans["array"]) if isinstance(node, JoinNode)]
+        joins = [node for node in iter_nodes(to_tree(plans["array"])) if isinstance(node, JoinNode)]
         assert all(node.est_cost == math.inf and node.est_rows == math.inf for node in joins)
-        assert not any(math.isnan(node.est_cost) for node in iter_nodes(plans["array"]))
+        assert not any(math.isnan(cost) for cost in plans["array"].est_costs)
 
     def test_multiply_reduceat_folds_left_to_right(self):
         """The array path's selectivities rely on numpy folding a multiply
@@ -586,7 +610,7 @@ class TestFastPathParity:
         crc = 0
         for wq in workload.all_queries:
             plan = workload.database.enumerator.optimize(wq.query)
-            estimates = "".join(f"|{n.est_rows.hex()}|{n.est_cost.hex()}" for n in iter_nodes(plan))
+            estimates = "".join(f"|{n.est_rows.hex()}|{n.est_cost.hex()}" for n in iter_nodes(to_tree(plan)))
             crc = zlib.crc32((plan_signature(plan) + estimates).encode(), crc)
         assert f"{crc:08x}" == EXPERT_PLAN_DIGESTS[name]
 
@@ -595,8 +619,8 @@ class TestFastPathParity:
         workload, reference = planners[name]
         rng = np.random.default_rng(5)
         for wq in workload.all_queries:
-            expert = reference.optimize(wq.query)
-            order, methods = plan_aliases(expert), plan_join_methods(expert)
+            expert = to_record(reference.optimize(wq.query), wq.query)
+            order, methods = expert.aliases, expert.methods
             for hinted_order in (order, *(list(rng.permutation(order)) for _ in range(2))):
                 fast = workload.database.enumerator.join_space(wq.query).complete(hinted_order, methods)
                 assert tree(fast) == tree(reference_hinted_plan(reference, wq.query, hinted_order, methods))
@@ -610,10 +634,11 @@ class TestFastPathParity:
         rng = np.random.default_rng(6)
         for wq in workload.all_queries:
             expert = workload.database.enumerator.optimize(wq.query)
-            order, methods = plan_aliases(expert), plan_join_methods(expert)
+            order, methods = expert.aliases, expert.methods
             hinted = workload.database.enumerator.join_space(wq.query).complete(list(rng.permutation(order)), methods)
-            for node in (*iter_nodes(expert), *iter_nodes(hinted)):
-                assert type(node.est_rows) is float and type(node.est_cost) is float, (wq.query.name, node)
+            for plan in (expert, hinted):
+                for value in plan.est_rows + plan.est_costs:
+                    assert type(value) is float, (wq.query.name, plan)
 
     def test_dp_cost_is_the_brute_force_minimum(self, planners):
         """Up to 6 tables, walk every cross-product-free left-deep order.
@@ -630,7 +655,7 @@ class TestFastPathParity:
             for wq in workload.all_queries:
                 if 2 <= wq.query.num_tables <= 6:
                     minimum, clamped = brute_force_minimum(reference, wq.query)
-                    cost = workload.database.enumerator.optimize(wq.query).est_cost
+                    cost = workload.database.enumerator.optimize(wq.query).est_costs[-1]
                     assert cost >= minimum * (1 - 1e-9)
                     if not clamped:
                         assert cost == pytest.approx(minimum, rel=1e-9)
@@ -697,15 +722,13 @@ class TestSharedJoinSpace:
             fresh = database.enumerator.join_space(wq.query)
             expert = database.plan(wq.query).plan
             assert tree(expert) == tree(database.enumerator.search(fresh)), wq.query.name
-            order, methods = plan_aliases(expert), plan_join_methods(expert)
+            order, methods = expert.aliases, expert.methods
             for hinted_order in (order, *(list(rng.permutation(order)) for _ in range(2))):
                 hinted = database.plan_with_hints(wq.query, hinted_order, methods).plan
                 assert tree(hinted) == tree(fresh.complete(hinted_order, methods)), wq.query.name
-            # Both plans were built from the memoized space: they share its scans.
+            # Both plans were built from the memoized space: they share its query.
             space = database.join_space(wq.query)
-            for node in (*iter_nodes(expert), *iter_nodes(hinted)):
-                if isinstance(node, ScanNode):
-                    assert node is space.scans[space.index[node.alias]]
+            assert expert.query is hinted.query is space.query
 
     def test_one_space_per_query_per_cache_epoch(self, planners, space_builds):
         workload, _ = planners["stack"]
@@ -721,8 +744,8 @@ class TestSharedJoinSpace:
             space_builds.clear()
             for query in queries + queries[:8]:
                 expert = database.plan(query).plan
-                reversed_order = list(reversed(plan_aliases(expert)))
-                database.plan_with_hints(query, reversed_order, plan_join_methods(expert))
+                reversed_order = list(reversed(expert.aliases))
+                database.plan_with_hints(query, reversed_order, expert.methods)
                 database.plan(query, OptimizerOptions(disabled_methods=frozenset({"merge"})))
             for baseline in baselines:
                 for query in queries[:3]:
@@ -760,7 +783,7 @@ class TestSharedJoinSpace:
         for query in queries:
             space = workload.database.enumerator.join_space(query)
             plan = workload.database.enumerator.search(space)
-            hinted = space.complete(plan_aliases(plan)[::-1], plan_join_methods(plan))
+            hinted = space.complete(plan.aliases[::-1], plan.methods)
             expected[query.name] = (tree(plan), tree(hinted))
         database = Database(workload.database.dataset)
         database._plan_cache.capacity = database._join_spaces.capacity = 8
@@ -772,7 +795,7 @@ class TestSharedJoinSpace:
                 for query in queries[slot % 4 :] + queries[: slot % 4]:
                     plan = database.plan(query).plan
                     hinted = database.plan_with_hints(
-                        query, plan_aliases(plan)[::-1], plan_join_methods(plan)
+                        query, plan.aliases[::-1], plan.methods
                     ).plan
                     found.append((query.name, tree(plan), tree(hinted)))
                     assert database.stats()["join_spaces"] <= 8
@@ -893,7 +916,7 @@ class TestDpSkeletons:
         for query in (first, second):
             assert tree(database.plan(query).plan) == tree(reference.optimize(query))
         assert skeleton_builds == [()] and database.stats()["dp_skeletons"] == 1
-        prefix = tuple(reversed(plan_aliases(reference.optimize(second))[:2]))
+        prefix = tuple(reversed(to_record(reference.optimize(second), second).aliases[:2]))
         options = OptimizerOptions(leading_prefix=prefix)
         assert tree(database.plan(second, options).plan) == tree(reference.optimize(second, options))
         assert len(skeleton_builds) == 2 and skeleton_builds[1] != ()

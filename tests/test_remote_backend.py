@@ -141,7 +141,8 @@ class TestBackendParity:
     ):
         local = job_workload.database
         query = next(w.query for w in job_workload.train if w.query.num_tables >= 3)
-        icp = IncompletePlan.extract(local.plan(query).plan)
+        plan = local.plan(query).plan
+        icp = IncompletePlan(plan.aliases, plan.methods)
         edited = icp.override(1, "merge" if icp.methods[0] != "merge" else "nestloop")
         requests = [
             (query, icp.order, icp.methods),

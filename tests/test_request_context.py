@@ -338,7 +338,7 @@ class TestBackendDeadlines:
             backend.plan(query, ctx=expired_ctx())
         with pytest.raises(DeadlineExceededError):
             backend.execute(query, plan, ctx=expired_ctx())
-        icp = IncompletePlan.extract(plan)
+        icp = IncompletePlan(plan.aliases, plan.methods)
         with pytest.raises(DeadlineExceededError):
             backend.plan_with_hints(query, icp.order, icp.methods, ctx=expired_ctx())
 

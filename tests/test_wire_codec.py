@@ -28,7 +28,6 @@ import pytest
 from repro.core.encoding import EncodedPlan, PlanEncoder
 from repro.core.icp import IncompletePlan
 from repro.engine.database import HARD_CAP_MS, PlanningResult
-from repro.engine.remote import EngineServer, RemoteBackend
 from repro.engine.wire import (
     OPS,
     check_body,
@@ -43,7 +42,8 @@ from repro.engine.wire import (
     query_to_wire,
 )
 from repro.optimizer.dp import OptimizerOptions
-from repro.optimizer.plans import JoinNode, ScanNode, plan_signature
+from repro.optimizer.plans import plan_signature
+from reference_plans import JoinNode, ScanNode, to_record, to_tree
 from repro.sql.binder import bind_query
 from repro.sql.parser import parse_query
 
@@ -63,7 +63,7 @@ def _planned(workload):
     for wq in workload.all_queries:
         expert = db.plan(wq.query)
         planned.append((wq.query, expert))
-        icp = IncompletePlan.extract(expert.plan)
+        icp = IncompletePlan(expert.plan.aliases, expert.plan.methods)
         if icp.num_tables >= 3:
             other = "merge" if icp.methods[-1] != "merge" else "nestloop"
             for edit in (icp.swap(1, icp.num_tables), icp.override(icp.num_joins, other)):
@@ -138,36 +138,41 @@ def test_a_descriptor_must_fit_its_query(job_workload):
 
 
 def _bushy(job_workload):
+    """A bushy tree over every alias of a four-table query, each join with
+    the predicates its two sides share."""
     db = job_workload.database
-    query = next(w.query for w in job_workload.all_queries if w.query.num_tables >= 4)
-    a, b, c, d = _scans(db.plan(query).plan)[:4]
-    right = JoinNode(left=c, right=d, method="hash")
-    return query, JoinNode(left=JoinNode(left=a, right=b, method="hash"), right=right, method="hash")
+    query = next(w.query for w in job_workload.all_queries if w.query.num_tables == 4)
+    a, b, c, d = _scans(to_tree(db.plan(query).plan))
+
+    def join(left, right):
+        sides = ({s.alias for s in _scans(left)}, {s.alias for s in _scans(right)})
+        predicates = tuple(
+            p for p in query.join_predicates
+            if {p.left.alias, p.right.alias} & sides[0] and {p.left.alias, p.right.alias} & sides[1]
+        )
+        return JoinNode(left=left, right=right, method="hash", predicates=predicates)
+
+    return query, join(join(a, b), join(c, d))
 
 
 def test_non_left_deep_plan_refused_client_side(job_workload):
+    """A plan is a left-deep record, so no client holds a bushy plan to send:
+    the one place a tree still becomes a plan, the test-side converter,
+    refuses one rather than flattening it into another plan."""
     query, bushy = _bushy(job_workload)
     with pytest.raises(ValueError, match="left-deep"):
-        plan_to_wire(bushy)
-    with EngineServer(job_workload.spec.build_database()) as server:
-        server.start()
-        with RemoteBackend(server.url, database=job_workload.database, timeout_s=60.0) as remote:
-            before = server.backend.executions
-            for call in (
-                lambda: remote.execute(query, bushy),
-                lambda: remote.execute_many([(query, bushy, None)]),
-            ):
-                with pytest.raises(ValueError, match="left-deep"):
-                    call()
-            assert server.backend.executions == before
-            assert remote.ping()
+        to_record(bushy, query)
+    left_deep = to_tree(job_workload.database.plan(query).plan)
+    assert plan_to_wire(to_record(left_deep, query)) == plan_to_wire(
+        job_workload.database.plan(query).plan
+    )
 
 
 def _well_formed_bodies(job_workload):
     """One well-formed body per op; a batch body holds two items."""
     query = job_workload.train[0].query
     plan = job_workload.database.plan(query).plan
-    icp = IncompletePlan.extract(plan)
+    icp = IncompletePlan(plan.aliases, plan.methods)
     wire_query, wire_plan = query_to_wire(query), plan_to_wire(plan)
     options = options_to_wire(OptimizerOptions(disabled_methods=frozenset({"merge"})))
     hint = [wire_query, list(icp.order), list(icp.methods)]
