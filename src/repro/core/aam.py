@@ -64,6 +64,10 @@ from repro.nn.layers import (
 from repro.nn.optim import Adam, clip_grad_norm
 
 NUM_SCORES = 3  # the paper's point set {0.05, 0.50} -> scores {0, 1, 2}
+# Pairs per forward in AAMTrainer.evaluate: its peak memory grows with this
+# chunk, not with the buffer.  Every spine buffer (550 pairs at JOB
+# train(4)) still takes one forward.
+EVALUATE_CHUNK = 1024
 
 
 @dataclass
@@ -591,14 +595,18 @@ class AAMTrainer:
         return loss
 
     def evaluate(self, samples: Sequence[AAMSample]) -> float:
-        """Hard-label accuracy over a sample set (one inference pass)."""
+        """Hard-label accuracy over a sample set, one inference pass per
+        :data:`EVALUATE_CHUNK` pairs."""
         if not samples:
             return 0.0
-        predicted = self.model.predict_scores(
-            [s.left for s in samples],
-            np.array([s.left_step for s in samples]),
-            [s.right for s in samples],
-            np.array([s.right_step for s in samples]),
-        )
-        labels = np.array([s.label for s in samples])
-        return float((predicted == labels).mean())
+        correct = 0
+        for start in range(0, len(samples), EVALUATE_CHUNK):
+            chunk = samples[start : start + EVALUATE_CHUNK]
+            predicted = self.model.predict_scores(
+                [s.left for s in chunk],
+                np.array([s.left_step for s in chunk]),
+                [s.right for s in chunk],
+                np.array([s.right_step for s in chunk]),
+            )
+            correct += int((predicted == np.array([s.label for s in chunk])).sum())
+        return correct / len(samples)

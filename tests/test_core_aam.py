@@ -14,10 +14,12 @@ from repro.core.aam import (
     AAMSample,
     AAMTrainer,
     AdvantageModel,
+    StateNetwork,
     asymmetric_loss,
     distinct_rows,
     reachability_term,
 )
+from repro.core import aam as aam_module
 from repro.core.encoding import PlanEncoder, left_deep_shape
 from reference_tape import Tensor
 from repro.nn import functional as F
@@ -181,6 +183,33 @@ class TestAAMTraining:
             AAMSample(left=encoded[0][1], left_step=0.0, right=encoded[1][1], right_step=0.0, label=0)
         ]
         assert 0.0 <= trainer.evaluate(samples) <= 1.0
+
+    def test_evaluate_scores_in_chunks(self, setup, monkeypatch):
+        """An evaluate over more than two chunks runs no state-network
+        forward over more than one chunk's rows (two plans a pair), and its
+        accuracy is the one-shot value."""
+        _, _, _, model, encoded = setup
+        trainer = AAMTrainer(model, rng=np.random.default_rng(0))
+        plans = [enc for _, enc in encoded]
+        samples = [
+            AAMSample(
+                left=plans[i % len(plans)], left_step=0.0,
+                right=plans[(3 * i + 1) % len(plans)], right_step=0.5, label=i % 3,
+            )
+            for i in range(23)
+        ]
+        one_shot = trainer.evaluate(samples)
+        rows = []
+        forward = StateNetwork.forward
+
+        def spy(network, batch, steps):
+            rows.append(len(batch))
+            return forward(network, batch, steps)
+
+        monkeypatch.setattr(aam_module, "EVALUATE_CHUNK", 5)
+        monkeypatch.setattr(StateNetwork, "__call__", spy)  # a module's call is its forward
+        assert trainer.evaluate(samples) == one_shot
+        assert len(rows) == 5 and max(rows) <= 2 * 5
 
 
 # ---------------------------------------------------------------------------
