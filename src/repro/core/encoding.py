@@ -31,7 +31,7 @@ from repro.catalog.schema import Schema
 from repro.catalog.statistics import StatisticsCatalog
 from repro.engine.memo import Memo
 from repro.optimizer.plans import Plan, plan_signature
-from repro.sql.ast import FilterPredicate, Query
+from repro.sql.ast import Query
 
 # Operator vocabulary (0 is reserved for padding).
 OP_PAD = 0
@@ -155,7 +155,7 @@ class PlanEncoder:
         self._cache: Memo[Tuple[str, str], EncodedPlan] = Memo(cache_capacity)
         # Scan-leaf features are invariant across all plans of a query
         # (only order/methods/structure change), so they are derived once.
-        self._leaf_cache: Memo[Tuple[str, str], _LeafFeatures] = Memo(cache_capacity)
+        self._leaf_cache: Memo[Tuple[str, str, str], _LeafFeatures] = Memo(cache_capacity)
         # id 0 is the "none" sentinel for both vocabularies.
         self._table_ids: Dict[str, int] = {
             name: i + 1 for i, name in enumerate(schema.table_names)
@@ -221,8 +221,8 @@ class PlanEncoder:
         join_op: List[int] = []
         join_l: List[int] = []  # 0 (none) for a join without predicates
         join_r: List[int] = []
-        scans: List[Tuple[Query, str, str, Tuple[FilterPredicate, ...]]] = []
-        scan_keys: List[Tuple[str, str]] = []
+        scans: List[Tuple[Query, str, str]] = []
+        scan_keys: List[Tuple[str, str, str]] = []
         column_ids = self._column_ids
         join_op_ids = _JOIN_OP_IDS
 
@@ -241,9 +241,9 @@ class PlanEncoder:
                 else:
                     join_l.append(0)
                     join_r.append(0)
-            query_signature = query.signature()
-            scans.extend(zip([query] * len(plan.aliases), plan.tables, plan.scan_types, plan.filters))
-            scan_keys.extend((query_signature, leaf) for leaf in plan.leaf_signatures)
+            leaves = len(plan.aliases)
+            scans.extend(zip([query] * leaves, plan.aliases, plan.scan_types))
+            scan_keys.extend(zip([query.signature()] * leaves, plan.aliases, plan.scan_types))
 
         rows = [n // 2 for n in counts]  # structure row: table count - 1
         # The six per-node int fields live in one block (views keep the
@@ -288,24 +288,19 @@ class PlanEncoder:
             for u in range(batch)
         ]
 
-    def _leaf_features(
-        self,
-        query: Query,
-        table_name: str,
-        scan_type: str,
-        filters: Sequence[FilterPredicate],
-    ) -> _LeafFeatures:
+    def _leaf_features(self, query: Query, alias: str, scan_type: str) -> _LeafFeatures:
         """Per-(query, scan) features: op, table id, filter slots."""
         fcols = np.zeros(MAX_FILTERS_PER_NODE, dtype=np.int64)
         fops = np.zeros(MAX_FILTERS_PER_NODE, dtype=np.int64)
         fvals = np.zeros(MAX_FILTERS_PER_NODE, dtype=np.float64)
+        filters = query.alias_filters()[alias][0]
         for slot, predicate in enumerate(filters[:MAX_FILTERS_PER_NODE]):
             table = query.tables[predicate.column.alias]
             fcols[slot] = self._column_ids[(table, predicate.column.column)]
             fops[slot] = _PRED_OPS[predicate.op]
             fvals[slot] = self._normalize(table, predicate.column.column, predicate.values[0])
         op_id = OP_INDEX_SCAN if scan_type == "index" else OP_SEQ_SCAN
-        return op_id, self._table_ids[table_name], fcols, fops, fvals
+        return op_id, self._table_ids[query.tables[alias]], fcols, fops, fvals
 
     def _normalize(self, table: str, column: str, value: float) -> float:
         if self.statistics is None or table not in self.statistics:

@@ -317,7 +317,10 @@ def plan_from_wire(data, query: Query) -> Plan:
     """The plan a descriptor describes, over the receiver's ``query``;
     ``ValueError`` if the descriptor does not fit ``query``."""
     aliases, methods, scan_types, index_columns, est_rows, est_costs = data
-    return Plan(query, aliases, methods, scan_types, index_columns, est_rows, est_costs)
+    return Plan(
+        query, tuple(aliases), tuple(methods), tuple(scan_types), tuple(index_columns),
+        tuple(est_rows), tuple(est_costs),
+    )
 
 
 def planning_to_wire(result) -> Optional[list]:

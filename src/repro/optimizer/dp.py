@@ -30,10 +30,11 @@ One expansion primitive serves the DP, the greedy fallback, hint completion
 constructive baselines: :meth:`JoinSpace.candidates` (who may join next; the
 greedy fallback ranks :meth:`JoinSpace.reach` in query order instead),
 :meth:`JoinSpace.extend` (output rows of one join) and
-:meth:`JoinSpace.join_cost` (the operator's cost).  Every search ends in one
-:class:`~repro.optimizer.plans.Plan` record (:meth:`JoinSpace.assemble`);
-hint completion and the baselines grow a :class:`Prefix` one join at a
-time (:meth:`JoinSpace.grow`).
+:meth:`JoinSpace.join_cost` (the operator's cost), which
+:meth:`JoinSpace.join` adds up for hint completion and the baselines.  Every
+search ends in one :class:`~repro.optimizer.plans.Plan` record
+(:meth:`JoinSpace.assemble`); the constructive baselines grow a
+:class:`Prefix` one join at a time (:meth:`JoinSpace.grow`).
 
 Ordering rules
 --------------
@@ -321,12 +322,12 @@ class JoinSpace:
         bottom-up, after the leaves' own."""
         return Plan(
             self.query,
-            tuple(self.names[i] for i in order),
+            tuple([self.names[i] for i in order]),
             tuple(methods),
-            tuple(self.scan_types[i] for i in order),
-            tuple(self.index_columns[i] for i in order),
-            tuple(self.rows[i] for i in order) + tuple(rows),
-            tuple(self.costs[i] for i in order) + tuple(costs),
+            tuple([self.scan_types[i] for i in order]),
+            tuple([self.index_columns[i] for i in order]),
+            tuple([self.rows[i] for i in order] + list(rows)),
+            tuple([self.costs[i] for i in order] + list(costs)),
         )
 
     def start(self, i: int) -> Prefix:
@@ -336,22 +337,26 @@ class JoinSpace:
             (self.rows[i],), (self.costs[i],),
         )
 
-    def grow(self, prefix: Prefix, mask: int, i: int, method: str) -> Prefix:
-        """``prefix`` (over ``mask``) with alias ``i`` joined on by ``method``."""
-        left_rows, left_cost = prefix.est_rows[-1], prefix.est_costs[-1]
+    def join(
+        self, left_rows: float, left_cost: float, mask: int, i: int, method: str
+    ) -> Tuple[float, float]:
+        """Rows and cost of joining alias ``i`` by ``method`` onto a plan
+        over ``mask`` of ``left_rows`` rows and ``left_cost`` cost."""
         out_rows, index_usable = self.extend(left_rows, mask, i)
         op_cost = self.join_cost(method, left_rows, i, out_rows, index_usable)
+        return out_rows, left_cost + self.costs[i] + op_cost
+
+    def grow(self, prefix: Prefix, mask: int, i: int, method: str) -> Prefix:
+        """``prefix`` (over ``mask``) with alias ``i`` joined on by ``method``."""
+        rows, cost = self.join(prefix.est_rows[-1], prefix.est_costs[-1], mask, i, method)
         leaves = len(prefix.aliases)
         return Prefix(
             prefix.aliases + (self.names[i],),
             prefix.methods + (method,),
             prefix.scan_types + (self.scan_types[i],),
             prefix.index_columns + (self.index_columns[i],),
-            prefix.est_rows[:leaves] + (self.rows[i],) + prefix.est_rows[leaves:] + (out_rows,),
-            prefix.est_costs[:leaves]
-            + (self.costs[i],)
-            + prefix.est_costs[leaves:]
-            + (left_cost + self.costs[i] + op_cost,),
+            prefix.est_rows[:leaves] + (self.rows[i],) + prefix.est_rows[leaves:] + (rows,),
+            prefix.est_costs[:leaves] + (self.costs[i],) + prefix.est_costs[leaves:] + (cost,),
         )
 
     def finish(self, prefix: Prefix) -> Plan:
@@ -377,14 +382,15 @@ class JoinSpace:
         for method in join_methods:
             if method not in JOIN_METHODS:
                 raise HintError(f"unknown join method {method!r}")
-        first = self.index[join_order[0]]
-        prefix = self.start(first)
-        mask = 1 << first
-        for alias, method in zip(join_order[1:], join_methods):
-            i = self.index[alias]
-            prefix = self.grow(prefix, mask, i, method)
+        order = [self.index[alias] for alias in join_order]
+        rows, costs = [self.rows[order[0]]], [self.costs[order[0]]]
+        mask = 1 << order[0]
+        for i, method in zip(order[1:], join_methods):
+            out_rows, cost = self.join(rows[-1], costs[-1], mask, i, method)
+            rows.append(out_rows)
+            costs.append(cost)
             mask |= 1 << i
-        return self.finish(prefix)
+        return self.assemble(order, join_methods, rows[1:], costs[1:])
 
 
 def _level_pairs(

@@ -23,7 +23,6 @@ predicate, and the constructor refuses one that does not fit the query.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional, Tuple
 
 from repro.sql.ast import FilterPredicate, JoinPredicate, Query
@@ -34,13 +33,26 @@ SCAN_TYPES: Tuple[str, ...] = ("seq", "index")
 _JOIN_LABELS = {"hash": "Hash Join", "merge": "Merge Join", "nestloop": "Nested Loop"}
 
 
+class _derived:
+    """A plan attribute computed on first read and kept on the plan:
+    ``functools.cached_property`` without the lock Python 3.11 takes on
+    every first read (each plan's attributes are read once per plan)."""
+
+    def __init__(self, compute) -> None:
+        self.compute, self.name = compute, compute.__name__
+        self.__doc__ = compute.__doc__
+
+    def __get__(self, plan, owner=None):
+        if plan is None:
+            return self
+        value = plan.__dict__[self.name] = self.compute(plan)
+        return value
+
+
 @dataclass(frozen=True)
 class Plan:
-    """A left-deep plan of ``query`` (module docstring).
-
-    Fields are tuples whatever sequences they are given as, so a plan
-    decoded from the wire is ``==`` to the one that was sent.
-    """
+    """A left-deep plan of ``query`` (module docstring); the six fields are
+    tuples."""
 
     query: Query
     aliases: Tuple[str, ...]
@@ -51,8 +63,6 @@ class Plan:
     est_costs: Tuple[float, ...]
 
     def __post_init__(self) -> None:
-        for name in ("aliases", "methods", "scan_types", "index_columns", "est_rows", "est_costs"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
         query, n = self.query, len(self.aliases)
         if (
             n != len(query.tables)
@@ -68,24 +78,25 @@ class Plan:
             if method not in JOIN_METHODS:
                 raise ValueError(f"unknown join method {method!r}")
         for alias, scan_type, column in zip(self.aliases, self.scan_types, self.index_columns):
-            if scan_type not in SCAN_TYPES:
+            if scan_type == "seq":
+                continue
+            if scan_type != "index":
                 raise ValueError(f"unknown scan type {scan_type!r}")
-            if scan_type == "index" and not any(
-                f.column.alias == alias and f.column.column == column for f in query.filters
-            ):
+            if column not in {f.column.column for f in query.alias_filters()[alias][0]}:
                 raise ValueError(f"index scan of {alias} needs a filtered index_column")
 
-    @cached_property
+    @_derived
     def tables(self) -> Tuple[str, ...]:
         """Each leaf's table."""
         return tuple(self.query.tables[alias] for alias in self.aliases)
 
-    @cached_property
+    @_derived
     def filters(self) -> Tuple[Tuple[FilterPredicate, ...], ...]:
         """Each leaf's filters, in query order."""
-        return tuple(tuple(self.query.filters_for(alias)) for alias in self.aliases)
+        alias_filters = self.query.alias_filters()
+        return tuple(alias_filters[alias][0] for alias in self.aliases)
 
-    @cached_property
+    @_derived
     def predicates(self) -> Tuple[Tuple[JoinPredicate, ...], ...]:
         """Each join's predicates, bottom-up; empty for a cross join."""
         position = {alias: i for i, alias in enumerate(self.aliases)}
@@ -96,21 +107,18 @@ class Plan:
                 joins[max(left, right) - 1].append(predicate)
         return tuple(map(tuple, joins))
 
-    @cached_property
-    def leaf_signatures(self) -> Tuple[str, ...]:
-        """Each leaf's part of :attr:`signature`: access path, alias, filters."""
-        return tuple(
-            f"{scan_type}({alias}|{','.join(sorted(str(f) for f in filters))})"
-            for scan_type, alias, filters in zip(self.scan_types, self.aliases, self.filters)
-        )
-
-    @cached_property
+    @_derived
     def signature(self) -> str:
         """A stable textual identity, keying the latency, encoding, statevec
-        and advantage caches: ``method(left,right)`` nested from the root."""
-        first, *rest = self.leaf_signatures
-        opened = "".join(f"{method}(" for method in reversed(self.methods))
-        return opened + first + "".join(f",{leaf})" for leaf in rest)
+        and advantage caches: ``method(left,right)`` nested from the root,
+        a leaf ``scan_type(alias|filters)`` with its filters' texts sorted."""
+        alias_filters = self.query.alias_filters()
+        leaves = zip(self.scan_types, self.aliases)
+        scan_type, alias = next(leaves)
+        signature = f"{scan_type}({alias}|{alias_filters[alias][1]})"
+        for method, (scan_type, alias) in zip(self.methods, leaves):
+            signature = f"{method}({signature},{scan_type}({alias}|{alias_filters[alias][1]}))"
+        return signature
 
 
 def plan_signature(plan: Plan) -> str:

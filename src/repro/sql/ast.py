@@ -116,6 +116,25 @@ class Query:
     def filters_for(self, alias: str) -> List[FilterPredicate]:
         return [f for f in self.filters if f.column.alias == alias]
 
+    def alias_filters(self) -> Dict[str, Tuple[Tuple[FilterPredicate, ...], str]]:
+        """Per alias: its filters in query order, and their texts sorted and
+        comma-joined (what a plan's signature shows for the alias).
+
+        Memoized like :meth:`signature`, which ``bind_query`` also computes
+        before it returns: every plan of the query reads it.
+        """
+        cached = getattr(self, "_alias_filters", None)
+        if cached is None:
+            grouped: Dict[str, List[FilterPredicate]] = {alias: [] for alias in self.tables}
+            for predicate in self.filters:
+                grouped[predicate.column.alias].append(predicate)
+            cached = {
+                alias: (tuple(found), ",".join(sorted(map(str, found))))
+                for alias, found in grouped.items()
+            }
+            self._alias_filters = cached
+        return cached
+
     def is_connected(self) -> bool:
         """Whether the join predicates link every alias (union-find, no graph)."""
         root = {alias: alias for alias in self.tables}

@@ -89,5 +89,7 @@ def bind_query(
     )
     if query.num_tables > 1 and not query.is_connected():
         raise BindError("query join graph is not connected (cross joins unsupported)")
-    query.signature()  # memoized here: a bound query is shared and read-only afterwards
+    # Memoized here: a bound query is shared and read-only afterwards.
+    query.signature()
+    query.alias_filters()
     return query

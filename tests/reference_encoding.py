@@ -14,7 +14,7 @@ still encodes bushy trees.  Its changes since: it returns a
 per-plan heights, structs, reachability mask and node mask the encoder no
 longer stores, so the tests can hold them to ``left_deep_shape``; it walks
 the tree (``reference_plans``) of a plan record; and it hands the
-encoder's ``_leaf_features`` a scan's fields rather than the scan.
+encoder's ``_leaf_features`` a scan's alias and type rather than the scan.
 Nothing under ``src/`` imports it; do not optimise it.
 """
 
@@ -141,7 +141,7 @@ def encode_batch(
                 push((node.left, i, True))
             else:
                 assert isinstance(node, ScanNode)
-                op_id, table_id, fc, fo, fv = leaf_features(query, node.table, node.scan_type, node.filters)
+                op_id, table_id, fc, fo, fv = leaf_features(query, node.alias, node.scan_type)
                 append_op(op_id)
                 scan_u.append(u)
                 scan_i.append(i)

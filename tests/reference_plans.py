@@ -163,7 +163,7 @@ def descriptor(tree: PlanNode) -> list:
 
 def to_record(tree: PlanNode, query: Query) -> Plan:
     """A left-deep tree's record over ``query`` (module docstring)."""
-    plan = Plan(query, *descriptor(tree))
+    plan = Plan(query, *map(tuple, descriptor(tree)))
     if to_tree(plan) != tree:
         raise ValueError("the tree's tables, filters or predicates are not its query's")
     return plan
