@@ -13,7 +13,8 @@ same six the engine wire sends (:mod:`repro.engine.wire`):
   entry is the root's.
 
 Everything else is read off the query by one rule: a leaf's filters are
-``query.filters_for(alias)``, and join ``k``'s predicates are the query's
+its alias's filters in query order (``query.alias_filters()``, memoized
+with their text when the query is bound), and join ``k``'s predicates are the query's
 join predicates linking leaf ``k + 1`` to the leaves before it, in query
 order (what :meth:`~repro.optimizer.dp.JoinSpace.extend` estimates).  A
 plan therefore always answers its query: it cannot misplace a filter or a
@@ -78,11 +79,11 @@ class Plan:
             if method not in JOIN_METHODS:
                 raise ValueError(f"unknown join method {method!r}")
         for alias, scan_type, column in zip(self.aliases, self.scan_types, self.index_columns):
-            if scan_type == "seq":
-                continue
-            if scan_type != "index":
+            if scan_type not in SCAN_TYPES:
                 raise ValueError(f"unknown scan type {scan_type!r}")
-            if column not in {f.column.column for f in query.alias_filters()[alias][0]}:
+            if scan_type == "index" and column not in {
+                f.column.column for f in query.alias_filters()[alias][0]
+            }:
                 raise ValueError(f"index scan of {alias} needs a filtered index_column")
 
     @_derived
@@ -99,13 +100,14 @@ class Plan:
     @_derived
     def predicates(self) -> Tuple[Tuple[JoinPredicate, ...], ...]:
         """Each join's predicates, bottom-up; empty for a cross join."""
-        position = {alias: i for i, alias in enumerate(self.aliases)}
-        joins = [[] for _ in self.methods]
+        position = dict(zip(self.aliases, range(len(self.aliases))))
+        joins = [()] * len(self.methods)
         for predicate in self.query.join_predicates:
             left, right = position[predicate.left.alias], position[predicate.right.alias]
             if left != right:
-                joins[max(left, right) - 1].append(predicate)
-        return tuple(map(tuple, joins))
+                k = (left if left > right else right) - 1
+                joins[k] += (predicate,)
+        return tuple(joins)
 
     @_derived
     def signature(self) -> str:
