@@ -48,7 +48,6 @@ class BalsaOptimizer:
         self.featurizer = PlanFeaturizer(database.schema)
         self.value_model = ValueModel(self.featurizer.dim, rng=np.random.default_rng(seed))
         self.rng = np.random.default_rng(seed)
-        self.training_time_s = 0.0
         self._bootstrapped = False
 
     # ------------------------------------------------------------------
@@ -101,7 +100,6 @@ class BalsaOptimizer:
     # ------------------------------------------------------------------
     def bootstrap_from_cost_model(self, queries: Sequence[WorkloadQuery], samples_per_query: int = 6) -> None:
         """Sim-to-real: pretrain the value net on expert cost estimates."""
-        start = time.perf_counter()
         for wq in queries:
             for _ in range(samples_per_query):
                 plan = self._random_plan(wq.query)
@@ -112,7 +110,6 @@ class BalsaOptimizer:
                 )
         self.value_model.fit(epochs=20)
         self._bootstrapped = True
-        self.training_time_s += time.perf_counter() - start
 
     def _random_plan(self, query: Query) -> Plan:
         order = list(query.aliases)
@@ -124,7 +121,6 @@ class BalsaOptimizer:
         """Construct, execute (with timeouts), refit — the Balsa loop."""
         if not self._bootstrapped:
             self.bootstrap_from_cost_model(queries)
-        start = time.perf_counter()
         for _ in range(iterations):
             for wq in queries:
                 plan = self._construct(wq.query, explore=True)
@@ -136,4 +132,3 @@ class BalsaOptimizer:
                     self.featurizer.featurize(wq.query, plan), result.latency_ms
                 )
             self.value_model.fit(epochs=30)
-        self.training_time_s += time.perf_counter() - start

@@ -49,7 +49,6 @@ class BaoOptimizer:
         self.value_model = ValueModel(self.featurizer.dim, rng=np.random.default_rng(seed))
         self.epsilon = epsilon
         self.rng = np.random.default_rng(seed)
-        self.training_time_s = 0.0
 
     # ------------------------------------------------------------------
     def _candidates(self, query: Query) -> List:
@@ -85,7 +84,6 @@ class BaoOptimizer:
         refit_epochs: int = 30,
     ) -> None:
         """Epsilon-greedy exploration + periodic value-model refits."""
-        start = time.perf_counter()
         for _ in range(iterations):
             for wq in queries:
                 plans = self._candidates(wq.query)
@@ -103,4 +101,3 @@ class BaoOptimizer:
                     self.featurizer.featurize(wq.query, plan), result.latency_ms
                 )
             self.value_model.fit(epochs=refit_epochs)
-        self.training_time_s += time.perf_counter() - start

@@ -61,7 +61,6 @@ class HybridQOOptimizer:
         self.featurizer = PlanFeaturizer(database.schema)
         self.value_model = ValueModel(self.featurizer.dim, rng=np.random.default_rng(seed))
         self.rng = np.random.default_rng(seed)
-        self.training_time_s = 0.0
 
     # ------------------------------------------------------------------
     def _prefix_value(self, query: Query, prefix: Tuple[str, ...]) -> float:
@@ -152,7 +151,6 @@ class HybridQOOptimizer:
     # ------------------------------------------------------------------
     def train(self, queries: Sequence[WorkloadQuery], iterations: int = 3) -> None:
         """Execute explored candidates and refit the value model."""
-        start = time.perf_counter()
         for _ in range(iterations):
             for wq in queries:
                 plans = self._candidates(wq.query)
@@ -165,4 +163,3 @@ class HybridQOOptimizer:
                     self.featurizer.featurize(wq.query, plans[pick]), result.latency_ms
                 )
             self.value_model.fit(epochs=30)
-        self.training_time_s += time.perf_counter() - start

@@ -50,7 +50,6 @@ class LogerOptimizer:
         self.value_model = ValueModel(self.featurizer.dim, rng=np.random.default_rng(seed))
         self.epsilon = epsilon
         self.rng = np.random.default_rng(seed)
-        self.training_time_s = 0.0
 
     # ------------------------------------------------------------------
     def _construct(self, query: Query, explore: bool = False) -> Plan:
@@ -95,7 +94,6 @@ class LogerOptimizer:
         )
 
     def train(self, queries: Sequence[WorkloadQuery], iterations: int = 3, timeout_factor: float = 3.0) -> None:
-        start = time.perf_counter()
         for _ in range(iterations):
             for wq in queries:
                 plan = self._construct(wq.query, explore=True)
@@ -107,4 +105,3 @@ class LogerOptimizer:
                     self.featurizer.featurize(wq.query, plan), result.latency_ms
                 )
             self.value_model.fit(epochs=30)
-        self.training_time_s += time.perf_counter() - start

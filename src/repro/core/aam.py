@@ -463,11 +463,6 @@ class AdvantageModel(Module):
         vec_r = np.asarray(vec_r, dtype=np.float64)
         return np.argmax(self._head(vec_l, vec_r)[0], axis=-1)
 
-    def predict_score(self, left: EncodedPlan, left_step: float, right: EncodedPlan, right_step: float) -> int:
-        return int(
-            self.predict_scores([left], np.array([left_step]), [right], np.array([right_step]))[0]
-        )
-
 
 def asymmetric_loss(
     logits: np.ndarray,

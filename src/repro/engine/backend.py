@@ -47,13 +47,13 @@ class EngineBackend(Protocol):
     raises one batch call per cohort phase, which a remote backend ships as
     one frame and a local backend resolves in a loop.
 
-    Every planning/execution entry point accepts an optional request
-    context (``ctx`` on singletons, an aligned ``ctxs`` sequence on batch
-    mirrors; see :class:`repro.engine.context.RequestContext`).  ``None`` —
-    the default — keeps every existing caller source-compatible and the
-    results bitwise-identical.  A singleton with an expired context raises
-    ``DeadlineExceededError``; a batch checks each item immediately before
-    its slice of work and returns ``None`` in expired slots.
+    ``plan_many`` is the one call that takes request contexts (an aligned
+    ``ctxs`` sequence; see :class:`repro.engine.context.RequestContext`):
+    a deadline acts only while the original plans ``Γp(Q, /)`` are
+    fetched, so an item whose context expired gets ``None`` in its slot.
+    ``None`` — the default — leaves the batch bitwise-identical.  Hint
+    completion and execution take no context: the episode that edits a
+    live query's plan runs to its end.
     """
 
     # -- metadata ------------------------------------------------------
@@ -73,7 +73,7 @@ class EngineBackend(Protocol):
     def join_space(self, query: Query) -> JoinSpace: ...
 
     def plan(
-        self, query: Query, options: Optional[OptimizerOptions] = None, ctx=None
+        self, query: Query, options: Optional[OptimizerOptions] = None
     ) -> PlanningResult: ...
 
     def plan_many(
@@ -88,14 +88,11 @@ class EngineBackend(Protocol):
         query: Query,
         join_order: Sequence[str],
         join_methods: Sequence[str],
-        ctx=None,
     ) -> PlanningResult: ...
 
     def plan_with_hints_many(
-        self,
-        requests: Sequence[Tuple[Query, Sequence[str], Sequence[str]]],
-        ctxs=None,
-    ) -> List[Optional[PlanningResult]]: ...
+        self, requests: Sequence[Tuple[Query, Sequence[str], Sequence[str]]]
+    ) -> List[PlanningResult]: ...
 
     # -- execution (Ψp) -----------------------------------------------
     def execute(
@@ -103,14 +100,11 @@ class EngineBackend(Protocol):
         query: Query,
         plan: Plan,
         timeout_ms: Optional[float] = None,
-        ctx=None,
     ) -> ExecutionResult: ...
 
     def execute_many(
-        self,
-        requests: Sequence[Tuple[Query, Plan, Optional[float]]],
-        ctxs=None,
-    ) -> List[Optional[ExecutionResult]]: ...
+        self, requests: Sequence[Tuple[Query, Plan, Optional[float]]]
+    ) -> List[ExecutionResult]: ...
 
     def original_latency(self, query: Query) -> float: ...
 

@@ -11,9 +11,13 @@ end instead of stopping at the first API boundary:
 * **deadline** — ``deadline_s`` is a *budget* in seconds from
   ``submitted_at``: the api layer refuses already-expired submits, the
   flusher drops tickets whose budget ran out while queued (counted as
-  ``expired`` in ``stats()``, never ``failures``), backends skip expired
-  items inside a batch, and the remote wire re-anchors the remaining
-  budget on the server's own clock;
+  ``expired`` in ``stats()``, never ``failures``), the optimizer refuses
+  expired queries before their episodes start, and an engine backend's
+  ``plan_many`` — the one engine call that takes contexts — skips
+  expired items while it fetches the original plans; the remote wire
+  re-anchors the remaining budget on the server's own clock.  Hint
+  completion and execution take none: once a query's episode has
+  started, its deadline no longer changes its plan;
 * **priority** — higher-priority tickets are flushed first when a burst
   outruns the flusher (equal priorities keep strict submission order, so
   the default is behavior-identical to pre-context serving);

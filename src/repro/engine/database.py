@@ -26,7 +26,7 @@ import numpy as np
 from repro import obs
 from repro.catalog.schema import Schema
 from repro.catalog.statistics import StatisticsCatalog
-from repro.engine.context import RequestContext, deadline_error
+from repro.engine.context import RequestContext
 from repro.engine.memo import Memo
 from repro.engine.wire import crc32_chain
 from repro.executor.engine import ExecutionEngine, ExecutionResult
@@ -228,18 +228,13 @@ class Database:
         self,
         query: Query,
         options: Optional[OptimizerOptions] = None,
-        ctx=None,
     ) -> PlanningResult:
         """``Γp(Q, /)``: the expert optimizer's plan for the query.
 
         The expert is deterministic, so plans are cached per query
         signature and options; the cached wall time is the first run's,
-        including the join space's build if that run built it.  An
-        expired ``ctx`` raises ``DeadlineExceededError`` before any
-        enumeration work.
+        including the join space's build if that run built it.
         """
-        if context_expired(ctx):
-            raise deadline_error(ctx, "planning")
         key = plan_key(query, options)
         cached = self._plan_cache.get(key)
         if cached is not None:
@@ -254,17 +249,14 @@ class Database:
         query: Query,
         join_order: Sequence[str],
         join_methods: Sequence[str],
-        ctx=None,
     ) -> PlanningResult:
         """``Γp(Q, ICP)``: complete an incomplete plan into an executable one.
 
         Completion is deterministic, so results are memoized by
         (query, join order, join methods); episode loops revisit the same
         one-step edits constantly and the cached wall time is the first
-        run's.  An expired ``ctx`` raises before any completion work.
+        run's.
         """
-        if context_expired(ctx):
-            raise deadline_error(ctx, "hint completion")
         key = (query.signature(), tuple(join_order), tuple(join_methods))
         cached = self._hint_cache.get(key)
         if cached is not None:
@@ -301,31 +293,13 @@ class Database:
             ]
 
     def plan_with_hints_many(
-        self,
-        requests: Sequence[Tuple[Query, Sequence[str], Sequence[str]]],
-        ctxs=None,
-    ) -> List[Optional[PlanningResult]]:
-        """Batch mirror of :meth:`plan_with_hints` for episode cohorts.
-
-        ``ctxs`` follows the :meth:`plan_many` contract: expired item →
-        ``None`` slot.
-        """
-        if ctxs is None:
-            return [
-                self.plan_with_hints(query, join_order, join_methods)
-                for query, join_order, join_methods in requests
-            ]
-        if len(ctxs) != len(requests):
-            raise ValueError(f"ctxs length {len(ctxs)} != requests length {len(requests)}")
-        with obs.span_for_ctxs(
-            "engine.batch", ctxs, attrs={"op": "hint_many", "batch": len(requests)}
-        ):
-            return [
-                None
-                if context_expired(ctx)
-                else self.plan_with_hints(query, join_order, join_methods)
-                for (query, join_order, join_methods), ctx in zip(requests, ctxs)
-            ]
+        self, requests: Sequence[Tuple[Query, Sequence[str], Sequence[str]]]
+    ) -> List[PlanningResult]:
+        """Batch mirror of :meth:`plan_with_hints` for episode cohorts."""
+        return [
+            self.plan_with_hints(query, join_order, join_methods)
+            for query, join_order, join_methods in requests
+        ]
 
     # ------------------------------------------------------------------
     # execution
@@ -335,16 +309,12 @@ class Database:
         query: Query,
         plan: Plan,
         timeout_ms: Optional[float] = None,
-        ctx=None,
     ) -> ExecutionResult:
         """``Ψp``: execute the plan, honouring the dynamic timeout.
 
         Deterministic virtual time lets results be cached; a cached latency
-        above ``timeout_ms`` is reported as a timeout.  An expired ``ctx``
-        raises before any execution work.
+        above ``timeout_ms`` is reported as a timeout.
         """
-        if context_expired(ctx):
-            raise deadline_error(ctx, "execution")
         key = (query.signature(), plan_signature(plan))
         internal_cap = min(HARD_CAP_MS, timeout_ms) if timeout_ms is not None else HARD_CAP_MS
 
@@ -385,31 +355,13 @@ class Database:
         )
 
     def execute_many(
-        self,
-        requests: Sequence[Tuple[Query, Plan, Optional[float]]],
-        ctxs=None,
-    ) -> List[Optional[ExecutionResult]]:
-        """Batch mirror of :meth:`execute`: (query, plan, timeout_ms) triples.
-
-        ``ctxs`` follows the :meth:`plan_many` contract: expired item →
-        ``None`` slot.
-        """
-        if ctxs is None:
-            return [
-                self.execute(query, plan, timeout_ms=timeout_ms)
-                for query, plan, timeout_ms in requests
-            ]
-        if len(ctxs) != len(requests):
-            raise ValueError(f"ctxs length {len(ctxs)} != requests length {len(requests)}")
-        with obs.span_for_ctxs(
-            "engine.batch", ctxs, attrs={"op": "execute_many", "batch": len(requests)}
-        ):
-            return [
-                None
-                if context_expired(ctx)
-                else self.execute(query, plan, timeout_ms=timeout_ms)
-                for (query, plan, timeout_ms), ctx in zip(requests, ctxs)
-            ]
+        self, requests: Sequence[Tuple[Query, Plan, Optional[float]]]
+    ) -> List[ExecutionResult]:
+        """Batch mirror of :meth:`execute`: (query, plan, timeout_ms) triples."""
+        return [
+            self.execute(query, plan, timeout_ms=timeout_ms)
+            for query, plan, timeout_ms in requests
+        ]
 
     def original_latency(self, query: Query) -> float:
         """Latency of the expert's own plan (cached)."""

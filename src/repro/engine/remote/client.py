@@ -43,13 +43,12 @@ from itertools import repeat
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.engine.context import deadline_error, run_live
+from repro.engine.context import run_live
 from repro.engine.database import (
     HINT_CACHE_CAPACITY,
     Database,
     Dataset,
     PlanningResult,
-    context_expired,
     dataset_fingerprint,
     plan_key,
 )
@@ -265,7 +264,7 @@ class RemoteBackend:
         Connection refused fails fast with no retries, and
         :class:`FrameCorruptionError` propagates immediately.
 
-        ``ctxs`` (aligned with the items of a ``*_many`` payload) rides
+        ``ctxs`` (aligned with a ``plan_many`` payload's queries) rides
         the frame as wire dicts, so the server enforces deadlines too.
 
         Tracing: when any context carries a ``trace_id``, a
@@ -442,10 +441,13 @@ class RemoteBackend:
 
     @property
     def executions(self) -> int:
-        """Real executions: the server's counter plus any local fallbacks."""
+        """Real executions: the server's counter as of its last reply.
+
+        The mirror never executes for this backend; it is often the
+        workload's own engine, whose counter belongs to its other callers.
+        """
         with self._state_lock:
-            remote = self._remote_executions
-        return self.local.executions + remote
+            return self._remote_executions
 
     def sql(self, text: str, name: str = "") -> Query:
         # Parse/bind is a pure function of the (identical, fingerprint-
@@ -465,10 +467,8 @@ class RemoteBackend:
     # planning
     # ------------------------------------------------------------------
     def plan(
-        self, query: Query, options: Optional[OptimizerOptions] = None, ctx=None
+        self, query: Query, options: Optional[OptimizerOptions] = None
     ) -> PlanningResult:
-        if context_expired(ctx):
-            raise deadline_error(ctx, "planning")
         return self.plan_many([query], options)[0]
 
     def plan_many(
@@ -507,29 +507,20 @@ class RemoteBackend:
         query: Query,
         join_order: Sequence[str],
         join_methods: Sequence[str],
-        ctx=None,
     ) -> PlanningResult:
-        if context_expired(ctx):
-            raise deadline_error(ctx, "hint completion")
         return self.plan_with_hints_many([(query, join_order, join_methods)])[0]
 
     def plan_with_hints_many(
-        self,
-        requests: Sequence[Tuple[Query, Sequence[str], Sequence[str]]],
-        ctxs=None,
-    ) -> List[Optional[PlanningResult]]:
-        return run_live(requests, ctxs, self._plan_with_hints_live, _no_result)
-
-    def _plan_with_hints_live(self, requests, ctxs) -> List[PlanningResult]:
+        self, requests: Sequence[Tuple[Query, Sequence[str], Sequence[str]]]
+    ) -> List[PlanningResult]:
         def fetch(misses):
             results = self._call(
                 "hint_many",
-                [(query_to_wire(query), order, methods) for (query, order, methods), _ in misses],
-                ctxs=[ctx for _, ctx in misses],
+                [(query_to_wire(query), order, methods) for query, order, methods in misses],
             )
             return [
                 _planning_from_wire(result, request[0])
-                for result, (request, _) in zip(results, misses)
+                for result, request in zip(results, misses)
             ]
 
         normalized = [
@@ -537,7 +528,7 @@ class RemoteBackend:
             for query, join_order, join_methods in requests
         ]
         keys = [(query.signature(), order, methods) for query, order, methods in normalized]
-        return self._hint_memo.many(keys, zip(normalized, ctxs or repeat(None)), fetch)
+        return self._hint_memo.many(keys, normalized, fetch)
 
     # ------------------------------------------------------------------
     # execution
@@ -547,27 +538,18 @@ class RemoteBackend:
         query: Query,
         plan: Plan,
         timeout_ms: Optional[float] = None,
-        ctx=None,
     ) -> ExecutionResult:
-        if context_expired(ctx):
-            raise deadline_error(ctx, "execution")
         return self.execute_many([(query, plan, timeout_ms)])[0]
 
     def execute_many(
-        self,
-        requests: Sequence[Tuple[Query, Plan, Optional[float]]],
-        ctxs=None,
-    ) -> List[Optional[ExecutionResult]]:
-        return run_live(requests, ctxs, self._execute_live, _no_result)
-
-    def _execute_live(self, requests, ctxs) -> List[Optional[ExecutionResult]]:
+        self, requests: Sequence[Tuple[Query, Plan, Optional[float]]]
+    ) -> List[ExecutionResult]:
         results = self._call(
             "execute_many",
             [
                 (query_to_wire(query), plan_to_wire(plan), timeout_ms)
                 for query, plan, timeout_ms in requests
             ],
-            ctxs=ctxs,
         )
         return [execution_from_wire(result) for result in results]
 

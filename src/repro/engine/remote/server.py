@@ -253,8 +253,8 @@ class EngineServer:
         server-side.  The op comes from :data:`~repro.engine.wire.OPS`;
         the body is checked against its shape
         (:func:`~repro.engine.wire.check_body`), and the contexts against
-        the batch length, before any query is bound or any backend method
-        runs.  ``spans`` piggybacks the server-side spans of any traced
+        the batch length — only ``plan_many`` takes any — before any query
+        is bound or any backend method runs.  ``spans`` piggybacks the server-side spans of any traced
         context back to the client, and is empty otherwise.  An op is
         counted under its own name only when it is one the server knows;
         everything else shares one ``kind="unknown"`` series, so a peer
@@ -281,7 +281,9 @@ class EngineServer:
             ]
         try:
             op = check_body(kind, body)
-            if ctxs is not None and op.batch is not None:
+            if ctxs is not None:
+                if op.batch is None:
+                    raise ValueError(f"{kind} takes no request contexts")
                 items = op.batch(body)
                 if len(ctxs) != len(items):
                     raise ValueError(f"{len(ctxs)} contexts for a batch of {len(items)}")

@@ -33,8 +33,8 @@ handler.
 ================  =====================================================================
 message           shape
 ================  =====================================================================
-request           ``[kind, body, contexts]``; ``contexts`` is ``null`` or one context
-                  (or ``null``) per batch item
+request           ``[kind, body, contexts]``; ``contexts`` is ``null``, or, on
+                  ``plan_many`` only, one context (or ``null``) per query
 reply             ``["ok", [result, executions, spans]]`` (``spans`` is empty for an
                   untraced request) or ``["err", message]``
 ``ping``          body ``null``; result ``null``
@@ -43,10 +43,10 @@ reply             ``["ok", [result, executions, spans]]`` (``spans`` is empty fo
 ``stats``         body ``null``; result the backend's stats dict
 ``clear_caches``  body ``null``; result ``null``
 ``plan_many``     body ``[[query, ...], options]``; result ``[planning | null, ...]``
-``hint_many``     body ``[[query, order, methods], ...]``; result
-                  ``[planning | null, ...]``
+                  (``null`` where the query's context expired)
+``hint_many``     body ``[[query, order, methods], ...]``; result ``[planning, ...]``
 ``execute_many``  body ``[[query, plan, timeout_ms], ...]``; result
-                  ``[execution | null, ...]``
+                  ``[execution, ...]``
 ================  =====================================================================
 
 The values inside them:
@@ -96,7 +96,7 @@ from repro.optimizer.plans import Plan
 from repro.sql.ast import Query
 
 #: The message shapes above; the fingerprint handshake advertises it.
-PROTOCOL_VERSION = 5
+PROTOCOL_VERSION = 6
 
 MAGIC = b"FOSW"  # FOSS wire
 _HEADER = struct.Struct(">4sII")  # magic, payload length, crc32(payload)
@@ -330,9 +330,7 @@ def planning_to_wire(result) -> Optional[list]:
     return [result.planning_ms, plan_to_wire(result.plan)]
 
 
-def execution_to_wire(result: Optional[ExecutionResult]) -> Optional[list]:
-    if result is None:
-        return None
+def execution_to_wire(result: ExecutionResult) -> list:
     return [
         result.latency_ms,
         int(result.output_rows),
@@ -342,9 +340,7 @@ def execution_to_wire(result: Optional[ExecutionResult]) -> Optional[list]:
     ]
 
 
-def execution_from_wire(data) -> Optional[ExecutionResult]:
-    if data is None:
-        return None
+def execution_from_wire(data) -> ExecutionResult:
     latency_ms, output_rows, timed_out, work_units, aggregate_values = data
     return ExecutionResult(
         latency_ms=latency_ms,
@@ -397,7 +393,7 @@ def _plan_many(server, body, ctxs) -> list:
 def _hint_many(server, body, ctxs) -> list:
     backend = server.backend
     requests = [(_bind(backend, query), order, methods) for query, order, methods in body]
-    return [planning_to_wire(r) for r in backend.plan_with_hints_many(requests, ctxs=ctxs)]
+    return [planning_to_wire(r) for r in backend.plan_with_hints_many(requests)]
 
 
 def _execute_many(server, body, ctxs) -> list:
@@ -406,11 +402,7 @@ def _execute_many(server, body, ctxs) -> list:
     for query, plan, timeout_ms in body:
         query = _bind(backend, query)
         requests.append((query, plan_from_wire(plan, query), timeout_ms))
-    return [execution_to_wire(r) for r in backend.execute_many(requests, ctxs=ctxs)]
-
-
-def _items(body):
-    return body
+    return [execution_to_wire(r) for r in backend.execute_many(requests)]
 
 
 class Op(NamedTuple):
@@ -418,7 +410,8 @@ class Op(NamedTuple):
 
     ``shape`` is the body a request must have; ``handle(server, body,
     contexts)`` runs it and returns the plain-data result; ``batch`` picks
-    the items a batch op's contexts align with out of its body.
+    the items a request's contexts align with out of its body.  An op
+    without ``batch`` takes no contexts.
     """
 
     shape: Shape
@@ -433,8 +426,8 @@ OPS: Dict[str, Op] = {
     "stats": Op(_none, _stats),
     "clear_caches": Op(_none, _clear_caches),
     "plan_many": Op(_row(_list_of(_QUERY), _OPTIONS), _plan_many, itemgetter(0)),
-    "hint_many": Op(_list_of(_row(_QUERY, _list_of(_str), _list_of(_str))), _hint_many, _items),
-    "execute_many": Op(_list_of(_row(_QUERY, _PLAN, _optional(_num))), _execute_many, _items),
+    "hint_many": Op(_list_of(_row(_QUERY, _list_of(_str), _list_of(_str))), _hint_many),
+    "execute_many": Op(_list_of(_row(_QUERY, _PLAN, _optional(_num))), _execute_many),
 }
 
 

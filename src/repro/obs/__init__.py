@@ -117,9 +117,6 @@ class _NullSpan:
     def __exit__(self, exc_type, exc, tb) -> None:
         return None
 
-    def set_attr(self, key: str, value: object) -> None:
-        return None
-
     def end(self, at=None, status=None) -> None:
         return None
 

@@ -66,9 +66,6 @@ class Span:
     attrs: Dict[str, object] = field(default_factory=dict)
     _tracer: Optional["Tracer"] = field(default=None, repr=False, compare=False)
 
-    def set_attr(self, key: str, value: object) -> None:
-        self.attrs[key] = value
-
     def end(self, at: Optional[float] = None, status: Optional[str] = None) -> None:
         if self.end_s is not None:  # idempotent: first end wins
             return

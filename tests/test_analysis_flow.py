@@ -10,9 +10,9 @@ The checks live in ``tests/test_invariants.py``.  Here:
   can hide;
 * a scratch copy of ``src/repro``: the walk re-parses only edited files,
   never caches a verdict, and reports a regression in a real module;
-* request contexts, at run time: every batch entry point consults its
-  ``ctxs`` before the work, environments forward them, and a context the
-  service mints reaches the engine;
+* request contexts, at run time: ``plan_many``, the one engine call that
+  takes them, consults its ``ctxs`` before the work, environments forward
+  them, and a context the service mints reaches the engine;
 * the engine client's request bodies against the wire's op table.
 """
 
@@ -624,28 +624,21 @@ BATCH_METHODS = ("plan_many", "plan_with_hints_many", "execute_many")
 
 class TestCtxPropagation:
     def test_protocol_stub_passes(self):
-        """Every singleton call takes ``ctx`` and every batch call ``ctxs``,
+        """``plan_many`` is the one engine call that takes request contexts,
         in the protocol and in both backends alike."""
         for method in ("plan", "plan_with_hints", "execute", *BATCH_METHODS):
-            wanted = "ctxs" if method.endswith("_many") else "ctx"
             shapes = [list(inspect.signature(getattr(cls, method)).parameters)
                       for cls in (EngineBackend, Database, RemoteBackend)]
-            assert shapes[0][-1] == wanted, method
             assert shapes[0] == shapes[1] == shapes[2], method
+            takes = {"ctx", "ctxs"} & set(shapes[0])
+            assert takes == ({"ctxs"} if method == "plan_many" else set()), method
+        assert list(inspect.signature(EngineBackend.plan_many).parameters)[-1] == "ctxs"
         assert sorted(name for name in vars(EngineBackend) if name.endswith("_many")) \
             == sorted(BATCH_METHODS)
 
     def test_consulting_ctxs_first_passes(self, job_database):
         """An expired slot is answered before its request is even read."""
-        query = job_database.sql("SELECT COUNT(*) FROM title t", "q")
-        malformed = {
-            "plan_many": [object()],
-            "plan_with_hints_many": [(object(), None, None)],
-            "execute_many": [(query, object(), None)],
-        }
-        for method in BATCH_METHODS:
-            assert getattr(job_database, method)(malformed[method], ctxs=[expired_ctx()]) \
-                == [None], method
+        assert job_database.plan_many([object()], ctxs=[expired_ctx()]) == [None]
 
     def test_dropped_ctxs_backend_flagged(self, job_database, job_workload, monkeypatch):
         """A budget that runs out during the batch drops the items after it."""
@@ -784,7 +777,7 @@ class TestRpcArity:
     def test_none_payload_into_destructuring_branch_flagged(self):
         """Every op whose handler unpacks its body refuses a ``None`` body
         before the handler runs."""
-        unpacking = [kind for kind, op in OPS.items() if op.batch is not None]
+        unpacking = [kind for kind, op in OPS.items() if not op.shape(None)]
         assert sorted(unpacking) == ["execute_many", "hint_many", "plan_many"]
         for kind in unpacking:
             with pytest.raises(ValueError, match=f"malformed {kind}"):

@@ -107,7 +107,6 @@ class TestBao:
         bao = BaoOptimizer(db, seed=1)
         bao.train(workload.train[:8], iterations=1, refit_epochs=5)
         assert bao.value_model.trained
-        assert bao.training_time_s > 0
         chosen = bao.optimize(workload.test[0].query)
         assert chosen.candidates_considered == len(DEFAULT_HINT_SETS)
 
@@ -181,5 +180,5 @@ class TestLoger:
         workload, db = env
         loger = LogerOptimizer(db, seed=4)
         loger.train(workload.train[:6], iterations=1)
-        assert loger.training_time_s > 0
+        assert loger.value_model.num_samples == 6  # one executed latency per query
         assert loger.value_model.trained

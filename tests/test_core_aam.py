@@ -88,8 +88,8 @@ class TestAdvantageModelHead:
 
     def test_predict_score_in_range(self, setup):
         _, _, _, model, encoded = setup
-        score = model.predict_score(encoded[0][1], 0.0, encoded[1][1], 0.3)
-        assert score in (0, 1, 2)
+        scores = model.predict_scores([encoded[0][1]], np.zeros(1), [encoded[1][1]], np.full(1, 0.3))
+        assert scores.shape == (1,) and scores[0] in (0, 1, 2)
 
 
 class TestLoadStateDict:
@@ -429,7 +429,7 @@ class TestDistinctRowForward:
         assert np.array_equal(
             model.predict_scores(left, ls, right, rs), np.argmax(naive, axis=-1)
         )
-        assert model.predict_score(left[0], ls[0], right[0], rs[0]) == int(np.argmax(naive[0]))
+        assert model.predict_scores(left[:1], ls[:1], right[:1], rs[:1])[0] == int(np.argmax(naive[0]))
 
     @pytest.mark.parametrize("size", [1, 2, 15, 17, 48, 96])
     def test_statevecs_bitwise_equal_to_parent_grouping(self, pool, size):

@@ -55,13 +55,13 @@ class TestPersistence:
         db = job_workload.database
         wq = job_workload.train[0]
         encoded = trainer.encoder.encode(wq.query, db.plan(wq.query).plan)
-        before = trainer.aam.predict_score(encoded, 0.0, encoded, 0.5)
+        before = trainer.aam.predict_scores([encoded], np.zeros(1), [encoded], np.full(1, 0.5))
 
         save_checkpoint(trainer, str(tmp_path / "ckpt"))
         fresh = FossTrainer(job_workload, tiny_config(seed=55))
         restore_checkpoint(fresh, read_checkpoint(str(tmp_path / "ckpt")))
-        after = fresh.aam.predict_score(encoded, 0.0, encoded, 0.5)
-        assert before == after
+        after = fresh.aam.predict_scores([encoded], np.zeros(1), [encoded], np.full(1, 0.5))
+        assert np.array_equal(before, after)
 
     def test_agent_count_mismatch_raises(self, job_workload, tmp_path):
         trainer = FossTrainer(job_workload, tiny_config())

@@ -187,6 +187,18 @@ class TestBackendParity:
         remote_backend.execute(query, plan)
         assert remote_backend.executions == after_miss, "server cache hit must not count"
 
+    def test_executions_are_the_servers_alone(self, job_workload, server_db, remote_backend):
+        """The mirror is the workload's own engine: its executions belong to
+        its other callers, never to the remote backend's count."""
+        mirror = job_workload.database
+        query = mirror.sql("SELECT COUNT(*) FROM title AS t WHERE t.id < 7", "mirror-only")
+        before, mirror_before = remote_backend.executions, mirror.executions
+        mirror.execute(query, mirror.plan(query).plan)
+        assert mirror.executions == mirror_before + 1
+        assert remote_backend.executions == before
+        remote_backend.ping()
+        assert remote_backend.executions == server_db.executions
+
     def test_server_error_is_typed_and_does_not_poison_connection(
         self, job_workload, remote_backend
     ):

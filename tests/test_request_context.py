@@ -9,10 +9,9 @@ The contracts under test (see :mod:`repro.engine.context`):
   never bound, no engine call happens — and counted as ``expired``,
   never ``failures``; a budget that runs out while queued is dropped at
   flush time the same way;
-* both backends (local, remote wire) raise
-  :class:`DeadlineExceededError` for expired singleton calls and slots
-  ``None`` for expired items inside ``*_many`` batches — while the live
-  items' plans stay bitwise-identical to context-free planning;
+* both backends (local, remote wire) slot ``None`` for expired items
+  inside ``plan_many``, the one engine call that takes contexts — while
+  the live items' plans stay bitwise-identical to context-free planning;
 * the remote handshake is strict — a server speaking another wire
   protocol version is refused at connect — and the retry policy
   distinguishes timeouts (retryable, :class:`RemoteTimeoutError`) from
@@ -48,7 +47,6 @@ from repro.api import (
     RequestContext,
 )
 from repro.core.aam import AAMConfig
-from repro.core.icp import IncompletePlan
 from repro.engine.context import deadline_error, run_live
 from repro.engine.remote import (
     EngineServer,
@@ -331,17 +329,6 @@ def backend(request, job_workload):
 
 @pytest.mark.parametrize("backend", BACKENDS, indirect=True)
 class TestBackendDeadlines:
-    def test_expired_singletons_raise_typed(self, backend, job_workload):
-        query = job_workload.train[0].query
-        plan = job_workload.database.plan(query).plan
-        with pytest.raises(DeadlineExceededError):
-            backend.plan(query, ctx=expired_ctx())
-        with pytest.raises(DeadlineExceededError):
-            backend.execute(query, plan, ctx=expired_ctx())
-        icp = IncompletePlan(plan.aliases, plan.methods)
-        with pytest.raises(DeadlineExceededError):
-            backend.plan_with_hints(query, icp.order, icp.methods, ctx=expired_ctx())
-
     def test_plan_many_skips_expired_and_keeps_parity(self, backend, job_workload):
         queries = [wq.query for wq in job_workload.train[:3]]
         baseline = [plan_signature(p.plan) for p in backend.plan_many(queries)]
@@ -349,14 +336,6 @@ class TestBackendDeadlines:
         assert results[1] is None
         assert plan_signature(results[0].plan) == baseline[0]
         assert plan_signature(results[2].plan) == baseline[2]
-
-    def test_execute_many_slots_none_for_expired(self, backend, job_workload):
-        query = job_workload.train[0].query
-        plan = job_workload.database.plan(query).plan
-        batch = [(query, plan, None), (query, plan, None)]
-        results = backend.execute_many(batch, ctxs=[None, expired_ctx()])
-        assert results[1] is None
-        assert results[0].latency_ms == job_workload.database.execute(query, plan).latency_ms
 
     def test_ctxs_length_mismatch_is_loud(self, backend, job_workload):
         queries = [wq.query for wq in job_workload.train[:2]]

@@ -100,7 +100,10 @@ def bystander(server, job_workload):
 
 @pytest.fixture(scope="module")
 def templates(job_workload):
-    """One valid request per op with a body, over a real query and plan."""
+    """One valid request per op with a body, over a real query and plan.
+
+    Only ``plan_many`` carries contexts: any other op is refused for them,
+    so a mutation of its body would never reach the body check."""
     db = job_workload.database
     query = next(wq.query for wq in job_workload.all_queries if wq.query.num_tables >= 3)
     plan = plan_to_wire(db.plan(query).plan)
@@ -110,8 +113,8 @@ def templates(job_workload):
     ctxs = [{"id": "hostile-1", "ttl_s": 30.0}]
     return [
         ["plan_many", [[wire_query], [["merge"], [], 15]], ctxs],
-        ["hint_many", [[wire_query, order, methods]], ctxs],
-        ["execute_many", [[wire_query, plan, 500.0]], ctxs],
+        ["hint_many", [[wire_query, order, methods]], None],
+        ["execute_many", [[wire_query, plan, 500.0]], None],
     ]
 
 
@@ -241,9 +244,18 @@ class TestHostilePayloads:
         assert "unknown engine RPC" in message
 
     def test_contexts_misaligned_with_the_batch(self, server, spy, bystander, templates):
-        for kind, body, _ctxs in templates[:3]:
-            ctxs = [{"id": "a"}, {"id": "b"}]
-            _assert_refused(server, spy, bystander, encode_request(kind, body, ctxs))
+        kind, body, _ctxs = templates[0]
+        ctxs = [{"id": "a"}, {"id": "b"}]
+        message = _assert_refused(server, spy, bystander, encode_request(kind, body, ctxs))
+        assert "2 contexts for a batch of 1" in message
+
+    def test_contexts_on_an_op_that_takes_none(self, server, spy, bystander, templates):
+        """Aligned contexts on a well-formed ``hint_many`` or ``execute_many``:
+        only ``plan_many`` takes contexts, so the request is refused whole."""
+        for kind, body, _ctxs in templates[1:]:
+            ctxs = [{"id": "aligned", "ttl_s": 30.0}] * len(body)
+            message = _assert_refused(server, spy, bystander, encode_request(kind, body, ctxs))
+            assert "takes no request contexts" in message
 
     def test_protocol_3_pickles(self, server, spy, bystander, job_workload):
         query = job_workload.all_queries[0].query
