@@ -8,6 +8,7 @@ import functools
 import numpy as np
 import pytest
 
+from doctor_edits import Corpus
 from repro.engine.remote import EngineServer
 from repro.nn import functional, layers
 from repro.workloads.job import build_job_workload
@@ -34,6 +35,22 @@ def stack_workload():
 @pytest.fixture(scope="session")
 def job_database(job_workload):
     return job_workload.database
+
+
+@pytest.fixture(scope="session")
+def job_corpus(job_workload):
+    """The fixture-plan corpus (``doctor_edits``) of each workload."""
+    return Corpus(job_workload)
+
+
+@pytest.fixture(scope="session")
+def stack_corpus(stack_workload):
+    return Corpus(stack_workload)
+
+
+@pytest.fixture(scope="session")
+def tpcds_corpus(tpcds_workload):
+    return Corpus(tpcds_workload)
 
 
 @pytest.fixture(scope="module")

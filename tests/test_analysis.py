@@ -21,6 +21,7 @@ holds the real-tree test of each one.  Here:
 
 import ast
 import fnmatch
+import functools
 import graphlib
 import os
 import re
@@ -582,22 +583,20 @@ class TestCli:
             for path in sorted((REPO_ROOT / top).rglob("*.py")):
                 ast.parse(path.read_bytes(), filename=str(path))
 
-    def test_unknown_rule_is_usage_error(self):
-        """Every test the README's invariants table names exists."""
+    def test_readme_invariants_name_existing_tests(self):
+        """Every test the README's invariants table names exists: an id
+        ``file.py::Class::test`` names each scope in turn, and a bare name
+        after one names a sibling of its last part."""
         readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
         section = readme.split("## Invariants", 1)[1].split("\n## ", 1)[0]
         rows = [line for line in section.splitlines() if line.startswith("|")][2:]
         assert rows
         for row in rows:
-            current = None
+            path = None
             for name in re.findall(r"`([^`]+)`", row.split("|")[2]):
-                if "::" in name:
-                    current, name = name.split("::")
-                assert current, row
-                tree = ast.parse((REPO_ROOT / "tests" / current).read_text(encoding="utf-8"))
-                defined = {node.name for node in ast.walk(tree)
-                           if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
-                assert name in defined, f"{current}::{name}"
+                assert path or "::" in name, row
+                path = name.split("::") if "::" in name else path[:-1] + [name]
+                assert _defines(path[0], path[1:]), "::".join(path)
 
     def test_readme_performance_contracts_name_tier1_tests(self):
         """Each contract under the README's "Performance" names a tier-1
@@ -610,15 +609,23 @@ class TestCli:
             ids = re.findall(r"`tests/(test_\w+\.py)((?:::\w+)+)`", contract)
             assert ids, contract.split("\n", 1)[0]
             for module, path in ids:
-                scope = ast.parse((REPO_ROOT / "tests" / module).read_text(encoding="utf-8"))
-                for name in path.split("::")[1:]:
-                    scope = next(
-                        (node for node in scope.body
-                         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                         and node.name == name),
-                        None,
-                    )
-                    assert scope is not None, f"{module}{path}"
+                assert _defines(module, path.split("::")[1:]), f"{module}{path}"
+
+
+@functools.cache
+def _test_module(name):
+    """``tests/<name>``, parsed once."""
+    return ast.parse((REPO_ROOT / "tests" / name).read_text(encoding="utf-8"))
+
+
+def _defines(module, path):
+    """Whether ``tests/<module>`` defines ``path[0]``, whose body defines
+    ``path[1]``, and so on."""
+    scopes = [_test_module(module)]
+    for name in path:
+        scopes = [node for scope in scopes for node in scope.body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name]
+    return bool(scopes)
 
 
 # ----------------------------------------------------------------------

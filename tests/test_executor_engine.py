@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from doctor_edits import doctor_like_plans
 from reference_dp import joins_between
 from reference_executor import JoinOverflow, ReferenceExecutionEngine, join_pairs
 from repro.engine.database import HARD_CAP_MS
@@ -326,6 +325,13 @@ class TestDifferentialAgainstReference:
     """Bitwise contract: every ``ExecutionResult`` field equals the reference
     executor's with ``==``, timeouts and ``work_units`` included.
 
+    Every plan of the fixture-plan corpus (``doctor_edits``) runs at
+    ``HARD_CAP_MS``, the reference on the plan's ``reference_dp`` tree.
+    Every STRIDE-th query also runs its plans at 1.5 x the expert's latency
+    and as the aggregate variant, and its expert plan with
+    ``timeout_ms=None`` (the documented default: only ``MAX_JOIN_OUTPUT``
+    bounds a join, and a run the hard cap lets finish reads the same).
+
     Every stored column of the three workloads is int64 (ids, keys, dictionary
     codes), so the aggregate variant is exact too: an integer ``SUM`` does not
     depend on row order and an integer ``AVG`` is that sum over the count,
@@ -333,50 +339,35 @@ class TestDifferentialAgainstReference:
     the tiny-table property test, to ``rtol=1e-12``.
     """
 
-    # Every STRIDE-th query; sized to keep this class under ~15 s of tier-1.
     STRIDE = 8
 
     @pytest.mark.parametrize("name", ["job", "stack", "tpcds"])
     def test_workload_plans_equal_reference(self, name, request):
-        workload = request.getfixturevalue(f"{name}_workload")
-        database = workload.database
-        engine = database.executor
-        reference = ReferenceExecutionEngine(database.storage, engine.cost_model)
-        rng = np.random.default_rng(21)
+        corpus = request.getfixturevalue(f"{name}_corpus")
+        engine = corpus.database.executor
+        reference = ReferenceExecutionEngine(corpus.database.storage, engine.cost_model)
         compared = timed_out = 0
-        for item in workload.all_queries[:: self.STRIDE]:
-            query = item.query
-            key_column = query.join_predicates[0].left
-            plans = doctor_like_plans(database, query, rng)
-            expert_ms = engine.execute(query, plans[0], timeout_ms=HARD_CAP_MS).latency_ms
-            for variant in (query, _with_aggregates(query, key_column)):
-                for plan in plans:
-                    for timeout_ms in (HARD_CAP_MS, 1.5 * expert_ms):
-                        got = engine.execute(variant, plan, timeout_ms=timeout_ms)
-                        want = reference.execute(variant, plan, timeout_ms=timeout_ms)
-                        assert got == want, (query.name, plan.aliases, timeout_ms)
-                        compared += 1
-                        timed_out += got.timed_out
+        for index, entry in enumerate(corpus.entries):
+            query, cases = entry.query, list(zip(entry.plans, entry.trees))
+            runs = [(query, *case, HARD_CAP_MS, got) for case, got in zip(cases, entry.results)]
+            if index % self.STRIDE == 0:
+                aggregated = _with_aggregates(query, query.join_predicates[0].left)
+                tight_ms = 1.5 * entry.results[0].latency_ms
+                for variant, timeout_ms in ((query, tight_ms), (aggregated, HARD_CAP_MS), (aggregated, tight_ms)):
+                    runs += [(variant, *case, timeout_ms, None) for case in cases]
+                unbounded = engine.execute(query, entry.plans[0])
+                if not entry.results[0].timed_out:
+                    assert unbounded == entry.results[0], query.name
+                runs.append((query, *cases[0], None, unbounded))
+            for variant, plan, tree, timeout_ms, got in runs:
+                if got is None:
+                    got = engine.execute(variant, plan, timeout_ms=timeout_ms)
+                want = reference.execute(variant, tree, timeout_ms=timeout_ms)
+                assert got == want, (query.name, plan.aliases, timeout_ms)
+                compared += 1
+                timed_out += got.timed_out
         # Both outcomes must be drawn, or the contract is half checked.
         assert 0 < timed_out < compared
-
-
-@pytest.mark.parametrize("name", ["job", "stack", "tpcds"])
-def test_no_deadline_equals_reference_and_hard_cap(name, request):
-    """``timeout_ms=None``, the documented default: only ``MAX_JOIN_OUTPUT``
-    bounds a join, and a run the hard cap lets finish reads the same."""
-    workload = request.getfixturevalue(f"{name}_workload")
-    database = workload.database
-    engine = database.executor
-    reference = ReferenceExecutionEngine(database.storage, engine.cost_model)
-    for item in workload.all_queries[:: TestDifferentialAgainstReference.STRIDE]:
-        query = item.query
-        plan = database.plan(query).plan
-        got = engine.execute(query, plan)
-        assert got == reference.execute(query, plan), query.name
-        capped = engine.execute(query, plan, timeout_ms=HARD_CAP_MS)
-        if not capped.timed_out:
-            assert got == capped, query.name
 
 
 class _BuildingEngine(ExecutionEngine):
@@ -398,8 +389,8 @@ def test_doomed_plans_build_nothing_they_will_not_read(name, request, monkeypatc
     ahead on its driving predicate only, so its final charge can still find a
     built output; those runs are not held to this.
     """
-    workload = request.getfixturevalue(f"{name}_workload")
-    database = workload.database
+    corpus = request.getfixturevalue(f"{name}_corpus")
+    database = corpus.database
     engine = database.executor
     building = _BuildingEngine(database.storage, engine.cost_model)
     events = []  # (scanned alias of an emitted join, output grew past its inputs); (None, False): a scan timed out
@@ -419,13 +410,10 @@ def test_doomed_plans_build_nothing_they_will_not_read(name, request, monkeypatc
 
     monkeypatch.setattr(ExecutionEngine, "_emit", staticmethod(spy_emit))
     monkeypatch.setattr(ExecutionEngine, "_scan", spy_scan)
-    rng = np.random.default_rng(21)
     doomed = 0
-    for item in workload.all_queries[::2]:
-        query = item.query
-        plans = doctor_like_plans(database, query, rng)
-        expert_ms = engine.execute(query, plans[0], timeout_ms=HARD_CAP_MS).latency_ms
-        for plan in plans:
+    for entry in corpus.entries[::2]:
+        query, expert_ms = entry.query, entry.results[0].latency_ms
+        for plan in entry.plans:
             for timeout_ms in (HARD_CAP_MS, 1.5 * expert_ms):
                 events.clear()
                 if not engine.execute(query, plan, timeout_ms=timeout_ms).timed_out:
