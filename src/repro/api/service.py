@@ -53,7 +53,7 @@ from repro.engine.context import (
     deadline_error,
 )
 from repro.executor.engine import ExecutionResult
-from repro.sql.ast import Query
+from repro.sql.ast import Query, StatementKey
 
 DEFAULT_MAX_BATCH_SIZE = 32
 DEFAULT_MEMO_CAPACITY = 4096
@@ -140,12 +140,11 @@ class _Pending:
     ``ticket_id`` and ``trace`` are ``None`` on the sync path.  ``outcome``
     stays ``None`` until a stage resolves the request with an
     :class:`OptimizedPlan` (``cached`` if it came from the memo or rode on
-    an earlier request of its signature) or the exception it fails with.
+    an earlier request of its statement) or the exception it fails with.
     ``span`` is the open root span of a traced request.
     """
 
-    __slots__ = ("ticket_id", "sql", "ctx", "trace", "span", "query", "signature", "outcome",
-                 "cached")
+    __slots__ = ("ticket_id", "sql", "ctx", "trace", "span", "query", "key", "outcome", "cached")
 
     def __init__(self, ticket_id, sql, ctx, trace=None, span=None, query=None, outcome=None):
         self.ticket_id = ticket_id
@@ -154,7 +153,7 @@ class _Pending:
         self.trace = trace
         self.span = span
         self.query = query
-        self.signature = None if query is None else query.signature()
+        self.key = None if query is None else query.key()
         self.outcome = outcome
         self.cached = False
 
@@ -264,7 +263,7 @@ class OptimizerService:
         self._optimize_lock = optimize_lock if optimize_lock is not None else threading.Lock()
         self._flusher_thread: Optional[threading.Thread] = None
         self._stop_requested = False
-        self._memo: "OrderedDict[str, OptimizedPlan]" = OrderedDict()
+        self._memo: "OrderedDict[StatementKey, OptimizedPlan]" = OrderedDict()
         self._pending: List[_Pending] = []
         self._results: "OrderedDict[int, TicketResult]" = OrderedDict()
         # One event per unresolved ticket, set and dropped when its outcome
@@ -384,7 +383,7 @@ class OptimizerService:
         try:
             # Outside the lock: binding must not stall other submitters.
             record.query = self._bind(sql, ctx, "submission")
-            record.signature = record.query.signature()
+            record.key = record.query.key()
         except OptimizeError as exc:
             record.outcome = exc
         except BaseException:
@@ -517,7 +516,7 @@ class OptimizerService:
     def _optimize_sync(self, sql: str, ctx) -> Tuple[Query, OptimizedPlan]:
         """A cohort of one through the stages, with hits answered at the door.
 
-        An untraced memo hit costs one signature, one lock acquisition, one
+        An untraced memo hit costs one statement key, one lock acquisition, one
         memo lookup and an int tally, and allocates no record; every
         ``_HIT_SAMPLE_EVERY``-th hit is also timed into the latency window.
         """
@@ -527,12 +526,12 @@ class OptimizerService:
             self._settle([_Pending(None, sql, ctx, outcome=exc)])
             raise
         start = self.clock.now()
-        signature = query.signature()
+        key = query.key()
         if ctx is None or ctx.trace_id is None:
             with self._lock:
-                plan = self._memo.get(signature)
+                plan = self._memo.get(key)
                 if plan is not None:
-                    self._memo.move_to_end(signature)
+                    self._memo.move_to_end(key)
                     self._tally["hits"] = hits = self._tally["hits"] + 1
                     if not hits % _HIT_SAMPLE_EVERY:
                         self._latency.observe((self.clock.now() - start) * 1000.0)
@@ -594,26 +593,26 @@ class OptimizerService:
                 live.append(record)
         return live
 
-    def _dedup(self, records: List[_Pending]) -> Dict[str, _Pending]:
-        """Stage 3: answer memo hits; the first record of each other signature.
+    def _dedup(self, records: List[_Pending]) -> Dict[StatementKey, _Pending]:
+        """Stage 3: answer memo hits; the first record of each other statement.
 
         A hit's plan is snapshotted onto its record, so the memo may evict
         it while the cohort's own misses are memoized.
         """
-        unique: Dict[str, _Pending] = {}
+        unique: Dict[StatementKey, _Pending] = {}
         with self._lock:
             for record in records:
-                if record.signature in unique:
-                    continue  # rides on the first request of its signature
-                plan = self._memo.get(record.signature)
+                if record.key in unique:
+                    continue  # rides on the first request of its statement
+                plan = self._memo.get(record.key)
                 if plan is None:
-                    unique[record.signature] = record
+                    unique[record.key] = record
                 else:
-                    self._memo.move_to_end(record.signature)
+                    self._memo.move_to_end(record.key)
                     record.outcome, record.cached = plan, True
         return unique
 
-    def _optimize(self, records: List[_Pending], unique: Dict[str, _Pending]) -> None:
+    def _optimize(self, records: List[_Pending], unique: Dict[StatementKey, _Pending]) -> None:
         """Stage 4: one optimizer call for the unique misses; memoize plans."""
         if unique:
             firsts = list(unique.values())
@@ -635,10 +634,10 @@ class OptimizerService:
                 for record, outcome in zip(firsts, outcomes):
                     record.outcome = outcome
                     if isinstance(outcome, OptimizedPlan):
-                        self._memoize(record.signature, outcome)
+                        self._memoize(record.key, outcome)
             for record in records:
                 if record.outcome is None:
-                    record.outcome, record.cached = unique[record.signature].outcome, True
+                    record.outcome, record.cached = unique[record.key].outcome, True
         now = self.clock.now()
         self._stamp(records, "engine", now)
         for record in records:
@@ -744,19 +743,19 @@ class OptimizerService:
         if event is not None:
             event.set()
 
-    def _memoize(self, signature: str, plan: OptimizedPlan) -> None:
+    def _memoize(self, key: StatementKey, plan: OptimizedPlan) -> None:
         # Caller holds _lock.
         if self.memo_capacity <= 0:  # caching disabled
             return
-        if signature in self._memo:
+        if key in self._memo:
             # Overwrite in place: evicting here would throw away an
             # unrelated cached plan without the memo growing.
-            self._memo[signature] = plan
-            self._memo.move_to_end(signature)
+            self._memo[key] = plan
+            self._memo.move_to_end(key)
             return
         while self._memo and len(self._memo) >= self.memo_capacity:
             self._memo.popitem(last=False)
-        self._memo[signature] = plan
+        self._memo[key] = plan
 
     # -- telemetry ---------------------------------------------------------
     def stats(self) -> Dict[str, float]:

@@ -62,12 +62,9 @@ from repro.nn.layers import (
     scatter_rows,
 )
 from repro.nn.optim import Adam, clip_grad_norm
+from repro.sql.ast import StatementKey
 
 NUM_SCORES = 3  # the paper's point set {0.05, 0.50} -> scores {0, 1, 2}
-# Pairs per forward in AAMTrainer.evaluate: its peak memory grows with this
-# chunk, not with the buffer.  Every spine buffer (550 pairs at JOB
-# train(4)) still takes one forward.
-EVALUATE_CHUNK = 1024
 
 
 @dataclass
@@ -161,10 +158,11 @@ class StateNetwork(Module):
             (len(list(run)), nodes, reachability_term(nodes))
             for nodes, run in groupby(ordered, key=attrgetter("num_nodes"))
         ]
-        ints, fints, fvals = zip(*(_real_nodes(p) for p in ordered))
         return (
             order, segments,
-            np.concatenate(ints, axis=1), np.concatenate(fints, axis=1), np.concatenate(fvals),
+            np.concatenate([p.int_block for p in ordered], axis=1),
+            np.concatenate([p.fint_block for p in ordered], axis=1),
+            np.concatenate([p.filter_vals for p in ordered]),
         )
 
     def _tables(self) -> Tuple[Parameter, ...]:
@@ -269,13 +267,6 @@ def node_vectors(op, table, height, struct, column, pred_op, direction, ints, fi
     return feat
 
 
-def _real_nodes(plan: EncodedPlan) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``plan``'s real nodes: ``(6, n)`` and ``(2, n, F)`` integer features
-    and ``(n, F)`` filter values."""
-    n = plan.num_nodes
-    return plan.int_block[:, :n], plan.fint_block[:, :n], plan.filter_vals[:n]
-
-
 @functools.cache
 def reachability_term(nodes: int) -> np.ndarray:
     """The additive attention term of every left-deep plan of ``nodes``
@@ -347,7 +338,7 @@ class AdvantageModel(Module):
         # step) triples, so they must not pay for the transformer twice.
         # Bounded, or a long-lived deployed optimizer would keep one vector
         # per plan forever.
-        self._statevec_cache: Memo[Tuple[int, str, str, float], np.ndarray] = Memo(500_000)
+        self._statevec_cache: Memo[Tuple[int, StatementKey, str, float], np.ndarray] = Memo(500_000)
         self.state_network = StateNetwork(num_tables, num_columns, max_nodes, self.config, rng)
         d = self.config.d_state
         self.position_embed = Embedding(2, d, rng=rng)  # 0 = left, 1 = right
@@ -431,10 +422,10 @@ class AdvantageModel(Module):
 
     def statevecs_lazy(
         self,
-        items: Sequence[Tuple[str, str, Tuple["Query", "Plan"], float]],
+        items: Sequence[Tuple[StatementKey, str, Tuple["Query", "Plan"], float]],
         encoder,
     ) -> np.ndarray:
-        """Statevecs for (query_sig, plan_sig, (query, plan), step_fraction) items.
+        """Statevecs for (query key, plan_sig, (query, plan), step_fraction) items.
 
         Hits are free and deduplicated misses share one packed
         state-network forward.  Items carry the raw ``(query, plan)`` pair
@@ -591,12 +582,13 @@ class AAMTrainer:
 
     def evaluate(self, samples: Sequence[AAMSample]) -> float:
         """Hard-label accuracy over a sample set, one inference pass per
-        :data:`EVALUATE_CHUNK` pairs."""
+        minibatch of pairs in the samples' order, so its peak memory is a
+        training step's, not the buffer's."""
         if not samples:
             return 0.0
-        correct = 0
-        for start in range(0, len(samples), EVALUATE_CHUNK):
-            chunk = samples[start : start + EVALUATE_CHUNK]
+        correct, size = 0, self.config.minibatch_size
+        for start in range(0, len(samples), size):
+            chunk = samples[start : start + size]
             predicted = self.model.predict_scores(
                 [s.left for s in chunk],
                 np.array([s.left_step for s in chunk]),

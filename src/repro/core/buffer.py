@@ -18,7 +18,7 @@ from repro.core.aam import AAMSample
 from repro.core.encoding import PlanEncoder
 from repro.core.reward import AdvantageFunction, ReferenceSet
 from repro.optimizer.plans import Plan, plan_signature
-from repro.sql.ast import Query
+from repro.sql.ast import Query, StatementKey
 
 
 # ----------------------------------------------------------------------
@@ -40,8 +40,8 @@ class ExecutionBuffer:
     """Executed-plan records grouped by query."""
 
     def __init__(self) -> None:
-        self._records: Dict[str, Dict[str, PlanRecord]] = {}
-        self._queries: Dict[str, Query] = {}
+        self._records: Dict[StatementKey, Dict[str, PlanRecord]] = {}
+        self._queries: Dict[StatementKey, Query] = {}
         self.total_added = 0  # monotone counter (drives AAM retrain cadence)
 
     # ------------------------------------------------------------------
@@ -54,9 +54,9 @@ class ExecutionBuffer:
         timed_out: bool,
     ) -> bool:
         """Record an execution; returns False if the plan was already known."""
-        query_sig = query.signature()
-        per_query = self._records.setdefault(query_sig, {})
-        self._queries.setdefault(query_sig, query)
+        key = query.key()
+        per_query = self._records.setdefault(key, {})
+        self._queries.setdefault(key, query)
         plan_sig = plan_signature(plan)
         if plan_sig in per_query:
             return False
@@ -67,13 +67,13 @@ class ExecutionBuffer:
         return True
 
     def records_for(self, query: Query) -> List[PlanRecord]:
-        return list(self._records.get(query.signature(), {}).values())
+        return list(self._records.get(query.key(), {}).values())
 
     def num_records(self) -> int:
         return sum(len(v) for v in self._records.values())
 
     def latency_of(self, query: Query, plan: Plan) -> Optional[PlanRecord]:
-        return self._records.get(query.signature(), {}).get(plan_signature(plan))
+        return self._records.get(query.key(), {}).get(plan_signature(plan))
 
     # ------------------------------------------------------------------
     def reference_set(self, query: Query, original_latency: float) -> ReferenceSet:
@@ -115,8 +115,8 @@ class ExecutionBuffer:
         are emitted so the position-aware head sees asymmetric supervision.
         """
         samples: List[AAMSample] = []
-        for query_sig, per_query in self._records.items():
-            query = self._queries[query_sig]
+        for key, per_query in self._records.items():
+            query = self._queries[key]
             records = list(per_query.values())
             if len(records) < 2:
                 continue

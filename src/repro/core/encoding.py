@@ -31,7 +31,7 @@ from repro.catalog.schema import Schema
 from repro.catalog.statistics import StatisticsCatalog
 from repro.engine.memo import Memo
 from repro.optimizer.plans import Plan, plan_signature
-from repro.sql.ast import Query
+from repro.sql.ast import Query, StatementKey
 
 # Operator vocabulary (0 is reserved for padding).
 OP_PAD = 0
@@ -105,29 +105,23 @@ def left_deep_shape(tables: int, width: int) -> LeftDeepShape:
 
 @dataclass
 class EncodedPlan:
-    """Fixed-size arrays describing one left-deep plan (padded to
-    ``max_nodes``).
+    """One left-deep plan's ``n = 2 * tables - 1`` real nodes, in pre-order.
 
-    Left-deep is the invariant: the plan's heights and structs
-    (``int_block`` rows 4 and 5), node mask and reachability mask are
-    :func:`left_deep_shape` of its table count, ``(num_nodes + 1) // 2``,
-    so only the heights and structs are stored.
+    ``int_block`` rows are (ops, tables, join_left_col, join_right_col,
+    heights, structs), ids 0 meaning none; ``fint_block`` rows are the
+    filter slots' (columns, predicate ops).  Left-deep is the invariant:
+    the heights and structs, node mask and reachability mask are
+    :func:`left_deep_shape` of the table count, so only the heights and
+    structs are stored.
     """
 
-    ops: np.ndarray            # (N,) operator ids
-    tables: np.ndarray         # (N,) table ids (0 = none/join node)
-    join_left_col: np.ndarray  # (N,) column ids (0 = none)
-    join_right_col: np.ndarray
-    filter_cols: np.ndarray    # (N, F) column ids (0 = none)
-    filter_ops: np.ndarray     # (N, F) predicate-op ids (0 = none)
-    filter_vals: np.ndarray    # (N, F) normalized constants in [0, 1]
-    num_nodes: int
-    # Contiguous packed views over the same storage as the fields above,
-    # letting batch consumers gather all int features with one stack each:
-    # int_block rows are (ops, tables, join_left_col, join_right_col,
-    # heights, structs); fint_block rows are (filter_cols, filter_ops).
-    int_block: np.ndarray      # (6, N) int64
-    fint_block: np.ndarray     # (2, N, F) int64
+    int_block: np.ndarray    # (6, n) int64
+    fint_block: np.ndarray   # (2, n, F) int64
+    filter_vals: np.ndarray  # (n, F) normalized constants in [0, 1]
+
+    @property
+    def num_nodes(self) -> int:
+        return self.int_block.shape[1]
 
 
 class PlanEncoder:
@@ -152,10 +146,10 @@ class PlanEncoder:
         self.schema = schema
         self.max_nodes = max_nodes
         self.statistics = statistics
-        self._cache: Memo[Tuple[str, str], EncodedPlan] = Memo(cache_capacity)
+        self._cache: Memo[Tuple[StatementKey, str], EncodedPlan] = Memo(cache_capacity)
         # Scan-leaf features are invariant across all plans of a query
         # (only order/methods/structure change), so they are derived once.
-        self._leaf_cache: Memo[Tuple[str, str, str], _LeafFeatures] = Memo(cache_capacity)
+        self._leaf_cache: Memo[Tuple[StatementKey, str, str], _LeafFeatures] = Memo(cache_capacity)
         # id 0 is the "none" sentinel for both vocabularies.
         self._table_ids: Dict[str, int] = {
             name: i + 1 for i, name in enumerate(schema.table_names)
@@ -164,14 +158,11 @@ class PlanEncoder:
         for table_name in schema.table_names:
             for column in schema.table(table_name).column_names:
                 self._column_ids[(table_name, column)] = len(self._column_ids) + 1
-        # The structure rows of every table count that fits, indexed by
-        # ``tables - 1``: an ``int_block`` with heights and structs set and
-        # the rest zero, and the node mask.
-        shapes = [left_deep_shape(t, max_nodes) for t in range(1, (max_nodes + 1) // 2 + 1)]
-        self._int_rows = np.zeros((len(shapes), 6, max_nodes), dtype=np.int64)
-        self._int_rows[:, 4] = [shape.heights for shape in shapes]
-        self._int_rows[:, 5] = [shape.structs for shape in shapes]
-        self._node_rows = np.array([shape.node_mask for shape in shapes])
+        # The heights and structs of every table count that fits, indexed
+        # by ``tables - 1``: ``(2, 2 * tables - 1)``.
+        self._structure = [
+            np.stack(left_deep_shape(t, 2 * t - 1)[:2]) for t in range(1, (max_nodes + 1) // 2 + 1)
+        ]
 
     @property
     def num_tables(self) -> int:
@@ -196,7 +187,7 @@ class PlanEncoder:
         :meth:`_encode_batch`, whose structure gathers and feature writes
         vectorize across the whole cohort.
         """
-        keys = [(query.signature(), plan_signature(plan)) for query, plan in pairs]
+        keys = [(query.key(), plan_signature(plan)) for query, plan in pairs]
         return self._cache.many(keys, pairs, self._encode_batch)
 
     def _encode_batch(self, pairs: Sequence[Tuple[Query, Plan]]) -> List[EncodedPlan]:
@@ -204,25 +195,23 @@ class PlanEncoder:
 
         One Python pass over every plan's tuples collects join method ids
         and each join's first-predicate column ids (root first) and the
-        scans (left to right, for the leaf cache).  The structure rows
-        are gathered for the whole batch by table count
-        (:func:`left_deep_shape`), and each variable field is then filled
-        with a single boolean-mask assignment across the batch.  The
-        returned ``EncodedPlan`` fields are row views of the shared batch
-        arrays.
+        scans (left to right, for the leaf cache).  The batch's real nodes
+        are laid end to end, their structure rows concatenated by table
+        count (:func:`left_deep_shape`), and each variable field is then
+        filled with a single boolean-mask assignment across the batch.  The
+        returned ``EncodedPlan`` fields are column slices of the shared
+        batch arrays.
         """
         n_max = self.max_nodes
-        batch = len(pairs)
         # Parallel value lists collected plan by plan, joins root first and
-        # scans left to right, which is the row-major order of the boolean
-        # masks that scatter them below (pre-order is J_k ... J_1, S_0 ...
-        # S_k).
+        # scans left to right, which is the order of the boolean masks that
+        # scatter them below (pre-order is J_k ... J_1, S_0 ... S_k).
         counts: List[int] = []
         join_op: List[int] = []
         join_l: List[int] = []  # 0 (none) for a join without predicates
         join_r: List[int] = []
         scans: List[Tuple[Query, str, str]] = []
-        scan_keys: List[Tuple[str, str, str]] = []
+        scan_keys: List[Tuple[StatementKey, str, str]] = []
         column_ids = self._column_ids
         join_op_ids = _JOIN_OP_IDS
 
@@ -243,22 +232,16 @@ class PlanEncoder:
                     join_r.append(0)
             leaves = len(plan.aliases)
             scans.extend(zip([query] * leaves, plan.aliases, plan.scan_types))
-            scan_keys.extend(zip([query.signature()] * leaves, plan.aliases, plan.scan_types))
+            scan_keys.extend(zip([query.key()] * leaves, plan.aliases, plan.scan_types))
 
-        rows = [n // 2 for n in counts]  # structure row: table count - 1
-        # The six per-node int fields live in one block (views keep the
-        # per-field names), heights and structs set; ditto the two int
-        # filter-slot fields.
-        int_block = self._int_rows[rows]
-        ops, tables, join_left, join_right = (
-            int_block[:, 0], int_block[:, 1], int_block[:, 2], int_block[:, 3],
-        )
-        fint_block = np.zeros((batch, 2, n_max, MAX_FILTERS_PER_NODE), dtype=np.int64)
-        filter_cols, filter_ops = fint_block[:, 0], fint_block[:, 1]
-        filter_vals = np.zeros((batch, n_max, MAX_FILTERS_PER_NODE), dtype=np.float64)
-        node_mask = self._node_rows[rows]
-        is_join = int_block[:, 4] > 0  # a join is a node of positive height
-        is_scan = node_mask & ~is_join
+        total = sum(counts)
+        int_block = np.zeros((6, total), dtype=np.int64)
+        int_block[4:] = np.concatenate([self._structure[n // 2] for n in counts], axis=1)
+        ops, tables, join_left, join_right = int_block[:4]
+        fint_block = np.zeros((2, total, MAX_FILTERS_PER_NODE), dtype=np.int64)
+        filter_vals = np.zeros((total, MAX_FILTERS_PER_NODE), dtype=np.float64)
+        is_join = int_block[4] > 0  # a join is a node of positive height
+        is_scan = ~is_join
         leaves = self._leaf_cache.many(
             scan_keys, scans, lambda misses: [self._leaf_features(*scan) for scan in misses]
         )
@@ -266,26 +249,16 @@ class PlanEncoder:
         ops[is_join] = join_op
         ops[is_scan] = scan_op
         tables[is_scan] = scan_table
-        filter_cols[is_scan] = np.array(scan_fcols)
-        filter_ops[is_scan] = np.array(scan_fops)
-        filter_vals[is_scan] = np.array(scan_fvals)
+        fint_block[0, is_scan] = scan_fcols
+        fint_block[1, is_scan] = scan_fops
+        filter_vals[is_scan] = scan_fvals
         join_left[is_join] = join_l
         join_right[is_join] = join_r
 
+        ends = np.cumsum(counts).tolist()
         return [
-            EncodedPlan(
-                ops=ops[u],
-                tables=tables[u],
-                join_left_col=join_left[u],
-                join_right_col=join_right[u],
-                filter_cols=filter_cols[u],
-                filter_ops=filter_ops[u],
-                filter_vals=filter_vals[u],
-                num_nodes=counts[u],
-                int_block=int_block[u],
-                fint_block=fint_block[u],
-            )
-            for u in range(batch)
+            EncodedPlan(int_block[:, start:end], fint_block[:, start:end], filter_vals[start:end])
+            for start, end in zip([0] + ends, ends)
         ]
 
     def _leaf_features(self, query: Query, alias: str, scan_type: str) -> _LeafFeatures:

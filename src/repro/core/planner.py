@@ -100,7 +100,7 @@ class Planner:
         max_steps = self.config.max_steps
         return self.aam.statevecs_lazy(
             [
-                (query.signature(), plan_signature(plan), (query, plan), step / max_steps)
+                (query.key(), plan_signature(plan), (query, plan), step / max_steps)
                 for query, plan, step in requests
             ],
             self.encoder,

@@ -88,7 +88,7 @@ class AAMScorer:
             self._cache.clear()
         keys = [
             (
-                ctx.query.signature(),
+                ctx.query.key(),
                 plan_signature(left_plan),
                 left_step,
                 plan_signature(right_plan),
@@ -113,7 +113,7 @@ class AAMScorer:
         Cache hits skip plan encoding entirely (lazy miss-only encoding)."""
         return self.aam.statevecs_lazy(
             [
-                (query.signature(), plan_signature(plan), (query, plan), step / self.max_steps)
+                (query.key(), plan_signature(plan), (query, plan), step / self.max_steps)
                 for query, plan, step in items
             ],
             self.encoder,
@@ -170,7 +170,7 @@ class RealEnvironment:
         pending: List[Tuple[EpisodeContext, Plan, int]] = []
         seen = set()
         for ctx, plan, step in items:
-            key = (ctx.query.signature(), plan_signature(plan))
+            key = (ctx.query.key(), plan_signature(plan))
             if key in seen:
                 continue
             if self.buffer.latency_of(ctx.query, plan) is not None:
@@ -261,7 +261,7 @@ class SimulatedEnvironment:
         seen_missing = set()
         for index, (query, planning) in enumerate(zip(queries, plannings)):
             if self.buffer.latency_of(query, planning.plan) is None:
-                key = (query.signature(), plan_signature(planning.plan))
+                key = (query.key(), plan_signature(planning.plan))
                 if key not in seen_missing:
                     seen_missing.add(key)
                     missing.append(index)

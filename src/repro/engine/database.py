@@ -5,11 +5,12 @@ original plan (``Γp(Q, /)``), completes hinted incomplete plans
 (``Γp(Q, ICP)``, via the `pg_hint_plan` equivalent), and executes plans with
 the dynamic-timeout mechanism (``Ψp``).  Both planning calls, and the
 constructive baselines, read one :class:`~repro.optimizer.dp.JoinSpace` per
-query signature, built on first use and dropped with the plan cache; the
-expert DP's level arrays read one skeleton per join graph the same way.
+statement (:meth:`~repro.sql.ast.Query.key`), built on first use and dropped
+with the plan cache; the expert DP's level arrays read one skeleton per join
+graph the same way.
 
 Because virtual-time execution is deterministic, executed latencies are
-cached by (query, plan) signature; a cached latency above a requested
+cached by statement and plan signature; a cached latency above a requested
 timeout is reported as a timeout without re-running, mirroring how the
 paper's training loop avoids re-executing known plans.
 """
@@ -34,7 +35,7 @@ from repro.optimizer.cardinality import CardinalityEstimator
 from repro.optimizer.cost import CostModel, CostParameters, runtime_cost_parameters
 from repro.optimizer.dp import JoinSpace, OptimizerOptions, PlanEnumerator
 from repro.optimizer.plans import Plan, explain, plan_signature
-from repro.sql.ast import Query
+from repro.sql.ast import Query, StatementKey
 from repro.sql.binder import bind_query
 from repro.sql.parser import parse_query
 from repro.storage.database import StorageDatabase
@@ -100,16 +101,16 @@ def dataset_fingerprint(dataset: Dataset) -> str:
     return f"crc32:{crc & 0xFFFFFFFF:08x}:rows={storage.total_rows()}"
 
 
-def plan_key(query: Query, options: Optional[OptimizerOptions]) -> str:
+def plan_key(query: Query, options: Optional[OptimizerOptions]) -> Tuple[str, ...]:
     """The plan-cache key of ``query`` under ``options``.
 
     The optimizer plans ``None`` as ``OptimizerOptions()``, so options equal
-    to the defaults share the bare signature: Bao's all-methods arm and an
-    unoptioned ``plan`` are one cache entry, not two DP runs.
+    to the defaults share the bare statement key: Bao's all-methods arm and
+    an unoptioned ``plan`` are one cache entry, not two DP runs.
     """
     if options is None or options == OptimizerOptions():
-        return query.signature()
-    return f"{query.signature()}@{options.signature()}"
+        return query.key()
+    return query.key() + (options.signature(),)
 
 
 @dataclass
@@ -167,18 +168,18 @@ class Database:
         # insert wins.
         # (text, name) -> bound query.  Sized above the serving memo's
         # default capacity (4096), so a plan-memo hit is never preceded by a
-        # bind miss; plans and join spaces, keyed by signature, share the
+        # bind miss; plans and join spaces, keyed by statement, share the
         # size: a long-lived engine sees new queries forever.
         self._statement_cache: Memo[Tuple[str, str], Query] = Memo(STATEMENT_CACHE_CAPACITY)
-        self._plan_cache: Memo[str, PlanningResult] = Memo(STATEMENT_CACHE_CAPACITY)
-        self._join_spaces: Memo[str, JoinSpace] = Memo(STATEMENT_CACHE_CAPACITY)
+        self._plan_cache: Memo[Tuple[str, ...], PlanningResult] = Memo(STATEMENT_CACHE_CAPACITY)
+        self._join_spaces: Memo[StatementKey, JoinSpace] = Memo(STATEMENT_CACHE_CAPACITY)
         # Exploration visits new ICPs forever, and completed plan trees are
         # too heavy to keep unboundedly, but a hot training loop must not
         # lose its entire working set at the cliff.
-        self._hint_cache: Memo[Tuple[str, Tuple[str, ...], Tuple[str, ...]], PlanningResult] = (
+        self._hint_cache: Memo[Tuple[StatementKey, Tuple[str, ...], Tuple[str, ...]], PlanningResult] = (
             Memo(HINT_CACHE_CAPACITY)
         )
-        self._latency_cache: Dict[Tuple[str, str], _CachedLatency] = {}
+        self._latency_cache: Dict[Tuple[StatementKey, str], _CachedLatency] = {}
         self.executions = 0  # real-environment execution counter (cache misses)
         # Guards the execution counter and the latency cache; execution runs
         # outside it, like every computation here.
@@ -214,11 +215,11 @@ class Database:
     def join_space(self, query: Query) -> JoinSpace:
         """The query's join search space under this engine's expert.
 
-        Built once per query signature and cache epoch, outside the lock
+        Built once per statement and cache epoch, outside the lock
         like every computation here (a concurrent miss builds twice and the
         first insert wins); immutable, so every caller shares it.
         """
-        key = query.signature()
+        key = query.key()
         space = self._join_spaces.get(key)
         if space is not None:
             return space
@@ -231,8 +232,8 @@ class Database:
     ) -> PlanningResult:
         """``Γp(Q, /)``: the expert optimizer's plan for the query.
 
-        The expert is deterministic, so plans are cached per query
-        signature and options; the cached wall time is the first run's,
+        The expert is deterministic, so plans are cached per statement and
+        options; the cached wall time is the first run's,
         including the join space's build if that run built it.
         """
         key = plan_key(query, options)
@@ -257,7 +258,7 @@ class Database:
         one-step edits constantly and the cached wall time is the first
         run's.
         """
-        key = (query.signature(), tuple(join_order), tuple(join_methods))
+        key = (query.key(), tuple(join_order), tuple(join_methods))
         cached = self._hint_cache.get(key)
         if cached is not None:
             return cached
@@ -315,7 +316,7 @@ class Database:
         Deterministic virtual time lets results be cached; a cached latency
         above ``timeout_ms`` is reported as a timeout.
         """
-        key = (query.signature(), plan_signature(plan))
+        key = (query.key(), plan_signature(plan))
         internal_cap = min(HARD_CAP_MS, timeout_ms) if timeout_ms is not None else HARD_CAP_MS
 
         with self._lock:

@@ -527,7 +527,7 @@ class RemoteBackend:
             (query, tuple(join_order), tuple(join_methods))
             for query, join_order, join_methods in requests
         ]
-        keys = [(query.signature(), order, methods) for query, order, methods in normalized]
+        keys = [(query.key(), order, methods) for query, order, methods in normalized]
         return self._hint_memo.many(keys, normalized, fetch)
 
     # ------------------------------------------------------------------

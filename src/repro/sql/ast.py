@@ -7,6 +7,7 @@ from typing import Dict, List, Optional, Tuple
 
 COMPARISON_OPS = ("=", "<>", "<", "<=", ">", ">=")
 SET_OPS = ("IN", "BETWEEN")
+StatementKey = Tuple[str, str]  # Query.key(): (name, rendered SQL)
 
 
 @dataclass(frozen=True)
@@ -84,8 +85,8 @@ class Query:
 
     A bound query is never mutated: the engine's statement cache hands one
     object to every thread and tenant that sends the same text, so the
-    binder memoizes :meth:`signature` before the query is published and
-    nothing downstream writes to it or to its lists.
+    binder memoizes :meth:`signature` and :meth:`key` before the query is
+    published and nothing downstream writes to it or to its lists.
 
     Attributes
     ----------
@@ -180,4 +181,17 @@ class Query:
         if cached is None:
             cached = self.name or self.to_sql()
             self._signature = cached
+        return cached
+
+    def key(self) -> StatementKey:
+        """The cache key of the statement: its name and its rendered SQL.
+
+        Every cache of plans, encodings or statevecs keys a query by this,
+        not by :meth:`signature`, which is the name alone for a named query:
+        two statements bound under one name must never answer for each
+        other.  Memoized like :meth:`signature`.
+        """
+        cached = getattr(self, "_key", None)
+        if cached is None:
+            cached = self._key = (self.name, self.to_sql() if self.name else self.signature())
         return cached

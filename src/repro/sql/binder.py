@@ -91,5 +91,6 @@ def bind_query(
         raise BindError("query join graph is not connected (cross joins unsupported)")
     # Memoized here: a bound query is shared and read-only afterwards.
     query.signature()
+    query.key()
     query.alias_filters()
     return query

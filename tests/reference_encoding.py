@@ -10,9 +10,11 @@ count and refuses any other shape; the differential tests in
 ``tests/test_core_reward_encoding.py`` require it to reproduce this oracle
 ``array_equal`` field for field on every left-deep plan, and the oracle
 still encodes bushy trees.  Its changes since: it returns a
-:class:`ReferenceEncoding`, an ``EncodedPlan`` that also keeps the
-per-plan heights, structs, reachability mask and node mask the encoder no
-longer stores, so the tests can hold them to ``left_deep_shape``; it walks
+:class:`ReferenceEncoding`, the ``EncodedPlan`` of its day (every field
+padded to ``max_nodes``) that also keeps the per-plan heights, structs,
+reachability mask and node mask the encoder no longer stores, so the tests
+can hold them to ``left_deep_shape``, and whose :meth:`real_nodes` is the
+``EncodedPlan`` the encoder now writes; it walks
 the tree (``reference_plans``) of a plan record; and it hands the
 encoder's ``_leaf_features`` a scan's alias and type rather than the scan.
 Nothing under ``src/`` imports it; do not optimise it.
@@ -41,13 +43,28 @@ from reference_plans import JoinNode, PlanNode, ScanNode, to_tree
 
 
 @dataclass
-class ReferenceEncoding(EncodedPlan):
-    """An :class:`EncodedPlan` with its structure rows kept per plan."""
+class ReferenceEncoding:
+    """One plan padded to ``max_nodes`` positions, its structure rows kept."""
 
+    ops: np.ndarray             # (N,) operator ids
+    tables: np.ndarray          # (N,) table ids (0 = none/join node)
+    join_left_col: np.ndarray   # (N,) column ids (0 = none)
+    join_right_col: np.ndarray
+    filter_cols: np.ndarray     # (N, F) column ids (0 = none)
+    filter_ops: np.ndarray      # (N, F) predicate-op ids (0 = none)
+    filter_vals: np.ndarray     # (N, F) normalized constants in [0, 1]
+    num_nodes: int
+    int_block: np.ndarray       # (6, N): the six int fields above, as rows
+    fint_block: np.ndarray      # (2, N, F): filter_cols and filter_ops
     heights: np.ndarray         # (N,)
     structs: np.ndarray         # (N,)
     attention_mask: np.ndarray  # (N, N) bool; True = may attend
     node_mask: np.ndarray       # (N,) bool; True = real node
+
+    def real_nodes(self) -> EncodedPlan:
+        """The real-node slices of the packed blocks."""
+        n = self.num_nodes
+        return EncodedPlan(self.int_block[:, :n], self.fint_block[:, :n], self.filter_vals[:n])
 
 
 def encode_batch(

@@ -1,5 +1,6 @@
 """AAM tests: state network, pairwise head, asymmetric loss, training."""
 
+from dataclasses import replace
 from itertools import groupby
 from operator import attrgetter
 
@@ -19,8 +20,7 @@ from repro.core.aam import (
     distinct_rows,
     reachability_term,
 )
-from repro.core import aam as aam_module
-from repro.core.encoding import PlanEncoder, left_deep_shape
+from repro.core.encoding import MAX_FILTERS_PER_NODE, PlanEncoder, left_deep_shape
 from reference_tape import Tensor
 from repro.nn import functional as F
 from repro.nn import layers
@@ -185,11 +185,12 @@ class TestAAMTraining:
         assert 0.0 <= trainer.evaluate(samples) <= 1.0
 
     def test_evaluate_scores_in_chunks(self, setup, monkeypatch):
-        """An evaluate over more than two chunks runs no state-network
-        forward over more than one chunk's rows (two plans a pair), and its
-        accuracy is the one-shot value."""
+        """An evaluate over more than two minibatches runs no state-network
+        forward over more than one minibatch's rows (two plans a pair), and
+        its accuracy is the one-shot value."""
         _, _, _, model, encoded = setup
         trainer = AAMTrainer(model, rng=np.random.default_rng(0))
+        trainer.config = replace(model.config, minibatch_size=5)
         plans = [enc for _, enc in encoded]
         samples = [
             AAMSample(
@@ -198,7 +199,11 @@ class TestAAMTraining:
             )
             for i in range(23)
         ]
-        one_shot = trainer.evaluate(samples)
+        predicted = model.predict_scores(
+            [s.left for s in samples], np.array([s.left_step for s in samples]),
+            [s.right for s in samples], np.array([s.right_step for s in samples]),
+        )
+        one_shot = float((predicted == [s.label for s in samples]).mean())
         rows = []
         forward = StateNetwork.forward
 
@@ -206,7 +211,6 @@ class TestAAMTraining:
             rows.append(len(batch))
             return forward(network, batch, steps)
 
-        monkeypatch.setattr(aam_module, "EVALUATE_CHUNK", 5)
         monkeypatch.setattr(StateNetwork, "__call__", spy)  # a module's call is its forward
         assert trainer.evaluate(samples) == one_shot
         assert len(rows) == 5 and max(rows) <= 2 * 5
@@ -288,18 +292,19 @@ def all_positions_forward(L, network, plans, steps):
     encoder layer went root-only and the batch was packed: every row padded
     to the largest, every layer outputs every node, ``final_norm`` runs over
     all of them and the root is read afterwards (test-only oracle; the
-    structure rows are read off ``int_block`` and ``left_deep_shape``)."""
+    structure rows are read off ``int_block`` and ``left_deep_shape``, and
+    every row is zero-padded as the encoder once stored it)."""
     trim = max(p.num_nodes for p in plans)
-    ops = np.stack([p.ops[:trim] for p in plans])
-    tables = np.stack([p.tables[:trim] for p in plans])
-    jl = np.stack([p.join_left_col[:trim] for p in plans])
-    jr = np.stack([p.join_right_col[:trim] for p in plans])
-    fcols = np.stack([p.filter_cols[:trim] for p in plans])
-    fops = np.stack([p.filter_ops[:trim] for p in plans])
-    fvals = np.stack([p.filter_vals[:trim] for p in plans])
-    heights = np.stack([p.int_block[4, :trim] for p in plans])
-    structs = np.stack([p.int_block[5, :trim] for p in plans])
-    attn = np.stack([reach(p)[:trim, :trim] for p in plans])
+    ints = np.zeros((len(plans), 6, trim), dtype=np.int64)
+    fints = np.zeros((len(plans), 2, trim, MAX_FILTERS_PER_NODE), dtype=np.int64)
+    fvals = np.zeros((len(plans), trim, MAX_FILTERS_PER_NODE))
+    for row, p in enumerate(plans):
+        ints[row, :, : p.num_nodes] = p.int_block
+        fints[row, :, : p.num_nodes] = p.fint_block
+        fvals[row, : p.num_nodes] = p.filter_vals
+    ops, tables, jl, jr, heights, structs = ints.transpose(1, 0, 2)
+    fcols, fops = fints.transpose(1, 0, 2, 3)
+    attn = np.stack([reach(p, trim) for p in plans])
 
     node = tape.embedding(L, network.op_embed, ops)                       # (B, N, d)
     table = tape.embedding(L, network.table_embed, tables)
@@ -324,9 +329,10 @@ def all_positions_forward(L, network, plans, steps):
     return tape.linear(L, network.state_proj, pooled)
 
 
-def reach(plan):
-    """``plan``'s reachability mask: its table count's left-deep shape."""
-    return left_deep_shape((plan.num_nodes + 1) // 2, len(plan.ops)).reach
+def reach(plan, width):
+    """``plan``'s reachability mask padded to ``width``: its table count's
+    left-deep shape."""
+    return left_deep_shape((plan.num_nodes + 1) // 2, width).reach
 
 
 def loss_and_grads(model, batch, labels):
@@ -704,14 +710,13 @@ def stacked_layout(plans):
         run = list(run)
         mask = np.empty((len(run), nodes, nodes), dtype=bool)
         for slot, plan in zip(mask, run):
-            slot[...] = reach(plan)[:nodes, :nodes]
+            slot[...] = reach(plan, nodes)
         segments.append((len(run), nodes, np.where(mask, 0.0, -1e9)[:, None, :, :]))
-    n = [p.num_nodes for p in ordered]
     return (
         order, segments,
-        np.concatenate([p.int_block[:, :k] for p, k in zip(ordered, n)], axis=1),
-        np.concatenate([p.fint_block[:, :k] for p, k in zip(ordered, n)], axis=1),
-        np.concatenate([p.filter_vals[:k] for p, k in zip(ordered, n)]),
+        np.concatenate([p.int_block for p in ordered], axis=1),
+        np.concatenate([p.fint_block for p in ordered], axis=1),
+        np.concatenate([p.filter_vals for p in ordered]),
     )
 
 

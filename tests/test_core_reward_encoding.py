@@ -11,6 +11,7 @@ from repro.core.encoding import (
     OP_HASH_JOIN,
     OP_INDEX_SCAN,
     OP_SEQ_SCAN,
+    MAX_FILTERS_PER_NODE,
     EncodedPlan,
     PlanEncoder,
     STRUCT_LEFT,
@@ -137,7 +138,7 @@ class TestPlanEncoding:
     @staticmethod
     def _shape(encoded):
         """The encoded plan's structure: its table count's left-deep shape."""
-        return left_deep_shape((encoded.num_nodes + 1) // 2, len(encoded.ops))
+        return left_deep_shape((encoded.num_nodes + 1) // 2, encoded.num_nodes)
 
     def test_node_count(self, encoder, job_workload):
         query, plan = self._plan(job_workload, num_tables=4)
@@ -149,7 +150,7 @@ class TestPlanEncoding:
         query, plan = self._plan(job_workload)
         encoded = encoder.encode(query, plan)
         assert encoded.int_block[5, 0] == STRUCT_ROOT
-        assert encoded.ops[0] in (OP_HASH_JOIN, OP_HASH_JOIN + 1, OP_HASH_JOIN + 2)
+        assert encoded.int_block[0, 0] in (OP_HASH_JOIN, OP_HASH_JOIN + 1, OP_HASH_JOIN + 2)
 
     def test_heights_consistent(self, encoder, job_workload):
         query, plan = self._plan(job_workload)
@@ -158,8 +159,8 @@ class TestPlanEncoding:
         # Root has the max height; scans have height 0.
         real = heights[node_mask]
         assert heights[0] == real.max()
-        scan_mask = (encoded.ops == OP_SEQ_SCAN) | (encoded.ops == OP_INDEX_SCAN)
-        assert (heights[scan_mask & node_mask] == 0).all()
+        ops = encoded.int_block[0]
+        assert (heights[((ops == OP_SEQ_SCAN) | (ops == OP_INDEX_SCAN)) & node_mask] == 0).all()
 
     def test_structure_types_balanced(self, encoder, job_workload):
         query, plan = self._plan(job_workload)
@@ -179,9 +180,8 @@ class TestPlanEncoding:
         query, plan = self._plan(job_workload)
         encoded = encoder.encode(query, plan)
         shape = self._shape(encoded)
-        leaf_idx = np.flatnonzero(
-            ((encoded.ops == OP_SEQ_SCAN) | (encoded.ops == OP_INDEX_SCAN)) & shape.node_mask
-        )
+        ops = encoded.int_block[0]
+        leaf_idx = np.flatnonzero(((ops == OP_SEQ_SCAN) | (ops == OP_INDEX_SCAN)) & shape.node_mask)
         assert len(leaf_idx) >= 2
         assert not shape.reach[leaf_idx[0], leaf_idx[1]]
 
@@ -214,7 +214,7 @@ class TestPlanEncoding:
         alt = db.plan_with_hints(query, icp.order, (other,) + icp.methods[1:]).plan
         a = encoder.encode(query, plan)
         b = encoder.encode(query, alt)
-        assert not np.array_equal(a.ops, b.ops)
+        assert not np.array_equal(a.int_block[0], b.int_block[0])
 
 
 class TestBatchEncoderParity:
@@ -236,25 +236,28 @@ class TestBatchEncoderParity:
         for (query, plan), enc in zip(pairs, batched):
             ref = single_enc.encode(query, plan)
             assert enc.num_nodes == ref.num_nodes
-            for field in (
-                "ops", "tables", "join_left_col", "join_right_col",
-                "filter_cols", "filter_ops", "filter_vals", "int_block", "fint_block",
-            ):
+            for field in ("int_block", "fint_block", "filter_vals"):
                 np.testing.assert_array_equal(
                     getattr(enc, field), getattr(ref, field), err_msg=field
                 )
 
-    def test_packed_blocks_view_the_named_fields(self, job_workload):
-        """int_block/fint_block rows must alias the per-field arrays."""
+    def test_batch_holds_real_nodes_only(self, job_workload):
+        """A batch's encodings are consecutive slices of one array per
+        field, each exactly its plan's ``2 * tables - 1`` nodes wide: no
+        padding is stored."""
         db = job_workload.database
         encoder = PlanEncoder(db.schema, max_nodes=40, statistics=db.statistics)
-        query, plan = self._pairs(job_workload, 1)[0]
-        enc = encoder.encode(query, plan)
-        assert enc.int_block is not None and enc.fint_block is not None
-        for row, field in enumerate(("ops", "tables", "join_left_col", "join_right_col")):
-            np.testing.assert_array_equal(enc.int_block[row], getattr(enc, field))
-        np.testing.assert_array_equal(enc.fint_block[0], enc.filter_cols)
-        np.testing.assert_array_equal(enc.fint_block[1], enc.filter_ops)
+        pairs = self._pairs(job_workload, 10)
+        encoded = encoder.encode_many(pairs)
+        total = sum(2 * len(plan.aliases) - 1 for _, plan in pairs)
+        for name, axis in (("int_block", 1), ("fint_block", 1), ("filter_vals", 0)):
+            bases = {id(getattr(enc, name).base) for enc in encoded}
+            assert len(bases) == 1 and getattr(encoded[0], name).base.shape[axis] == total, name
+        for (_, plan), enc in zip(pairs, encoded):
+            n = 2 * len(plan.aliases) - 1
+            assert enc.int_block.shape == (6, n)
+            assert enc.fint_block.shape == (2, n, MAX_FILTERS_PER_NODE)
+            assert enc.filter_vals.shape == (n, MAX_FILTERS_PER_NODE)
 
     def test_reachability_matches_python_reference(self, job_workload):
         """A plan's reachability mask, its table count's ``left_deep_shape``,
@@ -324,9 +327,10 @@ class TestEncoderAgainstReference:
     """Structure rows read off the table count reproduce the ancestor chase
     and both of its height paths (``tests/reference_encoding.py``) array for
     array, on both sides of the batch size (8) where the chase switched
-    height paths: every field, ``int_block`` rows 4 and 5 (heights and
-    structs) among them, and the oracle's node and reachability masks
-    against ``left_deep_shape`` of the table count."""
+    height paths: each of the three arrays, ``int_block`` rows 4 and 5
+    (heights and structs) among them, equals the oracle's real-node slice
+    and is exactly ``2 * tables - 1`` nodes wide, and the oracle's node and
+    reachability masks equal ``left_deep_shape`` of the table count."""
 
     FIELDS = [f.name for f in dataclasses.fields(EncodedPlan)]
 
@@ -336,18 +340,22 @@ class TestEncoderAgainstReference:
             max_nodes=max_nodes or 2 * max(workload.max_query_tables, 2),
             statistics=workload.database.statistics,
         )
-        assert len(self.FIELDS) == 10
+        assert self.FIELDS == ["int_block", "fint_block", "filter_vals"]
         for size in (1, 7, 8, 16, 64):
             for start in range(0, len(pairs), size):
                 chunk = pairs[start : start + size]
                 got = encoder._encode_batch(chunk)
                 want = reference_encoding.encode_batch(encoder, chunk)
-                for g, w in zip(got, want):
+                for g, w, (_, plan) in zip(got, want, chunk):
+                    n = 2 * len(plan.aliases) - 1
+                    assert g.num_nodes == w.num_nodes == n, size
+                    assert g.fint_block.shape[1] == g.filter_vals.shape[0] == n, size
+                    real = w.real_nodes()
                     for name in self.FIELDS:
-                        assert np.array_equal(getattr(g, name), getattr(w, name)), (size, name)
-                    shape = left_deep_shape((g.num_nodes + 1) // 2, encoder.max_nodes)
-                    assert np.array_equal(g.int_block[4], w.heights), size
-                    assert np.array_equal(g.int_block[5], w.structs), size
+                        assert np.array_equal(getattr(g, name), getattr(real, name)), (size, name)
+                    shape = left_deep_shape(len(plan.aliases), encoder.max_nodes)
+                    assert np.array_equal(g.int_block[4], w.heights[:n]), size
+                    assert np.array_equal(g.int_block[5], w.structs[:n]), size
                     assert np.array_equal(shape.node_mask, w.node_mask), size
                     assert np.array_equal(shape.reach, w.attention_mask), size
 
@@ -360,9 +368,9 @@ class TestEncoderAgainstReference:
 
     def test_structure_rows_of_every_table_count(self, job_workload):
         """Synthetic left-deep plans of 1 to ``max_nodes // 2`` tables, one
-        method per join and no predicates: every field, padding included,
-        equals the general oracle's, and the structure rows are
-        ``left_deep_shape``'s."""
+        method per join and no predicates: every array equals the general
+        oracle's real-node slice, and the oracle's structure rows, padding
+        included, are ``left_deep_shape``'s."""
         db = job_workload.database
         query = job_workload.all_queries[0].query
         table = db.schema.table_names[0]

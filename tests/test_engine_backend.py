@@ -151,8 +151,8 @@ class TestHintCacheLRU:
             for order, methods in v[:3]:
                 tiny_db.plan_with_hints(bound_query, order, methods)
             assert len(tiny_db._hint_cache) == 3
-            first_key = (bound_query.signature(), tuple(v[0][0]), tuple(v[0][1]))
-            second_key = (bound_query.signature(), tuple(v[1][0]), tuple(v[1][1]))
+            first_key = (bound_query.key(), tuple(v[0][0]), tuple(v[0][1]))
+            second_key = (bound_query.key(), tuple(v[1][0]), tuple(v[1][1]))
             # Touch the oldest entry, then overflow: the LRU victim must be
             # the *second* entry, not the freshly-touched first.
             tiny_db.plan_with_hints(bound_query, v[0][0], v[0][1])
@@ -378,6 +378,52 @@ class TestStatementCache:
             shared = fresh_db.sql(text)
             assert shared is fresh_db.sql(text)
             assert plan_tree(fresh_db.plan(shared).plan) == plan_tree(reference_db.plan(expected).plan)
+
+
+# Three statements bound under one name: two join graphs, and the first's
+# joins with another aggregate (the same plan signatures, other answers).
+SAME_NAME = (
+    "SELECT COUNT(*) FROM title AS t, movie_info AS mi WHERE mi.movie_id = t.id;",
+    "SELECT COUNT(*) FROM title AS t, movie_keyword AS mk WHERE mk.movie_id = t.id;",
+    "SELECT MIN(t.id) FROM title AS t, movie_info AS mi WHERE mi.movie_id = t.id;",
+)
+
+
+def expert_answers(db, query):
+    """``query``'s expert plan, a hinted completion and the execution of
+    the plan, computed past every engine cache."""
+    space = db.enumerator.join_space(query)
+    plan = db.enumerator.search(space, None)
+    hint = (tuple(reversed(plan.aliases)), ("nestloop",))
+    return plan, hint, space.complete(*hint), db.executor.execute(query, plan)
+
+
+class TestStatementsSharingAName:
+    """Statements bound under one name share a signature (the name), but no
+    cache answers one of them with another's plan or result."""
+
+    def check(self, backend, db, queries):
+        assert {query.signature() for query in queries} == {"same"}
+        for query in queries + queries:  # cold, then every cache warm
+            plan, hint, hinted, result = expert_answers(db, query)
+            assert backend.plan(query).plan == plan
+            assert backend.plan_with_hints(query, *hint).plan == hinted
+            executed = backend.execute(query, plan)
+            assert (executed.output_rows, executed.aggregate_values) == (
+                result.output_rows, result.aggregate_values,
+            )
+
+    def test_database(self, fresh_db):
+        self.check(fresh_db, fresh_db, [fresh_db.sql(text, name="same") for text in SAME_NAME])
+
+    def test_two_remote_clients_of_one_server(self, fresh_db):
+        server_db = WorkloadSpec("job", scale=0.02, seed=5).build_database()
+        with EngineServer(server_db) as server:
+            server.start()
+            with RemoteBackend(server.url, database=fresh_db, timeout_s=60.0) as first, \
+                    RemoteBackend(server.url, database=fresh_db, timeout_s=60.0) as second:
+                for client, text in zip((first, second, first), SAME_NAME):
+                    self.check(client, fresh_db, [client.sql(text, name="same")])
 
 
 class TestStatementCacheUnderTheService:

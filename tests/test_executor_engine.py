@@ -2,6 +2,7 @@
 
 import itertools
 import tracemalloc
+import zlib
 from dataclasses import replace
 
 import numpy as np
@@ -368,6 +369,26 @@ class TestDifferentialAgainstReference:
                 timed_out += got.timed_out
         # Both outcomes must be drawn, or the contract is half checked.
         assert 0 < timed_out < compared
+
+
+# Per corpus: its plan count and the crc32 of every plan's (latency_ms,
+# work_units, output_rows, timed_out) at HARD_CAP_MS, in corpus order.
+CHARGE_DIGESTS = {"job": (339, "33f4609a"), "stack": (360, "aa669ed7"), "tpcds": (342, "b76a494a")}
+
+
+@pytest.mark.parametrize("name", sorted(CHARGE_DIGESTS))
+def test_corpus_charges_match_recorded_digest(name, request):
+    """The reference executor charges through the engine's cost model, so
+    the differential above cannot see a fault in a charge formula; this pins
+    what the formulas charge over the fixture-plan corpus.  A deliberate
+    change to them re-pins here."""
+    crc = count = 0
+    for entry in request.getfixturevalue(f"{name}_corpus").entries:
+        for result in entry.results:
+            fields = (result.latency_ms, result.work_units, result.output_rows, result.timed_out)
+            crc = zlib.crc32(repr(fields).encode(), crc)
+            count += 1
+    assert (count, f"{crc:08x}") == CHARGE_DIGESTS[name]
 
 
 class _BuildingEngine(ExecutionEngine):

@@ -715,12 +715,12 @@ def brute_force_minimum(reference, query):
 # ----------------------------------------------------------------------
 @pytest.fixture()
 def space_builds(monkeypatch):
-    """Signatures of the join spaces built while the test runs, in order."""
+    """Statement keys of the join spaces built while the test runs, in order."""
     built = []
     join_space = PlanEnumerator.join_space
 
     def counting(enumerator, query):
-        built.append(query.signature())
+        built.append(query.key())
         return join_space(enumerator, query)
 
     monkeypatch.setattr(PlanEnumerator, "join_space", counting)
@@ -749,7 +749,7 @@ class TestSharedJoinSpace:
         workload, _ = planners["stack"]
         database = Database(workload.database.dataset)
         queries = [wq.query for wq in workload.all_queries]
-        distinct = sorted({query.signature() for query in queries})
+        distinct = sorted({query.key() for query in queries})
         baselines = [
             BalsaOptimizer(database),
             LogerOptimizer(database),
@@ -775,7 +775,7 @@ class TestSharedJoinSpace:
         database = Database(workload.database.dataset)
         database._plan_cache.capacity = database._join_spaces.capacity = 3
         queries = [wq.query for wq in workload.all_queries[:6]]
-        signatures = [query.signature() for query in queries]
+        signatures = [query.key() for query in queries]
         for query in queries:
             database.plan(query)
             assert database.stats()["plan_cache"] <= 3

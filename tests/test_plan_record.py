@@ -11,7 +11,8 @@ Per plan the record must match its tree on
   record, the record's frame bytes are the tree's, and the record (as a
   ``PlanningResult``) and its ``ExecutionResult`` survive the wire ``==``;
 * ``plan_signature`` text and ``explain`` text;
-* ``PlanEncoder`` arrays, against ``reference_encoding`` on the tree.
+* ``PlanEncoder`` arrays, against ``reference_encoding``'s real-node slices
+  on the tree.
 
 ``test_executor_engine.py::TestDifferentialAgainstReference`` holds the
 record's executor result to ``reference_executor`` on the tree.
@@ -75,4 +76,4 @@ def test_encoder_arrays(request, name):
     want = reference_encoding.encode_batch(encoder, [(query, tree) for query, _, tree in triples])
     for g, w, (query, _, _) in zip(got, want, triples):
         for field in FIELDS:
-            assert np.array_equal(getattr(g, field), getattr(w, field)), (query.name, field)
+            assert np.array_equal(getattr(g, field), getattr(w.real_nodes(), field)), (query.name, field)

@@ -333,10 +333,10 @@ class TestMemoOverwriteRegression:
         plan_a = service.optimize_sql(sqls[0])
         plan_b = service.optimize_sql(sqls[1])
         assert service.stats()["memo_size"] == 2
-        sig_b = service.backend.sql(sqls[1]).signature()
-        # Re-memoizing a signature already present must overwrite in place;
+        key_b = service.backend.sql(sqls[1]).key()
+        # Re-memoizing a statement already present must overwrite in place;
         # the old behaviour popped the (unrelated) oldest entry first.
-        service._memoize(sig_b, plan_b)
+        service._memoize(key_b, plan_b)
         assert service.stats()["memo_size"] == 2
         first = service.stats()["cache_hits"]
         service.optimize_sql(sqls[0])  # still cached — nothing was evicted
