@@ -10,8 +10,9 @@ live optimizer" as a client/server system):
        repro-engine job --scale 0.05 --port 7733
 
 2. a client ``FossSession`` opens with ``engine_url=tcp://host:port``:
-   SQL binds locally against a fingerprint-checked mirror dataset, while
-   planning and execution RPCs travel as length-prefixed crc32 frames;
+   SQL binds locally against the catalog the server sent in its
+   handshake (the client generates no rows), while planning and
+   execution RPCs travel as length-prefixed crc32 frames;
 
 3. two tenant sessions opened over that one ``RemoteBackend`` serve the
    same plans — a tenant is a session, whether the engine it shares is in
@@ -107,7 +108,7 @@ def main() -> None:
             "job", scale=args.scale, seed=1, config=demo_config(url)
         ) as session:
             assert isinstance(session.backend, RemoteBackend)
-            print(f"  fingerprint handshake OK: {session.backend.remote_fingerprint}")
+            print(f"  handshake OK, catalog of {session.backend.catalog.fingerprint}")
 
             sqls = [wq.sql for wq in session.workload.train[: args.requests]]
             service = session.service()
@@ -121,7 +122,7 @@ def main() -> None:
 
             print("\nchecking parity against an in-process session ...")
             with FossSession.open(
-                workload=session.workload, config=demo_config()
+                "job", scale=args.scale, seed=1, config=demo_config()
             ) as local:
                 local_plans = [
                     plan_signature(local.service().optimize_sql(s).plan) for s in sqls

@@ -12,12 +12,14 @@ hand-wiring datasets, engines, backends, trainers and optimizers:
         service = session.service()
         plan = service.optimize_sql("SELECT COUNT(*) FROM title AS t ...")
 
-The session builds the workload (dataset + query split) and the engine
-backend eagerly — cheap enough to make ``session.backend`` usable for
-exploration — and the trainer/optimizer lazily, on first use.  ``save`` /
-``load`` round-trip a trained doctor as one checkpoint directory through
-:mod:`repro.core.persistence`, the one module that knows its format; a
-session opens no file itself.
+The session builds the engine backend and the workload (the query split,
+bound through that backend) eagerly — cheap enough to make
+``session.backend`` usable for exploration — and the trainer/optimizer
+lazily, on first use.  A local backend is a fresh in-process engine over
+the generated dataset; a remote one holds the server's catalog and
+generates no rows.  ``save`` / ``load`` round-trip a trained doctor as
+one checkpoint directory through :mod:`repro.core.persistence`, the one
+module that knows its format; a session opens no file itself.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ from repro import obs
 from repro.core import persistence
 from repro.core.inference import FossOptimizer
 from repro.core.trainer import FossConfig, FossTrainer
-from repro.engine.backend import EngineBackend, make_backend
-from repro.workloads.base import Workload, build_workload_by_name
+from repro.engine.backend import EngineBackend
+from repro.workloads.base import Workload, WorkloadSpec, build_workload_by_name
 
 class FossSession:
     """Owns workload + engine backend + trainer + deployable optimizer."""
@@ -79,21 +81,36 @@ class FossSession:
         selected by the config unless one is injected explicitly: a
         non-empty ``config.engine_url`` connects a
         :class:`~repro.engine.remote.client.RemoteBackend` to a
-        ``repro-engine`` server at that address (fingerprint-checked
-        against the locally built dataset), otherwise the workload's
-        in-process engine serves.
+        ``repro-engine`` server at that address, which must advertise the
+        workload's recipe; otherwise the workload's in-process engine
+        serves.  A named workload's queries are bound through that
+        backend, so a remote one generates no rows here.
         """
         if config is None:
             config = FossConfig()
-        if isinstance(workload, str):
-            workload = build_workload_by_name(workload, scale=scale, seed=seed)
-        elif not isinstance(workload, Workload):
+        if not isinstance(workload, (str, Workload)):
             raise TypeError(
                 f"workload must be a name or a Workload, got {type(workload).__name__}"
             )
         owns_backend = backend is None
+        if backend is None and config.engine_url:
+            # Imported lazily: the remote subsystem is optional plumbing,
+            # and the default in-process path must not pay for it.
+            from repro.engine.remote.client import RemoteBackend
+
+            spec = workload.spec if isinstance(workload, Workload) else WorkloadSpec(
+                workload, scale=scale, seed=seed
+            )
+            backend = RemoteBackend(config.engine_url, spec=spec)
+        if isinstance(workload, str):
+            try:
+                workload = build_workload_by_name(workload, scale=scale, seed=seed, backend=backend)
+            except BaseException:
+                if owns_backend and backend is not None:
+                    backend.close()
+                raise
         if backend is None:
-            backend = make_backend(workload, config.engine_url)
+            backend = workload.database
         return cls(workload, config, backend, owns_backend=owns_backend)
 
     # ------------------------------------------------------------------
@@ -150,23 +167,32 @@ class FossSession:
     def save(self, path: str) -> None:
         """Persist the trained doctor as one checkpoint directory
         (:func:`repro.core.persistence.save_checkpoint`): its weights, the
-        workload recipe and the full config, so :meth:`load` can rebuild an
-        identical session."""
+        workload recipe, the engine's dataset fingerprint and the full
+        config, so :meth:`load` can rebuild an identical session."""
         persistence.save_checkpoint(self.trainer(), path)
 
     @classmethod
     def load(cls, path: str, backend: Optional[EngineBackend] = None) -> "FossSession":
         """Rebuild a session saved by :meth:`save` and restore its weights.
 
-        The checkpoint is checked whole before any weight is assigned, and
-        the dataset rebuilt from its recipe (and an injected ``backend``'s
-        dataset) must match its fingerprint: a drifted datagen would have
-        the restored model silently optimize a different database.  Any
-        refusal raises :class:`repro.core.persistence.CheckpointError`.
+        The session is opened as :meth:`open` opens one, over the
+        checkpoint's recipe and config: an injected ``backend`` binds the
+        queries, and only without one is the dataset generated here.  The
+        checkpoint is checked whole before any weight is assigned, and the
+        backend's catalog must hold its fingerprint: a drifted datagen or
+        another server would have the restored model silently optimize a
+        different database.  Any refusal raises
+        :class:`repro.core.persistence.CheckpointError`.
         """
         checkpoint = persistence.read_checkpoint(path)
-        workload = persistence.rebuild_workload(checkpoint, backend)
-        session = cls.open(workload=workload, config=checkpoint.config, backend=backend)
+        spec = checkpoint.workload
+        try:
+            session = cls.open(
+                spec.name, scale=spec.scale, seed=spec.seed, config=checkpoint.config,
+                backend=backend,
+            )
+        except ValueError as exc:  # an unknown workload, or SQL the backend cannot bind
+            raise persistence.CheckpointError(f"checkpoint {path!r}: {exc}") from exc
         try:
             persistence.restore_checkpoint(session.trainer(), checkpoint)
         except BaseException:

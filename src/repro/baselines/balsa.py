@@ -45,7 +45,7 @@ class BalsaOptimizer:
         self.database = database
         self.beam_width = beam_width
         self.epsilon = epsilon
-        self.featurizer = PlanFeaturizer(database.schema)
+        self.featurizer = PlanFeaturizer(database.catalog)
         self.value_model = ValueModel(self.featurizer.dim, rng=np.random.default_rng(seed))
         self.rng = np.random.default_rng(seed)
         self._bootstrapped = False

@@ -45,7 +45,7 @@ class BaoOptimizer:
     ) -> None:
         self.database = database
         self.hint_sets = tuple(hint_sets)
-        self.featurizer = PlanFeaturizer(database.schema)
+        self.featurizer = PlanFeaturizer(database.catalog)
         self.value_model = ValueModel(self.featurizer.dim, rng=np.random.default_rng(seed))
         self.epsilon = epsilon
         self.rng = np.random.default_rng(seed)

@@ -58,7 +58,7 @@ class HybridQOOptimizer:
         self.top_k = top_k
         self.max_prefix_length = max_prefix_length
         self.exploration = exploration
-        self.featurizer = PlanFeaturizer(database.schema)
+        self.featurizer = PlanFeaturizer(database.catalog)
         self.value_model = ValueModel(self.featurizer.dim, rng=np.random.default_rng(seed))
         self.rng = np.random.default_rng(seed)
 

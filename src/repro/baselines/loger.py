@@ -46,7 +46,7 @@ class LogerOptimizer:
         seed: int = 19,
     ) -> None:
         self.database = database
-        self.featurizer = PlanFeaturizer(database.schema)
+        self.featurizer = PlanFeaturizer(database.catalog)
         self.value_model = ValueModel(self.featurizer.dim, rng=np.random.default_rng(seed))
         self.epsilon = epsilon
         self.rng = np.random.default_rng(seed)

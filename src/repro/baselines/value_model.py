@@ -13,7 +13,7 @@ from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.catalog.schema import Schema
+from repro.catalog.catalog import Catalog
 from repro.nn import functional as F
 from repro.nn.layers import mlp
 from repro.nn.optim import Adam, clip_grad_norm
@@ -27,9 +27,8 @@ _TABLE_HASH_BUCKETS = 16
 class PlanFeaturizer:
     """Plan -> fixed-length feature vector."""
 
-    def __init__(self, schema: Schema) -> None:
-        self.schema = schema
-        self._table_index = {name: i for i, name in enumerate(schema.table_names)}
+    def __init__(self, catalog: Catalog) -> None:
+        self._table_index = {name: i for i, name in enumerate(catalog.schema.table_names)}
 
     @property
     def dim(self) -> int:

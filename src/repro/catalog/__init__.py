@@ -1,7 +1,10 @@
-"""Catalog: logical schema, table statistics, and synthetic data generation."""
+"""Catalog: logical schema, table statistics, the metadata snapshot
+(:class:`Catalog`) the layers above the engine read, and synthetic data
+generation."""
 
 from repro.catalog.schema import ColumnSchema, ForeignKey, Schema, TableSchema
 from repro.catalog.statistics import ColumnStatistics, StatisticsCatalog, TableStatistics
+from repro.catalog.catalog import Catalog
 from repro.catalog import datagen
 
 __all__ = [
@@ -12,5 +15,6 @@ __all__ = [
     "ColumnStatistics",
     "TableStatistics",
     "StatisticsCatalog",
+    "Catalog",
     "datagen",
 ]

@@ -13,7 +13,7 @@ histogram boundaries carry sampling error on skewed data.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -91,10 +91,11 @@ class TableStatistics:
 
 
 class StatisticsCatalog:
-    """All table statistics, built by :meth:`analyze`."""
+    """All table statistics, built by :meth:`analyze`; iteration yields them
+    in table order."""
 
-    def __init__(self) -> None:
-        self._tables: Dict[str, TableStatistics] = {}
+    def __init__(self, tables: Iterable[TableStatistics] = ()) -> None:
+        self._tables: Dict[str, TableStatistics] = {stats.table_name: stats for stats in tables}
 
     def table(self, name: str) -> TableStatistics:
         try:
@@ -104,6 +105,9 @@ class StatisticsCatalog:
 
     def __contains__(self, name: str) -> bool:
         return name in self._tables
+
+    def __iter__(self) -> Iterator[TableStatistics]:
+        return iter(self._tables.values())
 
     @classmethod
     def analyze(
@@ -116,7 +120,7 @@ class StatisticsCatalog:
     ) -> "StatisticsCatalog":
         """Collect statistics for every table, sampling large tables."""
         rng = np.random.default_rng(seed)
-        catalog = cls()
+        tables = []
         for name in storage.table_names:
             table = storage.table(name)
             stats = TableStatistics(table_name=name, row_count=table.num_rows)
@@ -132,8 +136,8 @@ class StatisticsCatalog:
                     histogram_bins=histogram_bins,
                     mcv_count=mcv_count,
                 )
-            catalog._tables[name] = stats
-        return catalog
+            tables.append(stats)
+        return cls(tables)
 
 
 def _analyze_column(

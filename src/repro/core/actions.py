@@ -17,7 +17,12 @@ from typing import List
 import numpy as np
 
 from repro.core.icp import IncompletePlan
+from repro.engine.memo import Memo
 from repro.optimizer.plans import JOIN_METHODS
+
+#: Masks kept per kind: the method-vector key space is exponential in the
+#: table count, so each memo is bounded.
+MASK_CACHE_CAPACITY = 100_000
 
 
 @dataclass(frozen=True)
@@ -73,12 +78,10 @@ class ActionSpace:
             (a.join_pos, a.method): self.num_swaps + i for i, a in enumerate(self._overrides)
         }
         # Masks depend only on (table count, method vector[, swapped leaves]),
-        # revisited every episode step — cache them instead of re-running the
-        # Python action scan. The method-vector key space is exponential in
-        # table count, so the caches are dropped at a cap.
-        self._legality_cache: dict = {}
-        self._post_swap_cache: dict = {}
-        self.mask_cache_capacity = 100_000
+        # revisited every episode step: memoized instead of re-running the
+        # Python action scan.
+        self._legality_masks: Memo[tuple, np.ndarray] = Memo(MASK_CACHE_CAPACITY)
+        self._post_swap_masks: Memo[tuple, np.ndarray] = Memo(MASK_CACHE_CAPACITY)
 
     # ------------------------------------------------------------------
     # Act(a, ICP)
@@ -114,21 +117,19 @@ class ActionSpace:
         """
         k = icp.num_tables
         key = (k, icp.methods)
-        cached = self._legality_cache.get(key)
-        if cached is None:
-            cached = np.zeros(self.size, dtype=bool)
-            for i, swap in enumerate(self._swaps):
-                if swap.right_pos <= k:
-                    cached[i] = True
-            for i, override in enumerate(self._overrides):
-                if override.join_pos <= icp.num_joins:
-                    current = icp.methods[override.join_pos - 1]
-                    cached[self.num_swaps + i] = override.method != current
-            cached.setflags(write=False)
-            if len(self._legality_cache) >= self.mask_cache_capacity:
-                self._legality_cache.clear()
-            self._legality_cache[key] = cached
-        return cached
+        cached = self._legality_masks.get(key)
+        if cached is not None:
+            return cached
+        mask = np.zeros(self.size, dtype=bool)
+        for i, swap in enumerate(self._swaps):
+            if swap.right_pos <= k:
+                mask[i] = True
+        for i, override in enumerate(self._overrides):
+            if override.join_pos <= icp.num_joins:
+                current = icp.methods[override.join_pos - 1]
+                mask[self.num_swaps + i] = override.method != current
+        mask.setflags(write=False)
+        return self._legality_masks.put(key, mask)
 
     def post_swap_mask(self, icp: IncompletePlan, last_swap: SwapAction) -> np.ndarray:
         """``LimitSpace``: after a Swap, only the parents' overrides are legal.
@@ -141,21 +142,17 @@ class ActionSpace:
             icp.parent_join_of_leaf(last_swap.right_pos),
         }
         key = (icp.num_tables, icp.methods, tuple(sorted(parents)))
-        cached = self._post_swap_cache.get(key)
-        if cached is None:
-            mask = np.zeros(self.size, dtype=bool)
-            for i, override in enumerate(self._overrides):
-                if override.join_pos in parents and override.join_pos <= icp.num_joins:
-                    current = icp.methods[override.join_pos - 1]
-                    mask[self.num_swaps + i] = override.method != current
-            if not mask.any():
-                # All parent overrides are no-ops; fall back to full legality
-                # so the agent is never left without a move.
-                cached = self.legality_mask(icp)
-            else:
-                mask.setflags(write=False)
-                cached = mask
-            if len(self._post_swap_cache) >= self.mask_cache_capacity:
-                self._post_swap_cache.clear()
-            self._post_swap_cache[key] = cached
-        return cached
+        cached = self._post_swap_masks.get(key)
+        if cached is not None:
+            return cached
+        mask = np.zeros(self.size, dtype=bool)
+        for i, override in enumerate(self._overrides):
+            if override.join_pos in parents and override.join_pos <= icp.num_joins:
+                current = icp.methods[override.join_pos - 1]
+                mask[self.num_swaps + i] = override.method != current
+        if not mask.any():
+            # All parent overrides are no-ops; fall back to full legality
+            # so the agent is never left without a move.
+            return self._post_swap_masks.put(key, self.legality_mask(icp))
+        mask.setflags(write=False)
+        return self._post_swap_masks.put(key, mask)

@@ -23,12 +23,11 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from repro.catalog.schema import Schema
-from repro.catalog.statistics import StatisticsCatalog
+from repro.catalog.catalog import Catalog
 from repro.engine.memo import Memo
 from repro.optimizer.plans import Plan, plan_signature
 from repro.sql.ast import Query, StatementKey
@@ -125,10 +124,10 @@ class EncodedPlan:
 
 
 class PlanEncoder:
-    """Encodes complete plans for a fixed schema into :class:`EncodedPlan`.
+    """Encodes complete plans over a fixed catalog into :class:`EncodedPlan`.
 
-    Vocabulary sizes (tables, columns) come from the schema; constants are
-    min-max normalized with column statistics when available.
+    Vocabulary sizes (tables, columns) come from the catalog's schema;
+    constants are min-max normalized with its column statistics.
 
     Encodings are pure functions of (query, plan), so the encoder keeps one
     shared LRU cache that every consumer (planner statevecs, simulated
@@ -136,16 +135,10 @@ class PlanEncoder:
     / :meth:`encode_many`.
     """
 
-    def __init__(
-        self,
-        schema: Schema,
-        max_nodes: int,
-        statistics: Optional[StatisticsCatalog] = None,
-        cache_capacity: int = 200_000,
-    ) -> None:
-        self.schema = schema
+    def __init__(self, catalog: Catalog, max_nodes: int, cache_capacity: int = 200_000) -> None:
         self.max_nodes = max_nodes
-        self.statistics = statistics
+        self.statistics = catalog.statistics
+        schema = catalog.schema
         self._cache: Memo[Tuple[StatementKey, str], EncodedPlan] = Memo(cache_capacity)
         # Scan-leaf features are invariant across all plans of a query
         # (only order/methods/structure change), so they are derived once.
@@ -276,8 +269,6 @@ class PlanEncoder:
         return op_id, self._table_ids[query.tables[alias]], fcols, fops, fvals
 
     def _normalize(self, table: str, column: str, value: float) -> float:
-        if self.statistics is None or table not in self.statistics:
-            return 1.0 / (1.0 + abs(value))
         stats = self.statistics.table(table).column(column)
         if stats is None or stats.max_value <= stats.min_value:
             return 0.5

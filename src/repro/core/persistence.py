@@ -1,8 +1,8 @@
 """The checkpoint: a trained FOSS doctor as one directory of two files.
 
-* ``checkpoint.json``, format 3: the workload recipe, the dataset's
-  fingerprint, the full :class:`FossConfig`, the AAM's last accuracy and,
-  for a trainer served by a remote engine, a ``remote`` section;
+* ``checkpoint.json``, format 3: the workload recipe, the fingerprint of
+  the dataset the doctor was trained against (its engine's catalog's), the
+  full :class:`FossConfig` and the AAM's last accuracy;
 * ``weights.npz``: every network's parameters, keyed ``aam.<param>`` and
   ``agent<i>.<param>``.  The execution buffer is training-time state and
   is not saved.
@@ -11,9 +11,11 @@ This module is the only code that knows the format, and it loads the
 directory as untrusted input, like a wire frame: :func:`read_checkpoint`
 reads both files (never unpickling) and checks the manifest whole;
 :func:`restore_checkpoint` checks every weight against the trainer's
-networks (key set, dtype, shape, finiteness) before it assigns any.  Every
-refusal, a format-2 directory (``session.json``) included, is one
-:class:`CheckpointError`.
+networks (key set, dtype, shape, finiteness), and the trainer's engine
+against the fingerprint, before it assigns any.  Every refusal, a format-2
+directory (``session.json``) included, is one :class:`CheckpointError`.
+The catalog is not saved: whatever loads a checkpoint has an engine that
+holds one.
 """
 
 from __future__ import annotations
@@ -22,30 +24,27 @@ import dataclasses
 import json
 import os
 import zipfile
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
 from repro.core.trainer import FossConfig
-from repro.engine.backend import EngineBackend
-from repro.engine.database import dataset_fingerprint
 from repro.nn.layers import Module
 from repro.nn.serialization import load_state_dict, save_state_dict
-from repro.workloads.base import Workload, WorkloadSpec, build_workload_by_name
+from repro.workloads.base import WorkloadSpec
 
 FORMAT = 3
 MANIFEST = "checkpoint.json"
 WEIGHTS = "weights.npz"
 
 _NUMBER = (int, float)  # by exact type: a bool is neither
-#: Key -> its value's exact types, or a nested schema; only ``remote`` is optional.
+#: Key -> its value's exact types, or a nested schema.
 _SCHEMA = {
     "format": (int,),
     "workload": {"name": (str,), "scale": _NUMBER, "seed": (int,)},
     "dataset_fingerprint": (str,),
     "config": (dict,),
     "aam_accuracy": _NUMBER,
-    "remote": {"engine_url": (str,), "dataset_fingerprint": (str,)},
 }
 
 
@@ -78,25 +77,17 @@ def save_checkpoint(trainer, directory: str) -> None:
     if spec is None:
         raise ValueError(
             "saving a checkpoint needs a workload built from a WorkloadSpec (a workload "
-            "name, or build_workload_by_name) so loading can rebuild the dataset"
+            "name, or build_workload_by_name) so loading can rebuild the workload"
         )
     manifest = {
         "format": FORMAT,
         "workload": dataclasses.asdict(spec),
-        # crc32-based, never builtin hash(): loading rebuilds the dataset
-        # from the recipe, and a drifted datagen must not pass unseen.
-        "dataset_fingerprint": dataset_fingerprint(trainer.workload.dataset),
+        # The engine's, local or remote; crc32-based, never builtin hash():
+        # a drifted datagen or another server must not pass unseen.
+        "dataset_fingerprint": trainer.database.catalog.fingerprint,
         "config": dataclasses.asdict(trainer.config),
         "aam_accuracy": float(trainer.aam_accuracy),
     }
-    remote_fingerprint = getattr(trainer.database, "remote_fingerprint", None)
-    if remote_fingerprint is not None:
-        # The engine that served the plans; the connect-time handshake
-        # proved its dataset equal to the local one.
-        manifest["remote"] = {
-            "engine_url": trainer.database.url,
-            "dataset_fingerprint": remote_fingerprint,
-        }
     os.makedirs(directory, exist_ok=True)
     save_state_dict(
         {
@@ -121,7 +112,7 @@ def _refuse_constant(name: str):
 
 def _check_schema(data, schema: dict, where: str) -> None:
     _expect(type(data) is dict, f"{where} must be an object")
-    missing = schema.keys() - data.keys() - {"remote"}
+    missing = schema.keys() - data.keys()
     unexpected = data.keys() - schema.keys()
     _expect(
         not missing and not unexpected,
@@ -188,39 +179,21 @@ def read_checkpoint(directory: str) -> Checkpoint:
     )
 
 
-def _check_fingerprint(checkpoint: Checkpoint, dataset, source: str) -> None:
-    actual = dataset_fingerprint(dataset)
-    _expect(
-        actual == checkpoint.dataset_fingerprint,
-        f"dataset fingerprint mismatch loading {checkpoint.path!r}: the manifest "
-        f"records {checkpoint.dataset_fingerprint} but {source} has {actual}; the "
-        f"restored model would be optimizing a different database",
-    )
-
-
-def rebuild_workload(checkpoint: Checkpoint, backend: Optional[EngineBackend] = None) -> Workload:
-    """The checkpoint's workload rebuilt from its recipe, held to its dataset
-    fingerprint, as is ``backend``'s dataset when one is injected."""
-    spec = checkpoint.workload
-    try:
-        workload = build_workload_by_name(spec.name, scale=spec.scale, seed=spec.seed)
-    except ValueError as exc:  # an unknown workload name
-        raise CheckpointError(f"checkpoint {checkpoint.path!r}: {exc}") from exc
-    _check_fingerprint(checkpoint, workload.dataset, f"{spec} as this datagen rebuilds it")
-    if backend is not None:
-        # The dataset the restored model will actually plan against.  A
-        # remote server was already held to this mirror by the handshake.
-        _check_fingerprint(checkpoint, backend.dataset, "the injected backend's dataset")
-    return workload
-
-
 def restore_checkpoint(trainer, checkpoint: Checkpoint) -> None:
     """Assign a checkpoint's weights to a trainer, or refuse and assign none.
 
-    The trainer must have the checkpoint's workload recipe, agent count,
+    The trainer's engine must hold the checkpoint's dataset fingerprint,
+    and the trainer must have its workload recipe, agent count,
     ``max_steps`` and network shapes.  Restoring moves the AAM's weight
     version, so nothing cached under the old weights answers again.
     """
+    actual = trainer.database.catalog.fingerprint
+    _expect(
+        actual == checkpoint.dataset_fingerprint,
+        f"dataset fingerprint mismatch loading {checkpoint.path!r}: the manifest "
+        f"records {checkpoint.dataset_fingerprint} but the engine serves {actual}; the "
+        f"restored model would be optimizing a different database",
+    )
     saved = checkpoint.config
     _expect(
         checkpoint.workload == trainer.workload.spec,

@@ -110,9 +110,7 @@ class FossTrainer:
         self.rng = np.random.default_rng(self.config.seed)
 
         max_nodes = 2 * max(workload.max_query_tables, 2)
-        self.encoder = PlanEncoder(
-            workload.dataset.schema, max_nodes=max_nodes, statistics=self.database.statistics
-        )
+        self.encoder = PlanEncoder(self.database.catalog, max_nodes=max_nodes)
         self.action_space = ActionSpace(max_tables=workload.max_query_tables)
         self.aam = AdvantageModel(
             num_tables=self.encoder.num_tables,

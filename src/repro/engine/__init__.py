@@ -9,12 +9,12 @@ rest of the system depends on, plus the local implementation;
 context every layer above carries down to it.
 """
 
-from repro.engine.backend import EngineBackend, LocalBackend, make_backend
+from repro.engine.backend import EngineBackend, LocalBackend
 from repro.engine.database import Database, Dataset, PlanningResult
 from repro.engine.wire import FrameCorruptionError, FrameTooLargeError
 
 # The remote subsystem is re-exported lazily: the default in-process path
-# must not pay for socket/server plumbing it never uses (make_backend
+# must not pay for socket/server plumbing it never uses (FossSession.open
 # defers the import the same way).
 _REMOTE_EXPORTS = ("EngineServer", "RemoteBackend", "RemoteEngineError")
 
@@ -37,5 +37,4 @@ __all__ = [
     "LocalBackend",
     "RemoteBackend",
     "RemoteEngineError",
-    "make_backend",
 ]

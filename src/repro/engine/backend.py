@@ -2,7 +2,8 @@
 
 Everything above the engine (planner, environments, trainer, baselines,
 experiment harness) depends on :class:`EngineBackend` — roughly
-``sql / plan / complete-hint / execute / stats`` plus their batch mirrors —
+``sql / plan / complete-hint / execute / stats`` plus their batch mirrors,
+and one metadata object, the :class:`~repro.catalog.catalog.Catalog` —
 never on a concrete engine class.  Two implementations ship:
 
 * :class:`LocalBackend` — the in-process expert engine (identical to
@@ -11,7 +12,8 @@ never on a concrete engine class.  Two implementations ship:
   implementation explicitly and build one from a spec).
 * :class:`~repro.engine.remote.client.RemoteBackend`, in
   :mod:`repro.engine.remote` — the same protocol over a TCP socket to a
-  ``repro-engine`` server that wraps a local engine.
+  ``repro-engine`` server that wraps a local engine, holding the catalog
+  the server sent and no rows.
 
 Determinism: the engine is a pure function of the dataset (virtual-time
 execution, deterministic DP enumeration, seeded statistics), and a server
@@ -32,7 +34,8 @@ from typing import (
     runtime_checkable,
 )
 
-from repro.engine.database import Database, Dataset, PlanningResult
+from repro.catalog.catalog import Catalog
+from repro.engine.database import Database, PlanningResult
 from repro.executor.engine import ExecutionResult
 from repro.optimizer.dp import JoinSpace, OptimizerOptions
 from repro.optimizer.plans import Plan
@@ -58,11 +61,7 @@ class EngineBackend(Protocol):
 
     # -- metadata ------------------------------------------------------
     @property
-    def dataset(self) -> Dataset: ...
-    @property
-    def schema(self): ...
-    @property
-    def statistics(self): ...
+    def catalog(self) -> Catalog: ...
     @property
     def executions(self) -> int: ...
 
@@ -121,24 +120,3 @@ class LocalBackend(Database):
     def from_spec(cls, spec) -> "LocalBackend":
         """Build from a :class:`~repro.workloads.base.WorkloadSpec`."""
         return cls(spec.build_dataset())
-
-
-def make_backend(workload, engine_url: str = "") -> "EngineBackend":
-    """Pick a backend for a workload: remote when ``engine_url`` is set, else local.
-
-    A non-empty ``engine_url`` (``tcp://host:port``, see
-    :mod:`repro.engine.remote`) sends planning and execution to a
-    ``repro-engine`` server at that address, with the workload's in-process
-    engine kept client-side for metadata and SQL binding; the remote
-    backend serves plans bitwise-identical to the local one.  Otherwise the
-    workload's own in-process engine is returned.
-    """
-    if engine_url:
-        # Imported lazily: the remote subsystem is optional plumbing, and
-        # the default in-process path must not pay for it.
-        from repro.engine.remote.client import RemoteBackend
-
-        return RemoteBackend(
-            engine_url, database=workload.database, spec=workload.spec
-        )
-    return workload.database

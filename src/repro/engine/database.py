@@ -25,6 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import obs
+from repro.catalog.catalog import Catalog
 from repro.catalog.schema import Schema
 from repro.catalog.statistics import StatisticsCatalog
 from repro.engine.context import RequestContext
@@ -76,9 +77,10 @@ def dataset_fingerprint(dataset: Dataset) -> str:
     string dictionaries, in sorted order — never builtin ``hash()``, which
     varies with ``PYTHONHASHSEED``.  Two datasets built from the same
     :class:`~repro.workloads.base.WorkloadSpec` by the same code get the
-    same fingerprint; datagen drift changes it, which is what
-    ``FossSession.load`` checks against the checkpoint and what the
-    remote engine handshake checks across the client/server boundary.
+    same fingerprint; datagen drift changes it.  It is the
+    :class:`~repro.catalog.catalog.Catalog`'s fingerprint, which
+    ``FossSession.load`` holds to the checkpoint's and a remote client
+    holds every reconnect's handshake to.
 
     Uses the same length-prefixed crc32 chaining as the socket wire format
     (:func:`repro.engine.wire.crc32_chain`): bare concatenation would let
@@ -99,6 +101,17 @@ def dataset_fingerprint(dataset: Dataset) -> str:
                 for entry in data.dictionary:
                     crc = chain(crc, str(entry).encode("utf-8"))
     return f"crc32:{crc & 0xFFFFFFFF:08x}:rows={storage.total_rows()}"
+
+
+def bind_statement(catalog: Catalog, text: str, name: str = "") -> Query:
+    """``text`` parsed and bound over ``catalog``.
+
+    The query records ``text`` (:meth:`Query.sql_text`), which is what the
+    remote wire sends for it.
+    """
+    query = bind_query(parse_query(text), catalog, name=name)
+    query._text = text  # before publishing, like the signature memo
+    return query
 
 
 def plan_key(query: Query, options: Optional[OptimizerOptions]) -> Tuple[str, ...]:
@@ -142,7 +155,6 @@ class Database:
         analyze_seed: int = 31,
     ) -> None:
         self.dataset = dataset
-        self.schema = dataset.schema
         self.storage = dataset.storage
         # The optimizer costs plans with the (miscalibrated) planner
         # defaults; the executor charges the true runtime parameters.  See
@@ -151,13 +163,17 @@ class Database:
         self.runtime_cost_model = CostModel(
             runtime_cost_params if runtime_cost_params is not None else runtime_cost_parameters()
         )
-        self.statistics = StatisticsCatalog.analyze(
-            self.storage, sample_rows=analyze_sample_rows, seed=analyze_seed
+        # All the metadata anything above the engine reads, built once.
+        self.catalog = Catalog.of(
+            dataset.schema,
+            self.storage,
+            StatisticsCatalog.analyze(self.storage, sample_rows=analyze_sample_rows, seed=analyze_seed),
+            dataset_fingerprint(dataset),
         )
-        self.estimator = CardinalityEstimator(self.statistics)
+        self.estimator = CardinalityEstimator(self.catalog.statistics)
         self._dp_skeletons: Memo[tuple, object] = Memo(DP_SKELETON_CAPACITY)
         self.enumerator = PlanEnumerator(
-            self.estimator, self.cost_model, self.storage.has_index, self._dp_skeletons
+            self.estimator, self.cost_model, self.catalog.has_index, self._dp_skeletons
         )
         self.executor = ExecutionEngine(self.storage, self.runtime_cost_model)
         # The memos are shared by concurrent serving threads (OptimizerService
@@ -189,25 +205,21 @@ class Database:
     # SQL entry point
     # ------------------------------------------------------------------
     def sql(self, text: str, name: str = "") -> Query:
-        """Parse + bind SQL text against this database, once per (text, name).
+        """Parse + bind SQL text over this database's catalog, once per (text, name).
 
         Bound queries are kept in an LRU statement cache, so a repeated
         statement costs one dict lookup and every caller of the same text
         shares one read-only :class:`Query`.  Lex/parse/bind is a pure
-        function over the immutable schema and storage and runs outside the
-        memo's lock, so serving threads bind concurrently with planning (two
+        function over the immutable catalog and runs outside the memo's
+        lock, so serving threads bind concurrently with planning (two
         threads missing the same text both bind, and the first insert wins).
         A text that fails to parse or bind is not stored and raises again.
-        The query records ``text`` (:meth:`Query.sql_text`), which is what
-        the remote wire sends for it.
         """
         key = (text, name)
         query = self._statement_cache.get(key)
         if query is not None:
             return query
-        query = bind_query(parse_query(text), self.schema, self.storage, name=name)
-        query._text = text  # before publishing, like the signature memo
-        return self._statement_cache.put(key, query)
+        return self._statement_cache.put(key, bind_statement(self.catalog, text, name))
 
     # ------------------------------------------------------------------
     # planning

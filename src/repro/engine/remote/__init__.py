@@ -15,13 +15,14 @@ machine, the engine on another.  This package is that seam:
   (per-connection locks held across one send→recv round trip), every
   singleton sent as a batch of one and every batch as a single frame,
   configurable timeouts, bounded auto-reconnect, and the connect-time
-  dataset-fingerprint handshake that catches client/server datagen drift
-  before the first plan is served.
+  handshake that hands the client the server's catalog (its only copy of
+  the dataset's metadata; the client builds no rows) and holds every
+  reconnect to that catalog's fingerprint.
 
-Determinism: the engine is a pure function of the dataset, and client and
-server both rebuild it from the same :class:`~repro.workloads.base.
-WorkloadSpec` — so plans are bitwise-identical across the local and
-remote backends (``tests/test_remote_backend.py``).
+Determinism: the engine is a pure function of the dataset, and the server
+rebuilds it from a :class:`~repro.workloads.base.WorkloadSpec` — so plans
+are bitwise-identical across the local and remote backends
+(``tests/test_remote_backend.py``).
 """
 
 from repro.engine.remote.client import (

@@ -1,13 +1,14 @@
 """``RemoteBackend``: the ``EngineBackend`` protocol over a TCP socket.
 
-The client keeps an in-process :class:`~repro.engine.database.Database`
-for cheap, deterministic work that never needs the wire — SQL parse/bind,
-schema/statistics metadata, EXPLAIN; planning and execution RPCs travel to
-a ``repro-engine`` server as length-prefixed, crc32-checksummed frames of
-plain-data JSON (:mod:`repro.engine.wire`).  A query crosses as the SQL
-text it was bound from and a plan as a descriptor of numbers and names;
-the client rebuilds each reply's plan over the query object it sent, so a
-remote plan is ``==`` to the local one without planning here.
+The client holds the server's :class:`~repro.catalog.catalog.Catalog`,
+sent in the handshake, and no rows: SQL parse/bind, join spaces and
+EXPLAIN read only that snapshot and never need the wire; planning and
+execution RPCs travel to a ``repro-engine`` server as length-prefixed,
+crc32-checksummed frames of plain-data JSON (:mod:`repro.engine.wire`).
+A query crosses as the SQL text it was bound from and a plan as a
+descriptor of numbers and names; the client rebuilds each reply's plan
+over the query object it sent, so a remote plan is ``==`` to the local
+one without planning here.
 
 Concurrency: a small pool of connections, each guarded by a lock held
 across one full send→recv round trip, so concurrent tenants (e.g. several
@@ -28,14 +29,17 @@ checksum-invalid or desynchronized stream raises
 :class:`~repro.engine.wire.FrameCorruptionError` immediately, because
 corruption is a bug to surface, not a transient to paper over.
 
-Every fresh socket opens with the fingerprint handshake: the client
-refuses a server that speaks another wire protocol version, and one whose
-dataset fingerprint differs from its own mirror's (datagen drift) — the
-same crc32 fingerprint a checkpoint records.
+Every fresh socket opens with the fingerprint handshake.  The client
+refuses a server that speaks another wire protocol version, one that
+advertises another workload recipe than the client's ``spec``, and one
+whose catalog is malformed.  The first hello's catalog is kept, and every
+later hello — a reconnect — must carry its fingerprint, the same crc32
+fingerprint a checkpoint records.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import socket
 import threading
 import time
@@ -43,13 +47,13 @@ from itertools import repeat
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
+from repro.catalog.catalog import Catalog
 from repro.engine.context import run_live
 from repro.engine.database import (
     HINT_CACHE_CAPACITY,
-    Database,
-    Dataset,
+    STATEMENT_CACHE_CAPACITY,
     PlanningResult,
-    dataset_fingerprint,
+    bind_statement,
     plan_key,
 )
 from repro.engine.memo import Memo
@@ -70,9 +74,11 @@ from repro.engine.wire import (
     write_frame,
 )
 from repro.executor.engine import ExecutionResult
-from repro.optimizer.dp import JoinSpace, OptimizerOptions
-from repro.optimizer.plans import Plan
-from repro.sql.ast import Query
+from repro.optimizer.cardinality import CardinalityEstimator
+from repro.optimizer.cost import CostModel
+from repro.optimizer.dp import JoinSpace, OptimizerOptions, PlanEnumerator
+from repro.optimizer.plans import Plan, explain
+from repro.sql.ast import Query, StatementKey
 
 
 def _no_result(ctx) -> None:
@@ -89,7 +95,7 @@ def _planning_from_wire(data, query: Query) -> Optional[PlanningResult]:
 
 class RemoteEngineError(RuntimeError):
     """A remote engine RPC failed (server error, dead/unreachable server,
-    or a client/server dataset mismatch)."""
+    a refused handshake)."""
 
 
 class RemoteTimeoutError(RemoteEngineError):
@@ -178,11 +184,11 @@ class _Connection:
 class RemoteBackend:
     """An ``EngineBackend`` served by a ``repro-engine`` TCP server.
 
-    ``spec``/``database`` mirror the dataset client-side (at least one is
-    required): ``database`` reuses an already-built engine (what
-    :func:`~repro.engine.backend.make_backend` does with the workload's),
-    ``spec`` rebuilds one.  The mirror serves metadata/SQL binding and
-    anchors the connect-time fingerprint handshake against the server.
+    The client holds the catalog of the server's first hello and builds no
+    database.  ``spec``, a :class:`~repro.workloads.base.WorkloadSpec`, is
+    the recipe the client expects: a server that advertises another is
+    refused.  Without one, any recipe is accepted, as is a server that
+    advertises none (one wrapping a backend it was handed).
     """
 
     def __init__(
@@ -190,21 +196,17 @@ class RemoteBackend:
         url: str,
         *,
         spec=None,
-        database: Optional[Database] = None,
         pool_size: int = 2,
         timeout_s: float = 120.0,
         max_reconnects: int = 2,
         reconnect_backoff_s: float = 0.05,
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
     ) -> None:
-        if database is None and spec is None:
-            raise ValueError("RemoteBackend needs a spec or a prebuilt database")
         if pool_size < 1:
             raise ValueError("pool_size must be >= 1")
         self.url = url
         self._host, self._port = parse_engine_url(url)
         self.spec = spec
-        self.local = database if database is not None else spec.build_database()
         self.timeout_s = timeout_s
         self.max_reconnects = max_reconnects
         self.reconnect_backoff_s = reconnect_backoff_s
@@ -223,21 +225,26 @@ class RemoteBackend:
         # one key both fetch, and the first insert wins.
         self._plan_memo: Memo[str, PlanningResult] = Memo(HINT_CACHE_CAPACITY)
         self._hint_memo: Memo[Tuple, PlanningResult] = Memo(HINT_CACHE_CAPACITY)
+        self._statement_cache: Memo[Tuple[str, str], Query] = Memo(STATEMENT_CACHE_CAPACITY)
+        self._join_spaces: Memo[StatementKey, JoinSpace] = Memo(STATEMENT_CACHE_CAPACITY)
         # Per-op RPC counter in the process-global registry (declared
         # before the first call below).
         self._m_calls = obs.get_registry().counter(
             "engine_remote_calls_total", "framed RPC round trips by op", ("kind",)
         )
-        self._fingerprint = dataset_fingerprint(self.local.dataset)
         self.server_info: Dict = {}
-        self.remote_fingerprint: Optional[str] = None
+        self.catalog: Optional[Catalog] = None
         try:
             # The first round trip opens a socket, and with it the
-            # handshake that fills server_info and remote_fingerprint.
+            # handshake that fills server_info and the catalog.
             self.ping()
         except BaseException:
             self.close()
             raise
+        # The planner's defaults, as the server's engine costs with them.
+        self._enumerator = PlanEnumerator(
+            CardinalityEstimator(self.catalog.statistics), CostModel(), self.catalog.has_index
+        )
 
     # ------------------------------------------------------------------
     # RPC plumbing
@@ -370,11 +377,12 @@ class RemoteBackend:
         return result
 
     def _handshake(self, conn: _Connection) -> None:
-        """Check a fresh socket's server: same protocol, same dataset.
+        """Check a fresh socket's server: same protocol, recipe and dataset.
 
-        Records the server's hello as ``server_info`` and
-        ``remote_fingerprint``.  Connection errors propagate to the
-        caller's reconnect loop; a mismatch drops the socket and is
+        The first hello's catalog becomes the client's, and every later
+        one must carry its fingerprint.  Records the hello, less its
+        catalog, as ``server_info``.  Connection errors propagate to the
+        caller's reconnect loop; a refusal drops the socket and is
         terminal.
         """
         hello = conn.round_trip(encode_request("fingerprint", None, None))
@@ -385,7 +393,10 @@ class RemoteBackend:
         # The hello is slot 0 of the reply, and reading it assumes nothing
         # else about the shape: a server of another version is refused for
         # the version it advertises, not for a reply this client misreads.
-        info = body[0]
+        info = body[0] if type(body) is list and body else None
+        if type(info) is not dict:
+            conn.drop()
+            raise RemoteEngineError(f"engine at {self.url} sent a malformed hello")
         if info.get("protocol") != PROTOCOL_VERSION:
             conn.drop()
             raise RemoteEngineError(
@@ -394,18 +405,29 @@ class RemoteBackend:
                 f"{PROTOCOL_VERSION}; run client and server from the same "
                 f"release"
             )
-        actual = info["dataset_fingerprint"]
-        if actual != self._fingerprint:
+        recipe = info.get("workload")
+        if self.spec is not None and recipe and recipe != dataclasses.asdict(self.spec):
+            conn.drop()
+            raise RemoteEngineError(
+                f"engine at {self.url} serves the workload {recipe!r}, "
+                f"but this client expects {self.spec}"
+            )
+        try:
+            catalog = Catalog.from_wire(info.get("catalog"))
+        except ValueError as exc:
+            conn.drop()
+            raise RemoteEngineError(f"engine at {self.url}: {exc}") from None
+        if self.catalog is not None and catalog.fingerprint != self.catalog.fingerprint:
             conn.drop()
             raise RemoteEngineError(
                 f"dataset fingerprint mismatch against {self.url}: the server "
-                f"serves {actual} but this client's dataset is "
-                f"{self._fingerprint} (datagen drift, or a server restarted "
-                f"with different datagen); client and server must build the "
-                f"same workload (name/scale/seed) with the same datagen code"
+                f"serves {catalog.fingerprint} but this client holds the catalog "
+                f"of {self.catalog.fingerprint} (a server restarted with other "
+                f"data or datagen drift, or another server at this address)"
             )
-        self.server_info = info
-        self.remote_fingerprint = actual
+        if self.catalog is None:
+            self.catalog = catalog
+        self.server_info = {key: value for key, value in info.items() if key != "catalog"}
 
     def _decode_reply(self, payload: bytes):
         """``(status, body)`` of a reply frame; a reply that is not one is corruption."""
@@ -421,47 +443,34 @@ class RemoteBackend:
             raise RuntimeError("RemoteBackend is closed")
 
     # ------------------------------------------------------------------
-    # metadata: served by the client-side mirror engine
+    # metadata: read off the server's catalog, no round trip
     # ------------------------------------------------------------------
     @property
-    def dataset(self) -> Dataset:
-        return self.local.dataset
-
-    @property
-    def schema(self):
-        return self.local.schema
-
-    @property
-    def statistics(self):
-        return self.local.statistics
-
-    @property
-    def storage(self):
-        return self.local.storage
-
-    @property
     def executions(self) -> int:
-        """Real executions: the server's counter as of its last reply.
-
-        The mirror never executes for this backend; it is often the
-        workload's own engine, whose counter belongs to its other callers.
-        """
+        """Real executions: the server's counter as of its last reply."""
         with self._state_lock:
             return self._remote_executions
 
     def sql(self, text: str, name: str = "") -> Query:
-        # Parse/bind is a pure function of the (identical, fingerprint-
-        # checked) schema: the mirror binds, and the query's text is what
-        # crosses the wire for the server to bind the same way.
-        return self.local.sql(text, name=name)
+        # Parse/bind reads only the server's catalog, and the query's text
+        # is what crosses the wire for the server to bind the same way.
+        key = (text, name)
+        query = self._statement_cache.get(key)
+        if query is not None:
+            return query
+        return self._statement_cache.put(key, bind_statement(self.catalog, text, name))
 
     def explain(self, plan: Plan) -> str:
-        return self.local.explain(plan)
+        return explain(plan)
 
     def join_space(self, query: Query) -> JoinSpace:
-        # The mirror's statistics are the server's (fingerprint-checked), so
-        # the constructive baselines search its space without a round trip.
-        return self.local.join_space(query)
+        # Built over the server's statistics and indexes, so the
+        # constructive baselines search its space without a round trip.
+        key = query.key()
+        space = self._join_spaces.get(key)
+        if space is not None:
+            return space
+        return self._join_spaces.put(key, self._enumerator.join_space(query))
 
     # ------------------------------------------------------------------
     # planning
@@ -561,7 +570,8 @@ class RemoteBackend:
     # cache control / stats
     # ------------------------------------------------------------------
     def clear_caches(self) -> None:
-        self.local.clear_caches()
+        self._statement_cache.clear()
+        self._join_spaces.clear()
         self._plan_memo.clear()
         self._hint_memo.clear()
         self._call("clear_caches", None)
@@ -575,7 +585,7 @@ class RemoteBackend:
             "executions": self.executions,
             "plan_memo": len(self._plan_memo),
             "hint_memo": len(self._hint_memo),
-            "statement_cache": self.local.stats()["statement_cache"],
+            "statement_cache": len(self._statement_cache),
             "server_backend": server.get("backend"),
             "server_executions": server.get("executions"),
         }

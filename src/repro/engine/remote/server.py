@@ -42,7 +42,6 @@ import threading
 from typing import Dict, Optional, Tuple
 
 from repro import obs
-from repro.engine.database import dataset_fingerprint
 from repro.engine.wire import (
     DEFAULT_MAX_FRAME_BYTES,
     OPS,
@@ -81,9 +80,9 @@ class EngineServer:
             "engine RPCs dispatched by op kind",
             ("kind",),
         )
-        # Computed once: the handshake must not pay a full-table crc per
-        # connection, and the dataset is immutable.
-        self._fingerprint = dataset_fingerprint(backend.dataset)
+        # What the handshake sends: the backend's metadata, fingerprint
+        # included, never its rows.
+        self.catalog = backend.catalog
         self.backend_name = backend.stats().get("backend")
         self._listener = socket.create_server((host, port))
         self.host, self.port = self._listener.getsockname()[:2]
@@ -98,10 +97,6 @@ class EngineServer:
     @property
     def url(self) -> str:
         return f"tcp://{self.host}:{self.port}"
-
-    @property
-    def fingerprint(self) -> str:
-        return self._fingerprint
 
     # ------------------------------------------------------------------
     # serving
@@ -450,7 +445,7 @@ def main(argv=None) -> int:
     # serve_remote example) wait for it and parse the url out of it.
     print(
         f"repro-engine: listening on {server.url} "
-        f"(dataset_fingerprint={server.fingerprint})",
+        f"(dataset_fingerprint={server.catalog.fingerprint})",
         flush=True,
     )
     try:

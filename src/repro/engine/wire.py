@@ -6,8 +6,8 @@ collide — ``["ab", "c"]`` vs ``["a", "bc"]``), and crc32 — never builtin
 ``hash()``, which varies with ``PYTHONHASHSEED`` — is the checksum.  Two
 things build on it:
 
-* :func:`crc32_chain` — the chaining step behind a checkpoint's
-  dataset fingerprint (:func:`repro.engine.database.dataset_fingerprint`);
+* :func:`crc32_chain` — the chaining step behind the dataset fingerprint
+  (:func:`repro.engine.database.dataset_fingerprint`) a catalog carries;
 * the **frame format** of the remote engine subsystem
   (:mod:`repro.engine.remote`): every message on the wire is one frame ::
 
@@ -38,8 +38,7 @@ request           ``[kind, body, contexts]``; ``contexts`` is ``null``, or, on
 reply             ``["ok", [result, executions, spans]]`` (``spans`` is empty for an
                   untraced request) or ``["err", message]``
 ``ping``          body ``null``; result ``null``
-``fingerprint``   body ``null``; result ``{protocol, dataset_fingerprint, workload,
-                  backend}``
+``fingerprint``   body ``null``; result ``{protocol, workload, backend, catalog}``
 ``stats``         body ``null``; result the backend's stats dict
 ``clear_caches``  body ``null``; result ``null``
 ``plan_many``     body ``[[query, ...], options]``; result ``[planning | null, ...]``
@@ -66,6 +65,10 @@ plan           ``[aliases, methods, scan_types, index_columns, est_rows,
 planning       ``[planning_ms, plan]``
 execution      ``[latency_ms, output_rows, timed_out, work_units,
                aggregate_values]``
+catalog        :meth:`~repro.catalog.catalog.Catalog.to_wire`'s dict: schema, string
+               dictionaries, statistics, indexes and the dataset fingerprint
+workload       the recipe the server was built from, ``{name, scale, seed}``, or
+               ``{}``
 context        :meth:`~repro.engine.context.RequestContext.to_wire`'s dict
 span           :meth:`~repro.obs.Span.to_dict`'s dict
 =============  ==================================================================
@@ -96,7 +99,7 @@ from repro.optimizer.plans import Plan
 from repro.sql.ast import Query
 
 #: The message shapes above; the fingerprint handshake advertises it.
-PROTOCOL_VERSION = 6
+PROTOCOL_VERSION = 7
 
 MAGIC = b"FOSW"  # FOSS wire
 _HEADER = struct.Struct(">4sII")  # magic, payload length, crc32(payload)
@@ -368,9 +371,9 @@ def _ping(server, body, ctxs) -> None:
 def _hello(server, body, ctxs) -> dict:
     return {
         "protocol": PROTOCOL_VERSION,
-        "dataset_fingerprint": server.fingerprint,
         "workload": server.workload_info,
         "backend": server.backend_name,
+        "catalog": server.catalog.to_wire(),
     }
 
 

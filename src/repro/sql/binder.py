@@ -1,35 +1,27 @@
-"""Bind a parsed query against the schema, resolving names and literals.
+"""Bind a parsed query against a catalog, resolving names and literals.
 
-Binding validates table/column existence, translates string literals into
-the dictionary codes stored for string columns, and produces the
-:class:`~repro.sql.ast.Query` IR used by the optimizer.
+Binding validates table/column existence against the catalog's schema,
+translates string literals into the codes of the catalog's string
+dictionaries, and produces the :class:`~repro.sql.ast.Query` IR used by
+the optimizer.  It reads no rows.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Union
+from typing import List, Union
 
-from repro.catalog.schema import Schema
+from repro.catalog.catalog import Catalog
 from repro.sql.ast import Aggregate, ColumnRef, FilterPredicate, JoinPredicate, Query
 from repro.sql.parser import RawColumn, RawQuery
-from repro.storage.database import StorageDatabase
 
 
 class BindError(ValueError):
     """Raised when a query references unknown objects or bad literals."""
 
 
-def bind_query(
-    raw: RawQuery,
-    schema: Schema,
-    storage: Optional[StorageDatabase] = None,
-    name: str = "",
-) -> Query:
-    """Resolve a parsed query against ``schema`` (and optionally storage).
-
-    ``storage`` is needed only to translate string literals into dictionary
-    codes; purely numeric queries bind without it.
-    """
+def bind_query(raw: RawQuery, catalog: Catalog, name: str = "") -> Query:
+    """Resolve a parsed query against ``catalog``."""
+    schema = catalog.schema
     for alias, table in raw.tables.items():
         if table not in schema:
             raise BindError(f"unknown table {table!r} (alias {alias})")
@@ -44,20 +36,12 @@ def bind_query(
 
     def encode_literal(col: ColumnRef, literal: Union[float, str]) -> float:
         if isinstance(literal, str):
-            if storage is None:
-                raise BindError(
-                    f"string literal {literal!r} needs storage to resolve dictionary codes"
-                )
-            table = storage.table(raw.tables[col.alias])
-            data = table.column_data(col.column)
-            if data.dictionary is None:
+            codes = catalog.dictionaries.get((raw.tables[col.alias], col.column))
+            if codes is None:
                 raise BindError(f"column {col} is numeric but literal is a string")
-            try:
-                return float(data.dictionary.index(literal))
-            except ValueError:
-                # Unknown string: encode as a code outside the dictionary so
-                # the predicate selects nothing (matches DBMS behaviour).
-                return float(len(data.dictionary))
+            # Unknown string: encode as a code outside the dictionary so the
+            # predicate selects nothing (matches DBMS behaviour).
+            return float(codes.get(literal, len(codes)))
         return float(literal)
 
     joins: List[JoinPredicate] = []

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
 from repro.storage.index import SortedIndex
 from repro.storage.table import Table
@@ -40,6 +40,11 @@ class StorageDatabase:
         if not table.has_column(column_name):
             raise KeyError(f"table {table_name} has no column {column_name}")
         self._indexed_columns.add((table_name, column_name))
+
+    @property
+    def indexes(self) -> FrozenSet[Tuple[str, str]]:
+        """The declared ``(table, column)`` indexes."""
+        return frozenset(self._indexed_columns)
 
     def has_index(self, table_name: str, column_name: str) -> bool:
         return (table_name, column_name) in self._indexed_columns

@@ -9,6 +9,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.catalog.schema import Schema
+from repro.engine.backend import EngineBackend
 from repro.engine.database import Database, Dataset
 from repro.sql.ast import Query
 
@@ -135,10 +136,10 @@ class WorkloadQuery:
 class WorkloadSpec:
     """A picklable recipe that rebuilds a workload's dataset deterministically.
 
-    A ``repro-engine`` server (:func:`repro.engine.remote.serve`) and a
-    :class:`~repro.engine.remote.client.RemoteBackend` without a prebuilt
-    engine each rebuild an identical :class:`Database` from it (same
-    datagen seed, same statistics, same plans) in their own process.
+    A ``repro-engine`` server (:func:`repro.engine.remote.serve`) rebuilds
+    an identical :class:`Database` from it (same datagen seed, same
+    statistics, same plans) in its own process, and advertises it in its
+    handshake.
     """
 
     name: str
@@ -154,11 +155,11 @@ class WorkloadSpec:
 
 @dataclass
 class Workload:
-    """A dataset plus its train/test query split."""
+    """A train/test query split and the engine that bound it: a fresh
+    local :class:`Database`, or an injected backend."""
 
     name: str
-    dataset: Dataset
-    database: Database
+    database: EngineBackend
     train: List[WorkloadQuery]
     test: List[WorkloadQuery]
     spec: Optional[WorkloadSpec] = None
@@ -179,7 +180,7 @@ class Workload:
 
 
 def instantiate_templates(
-    database: Database,
+    database: EngineBackend,
     templates: Sequence[QueryTemplate],
     queries_per_template: Sequence[int],
     seed: int,
@@ -264,9 +265,16 @@ def _resolve_builder(name: str, dataset_only: bool) -> Callable:
     return getattr(module, dataset_builder if dataset_only else workload_builder)
 
 
-def build_workload_by_name(name: str, scale: float = 1.0, seed: int = 1) -> Workload:
-    """Dispatch helper: "job", "tpcds" or "stack"."""
-    return _resolve_builder(name, dataset_only=False)(scale=scale, seed=seed)
+def build_workload_by_name(
+    name: str, scale: float = 1.0, seed: int = 1, backend: Optional[EngineBackend] = None
+) -> Workload:
+    """Dispatch helper: "job", "tpcds" or "stack".
+
+    The queries are bound through ``backend`` when one is given, which
+    generates no rows; otherwise through a fresh local :class:`Database`.
+    """
+    return _resolve_builder(name, dataset_only=False)(scale=scale, seed=seed, backend=backend)
+
 
 
 def build_dataset_by_name(name: str, scale: float = 1.0, seed: int = 1) -> Dataset:

@@ -13,12 +13,13 @@ pairs (``movie_info.info`` ~ ``info_type_id``, ``cast_info.note`` ~
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.catalog import datagen
 from repro.catalog.schema import ColumnSchema, ForeignKey, Schema, TableSchema
+from repro.engine.backend import EngineBackend
 from repro.engine.database import Database, Dataset
 from repro.storage.database import StorageDatabase
 from repro.storage.table import Table
@@ -443,18 +444,18 @@ def build_job_dataset(scale: float = 1.0, seed: int = 1) -> Dataset:
     return Dataset(name="job", schema=schema, storage=storage)
 
 
-def build_job_workload(scale: float = 1.0, seed: int = 1) -> Workload:
+def build_job_workload(
+    scale: float = 1.0, seed: int = 1, backend: Optional[EngineBackend] = None
+) -> Workload:
     """The full JOB-like workload: dataset + 113 queries split 94/19."""
-    dataset = build_job_dataset(scale=scale, seed=seed)
-    database = Database(dataset)
-    templates = _make_templates(dataset.schema, seed=seed + 100)
+    database = backend if backend is not None else Database(build_job_dataset(scale=scale, seed=seed))
+    templates = _make_templates(database.catalog.schema, seed=seed + 100)
     # 14 templates x 4 queries + 19 x 3 = 113, matching the paper's count.
     counts = [4] * 14 + [3] * 19
     queries = instantiate_templates(database, templates, counts, seed=seed + 200)
     train, test = split_train_test(queries, num_test=19, seed=seed + 300)
     return Workload(
         name="job",
-        dataset=dataset,
         database=database,
         train=train,
         test=test,

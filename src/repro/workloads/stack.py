@@ -8,10 +8,11 @@ estimates on the user/post foreign keys.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.catalog import datagen
 from repro.catalog.schema import ColumnSchema, ForeignKey, Schema, TableSchema
+from repro.engine.backend import EngineBackend
 from repro.engine.database import Database, Dataset
 from repro.storage.database import StorageDatabase
 from repro.storage.table import Table
@@ -264,11 +265,12 @@ def build_stack_dataset(scale: float = 1.0, seed: int = 3) -> Dataset:
     return Dataset(name="stack", schema=schema, storage=storage)
 
 
-def build_stack_workload(scale: float = 1.0, seed: int = 3) -> Workload:
+def build_stack_workload(
+    scale: float = 1.0, seed: int = 3, backend: Optional[EngineBackend] = None
+) -> Workload:
     """12 templates x 10 queries, 8 train / 2 test per template."""
-    dataset = build_stack_dataset(scale=scale, seed=seed)
-    database = Database(dataset)
-    templates = _make_templates(dataset.schema)
+    database = backend if backend is not None else Database(build_stack_dataset(scale=scale, seed=seed))
+    templates = _make_templates(database.catalog.schema)
     queries = instantiate_templates(database, templates, [10] * len(templates), seed=seed + 50)
     train: List = []
     test: List = []
@@ -278,7 +280,6 @@ def build_stack_workload(scale: float = 1.0, seed: int = 3) -> Workload:
         test.extend(group[8:10])
     return Workload(
         name="stack",
-        dataset=dataset,
         database=database,
         train=train,
         test=test,

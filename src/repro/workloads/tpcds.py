@@ -9,10 +9,11 @@ TPC-DS while reaching 6-8x on JOB.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.catalog import datagen
 from repro.catalog.schema import ColumnSchema, ForeignKey, Schema, TableSchema
+from repro.engine.backend import EngineBackend
 from repro.engine.database import Database, Dataset
 from repro.storage.database import StorageDatabase
 from repro.storage.table import Table
@@ -319,11 +320,12 @@ def build_tpcds_dataset(scale: float = 1.0, seed: int = 2) -> Dataset:
     return Dataset(name="tpcds", schema=schema, storage=storage)
 
 
-def build_tpcds_workload(scale: float = 1.0, seed: int = 2) -> Workload:
+def build_tpcds_workload(
+    scale: float = 1.0, seed: int = 2, backend: Optional[EngineBackend] = None
+) -> Workload:
     """19 templates x 6 queries, 5 train / 1 test per template."""
-    dataset = build_tpcds_dataset(scale=scale, seed=seed)
-    database = Database(dataset)
-    templates = _make_templates(dataset.schema)
+    database = backend if backend is not None else Database(build_tpcds_dataset(scale=scale, seed=seed))
+    templates = _make_templates(database.catalog.schema)
     queries = instantiate_templates(database, templates, [6] * len(templates), seed=seed + 50)
     train: List = []
     test: List = []
@@ -333,7 +335,6 @@ def build_tpcds_workload(scale: float = 1.0, seed: int = 2) -> Workload:
         test.extend(group[5:6])
     return Workload(
         name="tpcds",
-        dataset=dataset,
         database=database,
         train=train,
         test=test,

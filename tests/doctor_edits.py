@@ -69,7 +69,7 @@ class Corpus:
     def __init__(self, workload):
         self.database = database = workload.database
         self.reference = ReferenceEnumerator(
-            database.estimator, database.cost_model, database.storage.has_index
+            database.estimator, database.cost_model, database.catalog.has_index
         )
         rng = np.random.default_rng(11)
         self.entries = [

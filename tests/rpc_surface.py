@@ -83,7 +83,7 @@ def record_ops(url, workload, monkeypatch) -> Tuple[List[tuple], List[str]]:
     # A fresh client: its first socket sends the handshake, and its
     # planning memos are empty, so every planning call reaches the wire.
     try:
-        backend = RemoteBackend(url, database=database, timeout_s=CLIENT_TIMEOUT_S)
+        backend = RemoteBackend(url, timeout_s=CLIENT_TIMEOUT_S)
     except RemoteEngineError as exc:
         return sent, [f"connect: {exc}"]
     failures = []

@@ -206,7 +206,8 @@ class TestSessionPersistence:
             manifest = json.load(handle)
         # crc32-based and deterministic: recomputing over the same dataset
         # (and over a rebuild from the same spec) gives the same value.
-        assert manifest["dataset_fingerprint"] == dataset_fingerprint(job_workload.dataset)
+        assert manifest["dataset_fingerprint"] == dataset_fingerprint(job_workload.database.dataset)
+        assert manifest["dataset_fingerprint"] == job_workload.database.catalog.fingerprint
         assert manifest["dataset_fingerprint"].startswith("crc32:")
         rebuilt = job_workload.spec.build_dataset()
         assert dataset_fingerprint(rebuilt) == manifest["dataset_fingerprint"]

@@ -23,7 +23,7 @@ def env(request):
 class TestValueModel:
     def test_featurizer_fixed_dim(self, env):
         workload, db = env
-        featurizer = PlanFeaturizer(db.schema)
+        featurizer = PlanFeaturizer(db.catalog)
         for wq in workload.all_queries[:5]:
             plan = db.plan(wq.query).plan
             features = featurizer.featurize(wq.query, plan)
@@ -32,7 +32,7 @@ class TestValueModel:
 
     def test_learns_latency_ordering(self, env):
         workload, db = env
-        featurizer = PlanFeaturizer(db.schema)
+        featurizer = PlanFeaturizer(db.catalog)
         model = ValueModel(featurizer.dim, rng=np.random.default_rng(0))
         samples = []
         for wq in workload.train[:25]:

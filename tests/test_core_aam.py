@@ -30,7 +30,7 @@ from repro.nn import layers
 def setup(request):
     workload = request.getfixturevalue("job_workload")
     db = workload.database
-    encoder = PlanEncoder(db.schema, max_nodes=40, statistics=db.statistics)
+    encoder = PlanEncoder(db.catalog, max_nodes=40)
     config = AAMConfig(d_model=32, d_embed=8, d_state=32, num_heads=2, num_layers=1, ff_hidden=32, epochs=2)
     rng = np.random.default_rng(5)
     model = AdvantageModel(encoder.num_tables, encoder.num_columns, 40, config=config, rng=rng)
@@ -229,7 +229,7 @@ def pool(request):
     """A model factory's first model and 48 expert plans of mixed node counts."""
     workload = request.getfixturevalue("job_workload")
     db = workload.database
-    encoder = PlanEncoder(db.schema, max_nodes=40, statistics=db.statistics)
+    encoder = PlanEncoder(db.catalog, max_nodes=40)
 
     def make_model(seed, **config):
         return AdvantageModel(
@@ -563,7 +563,7 @@ def packed_pool(request, pool):
     the plan indices grouped by node count."""
     model, plans, _ = pool
     db = request.getfixturevalue("job_workload").database
-    encoder = PlanEncoder(db.schema, max_nodes=40, statistics=db.statistics)
+    encoder = PlanEncoder(db.catalog, max_nodes=40)
     query = db.sql("SELECT COUNT(*) FROM title AS t WHERE t.production_year > 2000", name="one_table")
     plans = plans + [encoder.encode(query, db.plan(query).plan)]
     assert plans[-1].num_nodes == 1

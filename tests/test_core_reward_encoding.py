@@ -128,7 +128,7 @@ class TestPlanEncoding:
     @pytest.fixture()
     def encoder(self, job_workload):
         db = job_workload.database
-        return PlanEncoder(db.schema, max_nodes=40, statistics=db.statistics)
+        return PlanEncoder(db.catalog, max_nodes=40)
 
     def _plan(self, job_workload, num_tables=4):
         db = job_workload.database
@@ -198,7 +198,7 @@ class TestPlanEncoding:
 
     def test_too_many_nodes_raises(self, job_workload):
         db = job_workload.database
-        small = PlanEncoder(db.schema, max_nodes=3)
+        small = PlanEncoder(db.catalog, max_nodes=3)
         query, plan = self._plan(job_workload)
         with pytest.raises(ValueError):
             small.encode(query, plan)
@@ -230,8 +230,8 @@ class TestBatchEncoderParity:
         db = job_workload.database
         pairs = self._pairs(job_workload, 10)
         assert len(pairs) >= 8
-        batch_enc = PlanEncoder(db.schema, max_nodes=40, statistics=db.statistics)
-        single_enc = PlanEncoder(db.schema, max_nodes=40, statistics=db.statistics)
+        batch_enc = PlanEncoder(db.catalog, max_nodes=40)
+        single_enc = PlanEncoder(db.catalog, max_nodes=40)
         batched = batch_enc.encode_many(pairs)
         for (query, plan), enc in zip(pairs, batched):
             ref = single_enc.encode(query, plan)
@@ -246,7 +246,7 @@ class TestBatchEncoderParity:
         field, each exactly its plan's ``2 * tables - 1`` nodes wide: no
         padding is stored."""
         db = job_workload.database
-        encoder = PlanEncoder(db.schema, max_nodes=40, statistics=db.statistics)
+        encoder = PlanEncoder(db.catalog, max_nodes=40)
         pairs = self._pairs(job_workload, 10)
         encoded = encoder.encode_many(pairs)
         total = sum(2 * len(plan.aliases) - 1 for _, plan in pairs)
@@ -263,7 +263,7 @@ class TestBatchEncoderParity:
         """A plan's reachability mask, its table count's ``left_deep_shape``,
         equals a per-plan Python ancestor closure."""
         db = job_workload.database
-        encoder = PlanEncoder(db.schema, max_nodes=40, statistics=db.statistics)
+        encoder = PlanEncoder(db.catalog, max_nodes=40)
         for query, plan in self._pairs(job_workload, 9):
             enc = encoder.encode(query, plan)
             # Mirror the encoder's pre-order walk to recover parent pointers.
@@ -290,8 +290,8 @@ class TestBatchEncoderParity:
         """A plan's heights do not depend on the batch it is encoded in."""
         db = job_workload.database
         pairs = self._pairs(job_workload, 9)
-        small = PlanEncoder(db.schema, max_nodes=40, statistics=db.statistics)
-        large = PlanEncoder(db.schema, max_nodes=40, statistics=db.statistics)
+        small = PlanEncoder(db.catalog, max_nodes=40)
+        large = PlanEncoder(db.catalog, max_nodes=40)
         large_encs = large.encode_many(pairs)
         for (query, plan), big in zip(pairs, large_encs):
             np.testing.assert_array_equal(
@@ -336,9 +336,7 @@ class TestEncoderAgainstReference:
 
     def check(self, workload, pairs, max_nodes=None):
         encoder = PlanEncoder(
-            workload.database.schema,
-            max_nodes=max_nodes or 2 * max(workload.max_query_tables, 2),
-            statistics=workload.database.statistics,
+            workload.database.catalog, max_nodes=max_nodes or 2 * max(workload.max_query_tables, 2)
         )
         assert self.FIELDS == ["int_block", "fint_block", "filter_vals"]
         for size in (1, 7, 8, 16, 64):
@@ -373,7 +371,7 @@ class TestEncoderAgainstReference:
         included, are ``left_deep_shape``'s."""
         db = job_workload.database
         query = job_workload.all_queries[0].query
-        table = db.schema.table_names[0]
+        table = db.catalog.schema.table_names[0]
         pairs = []
         for tables in range(1, 40 // 2 + 1):
             query = Query(
@@ -388,7 +386,7 @@ class TestEncoderAgainstReference:
                 plan = JoinNode(left=plan, right=right, method=("hash", "merge", "nestloop")[j % 3])
             pairs.append((query, to_record(plan, query)))
         self.check(job_workload, pairs, max_nodes=40)
-        encoder = PlanEncoder(db.schema, max_nodes=40, statistics=db.statistics)
+        encoder = PlanEncoder(db.catalog, max_nodes=40)
         for tables, want in enumerate(reference_encoding.encode_batch(encoder, pairs), 1):
             assert want.num_nodes == 2 * tables - 1
             shape = left_deep_shape(tables, 40)
@@ -410,7 +408,7 @@ class TestEncoderAgainstReference:
         bushy = JoinNode(left=JoinNode(left=a, right=b, method="hash"), right=right, method="hash")
         with pytest.raises(ValueError, match="left-deep"):
             to_record(bushy, query)
-        encoder = PlanEncoder(db.schema, max_nodes=40, statistics=db.statistics)
+        encoder = PlanEncoder(db.catalog, max_nodes=40)
         halves = []
         for half in (bushy.right, bushy.left):
             aliases = [scan.alias for scan in _scans(half)]
@@ -445,7 +443,7 @@ class TestLeafCacheLRU:
         )
         cap = q1.num_tables + q2.num_tables
         encoder = PlanEncoder(
-            db.schema, max_nodes=40, statistics=db.statistics, cache_capacity=cap
+            db.catalog, max_nodes=40, cache_capacity=cap
         )
         encoder.encode(q1, p1)
         keys_q1 = set(encoder._leaf_cache)
@@ -463,7 +461,7 @@ class TestLeafCacheLRU:
     def test_leaf_cache_bounded(self, job_workload):
         db = job_workload.database
         encoder = PlanEncoder(
-            db.schema, max_nodes=40, statistics=db.statistics, cache_capacity=5
+            db.catalog, max_nodes=40, cache_capacity=5
         )
         for w in [w for w in job_workload.all_queries if w.query.num_tables >= 3][:6]:
             encoder.encode(w.query, db.plan(w.query).plan)

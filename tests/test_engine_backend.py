@@ -26,7 +26,7 @@ from repro.api import FossConfig, FossSession
 from repro.api.service import DEFAULT_MEMO_CAPACITY
 from repro.core.aam import AAMConfig
 from repro.core.icp import IncompletePlan
-from repro.engine.backend import EngineBackend, LocalBackend, make_backend
+from repro.engine.backend import EngineBackend, LocalBackend
 from repro.engine.database import Database
 from repro.engine.remote import EngineServer, RemoteBackend
 from reference_plans import ScanNode, iter_nodes, to_tree
@@ -61,21 +61,21 @@ class TestProtocolConformance:
         assert isinstance(backend, Database)
         assert isinstance(backend, EngineBackend)
 
-    def test_make_backend_picks_local_or_remote(self, tiny_db):
-        workload = Workload(
-            name="x", dataset=tiny_db.dataset, database=tiny_db, train=[], test=[], spec=None
-        )
-        assert make_backend(workload) is tiny_db
+    def test_session_picks_local_or_remote_backend(self, tiny_db):
+        workload = Workload(name="x", database=tiny_db, train=[], test=[], spec=None)
+        with FossSession.open(workload=workload) as session:
+            assert session.backend is tiny_db
         server_db = WorkloadSpec("job", scale=0.02, seed=5).build_database()
         with EngineServer(server_db) as server:
             server.start()
-            backend = make_backend(workload, engine_url=server.url)
-            try:
+            config = FossConfig(engine_url=server.url)
+            with FossSession.open(workload=workload, config=config) as session:
+                backend = session.backend
                 assert isinstance(backend, RemoteBackend)
                 assert isinstance(backend, EngineBackend)
-                assert backend.local is tiny_db
-            finally:
-                backend.close()
+                assert backend.catalog.fingerprint == server_db.catalog.fingerprint
+            with pytest.raises(RuntimeError, match="closed"):
+                backend.ping()  # the session connected it, so it closed it
 
 
 class TestDynamicTimeout:
@@ -317,14 +317,16 @@ class TestStatementCache:
         # A plan-memo hit must never be preceded by a bind miss.
         assert tiny_db._statement_cache.capacity >= DEFAULT_MEMO_CAPACITY
 
-    def _check_clearing(self, backend, database):
-        """``database`` is the engine ``backend.sql`` binds on (itself, or its mirror)."""
+    def _check_clearing(self, backend):
+        """``backend.sql`` binds through its own statement cache, which
+        only ``clear_caches`` empties."""
         text = STATEMENT.format(7)
         first = backend.sql(text)
         assert backend.sql(text) is first
-        assert backend.stats()["statement_cache"] == database.stats()["statement_cache"] == 1
-        database.clear_plan_cache()
-        assert backend.sql(text) is first
+        assert backend.stats()["statement_cache"] == 1
+        if isinstance(backend, Database):
+            backend.clear_plan_cache()
+            assert backend.sql(text) is first
         backend.clear_caches()
         assert backend.stats()["statement_cache"] == 0
         again = backend.sql(text)
@@ -332,14 +334,14 @@ class TestStatementCache:
         assert again == first
 
     def test_clear_caches_empties_it_on_local(self, fresh_db):
-        self._check_clearing(fresh_db, fresh_db)
+        self._check_clearing(fresh_db)
 
     def test_clear_caches_empties_it_on_remote(self, fresh_db):
         server_db = WorkloadSpec("job", scale=0.02, seed=5).build_database()
         with EngineServer(server_db) as server:
             server.start()
-            with RemoteBackend(server.url, database=fresh_db, timeout_s=60.0) as backend:
-                self._check_clearing(backend, fresh_db)
+            with RemoteBackend(server.url, timeout_s=60.0) as backend:
+                self._check_clearing(backend)
 
     def test_eight_threads_binding_the_same_texts_share_equal_queries(self, fresh_db):
         texts = [STATEMENT.format(i) for i in range(16)]
@@ -420,8 +422,8 @@ class TestStatementsSharingAName:
         server_db = WorkloadSpec("job", scale=0.02, seed=5).build_database()
         with EngineServer(server_db) as server:
             server.start()
-            with RemoteBackend(server.url, database=fresh_db, timeout_s=60.0) as first, \
-                    RemoteBackend(server.url, database=fresh_db, timeout_s=60.0) as second:
+            with RemoteBackend(server.url, timeout_s=60.0) as first, \
+                    RemoteBackend(server.url, timeout_s=60.0) as second:
                 for client, text in zip((first, second, first), SAME_NAME):
                     self.check(client, fresh_db, [client.sql(text, name="same")])
 

@@ -186,7 +186,7 @@ def aam_setup(request):
 
     workload = request.getfixturevalue("job_workload")
     db = workload.database
-    encoder = PlanEncoder(db.schema, max_nodes=40, statistics=db.statistics)
+    encoder = PlanEncoder(db.catalog, max_nodes=40)
     config = AAMConfig(
         d_model=32, d_embed=8, d_state=32, num_heads=2, num_layers=2, ff_hidden=32
     )
@@ -213,7 +213,7 @@ def plan_pool(request):
 
     workload = request.getfixturevalue("job_workload")
     db = workload.database
-    encoder = PlanEncoder(db.schema, max_nodes=40, statistics=db.statistics)
+    encoder = PlanEncoder(db.catalog, max_nodes=40)
 
     def make_model(seed, num_layers=2):
         config = AAMConfig(

@@ -409,7 +409,7 @@ def planners():
         workload = build_workload_by_name(name, scale=0.02, seed=1)
         database = workload.database
         reference = ReferenceEnumerator(
-            database.estimator, database.cost_model, database.storage.has_index
+            database.estimator, database.cost_model, database.catalog.has_index
         )
         reference.optimize = memoized(reference.optimize)
         built[name] = (workload, reference)
@@ -546,8 +546,8 @@ class TestFastPathParity:
         workload, _ = planners["job"]
         database = workload.database
         inflated = InflatedEstimator(database.estimator, 1e196)
-        enumerator = PlanEnumerator(inflated, database.cost_model, database.storage.has_index)
-        reference = ReferenceEnumerator(inflated, database.cost_model, database.storage.has_index)
+        enumerator = PlanEnumerator(inflated, database.cost_model, database.catalog.has_index)
+        reference = ReferenceEnumerator(inflated, database.cost_model, database.catalog.has_index)
         query = next(wq.query for wq in workload.all_queries if wq.query.num_tables == 9)
         plans = {}
         with warnings.catch_warnings():
@@ -839,14 +839,20 @@ class TestSharedJoinSpace:
         queries = [wq.query for wq in workload.all_queries[:4]]
         with EngineServer(server_database) as server:
             server.start()
-            client_database = Database(workload.database.dataset)
-            with RemoteBackend(server.url, database=client_database, timeout_s=60.0) as backend:
+            with RemoteBackend(server.url, timeout_s=60.0) as backend:
                 backend.plan_many(queries)
                 assert server_database.stats()["join_spaces"] == len(queries)
-                # The baselines search the client mirror's space, no round trip.
-                assert backend.join_space(queries[0]) is client_database.join_space(queries[0])
+                # The baselines search a space built from the server's
+                # catalog, with no round trip, and the server's expert finds
+                # its own plan there.
+                space = backend.join_space(queries[0])
+                assert backend.join_space(queries[0]) is space
+                assert server_database.enumerator.search(space) == server_database.plan(
+                    queries[0]
+                ).plan
                 backend.clear_caches()
                 assert server_database.stats()["join_spaces"] == 0
+                assert backend.join_space(queries[0]) is not space
 
 
 # ----------------------------------------------------------------------

@@ -68,7 +68,7 @@ def test_encoder_arrays(request, name):
     workload = request.getfixturevalue(name)
     db = workload.database
     encoder = PlanEncoder(
-        db.schema, max_nodes=2 * max(workload.max_query_tables, 2), statistics=db.statistics
+        db.catalog, max_nodes=2 * max(workload.max_query_tables, 2)
     )
     entries = request.getfixturevalue(CORPORA[name]).entries
     triples = [(entry.query, plan, tree) for entry in entries for plan, tree in zip(entry.plans, entry.trees)]

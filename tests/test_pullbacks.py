@@ -152,7 +152,7 @@ def plan_pool(request):
     is no power of two, so a LayerNorm dividing by it shows."""
     workload = request.getfixturevalue("job_workload")
     db = workload.database
-    encoder = PlanEncoder(db.schema, max_nodes=40, statistics=db.statistics)
+    encoder = PlanEncoder(db.catalog, max_nodes=40)
 
     def make_model(seed, num_layers):
         config = AAMConfig(

@@ -4,15 +4,14 @@ The contracts under test (see :mod:`repro.engine.remote`):
 
 * plans are **bitwise-identical** across ``LocalBackend`` and
   ``RemoteBackend`` — including the batched ``*_many`` mirrors — because
-  both backends rebuild the same dataset from the same
-  :class:`WorkloadSpec` (here the server builds its *own*
-  engine from the spec, so the wire genuinely separates client and
-  server);
+  the server's engine is rebuilt from the workload's
+  :class:`WorkloadSpec` and the client holds only the catalog it sent;
 * two tenant sessions opened over **one** ``RemoteBackend`` serve the
   same plans as a local session, and neither closes the backend it was
   handed;
-* the connect-time fingerprint handshake refuses client/server datagen
-  drift, and the session manifest records the remote fingerprint;
+* the connect-time handshake refuses a server with another recipe than
+  the client's spec, every reconnect is held to the first hello's
+  fingerprint, and a checkpoint is held to the server's;
 * the handshake refuses a server that speaks another wire protocol
   version;
 * the wire's op table (:data:`repro.engine.wire.OPS`) is exactly what the
@@ -28,6 +27,7 @@ fast, not hang tier-1.
 
 from __future__ import annotations
 
+import dataclasses
 import faulthandler
 import json
 import os
@@ -40,11 +40,12 @@ import pytest
 
 from repro import obs
 from repro.api import FossConfig, FossSession, RequestContext
+from repro.catalog import datagen
 from repro.core.aam import AAMConfig
 from repro.core.icp import IncompletePlan
 from repro.core.trainer import FossTrainer
-from repro.engine.backend import make_backend
-from repro.engine.database import dataset_fingerprint
+from repro.engine.database import Database
+from repro.core.persistence import CheckpointError
 from repro.engine.remote import EngineServer, RemoteBackend, RemoteEngineError
 from repro.engine.wire import (
     OPS,
@@ -120,7 +121,7 @@ def engine_server(server_db):
 @pytest.fixture(scope="module")
 def remote_backend(engine_server, job_workload):
     with RemoteBackend(
-        engine_server.url, database=job_workload.database, timeout_s=CLIENT_TIMEOUT_S
+        engine_server.url, timeout_s=CLIENT_TIMEOUT_S
     ) as backend:
         yield backend
 
@@ -188,8 +189,8 @@ class TestBackendParity:
         assert remote_backend.executions == after_miss, "server cache hit must not count"
 
     def test_executions_are_the_servers_alone(self, job_workload, server_db, remote_backend):
-        """The mirror is the workload's own engine: its executions belong to
-        its other callers, never to the remote backend's count."""
+        """Another engine's executions, the workload's own here, never count
+        as the remote backend's."""
         mirror = job_workload.database
         query = mirror.sql("SELECT COUNT(*) FROM title AS t WHERE t.id < 7", "mirror-only")
         before, mirror_before = remote_backend.executions, mirror.executions
@@ -287,12 +288,10 @@ class TestRemoteServing:
         session.save(path)
         with open(os.path.join(path, "checkpoint.json")) as handle:
             manifest = json.load(handle)
-        assert manifest["remote"]["engine_url"] == remote_backend.url
-        assert (
-            manifest["remote"]["dataset_fingerprint"]
-            == remote_backend.remote_fingerprint
-            == manifest["dataset_fingerprint"]
-        )
+        # The server's catalog's fingerprint is the manifest's own: the
+        # handshake makes it the one the doctor was trained against.
+        assert "remote" not in manifest
+        assert manifest["dataset_fingerprint"] == remote_backend.catalog.fingerprint
         restored = FossSession.load(path, backend=remote_backend)
         sql = job_workload.train[0].sql
         assert plan_signature(
@@ -302,9 +301,8 @@ class TestRemoteServing:
     def test_load_rejects_drifted_remote_server(
         self, job_workload, remote_backend, tmp_path
     ):
-        """A server whose datagen drifted after the save, with a client
-        mirror that drifted with it: the handshake passes (server and
-        mirror agree), and ``load`` refuses the mirror for the manifest."""
+        """A server whose datagen drifted after the save: the client takes
+        its catalog at connect, and ``load`` refuses it for the manifest."""
         path = str(tmp_path / "remote-doctor-drift")
         session = FossSession.open(
             workload=job_workload, config=tiny_config(), backend=remote_backend
@@ -315,11 +313,55 @@ class TestRemoteServing:
         with EngineServer(drifted_db) as server:
             server.start()
             with RemoteBackend(
-                server.url, database=drifted_db, timeout_s=CLIENT_TIMEOUT_S
+                server.url, timeout_s=CLIENT_TIMEOUT_S
             ) as drifted:
-                assert drifted.remote_fingerprint != remote_backend.remote_fingerprint
+                assert drifted.catalog.fingerprint != remote_backend.catalog.fingerprint
                 with pytest.raises(ValueError, match="fingerprint mismatch"):
                     FossSession.load(path, backend=drifted)
+
+
+def _hello_reply(server) -> bytes:
+    """The reply frame payload a server's handshake sends."""
+    return encode_message(server._dispatch(encode_request("fingerprint", None, None)))
+
+
+class TestNoRowsInAClient:
+    def test_a_client_and_its_sessions_generate_no_rows(
+        self, server_db, job_workload, tmp_path, monkeypatch
+    ):
+        """Connecting, opening a named session and loading a checkpoint over
+        a remote engine neither generates a table nor builds an engine:
+        the client binds, encodes and plans from the server's catalog."""
+        path = str(tmp_path / "doctor")
+        FossSession.open(workload=job_workload, config=tiny_config()).save(path)
+        spec = job_workload.spec
+        sql = job_workload.test[0].sql
+        with EngineServer(server_db, workload_info=dataclasses.asdict(spec)) as server:
+            server.start()
+            built = []
+
+            def spy(name, original):
+                def counted(*args, **kwargs):
+                    built.append(name)
+                    return original(*args, **kwargs)
+
+                return counted
+
+            monkeypatch.setattr(
+                datagen, "generate_tables", spy("generate_tables", datagen.generate_tables)
+            )
+            monkeypatch.setattr(Database, "__init__", spy("Database", Database.__init__))
+            with RemoteBackend(server.url, spec=spec, timeout_s=CLIENT_TIMEOUT_S) as remote:
+                with FossSession.open(
+                    spec.name, scale=spec.scale, seed=spec.seed, config=tiny_config(),
+                    backend=remote,
+                ) as session:
+                    opened = session.service().optimize_sql(sql).plan
+                with FossSession.load(path, backend=remote) as loaded:
+                    restored = loaded.service().optimize_sql(sql).plan
+            monkeypatch.undo()
+        assert built == []
+        assert plan_signature(opened) == plan_signature(restored)
 
 
 # ----------------------------------------------------------------------
@@ -342,16 +384,38 @@ class TestOpTable:
 # robustness: handshake, reconnect, corrupt clients, limits
 # ----------------------------------------------------------------------
 class TestRemoteRobustness:
-    def test_handshake_refuses_fingerprint_mismatch(self, server_db, job_workload):
+    def test_handshake_refuses_another_recipe(self, server_db, job_workload):
+        """A client built for one recipe refuses a server that advertises
+        another at connect, and accepts one that advertises its own."""
+        spec = job_workload.spec
+        recipe = dataclasses.asdict(spec)
+        drifted = dict(recipe, seed=spec.seed + 1)  # simulated drift
+        with EngineServer(server_db, workload_info=drifted) as server:
+            server.start()
+            with pytest.raises(RemoteEngineError, match="expects"):
+                RemoteBackend(server.url, spec=spec, timeout_s=CLIENT_TIMEOUT_S)
+        with EngineServer(server_db, workload_info=recipe) as server:
+            server.start()
+            with RemoteBackend(server.url, spec=spec, timeout_s=CLIENT_TIMEOUT_S) as client:
+                assert client.catalog.fingerprint == server_db.catalog.fingerprint
+
+    def test_load_refuses_a_server_with_another_fingerprint(
+        self, server_db, job_workload, tmp_path
+    ):
+        """A client holds no dataset of its own to compare a first hello
+        with, so a server serving other data than a checkpoint's is refused
+        where the two meet: ``load`` holds the checkpoint to the catalog."""
+        path = str(tmp_path / "doctor")
+        FossSession.open(workload=job_workload, config=tiny_config()).save(path)
         with EngineServer(server_db) as server:
             server.start()
-            server._fingerprint = "crc32:deadbeef:rows=0"  # simulated drift
-            with pytest.raises(RemoteEngineError, match="fingerprint mismatch"):
-                RemoteBackend(
-                    server.url,
-                    database=job_workload.database,
-                    timeout_s=CLIENT_TIMEOUT_S,
-                )
+            server.catalog = dataclasses.replace(
+                server.catalog, fingerprint="crc32:deadbeef:rows=0"  # simulated drift
+            )
+            with RemoteBackend(server.url, timeout_s=CLIENT_TIMEOUT_S) as client:
+                assert client.catalog.fingerprint == "crc32:deadbeef:rows=0"
+                with pytest.raises(CheckpointError, match="fingerprint mismatch"):
+                    FossSession.load(path, backend=client)
 
     def test_handshake_refuses_another_protocol_version(self, job_workload):
         """A server that advertises protocol 2 — replying the way a v2
@@ -359,7 +423,7 @@ class TestRemoteRobustness:
         attempt, and the client's socket is closed, not leaked."""
         hello = {
             "protocol": 2,
-            "dataset_fingerprint": dataset_fingerprint(job_workload.database.dataset),
+            "dataset_fingerprint": job_workload.database.catalog.fingerprint,
         }
         listener = socket.create_server(("127.0.0.1", 0))
         listener.settimeout(CLIENT_TIMEOUT_S)
@@ -390,7 +454,6 @@ class TestRemoteRobustness:
             with pytest.raises(RemoteEngineError, match="protocol 2"):
                 RemoteBackend(
                     f"tcp://127.0.0.1:{listener.getsockname()[1]}",
-                    database=job_workload.database,
                     timeout_s=CLIENT_TIMEOUT_S,
                     max_reconnects=3,
                     reconnect_backoff_s=0.01,
@@ -432,7 +495,6 @@ class TestRemoteRobustness:
         port = first.port
         client = RemoteBackend(
             first.url,
-            database=job_workload.database,
             pool_size=1,
             timeout_s=CLIENT_TIMEOUT_S,
             max_reconnects=3,
@@ -465,7 +527,6 @@ class TestRemoteRobustness:
         port = first.port
         client = RemoteBackend(
             first.url,
-            database=job_workload.database,
             pool_size=1,
             timeout_s=CLIENT_TIMEOUT_S,
             max_reconnects=3,
@@ -475,7 +536,9 @@ class TestRemoteRobustness:
             assert client.ping()
             first.close()
             second = EngineServer(server_db, port=port)
-            second._fingerprint = "crc32:deadbeef:rows=0"  # simulated drift
+            second.catalog = dataclasses.replace(
+                second.catalog, fingerprint="crc32:deadbeef:rows=0"  # simulated drift
+            )
             second.start()
             try:
                 with pytest.raises(RemoteEngineError, match="drift"):
@@ -486,8 +549,10 @@ class TestRemoteRobustness:
             client.close()
             first.close()
 
-    def test_oversized_response_reported_not_dropped(self, server_db, job_workload):
-        queries = [w.query for w in job_workload.train[:8]]
+    def test_oversized_response_reported_not_dropped(
+        self, server_db, engine_server, job_workload
+    ):
+        queries = [w.query for w in job_workload.train]
         request_size = len(
             encode_request("plan_many", ([query_to_wire(q) for q in queries], None), None)
         )
@@ -498,14 +563,15 @@ class TestRemoteRobustness:
                 ("ok", ([planning_to_wire(r) for r in results], server_db.executions, ()))
             )
         )
-        if response_size <= request_size + 64:
-            pytest.skip("plan trees not larger than queries at this scale")
-        # The request (and the fingerprint handshake) fit; the response can't.
-        cap = request_size + 32
+        hello_size = len(_hello_reply(engine_server))
+        # The request and the fingerprint handshake fit; the response can't.
+        cap = max(request_size, hello_size) + 32
+        if response_size <= cap:
+            pytest.skip("plans not larger than queries and the catalog at this scale")
         with EngineServer(server_db, max_frame_bytes=cap) as server:
             server.start()
             client = RemoteBackend(
-                server.url, database=job_workload.database, timeout_s=CLIENT_TIMEOUT_S
+                server.url, timeout_s=CLIENT_TIMEOUT_S
             )
             try:
                 with pytest.raises(RemoteEngineError, match="response frame too large"):
@@ -533,14 +599,13 @@ class TestRemoteRobustness:
         assert remote_backend.ping(), "server must keep serving other clients"
 
     def test_oversized_request_rejected_client_side(self, engine_server, job_workload):
-        client = RemoteBackend(
-            engine_server.url,
-            database=job_workload.database,
-            timeout_s=CLIENT_TIMEOUT_S,
-            max_frame_bytes=128,  # far below any real batch request
-        )
+        # Room for the handshake's catalog, below a batch of every query.
+        cap = len(_hello_reply(engine_server)) + 64
+        client = RemoteBackend(engine_server.url, timeout_s=CLIENT_TIMEOUT_S, max_frame_bytes=cap)
         try:
-            queries = [w.query for w in job_workload.train[:2]]
+            queries = [w.query for w in job_workload.train]
+            wire = ([query_to_wire(q) for q in queries], None)
+            assert len(encode_request("plan_many", wire, None)) > cap
             with pytest.raises(FrameTooLargeError):
                 client.plan_many(queries)
         finally:
@@ -548,16 +613,16 @@ class TestRemoteRobustness:
 
     def test_calls_after_close_raise(self, engine_server, job_workload):
         client = RemoteBackend(
-            engine_server.url, database=job_workload.database, timeout_s=CLIENT_TIMEOUT_S
+            engine_server.url, timeout_s=CLIENT_TIMEOUT_S
         )
         client.close()
         client.close()  # idempotent
         with pytest.raises(RuntimeError, match="closed"):
             client.ping()
 
-    def test_make_backend_url_validation(self, job_workload):
+    def test_engine_url_validation(self):
         with pytest.raises(ValueError, match="tcp://"):
-            make_backend(job_workload, engine_url="http://localhost:80")
+            RemoteBackend("http://localhost:80")
         with pytest.raises(ValueError, match="engine_url"):
             FossConfig(engine_url="localhost:7733")
 

@@ -115,7 +115,7 @@ def engine_server(job_workload):
 @pytest.fixture(scope="module")
 def remote_backend(engine_server, job_workload):
     with RemoteBackend(
-        engine_server.url, database=job_workload.database, timeout_s=CLIENT_TIMEOUT_S
+        engine_server.url, timeout_s=CLIENT_TIMEOUT_S
     ) as backend:
         yield backend
 
@@ -458,7 +458,6 @@ class TestWireProtocol:
             with pytest.raises(RemoteTimeoutError, match="timed out"):
                 RemoteBackend(
                     f"tcp://127.0.0.1:{port}",
-                    database=job_workload.database,
                     timeout_s=0.2,
                     max_reconnects=1,
                     reconnect_backoff_s=0.01,
@@ -476,7 +475,6 @@ class TestWireProtocol:
         with pytest.raises(RemoteEngineError, match="connection refused"):
             RemoteBackend(
                 f"tcp://127.0.0.1:{port}",
-                database=job_workload.database,
                 timeout_s=CLIENT_TIMEOUT_S,
                 max_reconnects=5,
                 reconnect_backoff_s=30.0,  # would cost minutes if retried

@@ -12,7 +12,9 @@ from hypothesis import given, settings, strategies as st
 
 import reference_lexer
 from reference_dp import joins_between, query_join_graph
+from repro.catalog.catalog import Catalog
 from repro.catalog.schema import ColumnSchema, ForeignKey, Schema, TableSchema
+from repro.catalog.statistics import StatisticsCatalog
 from repro.sql.ast import ColumnRef, FilterPredicate, JoinPredicate, Query
 from repro.sql.binder import BindError, bind_query
 from repro.sql.lexer import LexError, tokenize
@@ -34,7 +36,7 @@ def schema():
 
 
 @pytest.fixture()
-def storage():
+def catalog(schema):
     db = StorageDatabase()
     db.add_table(Table.from_arrays("users", {"id": np.arange(5), "age": np.array([20, 30, 40, 50, 60])}))
     db.add_table(
@@ -43,7 +45,7 @@ def storage():
             {"id": np.arange(6), "user_id": np.array([0, 0, 1, 2, 3, 4]), "total": np.arange(6) * 10},
         )
     )
-    return db
+    return Catalog.of(schema, db, StatisticsCatalog.analyze(db), "crc32:00000000:rows=11")
 
 
 class TestLexer:
@@ -321,45 +323,45 @@ class TestParser:
 
 
 class TestBinder:
-    def test_bind_resolves_names(self, schema, storage):
+    def test_bind_resolves_names(self, catalog):
         raw = parse_query(
             "SELECT COUNT(*) FROM users AS u, orders AS o WHERE o.user_id = u.id AND u.age > 25"
         )
-        query = bind_query(raw, schema, storage, name="q1")
+        query = bind_query(raw, catalog, name="q1")
         assert query.num_tables == 2
         assert query.join_predicates[0].left.column == "user_id"
         assert query.name == "q1"
 
-    def test_unknown_table_raises(self, schema, storage):
+    def test_unknown_table_raises(self, catalog):
         raw = parse_query("SELECT COUNT(*) FROM nope n")
         with pytest.raises(BindError):
-            bind_query(raw, schema, storage)
+            bind_query(raw, catalog)
 
-    def test_unknown_column_raises(self, schema, storage):
+    def test_unknown_column_raises(self, catalog):
         raw = parse_query("SELECT COUNT(*) FROM users u WHERE u.nope = 1")
         with pytest.raises(BindError):
-            bind_query(raw, schema, storage)
+            bind_query(raw, catalog)
 
-    def test_disconnected_join_graph_raises(self, schema, storage):
+    def test_disconnected_join_graph_raises(self, catalog):
         raw = parse_query("SELECT COUNT(*) FROM users u, orders o WHERE u.age > 1")
         with pytest.raises(BindError):
-            bind_query(raw, schema, storage)
+            bind_query(raw, catalog)
 
-    def test_self_join_predicate_raises(self, schema, storage):
+    def test_self_join_predicate_raises(self, catalog):
         raw = parse_query("SELECT COUNT(*) FROM users u, orders o WHERE u.id = u.id AND o.user_id = u.id")
         with pytest.raises(BindError):
-            bind_query(raw, schema, storage)
+            bind_query(raw, catalog)
 
 
 class TestQueryAst:
-    def _query(self, schema, storage):
+    def _query(self, catalog):
         raw = parse_query(
             "SELECT COUNT(*) FROM users AS u, orders AS o WHERE o.user_id = u.id AND u.age > 25"
         )
-        return bind_query(raw, schema, storage)
+        return bind_query(raw, catalog)
 
-    def test_join_graph_connected(self, schema, storage):
-        query = self._query(schema, storage)
+    def test_join_graph_connected(self, catalog):
+        query = self._query(catalog)
         assert query.is_connected()
 
     @pytest.mark.parametrize("name", ["job", "tpcds", "stack"])
@@ -383,25 +385,25 @@ class TestQueryAst:
     def test_is_connected_without_tables(self):
         assert not Query(tables={}, join_predicates=[], filters=[]).is_connected()
 
-    def test_disconnected_join_graph_is_a_bind_error(self, schema, storage):
+    def test_disconnected_join_graph_is_a_bind_error(self, catalog):
         raw = parse_query("SELECT COUNT(*) FROM users AS u, orders AS o WHERE u.age > 25")
         with pytest.raises(BindError, match="query join graph is not connected"):
-            bind_query(raw, schema, storage)
-        bind_query(parse_query("SELECT COUNT(*) FROM users AS u WHERE u.age > 25"), schema, storage)
+            bind_query(raw, catalog)
+        bind_query(parse_query("SELECT COUNT(*) FROM users AS u WHERE u.age > 25"), catalog)
 
-    def test_filters_for(self, schema, storage):
-        query = self._query(schema, storage)
+    def test_filters_for(self, catalog):
+        query = self._query(catalog)
         assert len(query.filters_for("u")) == 1
         assert query.filters_for("o") == []
 
-    def test_joins_between(self, schema, storage):
-        query = self._query(schema, storage)
+    def test_joins_between(self, catalog):
+        query = self._query(catalog)
         assert len(joins_between(query, ["u"], ["o"])) == 1
         assert joins_between(query, ["u"], ["u"]) == []
 
-    def test_to_sql_round_trips(self, schema, storage):
-        query = self._query(schema, storage)
-        reparsed = bind_query(parse_query(query.to_sql()), schema, storage)
+    def test_to_sql_round_trips(self, catalog):
+        query = self._query(catalog)
+        reparsed = bind_query(parse_query(query.to_sql()), catalog)
         assert reparsed.tables == query.tables
         assert len(reparsed.filters) == len(query.filters)
 
@@ -425,6 +427,6 @@ def test_parse_bind_roundtrip_property(age, op):
         tables=[TableSchema("users", [ColumnSchema("id", is_primary_key=True), ColumnSchema("age")])]
     )
     raw = parse_query(f"SELECT COUNT(*) FROM users u WHERE u.age {op} {age}")
-    query = bind_query(raw, schema)
+    query = bind_query(raw, Catalog(schema, {}, StatisticsCatalog(), frozenset(), ""))
     assert query.filters[0].op == op
     assert query.filters[0].value == float(age)

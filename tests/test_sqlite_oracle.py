@@ -64,9 +64,9 @@ MIN_COMPARED_SHARE = 0.85
 
 def check_workload(workload):
     """(compared, timed out, over budget, disagreements) over every query."""
-    engine = Database(workload.dataset)
+    engine = Database(workload.database.dataset)
     compared, timed_out, over_budget, differ = 0, [], [], []
-    with closing(sqlite_oracle.load(workload.dataset)) as conn:
+    with closing(sqlite_oracle.load(workload.database.dataset)) as conn:
         for wq in workload.train + workload.test:
             result = engine.execute(wq.query, engine.plan(wq.query).plan, timeout_ms=None)
             if result.timed_out:
@@ -77,7 +77,7 @@ def check_workload(workload):
                 over_budget.append(wq.query_id)
                 continue
             compared += 1
-            problem = sqlite_oracle.disagreement(wq.query, row, result, workload.dataset.storage)
+            problem = sqlite_oracle.disagreement(wq.query, row, result, workload.database.storage)
             if problem is not None:
                 differ.append(f"{wq.query_id}: {problem}")
     return compared, timed_out, over_budget, differ
@@ -103,10 +103,10 @@ EDIT_STRIDE = 4
 def check_edits(workload):
     """(compared, timed out, disagreements) over the two doctor-like edits
     of every EDIT_STRIDE-th query that SQLite answers within budget."""
-    engine = Database(workload.dataset)
+    engine = Database(workload.database.dataset)
     rng = np.random.default_rng(21)
     compared, timed_out, differ = 0, [], []
-    with closing(sqlite_oracle.load(workload.dataset)) as conn:
+    with closing(sqlite_oracle.load(workload.database.dataset)) as conn:
         for wq in workload.all_queries[::EDIT_STRIDE]:
             row = sqlite_oracle.run(conn, wq.sql, STEP_BUDGET)
             if row is None:
@@ -117,7 +117,7 @@ def check_edits(workload):
                     timed_out.append(f"{wq.query_id}/{index}")
                     continue
                 compared += 1
-                problem = sqlite_oracle.disagreement(wq.query, row, result, workload.dataset.storage)
+                problem = sqlite_oracle.disagreement(wq.query, row, result, workload.database.storage)
                 if problem is not None:
                     differ.append(f"{wq.query_id}/{index}: {problem}")
     return compared, timed_out, differ

@@ -148,7 +148,7 @@ class TestSchema:
 
     @pytest.mark.parametrize("name", ["job_workload", "stack_workload", "tpcds_workload"])
     def test_adjacency_matches_graph_on_workload_schemas(self, request, name):
-        self.assert_adjacency_matches_graph(request.getfixturevalue(name).database.schema)
+        self.assert_adjacency_matches_graph(request.getfixturevalue(name).database.catalog.schema)
 
     def test_fk_validation(self):
         with pytest.raises(KeyError):

@@ -56,7 +56,7 @@ def test_queries_cross_as_their_text(request, name):
     for wq in workload.all_queries:
         query = wq.query
         assert query.sql_text() == wq.sql
-        rebound = bind_query(parse_query(query.to_sql()), db.schema, db.storage, name=query.name)
+        rebound = bind_query(parse_query(query.to_sql()), db.catalog, name=query.name)
         assert rebound == query, query.name
         assert rebound.sql_text() == query.to_sql()  # hand-built: no recorded text
 

@@ -11,7 +11,11 @@ valid frame on a raw socket:
 * a protocol-3 pickle, including one that would run code when unpickled;
 * a deeply nested array and a 5,000-digit integer;
 
-and, separately, corrupt frames.  Every request gets an ``err`` reply on a
+and, separately, corrupt frames.  The other way round, a hostile server
+whose handshake hello carries a malformed catalog (a missing key, a wrong
+type, NaN, a histogram that is not a list, an index declared twice, absurd
+nesting) is refused at connect with a typed error, and the client closes
+its socket: no half-built client is left.  Every request gets an ``err`` reply on a
 connection that then still answers ``ping``; a corrupt frame drops only
 its own connection.  In every case no backend method runs, and a second
 client keeps being served.
@@ -24,19 +28,23 @@ binds is planned.
 
 from __future__ import annotations
 
+import copy
 import json
 import pickle
 import socket
+import threading
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.engine.remote import EngineServer, RemoteBackend
+from repro.engine.remote import EngineServer, RemoteBackend, RemoteEngineError
 from repro.engine.remote import server as server_module
 from repro.engine.wire import (
     OPS,
+    FrameCorruptionError,
     decode_reply,
     encode_frame,
+    encode_message,
     encode_request,
     plan_to_wire,
     query_to_wire,
@@ -94,7 +102,7 @@ def server(spy):
 @pytest.fixture(scope="module")
 def bystander(server, job_workload):
     """A well-behaved second client sharing the server with the attacker."""
-    with RemoteBackend(server.url, database=job_workload.database, timeout_s=TIMEOUT_S) as client:
+    with RemoteBackend(server.url, timeout_s=TIMEOUT_S) as client:
         yield client
 
 
@@ -319,6 +327,96 @@ class TestHostileSqlText:
 _PICKLE_RAN = []
 
 
+def _first_column(catalog) -> list:
+    """The statistics row of the first table's first column."""
+    return catalog["statistics"][0][2][0]
+
+
+def _nested(depth: int) -> list:
+    value: list = []
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+#: Edits of a valid hello's catalog, each one malformed.
+CATALOG_EDITS = {
+    "missing_key": lambda catalog: catalog.pop("indexes"),
+    "wrong_type": lambda catalog: catalog.update(fingerprint=7),
+    "nan": lambda catalog: _first_column(catalog).__setitem__(1, float("nan")),
+    "non_list_histogram": lambda catalog: _first_column(catalog).__setitem__(4, "0,1,2"),
+    "infinite_bound": lambda catalog: _first_column(catalog)[4].__setitem__(0, float("-inf")),
+    "nested_histogram": lambda catalog: _first_column(catalog).__setitem__(4, _nested(60)),
+    "duplicate_index": lambda catalog: catalog["indexes"].append(catalog["indexes"][0]),
+    "unknown_index_column": lambda catalog: catalog["indexes"].append(["title", "nope"]),
+}
+
+
+def _connect_to_stub(reply: bytes) -> RemoteBackend:
+    """A client connected to a one-connection server whose every reply is
+    ``reply``; asserts the server saw one connection, and its close."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(TIMEOUT_S)
+    seen = {"connections": 0, "closed": False}
+
+    def serve():
+        try:
+            sock, _addr = listener.accept()
+        except OSError:
+            return
+        seen["connections"] += 1
+        sock.settimeout(TIMEOUT_S)
+        with sock, sock.makefile("rwb") as stream:
+            while read_frame(stream) is not None:
+                write_frame(stream, reply)
+            seen["closed"] = True  # EOF: the client closed its socket
+
+    stub = threading.Thread(target=serve, daemon=True)
+    stub.start()
+    url = f"tcp://127.0.0.1:{listener.getsockname()[1]}"
+    try:
+        try:
+            client = RemoteBackend(url, pool_size=1, timeout_s=TIMEOUT_S, max_reconnects=0)
+        except BaseException:
+            stub.join(timeout=TIMEOUT_S)
+            assert seen == {"connections": 1, "closed": True}
+            raise
+        client.close()
+        stub.join(timeout=TIMEOUT_S)
+        return client
+    finally:
+        listener.close()
+
+
+class TestHostileHellos:
+    @pytest.fixture(scope="class")
+    def hello(self, server):
+        status, (hello, _executions, _spans) = server._dispatch(
+            encode_request("fingerprint", None, None)
+        )
+        assert status == "ok"
+        return hello
+
+    def test_the_stub_serves_a_valid_hello(self, hello, server):
+        client = _connect_to_stub(encode_message(("ok", (hello, 0, ()))))
+        assert client.catalog.fingerprint == server.catalog.fingerprint
+
+    @pytest.mark.parametrize("edit", sorted(CATALOG_EDITS))
+    def test_a_malformed_catalog_is_refused(self, hello, edit):
+        hostile = copy.deepcopy(hello)
+        CATALOG_EDITS[edit](hostile["catalog"])
+        with pytest.raises(RemoteEngineError, match="malformed catalog"):
+            _connect_to_stub(encode_message(("ok", (hostile, 0, ()))))
+
+    def test_absurd_nesting_is_corruption(self, hello):
+        depth = 200_000
+        catalog = b"[" * depth + b"]" * depth
+        reply = encode_message(("ok", (dict(hello, catalog=None), 0, ())))
+        reply = reply.replace(b'"catalog":null', b'"catalog":' + catalog)
+        with pytest.raises(FrameCorruptionError, match="nests too deeply"):
+            _connect_to_stub(reply)
+
+
 def _ran() -> None:
     _PICKLE_RAN.append("ran")
 
@@ -349,7 +447,9 @@ class TestCorruptFrames:
 class TestExposure:
     class _Server:
         url = "tcp://0.0.0.0:0"
-        fingerprint = "crc32:00000000:rows=0"
+
+        class catalog:
+            fingerprint = "crc32:00000000:rows=0"
 
         def serve_forever(self):
             pass

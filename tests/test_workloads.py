@@ -38,18 +38,18 @@ class TestJobWorkload:
         a = build_workload_by_name("job", scale=0.02, seed=9)
         b = build_workload_by_name("job", scale=0.02, seed=9)
         assert [q.sql for q in a.all_queries] == [q.sql for q in b.all_queries]
-        ta = a.dataset.storage.table("title")
-        tb = b.dataset.storage.table("title")
+        ta = a.database.storage.table("title")
+        tb = b.database.storage.table("title")
         np.testing.assert_array_equal(ta.column("production_year"), tb.column("production_year"))
 
     def test_scale_changes_sizes(self):
         small = build_workload_by_name("job", scale=0.02, seed=9)
         big = build_workload_by_name("job", scale=0.04, seed=9)
-        assert big.dataset.storage.total_rows() > small.dataset.storage.total_rows()
+        assert big.database.storage.total_rows() > small.database.storage.total_rows()
 
     def test_popularity_correlation_planted(self, job_workload):
         """Old titles (low ids) must receive most cast_info references."""
-        storage = job_workload.dataset.storage
+        storage = job_workload.database.storage
         movie_ids = storage.table("cast_info").column("movie_id")
         n_title = storage.table("title").num_rows
         top_decile_refs = (movie_ids < n_title // 10).mean()
@@ -89,7 +89,7 @@ class TestStackWorkload:
         assert set(stack_workload.queries_by_template()) == expected
 
     def test_heavy_user_skew_planted(self, stack_workload):
-        storage = stack_workload.dataset.storage
+        storage = stack_workload.database.storage
         owners = storage.table("question").column("owner_user_id")
         n_users = storage.table("so_user").num_rows
         top_percentile = (owners < max(n_users // 100, 1)).mean()
