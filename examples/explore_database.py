@@ -20,6 +20,7 @@ import argparse
 from repro.api import FossSession
 from repro.catalog.datagen import correlation_mapping
 from repro.core.icp import IncompletePlan
+from repro.optimizer.plans import explain
 
 
 def main() -> None:
@@ -46,7 +47,7 @@ def main() -> None:
 
     # 2. EXPLAIN -------------------------------------------------------
     print("EXPLAIN:")
-    print(db.explain(plan))
+    print(explain(plan))
 
     # 3. Estimation error on a planted correlation ---------------------
     mapping = correlation_mapping(11, 113, 500)  # movie_info.info ~ info_type_id

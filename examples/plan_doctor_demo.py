@@ -22,6 +22,7 @@ import numpy as np
 from repro.api import FossSession
 from repro.core.actions import ActionSpace
 from repro.core.icp import IncompletePlan
+from repro.optimizer.plans import explain
 
 
 def best_single_step(db, query, icp, space, timeout_ms):
@@ -74,7 +75,7 @@ def main() -> None:
     print(f"Patient: query {wq.query_id}")
     print(f"  {wq.sql}\n")
     print("Diagnosis — the expert optimizer's plan:")
-    print(db.explain(original))
+    print(explain(original))
     print(f"\n  original latency: {original_latency:.2f} ms")
     print(f"\nTreatment step 1: {step1[0]}  ->  {step1[1]:.2f} ms")
     print(f"Treatment step 2: {step2[0]}  ->  {step2[1]:.2f} ms")

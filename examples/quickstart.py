@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 
 from repro.api import FossConfig, FossSession
+from repro.optimizer.plans import explain
 
 
 def main() -> None:
@@ -39,7 +40,7 @@ def main() -> None:
 
         planning = db.plan(wq.query)
         print("Expert optimizer's plan (the 'original plan' FOSS starts from):")
-        print(db.explain(planning.plan))
+        print(explain(planning.plan))
         original = db.execute(wq.query, planning.plan)
         print(f"\nOriginal plan latency: {original.latency_ms:.2f} ms "
               f"({original.output_rows} join output rows)\n")

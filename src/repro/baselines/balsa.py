@@ -23,7 +23,8 @@ import numpy as np
 
 from repro.baselines.value_model import PlanFeaturizer, ValueModel
 from repro.core.inference import OptimizedPlan
-from repro.engine.backend import EngineBackend
+from repro.engine.backend import EngineBackend, original_latency
+from repro.optimizer.cost import PLANNER_COSTS
 from repro.optimizer.dp import Prefix
 from repro.optimizer.plans import JOIN_METHODS, Plan
 from repro.sql.ast import Query
@@ -104,7 +105,7 @@ class BalsaOptimizer:
             for _ in range(samples_per_query):
                 plan = self._random_plan(wq.query)
                 # Cost estimates play the role of simulated latency.
-                pseudo_latency = plan.est_costs[-1] / self.database.cost_model.params.work_units_per_ms
+                pseudo_latency = plan.est_costs[-1] / PLANNER_COSTS.params.work_units_per_ms
                 self.value_model.add_sample(
                     self.featurizer.featurize(wq.query, plan), pseudo_latency
                 )
@@ -124,7 +125,7 @@ class BalsaOptimizer:
         for _ in range(iterations):
             for wq in queries:
                 plan = self._construct(wq.query, explore=True)
-                expert_latency = self.database.original_latency(wq.query)
+                expert_latency = original_latency(self.database, wq.query)
                 result = self.database.execute(
                     wq.query, plan, timeout_ms=timeout_factor * expert_latency
                 )

@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.baselines.value_model import PlanFeaturizer, ValueModel
 from repro.core.inference import OptimizedPlan
-from repro.engine.backend import EngineBackend
+from repro.engine.backend import EngineBackend, original_latency
 from repro.optimizer.dp import OptimizerOptions
 from repro.sql.ast import Query
 from repro.workloads.base import WorkloadQuery
@@ -95,7 +95,7 @@ class BaoOptimizer:
                 else:
                     index = int(self.rng.integers(len(plans)))
                 plan = plans[index]
-                expert_latency = self.database.original_latency(wq.query)
+                expert_latency = original_latency(self.database, wq.query)
                 result = self.database.execute(wq.query, plan, timeout_ms=3.0 * expert_latency)
                 self.value_model.add_sample(
                     self.featurizer.featurize(wq.query, plan), result.latency_ms

@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.baselines.value_model import PlanFeaturizer, ValueModel
 from repro.core.inference import OptimizedPlan
-from repro.engine.backend import EngineBackend
+from repro.engine.backend import EngineBackend, original_latency
 from repro.optimizer.dp import HintError, JoinSpace, OptimizerOptions
 from repro.optimizer.plans import Plan
 from repro.sql.ast import Query
@@ -154,7 +154,7 @@ class HybridQOOptimizer:
         for _ in range(iterations):
             for wq in queries:
                 plans = self._candidates(wq.query)
-                expert_latency = self.database.original_latency(wq.query)
+                expert_latency = original_latency(self.database, wq.query)
                 pick = int(self.rng.integers(len(plans)))
                 result = self.database.execute(
                     wq.query, plans[pick], timeout_ms=3.0 * expert_latency

@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.baselines.value_model import PlanFeaturizer, ValueModel
 from repro.core.inference import OptimizedPlan
-from repro.engine.backend import EngineBackend
+from repro.engine.backend import EngineBackend, original_latency
 from repro.optimizer.dp import Prefix
 from repro.optimizer.plans import JOIN_METHODS, Plan
 from repro.sql.ast import Query
@@ -97,7 +97,7 @@ class LogerOptimizer:
         for _ in range(iterations):
             for wq in queries:
                 plan = self._construct(wq.query, explore=True)
-                expert_latency = self.database.original_latency(wq.query)
+                expert_latency = original_latency(self.database, wq.query)
                 result = self.database.execute(
                     wq.query, plan, timeout_ms=timeout_factor * expert_latency
                 )

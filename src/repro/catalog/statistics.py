@@ -19,9 +19,12 @@ import numpy as np
 
 from repro.storage.database import StorageDatabase
 
-DEFAULT_HISTOGRAM_BINS = 16
-DEFAULT_MCV_COUNT = 8
-DEFAULT_SAMPLE_ROWS = 2_000
+# ANALYZE's settings, one value each: the statistics every engine plans
+# with, and a remote client receives in its catalog.
+HISTOGRAM_BINS = 16
+MCV_COUNT = 8
+SAMPLE_ROWS = 2_000
+SAMPLE_SEED = 31
 
 
 @dataclass
@@ -110,31 +113,21 @@ class StatisticsCatalog:
         return iter(self._tables.values())
 
     @classmethod
-    def analyze(
-        cls,
-        storage: StorageDatabase,
-        sample_rows: int = DEFAULT_SAMPLE_ROWS,
-        histogram_bins: int = DEFAULT_HISTOGRAM_BINS,
-        mcv_count: int = DEFAULT_MCV_COUNT,
-        seed: int = 31,
-    ) -> "StatisticsCatalog":
+    def analyze(cls, storage: StorageDatabase) -> "StatisticsCatalog":
         """Collect statistics for every table, sampling large tables."""
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(SAMPLE_SEED)
         tables = []
         for name in storage.table_names:
             table = storage.table(name)
             stats = TableStatistics(table_name=name, row_count=table.num_rows)
             for col_name in table.column_names:
                 values = table.column(col_name)
-                if len(values) > sample_rows:
-                    sample = values[rng.choice(len(values), size=sample_rows, replace=False)]
+                if len(values) > SAMPLE_ROWS:
+                    sample = values[rng.choice(len(values), size=SAMPLE_ROWS, replace=False)]
                 else:
                     sample = values
                 stats.columns[col_name] = _analyze_column(
-                    sample,
-                    total_rows=table.num_rows,
-                    histogram_bins=histogram_bins,
-                    mcv_count=mcv_count,
+                    sample, table.num_rows, HISTOGRAM_BINS, MCV_COUNT
                 )
             tables.append(stats)
         return cls(tables)

@@ -105,12 +105,14 @@ class EngineBackend(Protocol):
         self, requests: Sequence[Tuple[Query, Plan, Optional[float]]]
     ) -> List[ExecutionResult]: ...
 
-    def original_latency(self, query: Query) -> float: ...
-
     # -- introspection -------------------------------------------------
-    def explain(self, plan: Plan) -> str: ...
     def clear_caches(self) -> None: ...
     def stats(self) -> Dict[str, float]: ...
+
+
+def original_latency(backend: EngineBackend, query: Query) -> float:
+    """Latency of the expert's own plan for ``query`` (both calls cached)."""
+    return backend.execute(query, backend.plan(query).plan).latency_ms
 
 
 class LocalBackend(Database):

@@ -33,9 +33,9 @@ from repro.engine.memo import Memo
 from repro.engine.wire import crc32_chain
 from repro.executor.engine import ExecutionEngine, ExecutionResult
 from repro.optimizer.cardinality import CardinalityEstimator
-from repro.optimizer.cost import CostModel, CostParameters, runtime_cost_parameters
+from repro.optimizer.cost import RUNTIME_COSTS
 from repro.optimizer.dp import JoinSpace, OptimizerOptions, PlanEnumerator
-from repro.optimizer.plans import Plan, explain, plan_signature
+from repro.optimizer.plans import Plan, plan_signature
 from repro.sql.ast import Query, StatementKey
 from repro.sql.binder import bind_query
 from repro.sql.parser import parse_query
@@ -144,38 +144,28 @@ class _CachedLatency:
 
 
 class Database:
-    """Expert engine over a generated dataset."""
+    """Expert engine over a generated dataset.
 
-    def __init__(
-        self,
-        dataset: Dataset,
-        planner_cost_params: Optional[CostParameters] = None,
-        runtime_cost_params: Optional[CostParameters] = None,
-        analyze_sample_rows: int = 2_000,
-        analyze_seed: int = 31,
-    ) -> None:
+    Its one configuration is the engine's: the optimizer prices plans with
+    :data:`~repro.optimizer.cost.PLANNER_COSTS`, execution bills
+    :data:`~repro.optimizer.cost.RUNTIME_COSTS`, and ANALYZE runs with
+    :mod:`repro.catalog.statistics`' settings.
+    """
+
+    def __init__(self, dataset: Dataset) -> None:
         self.dataset = dataset
         self.storage = dataset.storage
-        # The optimizer costs plans with the (miscalibrated) planner
-        # defaults; the executor charges the true runtime parameters.  See
-        # runtime_cost_parameters() for why they differ.
-        self.cost_model = CostModel(planner_cost_params)
-        self.runtime_cost_model = CostModel(
-            runtime_cost_params if runtime_cost_params is not None else runtime_cost_parameters()
-        )
         # All the metadata anything above the engine reads, built once.
         self.catalog = Catalog.of(
             dataset.schema,
             self.storage,
-            StatisticsCatalog.analyze(self.storage, sample_rows=analyze_sample_rows, seed=analyze_seed),
+            StatisticsCatalog.analyze(self.storage),
             dataset_fingerprint(dataset),
         )
         self.estimator = CardinalityEstimator(self.catalog.statistics)
         self._dp_skeletons: Memo[tuple, object] = Memo(DP_SKELETON_CAPACITY)
-        self.enumerator = PlanEnumerator(
-            self.estimator, self.cost_model, self.catalog.has_index, self._dp_skeletons
-        )
-        self.executor = ExecutionEngine(self.storage, self.runtime_cost_model)
+        self.enumerator = PlanEnumerator(self.estimator, self.catalog.has_index, self._dp_skeletons)
+        self.executor = ExecutionEngine(self.storage)
         # The memos are shared by concurrent serving threads (OptimizerService
         # flushers, multi-tenant sessions over one shared engine).  Heavy
         # compute — bind, enumeration, hint completion — runs outside their
@@ -363,7 +353,7 @@ class Database:
             latency_ms=cached.latency_ms,
             output_rows=cached.output_rows,
             timed_out=cached.capped,
-            work_units=cached.latency_ms * self.runtime_cost_model.params.work_units_per_ms,
+            work_units=cached.latency_ms * RUNTIME_COSTS.params.work_units_per_ms,
             aggregate_values=cached.aggregate_values,
         )
 
@@ -376,17 +366,9 @@ class Database:
             for query, plan, timeout_ms in requests
         ]
 
-    def original_latency(self, query: Query) -> float:
-        """Latency of the expert's own plan (cached)."""
-        planning = self.plan(query)
-        return self.execute(query, planning.plan).latency_ms
-
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
-    def explain(self, plan: Plan) -> str:
-        return explain(plan)
-
     def clear_caches(self) -> None:
         self._statement_cache.clear()
         with self._lock:

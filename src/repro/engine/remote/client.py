@@ -1,8 +1,8 @@
 """``RemoteBackend``: the ``EngineBackend`` protocol over a TCP socket.
 
 The client holds the server's :class:`~repro.catalog.catalog.Catalog`,
-sent in the handshake, and no rows: SQL parse/bind, join spaces and
-EXPLAIN read only that snapshot and never need the wire; planning and
+sent in the handshake, and no rows: SQL parse/bind and join spaces read
+only that snapshot and never need the wire; planning and
 execution RPCs travel to a ``repro-engine`` server as length-prefixed,
 crc32-checksummed frames of plain-data JSON (:mod:`repro.engine.wire`).
 A query crosses as the SQL text it was bound from and a plan as a
@@ -75,9 +75,8 @@ from repro.engine.wire import (
 )
 from repro.executor.engine import ExecutionResult
 from repro.optimizer.cardinality import CardinalityEstimator
-from repro.optimizer.cost import CostModel
 from repro.optimizer.dp import JoinSpace, OptimizerOptions, PlanEnumerator
-from repro.optimizer.plans import Plan, explain
+from repro.optimizer.plans import Plan
 from repro.sql.ast import Query, StatementKey
 
 
@@ -241,9 +240,10 @@ class RemoteBackend:
         except BaseException:
             self.close()
             raise
-        # The planner's defaults, as the server's engine costs with them.
+        # The server's statistics and indexes; the enumerator's cost model
+        # is the server's by construction (there is one).
         self._enumerator = PlanEnumerator(
-            CardinalityEstimator(self.catalog.statistics), CostModel(), self.catalog.has_index
+            CardinalityEstimator(self.catalog.statistics), self.catalog.has_index
         )
 
     # ------------------------------------------------------------------
@@ -460,9 +460,6 @@ class RemoteBackend:
             return query
         return self._statement_cache.put(key, bind_statement(self.catalog, text, name))
 
-    def explain(self, plan: Plan) -> str:
-        return explain(plan)
-
     def join_space(self, query: Query) -> JoinSpace:
         # Built over the server's statistics and indexes, so the
         # constructive baselines search its space without a round trip.
@@ -561,10 +558,6 @@ class RemoteBackend:
             ],
         )
         return [execution_from_wire(result) for result in results]
-
-    def original_latency(self, query: Query) -> float:
-        planning = self.plan(query)
-        return self.execute(query, planning.plan).latency_ms
 
     # ------------------------------------------------------------------
     # cache control / stats

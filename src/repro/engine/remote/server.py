@@ -45,6 +45,7 @@ from repro import obs
 from repro.engine.wire import (
     DEFAULT_MAX_FRAME_BYTES,
     OPS,
+    PROTOCOL_VERSION,
     FrameCorruptionError,
     check_body,
     decode_request,
@@ -69,7 +70,6 @@ class EngineServer:
     ) -> None:
         self.backend = backend
         self.max_frame_bytes = max_frame_bytes
-        self.workload_info = dict(workload_info or {})
         self._owns_backend = owns_backend
         # Opt-in plain-HTTP ``/metrics`` on the same listener (no extra
         # port, no new RPC kind): frame clients always open with the
@@ -80,10 +80,14 @@ class EngineServer:
             "engine RPCs dispatched by op kind",
             ("kind",),
         )
-        # What the handshake sends: the backend's metadata, fingerprint
-        # included, never its rows.
-        self.catalog = backend.catalog
-        self.backend_name = backend.stats().get("backend")
+        # What the handshake sends, built once: the backend's metadata,
+        # fingerprint included, never its rows.
+        self.hello = {
+            "protocol": PROTOCOL_VERSION,
+            "workload": dict(workload_info or {}),
+            "backend": backend.stats().get("backend"),
+            "catalog": backend.catalog.to_wire(),
+        }
         self._listener = socket.create_server((host, port))
         self.host, self.port = self._listener.getsockname()[:2]
         self._lock = threading.Lock()  # guards _clients/_closed
@@ -445,7 +449,7 @@ def main(argv=None) -> int:
     # serve_remote example) wait for it and parse the url out of it.
     print(
         f"repro-engine: listening on {server.url} "
-        f"(dataset_fingerprint={server.catalog.fingerprint})",
+        f"(dataset_fingerprint={server.backend.catalog.fingerprint})",
         flush=True,
     )
     try:

@@ -369,12 +369,7 @@ def _ping(server, body, ctxs) -> None:
 
 
 def _hello(server, body, ctxs) -> dict:
-    return {
-        "protocol": PROTOCOL_VERSION,
-        "workload": server.workload_info,
-        "backend": server.backend_name,
-        "catalog": server.catalog.to_wire(),
-    }
+    return server.hello
 
 
 def _stats(server, body, ctxs) -> dict:

@@ -16,9 +16,9 @@ Each join ranks both inputs over the scanned side's key values, which gives
 the exact output count before anything is built; the materialization cap, the
 ``affordable`` check and the operator's charge all run on that integer.  After
 each operator the engine charges the operator's true-cardinality cost through
-the shared :class:`CostModel` and aborts with :class:`TimeoutExceeded` once the
-accumulated virtual time passes the deadline — the paper's dynamic-timeout
-mechanism (1.5x the original plan's latency).
+:data:`~repro.optimizer.cost.RUNTIME_COSTS` and aborts with
+:class:`TimeoutExceeded` once the accumulated virtual time passes the deadline —
+the paper's dynamic-timeout mechanism (1.5x the original plan's latency).
 
 Count one operator ahead, then build.  A timeout usually fires on the operator
 *above* a large output, so a join whose output would hold more rows than its
@@ -49,7 +49,7 @@ from typing import Dict, FrozenSet, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.executor.joins import Ranks, match_counts, pair_rows, rank_keys, refine_keys
-from repro.optimizer.cost import CostModel
+from repro.optimizer.cost import RUNTIME_COSTS
 from repro.optimizer.plans import Plan
 from repro.sql.ast import FilterPredicate, JoinPredicate, Query
 from repro.storage.database import StorageDatabase
@@ -105,9 +105,10 @@ class _Groups:
 class ExecutionEngine:
     """Executes plans against storage with virtual-time accounting."""
 
-    def __init__(self, storage: StorageDatabase, cost_model: Optional[CostModel] = None) -> None:
+    cost_model = RUNTIME_COSTS  # every execution bills the true charges
+
+    def __init__(self, storage: StorageDatabase) -> None:
         self.storage = storage
-        self.cost_model = cost_model if cost_model is not None else CostModel()
 
     # ------------------------------------------------------------------
     def execute(

@@ -20,7 +20,7 @@ import numpy as np
 
 from repro import obs
 from repro.core.inference import OptimizedPlan
-from repro.engine.backend import EngineBackend
+from repro.engine.backend import EngineBackend, original_latency
 from repro.experiments.metrics import (
     geometric_mean_relevant_latency,
     workload_relevant_latency,
@@ -142,7 +142,7 @@ def known_best_analysis(
     ratios = []
     ids = []
     for wq in queries:
-        expert_latency = database.original_latency(wq.query)
+        expert_latency = original_latency(database, wq.query)
         best = best_latencies.get(wq.query_id, expert_latency)
         ratios.append(1.0 - min(best, expert_latency) / max(expert_latency, 1e-9))
         ids.append(wq.query_id)

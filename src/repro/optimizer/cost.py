@@ -6,6 +6,11 @@ pick a plan; the executor evaluates the *same* formulas with **true**
 cardinalities and converts the result to virtual milliseconds.  Plans chosen
 under bad estimates therefore pay their true price at execution time —
 exactly the failure mode FOSS repairs.
+
+The engine has exactly two price lists, both constants here:
+:data:`PLANNER_COSTS`, what the optimizer believes, and
+:data:`RUNTIME_COSTS`, what execution charges.  A remote client plans with
+the server's costs because no other planner cost model exists.
 """
 
 from __future__ import annotations
@@ -18,7 +23,8 @@ import numpy as np
 
 @dataclass(frozen=True)
 class CostParameters:
-    """Tunable per-operation work-unit charges (PostgreSQL-flavoured)."""
+    """Per-operation work-unit charges (PostgreSQL-flavoured); the defaults
+    are the planner's."""
 
     seq_tuple: float = 1.0           # read one tuple in a sequential scan
     filter_term: float = 0.15        # evaluate one predicate term on one tuple
@@ -35,34 +41,6 @@ class CostParameters:
     work_units_per_ms: float = 20_000.0  # latency conversion
 
 
-def runtime_cost_parameters() -> CostParameters:
-    """The *true* per-operation charges used by the executor.
-
-    They deliberately differ from the planner defaults the optimizer costs
-    plans with — PostgreSQL's cost constants (seq_page_cost,
-    random_page_cost, ...) are likewise miscalibrated against real
-    hardware.  The planner systematically under-prices random index access
-    and over-prices hash/merge work, so its join-method picks are
-    sometimes wrong even when its cardinalities are right; FOSS's
-    ``Override`` actions repair exactly this (the paper's query-1b story).
-    """
-    return CostParameters(
-        seq_tuple=0.6,
-        filter_term=0.12,
-        index_descent=22.0,
-        index_tuple=7.5,
-        hash_build_tuple=1.1,
-        hash_probe_tuple=0.8,
-        sort_tuple_log=0.20,
-        merge_tuple=0.5,
-        nl_pair=0.08,
-        nl_rescan_tuple=0.4,
-        output_tuple=0.2,
-        agg_tuple=0.2,
-        work_units_per_ms=20_000.0,
-    )
-
-
 class CostModel:
     """Operator cost formulas over (estimated or true) cardinalities.
 
@@ -72,8 +50,8 @@ class CostModel:
     a Python float with ``math.log2``, never on an array.
     """
 
-    def __init__(self, params: CostParameters | None = None) -> None:
-        self.params = params if params is not None else CostParameters()
+    def __init__(self, params: CostParameters) -> None:
+        self.params = params
 
     # ------------------------------------------------------------------
     # scans
@@ -160,3 +138,33 @@ class CostModel:
 
     def to_milliseconds(self, work_units: float) -> float:
         return work_units / self.params.work_units_per_ms
+
+
+#: The optimizer's charges: every expert plan, hint completion and
+#: constructive join space is priced by them, on every backend.
+PLANNER_COSTS = CostModel(CostParameters())
+
+#: The *true* charges every execution bills.  They deliberately differ
+#: from :data:`PLANNER_COSTS` — PostgreSQL's cost constants (seq_page_cost,
+#: random_page_cost, ...) are likewise miscalibrated against real
+#: hardware.  The planner systematically under-prices random index access
+#: and over-prices hash/merge work, so its join-method picks are sometimes
+#: wrong even when its cardinalities are right; FOSS's ``Override`` actions
+#: repair exactly this (the paper's query-1b story).
+RUNTIME_COSTS = CostModel(
+    CostParameters(
+        seq_tuple=0.6,
+        filter_term=0.12,
+        index_descent=22.0,
+        index_tuple=7.5,
+        hash_build_tuple=1.1,
+        hash_probe_tuple=0.8,
+        sort_tuple_log=0.20,
+        merge_tuple=0.5,
+        nl_pair=0.08,
+        nl_rescan_tuple=0.4,
+        output_tuple=0.2,
+        agg_tuple=0.2,
+        work_units_per_ms=20_000.0,
+    )
+)

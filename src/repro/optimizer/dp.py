@@ -143,7 +143,7 @@ from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequen
 import numpy as np
 
 from repro.optimizer.cardinality import MIN_ROWS, CardinalityEstimator
-from repro.optimizer.cost import CostModel
+from repro.optimizer.cost import PLANNER_COSTS
 from repro.optimizer.plans import JOIN_METHODS, Plan
 from repro.sql.ast import JoinPredicate, Query
 
@@ -519,15 +519,15 @@ def _skeleton(space: JoinSpace, prefix: Sequence[int]) -> _Skeleton:
 class PlanEnumerator:
     """Cost-based left-deep plan enumeration over a query's join graph."""
 
+    cost_model = PLANNER_COSTS  # every backend's planner prices plans alike
+
     def __init__(
         self,
         estimator: CardinalityEstimator,
-        cost_model: CostModel,
         index_oracle: IndexOracle,
         skeletons=None,
     ) -> None:
         self.estimator = estimator
-        self.cost_model = cost_model
         self.has_index = index_oracle
         # Prefix-free level-array skeletons by join graph: a bounded memo
         # with ``get`` / ``put`` (the engine's), or ``None`` to keep none.

@@ -49,8 +49,6 @@ CALLS = {
     "plan_with_hints_many": _call_hints_many,
     "execute": lambda backend, query, plan, icp: backend.execute(query, plan, timeout_ms=500.0),
     "execute_many": lambda backend, query, plan, icp: backend.execute_many([(query, plan, None)]),
-    "original_latency": lambda backend, query, plan, icp: backend.original_latency(query),
-    "explain": lambda backend, query, plan, icp: backend.explain(plan),
     "stats": lambda backend, query, plan, icp: backend.stats(),
     "clear_caches": lambda backend, query, plan, icp: backend.clear_caches(),
     "ping": lambda backend, query, plan, icp: backend.ping(),

@@ -6,7 +6,7 @@ holds the real-tree test of each one.  Here:
 
 * every check is fed the snippets it must flag and the near misses it must
   pass, by rule family (determinism, clocks, layering, lock blocking,
-  unused imports, one forward);
+  unused imports, one forward, one cost model);
 * a scratch copy of ``src/repro`` takes a regression in a real module, to
   show the tree walk reports it at its file and line and nowhere else;
 * the old suppression comments exempt nothing: the allowlists in
@@ -63,6 +63,7 @@ from test_invariants import (
     layer_exception_problems,
     layer_import,
     lock_blocking,
+    one_cost_model,
     one_forward,
     src_modules,
     unused_import,
@@ -384,6 +385,45 @@ class TestOneForwardRule:
         ]
 
 
+# ----------------------------------------------------------------------
+# one cost model
+# ----------------------------------------------------------------------
+class TestOneCostModelRule:
+    def test_construction_flagged_however_imported(self):
+        assert hits(one_cost_model, """
+            from repro.optimizer import cost
+            from repro.optimizer.cost import CostModel, CostParameters
+            from repro.optimizer.cost import CostModel as Prices
+
+            A = CostModel(CostParameters())
+            B = cost.CostModel(CostParameters(seq_tuple=2.0))
+            C = Prices(cost.PLANNER_COSTS.params)
+            """) == 3
+
+    def test_the_constants_and_annotations_pass(self):
+        assert hits(one_cost_model, """
+            from repro.optimizer.cost import PLANNER_COSTS, RUNTIME_COSTS, CostModel
+
+            def price(rows: float, model: CostModel = PLANNER_COSTS) -> float:
+                return model.sort(rows) + RUNTIME_COSTS.sort(rows)
+            """) == 0
+
+    def test_only_the_cost_module_is_exempt(self):
+        """The allowlist exempts real constructions: the cost module's own
+        source, placed anywhere else, is flagged."""
+        source = (PACKAGE / "optimizer" / "cost.py").read_text(encoding="utf-8")
+        assert hits(one_cost_model, source, path="src/repro/optimizer/cost.py") == 0
+        assert hits(one_cost_model, source, path="src/repro/optimizer/dp.py") == 2
+
+    def test_seeded_regression_reported_at_its_line(self, tree):
+        """A client pricing plans with a cost model of its own."""
+        first = append(tree, CLIENT, (
+            "from repro.optimizer.cost import CostModel, CostParameters\n"
+            "_OWN_COSTS = CostModel(CostParameters())\n"
+        ))
+        assert violations(one_cost_model, tree) == [f"{CLIENT}:{first + 1}"]
+
+
 class TestLockBlockingRule:
     def test_blocking_call_in_with_lock_flagged(self):
         assert hits(lock_blocking, """
@@ -563,7 +603,7 @@ class TestCli:
 
     def test_list_rules(self):
         """Each check has its real-tree test, named after it."""
-        assert len(CHECKS) == len({check.__name__ for check in CHECKS}) == 12
+        assert len(CHECKS) == len({check.__name__ for check in CHECKS}) == 13
         for check in CHECKS:
             test = getattr(inv, f"test_{check.__name__}", None)
             assert callable(test), check.__name__

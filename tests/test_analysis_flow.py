@@ -587,6 +587,7 @@ class TestIncrementalCli:
             inv.layer_import: "from repro.api import service\nS = service\n",
             inv.unused_import: "import math\n",
             inv.one_forward: "def backward(grad):\n    return grad\n",
+            inv.one_cost_model: "OWN = CostModel(None)\n",
         }
         rel = "src/repro/optimizer/dp.py"
         original = (REPO_ROOT / rel).read_text(encoding="utf-8")

@@ -11,7 +11,9 @@ from repro.baselines.loger import LogerOptimizer
 from repro.baselines.postgres import PostgresOptimizer
 from repro.baselines.value_model import PlanFeaturizer, ValueModel
 from repro.core.icp import IncompletePlan
+from repro.engine.remote import EngineServer, RemoteBackend
 from repro.optimizer.plans import plan_signature
+from repro.workloads.job import build_job_workload
 
 
 @pytest.fixture(scope="module")
@@ -146,6 +148,24 @@ class TestBalsa:
         balsa.bootstrap_from_cost_model(workload.train[:5], samples_per_query=2)
         assert balsa.value_model.trained
         assert balsa.value_model.num_samples == 10
+
+    def test_trains_over_a_remote_backend_as_over_the_local_engine(self):
+        """Balsa's bootstrap prices plans with the one planner cost model, so
+        over a client of an in-process server it trains on the same samples
+        and builds the same plans as over the local engine."""
+        workload = build_job_workload(scale=0.02, seed=1)
+        queries = workload.train[:2]
+        local = BalsaOptimizer(workload.database, seed=5)
+        local.train(queries, iterations=1)
+        with EngineServer(workload.spec.build_database()) as server:
+            server.start()
+            with RemoteBackend(server.url, spec=workload.spec, timeout_s=60.0) as client:
+                remote = BalsaOptimizer(client, seed=5)
+                remote.train(queries, iterations=1)
+                assert remote.value_model.num_samples == local.value_model.num_samples == 14
+                for wq in queries + workload.test[:4]:
+                    remote_plan = remote.optimize(wq.query).plan
+                    assert remote_plan == local.optimize(wq.query).plan, wq.query_id
 
     def test_optimize_executes(self, env):
         workload, db = env

@@ -11,12 +11,13 @@ from hypothesis import given, settings, strategies as st
 
 from reference_dp import joins_between
 from reference_executor import JoinOverflow, ReferenceExecutionEngine, join_pairs
+from repro.engine.backend import original_latency
 from repro.engine.database import HARD_CAP_MS
 from repro.executor import engine as engine_module
 from repro.executor.engine import ExecutionEngine
 from repro.executor.joins import expand_pairs, match_counts, rank_keys, refine_keys
 from reference_plans import JoinNode, ScanNode, to_record, to_tree
-from repro.optimizer.plans import JOIN_METHODS
+from repro.optimizer.plans import JOIN_METHODS, explain
 from repro.sql.ast import Aggregate, ColumnRef, FilterPredicate, JoinPredicate, Query
 from repro.storage.database import StorageDatabase
 from repro.storage.table import Table
@@ -299,13 +300,13 @@ class TestEngineFacade:
 
     def test_original_latency_consistent(self, db, job_workload):
         query = job_workload.all_queries[0].query
-        a = db.original_latency(query)
+        a = original_latency(db, query)
         b = db.execute(query, db.plan(query).plan).latency_ms
         assert a == b
 
     def test_explain_contains_tables(self, db, job_workload):
         wq = job_workload.all_queries[0]
-        text = db.explain(db.plan(wq.query).plan)
+        text = explain(db.plan(wq.query).plan)
         for table in wq.query.tables.values():
             assert table in text
 
@@ -346,7 +347,7 @@ class TestDifferentialAgainstReference:
     def test_workload_plans_equal_reference(self, name, request):
         corpus = request.getfixturevalue(f"{name}_corpus")
         engine = corpus.database.executor
-        reference = ReferenceExecutionEngine(corpus.database.storage, engine.cost_model)
+        reference = ReferenceExecutionEngine(corpus.database.storage)
         compared = timed_out = 0
         for index, entry in enumerate(corpus.entries):
             query, cases = entry.query, list(zip(entry.plans, entry.trees))
@@ -413,7 +414,7 @@ def test_doomed_plans_build_nothing_they_will_not_read(name, request, monkeypatc
     corpus = request.getfixturevalue(f"{name}_corpus")
     database = corpus.database
     engine = database.executor
-    building = _BuildingEngine(database.storage, engine.cost_model)
+    building = _BuildingEngine(database.storage)
     events = []  # (scanned alias of an emitted join, output grew past its inputs); (None, False): a scan timed out
     emit, scan = ExecutionEngine._emit, ExecutionEngine._scan
 
@@ -592,7 +593,7 @@ def _check_every_order(case, max_join_output=None, timeout_share=None):
     """Every permutation of the join order through both engines."""
     storage, query, methods = _tiny_setup(case)
     engine = ExecutionEngine(storage)
-    reference = ReferenceExecutionEngine(storage, engine.cost_model)
+    reference = ReferenceExecutionEngine(storage)
     count, values = _brute_force(case)
     timeout_ms = HARD_CAP_MS
     if timeout_share is not None:
@@ -870,7 +871,7 @@ def test_counting_engine_allocates_a_fraction_of_enumeration(db, job_workload):
     """
     query = next(item.query for item in job_workload.all_queries if item.query.name == "q14d")
     assert query.num_tables >= 8
-    reference = ReferenceExecutionEngine(db.storage, db.executor.cost_model)
+    reference = ReferenceExecutionEngine(db.storage)
     expert = db.plan(query).plan
     order, methods = expert.aliases, expert.methods
     for seed in range(4):

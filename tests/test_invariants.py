@@ -1,6 +1,6 @@
 """Repository invariants, held by walking ``src/repro`` with stdlib ``ast``.
 
-Twelve checks, one test each, over every module of the package (the
+Thirteen checks, one test each, over every module of the package (the
 ``hash()`` check also over the benches, the spine and the examples, and
 the unused-import check also over the tests, the examples and the paper
 benches):
@@ -26,7 +26,10 @@ benches):
   module's one ``forward``: no class defines both a ``forward`` and an
   ``infer`` (a second composition of the same module), no ``backward`` is
   defined (an autograd op or a tape walk), and nothing imports the tests,
-  where the tape lives on as their oracle.
+  where the tape lives on as their oracle;
+* one cost model — ``CostModel`` is constructed only where the engine's
+  two price lists are defined (``optimizer/cost.py``), so a planner or a
+  remote client cannot price plans another way than the server.
 
 Each check maps one parsed module to the lines that break it.
 ``tests/test_analysis.py`` (syntactic checks) and
@@ -121,6 +124,10 @@ LOCK_BLOCKING_ALLOW: Dict[Tuple[str, str], str] = {
     "spans one framed send->recv so tenants never interleave bytes; the socket timeout "
     "bounds the wait",
 }
+
+#: The one module that may construct a ``CostModel``: the planner's and the
+#: executor's price lists are its constants.
+COST_MODEL_ALLOW = ("src/repro/optimizer/cost.py",)
 
 #: Call that acquires a resource -> the methods that release it.  A dotted
 #: key matches the end of the callee's dotted name (the server's
@@ -715,6 +722,18 @@ def unused_import(module: Module) -> List[int]:
     ]
 
 
+def one_cost_model(module: Module) -> List[int]:
+    """Every ``CostModel(...)`` outside :data:`COST_MODEL_ALLOW`, however
+    the class was imported or aliased."""
+    if _allowed(module.path, COST_MODEL_ALLOW):
+        return []
+    return [
+        node.lineno for node in ast.walk(module.tree)
+        if isinstance(node, ast.Call)
+        and (module.resolve(node.func) or ast.unparse(node.func)).rsplit(".", 1)[-1] == "CostModel"
+    ]
+
+
 # ----------------------------------------------------------------------
 # the real tree holds every invariant
 # ----------------------------------------------------------------------
@@ -722,7 +741,7 @@ def unused_import(module: Module) -> List[int]:
 CHECKS = (
     det_hash, det_unseeded_random, det_set_order, clock_wall, clock_monotonic,
     clock_perf_counter, layer_import, lock_blocking, lock_order, resource_release,
-    unused_import, one_forward,
+    unused_import, one_forward, one_cost_model,
 )
 
 
@@ -776,6 +795,10 @@ def test_one_forward():
     assert violations(one_forward) == []
 
 
+def test_one_cost_model():
+    assert violations(one_cost_model) == []
+
+
 # ----------------------------------------------------------------------
 # the literals above stay true to the tree
 # ----------------------------------------------------------------------
@@ -810,7 +833,7 @@ def layer_exception_problems(exceptions: Dict[Tuple[str, str], str],
 
 def test_allowlists_match_files():
     paths = [module.path for module in src_modules()]
-    for glob in MONOTONIC_ALLOW + PERF_COUNTER_ALLOW:
+    for glob in MONOTONIC_ALLOW + PERF_COUNTER_ALLOW + COST_MODEL_ALLOW:
         assert fnmatch.filter(paths, glob), f"allowlist glob {glob!r} matches no file"
     assert layer_exception_problems(LAYER_EXCEPTIONS, LAYERS, paths) == []
     functions = {

@@ -29,7 +29,7 @@ from repro.baselines.loger import LogerOptimizer
 from repro.engine.database import Database
 from repro.engine.remote import EngineServer, RemoteBackend
 from repro.optimizer import dp
-from repro.optimizer.cost import CostModel, CostParameters, runtime_cost_parameters
+from repro.optimizer.cost import PLANNER_COSTS, RUNTIME_COSTS
 from repro.optimizer.dp import OptimizerOptions, PlanEnumerator
 from repro.optimizer import HintError
 from repro.optimizer.plans import JOIN_METHODS, Plan, explain, plan_signature
@@ -52,28 +52,28 @@ def job_database(request):
 
 class TestCostModel:
     def test_seq_scan_linear_in_rows(self):
-        cm = CostModel()
+        cm = PLANNER_COSTS
         assert cm.seq_scan(2000, 1) == pytest.approx(2 * cm.seq_scan(1000, 1))
 
     def test_index_scan_cheaper_when_selective(self):
-        cm = CostModel()
+        cm = PLANNER_COSTS
         assert cm.index_scan(100_000, 10, 0) < cm.seq_scan(100_000, 1)
 
     def test_index_scan_worse_when_unselective(self):
-        cm = CostModel()
+        cm = PLANNER_COSTS
         assert cm.index_scan(10_000, 10_000, 0) > cm.seq_scan(10_000, 1)
 
     def test_nested_loop_quadratic(self):
-        cm = CostModel()
+        cm = PLANNER_COSTS
         assert cm.nested_loop(1000, 1000, 0) > 9 * cm.nested_loop(100, 1000, 0)
 
     def test_index_nl_beats_plain_nl_for_big_inner(self):
-        cm = CostModel()
+        cm = PLANNER_COSTS
         assert cm.index_nested_loop(100, 100_000, 100) < cm.nested_loop(100, 100_000, 100)
 
     def test_sort_each_is_sort_per_element(self):
         """The DP's level arrays cost sorts a level at a time, bit for bit."""
-        cm = CostModel()
+        cm = PLANNER_COSTS
         rng = np.random.default_rng(3)
         rows = np.concatenate((rng.lognormal(5.0, 4.0, 2000), [0.0, 1.0, 1e300, 1e308, np.inf]))
         with np.errstate(over="ignore"):
@@ -83,13 +83,13 @@ class TestCostModel:
         ]
 
     def test_hash_beats_nl_for_large_both(self):
-        cm = CostModel()
+        cm = PLANNER_COSTS
         assert cm.hash_join(50_000, 50_000, 50_000) < cm.nested_loop(50_000, 50_000, 50_000)
 
-    @pytest.mark.parametrize("params", [CostParameters(), runtime_cost_parameters()], ids=["planner", "runtime"])
-    def test_nested_loop_without_zero_rescan_term_is_bit_equal(self, params):
+    @pytest.mark.parametrize("cm", [PLANNER_COSTS, RUNTIME_COSTS], ids=["planner", "runtime"])
+    def test_nested_loop_without_zero_rescan_term_is_bit_equal(self, cm):
         """Dropping the dead ``outer * inner * 0.0`` term moved no finite cost."""
-        cm = CostModel(params)
+        params = cm.params
         inputs = [(1000, 1000, 0), (100, 1000, 0), (100, 100_000, 100), (50_000, 50_000, 50_000)]
         for outer, inner, out in inputs:
             pair, first = outer * inner * params.nl_pair, inner * params.nl_rescan_tuple
@@ -97,12 +97,12 @@ class TestCostModel:
             assert cm.nested_loop(outer, inner, out).hex() == float(with_rescan).hex()
 
     def test_nested_loop_overflow_is_inf_not_nan(self):
-        assert CostModel().nested_loop(float("inf"), 10.0, 1.0) == math.inf
+        assert PLANNER_COSTS.nested_loop(float("inf"), 10.0, 1.0) == math.inf
 
-    @pytest.mark.parametrize("params", [CostParameters(), runtime_cost_parameters()], ids=["planner", "runtime"])
-    def test_index_nested_loop_through_descent_is_bit_equal(self, params):
+    @pytest.mark.parametrize("cm", [PLANNER_COSTS, RUNTIME_COSTS], ids=["planner", "runtime"])
+    def test_index_nested_loop_through_descent_is_bit_equal(self, cm):
         """Hoisting the descent kept ``(index_descent * log) * 0.08``'s association."""
-        cm = CostModel(params)
+        params = cm.params
         inputs = [(1.0, 0.0, 1.0), (100, 100_000, 100), (3.5e4, 1e9, 7.25), (1e200, 1e300, 1e200)]
         for outer, base, out in inputs:
             descent = params.index_descent * max(1.0, math.log2(base + 2)) * 0.08
@@ -115,12 +115,12 @@ class TestCostModel:
             assert float(as_arrays[0]).hex() == inline
 
     def test_milliseconds_conversion(self):
-        cm = CostModel(CostParameters(work_units_per_ms=1000.0))
-        assert cm.to_milliseconds(5000.0) == pytest.approx(5.0)
+        cm = PLANNER_COSTS
+        assert cm.to_milliseconds(5 * cm.params.work_units_per_ms) == pytest.approx(5.0)
 
     def test_runtime_parameters_differ_from_planner(self):
-        planner = CostParameters()
-        runtime = runtime_cost_parameters()
+        planner = PLANNER_COSTS.params
+        runtime = RUNTIME_COSTS.params
         assert runtime.index_tuple > planner.index_tuple  # random IO under-priced
         assert runtime.hash_build_tuple < planner.hash_build_tuple  # hashing over-priced
 
@@ -409,7 +409,7 @@ def planners():
         workload = build_workload_by_name(name, scale=0.02, seed=1)
         database = workload.database
         reference = ReferenceEnumerator(
-            database.estimator, database.cost_model, database.catalog.has_index
+            database.estimator, database.enumerator.cost_model, database.catalog.has_index
         )
         reference.optimize = memoized(reference.optimize)
         built[name] = (workload, reference)
@@ -546,8 +546,10 @@ class TestFastPathParity:
         workload, _ = planners["job"]
         database = workload.database
         inflated = InflatedEstimator(database.estimator, 1e196)
-        enumerator = PlanEnumerator(inflated, database.cost_model, database.catalog.has_index)
-        reference = ReferenceEnumerator(inflated, database.cost_model, database.catalog.has_index)
+        enumerator = PlanEnumerator(inflated, database.catalog.has_index)
+        reference = ReferenceEnumerator(
+            inflated, database.enumerator.cost_model, database.catalog.has_index
+        )
         query = next(wq.query for wq in workload.all_queries if wq.query.num_tables == 9)
         plans = {}
         with warnings.catch_warnings():

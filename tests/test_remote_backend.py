@@ -41,9 +41,11 @@ import pytest
 from repro import obs
 from repro.api import FossConfig, FossSession, RequestContext
 from repro.catalog import datagen
+from repro.catalog.catalog import Catalog
 from repro.core.aam import AAMConfig
 from repro.core.icp import IncompletePlan
 from repro.core.trainer import FossTrainer
+from repro.engine.backend import original_latency
 from repro.engine.database import Database
 from repro.core.persistence import CheckpointError
 from repro.engine.remote import EngineServer, RemoteBackend, RemoteEngineError
@@ -172,7 +174,7 @@ class TestBackendParity:
         assert [r.latency_ms for r in remote_results] == [
             r.latency_ms for r in local_results
         ]
-        assert remote_backend.original_latency(query) == local.original_latency(query)
+        assert original_latency(remote_backend, query) == original_latency(local, query)
 
     def test_executions_and_stats_surface(self, job_workload, remote_backend):
         stats = remote_backend.stats()
@@ -399,6 +401,21 @@ class TestRemoteRobustness:
             with RemoteBackend(server.url, spec=spec, timeout_s=CLIENT_TIMEOUT_S) as client:
                 assert client.catalog.fingerprint == server_db.catalog.fingerprint
 
+    def test_the_hello_is_built_once(self, server_db, monkeypatch):
+        """The server encodes its catalog when it is built; a connection's
+        handshake encodes nothing more."""
+        with EngineServer(server_db) as server:
+            server.start()
+            encoded = []
+            to_wire = Catalog.to_wire
+            monkeypatch.setattr(
+                Catalog, "to_wire", lambda catalog: encoded.append(catalog) or to_wire(catalog)
+            )
+            for _ in range(2):
+                with RemoteBackend(server.url, timeout_s=CLIENT_TIMEOUT_S) as client:
+                    assert client.catalog.fingerprint == server_db.catalog.fingerprint
+            assert encoded == []
+
     def test_load_refuses_a_server_with_another_fingerprint(
         self, server_db, job_workload, tmp_path
     ):
@@ -409,9 +426,7 @@ class TestRemoteRobustness:
         FossSession.open(workload=job_workload, config=tiny_config()).save(path)
         with EngineServer(server_db) as server:
             server.start()
-            server.catalog = dataclasses.replace(
-                server.catalog, fingerprint="crc32:deadbeef:rows=0"  # simulated drift
-            )
+            server.hello["catalog"]["fingerprint"] = "crc32:deadbeef:rows=0"  # simulated drift
             with RemoteBackend(server.url, timeout_s=CLIENT_TIMEOUT_S) as client:
                 assert client.catalog.fingerprint == "crc32:deadbeef:rows=0"
                 with pytest.raises(CheckpointError, match="fingerprint mismatch"):
@@ -536,9 +551,7 @@ class TestRemoteRobustness:
             assert client.ping()
             first.close()
             second = EngineServer(server_db, port=port)
-            second.catalog = dataclasses.replace(
-                second.catalog, fingerprint="crc32:deadbeef:rows=0"  # simulated drift
-            )
+            second.hello["catalog"]["fingerprint"] = "crc32:deadbeef:rows=0"  # simulated drift
             second.start()
             try:
                 with pytest.raises(RemoteEngineError, match="drift"):

@@ -64,7 +64,7 @@ FUZZ = settings(
 #: The request-path methods of an engine backend.
 BACKEND_METHODS = (
     "sql", "plan", "plan_many", "plan_with_hints", "plan_with_hints_many",
-    "execute", "execute_many", "original_latency", "clear_caches", "stats",
+    "execute", "execute_many", "clear_caches", "stats",
 )
 
 
@@ -399,7 +399,7 @@ class TestHostileHellos:
 
     def test_the_stub_serves_a_valid_hello(self, hello, server):
         client = _connect_to_stub(encode_message(("ok", (hello, 0, ()))))
-        assert client.catalog.fingerprint == server.catalog.fingerprint
+        assert client.catalog.fingerprint == server.backend.catalog.fingerprint
 
     @pytest.mark.parametrize("edit", sorted(CATALOG_EDITS))
     def test_a_malformed_catalog_is_refused(self, hello, edit):
@@ -448,8 +448,9 @@ class TestExposure:
     class _Server:
         url = "tcp://0.0.0.0:0"
 
-        class catalog:
-            fingerprint = "crc32:00000000:rows=0"
+        class backend:
+            class catalog:
+                fingerprint = "crc32:00000000:rows=0"
 
         def serve_forever(self):
             pass
