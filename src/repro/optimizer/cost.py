@@ -23,22 +23,21 @@ import numpy as np
 
 @dataclass(frozen=True)
 class CostParameters:
-    """Per-operation work-unit charges (PostgreSQL-flavoured); the defaults
-    are the planner's."""
+    """Per-operation work-unit charges (PostgreSQL-flavoured)."""
 
-    seq_tuple: float = 1.0           # read one tuple in a sequential scan
-    filter_term: float = 0.15        # evaluate one predicate term on one tuple
-    index_descent: float = 12.0      # one B-tree descent
-    index_tuple: float = 4.0         # fetch one heap tuple via index (random IO)
-    hash_build_tuple: float = 2.0    # insert one tuple into a hash table
-    hash_probe_tuple: float = 1.2    # probe the table with one tuple
-    sort_tuple_log: float = 0.35     # per tuple per log2(n) comparison in sort
-    merge_tuple: float = 0.8         # advance one tuple during merge
-    nl_pair: float = 0.08            # evaluate one (outer, inner) pair in NL
-    nl_rescan_tuple: float = 0.4     # rescan one inner tuple (materialized)
-    output_tuple: float = 0.25       # emit one join output tuple
-    agg_tuple: float = 0.2           # aggregate one input tuple
-    work_units_per_ms: float = 20_000.0  # latency conversion
+    seq_tuple: float          # read one tuple in a sequential scan
+    filter_term: float        # evaluate one predicate term on one tuple
+    index_descent: float      # one B-tree descent
+    index_tuple: float        # fetch one heap tuple via index (random IO)
+    hash_build_tuple: float   # insert one tuple into a hash table
+    hash_probe_tuple: float   # probe the table with one tuple
+    sort_tuple_log: float     # per tuple per log2(n) comparison in sort
+    merge_tuple: float        # advance one tuple during merge
+    nl_pair: float            # evaluate one (outer, inner) pair in NL
+    nl_rescan_tuple: float    # rescan one inner tuple (materialized)
+    output_tuple: float       # emit one join output tuple
+    agg_tuple: float          # aggregate one input tuple
+    work_units_per_ms: float  # latency conversion
 
 
 class CostModel:
@@ -142,7 +141,23 @@ class CostModel:
 
 #: The optimizer's charges: every expert plan, hint completion and
 #: constructive join space is priced by them, on every backend.
-PLANNER_COSTS = CostModel(CostParameters())
+PLANNER_COSTS = CostModel(
+    CostParameters(
+        seq_tuple=1.0,
+        filter_term=0.15,
+        index_descent=12.0,
+        index_tuple=4.0,
+        hash_build_tuple=2.0,
+        hash_probe_tuple=1.2,
+        sort_tuple_log=0.35,
+        merge_tuple=0.8,
+        nl_pair=0.08,
+        nl_rescan_tuple=0.4,
+        output_tuple=0.25,
+        agg_tuple=0.2,
+        work_units_per_ms=20_000.0,
+    )
+)
 
 #: The *true* charges every execution bills.  They deliberately differ
 #: from :data:`PLANNER_COSTS` — PostgreSQL's cost constants (seq_page_cost,

@@ -391,12 +391,13 @@ class TestOneForwardRule:
 class TestOneCostModelRule:
     def test_construction_flagged_however_imported(self):
         assert hits(one_cost_model, """
+            from dataclasses import replace
             from repro.optimizer import cost
             from repro.optimizer.cost import CostModel, CostParameters
             from repro.optimizer.cost import CostModel as Prices
 
-            A = CostModel(CostParameters())
-            B = cost.CostModel(CostParameters(seq_tuple=2.0))
+            A = CostModel(CostParameters(*[1.0] * 13))
+            B = cost.CostModel(replace(cost.RUNTIME_COSTS.params, seq_tuple=2.0))
             C = Prices(cost.PLANNER_COSTS.params)
             """) == 3
 
@@ -418,8 +419,8 @@ class TestOneCostModelRule:
     def test_seeded_regression_reported_at_its_line(self, tree):
         """A client pricing plans with a cost model of its own."""
         first = append(tree, CLIENT, (
-            "from repro.optimizer.cost import CostModel, CostParameters\n"
-            "_OWN_COSTS = CostModel(CostParameters())\n"
+            "from repro.optimizer.cost import PLANNER_COSTS, CostModel\n"
+            "_OWN_COSTS = CostModel(PLANNER_COSTS.params)\n"
         ))
         assert violations(one_cost_model, tree) == [f"{CLIENT}:{first + 1}"]
 

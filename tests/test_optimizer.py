@@ -29,7 +29,7 @@ from repro.baselines.loger import LogerOptimizer
 from repro.engine.database import Database
 from repro.engine.remote import EngineServer, RemoteBackend
 from repro.optimizer import dp
-from repro.optimizer.cost import PLANNER_COSTS, RUNTIME_COSTS
+from repro.optimizer.cost import PLANNER_COSTS, RUNTIME_COSTS, CostModel
 from repro.optimizer.dp import OptimizerOptions, PlanEnumerator
 from repro.optimizer import HintError
 from repro.optimizer.plans import JOIN_METHODS, Plan, explain, plan_signature
@@ -115,8 +115,8 @@ class TestCostModel:
             assert float(as_arrays[0]).hex() == inline
 
     def test_milliseconds_conversion(self):
-        cm = PLANNER_COSTS
-        assert cm.to_milliseconds(5 * cm.params.work_units_per_ms) == pytest.approx(5.0)
+        cm = CostModel(dataclasses.replace(PLANNER_COSTS.params, work_units_per_ms=1000.0))
+        assert cm.to_milliseconds(5000.0) == pytest.approx(5.0)
 
     def test_runtime_parameters_differ_from_planner(self):
         planner = PLANNER_COSTS.params
